@@ -8,6 +8,19 @@
 //! (multiply-rotate over machine words), which hashes the same keys in a few
 //! nanoseconds.
 //!
+//! One departure from the Firefox original: [`Hasher::finish`] folds the
+//! state's high half into its low half, multiplies once more and folds again.
+//! The last step of the word loop is a multiply, whose output bit `k` depends
+//! only on input bits `≤ k` — and for a key whose varying bytes sit at the
+//! big-endian end of a word ([`crate::Address::from_index`],
+//! [`crate::H256::from_low_u64`], i.e. Solidity's small-integer slots) the
+//! low 16 to 56 input bits are constant. `std`'s `HashMap` picks buckets by
+//! the low bits, so the raw state sent 100 000 such addresses down a handful
+//! of probe chains (EXPERIMENTS.md, "Fx low bits"). A plain rotation, as in
+//! rustc-hash 2, rescues the address family but not the slot family, whose
+//! entropy sits in the top 16 bits only; the fold leaves both the low bits
+//! (bucket index) and the top seven (`hashbrown`'s tag) uniformly spread.
+//!
 //! Not DoS-resistant: use only for maps whose keys are not
 //! attacker-controlled collections (per-transaction buffers, per-node
 //! caches), never for protocol-level structures an adversary can grow.
@@ -73,7 +86,10 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        // Bucket indices come from the low bits; the word loop leaves its
+        // entropy in the high ones (see the module docs).
+        let folded = (self.hash ^ (self.hash >> 32)).wrapping_mul(SEED);
+        folded ^ (folded >> 32)
     }
 }
 
@@ -119,6 +135,31 @@ mod tests {
         assert_eq!(a.finish(), b.finish());
         a.write_u64(7);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    /// Distinct values of the low 16 bits of `finish()` over 65,536 keys.
+    /// An ideal hash gives ≈ 41,400 (65,536 · (1 − 1/e)).
+    fn low16_spread<K: std::hash::Hash>(key: impl Fn(u64) -> K) -> usize {
+        use std::hash::BuildHasher;
+        let build = FxBuildHasher::default();
+        let seen: HashSet<u64> = (0..65_536u64)
+            .map(|i| build.hash_one(key(i)) & 0xFFFF)
+            .collect();
+        seen.len()
+    }
+
+    #[test]
+    fn low_bits_spread_for_big_endian_counter_keys() {
+        // The raw multiply-rotate state leaves a handful of distinct low-16
+        // patterns for each of these families: the counter sits in the high
+        // bytes of the last little-endian word.
+        assert!(low16_spread(Address::from_index) > 30_000);
+        assert!(low16_spread(H256::from_low_u64) > 30_000);
+        assert!(low16_spread(|i| AccessKey::Balance(Address::from_index(i))) > 30_000);
+        assert!(
+            low16_spread(|i| AccessKey::Storage(Address::from_index(7), H256::from_low_u64(i)))
+                > 30_000
+        );
     }
 
     #[test]
