@@ -39,7 +39,7 @@ use bp_evm::{
     TxError,
 };
 use bp_state::{StateDelta, WorldState};
-use bp_types::{AccessKey, Address, BlockHash, Gas, U256};
+use bp_types::{AccessKey, Address, BlockHash, FxHashSet, Gas, U256};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
@@ -948,13 +948,13 @@ fn validate_and_apply(
     if let Some(err) = task.abort_error() {
         return Err(err);
     }
-    // Copy-on-write snapshot of the parent state: O(accounts) pointer bumps
-    // instead of a deep copy of the whole world per block.
+    // Copy-on-write snapshot of the parent state: a pointer bump, whatever
+    // the number of accounts; the writes below copy only the paths they take.
     let mut world = task.base.snapshot();
     let mut gas_total: Gas = 0;
     let mut fees = U256::ZERO;
     let mut receipts = Vec::with_capacity(block.transactions.len());
-    let mut written: std::collections::HashSet<AccessKey> = std::collections::HashSet::new();
+    let mut written: FxHashSet<AccessKey> = FxHashSet::default();
     for i in 0..block.transactions.len() {
         let outcome = task
             .results

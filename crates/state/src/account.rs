@@ -1,14 +1,19 @@
 //! The Ethereum account: the RLP structure stored in the state trie.
 
-use bp_crypto::keccak256;
 use bp_crypto::rlp::{self, DecodeError, RlpStream};
 use bp_types::{H256, U256};
 
 use crate::trie;
 
-/// Hash of empty code: `keccak256("")`.
+/// Hash of empty code: `keccak256("")`. A constant — every EOA's account
+/// body and every [`Account::is_empty`] asks for it.
 pub fn empty_code_hash() -> H256 {
-    keccak256(&[])
+    const EMPTY_CODE_HASH: H256 = H256([
+        0xc5, 0xd2, 0x46, 0x01, 0x86, 0xf7, 0x23, 0x3c, 0x92, 0x7e, 0x7d, 0xb2, 0xdc, 0xc7, 0x03,
+        0xc0, 0xe5, 0x00, 0xb6, 0x53, 0xca, 0x82, 0x27, 0x3b, 0x7b, 0xfa, 0xd8, 0x04, 0x5d, 0x85,
+        0xa4, 0x70,
+    ]);
+    EMPTY_CODE_HASH
 }
 
 /// The four-field account body committed into the state trie:
@@ -73,6 +78,7 @@ impl Account {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_crypto::keccak256;
 
     #[test]
     fn default_is_empty() {
@@ -88,6 +94,7 @@ mod tests {
             format!("{:?}", empty_code_hash()),
             "0xc5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
         );
+        assert_eq!(empty_code_hash(), keccak256(&[]));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //!
 //! * [`trie`] — a faithful Merkle Patricia Trie with proofs;
 //! * [`account`] — the 4-field RLP account body;
+//! * [`pmap`] — the persistent hash map ([`pmap::PMap`]) the world keeps its
+//!   accounts, storage and retained tries in, so a snapshot is O(1);
 //! * [`world`] — the flat mutable [`world::WorldState`] plus MPT commitment
 //!   ([`world::WorldState::state_root`]);
 //! * [`reader`] — the [`reader::StateReader`] base-state seam (implemented
@@ -17,6 +19,7 @@ pub mod account;
 pub mod mvmemory;
 pub mod mvstate;
 pub mod nibbles;
+pub mod pmap;
 pub mod reader;
 pub mod trie;
 pub mod world;
@@ -24,6 +27,7 @@ pub mod world;
 pub use account::Account;
 pub use mvmemory::{MvMemory, MvRead, ReadOrigin, ReadValidation};
 pub use mvstate::MultiVersionState;
+pub use pmap::PMap;
 pub use reader::{BaseAccount, MapReader, StateDelta, StateReader};
 pub use trie::{
     empty_root, summarize_node, verify_proof, NodeResolver, NodeSummary, Trie, TrieLoadError,

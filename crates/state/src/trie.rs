@@ -33,9 +33,15 @@ use bp_types::H256;
 
 use crate::nibbles::Nibbles;
 
-/// Root hash of the empty trie: `keccak256(rlp(""))`.
+/// Root hash of the empty trie: `keccak256(rlp(""))`. A constant — every
+/// EOA's account body and every empty [`Trie::root_hash`] asks for it.
 pub fn empty_root() -> H256 {
-    keccak256(&[0x80])
+    const EMPTY_ROOT: H256 = H256([
+        0x56, 0xe8, 0x1f, 0x17, 0x1b, 0xcc, 0x55, 0xa6, 0xff, 0x83, 0x45, 0xe6, 0x92, 0xc0, 0xf8,
+        0x6e, 0x5b, 0x48, 0xe0, 0x1b, 0x99, 0x6c, 0xad, 0xc0, 0x01, 0x62, 0x2f, 0xb5, 0xe3, 0x63,
+        0xb4, 0x21,
+    ]);
+    EMPTY_ROOT
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -1052,6 +1058,7 @@ mod tests {
             format!("{:?}", t.root_hash()),
             "0x56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421"
         );
+        assert_eq!(empty_root(), keccak256(&[0x80]));
         assert!(t.is_empty());
     }
 

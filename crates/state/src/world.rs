@@ -14,10 +14,15 @@
 //! incremental root is cross-checked against a from-scratch rebuild
 //! ([`WorldState::rebuild_root`]).
 //!
-//! Accounts are held behind [`Arc`] with clone-on-write semantics, so
-//! cloning a `WorldState` ([`WorldState::snapshot`]) is O(accounts) pointer
-//! bumps and subsequent writes copy only the touched accounts — the
-//! validator pipeline takes one such snapshot per block.
+//! The account map, each account's storage map and the retained storage
+//! tries are persistent maps ([`PMap`]), and accounts sit behind [`Arc`], so
+//! cloning a `WorldState` ([`WorldState::snapshot`]) is O(1) in the number of
+//! accounts — a root-pointer bump per map plus a copy of the dirty set — and
+//! a write after it copies one root-to-entry path of map nodes and the one
+//! touched account body, never that account's storage. A block therefore
+//! costs O(state it touches): the proposer forks the pre-block world once to
+//! seal, every validator forks it once to apply, and the states retained per
+//! height share everything they did not write.
 //!
 //! A world can also be **layered** over a [`StateReader`] base
 //! ([`WorldState::layered`] / [`WorldState::rebase`]): the account map then
@@ -29,18 +34,17 @@
 //! incremental-root machinery works identically whether state is resident
 //! or base-backed.
 
-use std::collections::HashSet;
-
-// Hot maps (accounts, per-account storage, dirty tracking) are Fx-hashed:
-// keys are fixed-size hashes/addresses, and SipHash showed up as the top
-// per-transaction cost in the EVM bench.
-use bp_types::FxHashMap as HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use bp_crypto::keccak256;
 use bp_types::{AccessKey, Address, WriteSet, H256, U256};
+// Dirty tracking and the from-scratch oracle's scratch maps are Fx-hashed:
+// keys are fixed-size hashes/addresses, and SipHash showed up as the top
+// per-transaction cost in the EVM bench.
+use bp_types::{FxHashMap as HashMap, FxHashSet as HashSet};
 
 use crate::account::{empty_code_hash, Account};
+use crate::pmap::PMap;
 use crate::reader::{BaseAccount, StateDelta, StateReader};
 use crate::trie::{self, Trie};
 
@@ -51,8 +55,9 @@ pub struct AccountState {
     pub nonce: u64,
     /// Balance in wei.
     pub balance: U256,
-    /// Contract storage (absent slots are zero).
-    pub storage: HashMap<H256, U256>,
+    /// Contract storage (absent slots are zero). Persistent, so copying the
+    /// account for a write shares the slots it does not touch.
+    pub storage: PMap<H256, U256>,
     /// Contract code (empty for EOAs). `Arc` so snapshots share it.
     pub code: Arc<Vec<u8>>,
     /// `keccak256(code)` as a word, `U256::ZERO` for empty code — the value
@@ -108,9 +113,10 @@ enum DirtyAccount {
 struct WorldCommit {
     root: H256,
     account_trie: Trie,
-    /// Storage tries of accounts with non-empty storage. Tries are
-    /// structurally shared with prior commits, so cloning this map is cheap.
-    storage_tries: HashMap<Address, Trie>,
+    /// Storage tries of accounts with non-empty storage. Map and tries are
+    /// structurally shared with prior commits, so a recommit of a shared
+    /// commit copies only what it updates.
+    storage_tries: PMap<Address, Trie>,
 }
 
 impl Default for WorldCommit {
@@ -118,7 +124,7 @@ impl Default for WorldCommit {
         WorldCommit {
             root: trie::empty_root(),
             account_trie: Trie::new(),
-            storage_tries: HashMap::default(),
+            storage_tries: PMap::new(),
         }
     }
 }
@@ -142,7 +148,7 @@ pub struct WorldState {
     /// Resident accounts. For a base-backed world this is the overlay:
     /// only accounts touched since [`WorldState::layered`] /
     /// [`WorldState::rebase`] appear here.
-    accounts: HashMap<Address, Arc<AccountState>>,
+    accounts: PMap<Address, Arc<AccountState>>,
     /// Base state that reads fall through to when `accounts` misses.
     base: Option<Arc<dyn StateReader>>,
     tracker: Mutex<CommitTracker>,
@@ -152,9 +158,9 @@ pub struct WorldState {
 }
 
 impl Clone for WorldState {
-    /// Copy-on-write: O(overlay accounts) refcount bumps. Account bodies,
-    /// storage maps, code blobs, the base handle, and the retained commit
-    /// tries are all shared until either side writes.
+    /// Copy-on-write, O(dirty accounts): the account map, the base handle
+    /// and the retained commit tries are shared by pointer until either side
+    /// writes; only the not-yet-committed dirty set is copied.
     fn clone(&self) -> Self {
         let tracker = self.tracker.lock().unwrap_or_else(PoisonError::into_inner);
         WorldState {
@@ -193,14 +199,14 @@ impl WorldState {
     /// it is retained and patched like any other.
     pub fn layered(base: Arc<dyn StateReader>, account_trie: Trie) -> Self {
         WorldState {
-            accounts: HashMap::default(),
+            accounts: PMap::new(),
             base: Some(base),
             tracker: Mutex::new(CommitTracker {
                 dirty: HashMap::default(),
                 commit: Some(Arc::new(WorldCommit {
                     root: account_trie.root_hash(),
                     account_trie,
-                    storage_tries: HashMap::default(),
+                    storage_tries: PMap::new(),
                 })),
             }),
             commit_threads: 0,
@@ -239,7 +245,7 @@ impl WorldState {
     /// resident account bodies and storage values are shed.
     pub fn rebase(&mut self, base: Arc<dyn StateReader>) {
         let commit = self.refresh();
-        self.accounts = HashMap::default();
+        self.accounts = PMap::new();
         self.base = Some(base);
         let tracker = self
             .tracker
@@ -255,8 +261,9 @@ impl WorldState {
     }
 
     /// A copy-on-write snapshot: the validator pipeline's per-block base.
-    /// Alias of `clone()`, named for intent — the copy is O(accounts)
-    /// pointer bumps, and writes to either side copy only touched accounts.
+    /// Alias of `clone()`, named for intent — the copy does not depend on
+    /// the number of accounts, and a write to either side copies one path of
+    /// the account map and the touched account body.
     pub fn snapshot(&self) -> Self {
         self.clone()
     }
@@ -292,7 +299,7 @@ impl WorldState {
             .unwrap_or_else(PoisonError::into_inner)
             .dirty
             .entry(addr)
-            .or_insert_with(|| DirtyAccount::Slots(HashSet::new()));
+            .or_insert_with(|| DirtyAccount::Slots(HashSet::default()));
         materialize(&mut self.accounts, self.base.as_deref(), addr)
     }
 
@@ -363,7 +370,7 @@ impl WorldState {
         match tracker
             .dirty
             .entry(addr)
-            .or_insert_with(|| DirtyAccount::Slots(HashSet::new()))
+            .or_insert_with(|| DirtyAccount::Slots(HashSet::default()))
         {
             DirtyAccount::Slots(slots) => {
                 slots.insert(key);
@@ -564,7 +571,7 @@ impl WorldState {
                 Some(b) => AccountState {
                     nonce: b.nonce,
                     balance: b.balance,
-                    storage: HashMap::default(),
+                    storage: PMap::new(),
                     code_hash: code_read_word(&b.code),
                     code: b.code,
                 },
@@ -596,16 +603,21 @@ impl WorldState {
                         .or_default()
                         .insert(*slot, (!value.is_zero()).then_some(value));
                 }
+                // A transaction names two or three body keys of one account
+                // (sender nonce + balance): resolve the body once for all.
                 _ => {
                     let addr = key.address();
-                    let body = BaseAccount {
-                        nonce: self.nonce(&addr),
-                        balance: self.balance(&addr),
-                        code: self.code(&addr),
-                    };
-                    delta
-                        .accounts
-                        .insert(addr, (!body.is_empty()).then_some(body));
+                    delta.accounts.entry(addr).or_insert_with(|| {
+                        let body = match self.accounts.get(&addr) {
+                            Some(a) => BaseAccount {
+                                nonce: a.nonce,
+                                balance: a.balance,
+                                code: Arc::clone(&a.code),
+                            },
+                            None => self.base_account(&addr).unwrap_or_default(),
+                        };
+                        (!body.is_empty()).then_some(body)
+                    });
                 }
             }
         }
@@ -616,7 +628,7 @@ impl WorldState {
     /// seed a flat base from a genesis world.
     pub fn full_delta(&self) -> StateDelta {
         let mut delta = StateDelta::default();
-        for (addr, acct) in &self.accounts {
+        for (addr, acct) in self.accounts.iter() {
             let body = BaseAccount {
                 nonce: acct.nonce,
                 balance: acct.balance,
@@ -719,17 +731,17 @@ impl WorldState {
 /// body when one exists, so the overlay body is authoritative from the first
 /// write on. Storage is *not* copied: overlay maps hold touched slots only.
 fn materialize<'a>(
-    accounts: &'a mut HashMap<Address, Arc<AccountState>>,
+    accounts: &'a mut PMap<Address, Arc<AccountState>>,
     base: Option<&dyn StateReader>,
     addr: Address,
 ) -> &'a mut AccountState {
-    let entry = accounts.entry(addr).or_insert_with(|| {
+    let entry = accounts.get_or_insert_with(addr, || {
         let seeded = base
             .and_then(|b| b.base_account(&addr))
             .map(|b| AccountState {
                 nonce: b.nonce,
                 balance: b.balance,
-                storage: HashMap::default(),
+                storage: PMap::new(),
                 code_hash: code_read_word(&b.code),
                 code: b.code,
             })
@@ -765,8 +777,8 @@ enum AccountUpdate {
 /// borrows the maps directly).
 fn compute_updates(
     dirty: &[(Address, DirtyAccount)],
-    accounts: &HashMap<Address, Arc<AccountState>>,
-    prev_tries: &HashMap<Address, Trie>,
+    accounts: &PMap<Address, Arc<AccountState>>,
+    prev_tries: &PMap<Address, Trie>,
     base: Option<&dyn StateReader>,
     commit_threads: usize,
 ) -> Vec<AccountUpdate> {
@@ -811,8 +823,8 @@ fn compute_updates(
 fn compute_update(
     addr: Address,
     dirt: &DirtyAccount,
-    accounts: &HashMap<Address, Arc<AccountState>>,
-    prev_tries: &HashMap<Address, Trie>,
+    accounts: &PMap<Address, Arc<AccountState>>,
+    prev_tries: &PMap<Address, Trie>,
     base: Option<&dyn StateReader>,
 ) -> AccountUpdate {
     let overlay = accounts.get(&addr);
@@ -1069,13 +1081,139 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_deep_for_storage() {
+    fn storage_writes_after_clone_are_invisible_to_the_other_side() {
+        let slot = H256::from_low_u64;
         let mut w = WorldState::new();
-        w.set_storage(addr(1), H256::ZERO, U256::ONE);
+        w.set_storage(addr(1), slot(0), U256::ONE);
+        w.set_storage(addr(1), slot(1), U256::from(5u64));
         w.set_balance(addr(1), U256::ONE);
-        let snap = w.clone();
-        w.set_storage(addr(1), H256::ZERO, U256::from(2u64));
-        assert_eq!(snap.storage(&addr(1), &H256::ZERO), U256::ONE);
+        let mut snap = w.clone();
+        // Overwrite, clear and add on one side; add on the other.
+        w.set_storage(addr(1), slot(0), U256::from(2u64));
+        w.set_storage(addr(1), slot(1), U256::ZERO);
+        w.set_storage(addr(1), slot(2), U256::from(7u64));
+        snap.set_storage(addr(1), slot(3), U256::from(9u64));
+        assert_eq!(snap.storage(&addr(1), &slot(0)), U256::ONE);
+        assert_eq!(snap.storage(&addr(1), &slot(1)), U256::from(5u64));
+        assert_eq!(snap.storage(&addr(1), &slot(2)), U256::ZERO);
+        assert_eq!(w.storage(&addr(1), &slot(0)), U256::from(2u64));
+        assert_eq!(w.storage(&addr(1), &slot(1)), U256::ZERO);
+        assert_eq!(w.storage(&addr(1), &slot(3)), U256::ZERO);
+        assert_eq!(w.account(&addr(1)).unwrap().storage.len(), 2);
+        assert_eq!(snap.account(&addr(1)).unwrap().storage.len(), 3);
+        assert_eq!(w.state_root(), w.rebuild_root());
+        assert_eq!(snap.state_root(), snap.rebuild_root());
+    }
+
+    // ---- structural sharing: what a snapshot and a write after it cost ----
+
+    #[test]
+    fn write_after_snapshot_copies_one_path_of_a_100k_account_world() {
+        use crate::pmap::nodes_created;
+
+        let mut parent = WorldState::new();
+        for i in 0..100_000u64 {
+            parent.set_balance(addr(i), U256::from(i + 1));
+        }
+        let depth = parent.accounts.depth();
+
+        let before = nodes_created();
+        let mut child = parent.snapshot();
+        assert_eq!(nodes_created(), before, "a snapshot creates no map node");
+        assert_eq!(child.accounts.unshared_nodes(&parent.accounts), 0);
+
+        child.set_balance(addr(31_337), U256::from(5u64));
+        let copied = nodes_created() - before;
+        assert!(copied <= depth + 1, "{copied} nodes for a {depth}-deep map");
+        // Every node off the written path is the parent's own allocation.
+        assert_eq!(child.accounts.unshared_nodes(&parent.accounts), copied);
+        // So is every account body but the written one.
+        for i in (0..100_000u64).step_by(997) {
+            let (a, b) = (&parent.accounts, &child.accounts);
+            assert!(Arc::ptr_eq(
+                a.get(&addr(i)).unwrap(),
+                b.get(&addr(i)).unwrap()
+            ));
+        }
+        assert_eq!(parent.balance(&addr(31_337)), U256::from(31_338u64));
+        assert_eq!(child.balance(&addr(31_337)), U256::from(5u64));
+
+        // A second write to the same account is in place.
+        let before = nodes_created();
+        child.set_nonce(addr(31_337), 1);
+        assert_eq!(nodes_created(), before);
+    }
+
+    #[test]
+    fn storage_write_in_a_snapshot_does_not_copy_the_contract_storage() {
+        use crate::pmap::nodes_created;
+
+        let contract = addr(1);
+        let mut parent = WorldState::new();
+        parent.set_code(contract, vec![0x00]);
+        for s in 0..100_000u64 {
+            parent.set_storage(contract, H256::from_low_u64(s), U256::from(s + 1));
+        }
+        let parent_storage = &parent.account(&contract).unwrap().storage;
+        let depth = parent_storage.depth();
+
+        let mut child = parent.snapshot();
+        let before = nodes_created();
+        child.set_storage(contract, H256::from_low_u64(4242), U256::from(7u64));
+        let copied = nodes_created() - before;
+        // One path of the (one-entry) account map plus one path of the
+        // storage map — not the 100k slots.
+        assert!(
+            copied <= 1 + depth + 1,
+            "{copied} nodes, storage depth {depth}"
+        );
+        let child_storage = &child.account(&contract).unwrap().storage;
+        assert!(child_storage.unshared_nodes(parent_storage) <= depth + 1);
+        assert_eq!(child_storage.len(), 100_000);
+        assert_eq!(
+            parent.storage(&contract, &H256::from_low_u64(4242)),
+            U256::from(4243u64)
+        );
+        assert_eq!(
+            child.storage(&contract, &H256::from_low_u64(4242)),
+            U256::from(7u64)
+        );
+    }
+
+    #[test]
+    fn three_sibling_forks_commit_independently() {
+        let mut parent = WorldState::new();
+        for i in 0..300u64 {
+            parent.set_balance(addr(i), U256::from(1000 + i));
+            if i % 3 == 0 {
+                parent.set_storage(addr(i), H256::from_low_u64(i), U256::from(i + 1));
+            }
+        }
+        let parent_root = parent.state_root();
+        // Same-height siblings off one committed parent, each writing an
+        // overlapping set of accounts differently and recommitting twice.
+        let mut forks: Vec<WorldState> = (0..3).map(|_| parent.snapshot()).collect();
+        for (f, fork) in forks.iter_mut().enumerate() {
+            let f = f as u64;
+            for i in 0..40u64 {
+                fork.set_balance(addr(i * 3), U256::from(f * 10_000 + i));
+                fork.set_storage(addr(i * 3), H256::from_low_u64(i * 3), U256::from(f));
+                fork.set_storage(addr(i * 3), H256::from_low_u64(900 + f), U256::from(i + 1));
+            }
+            fork.set_balance(addr(1000 + f), U256::ONE);
+            assert_eq!(fork.state_root(), fork.rebuild_root(), "fork {f}");
+            fork.set_balance(addr(f), U256::ZERO);
+            fork.set_storage(addr(0), H256::from_low_u64(0), U256::ZERO);
+            assert_eq!(fork.state_root(), fork.rebuild_root(), "fork {f} again");
+        }
+        assert_ne!(forks[0].state_root(), forks[1].state_root());
+        assert_ne!(forks[1].state_root(), forks[2].state_root());
+        assert_ne!(forks[0].state_root(), forks[2].state_root());
+        // The parent saw none of it.
+        assert_eq!(parent.state_root(), parent_root);
+        assert_eq!(parent.rebuild_root(), parent_root);
+        assert_eq!(parent.balance(&addr(0)), U256::from(1000u64));
+        assert_eq!(parent.account_count(), 300);
     }
 
     // ---- incremental-commitment specific coverage ----

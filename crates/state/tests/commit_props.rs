@@ -50,7 +50,9 @@ proptest! {
         for (k, v) in &base {
             match v {
                 Some(v) => serial.insert(k, v.clone()),
-                None => serial.remove(k),
+                None => {
+                    serial.remove(k);
+                }
             }
         }
         let mut parallel = serial.clone();
@@ -58,7 +60,9 @@ proptest! {
         for (k, v) in &batch {
             match v {
                 Some(v) => serial.insert(k, v.clone()),
-                None => serial.remove(k),
+                None => {
+                    serial.remove(k);
+                }
             }
         }
         parallel.apply_batch(batch.clone(), threads);

@@ -16,10 +16,11 @@
 //! [`crate::H256::from_low_u64`], i.e. Solidity's small-integer slots) the
 //! low 16 to 56 input bits are constant. `std`'s `HashMap` picks buckets by
 //! the low bits, so the raw state sent 100 000 such addresses down a handful
-//! of probe chains (EXPERIMENTS.md, "Fx low bits"). A plain rotation, as in
-//! rustc-hash 2, rescues the address family but not the slot family, whose
-//! entropy sits in the top 16 bits only; the fold leaves both the low bits
-//! (bucket index) and the top seven (`hashbrown`'s tag) uniformly spread.
+//! of probe chains (EXPERIMENTS.md, "State snapshots and the Fx low bits").
+//! A plain rotation, as in rustc-hash 2, rescues the address family but not
+//! the slot family, whose entropy sits in the top 16 bits only; the fold
+//! leaves both the low bits (bucket index) and the top seven (`hashbrown`'s
+//! tag) uniformly spread.
 //!
 //! Not DoS-resistant: use only for maps whose keys are not
 //! attacker-controlled collections (per-transaction buffers, per-node
