@@ -183,86 +183,16 @@ fn measure_block_scenario(reps: usize) -> Row {
 }
 
 /// One cell of the parallel-commit sweep: the same 1%-dirty incremental
-/// recommit with the commit worker cap pinned to `threads` — the measured
-/// wall time on *this* host plus the calibrated-model makespan (per-subtree
-/// costs measured serially, then packed over `threads` lanes exactly the
-/// way `Trie::apply_batch` round-robins its 16 shards).
+/// recommit with the commit thread cap pinned to `threads`, measured on
+/// *this* host. Measured only: a commit hands its shards — storage tries and
+/// account bodies included — to whichever thread is free, which calibrated
+/// trie-only subtree costs packed over lanes would not describe.
 struct ThreadRow {
     accounts: u64,
     dirty_accounts: usize,
     threads: usize,
     incremental_ms: f64,
-    modeled_ms: f64,
     final_root: H256,
-}
-
-/// Calibrates the shardable account-trie work for a `dirty`-update batch
-/// over an `accounts`-key trie: measures each first-nibble subtree's
-/// apply+hash cost in isolation (real wall time, serial, so a 1-core host
-/// calibrates the same vector an N-core host does) and the full serial
-/// commit. Returns `(per-shard ms, serial residue ms)`; the residue is the
-/// unshardable remainder (root-branch merge, batch partitioning).
-fn calibrate_shards(accounts: u64, dirty: usize, reps: usize) -> (Vec<f64>, f64) {
-    use bp_crypto::keccak256;
-    let account_body = |i: u64, salt: u64| {
-        // ~70 bytes, the size of an RLP account body.
-        let mut v = vec![0u8; 70];
-        v[..8].copy_from_slice(&i.to_be_bytes());
-        v[8..16].copy_from_slice(&salt.to_be_bytes());
-        v
-    };
-    let mut base = bp_state::trie::Trie::new();
-    for i in 0..accounts {
-        base.insert(keccak256(&i.to_be_bytes()).as_bytes(), account_body(i, 0));
-    }
-    let _ = base.root_hash(); // prime the per-node memo; clones share it
-    let batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..dirty as u64)
-        .map(|j| {
-            let i = (j * 97) % accounts;
-            (
-                keccak256(&i.to_be_bytes()).as_bytes().to_vec(),
-                Some(account_body(i, j + 1)),
-            )
-        })
-        .collect();
-    type Update = (Vec<u8>, Option<Vec<u8>>);
-    let mut shards: Vec<Vec<Update>> = (0..16).map(|_| Vec::new()).collect();
-    for (k, v) in &batch {
-        shards[(k[0] >> 4) as usize].push((k.clone(), v.clone()));
-    }
-    let shard_ms: Vec<f64> = shards
-        .iter()
-        .map(|shard| {
-            if shard.is_empty() {
-                return 0.0;
-            }
-            time_ms(reps, || {
-                let mut t = base.clone();
-                t.apply_batch(shard.clone(), 1);
-                std::hint::black_box(t.root_hash());
-            })
-        })
-        .collect();
-    let full_ms = time_ms(reps, || {
-        let mut t = base.clone();
-        t.apply_batch(batch.clone(), 1);
-        std::hint::black_box(t.root_hash());
-    });
-    let residue = (full_ms - shard_ms.iter().sum::<f64>()).max(0.0);
-    (shard_ms, residue)
-}
-
-/// The modeled makespan of a sharded commit at `threads` workers: the 16
-/// subtree costs are dealt round-robin over `min(threads, 16)` lanes in
-/// shard order — the exact assignment `Trie::apply_batch` uses — and the
-/// serial residue is added on top.
-fn modeled_makespan(shard_ms: &[f64], residue: f64, threads: usize) -> f64 {
-    let lanes = threads.clamp(1, 16);
-    let mut lane_ms = vec![0.0f64; lanes];
-    for (next, &ms) in shard_ms.iter().filter(|&&ms| ms > 0.0).enumerate() {
-        lane_ms[next % lanes] += ms;
-    }
-    residue + lane_ms.iter().cloned().fold(0.0, f64::max)
 }
 
 /// Sweeps `set_commit_threads` over `threads_list` on identical worlds and
@@ -275,7 +205,6 @@ fn measure_thread_sweep(
     reps: usize,
 ) -> Vec<ThreadRow> {
     let dirty = ((accounts as f64 * fraction) as usize).max(1);
-    let (shard_ms, residue) = calibrate_shards(accounts, dirty, reps);
     let base = build_world(accounts, 2);
     let _ = base.state_root(); // prime the memo once; clones share it
     threads_list
@@ -294,7 +223,6 @@ fn measure_thread_sweep(
                 dirty_accounts: dirty,
                 threads,
                 incremental_ms,
-                modeled_ms: modeled_makespan(&shard_ms, residue, threads),
                 final_root: world.state_root(),
             }
         })
@@ -414,54 +342,36 @@ fn main() {
             .find(|r| r.accounts == accounts && r.threads == 1)
             .map(|r| r.incremental_ms)
     };
-    let modeled_t1 = |accounts: u64| {
-        thread_rows
-            .iter()
-            .find(|r| r.accounts == accounts && r.threads == 1)
-            .map(|r| r.modeled_ms)
-    };
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut sweep_lines = String::new();
     if !thread_rows.is_empty() {
+        println!("\nparallel commit sweep ({host_threads} real thread(s) on this host):");
         println!(
-            "\nparallel commit sweep ({host_threads} real thread(s) on this host; \
-             modeled = calibrated per-subtree costs packed over the workers):"
-        );
-        println!(
-            "{:>9} {:>7} {:>8} {:>14} {:>9} {:>13} {:>9}",
-            "accounts", "dirty", "threads", "increm(ms)", "vs t1", "modeled(ms)", "modeled"
+            "{:>9} {:>7} {:>8} {:>14} {:>9}",
+            "accounts", "dirty", "threads", "increm(ms)", "vs t1"
         );
         for (i, r) in thread_rows.iter().enumerate() {
             let speedup = t1_ms(r.accounts).map(|t1| t1 / r.incremental_ms);
-            let modeled_speedup = modeled_t1(r.accounts).map(|t1| t1 / r.modeled_ms);
             println!(
-                "{:>9} {:>7} {:>8} {:>14.4} {:>8} {:>13.4} {:>8}",
+                "{:>9} {:>7} {:>8} {:>14.4} {:>8}",
                 r.accounts,
                 r.dirty_accounts,
                 r.threads,
                 r.incremental_ms,
                 speedup
-                    .map(|s| format!("{s:.2}x"))
-                    .unwrap_or_else(|| "-".to_string()),
-                r.modeled_ms,
-                modeled_speedup
                     .map(|s| format!("{s:.2}x"))
                     .unwrap_or_else(|| "-".to_string()),
             );
             sweep_lines.push_str(&format!(
                 "    {{\"accounts\": {}, \"dirty_accounts\": {}, \"threads\": {}, \
                  \"host_threads\": {}, \"incremental_ms\": {:.4}, \"speedup_vs_t1\": {}, \
-                 \"modeled_ms\": {:.4}, \"modeled_speedup_vs_t1\": {}, \"root\": \"{:?}\"}}{}\n",
+                 \"root\": \"{:?}\"}}{}\n",
                 r.accounts,
                 r.dirty_accounts,
                 r.threads,
                 host_threads,
                 r.incremental_ms,
                 speedup
-                    .map(|s| format!("{s:.2}"))
-                    .unwrap_or_else(|| "null".to_string()),
-                r.modeled_ms,
-                modeled_speedup
                     .map(|s| format!("{s:.2}"))
                     .unwrap_or_else(|| "null".to_string()),
                 r.final_root,
@@ -501,34 +411,20 @@ fn main() {
         "acceptance: 132-tx block over 10k accounts must be >= 5x vs cold, got {:.1}x",
         block.speedup()
     );
-    // Acceptance for the parallel commit: 8 workers must clear 1.5x over
-    // serial on the 1M-account / 1%-dirty recommit (when the sweep ran at
-    // that size — CI smokes run reduced grids). The gate reads the real
-    // measurement when the host has the cores to express it, and the
-    // calibrated model otherwise (same rule the other scaling figures use:
-    // per-unit costs are measured for real, the packing is arithmetic).
-    if let (Some(t1), Some(t8)) = (
-        t1_ms(1_000_000).zip(modeled_t1(1_000_000)),
-        thread_rows
-            .iter()
-            .find(|r| r.accounts == 1_000_000 && r.threads == 8)
-            .map(|r| (r.incremental_ms, r.modeled_ms)),
-    ) {
-        let speedup = if host_threads >= 8 {
-            t1.0 / t8.0
-        } else {
-            t1.1 / t8.1
-        };
+    // Acceptance for the parallel commit: 8 threads must clear 1.5x over
+    // serial on the 1M-account / 1%-dirty recommit — on a host that has the
+    // cores to show it, and when the sweep ran at that size (CI smokes run
+    // reduced grids).
+    let t8_ms = thread_rows
+        .iter()
+        .find(|r| r.accounts == 1_000_000 && r.threads == 8)
+        .map(|r| r.incremental_ms);
+    if let (Some(t1), Some(t8), true) = (t1_ms(1_000_000), t8_ms, host_threads >= 8) {
         assert!(
-            speedup >= 1.5,
+            t1 / t8 >= 1.5,
             "acceptance: parallel commit at 8 threads must be >= 1.5x over serial \
-             on 1M accounts / 1% dirty, got {speedup:.2}x \
-             (host_threads {host_threads}, measured {:.2}ms -> {:.2}ms, \
-             modeled {:.2}ms -> {:.2}ms)",
-            t1.0,
-            t8.0,
-            t1.1,
-            t8.1
+             on 1M accounts / 1% dirty, got {:.2}x ({t1:.2}ms -> {t8:.2}ms)",
+            t1 / t8
         );
     }
 }

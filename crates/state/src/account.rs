@@ -1,6 +1,6 @@
 //! The Ethereum account: the RLP structure stored in the state trie.
 
-use bp_crypto::rlp::{self, DecodeError, RlpStream};
+use bp_crypto::rlp::{self, DecodeError};
 use bp_types::{H256, U256};
 
 use crate::trie;
@@ -48,15 +48,23 @@ impl Account {
         self.nonce == 0 && self.balance.is_zero() && self.code_hash == empty_code_hash()
     }
 
-    /// RLP encoding as stored in the state trie.
+    /// RLP encoding as stored in the state trie, written once into a buffer
+    /// of its exact size: every dirty account of a block is encoded here.
     pub fn rlp_encode(&self) -> Vec<u8> {
-        let mut s = RlpStream::new();
-        s.begin_list(4);
-        s.append_u64(self.nonce);
-        s.append_u256(&self.balance);
-        s.append_h256(&self.storage_root);
-        s.append_h256(&self.code_hash);
-        s.out()
+        let nonce = self.nonce.to_be_bytes();
+        let nonce = &nonce[self.nonce.leading_zeros() as usize / 8..];
+        let balance = self.balance.to_be_bytes();
+        let balance = &balance[balance.iter().position(|&b| b != 0).unwrap_or(32)..];
+        let item =
+            |bytes: &[u8]| trie::rlp_str_len(bytes.len(), bytes.first().copied().unwrap_or(0));
+        let payload = item(nonce) + item(balance) + 2 * 33;
+        let mut out = Vec::with_capacity(2 + payload);
+        trie::rlp_list_header(payload, &mut out);
+        trie::rlp_str(nonce, &mut out);
+        trie::rlp_str(balance, &mut out);
+        trie::rlp_str(&self.storage_root.0, &mut out);
+        trie::rlp_str(&self.code_hash.0, &mut out);
+        out
     }
 
     /// Strict decoding of the trie representation.
@@ -79,6 +87,7 @@ impl Account {
 mod tests {
     use super::*;
     use bp_crypto::keccak256;
+    use bp_crypto::rlp::RlpStream;
 
     #[test]
     fn default_is_empty() {
@@ -107,6 +116,40 @@ mod tests {
         };
         let enc = a.rlp_encode();
         assert_eq!(Account::rlp_decode(&enc).unwrap(), a);
+    }
+
+    #[test]
+    fn encoding_is_the_four_item_rlp_list() {
+        // Scalars at every length boundary of the minimal big-endian form:
+        // empty, one byte that is its own encoding, one that is not, long.
+        let nonces = [0, 1, 0x7f, 0x80, 0xff, 0x100, u64::MAX];
+        let balances = [
+            U256::ZERO,
+            U256::from(0x7fu64),
+            U256::from(0x80u64),
+            U256::from(u64::MAX),
+            U256::MAX,
+        ];
+        for nonce in nonces {
+            for balance in balances {
+                let a = Account {
+                    nonce,
+                    balance,
+                    storage_root: H256::from_low_u64(nonce),
+                    code_hash: empty_code_hash(),
+                };
+                let mut s = RlpStream::new();
+                s.begin_list(4);
+                s.append_u64(a.nonce);
+                s.append_u256(&a.balance);
+                s.append_h256(&a.storage_root);
+                s.append_h256(&a.code_hash);
+                let enc = a.rlp_encode();
+                assert_eq!(enc, s.out());
+                assert_eq!(enc.capacity(), enc.len());
+                assert_eq!(Account::rlp_decode(&enc).unwrap(), a);
+            }
+        }
     }
 
     #[test]

@@ -8,12 +8,19 @@
 //! states are considered identical only if their MPT roots are the same").
 //!
 //! Nodes are **structurally shared**: children are held behind [`Arc`], so
-//! `Trie::clone` is O(1) and an insert/remove path-copies only the nodes on
-//! the touched path while every untouched subtree stays shared with prior
-//! clones. Each shared node memoizes its RLP encoding and keccak hash, so
-//! recomputing the root after k mutations re-hashes O(k · depth) nodes, not
-//! the whole trie. This is what makes the world state's incremental
-//! commitment O(dirty keys) per block instead of O(total state).
+//! `Trie::clone` is O(1) and a mutation copies only the nodes on the touched
+//! paths while every untouched subtree stays shared with prior clones.
+//!
+//! The trie is **always committed**. Every child slot holds, beside the
+//! pointer, the child's *commitment* — its keccak hash, or its whole
+//! encoding when that is shorter than 32 bytes — and the trie handle holds
+//! the root's. Encoding a node therefore reads that node alone, and a
+//! mutation hashes exactly the nodes it creates. Mutations arrive as sorted
+//! batches ([`Trie::apply_batch`]; `insert`/`remove` are batches of one) and
+//! are applied in **one recursive descent** that splits the batch by nibble
+//! at each branch: a node under k of the batch's keys is copied and hashed
+//! once, not k times. This is what makes the world state's incremental
+//! commitment cost O(touched nodes) hashes per block and little else.
 //!
 //! The trie also produces Merkle proofs ([`Trie::prove`] /
 //! [`verify_proof`]), used in tests to cross-check the commitment logic.
@@ -25,13 +32,13 @@
 //! encoding is shorter than 32 bytes are inlined in their parent (the MPT
 //! inlining rule) and never hit the database.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use bp_crypto::keccak256;
-use bp_crypto::rlp::{self, Item, RlpStream};
+use bp_crypto::rlp::{self, Item};
 use bp_types::H256;
 
-use crate::nibbles::Nibbles;
+use crate::nibbles::{nibble_at, Nibbles};
 
 /// Root hash of the empty trie: `keccak256(rlp(""))`. A constant — every
 /// EOA's account body and every empty [`Trie::root_hash`] asks for it.
@@ -44,171 +51,376 @@ pub fn empty_root() -> H256 {
     EMPTY_ROOT
 }
 
-#[derive(Clone, Debug, PartialEq)]
-enum Node {
-    Empty,
-    Leaf {
-        path: Nibbles,
-        value: Vec<u8>,
-    },
-    Extension {
-        path: Nibbles,
-        child: NodeRef,
-    },
-    Branch {
-        children: Box<[NodeRef; 16]>,
-        value: Option<Vec<u8>>,
-    },
+// ---------------------------------------------------------------------------
+// Node layout
+// ---------------------------------------------------------------------------
+
+/// What a parent records about a child: the keccak hash of the child's
+/// encoding (`len == 32`), or the encoding itself when it is shorter than 32
+/// bytes (the MPT inlining rule). Either way it is what the parent's own
+/// encoding embeds, so encoding a parent never visits the child.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Commitment {
+    len: u8,
+    bytes: [u8; 32],
 }
 
-impl Node {
-    fn empty_children() -> Box<[NodeRef; 16]> {
-        Box::new(std::array::from_fn(|_| NodeRef::empty()))
-    }
-}
+impl Commitment {
+    const HASHED: u8 = 32;
 
-/// Memoized commitment of one node: its RLP encoding (with children already
-/// reduced to hash references or inlined bytes) and, for encodings of 32
-/// bytes or more, the keccak hash its parent refers to it by.
-#[derive(Clone, Debug)]
-struct EncCache {
-    encoding: Arc<Vec<u8>>,
-    /// `Some` iff `encoding.len() >= 32` (the node is hashed, not inlined).
-    hash: Option<H256>,
-}
-
-/// A shared, immutable handle to a node. Cloning bumps a refcount; mutation
-/// goes through [`NodeRef::take`], which copies the node only when it is
-/// shared (path copying) and always discards the stale encoding cache.
-#[derive(Clone, Debug)]
-struct NodeRef(Arc<NodeInner>);
-
-#[derive(Debug)]
-struct NodeInner {
-    node: Node,
-    enc: OnceLock<EncCache>,
-}
-
-impl PartialEq for NodeRef {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.node() == other.node()
-    }
-}
-
-impl NodeRef {
-    fn new(node: Node) -> Self {
-        NodeRef(Arc::new(NodeInner {
-            node,
-            enc: OnceLock::new(),
-        }))
-    }
-
-    /// The shared empty node (one allocation program-wide).
-    fn empty() -> Self {
-        static EMPTY: OnceLock<NodeRef> = OnceLock::new();
-        EMPTY.get_or_init(|| NodeRef::new(Node::Empty)).clone()
-    }
-
-    fn node(&self) -> &Node {
-        &self.0.node
-    }
-
-    fn is_empty_node(&self) -> bool {
-        matches!(self.0.node, Node::Empty)
-    }
-
-    /// Takes the node out for mutation: moves when this is the only
-    /// reference, shallow-copies (children stay shared) otherwise. Either
-    /// way the encoding cache is dropped — the caller is about to change
-    /// the node, so the memoized commitment would be stale.
-    fn take(self) -> Node {
-        match Arc::try_unwrap(self.0) {
-            Ok(inner) => inner.node,
-            Err(shared) => shared.node.clone(),
+    fn of(encoding: &[u8]) -> Self {
+        if encoding.len() < 32 {
+            let mut bytes = [0u8; 32];
+            bytes[..encoding.len()].copy_from_slice(encoding);
+            Commitment {
+                len: encoding.len() as u8,
+                bytes,
+            }
+        } else {
+            #[cfg(test)]
+            counters::bump(&counters::HASHED);
+            Self::hashed(keccak256(encoding))
         }
     }
 
-    /// The memoized encoding + hash, computed on first use.
-    fn enc(&self) -> &EncCache {
-        self.0.enc.get_or_init(|| {
-            let encoding = encode_node(&self.0.node);
-            let hash = if encoding.len() >= 32 {
-                Some(keccak256(&encoding))
-            } else {
-                None
-            };
-            EncCache {
-                encoding: Arc::new(encoding),
-                hash,
-            }
-        })
+    fn hashed(hash: H256) -> Self {
+        Commitment {
+            len: Self::HASHED,
+            bytes: hash.0,
+        }
+    }
+
+    /// The child's hash, when it is referenced by hash.
+    fn hash(&self) -> Option<H256> {
+        (self.len == Self::HASHED).then_some(H256(self.bytes))
+    }
+
+    /// The hash a node with this commitment has as the root of a trie:
+    /// unlike an inner node, a short root is hashed too.
+    fn root_hash(&self) -> H256 {
+        self.hash()
+            .unwrap_or_else(|| keccak256(&self.bytes[..self.len as usize]))
+    }
+
+    /// Bytes the reference takes in the parent's encoding.
+    fn ref_len(&self) -> usize {
+        if self.len == Self::HASHED {
+            33
+        } else {
+            self.len as usize
+        }
+    }
+
+    /// Appends the reference: the hash as a 32-byte string, or the inlined
+    /// encoding as it is.
+    fn write_ref(&self, out: &mut Vec<u8>) {
+        if self.len == Self::HASHED {
+            out.push(0x80 + 32);
+            out.extend_from_slice(&self.bytes);
+        } else {
+            out.extend_from_slice(&self.bytes[..self.len as usize]);
+        }
     }
 }
+
+impl std::fmt::Debug for Commitment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.hash() {
+            Some(hash) => write!(f, "{hash:?}"),
+            None => write!(f, "inline {:02x?}", &self.bytes[..self.len as usize]),
+        }
+    }
+}
+
+/// A shared, immutable node. Cloning bumps a refcount.
+#[derive(Clone, Debug)]
+enum Node {
+    Leaf(Arc<Leaf>),
+    Extension(Arc<Extension>),
+    Branch(Arc<Branch>),
+}
+
+/// A committed node: the pointer and, beside it, the commitment its parent
+/// embeds.
+#[derive(Clone, Debug)]
+struct Child {
+    node: Node,
+    commit: Commitment,
+}
+
+#[derive(Debug)]
+struct Leaf {
+    path: Nibbles,
+    value: Vec<u8>,
+}
+
+#[derive(Debug)]
+struct Extension {
+    path: Nibbles,
+    child: Child,
+}
+
+#[derive(Debug)]
+struct Branch {
+    children: [Option<Child>; 16],
+    value: Option<Vec<u8>>,
+}
+
+impl Node {
+    fn leaf(path: Nibbles, value: Vec<u8>) -> Node {
+        #[cfg(test)]
+        counters::bump(&counters::ALLOCATED);
+        Node::Leaf(Arc::new(Leaf { path, value }))
+    }
+
+    fn extension(path: Nibbles, child: Child) -> Node {
+        #[cfg(test)]
+        counters::bump(&counters::ALLOCATED);
+        Node::Extension(Arc::new(Extension { path, child }))
+    }
+
+    fn branch(children: [Option<Child>; 16], value: Option<Vec<u8>>) -> Node {
+        #[cfg(test)]
+        counters::bump(&counters::ALLOCATED);
+        Node::Branch(Arc::new(Branch { children, value }))
+    }
+
+    /// Encodes and hashes a node no parent holds yet.
+    fn commit(self, scratch: &mut Vec<u8>) -> Child {
+        scratch.clear();
+        encode_node(&self, scratch);
+        Child {
+            commit: Commitment::of(scratch),
+            node: self,
+        }
+    }
+}
+
+/// Node allocations and keccak calls made by the current thread, for the
+/// structural tests: a batch must create and hash each node on its keys'
+/// paths once and no other.
+#[cfg(test)]
+mod counters {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+        pub static HASHED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub fn bump(counter: &'static std::thread::LocalKey<Cell<usize>>) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
+
+    pub fn read(counter: &'static std::thread::LocalKey<Cell<usize>>) -> usize {
+        counter.with(Cell::get)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Node encoding
+// ---------------------------------------------------------------------------
+
+/// Length of the RLP string item holding `len` bytes, the first of them
+/// `first`.
+pub(crate) fn rlp_str_len(len: usize, first: u8) -> usize {
+    match len {
+        1 if first < 0x80 => 1,
+        0..=55 => 1 + len,
+        _ => 1 + be_len(len) + len,
+    }
+}
+
+/// Appends the header of such a string item; its bytes follow.
+fn rlp_str_header(len: usize, first: u8, out: &mut Vec<u8>) {
+    match len {
+        1 if first < 0x80 => {}
+        0..=55 => out.push(0x80 + len as u8),
+        _ => {
+            out.push(0xb7 + be_len(len) as u8);
+            out.extend_from_slice(&(len as u64).to_be_bytes()[8 - be_len(len)..]);
+        }
+    }
+}
+
+/// Appends `bytes` as an RLP string item.
+pub(crate) fn rlp_str(bytes: &[u8], out: &mut Vec<u8>) {
+    rlp_str_header(bytes.len(), bytes.first().copied().unwrap_or(0), out);
+    out.extend_from_slice(bytes);
+}
+
+/// Appends the header of an RLP list whose items take `payload` bytes.
+pub(crate) fn rlp_list_header(payload: usize, out: &mut Vec<u8>) {
+    if payload <= 55 {
+        out.push(0xc0 + payload as u8);
+    } else {
+        out.push(0xf7 + be_len(payload) as u8);
+        out.extend_from_slice(&(payload as u64).to_be_bytes()[8 - be_len(payload)..]);
+    }
+}
+
+/// Bytes of the minimal big-endian form of a non-zero length.
+fn be_len(len: usize) -> usize {
+    8 - (len as u64).leading_zeros() as usize / 8
+}
+
+/// The hex-prefix path of a leaf or extension as an RLP string item.
+fn path_item_len(path: &Nibbles) -> usize {
+    // The first hex-prefix byte is below 0x40, so a one-byte path is its
+    // own encoding.
+    rlp_str_len(path.hex_prefix_len(), 0)
+}
+
+fn path_item(path: &Nibbles, leaf: bool, out: &mut Vec<u8>) {
+    rlp_str_header(path.hex_prefix_len(), 0, out);
+    path.write_hex_prefix(leaf, out);
+}
+
+/// Appends the RLP encoding of `node` to `out`, reserving its exact length
+/// first: the node's own fields and the commitments in its child slots are
+/// all it reads.
+fn encode_node(node: &Node, out: &mut Vec<u8>) {
+    let first = |v: &[u8]| v.first().copied().unwrap_or(0);
+    let payload = match node {
+        Node::Leaf(leaf) => {
+            path_item_len(&leaf.path) + rlp_str_len(leaf.value.len(), first(&leaf.value))
+        }
+        Node::Extension(ext) => path_item_len(&ext.path) + ext.child.commit.ref_len(),
+        Node::Branch(branch) => {
+            let refs: usize = branch
+                .children
+                .iter()
+                .map(|c| c.as_ref().map_or(1, |c| c.commit.ref_len()))
+                .sum();
+            refs + branch
+                .value
+                .as_ref()
+                .map_or(1, |v| rlp_str_len(v.len(), first(v)))
+        }
+    };
+    let header = if payload <= 55 {
+        1
+    } else {
+        1 + be_len(payload)
+    };
+    out.reserve_exact(header + payload);
+    rlp_list_header(payload, out);
+    match node {
+        Node::Leaf(leaf) => {
+            path_item(&leaf.path, true, out);
+            rlp_str(&leaf.value, out);
+        }
+        Node::Extension(ext) => {
+            path_item(&ext.path, false, out);
+            ext.child.commit.write_ref(out);
+        }
+        Node::Branch(branch) => {
+            for child in &branch.children {
+                match child {
+                    Some(child) => child.commit.write_ref(out),
+                    None => out.push(0x80),
+                }
+            }
+            rlp_str(branch.value.as_deref().unwrap_or(&[]), out);
+        }
+    }
+}
+
+fn encoding_of(node: &Node) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_node(node, &mut out);
+    out
+}
+
+// ---------------------------------------------------------------------------
+// The trie
+// ---------------------------------------------------------------------------
 
 /// An in-memory Merkle Patricia Trie over byte keys and byte values.
 ///
 /// Cloning is O(1): both tries share all nodes until one of them mutates
-/// (copy-on-write along the mutated path only).
-#[derive(Clone, Debug, PartialEq)]
+/// (copy-on-write along the mutated paths only).
+#[derive(Clone, Debug, Default)]
 pub struct Trie {
-    root: NodeRef,
+    root: Option<Child>,
 }
 
-impl Default for Trie {
-    fn default() -> Self {
-        Self::new()
+impl PartialEq for Trie {
+    /// The root commitment is a commitment to the contents.
+    fn eq(&self, other: &Self) -> bool {
+        self.root.as_ref().map(|r| r.commit) == other.root.as_ref().map(|r| r.commit)
     }
 }
+
+/// One entry of a batch: a byte key, and its new value (`None`, or an empty
+/// value, removes the key).
+type Update<K> = (K, Option<Vec<u8>>);
+
+/// Capacity the encoding scratch buffer starts with: a full branch of hash
+/// references is 532 bytes.
+const SCRATCH: usize = 544;
 
 impl Trie {
     /// An empty trie.
     pub fn new() -> Self {
-        Trie {
-            root: NodeRef::empty(),
-        }
+        Self::default()
     }
 
     /// Inserts `value` at `key`. Empty values are equivalent to deletion, as
     /// in Ethereum.
     pub fn insert(&mut self, key: &[u8], value: Vec<u8>) {
-        if value.is_empty() {
-            self.remove(key);
-            return;
-        }
-        let path = Nibbles::from_bytes(key);
-        let root = std::mem::replace(&mut self.root, NodeRef::empty()).take();
-        self.root = NodeRef::new(insert_at(root, path, value));
+        self.apply_sorted(&mut [(key, Some(value))]);
     }
 
     /// Returns the value at `key`, if present.
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        let path = Nibbles::from_bytes(key);
-        get_at(self.root.node(), &path, 0)
+        let mut node = &self.root.as_ref()?.node;
+        let mut depth = 0;
+        loop {
+            match node {
+                Node::Leaf(leaf) => {
+                    return leaf.path.is_key_tail(key, depth).then_some(&leaf.value[..]);
+                }
+                Node::Extension(ext) => {
+                    if ext.path.common_prefix_with_key(0, key, depth) < ext.path.len() {
+                        return None;
+                    }
+                    depth += ext.path.len();
+                    node = &ext.child.node;
+                }
+                Node::Branch(branch) => {
+                    if depth == key.len() * 2 {
+                        return branch.value.as_deref();
+                    }
+                    node = &branch.children[nibble_at(key, depth) as usize]
+                        .as_ref()?
+                        .node;
+                    depth += 1;
+                }
+            }
+        }
     }
 
     /// Removes `key`, returning whether it was present.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        let path = Nibbles::from_bytes(key);
-        let root = std::mem::replace(&mut self.root, NodeRef::empty()).take();
-        let (new_root, removed) = remove_at(root, &path, 0);
-        self.root = NodeRef::new(new_root);
-        removed
+        let present = self.get(key).is_some();
+        if present {
+            self.apply_sorted(&mut [(key, None)]);
+        }
+        present
     }
 
     /// True iff the trie holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.root.is_empty_node()
+        self.root.is_none()
     }
 
-    /// The Merkle root of the current contents. Memoized: repeated calls
-    /// without intervening mutation are O(1), and after k mutations only the
-    /// touched paths are re-encoded and re-hashed.
+    /// The Merkle root of the current contents. O(1): every mutation leaves
+    /// the trie committed.
     pub fn root_hash(&self) -> H256 {
-        if self.root.is_empty_node() {
-            return empty_root();
-        }
-        let enc = self.root.enc();
-        enc.hash.unwrap_or_else(|| keccak256(&enc.encoding))
+        self.root
+            .as_ref()
+            .map_or_else(empty_root, |root| root.commit.root_hash())
     }
 
     /// Collects all (key, value) pairs in lexicographic key order. Keys are
@@ -216,16 +428,36 @@ impl Trie {
     /// even-length byte keys get those bytes back exactly.
     pub fn iter(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
-        walk(self.root.node(), &mut Vec::new(), &mut out);
+        if let Some(root) = &self.root {
+            walk(&root.node, &mut Vec::new(), &mut out);
+        }
         out
     }
 
     /// Merkle proof for `key`: the RLP encodings of the nodes on the lookup
     /// path, root first. Verifiable with [`verify_proof`].
     pub fn prove(&self, key: &[u8]) -> Vec<Vec<u8>> {
-        let path = Nibbles::from_bytes(key);
         let mut proof = Vec::new();
-        prove_at(&self.root, &path, 0, &mut proof);
+        let mut next = self.root.as_ref();
+        let mut depth = 0;
+        // Inlined children are already inside their parent's encoding: below
+        // the root the proof ends at the first node not referenced by hash.
+        while let Some(child) = next.filter(|c| proof.is_empty() || c.commit.hash().is_some()) {
+            proof.push(encoding_of(&child.node));
+            next = match &child.node {
+                Node::Leaf(_) => None,
+                Node::Extension(ext) => {
+                    let follows = ext.path.common_prefix_with_key(0, key, depth) == ext.path.len();
+                    depth += ext.path.len();
+                    follows.then_some(&ext.child)
+                }
+                Node::Branch(branch) if depth < key.len() * 2 => {
+                    depth += 1;
+                    branch.children[nibble_at(key, depth - 1) as usize].as_ref()
+                }
+                Node::Branch(_) => None,
+            };
+        }
         proof
     }
 
@@ -238,145 +470,175 @@ impl Trie {
     /// once **per reference**, so a reference-counting store that increments
     /// on commit and decrements along a traversal stays balanced.
     ///
-    /// Encodings and hashes come from the per-node memo, so repeated commits
-    /// of a mostly-unchanged trie pay hashing only for the changed paths.
+    /// Hashes come from the commitments held in the parents' slots; only the
+    /// encodings are written out afresh.
     pub fn commit_nodes(&self) -> (H256, Vec<(H256, Vec<u8>)>) {
-        if self.root.is_empty_node() {
+        let Some(root) = &self.root else {
             return (empty_root(), Vec::new());
-        }
+        };
         let mut out = Vec::new();
-        collect_hashed_children(&self.root, &mut out);
-        let enc = self.root.enc();
-        let root = enc.hash.unwrap_or_else(|| keccak256(&enc.encoding));
-        out.push((root, (*enc.encoding).clone()));
-        (root, out)
+        collect_hashed_children(&root.node, &mut out);
+        let hash = root.commit.root_hash();
+        out.push((hash, encoding_of(&root.node)));
+        (hash, out)
     }
 
-    /// Applies a batch of inserts (`Some(value)`) and removals (`None`) and
-    /// hashes the touched subtrees on up to `threads` scoped workers.
+    /// Applies a batch of inserts (`Some(value)`) and removals (`None`, or
+    /// an empty value) on up to `threads` threads, the caller's included.
     ///
-    /// The trie's radix structure makes the sharding exact: updates are
-    /// partitioned by their first nibble, and when the root is a branch each
-    /// of its 16 subtrees absorbs its shard independently — no two shards
-    /// touch the same node, so each worker path-copies and re-encodes its
-    /// subtree in isolation and the single-threaded merge step only has to
-    /// re-encode the root branch from 16 memoized child commitments.
+    /// The batch is sorted and applied in one descent: at each branch the
+    /// sorted run splits by nibble, so every node on the batch's paths is
+    /// copied, allocated and hashed once however many of the keys pass
+    /// through it. The trie's radix structure also makes sharding exact:
+    /// updates are partitioned by their first nibble, and when the root is a
+    /// branch (or the trie is empty) each of its 16 subtrees absorbs its
+    /// shard independently — no two shards touch the same node — and the
+    /// calling thread only has to re-encode the root branch.
     ///
-    /// The result is **identical** to applying the updates one by one:
-    /// MPT structure is a pure function of the key set, so the root hash,
-    /// the memoized node set ([`Trie::commit_nodes`]) and every future
-    /// incremental commit are byte-for-byte the same as the serial path.
-    /// Keys must be distinct; update order within the batch is immaterial.
-    ///
-    /// With `threads < 2`, a small batch, or a non-branch root that a seed
-    /// pass cannot split (keys sharing a first nibble), this degrades to the
-    /// serial loop.
-    pub fn apply_batch(&mut self, mut updates: Vec<(Vec<u8>, Option<Vec<u8>>)>, threads: usize) {
-        /// Below this many updates the fan-out overhead outweighs the
-        /// subtree hashing it would parallelize.
-        const PARALLEL_BATCH_THRESHOLD: usize = 33;
-        if threads < 2 || updates.len() < PARALLEL_BATCH_THRESHOLD {
-            self.apply_serial(updates);
+    /// The result is **identical** to applying the updates one by one: MPT
+    /// structure is a pure function of the key set, so the root hash and the
+    /// node set ([`Trie::commit_nodes`]) are byte-for-byte the same. Of two
+    /// updates to one key the later wins, as it would one by one; otherwise
+    /// the order within the batch is immaterial.
+    pub fn apply_batch(&mut self, updates: Vec<(Vec<u8>, Option<Vec<u8>>)>, threads: usize) {
+        let sorted = |mut updates: Vec<Update<Vec<u8>>>| {
+            updates.sort_by(|a, b| a.0.cmp(&b.0));
+            updates.dedup_by(|later, earlier| {
+                let same_key = later.0 == earlier.0;
+                if same_key {
+                    std::mem::swap(later, earlier);
+                }
+                same_key
+            });
+            updates
+        };
+        if updates.iter().any(|(key, _)| key.is_empty()) {
+            // A root-valued key belongs to no first-nibble shard.
+            self.apply_sorted(&mut sorted(updates));
             return;
         }
-        if !matches!(self.root.node(), Node::Branch { .. }) {
-            // Bootstrap: a fresh (or single-path) trie has no branch to
-            // shard on. Seed it with a prefix of the batch — with hashed
-            // keys a handful of inserts split the root — then shard the
-            // rest. Removals can't create a branch, so seed with inserts.
-            let seed = updates.len().min(32);
-            let rest = updates.split_off(seed);
-            self.apply_serial(updates);
-            updates = rest;
-            if updates.is_empty() || !matches!(self.root.node(), Node::Branch { .. }) {
-                self.apply_serial(updates);
-                return;
-            }
+        let mut shards: [Vec<Update<Vec<u8>>>; 16] = Default::default();
+        for update in updates {
+            shards[(update.0[0] >> 4) as usize].push(update);
         }
-        let Node::Branch {
-            mut children,
-            mut value,
-        } = std::mem::replace(&mut self.root, NodeRef::empty()).take()
-        else {
-            unreachable!("checked branch root above");
-        };
-        let mut shards: [Vec<(Nibbles, Option<Vec<u8>>)>; 16] = std::array::from_fn(|_| Vec::new());
-        for (key, update) in updates {
-            let path = Nibbles::from_bytes(&key);
-            if path.is_empty() {
-                // A root-valued key lives on the branch itself, not in any
-                // subtree (unreachable for hashed keys, handled for parity
-                // with the serial path).
-                value = update.filter(|v| !v.is_empty());
-            } else {
-                shards[path.at(0) as usize].push((path, update));
-            }
-        }
-        // Round-robin the 16 subtrees over the workers; each worker applies
-        // its shards and forces the subtree commitment (`enc`) so the
-        // expensive hashing happens inside the parallel region.
-        let workers = threads.min(16);
-        type SubtreeJob = (usize, NodeRef, Vec<(Nibbles, Option<Vec<u8>>)>);
-        let mut jobs: Vec<Vec<SubtreeJob>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut next = 0;
-        for (idx, shard) in shards.into_iter().enumerate() {
-            if shard.is_empty() {
-                continue;
-            }
-            let child = std::mem::replace(&mut children[idx], NodeRef::empty());
-            jobs[next % workers].push((idx, child, shard));
-            next += 1;
-        }
-        let done: Vec<Vec<(usize, NodeRef)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .filter(|job| !job.is_empty())
-                .map(|job| {
-                    scope.spawn(move || {
-                        job.into_iter()
-                            .map(|(idx, child, shard)| {
-                                let mut node = child.take();
-                                for (path, update) in shard {
-                                    node = match update {
-                                        // Empty values delete, as in
-                                        // `Trie::insert`.
-                                        Some(v) if !v.is_empty() => {
-                                            insert_at(node, path.slice_from(1), v)
-                                        }
-                                        _ => remove_at(node, &path, 1).0,
-                                    };
-                                }
-                                let subtree = NodeRef::new(node);
-                                if !subtree.is_empty_node() {
-                                    subtree.enc();
-                                }
-                                (idx, subtree)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("trie commit worker panicked"))
-                .collect()
-        });
-        for (idx, subtree) in done.into_iter().flatten() {
-            children[idx] = subtree;
-        }
-        self.root = NodeRef::new(normalize_branch(children, value));
+        self.apply_sharded(shards, threads, |shard| (sorted(shard), ()));
     }
 
-    /// The serial equivalent of [`Trie::apply_batch`].
-    fn apply_serial(&mut self, updates: Vec<(Vec<u8>, Option<Vec<u8>>)>) {
-        for (key, update) in updates {
-            match update {
-                Some(value) => self.insert(&key, value),
-                None => {
-                    self.remove(&key);
-                }
-            }
+    /// Applies updates that are sorted by key and distinct, in one descent on
+    /// the calling thread.
+    pub(crate) fn apply_sorted<K: AsRef<[u8]>>(&mut self, updates: &mut [Update<K>]) {
+        debug_assert!(
+            updates
+                .windows(2)
+                .all(|w| w[0].0.as_ref() < w[1].0.as_ref()),
+            "batch keys must be sorted and distinct"
+        );
+        if updates.is_empty() {
+            return;
         }
+        let mut scratch = Vec::with_capacity(SCRATCH);
+        let root = apply(self.root.as_ref(), 0, updates, &mut scratch);
+        self.root = root.map(|sub| sub.into_child(&mut scratch));
+    }
+
+    /// One commit's fan-out. `shards[n]` holds whatever `prepare` turns into
+    /// the updates whose keys start with nibble `n` — sorted, distinct —
+    /// plus a by-product handed back to the caller. Each shard is prepared
+    /// and applied to its own subtree of the root by one thread, so a caller
+    /// whose updates take work to produce (the world state: storage tries,
+    /// account bodies) spends that work inside the same fan-out.
+    ///
+    /// Stays on the calling thread when `threads < 2`, when fewer than two
+    /// shards have work, when the batch is too small to repay a thread
+    /// spawn, or when the root is a leaf or an extension and so has no
+    /// subtrees to hand out.
+    pub(crate) fn apply_sharded<T, K, R>(
+        &mut self,
+        shards: [Vec<T>; 16],
+        threads: usize,
+        prepare: impl Fn(Vec<T>) -> (Vec<Update<K>>, R) + Sync,
+    ) -> Vec<R>
+    where
+        T: Send,
+        K: AsRef<[u8]> + Send,
+        R: Send,
+    {
+        let items: usize = shards.iter().map(Vec::len).sum();
+        let mut jobs: Vec<(usize, Vec<T>)> = shards
+            .into_iter()
+            .enumerate()
+            .filter(|(_, shard)| !shard.is_empty())
+            .collect();
+        let workers = threads.min(jobs.len());
+        let subtrees = match &self.root {
+            _ if workers < 2 || items < FAN_OUT_THRESHOLD => None,
+            None => Some((std::array::from_fn(|_| None), None)),
+            Some(Child {
+                node: Node::Branch(branch),
+                ..
+            }) => Some((branch.children.clone(), branch.value.clone())),
+            Some(_) => None,
+        };
+        let Some((mut children, value)) = subtrees else {
+            let mut updates = Vec::with_capacity(items);
+            let mut products = Vec::with_capacity(jobs.len());
+            for (_, shard) in jobs {
+                let (prepared, product) = prepare(shard);
+                updates.extend(prepared);
+                products.push(product);
+            }
+            self.apply_sorted(&mut updates);
+            return products;
+        };
+
+        // Shards are taken off a queue, largest first, by whichever thread
+        // is free: shards differ in cost by more than their length tells (a
+        // contract's storage batch), and a thread that starts late just
+        // takes fewer.
+        jobs.sort_by_key(|(_, shard)| std::cmp::Reverse(shard.len()));
+        let queue = Mutex::new(jobs.into_iter());
+        let old = &children;
+        let run = || -> Vec<(usize, Option<Child>, R)> {
+            let mut scratch = Vec::with_capacity(SCRATCH);
+            let mut done = Vec::new();
+            loop {
+                let next = queue.lock().expect("a shard job panicked").next();
+                let Some((nibble, shard)) = next else {
+                    return done;
+                };
+                let (mut updates, product) = prepare(shard);
+                debug_assert!(
+                    updates
+                        .windows(2)
+                        .all(|w| w[0].0.as_ref() < w[1].0.as_ref())
+                        && updates
+                            .iter()
+                            .all(|u| nibble_at(u.0.as_ref(), 0) as usize == nibble),
+                    "a shard's updates must be sorted, distinct and its own"
+                );
+                let subtree = apply(old[nibble].as_ref(), 1, &mut updates, &mut scratch)
+                    .map(|sub| sub.into_child(&mut scratch));
+                done.push((nibble, subtree, product));
+            }
+        };
+        let done = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
+            let mut done = run();
+            for handle in spawned {
+                done.extend(handle.join().expect("trie commit worker panicked"));
+            }
+            done
+        });
+        let mut products = Vec::with_capacity(done.len());
+        for (nibble, subtree, product) in done {
+            children[nibble] = subtree;
+            products.push(product);
+        }
+        let mut scratch = Vec::with_capacity(SCRATCH);
+        let slots = children.map(|child| child.map(Sub::Kept));
+        self.root =
+            finish_branch(slots, value, &mut scratch).map(|sub| sub.into_child(&mut scratch));
+        products
     }
 
     /// Reconstructs a trie from its root hash, resolving hashed children
@@ -386,17 +648,429 @@ impl Trie {
         if root == empty_root() {
             return Ok(Trie::new());
         }
-        let bytes = resolver
-            .resolve_node(&root)
-            .ok_or(TrieLoadError::MissingNode(root))?;
-        if keccak256(&bytes) != root {
-            return Err(TrieLoadError::HashMismatch(root));
-        }
-        let item = rlp::decode(&bytes).map_err(|_| TrieLoadError::BadNode(root))?;
-        let node = node_from_item(&item, resolver)?;
+        let node = resolve_node(root, resolver)?;
+        // A root shorter than 32 bytes is still stored under its hash, but
+        // what the handle keeps for it is its inline form, as for any node.
+        let mut scratch = Vec::with_capacity(SCRATCH);
         Ok(Trie {
-            root: NodeRef::new(node),
+            root: Some(node.commit(&mut scratch)),
         })
+    }
+}
+
+/// Batches smaller than this are applied on the calling thread. Measured on
+/// the benchmark's workloads (EXPERIMENTS.md, "State commitment at hashing
+/// cost"): a second thread loses at 75 updates a commit, where what it
+/// takes over is read from the first thread's cache, and wins at 190.
+const FAN_OUT_THRESHOLD: usize = 128;
+
+// ---------------------------------------------------------------------------
+// The batch descent
+// ---------------------------------------------------------------------------
+
+/// What a batch left of one subtree.
+enum Sub {
+    /// A node that was already committed: an untouched one, or one a deeper
+    /// step had to commit because a new parent points at it.
+    Kept(Child),
+    /// A node this descent created and nothing points at yet. It is still
+    /// unique, so if the level above collapses (a branch left with a single
+    /// child merges into it) its path can change before it is hashed.
+    Fresh(Node),
+}
+
+impl Sub {
+    fn into_child(self, scratch: &mut Vec<u8>) -> Child {
+        match self {
+            Sub::Kept(child) => child,
+            Sub::Fresh(node) => node.commit(scratch),
+        }
+    }
+}
+
+fn is_insert<K>(update: &Update<K>) -> bool {
+    matches!(&update.1, Some(value) if !value.is_empty())
+}
+
+/// Applies `updates` — sorted, distinct, all sharing their first `depth`
+/// nibbles — to the subtree `old` rooted at that depth. Every node created
+/// below the returned one is committed; the returned one is left to the
+/// caller, which may still merge a path into it.
+fn apply<K: AsRef<[u8]>>(
+    old: Option<&Child>,
+    depth: usize,
+    updates: &mut [Update<K>],
+    scratch: &mut Vec<u8>,
+) -> Option<Sub> {
+    let Some(child) = old else {
+        return build(depth, updates, None, scratch);
+    };
+    if updates.is_empty() {
+        return Some(Sub::Kept(child.clone()));
+    }
+    match &child.node {
+        Node::Leaf(leaf) => {
+            // The leaf is one more entry of the subtree the batch builds,
+            // unless the batch rewrites or removes that very key.
+            let rewritten = updates
+                .iter()
+                .any(|u| leaf.path.is_key_tail(u.0.as_ref(), depth));
+            if rewritten {
+                build(depth, updates, None, scratch)
+            } else if updates.iter().any(is_insert) {
+                build(
+                    depth,
+                    updates,
+                    Some(Resident { leaf, base: depth }),
+                    scratch,
+                )
+            } else {
+                Some(Sub::Kept(child.clone()))
+            }
+        }
+        Node::Extension(ext) => apply_extension(Some(child), ext, 0, depth, updates, scratch),
+        Node::Branch(branch) => {
+            load_child_counts(branch);
+            let (ending, mut rest) = split_ending_at(updates, depth);
+            let value = match ending {
+                Some(update) => update.1.take().filter(|v| !v.is_empty()),
+                None => branch.value.clone(),
+            };
+            let mut slots: [Option<Sub>; 16] = std::array::from_fn(|_| None);
+            let mut touched = 0u16;
+            while !rest.is_empty() {
+                let (nibble, group, tail) = split_group(rest, depth);
+                slots[nibble] = apply(branch.children[nibble].as_ref(), depth + 1, group, scratch);
+                touched |= 1 << nibble;
+                rest = tail;
+            }
+            let is_touched = |n: usize| touched >> n & 1 == 1;
+            let occupied = (0..16)
+                .filter(|&n| match is_touched(n) {
+                    true => slots[n].is_some(),
+                    false => branch.children[n].is_some(),
+                })
+                .count();
+            if occupied + usize::from(value.is_some()) >= 2 {
+                // Still a branch: its touched children are committed into
+                // their slots, the others shared with the old one.
+                let children = std::array::from_fn(|n| match is_touched(n) {
+                    true => slots[n].take().map(|sub| sub.into_child(scratch)),
+                    false => branch.children[n].clone(),
+                });
+                return Some(Sub::Fresh(Node::branch(children, value)));
+            }
+            for n in (0..16).filter(|&n| !is_touched(n)) {
+                slots[n] = branch.children[n].clone().map(Sub::Kept);
+            }
+            finish_branch(slots, value, scratch)
+        }
+    }
+}
+
+/// Loads the reference count of every child of a branch that is about to be
+/// copied. The copy increments the count of each child it keeps, and in a
+/// trie too big for the cache every one of those counts is a miss of its own
+/// that the atomic increments would take one after the other; plain loads
+/// issued together overlap, and the increments then hit. Worth a tenth of a
+/// 263-key commit over 100 000 accounts, nothing measurable over 1 000
+/// (EXPERIMENTS.md, "State commitment at hashing cost").
+fn load_child_counts(branch: &Branch) {
+    let counts: usize = branch
+        .children
+        .iter()
+        .flatten()
+        .map(|child| match &child.node {
+            Node::Leaf(node) => Arc::strong_count(node),
+            Node::Extension(node) => Arc::strong_count(node),
+            Node::Branch(node) => Arc::strong_count(node),
+        })
+        .sum();
+    std::hint::black_box(counts);
+}
+
+/// Splits off the update whose key ends at nibble `at`, where all of
+/// `updates` share their first `at` nibbles: there is at most one, and it
+/// sorts first.
+fn split_ending_at<K: AsRef<[u8]>>(
+    updates: &mut [Update<K>],
+    at: usize,
+) -> (Option<&mut Update<K>>, &mut [Update<K>]) {
+    if updates
+        .first()
+        .is_some_and(|u| u.0.as_ref().len() * 2 == at)
+    {
+        let (first, rest) = updates.split_at_mut(1);
+        (Some(&mut first[0]), rest)
+    } else {
+        (None, updates)
+    }
+}
+
+/// Splits off the leading run of updates that share their nibble at `at`,
+/// where all of `updates` share their first `at` nibbles and reach past them.
+fn split_group<K: AsRef<[u8]>>(
+    updates: &mut [Update<K>],
+    at: usize,
+) -> (usize, &mut [Update<K>], &mut [Update<K>]) {
+    let nibble = nibble_at(updates[0].0.as_ref(), at);
+    let end = updates.partition_point(|u| nibble_at(u.0.as_ref(), at) == nibble);
+    let (group, tail) = updates.split_at_mut(end);
+    (nibble as usize, group, tail)
+}
+
+/// Turns sixteen slots and a value into what they canonically are: nothing,
+/// a leaf (a value alone), the single child with the slot's nibble merged
+/// into its path, or a branch over the slots, committed.
+fn finish_branch(
+    mut slots: [Option<Sub>; 16],
+    value: Option<Vec<u8>>,
+    scratch: &mut Vec<u8>,
+) -> Option<Sub> {
+    let mut occupied = (0..16).filter(|&n| slots[n].is_some());
+    let node = match (occupied.next(), occupied.next(), value) {
+        (None, _, None) => return None,
+        (None, _, Some(value)) => Node::leaf(Nibbles::default(), value),
+        (Some(only), None, None) => {
+            let sub = slots[only].take().expect("slot is occupied");
+            return Some(prepend(&Nibbles::from_nibbles(&[only as u8]), sub, scratch));
+        }
+        (_, _, value) => Node::branch(
+            slots.map(|slot| slot.map(|sub| sub.into_child(scratch))),
+            value,
+        ),
+    };
+    Some(Sub::Fresh(node))
+}
+
+/// Puts `prefix` in front of a subtree: merged into the path of a leaf or an
+/// extension, as a new extension over a branch.
+fn prepend(prefix: &Nibbles, sub: Sub, scratch: &mut Vec<u8>) -> Sub {
+    if prefix.is_empty() {
+        return sub;
+    }
+    let longer = |path: &mut Nibbles| *path = prefix.concat(path);
+    let unique = "a fresh node has one owner";
+    Sub::Fresh(match sub {
+        Sub::Kept(child) => match &child.node {
+            Node::Leaf(leaf) => Node::leaf(prefix.concat(&leaf.path), leaf.value.clone()),
+            Node::Extension(ext) => Node::extension(prefix.concat(&ext.path), ext.child.clone()),
+            Node::Branch(_) => Node::extension(prefix.clone(), child),
+        },
+        Sub::Fresh(Node::Leaf(mut leaf)) => {
+            longer(&mut Arc::get_mut(&mut leaf).expect(unique).path);
+            Node::Leaf(leaf)
+        }
+        Sub::Fresh(Node::Extension(mut ext)) => {
+            longer(&mut Arc::get_mut(&mut ext).expect(unique).path);
+            Node::Extension(ext)
+        }
+        Sub::Fresh(branch @ Node::Branch(_)) => {
+            Node::extension(prefix.clone(), branch.commit(scratch))
+        }
+    })
+}
+
+/// A leaf already in the trie that a batch builds a subtree around: one more
+/// entry, whose key from nibble `base` on is the leaf's path.
+#[derive(Clone, Copy)]
+struct Resident<'a> {
+    leaf: &'a Leaf,
+    base: usize,
+}
+
+impl Resident<'_> {
+    fn nibble(&self, at: usize) -> usize {
+        self.leaf.path.at(at - self.base) as usize
+    }
+
+    /// The leaf as it hangs `depth` nibbles down its key.
+    fn hung_at(&self, depth: usize) -> Node {
+        Node::leaf(
+            self.leaf.path.slice_from(depth - self.base),
+            self.leaf.value.clone(),
+        )
+    }
+}
+
+/// Nibbles `a` and `b` share from nibble `depth` on, given that they share
+/// everything before it.
+fn common_prefix(a: &[u8], b: &[u8], depth: usize) -> usize {
+    let max = a.len().min(b.len()) * 2 - depth;
+    (0..max)
+        .find(|&i| nibble_at(a, depth + i) != nibble_at(b, depth + i))
+        .unwrap_or(max)
+}
+
+/// Builds the subtree at `depth` holding the inserts among `updates` and the
+/// `resident` leaf (whose key none of the updates has). Nothing is removed
+/// here, so no level can collapse.
+fn build<K: AsRef<[u8]>>(
+    depth: usize,
+    updates: &mut [Update<K>],
+    mut resident: Option<Resident>,
+    scratch: &mut Vec<u8>,
+) -> Option<Sub> {
+    // Removals find nothing to remove. With them trimmed off both ends the
+    // run starts and ends on an insert, so its first and last key bound the
+    // prefix all of its keys share.
+    let Some(first) = updates.iter().position(is_insert) else {
+        return resident.map(|r| Sub::Fresh(r.hung_at(depth)));
+    };
+    let last = updates
+        .iter()
+        .rposition(is_insert)
+        .expect("an insert exists");
+    let updates = &mut updates[first..=last];
+    if updates.len() == 1 && resident.is_none() {
+        let (key, value) = &mut updates[0];
+        let value = value.take().expect("checked to be an insert");
+        return Some(Sub::Fresh(Node::leaf(
+            Nibbles::from_key(key.as_ref(), depth),
+            value,
+        )));
+    }
+
+    let lowest = updates[0].0.as_ref();
+    let mut shared = common_prefix(lowest, updates[updates.len() - 1].0.as_ref(), depth);
+    if let Some(r) = &resident {
+        let along = r
+            .leaf
+            .path
+            .common_prefix_with_key(depth - r.base, lowest, depth);
+        shared = shared.min(along);
+    }
+    // Two or more distinct keys part ways `shared` nibbles down (or one of
+    // them ends there): a branch, under an extension when `shared > 0`.
+    let at = depth + shared;
+    let prefix = Nibbles::from_fn(shared, |i| nibble_at(lowest, depth + i));
+
+    let (ending, mut rest) = split_ending_at(updates, at);
+    let mut value = ending.and_then(|update| update.1.take());
+    if let Some(r) = resident.filter(|r| r.base + r.leaf.path.len() == at) {
+        value = Some(r.leaf.value.clone());
+        resident = None;
+    }
+    let mut slots: [Option<Sub>; 16] = std::array::from_fn(|_| None);
+    while !rest.is_empty() {
+        let (nibble, group, tail) = split_group(rest, at);
+        let here = resident.take_if(|r| r.nibble(at) == nibble);
+        slots[nibble] = build(at + 1, group, here, scratch);
+        rest = tail;
+    }
+    if let Some(r) = resident {
+        slots[r.nibble(at)] = Some(Sub::Fresh(r.hung_at(at + 1)));
+    }
+    let branch = Node::branch(
+        slots.map(|slot| slot.map(|sub| sub.into_child(scratch))),
+        value,
+    );
+    Some(prepend(&prefix, Sub::Fresh(branch), scratch))
+}
+
+/// Applies `updates` to the extension `ext` seen from `from` nibbles down its
+/// path (`depth` nibbles down the keys): an extension that forks is handled
+/// as the branch at the fork with the rest of the path hanging under one of
+/// its slots. `old` is the extension's own handle, for `from == 0`.
+fn apply_extension<K: AsRef<[u8]>>(
+    old: Option<&Child>,
+    ext: &Extension,
+    from: usize,
+    depth: usize,
+    updates: &mut [Update<K>],
+    scratch: &mut Vec<u8>,
+) -> Option<Sub> {
+    let span = ext.path.len() - from;
+    if span == 0 {
+        return apply(Some(&ext.child), depth, updates, scratch);
+    }
+    let follows = |u: &Update<K>| ext.path.common_prefix_with_key(from, u.0.as_ref(), depth);
+    // The updates that follow the path at least `reach` nibbles are one run
+    // of the sorted batch.
+    let run = |updates: &[Update<K>], reach: usize| {
+        let start = updates.iter().position(|u| follows(u) >= reach);
+        start.map_or(0..0, |start| {
+            let end = updates
+                .iter()
+                .rposition(|u| follows(u) >= reach)
+                .expect("one exists");
+            start..end + 1
+        })
+    };
+    // An insert that leaves the path forks it; a removal that leaves it
+    // removes nothing.
+    let fork = updates
+        .iter()
+        .filter(|u| is_insert(u))
+        .map(follows)
+        .min()
+        .filter(|&reach| reach < span);
+    let Some(shared) = fork else {
+        let through = run(updates, span);
+        if through.is_empty() {
+            return Some(extension_tail(old, ext, from));
+        }
+        let below = apply(
+            Some(&ext.child),
+            depth + span,
+            &mut updates[through],
+            scratch,
+        )?;
+        return Some(match (&below, old) {
+            (Sub::Kept(child), Some(old)) if same_node(&child.node, &ext.child.node) => {
+                Sub::Kept(old.clone())
+            }
+            _ => prepend(&ext.path.slice_from(from), below, scratch),
+        });
+    };
+
+    let at = depth + shared;
+    let reach = run(updates, shared);
+    let (ending, mut rest) = split_ending_at(&mut updates[reach], at);
+    let value = ending.and_then(|update| update.1.take().filter(|v| !v.is_empty()));
+    let onward = ext.path.at(from + shared) as usize;
+    let mut slots: [Option<Sub>; 16] = std::array::from_fn(|_| None);
+    let mut onward_untouched = true;
+    while !rest.is_empty() {
+        let (nibble, group, tail) = split_group(rest, at);
+        slots[nibble] = if nibble == onward {
+            onward_untouched = false;
+            apply_extension(None, ext, from + shared + 1, at + 1, group, scratch)
+        } else {
+            build(at + 1, group, None, scratch)
+        };
+        rest = tail;
+    }
+    if onward_untouched {
+        slots[onward] = Some(extension_tail(None, ext, from + shared + 1));
+    }
+    let forked = finish_branch(slots, value, scratch)?;
+    Some(prepend(
+        &ext.path.slice(from, from + shared),
+        forked,
+        scratch,
+    ))
+}
+
+/// The extension from `from` nibbles down its path on: itself, its child
+/// when the path is used up, or a shorter extension over that child.
+fn extension_tail(old: Option<&Child>, ext: &Extension, from: usize) -> Sub {
+    match old {
+        Some(old) => Sub::Kept(old.clone()),
+        None if from == ext.path.len() => Sub::Kept(ext.child.clone()),
+        None => Sub::Fresh(Node::extension(
+            ext.path.slice_from(from),
+            ext.child.clone(),
+        )),
+    }
+}
+
+fn same_node(a: &Node, b: &Node) -> bool {
+    match (a, b) {
+        (Node::Leaf(a), Node::Leaf(b)) => Arc::ptr_eq(a, b),
+        (Node::Extension(a), Node::Extension(b)) => Arc::ptr_eq(a, b),
+        (Node::Branch(a), Node::Branch(b)) => Arc::ptr_eq(a, b),
+        _ => false,
     }
 }
 
@@ -514,25 +1188,30 @@ fn summarize_child(item: &Item, out: &mut NodeSummary) -> Result<(), ()> {
 /// An inlined child (encoding < 32 bytes) cannot itself reference a hashed
 /// node — a 33-byte hash reference would not fit — so recursion only follows
 /// hash-referenced children.
-fn collect_hashed_children(node: &NodeRef, out: &mut Vec<(H256, Vec<u8>)>) {
-    let push_child = |child: &NodeRef, out: &mut Vec<(H256, Vec<u8>)>| {
-        let enc = child.enc();
-        if let Some(h) = enc.hash {
-            collect_hashed_children(child, out);
-            out.push((h, (*enc.encoding).clone()));
+fn collect_hashed_children(node: &Node, out: &mut Vec<(H256, Vec<u8>)>) {
+    let mut push_child = |child: &Child| {
+        if let Some(hash) = child.commit.hash() {
+            collect_hashed_children(&child.node, out);
+            out.push((hash, encoding_of(&child.node)));
         }
     };
-    match node.node() {
-        Node::Empty | Node::Leaf { .. } => {}
-        Node::Extension { child, .. } => push_child(child, out),
-        Node::Branch { children, .. } => {
-            for c in children.iter() {
-                if !c.is_empty_node() {
-                    push_child(c, out);
-                }
-            }
-        }
+    match node {
+        Node::Leaf(_) => {}
+        Node::Extension(ext) => push_child(&ext.child),
+        Node::Branch(branch) => branch.children.iter().flatten().for_each(push_child),
     }
+}
+
+/// Fetches the node stored under `hash` and rebuilds it.
+fn resolve_node(hash: H256, resolver: &dyn NodeResolver) -> Result<Node, TrieLoadError> {
+    let bytes = resolver
+        .resolve_node(&hash)
+        .ok_or(TrieLoadError::MissingNode(hash))?;
+    if keccak256(&bytes) != hash {
+        return Err(TrieLoadError::HashMismatch(hash));
+    }
+    let item = rlp::decode(&bytes).map_err(|_| TrieLoadError::BadNode(hash))?;
+    node_from_item(&item, resolver)
 }
 
 /// Rebuilds a [`Node`] from its decoded RLP item, resolving hashed children.
@@ -545,308 +1224,78 @@ fn node_from_item(item: &Item, resolver: &dyn NodeResolver) -> Result<Node, Trie
             let (path, is_leaf) = Nibbles::from_hex_prefix(hp).ok_or_else(bad)?;
             if is_leaf {
                 let value = list[1].as_bytes().map_err(|_| bad())?.to_vec();
-                Ok(Node::Leaf { path, value })
+                Ok(Node::leaf(path, value))
             } else {
-                let child = child_from_item(&list[1], resolver)?;
-                Ok(Node::Extension {
-                    path,
-                    child: NodeRef::new(child),
-                })
+                Ok(Node::extension(path, child_from_item(&list[1], resolver)?))
             }
         }
         17 => {
-            let mut children = Node::empty_children();
-            for (i, slot) in list[..16].iter().enumerate() {
-                children[i] = match slot {
-                    Item::Bytes(b) if b.is_empty() => NodeRef::empty(),
-                    other => NodeRef::new(child_from_item(other, resolver)?),
+            let mut children: [Option<Child>; 16] = std::array::from_fn(|_| None);
+            for (child, slot) in children.iter_mut().zip(&list[..16]) {
+                *child = match slot {
+                    Item::Bytes(b) if b.is_empty() => None,
+                    other => Some(child_from_item(other, resolver)?),
                 };
             }
-            let value_bytes = list[16].as_bytes().map_err(|_| bad())?;
-            let value = if value_bytes.is_empty() {
-                None
-            } else {
-                Some(value_bytes.to_vec())
-            };
-            Ok(Node::Branch { children, value })
+            let value = list[16].as_bytes().map_err(|_| bad())?;
+            Ok(Node::branch(
+                children,
+                (!value.is_empty()).then(|| value.to_vec()),
+            ))
         }
         _ => Err(bad()),
     }
 }
 
 /// Resolves one child reference: a 32-byte string is a hash looked up through
-/// the resolver; a nested list is an inlined node decoded in place.
-fn child_from_item(item: &Item, resolver: &dyn NodeResolver) -> Result<Node, TrieLoadError> {
+/// the resolver — and, its bytes verified against it, kept as the child's
+/// commitment — while a nested list is an inlined node decoded in place.
+fn child_from_item(item: &Item, resolver: &dyn NodeResolver) -> Result<Child, TrieLoadError> {
     match item {
         Item::Bytes(b) if b.len() == 32 => {
             let arr: [u8; 32] = b[..].try_into().expect("checked length");
             let hash = H256(arr);
-            let bytes = resolver
-                .resolve_node(&hash)
-                .ok_or(TrieLoadError::MissingNode(hash))?;
-            if keccak256(&bytes) != hash {
-                return Err(TrieLoadError::HashMismatch(hash));
-            }
-            let child_item = rlp::decode(&bytes).map_err(|_| TrieLoadError::BadNode(hash))?;
-            node_from_item(&child_item, resolver)
+            Ok(Child {
+                node: resolve_node(hash, resolver)?,
+                commit: Commitment::hashed(hash),
+            })
         }
-        inline @ Item::List(_) => node_from_item(inline, resolver),
+        inline @ Item::List(_) => Ok(node_from_item(inline, resolver)?.commit(&mut Vec::new())),
         _ => Err(TrieLoadError::BadNode(H256::ZERO)),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Insert / get / remove
+// Iteration and proofs
 // ---------------------------------------------------------------------------
 
-fn insert_at(node: Node, path: Nibbles, value: Vec<u8>) -> Node {
-    match node {
-        Node::Empty => Node::Leaf { path, value },
-        Node::Leaf {
-            path: lpath,
-            value: lvalue,
-        } => {
-            let common = lpath.common_prefix_len(&path);
-            if common == lpath.len() && common == path.len() {
-                return Node::Leaf { path: lpath, value };
-            }
-            // Split into a branch (optionally under an extension).
-            let mut children = Node::empty_children();
-            let mut branch_value = None;
-            if common == lpath.len() {
-                branch_value = Some(lvalue);
-            } else {
-                let idx = lpath.at(common) as usize;
-                children[idx] = NodeRef::new(Node::Leaf {
-                    path: lpath.slice_from(common + 1),
-                    value: lvalue,
-                });
-            }
-            if common == path.len() {
-                let branch = Node::Branch {
-                    children,
-                    value: Some(value),
-                };
-                return wrap_extension(lpath, common, branch);
-            }
-            let idx = path.at(common) as usize;
-            children[idx] = NodeRef::new(Node::Leaf {
-                path: path.slice_from(common + 1),
-                value,
-            });
-            let branch = Node::Branch {
-                children,
-                value: branch_value,
-            };
-            wrap_extension(path, common, branch)
-        }
-        Node::Extension { path: epath, child } => {
-            let common = epath.common_prefix_len(&path);
-            if common == epath.len() {
-                let new_child = insert_at(child.take(), path.slice_from(common), value);
-                return Node::Extension {
-                    path: epath,
-                    child: NodeRef::new(new_child),
-                };
-            }
-            // The new key diverges inside this extension: split it.
-            let mut children = Node::empty_children();
-            let eidx = epath.at(common) as usize;
-            let rest = epath.slice_from(common + 1);
-            children[eidx] = if rest.is_empty() {
-                child
-            } else {
-                NodeRef::new(Node::Extension { path: rest, child })
-            };
-            let branch_value;
-            if common == path.len() {
-                branch_value = Some(value);
-            } else {
-                branch_value = None;
-                let idx = path.at(common) as usize;
-                children[idx] = NodeRef::new(Node::Leaf {
-                    path: path.slice_from(common + 1),
-                    value,
-                });
-            }
-            let branch = Node::Branch {
-                children,
-                value: branch_value,
-            };
-            wrap_extension(epath, common, branch)
-        }
-        Node::Branch {
-            mut children,
-            value: bvalue,
-        } => {
-            if path.is_empty() {
-                return Node::Branch {
-                    children,
-                    value: Some(value),
-                };
-            }
-            let idx = path.at(0) as usize;
-            let child = std::mem::replace(&mut children[idx], NodeRef::empty());
-            children[idx] = NodeRef::new(insert_at(child.take(), path.slice_from(1), value));
-            Node::Branch {
-                children,
-                value: bvalue,
-            }
-        }
-    }
-}
-
-/// Wraps `branch` in an extension holding the first `common` nibbles of
-/// `full_path`, or returns it bare when the shared prefix is empty.
-fn wrap_extension(full_path: Nibbles, common: usize, branch: Node) -> Node {
-    if common == 0 {
-        branch
-    } else {
-        Node::Extension {
-            path: Nibbles(full_path.0[..common].to_vec()),
-            child: NodeRef::new(branch),
-        }
-    }
-}
-
-fn get_at<'a>(node: &'a Node, path: &Nibbles, depth: usize) -> Option<&'a [u8]> {
-    match node {
-        Node::Empty => None,
-        Node::Leaf { path: lpath, value } => {
-            if &path.slice_from(depth) == lpath {
-                Some(value)
-            } else {
-                None
-            }
-        }
-        Node::Extension { path: epath, child } => {
-            let rest = path.slice_from(depth);
-            if rest.len() >= epath.len() && rest.common_prefix_len(epath) == epath.len() {
-                get_at(child.node(), path, depth + epath.len())
-            } else {
-                None
-            }
-        }
-        Node::Branch { children, value } => {
-            if depth == path.len() {
-                value.as_deref()
-            } else {
-                get_at(children[path.at(depth) as usize].node(), path, depth + 1)
-            }
-        }
-    }
-}
-
-fn remove_at(node: Node, path: &Nibbles, depth: usize) -> (Node, bool) {
-    match node {
-        Node::Empty => (Node::Empty, false),
-        Node::Leaf { path: lpath, value } => {
-            if path.slice_from(depth) == lpath {
-                (Node::Empty, true)
-            } else {
-                (Node::Leaf { path: lpath, value }, false)
-            }
-        }
-        Node::Extension { path: epath, child } => {
-            let rest = path.slice_from(depth);
-            if rest.len() >= epath.len() && rest.common_prefix_len(&epath) == epath.len() {
-                let (new_child, removed) = remove_at(child.take(), path, depth + epath.len());
-                if !removed {
-                    return (
-                        Node::Extension {
-                            path: epath,
-                            child: NodeRef::new(new_child),
-                        },
-                        false,
-                    );
-                }
-                (collapse_extension(epath, new_child), true)
-            } else {
-                (Node::Extension { path: epath, child }, false)
-            }
-        }
-        Node::Branch {
-            mut children,
-            mut value,
-        } => {
-            let removed = if depth == path.len() {
-                let had = value.is_some();
-                value = None;
-                had
-            } else {
-                let idx = path.at(depth) as usize;
-                let child = std::mem::replace(&mut children[idx], NodeRef::empty());
-                let (new_child, removed) = remove_at(child.take(), path, depth + 1);
-                children[idx] = NodeRef::new(new_child);
-                removed
-            };
-            if !removed {
-                return (Node::Branch { children, value }, false);
-            }
-            (normalize_branch(children, value), true)
-        }
-    }
-}
-
-/// Re-attaches an extension prefix after its child changed shape.
-fn collapse_extension(epath: Nibbles, child: Node) -> Node {
-    match child {
-        Node::Empty => Node::Empty,
-        Node::Leaf { path, value } => Node::Leaf {
-            path: epath.concat(&path),
-            value,
-        },
-        Node::Extension { path, child } => Node::Extension {
-            path: epath.concat(&path),
-            child,
-        },
-        branch @ Node::Branch { .. } => Node::Extension {
-            path: epath,
-            child: NodeRef::new(branch),
-        },
-    }
-}
-
-/// Collapses a branch that may have dropped to ≤1 occupant.
-fn normalize_branch(mut children: Box<[NodeRef; 16]>, value: Option<Vec<u8>>) -> Node {
-    let occupied: Vec<usize> = (0..16).filter(|&i| !children[i].is_empty_node()).collect();
-    match (occupied.len(), &value) {
-        (0, None) => Node::Empty,
-        (0, Some(_)) => Node::Leaf {
-            path: Nibbles::default(),
-            value: value.expect("checked above"),
-        },
-        (1, None) => {
-            let idx = occupied[0];
-            let child = std::mem::replace(&mut children[idx], NodeRef::empty());
-            collapse_extension(Nibbles(vec![idx as u8]), child.take())
-        }
-        _ => Node::Branch { children, value },
-    }
-}
-
 fn walk(node: &Node, prefix: &mut Vec<u8>, out: &mut Vec<(Vec<u8>, Vec<u8>)>) {
+    let extend = |prefix: &mut Vec<u8>, path: &Nibbles| {
+        prefix.extend((0..path.len()).map(|i| path.at(i)));
+    };
     match node {
-        Node::Empty => {}
-        Node::Leaf { path, value } => {
-            let mut full = prefix.clone();
-            full.extend_from_slice(&path.0);
-            out.push((pack_nibbles(&full), value.clone()));
-        }
-        Node::Extension { path, child } => {
+        Node::Leaf(leaf) => {
             let len = prefix.len();
-            prefix.extend_from_slice(&path.0);
-            walk(child.node(), prefix, out);
+            extend(prefix, &leaf.path);
+            out.push((pack_nibbles(prefix), leaf.value.clone()));
             prefix.truncate(len);
         }
-        Node::Branch { children, value } => {
-            if let Some(v) = value {
+        Node::Extension(ext) => {
+            let len = prefix.len();
+            extend(prefix, &ext.path);
+            walk(&ext.child.node, prefix, out);
+            prefix.truncate(len);
+        }
+        Node::Branch(branch) => {
+            if let Some(v) = &branch.value {
                 out.push((pack_nibbles(prefix), v.clone()));
             }
-            for (i, c) in children.iter().enumerate() {
-                prefix.push(i as u8);
-                walk(c.node(), prefix, out);
-                prefix.pop();
+            for (i, child) in branch.children.iter().enumerate() {
+                if let Some(child) = child {
+                    prefix.push(i as u8);
+                    walk(&child.node, prefix, out);
+                    prefix.pop();
+                }
             }
         }
     }
@@ -863,85 +1312,6 @@ fn pack_nibbles(nibbles: &[u8]) -> Vec<u8> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Encoding and proofs
-// ---------------------------------------------------------------------------
-
-/// RLP encoding of a node. Child references come from each child's memoized
-/// [`EncCache`], so a re-encode after a mutation touches only the dirty path.
-fn encode_node(node: &Node) -> Vec<u8> {
-    match node {
-        Node::Empty => vec![0x80],
-        Node::Leaf { path, value } => {
-            let mut s = RlpStream::new();
-            s.begin_list(2);
-            s.append_bytes(&path.hex_prefix(true));
-            s.append_bytes(value);
-            s.out()
-        }
-        Node::Extension { path, child } => {
-            let mut s = RlpStream::new();
-            s.begin_list(2);
-            s.append_bytes(&path.hex_prefix(false));
-            append_child_ref(&mut s, child);
-            s.out()
-        }
-        Node::Branch { children, value } => {
-            let mut s = RlpStream::new();
-            s.begin_list(17);
-            for c in children.iter() {
-                if c.is_empty_node() {
-                    s.append_bytes(&[]);
-                } else {
-                    append_child_ref(&mut s, c);
-                }
-            }
-            match value {
-                Some(v) => s.append_bytes(v),
-                None => s.append_bytes(&[]),
-            }
-            s.out()
-        }
-    }
-}
-
-/// Appends a child reference: the node itself when its encoding is shorter
-/// than 32 bytes, otherwise its keccak hash (the MPT inlining rule).
-fn append_child_ref(s: &mut RlpStream, child: &NodeRef) {
-    let enc = child.enc();
-    match enc.hash {
-        Some(h) => s.append_h256(&h),
-        None => s.append_raw(&enc.encoding),
-    }
-}
-
-fn prove_at(node: &NodeRef, path: &Nibbles, depth: usize, proof: &mut Vec<Vec<u8>>) {
-    match node.node() {
-        Node::Empty => {}
-        Node::Leaf { .. } => proof.push((*node.enc().encoding).clone()),
-        Node::Extension { path: epath, child } => {
-            proof.push((*node.enc().encoding).clone());
-            let rest = path.slice_from(depth);
-            if rest.len() >= epath.len() && rest.common_prefix_len(epath) == epath.len() {
-                // Only recurse into children that are hashed separately;
-                // inlined children are already inside this node's encoding.
-                if child.enc().hash.is_some() {
-                    prove_at(child, path, depth + epath.len(), proof);
-                }
-            }
-        }
-        Node::Branch { children, .. } => {
-            proof.push((*node.enc().encoding).clone());
-            if depth < path.len() {
-                let child = &children[path.at(depth) as usize];
-                if !child.is_empty_node() && child.enc().hash.is_some() {
-                    prove_at(child, path, depth + 1, proof);
-                }
-            }
-        }
-    }
-}
-
 /// Verifies a Merkle proof produced by [`Trie::prove`].
 ///
 /// Returns `Ok(Some(value))` when the proof shows `key` present with that
@@ -952,7 +1322,6 @@ pub fn verify_proof(
     key: &[u8],
     proof: &[Vec<u8>],
 ) -> Result<Option<Vec<u8>>, ProofError> {
-    let path = Nibbles::from_bytes(key);
     if proof.is_empty() {
         return if root == empty_root() {
             Ok(None)
@@ -981,9 +1350,8 @@ pub fn verify_proof(
             2 => {
                 let hp = list[0].as_bytes().map_err(|_| ProofError::BadNode)?;
                 let (npath, is_leaf) = Nibbles::from_hex_prefix(hp).ok_or(ProofError::BadNode)?;
-                let rest = path.slice_from(depth);
                 if is_leaf {
-                    return if rest == npath {
+                    return if npath.is_key_tail(key, depth) {
                         Ok(Some(
                             list[1]
                                 .as_bytes()
@@ -994,18 +1362,18 @@ pub fn verify_proof(
                         Ok(None)
                     };
                 }
-                if rest.len() < npath.len() || rest.common_prefix_len(&npath) != npath.len() {
+                if npath.common_prefix_with_key(0, key, depth) != npath.len() {
                     return Ok(None);
                 }
                 depth += npath.len();
                 expected = child_expected(&list[1])?;
             }
             17 => {
-                if depth == path.len() {
+                if depth == key.len() * 2 {
                     let v = list[16].as_bytes().map_err(|_| ProofError::BadNode)?;
                     return Ok(if v.is_empty() { None } else { Some(v.to_vec()) });
                 }
-                let branch = &list[path.at(depth) as usize];
+                let branch = &list[nibble_at(key, depth) as usize];
                 depth += 1;
                 match branch {
                     Item::Bytes(b) if b.is_empty() => return Ok(None),
@@ -1339,13 +1707,26 @@ mod tests {
         keccak256(&i.to_be_bytes()).as_bytes().to_vec()
     }
 
+    /// The reference a batch is checked against: its updates applied one
+    /// `insert`/`remove` at a time.
+    fn one_by_one(trie: &mut Trie, updates: &[(Vec<u8>, Option<Vec<u8>>)]) {
+        for (key, update) in updates {
+            match update {
+                Some(value) => trie.insert(key, value.clone()),
+                None => {
+                    trie.remove(key);
+                }
+            }
+        }
+    }
+
     #[test]
     fn apply_batch_fresh_build_matches_serial_across_thread_counts() {
         let updates: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..300u64)
             .map(|i| (hashed_key(i), Some(format!("value-{i}").into_bytes())))
             .collect();
         let mut reference = Trie::new();
-        reference.apply_serial(updates.clone());
+        one_by_one(&mut reference, &updates);
         let (ref_root, mut ref_nodes) = reference.commit_nodes();
         ref_nodes.sort();
         for threads in [1, 2, 3, 5, 8, 16] {
@@ -1362,34 +1743,29 @@ mod tests {
     fn apply_batch_incremental_mix_matches_serial() {
         // Warm trie + a batch mixing overwrites, inserts, removals of
         // present and absent keys, and empty-value inserts (deletes).
-        let build = |threads: usize| {
-            let mut t = Trie::new();
-            t.apply_batch(
-                (0..200u64)
-                    .map(|i| (hashed_key(i), Some(vec![1, 2, 3])))
-                    .collect(),
-                threads,
-            );
-            let _ = t.commit_nodes(); // warm the memo
-            let batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..300u64)
-                .map(|i| {
-                    let update = match i % 4 {
-                        0 => Some(format!("over-{i}").into_bytes()),
-                        1 => None,
-                        2 => Some(Vec::new()),
-                        _ => Some(vec![7; 40]),
-                    };
-                    (hashed_key(i), update)
-                })
-                .collect();
-            t.apply_batch(batch, threads);
-            t
-        };
-        let reference = build(1);
+        let first: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..200u64)
+            .map(|i| (hashed_key(i), Some(vec![1, 2, 3])))
+            .collect();
+        let second: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..300u64)
+            .map(|i| {
+                let update = match i % 4 {
+                    0 => Some(format!("over-{i}").into_bytes()),
+                    1 => None,
+                    2 => Some(Vec::new()),
+                    _ => Some(vec![7; 40]),
+                };
+                (hashed_key(i), update)
+            })
+            .collect();
+        let mut reference = Trie::new();
+        one_by_one(&mut reference, &first);
+        one_by_one(&mut reference, &second);
         let (ref_root, mut ref_nodes) = reference.commit_nodes();
         ref_nodes.sort();
-        for threads in [2, 4, 16] {
-            let t = build(threads);
+        for threads in [1, 2, 4, 16] {
+            let mut t = Trie::new();
+            t.apply_batch(first.clone(), threads);
+            t.apply_batch(second.clone(), threads);
             let (root, mut nodes) = t.commit_nodes();
             assert_eq!(root, ref_root, "root diverged at {threads} threads");
             nodes.sort();
@@ -1405,7 +1781,7 @@ mod tests {
         let mut t = Trie::new();
         t.apply_batch(updates.clone(), 8);
         let mut reference = Trie::new();
-        reference.apply_serial(updates);
+        one_by_one(&mut reference, &updates);
         assert_eq!(t.root_hash(), reference.root_hash());
         // Parallel removal of everything must land back on the empty root.
         let mut full = Trie::new();
@@ -1465,5 +1841,339 @@ mod tests {
         let mut expected: Vec<Vec<u8>> = t.iter().into_iter().map(|(_, v)| v).collect();
         expected.sort();
         assert_eq!(values, expected);
+    }
+
+    // ---- the batch descent: shapes, sharing and the once-per-node rule ----
+
+    fn batch(entries: &[(&[u8], Option<&[u8]>)]) -> Vec<(Vec<u8>, Option<Vec<u8>>)> {
+        entries
+            .iter()
+            .map(|(k, v)| (k.to_vec(), v.map(<[u8]>::to_vec)))
+            .collect()
+    }
+
+    /// Applies `updates` to a clone of `base` as one batch and one by one,
+    /// and checks the two agree on root, node list and contents.
+    fn assert_batch_matches_one_by_one(base: &Trie, updates: &[(Vec<u8>, Option<Vec<u8>>)]) {
+        let mut reference = base.clone();
+        one_by_one(&mut reference, updates);
+        let (ref_root, mut ref_nodes) = reference.commit_nodes();
+        ref_nodes.sort();
+        for threads in [1, 3] {
+            let mut batched = base.clone();
+            batched.apply_batch(updates.to_vec(), threads);
+            let (root, mut nodes) = batched.commit_nodes();
+            assert_eq!(root, ref_root);
+            nodes.sort();
+            assert_eq!(nodes, ref_nodes);
+            assert_eq!(batched.iter(), reference.iter());
+            assert_eq!(batched, reference);
+            assert_commitments_hold(&batched);
+        }
+    }
+
+    /// Every commitment held beside a pointer — the handle's for the root,
+    /// each slot's for a child — is what the node itself encodes to.
+    fn assert_commitments_hold(trie: &Trie) {
+        fn check(child: &Child) {
+            assert_eq!(child.commit, Commitment::of(&encoding_of(&child.node)));
+            match &child.node {
+                Node::Leaf(_) => {}
+                Node::Extension(ext) => check(&ext.child),
+                Node::Branch(branch) => branch.children.iter().flatten().for_each(check),
+            }
+        }
+        if let Some(root) = &trie.root {
+            check(root);
+        }
+    }
+
+    #[test]
+    fn batch_removal_collapses_a_branch_into_a_leaf_or_an_extension() {
+        let long = [7u8; 40];
+        let mut base = Trie::new();
+        for key in [
+            &b"\x12\x34\x50"[..],
+            b"\x12\x34\x61",
+            b"\x12\x34\x62",
+            b"\x12\x99",
+        ] {
+            base.insert(key, long.to_vec());
+        }
+        // Dropping \x12\x99 leaves the branch under nibbles 1,2 with one
+        // child: it merges into the extension above the 3,4 branch.
+        assert_batch_matches_one_by_one(&base, &batch(&[(b"\x12\x99", None)]));
+        // Dropping both \x61 and \x62 leaves the 6-branch empty and the
+        // branch above it with one leaf: two levels collapse at once.
+        assert_batch_matches_one_by_one(
+            &base,
+            &batch(&[(b"\x12\x34\x61", None), (b"\x12\x34\x62", None)]),
+        );
+        // Everything but one key goes: the whole trie folds into one leaf.
+        assert_batch_matches_one_by_one(
+            &base,
+            &batch(&[
+                (b"\x12\x34\x50", None),
+                (b"\x12\x34\x61", Some(b"")),
+                (b"\x12\x99", None),
+                (b"\xab", None),
+            ]),
+        );
+        // A removal and an insert under the same collapsing branch.
+        assert_batch_matches_one_by_one(
+            &base,
+            &batch(&[(b"\x12\x99", None), (b"\x12\x34\x63", Some(&long))]),
+        );
+    }
+
+    #[test]
+    fn batch_splits_extensions_and_leaves() {
+        let long = [9u8; 33];
+        let mut base = Trie::new();
+        base.insert(b"\x12\x34\x56\x01", long.to_vec());
+        base.insert(b"\x12\x34\x56\x02", long.to_vec());
+        // The root is an extension over 1,2,3,4,5,6,0: fork it at its first
+        // nibble, in its middle, at its last nibble, and twice at once; end
+        // a key inside it (a branch value) and below it.
+        for updates in [
+            batch(&[(b"\x92", Some(&long))]),
+            batch(&[(b"\x12\x39", Some(&long))]),
+            batch(&[(b"\x12\x34\x56\x11", Some(&long))]),
+            batch(&[(b"\x12\x39", Some(&long)), (b"\x12\x34\x77", Some(b"x"))]),
+            batch(&[(b"\x12\x34", Some(b"inside")), (b"\x13", None)]),
+            batch(&[
+                (b"\x12\x34\x56\x01\x00", Some(b"below")),
+                (b"\x12\x34\x56", Some(b"v")),
+            ]),
+            batch(&[(b"\x12\x34\x56\x01", None), (b"\x12\x35", Some(&long))]),
+            batch(&[
+                (b"\x12\x34\x56\x01", None),
+                (b"\x12\x34\x56\x02", None),
+                (b"\x55", Some(b"z")),
+            ]),
+        ] {
+            assert_batch_matches_one_by_one(&base, &updates);
+        }
+        // A single leaf split by keys before it, after it and through it.
+        let mut leaf = Trie::new();
+        leaf.insert(b"\x44\x44", long.to_vec());
+        assert_batch_matches_one_by_one(
+            &leaf,
+            &batch(&[
+                (b"\x44", Some(b"prefix")),
+                (b"\x44\x40", Some(&long)),
+                (b"\x44\x44\x44", Some(b"suffix")),
+                (b"\x45", None),
+            ]),
+        );
+    }
+
+    #[test]
+    fn batch_handles_inline_nodes_root_values_and_cold_builds() {
+        // One- and two-byte values keep whole subtrees under 32 bytes, so
+        // they are inlined in their parents; a long value forces a hash.
+        let cold = batch(&[
+            (b"", Some(b"root value")),
+            (b"\x01", Some(b"a")),
+            (b"\x01\x23", Some(b"b")),
+            (b"\x01\x24", Some(b"c")),
+            (b"\x02", Some(&[5u8; 64])),
+            (b"\x03", Some(b"")),
+        ]);
+        assert_batch_matches_one_by_one(&Trie::new(), &cold);
+        let mut base = Trie::new();
+        base.apply_batch(cold, 1);
+        assert_eq!(base.get(b""), Some(&b"root value"[..]));
+        assert_eq!(base.get(b"\x03"), None);
+        assert_batch_matches_one_by_one(
+            &base,
+            &batch(&[
+                (b"", None),
+                (b"\x01\x23", Some(b"bb")),
+                (b"\x01\x25", Some(b"d")),
+            ]),
+        );
+        assert_batch_matches_one_by_one(
+            &base,
+            &batch(&[(b"", Some(b"")), (b"\x01", None), (b"\x02", None)]),
+        );
+        // Of two updates to one key the later wins, as one by one.
+        assert_batch_matches_one_by_one(
+            &base,
+            &batch(&[
+                (b"\x01\x23", Some(b"first")),
+                (b"\x02", None),
+                (b"\x01\x23", Some(b"second")),
+                (b"\x02", Some(b"back")),
+                (b"\x01\x23", None),
+            ]),
+        );
+        // Draining a trie by batch lands on the empty root.
+        let mut drained = base.clone();
+        drained.apply_batch(base.iter().into_iter().map(|(k, _)| (k, None)).collect(), 2);
+        assert!(drained.is_empty());
+        assert_eq!(drained.root_hash(), empty_root());
+    }
+
+    #[test]
+    fn remove_of_an_absent_key_changes_nothing() {
+        let mut t = Trie::new();
+        for i in 0..40u32 {
+            t.insert(&i.to_be_bytes(), vec![i as u8; 40]);
+        }
+        let before = counters::read(&counters::ALLOCATED);
+        assert!(!t.remove(&99u32.to_be_bytes()));
+        assert_eq!(counters::read(&counters::ALLOCATED), before);
+    }
+
+    /// Addresses of the nodes a lookup of `key` visits, the last one
+    /// included even when it turns the lookup away.
+    fn visited(trie: &Trie, key: &[u8], out: &mut std::collections::HashSet<usize>) {
+        let mut next = trie.root.as_ref().map(|r| &r.node);
+        let mut depth = 0;
+        while let Some(node) = next {
+            out.insert(address(node));
+            next = match node {
+                Node::Leaf(_) => None,
+                Node::Extension(ext) => {
+                    let follows = ext.path.common_prefix_with_key(0, key, depth) == ext.path.len();
+                    depth += ext.path.len();
+                    follows.then_some(&ext.child.node)
+                }
+                Node::Branch(branch) => {
+                    depth += 1;
+                    branch.children[nibble_at(key, depth - 1) as usize]
+                        .as_ref()
+                        .map(|c| &c.node)
+                }
+            };
+        }
+    }
+
+    fn address(node: &Node) -> usize {
+        match node {
+            Node::Leaf(n) => Arc::as_ptr(n) as usize,
+            Node::Extension(n) => Arc::as_ptr(n) as usize,
+            Node::Branch(n) => Arc::as_ptr(n) as usize,
+        }
+    }
+
+    /// One node of a trie, as the structural test sees it.
+    struct Seen {
+        address: usize,
+        parent: usize,
+        by_hash: bool,
+        is_branch: bool,
+    }
+
+    fn all_nodes(trie: &Trie) -> Vec<Seen> {
+        fn collect(child: &Child, parent: usize, out: &mut Vec<Seen>) {
+            let address = address(&child.node);
+            out.push(Seen {
+                address,
+                parent,
+                by_hash: child.commit.hash().is_some(),
+                is_branch: matches!(child.node, Node::Branch(_)),
+            });
+            match &child.node {
+                Node::Leaf(_) => {}
+                Node::Extension(ext) => collect(&ext.child, address, out),
+                Node::Branch(branch) => branch
+                    .children
+                    .iter()
+                    .flatten()
+                    .for_each(|c| collect(c, address, out)),
+            }
+        }
+        let mut out = Vec::new();
+        if let Some(root) = &trie.root {
+            collect(root, 0, &mut out);
+        }
+        out
+    }
+
+    fn addresses(trie: &Trie) -> std::collections::HashSet<usize> {
+        all_nodes(trie).iter().map(|n| n.address).collect()
+    }
+
+    #[test]
+    fn batch_over_a_shared_trie_creates_and_hashes_each_touched_node_once() {
+        const KEYS: u64 = 100_000;
+        let body = |i: u64, salt: u8| {
+            let mut v = vec![salt; 70];
+            v[..8].copy_from_slice(&i.to_be_bytes());
+            v
+        };
+        let mut before = Trie::new();
+        before.apply_batch(
+            (0..KEYS)
+                .map(|i| (hashed_key(i), Some(body(i, 0))))
+                .collect(),
+            1,
+        );
+        let before_root = before.root_hash();
+        let before_nodes = addresses(&before);
+        // The cold build itself made each of its nodes once.
+        assert!(before_nodes.len() > KEYS as usize);
+
+        // Overwrites, fresh keys (which split leaves) and removals (which
+        // fold branches), on the calling thread so its counters see it all.
+        let updates: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..200u64)
+            .map(|j| (hashed_key(j * 487 % KEYS), Some(body(j, 1))))
+            .chain((0..40).map(|j| (hashed_key(KEYS + j), Some(body(j, 2)))))
+            .chain((0..23).map(|j| (hashed_key(50_000 + j * 31), None)))
+            .collect();
+        let mut after = before.clone();
+        let allocated = counters::read(&counters::ALLOCATED);
+        let hashed = counters::read(&counters::HASHED);
+        after.apply_batch(updates.clone(), 1);
+        let allocated = counters::read(&counters::ALLOCATED) - allocated;
+        let hashed = counters::read(&counters::HASHED) - hashed;
+
+        // The clone taken before the batch still is what it was.
+        assert_eq!(before.root_hash(), before_root);
+        assert_eq!(before.get(&hashed_key(0)), Some(&body(0, 0)[..]));
+        assert_eq!(before.get(&hashed_key(KEYS)), None);
+        assert_eq!(before_nodes, addresses(&before));
+
+        // What the batch created is exactly what the new trie does not share
+        // with the old one: no node was made and thrown away, …
+        let created: Vec<Seen> = all_nodes(&after)
+            .into_iter()
+            .filter(|n| !before_nodes.contains(&n.address))
+            .collect();
+        assert_eq!(allocated, created.len());
+        // … each one was hashed once (all of them: 70-byte values), …
+        assert!(created.iter().all(|n| n.by_hash));
+        assert_eq!(hashed, created.len());
+        // … and each lies on the path of one of the batch's keys, or is the
+        // leaf such a key split, hung again one branch further down.
+        let mut on_paths = std::collections::HashSet::new();
+        for (key, _) in &updates {
+            visited(&after, key, &mut on_paths);
+        }
+        let mut rehung = 0;
+        for node in &created {
+            if !on_paths.contains(&node.address) {
+                assert!(!node.is_branch && on_paths.contains(&node.parent));
+                assert!(!before_nodes.contains(&node.parent));
+                rehung += 1;
+            }
+        }
+        assert!(rehung <= 40, "{rehung} leaves re-hung for 40 new keys");
+        assert_eq!(
+            on_paths
+                .iter()
+                .filter(|a| !before_nodes.contains(a))
+                .count(),
+            created.len() - rehung
+        );
+        // About five nodes a key at this size, sharing the upper levels.
+        assert!(created.len() < updates.len() * 5, "{}", created.len());
+
+        assert_commitments_hold(&after);
+        let mut reference = before.clone();
+        one_by_one(&mut reference, &updates);
+        assert_eq!(after, reference);
     }
 }

@@ -9,10 +9,12 @@
 //! which storage slots) it dirtied, and the tries produced by the previous
 //! commit are retained. `state_root()` / `commit_tries()` then re-insert only
 //! the dirty entries — removing deleted slots and emptied accounts — so the
-//! per-block cost is O(dirty keys · log n) instead of O(total state). Dirty
-//! accounts' storage tries are hashed in parallel. In debug builds every
-//! incremental root is cross-checked against a from-scratch rebuild
-//! ([`WorldState::rebuild_root`]).
+//! per-block cost is O(dirty keys · log n) instead of O(total state). Above
+//! a threshold the dirty accounts are sharded by the first nibble of their
+//! hashed address and each shard — its storage tries, its account bodies,
+//! its subtree of the account trie — is committed by one thread of a single
+//! fan-out. In debug builds every incremental root is cross-checked against
+//! a from-scratch rebuild ([`WorldState::rebuild_root`]).
 //!
 //! The account map, each account's storage map and the retained storage
 //! tries are persistent maps ([`PMap`]), and accounts sit behind [`Arc`], so
@@ -34,7 +36,7 @@
 //! incremental-root machinery works identically whether state is resident
 //! or base-backed.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bp_crypto::keccak256;
 use bp_types::{AccessKey, Address, WriteSet, H256, U256};
@@ -152,8 +154,8 @@ pub struct WorldState {
     /// Base state that reads fall through to when `accounts` misses.
     base: Option<Arc<dyn StateReader>>,
     tracker: Mutex<CommitTracker>,
-    /// Worker cap for parallel commitment (storage-trie hashing and the
-    /// sharded account-trie batch apply). `0` ⇒ all available cores.
+    /// Thread cap for a commit's fan-out (the calling thread included).
+    /// `0` ⇒ all available cores.
     commit_threads: usize,
 }
 
@@ -213,10 +215,10 @@ impl WorldState {
         }
     }
 
-    /// Caps the worker threads used by parallel commitment ([`state_root`] /
-    /// [`commit_tries`]): storage-trie hashing and the sharded account-trie
-    /// apply both fan out to at most this many scoped workers. `0` (the
-    /// default) means all available cores; `1` forces the serial path.
+    /// Caps the threads a commit ([`state_root`] / [`commit_tries`]) fans
+    /// its shards of dirty accounts out to, the calling thread included.
+    /// `0` (the default) means all available cores; `1` forces the serial
+    /// path.
     /// The cap survives [`snapshot`]/`clone` so a pipeline configures it
     /// once on the genesis world.
     ///
@@ -491,9 +493,8 @@ impl WorldState {
     /// `keccak(address) → rlp(account)`.
     ///
     /// Incremental: only accounts dirtied since the previous call are
-    /// re-inserted into the retained tries, and dirty storage tries are
-    /// hashed in parallel. Debug builds assert the result against
-    /// [`WorldState::rebuild_root`].
+    /// re-inserted into the retained tries, each trie in one batch descent.
+    /// Debug builds assert the result against [`WorldState::rebuild_root`].
     pub fn state_root(&self) -> H256 {
         self.refresh().root
     }
@@ -507,8 +508,8 @@ impl WorldState {
     /// Nodes are emitted once per reference (see
     /// [`crate::trie::Trie::commit_nodes`]), so reference-counting stores
     /// stay balanced across commit and prune. The tries come from the same
-    /// incremental memo as [`WorldState::state_root`]: unchanged subtrees
-    /// reuse their cached encodings instead of being re-hashed.
+    /// incremental memo as [`WorldState::state_root`]: hashes come from the
+    /// retained tries, nothing is re-hashed.
     pub fn commit_tries(&self) -> (H256, Vec<(H256, Vec<u8>)>) {
         let commit = self.refresh();
         let mut nodes = Vec::new();
@@ -526,11 +527,11 @@ impl WorldState {
     /// (automatically so in debug builds). For base-backed worlds this
     /// enumerates the entire base — debug/test use only.
     pub fn rebuild_root(&self) -> H256 {
-        let mut account_trie = Trie::new();
         let mut addrs: HashSet<Address> = self.accounts.keys().copied().collect();
         if let Some(base) = &self.base {
             addrs.extend(base.base_accounts());
         }
+        let mut bodies = Vec::with_capacity(addrs.len());
         for addr in addrs {
             let (acct, merged) = self.effective_account(&addr);
             if acct.nonce == 0
@@ -540,12 +541,18 @@ impl WorldState {
             {
                 continue;
             }
-            let root = storage_root(&merged);
-            account_trie.insert(
-                keccak256(addr.as_bytes()).as_bytes(),
-                account_body(&acct, root),
+            // The code is hashed here, not taken from `acct.code_hash`, so
+            // the oracle also checks that cache.
+            let body = account_body(
+                acct.nonce,
+                acct.balance,
+                code_hash(&acct.code),
+                storage_root(&merged),
             );
+            bodies.push((keccak256(addr.as_bytes()).0, Some(body)));
         }
+        let mut account_trie = Trie::new();
+        apply_hashed(&mut account_trie, bodies);
         account_trie.root_hash()
     }
 
@@ -685,36 +692,44 @@ impl WorldState {
             }
         };
 
-        let updates = compute_updates(
-            &dirty,
-            &self.accounts,
-            &commit.storage_tries,
-            self.base.as_deref(),
-            self.commit_threads,
+        // One fan-out: the dirty accounts are sharded by the first nibble
+        // of their hashed address, and whichever thread takes a shard
+        // patches its accounts' storage tries, encodes their bodies and
+        // applies them to the shard's own subtree of the account trie.
+        let mut shards: [Vec<(HashedKey, Address, DirtyAccount)>; 16] = Default::default();
+        for (addr, dirt) in dirty {
+            let key = keccak256(addr.as_bytes()).0;
+            shards[(key[0] >> 4) as usize].push((key, addr, dirt));
+        }
+        let storage_tries = &commit.storage_tries;
+        let replaced = commit.account_trie.apply_sharded(
+            shards,
+            commit_workers(self.commit_threads),
+            |mut shard| {
+                shard.sort_unstable_by_key(|entry| entry.0);
+                let mut bodies = Vec::with_capacity(shard.len());
+                let mut replaced = Vec::new();
+                for (key, addr, dirt) in shard {
+                    let update = compute_update(
+                        addr,
+                        &dirt,
+                        &self.accounts,
+                        storage_tries,
+                        self.base.as_deref(),
+                    );
+                    bodies.push((key, update.body));
+                    replaced.extend(update.storage_trie.map(|trie| (addr, trie)));
+                }
+                (bodies, replaced)
+            },
         );
-        // Fold the per-account updates into a single batch so the account
-        // trie can shard them by path prefix and hash the touched subtrees
-        // in parallel (`Trie::apply_batch` is exact: same structure, same
-        // node set, same root as the one-by-one loop).
-        let mut batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = Vec::with_capacity(updates.len());
-        for update in updates {
-            match update {
-                AccountUpdate::Remove(addr) => {
-                    batch.push((keccak256(addr.as_bytes()).as_bytes().to_vec(), None));
-                    commit.storage_tries.remove(&addr);
-                }
-                AccountUpdate::Upsert(addr, storage_trie, body) => {
-                    batch.push((keccak256(addr.as_bytes()).as_bytes().to_vec(), Some(body)));
-                    if storage_trie.is_empty() {
-                        commit.storage_tries.remove(&addr);
-                    } else {
-                        commit.storage_tries.insert(addr, storage_trie);
-                    }
-                }
+        for (addr, storage_trie) in replaced.into_iter().flatten() {
+            if storage_trie.is_empty() {
+                commit.storage_tries.remove(&addr);
+            } else {
+                commit.storage_tries.insert(addr, storage_trie);
             }
         }
-        let threads = effective_threads(self.commit_threads, batch.len());
-        commit.account_trie.apply_batch(batch, threads);
         commit.root = commit.account_trie.root_hash();
         debug_assert_eq!(
             commit.root,
@@ -751,69 +766,38 @@ fn materialize<'a>(
     Arc::make_mut(entry)
 }
 
-/// Resolves a configured worker cap (`0` = auto) against the machine and the
-/// batch at hand.
-fn effective_threads(commit_threads: usize, items: usize) -> usize {
-    let cap = if commit_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        commit_threads
-    };
-    cap.min(items.max(1))
-}
-
-/// The effect of one dirty account on the account trie.
-enum AccountUpdate {
-    /// Account is empty or absent: drop it (EIP-161).
-    Remove(Address),
-    /// Re-insert with this up-to-date storage trie and RLP body.
-    Upsert(Address, Trie, Vec<u8>),
-}
-
-/// Computes every dirty account's update. The storage-trie hashing dominates,
-/// so above a small threshold the work is fanned out across threads (scoped —
-/// borrows the maps directly).
-fn compute_updates(
-    dirty: &[(Address, DirtyAccount)],
-    accounts: &PMap<Address, Arc<AccountState>>,
-    prev_tries: &PMap<Address, Trie>,
-    base: Option<&dyn StateReader>,
-    commit_threads: usize,
-) -> Vec<AccountUpdate> {
-    /// Below this many dirty accounts, thread spawn overhead outweighs the
-    /// hashing it would parallelize.
-    const PARALLEL_THRESHOLD: usize = 33;
-    let workers =
-        effective_threads(commit_threads, dirty.len()).min(dirty.len().div_ceil(8).max(1));
-    if dirty.len() < PARALLEL_THRESHOLD || workers < 2 {
-        return dirty
-            .iter()
-            .map(|(addr, dirt)| compute_update(*addr, dirt, accounts, prev_tries, base))
-            .collect();
+/// Resolves a configured thread cap (`0` = all cores). The core count is
+/// read once per process: `available_parallelism` walks the affinity mask
+/// and the cgroup files on every call.
+fn commit_workers(commit_threads: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    match commit_threads {
+        0 => *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+        cap => cap,
     }
-    let chunk = dirty.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = dirty
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    part.iter()
-                        .map(|(addr, dirt)| compute_update(*addr, dirt, accounts, prev_tries, base))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("storage hashing worker panicked"))
-            .collect()
-    })
 }
 
-/// Computes one dirty account's update: patch (or rebuild) its storage trie,
-/// hash it, and re-encode the account body.
+/// A trie key: `keccak(address)` or `keccak(slot)`.
+type HashedKey = [u8; 32];
+
+/// Applies updates keyed by hash to `trie` in one descent.
+fn apply_hashed(trie: &mut Trie, mut updates: Vec<(HashedKey, Option<Vec<u8>>)>) {
+    updates.sort_unstable_by_key(|update| update.0);
+    trie.apply_sorted(&mut updates);
+}
+
+/// The effect of one dirty account on the commit.
+struct AccountUpdate {
+    /// The account's RLP body; `None` drops an empty or absent account from
+    /// the account trie (EIP-161).
+    body: Option<Vec<u8>>,
+    /// The storage trie to retain from now on, when that changes; an empty
+    /// one means none is retained.
+    storage_trie: Option<Trie>,
+}
+
+/// Computes one dirty account's update: patch (or rebuild) its storage trie
+/// and re-encode the account body.
 ///
 /// With a base, the overlay account's body is authoritative (materialized on
 /// first write), while its storage map holds only the touched slots: the
@@ -828,33 +812,38 @@ fn compute_update(
     base: Option<&dyn StateReader>,
 ) -> AccountUpdate {
     let overlay = accounts.get(&addr);
-    if base.is_none() {
-        match overlay {
-            Some(acct) if !acct.is_empty() => {}
-            _ => return AccountUpdate::Remove(addr),
-        }
+    let prev = prev_tries.get(&addr);
+    let dropped = AccountUpdate {
+        body: None,
+        storage_trie: prev.map(|_| Trie::new()),
+    };
+    if base.is_none() && overlay.is_none_or(|acct| acct.is_empty()) {
+        return dropped;
     }
-    let storage_trie = match (dirt, prev_tries.get(&addr), overlay) {
+    let leaf = |value: U256| (!value.is_zero()).then(|| storage_leaf(&value));
+    let rebuilt = match (dirt, prev, overlay) {
+        // Only the body changed: the retained trie stands.
+        (DirtyAccount::Slots(slots), Some(_), Some(_)) if slots.is_empty() => None,
         // Precise slot tracking with a retained trie: patch only the dirty
-        // slots. A slot now zero/absent is deleted from the trie; a dirty
-        // slot missing from the overlay falls through to the base.
+        // slots, in one batch. A slot now zero/absent is deleted from the
+        // trie; a dirty slot missing from the overlay falls through to the
+        // base.
         (DirtyAccount::Slots(slots), Some(prev), Some(acct)) => {
+            let updates = slots
+                .iter()
+                .map(|slot| {
+                    let value = acct
+                        .storage
+                        .get(slot)
+                        .copied()
+                        .or_else(|| base.and_then(|b| b.base_storage(&addr, slot)))
+                        .unwrap_or(U256::ZERO);
+                    (keccak256(slot.as_bytes()).0, leaf(value))
+                })
+                .collect();
             let mut trie = prev.clone();
-            for slot in slots {
-                let key = keccak256(slot.as_bytes());
-                let value = acct
-                    .storage
-                    .get(slot)
-                    .copied()
-                    .or_else(|| base.and_then(|b| b.base_storage(&addr, slot)))
-                    .unwrap_or(U256::ZERO);
-                if value.is_zero() {
-                    trie.remove(key.as_bytes());
-                } else {
-                    trie.insert(key.as_bytes(), storage_leaf(&value));
-                }
-            }
-            trie
+            apply_hashed(&mut trie, updates);
+            Some(trie)
         }
         // Fully dirty, or no retained trie (first touch since the base, or
         // storage was empty at the last commit): rebuild from the base's
@@ -873,49 +862,60 @@ fn compute_update(
                     }
                 }
             }
-            let mut trie = Trie::new();
-            for (slot, value) in &merged {
-                trie.insert(keccak256(slot.as_bytes()).as_bytes(), storage_leaf(value));
-            }
-            trie
+            Some(storage_trie(&merged))
         }
     };
-    // Resolve the effective body: the overlay's if materialized, else the
-    // base's (reachable when a first commit enumerates base accounts).
-    let (nonce, balance, code) = match overlay {
-        Some(acct) => (acct.nonce, acct.balance, Arc::clone(&acct.code)),
+    let storage_trie = rebuilt
+        .as_ref()
+        .or(prev)
+        .expect("an unpatched account has a retained trie");
+    // Resolve the effective body: the overlay's if materialized — its code
+    // hash is already at hand — else the base's (reachable when a first
+    // commit enumerates base accounts).
+    let (nonce, balance, code_hash) = match overlay {
+        Some(acct) if acct.code.is_empty() => (acct.nonce, acct.balance, empty_code_hash()),
+        Some(acct) => (acct.nonce, acct.balance, H256::from_u256(acct.code_hash)),
         None => match base.and_then(|b| b.base_account(&addr)) {
-            Some(b) => (b.nonce, b.balance, b.code),
-            None => (0, U256::ZERO, Arc::new(Vec::new())),
+            Some(b) => (b.nonce, b.balance, code_hash(&b.code)),
+            None => (0, U256::ZERO, empty_code_hash()),
         },
     };
-    if nonce == 0 && balance.is_zero() && code.is_empty() && storage_trie.is_empty() {
-        return AccountUpdate::Remove(addr);
+    if nonce == 0 && balance.is_zero() && code_hash == empty_code_hash() && storage_trie.is_empty()
+    {
+        return dropped;
     }
-    // Hash here, inside the parallel region — the memo makes the later
-    // account-trie pass O(1) per storage root.
-    let root = storage_trie.root_hash();
-    let body = account_body_parts(nonce, balance, &code, root);
-    AccountUpdate::Upsert(addr, storage_trie, body)
+    AccountUpdate {
+        body: Some(account_body(
+            nonce,
+            balance,
+            code_hash,
+            storage_trie.root_hash(),
+        )),
+        // An account that had no storage and has none changes nothing.
+        storage_trie: rebuilt.filter(|trie| !trie.is_empty() || prev.is_some()),
+    }
 }
 
 /// RLP leaf for one storage value.
 fn storage_leaf(value: &U256) -> Vec<u8> {
-    bp_crypto::rlp::encode_bytes(&value.to_be_bytes_trimmed())
+    let bytes = value.to_be_bytes();
+    let trimmed = &bytes[bytes.iter().position(|&b| b != 0).unwrap_or(32)..];
+    let mut leaf = Vec::with_capacity(1 + trimmed.len());
+    trie::rlp_str(trimmed, &mut leaf);
+    leaf
 }
 
-/// RLP account body with the given storage root.
-fn account_body(acct: &AccountState, storage_root: H256) -> Vec<u8> {
-    account_body_parts(acct.nonce, acct.balance, &acct.code, storage_root)
-}
-
-/// RLP account body from its parts.
-fn account_body_parts(nonce: u64, balance: U256, code: &[u8], storage_root: H256) -> Vec<u8> {
-    let code_hash = if code.is_empty() {
+/// `keccak256(code)` as the account body carries it.
+fn code_hash(code: &[u8]) -> H256 {
+    if code.is_empty() {
         empty_code_hash()
     } else {
         keccak256(code)
-    };
+    }
+}
+
+/// RLP account body from its parts.
+fn account_body(nonce: u64, balance: U256, code_hash: H256, storage_root: H256) -> Vec<u8> {
     Account {
         nonce,
         balance,
@@ -925,16 +925,21 @@ fn account_body_parts(nonce: u64, balance: U256, code: &[u8], storage_root: H256
     .rlp_encode()
 }
 
+/// One account's storage trie, built from scratch in one descent.
+fn storage_trie(storage: &HashMap<H256, U256>) -> Trie {
+    let leaves = storage
+        .iter()
+        .filter(|(_, value)| !value.is_zero())
+        .map(|(slot, value)| (keccak256(slot.as_bytes()).0, Some(storage_leaf(value))))
+        .collect();
+    let mut trie = Trie::new();
+    apply_hashed(&mut trie, leaves);
+    trie
+}
+
 /// Root of one account's storage trie, built from scratch.
 pub fn storage_root(storage: &HashMap<H256, U256>) -> H256 {
-    let mut trie = Trie::new();
-    for (slot, value) in storage {
-        if value.is_zero() {
-            continue;
-        }
-        trie.insert(keccak256(slot.as_bytes()).as_bytes(), storage_leaf(value));
-    }
-    trie.root_hash()
+    storage_trie(storage).root_hash()
 }
 
 #[cfg(test)]
@@ -1103,6 +1108,43 @@ mod tests {
         assert_eq!(snap.account(&addr(1)).unwrap().storage.len(), 3);
         assert_eq!(w.state_root(), w.rebuild_root());
         assert_eq!(snap.state_root(), snap.rebuild_root());
+    }
+
+    #[test]
+    fn committed_code_hash_is_the_cached_one_and_the_keccak_of_the_code() {
+        let mut w = WorldState::new();
+        w.set_balance(addr(1), U256::ONE);
+        w.set_code(addr(2), vec![0x60, 0x00, 0x60, 0x00]);
+        w.account_mut(addr(3))
+            .install_code(Arc::new(vec![0xfe; 300]));
+        w.set_code(addr(4), vec![0x00]);
+        w.set_code(addr(4), Vec::new()); // back to no code
+        w.set_nonce(addr(4), 1);
+        // The commit takes the hash from the account; the oracle hashes the
+        // code itself.
+        let (root, nodes) = w.commit_tries();
+        assert_eq!(root, w.rebuild_root());
+        let db: std::collections::HashMap<H256, Vec<u8>> = nodes.into_iter().collect();
+        let accounts = Trie::from_root(root, &db).unwrap();
+        for i in 1..=4 {
+            let acct = w.account(&addr(i)).unwrap();
+            assert_eq!(acct.code_hash, code_read_word(&acct.code));
+            let body = accounts
+                .get(keccak256(addr(i).as_bytes()).as_bytes())
+                .unwrap();
+            assert_eq!(
+                Account::rlp_decode(body).unwrap().code_hash,
+                code_hash(&acct.code),
+                "account {i}"
+            );
+        }
+        // A base-backed account that was never materialized has no cached
+        // hash: its body still carries the keccak of the base's code.
+        let mut base = MapReader::new();
+        base.apply(&w.full_delta());
+        let mut layered = WorldState::new();
+        layered.base = Some(Arc::new(base));
+        assert_eq!(layered.state_root(), root);
     }
 
     // ---- structural sharing: what a snapshot and a write after it cost ----
@@ -1510,9 +1552,10 @@ mod tests {
 
     #[test]
     fn parallel_hashing_path_matches_serial_oracle() {
-        // Enough dirty accounts with storage to cross the parallel
-        // threshold inside compute_updates.
+        // Enough dirty accounts with storage for the commit to fan out,
+        // first over an empty account trie, then over its root branch.
         let mut w = WorldState::new();
+        w.set_commit_threads(3);
         for i in 0..200u64 {
             w.set_balance(addr(i), U256::from(i + 1));
             for s in 0..4u64 {
