@@ -7,7 +7,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use bp_crypto::keccak256;
-use bp_crypto::rlp::{decode, encode_item, Item};
+use bp_crypto::rlp::decode_list;
+use bp_crypto::rlp::reference::{decode, encode_item, Item};
 use bp_evm::{contracts, execute_transaction, BlockEnv, Transaction, WorldView};
 use bp_state::{Trie, WorldState};
 use bp_types::{Address, H256, U256};
@@ -33,8 +34,18 @@ fn bench_rlp(c: &mut Criterion) {
     );
     let encoded = encode_item(&item);
     g.bench_function("encode_64x40B_list", |b| b.iter(|| encode_item(&item)));
-    g.bench_function("decode_64x40B_list", |b| {
+    g.bench_function("reference_decode_64x40B_list", |b| {
         b.iter(|| decode(&encoded).unwrap())
+    });
+    g.bench_function("reader_walk_64x40B_list", |b| {
+        b.iter(|| {
+            let mut list = decode_list(&encoded).unwrap();
+            let mut bytes = 0;
+            while !list.is_empty() {
+                bytes += list.bytes().unwrap().len();
+            }
+            bytes
+        })
     });
     g.finish();
 }

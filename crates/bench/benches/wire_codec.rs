@@ -1,17 +1,18 @@
 //! Criterion micro-benchmark for the block wire codec: fresh-allocation
-//! encode vs scratch-buffer reuse vs decode on a realistic fixture block.
+//! encode vs scratch-buffer reuse, and decode through the streaming reader
+//! vs the reference item-tree decoder, all on one realistic fixture block.
 //!
 //! Run with `cargo bench -p bp-bench --bench wire_codec`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use bp_bench::generate_fixtures;
-use bp_block::wire::{decode_block, encode_block, encode_block_into, encoded_size_hint};
+use bp_block::wire::{self, decode_block, encode_block, encode_block_into, encoded_size_hint};
 use bp_block::Block;
 use bp_workload::WorkloadConfig;
 
 fn fixture_block() -> Block {
-    let fixture = generate_fixtures(&WorkloadConfig::default(), 1).remove(0);
+    let fixture = generate_fixtures(WorkloadConfig::default(), 1).remove(0);
     fixture.seal(Default::default(), 1)
 }
 
@@ -30,8 +31,15 @@ fn bench_wire(c: &mut Criterion) {
             buf.len()
         })
     });
+    assert_eq!(
+        decode_block(&encoded),
+        wire::reference::decode_block(&encoded)
+    );
     g.bench_function("decode_block", |b| {
         b.iter(|| decode_block(&encoded).unwrap())
+    });
+    g.bench_function("decode_block_reference", |b| {
+        b.iter(|| wire::reference::decode_block(&encoded).unwrap())
     });
     g.finish();
 }

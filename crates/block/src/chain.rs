@@ -7,6 +7,7 @@
 //! of this block validated?", "what is the canonical head?".
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use bp_types::{BlockHash, Height};
 
@@ -15,7 +16,7 @@ use crate::Block;
 /// All known blocks, indexed by hash and by height, with a canonical chain.
 #[derive(Default)]
 pub struct ChainStore {
-    blocks: HashMap<BlockHash, Block>,
+    blocks: HashMap<BlockHash, Arc<Block>>,
     by_height: BTreeMap<Height, Vec<BlockHash>>,
     canonical: BTreeMap<Height, BlockHash>,
 }
@@ -28,6 +29,13 @@ impl ChainStore {
 
     /// Inserts a block (idempotent). Returns its hash.
     pub fn insert(&mut self, block: Block) -> BlockHash {
+        self.insert_shared(Arc::new(block))
+    }
+
+    /// Inserts a block the caller goes on sharing (a validator hands the
+    /// same allocation to its pipeline): a refcount, not a copy of the
+    /// block's transactions and profile maps. Idempotent; returns the hash.
+    pub fn insert_shared(&mut self, block: Arc<Block>) -> BlockHash {
         let hash = block.hash();
         let height = block.height();
         if self.blocks.insert(hash, block).is_none() {
@@ -38,14 +46,14 @@ impl ChainStore {
 
     /// Looks a block up by hash.
     pub fn get(&self, hash: &BlockHash) -> Option<&Block> {
-        self.blocks.get(hash)
+        self.blocks.get(hash).map(|block| &**block)
     }
 
     /// All blocks known at `height` (competing forks included).
     pub fn at_height(&self, height: Height) -> Vec<&Block> {
         self.by_height
             .get(&height)
-            .map(|hashes| hashes.iter().filter_map(|h| self.blocks.get(h)).collect())
+            .map(|hashes| hashes.iter().filter_map(|h| self.get(h)).collect())
             .unwrap_or_default()
     }
 
@@ -78,7 +86,7 @@ impl ChainStore {
 
     /// The canonical block at `height`, if decided.
     pub fn canonical_at(&self, height: Height) -> Option<&Block> {
-        self.canonical.get(&height).and_then(|h| self.blocks.get(h))
+        self.canonical.get(&height).and_then(|h| self.get(h))
     }
 
     /// The canonical head (highest decided height).
@@ -86,7 +94,7 @@ impl ChainStore {
         self.canonical
             .iter()
             .next_back()
-            .and_then(|(_, h)| self.blocks.get(h))
+            .and_then(|(_, h)| self.get(h))
     }
 
     /// Non-canonical blocks at a decided height — Ethereum's *uncles*.

@@ -15,6 +15,7 @@ pub mod chain;
 pub mod profile;
 pub mod wire;
 
+use bp_crypto::rlp::StackStream;
 use bp_crypto::{keccak256, Keccak256, RlpStream};
 use bp_evm::{Receipt, Transaction};
 use bp_types::{Address, BlockHash, Gas, Height, H256};
@@ -115,12 +116,14 @@ pub fn tx_root(txs: &[Transaction]) -> H256 {
 pub fn receipts_root(receipts: &[Receipt]) -> H256 {
     let mut h = Keccak256::new();
     for r in receipts {
-        let mut s = RlpStream::new();
-        s.begin_list(3);
+        // A three-integer list is at most 27 payload bytes: one header byte,
+        // built on the stack.
+        let mut s = StackStream::<27>::new();
         s.append_u64(r.success as u64);
         s.append_u64(r.gas_used);
         s.append_u64(r.logs.len() as u64);
-        h.update(&s.out());
+        h.update(&[0xc0 + s.as_slice().len() as u8]);
+        h.update(s.as_slice());
     }
     h.finalize()
 }
@@ -201,6 +204,21 @@ mod tests {
         );
         let mut pricier = ok.clone();
         pricier.gas_used = 22_000;
-        assert_ne!(receipts_root(&[ok]), receipts_root(&[pricier]));
+        assert_ne!(
+            receipts_root(std::slice::from_ref(&ok)),
+            receipts_root(std::slice::from_ref(&pricier))
+        );
+        // Each receipt enters the hash as the three-item RLP list
+        // [status, gas used, log count].
+        let mut h = Keccak256::new();
+        for r in [&ok, &pricier] {
+            let mut s = RlpStream::new();
+            s.begin_list(3);
+            s.append_u64(r.success as u64);
+            s.append_u64(r.gas_used);
+            s.append_u64(r.logs.len() as u64);
+            h.update(&s.out());
+        }
+        assert_eq!(receipts_root(&[ok, pricier]), h.finalize());
     }
 }

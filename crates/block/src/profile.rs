@@ -25,6 +25,16 @@ impl TxProfile {
         }
     }
 
+    /// Builds a profile entry out of an executed footprint it may keep: the
+    /// two maps move in instead of being cloned.
+    pub fn from_owned_rw(rw: RwSet, gas_used: Gas) -> Self {
+        TxProfile {
+            reads: rw.reads,
+            writes: rw.writes,
+            gas_used,
+        }
+    }
+
     /// The footprint as an [`RwSet`] (for conflict queries).
     pub fn rw(&self) -> RwSet {
         RwSet {
@@ -110,6 +120,7 @@ mod tests {
         let p = TxProfile::from_rw(&rw, 21_000);
         assert_eq!(p.rw(), rw);
         assert_eq!(p.gas_used, 21_000);
+        assert_eq!(TxProfile::from_owned_rw(rw, 21_000), p);
     }
 
     #[test]

@@ -6,12 +6,29 @@
 //! canonical encoding too: each entry is `[reads, writes, gas]`, where reads
 //! are `[key, version]` pairs and writes are `[key, value]` pairs.
 //!
-//! Decoding is strict (inherited from `bp_crypto::rlp`): any mutation of the
-//! byte stream fails to decode or changes the block hash.
+//! Decoding is one pass of a borrowed [`bp_crypto::rlp::Reader`] over the
+//! bytes — no item tree is built. Collections are sized from a validating
+//! pre-count, so the only allocations are the block's own: the two outer
+//! `Vec`s, each transaction's non-empty `data` and each profile entry's two
+//! maps (`3·txs + 2` at most, none regrown).
+//!
+//! Decoding is strict and the encoding is canonical: `decode_block` accepts
+//! exactly the byte strings `encode_block` produces, so
+//! `encode_block(&decode_block(b)?) == b` and any mutation of the byte stream
+//! fails to decode or decodes to a different block. On top of the RLP rules
+//! (minimal byte and length forms, no length overflow, truncation or
+//! trailing bytes, no leading zeros in integers, exact fixed-length fields,
+//! exact list arity) that means: footprint keys strictly ascending in
+//! [`AccessKey`] order — the order the encoder writes, so no duplicates —,
+//! the unused third slot of a `Balance`/`Nonce`/`Code` key empty, and an
+//! empty collection spelled as the `[""]` marker, never as a zero-item list.
+//!
+//! The item-tree decoder this replaced is kept in [`reference`] as the
+//! differential oracle.
 
-use bp_crypto::rlp::{self, DecodeError, Item, RlpStream};
+use bp_crypto::rlp::{self, DecodeError, Reader, RlpStream, Token};
 use bp_evm::Transaction;
-use bp_types::{AccessKey, ReadSet, WriteSet};
+use bp_types::{AccessKey, Address, FxHashMap, H256};
 
 use crate::{Block, BlockHeader, BlockProfile, TxProfile};
 
@@ -82,24 +99,14 @@ fn encode_block_with(block: &Block, mut s: RlpStream) -> Vec<u8> {
 
 /// Decodes a broadcast block.
 pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
-    let item = rlp::decode(data)?;
-    let l = expect_list(&item, 3)?;
-    let header = decode_header(&l[0])?;
-    let txs_list = l[1].as_list()?;
-    let transactions = if is_empty_marker(txs_list) {
-        Vec::new()
-    } else {
-        txs_list.iter().map(decode_tx).collect::<Result<_, _>>()?
-    };
-    let profile_list = l[2].as_list()?;
-    let entries = if is_empty_marker(profile_list) {
-        Vec::new()
-    } else {
-        profile_list
-            .iter()
-            .map(decode_profile_entry)
-            .collect::<Result<_, _>>()?
-    };
+    let mut top = rlp::decode_list(data)?;
+    let header = decode_header(top.list()?)?;
+    let transactions =
+        decode_collection(top.list()?, MIN_TX_BYTES, |item| decode_tx(item.list()?))?;
+    let entries = decode_collection(top.list()?, MIN_ENTRY_BYTES, |item| {
+        decode_profile_entry(item.list()?)
+    })?;
+    top.end()?;
     Ok(Block {
         header,
         transactions,
@@ -107,18 +114,69 @@ pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
     })
 }
 
-/// An empty collection is encoded as a one-element list holding the empty
-/// string (RLP lists of length zero collide with our fixed-arity scheme).
-fn is_empty_marker(items: &[Item]) -> bool {
-    matches!(items, [Item::Bytes(b)] if b.is_empty())
-}
+/// Fewest bytes one element of each collection can encode to. A pre-count
+/// above what the collection's bytes could hold is refused before anything
+/// is allocated for it, so a run of one-byte items cannot reserve a hundred
+/// times its size in `Vec` slots.
+const MIN_TX_BYTES: usize = 1 + 21 + 6;
+const MIN_ENTRY_BYTES: usize = 1 + 2 + 2 + 1;
+const MIN_PAIR_BYTES: usize = 1 + (1 + 1 + 21 + 1) + 1;
 
-fn expect_list(item: &Item, len: usize) -> Result<&[Item], DecodeError> {
-    let l = item.as_list()?;
-    if l.len() != len {
+/// How many elements the collection under `list` holds, with the cursor
+/// placed on the first. An empty collection is encoded as a one-element list
+/// holding the empty string (RLP lists of length zero collide with our
+/// fixed-arity scheme), which reads as zero elements; the zero-item list the
+/// encoder never writes is rejected.
+fn collection(list: Reader<'_>, min_bytes: usize) -> Result<(usize, Reader<'_>), DecodeError> {
+    let mut marker = list;
+    if matches!(marker.next_item(), Ok(Token::Str([]))) && marker.is_empty() {
+        return Ok((0, marker));
+    }
+    let len = list.count()?;
+    if len == 0 || len > list.remaining() / min_bytes {
         return Err(DecodeError::TypeMismatch);
     }
-    Ok(l)
+    Ok((len, list))
+}
+
+/// Decodes a collection into a `Vec` allocated once at its final size.
+fn decode_collection<'a, T>(
+    list: Reader<'a>,
+    min_bytes: usize,
+    mut element: impl FnMut(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let (len, mut items) = collection(list, min_bytes)?;
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        out.push(element(&mut items)?);
+    }
+    items.end()?;
+    Ok(out)
+}
+
+/// Decodes a footprint — `[key, value]` pairs — into a map allocated once.
+/// Keys must come strictly ascending, as the encoder writes them: that is
+/// what makes the bytes of a footprint unique, and it rules out the repeated
+/// key a map insert would silently swallow.
+fn decode_footprint<'a, V>(
+    list: Reader<'a>,
+    mut value: impl FnMut(&mut Reader<'a>) -> Result<V, DecodeError>,
+) -> Result<FxHashMap<AccessKey, V>, DecodeError> {
+    let (len, mut pairs) = collection(list, MIN_PAIR_BYTES)?;
+    let mut out = FxHashMap::with_capacity_and_hasher(len, Default::default());
+    let mut prev: Option<AccessKey> = None;
+    for _ in 0..len {
+        let mut pair = pairs.list()?;
+        let key = decode_access_key(pair.list()?)?;
+        if prev.is_some_and(|prev| prev >= key) {
+            return Err(DecodeError::TypeMismatch);
+        }
+        prev = Some(key);
+        out.insert(key, value(&mut pair)?);
+        pair.end()?;
+    }
+    pairs.end()?;
+    Ok(out)
 }
 
 fn append_header(s: &mut RlpStream, h: &BlockHeader) {
@@ -135,20 +193,21 @@ fn append_header(s: &mut RlpStream, h: &BlockHeader) {
     s.append_u64(h.proposer_seed);
 }
 
-fn decode_header(item: &Item) -> Result<BlockHeader, DecodeError> {
-    let l = expect_list(item, 10)?;
-    Ok(BlockHeader {
-        parent_hash: l[0].as_h256()?,
-        height: l[1].as_u64()?,
-        state_root: l[2].as_h256()?,
-        tx_root: l[3].as_h256()?,
-        receipts_root: l[4].as_h256()?,
-        gas_used: l[5].as_u64()?,
-        gas_limit: l[6].as_u64()?,
-        coinbase: l[7].as_address()?,
-        timestamp: l[8].as_u64()?,
-        proposer_seed: l[9].as_u64()?,
-    })
+fn decode_header(mut l: Reader<'_>) -> Result<BlockHeader, DecodeError> {
+    let header = BlockHeader {
+        parent_hash: l.h256()?,
+        height: l.u64()?,
+        state_root: l.h256()?,
+        tx_root: l.h256()?,
+        receipts_root: l.h256()?,
+        gas_used: l.u64()?,
+        gas_limit: l.u64()?,
+        coinbase: l.address()?,
+        timestamp: l.u64()?,
+        proposer_seed: l.u64()?,
+    };
+    l.end()?;
+    Ok(header)
 }
 
 fn append_tx(s: &mut RlpStream, tx: &Transaction) {
@@ -165,23 +224,24 @@ fn append_tx(s: &mut RlpStream, tx: &Transaction) {
     s.append_bytes(&tx.data);
 }
 
-fn decode_tx(item: &Item) -> Result<Transaction, DecodeError> {
-    let l = expect_list(item, 7)?;
-    let to_bytes = l[1].as_bytes()?;
-    let to = if to_bytes.is_empty() {
-        None
-    } else {
-        Some(l[1].as_address()?)
+fn decode_tx(mut l: Reader<'_>) -> Result<Transaction, DecodeError> {
+    let tx = Transaction {
+        sender: l.address()?,
+        // The recipient is an address or, for a deployment, the empty string.
+        to: match l.bytes()? {
+            [] => None,
+            to => Some(Address(
+                to.try_into().map_err(|_| DecodeError::BadFixedLen)?,
+            )),
+        },
+        value: l.u256()?,
+        nonce: l.u64()?,
+        gas_limit: l.u64()?,
+        gas_price: l.u64()?,
+        data: l.bytes()?.to_vec(),
     };
-    Ok(Transaction {
-        sender: l[0].as_address()?,
-        to,
-        value: l[2].as_u256()?,
-        nonce: l[3].as_u64()?,
-        gas_limit: l[4].as_u64()?,
-        gas_price: l[5].as_u64()?,
-        data: l[6].as_bytes()?.to_vec(),
-    })
+    l.end()?;
+    Ok(tx)
 }
 
 fn append_access_key(s: &mut RlpStream, key: &AccessKey) {
@@ -210,15 +270,21 @@ fn append_access_key(s: &mut RlpStream, key: &AccessKey) {
     }
 }
 
-fn decode_access_key(item: &Item) -> Result<AccessKey, DecodeError> {
-    let l = expect_list(item, 3)?;
-    let tag = l[0].as_u64()?;
-    let addr = l[1].as_address()?;
-    Ok(match tag {
-        0 => AccessKey::Balance(addr),
-        1 => AccessKey::Nonce(addr),
-        2 => AccessKey::Storage(addr, l[2].as_h256()?),
-        3 => AccessKey::Code(addr),
+fn decode_access_key(mut l: Reader<'_>) -> Result<AccessKey, DecodeError> {
+    let tag = l.u64()?;
+    let addr = l.address()?;
+    let slot = l.bytes()?;
+    l.end()?;
+    // Only a storage key uses the third slot; the others leave it empty, and
+    // only empty is canonical.
+    Ok(match (tag, slot) {
+        (0, []) => AccessKey::Balance(addr),
+        (1, []) => AccessKey::Nonce(addr),
+        (2, slot) => AccessKey::Storage(
+            addr,
+            H256(slot.try_into().map_err(|_| DecodeError::BadFixedLen)?),
+        ),
+        (3, []) => AccessKey::Code(addr),
         _ => return Err(DecodeError::TypeMismatch),
     })
 }
@@ -254,29 +320,14 @@ fn append_profile_entry(s: &mut RlpStream, entry: &TxProfile) {
     s.append_u64(entry.gas_used);
 }
 
-fn decode_profile_entry(item: &Item) -> Result<TxProfile, DecodeError> {
-    let l = expect_list(item, 3)?;
-    let mut reads: ReadSet = Default::default();
-    let reads_list = l[0].as_list()?;
-    if !is_empty_marker(reads_list) {
-        for pair in reads_list {
-            let p = expect_list(pair, 2)?;
-            reads.insert(decode_access_key(&p[0])?, p[1].as_u64()?);
-        }
-    }
-    let mut writes: WriteSet = Default::default();
-    let writes_list = l[1].as_list()?;
-    if !is_empty_marker(writes_list) {
-        for pair in writes_list {
-            let p = expect_list(pair, 2)?;
-            writes.insert(decode_access_key(&p[0])?, p[1].as_u256()?);
-        }
-    }
-    Ok(TxProfile {
-        reads,
-        writes,
-        gas_used: l[2].as_u64()?,
-    })
+fn decode_profile_entry(mut l: Reader<'_>) -> Result<TxProfile, DecodeError> {
+    let entry = TxProfile {
+        reads: decode_footprint(l.list()?, Reader::u64)?,
+        writes: decode_footprint(l.list()?, Reader::u256)?,
+        gas_used: l.u64()?,
+    };
+    l.end()?;
+    Ok(entry)
 }
 
 /// Convenience: the round trip used by tests and the dissemination layer.
@@ -284,11 +335,140 @@ pub fn roundtrip(block: &Block) -> Result<Block, DecodeError> {
     decode_block(&encode_block(block))
 }
 
+pub mod reference {
+    //! The block decoder as it was before the streaming rewrite, retained
+    //! over [`bp_crypto::rlp::reference`]'s item tree: the oracle the
+    //! differential tests hold [`decode_block`](super::decode_block) to, and
+    //! the "before" the `wire_codec` bench times. It accepts everything the
+    //! streaming decoder accepts and three non-canonical spellings besides
+    //! (unsorted or repeated footprint keys, a non-empty unused key slot, a
+    //! zero-item list for an empty collection).
+
+    use bp_crypto::rlp::reference::{decode, Item};
+    use bp_crypto::rlp::DecodeError;
+    use bp_evm::Transaction;
+    use bp_types::{AccessKey, ReadSet, WriteSet};
+
+    use crate::{Block, BlockHeader, BlockProfile, TxProfile};
+
+    /// Decodes a broadcast block through the item tree.
+    pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
+        let item = decode(data)?;
+        let l = expect_list(&item, 3)?;
+        let header = decode_header(&l[0])?;
+        let txs_list = l[1].as_list()?;
+        let transactions = if is_empty_marker(txs_list) {
+            Vec::new()
+        } else {
+            txs_list.iter().map(decode_tx).collect::<Result<_, _>>()?
+        };
+        let profile_list = l[2].as_list()?;
+        let entries = if is_empty_marker(profile_list) {
+            Vec::new()
+        } else {
+            profile_list
+                .iter()
+                .map(decode_profile_entry)
+                .collect::<Result<_, _>>()?
+        };
+        Ok(Block {
+            header,
+            transactions,
+            profile: BlockProfile { entries },
+        })
+    }
+
+    fn is_empty_marker(items: &[Item]) -> bool {
+        matches!(items, [Item::Bytes(b)] if b.is_empty())
+    }
+
+    fn expect_list(item: &Item, len: usize) -> Result<&[Item], DecodeError> {
+        let l = item.as_list()?;
+        if l.len() != len {
+            return Err(DecodeError::TypeMismatch);
+        }
+        Ok(l)
+    }
+
+    fn decode_header(item: &Item) -> Result<BlockHeader, DecodeError> {
+        let l = expect_list(item, 10)?;
+        Ok(BlockHeader {
+            parent_hash: l[0].as_h256()?,
+            height: l[1].as_u64()?,
+            state_root: l[2].as_h256()?,
+            tx_root: l[3].as_h256()?,
+            receipts_root: l[4].as_h256()?,
+            gas_used: l[5].as_u64()?,
+            gas_limit: l[6].as_u64()?,
+            coinbase: l[7].as_address()?,
+            timestamp: l[8].as_u64()?,
+            proposer_seed: l[9].as_u64()?,
+        })
+    }
+
+    fn decode_tx(item: &Item) -> Result<Transaction, DecodeError> {
+        let l = expect_list(item, 7)?;
+        let to_bytes = l[1].as_bytes()?;
+        let to = if to_bytes.is_empty() {
+            None
+        } else {
+            Some(l[1].as_address()?)
+        };
+        Ok(Transaction {
+            sender: l[0].as_address()?,
+            to,
+            value: l[2].as_u256()?,
+            nonce: l[3].as_u64()?,
+            gas_limit: l[4].as_u64()?,
+            gas_price: l[5].as_u64()?,
+            data: l[6].as_bytes()?.to_vec(),
+        })
+    }
+
+    fn decode_access_key(item: &Item) -> Result<AccessKey, DecodeError> {
+        let l = expect_list(item, 3)?;
+        let tag = l[0].as_u64()?;
+        let addr = l[1].as_address()?;
+        Ok(match tag {
+            0 => AccessKey::Balance(addr),
+            1 => AccessKey::Nonce(addr),
+            2 => AccessKey::Storage(addr, l[2].as_h256()?),
+            3 => AccessKey::Code(addr),
+            _ => return Err(DecodeError::TypeMismatch),
+        })
+    }
+
+    fn decode_profile_entry(item: &Item) -> Result<TxProfile, DecodeError> {
+        let l = expect_list(item, 3)?;
+        let mut reads: ReadSet = Default::default();
+        let reads_list = l[0].as_list()?;
+        if !is_empty_marker(reads_list) {
+            for pair in reads_list {
+                let p = expect_list(pair, 2)?;
+                reads.insert(decode_access_key(&p[0])?, p[1].as_u64()?);
+            }
+        }
+        let mut writes: WriteSet = Default::default();
+        let writes_list = l[1].as_list()?;
+        if !is_empty_marker(writes_list) {
+            for pair in writes_list {
+                let p = expect_list(pair, 2)?;
+                writes.insert(decode_access_key(&p[0])?, p[1].as_u256()?);
+            }
+        }
+        Ok(TxProfile {
+            reads,
+            writes,
+            gas_used: l[2].as_u64()?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::genesis_header;
-    use bp_types::{Address, RwSet, H256, U256};
+    use bp_types::{RwSet, U256};
 
     fn sample_block() -> Block {
         let mut header = genesis_header(H256::from_low_u64(9));
@@ -413,6 +593,28 @@ mod tests {
         assert_eq!(buf, fresh);
         assert_eq!(buf.capacity(), cap, "steady-state encode grew the buffer");
         assert_eq!(buf.as_ptr(), ptr, "steady-state encode reallocated");
+    }
+
+    #[test]
+    fn accepted_bytes_reencode_to_themselves() {
+        // Flip every bit of the sample block's encoding in turn: whatever
+        // still decodes is the one spelling of the block it decodes to, and
+        // the oracle reads the same block.
+        let bytes = encode_block(&sample_block());
+        let mut accepted = 0;
+        for bit in 0..bytes.len() * 8 {
+            let mut mutated = bytes.clone();
+            mutated[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(block) = decode_block(&mutated) {
+                accepted += 1;
+                assert_eq!(encode_block(&block), mutated, "bit {bit}");
+                assert_eq!(reference::decode_block(&mutated), Ok(block), "bit {bit}");
+            }
+        }
+        assert!(
+            accepted > 0,
+            "value bytes can flip without breaking the form"
+        );
     }
 
     #[test]

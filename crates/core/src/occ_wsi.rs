@@ -590,7 +590,9 @@ impl OccWsiProposer {
                 s.mv.install_code(*addr, Arc::clone(code));
             }
             s.gate.open(version);
-            let profile = TxProfile::from_rw(&result.rw, result.receipt.gas_used);
+            // The footprint moves into the profile: nothing reads it after
+            // publication, so the two maps are not cloned.
+            let profile = TxProfile::from_owned_rw(result.rw, result.receipt.gas_used);
             records.push(CommitRecord {
                 version,
                 tx: tx.clone(),
@@ -701,7 +703,7 @@ impl OccWsiProposer {
                     s.versions.allocate();
                     s.cur_gas.store(gas_after, Ordering::Release);
                     b.profile
-                        .push(TxProfile::from_rw(&result.rw, result.receipt.gas_used));
+                        .push(TxProfile::from_owned_rw(result.rw, result.receipt.gas_used));
                     b.profile_len += 1;
                     b.txs.push(tx.clone());
                     b.receipts.push(result.receipt);

@@ -39,7 +39,7 @@ use bp_evm::{
     TxError,
 };
 use bp_state::{StateDelta, WorldState};
-use bp_types::{AccessKey, Address, BlockHash, FxHashSet, Gas, U256};
+use bp_types::{AccessKey, Address, BlockHash, FxHashMap, FxHashSet, Gas, U256};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
@@ -284,12 +284,15 @@ enum ApplierMsg {
     Shutdown,
 }
 
+/// A block parked until its parent validates, and where its verdict goes.
+type Parked = (Arc<Block>, Sender<ValidationOutcome>);
+
 struct StateIndex {
     states: HashMap<BlockHash, Arc<WorldState>>,
     /// Each validated block's net effect on its parent state — the diff
     /// layer the persistence layer stacks into the snapshot tree.
     deltas: HashMap<BlockHash, Arc<StateDelta>>,
-    waiting: HashMap<BlockHash, Vec<(Block, Sender<ValidationOutcome>)>>,
+    waiting: HashMap<BlockHash, Vec<Parked>>,
     invalid: std::collections::HashSet<BlockHash>,
     /// Deferred-root mode: each applied block's root verdict (`true` = root
     /// matched the header and every ancestor settled valid). A child's apply
@@ -410,6 +413,13 @@ impl ValidatorPipeline {
     /// cross-height ordering rule. The execution environment is derived from
     /// the block header.
     pub fn submit(&self, block: Block) -> ValidationHandle {
+        self.submit_shared(Arc::new(block))
+    }
+
+    /// [`ValidatorPipeline::submit`] for a block the caller goes on sharing
+    /// (the validator's chain store keeps the same allocation): the pipeline
+    /// holds a refcount instead of its own copy.
+    pub fn submit_shared(&self, block: Arc<Block>) -> ValidationHandle {
         let (tx, rx) = unbounded();
         let parent = block.header.parent_hash;
         let parked = {
@@ -422,7 +432,7 @@ impl ValidatorPipeline {
                 idx.waiting
                     .entry(parent)
                     .or_default()
-                    .push((block.clone(), tx.clone()));
+                    .push((Arc::clone(&block), tx.clone()));
                 Some(true)
             }
         };
@@ -555,8 +565,8 @@ fn rejection_outcome(
 /// transactions in a serial replay either.
 struct JobView<'a> {
     base: &'a WorldState,
-    overlay: HashMap<AccessKey, U256>,
-    code_overlay: HashMap<Address, Arc<Vec<u8>>>,
+    overlay: FxHashMap<AccessKey, U256>,
+    code_overlay: FxHashMap<Address, Arc<Vec<u8>>>,
 }
 
 impl StateView for JobView<'_> {
@@ -580,8 +590,8 @@ fn run_job(job: &ExecJob) {
     task.exec_start.get_or_init(Instant::now);
     let mut view = JobView {
         base: &task.base,
-        overlay: HashMap::new(),
-        code_overlay: HashMap::new(),
+        overlay: FxHashMap::default(),
+        code_overlay: FxHashMap::default(),
     };
     for &i in &job.txs {
         // Early abort: a sibling job (or an earlier transaction of this
@@ -636,7 +646,7 @@ impl Starter {
     /// Preparation phase for a block whose parent state is available:
     /// header checks first (a malformed block is rejected before any
     /// transaction executes), then scheduling and job dispatch.
-    fn start_block(&self, block: Block, verdict: Sender<ValidationOutcome>) {
+    fn start_block(&self, block: Arc<Block>, verdict: Sender<ValidationOutcome>) {
         let base = {
             let idx = self.index.lock();
             Arc::clone(
@@ -689,7 +699,7 @@ impl Starter {
         let n = block.transactions.len();
         let rejected = header_error.is_some();
         let task = Arc::new(BlockTask {
-            block: Arc::new(block),
+            block,
             base,
             env,
             header_error,

@@ -225,8 +225,9 @@ impl Validator {
     /// pipeline validation. Multiple blocks at the same height validate
     /// concurrently.
     pub fn receive_block(&self, block: Block) -> ValidationHandle {
-        self.chain.lock().insert(block.clone());
-        self.pipeline.submit(block)
+        let block = Arc::new(block);
+        self.chain.lock().insert_shared(Arc::clone(&block));
+        self.pipeline.submit_shared(block)
     }
 
     /// Validates a block and, when valid, marks it canonical at its height

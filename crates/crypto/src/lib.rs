@@ -14,4 +14,4 @@ pub mod keccak;
 pub mod rlp;
 
 pub use keccak::{keccak256, keccak256_concat, Keccak256};
-pub use rlp::{decode as rlp_decode, encode_bytes as rlp_encode_bytes, Item as RlpItem, RlpStream};
+pub use rlp::{encode_bytes as rlp_encode_bytes, RlpStream};

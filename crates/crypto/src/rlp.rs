@@ -11,23 +11,20 @@
 //!
 //! Decoding is strict: non-minimal length encodings and trailing bytes are
 //! rejected, which is required when validating data received from proposers.
+//! It is also borrowed and streaming: a [`Reader`] is a cursor over the input
+//! bytes that hands out string slices and nested cursors, so a decoder walks
+//! its schema once and allocates only what its own output holds. The
+//! item-tree decoder this replaced lives on in [`reference`], where tests and
+//! benches use it as the differential oracle.
 
 use bp_types::{Address, H256, U256};
 use core::fmt;
 
-/// An RLP item: either a byte string or a list of items.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Item {
-    /// A byte string.
-    Bytes(Vec<u8>),
-    /// A heterogeneous list.
-    List(Vec<Item>),
-}
-
 /// Errors produced by the strict decoder.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DecodeError {
-    /// Input ended before the announced payload.
+    /// Input ended before the announced payload, or a list before the
+    /// items its reader asked for.
     UnexpectedEof,
     /// A long-form length had leading zeros or encoded a short value.
     NonMinimalLength,
@@ -37,7 +34,8 @@ pub enum DecodeError {
     TrailingBytes,
     /// The announced length overflows usize.
     LengthOverflow,
-    /// Expected a string, found a list (or vice versa).
+    /// Expected a string, found a list (or vice versa), or a list held more
+    /// items than its schema.
     TypeMismatch,
     /// An integer field had a leading zero byte or was too large.
     BadInteger,
@@ -130,20 +128,20 @@ impl RlpStream {
     /// Appends a byte-string item.
     pub fn append_bytes(&mut self, bytes: &[u8]) {
         self.out.reserve(bytes.len() + 9);
-        encode_str_header(bytes.len(), bytes.first().copied(), &mut self.out);
+        let (header, header_len) = str_header(bytes.len(), bytes.first().copied().unwrap_or(0));
+        self.out.extend_from_slice(&header[..header_len]);
         self.out.extend_from_slice(bytes);
         self.close_lists();
     }
 
     /// Appends an integer in minimal big-endian form.
     pub fn append_u64(&mut self, v: u64) {
-        self.append_u256(&U256::from(v));
+        self.append_bytes(trim(&v.to_be_bytes()));
     }
 
     /// Appends a 256-bit integer in minimal big-endian form.
     pub fn append_u256(&mut self, v: &U256) {
-        let bytes = v.to_be_bytes_trimmed();
-        self.append_bytes(&bytes);
+        self.append_bytes(trim(&v.to_be_bytes()));
     }
 
     /// Appends a 32-byte hash.
@@ -190,45 +188,40 @@ impl RlpStream {
     }
 }
 
-fn encode_str_header(len: usize, first: Option<u8>, out: &mut Vec<u8>) {
-    if len == 1 && first.expect("len 1 has a byte") < 0x80 {
-        return; // the byte itself is the encoding
-    }
-    if len <= 55 {
-        out.push(0x80 + len as u8);
-    } else {
-        let len_bytes = minimal_be(len as u64);
-        out.push(0xb7 + len_bytes.len() as u8);
-        out.extend_from_slice(&len_bytes);
-    }
+/// A big-endian integer without its leading zero bytes (empty for zero): the
+/// minimal form RLP requires.
+fn trim(be: &[u8]) -> &[u8] {
+    &be[be.iter().position(|&b| b != 0).unwrap_or(be.len())..]
 }
 
-fn encode_list_header(payload_len: usize, out: &mut Vec<u8>) {
-    let (header, header_len) = list_header(payload_len);
-    out.extend_from_slice(&header[..header_len]);
+/// The header of a `len`-byte string whose first byte is `first`, on the
+/// stack: (bytes, length used). Empty for a single byte below 0x80, which is
+/// its own encoding.
+pub fn str_header(len: usize, first: u8) -> ([u8; 9], usize) {
+    if len == 1 && first < 0x80 {
+        return ([0u8; 9], 0);
+    }
+    header(0x80, len)
 }
 
 /// A list header on the stack: (bytes, length used). At most 1 prefix byte
 /// plus 8 big-endian length bytes.
-fn list_header(payload_len: usize) -> ([u8; 9], usize) {
-    let mut header = [0u8; 9];
-    if payload_len <= 55 {
-        header[0] = 0xc0 + payload_len as u8;
-        (header, 1)
-    } else {
-        let b = (payload_len as u64).to_be_bytes();
-        let first = b.iter().position(|&x| x != 0).unwrap_or(7);
-        let n = 8 - first;
-        header[0] = 0xf7 + n as u8;
-        header[1..1 + n].copy_from_slice(&b[first..]);
-        (header, 1 + n)
-    }
+pub fn list_header(payload_len: usize) -> ([u8; 9], usize) {
+    header(0xc0, payload_len)
 }
 
-fn minimal_be(v: u64) -> Vec<u8> {
-    let b = v.to_be_bytes();
-    let first = b.iter().position(|&x| x != 0).unwrap_or(7);
-    b[first..].to_vec()
+fn header(short: u8, len: usize) -> ([u8; 9], usize) {
+    let mut header = [0u8; 9];
+    if len <= 55 {
+        header[0] = short + len as u8;
+        (header, 1)
+    } else {
+        let be = (len as u64).to_be_bytes();
+        let len_bytes = trim(&be);
+        header[0] = short + 55 + len_bytes.len() as u8;
+        header[1..1 + len_bytes.len()].copy_from_slice(len_bytes);
+        (header, 1 + len_bytes.len())
+    }
 }
 
 /// Encodes a byte string as a standalone item.
@@ -238,20 +231,55 @@ pub fn encode_bytes(bytes: &[u8]) -> Vec<u8> {
     s.out()
 }
 
-/// Encodes an [`Item`] tree.
-pub fn encode_item(item: &Item) -> Vec<u8> {
-    match item {
-        Item::Bytes(b) => encode_bytes(b),
-        Item::List(items) => {
-            let mut payload = Vec::new();
-            for it in items {
-                payload.extend_from_slice(&encode_item(it));
-            }
-            let mut out = Vec::with_capacity(payload.len() + 9);
-            encode_list_header(payload.len(), &mut out);
-            out.extend_from_slice(&payload);
-            out
+/// RLP items written to a fixed stack buffer, for short records that are
+/// hashed rather than kept (a transaction's fixed fields, a receipt
+/// summary). `N` must bound the encoded size; overrunning it is a
+/// programming error and panics.
+pub struct StackStream<const N: usize> {
+    buf: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> Default for StackStream<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const N: usize> StackStream<N> {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        StackStream {
+            buf: [0u8; N],
+            len: 0,
         }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// Appends a byte-string item.
+    pub fn append_bytes(&mut self, bytes: &[u8]) {
+        let (header, header_len) = str_header(bytes.len(), bytes.first().copied().unwrap_or(0));
+        self.put(&header[..header_len]);
+        self.put(bytes);
+    }
+
+    /// Appends an integer in minimal big-endian form.
+    pub fn append_u64(&mut self, v: u64) {
+        self.append_bytes(trim(&v.to_be_bytes()));
+    }
+
+    /// Appends a 256-bit integer in minimal big-endian form.
+    pub fn append_u256(&mut self, v: &U256) {
+        self.append_bytes(trim(&v.to_be_bytes()));
+    }
+
+    /// The items written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf[..self.len]
     }
 }
 
@@ -259,57 +287,85 @@ pub fn encode_item(item: &Item) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Decodes a complete top-level item; rejects trailing bytes.
-pub fn decode(data: &[u8]) -> Result<Item, DecodeError> {
-    let (item, used) = decode_at(data)?;
-    if used != data.len() {
+/// One item read by a [`Reader`], borrowed from the input.
+#[derive(Clone, Copy, Debug)]
+pub enum Token<'a> {
+    /// A byte string: its payload.
+    Str(&'a [u8]),
+    /// A list: a cursor over its items.
+    List(Reader<'a>),
+}
+
+/// A cursor over a run of RLP items — the payload of a list, or a buffer of
+/// concatenated items — that decodes as it advances and allocates nothing.
+///
+/// Each read checks the item it steps over (minimal byte and length forms,
+/// length overflow, payload inside the input) and nothing beyond it: the
+/// items of a nested list are checked when its own cursor walks them. A
+/// decoder that reads every field of its schema and calls [`Reader::end`] on
+/// every list has therefore checked the whole input.
+///
+/// ```
+/// use bp_crypto::rlp::{decode_list, RlpStream};
+/// let mut s = RlpStream::new();
+/// s.begin_list(2);
+/// s.append_u64(7);
+/// s.append_bytes(b"cat");
+/// let bytes = s.out();
+/// let mut list = decode_list(&bytes).unwrap();
+/// assert_eq!(list.u64().unwrap(), 7);
+/// assert_eq!(list.bytes().unwrap(), b"cat");
+/// list.end().unwrap();
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+/// Reads `data` as exactly one list and returns the cursor over its items;
+/// bytes after the list are rejected.
+pub fn decode_list(data: &[u8]) -> Result<Reader<'_>, DecodeError> {
+    let mut top = Reader::new(data);
+    let list = top.list()?;
+    if !top.is_empty() {
         return Err(DecodeError::TrailingBytes);
     }
-    Ok(item)
+    Ok(list)
 }
 
-/// Decodes one item at the front of `data`, returning it and the bytes
-/// consumed.
-pub fn decode_at(data: &[u8]) -> Result<(Item, usize), DecodeError> {
+/// Splits the item at the front of `data` into (is a list, payload, bytes
+/// after the item).
+#[inline]
+fn split_item(data: &[u8]) -> Result<(bool, &[u8], &[u8]), DecodeError> {
     let (&prefix, rest) = data.split_first().ok_or(DecodeError::UnexpectedEof)?;
-    match prefix {
-        0x00..=0x7f => Ok((Item::Bytes(vec![prefix]), 1)),
-        0x80..=0xb7 => {
-            let len = (prefix - 0x80) as usize;
-            let payload = rest.get(..len).ok_or(DecodeError::UnexpectedEof)?;
-            if len == 1 && payload[0] < 0x80 {
-                return Err(DecodeError::NonMinimalByte);
-            }
-            Ok((Item::Bytes(payload.to_vec()), 1 + len))
-        }
+    let (is_list, len_of_len, len) = match prefix {
+        0x00..=0x7f => return Ok((false, &data[..1], rest)),
+        0x80..=0xb7 => (false, 0, (prefix - 0x80) as usize),
         0xb8..=0xbf => {
             let len_of_len = (prefix - 0xb7) as usize;
-            let len = read_long_len(rest, len_of_len, 55)?;
-            let payload = rest
-                .get(len_of_len..len_of_len + len)
-                .ok_or(DecodeError::UnexpectedEof)?;
-            Ok((Item::Bytes(payload.to_vec()), 1 + len_of_len + len))
+            (false, len_of_len, read_long_len(rest, len_of_len)?)
         }
-        0xc0..=0xf7 => {
-            let len = (prefix - 0xc0) as usize;
-            let payload = rest.get(..len).ok_or(DecodeError::UnexpectedEof)?;
-            Ok((Item::List(decode_list_payload(payload)?), 1 + len))
-        }
+        0xc0..=0xf7 => (true, 0, (prefix - 0xc0) as usize),
         0xf8..=0xff => {
             let len_of_len = (prefix - 0xf7) as usize;
-            let len = read_long_len(rest, len_of_len, 55)?;
-            let payload = rest
-                .get(len_of_len..len_of_len + len)
-                .ok_or(DecodeError::UnexpectedEof)?;
-            Ok((
-                Item::List(decode_list_payload(payload)?),
-                1 + len_of_len + len,
-            ))
+            (true, len_of_len, read_long_len(rest, len_of_len)?)
         }
+    };
+    let end = len_of_len
+        .checked_add(len)
+        .ok_or(DecodeError::LengthOverflow)?;
+    let payload = rest
+        .get(len_of_len..end)
+        .ok_or(DecodeError::UnexpectedEof)?;
+    if !is_list && len == 1 && payload[0] < 0x80 {
+        return Err(DecodeError::NonMinimalByte);
     }
+    Ok((is_list, payload, &rest[end..]))
 }
 
-fn read_long_len(rest: &[u8], len_of_len: usize, min: usize) -> Result<usize, DecodeError> {
+/// The big-endian length of a long-form item, which must be minimal: no
+/// leading zero byte, and more than the 55 the short form covers.
+fn read_long_len(rest: &[u8], len_of_len: usize) -> Result<usize, DecodeError> {
     let len_bytes = rest.get(..len_of_len).ok_or(DecodeError::UnexpectedEof)?;
     if len_bytes.first() == Some(&0) {
         return Err(DecodeError::NonMinimalLength);
@@ -317,86 +373,339 @@ fn read_long_len(rest: &[u8], len_of_len: usize, min: usize) -> Result<usize, De
     if len_of_len > core::mem::size_of::<usize>() {
         return Err(DecodeError::LengthOverflow);
     }
-    let mut len = 0usize;
-    for &b in len_bytes {
-        len = len
-            .checked_mul(256)
-            .and_then(|l| l.checked_add(b as usize))
-            .ok_or(DecodeError::LengthOverflow)?;
-    }
-    if len <= min {
+    let len = len_bytes
+        .iter()
+        .fold(0usize, |len, &b| len << 8 | b as usize);
+    if len <= 55 {
         return Err(DecodeError::NonMinimalLength);
     }
     Ok(len)
 }
 
-fn decode_list_payload(mut payload: &[u8]) -> Result<Vec<Item>, DecodeError> {
-    let mut items = Vec::new();
-    while !payload.is_empty() {
-        let (item, used) = decode_at(payload)?;
-        items.push(item);
-        payload = &payload[used..];
+impl<'a> Reader<'a> {
+    /// A cursor over `data` read as a run of items.
+    pub fn new(data: &'a [u8]) -> Self {
+        Reader { rest: data }
     }
-    Ok(items)
-}
 
-impl Item {
-    /// Extracts a byte string, rejecting lists.
-    pub fn as_bytes(&self) -> Result<&[u8], DecodeError> {
-        match self {
-            Item::Bytes(b) => Ok(b),
-            Item::List(_) => Err(DecodeError::TypeMismatch),
+    /// True iff no items remain.
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+
+    /// Encoded bytes not yet read — an upper bound on the items left.
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    /// Reads the next item, whichever kind it is.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<Token<'a>, DecodeError> {
+        let (is_list, payload, rest) = split_item(self.rest)?;
+        self.rest = rest;
+        Ok(if is_list {
+            Token::List(Reader { rest: payload })
+        } else {
+            Token::Str(payload)
+        })
+    }
+
+    /// Reads a byte string, rejecting a list.
+    #[inline]
+    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        match self.next_item()? {
+            Token::Str(bytes) => Ok(bytes),
+            Token::List(_) => Err(DecodeError::TypeMismatch),
         }
     }
 
-    /// Extracts a list, rejecting strings.
-    pub fn as_list(&self) -> Result<&[Item], DecodeError> {
-        match self {
-            Item::List(l) => Ok(l),
-            Item::Bytes(_) => Err(DecodeError::TypeMismatch),
+    /// Reads a list, rejecting a string; returns the cursor over its items.
+    #[inline]
+    pub fn list(&mut self) -> Result<Reader<'a>, DecodeError> {
+        match self.next_item()? {
+            Token::List(items) => Ok(items),
+            Token::Str(_) => Err(DecodeError::TypeMismatch),
         }
     }
 
-    /// Decodes a minimal big-endian `u64`.
-    pub fn as_u64(&self) -> Result<u64, DecodeError> {
-        let b = self.as_bytes()?;
+    /// Reads a minimal big-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        let b = self.bytes()?;
         if b.len() > 8 || b.first() == Some(&0) {
             return Err(DecodeError::BadInteger);
         }
-        let mut v = 0u64;
-        for &byte in b {
-            v = v << 8 | byte as u64;
-        }
-        Ok(v)
+        Ok(b.iter().fold(0u64, |v, &byte| v << 8 | byte as u64))
     }
 
-    /// Decodes a minimal big-endian [`U256`].
-    pub fn as_u256(&self) -> Result<U256, DecodeError> {
-        let b = self.as_bytes()?;
+    /// Reads a minimal big-endian [`U256`].
+    #[inline]
+    pub fn u256(&mut self) -> Result<U256, DecodeError> {
+        let b = self.bytes()?;
         if b.len() > 32 || b.first() == Some(&0) {
             return Err(DecodeError::BadInteger);
         }
         Ok(U256::from_be_slice(b))
     }
 
-    /// Decodes a 32-byte hash.
-    pub fn as_h256(&self) -> Result<H256, DecodeError> {
-        let b = self.as_bytes()?;
-        let arr: [u8; 32] = b.try_into().map_err(|_| DecodeError::BadFixedLen)?;
-        Ok(H256(arr))
+    /// Reads a 32-byte hash.
+    #[inline]
+    pub fn h256(&mut self) -> Result<H256, DecodeError> {
+        let arr = self.bytes()?.try_into();
+        Ok(H256(arr.map_err(|_| DecodeError::BadFixedLen)?))
     }
 
-    /// Decodes a 20-byte address.
-    pub fn as_address(&self) -> Result<Address, DecodeError> {
-        let b = self.as_bytes()?;
-        let arr: [u8; 20] = b.try_into().map_err(|_| DecodeError::BadFixedLen)?;
-        Ok(Address(arr))
+    /// Reads a 20-byte address.
+    #[inline]
+    pub fn address(&mut self) -> Result<Address, DecodeError> {
+        let arr = self.bytes()?.try_into();
+        Ok(Address(arr.map_err(|_| DecodeError::BadFixedLen)?))
+    }
+
+    /// Steps over the next item, checking all of it: a list's items are
+    /// walked to any depth. For the fields a decoder has no use for but must
+    /// not let through malformed.
+    pub fn skip(&mut self) -> Result<(), DecodeError> {
+        if let Token::List(mut items) = self.next_item()? {
+            while !items.is_empty() {
+                items.skip()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Counts the remaining items without consuming them, checking each one
+    /// as a read would, so a collection can be sized before it is filled.
+    pub fn count(&self) -> Result<usize, DecodeError> {
+        let mut rest = self.rest;
+        let mut n = 0;
+        while !rest.is_empty() {
+            rest = split_item(rest)?.2;
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// Asserts the list's arity: errors if items remain unread.
+    #[inline]
+    pub fn end(self) -> Result<(), DecodeError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(DecodeError::TypeMismatch)
+        }
+    }
+}
+
+pub mod reference {
+    //! The item-tree decoder the streaming [`Reader`](super::Reader)
+    //! replaced, retained as the oracle: it materializes the whole input as
+    //! an owned [`Item`] tree before any field is looked at. Differential
+    //! tests hold the reader to its verdicts and the `wire_codec` bench
+    //! times it as the "before"; product code does not call it.
+
+    use super::{encode_bytes, list_header, DecodeError, Reader, Token};
+    use bp_types::{Address, H256, U256};
+
+    /// An RLP item: either a byte string or a list of items.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub enum Item {
+        /// A byte string.
+        Bytes(Vec<u8>),
+        /// A heterogeneous list.
+        List(Vec<Item>),
+    }
+
+    /// Encodes an [`Item`] tree.
+    pub fn encode_item(item: &Item) -> Vec<u8> {
+        match item {
+            Item::Bytes(b) => encode_bytes(b),
+            Item::List(items) => {
+                let mut payload = Vec::new();
+                for it in items {
+                    payload.extend_from_slice(&encode_item(it));
+                }
+                let (header, header_len) = list_header(payload.len());
+                let mut out = Vec::with_capacity(payload.len() + header_len);
+                out.extend_from_slice(&header[..header_len]);
+                out.extend_from_slice(&payload);
+                out
+            }
+        }
+    }
+
+    /// Decodes a complete top-level item; rejects trailing bytes.
+    pub fn decode(data: &[u8]) -> Result<Item, DecodeError> {
+        let (item, used) = decode_at(data)?;
+        if used != data.len() {
+            return Err(DecodeError::TrailingBytes);
+        }
+        Ok(item)
+    }
+
+    /// Decodes one item at the front of `data`, returning it and the bytes
+    /// consumed.
+    pub fn decode_at(data: &[u8]) -> Result<(Item, usize), DecodeError> {
+        let (&prefix, rest) = data.split_first().ok_or(DecodeError::UnexpectedEof)?;
+        match prefix {
+            0x00..=0x7f => Ok((Item::Bytes(vec![prefix]), 1)),
+            0x80..=0xb7 => {
+                let len = (prefix - 0x80) as usize;
+                let payload = rest.get(..len).ok_or(DecodeError::UnexpectedEof)?;
+                if len == 1 && payload[0] < 0x80 {
+                    return Err(DecodeError::NonMinimalByte);
+                }
+                Ok((Item::Bytes(payload.to_vec()), 1 + len))
+            }
+            0xb8..=0xbf => {
+                let len_of_len = (prefix - 0xb7) as usize;
+                let payload = long_payload(rest, len_of_len)?;
+                Ok((
+                    Item::Bytes(payload.to_vec()),
+                    1 + len_of_len + payload.len(),
+                ))
+            }
+            0xc0..=0xf7 => {
+                let len = (prefix - 0xc0) as usize;
+                let payload = rest.get(..len).ok_or(DecodeError::UnexpectedEof)?;
+                Ok((Item::List(decode_list_payload(payload)?), 1 + len))
+            }
+            0xf8..=0xff => {
+                let len_of_len = (prefix - 0xf7) as usize;
+                let payload = long_payload(rest, len_of_len)?;
+                Ok((
+                    Item::List(decode_list_payload(payload)?),
+                    1 + len_of_len + payload.len(),
+                ))
+            }
+        }
+    }
+
+    fn long_payload(rest: &[u8], len_of_len: usize) -> Result<&[u8], DecodeError> {
+        let len = read_long_len(rest, len_of_len, 55)?;
+        let end = len_of_len
+            .checked_add(len)
+            .ok_or(DecodeError::LengthOverflow)?;
+        rest.get(len_of_len..end).ok_or(DecodeError::UnexpectedEof)
+    }
+
+    fn read_long_len(rest: &[u8], len_of_len: usize, min: usize) -> Result<usize, DecodeError> {
+        let len_bytes = rest.get(..len_of_len).ok_or(DecodeError::UnexpectedEof)?;
+        if len_bytes.first() == Some(&0) {
+            return Err(DecodeError::NonMinimalLength);
+        }
+        if len_of_len > core::mem::size_of::<usize>() {
+            return Err(DecodeError::LengthOverflow);
+        }
+        let mut len = 0usize;
+        for &b in len_bytes {
+            len = len
+                .checked_mul(256)
+                .and_then(|l| l.checked_add(b as usize))
+                .ok_or(DecodeError::LengthOverflow)?;
+        }
+        if len <= min {
+            return Err(DecodeError::NonMinimalLength);
+        }
+        Ok(len)
+    }
+
+    fn decode_list_payload(mut payload: &[u8]) -> Result<Vec<Item>, DecodeError> {
+        let mut items = Vec::new();
+        while !payload.is_empty() {
+            let (item, used) = decode_at(payload)?;
+            items.push(item);
+            payload = &payload[used..];
+        }
+        Ok(items)
+    }
+
+    impl Item {
+        /// Reads the next item off a streaming [`Reader`] into tree form —
+        /// how tests put what the reader saw next to what [`decode`] did.
+        pub fn read(r: &mut Reader<'_>) -> Result<Item, DecodeError> {
+            Ok(match r.next_item()? {
+                Token::Str(bytes) => Item::Bytes(bytes.to_vec()),
+                Token::List(mut items) => {
+                    let mut list = Vec::new();
+                    while !items.is_empty() {
+                        list.push(Item::read(&mut items)?);
+                    }
+                    Item::List(list)
+                }
+            })
+        }
+
+        /// Extracts a byte string, rejecting lists.
+        pub fn as_bytes(&self) -> Result<&[u8], DecodeError> {
+            match self {
+                Item::Bytes(b) => Ok(b),
+                Item::List(_) => Err(DecodeError::TypeMismatch),
+            }
+        }
+
+        /// Extracts a list, rejecting strings.
+        pub fn as_list(&self) -> Result<&[Item], DecodeError> {
+            match self {
+                Item::List(l) => Ok(l),
+                Item::Bytes(_) => Err(DecodeError::TypeMismatch),
+            }
+        }
+
+        /// Decodes a minimal big-endian `u64`.
+        pub fn as_u64(&self) -> Result<u64, DecodeError> {
+            let b = self.as_bytes()?;
+            if b.len() > 8 || b.first() == Some(&0) {
+                return Err(DecodeError::BadInteger);
+            }
+            let mut v = 0u64;
+            for &byte in b {
+                v = v << 8 | byte as u64;
+            }
+            Ok(v)
+        }
+
+        /// Decodes a minimal big-endian [`U256`].
+        pub fn as_u256(&self) -> Result<U256, DecodeError> {
+            let b = self.as_bytes()?;
+            if b.len() > 32 || b.first() == Some(&0) {
+                return Err(DecodeError::BadInteger);
+            }
+            Ok(U256::from_be_slice(b))
+        }
+
+        /// Decodes a 32-byte hash.
+        pub fn as_h256(&self) -> Result<H256, DecodeError> {
+            let b = self.as_bytes()?;
+            let arr: [u8; 32] = b.try_into().map_err(|_| DecodeError::BadFixedLen)?;
+            Ok(H256(arr))
+        }
+
+        /// Decodes a 20-byte address.
+        pub fn as_address(&self) -> Result<Address, DecodeError> {
+            let b = self.as_bytes()?;
+            let arr: [u8; 20] = b.try_into().map_err(|_| DecodeError::BadFixedLen)?;
+            Ok(Address(arr))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{encode_item, Item};
     use super::*;
+
+    /// Reads one top-level item through the [`Reader`] into the oracle's
+    /// tree form, and holds the result to the oracle's own.
+    fn decode(data: &[u8]) -> Result<Item, DecodeError> {
+        let mut r = Reader::new(data);
+        let read = Item::read(&mut r).and_then(|item| match r.is_empty() {
+            true => Ok(item),
+            false => Err(DecodeError::TrailingBytes),
+        });
+        assert_eq!(read, reference::decode(data), "reader vs reference");
+        read
+    }
 
     #[test]
     fn canonical_vectors() {
@@ -510,30 +819,118 @@ mod tests {
     }
 
     #[test]
-    fn typed_accessors() {
+    fn typed_readers() {
         let mut s = RlpStream::new();
         s.begin_list(4);
         s.append_u64(42);
         s.append_u256(&(U256::ONE << 128));
         s.append_h256(&H256::from_low_u64(9));
         s.append_address(&Address::from_index(7));
-        let dec = decode(&s.out()).unwrap();
-        let l = dec.as_list().unwrap();
-        assert_eq!(l[0].as_u64().unwrap(), 42);
-        assert_eq!(l[1].as_u256().unwrap(), U256::ONE << 128);
-        assert_eq!(l[2].as_h256().unwrap(), H256::from_low_u64(9));
-        assert_eq!(l[3].as_address().unwrap(), Address::from_index(7));
-        // Wrong type access fails.
-        assert!(l[0].as_list().is_err());
+        let enc = s.out();
+        let mut l = decode_list(&enc).unwrap();
+        assert_eq!(l.count(), Ok(4));
+        // Wrong type access fails (on a copy: a failed read leaves no
+        // promise about the cursor).
+        assert_eq!({ l }.list().err(), Some(DecodeError::TypeMismatch));
+        assert_eq!({ l }.h256(), Err(DecodeError::BadFixedLen));
+        assert_eq!(l.u64().unwrap(), 42);
+        assert_eq!({ l }.u64(), Err(DecodeError::BadInteger)); // 17 bytes
+        assert_eq!(l.u256().unwrap(), U256::ONE << 128);
+        assert_eq!({ l }.address(), Err(DecodeError::BadFixedLen));
+        assert_eq!(l.h256().unwrap(), H256::from_low_u64(9));
+        assert_eq!({ l }.end(), Err(DecodeError::TypeMismatch)); // one left
+        assert_eq!(l.address().unwrap(), Address::from_index(7));
+        assert_eq!({ l }.bytes(), Err(DecodeError::UnexpectedEof)); // none left
+        l.end().unwrap();
+        // The top level is one list, all of the input.
+        assert_eq!(
+            decode_list(&[0x83, b'd', b'o', b'g']).err(),
+            Some(DecodeError::TypeMismatch)
+        );
+        assert_eq!(
+            decode_list(&[0xc1, 0x80, 0x80]).err(),
+            Some(DecodeError::TrailingBytes)
+        );
+        assert_eq!(decode_list(&[]).err(), Some(DecodeError::UnexpectedEof));
+        // The oracle's accessors agree.
+        let dec = reference::decode(&enc).unwrap();
+        let items = dec.as_list().unwrap();
+        assert_eq!(items[0].as_u64().unwrap(), 42);
+        assert_eq!(items[1].as_u256().unwrap(), U256::ONE << 128);
+        assert_eq!(items[2].as_h256().unwrap(), H256::from_low_u64(9));
+        assert_eq!(items[3].as_address().unwrap(), Address::from_index(7));
+        assert!(items[0].as_list().is_err());
         assert!(dec.as_bytes().is_err());
     }
 
     #[test]
     fn integer_with_leading_zero_rejected() {
         // 0x82 0x00 0x01 is a valid string but not a valid integer.
-        let item = decode(&[0x82, 0x00, 0x01]).unwrap();
+        let enc = [0x82, 0x00, 0x01];
+        assert_eq!(Reader::new(&enc).bytes(), Ok(&[0x00, 0x01][..]));
+        assert_eq!(Reader::new(&enc).u64(), Err(DecodeError::BadInteger));
+        assert_eq!(Reader::new(&enc).u256(), Err(DecodeError::BadInteger));
+        let item = decode(&enc).unwrap();
         assert_eq!(item.as_u64(), Err(DecodeError::BadInteger));
         assert_eq!(item.as_u256(), Err(DecodeError::BadInteger));
+    }
+
+    #[test]
+    fn count_and_skip_check_what_they_step_over() {
+        // [ "a", [ "b", <0x81 0x05: non-minimal> ], "c" ]
+        let enc = [0xc6, b'a', 0xc3, b'b', 0x81, 0x05, b'c'];
+        let mut l = decode_list(&enc).unwrap();
+        // The pre-count checks this level's headers only...
+        assert_eq!(l.count(), Ok(3));
+        assert_eq!(l.bytes(), Ok(&b"a"[..]));
+        // ...skip walks the nested list and finds the bad byte,
+        assert_eq!({ l }.skip(), Err(DecodeError::NonMinimalByte));
+        // as does the nested list's own cursor once it gets there.
+        let mut inner = l.list().unwrap();
+        assert_eq!(inner.count(), Err(DecodeError::NonMinimalByte));
+        assert_eq!(inner.bytes(), Ok(&b"b"[..]));
+        assert_eq!(inner.bytes(), Err(DecodeError::NonMinimalByte));
+        // A payload that overruns its list is caught by the count too.
+        let overrun = [0xc2, 0x83, b'd'];
+        assert_eq!(
+            decode_list(&overrun).unwrap().count(),
+            Err(DecodeError::UnexpectedEof)
+        );
+        // A well-formed nested item skips clean.
+        let ok = [0xc4, 0xc2, b'x', 0xc0, b'y'];
+        let mut l = decode_list(&ok).unwrap();
+        l.skip().unwrap();
+        assert_eq!(l.bytes(), Ok(&b"y"[..]));
+        l.end().unwrap();
+    }
+
+    #[test]
+    fn length_overflow_is_an_error_not_a_wrap() {
+        // An 8-byte length of 2^64 - 1: header + length wraps a usize.
+        let mut enc = vec![0xbf];
+        enc.extend_from_slice(&[0xff; 8]);
+        enc.extend_from_slice(&[0u8; 64]);
+        assert_eq!(decode(&enc), Err(DecodeError::LengthOverflow));
+        enc[0] = 0xff;
+        assert_eq!(decode(&enc), Err(DecodeError::LengthOverflow));
+    }
+
+    #[test]
+    fn stack_stream_matches_the_heap_stream() {
+        let values = [0u64, 1, 0x7f, 0x80, 0xff, 0x100, u64::MAX];
+        for &v in &values {
+            for big in [U256::ZERO, U256::from(v), U256::from(v) << 190] {
+                let mut heap = RlpStream::new();
+                heap.append_u64(v);
+                heap.append_u256(&big);
+                heap.append_bytes(&v.to_le_bytes());
+                let mut stack = StackStream::<64>::new();
+                stack.append_u64(v);
+                stack.append_u256(&big);
+                stack.append_bytes(&v.to_le_bytes());
+                assert_eq!(stack.as_slice(), &heap.out()[..]);
+            }
+        }
     }
 
     #[test]

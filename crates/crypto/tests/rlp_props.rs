@@ -1,7 +1,10 @@
-//! Property tests: RLP encode/decode roundtrip and canonicality; Keccak
-//! incremental hashing.
+//! Property tests: RLP encode/decode roundtrip and canonicality, run against
+//! both the streaming reader and the reference item-tree decoder (which must
+//! agree, error kind included, on every input tried); Keccak incremental
+//! hashing.
 
-use bp_crypto::rlp::{decode, encode_item, Item};
+use bp_crypto::rlp::reference::{self, encode_item, Item};
+use bp_crypto::rlp::{DecodeError, Reader};
 use bp_crypto::{keccak256, Keccak256};
 use proptest::prelude::*;
 
@@ -10,6 +13,32 @@ fn arb_item() -> impl Strategy<Value = Item> {
     leaf.prop_recursive(4, 64, 8, |inner| {
         prop::collection::vec(inner, 0..8).prop_map(Item::List)
     })
+}
+
+/// One top-level item read through the streaming [`Reader`] into the
+/// reference's tree form.
+fn read_tree(data: &[u8]) -> Result<Item, DecodeError> {
+    let mut r = Reader::new(data);
+    let item = Item::read(&mut r)?;
+    if !r.is_empty() {
+        return Err(DecodeError::TrailingBytes);
+    }
+    Ok(item)
+}
+
+/// Decodes with both decoders and insists they agree.
+fn decode(data: &[u8]) -> Result<Item, DecodeError> {
+    let read = read_tree(data);
+    assert_eq!(read, reference::decode(data), "reader vs reference");
+    // `skip` and `count` walk the same bytes to the same verdict.
+    let mut r = Reader::new(data);
+    let skipped = r.skip().is_ok() && r.is_empty();
+    assert_eq!(skipped, read.is_ok(), "skip vs read");
+    if let Ok(Item::List(items)) = &read {
+        let list = bp_crypto::rlp::decode_list(data).expect("a list");
+        assert_eq!(list.count(), Ok(items.len()));
+    }
+    read
 }
 
 proptest! {
@@ -42,6 +71,31 @@ proptest! {
         let mut enc = encode_item(&item);
         enc.push(extra);
         prop_assert!(decode(&enc).is_err());
+    }
+
+    #[test]
+    fn rlp_mutations_get_one_verdict(
+        item in arb_item(),
+        edits in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>(), 0u8..3), 1..4),
+    ) {
+        // Overwrite, insert or delete a few bytes: whatever comes out, the
+        // two decoders say the same thing about it (asserted in `decode`),
+        // and anything accepted re-encodes to the bytes it came from.
+        let mut enc = encode_item(&item);
+        for (at, byte, kind) in edits {
+            let at = at.index(enc.len());
+            match kind {
+                0 => enc[at] = byte,
+                1 => enc.insert(at, byte),
+                _ => { enc.remove(at); }
+            }
+            if enc.is_empty() {
+                break;
+            }
+        }
+        if let Ok(dec) = decode(&enc) {
+            prop_assert_eq!(encode_item(&dec), enc);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 
 use std::sync::Arc;
 
-use bp_crypto::{keccak256, RlpStream};
+use bp_crypto::rlp::{self, StackStream};
+use bp_crypto::Keccak256;
 use bp_types::{AccessKey, Address, FxHashMap, Gas, RwSet, TxHash, U256};
 use serde::{Deserialize, Serialize};
 
@@ -38,21 +39,33 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Canonical hash: keccak of the RLP encoding.
+    /// Canonical hash: keccak of the RLP encoding — the seven-item list
+    /// `[sender, to, value, nonce, gas_limit, gas_price, data]`, fed to the
+    /// hasher from the stack: the six fixed fields (21 + 21 + 33 + 3·9 bytes
+    /// at most) go through a stack buffer, the list header is computed from
+    /// their length and the data item's, and `data` is hashed in place.
     pub fn hash(&self) -> TxHash {
-        let mut s = RlpStream::new();
-        s.begin_list(7);
-        s.append_address(&self.sender);
+        let mut fixed = StackStream::<102>::new();
+        fixed.append_bytes(&self.sender.0);
         match &self.to {
-            Some(to) => s.append_address(to),
-            None => s.append_bytes(&[]),
+            Some(to) => fixed.append_bytes(&to.0),
+            None => fixed.append_bytes(&[]),
         }
-        s.append_u256(&self.value);
-        s.append_u64(self.nonce);
-        s.append_u64(self.gas_limit);
-        s.append_u64(self.gas_price);
-        s.append_bytes(&self.data);
-        keccak256(&s.out())
+        fixed.append_u256(&self.value);
+        fixed.append_u64(self.nonce);
+        fixed.append_u64(self.gas_limit);
+        fixed.append_u64(self.gas_price);
+        let fixed = fixed.as_slice();
+        let (data_header, data_header_len) =
+            rlp::str_header(self.data.len(), self.data.first().copied().unwrap_or(0));
+        let (list_header, list_header_len) =
+            rlp::list_header(fixed.len() + data_header_len + self.data.len());
+        let mut h = Keccak256::new();
+        h.update(&list_header[..list_header_len]);
+        h.update(fixed);
+        h.update(&data_header[..data_header_len]);
+        h.update(&self.data);
+        h.finalize()
     }
 
     /// A simple value transfer.
@@ -477,6 +490,44 @@ mod tests {
         let mut t3 = t1.clone();
         t3.to = None;
         assert_ne!(t1.hash(), t3.hash());
+    }
+
+    #[test]
+    fn tx_hash_is_keccak_of_the_seven_item_rlp_list() {
+        // The stack-fed hash against the plain encoder, across every header
+        // form the list and the data item can take.
+        for data_len in [0usize, 1, 2, 40, 55, 56, 300, 70_000] {
+            for first in [0x00u8, 0x7f, 0x80] {
+                for (to, value, nonce) in [
+                    (Some(addr(2)), U256::ZERO, 0u64),
+                    (None, U256::MAX, u64::MAX),
+                    (Some(addr(9)), U256::from(0x80u64), 0x1234),
+                ] {
+                    let tx = Transaction {
+                        sender: addr(1),
+                        to,
+                        value,
+                        nonce,
+                        gas_limit: 21_000,
+                        gas_price: nonce / 3,
+                        data: vec![first; data_len],
+                    };
+                    let mut s = bp_crypto::RlpStream::new();
+                    s.begin_list(7);
+                    s.append_address(&tx.sender);
+                    match &tx.to {
+                        Some(to) => s.append_address(to),
+                        None => s.append_bytes(&[]),
+                    }
+                    s.append_u256(&tx.value);
+                    s.append_u64(tx.nonce);
+                    s.append_u64(tx.gas_limit);
+                    s.append_u64(tx.gas_price);
+                    s.append_bytes(&tx.data);
+                    assert_eq!(tx.hash(), bp_crypto::keccak256(&s.out()), "{tx:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,12 +29,15 @@
 //!   validated, committed and (for validator 0 with a store) persisted —
 //!   no lost or duplicated blocks mid-stream.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use blockpilot_core::{BlockStmProposer, OccWsiConfig, OccWsiProposer, ProposerAlgo, Validator};
+use blockpilot_core::{
+    BlockStmProposer, OccWsiConfig, OccWsiProposer, ProposerAlgo, ValidationHandle, Validator,
+};
 use bp_block::wire::{decode_block, encode_block_into};
 use bp_block::{genesis_header, Block, BlockProfile};
 use bp_net::LinkDelays;
@@ -100,6 +103,89 @@ struct ValidatorOutcome {
     /// for the equivalence gate and tx accounting.
     chain: Vec<Block>,
     validation_failures: u64,
+}
+
+/// One validator's end of the wire: decodes each message, submits the block
+/// and drains verdicts in arrival order.
+struct ValidatorStage {
+    k: usize,
+    validator: Validator,
+    board: Arc<CommitBoard>,
+    /// How many submitted blocks may await their verdict at once.
+    window: usize,
+    inflight: VecDeque<(Height, BlockHash, ValidationHandle)>,
+    stats: StageStats,
+    failures: u64,
+}
+
+impl ValidatorStage {
+    fn new(k: usize, validator: Validator, board: Arc<CommitBoard>, window: usize) -> Self {
+        ValidatorStage {
+            k,
+            validator,
+            board,
+            window: window.max(1),
+            inflight: VecDeque::new(),
+            stats: StageStats::default(),
+            failures: 0,
+        }
+    }
+
+    /// Handles one wire message for `height`. Bytes that do not decode are a
+    /// peer's fault, not this node's: the height is counted as a validation
+    /// failure and recorded like any other failed block — after the blocks
+    /// ahead of it, so heights still land in order — and the stage carries
+    /// on with the next message.
+    fn on_wire(&mut self, height: Height, bytes: &[u8]) {
+        let t = Instant::now();
+        let submitted = decode_block(bytes).map(|block| {
+            debug_assert!(
+                encode_block_into(&block, Vec::new()) == bytes,
+                "the decoder accepted a non-canonical spelling of a block"
+            );
+            let hash = block.hash();
+            (hash, self.validator.receive_block(block))
+        });
+        self.stats.busy_micros += micros_since(t);
+        match submitted {
+            Ok((hash, handle)) => {
+                self.inflight.push_back((height, hash, handle));
+                while self.inflight.len() >= self.window {
+                    self.drain_one();
+                }
+            }
+            Err(_) => {
+                self.drain();
+                self.failures += 1;
+                self.board.record(self.k, height);
+            }
+        }
+    }
+
+    /// Waits for the oldest in-flight verdict and commits the block if valid.
+    fn drain_one(&mut self) {
+        let Some((height, hash, handle)) = self.inflight.pop_front() else {
+            return;
+        };
+        let t = Instant::now();
+        let outcome = handle.wait();
+        if outcome.is_valid() && self.validator.commit_canonical(hash) {
+            self.stats.items += 1;
+        } else {
+            self.failures += 1;
+        }
+        self.stats.busy_micros += micros_since(t);
+        // Record even failed heights so lock-step pacing cannot deadlock on
+        // a broken block.
+        self.board.record(self.k, height);
+    }
+
+    /// Drains every in-flight verdict, oldest first.
+    fn drain(&mut self) {
+        while !self.inflight.is_empty() {
+            self.drain_one();
+        }
+    }
 }
 
 /// Result of the serial-replay equivalence gate.
@@ -375,8 +461,6 @@ impl RunningNode {
                     // sequences match a single shared sampler.
                     let mut delays =
                         LinkDelays::new(config.validators, config.latency_us, config.seed);
-                    let mut stats = StageStats::default();
-                    let mut failures = 0u64;
                     // With deferred roots the pipeline releases height N+1
                     // into execution while N's root still hashes, so the
                     // stage submits ahead through a small in-flight window
@@ -390,55 +474,28 @@ impl RunningNode {
                     } else {
                         1
                     };
-                    type Inflight = std::collections::VecDeque<(
-                        Height,
-                        BlockHash,
-                        blockpilot_core::ValidationHandle,
-                    )>;
-                    let mut inflight: Inflight = Inflight::new();
-                    let drain_one =
-                        |inflight: &mut Inflight, stats: &mut StageStats, failures: &mut u64| {
-                            let Some((height, hash, handle)) = inflight.pop_front() else {
-                                return;
-                            };
-                            let t = Instant::now();
-                            let outcome = handle.wait();
-                            if outcome.is_valid() && validator.commit_canonical(hash) {
-                                stats.items += 1;
-                            } else {
-                                *failures += 1;
-                            }
-                            stats.busy_micros += micros_since(t);
-                            // Record even failed heights so lock-step pacing
-                            // cannot deadlock on a broken block.
-                            board.record(k, height);
-                        };
+                    let mut stage = ValidatorStage::new(k, validator, board, window);
                     loop {
                         let t = Instant::now();
                         let Ok((height, bytes)) = wire_rx.recv() else {
                             break; // wire disconnected: drain complete
                         };
-                        stats.wait_micros += micros_since(t);
+                        stage.stats.wait_micros += micros_since(t);
 
                         let delay = delays.next_delay(k);
                         if delay > 0 {
                             std::thread::sleep(std::time::Duration::from_micros(delay));
-                            stats.injected_micros += delay;
+                            stage.stats.injected_micros += delay;
                         }
-
-                        let t = Instant::now();
-                        let block = decode_block(&bytes).expect("wire bytes decode");
-                        let hash = block.hash();
-                        let handle = validator.receive_block(block);
-                        stats.busy_micros += micros_since(t);
-                        inflight.push_back((height, hash, handle));
-                        while inflight.len() >= window.max(1) {
-                            drain_one(&mut inflight, &mut stats, &mut failures);
-                        }
+                        stage.on_wire(height, &bytes);
                     }
-                    while !inflight.is_empty() {
-                        drain_one(&mut inflight, &mut stats, &mut failures);
-                    }
+                    stage.drain();
+                    let ValidatorStage {
+                        validator,
+                        stats,
+                        failures,
+                        ..
+                    } = stage;
                     let head = validator.head();
                     let head_root = validator.head_state_root();
                     let chain = if k == 0 {
@@ -580,4 +637,83 @@ pub fn serial_replay_root(genesis: &WorldState, chain: &[Block]) -> H256 {
 /// Runs the loop to completion: [`RunningNode::spawn`] + [`RunningNode::join`].
 pub fn run_node(config: NodeConfig) -> NodeReport {
     RunningNode::spawn(config).join()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blockpilot_core::PipelineConfig;
+    use bp_block::wire::encode_block;
+    use bp_workload::WorkloadConfig;
+
+    /// Three chained blocks of a small workload, as wire bytes, and the
+    /// genesis state they build on.
+    fn chain_bytes() -> (WorldState, Vec<Vec<u8>>) {
+        let mut gen = WorkloadGen::new(WorkloadConfig {
+            accounts: 60,
+            tokens: 2,
+            amm_pairs: 1,
+            txs_per_block: 12,
+            tx_jitter: 0,
+            ..WorkloadConfig::default()
+        });
+        let genesis = gen.genesis_state();
+        let validator = Validator::new(PipelineConfig::default(), genesis.clone());
+        let mut parent_hash = validator.genesis_hash();
+        let mut parent_state = Arc::new(genesis.clone());
+        let pool = TxPool::new();
+        let mut chain = Vec::new();
+        for height in 1..=3 {
+            for tx in gen.next_block_txs() {
+                pool.add(tx);
+            }
+            let proposal = OccWsiProposer::new(OccWsiConfig {
+                threads: 2,
+                env: gen.block_env(height),
+                ..OccWsiConfig::default()
+            })
+            .propose(&pool, parent_state, parent_hash, height);
+            parent_hash = proposal.block.hash();
+            parent_state = Arc::new(proposal.post_state);
+            chain.push(encode_block(&proposal.block));
+        }
+        (genesis, chain)
+    }
+
+    #[test]
+    fn undecodable_wire_bytes_are_a_counted_failure_not_a_panic() {
+        let (genesis, chain) = chain_bytes();
+        for window in [1, 3] {
+            let board = Arc::new(CommitBoard::new(1));
+            let validator = Validator::new(PipelineConfig::default(), genesis.clone());
+            let mut stage = ValidatorStage::new(0, validator, Arc::clone(&board), window);
+
+            // Garbage of every kind the decoder tells apart: nothing, noise,
+            // a truncated block, a block with a byte too many.
+            let mut long = chain[0].clone();
+            long.push(0);
+            let garbage: [&[u8]; 4] = [&[], b"not a block", &chain[0][..chain[0].len() / 2], &long];
+            for (i, bytes) in garbage.into_iter().enumerate() {
+                stage.on_wire(1, bytes);
+                assert_eq!(stage.failures, i as u64 + 1, "window {window}");
+            }
+            // The height is recorded, so lock-step pacing moves on...
+            assert_eq!(board.min(), 1);
+            board.wait_all_at(1);
+            // ...and the stage still validates what follows.
+            stage.on_wire(1, &chain[0]);
+            stage.on_wire(2, &chain[1]);
+            // A block that decodes but was tampered with fails validation
+            // and is counted the same way, after the blocks ahead of it.
+            let mut tampered = decode_block(&chain[2]).expect("an honest block");
+            tampered.header.state_root = H256::from_low_u64(7);
+            stage.on_wire(3, &encode_block(&tampered));
+            stage.on_wire(3, b"\xc0");
+            stage.drain();
+            assert_eq!(stage.stats.items, 2, "window {window}");
+            assert_eq!(stage.failures, 6, "window {window}");
+            assert_eq!(board.min(), 3);
+            assert_eq!(stage.validator.head().map(|(_, h)| h), Some(2));
+        }
+    }
 }

@@ -88,20 +88,18 @@ fn decode(bytes: &[u8]) -> Option<SnapMeta> {
     if keccak256(payload).0 != checksum {
         return None;
     }
-    let item = rlp::decode(payload).ok()?;
-    let list = item.as_list().ok()?;
-    if list.len() != 7 {
-        return None;
-    }
-    Some(SnapMeta {
-        generation: list[0].as_u64().ok()?,
-        file_gen: list[1].as_u64().ok()?,
-        flat_len: list[2].as_u64().ok()?,
-        layer_gen: list[3].as_u64().ok()?,
-        layers_len: list[4].as_u64().ok()?,
-        root: list[5].as_h256().ok()?,
-        height: list[6].as_u64().ok()?,
-    })
+    let mut list = rlp::decode_list(payload).ok()?;
+    let meta = SnapMeta {
+        generation: list.u64().ok()?,
+        file_gen: list.u64().ok()?,
+        flat_len: list.u64().ok()?,
+        layer_gen: list.u64().ok()?,
+        layers_len: list.u64().ok()?,
+        root: list.h256().ok()?,
+        height: list.u64().ok()?,
+    };
+    list.end().ok()?;
+    Some(meta)
 }
 
 /// Reads one slot, returning `None` for a missing, torn, or corrupt file.

@@ -69,17 +69,15 @@ impl Account {
 
     /// Strict decoding of the trie representation.
     pub fn rlp_decode(data: &[u8]) -> Result<Account, DecodeError> {
-        let item = rlp::decode(data)?;
-        let l = item.as_list()?;
-        if l.len() != 4 {
-            return Err(DecodeError::TypeMismatch);
-        }
-        Ok(Account {
-            nonce: l[0].as_u64()?,
-            balance: l[1].as_u256()?,
-            storage_root: l[2].as_h256()?,
-            code_hash: l[3].as_h256()?,
-        })
+        let mut l = rlp::decode_list(data)?;
+        let account = Account {
+            nonce: l.u64()?,
+            balance: l.u256()?,
+            storage_root: l.h256()?,
+            code_hash: l.h256()?,
+        };
+        l.end()?;
+        Ok(account)
     }
 }
 

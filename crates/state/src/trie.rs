@@ -35,7 +35,7 @@
 use std::sync::{Arc, Mutex};
 
 use bp_crypto::keccak256;
-use bp_crypto::rlp::{self, Item};
+use bp_crypto::rlp::{self, Reader, Token};
 use bp_types::H256;
 
 use crate::nibbles::{nibble_at, Nibbles};
@@ -1131,54 +1131,71 @@ pub struct NodeSummary {
 /// descendants — an inlined node is under 32 bytes, so it can never itself
 /// hold a 33-byte hash reference, but it can hold a short value).
 pub fn summarize_node(bytes: &[u8]) -> Result<NodeSummary, TrieLoadError> {
-    let bad = || TrieLoadError::BadNode(keccak256(bytes));
-    let item = rlp::decode(bytes).map_err(|_| bad())?;
     let mut summary = NodeSummary::default();
-    summarize_item(&item, &mut summary).map_err(|_| bad())?;
+    rlp::decode_list(bytes)
+        .ok()
+        .and_then(|node| summarize_items(node, &mut summary))
+        .ok_or_else(|| TrieLoadError::BadNode(keccak256(bytes)))?;
     Ok(summary)
 }
 
-/// Recursion for [`summarize_node`]; `Err(())` marks a malformed node.
-fn summarize_item(item: &Item, out: &mut NodeSummary) -> Result<(), ()> {
-    let list = item.as_list().map_err(|_| ())?;
-    match list.len() {
+/// The items of one encoded node, borrowed from its bytes: what the three
+/// readers of stored nodes (summary, load, proof check) tell apart.
+// Lives on the stack for the length of one node read; boxing the branch
+// arm would put an allocation there instead.
+#[allow(clippy::large_enum_variant)]
+enum NodeItems<'a> {
+    /// Leaf or extension: the decoded path, the leaf flag, and the value
+    /// (leaf) or child reference (extension).
+    Short(Nibbles, bool, Token<'a>),
+    /// The sixteen child references and the value (empty for none).
+    Branch([Token<'a>; 16], &'a [u8]),
+}
+
+/// Reads a node's item list into its shape; `None` marks a malformed node.
+fn node_items(mut list: Reader<'_>) -> Option<NodeItems<'_>> {
+    match list.count().ok()? {
         2 => {
-            let hp = list[0].as_bytes().map_err(|_| ())?;
-            let (_, is_leaf) = Nibbles::from_hex_prefix(hp).ok_or(())?;
-            if is_leaf {
-                out.values
-                    .push(list[1].as_bytes().map_err(|_| ())?.to_vec());
-            } else {
-                summarize_child(&list[1], out)?;
-            }
+            let (path, is_leaf) = Nibbles::from_hex_prefix(list.bytes().ok()?)?;
+            Some(NodeItems::Short(path, is_leaf, list.next_item().ok()?))
         }
         17 => {
-            for child in &list[..16] {
-                match child {
-                    Item::Bytes(b) if b.is_empty() => {}
-                    other => summarize_child(other, out)?,
+            let mut children = [Token::Str(&[]); 16];
+            for child in &mut children {
+                *child = list.next_item().ok()?;
+            }
+            Some(NodeItems::Branch(children, list.bytes().ok()?))
+        }
+        _ => None,
+    }
+}
+
+/// Recursion for [`summarize_node`]; `None` marks a malformed node.
+fn summarize_items(list: Reader<'_>, out: &mut NodeSummary) -> Option<()> {
+    match node_items(list)? {
+        NodeItems::Short(_, true, Token::Str(value)) => out.values.push(value.to_vec()),
+        NodeItems::Short(_, true, Token::List(_)) => return None,
+        NodeItems::Short(_, false, child) => summarize_child(child, out)?,
+        NodeItems::Branch(children, value) => {
+            for child in children {
+                if !matches!(child, Token::Str([])) {
+                    summarize_child(child, out)?;
                 }
             }
-            let value = list[16].as_bytes().map_err(|_| ())?;
             if !value.is_empty() {
                 out.values.push(value.to_vec());
             }
         }
-        _ => return Err(()),
     }
-    Ok(())
+    Some(())
 }
 
-fn summarize_child(item: &Item, out: &mut NodeSummary) -> Result<(), ()> {
-    match item {
-        Item::Bytes(b) if b.len() == 32 => {
-            let arr: [u8; 32] = b[..].try_into().expect("checked length");
-            out.children.push(H256(arr));
-            Ok(())
-        }
-        inline @ Item::List(_) => summarize_item(inline, out),
-        _ => Err(()),
+fn summarize_child(child: Token<'_>, out: &mut NodeSummary) -> Option<()> {
+    match child {
+        Token::Str(b) => out.children.push(H256(b.try_into().ok()?)),
+        Token::List(inline) => summarize_items(inline, out)?,
     }
+    Some(())
 }
 
 /// Post-order collection of every hashed descendant reachable from `node`
@@ -1210,58 +1227,50 @@ fn resolve_node(hash: H256, resolver: &dyn NodeResolver) -> Result<Node, TrieLoa
     if keccak256(&bytes) != hash {
         return Err(TrieLoadError::HashMismatch(hash));
     }
-    let item = rlp::decode(&bytes).map_err(|_| TrieLoadError::BadNode(hash))?;
-    node_from_item(&item, resolver)
+    let items = rlp::decode_list(&bytes).map_err(|_| TrieLoadError::BadNode(hash))?;
+    node_from_items(items, hash, resolver)
 }
 
-/// Rebuilds a [`Node`] from its decoded RLP item, resolving hashed children.
-fn node_from_item(item: &Item, resolver: &dyn NodeResolver) -> Result<Node, TrieLoadError> {
-    let bad = || TrieLoadError::BadNode(keccak256(&rlp::encode_item(item)));
-    let list = item.as_list().map_err(|_| bad())?;
-    match list.len() {
-        2 => {
-            let hp = list[0].as_bytes().map_err(|_| bad())?;
-            let (path, is_leaf) = Nibbles::from_hex_prefix(hp).ok_or_else(bad)?;
-            if is_leaf {
-                let value = list[1].as_bytes().map_err(|_| bad())?.to_vec();
-                Ok(Node::leaf(path, value))
-            } else {
-                Ok(Node::extension(path, child_from_item(&list[1], resolver)?))
-            }
-        }
-        17 => {
-            let mut children: [Option<Child>; 16] = std::array::from_fn(|_| None);
-            for (child, slot) in children.iter_mut().zip(&list[..16]) {
-                *child = match slot {
-                    Item::Bytes(b) if b.is_empty() => None,
-                    other => Some(child_from_item(other, resolver)?),
-                };
-            }
-            let value = list[16].as_bytes().map_err(|_| bad())?;
-            Ok(Node::branch(
-                children,
-                (!value.is_empty()).then(|| value.to_vec()),
-            ))
-        }
-        _ => Err(bad()),
-    }
-}
-
-/// Resolves one child reference: a 32-byte string is a hash looked up through
-/// the resolver — and, its bytes verified against it, kept as the child's
-/// commitment — while a nested list is an inlined node decoded in place.
-fn child_from_item(item: &Item, resolver: &dyn NodeResolver) -> Result<Child, TrieLoadError> {
-    match item {
-        Item::Bytes(b) if b.len() == 32 => {
-            let arr: [u8; 32] = b[..].try_into().expect("checked length");
-            let hash = H256(arr);
+/// Rebuilds a [`Node`] from its item list, resolving hashed children.
+/// `stored` is the hash of the stored node the items sit in (the node
+/// itself, or the one it is inlined into), named when they are malformed.
+fn node_from_items(
+    items: Reader<'_>,
+    stored: H256,
+    resolver: &dyn NodeResolver,
+) -> Result<Node, TrieLoadError> {
+    let bad = TrieLoadError::BadNode(stored);
+    let child_from = |child: Token<'_>| match child {
+        // A 32-byte string is a hash looked up through the resolver — and,
+        // its bytes verified against it, kept as the child's commitment —
+        // while a nested list is an inlined node decoded in place.
+        Token::Str(b) => {
+            let hash = H256(b.try_into().map_err(|_| TrieLoadError::BadNode(stored))?);
             Ok(Child {
                 node: resolve_node(hash, resolver)?,
                 commit: Commitment::hashed(hash),
             })
         }
-        inline @ Item::List(_) => Ok(node_from_item(inline, resolver)?.commit(&mut Vec::new())),
-        _ => Err(TrieLoadError::BadNode(H256::ZERO)),
+        Token::List(inline) => {
+            Ok(node_from_items(inline, stored, resolver)?.commit(&mut Vec::new()))
+        }
+    };
+    match node_items(items).ok_or(bad)? {
+        NodeItems::Short(path, true, Token::Str(value)) => Ok(Node::leaf(path, value.to_vec())),
+        NodeItems::Short(_, true, Token::List(_)) => Err(bad),
+        NodeItems::Short(path, false, child) => Ok(Node::extension(path, child_from(child)?)),
+        NodeItems::Branch(slots, value) => {
+            let mut children: [Option<Child>; 16] = std::array::from_fn(|_| None);
+            for (child, slot) in children.iter_mut().zip(slots) {
+                if !matches!(slot, Token::Str([])) {
+                    *child = Some(child_from(slot)?);
+                }
+            }
+            Ok(Node::branch(
+                children,
+                (!value.is_empty()).then(|| value.to_vec()),
+            ))
+        }
     }
 }
 
@@ -1333,73 +1342,59 @@ pub fn verify_proof(
     let mut depth = 0usize;
     let mut idx = 0usize;
     loop {
-        let node_bytes: Vec<u8> = match &expected {
+        let items = match expected {
             Expected::Hash(h) => {
-                let bytes = proof.get(idx).ok_or(ProofError::Truncated)?.clone();
+                let bytes = proof.get(idx).ok_or(ProofError::Truncated)?;
                 idx += 1;
-                if keccak256(&bytes) != *h {
+                if keccak256(bytes) != h {
                     return Err(ProofError::HashMismatch);
                 }
-                bytes
+                // A proof node is checked whole, off-path children included
+                // (an inlined node was checked with the node it sits in).
+                let mut whole = Reader::new(bytes);
+                whole.skip().map_err(|_| ProofError::BadNode)?;
+                rlp::decode_list(bytes).map_err(|_| ProofError::BadNode)?
             }
-            Expected::Inline(raw) => raw.clone(),
+            Expected::Inline(items) => items,
         };
-        let item = rlp::decode(&node_bytes).map_err(|_| ProofError::BadNode)?;
-        let list = item.as_list().map_err(|_| ProofError::BadNode)?;
-        match list.len() {
-            2 => {
-                let hp = list[0].as_bytes().map_err(|_| ProofError::BadNode)?;
-                let (npath, is_leaf) = Nibbles::from_hex_prefix(hp).ok_or(ProofError::BadNode)?;
-                if is_leaf {
-                    return if npath.is_key_tail(key, depth) {
-                        Ok(Some(
-                            list[1]
-                                .as_bytes()
-                                .map_err(|_| ProofError::BadNode)?
-                                .to_vec(),
-                        ))
-                    } else {
-                        Ok(None)
-                    };
-                }
+        let child = match node_items(items).ok_or(ProofError::BadNode)? {
+            NodeItems::Short(npath, true, value) => {
+                return match value {
+                    _ if !npath.is_key_tail(key, depth) => Ok(None),
+                    Token::Str(value) => Ok(Some(value.to_vec())),
+                    Token::List(_) => Err(ProofError::BadNode),
+                };
+            }
+            NodeItems::Short(npath, false, child) => {
                 if npath.common_prefix_with_key(0, key, depth) != npath.len() {
                     return Ok(None);
                 }
                 depth += npath.len();
-                expected = child_expected(&list[1])?;
+                child
             }
-            17 => {
+            NodeItems::Branch(children, value) => {
                 if depth == key.len() * 2 {
-                    let v = list[16].as_bytes().map_err(|_| ProofError::BadNode)?;
-                    return Ok(if v.is_empty() { None } else { Some(v.to_vec()) });
+                    return Ok((!value.is_empty()).then(|| value.to_vec()));
                 }
-                let branch = &list[nibble_at(key, depth) as usize];
+                let child = children[nibble_at(key, depth) as usize];
                 depth += 1;
-                match branch {
-                    Item::Bytes(b) if b.is_empty() => return Ok(None),
-                    _ => expected = child_expected(branch)?,
+                if matches!(child, Token::Str([])) {
+                    return Ok(None);
                 }
+                child
             }
-            _ => return Err(ProofError::BadNode),
-        }
+        };
+        expected = match child {
+            Token::Str(b) => Expected::Hash(H256(b.try_into().map_err(|_| ProofError::BadNode)?)),
+            // An inlined node is a list inside the parent.
+            Token::List(inline) => Expected::Inline(inline),
+        };
     }
 }
 
-enum Expected {
+enum Expected<'a> {
     Hash(H256),
-    Inline(Vec<u8>),
-}
-
-fn child_expected(item: &Item) -> Result<Expected, ProofError> {
-    match item {
-        Item::Bytes(b) if b.len() == 32 => {
-            let arr: [u8; 32] = b[..].try_into().expect("checked length");
-            Ok(Expected::Hash(H256(arr)))
-        }
-        // An inlined node decodes as a list inside the parent.
-        inline @ Item::List(_) => Ok(Expected::Inline(rlp::encode_item(inline))),
-        _ => Err(ProofError::BadNode),
-    }
+    Inline(Reader<'a>),
 }
 
 /// Proof verification failures.

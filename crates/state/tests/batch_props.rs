@@ -68,7 +68,7 @@ fn sorted_nodes(trie: &Trie) -> (H256, Vec<(H256, Vec<u8>)>) {
 /// Kinds of node in a trie, counted off its emitted encodings (inlined
 /// children included): (branches, extensions, leaves, inlined nodes).
 fn shape(trie: &Trie) -> (usize, usize, usize, usize) {
-    fn count(item: &rlp::Item, inlined: bool, out: &mut (usize, usize, usize, usize)) {
+    fn count(item: &rlp::reference::Item, inlined: bool, out: &mut (usize, usize, usize, usize)) {
         let list = item.as_list().expect("a node is a list");
         out.3 += usize::from(inlined);
         if list.len() == 17 {
@@ -90,7 +90,7 @@ fn shape(trie: &Trie) -> (usize, usize, usize, usize) {
     let mut out = (0, 0, 0, 0);
     for (_, encoding) in trie.commit_nodes().1 {
         count(
-            &rlp::decode(&encoding).expect("node decodes"),
+            &rlp::reference::decode(&encoding).expect("node decodes"),
             false,
             &mut out,
         );

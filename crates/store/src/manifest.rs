@@ -77,26 +77,22 @@ fn decode(bytes: &[u8]) -> Option<ManifestData> {
     if keccak256(payload).0 != checksum {
         return None;
     }
-    let item = rlp::decode(payload).ok()?;
-    let list = item.as_list().ok()?;
-    if list.len() != 5 {
-        return None;
-    }
-    let generation = list[0].as_u64().ok()?;
-    let head_raw = list[1].as_h256().ok()?;
+    let mut list = rlp::decode_list(payload).ok()?;
+    let generation = list.u64().ok()?;
+    let head_raw = list.h256().ok()?;
     let head = if head_raw == BlockHash::ZERO {
         None
     } else {
         Some(head_raw)
     };
-    let blocks_len = list[2].as_u64().ok()?;
-    let nodes_len = list[3].as_u64().ok()?;
-    let roots = list[4]
-        .as_list()
-        .ok()?
-        .iter()
-        .map(|r| r.as_h256().ok())
-        .collect::<Option<Vec<_>>>()?;
+    let blocks_len = list.u64().ok()?;
+    let nodes_len = list.u64().ok()?;
+    let mut root_items = list.list().ok()?;
+    list.end().ok()?;
+    let mut roots = Vec::new();
+    while !root_items.is_empty() {
+        roots.push(root_items.h256().ok()?);
+    }
     Some(ManifestData {
         generation,
         head,

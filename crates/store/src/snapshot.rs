@@ -58,29 +58,25 @@ pub fn decode_world(bytes: &[u8]) -> Result<WorldState, StoreError> {
     if keccak256(payload).0 != checksum {
         return Err(corrupt("checksum mismatch"));
     }
-    let item = rlp::decode(payload).map_err(|_| corrupt("undecodable payload"))?;
-    let accounts = item.as_list().map_err(|_| corrupt("not a list"))?;
+    let mut accounts = rlp::decode_list(payload).map_err(|_| corrupt("not a list"))?;
     let mut world = WorldState::new();
-    for entry in accounts {
-        let fields = entry.as_list().map_err(|_| corrupt("account not a list"))?;
-        if fields.len() != 5 {
-            return Err(corrupt("account field count"));
-        }
-        let addr = fields[0].as_address().map_err(|_| corrupt("address"))?;
+    while !accounts.is_empty() {
+        let mut fields = accounts.list().map_err(|_| corrupt("account not a list"))?;
+        let addr = fields.address().map_err(|_| corrupt("address"))?;
         let acct = world.account_mut(addr);
-        acct.nonce = fields[1].as_u64().map_err(|_| corrupt("nonce"))?;
-        acct.balance = fields[2].as_u256().map_err(|_| corrupt("balance"))?;
-        let code = fields[3].as_bytes().map_err(|_| corrupt("code"))?;
+        acct.nonce = fields.u64().map_err(|_| corrupt("nonce"))?;
+        acct.balance = fields.u256().map_err(|_| corrupt("balance"))?;
+        let code = fields.bytes().map_err(|_| corrupt("code"))?;
         if !code.is_empty() {
             acct.install_code(std::sync::Arc::new(code.to_vec()));
         }
-        for slot_entry in fields[4].as_list().map_err(|_| corrupt("storage"))? {
-            let kv = slot_entry.as_list().map_err(|_| corrupt("storage entry"))?;
-            if kv.len() != 2 {
-                return Err(corrupt("storage entry arity"));
-            }
-            let slot = kv[0].as_h256().map_err(|_| corrupt("storage slot"))?;
-            let value = kv[1].as_u256().map_err(|_| corrupt("storage value"))?;
+        let mut slots = fields.list().map_err(|_| corrupt("storage"))?;
+        fields.end().map_err(|_| corrupt("account field count"))?;
+        while !slots.is_empty() {
+            let mut kv = slots.list().map_err(|_| corrupt("storage entry"))?;
+            let slot = kv.h256().map_err(|_| corrupt("storage slot"))?;
+            let value = kv.u256().map_err(|_| corrupt("storage value"))?;
+            kv.end().map_err(|_| corrupt("storage entry arity"))?;
             acct.storage.insert(slot, value);
         }
     }

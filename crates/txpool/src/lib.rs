@@ -84,6 +84,20 @@ impl Inner {
         }
     }
 
+    /// The hash the pool knows `tx` by: read from the sender's nonce queue
+    /// when the transaction stored there is this one (the case for anything
+    /// the pool handed out), computed only on a miss — a sender may have two
+    /// different transactions admitted under one nonce, and the queue keeps
+    /// the later.
+    fn hash_of(&self, tx: &Transaction) -> TxHash {
+        self.by_sender
+            .get(&tx.sender)
+            .and_then(|queue| queue.get(&tx.nonce))
+            .filter(|hash| self.txs.get(hash) == Some(tx))
+            .copied()
+            .unwrap_or_else(|| tx.hash())
+    }
+
     /// Pushes the sender's lowest queued transaction into the ready heap if
     /// it is not already in flight. Stale heap entries are filtered on pop,
     /// so over-promotion is harmless.
@@ -240,7 +254,7 @@ impl TxPool {
     /// it becomes eligible again with its original priority.
     pub fn push_back(&self, tx: &Transaction) {
         let mut g = self.inner.lock();
-        let hash = tx.hash();
+        let hash = g.hash_of(tx);
         debug_assert!(g.txs.contains_key(&hash), "push_back of unknown tx");
         g.in_flight.remove(&hash);
         g.promote(&tx.sender);
@@ -250,7 +264,7 @@ impl TxPool {
     /// the sender's next transaction becomes eligible.
     pub fn commit(&self, tx: &Transaction) {
         let mut g = self.inner.lock();
-        let hash = tx.hash();
+        let hash = g.hash_of(tx);
         g.in_flight.remove(&hash);
         g.txs.remove(&hash);
         let sender = tx.sender;
@@ -276,7 +290,7 @@ impl TxPool {
     /// would offer proposers a transaction that can only abort.
     pub fn discard(&self, tx: &Transaction) {
         let mut g = self.inner.lock();
-        let hash = tx.hash();
+        let hash = g.hash_of(tx);
         g.in_flight.remove(&hash);
         g.txs.remove(&hash);
         if let Some(queue) = g.by_sender.remove(&tx.sender) {
@@ -391,6 +405,31 @@ mod tests {
         pool.add(t.clone());
         pool.add(t);
         assert_eq!(pool.len(), 1);
+    }
+
+    #[test]
+    fn stored_hash_is_used_only_for_the_stored_transaction() {
+        let pool = TxPool::new();
+        let a = tx(1, 0, 5);
+        let b = tx(1, 0, 6); // same sender and nonce, another transaction
+        let unknown = tx(2, 0, 5);
+        pool.add(a.clone());
+        pool.add(b.clone());
+        {
+            let g = pool.inner.lock();
+            // The nonce queue points at the later arrival: that one is a
+            // lookup, the other two fall back to hashing.
+            assert_eq!(g.by_sender[&addr(1)][&0], b.hash());
+            assert_eq!(g.hash_of(&b), b.hash());
+            assert_eq!(g.hash_of(&a), a.hash());
+            assert_eq!(g.hash_of(&unknown), unknown.hash());
+        }
+        // So committing `a` removes `a`, not the transaction queued under
+        // its nonce.
+        pool.commit(&a);
+        let g = pool.inner.lock();
+        assert!(!g.txs.contains_key(&a.hash()));
+        assert!(g.txs.contains_key(&b.hash()));
     }
 
     #[test]
