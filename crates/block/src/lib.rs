@@ -18,7 +18,7 @@ pub mod wire;
 use bp_crypto::rlp::StackStream;
 use bp_crypto::{keccak256, Keccak256, RlpStream};
 use bp_evm::{Receipt, Transaction};
-use bp_types::{Address, BlockHash, Gas, Height, H256};
+use bp_types::{Address, BlockHash, Gas, Height, TxHash, H256};
 use serde::{Deserialize, Serialize};
 
 pub use bloom::{logs_bloom, Bloom};
@@ -104,9 +104,16 @@ impl Block {
 /// chain commits to the same information — content *and order* — which is
 /// all validation needs.)
 pub fn tx_root(txs: &[Transaction]) -> H256 {
+    tx_root_of_hashes(txs.iter().map(Transaction::hash))
+}
+
+/// [`tx_root`] for a caller that already holds the transactions' hashes, in
+/// block order (a proposer seals from the hashes its pool computed at
+/// admission).
+pub fn tx_root_of_hashes(hashes: impl IntoIterator<Item = TxHash>) -> H256 {
     let mut h = Keccak256::new();
-    for tx in txs {
-        h.update(tx.hash().as_bytes());
+    for hash in hashes {
+        h.update(hash.as_bytes());
     }
     h.finalize()
 }

@@ -2,7 +2,8 @@
 //! a one-shot per-height root latch for the deferred-commitment apply stage,
 //! and the per-version visibility gate of the two-phase proposer commit.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -114,12 +115,68 @@ impl CountdownLatch {
     }
 }
 
+/// Flag of a version the gate has not been told about.
+const UNSEEN: u8 = 0;
+/// Flag of a version registered by Phase A and not yet published.
+const PENDING: u8 = 1;
+/// Flag of a fully published version.
+const OPEN: u8 = 2;
+
+/// Flags in the first chunk of a [`FlagTable`]; chunk `c` holds this many
+/// shifted left by `c`, and no chunk is ever copied. A block's versions —
+/// ≈ 130 in practice, its gas limit over the cheapest transaction (1 428 at
+/// the default limit) at most — sit in the first chunk, the first three at
+/// most.
+const FIRST_CHUNK: u64 = 256;
+/// Chunks a table can grow to: `FIRST_CHUNK * (2^CHUNKS - 1)` versions, four
+/// thousand million.
+const CHUNKS: usize = 24;
+
+/// One atomic flag per version: a table that grows by whole chunks, each
+/// allocated once by whichever thread first writes into it and never moved,
+/// so a flag is read and written without any lock.
 #[derive(Default)]
-struct GateState {
-    /// Versions allocated (Phase A) but not yet fully published (Phase B).
-    pending: std::collections::BTreeSet<u64>,
-    /// Highest version ever registered.
-    highest: u64,
+struct FlagTable {
+    chunks: [OnceLock<Box<[AtomicU8]>>; CHUNKS],
+}
+
+impl FlagTable {
+    /// The highest version the table has a flag for.
+    const LAST_VERSION: u64 = FIRST_CHUNK * ((1 << CHUNKS) - 1);
+
+    /// Chunk and offset of `version`'s flag (versions count from 1).
+    fn locate(version: u64) -> (usize, usize) {
+        assert!(
+            (1..=Self::LAST_VERSION).contains(&version),
+            "version {version} is outside the gate"
+        );
+        // Chunk `c` starts at flag `FIRST_CHUNK * (2^c - 1)`.
+        let shifted = version - 1 + FIRST_CHUNK;
+        let chunk = (shifted / FIRST_CHUNK).ilog2() as usize;
+        (chunk, (shifted - (FIRST_CHUNK << chunk)) as usize)
+    }
+
+    /// The flag of `version`, or — when nothing was ever stored in its
+    /// chunk, so that every flag there is unseen — the first version past
+    /// that chunk.
+    fn get(&self, version: u64) -> Result<&AtomicU8, u64> {
+        let (chunk, offset) = Self::locate(version);
+        match self.chunks[chunk].get() {
+            Some(flags) => Ok(&flags[offset]),
+            None => Err(version - offset as u64 + (FIRST_CHUNK << chunk)),
+        }
+    }
+
+    /// The flag of `version`, allocating its chunk if need be.
+    fn slot(&self, version: u64) -> &AtomicU8 {
+        let (chunk, offset) = Self::locate(version);
+        let flags = self.chunks[chunk].get_or_init(|| {
+            (0..FIRST_CHUNK << chunk)
+                .map(|_| AtomicU8::new(UNSEEN))
+                .collect()
+        });
+        &flags[offset]
+    }
 }
 
 /// Per-version visibility gate for the two-phase proposer commit.
@@ -127,26 +184,43 @@ struct GateState {
 /// Phase A of a commit allocates a version and [`VersionGate::register`]s it
 /// as *pending* before the version becomes discoverable; Phase B publishes
 /// the write set outside any global lock and then [`VersionGate::open`]s the
-/// version. A snapshot reader that lands on a still-pending version parks on
-/// [`VersionGate::wait_visible`] until every version at or below its snapshot
-/// is fully published — instead of every committer blocking every reader
-/// behind one coarse commit lock.
+/// version. A snapshot reader that lands on a still-pending version waits in
+/// [`VersionGate::wait_visible`] until every version at or below its
+/// snapshot is fully published — instead of every committer blocking every
+/// reader behind one coarse commit lock.
 ///
 /// Registration must happen-before the version is discoverable by readers
-/// (the proposer does both under its commit-sequence lock); with that, a
-/// reader waiting on version `v` is guaranteed the gate already knows about
-/// every version `≤ v`.
+/// (the proposer registers under its commit-sequence lock and only then
+/// bumps the [`crate::VersionAllocator`], whose `allocate` is a release and
+/// whose `current` an acquire); with that, a reader waiting on version `v`
+/// is guaranteed to find the flag of every version `≤ v` set.
+///
+/// The gate is lock-free: one atomic flag per version and a counter of the
+/// longest fully opened prefix, moved forward with `fetch_max` by whoever
+/// notices it can move — an opener or a waiter. A commit costs a store and
+/// a short scan; a snapshot behind the prefix costs one load. The window
+/// between Phase A and Phase B is a microsecond of map inserts, so a waiter
+/// spins for it — a few dozen iterations, then `yield_now` between looks:
+/// a proposer's workers may outnumber the cores, and a waiter that keeps
+/// spinning would burn the quantum the publisher needs to finish.
+///
+/// Every operation on the flags and the counter is `SeqCst`. An opener
+/// stores its flag and then reads its neighbours'; two openers of adjacent
+/// versions doing so with weaker orderings may each miss the other's store
+/// and leave the counter behind a fully opened prefix until the next scan.
 #[derive(Default)]
 pub struct VersionGate {
-    /// All versions `≤ visible` are fully published (lock-free fast path).
+    /// All versions `≤ visible` are opened.
     visible: AtomicU64,
-    state: Mutex<GateState>,
-    cond: Condvar,
+    flags: FlagTable,
 }
 
+/// Spins before a waiter starts yielding its time slice between looks.
+const SPINS_BEFORE_YIELD: u32 = 32;
+
 impl VersionGate {
-    /// A gate with no versions registered (everything up to `u64::MAX` that
-    /// was never registered counts as visible).
+    /// A gate with no versions registered (every version counts as visible
+    /// until it is registered).
     pub fn new() -> Self {
         Self::default()
     }
@@ -154,24 +228,14 @@ impl VersionGate {
     /// Marks `version` pending. Must be called before the version becomes
     /// discoverable by snapshot readers.
     pub fn register(&self, version: u64) {
-        let mut g = self.state.lock();
-        g.pending.insert(version);
-        g.highest = g.highest.max(version);
+        self.flags.slot(version).store(PENDING, Ordering::SeqCst);
     }
 
-    /// Marks `version` fully published and wakes any readers whose snapshot
-    /// it was blocking.
+    /// Marks `version` fully published: readers whose snapshot it was
+    /// blocking go on.
     pub fn open(&self, version: u64) {
-        let mut g = self.state.lock();
-        g.pending.remove(&version);
-        g.highest = g.highest.max(version);
-        let new_visible = match g.pending.first() {
-            Some(&min_pending) => min_pending - 1,
-            None => g.highest,
-        };
-        self.visible.store(new_visible, Ordering::Release);
-        drop(g);
-        self.cond.notify_all();
+        self.flags.slot(version).store(OPEN, Ordering::SeqCst);
+        self.advance(0);
     }
 
     /// Blocks until every registered version `≤ version` has been opened.
@@ -179,23 +243,64 @@ impl VersionGate {
     /// Versions that were never registered do not block: the gate only
     /// tracks the pending window between Phase A and Phase B.
     pub fn wait_visible(&self, version: u64) {
-        if self.visible.load(Ordering::Acquire) >= version {
-            return;
-        }
-        let mut g = self.state.lock();
-        while g.pending.first().is_some_and(|&min| min <= version) {
-            self.cond.wait(&mut g);
+        if self.visible.load(Ordering::SeqCst) < version {
+            self.advance(version);
         }
     }
 
-    /// The highest version below which everything registered is published.
+    /// Walks the flags upward from the prefix counter. Through `wait_to` it
+    /// waits out pending flags and steps over never-registered ones (a whole
+    /// chunk at a time where nothing was ever registered); the counter
+    /// itself follows opened flags only, for as long as they run — past
+    /// `wait_to` too.
+    fn advance(&self, wait_to: u64) {
+        let wait_to = wait_to.min(FlagTable::LAST_VERSION);
+        let start = self.visible.load(Ordering::SeqCst);
+        let mut prefix = start;
+        let mut next = start + 1;
+        let mut looks = 0u32;
+        while next <= FlagTable::LAST_VERSION {
+            let flag = match self.flags.get(next) {
+                Ok(flag) => flag.load(Ordering::SeqCst),
+                Err(_) if next > wait_to => break,
+                Err(past_chunk) => {
+                    next = past_chunk;
+                    continue;
+                }
+            };
+            if flag == OPEN && prefix + 1 == next {
+                prefix = next;
+            } else if next > wait_to {
+                break;
+            } else if flag == PENDING {
+                looks += 1;
+                if looks < SPINS_BEFORE_YIELD {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+                continue;
+            }
+            next += 1;
+        }
+        if prefix > start {
+            self.visible.fetch_max(prefix, Ordering::SeqCst);
+        }
+    }
+
+    /// The longest prefix of versions that are all opened.
     pub fn visible(&self) -> u64 {
-        self.visible.load(Ordering::Acquire)
+        self.visible.load(Ordering::SeqCst)
     }
 
-    /// Number of versions currently in the pending window (diagnostics).
+    /// Number of versions currently in the pending window (diagnostics: a
+    /// scan of the allocated flags, not a counter the commit path pays for).
     pub fn pending(&self) -> usize {
-        self.state.lock().pending.len()
+        let allocated = self.flags.chunks.iter().filter_map(OnceLock::get);
+        allocated
+            .flat_map(|flags| flags.iter())
+            .filter(|flag| flag.load(Ordering::SeqCst) == PENDING)
+            .count()
     }
 }
 
@@ -302,6 +407,214 @@ mod tests {
         assert_eq!(g.visible(), 0);
         g.open(1);
         assert_eq!(g.visible(), 3);
+    }
+
+    #[test]
+    fn never_registered_stretches_are_stepped_over() {
+        let g = VersionGate::new();
+        // Far beyond the first chunks, with nothing registered in between,
+        // and beyond the table altogether: neither blocks nor scans for long.
+        g.register(1_000_000);
+        g.wait_visible(999_999);
+        g.open(1_000_000);
+        g.wait_visible(1_000_000);
+        g.wait_visible(u64::MAX);
+        // The prefix counter follows opened versions only.
+        assert_eq!(g.visible(), 0);
+        assert_eq!(g.pending(), 0);
+    }
+
+    #[test]
+    fn flags_are_laid_out_in_doubling_chunks() {
+        assert_eq!(FlagTable::locate(1), (0, 0));
+        assert_eq!(FlagTable::locate(256), (0, 255));
+        assert_eq!(FlagTable::locate(257), (1, 0));
+        assert_eq!(FlagTable::locate(768), (1, 511));
+        assert_eq!(FlagTable::locate(769), (2, 0));
+        let last = FlagTable::LAST_VERSION;
+        assert_eq!(
+            FlagTable::locate(last),
+            (CHUNKS - 1, (FIRST_CHUNK << (CHUNKS - 1)) as usize - 1)
+        );
+        let t = FlagTable::default();
+        assert_eq!(t.get(300).err(), Some(769), "chunk 1 is untouched");
+        t.slot(300).store(PENDING, Ordering::SeqCst);
+        assert_eq!(t.get(301).map(|f| f.load(Ordering::SeqCst)), Ok(UNSEEN));
+    }
+
+    /// Runs `f` on its own thread and fails if it has not returned within
+    /// `limit`: a waiter the gate never releases must fail the test, not
+    /// hang it.
+    fn within(limit: std::time::Duration, f: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = thread::spawn(move || {
+            f();
+            let _ = done_tx.send(());
+        });
+        match done_rx.recv_timeout(limit) {
+            Ok(()) => worker.join().unwrap(),
+            // The sender was dropped without sending: `f` panicked.
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("not done after {limit:?}: a waiter was never released")
+            }
+        }
+    }
+
+    /// The proposer's protocol under load: writers register a version under
+    /// an admission lock before the allocator reveals it, hold a random
+    /// handful, and open them in random order; readers wait on whatever the
+    /// allocator shows. Above `ALL_REGISTERED` one version in eight is
+    /// allocated but never registered (nor opened).
+    #[test]
+    fn stress_gate_random_open_order_within_a_window() {
+        use crate::VersionAllocator;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::atomic::AtomicBool;
+
+        const WRITERS: u64 = 4;
+        const READERS: u64 = 4;
+        const VERSIONS: u64 = 100_000;
+        const ALL_REGISTERED: u64 = 97_000;
+        const WINDOW: usize = 8;
+
+        struct Shared {
+            gate: VersionGate,
+            versions: VersionAllocator,
+            admit: std::sync::Mutex<StdRng>,
+            /// Everybody starts together.
+            start: std::sync::Barrier,
+            /// `opened[v]` is set just before `gate.open(v)` is called.
+            opened: Vec<AtomicBool>,
+            /// `registered[v]` is set under the admission lock.
+            registered: Vec<AtomicBool>,
+        }
+
+        impl Shared {
+            /// Everything registered in `(from, to]` has been opened.
+            fn assert_opened(&self, from: u64, to: u64, what: &str) {
+                for v in from + 1..=to {
+                    assert!(
+                        !self.registered[v as usize].load(Ordering::SeqCst)
+                            || self.opened[v as usize].load(Ordering::SeqCst),
+                        "{what} {to} while version {v} is registered and not opened"
+                    );
+                }
+            }
+        }
+
+        within(std::time::Duration::from_secs(120), || {
+            let flags = || (0..=VERSIONS + 1).map(|_| AtomicBool::new(false)).collect();
+            let shared = Arc::new(Shared {
+                gate: VersionGate::new(),
+                versions: VersionAllocator::new(),
+                admit: std::sync::Mutex::new(StdRng::seed_from_u64(0x6a7e)),
+                start: std::sync::Barrier::new((WRITERS + READERS) as usize),
+                opened: flags(),
+                registered: flags(),
+            });
+
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let s = Arc::clone(&shared);
+                    thread::spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(0x6a7e_0100 + w);
+                        let mut held: Vec<u64> = Vec::new();
+                        let mut exhausted = false;
+                        s.start.wait();
+                        while !exhausted {
+                            // Phase A, a few times over.
+                            for _ in 0..rng.gen_range(1..=WINDOW) {
+                                let mut admit = s.admit.lock().unwrap();
+                                let version = s.versions.current() + 1;
+                                if version > VERSIONS {
+                                    exhausted = true;
+                                    break;
+                                }
+                                let ghost = version > ALL_REGISTERED && admit.gen_range(0..8) == 0;
+                                if !ghost {
+                                    s.registered[version as usize].store(true, Ordering::SeqCst);
+                                    s.gate.register(version);
+                                    held.push(version);
+                                }
+                                assert_eq!(s.versions.allocate(), version);
+                            }
+                            // Phase B, in any order — giving the processor
+                            // away now and then while versions are pending,
+                            // so that readers meet them on a host with
+                            // fewer cores than threads too.
+                            while !held.is_empty() {
+                                if rng.gen_range(0..4) == 0 {
+                                    thread::yield_now();
+                                }
+                                let version = held.swap_remove(rng.gen_range(0..held.len()));
+                                s.opened[version as usize].store(true, Ordering::SeqCst);
+                                s.gate.open(version);
+                            }
+                        }
+                    })
+                })
+                .collect();
+
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    let s = Arc::clone(&shared);
+                    thread::spawn(move || {
+                        let (mut waited_to, mut prefix) = (0, 0);
+                        s.start.wait();
+                        while waited_to < VERSIONS {
+                            let version = s.versions.current();
+                            s.gate.wait_visible(version);
+                            s.assert_opened(waited_to, version, "wait_visible returned for");
+                            waited_to = version;
+                            let visible = s.gate.visible();
+                            assert!(
+                                visible >= prefix,
+                                "visible() fell from {prefix} to {visible}"
+                            );
+                            assert!(visible <= s.versions.current());
+                            for v in prefix + 1..=visible {
+                                assert!(
+                                    s.opened[v as usize].load(Ordering::SeqCst),
+                                    "visible() is {visible} and version {v} was never opened"
+                                );
+                            }
+                            prefix = visible;
+                        }
+                    })
+                })
+                .collect();
+
+            for t in writers.into_iter().chain(readers) {
+                t.join().unwrap();
+            }
+            assert_eq!(shared.versions.current(), VERSIONS);
+            assert_eq!(shared.gate.pending(), 0, "every registered version opened");
+            assert!(shared.gate.visible() >= ALL_REGISTERED);
+
+            // A waiter on the version opened last, with nothing else going
+            // on to move the counter for it.
+            let last = VERSIONS + 1;
+            shared.gate.register(last);
+            let waiting = Arc::new(AtomicBool::new(false));
+            let waiter = {
+                let (s, waiting) = (Arc::clone(&shared), Arc::clone(&waiting));
+                thread::spawn(move || {
+                    waiting.store(true, Ordering::SeqCst);
+                    s.gate.wait_visible(last);
+                    assert!(s.opened[last as usize].load(Ordering::SeqCst));
+                })
+            };
+            while !waiting.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            shared.opened[last as usize].store(true, Ordering::SeqCst);
+            shared.gate.open(last);
+            waiter.join().unwrap();
+        });
     }
 
     #[test]

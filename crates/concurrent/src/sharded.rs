@@ -1,9 +1,10 @@
 //! A lock-striped concurrent hash map.
 
 use core::hash::{BuildHasher, Hash};
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use bp_types::FxBuildHasher;
 use parking_lot::RwLock;
 
 /// A concurrent map striped over `2^shard_bits` independent
@@ -13,7 +14,14 @@ use parking_lot::RwLock;
 /// their keys land in the same shard. This is the backing store for the
 /// OCC-WSI reserve table and the multi-version state overlay, where the
 /// access pattern is many point reads/writes from all worker threads.
-pub struct ShardedMap<K, V, S = RandomState> {
+///
+/// Keys are hashed with the Fx hasher by default: they are state keys and
+/// transaction hashes of one block under construction, hashed several times
+/// per transaction inside the proposer's commit path, where SipHash cost
+/// more than the map operation it served. The shard is picked from the
+/// hash's upper half, the bucket inside the shard's table from its lower
+/// bits, so the keys of one shard still spread over that table.
+pub struct ShardedMap<K, V, S = FxBuildHasher> {
     shards: Vec<RwLock<HashMap<K, V, S>>>,
     mask: usize,
     hasher: S,
@@ -34,7 +42,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         ShardedMap {
             shards: (0..n).map(|_| RwLock::new(HashMap::default())).collect(),
             mask: n - 1,
-            hasher: RandomState::new(),
+            hasher: FxBuildHasher::default(),
         }
     }
 }
@@ -49,7 +57,7 @@ impl<K: Hash + Eq, V, S: BuildHasher> ShardedMap<K, V, S> {
     #[inline]
     fn shard_for(&self, key: &K) -> &RwLock<HashMap<K, V, S>> {
         let h = self.hasher.hash_one(key);
-        &self.shards[(h as usize) & self.mask]
+        &self.shards[(h >> 32) as usize & self.mask]
     }
 
     /// Returns a clone of the value for `key`.
@@ -82,17 +90,34 @@ impl<K: Hash + Eq, V, S: BuildHasher> ShardedMap<K, V, S> {
     }
 
     /// Read-modify-write of one entry under the shard write lock; returns
-    /// whatever `f` returns.
-    pub fn update<R>(&self, key: K, f: impl FnOnce(&mut Option<V>) -> R) -> R {
-        let shard = self.shard_for(&key);
-        let mut guard = shard.write();
-        // Work on an Option so `f` can insert, mutate or remove.
-        let mut slot = guard.remove(&key);
-        let out = f(&mut slot);
-        if let Some(v) = slot {
-            guard.insert(key, v);
+    /// whatever `f` returns. `f` sees the value as an `Option` it may fill,
+    /// change or empty. The shard's table is probed once: a present value is
+    /// lent to `f` in place (which is what `V: Default` is for) instead of
+    /// being removed and inserted again.
+    pub fn update<R>(&self, key: K, f: impl FnOnce(&mut Option<V>) -> R) -> R
+    where
+        V: Default,
+    {
+        let mut guard = self.shard_for(&key).write();
+        match guard.entry(key) {
+            Entry::Occupied(mut entry) => {
+                let mut slot = Some(std::mem::take(entry.get_mut()));
+                let out = f(&mut slot);
+                match slot {
+                    Some(value) => *entry.get_mut() = value,
+                    None => drop(entry.remove()),
+                }
+                out
+            }
+            Entry::Vacant(entry) => {
+                let mut slot = None;
+                let out = f(&mut slot);
+                if let Some(value) = slot {
+                    entry.insert(value);
+                }
+                out
+            }
         }
-        out
     }
 
     /// Total number of entries (takes every shard's read lock in turn; not a

@@ -9,9 +9,10 @@ use core::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct VersionAllocator {
     // Stores the last allocated version; `fetch_add` makes allocation
-    // wait-free. Relaxed suffices: the allocator only needs atomicity of the
-    // counter itself — commit visibility is ordered by the proposer's commit
-    // lock, not by this counter.
+    // wait-free. The add is a release and `current` an acquire: whoever
+    // learns of a version from the counter also sees what its allocator did
+    // before allocating it — registering it as pending with the lock-free
+    // `VersionGate`, which has no lock of its own to order the two.
     next: AtomicU64,
 }
 
@@ -24,7 +25,7 @@ impl VersionAllocator {
     /// Allocates the next commit version (1, 2, 3, ...).
     #[inline]
     pub fn allocate(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed) + 1
+        self.next.fetch_add(1, Ordering::Release) + 1
     }
 
     /// The most recently allocated version (0 if none yet): the version a new

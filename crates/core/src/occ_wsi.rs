@@ -41,26 +41,44 @@
 //!   still-pending version wait on its latch instead of blocking committers.
 //!
 //! Block bodies never touch the critical path: [`OccWsiProposer::propose`]
-//! merges the per-worker segments in version order at seal time.
+//! merges the per-worker segments in version order at seal time, and seals
+//! from what they hold — the transaction root from the hashes the pool
+//! computed at admission, the post-state from the records' own write sets.
+//!
+//! Nor does the pool: a worker talks to it once per batch
+//! ([`TxPool::turn`]), handing back the hashes it committed and aborted
+//! since its last turn and checking out the next few transactions under one
+//! lock acquisition. A committed transaction is published in the
+//! multi-version state at once and leaves the pool a few transactions
+//! later, which costs nothing — its sender's next nonce could not run
+//! before the publication anyway — and the worker neither hashes nor
+//! compares a transaction.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bp_block::{receipts_root, tx_root, Block, BlockHeader, BlockProfile, TxProfile};
+use bp_block::{
+    receipts_root, tx_root, tx_root_of_hashes, Block, BlockHeader, BlockProfile, TxProfile,
+};
 use bp_concurrent::{ReserveTable, ShardedMap, VersionAllocator, VersionGate};
 use bp_evm::{
     execute_transaction_in, gas, AnalysisCache, BlockEnv, MvSnapshot, Receipt, Transaction, TxError,
 };
 use bp_state::{MultiVersionState, WorldState};
 use bp_txpool::TxPool;
-use bp_types::{BlockHash, Gas, Height, U256};
+use bp_types::{BlockHash, FxHashMap, Gas, Height, TxHash, WriteSet, U256};
 use parking_lot::Mutex;
 
-/// How many transactions a worker checks out from the pool per heap lock
-/// acquisition. Small enough that priority inversion is bounded, large
-/// enough to amortize the pool's mutex on hot paths.
+/// How many transactions a worker checks out from the pool per turn. Small
+/// enough that priority inversion is bounded, large enough to amortize the
+/// pool's mutex on hot paths.
 const POP_BATCH: usize = 4;
+
+/// How often a worker retries a future-nonce transaction while nothing
+/// commits before it gives the transaction up as a gap that will not fill.
+const MAX_FUTILE_RETRIES: u32 = 50;
 
 /// After the block first fails to fit a transaction, how many further
 /// pending candidates each worker still tries before sealing. Bounded so a
@@ -196,6 +214,8 @@ pub struct Proposal {
 /// merged into the block body at seal time.
 struct CommitRecord {
     version: u64,
+    /// The hash the pool checked the transaction out with.
+    hash: TxHash,
     tx: Transaction,
     receipt: Receipt,
     profile: TxProfile,
@@ -221,12 +241,12 @@ struct Shared<'a> {
     retry_aborts: &'a AtomicU64,
     validation_failures: &'a AtomicU64,
     /// Per-transaction abort tally backing the first-vs-retry split.
-    abort_counts: &'a ShardedMap<bp_types::TxHash, u32>,
+    abort_counts: &'a ShardedMap<TxHash, u32>,
 }
 
 impl Shared<'_> {
     /// Tallies one abort of `hash` into the first-vs-retry split.
-    fn note_abort(&self, hash: bp_types::TxHash) {
+    fn note_abort(&self, hash: TxHash) {
         let prior = self.abort_counts.update(hash, |slot| {
             let count = slot.get_or_insert(0);
             let prior = *count;
@@ -238,6 +258,64 @@ impl Shared<'_> {
         } else {
             self.retry_aborts.fetch_add(1, Ordering::Relaxed);
         }
+    }
+}
+
+/// A two-phase worker's account with the pool: what it has checked out and
+/// what it owes back at its next turn. Dropping it takes a last turn that
+/// returns everything still checked out, so no way out of the worker loop
+/// leaves a transaction in flight.
+struct Checkout<'a> {
+    pool: &'a TxPool,
+    /// Checked out and not yet run, each with the hash the pool knows it by.
+    batch: VecDeque<(TxHash, Transaction)>,
+    /// Committed since the last turn: the pool retires them at the next.
+    committed: Vec<TxHash>,
+    /// Aborted since the last turn: eligible again after the next.
+    returned: Vec<TxHash>,
+    /// Did not fit the remaining gas. Gas only grows, so they cannot fit
+    /// later in this block either: held until the worker leaves.
+    unfit: Vec<TxHash>,
+    /// Transactions in the pool after the last turn, checked-out included.
+    pool_len: usize,
+}
+
+impl<'a> Checkout<'a> {
+    fn new(pool: &'a TxPool) -> Self {
+        Checkout {
+            pool,
+            batch: VecDeque::with_capacity(POP_BATCH),
+            committed: Vec::with_capacity(POP_BATCH),
+            returned: Vec::new(),
+            unfit: Vec::new(),
+            pool_len: 0,
+        }
+    }
+
+    /// The next transaction to run: from the local batch, or from a pool
+    /// turn once that is dry. `None` when the turn found nothing eligible;
+    /// `pool_len` then says whether the pool is empty or merely busy — read
+    /// after this worker's commits were retired, not before.
+    fn next_tx(&mut self) -> Option<(TxHash, Transaction)> {
+        if self.batch.is_empty() {
+            self.pool_len = self.pool.turn(
+                &mut self.committed,
+                &mut self.returned,
+                POP_BATCH,
+                &mut self.batch,
+            );
+        }
+        self.batch.pop_front()
+    }
+}
+
+impl Drop for Checkout<'_> {
+    fn drop(&mut self) {
+        self.returned
+            .extend(self.batch.drain(..).map(|(hash, _)| hash));
+        self.returned.append(&mut self.unfit);
+        self.pool
+            .turn(&mut self.committed, &mut self.returned, 0, &mut self.batch);
     }
 }
 
@@ -355,29 +433,41 @@ impl OccWsiProposer {
         let gas_used = cur_gas.load(Ordering::Acquire);
 
         // Merge the per-worker segments into the block body, in version
-        // (= block) order. Versions are dense 1..=committed.
-        let built = match self.config.commit_path {
+        // (= block) order, and seal from what they carry: the transaction
+        // root from the hashes the pool checked the transactions out with,
+        // the post-state from the records' write sets folded in version
+        // order (a later version's value replaces an earlier one's). The
+        // coarse path kept no records and walks the version chains instead.
+        let (built, txs_root, mut post_state) = match self.config.commit_path {
             CommitPath::TwoPhase => {
+                // Versions are dense 1..=committed.
                 records.sort_unstable_by_key(|r| r.version);
                 debug_assert!(records
                     .iter()
                     .enumerate()
                     .all(|(i, r)| r.version == i as u64 + 1));
+                let txs_root = tx_root_of_hashes(records.iter().map(|r| r.hash));
+                let mut writes = WriteSet::default();
+                writes.reserve(mv.written_key_count());
                 let mut b = BlockBuilder::default();
                 for r in records {
+                    writes.extend(r.profile.writes.iter().map(|(key, value)| (*key, *value)));
                     b.txs.push(r.tx);
                     b.receipts.push(r.receipt);
                     b.profile.push(r.profile);
                     b.profile_len += 1;
                 }
-                b
+                (b, txs_root, mv.with_writes(&writes))
             }
-            CommitPath::CoarseLock => builder.into_inner(),
+            CommitPath::CoarseLock => {
+                let b = builder.into_inner();
+                let txs_root = tx_root(&b.txs);
+                (b, txs_root, mv.materialize(versions.current()))
+            }
         };
+        debug_assert_eq!(txs_root, tx_root(&built.txs));
 
-        // Seal: materialize the post-state, credit aggregated fees to the
-        // coinbase, and build the header.
-        let mut post_state = mv.materialize(versions.current());
+        // Credit the aggregated fees to the coinbase and build the header.
         let fees: U256 = built.receipts.iter().map(|r| r.fee).sum();
         if !fees.is_zero() {
             let coinbase = self.config.env.coinbase;
@@ -389,7 +479,7 @@ impl OccWsiProposer {
             parent_hash: parent,
             height,
             state_root: post_state.state_root(),
-            tx_root: tx_root(&built.txs),
+            tx_root: txs_root,
             receipts_root: receipts_root(&built.receipts),
             gas_used,
             gas_limit: self.config.gas_limit,
@@ -427,57 +517,29 @@ impl OccWsiProposer {
     fn worker_two_phase(&self, s: &Shared<'_>) -> (Vec<CommitRecord>, WorkerStats) {
         let mut stats = WorkerStats::default();
         let mut records: Vec<CommitRecord> = Vec::new();
-        // Locally checked-out work, popped in batches to amortize the pool
-        // lock. Entries are in-flight from the pool's point of view.
-        let mut batch: std::collections::VecDeque<Transaction> = Default::default();
-        // Transactions that did not fit the remaining gas; held aside (gas
-        // only grows, so they can never fit later in this block) and
-        // returned to the pool at seal time.
-        let mut unfit: Vec<Transaction> = Vec::new();
+        // Everything checked out goes back when `checkout` drops, whichever
+        // way the loop is left.
+        let mut checkout = Checkout::new(s.pool);
         let mut idle_spins = 0u32;
         // Future-nonce transactions (a predecessor from the same sender has
         // not committed yet) are retried, but only while commits are still
         // happening: a gap whose predecessor is not in the system at all
         // would otherwise livelock the worker.
-        let mut futile: std::collections::HashMap<bp_types::TxHash, (u64, u32)> =
-            std::collections::HashMap::new();
-        const MAX_FUTILE_RETRIES: u32 = 50;
-
-        let flush = |batch: &mut std::collections::VecDeque<Transaction>,
-                     unfit: &mut Vec<Transaction>| {
-            for tx in batch.drain(..) {
-                s.pool.push_back(&tx);
-            }
-            for tx in unfit.drain(..) {
-                s.pool.push_back(&tx);
-            }
-        };
+        let mut futile: FxHashMap<TxHash, (u64, u32)> = FxHashMap::default();
 
         loop {
             if s.full.load(Ordering::Acquire) {
-                flush(&mut batch, &mut unfit);
                 return (records, stats);
             }
-            let tx = match batch.pop_front() {
-                Some(tx) => tx,
-                None => {
-                    let mut popped = s.pool.pop_many(POP_BATCH);
-                    if popped.is_empty() {
-                        // The pool may refill when an in-flight transaction
-                        // of some sender commits; spin briefly before giving
-                        // up.
-                        if s.pool.is_empty() || idle_spins > 64 {
-                            flush(&mut batch, &mut unfit);
-                            return (records, stats);
-                        }
-                        idle_spins += 1;
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    let first = popped.remove(0);
-                    batch.extend(popped);
-                    first
+            let Some((hash, tx)) = checkout.next_tx() else {
+                // The pool may refill when an in-flight transaction of some
+                // sender commits; spin briefly before giving up.
+                if checkout.pool_len == 0 || idle_spins > 64 {
+                    return (records, stats);
                 }
+                idle_spins += 1;
+                std::thread::yield_now();
+                continue;
             };
             idle_spins = 0;
 
@@ -495,7 +557,7 @@ impl OccWsiProposer {
                     // if nothing commits across repeated attempts the
                     // prerequisite is missing entirely — drop the tx.
                     let version_now = s.versions.current();
-                    let entry = futile.entry(tx.hash()).or_insert((version_now, 0));
+                    let entry = futile.entry(hash).or_insert((version_now, 0));
                     if entry.0 == version_now {
                         entry.1 += 1;
                     } else {
@@ -503,19 +565,19 @@ impl OccWsiProposer {
                     }
                     if entry.1 >= MAX_FUTILE_RETRIES {
                         s.discarded.fetch_add(1, Ordering::Relaxed);
-                        s.pool.discard(&tx);
+                        s.pool.discard_hash(&hash);
                     } else {
                         s.aborts.fetch_add(1, Ordering::Relaxed);
-                        s.note_abort(tx.hash());
+                        s.note_abort(hash);
                         stats.retries += 1;
-                        s.pool.push_back(&tx);
+                        checkout.returned.push(hash);
                         std::thread::yield_now();
                     }
                     continue;
                 }
                 Err(_) => {
                     s.discarded.fetch_add(1, Ordering::Relaxed);
-                    s.pool.discard(&tx);
+                    s.pool.discard_hash(&hash);
                     continue;
                 }
                 Ok(result) => result,
@@ -525,8 +587,7 @@ impl OccWsiProposer {
             let version = {
                 let _seq = s.admit.lock();
                 if s.full.load(Ordering::Acquire) {
-                    s.pool.push_back(&tx);
-                    flush(&mut batch, &mut unfit);
+                    checkout.returned.push(hash);
                     return (records, stats);
                 }
                 // WSI validation over the read set: the lock orders us
@@ -540,9 +601,9 @@ impl OccWsiProposer {
                     drop(_seq);
                     s.aborts.fetch_add(1, Ordering::Relaxed);
                     s.validation_failures.fetch_add(1, Ordering::Relaxed);
-                    s.note_abort(tx.hash());
+                    s.note_abort(hash);
                     stats.aborts += 1;
-                    s.pool.push_back(&tx);
+                    checkout.returned.push(hash);
                     continue;
                 }
                 // Gas-limit admission.
@@ -553,23 +614,17 @@ impl OccWsiProposer {
                     // may: hold it aside and keep probing (bounded), unless
                     // nothing can ever fit the remaining headroom.
                     let nothing_fits = self.config.gas_limit - gas_now < gas::TX_BASE
-                        || unfit.len() + 1 > MAX_UNFIT_CANDIDATES;
+                        || checkout.unfit.len() + 1 > MAX_UNFIT_CANDIDATES;
+                    checkout.unfit.push(hash);
                     if nothing_fits {
                         s.full.store(true, Ordering::Release);
-                        drop(_seq);
-                        s.pool.push_back(&tx);
-                        flush(&mut batch, &mut unfit);
                         return (records, stats);
                     }
-                    drop(_seq);
-                    unfit.push(tx);
                     continue;
                 }
                 if self.config.max_txs > 0 && s.versions.current() as usize >= self.config.max_txs {
                     s.full.store(true, Ordering::Release);
-                    drop(_seq);
-                    s.pool.push_back(&tx);
-                    flush(&mut batch, &mut unfit);
+                    checkout.returned.push(hash);
                     return (records, stats);
                 }
                 // Admit: register the version as pending *before* it becomes
@@ -590,17 +645,19 @@ impl OccWsiProposer {
                 s.mv.install_code(*addr, Arc::clone(code));
             }
             s.gate.open(version);
-            // The footprint moves into the profile: nothing reads it after
-            // publication, so the two maps are not cloned.
+            // The footprint moves into the profile and the transaction into
+            // the record: nothing reads either after publication, and the
+            // pool is told by hash, at this worker's next turn.
             let profile = TxProfile::from_owned_rw(result.rw, result.receipt.gas_used);
             records.push(CommitRecord {
                 version,
-                tx: tx.clone(),
+                hash,
+                tx,
                 receipt: result.receipt,
                 profile,
             });
             stats.committed += 1;
-            s.pool.commit(&tx);
+            checkout.committed.push(hash);
         }
     }
 
@@ -610,9 +667,7 @@ impl OccWsiProposer {
     fn worker_coarse(&self, s: &Shared<'_>, builder: &Mutex<BlockBuilder>) -> WorkerStats {
         let mut stats = WorkerStats::default();
         let mut idle_spins = 0u32;
-        let mut futile: std::collections::HashMap<bp_types::TxHash, (u64, u32)> =
-            std::collections::HashMap::new();
-        const MAX_FUTILE_RETRIES: u32 = 50;
+        let mut futile: FxHashMap<TxHash, (u64, u32)> = FxHashMap::default();
         loop {
             if s.full.load(Ordering::Acquire) {
                 return stats;
@@ -929,6 +984,54 @@ mod tests {
             proposal.post_state.balance(&addr(2)),
             U256::from(1_000_000_005u64)
         );
+    }
+
+    #[test]
+    fn nonce_chains_pack_in_order_with_commits_deferred_to_the_turn() {
+        // Five senders, six nonces each, four workers: a sender's next nonce
+        // becomes eligible only when the worker that committed the one
+        // before takes its next pool turn, so workers run dry while others
+        // still owe the pool. Every transaction must still pack, in nonce
+        // order, and nothing may stay checked out.
+        for round in 0..20 {
+            let world = Arc::new(funded_world(10));
+            let pool = TxPool::new();
+            for nonce in 0..6u64 {
+                for sender in 1..=5u64 {
+                    pool.add(Transaction::transfer(
+                        addr(sender),
+                        addr(sender + 5),
+                        U256::ONE,
+                        nonce,
+                        1 + (sender + nonce + round) % 3,
+                    ));
+                }
+            }
+            let p = proposer(4);
+            let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
+            assert_eq!(proposal.block.tx_count(), 30, "round {round}");
+            assert_eq!(proposal.stats.discarded, 0);
+            for sender in 1..=5u64 {
+                let nonces: Vec<u64> = proposal
+                    .block
+                    .transactions
+                    .iter()
+                    .filter(|t| t.sender == addr(sender))
+                    .map(|t| t.nonce)
+                    .collect();
+                assert_eq!(nonces, vec![0, 1, 2, 3, 4, 5], "sender {sender}");
+                assert_eq!(proposal.post_state.nonce(&addr(sender)), 6);
+            }
+            assert!(pool.is_empty());
+            assert_eq!(pool.in_flight(), 0);
+            assert_eq!(
+                proposal.block.header.tx_root,
+                tx_root(&proposal.block.transactions),
+                "the carried hashes are the transactions' hashes"
+            );
+            let replay = serial_replay(&proposal.block, &world, &p.config.env);
+            assert_eq!(replay.state_root(), proposal.post_state.state_root());
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!  ingest ──add_batch──▶ TxPool (capacity-bounded)
-//!                          │ pop_many (engine workers)
+//!                          │ turn (engine workers)
 //!                        proposer ──Block──▶ codec ──Arc<[u8]>──▶ validator 0 (+ store)
 //!                          ▲        bounded         bounded  └──▶ validator k
 //!                          │ lock-step only: wait for commits
@@ -23,6 +23,11 @@
 //! * The codec stage encodes each block **once** and hands the bytes to all
 //!   `K` validator wires as a shared `Arc<[u8]>` — refcount bumps, not
 //!   copies — keeping serialization off the proposer's critical path.
+//! * Nobody polls the pool. The ingest stage parks on it until there is room
+//!   for a chunk of what it holds, the proposer until it holds a block's
+//!   minimum; the pool wakes each from the turn or the batch that makes its
+//!   condition true. Both waits time out every millisecond, only so that a
+//!   stop request is seen.
 //! * Shutdown is by channel disconnect: the proposer finishing (or
 //!   [`RunningNode::stop`]) drops the head of the chain of senders and each
 //!   stage drains what it already received, so every proposed block is
@@ -33,7 +38,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use blockpilot_core::{
     BlockStmProposer, OccWsiConfig, OccWsiProposer, ProposerAlgo, ValidationHandle, Validator,
@@ -50,8 +55,15 @@ use crossbeam::channel::bounded;
 use crate::config::{NodeConfig, NodeMode};
 use crate::stats::{micros_since, StageStats};
 
-/// How long starved stages sleep between polls of an empty pool.
-const POOL_POLL_MICROS: u64 = 50;
+/// The most room the ingest stage waits for before it offers what it holds:
+/// enough that it is woken about twice a block rather than at every commit,
+/// small enough that the pool never runs far below its cap.
+const INGEST_CHUNK: usize = 64;
+
+/// How long a stage parked on the pool sleeps before it looks at the stop
+/// flag again. The pool wakes it as soon as its condition holds; the timeout
+/// bounds shutdown latency, not throughput.
+const STOP_CHECK: Duration = Duration::from_millis(1);
 
 /// Highest height each validator has committed, for lock-step pacing and
 /// progress tracking.
@@ -304,20 +316,20 @@ impl RunningNode {
                 let mut stats = StageStats::default();
                 let mut batch: Vec<_> = Vec::new();
                 while !stop.load(Ordering::Acquire) {
+                    let t = Instant::now();
                     if batch.is_empty() {
-                        let t = Instant::now();
                         batch = gen.next_block_txs();
-                        stats.busy_micros += micros_since(t);
                     }
-                    let offered = batch.len();
-                    let taken = pool.add_batch(&mut batch);
-                    stats.items += taken as u64;
-                    if taken < offered {
-                        // Pool full: backpressure from the proposer. Sleep
-                        // briefly and re-offer the remainder in order (no
-                        // nonce gaps).
+                    // What the pool refuses stays in `batch`, in order (no
+                    // nonce gaps), and is offered again. Admission hashes
+                    // the transactions: that is this stage's work too.
+                    stats.items += pool.add_batch(&mut batch) as u64;
+                    stats.busy_micros += micros_since(t);
+                    if !batch.is_empty() {
+                        // Pool full: backpressure from the proposer. Park
+                        // until its workers have freed a chunk's worth.
                         let t = Instant::now();
-                        std::thread::sleep(std::time::Duration::from_micros(POOL_POLL_MICROS));
+                        pool.wait_for_room(batch.len().min(INGEST_CHUNK), STOP_CHECK);
                         stats.stall_micros += micros_since(t);
                     }
                 }
@@ -345,8 +357,9 @@ impl RunningNode {
                         }
                         // Wait for ingest to fill the pool far enough.
                         let t = Instant::now();
-                        while pool.len() < config.min_pool_txs && !stop.load(Ordering::Acquire) {
-                            std::thread::sleep(std::time::Duration::from_micros(POOL_POLL_MICROS));
+                        let mut filled = false;
+                        while !filled && !stop.load(Ordering::Acquire) {
+                            filled = pool.wait_for_len(config.min_pool_txs, STOP_CHECK);
                         }
                         stats.wait_micros += micros_since(t);
                         if stop.load(Ordering::Acquire) {
@@ -484,7 +497,7 @@ impl RunningNode {
 
                         let delay = delays.next_delay(k);
                         if delay > 0 {
-                            std::thread::sleep(std::time::Duration::from_micros(delay));
+                            std::thread::sleep(Duration::from_micros(delay));
                             stage.stats.injected_micros += delay;
                         }
                         stage.on_wire(height, &bytes);

@@ -107,20 +107,27 @@ impl MultiVersionState {
     }
 
     /// Materializes the world as of `version` (base plus the newest write ≤
-    /// `version` of every key). Used when sealing the proposed block.
-    ///
-    /// Starts from a copy-on-write snapshot of the base world and applies all
-    /// versioned writes as one batched [`WriteSet`], so the cost is
-    /// O(written keys), not O(world size).
+    /// `version` of every key), by walking every version chain. The
+    /// two-phase proposer seals through [`MultiVersionState::with_writes`]
+    /// from the write sets its workers already hold; this is for callers
+    /// that hold none (the coarse-lock path, tests).
     pub fn materialize(&self, version: u64) -> WorldState {
-        let mut world = self.base.snapshot();
         let mut writes: WriteSet = Default::default();
         for (key, chain) in self.versions.snapshot() {
             if let Some((_, value)) = chain.iter().rev().find(|(v, _)| *v <= version) {
                 writes.insert(key, *value);
             }
         }
-        world.apply_writes(&writes);
+        self.with_writes(&writes)
+    }
+
+    /// The base world with `writes` applied as one batch and the code
+    /// installed during the block: a copy-on-write snapshot, so the cost is
+    /// O(written keys), not O(world size). `writes` is the caller's fold of
+    /// the block's write sets in commit order, later versions over earlier.
+    pub fn with_writes(&self, writes: &WriteSet) -> WorldState {
+        let mut world = self.base.snapshot();
+        world.apply_writes(writes);
         for (addr, code) in self.code.snapshot() {
             world.set_code(addr, (*code).clone());
         }

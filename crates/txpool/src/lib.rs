@@ -9,19 +9,39 @@
 //!   typically use), with per-sender **nonce order** enforced: only the
 //!   lowest-nonce pending transaction of each sender is eligible, because a
 //!   later one can never commit before it;
-//! * re-injected (aborted) transactions keep their identity and priority.
+//! * re-injected (aborted) transactions keep their identity and priority:
+//!   gas price first, arrival order among equal prices;
+//! * a `(sender, nonce)` pair holds **one** transaction. A later arrival
+//!   under an occupied pair replaces the earlier one when it pays a higher
+//!   gas price and the earlier one is not checked out; otherwise it is
+//!   dropped. Either way the pool's size does not change.
+//!
+//! A worker talks to the pool in **turns** ([`TxPool::turn`]): one lock
+//! acquisition retires what it committed since its last turn, returns what
+//! it aborted and checks out its next batch, each transaction with the hash
+//! the pool computed at admission so nobody downstream hashes it again.
+//! Hashing happens outside the lock, and the two parties that wait on the
+//! pool — a feeder for room, a proposer for transactions — park on
+//! condition variables that a turn signals only when their condition holds.
+//!
+//! The maps are keyed by transaction hashes and sender addresses through the
+//! Fx hasher, which an adversary who grinds keys can degrade; admission
+//! control in front of the pool is the place to bound that, not SipHash on
+//! the proposer's hot path.
 
 #![warn(missing_docs)]
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::hash_map::Entry as MapEntry;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::time::{Duration, Instant};
 
 use bp_evm::Transaction;
-use bp_types::{Address, TxHash};
-use parking_lot::Mutex;
+use bp_types::{Address, FxHashMap, TxHash};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-/// Heap entry ordering: higher gas price first, then insertion sequence for
-/// a stable total order.
+/// Heap entry ordering: higher gas price first, then arrival sequence for a
+/// stable total order.
 #[derive(Clone, Debug)]
 struct Entry {
     gas_price: u64,
@@ -48,102 +68,216 @@ impl Ord for Entry {
     }
 }
 
+/// One admitted transaction.
+struct Pooled {
+    tx: Transaction,
+    /// Arrival number, kept for as long as the transaction is in the pool so
+    /// that a returned transaction re-enters the heap where it was.
+    seq: u64,
+    /// Checked out by a worker.
+    in_flight: bool,
+}
+
+impl Pooled {
+    /// The transaction's place in the ready heap.
+    fn ready_entry(&self, hash: TxHash) -> Entry {
+        Entry {
+            gas_price: self.tx.gas_price,
+            seq: self.seq,
+            hash,
+        }
+    }
+}
+
+/// The least amount any parked waiter waits for, `None` when nobody has
+/// parked since the last notification. A waiter lowers it under the pool
+/// lock before it parks; whoever changes the pool notifies — and resets it —
+/// only once that amount is there, so a waiter is not woken for every
+/// commit. A waiter that left on its timeout leaves its amount behind, which
+/// costs one notification nobody hears.
+type Wanted = Option<usize>;
+
 struct Inner {
-    // Eligible transactions (lowest pending nonce per sender).
+    // Eligible transactions (lowest pending nonce per sender). Entries go
+    // stale when their transaction leaves, is checked out or stops being its
+    // sender's head; `check_out` filters them.
     ready: BinaryHeap<Entry>,
     // All transactions by hash.
-    txs: HashMap<TxHash, Transaction>,
-    // Per-sender queue of pending nonces → hash.
-    by_sender: HashMap<Address, BTreeMap<u64, TxHash>>,
-    // Hashes currently checked out by a worker.
-    in_flight: HashSet<TxHash>,
+    txs: FxHashMap<TxHash, Pooled>,
+    // Per-sender queue of pending nonces → hash. Every transaction in `txs`
+    // has exactly one entry here, and every entry names one in `txs`.
+    by_sender: FxHashMap<Address, BTreeMap<u64, TxHash>>,
+    // How many of `txs` are checked out.
+    in_flight: usize,
     // Admission cap (None = unbounded). Bounds memory under sustained
     // ingest: when the pool is full, `try_add` refuses instead of growing.
     limit: Option<usize>,
     seq: u64,
+    // Free slots a parked feeder waits for.
+    room_wanted: Wanted,
+    // Pool size a parked proposer waits for.
+    len_wanted: Wanted,
 }
 
 impl Inner {
-    /// Inserts a transaction, promoting it if it is the sender's new head.
-    /// Duplicates are ignored. Does not check the admission cap.
-    fn admit(&mut self, tx: Transaction) {
-        let hash = tx.hash();
+    /// Free slots under the admission cap.
+    fn room(&self) -> usize {
+        match self.limit {
+            Some(limit) => limit.saturating_sub(self.txs.len()),
+            None => usize::MAX,
+        }
+    }
+
+    /// Admits `tx`, known by `hash`, promoting it if it is its sender's new
+    /// head. Returns `false` iff it needs a slot and `capped` finds none. A
+    /// duplicate is already present; a second transaction under an occupied
+    /// `(sender, nonce)` replaces the first or is dropped (see the module
+    /// docs) — neither needs a slot, and neither is worth offering again.
+    fn admit(&mut self, hash: TxHash, tx: Transaction, capped: bool) -> bool {
         if self.txs.contains_key(&hash) {
-            return;
+            return true;
         }
-        let sender = tx.sender;
-        let nonce = tx.nonce;
-        self.txs.insert(hash, tx);
-        let is_head = {
-            let queue = self.by_sender.entry(sender).or_default();
-            queue.insert(nonce, hash);
-            *queue.iter().next().expect("just inserted").1 == hash
+        let (sender, nonce, gas_price) = (tx.sender, tx.nonce, tx.gas_price);
+        if let Some(&old) = self.by_sender.get(&sender).and_then(|q| q.get(&nonce)) {
+            let earlier = &self.txs[&old];
+            if earlier.in_flight || earlier.tx.gas_price >= gas_price {
+                return true;
+            }
+            // The stale heap entry of the replaced transaction names a hash
+            // the pool no longer knows and is skipped at check-out.
+            self.txs.remove(&old);
+        } else if capped && self.room() == 0 {
+            return false;
+        }
+        self.seq += 1;
+        let pooled = Pooled {
+            tx,
+            seq: self.seq,
+            in_flight: false,
         };
-        if is_head {
-            self.promote(&sender);
+        let queue = self.by_sender.entry(sender).or_default();
+        queue.insert(nonce, hash);
+        // Entries for transactions that are not (or no longer) their
+        // sender's head are filtered at check-out.
+        if queue.keys().next() == Some(&nonce) {
+            self.ready.push(pooled.ready_entry(hash));
         }
+        self.txs.insert(hash, pooled);
+        true
     }
 
     /// The hash the pool knows `tx` by: read from the sender's nonce queue
     /// when the transaction stored there is this one (the case for anything
-    /// the pool handed out), computed only on a miss — a sender may have two
-    /// different transactions admitted under one nonce, and the queue keeps
-    /// the later.
+    /// the pool handed out), computed only on a miss.
     fn hash_of(&self, tx: &Transaction) -> TxHash {
         self.by_sender
             .get(&tx.sender)
             .and_then(|queue| queue.get(&tx.nonce))
-            .filter(|hash| self.txs.get(hash) == Some(tx))
+            .filter(|hash| self.txs[*hash].tx == *tx)
             .copied()
             .unwrap_or_else(|| tx.hash())
     }
 
-    /// Pushes the sender's lowest queued transaction into the ready heap if
-    /// it is not already in flight. Stale heap entries are filtered on pop,
-    /// so over-promotion is harmless.
-    fn promote(&mut self, sender: &Address) {
-        let Some(queue) = self.by_sender.get(sender) else {
-            return;
-        };
-        let Some((_, &hash)) = queue.iter().next() else {
-            return;
-        };
-        if self.in_flight.contains(&hash) {
-            return;
-        }
-        let tx = &self.txs[&hash];
-        self.seq += 1;
-        self.ready.push(Entry {
-            gas_price: tx.gas_price,
-            seq: self.seq,
-            hash,
-        });
-    }
-
     /// Pops the highest-priority eligible transaction, skipping stale heap
-    /// entries, and marks it in-flight.
-    fn pop_one(&mut self) -> Option<Transaction> {
+    /// entries, and marks it in flight.
+    fn check_out(&mut self) -> Option<(TxHash, Transaction)> {
         loop {
-            let entry = self.ready.pop()?;
-            // Skip stale entries (committed, or re-queued with a new entry).
-            if self.in_flight.contains(&entry.hash) {
-                continue;
-            }
-            let Some(tx) = self.txs.get(&entry.hash) else {
+            let Entry { hash, .. } = self.ready.pop()?;
+            // Gone (committed, discarded, replaced) or already handed out.
+            let Some(pooled) = self.txs.get_mut(&hash) else {
                 continue;
             };
-            // Stale entry for a sender whose head changed: only the current
-            // head may execute.
-            let head = self
-                .by_sender
-                .get(&tx.sender)
-                .and_then(|q| q.iter().next().map(|(_, h)| *h));
-            if head != Some(entry.hash) {
+            if pooled.in_flight {
                 continue;
             }
-            self.in_flight.insert(entry.hash);
-            return Some(self.txs[&entry.hash].clone());
+            // A lower nonce of the sender arrived after this entry was
+            // pushed: only the current head may execute.
+            let head = self.by_sender[&pooled.tx.sender].values().next();
+            if head != Some(&hash) {
+                continue;
+            }
+            pooled.in_flight = true;
+            self.in_flight += 1;
+            return Some((hash, pooled.tx.clone()));
         }
+    }
+
+    /// Returns a checked-out transaction to the ready heap. Unknown hashes
+    /// and transactions that are not checked out are left alone.
+    fn give_back(&mut self, hash: &TxHash) {
+        if let Some(pooled) = self.txs.get_mut(hash) {
+            if pooled.in_flight {
+                pooled.in_flight = false;
+                self.in_flight -= 1;
+                self.ready.push(pooled.ready_entry(*hash));
+            }
+        }
+    }
+
+    /// Removes a committed transaction and makes the sender's next nonce
+    /// eligible. A hash the pool does not hold is left alone — in particular
+    /// a transaction that was replaced under its `(sender, nonce)` does not
+    /// take its replacement's queue entry with it.
+    fn retire(&mut self, hash: &TxHash) {
+        let Some(pooled) = self.txs.remove(hash) else {
+            return;
+        };
+        self.in_flight -= usize::from(pooled.in_flight);
+        let MapEntry::Occupied(mut queue) = self.by_sender.entry(pooled.tx.sender) else {
+            unreachable!("every pooled transaction is queued under its sender");
+        };
+        let unlinked = queue.get_mut().remove(&pooled.tx.nonce);
+        debug_assert_eq!(unlinked, Some(*hash));
+        match queue.get().values().next() {
+            Some(next) => {
+                let head = &self.txs[next];
+                if !head.in_flight {
+                    self.ready.push(head.ready_entry(*next));
+                }
+            }
+            None => {
+                queue.remove();
+            }
+        }
+    }
+
+    /// Drops a transaction for good, and with it the sender's queued higher
+    /// nonces.
+    fn discard(&mut self, hash: &TxHash) {
+        let Some(pooled) = self.txs.get(hash) else {
+            return;
+        };
+        let (sender, nonce) = (pooled.tx.sender, pooled.tx.nonce);
+        let MapEntry::Occupied(mut queue) = self.by_sender.entry(sender) else {
+            unreachable!("every pooled transaction is queued under its sender");
+        };
+        let doomed = queue.get_mut().split_off(&nonce);
+        if queue.get().is_empty() {
+            queue.remove();
+        }
+        for hash in doomed.values() {
+            let gone = self
+                .txs
+                .remove(hash)
+                .expect("queued transactions are pooled");
+            self.in_flight -= usize::from(gone.in_flight);
+        }
+        // Stale heap entries for the removed hashes are filtered at
+        // check-out.
+    }
+
+    /// Debug builds: `txs` and the nonce queues hold the same transactions
+    /// and the in-flight count is the number of flags set.
+    fn check(&self) {
+        debug_assert_eq!(
+            self.txs.len(),
+            self.by_sender.values().map(BTreeMap::len).sum::<usize>(),
+            "a transaction is pooled without a queue entry, or queued without being pooled"
+        );
+        debug_assert_eq!(
+            self.in_flight,
+            self.txs.values().filter(|p| p.in_flight).count()
+        );
     }
 }
 
@@ -151,6 +285,10 @@ impl Inner {
 /// ordering.
 pub struct TxPool {
     inner: Mutex<Inner>,
+    /// Signalled when the room a parked feeder waits for is there.
+    room_freed: Condvar,
+    /// Signalled when the pool holds what a parked proposer waits for.
+    filled: Condvar,
 }
 
 impl Default for TxPool {
@@ -177,51 +315,168 @@ impl TxPool {
         TxPool {
             inner: Mutex::new(Inner {
                 ready: BinaryHeap::new(),
-                txs: HashMap::new(),
-                by_sender: HashMap::new(),
-                in_flight: HashSet::new(),
+                txs: FxHashMap::default(),
+                by_sender: FxHashMap::default(),
+                in_flight: 0,
                 limit,
                 seq: 0,
+                room_wanted: None,
+                len_wanted: None,
             }),
+            room_freed: Condvar::new(),
+            filled: Condvar::new(),
         }
+    }
+
+    /// Ends a lock hold that changed the pool: checks the invariants (debug
+    /// builds), releases the lock and wakes the parked waiters whose
+    /// condition now holds — in that order, because the first thing a woken
+    /// waiter does is take the lock.
+    fn settle(&self, mut g: MutexGuard<'_, Inner>) {
+        g.check();
+        let room_freed = g.room_wanted.is_some_and(|want| g.room() >= want);
+        if room_freed {
+            g.room_wanted = None;
+        }
+        let filled = g.len_wanted.is_some_and(|want| g.txs.len() >= want);
+        if filled {
+            g.len_wanted = None;
+        }
+        drop(g);
+        if room_freed {
+            self.room_freed.notify_all();
+        }
+        if filled {
+            self.filled.notify_all();
+        }
+    }
+
+    /// Parks on `cv` until `have(pool) >= want` or `timeout` passes, and
+    /// says which. `wanted` is the slot [`TxPool::settle`] reads for `cv`.
+    fn park(
+        &self,
+        cv: &Condvar,
+        want: usize,
+        timeout: Duration,
+        have: impl Fn(&Inner) -> usize,
+        wanted: impl Fn(&mut Inner) -> &mut Wanted,
+    ) -> bool {
+        let started = Instant::now();
+        let mut g = self.inner.lock();
+        loop {
+            if have(&g) >= want {
+                return true;
+            }
+            let left = timeout.saturating_sub(started.elapsed());
+            if left.is_zero() {
+                return false;
+            }
+            let slot = wanted(&mut g);
+            *slot = Some(slot.map_or(want, |least| least.min(want)));
+            cv.wait_for(&mut g, left);
+        }
+    }
+
+    /// Blocks until the pool has room for `want` more transactions (or for
+    /// as many as its cap allows, if that is fewer), at most `timeout`.
+    /// Returns whether the room is there. The wake-up comes from the turn,
+    /// commit or discard that frees the last needed slot, not from polling.
+    pub fn wait_for_room(&self, want: usize, timeout: Duration) -> bool {
+        let want = want.min(self.inner.lock().limit.unwrap_or(usize::MAX));
+        self.park(&self.room_freed, want, timeout, Inner::room, |g| {
+            &mut g.room_wanted
+        })
+    }
+
+    /// Blocks until the pool holds at least `want` transactions (checked-out
+    /// ones included), at most `timeout`. Returns whether it does.
+    pub fn wait_for_len(&self, want: usize, timeout: Duration) -> bool {
+        self.park(
+            &self.filled,
+            want,
+            timeout,
+            |g| g.txs.len(),
+            |g| &mut g.len_wanted,
+        )
     }
 
     /// Adds a transaction unconditionally (the admission cap is not
     /// consulted). Duplicate hashes are ignored.
     pub fn add(&self, tx: Transaction) {
-        self.inner.lock().admit(tx);
+        let hash = tx.hash();
+        let mut g = self.inner.lock();
+        g.admit(hash, tx, false);
+        self.settle(g);
     }
 
     /// Adds a transaction unless the pool is at its admission cap. Returns
-    /// `false` iff the transaction was refused for capacity (duplicates
-    /// count as accepted — they are already present).
+    /// `false` iff the transaction was refused for capacity (a duplicate, a
+    /// replacement and a dropped underpriced replacement need no slot and
+    /// count as accepted: offering them again changes nothing).
     pub fn try_add(&self, tx: Transaction) -> bool {
+        let hash = tx.hash();
         let mut g = self.inner.lock();
-        if let Some(limit) = g.limit {
-            if g.txs.len() >= limit && !g.txs.contains_key(&tx.hash()) {
-                return false;
-            }
-        }
-        g.admit(tx);
-        true
+        let accepted = g.admit(hash, tx, true);
+        self.settle(g);
+        accepted
     }
 
-    /// Adds a batch of transactions under a single lock acquisition,
-    /// stopping at the admission cap. Returns how many were taken; the
-    /// caller re-offers the remainder after draining. One acquisition per
-    /// batch keeps sustained ingest from serializing against proposer
-    /// workers' `pop_many`/`commit` traffic.
+    /// Adds a prefix of `txs`, stopping at the admission cap. Returns how
+    /// many were taken; the caller re-offers the remainder after draining.
+    /// The lock is held twice, briefly: once to read the room, once to admit
+    /// — the transactions are hashed in between, so proposer workers' turns
+    /// never wait behind a batch of keccaks.
     pub fn add_batch(&self, txs: &mut Vec<Transaction>) -> usize {
-        let mut g = self.inner.lock();
-        let room = match g.limit {
-            Some(limit) => limit.saturating_sub(g.txs.len()),
-            None => txs.len(),
-        };
-        let take = room.min(txs.len());
-        for tx in txs.drain(..take) {
-            g.admit(tx);
+        let room = self.inner.lock().room().min(txs.len());
+        if room == 0 {
+            return 0;
         }
+        let hashes: Vec<TxHash> = txs[..room].iter().map(Transaction::hash).collect();
+        let mut g = self.inner.lock();
+        // Other feeders may have used some of the room meanwhile.
+        let take = g.room().min(room);
+        for (hash, tx) in hashes.into_iter().zip(txs.drain(..take)) {
+            g.admit(hash, tx, false);
+        }
+        self.settle(g);
         take
+    }
+
+    /// One worker's turn at the pool, under a single lock acquisition:
+    /// retires the transactions it `committed` since its last turn (each
+    /// sender's next nonce becomes eligible), returns the ones it aborted
+    /// (`returned`) to the ready heap at their original priority, and checks
+    /// out up to `max` eligible transactions into `out`, highest priority
+    /// first, each with the hash the pool computed when it admitted it. Both
+    /// lists are drained. Returns the number of transactions left in the
+    /// pool, checked-out ones included, so a worker that got nothing can
+    /// tell an empty pool from a busy one without locking again.
+    ///
+    /// A turn with `max == 0` only hands back; a worker takes one before it
+    /// leaves.
+    pub fn turn(
+        &self,
+        committed: &mut Vec<TxHash>,
+        returned: &mut Vec<TxHash>,
+        max: usize,
+        out: &mut VecDeque<(TxHash, Transaction)>,
+    ) -> usize {
+        let mut g = self.inner.lock();
+        for hash in committed.drain(..) {
+            g.retire(&hash);
+        }
+        for hash in returned.drain(..) {
+            g.give_back(&hash);
+        }
+        for _ in 0..max {
+            match g.check_out() {
+                Some(checked_out) => out.push_back(checked_out),
+                None => break,
+            }
+        }
+        let left = g.txs.len();
+        self.settle(g);
+        left
     }
 
     /// Pops the highest-priority eligible transaction (Algorithm 1
@@ -229,25 +484,19 @@ impl TxPool {
     /// transaction does not become eligible until this one commits or
     /// returns.
     pub fn pop(&self) -> Option<Transaction> {
-        self.inner.lock().pop_one()
+        self.inner.lock().check_out().map(|(_, tx)| tx)
     }
 
     /// Pops up to `max` eligible transactions under a single lock
-    /// acquisition. Proposer workers use this to amortize the pool mutex:
-    /// one acquisition checks out a small batch instead of `max` separate
-    /// lock round-trips. All returned transactions are in-flight, ordered by
+    /// acquisition. All returned transactions are in-flight, ordered by
     /// descending priority, and from distinct senders (per-sender nonce
     /// gating keeps at most one transaction per sender eligible).
     pub fn pop_many(&self, max: usize) -> Vec<Transaction> {
         let mut g = self.inner.lock();
-        let mut out = Vec::with_capacity(max);
-        while out.len() < max {
-            match g.pop_one() {
-                Some(tx) => out.push(tx),
-                None => break,
-            }
-        }
-        out
+        std::iter::from_fn(|| g.check_out())
+            .take(max)
+            .map(|(_, tx)| tx)
+            .collect()
     }
 
     /// Returns an aborted transaction to the pool (Algorithm 1 `PushHeap`):
@@ -255,9 +504,7 @@ impl TxPool {
     pub fn push_back(&self, tx: &Transaction) {
         let mut g = self.inner.lock();
         let hash = g.hash_of(tx);
-        debug_assert!(g.txs.contains_key(&hash), "push_back of unknown tx");
-        g.in_flight.remove(&hash);
-        g.promote(&tx.sender);
+        g.give_back(&hash);
     }
 
     /// Marks a transaction as committed into a block: it leaves the pool and
@@ -265,20 +512,8 @@ impl TxPool {
     pub fn commit(&self, tx: &Transaction) {
         let mut g = self.inner.lock();
         let hash = g.hash_of(tx);
-        g.in_flight.remove(&hash);
-        g.txs.remove(&hash);
-        let sender = tx.sender;
-        let now_empty = if let Some(queue) = g.by_sender.get_mut(&sender) {
-            queue.remove(&tx.nonce);
-            queue.is_empty()
-        } else {
-            false
-        };
-        if now_empty {
-            g.by_sender.remove(&sender);
-        } else {
-            g.promote(&sender);
-        }
+        g.retire(&hash);
+        self.settle(g);
     }
 
     /// Drops a transaction permanently (invalid nonce/funds).
@@ -291,21 +526,16 @@ impl TxPool {
     pub fn discard(&self, tx: &Transaction) {
         let mut g = self.inner.lock();
         let hash = g.hash_of(tx);
-        g.in_flight.remove(&hash);
-        g.txs.remove(&hash);
-        if let Some(queue) = g.by_sender.remove(&tx.sender) {
-            let doomed: Vec<TxHash> = queue.range(tx.nonce..).map(|(_, h)| *h).collect();
-            for h in doomed {
-                g.txs.remove(&h);
-                g.in_flight.remove(&h);
-            }
-            let mut keep: BTreeMap<u64, TxHash> = queue;
-            keep.retain(|&nonce, _| nonce < tx.nonce);
-            if !keep.is_empty() {
-                g.by_sender.insert(tx.sender, keep);
-            }
-        }
-        // Stale heap entries for the removed hashes are filtered on pop.
+        g.discard(&hash);
+        self.settle(g);
+    }
+
+    /// [`TxPool::discard`] for a caller that holds the hash the pool checked
+    /// the transaction out with.
+    pub fn discard_hash(&self, hash: &TxHash) {
+        let mut g = self.inner.lock();
+        g.discard(hash);
+        self.settle(g);
     }
 
     /// Number of transactions currently in the pool (including in-flight).
@@ -320,7 +550,7 @@ impl TxPool {
 
     /// Number of transactions checked out by workers.
     pub fn in_flight(&self) -> usize {
-        self.inner.lock().in_flight.len()
+        self.inner.lock().in_flight
     }
 }
 
@@ -384,6 +614,20 @@ mod tests {
     }
 
     #[test]
+    fn returned_tx_keeps_its_place_among_equal_prices() {
+        let pool = TxPool::new();
+        for sender in 1..=3 {
+            pool.add(tx(sender, 0, 7));
+        }
+        let first = pool.pop().unwrap();
+        assert_eq!(first.sender, addr(1), "earliest arrival wins the tie");
+        pool.push_back(&first);
+        // Arrival order is kept for life, not renewed by the return.
+        let order: Vec<Address> = pool.pop_many(3).iter().map(|t| t.sender).collect();
+        assert_eq!(order, vec![addr(1), addr(2), addr(3)]);
+    }
+
+    #[test]
     fn commit_removes_and_unblocks() {
         let pool = TxPool::new();
         pool.add(tx(1, 0, 5));
@@ -411,25 +655,56 @@ mod tests {
     fn stored_hash_is_used_only_for_the_stored_transaction() {
         let pool = TxPool::new();
         let a = tx(1, 0, 5);
-        let b = tx(1, 0, 6); // same sender and nonce, another transaction
+        let b = tx(1, 0, 6); // same sender and nonce, pays more: replaces `a`
         let unknown = tx(2, 0, 5);
         pool.add(a.clone());
         pool.add(b.clone());
         {
             let g = pool.inner.lock();
-            // The nonce queue points at the later arrival: that one is a
+            // The nonce queue points at the replacement: that one is a
             // lookup, the other two fall back to hashing.
             assert_eq!(g.by_sender[&addr(1)][&0], b.hash());
             assert_eq!(g.hash_of(&b), b.hash());
             assert_eq!(g.hash_of(&a), a.hash());
             assert_eq!(g.hash_of(&unknown), unknown.hash());
         }
-        // So committing `a` removes `a`, not the transaction queued under
-        // its nonce.
+        // So committing `a`, which the pool no longer holds, touches neither
+        // the transaction queued under its nonce nor that queue entry.
         pool.commit(&a);
         let g = pool.inner.lock();
         assert!(!g.txs.contains_key(&a.hash()));
         assert!(g.txs.contains_key(&b.hash()));
+        assert_eq!(g.by_sender[&addr(1)][&0], b.hash());
+    }
+
+    #[test]
+    fn one_transaction_per_sender_and_nonce() {
+        let pool = TxPool::with_capacity_limit(2);
+        let cheap = tx(1, 0, 5);
+        assert!(pool.try_add(cheap.clone()));
+        assert!(pool.try_add(tx(2, 0, 1)));
+        // Full — yet a better-paying transaction under an occupied
+        // (sender, nonce) needs no slot: it takes the earlier one's.
+        let dear = tx(1, 0, 9);
+        assert!(pool.try_add(dear.clone()));
+        assert_eq!(pool.len(), 2, "the replaced transaction freed its slot");
+        assert!(!pool.try_add(tx(3, 0, 1)), "and the pool is still full");
+        // An arrival that does not pay more is dropped, for good.
+        assert!(pool.try_add(tx(1, 0, 9 - 1)));
+        assert!(pool.try_add(cheap));
+        assert_eq!(pool.len(), 2);
+        // The replacement is what executes; while it is checked out it
+        // cannot be replaced in turn.
+        assert_eq!(pool.pop(), Some(dear.clone()));
+        assert!(pool.try_add(tx(1, 0, 50)));
+        pool.push_back(&dear);
+        assert_eq!(pool.pop(), Some(dear.clone()));
+        pool.commit(&dear);
+        assert_eq!(pool.len(), 1);
+        assert!(pool.try_add(tx(3, 0, 1)), "the committed slot is free");
+        assert_eq!(pool.pop().map(|t| t.sender), Some(addr(2)));
+        assert_eq!(pool.pop().map(|t| t.sender), Some(addr(3)));
+        assert_eq!(pool.pop(), None);
     }
 
     #[test]
@@ -570,6 +845,252 @@ mod tests {
         assert!(batch.is_empty());
     }
 
+    #[test]
+    fn a_turn_retires_returns_and_checks_out() {
+        let pool = TxPool::new();
+        pool.add(tx(1, 0, 10));
+        pool.add(tx(1, 1, 99)); // gated behind nonce 0
+        pool.add(tx(2, 0, 30));
+        pool.add(tx(3, 0, 20));
+        let (mut committed, mut returned) = (Vec::new(), Vec::new());
+        let mut out = VecDeque::new();
+        assert_eq!(pool.turn(&mut committed, &mut returned, 2, &mut out), 4);
+        let prices: Vec<u64> = out.iter().map(|(_, t)| t.gas_price).collect();
+        assert_eq!(prices, vec![30, 20]);
+        assert!(out.iter().all(|(hash, t)| *hash == t.hash()));
+        assert_eq!(pool.in_flight(), 2);
+        // Commit the first, abort the second; the next turn sees both.
+        committed.push(out.pop_front().unwrap().0);
+        returned.push(out.pop_front().unwrap().0);
+        assert_eq!(pool.turn(&mut committed, &mut returned, 4, &mut out), 3);
+        assert!(committed.is_empty() && returned.is_empty(), "both drained");
+        let prices: Vec<u64> = out.iter().map(|(_, t)| t.gas_price).collect();
+        assert_eq!(
+            prices,
+            vec![20, 10],
+            "the aborted one is back, nonce 1 waits"
+        );
+        // Retiring sender 1's nonce 0 promotes its nonce 1 within the turn
+        // that retires it; a turn with `max == 0` only hands back.
+        committed.extend(out.drain(..).map(|(hash, _)| hash));
+        assert_eq!(pool.turn(&mut committed, &mut returned, 0, &mut out), 1);
+        assert!(out.is_empty());
+        assert_eq!(pool.turn(&mut committed, &mut returned, 4, &mut out), 1);
+        assert_eq!(out[0].1.gas_price, 99);
+        assert_eq!(pool.in_flight(), 1);
+    }
+
+    #[test]
+    fn waits_time_out_or_return_at_once() {
+        let brief = Duration::from_millis(2);
+        let pool = TxPool::with_capacity_limit(2);
+        assert!(pool.wait_for_room(2, brief));
+        assert!(
+            pool.wait_for_room(50, brief),
+            "more than the cap is clamped"
+        );
+        assert!(!pool.wait_for_len(1, brief));
+        pool.add(tx(1, 0, 1));
+        pool.add(tx(2, 0, 1));
+        assert!(pool.wait_for_len(2, brief));
+        assert!(!pool.wait_for_room(1, brief));
+        assert!(TxPool::new().wait_for_room(usize::MAX, brief));
+    }
+
+    /// The pool's policy over one sorted map, one operation at a time: the
+    /// reference the model test compares the pool against.
+    #[derive(Default)]
+    struct Model {
+        limit: usize,
+        seq: u64,
+        txs: BTreeMap<(Address, u64), ModelTx>,
+    }
+
+    struct ModelTx {
+        hash: TxHash,
+        gas_price: u64,
+        seq: u64,
+        in_flight: bool,
+    }
+
+    impl Model {
+        fn admit(&mut self, tx: &Transaction) {
+            let hash = tx.hash();
+            if let Some(old) = self.txs.get(&(tx.sender, tx.nonce)) {
+                if old.hash == hash || old.in_flight || old.gas_price >= tx.gas_price {
+                    return;
+                }
+            }
+            self.seq += 1;
+            let entry = ModelTx {
+                hash,
+                gas_price: tx.gas_price,
+                seq: self.seq,
+                in_flight: false,
+            };
+            self.txs.insert((tx.sender, tx.nonce), entry);
+        }
+
+        fn add_batch(&mut self, txs: &[Transaction]) -> usize {
+            let take = (self.limit - self.txs.len()).min(txs.len());
+            txs[..take].iter().for_each(|tx| self.admit(tx));
+            take
+        }
+
+        fn key_of(&self, hash: &TxHash) -> Option<(Address, u64)> {
+            let found = self.txs.iter().find(|(_, t)| t.hash == *hash);
+            found.map(|(key, _)| *key)
+        }
+
+        fn retire(&mut self, hash: &TxHash) {
+            if let Some(key) = self.key_of(hash) {
+                self.txs.remove(&key);
+            }
+        }
+
+        fn give_back(&mut self, hash: &TxHash) {
+            if let Some(key) = self.key_of(hash) {
+                self.txs.get_mut(&key).unwrap().in_flight = false;
+            }
+        }
+
+        fn discard(&mut self, hash: &TxHash) {
+            if let Some((sender, nonce)) = self.key_of(hash) {
+                self.txs.retain(|&(s, n), _| s != sender || n < nonce);
+            }
+        }
+
+        /// Each sender's lowest nonce, unless checked out, best price first
+        /// and earliest arrival first among equals.
+        fn check_out(&mut self, max: usize) -> Vec<TxHash> {
+            let mut heads: Vec<&mut ModelTx> = Vec::new();
+            let mut last_sender = None;
+            for ((sender, _), tx) in self.txs.iter_mut() {
+                if last_sender != Some(*sender) && !tx.in_flight {
+                    heads.push(tx);
+                }
+                last_sender = Some(*sender);
+            }
+            heads.sort_by_key(|t| (std::cmp::Reverse(t.gas_price), t.seq));
+            heads.truncate(max);
+            heads.iter_mut().for_each(|t| t.in_flight = true);
+            heads.iter().map(|t| t.hash).collect()
+        }
+
+        fn in_flight(&self) -> usize {
+            self.txs.values().filter(|t| t.in_flight).count()
+        }
+    }
+
+    /// Random interleavings of `add_batch`, worker turns and `discard_hash`
+    /// against [`Model`]: every turn must check out exactly what the
+    /// reference does, in its order — which pins priority (a returned
+    /// transaction included), per-sender nonce order, one holder at a time
+    /// and the promotion of the next nonce by the turn that retires one.
+    #[test]
+    fn stress_random_turns_match_a_sequential_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        const LIMIT: usize = 24;
+        const SENDERS: u64 = 6;
+        const WORKERS: usize = 3;
+
+        #[derive(Default)]
+        struct Worker {
+            held: VecDeque<(TxHash, Transaction)>,
+            committed: Vec<TxHash>,
+            returned: Vec<TxHash>,
+        }
+
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(0x7001 + seed);
+            let pool = TxPool::with_capacity_limit(LIMIT);
+            let mut model = Model {
+                limit: LIMIT,
+                ..Model::default()
+            };
+            let mut workers: Vec<Worker> = (0..WORKERS).map(|_| Worker::default()).collect();
+            let mut next_nonce = [0u64; SENDERS as usize];
+            let mut unique = 0u64;
+            let mut committed_ever: HashSet<TxHash> = HashSet::new();
+
+            for step in 0..4_000 {
+                // The last stretch only drains, so the run ends empty.
+                let draining = step >= 3_000;
+                if !draining && rng.gen_range(0..3) == 0 {
+                    let mut batch: Vec<Transaction> = (0..rng.gen_range(1..=6))
+                        .map(|_| {
+                            let s = rng.gen_range(0..SENDERS);
+                            let fresh = next_nonce[s as usize];
+                            // One in four lands on a nonce the sender used
+                            // before: a replacement, an underpriced arrival,
+                            // or a lower nonce than the queued head.
+                            let nonce = if fresh > 0 && rng.gen_range(0..4) == 0 {
+                                rng.gen_range(fresh.saturating_sub(3)..fresh)
+                            } else {
+                                next_nonce[s as usize] += 1;
+                                fresh
+                            };
+                            unique += 1;
+                            let mut t = tx(s, nonce, rng.gen_range(1..=4));
+                            t.value = U256::from(unique); // no two alike
+                            t
+                        })
+                        .collect();
+                    if rng.gen_range(0..8) == 0 {
+                        batch.push(batch[0].clone()); // an exact duplicate
+                    }
+                    let offered = batch.clone();
+                    let taken = pool.add_batch(&mut batch);
+                    assert_eq!(taken, model.add_batch(&offered), "seed {seed} step {step}");
+                    assert_eq!(batch[..], offered[taken..], "the rest stays, in order");
+                } else {
+                    let w = &mut workers[rng.gen_range(0..WORKERS)];
+                    // Decide the fate of some of what the worker holds.
+                    for _ in 0..w.held.len() {
+                        let (hash, t) = w.held.pop_front().unwrap();
+                        match rng.gen_range(0..if draining { 1 } else { 10 }) {
+                            0..=4 => {
+                                assert!(committed_ever.insert(hash), "committed twice");
+                                w.committed.push(hash);
+                            }
+                            5..=6 => w.returned.push(hash),
+                            7 => {
+                                pool.discard_hash(&hash);
+                                model.discard(&hash);
+                            }
+                            _ => w.held.push_back((hash, t)),
+                        }
+                    }
+                    let max = rng.gen_range(0..=4);
+                    w.committed.iter().for_each(|h| model.retire(h));
+                    w.returned.iter().for_each(|h| model.give_back(h));
+                    let expected = model.check_out(max);
+                    let before = w.held.len();
+                    let left = pool.turn(&mut w.committed, &mut w.returned, max, &mut w.held);
+                    let got: Vec<TxHash> = w.held.iter().skip(before).map(|(h, _)| *h).collect();
+                    assert_eq!(got, expected, "seed {seed} step {step}");
+                    assert!(w.held.iter().all(|(hash, t)| *hash == t.hash()));
+                    assert_eq!(left, model.txs.len());
+                }
+                assert_eq!(pool.len(), model.txs.len());
+                assert!(pool.len() <= LIMIT);
+                assert_eq!(pool.in_flight(), model.in_flight());
+                // Nobody holds what somebody else holds.
+                let held: Vec<TxHash> = workers
+                    .iter()
+                    .flat_map(|w| w.held.iter().map(|(h, _)| *h))
+                    .collect();
+                assert_eq!(held.iter().collect::<HashSet<_>>().len(), held.len());
+            }
+            assert!(!committed_ever.is_empty());
+            assert!(pool.is_empty(), "seed {seed}: the drain left something");
+            assert_eq!(pool.in_flight(), 0);
+        }
+    }
+
     /// Sustained ingest while proposer workers drain: feeders push nonce
     /// sequences through the capacity-bounded path, drainers pop/commit
     /// concurrently. Every admitted transaction must eventually commit
@@ -640,6 +1161,98 @@ mod tests {
         assert_eq!(all.len(), total, "no tx commits twice");
         assert!(pool.is_empty());
         assert_eq!(pool.in_flight(), 0);
+    }
+
+    /// The same sustained ingest, as the node runs it: drainers talk to the
+    /// pool in turns and commit by hash, feeders park on the room condition
+    /// instead of polling. The wait's timeout is ten seconds and the test
+    /// must finish in one, so a lost wake-up fails it instead of hiding
+    /// behind the timeout.
+    #[test]
+    fn stress_parked_feeders_vs_turns_commit_everything_once_in_nonce_order() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+        use std::sync::Arc;
+
+        const SENDERS: u64 = 8;
+        const PER_SENDER: u64 = 50;
+        let pool = Arc::new(TxPool::with_capacity_limit(32));
+        let done_feeding = Arc::new(AtomicBool::new(false));
+        let clock = Arc::new(AtomicU64::new(0));
+        let started = Instant::now();
+
+        let feeders: Vec<_> = (0..SENDERS)
+            .map(|s| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    for n in 0..PER_SENDER {
+                        let t = tx(s, n, 1 + (s + n) % 7);
+                        loop {
+                            let woken = pool.wait_for_room(1, Duration::from_secs(10));
+                            assert!(woken, "a feeder slept through ten seconds of commits");
+                            // Another feeder may have taken the slot.
+                            if pool.try_add(t.clone()) {
+                                break;
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+
+        let drainers: Vec<_> = (0..3)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                let done = Arc::clone(&done_feeding);
+                let clock = Arc::clone(&clock);
+                std::thread::spawn(move || {
+                    let mut log: Vec<(u64, Address, u64)> = Vec::new();
+                    let (mut committed, mut returned) = (Vec::new(), Vec::new());
+                    let mut out = VecDeque::new();
+                    loop {
+                        let left = pool.turn(&mut committed, &mut returned, 4, &mut out);
+                        if out.is_empty() {
+                            if done.load(AtomicOrdering::Acquire) && left == 0 {
+                                break;
+                            }
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        for (hash, t) in out.drain(..) {
+                            let at = clock.fetch_add(1, AtomicOrdering::SeqCst);
+                            log.push((at, t.sender, t.nonce));
+                            committed.push(hash);
+                        }
+                    }
+                    log
+                })
+            })
+            .collect();
+
+        for f in feeders {
+            f.join().unwrap();
+        }
+        done_feeding.store(true, AtomicOrdering::Release);
+        let mut log: Vec<(u64, Address, u64)> = drainers
+            .into_iter()
+            .flat_map(|d| d.join().unwrap())
+            .collect();
+        let elapsed = started.elapsed();
+        assert_eq!(log.len() as u64, SENDERS * PER_SENDER, "every tx commits");
+        // A sender's next nonce is checked out only after the turn that
+        // retired the one before, so in commit order nonces ascend.
+        log.sort_unstable();
+        let mut next = std::collections::HashMap::new();
+        for (_, sender, nonce) in log {
+            let expected = next.entry(sender).or_insert(0u64);
+            assert_eq!(nonce, *expected, "out of order, or committed twice");
+            *expected += 1;
+        }
+        assert!(pool.is_empty());
+        assert_eq!(pool.in_flight(), 0);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "took {elapsed:?}: a waiter was left to its timeout"
+        );
     }
 
     #[test]
