@@ -16,8 +16,6 @@
 //!   ("block budget"; default auto-scales with size);
 //! * `BP_SR_10M` — `1` appends a 10M-account sweep (slow; opt-in);
 //! * `BP_SR_LAYERED` — `0` skips the snap-backed layered scenarios;
-//! * `BP_SR_THREADS` — comma-separated worker counts for the parallel
-//!   commit sweep (default `1,2,4,8,16`; `0` skips the sweep);
 //! * `BP_SR_APPEND` — `1` appends rows to an existing out file instead of
 //!   overwriting it.
 
@@ -182,53 +180,6 @@ fn measure_block_scenario(reps: usize) -> Row {
     }
 }
 
-/// One cell of the parallel-commit sweep: the same 1%-dirty incremental
-/// recommit with the commit thread cap pinned to `threads`, measured on
-/// *this* host. Measured only: a commit hands its shards — storage tries and
-/// account bodies included — to whichever thread is free, which calibrated
-/// trie-only subtree costs packed over lanes would not describe.
-struct ThreadRow {
-    accounts: u64,
-    dirty_accounts: usize,
-    threads: usize,
-    incremental_ms: f64,
-    final_root: H256,
-}
-
-/// Sweeps `set_commit_threads` over `threads_list` on identical worlds and
-/// identical dirty sequences, so every cell commits the exact same state.
-/// Returns one row per worker count; the caller asserts the roots agree.
-fn measure_thread_sweep(
-    accounts: u64,
-    fraction: f64,
-    threads_list: &[usize],
-    reps: usize,
-) -> Vec<ThreadRow> {
-    let dirty = ((accounts as f64 * fraction) as usize).max(1);
-    let base = build_world(accounts, 2);
-    let _ = base.state_root(); // prime the memo once; clones share it
-    threads_list
-        .iter()
-        .map(|&threads| {
-            let mut world = base.clone();
-            world.set_commit_threads(threads.max(1));
-            let mut salt = 0u64;
-            let incremental_ms = time_ms(reps, || {
-                salt += 1;
-                dirty_accounts(&mut world, accounts, dirty, salt);
-                std::hint::black_box(world.state_root());
-            });
-            ThreadRow {
-                accounts,
-                dirty_accounts: dirty,
-                threads,
-                incremental_ms,
-                final_root: world.state_root(),
-            }
-        })
-        .collect()
-}
-
 /// Default measurement repetitions for a world size, unless `BP_SR_BLOCKS`
 /// pins the budget.
 fn reps_for(accounts: u64, budget: Option<u64>) -> usize {
@@ -265,11 +216,6 @@ fn main() {
         .map(|v| v == "0")
         .unwrap_or(false);
 
-    let threads_list: Vec<usize> = env_list("BP_SR_THREADS", &[1usize, 2, 4, 8, 16])
-        .into_iter()
-        .filter(|&t| t > 0)
-        .collect();
-
     let mut rows = Vec::new();
     for &accounts in &account_counts {
         let reps = reps_for(accounts, budget);
@@ -287,25 +233,6 @@ fn main() {
         }
     }
     rows.push(measure_block_scenario(reps_for(10_000, budget)));
-
-    // Parallel-commit sweep: 1%-dirty recommit across worker counts, only
-    // for worlds big enough for subtree hashing to matter.
-    let mut thread_rows: Vec<ThreadRow> = Vec::new();
-    if !threads_list.is_empty() {
-        for &accounts in account_counts.iter().filter(|&&a| a >= 10_000) {
-            let sweep =
-                measure_thread_sweep(accounts, 0.01, &threads_list, reps_for(accounts, budget));
-            // Equality gate: every worker count commits the same root.
-            for pair in sweep.windows(2) {
-                assert_eq!(
-                    pair[0].final_root, pair[1].final_root,
-                    "parallel commit diverged at {accounts} accounts: t{} vs t{}",
-                    pair[0].threads, pair[1].threads
-                );
-            }
-            thread_rows.extend(sweep);
-        }
-    }
 
     println!(
         "{:>14} {:>9} {:>7} {:>12} {:>14} {:>9}",
@@ -335,55 +262,8 @@ fn main() {
         ));
     }
 
-    // Per-account-size t=1 baselines give each sweep cell its speedup.
-    let t1_ms = |accounts: u64| {
-        thread_rows
-            .iter()
-            .find(|r| r.accounts == accounts && r.threads == 1)
-            .map(|r| r.incremental_ms)
-    };
-    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut sweep_lines = String::new();
-    if !thread_rows.is_empty() {
-        println!("\nparallel commit sweep ({host_threads} real thread(s) on this host):");
-        println!(
-            "{:>9} {:>7} {:>8} {:>14} {:>9}",
-            "accounts", "dirty", "threads", "increm(ms)", "vs t1"
-        );
-        for (i, r) in thread_rows.iter().enumerate() {
-            let speedup = t1_ms(r.accounts).map(|t1| t1 / r.incremental_ms);
-            println!(
-                "{:>9} {:>7} {:>8} {:>14.4} {:>8}",
-                r.accounts,
-                r.dirty_accounts,
-                r.threads,
-                r.incremental_ms,
-                speedup
-                    .map(|s| format!("{s:.2}x"))
-                    .unwrap_or_else(|| "-".to_string()),
-            );
-            sweep_lines.push_str(&format!(
-                "    {{\"accounts\": {}, \"dirty_accounts\": {}, \"threads\": {}, \
-                 \"host_threads\": {}, \"incremental_ms\": {:.4}, \"speedup_vs_t1\": {}, \
-                 \"root\": \"{:?}\"}}{}\n",
-                r.accounts,
-                r.dirty_accounts,
-                r.threads,
-                host_threads,
-                r.incremental_ms,
-                speedup
-                    .map(|s| format!("{s:.2}"))
-                    .unwrap_or_else(|| "null".to_string()),
-                r.final_root,
-                if i + 1 == thread_rows.len() { "" } else { "," }
-            ));
-        }
-    }
-    // `thread_sweep` sits before `rows` so the append-mode splice (which
-    // targets the file's last array close) keeps landing inside `rows`.
     let fresh = format!(
-        "{{\n  \"bench\": \"state_root\",\n  \"unit\": \"ms\",\n  \
-         \"thread_sweep\": [\n{sweep_lines}  ],\n  \"rows\": [\n{row_lines}  ]\n}}\n"
+        "{{\n  \"bench\": \"state_root\",\n  \"unit\": \"ms\",\n  \"rows\": [\n{row_lines}  ]\n}}\n"
     );
     let json = if env_flag("BP_SR_APPEND") {
         match std::fs::read_to_string(&out_path) {
@@ -411,20 +291,4 @@ fn main() {
         "acceptance: 132-tx block over 10k accounts must be >= 5x vs cold, got {:.1}x",
         block.speedup()
     );
-    // Acceptance for the parallel commit: 8 threads must clear 1.5x over
-    // serial on the 1M-account / 1%-dirty recommit — on a host that has the
-    // cores to show it, and when the sweep ran at that size (CI smokes run
-    // reduced grids).
-    let t8_ms = thread_rows
-        .iter()
-        .find(|r| r.accounts == 1_000_000 && r.threads == 8)
-        .map(|r| r.incremental_ms);
-    if let (Some(t1), Some(t8), true) = (t1_ms(1_000_000), t8_ms, host_threads >= 8) {
-        assert!(
-            t1 / t8 >= 1.5,
-            "acceptance: parallel commit at 8 threads must be >= 1.5x over serial \
-             on 1M accounts / 1% dirty, got {:.2}x ({t1:.2}ms -> {t8:.2}ms)",
-            t1 / t8
-        );
-    }
 }

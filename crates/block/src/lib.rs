@@ -102,9 +102,10 @@ impl Block {
 /// Commitment to an ordered transaction list: the running keccak of the
 /// transaction hashes. (Ethereum uses an index-keyed trie; a sequential hash
 /// chain commits to the same information — content *and order* — which is
-/// all validation needs.)
+/// all validation needs.) The transactions are independent and are hashed as
+/// one batch; the chain over their hashes is one input and is not.
 pub fn tx_root(txs: &[Transaction]) -> H256 {
-    tx_root_of_hashes(txs.iter().map(Transaction::hash))
+    tx_root_of_hashes(Transaction::hash_batch(txs))
 }
 
 /// [`tx_root`] for a caller that already holds the transactions' hashes, in

@@ -39,7 +39,7 @@ use bp_evm::{
     TxError,
 };
 use bp_state::{StateDelta, WorldState};
-use bp_types::{AccessKey, Address, BlockHash, FxHashMap, FxHashSet, Gas, U256};
+use bp_types::{AccessKey, Address, BlockHash, FxHashMap, Gas, U256};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
@@ -289,9 +289,11 @@ type Parked = (Arc<Block>, Sender<ValidationOutcome>);
 
 struct StateIndex {
     states: HashMap<BlockHash, Arc<WorldState>>,
-    /// Each validated block's net effect on its parent state — the diff
-    /// layer the persistence layer stacks into the snapshot tree.
-    deltas: HashMap<BlockHash, Arc<StateDelta>>,
+    /// The keys each validated block wrote, in block order (repeats
+    /// included). With the block's post-state they give its net effect on
+    /// its parent state ([`ValidatorPipeline::delta_of`]); kept and dropped
+    /// with that state.
+    written: HashMap<BlockHash, Arc<[AccessKey]>>,
     waiting: HashMap<BlockHash, Vec<Parked>>,
     invalid: std::collections::HashSet<BlockHash>,
     /// Deferred-root mode: each applied block's root verdict (`true` = root
@@ -333,7 +335,7 @@ impl ValidatorPipeline {
         let (applier_tx, applier_rx) = unbounded::<ApplierMsg>();
         let index = Arc::new(Mutex::new(StateIndex {
             states: HashMap::new(),
-            deltas: HashMap::new(),
+            written: HashMap::new(),
             waiting: HashMap::new(),
             invalid: std::collections::HashSet::new(),
             latches: HashMap::new(),
@@ -464,8 +466,19 @@ impl ValidatorPipeline {
     /// The validated block's net effect on its parent state (the diff layer
     /// for the snapshot tree). `None` for trusted base states registered via
     /// [`ValidatorPipeline::register_state`], which have no parent delta.
-    pub fn delta_of(&self, hash: &BlockHash) -> Option<Arc<StateDelta>> {
-        self.starter.index.lock().deltas.get(hash).cloned()
+    ///
+    /// Distilled here, on demand, from the block's post-state and the keys
+    /// it wrote: only a validator that persists asks, once a block, so
+    /// validation itself does not pay for it.
+    pub fn delta_of(&self, hash: &BlockHash) -> Option<StateDelta> {
+        let (state, written) = {
+            let idx = self.starter.index.lock();
+            (
+                Arc::clone(idx.states.get(hash)?),
+                Arc::clone(idx.written.get(hash)?),
+            )
+        };
+        Some(state.delta_for_keys(written.iter()))
     }
 
     /// Number of execution jobs queued but not yet claimed by a worker.
@@ -756,21 +769,19 @@ fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
         validate,
     };
     let cache_delta = task.cache.stats().since(&task.cache_base);
-    let (verdict_result, post_state, receipts, delta) = match result {
-        Ok((state, receipts, delta)) => (Ok(()), Some(Arc::new(state)), receipts, Some(delta)),
-        Err(e) => (Err(e), None, vec![], None),
+    let (verdict_result, post_state, receipts, written) = match result {
+        Ok((state, receipts, written)) => (Ok(()), Some(Arc::new(state)), receipts, written),
+        Err(e) => (Err(e), None, vec![], vec![]),
     };
 
-    // Commitment phase: index the post-state (and its diff layer) and
-    // release parked children — or mark the subtree invalid.
+    // Commitment phase: index the post-state (and the keys that lead to its
+    // diff layer) and release parked children — or mark the subtree invalid.
     let ready = {
         let mut idx = starter.index.lock();
         match &post_state {
             Some(state) => {
                 idx.states.insert(hash, Arc::clone(state));
-                if let Some(delta) = delta {
-                    idx.deltas.insert(hash, Arc::new(delta));
-                }
+                idx.written.insert(hash, written.into());
             }
             None => {
                 idx.invalid.insert(hash);
@@ -856,7 +867,7 @@ fn apply_block_deferred(task: Arc<BlockTask>, exec: Duration, starter: &Starter)
         analysis_misses: cache_delta.misses,
     };
 
-    let (state, receipts, delta) = match result {
+    let (state, receipts, written) = match result {
         Ok(parts) => parts,
         Err(e) => {
             // Failed before the root was even needed: settle the latch and
@@ -889,7 +900,7 @@ fn apply_block_deferred(task: Arc<BlockTask>, exec: Duration, starter: &Starter)
     let (parent_latch, ready) = {
         let mut idx = starter.index.lock();
         idx.states.insert(hash, Arc::clone(&state));
-        idx.deltas.insert(hash, Arc::new(delta));
+        idx.written.insert(hash, written.into());
         idx.latches.insert(hash, Arc::clone(&latch));
         (
             idx.latches.get(&parent).cloned(),
@@ -912,7 +923,7 @@ fn apply_block_deferred(task: Arc<BlockTask>, exec: Duration, starter: &Starter)
         let ready = {
             let mut idx = starter.index.lock();
             idx.states.remove(&hash);
-            idx.deltas.remove(&hash);
+            idx.written.remove(&hash);
             idx.invalid.insert(hash);
             idx.waiting.remove(&hash).unwrap_or_default()
         };
@@ -942,15 +953,16 @@ fn apply_block_deferred(task: Arc<BlockTask>, exec: Duration, starter: &Starter)
 /// Block validation: drain the execution results in block order, apply
 /// writes, and check the block-level commitments. Per-transaction footprint
 /// checks (Algorithm 2) already ran inside the workers; a recorded abort
-/// short-circuits here. On success, the block's written keys are distilled
-/// into a [`StateDelta`] — the diff layer the snapshot tree stacks over the
-/// parent state. With `check_root: false` (the deferred-root apply stage)
-/// the state-root comparison is skipped here and settled later against the
-/// block's [`RootLatch`].
+/// short-circuits here. On success, the keys the block wrote are returned
+/// with the post-state, in block order, repeats and all: what
+/// [`ValidatorPipeline::delta_of`] distils the block's diff layer from, if
+/// it is ever asked to. With `check_root: false` (the deferred-root apply
+/// stage) the state-root comparison is skipped here and settled later
+/// against the block's [`RootLatch`].
 fn validate_and_apply(
     task: &BlockTask,
     check_root: bool,
-) -> Result<(WorldState, Vec<Receipt>, StateDelta), ValidationError> {
+) -> Result<(WorldState, Vec<Receipt>, Vec<AccessKey>), ValidationError> {
     let block = &task.block;
     if let Some(err) = &task.header_error {
         return Err(err.clone());
@@ -964,7 +976,7 @@ fn validate_and_apply(
     let mut gas_total: Gas = 0;
     let mut fees = U256::ZERO;
     let mut receipts = Vec::with_capacity(block.transactions.len());
-    let mut written: FxHashSet<AccessKey> = FxHashSet::default();
+    let mut written: Vec<AccessKey> = Vec::new();
     for i in 0..block.transactions.len() {
         let outcome = task
             .results
@@ -974,7 +986,7 @@ fn validate_and_apply(
         written.extend(outcome.rw.writes.keys().copied());
         for (addr, code) in &outcome.deployed {
             world.set_code(*addr, (**code).clone());
-            written.insert(AccessKey::Code(*addr));
+            written.push(AccessKey::Code(*addr));
         }
         gas_total += outcome.receipt.gas_used;
         fees += outcome.receipt.fee;
@@ -992,13 +1004,12 @@ fn validate_and_apply(
     if !fees.is_zero() {
         let cb = world.balance(&block.header.coinbase);
         world.set_balance(block.header.coinbase, cb + fees);
-        written.insert(AccessKey::Balance(block.header.coinbase));
+        written.push(AccessKey::Balance(block.header.coinbase));
     }
     if check_root && world.state_root() != block.header.state_root {
         return Err(ValidationError::StateRootMismatch);
     }
-    let delta = world.delta_for_keys(written.iter());
-    Ok((world, receipts, delta))
+    Ok((world, receipts, written))
 }
 
 #[cfg(test)]
@@ -1379,10 +1390,43 @@ mod tests {
         // grandchild's too, whether it executed or parked.
         assert_eq!(h2.wait().result, Err(ValidationError::ParentInvalid));
         assert_eq!(h3.wait().result, Err(ValidationError::ParentInvalid));
-        // The tampered subtree never becomes visible state.
+        // The tampered subtree never becomes visible state, and the keys
+        // its diff layer would be distilled from go with it.
         assert!(pipeline.state_of(&b1.block.hash()).is_none());
         assert!(pipeline.state_of(&b2.block.hash()).is_none());
+        assert!(pipeline.delta_of(&b1.block.hash()).is_none());
+        assert!(pipeline.delta_of(&b2.block.hash()).is_none());
         pipeline.shutdown();
+    }
+
+    #[test]
+    fn delta_is_distilled_on_demand_from_the_post_state_and_the_written_keys() {
+        let world = Arc::new(funded_world(10));
+        for deferred in [false, true] {
+            let (pipeline, genesis) = match deferred {
+                false => pipeline_with_genesis(2, &world),
+                true => deferred_pipeline(2, &world),
+            };
+            let proposal = propose_transfers(&world, genesis, 1, 1..8, 0);
+            assert!(pipeline.validate_block(proposal.block.clone()).is_valid());
+            // What the block wrote, named by its profile (which validation
+            // matched against the execution) plus the fee recipient — here
+            // as a set, where the pipeline keeps block order and repeats.
+            let mut keys: std::collections::HashSet<AccessKey> = proposal
+                .block
+                .profile
+                .entries
+                .iter()
+                .flat_map(|entry| entry.writes.keys().copied())
+                .collect();
+            keys.insert(AccessKey::Balance(proposal.block.header.coinbase));
+            let expected = proposal.post_state.delta_for_keys(keys.iter());
+            assert!(!expected.is_empty());
+            assert_eq!(pipeline.delta_of(&proposal.block.hash()), Some(expected));
+            // A registered state has no parent to differ from.
+            assert!(pipeline.delta_of(&genesis).is_none());
+            pipeline.shutdown();
+        }
     }
 
     #[test]

@@ -344,15 +344,12 @@ impl Validator {
             ctx.store.commit_root(root, &nodes)?;
             if ctx.store.snapshots().is_some() {
                 // Stack the block's diff layer on its parent's root. The
-                // delta was distilled during validation; an empty block
-                // (root == parent root) no-ops inside the tree.
+                // delta is distilled here, from the post-state and the keys
+                // validation recorded; an empty block (root == parent root)
+                // no-ops inside the tree.
                 let parent_root =
                     parent_root.expect("persisted non-genesis block has a stored parent");
-                let delta = self
-                    .pipeline
-                    .delta_of(&hash)
-                    .map(|d| (*d).clone())
-                    .unwrap_or_default();
+                let delta = self.pipeline.delta_of(&hash).unwrap_or_default();
                 ctx.store.snap_add_layer(root, parent_root, height, delta)?;
             }
             if ctx.store.config().retention_window.is_none() {

@@ -5,7 +5,9 @@
 //! primitives, so they are implemented from scratch here with the exact
 //! Ethereum semantics:
 //!
-//! * [`keccak::keccak256`] — original Keccak padding (not SHA3-256);
+//! * [`keccak::keccak256`] — original Keccak padding (not SHA3-256), and
+//!   [`keccak::keccak256_batch`] for independent inputs, eight at a time
+//!   where the CPU has AVX-512;
 //! * [`rlp`] — strict, canonical Recursive Length Prefix coding.
 
 #![warn(missing_docs)]
@@ -13,5 +15,5 @@
 pub mod keccak;
 pub mod rlp;
 
-pub use keccak::{keccak256, keccak256_concat, Keccak256};
+pub use keccak::{keccak256, keccak256_batch, keccak256_concat, Keccak256};
 pub use rlp::{encode_bytes as rlp_encode_bytes, RlpStream};

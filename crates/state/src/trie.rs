@@ -19,8 +19,13 @@
 //! batches ([`Trie::apply_batch`]; `insert`/`remove` are batches of one) and
 //! are applied in **one recursive descent** that splits the batch by nibble
 //! at each branch: a node under k of the batch's keys is copied and hashed
-//! once, not k times. This is what makes the world state's incremental
-//! commitment cost O(touched nodes) hashes per block and little else.
+//! once, not k times. The descent only builds: it leaves the nodes it
+//! creates *pending*, and they are then hashed **level by level, deepest
+//! first**, across the whole batch — the nodes of one level do not depend on
+//! one another, so each level is one batch for the eight-at-a-time keccak
+//! kernel ([`bp_crypto::keccak256_batch`]). This is what makes the world
+//! state's incremental commitment cost O(touched nodes / 8) permutation
+//! calls per block and little else.
 //!
 //! The trie also produces Merkle proofs ([`Trie::prove`] /
 //! [`verify_proof`]), used in tests to cross-check the commitment logic.
@@ -32,10 +37,10 @@
 //! encoding is shorter than 32 bytes are inlined in their parent (the MPT
 //! inlining rule) and never hit the database.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use bp_crypto::keccak256;
 use bp_crypto::rlp::{self, Reader, Token};
+use bp_crypto::{keccak256, keccak256_batch};
 use bp_types::H256;
 
 use crate::nibbles::{nibble_at, Nibbles};
@@ -59,6 +64,11 @@ pub fn empty_root() -> H256 {
 /// encoding (`len == 32`), or the encoding itself when it is shorter than 32
 /// bytes (the MPT inlining rule). Either way it is what the parent's own
 /// encoding embeds, so encoding a parent never visits the child.
+///
+/// Inside a batch — between the descent that builds its nodes and
+/// [`commit_levels`], which hashes them — a fresh node's slot is *pending*
+/// instead: it records the node's level. No pending slot outlives the call
+/// that applies the batch.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Commitment {
     len: u8,
@@ -67,19 +77,22 @@ struct Commitment {
 
 impl Commitment {
     const HASHED: u8 = 32;
+    const PENDING: u8 = u8::MAX;
 
     fn of(encoding: &[u8]) -> Self {
         if encoding.len() < 32 {
-            let mut bytes = [0u8; 32];
-            bytes[..encoding.len()].copy_from_slice(encoding);
-            Commitment {
-                len: encoding.len() as u8,
-                bytes,
-            }
+            Self::inline(encoding)
         } else {
-            #[cfg(test)]
-            counters::bump(&counters::HASHED);
             Self::hashed(keccak256(encoding))
+        }
+    }
+
+    fn inline(encoding: &[u8]) -> Self {
+        let mut bytes = [0u8; 32];
+        bytes[..encoding.len()].copy_from_slice(encoding);
+        Commitment {
+            len: encoding.len() as u8,
+            bytes,
         }
     }
 
@@ -88,6 +101,32 @@ impl Commitment {
             len: Self::HASHED,
             bytes: hash.0,
         }
+    }
+
+    /// The slot of a node that is yet to be hashed: `level` levels above the
+    /// deepest pending node under it, with its own pending children (the
+    /// slots of a branch, bit 0 for an extension's) in `children`. (Sixteen
+    /// bits of level: a path takes a nibble a node, and the descent's
+    /// recursion runs out of stack long before 65 536 of them.)
+    fn pending(level: u16, children: u16) -> Self {
+        let mut bytes = [0u8; 32];
+        bytes[..2].copy_from_slice(&level.to_le_bytes());
+        bytes[2..4].copy_from_slice(&children.to_le_bytes());
+        Commitment {
+            len: Self::PENDING,
+            bytes,
+        }
+    }
+
+    /// The level of a node that is yet to be hashed.
+    fn pending_level(&self) -> Option<u16> {
+        (self.len == Self::PENDING).then(|| u16::from_le_bytes([self.bytes[0], self.bytes[1]]))
+    }
+
+    /// The pending children of a node that is yet to be hashed.
+    fn pending_children(&self) -> u16 {
+        debug_assert_eq!(self.len, Self::PENDING);
+        u16::from_le_bytes([self.bytes[2], self.bytes[3]])
     }
 
     /// The child's hash, when it is referenced by hash.
@@ -104,6 +143,7 @@ impl Commitment {
 
     /// Bytes the reference takes in the parent's encoding.
     fn ref_len(&self) -> usize {
+        debug_assert!(self.len <= Self::HASHED, "a pending child is encoded");
         if self.len == Self::HASHED {
             33
         } else {
@@ -125,9 +165,10 @@ impl Commitment {
 
 impl std::fmt::Debug for Commitment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.hash() {
-            Some(hash) => write!(f, "{hash:?}"),
-            None => write!(f, "inline {:02x?}", &self.bytes[..self.len as usize]),
+        match (self.hash(), self.pending_level()) {
+            (Some(hash), _) => write!(f, "{hash:?}"),
+            (_, Some(level)) => write!(f, "pending at level {level}"),
+            _ => write!(f, "inline {:02x?}", &self.bytes[..self.len as usize]),
         }
     }
 }
@@ -185,18 +226,44 @@ impl Node {
         Node::Branch(Arc::new(Branch { children, value }))
     }
 
-    /// Encodes and hashes a node no parent holds yet.
-    fn commit(self, scratch: &mut Vec<u8>) -> Child {
-        scratch.clear();
-        encode_node(&self, scratch);
+    /// Encodes and hashes a node loaded from storage, whose children are
+    /// committed already.
+    fn commit(self) -> Child {
         Child {
-            commit: Commitment::of(scratch),
+            commit: Commitment::of(&encoding_of(&self)),
+            node: self,
+        }
+    }
+
+    /// The slot a node a descent just built goes into its parent by: pending,
+    /// one level above the highest of its children that are pending, at
+    /// level zero if none is.
+    fn pending(self) -> Child {
+        let mut level = 0;
+        let mut pending = 0u16;
+        let mut note = |n: usize, child: &Child| {
+            if let Some(below) = child.commit.pending_level() {
+                level = level.max(below + 1);
+                pending |= 1 << n;
+            }
+        };
+        match &self {
+            Node::Leaf(_) => {}
+            Node::Extension(ext) => note(0, &ext.child),
+            Node::Branch(branch) => {
+                for (n, child) in branch.children.iter().enumerate() {
+                    child.iter().for_each(|child| note(n, child));
+                }
+            }
+        }
+        Child {
+            commit: Commitment::pending(level, pending),
             node: self,
         }
     }
 }
 
-/// Node allocations and keccak calls made by the current thread, for the
+/// Node allocations and node hashes made by the current thread, for the
 /// structural tests: a batch must create and hash each node on its keys'
 /// paths once and no other.
 #[cfg(test)]
@@ -276,9 +343,9 @@ fn path_item(path: &Nibbles, leaf: bool, out: &mut Vec<u8>) {
     path.write_hex_prefix(leaf, out);
 }
 
-/// Appends the RLP encoding of `node` to `out`, reserving its exact length
-/// first: the node's own fields and the commitments in its child slots are
-/// all it reads.
+/// Appends the RLP encoding of `node` to `out`, reserving its length first
+/// (exactly that, when `out` is new): the node's own fields and the
+/// commitments in its child slots are all it reads.
 fn encode_node(node: &Node, out: &mut Vec<u8>) {
     let first = |v: &[u8]| v.first().copied().unwrap_or(0);
     let payload = match node {
@@ -303,7 +370,7 @@ fn encode_node(node: &Node, out: &mut Vec<u8>) {
     } else {
         1 + be_len(payload)
     };
-    out.reserve_exact(header + payload);
+    out.reserve(header + payload);
     rlp_list_header(payload, out);
     match node {
         Node::Leaf(leaf) => {
@@ -356,9 +423,11 @@ impl PartialEq for Trie {
 /// value, removes the key).
 type Update<K> = (K, Option<Vec<u8>>);
 
-/// Capacity the encoding scratch buffer starts with: a full branch of hash
-/// references is 532 bytes.
-const SCRATCH: usize = 544;
+/// Nodes of one level that are encoded into one buffer and hashed as one
+/// batch: enough to keep the hash kernel's eight states full, few enough
+/// that a cold build's encodings stay in cache until they are hashed (a
+/// full branch of hash references is 532 bytes).
+const LEVEL_CHUNK: usize = 512;
 
 impl Trie {
     /// An empty trie.
@@ -484,161 +553,50 @@ impl Trie {
     }
 
     /// Applies a batch of inserts (`Some(value)`) and removals (`None`, or
-    /// an empty value) on up to `threads` threads, the caller's included.
+    /// an empty value).
     ///
     /// The batch is sorted and applied in one descent: at each branch the
     /// sorted run splits by nibble, so every node on the batch's paths is
-    /// copied, allocated and hashed once however many of the keys pass
-    /// through it. The trie's radix structure also makes sharding exact:
-    /// updates are partitioned by their first nibble, and when the root is a
-    /// branch (or the trie is empty) each of its 16 subtrees absorbs its
-    /// shard independently — no two shards touch the same node — and the
-    /// calling thread only has to re-encode the root branch.
+    /// copied and allocated once however many of the keys pass through it,
+    /// and the new nodes are then hashed level by level, eight at a time.
     ///
     /// The result is **identical** to applying the updates one by one: MPT
     /// structure is a pure function of the key set, so the root hash and the
     /// node set ([`Trie::commit_nodes`]) are byte-for-byte the same. Of two
     /// updates to one key the later wins, as it would one by one; otherwise
     /// the order within the batch is immaterial.
-    pub fn apply_batch(&mut self, updates: Vec<(Vec<u8>, Option<Vec<u8>>)>, threads: usize) {
-        let sorted = |mut updates: Vec<Update<Vec<u8>>>| {
-            updates.sort_by(|a, b| a.0.cmp(&b.0));
-            updates.dedup_by(|later, earlier| {
-                let same_key = later.0 == earlier.0;
-                if same_key {
-                    std::mem::swap(later, earlier);
-                }
-                same_key
-            });
-            updates
-        };
-        if updates.iter().any(|(key, _)| key.is_empty()) {
-            // A root-valued key belongs to no first-nibble shard.
-            self.apply_sorted(&mut sorted(updates));
-            return;
-        }
-        let mut shards: [Vec<Update<Vec<u8>>>; 16] = Default::default();
-        for update in updates {
-            shards[(update.0[0] >> 4) as usize].push(update);
-        }
-        self.apply_sharded(shards, threads, |shard| (sorted(shard), ()));
+    pub fn apply_batch(&mut self, mut updates: Vec<(Vec<u8>, Option<Vec<u8>>)>) {
+        updates.sort_by(|a, b| a.0.cmp(&b.0));
+        updates.dedup_by(|later, earlier| {
+            let same_key = later.0 == earlier.0;
+            if same_key {
+                std::mem::swap(later, earlier);
+            }
+            same_key
+        });
+        self.apply_sorted(&mut updates);
     }
 
-    /// Applies updates that are sorted by key and distinct, in one descent on
-    /// the calling thread.
+    /// Applies updates that are sorted by key and distinct, in one descent,
+    /// and hashes the nodes it creates.
     pub(crate) fn apply_sorted<K: AsRef<[u8]>>(&mut self, updates: &mut [Update<K>]) {
+        self.apply_sorted_pending(updates);
+        commit_levels(self.root.iter_mut());
+    }
+
+    /// [`Trie::apply_sorted`] without the hashing: the nodes the descent
+    /// creates are left pending, for the caller to hash together with those
+    /// of other tries ([`commit_pending`]) before any of them is read.
+    pub(crate) fn apply_sorted_pending<K: AsRef<[u8]>>(&mut self, updates: &mut [Update<K>]) {
         debug_assert!(
             updates
                 .windows(2)
                 .all(|w| w[0].0.as_ref() < w[1].0.as_ref()),
             "batch keys must be sorted and distinct"
         );
-        if updates.is_empty() {
-            return;
+        if !updates.is_empty() {
+            self.root = apply(self.root.as_ref(), 0, updates).map(Sub::into_child);
         }
-        let mut scratch = Vec::with_capacity(SCRATCH);
-        let root = apply(self.root.as_ref(), 0, updates, &mut scratch);
-        self.root = root.map(|sub| sub.into_child(&mut scratch));
-    }
-
-    /// One commit's fan-out. `shards[n]` holds whatever `prepare` turns into
-    /// the updates whose keys start with nibble `n` — sorted, distinct —
-    /// plus a by-product handed back to the caller. Each shard is prepared
-    /// and applied to its own subtree of the root by one thread, so a caller
-    /// whose updates take work to produce (the world state: storage tries,
-    /// account bodies) spends that work inside the same fan-out.
-    ///
-    /// Stays on the calling thread when `threads < 2`, when fewer than two
-    /// shards have work, when the batch is too small to repay a thread
-    /// spawn, or when the root is a leaf or an extension and so has no
-    /// subtrees to hand out.
-    pub(crate) fn apply_sharded<T, K, R>(
-        &mut self,
-        shards: [Vec<T>; 16],
-        threads: usize,
-        prepare: impl Fn(Vec<T>) -> (Vec<Update<K>>, R) + Sync,
-    ) -> Vec<R>
-    where
-        T: Send,
-        K: AsRef<[u8]> + Send,
-        R: Send,
-    {
-        let items: usize = shards.iter().map(Vec::len).sum();
-        let mut jobs: Vec<(usize, Vec<T>)> = shards
-            .into_iter()
-            .enumerate()
-            .filter(|(_, shard)| !shard.is_empty())
-            .collect();
-        let workers = threads.min(jobs.len());
-        let subtrees = match &self.root {
-            _ if workers < 2 || items < FAN_OUT_THRESHOLD => None,
-            None => Some((std::array::from_fn(|_| None), None)),
-            Some(Child {
-                node: Node::Branch(branch),
-                ..
-            }) => Some((branch.children.clone(), branch.value.clone())),
-            Some(_) => None,
-        };
-        let Some((mut children, value)) = subtrees else {
-            let mut updates = Vec::with_capacity(items);
-            let mut products = Vec::with_capacity(jobs.len());
-            for (_, shard) in jobs {
-                let (prepared, product) = prepare(shard);
-                updates.extend(prepared);
-                products.push(product);
-            }
-            self.apply_sorted(&mut updates);
-            return products;
-        };
-
-        // Shards are taken off a queue, largest first, by whichever thread
-        // is free: shards differ in cost by more than their length tells (a
-        // contract's storage batch), and a thread that starts late just
-        // takes fewer.
-        jobs.sort_by_key(|(_, shard)| std::cmp::Reverse(shard.len()));
-        let queue = Mutex::new(jobs.into_iter());
-        let old = &children;
-        let run = || -> Vec<(usize, Option<Child>, R)> {
-            let mut scratch = Vec::with_capacity(SCRATCH);
-            let mut done = Vec::new();
-            loop {
-                let next = queue.lock().expect("a shard job panicked").next();
-                let Some((nibble, shard)) = next else {
-                    return done;
-                };
-                let (mut updates, product) = prepare(shard);
-                debug_assert!(
-                    updates
-                        .windows(2)
-                        .all(|w| w[0].0.as_ref() < w[1].0.as_ref())
-                        && updates
-                            .iter()
-                            .all(|u| nibble_at(u.0.as_ref(), 0) as usize == nibble),
-                    "a shard's updates must be sorted, distinct and its own"
-                );
-                let subtree = apply(old[nibble].as_ref(), 1, &mut updates, &mut scratch)
-                    .map(|sub| sub.into_child(&mut scratch));
-                done.push((nibble, subtree, product));
-            }
-        };
-        let done = std::thread::scope(|scope| {
-            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(run)).collect();
-            let mut done = run();
-            for handle in spawned {
-                done.extend(handle.join().expect("trie commit worker panicked"));
-            }
-            done
-        });
-        let mut products = Vec::with_capacity(done.len());
-        for (nibble, subtree, product) in done {
-            children[nibble] = subtree;
-            products.push(product);
-        }
-        let mut scratch = Vec::with_capacity(SCRATCH);
-        let slots = children.map(|child| child.map(Sub::Kept));
-        self.root =
-            finish_branch(slots, value, &mut scratch).map(|sub| sub.into_child(&mut scratch));
-        products
     }
 
     /// Reconstructs a trie from its root hash, resolving hashed children
@@ -651,18 +609,11 @@ impl Trie {
         let node = resolve_node(root, resolver)?;
         // A root shorter than 32 bytes is still stored under its hash, but
         // what the handle keeps for it is its inline form, as for any node.
-        let mut scratch = Vec::with_capacity(SCRATCH);
         Ok(Trie {
-            root: Some(node.commit(&mut scratch)),
+            root: Some(node.commit()),
         })
     }
 }
-
-/// Batches smaller than this are applied on the calling thread. Measured on
-/// the benchmark's workloads (EXPERIMENTS.md, "State commitment at hashing
-/// cost"): a second thread loses at 75 updates a commit, where what it
-/// takes over is read from the first thread's cache, and wins at 190.
-const FAN_OUT_THRESHOLD: usize = 128;
 
 // ---------------------------------------------------------------------------
 // The batch descent
@@ -670,8 +621,7 @@ const FAN_OUT_THRESHOLD: usize = 128;
 
 /// What a batch left of one subtree.
 enum Sub {
-    /// A node that was already committed: an untouched one, or one a deeper
-    /// step had to commit because a new parent points at it.
+    /// A node that was there before the batch, committed.
     Kept(Child),
     /// A node this descent created and nothing points at yet. It is still
     /// unique, so if the level above collapses (a branch left with a single
@@ -680,12 +630,93 @@ enum Sub {
 }
 
 impl Sub {
-    fn into_child(self, scratch: &mut Vec<u8>) -> Child {
+    /// The subtree as a parent's slot holds it: a fresh node pending, to be
+    /// hashed with the rest of its level once the descent is over.
+    fn into_child(self) -> Child {
         match self {
             Sub::Kept(child) => child,
-            Sub::Fresh(node) => node.commit(scratch),
+            Sub::Fresh(node) => node.pending(),
         }
     }
+}
+
+const UNIQUE: &str = "a fresh node has one owner";
+
+/// Hashes every node left pending under `roots` — the subtrees one or more
+/// descents returned — level by level from the bottom. A level's nodes embed
+/// commitments of lower levels only, so they are encoded into one buffer and
+/// hashed as one batch; the nodes of different tries share the batch.
+fn commit_levels<'a>(roots: impl Iterator<Item = &'a mut Child>) {
+    let mut roots: Vec<&mut Child> = roots.collect();
+    let top = roots.iter().filter_map(|root| root.commit.pending_level());
+    let Some(top) = top.max() else {
+        return;
+    };
+    let mut encodings = Vec::new();
+    let mut ends = Vec::new();
+    for level in 0..=top {
+        let mut nodes = Vec::new();
+        for root in &mut roots {
+            collect_level(root, level, &mut nodes);
+        }
+        for chunk in nodes.chunks_mut(LEVEL_CHUNK) {
+            encodings.clear();
+            ends.clear();
+            for child in chunk.iter() {
+                encode_node(&child.node, &mut encodings);
+                ends.push(encodings.len());
+            }
+            let encoding = |i: usize| &encodings[i.checked_sub(1).map_or(0, |j| ends[j])..ends[i]];
+            let hashed = (0..chunk.len())
+                .map(encoding)
+                .filter(|encoding| encoding.len() >= 32);
+            let mut hashes = keccak256_batch(hashed).into_iter();
+            for (i, child) in chunk.iter_mut().enumerate() {
+                child.commit = match encoding(i) {
+                    short if short.len() < 32 => Commitment::inline(short),
+                    _ => {
+                        #[cfg(test)]
+                        counters::bump(&counters::HASHED);
+                        Commitment::hashed(hashes.next().expect("one hash an encoding"))
+                    }
+                };
+            }
+        }
+    }
+}
+
+/// Collects the pending nodes of `level` at and under `child`. Pending nodes
+/// are fresh, so each is reached through its one owner; a branch is entered
+/// by the slots it recorded as pending only, the others are not looked at.
+fn collect_level<'a>(child: &'a mut Child, level: u16, out: &mut Vec<&'a mut Child>) {
+    match child.commit.pending_level() {
+        Some(own) if own == level => out.push(child),
+        Some(own) if own > level => {
+            let pending = child.commit.pending_children();
+            match &mut child.node {
+                Node::Leaf(_) => unreachable!("a leaf is of level zero"),
+                Node::Extension(ext) => {
+                    collect_level(&mut Arc::get_mut(ext).expect(UNIQUE).child, level, out)
+                }
+                Node::Branch(branch) => {
+                    let children = &mut Arc::get_mut(branch).expect(UNIQUE).children;
+                    for (n, child) in children.iter_mut().enumerate() {
+                        if pending >> n & 1 == 1 {
+                            let child = child.as_mut().expect("a pending child is there");
+                            collect_level(child, level, out);
+                        }
+                    }
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Hashes what [`Trie::apply_sorted_pending`] left pending in `tries`, all
+/// of them level by level together.
+pub(crate) fn commit_pending<'a>(tries: impl Iterator<Item = &'a mut Trie>) {
+    commit_levels(tries.filter_map(|trie| trie.root.as_mut()));
 }
 
 fn is_insert<K>(update: &Update<K>) -> bool {
@@ -694,16 +725,15 @@ fn is_insert<K>(update: &Update<K>) -> bool {
 
 /// Applies `updates` — sorted, distinct, all sharing their first `depth`
 /// nibbles — to the subtree `old` rooted at that depth. Every node created
-/// below the returned one is committed; the returned one is left to the
-/// caller, which may still merge a path into it.
+/// below the returned one sits pending in its parent's slot; the returned
+/// one is left to the caller, which may still merge a path into it.
 fn apply<K: AsRef<[u8]>>(
     old: Option<&Child>,
     depth: usize,
     updates: &mut [Update<K>],
-    scratch: &mut Vec<u8>,
 ) -> Option<Sub> {
     let Some(child) = old else {
-        return build(depth, updates, None, scratch);
+        return build(depth, updates, None);
     };
     if updates.is_empty() {
         return Some(Sub::Kept(child.clone()));
@@ -716,19 +746,14 @@ fn apply<K: AsRef<[u8]>>(
                 .iter()
                 .any(|u| leaf.path.is_key_tail(u.0.as_ref(), depth));
             if rewritten {
-                build(depth, updates, None, scratch)
+                build(depth, updates, None)
             } else if updates.iter().any(is_insert) {
-                build(
-                    depth,
-                    updates,
-                    Some(Resident { leaf, base: depth }),
-                    scratch,
-                )
+                build(depth, updates, Some(Resident { leaf, base: depth }))
             } else {
                 Some(Sub::Kept(child.clone()))
             }
         }
-        Node::Extension(ext) => apply_extension(Some(child), ext, 0, depth, updates, scratch),
+        Node::Extension(ext) => apply_extension(Some(child), ext, 0, depth, updates),
         Node::Branch(branch) => {
             load_child_counts(branch);
             let (ending, mut rest) = split_ending_at(updates, depth);
@@ -740,7 +765,7 @@ fn apply<K: AsRef<[u8]>>(
             let mut touched = 0u16;
             while !rest.is_empty() {
                 let (nibble, group, tail) = split_group(rest, depth);
-                slots[nibble] = apply(branch.children[nibble].as_ref(), depth + 1, group, scratch);
+                slots[nibble] = apply(branch.children[nibble].as_ref(), depth + 1, group);
                 touched |= 1 << nibble;
                 rest = tail;
             }
@@ -752,10 +777,10 @@ fn apply<K: AsRef<[u8]>>(
                 })
                 .count();
             if occupied + usize::from(value.is_some()) >= 2 {
-                // Still a branch: its touched children are committed into
-                // their slots, the others shared with the old one.
+                // Still a branch: its touched children go into their
+                // slots, the others are shared with the old one.
                 let children = std::array::from_fn(|n| match is_touched(n) {
-                    true => slots[n].take().map(|sub| sub.into_child(scratch)),
+                    true => slots[n].take().map(Sub::into_child),
                     false => branch.children[n].clone(),
                 });
                 return Some(Sub::Fresh(Node::branch(children, value)));
@@ -763,7 +788,7 @@ fn apply<K: AsRef<[u8]>>(
             for n in (0..16).filter(|&n| !is_touched(n)) {
                 slots[n] = branch.children[n].clone().map(Sub::Kept);
             }
-            finish_branch(slots, value, scratch)
+            finish_branch(slots, value)
         }
     }
 }
@@ -821,36 +846,28 @@ fn split_group<K: AsRef<[u8]>>(
 
 /// Turns sixteen slots and a value into what they canonically are: nothing,
 /// a leaf (a value alone), the single child with the slot's nibble merged
-/// into its path, or a branch over the slots, committed.
-fn finish_branch(
-    mut slots: [Option<Sub>; 16],
-    value: Option<Vec<u8>>,
-    scratch: &mut Vec<u8>,
-) -> Option<Sub> {
+/// into its path, or a branch over the slots.
+fn finish_branch(mut slots: [Option<Sub>; 16], value: Option<Vec<u8>>) -> Option<Sub> {
     let mut occupied = (0..16).filter(|&n| slots[n].is_some());
     let node = match (occupied.next(), occupied.next(), value) {
         (None, _, None) => return None,
         (None, _, Some(value)) => Node::leaf(Nibbles::default(), value),
         (Some(only), None, None) => {
             let sub = slots[only].take().expect("slot is occupied");
-            return Some(prepend(&Nibbles::from_nibbles(&[only as u8]), sub, scratch));
+            return Some(prepend(&Nibbles::from_nibbles(&[only as u8]), sub));
         }
-        (_, _, value) => Node::branch(
-            slots.map(|slot| slot.map(|sub| sub.into_child(scratch))),
-            value,
-        ),
+        (_, _, value) => Node::branch(slots.map(|slot| slot.map(Sub::into_child)), value),
     };
     Some(Sub::Fresh(node))
 }
 
 /// Puts `prefix` in front of a subtree: merged into the path of a leaf or an
 /// extension, as a new extension over a branch.
-fn prepend(prefix: &Nibbles, sub: Sub, scratch: &mut Vec<u8>) -> Sub {
+fn prepend(prefix: &Nibbles, sub: Sub) -> Sub {
     if prefix.is_empty() {
         return sub;
     }
     let longer = |path: &mut Nibbles| *path = prefix.concat(path);
-    let unique = "a fresh node has one owner";
     Sub::Fresh(match sub {
         Sub::Kept(child) => match &child.node {
             Node::Leaf(leaf) => Node::leaf(prefix.concat(&leaf.path), leaf.value.clone()),
@@ -858,15 +875,15 @@ fn prepend(prefix: &Nibbles, sub: Sub, scratch: &mut Vec<u8>) -> Sub {
             Node::Branch(_) => Node::extension(prefix.clone(), child),
         },
         Sub::Fresh(Node::Leaf(mut leaf)) => {
-            longer(&mut Arc::get_mut(&mut leaf).expect(unique).path);
+            longer(&mut Arc::get_mut(&mut leaf).expect(UNIQUE).path);
             Node::Leaf(leaf)
         }
         Sub::Fresh(Node::Extension(mut ext)) => {
-            longer(&mut Arc::get_mut(&mut ext).expect(unique).path);
+            longer(&mut Arc::get_mut(&mut ext).expect(UNIQUE).path);
             Node::Extension(ext)
         }
-        Sub::Fresh(branch @ Node::Branch(_)) => {
-            Node::extension(prefix.clone(), branch.commit(scratch))
+        branch @ Sub::Fresh(Node::Branch(_)) => {
+            Node::extension(prefix.clone(), branch.into_child())
         }
     })
 }
@@ -909,7 +926,6 @@ fn build<K: AsRef<[u8]>>(
     depth: usize,
     updates: &mut [Update<K>],
     mut resident: Option<Resident>,
-    scratch: &mut Vec<u8>,
 ) -> Option<Sub> {
     // Removals find nothing to remove. With them trimmed off both ends the
     // run starts and ends on an insert, so its first and last key bound the
@@ -955,17 +971,14 @@ fn build<K: AsRef<[u8]>>(
     while !rest.is_empty() {
         let (nibble, group, tail) = split_group(rest, at);
         let here = resident.take_if(|r| r.nibble(at) == nibble);
-        slots[nibble] = build(at + 1, group, here, scratch);
+        slots[nibble] = build(at + 1, group, here);
         rest = tail;
     }
     if let Some(r) = resident {
         slots[r.nibble(at)] = Some(Sub::Fresh(r.hung_at(at + 1)));
     }
-    let branch = Node::branch(
-        slots.map(|slot| slot.map(|sub| sub.into_child(scratch))),
-        value,
-    );
-    Some(prepend(&prefix, Sub::Fresh(branch), scratch))
+    let branch = Node::branch(slots.map(|slot| slot.map(Sub::into_child)), value);
+    Some(prepend(&prefix, Sub::Fresh(branch)))
 }
 
 /// Applies `updates` to the extension `ext` seen from `from` nibbles down its
@@ -978,11 +991,10 @@ fn apply_extension<K: AsRef<[u8]>>(
     from: usize,
     depth: usize,
     updates: &mut [Update<K>],
-    scratch: &mut Vec<u8>,
 ) -> Option<Sub> {
     let span = ext.path.len() - from;
     if span == 0 {
-        return apply(Some(&ext.child), depth, updates, scratch);
+        return apply(Some(&ext.child), depth, updates);
     }
     let follows = |u: &Update<K>| ext.path.common_prefix_with_key(from, u.0.as_ref(), depth);
     // The updates that follow the path at least `reach` nibbles are one run
@@ -1010,17 +1022,12 @@ fn apply_extension<K: AsRef<[u8]>>(
         if through.is_empty() {
             return Some(extension_tail(old, ext, from));
         }
-        let below = apply(
-            Some(&ext.child),
-            depth + span,
-            &mut updates[through],
-            scratch,
-        )?;
+        let below = apply(Some(&ext.child), depth + span, &mut updates[through])?;
         return Some(match (&below, old) {
             (Sub::Kept(child), Some(old)) if same_node(&child.node, &ext.child.node) => {
                 Sub::Kept(old.clone())
             }
-            _ => prepend(&ext.path.slice_from(from), below, scratch),
+            _ => prepend(&ext.path.slice_from(from), below),
         });
     };
 
@@ -1035,21 +1042,17 @@ fn apply_extension<K: AsRef<[u8]>>(
         let (nibble, group, tail) = split_group(rest, at);
         slots[nibble] = if nibble == onward {
             onward_untouched = false;
-            apply_extension(None, ext, from + shared + 1, at + 1, group, scratch)
+            apply_extension(None, ext, from + shared + 1, at + 1, group)
         } else {
-            build(at + 1, group, None, scratch)
+            build(at + 1, group, None)
         };
         rest = tail;
     }
     if onward_untouched {
         slots[onward] = Some(extension_tail(None, ext, from + shared + 1));
     }
-    let forked = finish_branch(slots, value, scratch)?;
-    Some(prepend(
-        &ext.path.slice(from, from + shared),
-        forked,
-        scratch,
-    ))
+    let forked = finish_branch(slots, value)?;
+    Some(prepend(&ext.path.slice(from, from + shared), forked))
 }
 
 /// The extension from `from` nibbles down its path on: itself, its child
@@ -1251,9 +1254,7 @@ fn node_from_items(
                 commit: Commitment::hashed(hash),
             })
         }
-        Token::List(inline) => {
-            Ok(node_from_items(inline, stored, resolver)?.commit(&mut Vec::new()))
-        }
+        Token::List(inline) => Ok(node_from_items(inline, stored, resolver)?.commit()),
     };
     match node_items(items).ok_or(bad)? {
         NodeItems::Short(path, true, Token::Str(value)) => Ok(Node::leaf(path, value.to_vec())),
@@ -1716,7 +1717,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_fresh_build_matches_serial_across_thread_counts() {
+    fn apply_batch_fresh_build_matches_serial() {
         let updates: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..300u64)
             .map(|i| (hashed_key(i), Some(format!("value-{i}").into_bytes())))
             .collect();
@@ -1724,14 +1725,12 @@ mod tests {
         one_by_one(&mut reference, &updates);
         let (ref_root, mut ref_nodes) = reference.commit_nodes();
         ref_nodes.sort();
-        for threads in [1, 2, 3, 5, 8, 16] {
-            let mut t = Trie::new();
-            t.apply_batch(updates.clone(), threads);
-            let (root, mut nodes) = t.commit_nodes();
-            assert_eq!(root, ref_root, "root diverged at {threads} threads");
-            nodes.sort();
-            assert_eq!(nodes, ref_nodes, "node set diverged at {threads} threads");
-        }
+        let mut t = Trie::new();
+        t.apply_batch(updates);
+        let (root, mut nodes) = t.commit_nodes();
+        assert_eq!(root, ref_root);
+        nodes.sort();
+        assert_eq!(nodes, ref_nodes);
     }
 
     #[test]
@@ -1757,36 +1756,25 @@ mod tests {
         one_by_one(&mut reference, &second);
         let (ref_root, mut ref_nodes) = reference.commit_nodes();
         ref_nodes.sort();
-        for threads in [1, 2, 4, 16] {
-            let mut t = Trie::new();
-            t.apply_batch(first.clone(), threads);
-            t.apply_batch(second.clone(), threads);
-            let (root, mut nodes) = t.commit_nodes();
-            assert_eq!(root, ref_root, "root diverged at {threads} threads");
-            nodes.sort();
-            assert_eq!(nodes, ref_nodes, "node set diverged at {threads} threads");
-            assert_eq!(t.iter(), reference.iter());
-        }
+        let mut t = Trie::new();
+        t.apply_batch(first);
+        t.apply_batch(second);
+        let (root, mut nodes) = t.commit_nodes();
+        assert_eq!(root, ref_root);
+        nodes.sort();
+        assert_eq!(nodes, ref_nodes);
+        assert_eq!(t.iter(), reference.iter());
     }
 
     #[test]
-    fn apply_batch_below_threshold_and_drain_to_empty() {
-        let updates: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-            (0..10u64).map(|i| (hashed_key(i), Some(vec![9]))).collect();
-        let mut t = Trie::new();
-        t.apply_batch(updates.clone(), 8);
-        let mut reference = Trie::new();
-        one_by_one(&mut reference, &updates);
-        assert_eq!(t.root_hash(), reference.root_hash());
-        // Parallel removal of everything must land back on the empty root.
+    fn apply_batch_drains_to_empty() {
         let mut full = Trie::new();
         full.apply_batch(
             (0..100u64)
                 .map(|i| (hashed_key(i), Some(vec![1])))
                 .collect(),
-            4,
         );
-        full.apply_batch((0..100u64).map(|i| (hashed_key(i), None)).collect(), 4);
+        full.apply_batch((0..100u64).map(|i| (hashed_key(i), None)).collect());
         assert!(full.is_empty());
         assert_eq!(full.root_hash(), empty_root());
     }
@@ -1854,17 +1842,15 @@ mod tests {
         one_by_one(&mut reference, updates);
         let (ref_root, mut ref_nodes) = reference.commit_nodes();
         ref_nodes.sort();
-        for threads in [1, 3] {
-            let mut batched = base.clone();
-            batched.apply_batch(updates.to_vec(), threads);
-            let (root, mut nodes) = batched.commit_nodes();
-            assert_eq!(root, ref_root);
-            nodes.sort();
-            assert_eq!(nodes, ref_nodes);
-            assert_eq!(batched.iter(), reference.iter());
-            assert_eq!(batched, reference);
-            assert_commitments_hold(&batched);
-        }
+        let mut batched = base.clone();
+        batched.apply_batch(updates.to_vec());
+        let (root, mut nodes) = batched.commit_nodes();
+        assert_eq!(root, ref_root);
+        nodes.sort();
+        assert_eq!(nodes, ref_nodes);
+        assert_eq!(batched.iter(), reference.iter());
+        assert_eq!(batched, reference);
+        assert_commitments_hold(&batched);
     }
 
     /// Every commitment held beside a pointer — the handle's for the root,
@@ -1977,7 +1963,7 @@ mod tests {
         ]);
         assert_batch_matches_one_by_one(&Trie::new(), &cold);
         let mut base = Trie::new();
-        base.apply_batch(cold, 1);
+        base.apply_batch(cold);
         assert_eq!(base.get(b""), Some(&b"root value"[..]));
         assert_eq!(base.get(b"\x03"), None);
         assert_batch_matches_one_by_one(
@@ -2005,9 +1991,19 @@ mod tests {
         );
         // Draining a trie by batch lands on the empty root.
         let mut drained = base.clone();
-        drained.apply_batch(base.iter().into_iter().map(|(k, _)| (k, None)).collect(), 2);
+        drained.apply_batch(base.iter().into_iter().map(|(k, _)| (k, None)).collect());
         assert!(drained.is_empty());
         assert_eq!(drained.root_hash(), empty_root());
+    }
+
+    #[test]
+    fn batch_of_nested_keys_is_hundreds_of_levels_deep() {
+        // Each key a prefix of the next: a branch with a value and an
+        // extension a byte, one fresh node under the other 400 deep.
+        let nested: Vec<(Vec<u8>, Option<Vec<u8>>)> = (1..=200)
+            .map(|n| (vec![0x61; n], Some(vec![n as u8; 40])))
+            .collect();
+        assert_batch_matches_one_by_one(&Trie::new(), &nested);
     }
 
     #[test]
@@ -2104,7 +2100,6 @@ mod tests {
             (0..KEYS)
                 .map(|i| (hashed_key(i), Some(body(i, 0))))
                 .collect(),
-            1,
         );
         let before_root = before.root_hash();
         let before_nodes = addresses(&before);
@@ -2112,7 +2107,7 @@ mod tests {
         assert!(before_nodes.len() > KEYS as usize);
 
         // Overwrites, fresh keys (which split leaves) and removals (which
-        // fold branches), on the calling thread so its counters see it all.
+        // fold branches).
         let updates: Vec<(Vec<u8>, Option<Vec<u8>>)> = (0..200u64)
             .map(|j| (hashed_key(j * 487 % KEYS), Some(body(j, 1))))
             .chain((0..40).map(|j| (hashed_key(KEYS + j), Some(body(j, 2)))))
@@ -2121,7 +2116,7 @@ mod tests {
         let mut after = before.clone();
         let allocated = counters::read(&counters::ALLOCATED);
         let hashed = counters::read(&counters::HASHED);
-        after.apply_batch(updates.clone(), 1);
+        after.apply_batch(updates.clone());
         let allocated = counters::read(&counters::ALLOCATED) - allocated;
         let hashed = counters::read(&counters::HASHED) - hashed;
 
@@ -2170,5 +2165,36 @@ mod tests {
         let mut reference = before.clone();
         one_by_one(&mut reference, &updates);
         assert_eq!(after, reference);
+    }
+
+    #[test]
+    fn a_block_sized_batch_fills_the_wide_kernel() {
+        use bp_crypto::keccak::permutation_count;
+        // Which kernel the batch hash runs on here: eight one-block inputs
+        // are one call of the ×8 permutation, or eight of the scalar one.
+        let probe: Vec<[u8; 8]> = (0..8u64).map(u64::to_be_bytes).collect();
+        let calls = permutation_count();
+        keccak256_batch(probe.iter().map(|input| &input[..]));
+        let wide = permutation_count() - calls == 1;
+
+        // A block's worth of account bodies rewritten in a 1 000-account
+        // trie: 192 leaves, the branches over them, the root.
+        let body = |i: u64, salt: u8| (hashed_key(i), Some(vec![salt; 70]));
+        let mut trie = Trie::new();
+        trie.apply_batch((0..1_000).map(|i| body(i, 0)).collect());
+        let batch = (0..192).map(|j| body(j * 5, 1)).collect();
+        let hashed = counters::read(&counters::HASHED);
+        let calls = permutation_count();
+        trie.apply_batch(batch);
+        let hashed = counters::read(&counters::HASHED) - hashed;
+        let calls = permutation_count() - calls;
+        assert_commitments_hold(&trie);
+        // 376 nodes of one to four rate blocks each, 512 blocks in all: a
+        // call a block on the scalar path. Level order puts them through
+        // the wide kernel in six levels (192, 134, 32, 15, 2 and 1 nodes),
+        // each ending on a call that is not full, the root alone on the
+        // scalar path: a seventh of the calls, where an eighth is the floor.
+        assert_eq!(hashed, 376);
+        assert_eq!(calls, if wide { 74 } else { 512 });
     }
 }

@@ -9,11 +9,11 @@
 //! which storage slots) it dirtied, and the tries produced by the previous
 //! commit are retained. `state_root()` / `commit_tries()` then re-insert only
 //! the dirty entries — removing deleted slots and emptied accounts — so the
-//! per-block cost is O(dirty keys · log n) instead of O(total state). Above
-//! a threshold the dirty accounts are sharded by the first nibble of their
-//! hashed address and each shard — its storage tries, its account bodies,
-//! its subtree of the account trie — is committed by one thread of a single
-//! fan-out. In debug builds every incremental root is cross-checked against
+//! per-block cost is O(dirty keys · log n) instead of O(total state). What
+//! a commit hashes it hashes in batches, for the eight-at-a-time keccak
+//! kernel: the dirty addresses, each account's dirty slots, the new nodes of
+//! all the dirty storage tries level by level together, then the account
+//! trie's. In debug builds every incremental root is cross-checked against
 //! a from-scratch rebuild ([`WorldState::rebuild_root`]).
 //!
 //! The account map, each account's storage map and the retained storage
@@ -36,9 +36,9 @@
 //! incremental-root machinery works identically whether state is resident
 //! or base-backed.
 
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use bp_crypto::keccak256;
+use bp_crypto::{keccak256, keccak256_batch};
 use bp_types::{AccessKey, Address, WriteSet, H256, U256};
 // Dirty tracking and the from-scratch oracle's scratch maps are Fx-hashed:
 // keys are fixed-size hashes/addresses, and SipHash showed up as the top
@@ -154,9 +154,6 @@ pub struct WorldState {
     /// Base state that reads fall through to when `accounts` misses.
     base: Option<Arc<dyn StateReader>>,
     tracker: Mutex<CommitTracker>,
-    /// Thread cap for a commit's fan-out (the calling thread included).
-    /// `0` ⇒ all available cores.
-    commit_threads: usize,
 }
 
 impl Clone for WorldState {
@@ -172,7 +169,6 @@ impl Clone for WorldState {
                 dirty: tracker.dirty.clone(),
                 commit: tracker.commit.clone(),
             }),
-            commit_threads: self.commit_threads,
         }
     }
 }
@@ -211,27 +207,7 @@ impl WorldState {
                     storage_tries: PMap::new(),
                 })),
             }),
-            commit_threads: 0,
         }
-    }
-
-    /// Caps the threads a commit ([`state_root`] / [`commit_tries`]) fans
-    /// its shards of dirty accounts out to, the calling thread included.
-    /// `0` (the default) means all available cores; `1` forces the serial
-    /// path.
-    /// The cap survives [`snapshot`]/`clone` so a pipeline configures it
-    /// once on the genesis world.
-    ///
-    /// [`state_root`]: WorldState::state_root
-    /// [`commit_tries`]: WorldState::commit_tries
-    /// [`snapshot`]: WorldState::snapshot
-    pub fn set_commit_threads(&mut self, threads: usize) {
-        self.commit_threads = threads;
-    }
-
-    /// The configured parallel-commit worker cap (`0` = all cores).
-    pub fn commit_threads(&self) -> usize {
-        self.commit_threads
     }
 
     /// Converts a resident world into a base-backed one: commits (so the
@@ -253,7 +229,7 @@ impl WorldState {
             .tracker
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner);
-        tracker.dirty.clear();
+        tracker.dirty = HashMap::default();
         tracker.commit = Some(commit);
     }
 
@@ -551,8 +527,9 @@ impl WorldState {
             );
             bodies.push((keccak256(addr.as_bytes()).0, Some(body)));
         }
+        bodies.sort_unstable_by_key(|body| body.0);
         let mut account_trie = Trie::new();
-        apply_hashed(&mut account_trie, bodies);
+        account_trie.apply_sorted(&mut bodies);
         account_trie.root_hash()
     }
 
@@ -661,23 +638,26 @@ impl WorldState {
     /// returns it.
     fn refresh(&self) -> Arc<WorldCommit> {
         let mut tracker = self.tracker.lock().unwrap_or_else(PoisonError::into_inner);
+        // The dirty set is taken, not drained: a drained table keeps its
+        // capacity, and every snapshot of this world from then on would
+        // copy a table the size of the largest batch it ever saw (a
+        // 100 000-account genesis: 7 MB a clone).
+        let dirty = std::mem::take(&mut tracker.dirty);
         // First commit ever (for this lineage): everything is dirty.
         let (mut commit, dirty) = match tracker.commit.take() {
             Some(prev) => {
-                if tracker.dirty.is_empty() {
+                if dirty.is_empty() {
                     // Nothing changed since the last commit.
                     let out = Arc::clone(&prev);
                     tracker.commit = Some(prev);
                     return out;
                 }
-                let dirty: Vec<(Address, DirtyAccount)> = tracker.dirty.drain().collect();
                 // Unshared after a snapshot recommits? Reuse in place; else
                 // clone (cheap — tries share structure).
                 let commit = Arc::try_unwrap(prev).unwrap_or_else(|shared| (*shared).clone());
                 (commit, dirty)
             }
             None => {
-                tracker.dirty.clear();
                 let mut all: HashMap<Address, DirtyAccount> = self
                     .accounts
                     .keys()
@@ -688,42 +668,44 @@ impl WorldState {
                         all.entry(addr).or_insert(DirtyAccount::Full);
                     }
                 }
-                (WorldCommit::default(), all.into_iter().collect())
+                (WorldCommit::default(), all)
             }
         };
 
-        // One fan-out: the dirty accounts are sharded by the first nibble
-        // of their hashed address, and whichever thread takes a shard
-        // patches its accounts' storage tries, encodes their bodies and
-        // applies them to the shard's own subtree of the account trie.
-        let mut shards: [Vec<(HashedKey, Address, DirtyAccount)>; 16] = Default::default();
-        for (addr, dirt) in dirty {
-            let key = keccak256(addr.as_bytes()).0;
-            shards[(key[0] >> 4) as usize].push((key, addr, dirt));
+        // The dirty accounts in the order of their hashed addresses (hashed
+        // as one batch): the order the account trie's descent takes them in.
+        let mut dirty: Vec<(HashedKey, Address, DirtyAccount)> = dirty
+            .into_iter()
+            .map(|(addr, dirt)| ([0; 32], addr, dirt))
+            .collect();
+        let keys = keccak256_batch(dirty.iter().map(|(_, addr, _)| addr.as_bytes()));
+        for (entry, key) in dirty.iter_mut().zip(keys) {
+            entry.0 = key.0;
         }
-        let storage_tries = &commit.storage_tries;
-        let replaced = commit.account_trie.apply_sharded(
-            shards,
-            commit_workers(self.commit_threads),
-            |mut shard| {
-                shard.sort_unstable_by_key(|entry| entry.0);
-                let mut bodies = Vec::with_capacity(shard.len());
-                let mut replaced = Vec::new();
-                for (key, addr, dirt) in shard {
-                    let update = compute_update(
-                        addr,
-                        &dirt,
-                        &self.accounts,
-                        storage_tries,
-                        self.base.as_deref(),
-                    );
-                    bodies.push((key, update.body));
-                    replaced.extend(update.storage_trie.map(|trie| (addr, trie)));
-                }
-                (bodies, replaced)
-            },
-        );
-        for (addr, storage_trie) in replaced.into_iter().flatten() {
+        dirty.sort_unstable_by_key(|entry| entry.0);
+        // Storage first: each account's trie is patched with its new nodes
+        // left pending, and the tries of the whole block are hashed level
+        // by level together. The account bodies need their roots.
+        let base = self.base.as_deref();
+        let mut states: Vec<_> = dirty
+            .iter()
+            .map(|(_, addr, dirt)| {
+                let overlay = self.accounts.get(addr).map(|acct| &**acct);
+                let prev = commit.storage_tries.get(addr);
+                let patched = patched_storage(addr, dirt, overlay, prev, base);
+                (overlay, prev, patched)
+            })
+            .collect();
+        trie::commit_pending(states.iter_mut().filter_map(|state| state.2.as_mut()));
+        let mut bodies = Vec::with_capacity(dirty.len());
+        let mut replaced = Vec::new();
+        for ((key, addr, _), (overlay, prev, patched)) in dirty.into_iter().zip(states) {
+            let update = account_update(&addr, overlay, prev, patched, base);
+            bodies.push((key, update.body));
+            replaced.extend(update.storage_trie.map(|trie| (addr, trie)));
+        }
+        commit.account_trie.apply_sorted(&mut bodies);
+        for (addr, storage_trie) in replaced {
             if storage_trie.is_empty() {
                 commit.storage_tries.remove(&addr);
             } else {
@@ -766,24 +748,14 @@ fn materialize<'a>(
     Arc::make_mut(entry)
 }
 
-/// Resolves a configured thread cap (`0` = all cores). The core count is
-/// read once per process: `available_parallelism` walks the affinity mask
-/// and the cgroup files on every call.
-fn commit_workers(commit_threads: usize) -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    match commit_threads {
-        0 => *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
-        cap => cap,
-    }
-}
-
 /// A trie key: `keccak(address)` or `keccak(slot)`.
 type HashedKey = [u8; 32];
 
-/// Applies updates keyed by hash to `trie` in one descent.
+/// Applies updates keyed by hash to `trie` in one descent, leaving the nodes
+/// it creates pending ([`trie::commit_pending`]).
 fn apply_hashed(trie: &mut Trie, mut updates: Vec<(HashedKey, Option<Vec<u8>>)>) {
     updates.sort_unstable_by_key(|update| update.0);
-    trie.apply_sorted(&mut updates);
+    trie.apply_sorted_pending(&mut updates);
 }
 
 /// The effect of one dirty account on the commit.
@@ -796,32 +768,30 @@ struct AccountUpdate {
     storage_trie: Option<Trie>,
 }
 
-/// Computes one dirty account's update: patch (or rebuild) its storage trie
-/// and re-encode the account body.
+/// True iff the account is gone whatever its storage trie held: nothing
+/// resident and no base to fall through to.
+fn is_absent(overlay: Option<&AccountState>, base: Option<&dyn StateReader>) -> bool {
+    base.is_none() && overlay.is_none_or(|acct| acct.is_empty())
+}
+
+/// One dirty account's new storage trie — the retained one (`prev`) patched,
+/// or one rebuilt — with the nodes it creates left pending; `None` when the
+/// retained trie stands or the account is gone.
 ///
-/// With a base, the overlay account's body is authoritative (materialized on
-/// first write), while its storage map holds only the touched slots: the
-/// patch path falls through to the base per dirty slot, and the rebuild path
-/// merges overlay entries over the base's flat entries. An account is
-/// dropped (EIP-161) iff its body is empty *and* its merged storage trie is.
-fn compute_update(
-    addr: Address,
+/// With a base, the overlay account's storage map holds only the touched
+/// slots: the patch path falls through to the base per dirty slot, and the
+/// rebuild path merges overlay entries over the base's flat entries.
+fn patched_storage(
+    addr: &Address,
     dirt: &DirtyAccount,
-    accounts: &PMap<Address, Arc<AccountState>>,
-    prev_tries: &PMap<Address, Trie>,
+    overlay: Option<&AccountState>,
+    prev: Option<&Trie>,
     base: Option<&dyn StateReader>,
-) -> AccountUpdate {
-    let overlay = accounts.get(&addr);
-    let prev = prev_tries.get(&addr);
-    let dropped = AccountUpdate {
-        body: None,
-        storage_trie: prev.map(|_| Trie::new()),
-    };
-    if base.is_none() && overlay.is_none_or(|acct| acct.is_empty()) {
-        return dropped;
+) -> Option<Trie> {
+    if is_absent(overlay, base) {
+        return None;
     }
-    let leaf = |value: U256| (!value.is_zero()).then(|| storage_leaf(&value));
-    let rebuilt = match (dirt, prev, overlay) {
+    match (dirt, prev, overlay) {
         // Only the body changed: the retained trie stands.
         (DirtyAccount::Slots(slots), Some(_), Some(_)) if slots.is_empty() => None,
         // Precise slot tracking with a retained trie: patch only the dirty
@@ -829,20 +799,20 @@ fn compute_update(
         // trie; a dirty slot missing from the overlay falls through to the
         // base.
         (DirtyAccount::Slots(slots), Some(prev), Some(acct)) => {
-            let updates = slots
+            let slots: Vec<(&H256, U256)> = slots
                 .iter()
                 .map(|slot| {
                     let value = acct
                         .storage
                         .get(slot)
                         .copied()
-                        .or_else(|| base.and_then(|b| b.base_storage(&addr, slot)))
+                        .or_else(|| base.and_then(|b| b.base_storage(addr, slot)))
                         .unwrap_or(U256::ZERO);
-                    (keccak256(slot.as_bytes()).0, leaf(value))
+                    (slot, value)
                 })
                 .collect();
             let mut trie = prev.clone();
-            apply_hashed(&mut trie, updates);
+            apply_hashed(&mut trie, storage_leaves(slots));
             Some(trie)
         }
         // Fully dirty, or no retained trie (first touch since the base, or
@@ -850,7 +820,7 @@ fn compute_update(
         // flat entries with the overlay's merged on top.
         _ => {
             let mut merged: HashMap<H256, U256> = match base {
-                Some(b) => b.base_storage_entries(&addr).into_iter().collect(),
+                Some(b) => b.base_storage_entries(addr).into_iter().collect(),
                 None => HashMap::default(),
             };
             if let Some(acct) = overlay {
@@ -862,10 +832,32 @@ fn compute_update(
                     }
                 }
             }
-            Some(storage_trie(&merged))
+            Some(storage_trie_pending(&merged))
         }
+    }
+}
+
+/// One dirty account's update, once its new storage trie (`patched`, if it
+/// changed) is hashed: the re-encoded account body, and the trie to retain.
+///
+/// With a base, the overlay account's body is authoritative (materialized on
+/// first write). An account is dropped (EIP-161) iff its body is empty *and*
+/// its merged storage trie is.
+fn account_update(
+    addr: &Address,
+    overlay: Option<&AccountState>,
+    prev: Option<&Trie>,
+    patched: Option<Trie>,
+    base: Option<&dyn StateReader>,
+) -> AccountUpdate {
+    let dropped = AccountUpdate {
+        body: None,
+        storage_trie: prev.map(|_| Trie::new()),
     };
-    let storage_trie = rebuilt
+    if is_absent(overlay, base) {
+        return dropped;
+    }
+    let storage_trie = patched
         .as_ref()
         .or(prev)
         .expect("an unpatched account has a retained trie");
@@ -875,7 +867,7 @@ fn compute_update(
     let (nonce, balance, code_hash) = match overlay {
         Some(acct) if acct.code.is_empty() => (acct.nonce, acct.balance, empty_code_hash()),
         Some(acct) => (acct.nonce, acct.balance, H256::from_u256(acct.code_hash)),
-        None => match base.and_then(|b| b.base_account(&addr)) {
+        None => match base.and_then(|b| b.base_account(addr)) {
             Some(b) => (b.nonce, b.balance, code_hash(&b.code)),
             None => (0, U256::ZERO, empty_code_hash()),
         },
@@ -892,8 +884,19 @@ fn compute_update(
             storage_trie.root_hash(),
         )),
         // An account that had no storage and has none changes nothing.
-        storage_trie: rebuilt.filter(|trie| !trie.is_empty() || prev.is_some()),
+        storage_trie: patched.filter(|trie| !trie.is_empty() || prev.is_some()),
     }
+}
+
+/// Storage-trie updates for slots and their values (zero removes the slot):
+/// the slots hashed as one batch.
+fn storage_leaves(slots: Vec<(&H256, U256)>) -> Vec<(HashedKey, Option<Vec<u8>>)> {
+    let keys = keccak256_batch(slots.iter().map(|(slot, _)| slot.as_bytes()));
+    let leaf = |value: &U256| (!value.is_zero()).then(|| storage_leaf(value));
+    keys.into_iter()
+        .zip(&slots)
+        .map(|(key, (_, value))| (key.0, leaf(value)))
+        .collect()
 }
 
 /// RLP leaf for one storage value.
@@ -925,21 +928,20 @@ fn account_body(nonce: u64, balance: U256, code_hash: H256, storage_root: H256) 
     .rlp_encode()
 }
 
-/// One account's storage trie, built from scratch in one descent.
-fn storage_trie(storage: &HashMap<H256, U256>) -> Trie {
-    let leaves = storage
-        .iter()
-        .filter(|(_, value)| !value.is_zero())
-        .map(|(slot, value)| (keccak256(slot.as_bytes()).0, Some(storage_leaf(value))))
-        .collect();
+/// One account's storage trie, built from scratch in one descent, its nodes
+/// left pending.
+fn storage_trie_pending(storage: &HashMap<H256, U256>) -> Trie {
     let mut trie = Trie::new();
-    apply_hashed(&mut trie, leaves);
+    let slots = storage.iter().map(|(slot, value)| (slot, *value)).collect();
+    apply_hashed(&mut trie, storage_leaves(slots));
     trie
 }
 
 /// Root of one account's storage trie, built from scratch.
 pub fn storage_root(storage: &HashMap<H256, U256>) -> H256 {
-    storage_trie(storage).root_hash()
+    let mut trie = storage_trie_pending(storage);
+    trie::commit_pending(std::iter::once(&mut trie));
+    trie.root_hash()
 }
 
 #[cfg(test)]
@@ -1551,22 +1553,68 @@ mod tests {
     }
 
     #[test]
-    fn parallel_hashing_path_matches_serial_oracle() {
-        // Enough dirty accounts with storage for the commit to fan out,
-        // first over an empty account trie, then over its root branch.
+    fn a_committed_worlds_snapshot_carries_no_dirty_capacity() {
+        // A hash table emptied in place keeps its buckets, and a clone of
+        // it allocates as many: the dirty set of a committed world must be
+        // a new table, whichever way the commit came about.
+        let dirty_capacity = |w: &WorldState| w.tracker.lock().unwrap().dirty.capacity();
         let mut w = WorldState::new();
-        w.set_commit_threads(3);
+        for i in 0..5_000u64 {
+            w.set_balance(addr(i), U256::from(i + 1));
+        }
+        assert!(dirty_capacity(&w) >= 5_000);
+        // The first commit of a lineage, which takes every account …
+        w.state_root();
+        assert_eq!(dirty_capacity(&w), 0);
+        assert_eq!(dirty_capacity(&w.snapshot()), 0);
+        // … a recommit of a large dirty set over a retained commit …
+        for i in 0..3_000u64 {
+            w.set_nonce(addr(i), 1);
+        }
+        assert!(dirty_capacity(&w.snapshot()) >= 3_000);
+        w.state_root();
+        assert_eq!(dirty_capacity(&w), 0);
+        // … and a rebase with writes outstanding.
+        for i in 0..2_000u64 {
+            w.set_nonce(addr(i), 2);
+        }
+        let mut base = MapReader::new();
+        base.apply(&w.full_delta());
+        w.rebase(Arc::new(base));
+        assert_eq!(dirty_capacity(&w), 0);
+        // A descendant's table is sized by what it wrote itself.
+        let mut child = w.snapshot();
+        child.set_balance(addr(1), U256::from(9u64));
+        assert!(dirty_capacity(&child) < 16);
+        child.state_root();
+        assert_eq!(dirty_capacity(&child.snapshot()), 0);
+    }
+
+    #[test]
+    fn storage_tries_hashed_together_match_the_oracle() {
+        // Two hundred storage tries of different depths in one commit:
+        // their new nodes share the hash batches level by level, first
+        // built cold, then patched.
+        let mut w = WorldState::new();
         for i in 0..200u64 {
             w.set_balance(addr(i), U256::from(i + 1));
             for s in 0..4u64 {
                 w.set_storage(addr(i), H256::from_low_u64(s), U256::from(i * 10 + s + 1));
+            }
+            for s in 4..i % 40 {
+                w.set_storage(addr(i), H256::from_low_u64(s), U256::from(s));
             }
         }
         assert_eq!(w.state_root(), w.rebuild_root());
         // Dirty a wide slice after the first commit and recommit.
         for i in 0..100u64 {
             w.set_storage(addr(i), H256::from_low_u64(1), U256::from(5555 + i));
+            w.set_storage(addr(i), H256::from_low_u64(2), U256::ZERO);
         }
         assert_eq!(w.state_root(), w.rebuild_root());
+        // Every node the commit emits is stored under the hash of its bytes.
+        let (root, nodes) = w.commit_tries();
+        assert_eq!(root, w.state_root());
+        assert!(nodes.iter().all(|(hash, bytes)| keccak256(bytes) == *hash));
     }
 }

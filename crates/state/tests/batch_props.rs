@@ -117,7 +117,7 @@ fn assert_equivalent(base: &Trie, batch: &Batch, batched: &Trie) -> Result<(), T
     prop_assert_eq!(loaded.root_hash(), root);
     prop_assert_eq!(loaded.iter(), batched.iter());
     prop_assert_eq!(sorted_nodes(&loaded), sorted_nodes(batched));
-    loaded.apply_batch(batch.clone(), 1);
+    loaded.apply_batch(batch.clone());
     let mut again = batched.clone();
     one_by_one(&mut again, batch);
     prop_assert_eq!(sorted_nodes(&loaded), sorted_nodes(&again));
@@ -133,13 +133,12 @@ proptest! {
     fn batch_equals_one_by_one(
         base in arb_batch(40),
         batch in arb_batch(40),
-        threads in 1usize..4,
     ) {
         let mut trie = Trie::new();
         one_by_one(&mut trie, &base);
         let snapshot_root = trie.root_hash();
         let mut batched = trie.clone();
-        batched.apply_batch(batch.clone(), threads);
+        batched.apply_batch(batch.clone());
         assert_equivalent(&trie, &batch, &batched)?;
         // The clone the batch started from is untouched.
         prop_assert_eq!(trie.root_hash(), snapshot_root);
@@ -151,9 +150,9 @@ proptest! {
     /// A cold build: the whole content as one batch on an empty trie equals
     /// the sorted map it came from.
     #[test]
-    fn cold_build_equals_one_by_one(batch in arb_batch(80), threads in 1usize..4) {
+    fn cold_build_equals_one_by_one(batch in arb_batch(80)) {
         let mut batched = Trie::new();
-        batched.apply_batch(batch.clone(), threads);
+        batched.apply_batch(batch.clone());
         assert_equivalent(&Trie::new(), &batch, &batched)?;
         let model: BTreeMap<Vec<u8>, Vec<u8>> = batch
             .iter()
@@ -173,7 +172,6 @@ proptest! {
         below in prop::collection::vec(1u8..4, 0..3),
         value_on_branch in any::<bool>(),
         noise in arb_batch(6),
-        threads in 1usize..3,
     ) {
         // Three siblings under `prefix`, at nibbles 2, 5 and 9; the survivor
         // may have keys of its own below it.
@@ -199,7 +197,7 @@ proptest! {
         }
         let batch: Batch = batch.into_iter().collect();
         let mut batched = base.clone();
-        batched.apply_batch(batch.clone(), threads);
+        batched.apply_batch(batch.clone());
         assert_equivalent(&base, &batch, &batched)?;
     }
 
@@ -213,7 +211,6 @@ proptest! {
         second_cut in any::<prop::sample::Index>(),
         end_inside in any::<bool>(),
         remove_below in any::<bool>(),
-        threads in 1usize..3,
     ) {
         // Two keys that share `prefix ++ run`: an extension over that run.
         let shared = [prefix.clone(), run.clone()].concat();
@@ -241,7 +238,7 @@ proptest! {
         }
         let batch: Batch = batch.into_iter().collect();
         let mut batched = base.clone();
-        batched.apply_batch(batch.clone(), threads);
+        batched.apply_batch(batch.clone());
         assert_equivalent(&base, &batch, &batched)?;
         if !remove_below {
             prop_assert!(shape(&batched).0 > shape(&base).0, "a fork adds a branch");
@@ -252,14 +249,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Hashed 32-byte keys in numbers that cross the fan-out threshold, on a
-    /// trie whose root is a branch: the sharded apply on any thread count
-    /// equals the one-by-one build.
+    /// Hashed 32-byte keys in the numbers of a block and more, on a trie
+    /// whose root is a full branch: levels of hundreds of nodes, hashed
+    /// eight at a time and in chunks, equal the one-by-one build.
     #[test]
-    fn sharded_batches_equal_one_by_one(
+    fn hashed_key_batches_equal_one_by_one(
         seeds in prop::collection::vec(any::<u16>(), 150..400),
-        rewrite in prop::collection::vec((any::<u16>(), arb_update()), 150..400),
-        threads in 2usize..=16,
+        rewrite in prop::collection::vec((any::<u16>(), arb_update()), 150..700),
     ) {
         let key = |i: u16| keccak256(&i.to_be_bytes()).0.to_vec();
         let base: Batch = seeds
@@ -276,27 +272,25 @@ proptest! {
             .map(|(i, v)| (key(i), v))
             .collect();
         let mut trie = Trie::new();
-        trie.apply_batch(base.clone(), threads);
+        trie.apply_batch(base.clone());
         assert_equivalent(&Trie::new(), &base, &trie)?;
         let mut batched = trie.clone();
-        batched.apply_batch(batch.clone(), threads);
+        batched.apply_batch(batch.clone());
         assert_equivalent(&trie, &batch, &batched)?;
     }
 
     /// Storage-trie batches: a block's slot writes to one contract (zeros
     /// delete) go through the same descent, and what the account body then
     /// carries is the root of the one-by-one `keccak(slot) → rlp(value)`
-    /// trie. Enough other accounts are dirtied for the commit to fan out.
+    /// trie, whatever else the commit hashes beside it.
     #[test]
     fn storage_batches_equal_one_by_one(
         first in prop::collection::vec((0u64..48, any::<u64>()), 1..60),
         second in prop::collection::vec((0u64..48, prop_oneof![Just(0u64), any::<u64>()]), 1..60),
         bystanders in 0u64..300,
-        threads in 1usize..4,
     ) {
         let contract = Address::from_index(7);
         let mut world = WorldState::new();
-        world.set_commit_threads(threads);
         world.set_code(contract, vec![0x00]);
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         for round in [&first, &second] {
@@ -339,7 +333,7 @@ fn forced_shapes_are_reached() {
     trie.insert(b"\x10\x20", long.clone());
     trie.insert(b"\x10\x50", long.clone());
     assert_eq!(shape(&trie), (1, 1, 2, 0));
-    trie.apply_batch(vec![(b"\x10\x50".to_vec(), None)], 1);
+    trie.apply_batch(vec![(b"\x10\x50".to_vec(), None)]);
     assert_eq!(shape(&trie), (0, 0, 1, 0));
     // … and a branch over a leaf and a subtree folds into an extension.
     let mut trie = Trie::new();
@@ -347,20 +341,17 @@ fn forced_shapes_are_reached() {
         trie.insert(key, long.clone());
     }
     assert_eq!(shape(&trie), (2, 2, 3, 0));
-    trie.apply_batch(vec![(b"\x10\x20".to_vec(), None)], 1);
+    trie.apply_batch(vec![(b"\x10\x20".to_vec(), None)]);
     assert_eq!(shape(&trie), (1, 1, 2, 0));
     // One-byte values under short keys are inlined, a root-valued key sits
     // on the root branch, and an empty value deletes.
     let mut trie = Trie::new();
-    trie.apply_batch(
-        vec![
-            (vec![], Some(vec![1])),
-            (vec![0x01], Some(vec![2])),
-            (vec![0x11], Some(vec![3])),
-            (vec![0xf0], Some(Vec::new())),
-        ],
-        2,
-    );
+    trie.apply_batch(vec![
+        (vec![], Some(vec![1])),
+        (vec![0x01], Some(vec![2])),
+        (vec![0x11], Some(vec![3])),
+        (vec![0xf0], Some(Vec::new())),
+    ]);
     assert_eq!(trie.get(&[]), Some(&[1u8][..]));
     assert_eq!(trie.get(&[0xf0]), None);
     let (branches, _, leaves, inlined) = shape(&trie);

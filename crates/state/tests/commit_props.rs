@@ -1,8 +1,9 @@
-//! Property tests for parallel trie commitment: sharded `apply_batch` and
-//! the world's threaded `commit_tries` must be byte-for-byte equivalent to
-//! the serial path — same root as the from-scratch `rebuild_root` oracle,
-//! same memoized commit-node set — for any dirty fraction and any worker
-//! count in 1..=16.
+//! Property tests for the level-order commit: a batch's new nodes, hashed
+//! level by level across the whole batch (and, in a world commit, across
+//! all the dirty storage tries, then the account trie), must be
+//! byte-for-byte what hashing them one mutation at a time gives — same root
+//! as the from-scratch `rebuild_root` oracle, same commit-node set — for
+//! any dirty fraction.
 
 use std::collections::HashMap;
 
@@ -37,14 +38,13 @@ fn sorted_nodes(mut nodes: Vec<(H256, Vec<u8>)>) -> Vec<(H256, Vec<u8>)> {
 }
 
 proptest! {
-    /// `apply_batch` at any thread count equals the one-by-one serial
-    /// mutation sequence: same root, same per-reference commit-node set,
-    /// and the same answers to point reads.
+    /// `apply_batch` equals the one-by-one serial mutation sequence: same
+    /// root, same per-reference commit-node set, and the same answers to
+    /// point reads.
     #[test]
     fn apply_batch_equals_serial_mutation(
         base in arb_batch(),
         batch in arb_batch(),
-        threads in 1usize..=16,
     ) {
         let mut serial = Trie::new();
         for (k, v) in &base {
@@ -55,7 +55,7 @@ proptest! {
                 }
             }
         }
-        let mut parallel = serial.clone();
+        let mut batched = serial.clone();
 
         for (k, v) in &batch {
             match v {
@@ -65,32 +65,29 @@ proptest! {
                 }
             }
         }
-        parallel.apply_batch(batch.clone(), threads);
+        batched.apply_batch(batch.clone());
 
-        prop_assert_eq!(parallel.root_hash(), serial.root_hash(), "threads {}", threads);
-        let (p_root, p_nodes) = parallel.commit_nodes();
+        prop_assert_eq!(batched.root_hash(), serial.root_hash());
+        let (b_root, b_nodes) = batched.commit_nodes();
         let (s_root, s_nodes) = serial.commit_nodes();
-        prop_assert_eq!(p_root, s_root);
-        prop_assert_eq!(sorted_nodes(p_nodes), sorted_nodes(s_nodes));
+        prop_assert_eq!(b_root, s_root);
+        prop_assert_eq!(sorted_nodes(b_nodes), sorted_nodes(s_nodes));
         for (k, _) in &batch {
-            prop_assert_eq!(parallel.get(k), serial.get(k));
+            prop_assert_eq!(batched.get(k), serial.get(k));
         }
     }
 
-    /// Two successive parallel batches (warm memo) still match a cold serial
-    /// build of the final contents — the memo carries no thread-count
-    /// residue from one commit to the next.
+    /// Two successive batches still match a cold serial build of the final
+    /// contents — a batch leaves nothing pending for the next to trip on.
     #[test]
-    fn repeated_parallel_batches_match_cold_build(
+    fn repeated_batches_match_cold_build(
         first in arb_batch(),
         second in arb_batch(),
-        t1 in 1usize..=16,
-        t2 in 1usize..=16,
     ) {
         let mut warm = Trie::new();
-        warm.apply_batch(first.clone(), t1);
-        let _ = warm.commit_nodes(); // prime the memo between batches
-        warm.apply_batch(second.clone(), t2);
+        warm.apply_batch(first.clone());
+        let _ = warm.commit_nodes();
+        warm.apply_batch(second.clone());
 
         let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
         for (k, v) in first.into_iter().chain(second) {
@@ -110,7 +107,7 @@ proptest! {
 
         let (w_root, w_nodes) = warm.commit_nodes();
         let (c_root, c_nodes) = cold.commit_nodes();
-        prop_assert_eq!(w_root, c_root, "t1 {} t2 {}", t1, t2);
+        prop_assert_eq!(w_root, c_root);
         prop_assert_eq!(sorted_nodes(w_nodes), sorted_nodes(c_nodes));
     }
 }
@@ -154,31 +151,32 @@ fn apply_ops(world: &mut WorldState, ops: &WorldOps) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The world's threaded commit path — sharded account-trie apply plus
-    /// parallel storage-trie hashing — equals both the serial commit and
-    /// the from-scratch `rebuild_root` oracle, with identical node sets.
+    /// The world's commit — every dirty storage trie patched and hashed
+    /// level by level together, then the account trie — equals the
+    /// from-scratch `rebuild_root` oracle and a world that commits after
+    /// every single write (each of its commits a batch of one key a trie,
+    /// hashed node by node up its one path), with identical node sets.
     #[test]
-    fn world_commit_threads_equal_serial_and_oracle(
-        ops in arb_world_ops(),
-        threads in 2usize..=16,
-    ) {
-        let mut serial = WorldState::new();
-        serial.set_commit_threads(1);
+    fn world_commit_equals_one_write_at_a_time_and_oracle(ops in arb_world_ops()) {
+        let mut stepwise = WorldState::new();
         for i in 1..=ops.accounts {
-            serial.set_balance(Address::from_index(i), U256::from(1_000 + i));
+            stepwise.set_balance(Address::from_index(i), U256::from(1_000 + i));
         }
         // Prime the incremental memo, then dirty a subset on top of it.
-        let _ = serial.commit_tries();
-        let mut parallel = serial.clone();
-        parallel.set_commit_threads(threads);
+        let _ = stepwise.commit_tries();
+        let mut batched = stepwise.clone();
 
-        apply_ops(&mut serial, &ops);
-        apply_ops(&mut parallel, &ops);
+        for step in 0..ops.dirty.len() {
+            let one = WorldOps { accounts: ops.accounts, dirty: ops.dirty[step..=step].to_vec() };
+            apply_ops(&mut stepwise, &one);
+            let _ = stepwise.state_root();
+        }
+        apply_ops(&mut batched, &ops);
 
-        let (s_root, s_nodes) = serial.commit_tries();
-        let (p_root, p_nodes) = parallel.commit_tries();
-        prop_assert_eq!(p_root, s_root, "threads {}", threads);
-        prop_assert_eq!(p_root, serial.rebuild_root());
-        prop_assert_eq!(sorted_nodes(p_nodes), sorted_nodes(s_nodes));
+        let (s_root, s_nodes) = stepwise.commit_tries();
+        let (b_root, b_nodes) = batched.commit_tries();
+        prop_assert_eq!(b_root, s_root);
+        prop_assert_eq!(b_root, batched.rebuild_root());
+        prop_assert_eq!(sorted_nodes(b_nodes), sorted_nodes(s_nodes));
     }
 }

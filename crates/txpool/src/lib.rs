@@ -424,14 +424,14 @@ impl TxPool {
     /// Adds a prefix of `txs`, stopping at the admission cap. Returns how
     /// many were taken; the caller re-offers the remainder after draining.
     /// The lock is held twice, briefly: once to read the room, once to admit
-    /// — the transactions are hashed in between, so proposer workers' turns
-    /// never wait behind a batch of keccaks.
+    /// — the transactions are hashed in between, as one batch, so proposer
+    /// workers' turns never wait behind the keccaks.
     pub fn add_batch(&self, txs: &mut Vec<Transaction>) -> usize {
         let room = self.inner.lock().room().min(txs.len());
         if room == 0 {
             return 0;
         }
-        let hashes: Vec<TxHash> = txs[..room].iter().map(Transaction::hash).collect();
+        let hashes = Transaction::hash_batch(&txs[..room]);
         let mut g = self.inner.lock();
         // Other feeders may have used some of the room meanwhile.
         let take = g.room().min(room);
