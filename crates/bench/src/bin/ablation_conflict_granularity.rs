@@ -7,31 +7,31 @@
 //!
 //! Usage: `cargo run -p bp-bench --release --bin ablation_conflict_granularity`
 
-use std::time::Instant;
-
 use blockpilot_core::scheduler::{ConflictGranularity, Scheduler};
-use bp_bench::{block_count, generate_fixtures, mean};
+use bp_bench::{block_count, generate_fixtures, mean, modeled};
 use bp_sim::{simulate_validator, CostModel};
 use bp_workload::WorkloadConfig;
 
 fn main() {
     let blocks = block_count(60);
-    println!("=== Ablation: conflict-detection granularity (validator, 16 threads) ===");
-    println!("workload: {blocks} mainnet-like blocks\n");
+    modeled!("=== Ablation: conflict-detection granularity (validator, 16 threads) ===");
+    modeled!("workload: {blocks} mainnet-like blocks\n");
 
     let fixtures = generate_fixtures(WorkloadConfig::default(), blocks);
     let model = CostModel::default();
 
-    println!(
-        "{:>10} {:>14} {:>18} {:>16} {:>16}",
-        "mode", "mean speedup", "largest subgraph", "subgraphs/blk", "sched time/blk"
+    modeled!(
+        "{:>10} {:>14} {:>18} {:>16}",
+        "mode",
+        "mean speedup",
+        "largest subgraph",
+        "subgraphs/blk"
     );
     for granularity in [ConflictGranularity::Account, ConflictGranularity::Slot] {
         let scheduler = Scheduler::new(granularity);
         let mut speedups = Vec::new();
         let mut ratios = Vec::new();
         let mut counts = Vec::new();
-        let t0 = Instant::now();
         for f in &fixtures {
             let schedule = scheduler.schedule(&f.profile, 16);
             let r = simulate_validator(&schedule, &f.profile, &model);
@@ -39,17 +39,15 @@ fn main() {
             ratios.push(r.largest_subgraph_ratio);
             counts.push(schedule.subgraphs.len() as f64);
         }
-        let elapsed = t0.elapsed();
-        println!(
-            "{:>10} {:>13.2}x {:>17.1}% {:>16.1} {:>13.0}us",
+        modeled!(
+            "{:>10} {:>13.2}x {:>17.1}% {:>16.1}",
             format!("{granularity:?}"),
             mean(&speedups),
             100.0 * mean(&ratios),
-            mean(&counts),
-            elapsed.as_micros() as f64 / fixtures.len() as f64
+            mean(&counts)
         );
     }
-    println!("\nSlot granularity yields finer subgraphs and higher idealized speedup;");
-    println!("account granularity is what the paper ships (cheap, and safe even when");
-    println!("storage writes move the account's storage root).");
+    modeled!("\nSlot granularity yields finer subgraphs and higher idealized speedup;");
+    modeled!("account granularity is what the paper ships (cheap, and safe even when");
+    modeled!("storage writes move the account's storage root).");
 }

@@ -9,21 +9,23 @@
 //! Usage: `cargo run -p bp-bench --release --bin ablation_schedule_policy`
 
 use blockpilot_core::scheduler::{AssignPolicy, ConflictGranularity, Scheduler};
-use bp_bench::{block_count, generate_fixtures, mean};
+use bp_bench::{block_count, generate_fixtures, mean, modeled};
 use bp_sim::{simulate_validator, CostModel};
 use bp_workload::WorkloadConfig;
 
 fn main() {
     let blocks = block_count(60);
-    println!("=== Ablation: lane-assignment policy (validator, 16 threads) ===");
-    println!("workload: {blocks} mainnet-like blocks\n");
+    modeled!("=== Ablation: lane-assignment policy (validator, 16 threads) ===");
+    modeled!("workload: {blocks} mainnet-like blocks\n");
 
     let fixtures = generate_fixtures(WorkloadConfig::default(), blocks);
     let model = CostModel::default();
 
-    println!(
+    modeled!(
         "{:>12} {:>14} {:>20}",
-        "policy", "mean speedup", "mean makespan (gas)"
+        "policy",
+        "mean speedup",
+        "mean makespan (gas)"
     );
     for policy in [
         AssignPolicy::GasLpt,
@@ -39,13 +41,13 @@ fn main() {
             speedups.push(r.speedup);
             makespans.push(r.makespan as f64);
         }
-        println!(
+        modeled!(
             "{:>12} {:>13.2}x {:>20.0}",
             format!("{policy:?}"),
             mean(&speedups),
             mean(&makespans)
         );
     }
-    println!("\nGas-LPT balances lane *time*, not lane length; round-robin leaves the");
-    println!("heaviest lane overloaded and drags the block's critical path out.");
+    modeled!("\nGas-LPT balances lane *time*, not lane length; round-robin leaves the");
+    modeled!("heaviest lane overloaded and drags the block's critical path out.");
 }

@@ -7,14 +7,14 @@
 //!
 //! Usage: `cargo run -p bp-bench --release --bin ablation_wsi_vs_occ`
 
-use bp_bench::{block_count, generate_fixtures, mean};
+use bp_bench::{block_count, generate_fixtures, mean, modeled};
 use bp_sim::{simulate_proposer_with_rule, CostModel, ValidationRule};
 use bp_workload::{TxMix, WorkloadConfig};
 
 fn main() {
     let blocks = block_count(40);
-    println!("=== Ablation: WSI vs classic OCC commit validation (proposer) ===");
-    println!("workload: {blocks} mainnet-like blocks\n");
+    modeled!("=== Ablation: WSI vs classic OCC commit validation (proposer) ===");
+    modeled!("workload: {blocks} mainnet-like blocks\n");
 
     // Include blind registry writes: the transaction class where WSI's
     // write-write tolerance actually differs from classic OCC (ordinary EVM
@@ -34,9 +34,13 @@ fn main() {
     );
     let model = CostModel::default();
 
-    println!(
+    modeled!(
         "{:>8} {:>14} {:>14} {:>14} {:>14}",
-        "threads", "WSI speedup", "OCC speedup", "WSI aborts", "OCC aborts"
+        "threads",
+        "WSI speedup",
+        "OCC speedup",
+        "WSI aborts",
+        "OCC aborts"
     );
     for threads in [2usize, 4, 8, 16] {
         let mut results = Vec::new();
@@ -57,17 +61,20 @@ fn main() {
             }
             results.push((mean(&speedups), aborts as f64 / fixtures.len() as f64));
         }
-        println!(
+        modeled!(
             "{threads:>8} {:>13.2}x {:>13.2}x {:>14.1} {:>14.1}",
-            results[0].0, results[1].0, results[0].1, results[1].1
+            results[0].0,
+            results[1].0,
+            results[0].1,
+            results[1].1
         );
     }
-    println!("\nREPRODUCTION FINDING: the two columns are identical. In an");
-    println!("account-model EVM with Ethereum gas rules there are no blind writes —");
-    println!("every balance update is read-modify-write and even a 'blind' SSTORE");
-    println!("reads the old value for its set-vs-reset gas price, putting the slot");
-    println!("in the read set. OCC-WSI's write-write tolerance therefore never");
-    println!("fires, and WSI validation degenerates to classic backward (read-set)");
-    println!("OCC validation. The registry workload above was built specifically");
-    println!("to maximize write-write-only conflicts and still shows no gap.");
+    modeled!("\nREPRODUCTION FINDING: the two columns are identical. In an");
+    modeled!("account-model EVM with Ethereum gas rules there are no blind writes —");
+    modeled!("every balance update is read-modify-write and even a 'blind' SSTORE");
+    modeled!("reads the old value for its set-vs-reset gas price, putting the slot");
+    modeled!("in the read set. OCC-WSI's write-write tolerance therefore never");
+    modeled!("fires, and WSI validation degenerates to classic backward (read-set)");
+    modeled!("OCC validation. The registry workload above was built specifically");
+    modeled!("to maximize write-write-only conflicts and still shows no gap.");
 }

@@ -5,7 +5,7 @@
 //! (mean largest subgraph ≈ 27.5% of transactions).
 
 use blockpilot_core::scheduler::{ConflictGranularity, Scheduler};
-use bp_bench::{block_count, generate_fixtures, mean, percentile};
+use bp_bench::{block_count, generate_fixtures, mean, modeled, percentile};
 use bp_workload::WorkloadConfig;
 
 fn main() {
@@ -25,21 +25,21 @@ fn main() {
         gas_ratios.push(max_gas as f64 / f.gas_used.max(1) as f64);
         subgraph_counts.push(s.subgraphs.len() as f64);
     }
-    println!("blocks                    : {blocks}");
-    println!(
+    modeled!("blocks                    : {blocks}");
+    modeled!(
         "mean txs/block            : {:.1} (paper: 132)",
         mean(&tx_counts)
     );
-    println!(
+    modeled!(
         "largest subgraph (txs)    : mean {:.1}%  p50 {:.1}%  p90 {:.1}%  (paper mean: 27.5%)",
         100.0 * mean(&ratios),
         100.0 * percentile(&ratios, 50.0),
         100.0 * percentile(&ratios, 90.0)
     );
-    println!(
+    modeled!(
         "largest subgraph (gas)    : mean {:.1}%  p50 {:.1}%",
         100.0 * mean(&gas_ratios),
         100.0 * percentile(&gas_ratios, 50.0)
     );
-    println!("mean subgraphs/block      : {:.1}", mean(&subgraph_counts));
+    modeled!("mean subgraphs/block      : {:.1}", mean(&subgraph_counts));
 }

@@ -7,19 +7,14 @@
 //! Usage: `cargo run -p bp-bench --release --bin fig6_proposer`
 //! (`BP_BLOCKS=N` overrides the sample size).
 
-use std::sync::Arc;
-
-use blockpilot_core::{OccWsiConfig, OccWsiProposer};
-use bp_bench::{bar, block_count, generate_fixtures, histogram, mean};
+use bp_bench::{bar, block_count, generate_fixtures, histogram, mean, modeled};
 use bp_sim::{simulate_proposer, CostModel};
-use bp_txpool::TxPool;
-use bp_types::BlockHash;
 use bp_workload::WorkloadConfig;
 
 fn main() {
     let blocks = block_count(60);
-    println!("=== Figure 6: proposer (OCC-WSI) parallel speedup ===");
-    println!("workload: {blocks} mainnet-like pending-pool snapshots (seeded)\n");
+    modeled!("=== Figure 6: proposer (OCC-WSI) parallel speedup ===");
+    modeled!("workload: {blocks} mainnet-like pending-pool snapshots (seeded)\n");
 
     let fixtures = generate_fixtures(WorkloadConfig::default(), blocks);
     let model = CostModel::default();
@@ -38,15 +33,20 @@ fn main() {
         per_thread.push((threads, speedups, aborts));
     }
 
-    println!(
+    modeled!(
         "{:>8} {:>12} {:>12} {:>14} {:>12} {:>12}",
-        "threads", "mean", "paper", "ratio", "accelerated", "aborts/blk"
+        "threads",
+        "mean",
+        "paper",
+        "ratio",
+        "accelerated",
+        "aborts/blk"
     );
     for ((threads, speedups, aborts), (_, paper_speedup)) in per_thread.iter().zip(paper) {
         let m = mean(speedups);
         let accelerated =
             100.0 * speedups.iter().filter(|&&s| s > 1.0).count() as f64 / speedups.len() as f64;
-        println!(
+        modeled!(
             "{threads:>8} {m:>11.2}x {paper_speedup:>11.2}x {:>14.2} {accelerated:>11.1}% {:>12.1}",
             m / paper_speedup,
             *aborts as f64 / speedups.len() as f64
@@ -56,67 +56,11 @@ fn main() {
     // The paper's Figure 6 is a histogram of per-block speedups at each
     // thread count; print the 16-thread distribution.
     let (_, speedups16, _) = &per_thread[per_thread.len() - 1];
-    println!("\n16-thread speedup distribution (% of blocks):");
+    modeled!("\n16-thread speedup distribution (% of blocks):");
     let hist = histogram(speedups16, 0.0, 16.0, 16);
     for (i, pct) in hist.iter().enumerate() {
         if *pct > 0.0 {
             bar(&format!("{}x-{}x", i, i + 1), *pct, 1.0);
         }
-    }
-
-    // Real (threaded) proposer on the same fixtures: wall time plus the
-    // per-worker commit/abort/retry breakdown from ProposerStats. On a
-    // single-core host this measures overhead, not scaling — the gas-time
-    // series above carries the scaling claim.
-    // The first/retry split separates the cost of optimism (a transaction's
-    // *first* execution raced a conflicting commit) from pathological
-    // thrash (the same transaction aborting again on its retries).
-    println!("\nreal proposer (two-phase commit, wall clock):");
-    println!(
-        "{:>8} {:>12} {:>12} {:>10} {:>10} {:>10} {:>24}",
-        "threads", "wall µs/blk", "tx/s", "1st-abort", "re-abort", "retries", "per-worker commits"
-    );
-    for threads in [2usize, 4, 8] {
-        let mut wall = Vec::with_capacity(fixtures.len());
-        let mut tx_s = Vec::with_capacity(fixtures.len());
-        let mut first_aborts = 0u64;
-        let mut retry_aborts = 0u64;
-        let mut retries = 0u64;
-        let mut last_workers = String::new();
-        for f in &fixtures {
-            let pool = TxPool::new();
-            for tx in &f.txs {
-                pool.add(tx.clone());
-            }
-            let proposer = OccWsiProposer::new(OccWsiConfig {
-                threads,
-                env: f.env,
-                ..OccWsiConfig::default()
-            });
-            let proposal = proposer.propose(&pool, Arc::clone(&f.pre_state), BlockHash::ZERO, 1);
-            assert_eq!(proposal.stats.committed, f.txs.len() as u64);
-            wall.push(proposal.stats.wall_micros as f64);
-            tx_s.push(proposal.stats.committed_per_sec());
-            first_aborts += proposal.stats.first_aborts;
-            retry_aborts += proposal.stats.retry_aborts;
-            retries += proposal
-                .stats
-                .workers
-                .iter()
-                .map(|w| w.retries)
-                .sum::<u64>();
-            last_workers = proposal
-                .stats
-                .workers
-                .iter()
-                .map(|w| w.committed.to_string())
-                .collect::<Vec<_>>()
-                .join("/");
-        }
-        println!(
-            "{threads:>8} {:>12.0} {:>12.0} {first_aborts:>10} {retry_aborts:>10} {retries:>10} {last_workers:>24}",
-            mean(&wall),
-            mean(&tx_s),
-        );
     }
 }

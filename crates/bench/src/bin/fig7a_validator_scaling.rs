@@ -6,28 +6,28 @@
 //! Usage: `cargo run -p bp-bench --release --bin fig7a_validator_scaling`
 //! (`BP_BLOCKS=N` overrides the sample size).
 
-use std::sync::Arc;
-
 use blockpilot_core::scheduler::{ConflictGranularity, Scheduler};
-use blockpilot_core::{PipelineConfig, ValidatorPipeline};
 use bp_baseline::occ_two_phase;
-use bp_bench::{block_count, generate_fixtures, mean};
+use bp_bench::{block_count, generate_fixtures, mean, modeled};
 use bp_sim::{simulate_validator, CostModel};
-use bp_types::BlockHash;
 use bp_workload::WorkloadConfig;
 
 fn main() {
     let blocks = block_count(120);
-    println!("=== Figure 7(a): single-block validator scalability ===");
-    println!("workload: {blocks} mainnet-like blocks (seeded), account-level conflicts\n");
+    modeled!("=== Figure 7(a): single-block validator scalability ===");
+    modeled!("workload: {blocks} mainnet-like blocks (seeded), account-level conflicts\n");
 
     let fixtures = generate_fixtures(WorkloadConfig::default(), blocks);
     let scheduler = Scheduler::new(ConflictGranularity::Account);
     let model = CostModel::default();
 
-    println!(
+    modeled!(
         "{:>8} {:>12} {:>12} {:>14} {:>14}",
-        "threads", "BlockPilot", "OCC [27]", "paper(BP)", "ratio-to-paper"
+        "threads",
+        "BlockPilot",
+        "OCC [27]",
+        "paper(BP)",
+        "ratio-to-paper"
     );
     let paper = [
         (2usize, 1.7f64),
@@ -51,59 +51,9 @@ fn main() {
         }
         let bp_mean = mean(&bp);
         let occ_mean = mean(&occ);
-        println!(
+        modeled!(
             "{threads:>8} {bp_mean:>11.2}x {occ_mean:>11.2}x {paper_speedup:>13.2}x {:>14.2}",
             bp_mean / paper_speedup
-        );
-    }
-
-    // Real pipeline, stage observability: per-block means of the four stage
-    // timers — including the queue-wait between job enqueue and first job
-    // start — plus the executed-tx counter and early-abort flag. Not a
-    // speedup claim (single-core runner); this is the instrumentation the
-    // restructured pipeline exposes on every verdict.
-    let real_blocks = fixtures.len().min(8);
-    let genesis = BlockHash::from_low_u64(1);
-    let mut sealed = Vec::with_capacity(real_blocks);
-    let mut parent = genesis;
-    for (i, f) in fixtures.iter().take(real_blocks).enumerate() {
-        let block = f.seal(parent, i as u64 + 1);
-        parent = block.hash();
-        sealed.push(block);
-    }
-    println!("\nreal pipeline, {real_blocks} chained blocks — per-block stage means:");
-    println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>12} {:>9} {:>8}",
-        "threads", "prepare µs", "queue µs", "exec µs", "validate µs", "txs run", "aborted"
-    );
-    for (threads, _) in paper {
-        let pipeline = ValidatorPipeline::new(PipelineConfig {
-            workers: threads,
-            granularity: ConflictGranularity::Account,
-            ..PipelineConfig::default()
-        });
-        pipeline.register_state(genesis, Arc::clone(&fixtures[0].pre_state));
-        let handles: Vec<_> = sealed.iter().map(|b| pipeline.submit(b.clone())).collect();
-        let mut stages = [0.0f64; 4];
-        let mut executed = 0usize;
-        let mut aborted = 0usize;
-        for handle in handles {
-            let outcome = handle.wait();
-            assert!(outcome.is_valid(), "{:?}", outcome.result);
-            let t = outcome.timings;
-            for (slot, d) in stages
-                .iter_mut()
-                .zip([t.prepare, t.queue_wait, t.execute, t.validate])
-            {
-                *slot += d.as_secs_f64() * 1e6 / real_blocks as f64;
-            }
-            executed += outcome.executed_txs;
-            aborted += usize::from(outcome.aborted_early);
-        }
-        pipeline.shutdown();
-        println!(
-            "{threads:>8} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {executed:>9} {aborted:>8}",
-            stages[0], stages[1], stages[2], stages[3]
         );
     }
 }

@@ -7,14 +7,14 @@
 //! Usage: `cargo run -p bp-bench --release --bin fig7b_speedup_dist`
 
 use blockpilot_core::scheduler::{ConflictGranularity, Scheduler};
-use bp_bench::{bar, block_count, generate_fixtures, histogram, mean, percentile};
+use bp_bench::{bar, block_count, generate_fixtures, histogram, mean, modeled, percentile};
 use bp_sim::{simulate_validator, CostModel};
 use bp_workload::WorkloadConfig;
 
 fn main() {
     let blocks = block_count(200);
-    println!("=== Figure 7(b): validator speedup distribution (16 threads) ===");
-    println!("workload: {blocks} mainnet-like blocks (seeded)\n");
+    modeled!("=== Figure 7(b): validator speedup distribution (16 threads) ===");
+    modeled!("workload: {blocks} mainnet-like blocks (seeded)\n");
 
     let fixtures = generate_fixtures(WorkloadConfig::default(), blocks);
     let scheduler = Scheduler::new(ConflictGranularity::Account);
@@ -30,19 +30,19 @@ fn main() {
 
     let accelerated =
         100.0 * speedups.iter().filter(|&&s| s > 1.0).count() as f64 / speedups.len() as f64;
-    println!("blocks accelerated : {accelerated:.1}%   (paper: 99.8%)");
-    println!(
+    modeled!("blocks accelerated : {accelerated:.1}%   (paper: 99.8%)");
+    modeled!(
         "mean speedup       : {:.2}x (paper: 3.18x)",
         mean(&speedups)
     );
-    println!(
+    modeled!(
         "p10 / p50 / p90    : {:.2}x / {:.2}x / {:.2}x\n",
         percentile(&speedups, 10.0),
         percentile(&speedups, 50.0),
         percentile(&speedups, 90.0)
     );
 
-    println!("speedup histogram (% of blocks, bin width 0.5x):");
+    modeled!("speedup histogram (% of blocks, bin width 0.5x):");
     let hist = histogram(&speedups, 0.0, 8.0, 16);
     for (i, pct) in hist.iter().enumerate() {
         if *pct > 0.0 {

@@ -13,7 +13,7 @@
 //! Usage: `cargo run -p bp-bench --release --bin fig8_hotspot`
 
 use blockpilot_core::scheduler::{ConflictGranularity, Scheduler};
-use bp_bench::{block_count, generate_fixtures, mean};
+use bp_bench::{block_count, generate_fixtures, mean, modeled};
 use bp_sim::{
     simulate_proposer_block_stm, simulate_proposer_with_rule, simulate_validator, CostModel,
     ValidationRule,
@@ -22,8 +22,8 @@ use bp_workload::{TxMix, WorkloadConfig};
 
 fn main() {
     let per_setting = block_count(25);
-    println!("=== Figure 8: hotspot problem (largest subgraph vs speedup) ===");
-    println!("workload: sweep of hotspot intensity, {per_setting} blocks each, 16 threads\n");
+    modeled!("=== Figure 8: hotspot problem (largest subgraph vs speedup) ===");
+    modeled!("workload: sweep of hotspot intensity, {per_setting} blocks each, 16 threads\n");
 
     let scheduler = Scheduler::new(ConflictGranularity::Account);
     let model = CostModel::default();
@@ -65,14 +65,17 @@ fn main() {
     }
 
     let ratios: Vec<f64> = samples.iter().map(|s| s.0).collect();
-    println!(
+    modeled!(
         "mean largest-subgraph ratio across sweep: {:.1}%  (paper workload mean: 27.5%)\n",
         100.0 * mean(&ratios)
     );
 
-    println!(
+    modeled!(
         "{:>22} {:>8} {:>12} {:>14}",
-        "largest-subgraph %", "blocks", "mean speedup", "paper trend"
+        "largest-subgraph %",
+        "blocks",
+        "mean speedup",
+        "paper trend"
     );
     let paper_trend = [">4x", "~4x", "~3x", "~2.5x", "~2x", "~1.5x", "~1.2x", "~1x"];
     for (i, lo) in (0..8).map(|i| (i, i as f64 * 0.125)) {
@@ -85,7 +88,7 @@ fn main() {
         if bucket.is_empty() {
             continue;
         }
-        println!(
+        modeled!(
             "{:>20.0}-{:<3.0}% {:>6} {:>11.2}x {:>14}",
             100.0 * lo,
             100.0 * hi,
@@ -98,10 +101,15 @@ fn main() {
     // Proposer engines under the same hotspot axis: OCC-WSI retries into
     // the hot key while Block-STM suspends on ESTIMATE markers, so the gap
     // opens as the largest subgraph approaches the whole block.
-    println!("\nproposer engines along the hotspot axis (gas-time, 16 threads):");
-    println!(
+    modeled!("\nproposer engines along the hotspot axis (gas-time, 16 threads):");
+    modeled!(
         "{:>12} {:>14} {:>14} {:>8} | aborts/blk {:>8} {:>8}",
-        "regime", "occ-wsi", "block-stm", "ratio", "occ", "stm"
+        "regime",
+        "occ-wsi",
+        "block-stm",
+        "ratio",
+        "occ",
+        "stm"
     );
     let regimes: [(&str, WorkloadConfig); 3] = [
         (
@@ -135,7 +143,7 @@ fn main() {
             occ_aborts += o.aborts;
             stm_aborts += s.aborts;
         }
-        println!(
+        modeled!(
             "{name:>12} {:>13.2}x {:>13.2}x {:>7.2}x | {:>19.1} {:>8.1}",
             mean(&occ),
             mean(&stm),

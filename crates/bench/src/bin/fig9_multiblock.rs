@@ -12,14 +12,14 @@
 //! Usage: `cargo run -p bp-bench --release --bin fig9_multiblock`
 
 use blockpilot_core::scheduler::{ConflictGranularity, Scheduler};
-use bp_bench::{block_count, generate_fixtures, mean};
+use bp_bench::{block_count, generate_fixtures, mean, modeled};
 use bp_sim::{simulate_multiblock, CostModel};
 use bp_workload::WorkloadConfig;
 
 fn main() {
     let blocks = block_count(60);
-    println!("=== Figure 9: multi-block validator pipeline (16 workers) ===");
-    println!("workload: {blocks} mainnet-like blocks, each replicated B times at one height\n");
+    modeled!("=== Figure 9: multi-block validator pipeline (16 workers) ===");
+    modeled!("workload: {blocks} mainnet-like blocks, each replicated B times at one height\n");
 
     let fixtures = generate_fixtures(WorkloadConfig::default(), blocks);
     let scheduler = Scheduler::new(ConflictGranularity::Account);
@@ -33,9 +33,13 @@ fn main() {
         (6, 7.50),
         (8, 7.20),
     ];
-    println!(
+    modeled!(
         "{:>8} {:>12} {:>12} {:>10} {:>14}",
-        "blocks", "speedup", "paper", "ratio", "switches/blk"
+        "blocks",
+        "speedup",
+        "paper",
+        "ratio",
+        "switches/blk"
     );
     for (b, paper_speedup) in paper {
         let mut speedups = Vec::with_capacity(fixtures.len());
@@ -49,12 +53,12 @@ fn main() {
             switches += r.switches;
         }
         let m = mean(&speedups);
-        println!(
+        modeled!(
             "{b:>8} {m:>11.2}x {paper_speedup:>11.2}x {:>10.2} {:>14.1}",
             m / paper_speedup,
             switches as f64 / fixtures.len() as f64
         );
     }
-    println!("\n(paper values for 2/3/6/8 blocks are read off Figure 9's curve;");
-    println!(" the printed numbers are the curve the pipeline model produces.)");
+    modeled!("\n(paper values for 2/3/6/8 blocks are read off Figure 9's curve;");
+    modeled!(" the printed numbers are the curve the pipeline model produces.)");
 }

@@ -1,10 +1,11 @@
 //! Shared harness plumbing for the per-figure benchmark binaries.
 //!
 //! Every figure harness follows the same pattern: generate a seeded stream
-//! of mainnet-like blocks, run the algorithm under test, and print the same
-//! rows/series the paper reports. [`BlockFixture`] packages one generated
-//! block with everything the harnesses need (transactions, profile, gas,
-//! pre-state), built once by the serial oracle.
+//! of mainnet-like blocks, run the algorithm under test in gas-time, and
+//! print the same rows/series the paper reports through [`modeled!`].
+//! [`BlockFixture`] packages one generated block with everything the
+//! harnesses need (transactions, profile, gas, pre-state), built once by the
+//! serial oracle.
 
 #![warn(missing_docs)]
 
@@ -128,10 +129,22 @@ pub fn histogram(values: &[f64], lo: f64, hi: f64, buckets: usize) -> Vec<f64> {
         .collect()
 }
 
+/// `println!` for what a gas-time model produced: every line carries the
+/// `modeled` tag, so that nothing a figure or ablation harness prints can be
+/// quoted as a measurement of the host it ran on.
+#[macro_export]
+macro_rules! modeled {
+    ($($arg:tt)*) => {
+        for line in format!($($arg)*).split('\n') {
+            println!("modeled | {line}");
+        }
+    };
+}
+
 /// Prints an ASCII bar chart row.
 pub fn bar(label: &str, value: f64, scale: f64) {
     let width = (value * scale).round().max(0.0) as usize;
-    println!(
+    modeled!(
         "  {label:>18} | {:<50} {value:.2}",
         "#".repeat(width.min(50))
     );

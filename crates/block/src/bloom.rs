@@ -8,25 +8,10 @@
 
 use bp_crypto::keccak256;
 use bp_evm::Log;
-use serde::{Deserialize, Serialize};
 
 /// A 2048-bit bloom filter (256 bytes).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Bloom(#[serde(with = "serde_bytes_256")] pub [u8; 256]);
-
-mod serde_bytes_256 {
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &[u8; 256], s: S) -> Result<S::Ok, S::Error> {
-        serde::Serialize::serialize(v.as_slice(), s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<[u8; 256], D::Error> {
-        let v: Vec<u8> = Deserialize::deserialize(d)?;
-        v.try_into()
-            .map_err(|_| serde::de::Error::custom("bloom must be 256 bytes"))
-    }
-}
+#[derive(Clone, PartialEq, Eq)]
+pub struct Bloom(pub [u8; 256]);
 
 impl Default for Bloom {
     fn default() -> Self {

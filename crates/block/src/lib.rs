@@ -19,7 +19,6 @@ use bp_crypto::rlp::StackStream;
 use bp_crypto::{keccak256, Keccak256, RlpStream};
 use bp_evm::{Receipt, Transaction};
 use bp_types::{Address, BlockHash, Gas, Height, TxHash, H256};
-use serde::{Deserialize, Serialize};
 
 pub use bloom::{logs_bloom, Bloom};
 pub use chain::ChainStore;
@@ -27,7 +26,7 @@ pub use profile::{BlockProfile, TxProfile};
 pub use wire::{decode_block, encode_block, encode_block_into, encoded_size_hint};
 
 /// A block header.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Hash of the parent block.
     pub parent_hash: BlockHash,
@@ -71,7 +70,7 @@ impl BlockHeader {
 }
 
 /// A full block: header, ordered transactions, and the BlockPilot profile.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Block {
     /// The sealed header.
     pub header: BlockHeader,

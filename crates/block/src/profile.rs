@@ -2,10 +2,9 @@
 //! block (§4.2 of the paper).
 
 use bp_types::{Gas, ReadSet, RwSet, WriteSet};
-use serde::{Deserialize, Serialize};
 
 /// One transaction's entry in the block profile.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TxProfile {
     /// Keys read, each with the snapshot version observed.
     pub reads: ReadSet,
@@ -45,7 +44,7 @@ impl TxProfile {
 }
 
 /// Per-transaction profiles, in block order.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockProfile {
     /// `entries[i]` describes `transactions[i]`.
     pub entries: Vec<TxProfile>,

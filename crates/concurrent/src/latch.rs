@@ -1,6 +1,6 @@
-//! Latches: a countdown latch for stage barriers in the validator pipeline,
-//! a one-shot per-height root latch for the deferred-commitment apply stage,
-//! and the per-version visibility gate of the two-phase proposer commit.
+//! Latches: a one-shot per-height root latch for the deferred-commitment
+//! apply stage, and the per-version visibility gate of the two-phase proposer
+//! commit.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -66,52 +66,6 @@ impl<T: Clone> RootLatch<T> {
 impl<T: Clone> Default for RootLatch<T> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Blocks waiters until `count` calls to [`CountdownLatch::count_down`] have
-/// happened.
-///
-/// Used by the validator pipeline to detect "all lanes of this block have
-/// finished executing" before the applier seals the block, and by tests to
-/// coordinate worker startup.
-pub struct CountdownLatch {
-    remaining: Mutex<usize>,
-    cond: Condvar,
-}
-
-impl CountdownLatch {
-    /// A latch requiring `count` count-downs.
-    pub fn new(count: usize) -> Self {
-        CountdownLatch {
-            remaining: Mutex::new(count),
-            cond: Condvar::new(),
-        }
-    }
-
-    /// Records one completion; wakes all waiters when the count reaches zero.
-    /// Extra count-downs after zero are ignored.
-    pub fn count_down(&self) {
-        let mut g = self.remaining.lock();
-        if *g > 0 {
-            *g -= 1;
-            if *g == 0 {
-                self.cond.notify_all();
-            }
-        }
-    }
-
-    /// Blocks until the count reaches zero.
-    pub fn wait(&self) {
-        let mut g = self.remaining.lock();
-        while *g > 0 {
-            self.cond.wait(&mut g);
-        }
-    }
-
-    /// Current remaining count (for diagnostics).
-    pub fn remaining(&self) -> usize {
-        *self.remaining.lock()
     }
 }
 
@@ -309,37 +263,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
-
-    #[test]
-    fn zero_latch_never_blocks() {
-        let l = CountdownLatch::new(0);
-        l.wait();
-        assert_eq!(l.remaining(), 0);
-    }
-
-    #[test]
-    fn waits_for_all_workers() {
-        let latch = Arc::new(CountdownLatch::new(4));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let latch = Arc::clone(&latch);
-            handles.push(thread::spawn(move || latch.count_down()));
-        }
-        latch.wait();
-        assert_eq!(latch.remaining(), 0);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn extra_countdowns_ignored() {
-        let l = CountdownLatch::new(1);
-        l.count_down();
-        l.count_down();
-        assert_eq!(l.remaining(), 0);
-        l.wait();
-    }
 
     #[test]
     fn root_latch_hands_off_once() {

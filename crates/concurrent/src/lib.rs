@@ -20,7 +20,7 @@ pub mod slots;
 pub mod stm_scheduler;
 pub mod version;
 
-pub use latch::{CountdownLatch, RootLatch, VersionGate};
+pub use latch::{RootLatch, VersionGate};
 pub use reserve::ReserveTable;
 pub use sharded::ShardedMap;
 pub use slots::ResultSlots;

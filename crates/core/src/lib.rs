@@ -22,10 +22,10 @@ pub mod scheduler;
 pub mod validator;
 
 pub use block_stm::{BlockStmProposer, ProposerAlgo};
-pub use occ_wsi::{CommitPath, OccWsiConfig, OccWsiProposer, Proposal, ProposerStats, WorkerStats};
+pub use occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal, ProposerStats, WorkerStats};
 pub use pipeline::{
-    DispatchPolicy, PipelineConfig, StageTimings, ValidationError, ValidationHandle,
-    ValidationOutcome, ValidatorPipeline,
+    PipelineConfig, StageTimings, ValidationError, ValidationHandle, ValidationOutcome,
+    ValidatorPipeline,
 };
 pub use proposer::Proposer;
 pub use scheduler::{AssignPolicy, ConflictGranularity, Schedule, Scheduler, Subgraph};

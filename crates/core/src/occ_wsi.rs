@@ -17,14 +17,13 @@
 //! The committed sequence is a serializable schedule by construction, and it
 //! *is* the block order.
 //!
-//! # Two-phase commit (the default path)
+//! # Two-phase commit
 //!
-//! The straightforward implementation funnels every commit through one
-//! global mutex covering validation, version allocation, multi-version
-//! publication, reserve publication, gas accounting and block-body pushes —
-//! and stops scaling as soon as commits are frequent. The default
-//! [`CommitPath::TwoPhase`] protocol shrinks the serialized region to the
-//! part that genuinely needs atomicity:
+//! Funnelling every commit through one global mutex covering validation,
+//! version allocation, multi-version publication, reserve publication, gas
+//! accounting and block-body pushes stops scaling as soon as commits are
+//! frequent (EXPERIMENTS.md, "retired arms"). The commit protocol shrinks the
+//! serialized region to the part that genuinely needs atomicity:
 //!
 //! * **Phase A** (under a commit-sequence lock, microseconds): WSI read-set
 //!   validation, gas-limit admission, version allocation, and publication of
@@ -85,20 +84,6 @@ const MAX_FUTILE_RETRIES: u32 = 50;
 /// nearly-full block cannot degenerate into scanning the whole pool.
 const MAX_UNFIT_CANDIDATES: usize = 8;
 
-/// Which commit protocol the proposer runs (kept switchable for A/B
-/// benchmarking; see `proposer_baseline` in `bp-bench`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CommitPath {
-    /// Two-phase commit: tiny serialized admission (validation + version
-    /// allocation + reserve intents), lock-free publication behind a
-    /// per-version visibility gate, per-worker block segments.
-    #[default]
-    TwoPhase,
-    /// The original single-mutex commit: validation, publication, gas and
-    /// block-body pushes all under one global lock. Kept as the baseline.
-    CoarseLock,
-}
-
 /// Configuration for a proposal run.
 #[derive(Clone, Debug)]
 pub struct OccWsiConfig {
@@ -113,8 +98,6 @@ pub struct OccWsiConfig {
     pub env: BlockEnv,
     /// Optional ceiling on transactions per block (0 = unlimited).
     pub max_txs: usize,
-    /// Commit protocol (two-phase by default; coarse lock for A/B).
-    pub commit_path: CommitPath,
     /// Which execution engine a [`crate::Proposer`] built from this config
     /// runs (OCC-WSI by default; Block-STM for the A/B). Ignored by a
     /// directly-constructed [`OccWsiProposer`].
@@ -131,7 +114,6 @@ impl Default for OccWsiConfig {
             gas_limit: 30_000_000,
             env: BlockEnv::default(),
             max_txs: 0,
-            commit_path: CommitPath::default(),
             algo: crate::block_stm::ProposerAlgo::default(),
         }
     }
@@ -261,8 +243,8 @@ impl Shared<'_> {
     }
 }
 
-/// A two-phase worker's account with the pool: what it has checked out and
-/// what it owes back at its next turn. Dropping it takes a last turn that
+/// A worker's account with the pool: what it has checked out and what it
+/// owes back at its next turn. Dropping it takes a last turn that
 /// returns everything still checked out, so no way out of the worker loop
 /// leaves a transaction in flight.
 struct Checkout<'a> {
@@ -361,23 +343,17 @@ impl OccWsiProposer {
         parent: BlockHash,
         height: Height,
     ) -> Proposal {
+        // Snapshots wait on the gate for any version still pending
+        // publication.
         let gate = Arc::new(VersionGate::new());
-        let mv = match self.config.commit_path {
-            // Snapshots on the two-phase path wait on the gate for any
-            // version still pending publication.
-            CommitPath::TwoPhase => MultiVersionState::with_gate(
-                Arc::clone(&parent_state),
-                self.config.threads,
-                Arc::clone(&gate),
-            ),
-            CommitPath::CoarseLock => {
-                MultiVersionState::new(Arc::clone(&parent_state), self.config.threads)
-            }
-        };
+        let mv = MultiVersionState::new(
+            Arc::clone(&parent_state),
+            self.config.threads,
+            Arc::clone(&gate),
+        );
         let reserve = ReserveTable::new(self.config.threads);
         let versions = VersionAllocator::new();
         let admit = Mutex::new(());
-        let builder = Mutex::new(BlockBuilder::default());
         let cur_gas = AtomicU64::new(0);
         let full = AtomicBool::new(false);
         let aborts = AtomicU64::new(0);
@@ -410,14 +386,7 @@ impl OccWsiProposer {
         let cache_base = self.cache.stats();
         let (mut records, worker_stats) = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.config.threads)
-                .map(|_| {
-                    scope.spawn(|| match self.config.commit_path {
-                        CommitPath::TwoPhase => self.worker_two_phase(&shared),
-                        CommitPath::CoarseLock => {
-                            (Vec::new(), self.worker_coarse(&shared, &builder))
-                        }
-                    })
-                })
+                .map(|_| scope.spawn(|| self.worker(&shared)))
                 .collect();
             let mut records = Vec::new();
             let mut stats = Vec::new();
@@ -436,39 +405,30 @@ impl OccWsiProposer {
         // (= block) order, and seal from what they carry: the transaction
         // root from the hashes the pool checked the transactions out with,
         // the post-state from the records' write sets folded in version
-        // order (a later version's value replaces an earlier one's). The
-        // coarse path kept no records and walks the version chains instead.
-        let (built, txs_root, mut post_state) = match self.config.commit_path {
-            CommitPath::TwoPhase => {
-                // Versions are dense 1..=committed.
-                records.sort_unstable_by_key(|r| r.version);
-                debug_assert!(records
-                    .iter()
-                    .enumerate()
-                    .all(|(i, r)| r.version == i as u64 + 1));
-                let txs_root = tx_root_of_hashes(records.iter().map(|r| r.hash));
-                let mut writes = WriteSet::default();
-                writes.reserve(mv.written_key_count());
-                let mut b = BlockBuilder::default();
-                for r in records {
-                    writes.extend(r.profile.writes.iter().map(|(key, value)| (*key, *value)));
-                    b.txs.push(r.tx);
-                    b.receipts.push(r.receipt);
-                    b.profile.push(r.profile);
-                    b.profile_len += 1;
-                }
-                (b, txs_root, mv.with_writes(&writes))
-            }
-            CommitPath::CoarseLock => {
-                let b = builder.into_inner();
-                let txs_root = tx_root(&b.txs);
-                (b, txs_root, mv.materialize(versions.current()))
-            }
-        };
-        debug_assert_eq!(txs_root, tx_root(&built.txs));
+        // order (a later version's value replaces an earlier one's).
+        // Versions are dense 1..=committed.
+        records.sort_unstable_by_key(|r| r.version);
+        debug_assert!(records
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.version == i as u64 + 1));
+        let txs_root = tx_root_of_hashes(records.iter().map(|r| r.hash));
+        let mut writes = WriteSet::default();
+        writes.reserve(mv.written_key_count());
+        let mut txs = Vec::with_capacity(records.len());
+        let mut receipts = Vec::with_capacity(records.len());
+        let mut profile = BlockProfile::default();
+        for r in records {
+            writes.extend(r.profile.writes.iter().map(|(key, value)| (*key, *value)));
+            txs.push(r.tx);
+            receipts.push(r.receipt);
+            profile.push(r.profile);
+        }
+        let mut post_state = mv.with_writes(&writes);
+        debug_assert_eq!(txs_root, tx_root(&txs));
 
         // Credit the aggregated fees to the coinbase and build the header.
-        let fees: U256 = built.receipts.iter().map(|r| r.fee).sum();
+        let fees: U256 = receipts.iter().map(|r| r.fee).sum();
         if !fees.is_zero() {
             let coinbase = self.config.env.coinbase;
             let bal = post_state.balance(&coinbase);
@@ -480,7 +440,7 @@ impl OccWsiProposer {
             height,
             state_root: post_state.state_root(),
             tx_root: txs_root,
-            receipts_root: receipts_root(&built.receipts),
+            receipts_root: receipts_root(&receipts),
             gas_used,
             gas_limit: self.config.gas_limit,
             coinbase: self.config.env.coinbase,
@@ -488,16 +448,17 @@ impl OccWsiProposer {
             proposer_seed: self.config.env.number,
         };
 
+        let committed = txs.len() as u64;
         Proposal {
             block: Block {
                 header,
-                transactions: built.txs,
-                profile: built.profile,
+                transactions: txs,
+                profile,
             },
-            receipts: built.receipts,
+            receipts,
             post_state,
             stats: ProposerStats {
-                committed: built.profile_len as u64,
+                committed,
                 aborts: aborts.load(Ordering::Acquire),
                 first_aborts: first_aborts.load(Ordering::Acquire),
                 retry_aborts: retry_aborts.load(Ordering::Acquire),
@@ -513,8 +474,9 @@ impl OccWsiProposer {
         }
     }
 
-    /// The two-phase worker loop (the default commit path).
-    fn worker_two_phase(&self, s: &Shared<'_>) -> (Vec<CommitRecord>, WorkerStats) {
+    /// The worker loop: execute optimistically, admit under the
+    /// commit-sequence lock (Phase A), publish outside it (Phase B).
+    fn worker(&self, s: &Shared<'_>) -> (Vec<CommitRecord>, WorkerStats) {
         let mut stats = WorkerStats::default();
         let mut records: Vec<CommitRecord> = Vec::new();
         // Everything checked out goes back when `checkout` drops, whichever
@@ -660,123 +622,6 @@ impl OccWsiProposer {
             checkout.committed.push(hash);
         }
     }
-
-    /// The original coarse-lock worker loop, kept verbatim (modulo the
-    /// publish-before-allocate reorder, which closes a racy snapshot window)
-    /// as the A/B baseline.
-    fn worker_coarse(&self, s: &Shared<'_>, builder: &Mutex<BlockBuilder>) -> WorkerStats {
-        let mut stats = WorkerStats::default();
-        let mut idle_spins = 0u32;
-        let mut futile: FxHashMap<TxHash, (u64, u32)> = FxHashMap::default();
-        loop {
-            if s.full.load(Ordering::Acquire) {
-                return stats;
-            }
-            let Some(tx) = s.pool.pop() else {
-                if s.pool.is_empty() || idle_spins > 64 {
-                    return stats;
-                }
-                idle_spins += 1;
-                std::thread::yield_now();
-                continue;
-            };
-            idle_spins = 0;
-
-            let snapshot_version = s.versions.current();
-            let snapshot = MvSnapshot::new(s.mv, snapshot_version);
-            s.executions.fetch_add(1, Ordering::Relaxed);
-            let exec = execute_transaction_in(&self.cache, &snapshot, &self.config.env, &tx);
-
-            match exec {
-                Err(TxError::BadNonce { expected, got }) if got > expected => {
-                    let version_now = s.versions.current();
-                    let entry = futile.entry(tx.hash()).or_insert((version_now, 0));
-                    if entry.0 == version_now {
-                        entry.1 += 1;
-                    } else {
-                        *entry = (version_now, 1);
-                    }
-                    if entry.1 >= MAX_FUTILE_RETRIES {
-                        s.discarded.fetch_add(1, Ordering::Relaxed);
-                        s.pool.discard(&tx);
-                    } else {
-                        s.aborts.fetch_add(1, Ordering::Relaxed);
-                        s.note_abort(tx.hash());
-                        stats.retries += 1;
-                        s.pool.push_back(&tx);
-                        std::thread::yield_now();
-                    }
-                    continue;
-                }
-                Err(_) => {
-                    s.discarded.fetch_add(1, Ordering::Relaxed);
-                    s.pool.discard(&tx);
-                    continue;
-                }
-                Ok(result) => {
-                    // DetectConflict + commit, atomically.
-                    let mut b = builder.lock();
-                    if s.full.load(Ordering::Acquire) {
-                        s.pool.push_back(&tx);
-                        return stats;
-                    }
-                    // WSI validation over the read set.
-                    let stale = result
-                        .rw
-                        .reads
-                        .keys()
-                        .any(|key| s.reserve.is_stale(key, snapshot_version));
-                    if stale {
-                        drop(b);
-                        s.aborts.fetch_add(1, Ordering::Relaxed);
-                        s.validation_failures.fetch_add(1, Ordering::Relaxed);
-                        s.note_abort(tx.hash());
-                        stats.aborts += 1;
-                        s.pool.push_back(&tx);
-                        continue;
-                    }
-                    // Gas-limit check.
-                    let gas_after = s.cur_gas.load(Ordering::Acquire) + result.receipt.gas_used;
-                    if gas_after > self.config.gas_limit
-                        || (self.config.max_txs > 0 && b.txs.len() >= self.config.max_txs)
-                    {
-                        s.full.store(true, Ordering::Release);
-                        drop(b);
-                        s.pool.push_back(&tx);
-                        return stats;
-                    }
-                    // Commit: publish at the next version *before* the
-                    // allocator makes it discoverable, so no concurrent
-                    // snapshot can observe the version number ahead of its
-                    // write set.
-                    let version = s.versions.current() + 1;
-                    s.mv.commit_writes(&result.rw.writes, version);
-                    for (addr, code) in &result.deployed {
-                        s.mv.install_code(*addr, Arc::clone(code));
-                    }
-                    s.reserve.publish(result.rw.writes.keys(), version);
-                    s.versions.allocate();
-                    s.cur_gas.store(gas_after, Ordering::Release);
-                    b.profile
-                        .push(TxProfile::from_owned_rw(result.rw, result.receipt.gas_used));
-                    b.profile_len += 1;
-                    b.txs.push(tx.clone());
-                    b.receipts.push(result.receipt);
-                    drop(b);
-                    stats.committed += 1;
-                    s.pool.commit(&tx);
-                }
-            }
-        }
-    }
-}
-
-#[derive(Default)]
-struct BlockBuilder {
-    txs: Vec<Transaction>,
-    receipts: Vec<Receipt>,
-    profile: BlockProfile,
-    profile_len: usize,
 }
 
 #[cfg(test)]
@@ -802,14 +647,6 @@ mod tests {
     fn proposer(threads: usize) -> OccWsiProposer {
         OccWsiProposer::new(OccWsiConfig {
             threads,
-            ..OccWsiConfig::default()
-        })
-    }
-
-    fn proposer_on(path: CommitPath, threads: usize) -> OccWsiProposer {
-        OccWsiProposer::new(OccWsiConfig {
-            threads,
-            commit_path: path,
             ..OccWsiConfig::default()
         })
     }
@@ -845,63 +682,59 @@ mod tests {
 
     #[test]
     fn proposes_disjoint_transfers() {
-        for path in [CommitPath::TwoPhase, CommitPath::CoarseLock] {
-            let world = Arc::new(funded_world(20));
-            let pool = TxPool::new();
-            for i in 1..=10u64 {
-                pool.add(Transaction::transfer(
-                    addr(i),
-                    addr(i + 10),
-                    U256::from(5u64),
-                    0,
-                    i,
-                ));
-            }
-            let p = proposer_on(path, 4);
-            let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
-            assert_eq!(proposal.block.tx_count(), 10);
-            assert_eq!(proposal.stats.committed, 10);
-            assert!(pool.is_empty());
-            // Serializability: replaying the block order serially reproduces
-            // the exact post-state root.
-            let replay = serial_replay(&proposal.block, &world, &p.config.env);
-            assert_eq!(replay.state_root(), proposal.post_state.state_root());
-            assert_eq!(proposal.block.header.state_root, replay.state_root());
+        let world = Arc::new(funded_world(20));
+        let pool = TxPool::new();
+        for i in 1..=10u64 {
+            pool.add(Transaction::transfer(
+                addr(i),
+                addr(i + 10),
+                U256::from(5u64),
+                0,
+                i,
+            ));
         }
+        let p = proposer(4);
+        let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
+        assert_eq!(proposal.block.tx_count(), 10);
+        assert_eq!(proposal.stats.committed, 10);
+        assert!(pool.is_empty());
+        // Serializability: replaying the block order serially reproduces
+        // the exact post-state root.
+        let replay = serial_replay(&proposal.block, &world, &p.config.env);
+        assert_eq!(replay.state_root(), proposal.post_state.state_root());
+        assert_eq!(proposal.block.header.state_root, replay.state_root());
     }
 
     #[test]
     fn conflicting_counter_calls_all_commit_serializably() {
-        for path in [CommitPath::TwoPhase, CommitPath::CoarseLock] {
-            let mut w = funded_world(20);
-            let c = addr(100);
-            w.set_code(c, contracts::counter());
-            let world = Arc::new(w);
-            let pool = TxPool::new();
-            for i in 1..=8u64 {
-                pool.add(Transaction {
-                    sender: addr(i),
-                    to: Some(c),
-                    value: U256::ZERO,
-                    nonce: 0,
-                    gas_limit: 200_000,
-                    gas_price: 1,
-                    data: vec![],
-                });
-            }
-            let p = proposer_on(path, 4);
-            let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
-            assert_eq!(proposal.block.tx_count(), 8);
-            // The counter must reach exactly 8: lost updates would show here.
-            assert_eq!(
-                proposal
-                    .post_state
-                    .storage(&c, &bp_types::H256::from_low_u64(0)),
-                U256::from(8u64)
-            );
-            let replay = serial_replay(&proposal.block, &world, &p.config.env);
-            assert_eq!(replay.state_root(), proposal.post_state.state_root());
+        let mut w = funded_world(20);
+        let c = addr(100);
+        w.set_code(c, contracts::counter());
+        let world = Arc::new(w);
+        let pool = TxPool::new();
+        for i in 1..=8u64 {
+            pool.add(Transaction {
+                sender: addr(i),
+                to: Some(c),
+                value: U256::ZERO,
+                nonce: 0,
+                gas_limit: 200_000,
+                gas_price: 1,
+                data: vec![],
+            });
         }
+        let p = proposer(4);
+        let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
+        assert_eq!(proposal.block.tx_count(), 8);
+        // The counter must reach exactly 8: lost updates would show here.
+        assert_eq!(
+            proposal
+                .post_state
+                .storage(&c, &bp_types::H256::from_low_u64(0)),
+            U256::from(8u64)
+        );
+        let replay = serial_replay(&proposal.block, &world, &p.config.env);
+        assert_eq!(replay.state_root(), proposal.post_state.state_root());
     }
 
     #[test]
@@ -1036,25 +869,22 @@ mod tests {
 
     #[test]
     fn gas_limit_bounds_the_block() {
-        for path in [CommitPath::TwoPhase, CommitPath::CoarseLock] {
-            let world = Arc::new(funded_world(30));
-            let pool = TxPool::new();
-            for i in 1..=20u64 {
-                pool.add(Transaction::transfer(addr(i), addr(99), U256::ONE, 0, 1));
-            }
-            let p = OccWsiProposer::new(OccWsiConfig {
-                threads: 4,
-                gas_limit: 21_000 * 5, // exactly five transfers
-                commit_path: path,
-                ..OccWsiConfig::default()
-            });
-            let proposal = p.propose(&pool, world, BlockHash::ZERO, 1);
-            assert_eq!(proposal.block.tx_count(), 5);
-            assert_eq!(proposal.block.header.gas_used, 21_000 * 5);
-            // The remaining transactions stay pending.
-            assert_eq!(pool.len(), 15);
-            assert_eq!(pool.in_flight(), 0);
+        let world = Arc::new(funded_world(30));
+        let pool = TxPool::new();
+        for i in 1..=20u64 {
+            pool.add(Transaction::transfer(addr(i), addr(99), U256::ONE, 0, 1));
         }
+        let p = OccWsiProposer::new(OccWsiConfig {
+            threads: 4,
+            gas_limit: 21_000 * 5, // exactly five transfers
+            ..OccWsiConfig::default()
+        });
+        let proposal = p.propose(&pool, world, BlockHash::ZERO, 1);
+        assert_eq!(proposal.block.tx_count(), 5);
+        assert_eq!(proposal.block.header.gas_used, 21_000 * 5);
+        // The remaining transactions stay pending.
+        assert_eq!(pool.len(), 15);
+        assert_eq!(pool.in_flight(), 0);
     }
 
     /// A contract that stores to `slots` fresh storage slots: ~20k gas each,
@@ -1111,21 +941,18 @@ mod tests {
 
     #[test]
     fn max_txs_caps_the_block() {
-        for path in [CommitPath::TwoPhase, CommitPath::CoarseLock] {
-            let world = Arc::new(funded_world(30));
-            let pool = TxPool::new();
-            for i in 1..=20u64 {
-                pool.add(Transaction::transfer(addr(i), addr(99), U256::ONE, 0, 1));
-            }
-            let p = OccWsiProposer::new(OccWsiConfig {
-                threads: 2,
-                max_txs: 7,
-                commit_path: path,
-                ..OccWsiConfig::default()
-            });
-            let proposal = p.propose(&pool, world, BlockHash::ZERO, 1);
-            assert_eq!(proposal.block.tx_count(), 7);
+        let world = Arc::new(funded_world(30));
+        let pool = TxPool::new();
+        for i in 1..=20u64 {
+            pool.add(Transaction::transfer(addr(i), addr(99), U256::ONE, 0, 1));
         }
+        let p = OccWsiProposer::new(OccWsiConfig {
+            threads: 2,
+            max_txs: 7,
+            ..OccWsiConfig::default()
+        });
+        let proposal = p.propose(&pool, world, BlockHash::ZERO, 1);
+        assert_eq!(proposal.block.tx_count(), 7);
     }
 
     #[test]
@@ -1173,76 +1000,37 @@ mod tests {
     #[test]
     fn hotspot_block_is_serializable_with_many_threads() {
         // Heavy contention: all transactions hit one AMM pair.
-        for path in [CommitPath::TwoPhase, CommitPath::CoarseLock] {
-            let mut w = funded_world(32);
-            let amm = addr(200);
-            w.set_code(amm, contracts::amm_pair());
-            w.set_storage(
-                amm,
-                contracts::amm_reserve_slot(0),
-                U256::from(10_000_000u64),
-            );
-            w.set_storage(
-                amm,
-                contracts::amm_reserve_slot(1),
-                U256::from(10_000_000u64),
-            );
-            let world = Arc::new(w);
-            let pool = TxPool::new();
-            for i in 1..=16u64 {
-                pool.add(Transaction {
-                    sender: addr(i),
-                    to: Some(amm),
-                    value: U256::ZERO,
-                    nonce: 0,
-                    gas_limit: 300_000,
-                    gas_price: 1,
-                    data: contracts::amm_swap_calldata((i % 2) as u8, U256::from(1000 + i)),
-                });
-            }
-            let p = proposer_on(path, 8);
-            let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
-            assert_eq!(proposal.block.tx_count(), 16);
-            let replay = serial_replay(&proposal.block, &world, &p.config.env);
-            assert_eq!(replay.state_root(), proposal.post_state.state_root());
-        }
-    }
-
-    #[test]
-    fn two_phase_and_coarse_agree_on_the_state_root() {
-        // Same pool contents through both commit paths: each proposal must
-        // independently satisfy the serial-replay witness (schedules and
-        // block orders may differ).
-        let mut w = funded_world(24);
-        let c = addr(100);
-        w.set_code(c, contracts::counter());
+        let mut w = funded_world(32);
+        let amm = addr(200);
+        w.set_code(amm, contracts::amm_pair());
+        w.set_storage(
+            amm,
+            contracts::amm_reserve_slot(0),
+            U256::from(10_000_000u64),
+        );
+        w.set_storage(
+            amm,
+            contracts::amm_reserve_slot(1),
+            U256::from(10_000_000u64),
+        );
         let world = Arc::new(w);
-        for path in [CommitPath::TwoPhase, CommitPath::CoarseLock] {
-            let pool = TxPool::new();
-            for i in 1..=10u64 {
-                pool.add(Transaction::transfer(
-                    addr(i),
-                    addr(i + 10),
-                    U256::ONE,
-                    0,
-                    i,
-                ));
-                pool.add(Transaction {
-                    sender: addr(i),
-                    to: Some(c),
-                    value: U256::ZERO,
-                    nonce: 1,
-                    gas_limit: 200_000,
-                    gas_price: 1,
-                    data: vec![],
-                });
-            }
-            let p = proposer_on(path, 4);
-            let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
-            assert_eq!(proposal.block.tx_count(), 20);
-            let replay = serial_replay(&proposal.block, &world, &p.config.env);
-            assert_eq!(replay.state_root(), proposal.post_state.state_root());
+        let pool = TxPool::new();
+        for i in 1..=16u64 {
+            pool.add(Transaction {
+                sender: addr(i),
+                to: Some(amm),
+                value: U256::ZERO,
+                nonce: 0,
+                gas_limit: 300_000,
+                gas_price: 1,
+                data: contracts::amm_swap_calldata((i % 2) as u8, U256::from(1000 + i)),
+            });
         }
+        let p = proposer(8);
+        let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
+        assert_eq!(proposal.block.tx_count(), 16);
+        let replay = serial_replay(&proposal.block, &world, &p.config.env);
+        assert_eq!(replay.state_root(), proposal.post_state.state_root());
     }
 
     #[test]

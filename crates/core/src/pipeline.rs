@@ -7,25 +7,26 @@
 //!   dependency subgraphs from its profile.
 //! * **Transaction execution** — a shared *worker pool* executes jobs from
 //!   *any* in-flight block: two blocks at the same height overlap fully,
-//!   exactly as in the paper's Figure 5. Under the default
-//!   [`DispatchPolicy::Subgraph`] every dependency subgraph is its own pool
-//!   job (enqueued heaviest-first), so the pool load-balances dynamically
-//!   across subgraphs and blocks; [`DispatchPolicy::StaticLanes`] keeps the
-//!   old gas-LPT pre-packing as the A/B baseline. Each result is published
+//!   exactly as in the paper's Figure 5. Every dependency subgraph is its
+//!   own pool job (enqueued heaviest-first), so the pool load-balances
+//!   dynamically across subgraphs and blocks. Each result is published
 //!   into a lock-free single-writer slot ([`ResultSlots`]) — no mutex on the
 //!   per-transaction result path. Footprint verification (Algorithm 2) is
 //!   *overlapped*: each worker checks its transaction against the block
 //!   profile right after executing it, and the first mismatch trips a
 //!   per-block cancellation flag so the block's remaining jobs stop early.
 //! * **Block validation** — an *applier pool* drains the result slots in
-//!   block order, applies writes, credits aggregated fees, and compares the
-//!   resulting MPT root with the proposed header. Independent blocks (same
-//!   height, or different forks) validate on different applier threads
-//!   concurrently.
-//! * **Block commitment** — a validated block's post-state is indexed by its
-//!   hash; blocks at the next height that were parked waiting for this
-//!   parent are released, which is precisely the paper's rule that a block
-//!   may not enter validation before its predecessor has cleared it.
+//!   block order, applies writes, credits aggregated fees and checks gas and
+//!   receipts against the header. Independent blocks (same height, or
+//!   different forks) validate on different applier threads concurrently.
+//! * **Block commitment** — publish, then root: the applied post-state is
+//!   indexed by the block's hash and blocks at the next height that were
+//!   parked waiting for this parent are released into execution *before*
+//!   the MPT root is hashed, so height N+1 executes while N's root hashes.
+//!   The root comparison settles a per-block [`RootLatch`]; a block's
+//!   verdict waits for its own root and for its parent's latch, which keeps
+//!   the paper's rule that a block is not cleared before its predecessor,
+//!   and the public lookups answer for a block only once that verdict is in.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -45,21 +46,6 @@ use parking_lot::Mutex;
 
 use crate::scheduler::{ConflictGranularity, Scheduler};
 
-/// How prepared blocks are handed to the worker pool (kept switchable for
-/// A/B benchmarking; see `validator_baseline` in `bp-bench`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchPolicy {
-    /// Every dependency subgraph is its own pool job, enqueued
-    /// heaviest-first: the pool load-balances dynamically across subgraphs
-    /// and in-flight blocks.
-    #[default]
-    Subgraph,
-    /// Subgraphs are pre-packed into `workers` gas-LPT lanes at preparation
-    /// and each lane is one job. Kept as the baseline: a straggler lane
-    /// cannot be rebalanced once packed.
-    StaticLanes,
-}
-
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
@@ -67,19 +53,9 @@ pub struct PipelineConfig {
     pub workers: usize,
     /// Conflict granularity for the preparation phase.
     pub granularity: ConflictGranularity,
-    /// Execution-job granularity (subgraph-dynamic vs static lanes).
-    pub dispatch: DispatchPolicy,
     /// Applier-pool size: how many blocks can be in block validation
     /// simultaneously.
     pub appliers: usize,
-    /// Deferred-root apply: split block validation into "publish writes +
-    /// schedule root". The applier indexes the post-state and releases the
-    /// next height into execution *before* hashing the state root; the root
-    /// check settles a per-height [`RootLatch`] that the verdict (and thus
-    /// commit publication and every descendant's verdict) still waits on.
-    /// Correctness gates are unchanged — only the wait moves off the
-    /// execution path.
-    pub deferred_root: bool,
 }
 
 impl Default for PipelineConfig {
@@ -87,9 +63,7 @@ impl Default for PipelineConfig {
         PipelineConfig {
             workers: 4,
             granularity: ConflictGranularity::Account,
-            dispatch: DispatchPolicy::Subgraph,
             appliers: 2,
-            deferred_root: false,
         }
     }
 }
@@ -228,6 +202,9 @@ const ABORT_KIND_PROFILE: u64 = 1;
 struct BlockTask {
     block: Arc<Block>,
     base: Arc<WorldState>,
+    /// The parent block's root verdict, which this block's own verdict
+    /// chains on; `None` when the parent is a trusted registered state.
+    parent_root: Option<Arc<RootLatch<bool>>>,
     env: BlockEnv,
     /// Set when a preparation-phase header check failed: the block skipped
     /// execution entirely and the applier reports this error.
@@ -273,9 +250,8 @@ impl BlockTask {
 
 struct ExecJob {
     task: Arc<BlockTask>,
-    /// Transaction indices, ascending (block order): one subgraph under
-    /// [`DispatchPolicy::Subgraph`], one packed lane under
-    /// [`DispatchPolicy::StaticLanes`].
+    /// One dependency subgraph's transaction indices, ascending (block
+    /// order).
     txs: Vec<usize>,
 }
 
@@ -287,40 +263,95 @@ enum ApplierMsg {
 /// A block parked until its parent validates, and where its verdict goes.
 type Parked = (Arc<Block>, Sender<ValidationOutcome>);
 
+/// What a block starts from: the state it executes on and the root verdict
+/// its own verdict chains on.
+#[derive(Clone)]
+struct Parent {
+    state: Arc<WorldState>,
+    /// `None` for a trusted registered state, which has nothing to wait for.
+    root: Option<Arc<RootLatch<bool>>>,
+}
+
+/// What the index holds for one hash a child can build on: a registered
+/// base state, or a block from the moment its writes are applied.
+struct Published {
+    state: Arc<WorldState>,
+    /// `None` for a trusted state ([`ValidatorPipeline::register_state`]):
+    /// it has no parent delta and nothing to wait for.
+    block: Option<AppliedBlock>,
+}
+
+struct AppliedBlock {
+    /// The keys the block wrote, in block order (repeats included). With the
+    /// post-state they give the block's net effect on its parent state
+    /// ([`ValidatorPipeline::delta_of`]).
+    written: Arc<[AccessKey]>,
+    /// The block's root verdict: `true` once its root matched the header and
+    /// every ancestor settled valid. Unset while the root still hashes.
+    root: Arc<RootLatch<bool>>,
+}
+
+#[derive(Default)]
 struct StateIndex {
-    states: HashMap<BlockHash, Arc<WorldState>>,
-    /// The keys each validated block wrote, in block order (repeats
-    /// included). With the block's post-state they give its net effect on
-    /// its parent state ([`ValidatorPipeline::delta_of`]); kept and dropped
-    /// with that state.
-    written: HashMap<BlockHash, Arc<[AccessKey]>>,
+    /// One entry per published block, from publication until the pipeline is
+    /// dropped or a failed root verdict un-publishes the block: state,
+    /// written keys and latch come and go together.
+    states: HashMap<BlockHash, Published>,
     waiting: HashMap<BlockHash, Vec<Parked>>,
     invalid: std::collections::HashSet<BlockHash>,
-    /// Deferred-root mode: each applied block's root verdict (`true` = root
-    /// matched the header and every ancestor settled valid). A child's apply
-    /// stage chains on its parent's latch; absence means the parent was a
-    /// trusted registered state.
-    latches: HashMap<BlockHash, Arc<RootLatch<bool>>>,
+}
+
+impl StateIndex {
+    /// What a child of `hash` starts from, if `hash` is published. Its root
+    /// verdict may still un-publish it; the child then fails through the
+    /// latch it was handed here.
+    fn parent(&self, hash: &BlockHash) -> Option<Parent> {
+        self.states.get(hash).map(|p| Parent {
+            state: Arc::clone(&p.state),
+            root: p.block.as_ref().map(|b| Arc::clone(&b.root)),
+        })
+    }
+
+    /// Marks `hash` invalid and takes out every block parked on it — directly,
+    /// or behind another parked block, which is marked in turn: none of them
+    /// can validate any more, and nobody else will ever release them.
+    fn poison(&mut self, hash: BlockHash) -> Vec<Parked> {
+        let mut doomed = Vec::new();
+        let mut stack = vec![hash];
+        while let Some(hash) = stack.pop() {
+            self.invalid.insert(hash);
+            for parked in self.waiting.remove(&hash).unwrap_or_default() {
+                stack.push(parked.0.hash());
+                doomed.push(parked);
+            }
+        }
+        doomed
+    }
+
+    /// The entry of `hash` once nothing can take it away any more: a trusted
+    /// state, or a block whose root verdict settled valid.
+    fn settled(&self, hash: &BlockHash) -> Option<&Published> {
+        self.states.get(hash).filter(|p| {
+            p.block
+                .as_ref()
+                .is_none_or(|b| b.root.try_get() == Some(true))
+        })
+    }
 }
 
 /// Everything needed to push a prepared block into the worker pool. Shared
 /// by the public API and the appliers (which release parked children).
 struct Starter {
     scheduler: Scheduler,
-    workers: usize,
-    dispatch: DispatchPolicy,
     job_tx: Sender<ExecJob>,
     applier_tx: Sender<ApplierMsg>,
     index: Arc<Mutex<StateIndex>>,
     /// Code-analysis cache shared by every exec worker across every block.
     cache: Arc<AnalysisCache>,
-    /// See [`PipelineConfig::deferred_root`].
-    deferred_root: bool,
 }
 
 /// The four-stage validator pipeline.
 pub struct ValidatorPipeline {
-    config: PipelineConfig,
     starter: Arc<Starter>,
     workers: Vec<std::thread::JoinHandle<()>>,
     appliers: Vec<std::thread::JoinHandle<()>>,
@@ -333,22 +364,12 @@ impl ValidatorPipeline {
         assert!(config.appliers > 0);
         let (job_tx, job_rx) = unbounded::<ExecJob>();
         let (applier_tx, applier_rx) = unbounded::<ApplierMsg>();
-        let index = Arc::new(Mutex::new(StateIndex {
-            states: HashMap::new(),
-            written: HashMap::new(),
-            waiting: HashMap::new(),
-            invalid: std::collections::HashSet::new(),
-            latches: HashMap::new(),
-        }));
         let starter = Arc::new(Starter {
             scheduler: Scheduler::new(config.granularity),
-            workers: config.workers,
-            dispatch: config.dispatch,
             job_tx,
             applier_tx,
-            index,
+            index: Arc::default(),
             cache: AnalysisCache::global(),
-            deferred_root: config.deferred_root,
         });
 
         let mut workers = Vec::with_capacity(config.workers);
@@ -389,7 +410,6 @@ impl ValidatorPipeline {
         }
 
         ValidatorPipeline {
-            config,
             starter,
             workers,
             appliers,
@@ -399,21 +419,23 @@ impl ValidatorPipeline {
     /// Registers a trusted base state (e.g. the genesis post-state) so
     /// blocks naming `hash` as parent can start.
     pub fn register_state(&self, hash: BlockHash, state: Arc<WorldState>) {
+        let parent = Parent { state, root: None };
         let ready = {
             let mut idx = self.starter.index.lock();
-            idx.states.insert(hash, state);
+            let state = Arc::clone(&parent.state);
+            idx.states.insert(hash, Published { state, block: None });
             idx.waiting.remove(&hash).unwrap_or_default()
         };
         for (block, verdict) in ready {
-            self.starter.start_block(block, verdict);
+            self.starter.start_block(block, verdict, parent.clone());
         }
     }
 
     /// Submits a block (preparation phase). Returns immediately; the
     /// outcome arrives through the handle. Blocks whose parent state is not
-    /// yet known are parked until the parent validates — the paper's
-    /// cross-height ordering rule. The execution environment is derived from
-    /// the block header.
+    /// yet known are parked until the parent is published — and their
+    /// verdict waits for the parent's, the paper's cross-height ordering
+    /// rule. The execution environment is derived from the block header.
     pub fn submit(&self, block: Block) -> ValidationHandle {
         self.submit_shared(Arc::new(block))
     }
@@ -423,31 +445,23 @@ impl ValidatorPipeline {
     /// holds a refcount instead of its own copy.
     pub fn submit_shared(&self, block: Arc<Block>) -> ValidationHandle {
         let (tx, rx) = unbounded();
-        let parent = block.header.parent_hash;
-        let parked = {
-            let mut idx = self.starter.index.lock();
-            if idx.invalid.contains(&parent) {
-                None // fall through to immediate rejection below
-            } else if idx.states.contains_key(&parent) {
-                Some(false)
-            } else {
-                idx.waiting
-                    .entry(parent)
-                    .or_default()
-                    .push((Arc::clone(&block), tx.clone()));
-                Some(true)
-            }
-        };
-        match parked {
-            Some(false) => self.starter.start_block(block, tx),
-            Some(true) => {}
-            None => {
-                let _ = tx.send(rejection_outcome(
-                    block.hash(),
-                    block.height(),
-                    ValidationError::ParentInvalid,
-                ));
-            }
+        let parent_hash = block.header.parent_hash;
+        // One look under the lock decides: a root verdict may un-publish the
+        // parent at any moment after it.
+        let mut idx = self.starter.index.lock();
+        if idx.invalid.contains(&parent_hash) {
+            let mut doomed = idx.poison(block.hash());
+            drop(idx);
+            doomed.push((block, tx));
+            reject_descendants(doomed);
+        } else if let Some(parent) = idx.parent(&parent_hash) {
+            drop(idx);
+            self.starter.start_block(block, tx, parent);
+        } else {
+            idx.waiting
+                .entry(parent_hash)
+                .or_default()
+                .push((block, tx));
         }
         ValidationHandle { rx }
     }
@@ -457,14 +471,17 @@ impl ValidatorPipeline {
         self.submit(block).wait()
     }
 
-    /// The committed post-state of `hash` — available once the block
-    /// validated (or was registered as a trusted base state).
+    /// The post-state of `hash`: a trusted base state, or a block's once its
+    /// verdict is valid. A post-state whose root is still being checked, or
+    /// was rejected, is never handed out.
     pub fn state_of(&self, hash: &BlockHash) -> Option<Arc<WorldState>> {
-        self.starter.index.lock().states.get(hash).cloned()
+        let idx = self.starter.index.lock();
+        idx.settled(hash).map(|p| Arc::clone(&p.state))
     }
 
     /// The validated block's net effect on its parent state (the diff layer
-    /// for the snapshot tree). `None` for trusted base states registered via
+    /// for the snapshot tree). `None` until the block's verdict is valid, and
+    /// for trusted base states registered via
     /// [`ValidatorPipeline::register_state`], which have no parent delta.
     ///
     /// Distilled here, on demand, from the block's post-state and the keys
@@ -473,35 +490,10 @@ impl ValidatorPipeline {
     pub fn delta_of(&self, hash: &BlockHash) -> Option<StateDelta> {
         let (state, written) = {
             let idx = self.starter.index.lock();
-            (
-                Arc::clone(idx.states.get(hash)?),
-                Arc::clone(idx.written.get(hash)?),
-            )
+            let p = idx.settled(hash)?;
+            (Arc::clone(&p.state), Arc::clone(&p.block.as_ref()?.written))
         };
         Some(state.delta_for_keys(written.iter()))
-    }
-
-    /// Number of execution jobs queued but not yet claimed by a worker.
-    /// A feed gauge for the node loop: a persistently deep queue means the
-    /// worker pool is the bottleneck stage.
-    pub fn pending_jobs(&self) -> usize {
-        self.starter.job_tx.len()
-    }
-
-    /// Number of applier messages queued but not yet processed. Deep here
-    /// means commitment (state apply + root) is the bottleneck stage.
-    pub fn pending_applies(&self) -> usize {
-        self.starter.applier_tx.len()
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.config.workers
-    }
-
-    /// The configured applier-pool size.
-    pub fn appliers(&self) -> usize {
-        self.config.appliers
     }
 
     /// Shuts the pipeline down, joining all threads.
@@ -522,13 +514,10 @@ impl ValidatorPipeline {
         let (dead_applier, _) = unbounded();
         self.starter = Arc::new(Starter {
             scheduler: self.starter.scheduler,
-            workers: self.starter.workers,
-            dispatch: self.starter.dispatch,
             job_tx: dead_job,
             applier_tx: dead_applier,
             index: Arc::clone(&self.starter.index),
             cache: Arc::clone(&self.starter.cache),
-            deferred_root: self.starter.deferred_root,
         });
         for _ in 0..self.appliers.len() {
             let _ = applier_tx.send(ApplierMsg::Shutdown);
@@ -568,12 +557,23 @@ fn rejection_outcome(
     }
 }
 
+/// Sends every block of `doomed` its `ParentInvalid` verdict.
+fn reject_descendants(doomed: Vec<Parked>) {
+    for (block, verdict) in doomed {
+        let _ = verdict.send(rejection_outcome(
+            block.hash(),
+            block.height(),
+            ValidationError::ParentInvalid,
+        ));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Transaction-execution phase
 // ---------------------------------------------------------------------------
 
 /// A job's view: the pre-block world plus the writes of the job's already
-/// executed transactions. Jobs (subgraphs or lanes) are conflict-free
+/// executed transactions. Jobs (dependency subgraphs) are conflict-free
 /// against each other, so no other job's writes can be observed by these
 /// transactions in a serial replay either.
 struct JobView<'a> {
@@ -659,15 +659,7 @@ impl Starter {
     /// Preparation phase for a block whose parent state is available:
     /// header checks first (a malformed block is rejected before any
     /// transaction executes), then scheduling and job dispatch.
-    fn start_block(&self, block: Arc<Block>, verdict: Sender<ValidationOutcome>) {
-        let base = {
-            let idx = self.index.lock();
-            Arc::clone(
-                idx.states
-                    .get(&block.header.parent_hash)
-                    .expect("start_block requires parent state"),
-            )
-        };
+    fn start_block(&self, block: Arc<Block>, verdict: Sender<ValidationOutcome>, parent: Parent) {
         let env = BlockEnv {
             coinbase: block.header.coinbase,
             number: block.header.height,
@@ -690,30 +682,21 @@ impl Starter {
         let jobs: Vec<Vec<usize>> = if header_error.is_some() {
             Vec::new()
         } else {
-            match self.dispatch {
-                // Heaviest subgraph first: the pool drains big components
-                // early, so stragglers don't trail the block's completion.
-                DispatchPolicy::Subgraph => self
-                    .scheduler
-                    .subgraphs(&block.profile)
-                    .into_iter()
-                    .map(|sg| sg.txs)
-                    .collect(),
-                DispatchPolicy::StaticLanes => self
-                    .scheduler
-                    .schedule(&block.profile, self.workers)
-                    .lanes
-                    .into_iter()
-                    .filter(|l| !l.is_empty())
-                    .collect(),
-            }
+            // Heaviest subgraph first: the pool drains big components
+            // early, so stragglers don't trail the block's completion.
+            self.scheduler
+                .subgraphs(&block.profile)
+                .into_iter()
+                .map(|sg| sg.txs)
+                .collect()
         };
         let prepare = t0.elapsed();
         let n = block.transactions.len();
         let rejected = header_error.is_some();
         let task = Arc::new(BlockTask {
             block,
-            base,
+            base: parent.state,
+            parent_root: parent.root,
             env,
             header_error,
             results: ResultSlots::new(n),
@@ -746,99 +729,29 @@ impl Starter {
     }
 }
 
-fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
-    if starter.deferred_root {
-        apply_block_deferred(task, exec, starter);
-        return;
-    }
-    let t0 = Instant::now();
-    let block = &task.block;
-    let hash = block.hash();
-    let result = validate_and_apply(&task, true);
-    let validate = t0.elapsed();
-
-    let queue_wait = task
-        .exec_start
-        .get()
-        .map(|s| s.duration_since(task.submitted))
-        .unwrap_or_default();
-    let timings = StageTimings {
-        prepare: task.prepare,
-        queue_wait,
-        execute: exec,
-        validate,
-    };
-    let cache_delta = task.cache.stats().since(&task.cache_base);
-    let (verdict_result, post_state, receipts, written) = match result {
-        Ok((state, receipts, written)) => (Ok(()), Some(Arc::new(state)), receipts, written),
-        Err(e) => (Err(e), None, vec![], vec![]),
-    };
-
-    // Commitment phase: index the post-state (and the keys that lead to its
-    // diff layer) and release parked children — or mark the subtree invalid.
-    let ready = {
-        let mut idx = starter.index.lock();
-        match &post_state {
-            Some(state) => {
-                idx.states.insert(hash, Arc::clone(state));
-                idx.written.insert(hash, written.into());
-            }
-            None => {
-                idx.invalid.insert(hash);
-            }
-        }
-        idx.waiting.remove(&hash).unwrap_or_default()
-    };
-    for (child, child_verdict) in ready {
-        if post_state.is_some() {
-            starter.start_block(child, child_verdict);
-        } else {
-            let _ = child_verdict.send(rejection_outcome(
-                child.hash(),
-                child.height(),
-                ValidationError::ParentInvalid,
-            ));
-        }
-    }
-
-    let _ = task.verdict.send(ValidationOutcome {
-        block_hash: hash,
-        height: block.height(),
-        result: verdict_result,
-        post_state,
-        receipts,
-        timings,
-        executed_txs: task.executed.load(Ordering::Relaxed),
-        aborted_early: task.cancelled.load(Ordering::Relaxed),
-        analysis_hits: cache_delta.hits,
-        analysis_misses: cache_delta.misses,
-    });
-}
-
-/// Deferred-root apply: "publish writes + schedule root".
+/// Block validation and commitment: "publish writes, then root".
 ///
-/// The block's writes are applied and all non-root checks run exactly as in
-/// the serial path; the post-state is then indexed and parked children are
-/// released *before* the state root is hashed, so execution of height N+1
-/// overlaps the root of height N. The root check settles this block's
-/// [`RootLatch`]; the verdict additionally chains on the parent's latch, so
-/// an invalid ancestor still poisons every descendant.
+/// The block's writes are applied and every check but the root runs; the
+/// post-state is then indexed and parked children are released *before* the
+/// state root is hashed, so execution of height N+1 overlaps the root of
+/// height N. The root check settles this block's [`RootLatch`]; the verdict
+/// additionally chains on the parent's latch, so an invalid ancestor still
+/// poisons every descendant.
 ///
 /// Why this cannot deadlock or misorder: a block reaches the applier only
-/// after its parent *published* (children are released at publish time), and
-/// every publish-path call settles its own latch before returning. Latch
-/// waits therefore only ever chain parent-ward, up a chain of already
-/// published blocks, ending at a trusted registered state (no latch). The
-/// earliest published-but-unsettled block waits only on settled latches, so
-/// the chain always drains — and every verdict, commit publication, and
-/// header check still happens after the roots it depends on are known.
-fn apply_block_deferred(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
+/// after its parent *published* (children are released at publish time, and
+/// handed the parent's latch with its state), and every publish-path call
+/// settles its own latch before returning. Latch waits therefore only ever
+/// chain parent-ward, up a chain of already published blocks, ending at a
+/// trusted registered state (no latch). The earliest published-but-unsettled
+/// block waits only on settled latches, so the chain always drains — and
+/// every verdict, commit publication, and header check still happens after
+/// the roots it depends on are known.
+fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
     let t0 = Instant::now();
     let block = &task.block;
     let hash = block.hash();
-    let parent = block.header.parent_hash;
-    let result = validate_and_apply(&task, false);
-    let latch = Arc::new(RootLatch::<bool>::new());
+    let result = validate_and_apply(&task);
 
     let queue_wait = task
         .exec_start
@@ -866,26 +779,13 @@ fn apply_block_deferred(task: Arc<BlockTask>, exec: Duration, starter: &Starter)
         analysis_hits: cache_delta.hits,
         analysis_misses: cache_delta.misses,
     };
-
     let (state, receipts, written) = match result {
         Ok(parts) => parts,
         Err(e) => {
-            // Failed before the root was even needed: settle the latch and
-            // mark the subtree invalid exactly as the serial path does.
-            let ready = {
-                let mut idx = starter.index.lock();
-                idx.invalid.insert(hash);
-                idx.latches.insert(hash, Arc::clone(&latch));
-                idx.waiting.remove(&hash).unwrap_or_default()
-            };
-            latch.set(false);
-            for (child, child_verdict) in ready {
-                let _ = child_verdict.send(rejection_outcome(
-                    child.hash(),
-                    child.height(),
-                    ValidationError::ParentInvalid,
-                ));
-            }
+            // Failed before the root was even needed: nothing was published.
+            // Late submitters see the invalid mark; what is parked goes now.
+            let doomed = starter.index.lock().poison(hash);
+            reject_descendants(doomed);
             let _ = task
                 .verdict
                 .send(outcome(Err(e), None, vec![], t0.elapsed()));
@@ -895,45 +795,46 @@ fn apply_block_deferred(task: Arc<BlockTask>, exec: Duration, starter: &Starter)
 
     // Publish writes: index the post-state and release the next height into
     // execution. The root of this block is still unhashed — descendants
-    // observe it only through the latch.
+    // observe it only through the latch, the public lookups not at all.
     let state = Arc::new(state);
-    let (parent_latch, ready) = {
+    let latch = Arc::new(RootLatch::<bool>::new());
+    let ready = {
         let mut idx = starter.index.lock();
-        idx.states.insert(hash, Arc::clone(&state));
-        idx.written.insert(hash, written.into());
-        idx.latches.insert(hash, Arc::clone(&latch));
-        (
-            idx.latches.get(&parent).cloned(),
-            idx.waiting.remove(&hash).unwrap_or_default(),
-        )
+        idx.states.insert(
+            hash,
+            Published {
+                state: Arc::clone(&state),
+                block: Some(AppliedBlock {
+                    written: written.into(),
+                    root: Arc::clone(&latch),
+                }),
+            },
+        );
+        idx.waiting.remove(&hash).unwrap_or_default()
+    };
+    let parent = Parent {
+        state: Arc::clone(&state),
+        root: Some(Arc::clone(&latch)),
     };
     for (child, child_verdict) in ready {
-        starter.start_block(child, child_verdict);
+        starter.start_block(child, child_verdict, parent.clone());
     }
 
-    // Schedule root: hash first (the expensive part, overlapped with the
-    // children just released), then chain on the parent's verdict.
+    // Root: hash first (the expensive part, overlapped with the children
+    // just released), then chain on the parent's verdict.
     let root_ok = state.state_root() == block.header.state_root;
-    let parent_ok = parent_latch.map(|l| l.wait()).unwrap_or(true);
+    let parent_ok = task.parent_root.as_ref().is_none_or(|l| l.wait());
     let ok = root_ok && parent_ok;
     if !ok {
-        // Un-publish: the optimistically indexed state never becomes
-        // canonical. In-flight descendants fail through their own parent
-        // latch; late submitters see the invalid mark.
-        let ready = {
+        // Un-publish: one removal takes the state, its keys and its latch
+        // out of the index. In-flight descendants fail through the latch
+        // they hold.
+        let doomed = {
             let mut idx = starter.index.lock();
             idx.states.remove(&hash);
-            idx.written.remove(&hash);
-            idx.invalid.insert(hash);
-            idx.waiting.remove(&hash).unwrap_or_default()
+            idx.poison(hash)
         };
-        for (child, child_verdict) in ready {
-            let _ = child_verdict.send(rejection_outcome(
-                child.hash(),
-                child.height(),
-                ValidationError::ParentInvalid,
-            ));
-        }
+        reject_descendants(doomed);
     }
     latch.set(ok);
     let result = if !parent_ok {
@@ -956,12 +857,10 @@ fn apply_block_deferred(task: Arc<BlockTask>, exec: Duration, starter: &Starter)
 /// short-circuits here. On success, the keys the block wrote are returned
 /// with the post-state, in block order, repeats and all: what
 /// [`ValidatorPipeline::delta_of`] distils the block's diff layer from, if
-/// it is ever asked to. With `check_root: false` (the deferred-root apply
-/// stage) the state-root comparison is skipped here and settled later
-/// against the block's [`RootLatch`].
+/// it is ever asked to. The state root is not compared here: the caller
+/// hashes it after publishing and settles the block's [`RootLatch`].
 fn validate_and_apply(
     task: &BlockTask,
-    check_root: bool,
 ) -> Result<(WorldState, Vec<Receipt>, Vec<AccessKey>), ValidationError> {
     let block = &task.block;
     if let Some(err) = &task.header_error {
@@ -1005,9 +904,6 @@ fn validate_and_apply(
         let cb = world.balance(&block.header.coinbase);
         world.set_balance(block.header.coinbase, cb + fees);
         written.push(AccessKey::Balance(block.header.coinbase));
-    }
-    if check_root && world.state_root() != block.header.state_root {
-        return Err(ValidationError::StateRootMismatch);
     }
     Ok((world, receipts, written))
 }
@@ -1088,26 +984,6 @@ mod tests {
         assert_eq!(outcome.receipts.len(), proposal.block.tx_count());
         assert_eq!(outcome.executed_txs, proposal.block.tx_count());
         assert!(!outcome.aborted_early);
-        pipeline.shutdown();
-    }
-
-    #[test]
-    fn validates_honest_block_on_static_lanes() {
-        let world = Arc::new(funded_world(10));
-        let pipeline = ValidatorPipeline::new(PipelineConfig {
-            workers: 4,
-            dispatch: DispatchPolicy::StaticLanes,
-            ..PipelineConfig::default()
-        });
-        let genesis = BlockHash::from_low_u64(1);
-        pipeline.register_state(genesis, Arc::clone(&world));
-        let proposal = propose_transfers(&world, genesis, 1, 1..9, 0);
-        let outcome = pipeline.validate_block(proposal.block.clone());
-        assert!(outcome.is_valid(), "{:?}", outcome.result);
-        assert_eq!(
-            outcome.post_state.unwrap().state_root(),
-            proposal.post_state.state_root()
-        );
         pipeline.shutdown();
     }
 
@@ -1299,6 +1175,37 @@ mod tests {
     }
 
     #[test]
+    fn rejection_reaches_descendants_parked_behind_parked_blocks() {
+        let world = Arc::new(funded_world(10));
+        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let mut b1 = propose_transfers(&world, genesis, 1, 1..5, 0);
+        b1.block.header.gas_used += 1; // fails before anything is published
+        let s1 = Arc::new(b1.post_state.clone());
+        let b2 = propose_transfers(&s1, b1.block.hash(), 2, 1..5, 1);
+        let s2 = Arc::new(b2.post_state.clone());
+        let b3 = propose_transfers(&s2, b2.block.hash(), 3, 1..5, 2);
+        let s3 = Arc::new(b3.post_state.clone());
+        let b4 = propose_transfers(&s3, b3.block.hash(), 4, 1..5, 3);
+        // Deepest first: each parks on a parent that is itself parked. The
+        // great-grandchild comes late, after its parent was turned away
+        // while parked.
+        let h3 = pipeline.submit(b3.block);
+        let h2 = pipeline.submit(b2.block);
+        let h1 = pipeline.submit(b1.block);
+        assert!(matches!(
+            h1.wait().result,
+            Err(ValidationError::GasMismatch { .. })
+        ));
+        assert_eq!(h2.wait().result, Err(ValidationError::ParentInvalid));
+        assert_eq!(h3.wait().result, Err(ValidationError::ParentInvalid));
+        assert_eq!(
+            pipeline.validate_block(b4.block).result,
+            Err(ValidationError::ParentInvalid)
+        );
+        pipeline.shutdown();
+    }
+
+    #[test]
     fn empty_block_validates() {
         let world = Arc::new(funded_world(2));
         let (pipeline, genesis) = pipeline_with_genesis(2, &world);
@@ -1311,159 +1218,33 @@ mod tests {
     }
 
     #[test]
-    fn chain_of_three_heights_validates_in_any_submit_order() {
-        let world = Arc::new(funded_world(6));
-        let (pipeline, genesis) = pipeline_with_genesis(3, &world);
-        let b1 = propose_transfers(&world, genesis, 1, 1..4, 0);
-        let s1 = Arc::new(b1.post_state.clone());
-        let b2 = propose_transfers(&s1, b1.block.hash(), 2, 1..4, 1);
-        let s2 = Arc::new(b2.post_state.clone());
-        let b3 = propose_transfers(&s2, b2.block.hash(), 3, 1..4, 2);
-        // Reverse submit order: deepest first.
-        let h3 = pipeline.submit(b3.block.clone());
-        let h2 = pipeline.submit(b2.block.clone());
-        let h1 = pipeline.submit(b1.block.clone());
-        assert!(h1.wait().is_valid());
-        assert!(h2.wait().is_valid());
-        let o3 = h3.wait();
-        assert!(o3.is_valid(), "{:?}", o3.result);
-        assert_eq!(
-            o3.post_state.unwrap().state_root(),
-            b3.post_state.state_root()
-        );
-        pipeline.shutdown();
-    }
-
-    fn deferred_pipeline(
-        workers: usize,
-        world: &Arc<WorldState>,
-    ) -> (ValidatorPipeline, BlockHash) {
-        let pipeline = ValidatorPipeline::new(PipelineConfig {
-            workers,
-            deferred_root: true,
-            ..PipelineConfig::default()
-        });
-        let genesis = BlockHash::from_low_u64(1);
-        pipeline.register_state(genesis, Arc::clone(world));
-        (pipeline, genesis)
-    }
-
-    #[test]
-    fn deferred_root_validates_honest_chain() {
+    fn chain_validates_in_any_submit_order() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = deferred_pipeline(4, &world);
-        let b1 = propose_transfers(&world, genesis, 1, 1..8, 0);
-        let s1 = Arc::new(b1.post_state.clone());
-        let b2 = propose_transfers(&s1, b1.block.hash(), 2, 1..8, 1);
-        let s2 = Arc::new(b2.post_state.clone());
-        let b3 = propose_transfers(&s2, b2.block.hash(), 3, 1..8, 2);
-        let h3 = pipeline.submit(b3.block.clone());
-        let h1 = pipeline.submit(b1.block.clone());
-        let h2 = pipeline.submit(b2.block.clone());
-        assert!(h1.wait().is_valid());
-        assert!(h2.wait().is_valid());
-        let o3 = h3.wait();
-        assert!(o3.is_valid(), "{:?}", o3.result);
-        assert_eq!(
-            o3.post_state.unwrap().state_root(),
-            b3.post_state.state_root()
-        );
-        pipeline.shutdown();
-    }
-
-    #[test]
-    fn deferred_root_rejects_tampered_root_and_descendants() {
-        let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = deferred_pipeline(2, &world);
-        let mut b1 = propose_transfers(&world, genesis, 1, 1..5, 0);
-        b1.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
-        let s1 = Arc::new(b1.post_state.clone());
-        let b2 = propose_transfers(&s1, b1.block.hash(), 2, 1..5, 1);
-        let s2 = Arc::new(b2.post_state.clone());
-        let b3 = propose_transfers(&s2, b2.block.hash(), 3, 1..5, 2);
-        let h2 = pipeline.submit(b2.block.clone());
-        let h3 = pipeline.submit(b3.block.clone());
-        let h1 = pipeline.submit(b1.block.clone());
-        assert_eq!(h1.wait().result, Err(ValidationError::StateRootMismatch));
-        // The child may have been released optimistically before the parent's
-        // root settled — its verdict must still be ParentInvalid, and the
-        // grandchild's too, whether it executed or parked.
-        assert_eq!(h2.wait().result, Err(ValidationError::ParentInvalid));
-        assert_eq!(h3.wait().result, Err(ValidationError::ParentInvalid));
-        // The tampered subtree never becomes visible state, and the keys
-        // its diff layer would be distilled from go with it.
-        assert!(pipeline.state_of(&b1.block.hash()).is_none());
-        assert!(pipeline.state_of(&b2.block.hash()).is_none());
-        assert!(pipeline.delta_of(&b1.block.hash()).is_none());
-        assert!(pipeline.delta_of(&b2.block.hash()).is_none());
-        pipeline.shutdown();
-    }
-
-    #[test]
-    fn delta_is_distilled_on_demand_from_the_post_state_and_the_written_keys() {
-        let world = Arc::new(funded_world(10));
-        for deferred in [false, true] {
-            let (pipeline, genesis) = match deferred {
-                false => pipeline_with_genesis(2, &world),
-                true => deferred_pipeline(2, &world),
-            };
-            let proposal = propose_transfers(&world, genesis, 1, 1..8, 0);
-            assert!(pipeline.validate_block(proposal.block.clone()).is_valid());
-            // What the block wrote, named by its profile (which validation
-            // matched against the execution) plus the fee recipient — here
-            // as a set, where the pipeline keeps block order and repeats.
-            let mut keys: std::collections::HashSet<AccessKey> = proposal
-                .block
-                .profile
-                .entries
-                .iter()
-                .flat_map(|entry| entry.writes.keys().copied())
-                .collect();
-            keys.insert(AccessKey::Balance(proposal.block.header.coinbase));
-            let expected = proposal.post_state.delta_for_keys(keys.iter());
-            assert!(!expected.is_empty());
-            assert_eq!(pipeline.delta_of(&proposal.block.hash()), Some(expected));
-            // A registered state has no parent to differ from.
-            assert!(pipeline.delta_of(&genesis).is_none());
-            pipeline.shutdown();
-        }
-    }
-
-    #[test]
-    fn deferred_root_matches_serial_verdicts_and_roots() {
-        // A/B the two apply modes over the same 4-block chain.
-        let world = Arc::new(funded_world(12));
-        let mut blocks = Vec::new();
+        let mut chain = Vec::new();
         let mut base = Arc::clone(&world);
         let mut parent = BlockHash::from_low_u64(1);
         for height in 1..=4 {
-            let p = propose_transfers(&base, parent, height, 1..10, height - 1);
+            let p = propose_transfers(&base, parent, height, 1..8, height - 1);
             parent = p.block.hash();
             base = Arc::new(p.post_state.clone());
-            blocks.push(p);
+            chain.push(p);
         }
-        for deferred in [false, true] {
-            let pipeline = ValidatorPipeline::new(PipelineConfig {
-                workers: 3,
-                deferred_root: deferred,
-                ..PipelineConfig::default()
-            });
-            pipeline.register_state(BlockHash::from_low_u64(1), Arc::clone(&world));
-            let handles: Vec<_> = blocks
+        // Deepest first (every child parks), in order (a child may find its
+        // parent published with the root still hashing), and mixed.
+        for order in [[3, 2, 1, 0], [0, 1, 2, 3], [2, 0, 3, 1]] {
+            let (pipeline, _) = pipeline_with_genesis(3, &world);
+            let mut handles: Vec<_> = order
                 .iter()
-                .map(|p| pipeline.submit(p.block.clone()))
+                .map(|&i| (i, pipeline.submit(chain[i].block.clone())))
                 .collect();
-            for (handle, proposal) in handles.into_iter().zip(&blocks) {
+            handles.sort_by_key(|(i, _)| *i);
+            for (i, handle) in handles {
                 let outcome = handle.wait();
-                assert!(
-                    outcome.is_valid(),
-                    "deferred={deferred}: {:?}",
-                    outcome.result
-                );
+                assert!(outcome.is_valid(), "{order:?}: {:?}", outcome.result);
                 assert_eq!(
                     outcome.post_state.unwrap().state_root(),
-                    proposal.post_state.state_root(),
-                    "deferred={deferred}"
+                    chain[i].post_state.state_root(),
+                    "{order:?}"
                 );
             }
             pipeline.shutdown();
@@ -1471,12 +1252,74 @@ mod tests {
     }
 
     #[test]
-    fn deferred_root_single_applier_does_not_deadlock() {
+    fn rejects_tampered_root_with_descendants_in_flight() {
+        let world = Arc::new(funded_world(10));
+        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let mut b1 = propose_transfers(&world, genesis, 1, 1..5, 0);
+        b1.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
+        let s1 = Arc::new(b1.post_state.clone());
+        let b2 = propose_transfers(&s1, b1.block.hash(), 2, 1..5, 1);
+        let s2 = Arc::new(b2.post_state.clone());
+        // The grandchild's own root is wrong as well: its verdict must still
+        // name the ancestor, not its own root.
+        let mut b3 = propose_transfers(&s2, b2.block.hash(), 3, 1..5, 2);
+        b3.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
+        let h2 = pipeline.submit(b2.block.clone());
+        let h3 = pipeline.submit(b3.block.clone());
+        let h1 = pipeline.submit(b1.block.clone());
+        assert_eq!(h1.wait().result, Err(ValidationError::StateRootMismatch));
+        // The child is released before the parent's root settles — its
+        // verdict must still be ParentInvalid, and the grandchild's too,
+        // whether it executed or parked.
+        assert_eq!(h2.wait().result, Err(ValidationError::ParentInvalid));
+        assert_eq!(h3.wait().result, Err(ValidationError::ParentInvalid));
+        // The tampered subtree never becomes visible state, and the keys
+        // its diff layer would be distilled from go with it.
+        for rejected in [&b1, &b2, &b3] {
+            let hash = rejected.block.hash();
+            assert!(pipeline.state_of(&hash).is_none());
+            assert!(pipeline.delta_of(&hash).is_none());
+        }
+        // A late arrival on the rejected subtree is turned away at the door.
+        let late = propose_transfers(&s1, b1.block.hash(), 2, 5..8, 0);
+        assert_eq!(
+            pipeline.validate_block(late.block).result,
+            Err(ValidationError::ParentInvalid)
+        );
+        pipeline.shutdown();
+    }
+
+    #[test]
+    fn delta_is_distilled_on_demand_from_the_post_state_and_the_written_keys() {
+        let world = Arc::new(funded_world(10));
+        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let proposal = propose_transfers(&world, genesis, 1, 1..8, 0);
+        assert!(pipeline.validate_block(proposal.block.clone()).is_valid());
+        // What the block wrote, named by its profile (which validation
+        // matched against the execution) plus the fee recipient — here
+        // as a set, where the pipeline keeps block order and repeats.
+        let mut keys: std::collections::HashSet<AccessKey> = proposal
+            .block
+            .profile
+            .entries
+            .iter()
+            .flat_map(|entry| entry.writes.keys().copied())
+            .collect();
+        keys.insert(AccessKey::Balance(proposal.block.header.coinbase));
+        let expected = proposal.post_state.delta_for_keys(keys.iter());
+        assert!(!expected.is_empty());
+        assert_eq!(pipeline.delta_of(&proposal.block.hash()), Some(expected));
+        // A registered state has no parent to differ from.
+        assert!(pipeline.delta_of(&genesis).is_none());
+        pipeline.shutdown();
+    }
+
+    #[test]
+    fn single_applier_does_not_deadlock_on_a_chain() {
         let world = Arc::new(funded_world(8));
         let pipeline = ValidatorPipeline::new(PipelineConfig {
             workers: 2,
             appliers: 1,
-            deferred_root: true,
             ..PipelineConfig::default()
         });
         let genesis = BlockHash::from_low_u64(1);

@@ -16,11 +16,10 @@
 use std::collections::HashMap;
 
 use bp_block::BlockProfile;
-use bp_types::{AccessKey, Gas, RwSet};
-use serde::{Deserialize, Serialize};
+use bp_types::{AccessKey, Gas};
 
 /// Granularity at which two transactions are considered conflicting.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConflictGranularity {
     /// The paper's choice: any two touches of the same **account** conflict
     /// (balances change every transaction; storage writes update the
@@ -32,7 +31,7 @@ pub enum ConflictGranularity {
 }
 
 /// One connected component of the dependency graph.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Subgraph {
     /// Member transaction indices, ascending (block order).
     pub txs: Vec<usize>,
@@ -41,7 +40,7 @@ pub struct Subgraph {
 }
 
 /// A complete lane assignment for one block.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Schedule {
     /// `lanes[t]` lists the transaction indices lane `t` executes, in block
     /// order. Every index appears in exactly one lane.
@@ -91,7 +90,7 @@ impl Schedule {
 }
 
 /// How subgraphs are packed onto lanes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AssignPolicy {
     /// The paper's choice: heaviest subgraph (by gas) first onto the
     /// least-loaded lane (longest-processing-time).
@@ -151,7 +150,7 @@ impl Scheduler {
     /// Builds the dependency subgraphs and packs them into `lanes` lanes.
     ///
     /// Schedules directly off the profile's borrowed key maps — no
-    /// per-transaction [`RwSet`] clones.
+    /// per-transaction [`bp_types::RwSet`] clones.
     pub fn schedule(&self, profile: &BlockProfile, lanes: usize) -> Schedule {
         let gas: Vec<Gas> = profile.entries.iter().map(|e| e.gas_used).collect();
         let subgraphs = self.subgraphs_with_gas(profile, &gas);
@@ -181,25 +180,6 @@ impl Scheduler {
                 visit(key, true);
             }
         })
-    }
-
-    /// Like [`Scheduler::schedule`] but from raw footprints (used when no
-    /// profile is available and the validator collected its own traces).
-    pub fn schedule_footprints(&self, footprints: &[RwSet], gas: &[Gas], lanes: usize) -> Schedule {
-        assert_eq!(footprints.len(), gas.len());
-        let key_count: usize = footprints
-            .iter()
-            .map(|rw| rw.reads.len() + rw.writes.len())
-            .sum();
-        let subgraphs = self.components(footprints.len(), gas, key_count, |i, visit| {
-            for key in footprints[i].reads.keys() {
-                visit(key, false);
-            }
-            for key in footprints[i].writes.keys() {
-                visit(key, true);
-            }
-        });
-        self.pack(subgraphs, gas, lanes)
     }
 
     /// Union-find over the conflict graph, visiting each transaction's keys
@@ -347,7 +327,7 @@ impl UnionFind {
 mod tests {
     use super::*;
     use bp_block::TxProfile;
-    use bp_types::{Address, H256, U256};
+    use bp_types::{Address, RwSet, H256, U256};
 
     fn addr(i: u64) -> Address {
         Address::from_index(i)

@@ -264,12 +264,17 @@ impl Validator {
 
     /// Marks an already-validated block canonical at its height (the local
     /// effect of a fork-choice decision arriving from consensus) and, on a
-    /// store-backed validator, durably persists it. Returns false if the
-    /// block is unknown or does not extend the canonical chain.
+    /// store-backed validator, durably persists it. Returns false, with the
+    /// head unmoved and nothing persisted, if the block is unknown, has no
+    /// valid verdict (rejected, or still in the pipeline), or does not
+    /// extend the canonical chain.
     pub fn commit_canonical(&self, hash: BlockHash) -> bool {
+        let Some(state) = self.pipeline.state_of(&hash) else {
+            return false;
+        };
         let accepted = self.chain.lock().set_canonical(hash);
         if accepted {
-            self.persist(hash);
+            self.persist(hash, &state);
         }
         accepted
     }
@@ -313,7 +318,7 @@ impl Validator {
     /// the manifest swap. A storage failure here is unrecoverable by design
     /// (the durable view would silently diverge), so it panics like
     /// fsync-gated databases do.
-    fn persist(&self, hash: BlockHash) {
+    fn persist(&self, hash: BlockHash, state: &WorldState) {
         let Some(ctx) = &self.store else {
             return;
         };
@@ -332,10 +337,6 @@ impl Validator {
                 .map(|p| p.header.state_root);
             (block, parent_root)
         };
-        let state = self
-            .pipeline
-            .state_of(&hash)
-            .expect("canonical block has a validated post-state");
         let (root, nodes) = state.commit_tries();
         debug_assert_eq!(root, block.header.state_root);
         let height = block.height();
@@ -372,7 +373,8 @@ impl Validator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::occ_wsi::{OccWsiConfig, OccWsiProposer};
+    use crate::occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal};
+    use crate::pipeline::ValidationError;
     use bp_evm::{BlockEnv, Transaction};
     use bp_state::StateReader;
     use bp_store::store::test_dir;
@@ -398,33 +400,120 @@ mod tests {
         }
     }
 
+    /// Proposes a block of transfers at `height` on `base`, whose block is
+    /// `parent`.
+    fn propose_on(
+        base: Arc<WorldState>,
+        parent: BlockHash,
+        height: Height,
+        nonce: u64,
+    ) -> Proposal {
+        let pool = TxPool::new();
+        for i in 1..=6u64 {
+            pool.add(Transaction::transfer(
+                addr(i),
+                addr(i + 50),
+                U256::from(5u64),
+                nonce,
+                i,
+            ));
+        }
+        let proposer = OccWsiProposer::new(OccWsiConfig {
+            threads: 2,
+            env: BlockEnv {
+                number: height,
+                ..BlockEnv::default()
+            },
+            ..Default::default()
+        });
+        proposer.propose(&pool, base, parent, height)
+    }
+
     /// Proposes and commits `heights` blocks of transfers on `validator`.
     fn grow_chain(validator: &Validator, heights: u64, start_nonce: u64) {
         for h in 1..=heights {
             let (parent, parent_height) = validator.head().expect("head exists");
             let base = validator.pipeline().state_of(&parent).expect("head state");
-            let pool = TxPool::new();
-            for i in 1..=6u64 {
-                pool.add(Transaction::transfer(
-                    addr(i),
-                    addr(i + 50),
-                    U256::from(5u64),
-                    start_nonce + h - 1,
-                    i,
-                ));
-            }
-            let proposer = OccWsiProposer::new(OccWsiConfig {
-                threads: 2,
-                env: BlockEnv {
-                    number: parent_height + 1,
-                    ..BlockEnv::default()
-                },
-                ..Default::default()
-            });
-            let proposal = proposer.propose(&pool, base, parent, parent_height + 1);
+            let proposal = propose_on(base, parent, parent_height + 1, start_nonce + h - 1);
             let outcome = validator.validate_and_commit(proposal.block);
             assert!(outcome.is_valid(), "{:?}", outcome.result);
         }
+    }
+
+    #[test]
+    fn commit_canonical_refuses_a_block_without_a_valid_verdict() {
+        let dir = test_dir("validator-commit-unvalidated");
+        let world = genesis_world(60);
+        let stored = Validator::with_store_at(config(), world.clone(), &dir).unwrap();
+        for validator in [Validator::new(config(), world.clone()), stored] {
+            let genesis = validator.genesis_hash();
+            let honest = propose_on(Arc::new(world.clone()), genesis, 1, 0).block;
+            // Every variant extends the head, which is all the chain store
+            // asks of a canonical block.
+            let mut wrong_root = honest.clone();
+            wrong_root.header.state_root = H256::from_low_u64(0xBAD);
+            let mut wrong_gas = honest.clone();
+            wrong_gas.header.gas_used += 1;
+            let mut wrong_profile = honest.clone();
+            wrong_profile.header.proposer_seed += 1; // a hash of its own
+            let entry = &mut wrong_profile.profile.entries[0];
+            let key = *entry.writes.keys().next().unwrap();
+            entry.writes.insert(key, U256::from(123_456u64));
+            for rejected in [wrong_root, wrong_gas, wrong_profile] {
+                let hash = rejected.hash();
+                assert!(!validator.receive_block(rejected).wait().is_valid());
+                assert!(!validator.commit_canonical(hash));
+                assert_eq!(validator.head(), Some((genesis, 0)));
+            }
+            // Known to the chain store, never seen by the pipeline.
+            let mut unsubmitted = honest.clone();
+            unsubmitted.header.proposer_seed += 2;
+            let hash = unsubmitted.hash();
+            validator.chain.lock().insert(unsubmitted);
+            assert!(!validator.commit_canonical(hash));
+            assert_eq!(validator.head(), Some((genesis, 0)));
+            validator.with_store_ref(|s| {
+                assert_eq!(s.head(), Some(genesis), "nothing was persisted");
+                assert_eq!(s.block_count(), 1);
+            });
+            // The refusals cost nothing: the honest block still commits.
+            let hash = honest.hash();
+            assert!(validator.validate_and_commit(honest).is_valid());
+            assert_eq!(validator.head(), Some((hash, 1)));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_rejected_root_is_neither_observable_nor_committable() {
+        let world = genesis_world(60);
+        let validator = Validator::new(config(), world.clone());
+        let genesis = validator.genesis_hash();
+        let mut b1 = propose_on(Arc::new(world), genesis, 1, 0);
+        b1.block.header.state_root = H256::from_low_u64(0xBAD);
+        let b2 = propose_on(Arc::new(b1.post_state.clone()), b1.block.hash(), 2, 1);
+        let b3 = propose_on(Arc::new(b2.post_state.clone()), b2.block.hash(), 3, 2);
+        let hashes = [b1.block.hash(), b2.block.hash(), b3.block.hash()];
+        let unobservable = |when: &str| {
+            for hash in &hashes {
+                assert!(validator.pipeline().state_of(hash).is_none(), "{when}");
+                assert!(validator.pipeline().delta_of(hash).is_none(), "{when}");
+                assert!(!validator.commit_canonical(*hash), "{when}");
+            }
+            assert_eq!(validator.head(), Some((genesis, 0)), "{when}");
+        };
+        let h1 = validator.receive_block(b1.block);
+        let h2 = validator.receive_block(b2.block);
+        let h3 = validator.receive_block(b3.block);
+        // While the descendants run on the rejected block's post-state...
+        unobservable("in flight");
+        assert_eq!(h1.wait().result, Err(ValidationError::StateRootMismatch));
+        // ...when its verdict is in and theirs may not be...
+        unobservable("after the root verdict");
+        assert_eq!(h2.wait().result, Err(ValidationError::ParentInvalid));
+        assert_eq!(h3.wait().result, Err(ValidationError::ParentInvalid));
+        // ...and for good.
+        unobservable("after every verdict");
     }
 
     #[test]

@@ -154,12 +154,6 @@ impl RlpStream {
         self.append_bytes(&a.0);
     }
 
-    /// Appends bytes that are *already* a complete RLP item (used by the MPT
-    /// to embed either a 32-byte hash string or an inlined short node).
-    pub fn append_raw(&mut self, raw: &[u8]) {
-        self.append_raw_item(raw);
-    }
-
     fn append_raw_item(&mut self, raw: &[u8]) {
         self.out.extend_from_slice(raw);
         self.close_lists();

@@ -20,7 +20,6 @@ use std::sync::Arc;
 use bp_state::{MultiVersionState, WorldState};
 use bp_types::FxBuildHasher;
 use bp_types::{AccessKey, Address, FxHashMap, RwSet, H256, U256};
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::{AnalysisCache, CodeAnalysis};
 
@@ -89,10 +88,10 @@ pub struct MvSnapshot<'a> {
 impl<'a> MvSnapshot<'a> {
     /// Snapshot of `mv` at `version`.
     ///
-    /// Under the two-phase proposer commit, `version` may still be pending
-    /// publication; taking the snapshot waits on the multi-version state's
-    /// visibility gate so every subsequent read is serialized against a
-    /// fully published prefix. Without a gate this is free.
+    /// `version` may still be pending publication (the proposer allocates a
+    /// version before it publishes the write set); taking the snapshot waits
+    /// on the multi-version state's visibility gate so every subsequent read
+    /// is serialized against a fully published prefix.
     pub fn new(mv: &'a MultiVersionState, version: u64) -> Self {
         mv.wait_visible(version);
         MvSnapshot { mv, version }
@@ -115,7 +114,7 @@ impl StateView for MvSnapshot<'_> {
 }
 
 /// One EVM log record.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Log {
     /// Emitting contract.
     pub address: Address,
@@ -443,7 +442,7 @@ mod tests {
     #[test]
     fn mv_snapshot_respects_version() {
         let base = Arc::new(world());
-        let mv = MultiVersionState::new(base, 2);
+        let mv = MultiVersionState::new(base, 2, Default::default());
         let mut ws: bp_types::WriteSet = Default::default();
         ws.insert(AccessKey::Balance(addr(1)), U256::from(60u64));
         mv.commit_writes(&ws, 2);

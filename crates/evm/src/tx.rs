@@ -12,7 +12,6 @@ use std::sync::Arc;
 use bp_crypto::rlp::{self, StackStream};
 use bp_crypto::{keccak256_batch, Keccak256};
 use bp_types::{AccessKey, Address, FxHashMap, Gas, RwSet, TxHash, U256};
-use serde::{Deserialize, Serialize};
 
 use crate::analysis::AnalysisCache;
 use crate::gas;
@@ -20,7 +19,7 @@ use crate::host::{BufferedHost, Log, StateView};
 use crate::interpreter::{create_address, run_frame, BlockEnv, Frame};
 
 /// A transaction (legacy Ethereum shape).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Transaction {
     /// Sender (recovered from signature in real Ethereum; explicit here).
     pub sender: Address,
@@ -109,7 +108,7 @@ impl Transaction {
 }
 
 /// Post-execution summary.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Receipt {
     /// True unless the outer frame reverted or faulted.
     pub success: bool,

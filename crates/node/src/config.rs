@@ -36,17 +36,13 @@ pub struct NodeConfig {
     pub mode: NodeMode,
     /// Number of heights to propose and commit.
     pub blocks: u64,
-    /// Capacity of each bounded inter-stage channel (proposer → codec and
-    /// codec → each validator). Depth 1 is maximal backpressure; deeper
-    /// channels let fast stages run ahead.
-    pub channel_depth: usize,
     /// Proposer execution engine.
     pub engine: ProposerAlgo,
     /// Proposer worker threads.
     pub proposer_threads: usize,
     /// Block gas limit.
     pub gas_limit: Gas,
-    /// Per-validator pipeline shape (workers, appliers, dispatch).
+    /// Per-validator pipeline shape (workers, appliers, granularity).
     pub pipeline: PipelineConfig,
     /// Number of validator nodes fed through in-process wires.
     pub validators: usize,
@@ -79,7 +75,6 @@ impl Default for NodeConfig {
         NodeConfig {
             mode: NodeMode::Pipelined,
             blocks: 20,
-            channel_depth: 2,
             engine: ProposerAlgo::OccWsi,
             proposer_threads: 2,
             gas_limit: 30_000_000,

@@ -28,5 +28,7 @@ mod service;
 mod stats;
 
 pub use config::{NodeConfig, NodeMode};
-pub use service::{run_node, serial_replay_root, Equivalence, NodeReport, RunningNode};
+pub use service::{
+    run_node, serial_replay_root, Equivalence, NodeReport, RunningNode, CHANNEL_DEPTH,
+};
 pub use stats::StageStats;

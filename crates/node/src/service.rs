@@ -12,7 +12,7 @@
 //!                        CommitBoard ◀── commit_canonical ──┘
 //! ```
 //!
-//! * Every inter-stage channel is **bounded** at `channel_depth`: a slow
+//! * Every inter-stage channel is **bounded** at [`CHANNEL_DEPTH`]: a slow
 //!   stage fills its input queue and the sender blocks — that blocked time
 //!   is accounted as *stall* in the sender's [`StageStats`], so the report
 //!   names the bottleneck.
@@ -54,6 +54,14 @@ use crossbeam::channel::bounded;
 
 use crate::config::{NodeConfig, NodeMode};
 use crate::stats::{micros_since, StageStats};
+
+/// Capacity of each bounded inter-stage channel (proposer → codec and codec →
+/// each validator), and the number of blocks a validator stage keeps in
+/// flight in its pipeline. Two is one block being worked on and one ready
+/// behind it; a modeled sweep over depths 1, 2 and 8 came out identical
+/// (EXPERIMENTS.md, "retired arms"): the loop runs at the pace of its slowest
+/// stage whatever the buffers hold.
+pub const CHANNEL_DEPTH: usize = 2;
 
 /// The most room the ingest stage waits for before it offers what it holds:
 /// enough that it is woken about twice a block rather than at every commit,
@@ -118,25 +126,26 @@ struct ValidatorOutcome {
 }
 
 /// One validator's end of the wire: decodes each message, submits the block
-/// and drains verdicts in arrival order.
+/// and drains verdicts in arrival order. The pipeline releases height N+1
+/// into execution while N's root still hashes, so the stage submits a block
+/// that is already on the wire ahead of the previous verdict — up to
+/// [`CHANNEL_DEPTH`] blocks await theirs at once. Commits still land
+/// strictly in height order (FIFO drain).
 struct ValidatorStage {
     k: usize,
     validator: Validator,
     board: Arc<CommitBoard>,
-    /// How many submitted blocks may await their verdict at once.
-    window: usize,
     inflight: VecDeque<(Height, BlockHash, ValidationHandle)>,
     stats: StageStats,
     failures: u64,
 }
 
 impl ValidatorStage {
-    fn new(k: usize, validator: Validator, board: Arc<CommitBoard>, window: usize) -> Self {
+    fn new(k: usize, validator: Validator, board: Arc<CommitBoard>) -> Self {
         ValidatorStage {
             k,
             validator,
             board,
-            window: window.max(1),
             inflight: VecDeque::new(),
             stats: StageStats::default(),
             failures: 0,
@@ -162,7 +171,7 @@ impl ValidatorStage {
         match submitted {
             Ok((hash, handle)) => {
                 self.inflight.push_back((height, hash, handle));
-                while self.inflight.len() >= self.window {
+                while self.inflight.len() >= CHANNEL_DEPTH {
                     self.drain_one();
                 }
             }
@@ -279,7 +288,6 @@ impl RunningNode {
     /// Spawns every stage thread and starts the loop.
     pub fn spawn(config: NodeConfig) -> Self {
         assert!(config.validators > 0, "need at least one validator");
-        assert!(config.channel_depth > 0, "bounded channels need depth >= 1");
         assert!(config.blocks > 0, "need at least one height");
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -296,11 +304,11 @@ impl RunningNode {
         .hash();
 
         // Stage channels: proposer → codec, codec → each validator.
-        let (codec_tx, codec_rx) = bounded::<Block>(config.channel_depth);
+        let (codec_tx, codec_rx) = bounded::<Block>(CHANNEL_DEPTH);
         let mut wire_txs = Vec::with_capacity(config.validators);
         let mut wire_rxs = Vec::with_capacity(config.validators);
         for _ in 0..config.validators {
-            let (tx, rx) = bounded::<(Height, Arc<[u8]>)>(config.channel_depth);
+            let (tx, rx) = bounded::<(Height, Arc<[u8]>)>(CHANNEL_DEPTH);
             wire_txs.push(tx);
             wire_rxs.push(rx);
         }
@@ -371,7 +379,6 @@ impl RunningNode {
                             gas_limit: config.gas_limit,
                             env: envs.block_env(height),
                             max_txs: 0,
-                            commit_path: Default::default(),
                             algo: config.engine,
                         };
                         let t = Instant::now();
@@ -458,7 +465,6 @@ impl RunningNode {
                 let config = config.clone();
                 let genesis_state = genesis_state.clone();
                 std::thread::spawn(move || {
-                    let deferred_root = config.pipeline.deferred_root;
                     let validator = match (&config.store_dir, k) {
                         (Some(dir), 0) => Validator::with_store_profile(
                             config.pipeline,
@@ -474,21 +480,14 @@ impl RunningNode {
                     // sequences match a single shared sampler.
                     let mut delays =
                         LinkDelays::new(config.validators, config.latency_us, config.seed);
-                    // With deferred roots the pipeline releases height N+1
-                    // into execution while N's root still hashes, so the
-                    // stage submits ahead through a small in-flight window
-                    // instead of waiting each verdict before the next recv.
-                    // Commits still land strictly in height order (FIFO
-                    // drain). Without deferral a window > 1 only buffers
-                    // blocks the pipeline would serialize anyway, so keep
-                    // the classic submit-wait-commit loop.
-                    let window = if deferred_root {
-                        config.channel_depth.max(2)
-                    } else {
-                        1
-                    };
-                    let mut stage = ValidatorStage::new(k, validator, board, window);
+                    let mut stage = ValidatorStage::new(k, validator, board);
                     loop {
+                        // Submit ahead only of what is already on the wire:
+                        // a verdict does not wait for the next arrival, which
+                        // in lock-step waits for this commit.
+                        if wire_rx.is_empty() {
+                            stage.drain();
+                        }
                         let t = Instant::now();
                         let Ok((height, bytes)) = wire_rx.recv() else {
                             break; // wire disconnected: drain complete
@@ -696,37 +695,35 @@ mod tests {
     #[test]
     fn undecodable_wire_bytes_are_a_counted_failure_not_a_panic() {
         let (genesis, chain) = chain_bytes();
-        for window in [1, 3] {
-            let board = Arc::new(CommitBoard::new(1));
-            let validator = Validator::new(PipelineConfig::default(), genesis.clone());
-            let mut stage = ValidatorStage::new(0, validator, Arc::clone(&board), window);
+        let board = Arc::new(CommitBoard::new(1));
+        let validator = Validator::new(PipelineConfig::default(), genesis);
+        let mut stage = ValidatorStage::new(0, validator, Arc::clone(&board));
 
-            // Garbage of every kind the decoder tells apart: nothing, noise,
-            // a truncated block, a block with a byte too many.
-            let mut long = chain[0].clone();
-            long.push(0);
-            let garbage: [&[u8]; 4] = [&[], b"not a block", &chain[0][..chain[0].len() / 2], &long];
-            for (i, bytes) in garbage.into_iter().enumerate() {
-                stage.on_wire(1, bytes);
-                assert_eq!(stage.failures, i as u64 + 1, "window {window}");
-            }
-            // The height is recorded, so lock-step pacing moves on...
-            assert_eq!(board.min(), 1);
-            board.wait_all_at(1);
-            // ...and the stage still validates what follows.
-            stage.on_wire(1, &chain[0]);
-            stage.on_wire(2, &chain[1]);
-            // A block that decodes but was tampered with fails validation
-            // and is counted the same way, after the blocks ahead of it.
-            let mut tampered = decode_block(&chain[2]).expect("an honest block");
-            tampered.header.state_root = H256::from_low_u64(7);
-            stage.on_wire(3, &encode_block(&tampered));
-            stage.on_wire(3, b"\xc0");
-            stage.drain();
-            assert_eq!(stage.stats.items, 2, "window {window}");
-            assert_eq!(stage.failures, 6, "window {window}");
-            assert_eq!(board.min(), 3);
-            assert_eq!(stage.validator.head().map(|(_, h)| h), Some(2));
+        // Garbage of every kind the decoder tells apart: nothing, noise,
+        // a truncated block, a block with a byte too many.
+        let mut long = chain[0].clone();
+        long.push(0);
+        let garbage: [&[u8]; 4] = [&[], b"not a block", &chain[0][..chain[0].len() / 2], &long];
+        for (i, bytes) in garbage.into_iter().enumerate() {
+            stage.on_wire(1, bytes);
+            assert_eq!(stage.failures, i as u64 + 1);
         }
+        // The height is recorded, so lock-step pacing moves on...
+        assert_eq!(board.min(), 1);
+        board.wait_all_at(1);
+        // ...and the stage still validates what follows.
+        stage.on_wire(1, &chain[0]);
+        stage.on_wire(2, &chain[1]);
+        // A block that decodes but was tampered with fails validation
+        // and is counted the same way, after the blocks ahead of it.
+        let mut tampered = decode_block(&chain[2]).expect("an honest block");
+        tampered.header.state_root = H256::from_low_u64(7);
+        stage.on_wire(3, &encode_block(&tampered));
+        stage.on_wire(3, b"\xc0");
+        stage.drain();
+        assert_eq!(stage.stats.items, 2);
+        assert_eq!(stage.failures, 6);
+        assert_eq!(board.min(), 3);
+        assert_eq!(stage.validator.head().map(|(_, h)| h), Some(2));
     }
 }

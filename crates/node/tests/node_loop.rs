@@ -3,7 +3,7 @@
 //! store agreement, and multi-validator convergence.
 
 use blockpilot_core::{PipelineConfig, ProposerAlgo, Validator};
-use bp_node::{run_node, NodeConfig, NodeMode, RunningNode};
+use bp_node::{run_node, NodeConfig, NodeMode, RunningNode, CHANNEL_DEPTH};
 use bp_workload::{WorkloadConfig, WorkloadGen};
 
 fn small_workload() -> WorkloadConfig {
@@ -20,7 +20,6 @@ fn small_workload() -> WorkloadConfig {
 fn small_config() -> NodeConfig {
     NodeConfig {
         blocks: 5,
-        channel_depth: 2,
         proposer_threads: 2,
         pipeline: PipelineConfig {
             workers: 2,
@@ -65,20 +64,22 @@ fn lock_step_loop_matches_serial_replay() {
     assert!(report.proposer.stall_micros > 0);
 }
 
-/// Channel depth 1 with slow validators: the proposer must fill the codec
-/// channel, stall on backpressure, and resume as the drain frees slots —
-/// without losing or reordering any block.
+/// Slow validators: the proposer must fill the bounded channels, stall on
+/// backpressure, and resume as the drain frees slots — without losing or
+/// reordering any block.
 #[test]
 fn bounded_channels_stall_the_proposer_then_drain() {
+    // Two channels and the two stages behind them hold 2 * (depth + 1)
+    // blocks between them; the run is twice that, so the bound must bite.
+    let blocks = 4 * (CHANNEL_DEPTH as u64 + 1);
     let report = run_node(NodeConfig {
-        channel_depth: 1,
         // 3 ms injected latency per block delivery makes the wire the slow
         // stage; the proposer packs far faster and must hit the bound.
         latency_us: 3000..3001,
-        blocks: 6,
+        blocks,
         ..small_config()
     });
-    assert_eq!(report.committed_blocks, 6);
+    assert_eq!(report.committed_blocks, blocks);
     assert!(report.healthy());
     assert!(
         report.proposer.stall_micros > 0,
@@ -87,97 +88,60 @@ fn bounded_channels_stall_the_proposer_then_drain() {
     );
     // Injected latency is accounted separately from useful work.
     for v in &report.validators {
-        assert!(v.injected_micros >= 6 * 3000);
+        assert!(v.injected_micros >= blocks * 3000);
     }
     // Bounded channels can never report a depth beyond their capacity.
-    assert!(report.proposer.max_queue_depth <= 1);
-    assert!(report.codec.max_queue_depth <= 1);
+    assert!(report.proposer.max_queue_depth <= CHANNEL_DEPTH);
+    assert!(report.codec.max_queue_depth <= CHANNEL_DEPTH);
 }
 
 /// Stop mid-stream: every block already in flight drains to all validators,
 /// heads agree, and the persisted store reopens to exactly the in-memory
-/// head (no lost or duplicated blocks).
+/// head (no lost or duplicated blocks) — also under group commit (one fsync
+/// batch per few heights), where the shutdown flush has to make the open
+/// batch durable.
 #[test]
 fn clean_shutdown_drains_in_flight_blocks_and_store_agrees() {
-    let dir = bp_store::store::test_dir("node-shutdown");
-    let node = RunningNode::spawn(NodeConfig {
-        blocks: 10_000, // far more than we let it run
-        store_dir: Some(dir.clone()),
-        ..small_config()
-    });
-    // Let it commit a few heights, then pull the plug.
-    while node.committed_height() < 3 {
-        std::thread::sleep(std::time::Duration::from_millis(5));
+    let batched = bp_store::GroupCommitConfig {
+        max_blocks: 4,
+        max_bytes: 64 << 20,
+    };
+    for group_commit in [None, Some(batched)] {
+        let dir = bp_store::store::test_dir("node-shutdown");
+        let node = RunningNode::spawn(NodeConfig {
+            blocks: 10_000, // far more than we let it run
+            store_dir: Some(dir.clone()),
+            group_commit,
+            ..small_config()
+        });
+        // Let it commit a few heights, then pull the plug.
+        while node.committed_height() < 6 {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        node.stop();
+        let report = node.join();
+        assert!(report.committed_blocks >= 6);
+        assert!(report.committed_blocks < 10_000, "stop was ignored");
+        // Heads agree, no validation failure, equivalent to serial replay.
+        assert!(report.healthy());
+
+        // Reopen the store cold: replay must land on the same head and root.
+        let genesis = WorkloadGen::new(small_workload()).genesis_state();
+        let reopened = Validator::with_store_at(
+            PipelineConfig {
+                workers: 2,
+                ..PipelineConfig::default()
+            },
+            genesis,
+            &dir,
+        )
+        .expect("store reopens");
+        let (head_hash, head_height) = reopened.head().expect("reopened head");
+        assert_eq!(head_height, report.committed_blocks);
+        assert_eq!((head_hash, head_height), report.heads[0]);
+        assert_eq!(reopened.head_state_root().unwrap(), report.final_root);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    node.stop();
-    let report = node.join();
-    assert!(report.committed_blocks >= 3);
-    assert!(report.committed_blocks < 10_000, "stop was ignored");
-    assert!(report.healthy());
-
-    // Reopen the store cold: replay must land on the same head and root.
-    let genesis = WorkloadGen::new(small_workload()).genesis_state();
-    let reopened = Validator::with_store_at(
-        PipelineConfig {
-            workers: 2,
-            ..PipelineConfig::default()
-        },
-        genesis,
-        &dir,
-    )
-    .expect("store reopens");
-    let (head_hash, head_height) = reopened.head().expect("reopened head");
-    assert_eq!(head_height, report.committed_blocks);
-    assert_eq!((head_hash, head_height), report.heads[0]);
-    assert_eq!(reopened.head_state_root().unwrap(), report.final_root);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The async commit pipeline end-to-end: deferred state roots (execution of
-/// height N+1 overlaps N's root hash) plus group commit (one fsync batch per
-/// few heights), with the store flushed on shutdown. The run must stay
-/// equivalent to serial replay, and a cold reopen must land on the reported
-/// head — i.e. the final flush made the whole batch durable.
-#[test]
-fn deferred_root_and_group_commit_match_serial_and_persist() {
-    let dir = bp_store::store::test_dir("node-deferred-gc");
-    let report = run_node(NodeConfig {
-        blocks: 8,
-        store_dir: Some(dir.clone()),
-        group_commit: Some(bp_store::GroupCommitConfig {
-            max_blocks: 4,
-            max_bytes: 64 << 20,
-        }),
-        pipeline: PipelineConfig {
-            workers: 2,
-            deferred_root: true,
-            ..PipelineConfig::default()
-        },
-        ..small_config()
-    });
-    assert_eq!(report.committed_blocks, 8);
-    assert_eq!(report.validation_failures, 0);
-    let eq = report.equivalence.as_ref().expect("gate ran");
-    assert!(
-        eq.ok,
-        "serial {:?} != node {:?}",
-        eq.serial_root, eq.node_root
-    );
-    assert!(report.healthy());
-
-    let genesis = WorkloadGen::new(small_workload()).genesis_state();
-    let reopened = Validator::with_store_at(
-        PipelineConfig {
-            workers: 2,
-            ..PipelineConfig::default()
-        },
-        genesis,
-        &dir,
-    )
-    .expect("store reopens");
-    assert_eq!(reopened.head().expect("reopened head"), report.heads[0]);
-    assert_eq!(reopened.head_state_root().unwrap(), report.final_root);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -14,29 +14,21 @@
 //!   explicit overhead model (Figures 7(a), 7(b), 8);
 //! * [`pipeline`] — list-scheduled multi-block execution over a shared
 //!   worker pool with a serialized applier and context-switch costs
-//!   (Figure 9), plus a configurable model of the restructured pipeline
-//!   (subgraph-granular dispatch, overlapped verification, applier *pool*)
-//!   for the `validator_baseline` A/B series.
+//!   (Figure 9).
 //!
-//! All three are exact, repeatable functions of their inputs.
+//! All three are exact, repeatable functions of their inputs, and what they
+//! produce is *modeled*: every harness that prints it tags the line so.
 
 #![warn(missing_docs)]
 
-pub mod node;
 pub mod pipeline;
 pub mod proposer;
 pub mod stm;
 pub mod validator;
 
-pub use node::{simulate_node_loop, NodeLoopConfig, NodeLoopResult};
-
-pub use pipeline::{
-    simulate_multiblock, simulate_validator_pipeline, MultiBlockSimResult, PipelineSimConfig,
-    PipelineSimResult,
-};
+pub use pipeline::{simulate_multiblock, MultiBlockSimResult};
 pub use proposer::{
-    simulate_proposer, simulate_proposer_configured, simulate_proposer_with_rule,
-    ProposerSimResult, ValidationRule,
+    simulate_proposer, simulate_proposer_with_rule, ProposerSimResult, ValidationRule,
 };
 pub use stm::simulate_proposer_block_stm;
 pub use validator::{simulate_validator, ValidatorSimResult};
@@ -56,22 +48,17 @@ pub struct CostModel {
     pub per_tx_dispatch: Gas,
     /// Total commit-section cost per committed transaction in the OCC-WSI
     /// proposer (validation, version allocation, multi-version + reserve
-    /// publication, block-body push). Under [`CommitPath::CoarseLock`] the
-    /// whole section serializes through one commit resource; under
-    /// [`CommitPath::TwoPhase`] only [`CostModel::commit_admit`] of it does,
-    /// and the remaining `commit_sync - commit_admit` (Phase B publication)
-    /// runs on the committing thread's own clock.
-    ///
-    /// [`CommitPath::CoarseLock`]: blockpilot_core::CommitPath::CoarseLock
-    /// [`CommitPath::TwoPhase`]: blockpilot_core::CommitPath::TwoPhase
+    /// publication, block-body push). Only [`CostModel::commit_admit`] of it
+    /// serializes through the commit resource; the remaining `commit_sync -
+    /// commit_admit` (Phase B publication) runs on the committing thread's
+    /// own clock.
     pub commit_sync: Gas,
     /// The serialized Phase A slice of [`CostModel::commit_sync`]: WSI
     /// read-set validation + gas admission + version allocation + reserve
     /// intents under the commit-sequence lock. Also the cost a *failed*
     /// validation occupies the commit resource for (aborts validate under
-    /// the lock on both paths). Calibrated from the real proposer's measured
-    /// admit-section share (see `proposer_baseline` in bp-bench and
-    /// DESIGN.md §7).
+    /// the lock). Calibrated from the real proposer's measured admit-section
+    /// share (DESIGN.md §7).
     pub commit_admit: Gas,
     /// Proposer-side state-access contention, in **per-mille of execution
     /// gas per additional concurrent worker**: with `t` workers every
@@ -83,20 +70,9 @@ pub struct CostModel {
     /// Validator preparation cost per transaction (dependency graph + lane
     /// assignment).
     pub prepare_per_tx: Gas,
-    /// Applier cost per transaction (in-order apply of the profiled
-    /// writes). Under non-overlapped verification the applier additionally
-    /// pays [`CostModel::match_per_tx`] per transaction.
+    /// Applier cost per transaction (footprint check against the profile and
+    /// in-order apply of the profiled writes).
     pub applier_per_tx: Gas,
-    /// Per-transaction footprint comparison against the block profile
-    /// (Algorithm 2's read/write-set equality check). With overlapped
-    /// verification this cost rides on the *worker's* clock right after the
-    /// execution; on the baseline path it serializes through the applier.
-    pub match_per_tx: Gas,
-    /// Fixed per-block cost of block validation: CoW snapshot of the parent
-    /// state, incremental MPT root recomputation over the dirty set, and
-    /// header commitment checks. This is the term that makes a single
-    /// applier bind once several same-height blocks are in flight.
-    pub applier_block: Gas,
     /// Per-transaction read-set validation cost in the Block-STM proposer
     /// (compare every read's observed version against the multi-version
     /// store). Rides on the validating worker's own clock — Block-STM has no
@@ -123,8 +99,6 @@ impl Default for CostModel {
             state_contention_permille: 115,
             prepare_per_tx: 300,
             applier_per_tx: 1_600,
-            match_per_tx: 400,
-            applier_block: 120_000,
             stm_validate: 400,
             block_switch: 30_000,
             applier_switch: 2_300,

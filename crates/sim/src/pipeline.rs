@@ -5,18 +5,13 @@
 //! workers; a worker that picks up a lane belonging to a different block
 //! than its previous lane pays a context-switch penalty (§5.6: "workers
 //! \[need\] to shift between different contexts to handle distinct blocks
-//! and send out relevant information"). [`simulate_multiblock`] keeps the
-//! original single-streaming-applier model as the fixed Figure 9 baseline;
-//! [`simulate_validator_pipeline`] models the restructured pipeline — job
-//! granularity (subgraph vs static lane), overlapped footprint
-//! verification, and an applier *pool* as a shared resource — for the
-//! coarse-vs-subgraph / 1-vs-N-applier A/B series in `validator_baseline`.
+//! and send out relevant information"), and a single streaming applier
+//! works through every block's verification stream.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use blockpilot_core::scheduler::Schedule;
-use blockpilot_core::DispatchPolicy;
 use bp_block::BlockProfile;
 use bp_types::Gas;
 
@@ -118,191 +113,6 @@ pub fn simulate_multiblock(
             serial_gas as f64 / makespan as f64
         },
         switches,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Restructured pipeline (subgraph dispatch, overlapped verify, applier pool)
-// ---------------------------------------------------------------------------
-
-/// Knobs of the restructured validator pipeline, mirroring
-/// `blockpilot_core::PipelineConfig` in virtual time.
-#[derive(Clone, Copy, Debug)]
-pub struct PipelineSimConfig {
-    /// Worker-pool size.
-    pub workers: usize,
-    /// Applier-pool size (1 = the old serialized block-validation stage).
-    pub appliers: usize,
-    /// Execution-job granularity.
-    pub dispatch: DispatchPolicy,
-    /// When true, per-transaction footprint checks ride on the workers'
-    /// clocks (overlapped verification); when false they serialize through
-    /// the applier, as in the baseline pipeline.
-    pub overlap_verify: bool,
-}
-
-impl Default for PipelineSimConfig {
-    fn default() -> Self {
-        PipelineSimConfig {
-            workers: 8,
-            appliers: 2,
-            dispatch: DispatchPolicy::Subgraph,
-            overlap_verify: true,
-        }
-    }
-}
-
-/// Result of one simulated restructured-pipeline run.
-#[derive(Clone, Debug)]
-pub struct PipelineSimResult {
-    /// Virtual time until the last block cleared block validation.
-    pub makespan: Gas,
-    /// Sum of all blocks' serial execution times.
-    pub serial_gas: Gas,
-    /// serial_gas / makespan.
-    pub speedup: f64,
-    /// Virtual time until the last execution job finished.
-    pub exec_makespan: Gas,
-    /// Per-block `[start, end)` of the block-validation stage, in block
-    /// submission order. With one applier these are disjoint (queued); with
-    /// a pool, independent blocks overlap — the paper's Figure 5.
-    pub block_validate: Vec<(Gas, Gas)>,
-    /// Total transactions across all blocks.
-    pub total_txs: u64,
-}
-
-impl PipelineSimResult {
-    /// True iff any two blocks' block-validation stages overlap in virtual
-    /// time (Figure 5's "overlap fully", as opposed to queueing).
-    pub fn validation_overlaps(&self) -> bool {
-        for (i, a) in self.block_validate.iter().enumerate() {
-            for b in self.block_validate.iter().skip(i + 1) {
-                if a.0 < b.1 && b.0 < a.1 && a.1 > a.0 && b.1 > b.0 {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
-/// Simulates the restructured validator pipeline on `blocks` (same-height,
-/// independent — the Figure 5/§5.6 setup).
-///
-/// Preparation runs serially on the submitting thread (each block's jobs
-/// release only after every earlier block's preparation). Execution jobs —
-/// one per dependency subgraph (heaviest-first) or one per packed lane —
-/// are list-scheduled FIFO onto the worker pool with the §5.6 block-switch
-/// penalty. Block validation costs `applier_block + n·applier_per_tx`
-/// (plus `n·match_per_tx` when verification is not overlapped) and runs on
-/// the first free applier of the pool once the block's last execution job
-/// has finished.
-pub fn simulate_validator_pipeline(
-    blocks: &[(Schedule, &BlockProfile)],
-    config: &PipelineSimConfig,
-    model: &CostModel,
-) -> PipelineSimResult {
-    assert!(config.workers > 0);
-    assert!(config.appliers > 0);
-    struct Job {
-        block: usize,
-        gas: Gas,
-    }
-    // Per-transaction execution-side cost: dispatch overhead plus the
-    // overlapped footprint check.
-    let exec_tx_overhead = model.per_tx_dispatch
-        + if config.overlap_verify {
-            model.match_per_tx
-        } else {
-            0
-        };
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut release: Vec<Gas> = Vec::with_capacity(blocks.len());
-    let mut serial_gas: Gas = 0;
-    let mut total_txs: u64 = 0;
-    let mut prep_clock: Gas = 0;
-    for (b, (schedule, profile)) in blocks.iter().enumerate() {
-        let n = profile.entries.len() as u64;
-        serial_gas += profile.entries.iter().map(|e| e.gas_used).sum::<Gas>();
-        total_txs += n;
-        prep_clock += model.prepare_per_tx * n;
-        release.push(prep_clock);
-        let job_sets: Vec<&Vec<usize>> = match config.dispatch {
-            DispatchPolicy::Subgraph => schedule.subgraphs.iter().map(|sg| &sg.txs).collect(),
-            DispatchPolicy::StaticLanes => {
-                schedule.lanes.iter().filter(|l| !l.is_empty()).collect()
-            }
-        };
-        for txs in job_sets {
-            let gas: Gas = txs
-                .iter()
-                .map(|&i| profile.entries[i].gas_used + exec_tx_overhead)
-                .sum();
-            jobs.push(Job { block: b, gas });
-        }
-    }
-
-    // Execution: FIFO list scheduling over the worker pool (the real
-    // pipeline's shared job channel), block-switch penalty on block change.
-    let mut heap: BinaryHeap<Reverse<(Gas, usize)>> =
-        (0..config.workers).map(|w| Reverse((0, w))).collect();
-    let mut last_block: Vec<Option<usize>> = vec![None; config.workers];
-    let mut block_exec_finish: Vec<Gas> = release.clone();
-    for job in &jobs {
-        let Reverse((avail, w)) = heap.pop().expect("workers > 0");
-        let mut start = avail.max(release[job.block]);
-        if last_block[w] != Some(job.block) {
-            if last_block[w].is_some() {
-                start += model.block_switch;
-            }
-            last_block[w] = Some(job.block);
-        }
-        let finish = start + job.gas;
-        block_exec_finish[job.block] = block_exec_finish[job.block].max(finish);
-        heap.push(Reverse((finish, w)));
-    }
-    let exec_makespan = block_exec_finish.iter().copied().max().unwrap_or(0);
-
-    // Block validation: blocks enter the applier channel as their last
-    // execution job completes; each runs on the first free applier.
-    let applier_tx_cost = model.applier_per_tx
-        + if config.overlap_verify {
-            0
-        } else {
-            model.match_per_tx
-        };
-    let mut order: Vec<usize> = (0..blocks.len()).collect();
-    order.sort_by_key(|&b| (block_exec_finish[b], b));
-    let mut applier_avail: Vec<Gas> = vec![0; config.appliers];
-    let mut block_validate: Vec<(Gas, Gas)> = vec![(0, 0); blocks.len()];
-    for &b in &order {
-        let n = blocks[b].1.entries.len() as u64;
-        let slot = (0..config.appliers)
-            .min_by_key(|&a| (applier_avail[a], a))
-            .expect("appliers > 0");
-        let start = applier_avail[slot].max(block_exec_finish[b]);
-        let end = start + model.applier_block + applier_tx_cost * n;
-        applier_avail[slot] = end;
-        block_validate[b] = (start, end);
-    }
-    let makespan = block_validate
-        .iter()
-        .map(|&(_, e)| e)
-        .max()
-        .unwrap_or(0)
-        .max(exec_makespan);
-
-    PipelineSimResult {
-        makespan,
-        serial_gas,
-        speedup: if makespan == 0 {
-            1.0
-        } else {
-            serial_gas as f64 / makespan as f64
-        },
-        exec_makespan,
-        block_validate,
-        total_txs,
     }
 }
 
@@ -414,166 +224,5 @@ mod tests {
         let r = simulate_multiblock(&[], 4, &CostModel::default());
         assert_eq!(r.makespan, 0);
         assert_eq!(r.speedup, 1.0);
-    }
-
-    // -- restructured pipeline ---------------------------------------------
-
-    #[test]
-    fn applier_pool_overlaps_block_validation() {
-        // Four same-height blocks with a heavy per-block validation stage:
-        // one applier queues them (disjoint intervals), a pool overlaps
-        // them and shortens the run — the Figure 5 shape.
-        let p = profile(32, 8, 20_000);
-        let blocks: Vec<_> = (0..4).map(|_| (sched(&p, 8), &p)).collect();
-        let model = CostModel {
-            applier_block: 400_000,
-            stm_validate: 0,
-            ..CostModel::default()
-        };
-        let single = simulate_validator_pipeline(
-            &blocks,
-            &PipelineSimConfig {
-                appliers: 1,
-                ..PipelineSimConfig::default()
-            },
-            &model,
-        );
-        let pooled = simulate_validator_pipeline(
-            &blocks,
-            &PipelineSimConfig {
-                appliers: 4,
-                ..PipelineSimConfig::default()
-            },
-            &model,
-        );
-        assert!(!single.validation_overlaps(), "{:?}", single.block_validate);
-        assert!(pooled.validation_overlaps(), "{:?}", pooled.block_validate);
-        assert!(
-            pooled.makespan < single.makespan,
-            "pooled {} vs single {}",
-            pooled.makespan,
-            single.makespan
-        );
-    }
-
-    #[test]
-    fn overlapped_verification_helps_when_applier_binds() {
-        // Many small transactions: block validation is the bottleneck, so
-        // moving the footprint checks onto the workers' clocks shortens it.
-        let p = profile(64, 16, 3_000);
-        let blocks: Vec<_> = (0..4).map(|_| (sched(&p, 8), &p)).collect();
-        let model = CostModel {
-            match_per_tx: 1_000,
-            ..CostModel::default()
-        };
-        let mk = |overlap: bool, appliers: usize| {
-            simulate_validator_pipeline(
-                &blocks,
-                &PipelineSimConfig {
-                    appliers,
-                    overlap_verify: overlap,
-                    ..PipelineSimConfig::default()
-                },
-                &model,
-            )
-        };
-        let baseline = mk(false, 1);
-        let overlapped = mk(true, 1);
-        assert!(
-            overlapped.makespan < baseline.makespan,
-            "overlapped {} vs baseline {}",
-            overlapped.makespan,
-            baseline.makespan
-        );
-    }
-
-    #[test]
-    fn restructured_beats_baseline_at_eight_workers() {
-        // The headline A/B: subgraph dispatch + applier pool + overlapped
-        // verification vs static lanes + single applier + applier-side
-        // checks, on a standard-shaped window of same-height blocks. The
-        // model mirrors the host calibration in `validator_baseline`, where
-        // the per-block incremental state-root recomputation makes block
-        // validation expensive relative to transfer execution.
-        let p = profile(132, 33, 21_000);
-        let blocks: Vec<_> = (0..4).map(|_| (sched(&p, 8), &p)).collect();
-        let model = CostModel {
-            applier_block: 600_000,
-            stm_validate: 0,
-            applier_per_tx: 2_000,
-            match_per_tx: 500,
-            ..CostModel::default()
-        };
-        let new = simulate_validator_pipeline(
-            &blocks,
-            &PipelineSimConfig {
-                workers: 8,
-                appliers: 4,
-                dispatch: DispatchPolicy::Subgraph,
-                overlap_verify: true,
-            },
-            &model,
-        );
-        let old = simulate_validator_pipeline(
-            &blocks,
-            &PipelineSimConfig {
-                workers: 8,
-                appliers: 1,
-                dispatch: DispatchPolicy::StaticLanes,
-                overlap_verify: false,
-            },
-            &model,
-        );
-        assert!(
-            new.makespan as f64 * 1.2 <= old.makespan as f64,
-            "restructured {} vs baseline {} — expected >= 1.2x",
-            new.makespan,
-            old.makespan
-        );
-    }
-
-    #[test]
-    fn dispatch_granularities_agree_on_totals() {
-        // Subgraph and static-lane dispatch execute the same work; their
-        // virtual makespans differ only through packing, not through lost
-        // or duplicated transactions.
-        let p = profile(40, 7, 9_000);
-        let blocks: Vec<_> = (0..3).map(|_| (sched(&p, 4), &p)).collect();
-        let model = CostModel::default();
-        let sub = simulate_validator_pipeline(&blocks, &PipelineSimConfig::default(), &model);
-        let lanes = simulate_validator_pipeline(
-            &blocks,
-            &PipelineSimConfig {
-                dispatch: DispatchPolicy::StaticLanes,
-                ..PipelineSimConfig::default()
-            },
-            &model,
-        );
-        assert_eq!(sub.total_txs, lanes.total_txs);
-        assert_eq!(sub.serial_gas, lanes.serial_gas);
-        assert!(sub.makespan > 0 && lanes.makespan > 0);
-    }
-
-    #[test]
-    fn restructured_pipeline_deterministic_and_empty() {
-        let p = profile(20, 5, 7_000);
-        let blocks: Vec<_> = (0..3).map(|_| (sched(&p, 8), &p)).collect();
-        let a = simulate_validator_pipeline(
-            &blocks,
-            &PipelineSimConfig::default(),
-            &CostModel::default(),
-        );
-        let b = simulate_validator_pipeline(
-            &blocks,
-            &PipelineSimConfig::default(),
-            &CostModel::default(),
-        );
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.block_validate, b.block_validate);
-        let empty =
-            simulate_validator_pipeline(&[], &PipelineSimConfig::default(), &CostModel::default());
-        assert_eq!(empty.makespan, 0);
-        assert_eq!(empty.speedup, 1.0);
-        assert!(!empty.validation_overlaps());
     }
 }

@@ -12,7 +12,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-use blockpilot_core::CommitPath;
 use bp_evm::{execute_transaction, BlockEnv, MvSnapshot, Transaction, TxError};
 use bp_state::{MultiVersionState, WorldState};
 use bp_txpool::TxPool;
@@ -68,14 +67,13 @@ struct Sim<'a> {
     env: &'a BlockEnv,
     model: &'a CostModel,
     rule: ValidationRule,
-    path: CommitPath,
     // The shared commit resource: virtual time at which the commit-sequence
-    // lock next becomes free. CoarseLock occupies it for the whole
-    // commit_sync; TwoPhase only for the commit_admit slice.
+    // lock next becomes free. A commit occupies it for the commit_admit
+    // slice of commit_sync.
     commit_free_at: Gas,
-    // TwoPhase only: virtual time at which every allocated version is fully
-    // published (Phase B done). A snapshot taken earlier waits on the
-    // visibility gate until then.
+    // Virtual time at which every allocated version is fully published
+    // (Phase B done). A snapshot taken earlier waits on the visibility gate
+    // until then.
     snapshot_ready_at: Gas,
     mv: MultiVersionState,
     pool: TxPool,
@@ -99,12 +97,9 @@ impl Sim<'_> {
     /// Tries to start the next eligible transaction on `thread` at time
     /// `at`; parks the thread as idle if the pool has nothing eligible.
     fn start_or_idle(&mut self, thread: usize, at: Gas) {
-        // Two-phase: the snapshot version may still be publishing (Phase B);
-        // the reader parks on the visibility gate until it is.
-        let at = match self.path {
-            CommitPath::TwoPhase => at.max(self.snapshot_ready_at),
-            CommitPath::CoarseLock => at,
-        };
+        // The snapshot version may still be publishing (Phase B); the
+        // reader parks on the visibility gate until it is.
+        let at = at.max(self.snapshot_ready_at);
         loop {
             let Some(tx) = self.pool.pop() else {
                 self.idle.push((thread, at));
@@ -182,21 +177,6 @@ pub fn simulate_proposer_with_rule(
     model: &CostModel,
     rule: ValidationRule,
 ) -> ProposerSimResult {
-    simulate_proposer_configured(base, env, txs, threads, model, rule, CommitPath::default())
-}
-
-/// [`simulate_proposer`] with an explicit validation rule **and** commit
-/// path — the two-phase-vs-coarse-lock A/B (`proposer_baseline` in
-/// bp-bench).
-pub fn simulate_proposer_configured(
-    base: &WorldState,
-    env: &BlockEnv,
-    txs: &[Transaction],
-    threads: usize,
-    model: &CostModel,
-    rule: ValidationRule,
-    path: CommitPath,
-) -> ProposerSimResult {
     assert!(threads > 0);
     let base = Arc::new(base.snapshot());
     let pool = TxPool::new();
@@ -207,10 +187,9 @@ pub fn simulate_proposer_configured(
         env,
         model,
         rule,
-        path,
         commit_free_at: 0,
         snapshot_ready_at: 0,
-        mv: MultiVersionState::new(base, threads),
+        mv: MultiVersionState::new(base, threads, Default::default()),
         pool,
         reserve: HashMap::new(),
         committed_version: 0,
@@ -244,9 +223,9 @@ pub fn simulate_proposer_configured(
                     }
                 };
                 if stale {
-                    // Validation happens under the commit-sequence lock on
-                    // both paths: a failed one still occupies the commit
-                    // resource for the admit slice.
+                    // Validation happens under the commit-sequence lock: a
+                    // failed one still occupies the commit resource for the
+                    // admit slice.
                     sim.aborts += 1;
                     let abort_done = now.max(sim.commit_free_at) + model.commit_admit;
                     sim.commit_free_at = abort_done;
@@ -265,29 +244,14 @@ pub fn simulate_proposer_configured(
                 }
                 sim.commits += 1;
                 sim.serial_gas += event.gas_used;
-                let lock_at = now.max(sim.commit_free_at);
-                let commit_done = match sim.path {
-                    // Coarse lock: the whole commit section serializes
-                    // through the shared resource; the version only becomes
-                    // discoverable fully published, so readers never wait.
-                    CommitPath::CoarseLock => {
-                        let done = lock_at + model.commit_sync;
-                        sim.commit_free_at = done;
-                        done
-                    }
-                    // Two-phase: only the admit slice holds the lock; the
-                    // publish remainder runs on the committing thread's own
-                    // clock, and snapshots taken before it lands wait on the
-                    // visibility gate.
-                    CommitPath::TwoPhase => {
-                        let admit_done = lock_at + model.commit_admit;
-                        sim.commit_free_at = admit_done;
-                        let publish_done =
-                            admit_done + model.commit_sync.saturating_sub(model.commit_admit);
-                        sim.snapshot_ready_at = sim.snapshot_ready_at.max(publish_done);
-                        publish_done
-                    }
-                };
+                // Only the admit slice holds the lock; the publish
+                // remainder runs on the committing thread's own clock, and
+                // snapshots taken before it lands wait on the visibility
+                // gate.
+                let admit_done = now.max(sim.commit_free_at) + model.commit_admit;
+                sim.commit_free_at = admit_done;
+                let commit_done = admit_done + model.commit_sync.saturating_sub(model.commit_admit);
+                sim.snapshot_ready_at = sim.snapshot_ready_at.max(commit_done);
                 sim.makespan = sim.makespan.max(commit_done);
                 sim.pool.commit(&event.tx);
                 // The committing thread resumes after its commit work; idle
@@ -470,79 +434,6 @@ mod tests {
             occ.aborts,
             wsi.aborts
         );
-    }
-
-    #[test]
-    fn two_phase_outscales_the_coarse_lock() {
-        // Commit-bound convoy: identical cheap transfers finish in waves, so
-        // every wave's commits pile up on the commit resource. Coarse holds
-        // it for the full section; two-phase only for the admit slice.
-        let base = funded(200);
-        let env = BlockEnv::default();
-        let txs: Vec<_> = (1..=96u64)
-            .map(|i| Transaction::transfer(addr(i), addr(i + 100), U256::ONE, 0, 1))
-            .collect();
-        let model = CostModel::default();
-        for threads in [8usize, 16] {
-            let tp = simulate_proposer_configured(
-                &base,
-                &env,
-                &txs,
-                threads,
-                &model,
-                ValidationRule::Wsi,
-                CommitPath::TwoPhase,
-            );
-            let cl = simulate_proposer_configured(
-                &base,
-                &env,
-                &txs,
-                threads,
-                &model,
-                ValidationRule::Wsi,
-                CommitPath::CoarseLock,
-            );
-            assert_eq!(tp.committed, cl.committed);
-            assert_eq!(tp.committed, 96);
-            assert!(
-                tp.makespan < cl.makespan,
-                "{threads} threads: two-phase {} !< coarse {}",
-                tp.makespan,
-                cl.makespan
-            );
-        }
-    }
-
-    #[test]
-    fn commit_paths_agree_on_one_thread() {
-        // Without concurrency the whole section runs back-to-back either
-        // way: identical makespan, schedule and abort count.
-        let base = funded(20);
-        let env = BlockEnv::default();
-        let txs: Vec<_> = (1..=8u64)
-            .map(|i| Transaction::transfer(addr(i), addr(i + 10), U256::ONE, 0, 1))
-            .collect();
-        let model = CostModel::default();
-        let tp = simulate_proposer_configured(
-            &base,
-            &env,
-            &txs,
-            1,
-            &model,
-            ValidationRule::Wsi,
-            CommitPath::TwoPhase,
-        );
-        let cl = simulate_proposer_configured(
-            &base,
-            &env,
-            &txs,
-            1,
-            &model,
-            ValidationRule::Wsi,
-            CommitPath::CoarseLock,
-        );
-        assert_eq!(tp.makespan, cl.makespan);
-        assert_eq!(tp.aborts, cl.aborts);
     }
 
     #[test]

@@ -85,8 +85,6 @@ mod tests {
             state_contention_permille: 0,
             prepare_per_tx: 0,
             applier_per_tx: 0,
-            match_per_tx: 0,
-            applier_block: 0,
             stm_validate: 0,
             block_switch: 0,
             applier_switch: 0,
@@ -144,8 +142,6 @@ mod tests {
             commit_sync: 0,
             commit_admit: 0,
             state_contention_permille: 0,
-            match_per_tx: 0,
-            applier_block: 0,
             stm_validate: 0,
             block_switch: 0,
             applier_switch: 0,

@@ -271,11 +271,6 @@ impl FlatBase {
         self.file.as_ref().map(|f| f.len).unwrap_or(0)
     }
 
-    /// Bytes occupied by live records (0 in memory mode).
-    pub fn live_bytes(&self) -> u64 {
-        self.file.as_ref().map(|f| f.live).unwrap_or(0)
-    }
-
     /// Number of indexed keys (account bodies + storage slots).
     pub fn key_count(&self) -> usize {
         self.accounts.len() + self.storage.values().map(|s| s.len()).sum::<usize>()

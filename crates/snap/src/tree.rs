@@ -405,11 +405,6 @@ impl SnapTree {
     pub fn flat_len(&self) -> u64 {
         self.inner.read().unwrap().base.flat_len()
     }
-
-    /// Indexed keys in the flat base.
-    pub fn base_key_count(&self) -> usize {
-        self.inner.read().unwrap().base.key_count()
-    }
 }
 
 /// The layer chain from `root` (exclusive of the base) down to the base

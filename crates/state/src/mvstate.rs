@@ -23,40 +23,29 @@ pub struct MultiVersionState {
     versions: ShardedMap<AccessKey, Vec<(u64, U256)>>,
     // Code installed by in-block contract creations.
     code: ShardedMap<Address, Arc<Vec<u8>>>,
-    // Two-phase commit: versions may be allocated (Phase A) before their
-    // write sets are published (Phase B). Snapshot readers that land on a
-    // pending version wait on this gate instead of taking any global lock.
-    gate: Option<Arc<VersionGate>>,
+    // Versions may be allocated (Phase A of the proposer's commit) before
+    // their write sets are published (Phase B). Snapshot readers that land on
+    // a pending version wait on this gate instead of taking any global lock.
+    gate: Arc<VersionGate>,
 }
 
 impl MultiVersionState {
-    /// Wraps `base` as version 0, sized for `threads` workers.
-    pub fn new(base: Arc<WorldState>, threads: usize) -> Self {
+    /// Wraps `base` as version 0, sized for `threads` workers. `gate` tracks
+    /// which versions are still pending publication: snapshots taken at a
+    /// pending version block in [`MultiVersionState::wait_visible`] until the
+    /// version opens, and a version nobody registered never blocks.
+    pub fn new(base: Arc<WorldState>, threads: usize, gate: Arc<VersionGate>) -> Self {
         MultiVersionState {
             base,
             versions: ShardedMap::for_threads(threads),
             code: ShardedMap::for_threads(threads),
-            gate: None,
+            gate,
         }
     }
 
-    /// Like [`MultiVersionState::new`], but with a [`VersionGate`] tracking
-    /// which versions are still pending publication (the two-phase proposer
-    /// commit). Snapshots taken at a pending version block in
-    /// [`MultiVersionState::wait_visible`] until the version opens.
-    pub fn with_gate(base: Arc<WorldState>, threads: usize, gate: Arc<VersionGate>) -> Self {
-        let mut mv = Self::new(base, threads);
-        mv.gate = Some(gate);
-        mv
-    }
-
-    /// Blocks until every version `≤ version` is fully published. A no-op
-    /// without a gate (single-phase commit publishes before the version
-    /// becomes discoverable).
+    /// Blocks until every version `≤ version` is fully published.
     pub fn wait_visible(&self, version: u64) {
-        if let Some(gate) = &self.gate {
-            gate.wait_visible(version);
-        }
+        self.gate.wait_visible(version);
     }
 
     /// The version-0 world.
@@ -106,21 +95,6 @@ impl MultiVersionState {
         self.code.insert(addr, code);
     }
 
-    /// Materializes the world as of `version` (base plus the newest write ≤
-    /// `version` of every key), by walking every version chain. The
-    /// two-phase proposer seals through [`MultiVersionState::with_writes`]
-    /// from the write sets its workers already hold; this is for callers
-    /// that hold none (the coarse-lock path, tests).
-    pub fn materialize(&self, version: u64) -> WorldState {
-        let mut writes: WriteSet = Default::default();
-        for (key, chain) in self.versions.snapshot() {
-            if let Some((_, value)) = chain.iter().rev().find(|(v, _)| *v <= version) {
-                writes.insert(key, *value);
-            }
-        }
-        self.with_writes(&writes)
-    }
-
     /// The base world with `writes` applied as one batch and the code
     /// installed during the block: a copy-on-write snapshot, so the cost is
     /// O(written keys), not O(world size). `writes` is the caller's fold of
@@ -157,7 +131,7 @@ mod tests {
         let mut base = WorldState::new();
         base.set_balance(addr(1), U256::from(100u64));
         base.set_storage(addr(2), H256::from_low_u64(1), U256::from(7u64));
-        MultiVersionState::new(Arc::new(base), 4)
+        MultiVersionState::new(Arc::new(base), 4, Arc::new(VersionGate::new()))
     }
 
     #[test]
@@ -200,31 +174,33 @@ mod tests {
     }
 
     #[test]
-    fn materialize_applies_latest_writes() {
+    fn with_writes_applies_the_fold_over_the_base() {
         let mv = mv_with_base();
+        let slot = AccessKey::Storage(addr(2), H256::from_low_u64(1));
         let mut w: WriteSet = Default::default();
         w.insert(bal(1), U256::from(42u64));
-        w.insert(
-            AccessKey::Storage(addr(2), H256::from_low_u64(1)),
-            U256::from(8u64),
-        );
+        w.insert(slot, U256::from(8u64));
         mv.commit_writes(&w, 1);
         let mut w2: WriteSet = Default::default();
         w2.insert(bal(1), U256::from(43u64));
         mv.commit_writes(&w2, 2);
 
-        let at1 = mv.materialize(1);
-        assert_eq!(at1.balance(&addr(1)), U256::from(42u64));
+        // The caller's fold in commit order, later versions over earlier:
+        // what the version chains answer at the last version.
+        w.extend(w2);
+        for (key, value) in &w {
+            assert_eq!(mv.read_latest(key).0, *value);
+        }
+        let sealed = mv.with_writes(&w);
+        assert_eq!(sealed.balance(&addr(1)), U256::from(43u64));
         assert_eq!(
-            at1.storage(&addr(2), &H256::from_low_u64(1)),
+            sealed.storage(&addr(2), &H256::from_low_u64(1)),
             U256::from(8u64)
         );
 
-        let at2 = mv.materialize(2);
-        assert_eq!(at2.balance(&addr(1)), U256::from(43u64));
-
-        // Version 0 materializes back to the base.
-        assert_eq!(mv.materialize(0).state_root(), mv.base().state_root());
+        // No writes: back to the base.
+        let untouched = mv.with_writes(&WriteSet::default());
+        assert_eq!(untouched.state_root(), mv.base().state_root());
     }
 
     #[test]
@@ -233,23 +209,18 @@ mod tests {
         assert!(mv.code(&addr(5)).is_empty());
         mv.install_code(addr(5), Arc::new(vec![1, 2, 3]));
         assert_eq!(*mv.code(&addr(5)), vec![1, 2, 3]);
-        let world = mv.materialize(0);
+        let world = mv.with_writes(&WriteSet::default());
         assert_eq!(*world.code(&addr(5)), vec![1, 2, 3]);
     }
 
     #[test]
     fn gated_snapshot_waits_for_pending_publication() {
-        use bp_concurrent::VersionGate;
         use std::thread;
 
         let gate = Arc::new(VersionGate::new());
         let mut base = WorldState::new();
         base.set_balance(addr(1), U256::from(100u64));
-        let mv = Arc::new(MultiVersionState::with_gate(
-            Arc::new(base),
-            2,
-            Arc::clone(&gate),
-        ));
+        let mv = Arc::new(MultiVersionState::new(Arc::new(base), 2, Arc::clone(&gate)));
 
         // Version 1 is allocated (registered) but not yet published.
         gate.register(1);
@@ -266,7 +237,7 @@ mod tests {
         mv.commit_writes(&w, 1);
         gate.open(1);
         assert_eq!(reader.join().unwrap(), (U256::from(55u64), 1));
-        // Ungated reads below the pending window never block.
+        // Reads below the pending window never block.
         mv.wait_visible(0);
     }
 

@@ -401,12 +401,6 @@ impl Store {
         &self.dir
     }
 
-    /// The underlying node store (e.g. to use as a
-    /// [`bp_state::NodeResolver`]).
-    pub fn node_store(&self) -> &NodeStore<FileBackend> {
-        &self.nodes
-    }
-
     /// The configuration this store was opened with.
     pub fn config(&self) -> &StoreConfig {
         &self.config

@@ -14,12 +14,10 @@
 //! [`AccessKey::account`] maps a fine-grained key to its coarse account-level
 //! key, so both granularities are available to the scheduler.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Address, FxHashMap, H256, U256};
 
 /// One addressable state location.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum AccessKey {
     /// An account's balance counter.
     Balance(Address),
@@ -78,7 +76,7 @@ pub type ReadSet = FxHashMap<AccessKey, u64>;
 pub type WriteSet = FxHashMap<AccessKey, U256>;
 
 /// The read/write footprint of one executed transaction.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RwSet {
     /// Keys read, with the version observed for each.
     pub reads: ReadSet,

@@ -1,8 +1,8 @@
 //! Fundamental value types shared by every BlockPilot subsystem.
 //!
-//! This crate deliberately has no dependencies beyond `serde`: everything that
-//! touches consensus-critical data (256-bit words, hashes, addresses, access
-//! keys) lives here so that the substrate crates (`bp-crypto`, `bp-state`,
+//! This crate deliberately has no dependencies: everything that touches
+//! consensus-critical data (256-bit words, hashes, addresses, access keys)
+//! lives here so that the substrate crates (`bp-crypto`, `bp-state`,
 //! `bp-evm`) and the framework crate (`blockpilot-core`) agree on a single
 //! representation.
 //!

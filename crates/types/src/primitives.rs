@@ -2,12 +2,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::U256;
 
 /// A 256-bit hash (Keccak-256 output, MPT node reference, storage slot key).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct H256(pub [u8; 32]);
 
 impl H256 {
@@ -61,7 +59,7 @@ impl fmt::Display for H256 {
 }
 
 /// A 160-bit account address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Address(pub [u8; 20]);
 
 impl Address {

@@ -14,10 +14,8 @@ use core::ops::{
     Add, AddAssign, BitAnd, BitOr, BitXor, Div, Mul, Not, Rem, Shl, Shr, Sub, SubAssign,
 };
 
-use serde::{Deserialize, Serialize};
-
 /// 256-bit unsigned integer: four 64-bit limbs, least significant first.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct U256(pub [u64; 4]);
 
 impl U256 {

@@ -24,7 +24,7 @@ pub use bp_workload as workload;
 
 pub use blockpilot_core::{
     block_stm::{BlockStmProposer, ProposerAlgo},
-    occ_wsi::{CommitPath, OccWsiConfig, OccWsiProposer, ProposerStats},
+    occ_wsi::{OccWsiConfig, OccWsiProposer, ProposerStats},
     pipeline::{PipelineConfig, ValidatorPipeline},
     proposer::Proposer,
     scheduler::{ConflictGranularity, Schedule, Scheduler},

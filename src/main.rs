@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! blockpilot chain   [--blocks N] [--txs N] [--threads N] [--workers N]
-//! blockpilot node    [--blocks N] [--validators N] [--depth N] [--lockstep]
-//!                    [--deferred-root] [--store DIR] [--group-commit [N]]
+//! blockpilot node    [--blocks N] [--validators N] [--lockstep]
+//!                    [--store DIR] [--group-commit [N]]
 //! blockpilot network [--nodes N] [--heights N] [--fork-every N]
 //! blockpilot stats   [--blocks N]
 //! ```
@@ -39,8 +39,8 @@ fn main() {
         _ => {
             eprintln!("usage: blockpilot <chain|node|network|stats> [options]");
             eprintln!("  chain   [--blocks N] [--txs N] [--threads N] [--workers N]");
-            eprintln!("  node    [--blocks N] [--validators N] [--depth N] [--lockstep]");
-            eprintln!("          [--deferred-root] [--store DIR] [--group-commit [N]]");
+            eprintln!("  node    [--blocks N] [--validators N] [--lockstep]");
+            eprintln!("          [--store DIR] [--group-commit [N]]");
             eprintln!("  network [--nodes N] [--heights N] [--fork-every N]");
             eprintln!("  stats   [--blocks N]");
             std::process::exit(2);
@@ -107,7 +107,6 @@ fn node(args: &[String]) {
     use blockpilot::node::{run_node, NodeConfig, NodeMode};
     use blockpilot::store::GroupCommitConfig;
     let lock_step = args.iter().any(|a| a == "--lockstep");
-    let deferred_root = args.iter().any(|a| a == "--deferred-root");
     let group_commit = args
         .iter()
         .any(|a| a == "--group-commit")
@@ -132,11 +131,6 @@ fn node(args: &[String]) {
         },
         blocks: arg(args, "--blocks", 20),
         validators: arg(args, "--validators", 2) as usize,
-        channel_depth: arg(args, "--depth", 2) as usize,
-        pipeline: PipelineConfig {
-            deferred_root,
-            ..PipelineConfig::default()
-        },
         store_dir,
         group_commit,
         workload: WorkloadConfig {

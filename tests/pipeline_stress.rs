@@ -3,13 +3,16 @@
 //! parallelism hammering several in-flight blocks must still deliver
 //! exactly the serial outcome for every block — and a tampered block's
 //! early abort must cut its execution short without poisoning the valid
-//! siblings sharing the pool.
+//! siblings sharing the pool. Nor may a block whose root is rejected after
+//! its descendants were released onto its post-state: they fall with it, the
+//! fork beside them stands, and nothing of the rejected subtree can be read
+//! or committed.
 
 use std::sync::Arc;
 
 use blockpilot::core::{
-    ConflictGranularity, DispatchPolicy, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal,
-    ValidationError, ValidatorPipeline,
+    ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, ValidationError,
+    Validator, ValidatorPipeline,
 };
 use blockpilot::txpool::TxPool;
 use blockpilot::types::BlockHash;
@@ -49,14 +52,16 @@ fn workload() -> WorkloadGen {
     })
 }
 
-fn wide_pipeline(appliers: usize) -> ValidatorPipeline {
-    ValidatorPipeline::new(PipelineConfig {
+fn wide_config(appliers: usize) -> PipelineConfig {
+    PipelineConfig {
         workers: 16,
         granularity: ConflictGranularity::Account,
-        dispatch: DispatchPolicy::Subgraph,
         appliers,
-        deferred_root: false,
-    })
+    }
+}
+
+fn wide_pipeline(appliers: usize) -> ValidatorPipeline {
+    ValidatorPipeline::new(wide_config(appliers))
 }
 
 #[test]
@@ -193,4 +198,77 @@ fn single_applier_still_drains_sibling_burst_at_sixteen_workers() {
         );
     }
     pipeline.shutdown();
+}
+
+#[test]
+fn sixteen_workers_unwind_a_rejected_root_under_its_descendants() {
+    // Height N arrives twice: once with a wrong state root and three
+    // descendants N+1..N+3 behind it, once honest with a child of its own.
+    // All six are in flight together: the descendants are released onto the
+    // bad block's post-state before its root is hashed, and must all fall
+    // with it — while the honest fork, sharing the workers and appliers,
+    // validates untouched.
+    for round in 0u64..8 {
+        let mut gen = workload();
+        let genesis = gen.genesis_state();
+        let validator = Validator::new(wide_config(2), genesis.clone());
+        let root = validator.genesis_hash();
+        let base = Arc::new(genesis);
+
+        let mut rejected = vec![propose(&mut gen, &base, root, 1, 5000 + round)];
+        rejected[0].block.header.state_root = blockpilot::types::H256::from_low_u64(0xBAD);
+        for height in 2..=4 {
+            let parent = rejected.last().expect("the chain so far");
+            let state = Arc::new(parent.post_state.clone());
+            let child = propose(&mut gen, &state, parent.block.hash(), height, 0);
+            rejected.push(child);
+        }
+        // The honest fork packs the same transactions from a generator of
+        // its own (a generator hands out each sender's nonces once).
+        let mut fork_gen = workload();
+        let sibling = propose(&mut fork_gen, &base, root, 1, 6000 + round);
+        let sibling_state = Arc::new(sibling.post_state.clone());
+        let nephew = propose(&mut fork_gen, &sibling_state, sibling.block.hash(), 2, 0);
+
+        // Children before parents on one fork, parents first on the other.
+        let nephew_handle = validator.receive_block(nephew.block.clone());
+        let rejected_handles: Vec<_> = rejected
+            .iter()
+            .map(|p| validator.receive_block(p.block.clone()))
+            .collect();
+        let sibling_handle = validator.receive_block(sibling.block.clone());
+
+        let mut verdicts = rejected_handles.into_iter().map(|h| h.wait().result);
+        assert_eq!(
+            verdicts.next(),
+            Some(Err(ValidationError::StateRootMismatch))
+        );
+        for verdict in verdicts {
+            assert_eq!(
+                verdict,
+                Err(ValidationError::ParentInvalid),
+                "round {round}"
+            );
+        }
+        for (handle, proposal) in [(sibling_handle, &sibling), (nephew_handle, &nephew)] {
+            let outcome = handle.wait();
+            assert!(outcome.is_valid(), "round {round}: {:?}", outcome.result);
+            assert_eq!(
+                outcome.post_state.expect("valid").state_root(),
+                proposal.post_state.state_root()
+            );
+        }
+
+        // Nothing of the rejected subtree is observable or committable: not
+        // the block that extends the head, not what ran on top of it.
+        for p in &rejected {
+            let hash = p.block.hash();
+            assert!(validator.pipeline().state_of(&hash).is_none());
+            assert!(validator.pipeline().delta_of(&hash).is_none());
+            assert!(!validator.commit_canonical(hash), "round {round}");
+        }
+        assert!(validator.commit_canonical(sibling.block.hash()));
+        assert!(validator.commit_canonical(nephew.block.hash()));
+        assert_eq!(validator.head(), Some((nephew.block.hash(), 2)));
+    }
 }

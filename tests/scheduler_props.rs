@@ -11,8 +11,8 @@ use std::sync::Arc;
 use blockpilot::baseline::execute_block_serially;
 use blockpilot::block::{BlockProfile, TxProfile};
 use blockpilot::core::{
-    AssignPolicy, ConflictGranularity, DispatchPolicy, OccWsiConfig, OccWsiProposer,
-    PipelineConfig, Proposal, Scheduler, ValidatorPipeline,
+    AssignPolicy, ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal,
+    Scheduler, ValidatorPipeline,
 };
 use blockpilot::evm::{BlockEnv, Transaction};
 use blockpilot::state::WorldState;
@@ -268,9 +268,11 @@ proptest! {
         appliers in 1usize..4,
     ) {
         // Whatever the pool width, applier count, or conflict skew, the
-        // restructured pipeline must reproduce the serial oracle's state
-        // bit for bit — the lock-free slots and subgraph jobs reorder
-        // execution, never its effect.
+        // pipeline must reproduce the serial oracle's state bit for bit —
+        // the lock-free slots and subgraph jobs reorder execution, never
+        // its effect — and the cancellation protocol (per-tx footprint
+        // checks on the workers' clocks, first mismatch wins) must be
+        // invisible on an honest block.
         let (base, txs) = transfer_block(&descs);
         let parent = BlockHash::from_low_u64(21);
         let proposal = propose_transfers(&base, &txs, parent);
@@ -281,9 +283,7 @@ proptest! {
         let pipeline = ValidatorPipeline::new(PipelineConfig {
             workers,
             granularity: ConflictGranularity::Account,
-            dispatch: DispatchPolicy::Subgraph,
             appliers,
-            deferred_root: false,
         });
         pipeline.register_state(parent, Arc::clone(&base));
         let n = proposal.block.transactions.len();
@@ -296,33 +296,5 @@ proptest! {
             serial.post_state.state_root()
         );
         pipeline.shutdown();
-    }
-
-    #[test]
-    fn early_abort_never_rejects_a_valid_block(
-        descs in arb_transfers(),
-        workers in 1usize..=16,
-    ) {
-        // The cancellation protocol (per-tx footprint checks on the
-        // workers' clocks, first mismatch wins) must be invisible on honest
-        // blocks under both dispatch granularities.
-        let (base, txs) = transfer_block(&descs);
-        let parent = BlockHash::from_low_u64(22);
-        let proposal = propose_transfers(&base, &txs, parent);
-        for dispatch in [DispatchPolicy::Subgraph, DispatchPolicy::StaticLanes] {
-            let pipeline = ValidatorPipeline::new(PipelineConfig {
-                workers,
-                granularity: ConflictGranularity::Account,
-                dispatch,
-                appliers: 2,
-                deferred_root: false,
-            });
-            pipeline.register_state(parent, Arc::clone(&base));
-            let outcome = pipeline.validate_block(proposal.block.clone());
-            prop_assert!(outcome.is_valid(), "{dispatch:?}: {:?}", outcome.result);
-            prop_assert!(!outcome.aborted_early, "{dispatch:?} aborted an honest block");
-            prop_assert_eq!(outcome.executed_txs, proposal.block.transactions.len());
-            pipeline.shutdown();
-        }
     }
 }

@@ -4,14 +4,13 @@
 //! section (WSI validation + version allocation) and publishes their write
 //! sets outside it. For arbitrary mixes of transfers, counter bumps and
 //! token moves at 1–16 worker threads, the block it seals must replay
-//! serially to the exact sealed state root — the same witness the
-//! coarse-lock path satisfies — and the two paths must commit the same set
-//! of transactions for identical workloads.
+//! serially to the exact sealed state root, and it must hold every
+//! transaction that was offered.
 
 use std::sync::Arc;
 
 use blockpilot::baseline::execute_block_serially;
-use blockpilot::core::{CommitPath, OccWsiConfig, OccWsiProposer};
+use blockpilot::core::{OccWsiConfig, OccWsiProposer};
 use blockpilot::evm::{contracts, BlockEnv, Transaction};
 use blockpilot::state::WorldState;
 use blockpilot::txpool::TxPool;
@@ -109,7 +108,6 @@ fn propose(
     base: &Arc<WorldState>,
     txs: &[Transaction],
     threads: usize,
-    path: CommitPath,
 ) -> blockpilot::core::Proposal {
     let pool = TxPool::new();
     for tx in txs {
@@ -117,7 +115,6 @@ fn propose(
     }
     let proposer = OccWsiProposer::new(OccWsiConfig {
         threads,
-        commit_path: path,
         ..OccWsiConfig::default()
     });
     let proposal = proposer.propose(&pool, Arc::clone(base), BlockHash::ZERO, 1);
@@ -137,7 +134,7 @@ proptest! {
     ) {
         let base = Arc::new(world());
         let txs = build_txs(&actions);
-        let proposal = propose(&base, &txs, threads, CommitPath::TwoPhase);
+        let proposal = propose(&base, &txs, threads);
 
         prop_assert_eq!(proposal.block.tx_count(), txs.len());
         let replay = execute_block_serially(
@@ -155,33 +152,5 @@ proptest! {
         // Every worker's tally is accounted for.
         let per_worker: u64 = proposal.stats.workers.iter().map(|w| w.committed).sum();
         prop_assert_eq!(per_worker, proposal.stats.committed);
-    }
-
-    /// Two-phase and coarse-lock commit the same transaction *set*. The order
-    /// within it is each path's own — the pool hands transactions out in
-    /// batches, so even a single-thread proposer may commit them in another
-    /// order than the other path does — and either order is serializable:
-    /// each block's root is the root of its own serial replay.
-    #[test]
-    fn two_phase_and_coarse_agree(actions in arb_actions()) {
-        let base = Arc::new(world());
-        let txs = build_txs(&actions);
-        let committed = |path: CommitPath| {
-            let proposal = propose(&base, &txs, 1, path);
-            let replay = execute_block_serially(
-                &base,
-                &BlockEnv::default(),
-                &proposal.block.transactions,
-            )
-            .expect("commit order must replay");
-            assert_eq!(
-                replay.post_state.state_root(),
-                proposal.block.header.state_root
-            );
-            let mut set = proposal.block.transactions;
-            set.sort_by_key(|tx| (tx.sender, tx.nonce));
-            set
-        };
-        prop_assert_eq!(committed(CommitPath::TwoPhase), committed(CommitPath::CoarseLock));
     }
 }
