@@ -12,10 +12,10 @@
 use std::sync::Arc;
 
 use bp_baseline::execute_block_serially;
-use bp_block::{receipts_root, tx_root, Block, BlockHeader, BlockProfile};
+use bp_block::BlockProfile;
 use bp_evm::{BlockEnv, Transaction};
 use bp_state::WorldState;
-use bp_types::{BlockHash, Gas};
+use bp_types::Gas;
 use bp_workload::{WorkloadConfig, WorkloadGen};
 
 /// One generated block, pre-executed by the serial oracle.
@@ -33,33 +33,6 @@ pub struct BlockFixture {
     pub pre_state: Arc<WorldState>,
     /// The post state of serial execution.
     pub post_state: Arc<WorldState>,
-}
-
-impl BlockFixture {
-    /// Assembles a sealed [`Block`] (with real roots) on `parent`. Only used
-    /// by harnesses that need full validation; root computation is costly.
-    pub fn seal(&self, parent: BlockHash, height: u64) -> Block {
-        let receipts = execute_block_serially(&self.pre_state, &self.env, &self.txs)
-            .expect("fixture replays")
-            .receipts;
-        let header = BlockHeader {
-            parent_hash: parent,
-            height,
-            state_root: self.post_state.state_root(),
-            tx_root: tx_root(&self.txs),
-            receipts_root: receipts_root(&receipts),
-            gas_used: self.gas_used,
-            gas_limit: 30_000_000,
-            coinbase: self.env.coinbase,
-            timestamp: self.env.timestamp,
-            proposer_seed: height,
-        };
-        Block {
-            header,
-            transactions: self.txs.clone(),
-            profile: self.profile.clone(),
-        }
-    }
 }
 
 /// Generates `count` block fixtures from one seeded workload, all executing

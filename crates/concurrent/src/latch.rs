@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex};
 
 /// A one-shot hand-off slot: one producer [`RootLatch::set`]s a value once,
 /// any number of consumers [`RootLatch::wait`] for it.
@@ -394,8 +394,7 @@ mod tests {
     #[test]
     fn stress_gate_random_open_order_within_a_window() {
         use crate::VersionAllocator;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use bp_types::Rng;
         use std::sync::atomic::AtomicBool;
 
         const WRITERS: u64 = 4;
@@ -407,7 +406,7 @@ mod tests {
         struct Shared {
             gate: VersionGate,
             versions: VersionAllocator,
-            admit: std::sync::Mutex<StdRng>,
+            admit: Mutex<Rng>,
             /// Everybody starts together.
             start: std::sync::Barrier,
             /// `opened[v]` is set just before `gate.open(v)` is called.
@@ -434,7 +433,7 @@ mod tests {
             let shared = Arc::new(Shared {
                 gate: VersionGate::new(),
                 versions: VersionAllocator::new(),
-                admit: std::sync::Mutex::new(StdRng::seed_from_u64(0x6a7e)),
+                admit: Mutex::new(Rng::seed_from_u64(0x6a7e)),
                 start: std::sync::Barrier::new((WRITERS + READERS) as usize),
                 opened: flags(),
                 registered: flags(),
@@ -444,14 +443,14 @@ mod tests {
                 .map(|w| {
                     let s = Arc::clone(&shared);
                     thread::spawn(move || {
-                        let mut rng = StdRng::seed_from_u64(0x6a7e_0100 + w);
+                        let mut rng = Rng::seed_from_u64(0x6a7e_0100 + w);
                         let mut held: Vec<u64> = Vec::new();
                         let mut exhausted = false;
                         s.start.wait();
                         while !exhausted {
                             // Phase A, a few times over.
                             for _ in 0..rng.gen_range(1..=WINDOW) {
-                                let mut admit = s.admit.lock().unwrap();
+                                let mut admit = s.admit.lock();
                                 let version = s.versions.current() + 1;
                                 if version > VERSIONS {
                                     exhausted = true;

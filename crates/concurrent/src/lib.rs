@@ -5,19 +5,22 @@
 //! that every worker thread reads and writes: the multi-version state and the
 //! OCC *reserve table*. Wrapping a single `HashMap` in one lock would
 //! serialize the workers, so [`ShardedMap`] stripes the key space over many
-//! small `parking_lot::RwLock`ed maps. [`ReserveTable`] builds the versioned
+//! small [`sync::RwLock`]ed maps. [`ReserveTable`] builds the versioned
 //! write-reservation semantics of Algorithm 1 on top of it, and
 //! [`VersionAllocator`] hands out the monotonically increasing commit
 //! versions. [`ResultSlots`] gives the validator pipeline a lock-free,
-//! single-writer result array for the transaction-execution phase.
+//! single-writer result array for the transaction-execution phase. [`sync`]
+//! and [`channel`] are the locks and the queue every product crate blocks on.
 
 #![warn(missing_docs)]
 
+pub mod channel;
 pub mod latch;
 pub mod reserve;
 pub mod sharded;
 pub mod slots;
 pub mod stm_scheduler;
+pub mod sync;
 pub mod version;
 
 pub use latch::{RootLatch, VersionGate};

@@ -4,8 +4,8 @@ use core::hash::{BuildHasher, Hash};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use crate::sync::RwLock;
 use bp_types::FxBuildHasher;
-use parking_lot::RwLock;
 
 /// A concurrent map striped over `2^shard_bits` independent
 /// `RwLock<HashMap>` shards.

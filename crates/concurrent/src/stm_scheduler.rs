@@ -22,7 +22,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 /// A unit of work handed to a worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use bp_concurrent::ShardedMap;
-use proptest::prelude::*;
+use bp_testkit::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Op {

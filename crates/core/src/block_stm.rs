@@ -40,6 +40,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bp_block::{receipts_root, tx_root, Block, BlockHeader, BlockProfile, TxProfile};
+use bp_concurrent::sync::Mutex;
 use bp_concurrent::{StmScheduler, StmTask};
 use bp_evm::{
     execute_transaction_in, AnalysisCache, ExecutionResult, StateView, Transaction, TxError,
@@ -48,7 +49,6 @@ use bp_state::ReadValidation;
 use bp_state::{MvMemory, MvRead, ReadOrigin, WorldState};
 use bp_txpool::TxPool;
 use bp_types::{AccessKey, Address, BlockHash, Height, U256};
-use parking_lot::Mutex;
 
 use crate::occ_wsi::{OccWsiConfig, Proposal, ProposerStats, WorkerStats};
 

@@ -61,6 +61,7 @@ use std::time::Instant;
 use bp_block::{
     receipts_root, tx_root, tx_root_of_hashes, Block, BlockHeader, BlockProfile, TxProfile,
 };
+use bp_concurrent::sync::Mutex;
 use bp_concurrent::{ReserveTable, ShardedMap, VersionAllocator, VersionGate};
 use bp_evm::{
     execute_transaction_in, gas, AnalysisCache, BlockEnv, MvSnapshot, Receipt, Transaction, TxError,
@@ -68,7 +69,6 @@ use bp_evm::{
 use bp_state::{MultiVersionState, WorldState};
 use bp_txpool::TxPool;
 use bp_types::{BlockHash, FxHashMap, Gas, Height, TxHash, WriteSet, U256};
-use parking_lot::Mutex;
 
 /// How many transactions a worker checks out from the pool per turn. Small
 /// enough that priority inversion is bounded, large enough to amortize the

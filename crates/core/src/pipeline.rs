@@ -34,6 +34,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bp_block::{receipts_root, tx_root, Block};
+use bp_concurrent::channel::{unbounded, Receiver, Sender};
+use bp_concurrent::sync::Mutex;
 use bp_concurrent::{ResultSlots, RootLatch};
 use bp_evm::{
     execute_transaction_in, AnalysisCache, BlockEnv, CacheStats, Receipt, StateView, Transaction,
@@ -41,8 +43,6 @@ use bp_evm::{
 };
 use bp_state::{StateDelta, WorldState};
 use bp_types::{AccessKey, Address, BlockHash, FxHashMap, Gas, U256};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::scheduler::{ConflictGranularity, Scheduler};
 

@@ -6,10 +6,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use bp_block::{genesis_header, Block, BlockProfile, ChainStore};
+use bp_concurrent::sync::Mutex;
 use bp_state::WorldState;
 use bp_store::{GroupCommitConfig, Store, StoreConfig, StoreError};
 use bp_types::{BlockHash, Height, H256};
-use parking_lot::Mutex;
 
 use crate::pipeline::{PipelineConfig, ValidationHandle, ValidationOutcome, ValidatorPipeline};
 

@@ -6,7 +6,7 @@
 use bp_crypto::rlp::reference::{self, encode_item, Item};
 use bp_crypto::rlp::{DecodeError, Reader};
 use bp_crypto::{keccak256, Keccak256};
-use proptest::prelude::*;
+use bp_testkit::prelude::*;
 
 fn arb_item() -> impl Strategy<Value = Item> {
     let leaf = prop::collection::vec(any::<u8>(), 0..200).prop_map(Item::Bytes);

@@ -43,7 +43,7 @@ use bp_types::FxHashMap as HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use bp_concurrent::sync::Mutex;
 
 use bp_crypto::keccak256;
 use bp_types::{Gas, H256, U256};

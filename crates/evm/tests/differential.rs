@@ -4,9 +4,8 @@
 //! every observable output — success flag, gas used, output bytes, logs,
 //! fee, created address, read/write footprint, and deployed code.
 //!
-//! This file is fully deterministic (fixed seeds) so it runs without
-//! proptest; `differential_props.rs` layers randomized program generation on
-//! top of the same oracle in CI.
+//! This file draws from fixed seeds; `differential_props.rs` layers
+//! randomized program generation on top of the same oracle.
 
 use std::sync::Arc;
 
@@ -17,29 +16,10 @@ use bp_evm::{
     AnalysisCache, BlockEnv, Transaction, WorldView,
 };
 use bp_state::WorldState;
-use bp_types::{Address, U256};
+use bp_types::{Address, Rng, U256};
 
 fn addr(i: u64) -> Address {
     Address::from_index(i)
-}
-
-/// xorshift64*: a tiny deterministic generator so the raw-bytecode sweeps
-/// need no external RNG crate.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn byte(&mut self) -> u8 {
-        (self.next() >> 56) as u8
-    }
 }
 
 /// The oracle: run `tx` through both engines on clones of `world` and
@@ -144,7 +124,7 @@ fn workload_contracts_match_reference() {
 
     // Walk the contract mix the bench uses, applying the optimized engine's
     // writes between transactions so later txs see evolving state.
-    let mut rng = Rng(0x5eed_0001);
+    let mut rng = Rng::seed_from_u64(0x5eed_0001);
     for step in 0..64u64 {
         let sender = 1 + step % 8;
         let tx = match step % 4 {
@@ -154,12 +134,12 @@ fn workload_contracts_match_reference() {
                 token,
                 0,
                 contracts::token_transfer_calldata(
-                    &addr(1 + rng.next() % 8),
+                    &addr(rng.gen_range(1..=8u64)),
                     // Occasionally overdraw so the revert path is exercised.
                     U256::from(if step % 16 == 1 {
                         1u64 << 40
                     } else {
-                        rng.next() % 500
+                        rng.gen_range(0..500u64)
                     }),
                 ),
             ),
@@ -168,15 +148,15 @@ fn workload_contracts_match_reference() {
                 amm,
                 0,
                 contracts::amm_swap_calldata(
-                    (rng.next() % 2) as u8,
-                    U256::from(1 + rng.next() % 10_000),
+                    rng.gen_range(0..2u8),
+                    U256::from(rng.gen_range(1..=10_000u64)),
                 ),
             ),
             _ => call_tx(
                 sender,
                 registry,
                 0,
-                contracts::registry_calldata(U256::from(rng.next())),
+                contracts::registry_calldata(U256::from(rng.next_u64())),
             ),
         };
         let mut scratch = w.clone();
@@ -321,10 +301,10 @@ fn failure_paths_match_reference() {
 #[test]
 fn raw_bytecode_sweep_matches_reference() {
     let env = BlockEnv::default();
-    let mut rng = Rng(0xb10c_b10c_b10c_b10c);
+    let mut rng = Rng::seed_from_u64(0xb10c_b10c_b10c_b10c);
     for case in 0..400 {
-        let len = 1 + (rng.next() % 96) as usize;
-        let code: Vec<u8> = (0..len).map(|_| rng.byte()).collect();
+        let len = rng.gen_range(1..=96usize);
+        let code: Vec<u8> = (0..len).map(|_| rng.gen_range(..)).collect();
         let mut w = funded_world();
         w.set_code(addr(60), code.clone());
         let mut tx = call_tx(1, addr(60), 0, vec![0xAA; 8]);

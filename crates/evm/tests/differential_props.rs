@@ -13,8 +13,8 @@ use bp_evm::{
     contracts, execute_transaction, execute_transaction_reference, BlockEnv, Transaction, WorldView,
 };
 use bp_state::WorldState;
+use bp_testkit::prelude::*;
 use bp_types::{Address, U256};
-use proptest::prelude::*;
 
 fn addr(i: u64) -> Address {
     Address::from_index(i)
@@ -194,7 +194,7 @@ proptest! {
     /// executes identically on both engines.
     #[test]
     fn structured_programs_match_reference(
-        steps in proptest::collection::vec(arb_step(), 0..40),
+        steps in prop::collection::vec(arb_step(), 0..40),
         gas in 25_000u64..300_000,
     ) {
         let w = world_with(compile(&steps));
@@ -205,8 +205,8 @@ proptest! {
     /// opcodes and jumps into immediates, never diverge.
     #[test]
     fn raw_bytecode_matches_reference(
-        code in proptest::collection::vec(any::<u8>(), 0..160),
-        data in proptest::collection::vec(any::<u8>(), 0..48),
+        code in prop::collection::vec(any::<u8>(), 0..160),
+        data in prop::collection::vec(any::<u8>(), 0..48),
         gas in 22_000u64..120_000,
     ) {
         let w = world_with(code);

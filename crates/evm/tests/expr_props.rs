@@ -8,8 +8,8 @@ use bp_evm::asm::Asm;
 use bp_evm::opcode::Op;
 use bp_evm::{BlockEnv, BufferedHost, Frame, WorldView};
 use bp_state::WorldState;
+use bp_testkit::prelude::*;
 use bp_types::{Address, U256};
-use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Expr {

@@ -30,9 +30,8 @@ use bp_block::Block;
 use bp_evm::BlockEnv;
 use bp_state::WorldState;
 use bp_store::Store;
-use bp_types::{BlockHash, Height, H256};
+use bp_types::{BlockHash, Height, Rng, H256};
 use bp_workload::{WorkloadConfig, WorkloadGen};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Network-simulation parameters.
 #[derive(Clone, Debug)]
@@ -90,7 +89,7 @@ impl Default for NetConfig {
 /// the `bp-node` process-local harness interprets the same draws as
 /// microseconds of real sleep, giving both the same `NetConfig`-style knob.
 pub struct LinkDelays {
-    rngs: Vec<StdRng>,
+    rngs: Vec<Rng>,
     range: std::ops::Range<u64>,
 }
 
@@ -98,7 +97,7 @@ impl LinkDelays {
     /// A sampler for `links` independent links drawing from `range`.
     pub fn new(links: usize, range: std::ops::Range<u64>, seed: u64) -> Self {
         let rngs = (0..links as u64)
-            .map(|i| StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1)))
+            .map(|i| Rng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1)))
             .collect();
         LinkDelays { rngs, range }
     }
@@ -308,7 +307,7 @@ fn build_chain(config: &NetConfig) -> ChainPlan {
 pub fn run_network(config: NetConfig) -> SimReport {
     assert!(config.nodes >= 1);
     assert!(config.heights >= 1);
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let plan = build_chain(&config);
 
     let nodes: Vec<Validator> = (0..config.nodes)

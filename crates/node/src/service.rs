@@ -36,7 +36,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -45,12 +45,13 @@ use blockpilot_core::{
 };
 use bp_block::wire::{decode_block, encode_block_into};
 use bp_block::{genesis_header, Block, BlockProfile};
+use bp_concurrent::channel::bounded;
+use bp_concurrent::sync::{Condvar, Mutex};
 use bp_net::LinkDelays;
 use bp_state::WorldState;
 use bp_txpool::TxPool;
 use bp_types::{BlockHash, Height, H256};
 use bp_workload::WorkloadGen;
-use crossbeam::channel::bounded;
 
 use crate::config::{NodeConfig, NodeMode};
 use crate::stats::{micros_since, StageStats};
@@ -89,7 +90,7 @@ impl CommitBoard {
     }
 
     fn record(&self, validator: usize, height: Height) {
-        let mut heights = self.heights.lock().unwrap();
+        let mut heights = self.heights.lock();
         heights[validator] = heights[validator].max(height);
         drop(heights);
         self.advanced.notify_all();
@@ -97,20 +98,14 @@ impl CommitBoard {
 
     /// Blocks until every validator has committed at least `height`.
     fn wait_all_at(&self, height: Height) {
-        let mut heights = self.heights.lock().unwrap();
+        let mut heights = self.heights.lock();
         while heights.iter().any(|&h| h < height) {
-            heights = self.advanced.wait(heights).unwrap();
+            self.advanced.wait(&mut heights);
         }
     }
 
     fn min(&self) -> Height {
-        *self
-            .heights
-            .lock()
-            .unwrap()
-            .iter()
-            .min()
-            .expect("non-empty")
+        *self.heights.lock().iter().min().expect("non-empty")
     }
 }
 

@@ -13,27 +13,7 @@ use std::sync::Arc;
 
 use bp_snap::{test_dir, SnapTree};
 use bp_state::WorldState;
-use bp_types::{AccessKey, Address, H256, U256};
-
-/// xorshift64* (same generator as the oracle test; no crates available).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use bp_types::{AccessKey, Address, Rng, H256, U256};
 
 fn genesis(n: u64) -> WorldState {
     let mut w = WorldState::new();
@@ -55,37 +35,37 @@ fn mutate_block(
     layered: &mut WorldState,
 ) -> HashSet<AccessKey> {
     let mut keys = HashSet::new();
-    for _ in 0..(rng.below(6) + 2) {
-        let addr = Address::from_index(rng.below(24));
-        match rng.below(8) {
+    for _ in 0..rng.gen_range(2..8u64) {
+        let addr = Address::from_index(rng.gen_range(0..24u64));
+        match rng.gen_range(0..8u64) {
             0 | 1 => {
-                let v = U256::from(rng.below(1_000_000));
+                let v = U256::from(rng.gen_range(0..1_000_000u64));
                 resident.set_balance(addr, v);
                 layered.set_balance(addr, v);
                 keys.insert(AccessKey::Balance(addr));
             }
             2 => {
-                let n = rng.below(100);
+                let n = rng.gen_range(0..100u64);
                 resident.set_nonce(addr, n);
                 layered.set_nonce(addr, n);
                 keys.insert(AccessKey::Nonce(addr));
             }
             3 => {
-                let code = vec![rng.below(256) as u8; (rng.below(24) + 1) as usize];
+                let code = vec![rng.gen_range(..); rng.gen_range(1..=24usize)];
                 resident.set_code(addr, code.clone());
                 layered.set_code(addr, code);
                 keys.insert(AccessKey::Code(addr));
             }
             4 => {
                 // Zero write: must clear the slot on both sides identically.
-                let slot = H256::from_low_u64(rng.below(5));
+                let slot = H256::from_low_u64(rng.gen_range(0..5u64));
                 resident.set_storage(addr, slot, U256::ZERO);
                 layered.set_storage(addr, slot, U256::ZERO);
                 keys.insert(AccessKey::Storage(addr, slot));
             }
             _ => {
-                let slot = H256::from_low_u64(rng.below(5));
-                let v = U256::from(rng.below(5000) + 1);
+                let slot = H256::from_low_u64(rng.gen_range(0..5u64));
+                let v = U256::from(rng.gen_range(1..=5000u64));
                 resident.set_storage(addr, slot, v);
                 layered.set_storage(addr, slot, v);
                 keys.insert(AccessKey::Storage(addr, slot));
@@ -117,7 +97,7 @@ fn assert_reads_equal(resident: &WorldState, layered: &WorldState, ctx: &str) {
 }
 
 fn run(seed: u64, dir: Option<&std::path::Path>, blocks: u64, window: usize) {
-    let mut rng = Rng::new(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut resident = genesis(16);
     let genesis_root = resident.state_root();
 

@@ -3,9 +3,9 @@
 //! exactly like a per-root `MapReader` oracle (a plain `HashMap` mirror of
 //! the same deltas).
 //!
-//! proptest is not vendored in this workspace, so the generator is a
-//! hand-rolled xorshift PRNG over fixed seeds — deterministic, replayable
-//! by seed, and byte-for-byte stable across runs. The sequences include
+//! The sequences are drawn from `bp_types::Rng` over fixed seeds —
+//! deterministic, replayable by seed, and byte-for-byte stable across runs.
+//! They include
 //! forked same-height siblings, account/slot deletions, zero-value writes
 //! (which must read back as absent), empty-delta layers, idempotent
 //! re-adds, window flattens that strand loser forks below the new base,
@@ -16,28 +16,7 @@ use std::sync::Arc;
 
 use bp_snap::{test_dir, SnapTree};
 use bp_state::{BaseAccount, MapReader, StateDelta, StateReader};
-use bp_types::{Address, H256, U256};
-
-/// xorshift64* — deterministic, no external crates, good enough spread for
-/// structural fuzzing.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use bp_types::{Address, Rng, H256, U256};
 
 fn root_id(n: u64) -> H256 {
     H256::from_low_u64(0x1000_0000 + n)
@@ -47,10 +26,10 @@ fn root_id(n: u64) -> H256 {
 /// upserts, body deletions, slot deletions, and explicit zero writes.
 fn random_delta(rng: &mut Rng) -> StateDelta {
     let mut d = StateDelta::default();
-    let ops = rng.below(5) + 1;
+    let ops = rng.gen_range(1..=5u64);
     for _ in 0..ops {
-        let addr = Address::from_index(rng.below(8));
-        match rng.below(10) {
+        let addr = Address::from_index(rng.gen_range(0..8u64));
+        match rng.gen_range(0..10u64) {
             0 => {
                 d.accounts.insert(addr, None);
             }
@@ -58,8 +37,8 @@ fn random_delta(rng: &mut Rng) -> StateDelta {
                 d.accounts.insert(
                     addr,
                     Some(BaseAccount {
-                        nonce: rng.below(50),
-                        balance: U256::from(rng.below(1_000_000)),
+                        nonce: rng.gen_range(0..50u64),
+                        balance: U256::from(rng.gen_range(0..1_000_000u64)),
                         code: Arc::new(Vec::new()),
                     }),
                 );
@@ -68,19 +47,19 @@ fn random_delta(rng: &mut Rng) -> StateDelta {
                 d.storage
                     .entry(addr)
                     .or_default()
-                    .insert(H256::from_low_u64(rng.below(6)), None);
+                    .insert(H256::from_low_u64(rng.gen_range(0..6u64)), None);
             }
             6 => {
                 // An explicit zero write must behave exactly like a delete.
                 d.storage
                     .entry(addr)
                     .or_default()
-                    .insert(H256::from_low_u64(rng.below(6)), Some(U256::ZERO));
+                    .insert(H256::from_low_u64(rng.gen_range(0..6u64)), Some(U256::ZERO));
             }
             _ => {
                 d.storage.entry(addr).or_default().insert(
-                    H256::from_low_u64(rng.below(6)),
-                    Some(U256::from(rng.below(9999) + 1)),
+                    H256::from_low_u64(rng.gen_range(0..6u64)),
+                    Some(U256::from(rng.gen_range(1..=9999u64))),
                 );
             }
         }
@@ -209,7 +188,7 @@ fn check(tree: &SnapTree, model: &Model, ctx: &str) {
 /// One full random run against `tree`; `dir` enables reopen-from-disk
 /// crash-free restarts between operations when present.
 fn run_sequence(seed: u64, dir: Option<&std::path::Path>) {
-    let mut rng = Rng::new(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut next_root = 1u64;
 
     let tree = match dir {
@@ -240,11 +219,11 @@ fn run_sequence(seed: u64, dir: Option<&std::path::Path>) {
     for step in 0..70u64 {
         let ctx = format!("seed {seed} step {step}");
         let live = model.live_roots();
-        match rng.below(10) {
+        match rng.gen_range(0..10u64) {
             // Flatten: random live head, random window.
             0 | 1 => {
-                let head = live[rng.below(live.len() as u64) as usize];
-                let keep = rng.below(3) as usize;
+                let head = live[rng.gen_range(0..live.len())];
+                let keep = rng.gen_range(0..3usize);
                 tree.retain(head, keep)
                     .unwrap_or_else(|e| panic!("{ctx}: retain({head:?}, {keep}) failed: {e}"));
                 model.retain(head, keep);
@@ -252,7 +231,7 @@ fn run_sequence(seed: u64, dir: Option<&std::path::Path>) {
             // Idempotent re-add of a known root must be a no-op.
             2 if !model.parents.is_empty() => {
                 let known: Vec<H256> = model.parents.keys().copied().collect();
-                let victim = known[rng.below(known.len() as u64) as usize];
+                let victim = known[rng.gen_range(0..known.len())];
                 let parent = model.parents[&victim];
                 let h = model.heights[&victim];
                 let added = tree
@@ -263,10 +242,10 @@ fn run_sequence(seed: u64, dir: Option<&std::path::Path>) {
             // Commit a child of a random live root — picking non-tip
             // parents naturally produces forked same-height siblings.
             _ => {
-                let parent = live[rng.below(live.len() as u64) as usize];
+                let parent = live[rng.gen_range(0..live.len())];
                 let root = root_id(next_root);
                 next_root += 1;
-                let delta = if rng.below(12) == 0 {
+                let delta = if rng.gen_range(0..12u64) == 0 {
                     StateDelta::default() // empty block
                 } else {
                     random_delta(&mut rng)
@@ -282,7 +261,7 @@ fn run_sequence(seed: u64, dir: Option<&std::path::Path>) {
 
         // File mode: periodically drop everything and recover from disk.
         if let Some(d) = dir {
-            if rng.below(7) == 0 {
+            if rng.gen_range(0..7u64) == 0 {
                 drop(tree);
                 tree = SnapTree::open(d).unwrap();
                 check(&tree, &model, &format!("{ctx} (reopened)"));

@@ -23,9 +23,9 @@
 
 use std::sync::Arc;
 
+use bp_concurrent::sync::Mutex;
 use bp_concurrent::ShardedMap;
 use bp_types::{AccessKey, Address, WriteSet, U256};
-use parking_lot::Mutex;
 
 use crate::world::WorldState;
 

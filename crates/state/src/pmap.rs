@@ -541,6 +541,7 @@ impl<K, V> PMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_types::Rng;
     use std::collections::HashMap;
     use std::hash::Hasher;
 
@@ -566,14 +567,6 @@ mod tests {
             .filter(|&hashed| hash_of(&Key { hashed, id: 0 }) & mask == target)
             .take(count)
             .collect()
-    }
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     fn assert_same(map: &PMap<Key, u64>, model: &HashMap<Key, u64>) {
@@ -633,16 +626,16 @@ mod tests {
             .collect();
 
         for seed in 0..24u64 {
-            let mut rng = seed;
+            let mut rng = Rng::seed_from_u64(seed);
             // Forks alive at once, each with its model; retired snapshots
             // must keep reading what they read when taken.
             let mut forks: Vec<(PMap<Key, u64>, HashMap<Key, u64>)> =
                 vec![(PMap::new(), HashMap::new())];
             let mut snapshots: Vec<(PMap<Key, u64>, HashMap<Key, u64>)> = Vec::new();
             for step in 0..600 {
-                let which = splitmix(&mut rng) as usize % forks.len();
-                let key = keys[splitmix(&mut rng) as usize % keys.len()];
-                match splitmix(&mut rng) % 16 {
+                let which = rng.gen_range(0..forks.len());
+                let key = keys[rng.gen_range(0..keys.len())];
+                match rng.gen_range(0..16) {
                     0..=7 => {
                         let (map, model) = &mut forks[which];
                         assert_eq!(map.insert(key, step), model.insert(key, step));

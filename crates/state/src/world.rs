@@ -36,8 +36,9 @@
 //! incremental-root machinery works identically whether state is resident
 //! or base-backed.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
+use bp_concurrent::sync::Mutex;
 use bp_crypto::{keccak256, keccak256_batch};
 use bp_types::{AccessKey, Address, WriteSet, H256, U256};
 // Dirty tracking and the from-scratch oracle's scratch maps are Fx-hashed:
@@ -161,7 +162,7 @@ impl Clone for WorldState {
     /// and the retained commit tries are shared by pointer until either side
     /// writes; only the not-yet-committed dirty set is copied.
     fn clone(&self) -> Self {
-        let tracker = self.tracker.lock().unwrap_or_else(PoisonError::into_inner);
+        let tracker = self.tracker.lock();
         WorldState {
             accounts: self.accounts.clone(),
             base: self.base.clone(),
@@ -225,10 +226,7 @@ impl WorldState {
         let commit = self.refresh();
         self.accounts = PMap::new();
         self.base = Some(base);
-        let tracker = self
-            .tracker
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
+        let tracker = self.tracker.get_mut();
         tracker.dirty = HashMap::default();
         tracker.commit = Some(commit);
     }
@@ -263,7 +261,6 @@ impl WorldState {
     pub fn account_mut(&mut self, addr: Address) -> &mut AccountState {
         self.tracker
             .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
             .dirty
             .insert(addr, DirtyAccount::Full);
         materialize(&mut self.accounts, self.base.as_deref(), addr)
@@ -274,7 +271,6 @@ impl WorldState {
     fn body_mut(&mut self, addr: Address) -> &mut AccountState {
         self.tracker
             .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
             .dirty
             .entry(addr)
             .or_insert_with(|| DirtyAccount::Slots(HashSet::default()));
@@ -341,10 +337,7 @@ impl WorldState {
     /// except over a base, where the zero is kept as an explicit tombstone
     /// so the overlay shadows the base's value instead of re-exposing it.
     pub fn set_storage(&mut self, addr: Address, key: H256, value: U256) {
-        let tracker = self
-            .tracker
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
+        let tracker = self.tracker.get_mut();
         match tracker
             .dirty
             .entry(addr)
@@ -637,7 +630,7 @@ impl WorldState {
     /// Brings the retained commit up to date with all dirty accounts and
     /// returns it.
     fn refresh(&self) -> Arc<WorldCommit> {
-        let mut tracker = self.tracker.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut tracker = self.tracker.lock();
         // The dirty set is taken, not drained: a drained table keeps its
         // capacity, and every snapshot of this world from then on would
         // copy a table the size of the largest batch it ever saw (a
@@ -1557,7 +1550,7 @@ mod tests {
         // A hash table emptied in place keeps its buckets, and a clone of
         // it allocates as many: the dirty set of a committed world must be
         // a new table, whichever way the commit came about.
-        let dirty_capacity = |w: &WorldState| w.tracker.lock().unwrap().dirty.capacity();
+        let dirty_capacity = |w: &WorldState| w.tracker.lock().dirty.capacity();
         let mut w = WorldState::new();
         for i in 0..5_000u64 {
             w.set_balance(addr(i), U256::from(i + 1));

@@ -15,8 +15,8 @@ use std::collections::{BTreeMap, HashMap};
 use bp_crypto::{keccak256, rlp};
 use bp_state::trie::Trie;
 use bp_state::{Account, WorldState};
+use bp_testkit::prelude::*;
 use bp_types::{Address, H256, U256};
-use proptest::prelude::*;
 
 type Batch = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 

@@ -9,8 +9,8 @@ use std::collections::HashMap;
 
 use bp_state::trie::Trie;
 use bp_state::WorldState;
+use bp_testkit::prelude::*;
 use bp_types::{Address, H256, U256};
-use proptest::prelude::*;
 
 /// A batch of trie updates: `Some` inserts, `None` removes. Keys collide
 /// freely across batches (that's the interesting case) but are deduped

@@ -6,9 +6,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 
 use bp_state::PMap;
+use bp_testkit::prelude::*;
 use bp_types::FxBuildHasher;
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
 /// A key whose hash the test controls: only `hashed` is fed to the hasher,
 /// so keys differing in `id` alone collide in all 64 bits.

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use bp_state::trie::{verify_proof, Trie};
-use proptest::prelude::*;
+use bp_testkit::prelude::*;
 
 fn arb_pairs() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
     prop::collection::vec(

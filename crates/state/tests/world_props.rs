@@ -3,8 +3,8 @@
 //! properties OCC-WSI relies on (disjoint write sets commute).
 
 use bp_state::WorldState;
+use bp_testkit::prelude::*;
 use bp_types::{AccessKey, Address, WriteSet, H256, U256};
-use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Mutation {

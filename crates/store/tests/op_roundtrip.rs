@@ -9,8 +9,8 @@ use bp_block::{encode_block, genesis_header, Block, BlockProfile};
 use bp_state::{Trie, WorldState};
 use bp_store::store::test_dir;
 use bp_store::{Store, StoreError};
+use bp_testkit::prelude::*;
 use bp_types::{Address, BlockHash, H256, U256};
-use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -60,7 +60,10 @@ fn fixture_blocks() -> Vec<Block> {
     blocks
 }
 
-fn fixture_tries() -> Vec<(H256, Vec<(H256, Vec<u8>)>)> {
+/// A trie's root and its `(hash, node)` pairs.
+type TrieNodes = (H256, Vec<(H256, Vec<u8>)>);
+
+fn fixture_tries() -> Vec<TrieNodes> {
     (0..TRIES as u8)
         .map(|i| {
             let mut t = Trie::new();

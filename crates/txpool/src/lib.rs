@@ -36,9 +36,9 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::time::{Duration, Instant};
 
+use bp_concurrent::sync::{Condvar, Mutex, MutexGuard};
 use bp_evm::Transaction;
 use bp_types::{Address, FxHashMap, TxHash};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Heap entry ordering: higher gas price first, then arrival sequence for a
 /// stable total order.
@@ -989,8 +989,7 @@ mod tests {
     /// and the promotion of the next nonce by the turn that retires one.
     #[test]
     fn stress_random_turns_match_a_sequential_reference() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use bp_types::Rng;
         use std::collections::HashSet;
 
         const LIMIT: usize = 24;
@@ -1005,7 +1004,7 @@ mod tests {
         }
 
         for seed in 0..8u64 {
-            let mut rng = StdRng::seed_from_u64(0x7001 + seed);
+            let mut rng = Rng::seed_from_u64(0x7001 + seed);
             let pool = TxPool::with_capacity_limit(LIMIT);
             let mut model = Model {
                 limit: LIMIT,

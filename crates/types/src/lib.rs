@@ -18,15 +18,19 @@
 //!   proposer and the validator scheduler: a balance, nonce, storage slot or
 //!   code entry of some account.
 //! * [`Gas`] and related newtypes.
+//! * [`Rng`] — the seeded generator behind every synthetic workload and
+//!   randomized test.
 
 #![warn(missing_docs)]
 
 pub mod fxhash;
 pub mod keys;
 pub mod primitives;
+pub mod rng;
 pub mod u256;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use keys::{AccessKey, ReadSet, RwSet, WriteSet};
 pub use primitives::{Address, BlockHash, Gas, Height, Nonce, TxHash, H256};
+pub use rng::Rng;
 pub use u256::U256;

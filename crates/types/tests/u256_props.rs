@@ -1,7 +1,7 @@
 //! Property-based tests for U256 arithmetic laws.
 
+use bp_testkit::prelude::*;
 use bp_types::U256;
-use proptest::prelude::*;
 
 fn arb_u256() -> impl Strategy<Value = U256> {
     // Mix of full-range values and small/structured ones so carries, borrows

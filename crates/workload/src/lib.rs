@@ -22,8 +22,7 @@ pub mod zipf;
 
 use bp_evm::{contracts, BlockEnv, Transaction};
 use bp_state::WorldState;
-use bp_types::{Address, Gas, U256};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use bp_types::{Address, Gas, Rng, U256};
 
 pub use zipf::Zipf;
 
@@ -132,7 +131,7 @@ const AMM_RESERVE: u64 = 1_000_000_000_000;
 /// A deterministic block-stream generator.
 pub struct WorkloadGen {
     config: WorkloadConfig,
-    rng: StdRng,
+    rng: Rng,
     nonces: Vec<u64>,
     acct_dist: Zipf,
     token_dist: Zipf,
@@ -146,7 +145,7 @@ impl WorkloadGen {
         assert!(config.accounts >= 2);
         assert!(config.tokens >= 1);
         assert!(config.amm_pairs >= 1);
-        let rng = StdRng::seed_from_u64(config.seed);
+        let rng = Rng::seed_from_u64(config.seed);
         WorkloadGen {
             acct_dist: Zipf::new(config.accounts, config.zipf_accounts),
             token_dist: Zipf::new(config.tokens, config.zipf_contracts),
@@ -253,7 +252,7 @@ impl WorkloadGen {
         let p_amm = mix.amm / total;
         let p_blind = mix.blind / total;
         for _ in 0..count {
-            let roll: f64 = self.rng.gen();
+            let roll = self.rng.gen_f64();
             let tx = if roll < p_transfer {
                 self.gen_transfer()
             } else if roll < p_transfer + p_token {
@@ -365,6 +364,26 @@ pub const TYPICAL_TX_GAS: Gas = 60_000;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The benchmark's transactions are a function of the generator's
+    /// stream, its range mapping and the order this file draws in. The
+    /// constant was computed at the parent of the commit that moved the
+    /// generator in-tree, against `benchmark/stubs/rand`: if it changes, the
+    /// numbers before and after are measured on different inputs.
+    #[test]
+    fn benchmark_stream_is_pinned() {
+        let mut gen = WorkloadGen::new(WorkloadConfig {
+            // `mainnet_mix` at the benchmark's `--seed 1`.
+            seed: 1u64.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xB10C_9107,
+            ..WorkloadConfig::default()
+        });
+        let txs: Vec<Transaction> = (0..3).flat_map(|_| gen.next_block_txs()).collect();
+        assert_eq!(txs.len(), 437);
+        assert_eq!(
+            format!("{:?}", bp_block::tx_root(&txs)),
+            "0x929c66da1a95708c4f71e370f13cf771def2b827a5522f0f1381cbd6b95140aa"
+        );
+    }
 
     #[test]
     fn deterministic_given_seed() {

@@ -5,7 +5,7 @@
 //! paper's §5.5). The workload generator draws senders, recipients and
 //! contracts from this distribution.
 
-use rand::Rng;
+use bp_types::Rng;
 
 /// Inverse-CDF Zipf sampler: `P(k) ∝ 1 / (k+1)^s`.
 #[derive(Clone, Debug)]
@@ -32,8 +32,8 @@ impl Zipf {
     }
 
     /// Draws one rank.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let u = rng.gen_f64();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 
@@ -51,10 +51,9 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{rngs::StdRng, SeedableRng};
 
     fn histogram(zipf: &Zipf, draws: usize) -> Vec<usize> {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         let mut counts = vec![0usize; zipf.len()];
         for _ in 0..draws {
             counts[zipf.sample(&mut rng)] += 1;
@@ -65,7 +64,7 @@ mod tests {
     #[test]
     fn all_samples_in_range() {
         let z = Zipf::new(10, 1.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         for _ in 0..1000 {
             assert!(z.sample(&mut rng) < 10);
         }
@@ -93,7 +92,7 @@ mod tests {
     #[test]
     fn single_element_domain() {
         let z = Zipf::new(1, 1.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         assert_eq!(z.sample(&mut rng), 0);
     }
 

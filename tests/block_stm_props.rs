@@ -19,7 +19,7 @@ use blockpilot::core::{OccWsiConfig, Proposal, Proposer, ProposerAlgo};
 use blockpilot::evm::{contracts, BlockEnv, Transaction};
 use blockpilot::state::WorldState;
 use blockpilot::types::{Address, BlockHash, U256};
-use proptest::prelude::*;
+use bp_testkit::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Action {

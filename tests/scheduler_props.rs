@@ -18,7 +18,7 @@ use blockpilot::evm::{BlockEnv, Transaction};
 use blockpilot::state::WorldState;
 use blockpilot::txpool::TxPool;
 use blockpilot::types::{AccessKey, Address, BlockHash, RwSet, H256, U256};
-use proptest::prelude::*;
+use bp_testkit::prelude::*;
 
 /// A compact footprint description: which abstract keys each tx reads and
 /// writes, plus its gas.
@@ -33,7 +33,7 @@ fn key(id: u8) -> AccessKey {
     // Spread keys over both accounts and slots so both granularities are
     // exercised: even ids are balances, odd ids are storage slots grouped
     // four-per-contract.
-    if id % 2 == 0 {
+    if id.is_multiple_of(2) {
         AccessKey::Balance(Address::from_index(id as u64))
     } else {
         AccessKey::Storage(

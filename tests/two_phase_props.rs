@@ -15,7 +15,7 @@ use blockpilot::evm::{contracts, BlockEnv, Transaction};
 use blockpilot::state::WorldState;
 use blockpilot::txpool::TxPool;
 use blockpilot::types::{Address, BlockHash, U256};
-use proptest::prelude::*;
+use bp_testkit::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Action {

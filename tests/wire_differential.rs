@@ -21,7 +21,7 @@ use blockpilot::block::wire::reference;
 use blockpilot::block::{decode_block, encode_block, Block};
 use blockpilot::core::{OccWsiConfig, OccWsiProposer};
 use blockpilot::txpool::TxPool;
-use blockpilot::types::BlockHash;
+use blockpilot::types::{BlockHash, Rng};
 use blockpilot::workload::{TxMix, WorkloadConfig, WorkloadGen};
 
 /// The benchmark's three workloads (`benchmark/src/workloads.rs`), at a
@@ -88,23 +88,6 @@ fn propose_chain(config: WorkloadConfig, blocks: u64) -> Vec<Block> {
         .collect()
 }
 
-/// splitmix64: the mutations are a function of the seed alone.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
 /// Bytes that mean something to an RLP reader: the edges of every prefix
 /// range, small lengths, zero.
 const LOADED: [u8; 16] = [
@@ -115,16 +98,16 @@ const LOADED: [u8; 16] = [
 /// insert, delete, truncate, or a copy of one span over another.
 fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
     if bytes.is_empty() {
-        bytes.push(rng.next() as u8);
+        bytes.push(rng.gen_range(..));
         return;
     }
-    let at = rng.below(bytes.len());
-    match rng.below(16) {
-        0..=4 => bytes[at] ^= 1 << rng.below(8),
-        5..=6 => bytes[at] = rng.next() as u8,
-        7..=8 => bytes[at] = LOADED[rng.below(LOADED.len())],
-        9 => bytes.insert(at, rng.next() as u8),
-        10 => bytes.insert(at, LOADED[rng.below(LOADED.len())]),
+    let at = rng.gen_range(0..bytes.len());
+    match rng.gen_range(0..16) {
+        0..=4 => bytes[at] ^= 1 << rng.gen_range(0..8),
+        5..=6 => bytes[at] = rng.gen_range(..),
+        7..=8 => bytes[at] = LOADED[rng.gen_range(0..LOADED.len())],
+        9 => bytes.insert(at, rng.gen_range(..)),
+        10 => bytes.insert(at, LOADED[rng.gen_range(0..LOADED.len())]),
         11..=12 => {
             bytes.remove(at);
         }
@@ -132,8 +115,8 @@ fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
         _ => {
             // Copy a span elsewhere: moves whole well-formed items around
             // (a key over its neighbour, a pair over the next).
-            let len = 1 + rng.below(80.min(bytes.len() - at));
-            let to = rng.below(bytes.len() - len + 1);
+            let len = rng.gen_range(1..=80.min(bytes.len() - at));
+            let to = rng.gen_range(0..bytes.len() - len + 1);
             bytes.copy_within(at..at + len, to);
         }
     }
@@ -191,14 +174,14 @@ fn streaming_and_reference_decoders_agree_on_100k_mutations() {
             check(&pristine, &mut tally, &|| format!("{name}/{b} pristine"));
             assert_eq!(tally.both_accept, 1);
 
-            let mut rng = Rng(0xD1FF ^ ((shape as u64) << 32) ^ b as u64);
+            let mut rng = Rng::seed_from_u64(0xD1FF ^ ((shape as u64) << 32) ^ b as u64);
             let mut mutated = Vec::with_capacity(pristine.len() + 8);
             for m in 0..MUTATIONS_PER_BLOCK {
                 mutated.clear();
                 mutated.extend_from_slice(&pristine);
                 // Mostly single edits (they reach deepest before the first
                 // error); some stacked, so one edit can repair another.
-                let edits = 1 + rng.below(8).saturating_sub(5);
+                let edits = 1 + rng.gen_range(0..8usize).saturating_sub(5);
                 for _ in 0..edits {
                     mutate(&mut mutated, &mut rng);
                 }

@@ -13,7 +13,7 @@ use blockpilot::evm::Transaction;
 use blockpilot::txpool::TxPool;
 use blockpilot::types::{AccessKey, Address, BlockHash, H256, U256};
 use blockpilot::workload::{TxMix, WorkloadConfig, WorkloadGen};
-use proptest::prelude::*;
+use bp_testkit::prelude::*;
 
 fn arb_u64() -> impl Strategy<Value = u64> {
     // Every encoded width, the one-byte forms on both sides of 0x80 included.
