@@ -14,10 +14,7 @@
 
 use blockpilot_core::scheduler::{ConflictGranularity, Scheduler};
 use bp_bench::{block_count, generate_fixtures, mean, modeled};
-use bp_sim::{
-    simulate_proposer_block_stm, simulate_proposer_with_rule, simulate_validator, CostModel,
-    ValidationRule,
-};
+use bp_sim::{simulate_validator, CostModel};
 use bp_workload::{TxMix, WorkloadConfig};
 
 fn main() {
@@ -95,61 +92,6 @@ fn main() {
             bucket.len(),
             mean(&bucket),
             paper_trend[i]
-        );
-    }
-
-    // Proposer engines under the same hotspot axis: OCC-WSI retries into
-    // the hot key while Block-STM suspends on ESTIMATE markers, so the gap
-    // opens as the largest subgraph approaches the whole block.
-    modeled!("\nproposer engines along the hotspot axis (gas-time, 16 threads):");
-    modeled!(
-        "{:>12} {:>14} {:>14} {:>8} | aborts/blk {:>8} {:>8}",
-        "regime",
-        "occ-wsi",
-        "block-stm",
-        "ratio",
-        "occ",
-        "stm"
-    );
-    let regimes: [(&str, WorkloadConfig); 3] = [
-        (
-            "uniform",
-            WorkloadConfig {
-                zipf_accounts: 0.0,
-                zipf_contracts: 0.0,
-                ..WorkloadConfig::default()
-            },
-        ),
-        ("zipf", WorkloadConfig::default()),
-        ("mint-storm", WorkloadConfig::nft_mint_storm()),
-    ];
-    for (name, config) in regimes {
-        let fixtures = generate_fixtures(config, per_setting.min(8));
-        let mut occ = Vec::new();
-        let mut stm = Vec::new();
-        let (mut occ_aborts, mut stm_aborts) = (0u64, 0u64);
-        for f in &fixtures {
-            let o = simulate_proposer_with_rule(
-                &f.pre_state,
-                &f.env,
-                &f.txs,
-                16,
-                &model,
-                ValidationRule::Wsi,
-            );
-            let s = simulate_proposer_block_stm(&f.pre_state, &f.env, &f.txs, 16, &model);
-            occ.push(o.speedup);
-            stm.push(s.speedup);
-            occ_aborts += o.aborts;
-            stm_aborts += s.aborts;
-        }
-        modeled!(
-            "{name:>12} {:>13.2}x {:>13.2}x {:>7.2}x | {:>19.1} {:>8.1}",
-            mean(&occ),
-            mean(&stm),
-            mean(&stm) / mean(&occ),
-            occ_aborts as f64 / fixtures.len() as f64,
-            stm_aborts as f64 / fixtures.len() as f64,
         );
     }
 }

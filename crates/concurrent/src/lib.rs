@@ -19,7 +19,6 @@ pub mod latch;
 pub mod reserve;
 pub mod sharded;
 pub mod slots;
-pub mod stm_scheduler;
 pub mod sync;
 pub mod version;
 
@@ -27,5 +26,4 @@ pub use latch::{RootLatch, VersionGate};
 pub use reserve::ReserveTable;
 pub use sharded::ShardedMap;
 pub use slots::ResultSlots;
-pub use stm_scheduler::{StmScheduler, StmTask};
 pub use version::VersionAllocator;

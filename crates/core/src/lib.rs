@@ -14,14 +14,12 @@
 
 #![warn(missing_docs)]
 
-pub mod block_stm;
 pub mod occ_wsi;
 pub mod pipeline;
 pub mod proposer;
 pub mod scheduler;
 pub mod validator;
 
-pub use block_stm::{BlockStmProposer, ProposerAlgo};
 pub use occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal, ProposerStats, WorkerStats};
 pub use pipeline::{
     PipelineConfig, StageTimings, ValidationError, ValidationHandle, ValidationOutcome,

@@ -98,10 +98,6 @@ pub struct OccWsiConfig {
     pub env: BlockEnv,
     /// Optional ceiling on transactions per block (0 = unlimited).
     pub max_txs: usize,
-    /// Which execution engine a [`crate::Proposer`] built from this config
-    /// runs (OCC-WSI by default; Block-STM for the A/B). Ignored by a
-    /// directly-constructed [`OccWsiProposer`].
-    pub algo: crate::block_stm::ProposerAlgo,
 }
 
 impl Default for OccWsiConfig {
@@ -114,7 +110,6 @@ impl Default for OccWsiConfig {
             gas_limit: 30_000_000,
             env: BlockEnv::default(),
             max_txs: 0,
-            algo: crate::block_stm::ProposerAlgo::default(),
         }
     }
 }
@@ -140,19 +135,15 @@ pub struct ProposerStats {
     /// Optimistic executions that failed WSI validation and were re-queued.
     pub aborts: u64,
     /// Aborts hit on a transaction's *first* execution attempt (the
-    /// first-vs-retry split attributes wasted work in the engine A/B: a
-    /// first abort is the unavoidable discovery of a conflict, a retry
-    /// abort is the same transaction thrashing).
+    /// first-vs-retry split attributes wasted work: a first abort is the
+    /// unavoidable discovery of a conflict, a retry abort is the same
+    /// transaction thrashing).
     pub first_aborts: u64,
     /// Aborts hit on second and later attempts of the same transaction.
     pub retry_aborts: u64,
-    /// Read-set validation failures (OCC-WSI: stale-read aborts; Block-STM:
-    /// validation-task aborts). Excludes future-nonce retries.
+    /// Read-set validation failures (stale-read aborts). Excludes
+    /// future-nonce retries.
     pub validation_failures: u64,
-    /// Block-STM only: executions and validations that landed on an
-    /// ESTIMATE marker and deferred to the blocking writer (0 for OCC-WSI,
-    /// which has no dependency estimation).
-    pub wait_on_estimate: u64,
     /// Transactions discarded as permanently invalid (bad nonce, no funds).
     pub discarded: u64,
     /// Total executions (committed + aborted + discarded attempts).
@@ -463,7 +454,6 @@ impl OccWsiProposer {
                 first_aborts: first_aborts.load(Ordering::Acquire),
                 retry_aborts: retry_aborts.load(Ordering::Acquire),
                 validation_failures: validation_failures.load(Ordering::Acquire),
-                wait_on_estimate: 0,
                 discarded: discarded.load(Ordering::Acquire),
                 executions: executions.load(Ordering::Acquire),
                 wall_micros,
@@ -707,34 +697,43 @@ mod tests {
 
     #[test]
     fn conflicting_counter_calls_all_commit_serializably() {
-        let mut w = funded_world(20);
+        // A 96-deep dependency chain: every call reads the slot the one
+        // committed before it wrote.
+        const SENDERS: u64 = 96;
+        let mut w = funded_world(SENDERS);
         let c = addr(100);
         w.set_code(c, contracts::counter());
         let world = Arc::new(w);
-        let pool = TxPool::new();
-        for i in 1..=8u64 {
-            pool.add(Transaction {
-                sender: addr(i),
-                to: Some(c),
-                value: U256::ZERO,
-                nonce: 0,
-                gas_limit: 200_000,
-                gas_price: 1,
-                data: vec![],
-            });
+        for threads in [2, 4, 8, 16] {
+            let pool = TxPool::new();
+            for i in 1..=SENDERS {
+                pool.add(Transaction {
+                    sender: addr(i),
+                    to: Some(c),
+                    value: U256::ZERO,
+                    nonce: 0,
+                    gas_limit: 200_000,
+                    gas_price: 1,
+                    data: vec![],
+                });
+            }
+            let p = proposer(threads);
+            let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
+            assert_eq!(
+                proposal.block.tx_count() as u64,
+                SENDERS,
+                "{threads} threads"
+            );
+            // The counter must reach exactly 96: lost updates would show here.
+            assert_eq!(
+                proposal
+                    .post_state
+                    .storage(&c, &bp_types::H256::from_low_u64(0)),
+                U256::from(SENDERS)
+            );
+            let replay = serial_replay(&proposal.block, &world, &p.config.env);
+            assert_eq!(replay.state_root(), proposal.post_state.state_root());
         }
-        let p = proposer(4);
-        let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
-        assert_eq!(proposal.block.tx_count(), 8);
-        // The counter must reach exactly 8: lost updates would show here.
-        assert_eq!(
-            proposal
-                .post_state
-                .storage(&c, &bp_types::H256::from_low_u64(0)),
-            U256::from(8u64)
-        );
-        let replay = serial_replay(&proposal.block, &world, &p.config.env);
-        assert_eq!(replay.state_root(), proposal.post_state.state_root());
     }
 
     #[test]

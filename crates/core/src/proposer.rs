@@ -1,5 +1,4 @@
-//! High-level proposer node: a pending pool plus the selected execution
-//! engine ([`ProposerAlgo`]).
+//! High-level proposer node: a pending pool plus the OCC-WSI engine.
 
 use std::sync::Arc;
 
@@ -8,32 +7,20 @@ use bp_state::WorldState;
 use bp_txpool::TxPool;
 use bp_types::{BlockHash, Height};
 
-use crate::block_stm::{BlockStmProposer, ProposerAlgo};
 use crate::occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal};
 
-/// The engine behind a [`Proposer`], chosen by [`OccWsiConfig::algo`].
-enum Engine {
-    Occ(OccWsiProposer),
-    Stm(BlockStmProposer),
-}
-
 /// A proposer node: clients submit transactions, the node packs blocks
-/// through the configured engine (OCC-WSI or Block-STM).
+/// through the OCC-WSI engine.
 pub struct Proposer {
-    engine: Engine,
+    engine: OccWsiProposer,
     pool: Arc<TxPool>,
 }
 
 impl Proposer {
-    /// A proposer with a fresh pending pool, running the engine named by
-    /// `config.algo`.
+    /// A proposer with a fresh pending pool.
     pub fn new(config: OccWsiConfig) -> Self {
-        let engine = match config.algo {
-            ProposerAlgo::OccWsi => Engine::Occ(OccWsiProposer::new(config)),
-            ProposerAlgo::BlockStm => Engine::Stm(BlockStmProposer::new(config)),
-        };
         Proposer {
-            engine,
+            engine: OccWsiProposer::new(config),
             pool: Arc::new(TxPool::new()),
         }
     }
@@ -45,18 +32,7 @@ impl Proposer {
 
     /// The configuration the engine runs with.
     pub fn config(&self) -> &OccWsiConfig {
-        match &self.engine {
-            Engine::Occ(e) => e.config(),
-            Engine::Stm(e) => e.config(),
-        }
-    }
-
-    /// Which engine this proposer packs blocks with.
-    pub fn algo(&self) -> ProposerAlgo {
-        match &self.engine {
-            Engine::Occ(_) => ProposerAlgo::OccWsi,
-            Engine::Stm(_) => ProposerAlgo::BlockStm,
-        }
+        self.engine.config()
     }
 
     /// Accepts a client transaction into the pending pool.
@@ -78,19 +54,13 @@ impl Proposer {
         parent: BlockHash,
         height: Height,
     ) -> Proposal {
-        match &self.engine {
-            Engine::Occ(e) => e.propose(&self.pool, parent_state, parent, height),
-            Engine::Stm(e) => e.propose(&self.pool, parent_state, parent, height),
-        }
+        self.engine
+            .propose(&self.pool, parent_state, parent, height)
     }
 
-    /// The underlying OCC-WSI engine, when that is the configured algorithm
-    /// (for custom pools; `None` under Block-STM).
-    pub fn engine(&self) -> Option<&OccWsiProposer> {
-        match &self.engine {
-            Engine::Occ(e) => Some(e),
-            Engine::Stm(_) => None,
-        }
+    /// The underlying OCC-WSI engine (for custom pools).
+    pub fn engine(&self) -> &OccWsiProposer {
+        &self.engine
     }
 }
 
@@ -101,50 +71,44 @@ mod tests {
 
     #[test]
     fn proposer_drains_pool_into_blocks() {
-        for algo in [ProposerAlgo::OccWsi, ProposerAlgo::BlockStm] {
-            let mut world = WorldState::new();
-            for i in 1..=10u64 {
-                world.set_balance(Address::from_index(i), U256::from(1_000_000u64));
-            }
-            let world = Arc::new(world);
-            let proposer = Proposer::new(OccWsiConfig {
-                threads: 2,
-                algo,
-                ..Default::default()
-            });
-            assert_eq!(proposer.algo(), algo);
-            proposer.submit_transactions((1..=10u64).map(|i| {
-                Transaction::transfer(
-                    Address::from_index(i),
-                    Address::from_index(99),
-                    U256::ONE,
-                    0,
-                    i,
-                )
-            }));
-            assert_eq!(proposer.pool().len(), 10);
-            let proposal = proposer.propose_block(world, BlockHash::ZERO, 1);
-            assert_eq!(proposal.block.tx_count(), 10);
-            assert!(proposer.pool().is_empty());
+        let mut world = WorldState::new();
+        for i in 1..=10u64 {
+            world.set_balance(Address::from_index(i), U256::from(1_000_000u64));
         }
+        let world = Arc::new(world);
+        let proposer = Proposer::new(OccWsiConfig {
+            threads: 2,
+            ..Default::default()
+        });
+        proposer.submit_transactions((1..=10u64).map(|i| {
+            Transaction::transfer(
+                Address::from_index(i),
+                Address::from_index(99),
+                U256::ONE,
+                0,
+                i,
+            )
+        }));
+        assert_eq!(proposer.pool().len(), 10);
+        let proposal = proposer.propose_block(world, BlockHash::ZERO, 1);
+        assert_eq!(proposal.block.tx_count(), 10);
+        assert!(proposer.pool().is_empty());
     }
 
     #[test]
-    fn engines_agree_on_the_state_root_for_the_same_pool() {
+    fn two_thread_counts_agree_on_the_state_root_for_the_same_pool() {
         let mut world = WorldState::new();
         for i in 1..=16u64 {
             world.set_balance(Address::from_index(i), U256::from(1_000_000u64));
         }
         let world = Arc::new(world);
         let mut roots = Vec::new();
-        for algo in [ProposerAlgo::OccWsi, ProposerAlgo::BlockStm] {
+        for threads in [1, 4] {
             let proposer = Proposer::new(OccWsiConfig {
-                threads: 4,
-                algo,
+                threads,
                 ..Default::default()
             });
-            // Distinct gas prices pin a deterministic priority order, and
-            // disjoint transfers make every serializable schedule converge
+            // Disjoint transfers make every serializable schedule converge
             // to the same state.
             proposer.submit_transactions((1..=16u64).map(|i| {
                 Transaction::transfer(

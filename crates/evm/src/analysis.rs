@@ -644,41 +644,33 @@ impl AnalysisCache {
         // Pointer miss: fall back to the content hash.
         let hash = keccak256(code);
         let hshard = &self.hash_shards[hash.0[0] as usize % SHARDS];
-        let (analysis, fresh) = {
-            let guard = hshard.lock();
+        let analysis = {
+            let mut guard = hshard.lock();
             match guard.map.get(&hash) {
-                Some(a) => (Arc::clone(a), false),
+                Some(a) => {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    Arc::clone(a)
+                }
                 None => {
-                    // Analyze outside the lock; a racing duplicate analysis
-                    // is possible and harmless (first insert wins).
-                    drop(guard);
-                    (Arc::new(CodeAnalysis::analyze(Arc::clone(code))), true)
+                    // Analyze under the shard lock: a second thread missing
+                    // the same blob waits here and then hits. `analyze` is
+                    // pure and takes no other lock.
+                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    let analysis = Arc::new(CodeAnalysis::analyze(Arc::clone(code)));
+                    guard.map.insert(hash, Arc::clone(&analysis));
+                    guard.order.push_back(hash);
+                    while guard.map.len() > self.per_shard_cap {
+                        if let Some(old) = guard.order.pop_front() {
+                            guard.map.remove(&old);
+                            self.evictions.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            break;
+                        }
+                    }
+                    analysis
                 }
             }
         };
-        if fresh {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let mut guard = hshard.lock();
-            if let Some(existing) = guard.map.get(&hash) {
-                // Lost the race: adopt the winner so both levels agree.
-                let existing = Arc::clone(existing);
-                drop(guard);
-                self.insert_ptr(pshard, ptr, code, &existing);
-                return existing;
-            }
-            guard.map.insert(hash, Arc::clone(&analysis));
-            guard.order.push_back(hash);
-            while guard.map.len() > self.per_shard_cap {
-                if let Some(old) = guard.order.pop_front() {
-                    guard.map.remove(&old);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    break;
-                }
-            }
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
         self.insert_ptr(pshard, ptr, code, &analysis);
         analysis
     }

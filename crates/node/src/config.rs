@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use blockpilot_core::{PipelineConfig, ProposerAlgo};
+use blockpilot_core::PipelineConfig;
 use bp_store::GroupCommitConfig;
 use bp_types::Gas;
 use bp_workload::WorkloadConfig;
@@ -36,8 +36,6 @@ pub struct NodeConfig {
     pub mode: NodeMode,
     /// Number of heights to propose and commit.
     pub blocks: u64,
-    /// Proposer execution engine.
-    pub engine: ProposerAlgo,
     /// Proposer worker threads.
     pub proposer_threads: usize,
     /// Block gas limit.
@@ -75,7 +73,6 @@ impl Default for NodeConfig {
         NodeConfig {
             mode: NodeMode::Pipelined,
             blocks: 20,
-            engine: ProposerAlgo::OccWsi,
             proposer_threads: 2,
             gas_limit: 30_000_000,
             pipeline: PipelineConfig::default(),

@@ -3,9 +3,9 @@
 //! Every other crate benchmarks one stage in isolation; this crate wires
 //! them into the long-running service the paper actually describes: a
 //! transaction feed filling a capacity-bounded [`bp_txpool::TxPool`], a
-//! proposer (OCC-WSI or Block-STM, per [`blockpilot_core::ProposerAlgo`])
-//! packing blocks against its own chain of post-states, a dedicated wire
-//! codec stage, and `K` validator nodes — each a full
+//! proposer ([`blockpilot_core::OccWsiProposer`]) packing blocks against its
+//! own chain of post-states, a dedicated wire codec stage, and `K`
+//! validator nodes — each a full
 //! [`blockpilot_core::Validator`] with its four-stage pipeline, the first
 //! optionally backed by a persistent [`bp_store::Store`] — all connected by
 //! **bounded channels** so backpressure propagates stage to stage instead

@@ -40,9 +40,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use blockpilot_core::{
-    BlockStmProposer, OccWsiConfig, OccWsiProposer, ProposerAlgo, ValidationHandle, Validator,
-};
+use blockpilot_core::{OccWsiConfig, OccWsiProposer, ValidationHandle, Validator};
 use bp_block::wire::{decode_block, encode_block_into};
 use bp_block::{genesis_header, Block, BlockProfile};
 use bp_concurrent::channel::bounded;
@@ -222,8 +220,6 @@ pub struct Equivalence {
 pub struct NodeReport {
     /// Pacing mode the run used.
     pub mode: NodeMode,
-    /// Proposer engine the run used.
-    pub engine: ProposerAlgo,
     /// Heights committed by every validator.
     pub committed_blocks: u64,
     /// Transactions in the committed canonical chain.
@@ -341,80 +337,73 @@ impl RunningNode {
         };
 
         // --- Proposer stage ----------------------------------------------
-        let proposer =
-            {
-                let pool = Arc::clone(&pool);
-                let stop = Arc::clone(&stop);
-                let board = Arc::clone(&board);
-                let config = config.clone();
-                let envs = WorkloadGen::new(config.workload.clone());
-                let parent_state = Arc::new(genesis_state.clone());
-                std::thread::spawn(move || {
-                    let mut stats = StageStats::default();
-                    let mut aborts = 0u64;
-                    let mut parent_hash = genesis_hash;
-                    let mut parent_state = parent_state;
-                    for height in 1..=config.blocks {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        // Wait for ingest to fill the pool far enough.
-                        let t = Instant::now();
-                        let mut filled = false;
-                        while !filled && !stop.load(Ordering::Acquire) {
-                            filled = pool.wait_for_len(config.min_pool_txs, STOP_CHECK);
-                        }
-                        stats.wait_micros += micros_since(t);
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-
-                        let engine_config = OccWsiConfig {
-                            threads: config.proposer_threads,
-                            gas_limit: config.gas_limit,
-                            env: envs.block_env(height),
-                            max_txs: 0,
-                            algo: config.engine,
-                        };
-                        let t = Instant::now();
-                        let proposal =
-                            match config.engine {
-                                ProposerAlgo::OccWsi => OccWsiProposer::new(engine_config).propose(
-                                    &pool,
-                                    Arc::clone(&parent_state),
-                                    parent_hash,
-                                    height,
-                                ),
-                                ProposerAlgo::BlockStm => BlockStmProposer::new(engine_config)
-                                    .propose(&pool, Arc::clone(&parent_state), parent_hash, height),
-                            };
-                        stats.busy_micros += micros_since(t);
-                        stats.items += 1;
-                        aborts += proposal.stats.aborts;
-
-                        // Chain on our own proposal: the next height packs
-                        // against this post-state while everything downstream
-                        // is still digesting this block.
-                        parent_hash = proposal.block.hash();
-                        parent_state = Arc::new(proposal.post_state);
-
-                        let t = Instant::now();
-                        if codec_tx.send(proposal.block).is_err() {
-                            break; // downstream gone (stop + drain)
-                        }
-                        stats.stall_micros += micros_since(t);
-                        stats.sample_depth(codec_tx.len());
-
-                        if config.mode == NodeMode::LockStep {
-                            let t = Instant::now();
-                            board.wait_all_at(height);
-                            stats.stall_micros += micros_since(t);
-                        }
+        let proposer = {
+            let pool = Arc::clone(&pool);
+            let stop = Arc::clone(&stop);
+            let board = Arc::clone(&board);
+            let config = config.clone();
+            let envs = WorkloadGen::new(config.workload.clone());
+            let parent_state = Arc::new(genesis_state.clone());
+            std::thread::spawn(move || {
+                let mut stats = StageStats::default();
+                let mut aborts = 0u64;
+                let mut parent_hash = genesis_hash;
+                let mut parent_state = parent_state;
+                for height in 1..=config.blocks {
+                    if stop.load(Ordering::Acquire) {
+                        break;
                     }
-                    // Dropping codec_tx here starts the drain cascade.
-                    (stats, aborts)
-                })
-            };
+                    // Wait for ingest to fill the pool far enough.
+                    let t = Instant::now();
+                    let mut filled = false;
+                    while !filled && !stop.load(Ordering::Acquire) {
+                        filled = pool.wait_for_len(config.min_pool_txs, STOP_CHECK);
+                    }
+                    stats.wait_micros += micros_since(t);
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+
+                    let engine_config = OccWsiConfig {
+                        threads: config.proposer_threads,
+                        gas_limit: config.gas_limit,
+                        env: envs.block_env(height),
+                        max_txs: 0,
+                    };
+                    let t = Instant::now();
+                    let proposal = OccWsiProposer::new(engine_config).propose(
+                        &pool,
+                        Arc::clone(&parent_state),
+                        parent_hash,
+                        height,
+                    );
+                    stats.busy_micros += micros_since(t);
+                    stats.items += 1;
+                    aborts += proposal.stats.aborts;
+
+                    // Chain on our own proposal: the next height packs
+                    // against this post-state while everything downstream
+                    // is still digesting this block.
+                    parent_hash = proposal.block.hash();
+                    parent_state = Arc::new(proposal.post_state);
+
+                    let t = Instant::now();
+                    if codec_tx.send(proposal.block).is_err() {
+                        break; // downstream gone (stop + drain)
+                    }
+                    stats.stall_micros += micros_since(t);
+                    stats.sample_depth(codec_tx.len());
+
+                    if config.mode == NodeMode::LockStep {
+                        let t = Instant::now();
+                        board.wait_all_at(height);
+                        stats.stall_micros += micros_since(t);
+                    }
+                }
+                // Dropping codec_tx here starts the drain cascade.
+                (stats, aborts)
+            })
+        };
 
         // --- Codec stage --------------------------------------------------
         let codec = {
@@ -605,7 +594,6 @@ impl RunningNode {
 
         NodeReport {
             mode: config.mode,
-            engine: config.engine,
             committed_blocks,
             committed_txs,
             wall_micros,

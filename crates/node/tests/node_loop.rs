@@ -1,8 +1,8 @@
-//! End-to-end tests of the streaming node loop: equivalence across engines
-//! and modes, bounded-channel backpressure, clean mid-stream shutdown with
-//! store agreement, and multi-validator convergence.
+//! End-to-end tests of the streaming node loop: equivalence across modes,
+//! bounded-channel backpressure, clean mid-stream shutdown with store
+//! agreement, and multi-validator convergence.
 
-use blockpilot_core::{PipelineConfig, ProposerAlgo, Validator};
+use blockpilot_core::{PipelineConfig, Validator};
 use bp_node::{run_node, NodeConfig, NodeMode, RunningNode, CHANNEL_DEPTH};
 use bp_workload::{WorkloadConfig, WorkloadGen};
 
@@ -34,22 +34,17 @@ fn small_config() -> NodeConfig {
 
 #[test]
 fn pipelined_loop_commits_and_matches_serial_replay() {
-    for engine in [ProposerAlgo::OccWsi, ProposerAlgo::BlockStm] {
-        let report = run_node(NodeConfig {
-            engine,
-            ..small_config()
-        });
-        assert_eq!(report.committed_blocks, 5, "{engine:?}");
-        assert!(report.committed_txs > 0, "{engine:?}");
-        assert_eq!(report.validation_failures, 0, "{engine:?}");
-        let eq = report.equivalence.as_ref().expect("gate ran");
-        assert!(
-            eq.ok,
-            "{engine:?}: serial {:?} != node {:?}",
-            eq.serial_root, eq.node_root
-        );
-        assert!(report.healthy(), "{engine:?}");
-    }
+    let report = run_node(small_config());
+    assert_eq!(report.committed_blocks, 5);
+    assert!(report.committed_txs > 0);
+    assert_eq!(report.validation_failures, 0);
+    let eq = report.equivalence.as_ref().expect("gate ran");
+    assert!(
+        eq.ok,
+        "serial {:?} != node {:?}",
+        eq.serial_root, eq.node_root
+    );
+    assert!(report.healthy());
 }
 
 #[test]

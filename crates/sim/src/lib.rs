@@ -23,14 +23,12 @@
 
 pub mod pipeline;
 pub mod proposer;
-pub mod stm;
 pub mod validator;
 
 pub use pipeline::{simulate_multiblock, MultiBlockSimResult};
 pub use proposer::{
     simulate_proposer, simulate_proposer_with_rule, ProposerSimResult, ValidationRule,
 };
-pub use stm::simulate_proposer_block_stm;
 pub use validator::{simulate_validator, ValidatorSimResult};
 
 use bp_types::Gas;
@@ -73,12 +71,6 @@ pub struct CostModel {
     /// Applier cost per transaction (footprint check against the profile and
     /// in-order apply of the profiled writes).
     pub applier_per_tx: Gas,
-    /// Per-transaction read-set validation cost in the Block-STM proposer
-    /// (compare every read's observed version against the multi-version
-    /// store). Rides on the validating worker's own clock — Block-STM has no
-    /// commit-section lock to serialize through; the preset order plus the
-    /// commit watermark replace it.
-    pub stm_validate: Gas,
     /// Penalty a worker pays when switching to a lane of a *different* block
     /// in the multi-block pipeline (context/state switch, §5.6).
     pub block_switch: Gas,
@@ -99,7 +91,6 @@ impl Default for CostModel {
             state_contention_permille: 115,
             prepare_per_tx: 300,
             applier_per_tx: 1_600,
-            stm_validate: 400,
             block_switch: 30_000,
             applier_switch: 2_300,
         }

@@ -85,7 +85,6 @@ mod tests {
             state_contention_permille: 0,
             prepare_per_tx: 0,
             applier_per_tx: 0,
-            stm_validate: 0,
             block_switch: 0,
             applier_switch: 0,
         }
@@ -142,7 +141,6 @@ mod tests {
             commit_sync: 0,
             commit_admit: 0,
             state_contention_permille: 0,
-            stm_validate: 0,
             block_switch: 0,
             applier_switch: 0,
         };

@@ -9,14 +9,11 @@
 //! * [`reader`] — the [`reader::StateReader`] base-state seam (implemented
 //!   by `bp-snap`'s layered flat state) and the [`reader::StateDelta`]
 //!   block-effect records diff layers are made of;
-//! * [`mvstate`] — the multi-version overlay serving OCC-WSI snapshots;
-//! * [`mvmemory`] — the Block-STM multi-version memory: per-location version
-//!   lists keyed by preset transaction index, with ESTIMATE markers.
+//! * [`mvstate`] — the multi-version overlay serving OCC-WSI snapshots.
 
 #![warn(missing_docs)]
 
 pub mod account;
-pub mod mvmemory;
 pub mod mvstate;
 pub mod nibbles;
 pub mod pmap;
@@ -25,7 +22,6 @@ pub mod trie;
 pub mod world;
 
 pub use account::Account;
-pub use mvmemory::{MvMemory, MvRead, ReadOrigin, ReadValidation};
 pub use mvstate::MultiVersionState;
 pub use pmap::PMap;
 pub use reader::{BaseAccount, MapReader, StateDelta, StateReader};

@@ -482,25 +482,15 @@ impl TxPool {
     /// Pops the highest-priority eligible transaction (Algorithm 1
     /// `PopHeap`). The transaction is marked in-flight: the sender's next
     /// transaction does not become eligible until this one commits or
-    /// returns.
+    /// returns. The proposer uses [`TxPool::turn`]; this serves `bp-sim`
+    /// and tests only, until ROADMAP item 7 decides `bp-sim`.
     pub fn pop(&self) -> Option<Transaction> {
         self.inner.lock().check_out().map(|(_, tx)| tx)
     }
 
-    /// Pops up to `max` eligible transactions under a single lock
-    /// acquisition. All returned transactions are in-flight, ordered by
-    /// descending priority, and from distinct senders (per-sender nonce
-    /// gating keeps at most one transaction per sender eligible).
-    pub fn pop_many(&self, max: usize) -> Vec<Transaction> {
-        let mut g = self.inner.lock();
-        std::iter::from_fn(|| g.check_out())
-            .take(max)
-            .map(|(_, tx)| tx)
-            .collect()
-    }
-
     /// Returns an aborted transaction to the pool (Algorithm 1 `PushHeap`):
-    /// it becomes eligible again with its original priority.
+    /// it becomes eligible again with its original priority. For `bp-sim`
+    /// and tests only, like [`TxPool::pop`].
     pub fn push_back(&self, tx: &Transaction) {
         let mut g = self.inner.lock();
         let hash = g.hash_of(tx);
@@ -508,7 +498,8 @@ impl TxPool {
     }
 
     /// Marks a transaction as committed into a block: it leaves the pool and
-    /// the sender's next transaction becomes eligible.
+    /// the sender's next transaction becomes eligible. For `bp-sim` and
+    /// tests only, like [`TxPool::pop`].
     pub fn commit(&self, tx: &Transaction) {
         let mut g = self.inner.lock();
         let hash = g.hash_of(tx);
@@ -516,7 +507,9 @@ impl TxPool {
         self.settle(g);
     }
 
-    /// Drops a transaction permanently (invalid nonce/funds).
+    /// Drops a transaction permanently (invalid nonce/funds). For `bp-sim`
+    /// and tests only, like [`TxPool::pop`]; the proposer holds the hash and
+    /// calls [`TxPool::discard_hash`].
     ///
     /// Unlike [`TxPool::commit`], the sender's queued higher-nonce
     /// transactions go with it: with this nonce never committing, every
@@ -575,6 +568,13 @@ mod tests {
         }
     }
 
+    /// One turn that hands nothing back and checks out up to `max`.
+    fn check_out(pool: &TxPool, max: usize) -> Vec<Transaction> {
+        let mut out = VecDeque::new();
+        pool.turn(&mut Vec::new(), &mut Vec::new(), max, &mut out);
+        out.into_iter().map(|(_, tx)| tx).collect()
+    }
+
     #[test]
     fn pops_by_gas_price() {
         let pool = TxPool::new();
@@ -623,7 +623,7 @@ mod tests {
         assert_eq!(first.sender, addr(1), "earliest arrival wins the tie");
         pool.push_back(&first);
         // Arrival order is kept for life, not renewed by the return.
-        let order: Vec<Address> = pool.pop_many(3).iter().map(|t| t.sender).collect();
+        let order: Vec<Address> = check_out(&pool, 3).iter().map(|t| t.sender).collect();
         assert_eq!(order, vec![addr(1), addr(2), addr(3)]);
     }
 
@@ -785,13 +785,13 @@ mod tests {
     }
 
     #[test]
-    fn pop_many_respects_priority_and_nonce_gating() {
+    fn turn_respects_priority_and_nonce_gating() {
         let pool = TxPool::new();
         pool.add(tx(1, 0, 10));
         pool.add(tx(1, 1, 99)); // gated behind nonce 0
         pool.add(tx(2, 0, 30));
         pool.add(tx(3, 0, 20));
-        let batch = pool.pop_many(10);
+        let batch = check_out(&pool, 10);
         let prices: Vec<u64> = batch.iter().map(|t| t.gas_price).collect();
         // One tx per sender, descending priority; sender 1's nonce 1 stays
         // gated until nonce 0 commits.
@@ -800,18 +800,18 @@ mod tests {
         for t in &batch {
             pool.commit(t);
         }
-        assert_eq!(pool.pop_many(10).len(), 1); // sender 1, nonce 1
+        assert_eq!(check_out(&pool, 10).len(), 1); // sender 1, nonce 1
     }
 
     #[test]
-    fn pop_many_caps_at_max() {
+    fn turn_caps_at_max() {
         let pool = TxPool::new();
         for s in 0..10u64 {
             pool.add(tx(s, 0, 1));
         }
-        assert_eq!(pool.pop_many(4).len(), 4);
-        assert_eq!(pool.pop_many(0).len(), 0);
-        assert_eq!(pool.pop_many(100).len(), 6);
+        assert_eq!(check_out(&pool, 4).len(), 4);
+        assert_eq!(check_out(&pool, 0).len(), 0);
+        assert_eq!(check_out(&pool, 100).len(), 6);
         assert_eq!(pool.in_flight(), 10);
     }
 
@@ -838,7 +838,7 @@ mod tests {
         assert_eq!(batch.len(), 2, "refused txs stay with the caller");
         assert_eq!(pool.len(), 3);
         // Drain and re-offer: the remainder goes in.
-        for t in pool.pop_many(3) {
+        for t in check_out(&pool, 3) {
             pool.commit(&t);
         }
         assert_eq!(pool.add_batch(&mut batch), 2);
@@ -1127,7 +1127,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut committed: Vec<(Address, u64)> = Vec::new();
                     loop {
-                        let batch = pool.pop_many(4);
+                        let batch = check_out(&pool, 4);
                         if batch.is_empty() {
                             if done.load(AtomicOrdering::Acquire) && pool.is_empty() {
                                 break;

@@ -102,8 +102,7 @@ impl WorkloadConfig {
     /// The NFT-mint-storm preset: every transaction mints from the single
     /// collection, so every transaction reads and writes the same supply
     /// counter. This is the extreme end of the contention spectrum — a
-    /// fully serialized dependency chain — used to A/B proposer engines
-    /// under a single hot key.
+    /// fully serialized dependency chain under a single hot key.
     pub fn nft_mint_storm() -> Self {
         WorkloadConfig {
             mix: TxMix {

@@ -23,7 +23,6 @@ pub use bp_types as types;
 pub use bp_workload as workload;
 
 pub use blockpilot_core::{
-    block_stm::{BlockStmProposer, ProposerAlgo},
     occ_wsi::{OccWsiConfig, OccWsiProposer, ProposerStats},
     pipeline::{PipelineConfig, ValidatorPipeline},
     proposer::Proposer,

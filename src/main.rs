@@ -209,13 +209,12 @@ fn node_summary_json(report: &blockpilot::node::NodeReport) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\n  \"mode\": \"{}\", \"engine\": \"{:?}\",\n  \
+        "{{\n  \"mode\": \"{}\",\n  \
          \"committed_blocks\": {}, \"committed_txs\": {}, \"wall_micros\": {},\n  \
          \"committed_tx_per_sec\": {:.1}, \"proposer_aborts\": {}, \
          \"validation_failures\": {},\n  \"final_root\": \"{:?}\", \"healthy\": {},\n  \
          \"equivalence\": {},\n  \"stages\": [\n{}\n  ]\n}}",
         report.mode.label(),
-        report.engine,
         report.committed_blocks,
         report.committed_txs,
         wall,

@@ -1,14 +1,15 @@
-//! Property test: OCC-WSI serializability over randomized transaction sets.
+//! Property tests: OCC-WSI serializability over randomized transaction sets.
 //!
-//! For arbitrary mixes of transfers, counter bumps and token moves with
-//! arbitrary senders/recipients, the multi-threaded proposer must commit a
-//! block whose serial replay reproduces its sealed state root, lose no
-//! transaction, and keep per-sender nonces dense.
+//! For arbitrary mixes of transfers, counter bumps and token moves — senders
+//! uniform or skewed, or every transaction on one hot key — the proposer at
+//! 1 to 16 threads must commit blocks whose serial replay reproduces the
+//! sealed receipts, state root and gas, lose no transaction, and keep
+//! per-sender nonces in order.
 
 use std::sync::Arc;
 
 use blockpilot::baseline::execute_block_serially;
-use blockpilot::core::{OccWsiConfig, OccWsiProposer};
+use blockpilot::core::{OccWsiConfig, OccWsiProposer, Proposal, Proposer};
 use blockpilot::evm::{contracts, BlockEnv, Transaction};
 use blockpilot::state::WorldState;
 use blockpilot::txpool::TxPool;
@@ -22,24 +23,50 @@ enum Action {
     Token { from: u8, to: u8, amount: u16 },
 }
 
-fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
+/// Zipf-flavoured sender index: half the draws collapse onto accounts 0–2,
+/// the rest spread over all twelve.
+fn skewed_sender() -> BoxedStrategy<u8> {
+    prop_oneof![0u8..3, 0u8..12].boxed()
+}
+
+fn mix_of(sender: BoxedStrategy<u8>) -> impl Strategy<Value = Vec<Action>> {
     prop::collection::vec(
         prop_oneof![
-            (0u8..12, 0u8..12, 1u16..500).prop_map(|(from, to, amount)| Action::Transfer {
+            (sender.clone(), 0u8..12, 1u16..500).prop_map(|(from, to, amount)| Action::Transfer {
                 from,
                 to,
                 amount
             }),
-            (0u8..12).prop_map(|from| Action::Counter { from }),
-            (0u8..12, 0u8..12, 1u16..500).prop_map(|(from, to, amount)| Action::Token {
+            sender.clone().prop_map(|from| Action::Counter { from }),
+            (sender, 0u8..12, 1u16..500).prop_map(|(from, to, amount)| Action::Token {
                 from,
                 to,
                 amount
             }),
         ],
-        1..25,
+        1..30,
     )
 }
+
+/// Single-hot-key workload: every transaction bumps the same counter slot.
+fn arb_hot_key_actions() -> impl Strategy<Value = Vec<Action>> {
+    prop::collection::vec(
+        skewed_sender().prop_map(|from| Action::Counter { from }),
+        1..24,
+    )
+}
+
+fn arb_actions() -> impl Strategy<Value = Vec<Action>> {
+    prop_oneof![
+        2 => mix_of((0u8..12).boxed()),
+        1 => mix_of(skewed_sender()),
+        1 => arb_hot_key_actions(),
+    ]
+}
+
+/// Block gas limit of the drained-chain property: room for a handful of
+/// calls, so a pool of up to thirty transactions seals several blocks.
+const CHAIN_GAS_LIMIT: u64 = 250_000;
 
 fn addr(i: u8) -> Address {
     Address::from_index(100 + i as u64)
@@ -102,11 +129,25 @@ fn build_txs(actions: &[Action]) -> Vec<Transaction> {
         .collect()
 }
 
+/// The sealed block replays serially on `state`, the state it was proposed
+/// on, to the same receipts, state root and gas.
+fn check_against_oracle(state: &WorldState, proposal: &Proposal) -> Result<(), TestCaseError> {
+    let replay = execute_block_serially(state, &BlockEnv::default(), &proposal.block.transactions)
+        .expect("commit order must replay");
+    prop_assert_eq!(&replay.receipts, &proposal.receipts);
+    prop_assert_eq!(
+        replay.post_state.state_root(),
+        proposal.block.header.state_root
+    );
+    prop_assert_eq!(replay.gas_used, proposal.block.header.gas_used);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn occ_wsi_is_serializable(actions in arb_actions(), threads in 1usize..5) {
+    fn occ_wsi_is_serializable(actions in arb_actions(), threads in 1usize..=16) {
         let base = Arc::new(world());
         let txs = build_txs(&actions);
         let expected = txs.len();
@@ -125,17 +166,7 @@ proptest! {
         prop_assert!(pool.is_empty());
 
         // The committed order is a valid serial schedule with the same root.
-        let replay = execute_block_serially(
-            &base,
-            &BlockEnv::default(),
-            &proposal.block.transactions,
-        )
-        .expect("commit order must replay");
-        prop_assert_eq!(
-            replay.post_state.state_root(),
-            proposal.block.header.state_root
-        );
-        prop_assert_eq!(replay.gas_used, proposal.block.header.gas_used);
+        check_against_oracle(&base, &proposal)?;
 
         // Per-sender nonce order is preserved inside the block.
         let mut last: std::collections::HashMap<Address, u64> = Default::default();
@@ -145,5 +176,44 @@ proptest! {
             }
             last.insert(tx.sender, tx.nonce);
         }
+    }
+
+    /// A pool drained over several blocks through the `Proposer` façade
+    /// (the gas limit fits only a few transactions a block): every sealed
+    /// block replays serially, on the pre-state it was proposed on, to the
+    /// same receipts, root and gas.
+    #[test]
+    fn drained_chain_matches_the_serial_oracle(
+        actions in arb_actions(),
+        threads in 1usize..=16,
+    ) {
+        let txs = build_txs(&actions);
+        let proposer = Proposer::new(OccWsiConfig {
+            threads,
+            gas_limit: CHAIN_GAS_LIMIT,
+            ..OccWsiConfig::default()
+        });
+        proposer.submit_transactions(txs.iter().cloned());
+        let mut state = Arc::new(world());
+        let mut committed = 0;
+        let mut height = 0;
+        while !proposer.pool().is_empty() {
+            height += 1;
+            let proposal = proposer.propose_block(Arc::clone(&state), BlockHash::ZERO, height);
+            prop_assert!(
+                proposal.block.tx_count() > 0,
+                "pool stuck with {} pending",
+                proposer.pool().len()
+            );
+            check_against_oracle(&state, &proposal)?;
+            prop_assert!(proposal.block.header.gas_used <= CHAIN_GAS_LIMIT);
+            prop_assert_eq!(
+                proposal.stats.aborts,
+                proposal.stats.first_aborts + proposal.stats.retry_aborts
+            );
+            committed += proposal.block.tx_count();
+            state = Arc::new(proposal.post_state);
+        }
+        prop_assert_eq!(committed, txs.len(), "every transaction must land");
     }
 }
