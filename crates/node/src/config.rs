@@ -45,9 +45,10 @@ pub struct NodeConfig {
     /// Number of validator nodes fed through in-process wires.
     pub validators: usize,
     /// Injected per-link wire latency range in microseconds (empty range =
-    /// no injection). Drawn from a seeded [`bp_net::LinkDelays`].
+    /// no injection), drawn per link from a stream seeded by `seed`.
     pub latency_us: std::ops::Range<u64>,
-    /// Seed for latency draws.
+    /// Seed for latency draws and for the order a racing source sends
+    /// siblings in.
     pub seed: u64,
     /// Transaction workload feeding the pool.
     pub workload: WorkloadConfig,
@@ -58,7 +59,9 @@ pub struct NodeConfig {
     /// ingest briefly lags).
     pub min_pool_txs: usize,
     /// When set, validator 0 persists its canonical chain to this store
-    /// directory (crash-safe commit cadence under sustained load).
+    /// directory (crash-safe commit cadence under sustained load). A store
+    /// that already holds a chain is resumed: the run proposes `blocks`
+    /// heights above its head.
     pub store_dir: Option<PathBuf>,
     /// With a store attached, coalesce consecutive durable commits into one
     /// fsync batch (see [`GroupCommitConfig`]). The open batch is flushed on

@@ -223,6 +223,16 @@ impl WorkloadGen {
         w
     }
 
+    /// Continues every account's nonce from `state`: the transactions this
+    /// generator emits next extend a chain that already committed some of
+    /// them (a node resumed on its store), rather than reusing nonces that
+    /// chain has spent.
+    pub fn resume_nonces(&mut self, state: &WorldState) {
+        self.nonces = (0..self.config.accounts)
+            .map(|i| state.nonce(&self.account(i)))
+            .collect();
+    }
+
     /// The execution environment for the block at `height`.
     pub fn block_env(&self, height: u64) -> BlockEnv {
         BlockEnv {

@@ -1,24 +1,17 @@
-//! `blockpilot` — a small CLI over the library: run a chain simulation, a
-//! network simulation, or inspect the workload's conflict statistics.
+//! `blockpilot` — a small CLI over the library: run the node service, or
+//! inspect the workload's conflict statistics.
 //!
 //! ```text
-//! blockpilot chain   [--blocks N] [--txs N] [--threads N] [--workers N]
-//! blockpilot node    [--blocks N] [--validators N] [--lockstep]
-//!                    [--store DIR] [--group-commit [N]]
-//! blockpilot network [--nodes N] [--heights N] [--fork-every N]
-//! blockpilot stats   [--blocks N]
+//! blockpilot node  [--blocks N] [--validators N] [--lockstep]
+//!                  [--store DIR] [--group-commit [N]]
+//! blockpilot stats [--blocks N]
 //! ```
 //!
 //! `node` prints a JSON summary on shutdown with the run counters and every
-//! stage's occupancy/stall/queue-depth stats.
+//! stage's occupancy/stall/queue-depth stats. Run again on the same
+//! `--store DIR`, it resumes the stored chain `--blocks` heights further.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use blockpilot::core::{
-    ConflictGranularity, OccWsiConfig, PipelineConfig, Proposer, Scheduler, Validator,
-};
-use blockpilot::net::{run_network, NetConfig};
+use blockpilot::core::{ConflictGranularity, Scheduler};
 use blockpilot::workload::{WorkloadConfig, WorkloadGen};
 
 fn arg(args: &[String], name: &str, default: u64) -> u64 {
@@ -32,73 +25,16 @@ fn arg(args: &[String], name: &str, default: u64) -> u64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("chain") => chain(&args),
         Some("node") => node(&args),
-        Some("network") => network(&args),
         Some("stats") => stats(&args),
         _ => {
-            eprintln!("usage: blockpilot <chain|node|network|stats> [options]");
-            eprintln!("  chain   [--blocks N] [--txs N] [--threads N] [--workers N]");
-            eprintln!("  node    [--blocks N] [--validators N] [--lockstep]");
-            eprintln!("          [--store DIR] [--group-commit [N]]");
-            eprintln!("  network [--nodes N] [--heights N] [--fork-every N]");
-            eprintln!("  stats   [--blocks N]");
+            eprintln!("usage: blockpilot <node|stats> [options]");
+            eprintln!("  node  [--blocks N] [--validators N] [--lockstep]");
+            eprintln!("        [--store DIR] [--group-commit [N]]");
+            eprintln!("  stats [--blocks N]");
             std::process::exit(2);
         }
     }
-}
-
-/// Propose-and-validate a chain end to end with the real threaded stack.
-fn chain(args: &[String]) {
-    let blocks = arg(args, "--blocks", 5);
-    let txs = arg(args, "--txs", 50) as usize;
-    let threads = arg(args, "--threads", 4) as usize;
-    let workers = arg(args, "--workers", 4) as usize;
-
-    let mut gen = WorkloadGen::new(WorkloadConfig {
-        txs_per_block: txs,
-        tx_jitter: txs / 5,
-        accounts: 300,
-        ..WorkloadConfig::default()
-    });
-    let genesis = gen.genesis_state();
-    let validator = Validator::new(
-        PipelineConfig {
-            workers,
-            granularity: ConflictGranularity::Account,
-            ..Default::default()
-        },
-        genesis.clone(),
-    );
-    let mut parent = validator.genesis_hash();
-    let mut state = Arc::new(genesis);
-    let t0 = Instant::now();
-    let mut total = 0usize;
-    for height in 1..=blocks {
-        let proposer = Proposer::new(OccWsiConfig {
-            threads,
-            env: gen.block_env(height),
-            ..OccWsiConfig::default()
-        });
-        proposer.submit_transactions(gen.next_block_txs());
-        let proposal = proposer.propose_block(Arc::clone(&state), parent, height);
-        let outcome = validator.validate_and_commit(proposal.block.clone());
-        assert!(outcome.is_valid(), "height {height}: {:?}", outcome.result);
-        println!(
-            "height {height}: {:>3} txs, {} aborts, root {:?}",
-            proposal.block.tx_count(),
-            proposal.stats.aborts,
-            proposal.block.header.state_root
-        );
-        total += proposal.block.tx_count();
-        parent = proposal.block.hash();
-        state = Arc::new(proposal.post_state);
-    }
-    let dt = t0.elapsed();
-    println!(
-        "\n{total} txs / {blocks} blocks in {dt:?} ({:.0} tx/s end-to-end)",
-        total as f64 / dt.as_secs_f64()
-    );
 }
 
 /// The streaming node service: proposer, codec and validators on bounded
@@ -142,8 +78,10 @@ fn node(args: &[String]) {
         ..NodeConfig::default()
     });
     println!(
-        "{}: {} blocks, {} txs in {:.2}s ({:.0} tx/s sustained)",
+        "{}: heights {}..={} ({} blocks), {} txs in {:.2}s ({:.0} tx/s sustained)",
         report.mode.label(),
+        report.first_height,
+        report.heads[0].1,
         report.committed_blocks,
         report.committed_txs,
         report.wall_micros as f64 / 1e6,
@@ -209,12 +147,13 @@ fn node_summary_json(report: &blockpilot::node::NodeReport) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\n  \"mode\": \"{}\",\n  \
+        "{{\n  \"mode\": \"{}\", \"first_height\": {},\n  \
          \"committed_blocks\": {}, \"committed_txs\": {}, \"wall_micros\": {},\n  \
          \"committed_tx_per_sec\": {:.1}, \"proposer_aborts\": {}, \
          \"validation_failures\": {},\n  \"final_root\": \"{:?}\", \"healthy\": {},\n  \
          \"equivalence\": {},\n  \"stages\": [\n{}\n  ]\n}}",
         report.mode.label(),
+        report.first_height,
         report.committed_blocks,
         report.committed_txs,
         wall,
@@ -226,28 +165,6 @@ fn node_summary_json(report: &blockpilot::node::NodeReport) -> String {
         equivalence,
         stages.join(",\n"),
     )
-}
-
-/// Multi-node DiCE simulation.
-fn network(args: &[String]) {
-    let report = run_network(NetConfig {
-        nodes: arg(args, "--nodes", 4) as usize,
-        heights: arg(args, "--heights", 6),
-        fork_every: arg(args, "--fork-every", 3),
-        ..NetConfig::default()
-    });
-    println!(
-        "heights {}, forks {}, uncles {}",
-        report.heights, report.forks, report.uncles
-    );
-    println!(
-        "converged: {} (final root {:?})",
-        report.converged, report.final_root
-    );
-    println!(
-        "{} canonical txs, {} out-of-order deliveries",
-        report.total_txs, report.out_of_order_deliveries
-    );
 }
 
 /// Workload conflict statistics (the Figure 8 x-axis).
