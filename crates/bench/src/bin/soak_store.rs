@@ -1,25 +1,23 @@
-//! Soak test: drive a few thousand blocks through a windowed `Store` (trie
-//! retention + snapshot flattening both on) and assert the disk footprint
-//! plateaus — node count, retained roots, and flat-base file length must
-//! all stay bounded as the chain grows without bound.
+//! Soak test: drive a long chain through a store-backed `Validator` with
+//! group commit and check what the store leaves behind — one file, exactly
+//! the bytes of the records appended to it, and a cold reopen that replays
+//! to the same head and root.
 //!
 //! Usage: `cargo run -p bp-bench --release --bin soak_store`
 //!
-//! * `BP_SOAK_BLOCKS` — chain length to drive (default 3000);
-//! * `BP_SOAK_WINDOW` — retention window in blocks (default 8);
+//! * `BP_SOAK_BLOCKS` — chain length to drive (default 2000);
 //! * `BP_SOAK_DIR` — store directory (default: fresh temp dir, removed on
 //!   success).
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
-use bp_block::{genesis_header, Block, BlockProfile};
-use bp_snap::SnapTree;
-use bp_state::{StateReader, WorldState};
-use bp_store::{Store, StoreConfig, StoreError};
-use bp_types::{AccessKey, Address, H256, U256};
-
-const ACCOUNTS: u64 = 1_000;
+use blockpilot_core::{OccWsiConfig, PipelineConfig, Proposer, Validator};
+use bp_block::encode_block;
+use bp_store::log::{frame_len, COMMIT_LEN};
+use bp_store::{encode_world, GroupCommitConfig, StoreError};
+use bp_workload::{WorkloadConfig, WorkloadGen};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -28,48 +26,15 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn genesis_world() -> WorldState {
-    let mut w = WorldState::new();
-    for i in 0..ACCOUNTS {
-        let a = Address::from_index(i);
-        w.set_balance(a, U256::from(1_000_000u64));
-        w.set_storage(a, H256::from_low_u64(i % 4), U256::from(i + 1));
-    }
-    w
-}
-
-/// One block's writes over a *fixed* account universe, so live state stays
-/// constant and any footprint growth is leaked garbage by definition.
-fn mutate(world: &mut WorldState, seq: u64) -> Vec<AccessKey> {
-    let mut keys = Vec::new();
-    for t in 0..10u64 {
-        let addr = Address::from_index((seq * 31 + t * 97) % ACCOUNTS);
-        world.set_balance(addr, U256::from(seq * 13 + t + 1));
-        keys.push(AccessKey::Balance(addr));
-        if t % 3 == 0 {
-            let slot = H256::from_low_u64((seq + t) % 4);
-            world.set_storage(addr, slot, U256::from(seq + t));
-            keys.push(AccessKey::Storage(addr, slot));
-        }
-    }
-    keys
-}
-
-fn child_block(parent: &Block, state_root: H256, seq: u64) -> Block {
-    let mut header = genesis_header(state_root);
-    header.parent_hash = parent.hash();
-    header.height = parent.height() + 1;
-    header.proposer_seed = seq;
-    Block {
-        header,
-        transactions: vec![],
-        profile: BlockProfile::new(),
+fn pipeline() -> PipelineConfig {
+    PipelineConfig {
+        workers: 2,
+        ..Default::default()
     }
 }
 
 fn main() -> Result<(), StoreError> {
-    let blocks = env_u64("BP_SOAK_BLOCKS", 3_000);
-    let window = env_u64("BP_SOAK_WINDOW", 8) as usize;
+    let blocks = env_u64("BP_SOAK_BLOCKS", 2_000);
     let (dir, ephemeral): (PathBuf, bool) = match std::env::var("BP_SOAK_DIR") {
         Ok(d) => (PathBuf::from(d), false),
         Err(_) => (
@@ -79,129 +44,74 @@ fn main() -> Result<(), StoreError> {
     };
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut world = genesis_world();
-    let genesis_root = world.state_root();
-    let gblock = Block {
-        header: genesis_header(genesis_root),
-        transactions: vec![],
-        profile: BlockProfile::new(),
-    };
-    let mut store = Store::open_with(
-        &dir,
-        StoreConfig {
-            retention_window: Some(window),
-            snapshots: true,
-            group_commit: None,
-        },
-    )?;
-    store.initialize(&world, &gblock)?;
-    let snaps: SnapTree = store.snapshots().expect("snapshots enabled").clone();
-    // Run the chain through a base-backed world, like a long-lived node.
-    world.rebase(Arc::new(
-        snaps.reader(genesis_root).expect("genesis reader"),
-    ));
+    let mut gen = WorkloadGen::new(WorkloadConfig {
+        accounts: 300,
+        txs_per_block: 24,
+        tx_jitter: 4,
+        ..WorkloadConfig::default()
+    });
+    let genesis = gen.genesis_state();
+    let group = Some(GroupCommitConfig::default());
+    let validator = Validator::with_store_profile(pipeline(), genesis.clone(), &dir, group)?;
+    let genesis_block = validator.canonical_block(0).expect("genesis block");
 
-    let mut parent = gblock;
-    let mut parent_root = genesis_root;
-    let warmup = (window as u64 * 2).min(blocks / 2);
-    let half = blocks / 2;
-    let (mut max_nodes_1, mut max_nodes_2) = (0usize, 0usize);
-    let (mut max_flat_1, mut max_flat_2) = (0u64, 0u64);
+    // The log's expected length, record by record: the genesis state, the
+    // genesis block and its marker, then every block and every marker that
+    // closed a group.
+    let mut expected = frame_len(encode_world(&genesis).len())
+        + frame_len(encode_block(&genesis_block).len())
+        + frame_len(COMMIT_LEN);
+    let mut markers = 1u64;
+    let pending = |v: &Validator| v.with_store_ref(|s| s.pending_commits()).unwrap();
 
-    for seq in 1..=blocks {
-        let keys = mutate(&mut world, seq);
-        let root = world.state_root();
-        let block = child_block(&parent, root, seq);
-        store.put_block(&block)?;
-        let (committed, nodes) = world.commit_tries();
-        debug_assert_eq!(committed, root);
-        store.commit_root(root, &nodes)?;
-        let delta = world.delta_for_keys(keys.iter());
-        store.snap_add_layer(root, parent_root, seq, delta)?;
-        store.commit(block.hash())?;
-        world.rebase(Arc::new(snaps.reader(root).expect("head reader")));
-
-        assert!(
-            store.roots().len() <= window,
-            "block {seq}: {} roots retained, window {window}",
-            store.roots().len()
-        );
-        assert!(
-            snaps.layer_count() <= window,
-            "block {seq}: {} diff layers, window {window}",
-            snaps.layer_count()
-        );
-        if seq > warmup {
-            let (nodes_now, flat_now) = (store.node_count(), snaps.flat_len());
-            if seq <= half {
-                max_nodes_1 = max_nodes_1.max(nodes_now);
-                max_flat_1 = max_flat_1.max(flat_now);
-            } else {
-                max_nodes_2 = max_nodes_2.max(nodes_now);
-                max_flat_2 = max_flat_2.max(flat_now);
-            }
+    let started = Instant::now();
+    let mut state = Arc::new(genesis.clone());
+    for height in 1..=blocks {
+        let proposer = Proposer::new(OccWsiConfig {
+            threads: 2,
+            env: gen.block_env(height),
+            ..Default::default()
+        });
+        proposer.submit_transactions(gen.next_block_txs());
+        let (parent, _) = validator.head().expect("a head");
+        let proposal = proposer.propose_block(Arc::clone(&state), parent, height);
+        expected += frame_len(encode_block(&proposal.block).len());
+        let outcome = validator.validate_and_commit(proposal.block);
+        assert!(outcome.is_valid(), "height {height}: {:?}", outcome.result);
+        if pending(&validator) == 0 {
+            markers += 1;
         }
-        parent = block;
-        parent_root = root;
+        state = Arc::new(proposal.post_state);
     }
+    let run_s = started.elapsed().as_secs_f64();
+    if pending(&validator) > 0 {
+        markers += 1; // the final flush closes the open group
+    }
+    expected += (markers - 1) * frame_len(COMMIT_LEN);
+    let (head, root) = (validator.head(), validator.head_state_root());
+    drop(validator.into_store());
+
+    // One file, holding exactly the appended records.
+    let files: Vec<_> = std::fs::read_dir(&dir)?.collect::<Result<_, _>>()?;
+    assert_eq!(files.len(), 1, "the store directory holds {files:?}");
+    let len = files[0].metadata()?.len();
+    assert_eq!(
+        len, expected,
+        "log holds {len} B, the appended records {expected} B"
+    );
+
+    // A cold reopen replays to the same head and root.
+    let started = Instant::now();
+    let reopened = Validator::with_store_profile(pipeline(), genesis, &dir, group)?;
+    let reopen_s = started.elapsed().as_secs_f64();
+    assert_eq!(reopened.head(), head);
+    assert_eq!(reopened.head_state_root(), root);
 
     println!(
-        "soak: {blocks} blocks, window {window} | roots {} | nodes max {}/{} | \
-         flat max {}/{} bytes | base height {}",
-        store.roots().len(),
-        max_nodes_1,
-        max_nodes_2,
-        max_flat_1,
-        max_flat_2,
-        snaps.base_height(),
+        "soak: {blocks} blocks in {run_s:.1} s | {markers} groups | log {len} B \
+         ({} B/block) | cold reopen {reopen_s:.1} s",
+        len / (blocks + 1)
     );
-
-    // Plateau assertions: a leak grows roughly linearly, which would make
-    // the second-half maxima ~2x the first-half ones. Bounded footprints
-    // sawtooth around a constant.
-    assert!(
-        max_nodes_2 as f64 <= max_nodes_1 as f64 * 1.5,
-        "node count still growing: {max_nodes_1} -> {max_nodes_2}"
-    );
-    assert!(
-        max_flat_2 as f64 <= max_flat_1 as f64 * 1.5,
-        "flat base still growing: {max_flat_1} -> {max_flat_2}"
-    );
-    // The flattened base has advanced with the chain.
-    assert!(
-        snaps.base_height() >= blocks - window as u64,
-        "snapshot base lags: height {} after {blocks} blocks",
-        snaps.base_height()
-    );
-
-    // Reads at the head resolve correctly through the layered stack.
-    let reader = snaps.reader(parent_root).expect("head reader");
-    for i in (0..ACCOUNTS).step_by(111) {
-        let a = Address::from_index(i);
-        assert_eq!(
-            reader.base_account(&a).map(|acct| acct.balance),
-            Some(world.balance(&a)),
-            "balance mismatch at {a:?}"
-        );
-    }
-
-    // And a cold reopen recovers the same head with the same bounds.
-    drop(store);
-    let reopened = Store::open_with(
-        &dir,
-        StoreConfig {
-            retention_window: Some(window),
-            snapshots: true,
-            group_commit: None,
-        },
-    )?;
-    assert_eq!(reopened.head(), Some(parent.hash()));
-    assert!(reopened.roots().len() <= window);
-    assert!(reopened
-        .snapshots()
-        .expect("snapshots enabled")
-        .has_root(parent_root));
-
     if ephemeral {
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,11 +7,6 @@
 //! a bug that fails its test or ends its stage; the threads that outlive it
 //! — the ones draining a pipeline on shutdown — see the data as the last
 //! completed statement left it and do not die of a second panic on `lock()`.
-//!
-//! One lock stays outside on purpose: `bp_snap::SnapTree` keeps
-//! `std::sync::RwLock` with `.unwrap()`, because a panic half-way through
-//! `retain` leaves layers, journal and meta out of step, and the callers
-//! after it must stop rather than `sync()` that to disk.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

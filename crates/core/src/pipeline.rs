@@ -41,7 +41,7 @@ use bp_evm::{
     execute_transaction_in, AnalysisCache, BlockEnv, CacheStats, Receipt, StateView, Transaction,
     TxError,
 };
-use bp_state::{StateDelta, WorldState};
+use bp_state::WorldState;
 use bp_types::{AccessKey, Address, BlockHash, FxHashMap, Gas, U256};
 
 use crate::scheduler::{ConflictGranularity, Scheduler};
@@ -264,39 +264,24 @@ enum ApplierMsg {
 type Parked = (Arc<Block>, Sender<ValidationOutcome>);
 
 /// What a block starts from: the state it executes on and the root verdict
-/// its own verdict chains on.
+/// its own verdict chains on. The index holds one for every hash a child can
+/// build on: a registered base state, or a block from the moment its writes
+/// are applied.
 #[derive(Clone)]
 struct Parent {
     state: Arc<WorldState>,
+    /// The block's root verdict: `true` once its root matched the header and
+    /// every ancestor settled valid, unset while the root still hashes.
     /// `None` for a trusted registered state, which has nothing to wait for.
     root: Option<Arc<RootLatch<bool>>>,
-}
-
-/// What the index holds for one hash a child can build on: a registered
-/// base state, or a block from the moment its writes are applied.
-struct Published {
-    state: Arc<WorldState>,
-    /// `None` for a trusted state ([`ValidatorPipeline::register_state`]):
-    /// it has no parent delta and nothing to wait for.
-    block: Option<AppliedBlock>,
-}
-
-struct AppliedBlock {
-    /// The keys the block wrote, in block order (repeats included). With the
-    /// post-state they give the block's net effect on its parent state
-    /// ([`ValidatorPipeline::delta_of`]).
-    written: Arc<[AccessKey]>,
-    /// The block's root verdict: `true` once its root matched the header and
-    /// every ancestor settled valid. Unset while the root still hashes.
-    root: Arc<RootLatch<bool>>,
 }
 
 #[derive(Default)]
 struct StateIndex {
     /// One entry per published block, from publication until the pipeline is
-    /// dropped or a failed root verdict un-publishes the block: state,
-    /// written keys and latch come and go together.
-    states: HashMap<BlockHash, Published>,
+    /// dropped or a failed root verdict un-publishes the block: state and
+    /// latch come and go together.
+    states: HashMap<BlockHash, Parent>,
     waiting: HashMap<BlockHash, Vec<Parked>>,
     invalid: std::collections::HashSet<BlockHash>,
 }
@@ -306,10 +291,7 @@ impl StateIndex {
     /// verdict may still un-publish it; the child then fails through the
     /// latch it was handed here.
     fn parent(&self, hash: &BlockHash) -> Option<Parent> {
-        self.states.get(hash).map(|p| Parent {
-            state: Arc::clone(&p.state),
-            root: p.block.as_ref().map(|b| Arc::clone(&b.root)),
-        })
+        self.states.get(hash).cloned()
     }
 
     /// Marks `hash` invalid and takes out every block parked on it — directly,
@@ -330,11 +312,11 @@ impl StateIndex {
 
     /// The entry of `hash` once nothing can take it away any more: a trusted
     /// state, or a block whose root verdict settled valid.
-    fn settled(&self, hash: &BlockHash) -> Option<&Published> {
+    fn settled(&self, hash: &BlockHash) -> Option<&Parent> {
         self.states.get(hash).filter(|p| {
-            p.block
+            p.root
                 .as_ref()
-                .is_none_or(|b| b.root.try_get() == Some(true))
+                .is_none_or(|root| root.try_get() == Some(true))
         })
     }
 }
@@ -423,7 +405,7 @@ impl ValidatorPipeline {
         let ready = {
             let mut idx = self.starter.index.lock();
             let state = Arc::clone(&parent.state);
-            idx.states.insert(hash, Published { state, block: None });
+            idx.states.insert(hash, Parent { state, root: None });
             idx.waiting.remove(&hash).unwrap_or_default()
         };
         for (block, verdict) in ready {
@@ -477,23 +459,6 @@ impl ValidatorPipeline {
     pub fn state_of(&self, hash: &BlockHash) -> Option<Arc<WorldState>> {
         let idx = self.starter.index.lock();
         idx.settled(hash).map(|p| Arc::clone(&p.state))
-    }
-
-    /// The validated block's net effect on its parent state (the diff layer
-    /// for the snapshot tree). `None` until the block's verdict is valid, and
-    /// for trusted base states registered via
-    /// [`ValidatorPipeline::register_state`], which have no parent delta.
-    ///
-    /// Distilled here, on demand, from the block's post-state and the keys
-    /// it wrote: only a validator that persists asks, once a block, so
-    /// validation itself does not pay for it.
-    pub fn delta_of(&self, hash: &BlockHash) -> Option<StateDelta> {
-        let (state, written) = {
-            let idx = self.starter.index.lock();
-            let p = idx.settled(hash)?;
-            (Arc::clone(&p.state), Arc::clone(&p.block.as_ref()?.written))
-        };
-        Some(state.delta_for_keys(written.iter()))
     }
 
     /// Shuts the pipeline down, joining all threads.
@@ -779,7 +744,7 @@ fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
         analysis_hits: cache_delta.hits,
         analysis_misses: cache_delta.misses,
     };
-    let (state, receipts, written) = match result {
+    let (state, receipts) = match result {
         Ok(parts) => parts,
         Err(e) => {
             // Failed before the root was even needed: nothing was published.
@@ -798,23 +763,14 @@ fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
     // observe it only through the latch, the public lookups not at all.
     let state = Arc::new(state);
     let latch = Arc::new(RootLatch::<bool>::new());
-    let ready = {
-        let mut idx = starter.index.lock();
-        idx.states.insert(
-            hash,
-            Published {
-                state: Arc::clone(&state),
-                block: Some(AppliedBlock {
-                    written: written.into(),
-                    root: Arc::clone(&latch),
-                }),
-            },
-        );
-        idx.waiting.remove(&hash).unwrap_or_default()
-    };
     let parent = Parent {
         state: Arc::clone(&state),
         root: Some(Arc::clone(&latch)),
+    };
+    let ready = {
+        let mut idx = starter.index.lock();
+        idx.states.insert(hash, parent.clone());
+        idx.waiting.remove(&hash).unwrap_or_default()
     };
     for (child, child_verdict) in ready {
         starter.start_block(child, child_verdict, parent.clone());
@@ -826,8 +782,8 @@ fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
     let parent_ok = task.parent_root.as_ref().is_none_or(|l| l.wait());
     let ok = root_ok && parent_ok;
     if !ok {
-        // Un-publish: one removal takes the state, its keys and its latch
-        // out of the index. In-flight descendants fail through the latch
+        // Un-publish: one removal takes the state and its latch out of the
+        // index. In-flight descendants fail through the latch
         // they hold.
         let doomed = {
             let mut idx = starter.index.lock();
@@ -854,14 +810,9 @@ fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
 /// Block validation: drain the execution results in block order, apply
 /// writes, and check the block-level commitments. Per-transaction footprint
 /// checks (Algorithm 2) already ran inside the workers; a recorded abort
-/// short-circuits here. On success, the keys the block wrote are returned
-/// with the post-state, in block order, repeats and all: what
-/// [`ValidatorPipeline::delta_of`] distils the block's diff layer from, if
-/// it is ever asked to. The state root is not compared here: the caller
+/// short-circuits here. The state root is not compared here: the caller
 /// hashes it after publishing and settles the block's [`RootLatch`].
-fn validate_and_apply(
-    task: &BlockTask,
-) -> Result<(WorldState, Vec<Receipt>, Vec<AccessKey>), ValidationError> {
+fn validate_and_apply(task: &BlockTask) -> Result<(WorldState, Vec<Receipt>), ValidationError> {
     let block = &task.block;
     if let Some(err) = &task.header_error {
         return Err(err.clone());
@@ -875,17 +826,14 @@ fn validate_and_apply(
     let mut gas_total: Gas = 0;
     let mut fees = U256::ZERO;
     let mut receipts = Vec::with_capacity(block.transactions.len());
-    let mut written: Vec<AccessKey> = Vec::new();
     for i in 0..block.transactions.len() {
         let outcome = task
             .results
             .take(i)
             .expect("uncancelled block executed every transaction");
         world.apply_writes(&outcome.rw.writes);
-        written.extend(outcome.rw.writes.keys().copied());
         for (addr, code) in &outcome.deployed {
             world.set_code(*addr, (**code).clone());
-            written.push(AccessKey::Code(*addr));
         }
         gas_total += outcome.receipt.gas_used;
         fees += outcome.receipt.fee;
@@ -903,9 +851,8 @@ fn validate_and_apply(
     if !fees.is_zero() {
         let cb = world.balance(&block.header.coinbase);
         world.set_balance(block.header.coinbase, cb + fees);
-        written.push(AccessKey::Balance(block.header.coinbase));
     }
-    Ok((world, receipts, written))
+    Ok((world, receipts))
 }
 
 #[cfg(test)]
@@ -1273,12 +1220,9 @@ mod tests {
         // whether it executed or parked.
         assert_eq!(h2.wait().result, Err(ValidationError::ParentInvalid));
         assert_eq!(h3.wait().result, Err(ValidationError::ParentInvalid));
-        // The tampered subtree never becomes visible state, and the keys
-        // its diff layer would be distilled from go with it.
+        // The tampered subtree never becomes visible state.
         for rejected in [&b1, &b2, &b3] {
-            let hash = rejected.block.hash();
-            assert!(pipeline.state_of(&hash).is_none());
-            assert!(pipeline.delta_of(&hash).is_none());
+            assert!(pipeline.state_of(&rejected.block.hash()).is_none());
         }
         // A late arrival on the rejected subtree is turned away at the door.
         let late = propose_transfers(&s1, b1.block.hash(), 2, 5..8, 0);
@@ -1286,31 +1230,6 @@ mod tests {
             pipeline.validate_block(late.block).result,
             Err(ValidationError::ParentInvalid)
         );
-        pipeline.shutdown();
-    }
-
-    #[test]
-    fn delta_is_distilled_on_demand_from_the_post_state_and_the_written_keys() {
-        let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
-        let proposal = propose_transfers(&world, genesis, 1, 1..8, 0);
-        assert!(pipeline.validate_block(proposal.block.clone()).is_valid());
-        // What the block wrote, named by its profile (which validation
-        // matched against the execution) plus the fee recipient — here
-        // as a set, where the pipeline keeps block order and repeats.
-        let mut keys: std::collections::HashSet<AccessKey> = proposal
-            .block
-            .profile
-            .entries
-            .iter()
-            .flat_map(|entry| entry.writes.keys().copied())
-            .collect();
-        keys.insert(AccessKey::Balance(proposal.block.header.coinbase));
-        let expected = proposal.post_state.delta_for_keys(keys.iter());
-        assert!(!expected.is_empty());
-        assert_eq!(pipeline.delta_of(&proposal.block.hash()), Some(expected));
-        // A registered state has no parent to differ from.
-        assert!(pipeline.delta_of(&genesis).is_none());
         pipeline.shutdown();
     }
 

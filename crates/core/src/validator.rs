@@ -1,7 +1,6 @@
 //! High-level validator node: the pipeline plus a fork-aware chain store,
 //! optionally backed by a persistent [`bp_store::Store`].
 
-use std::collections::{HashSet, VecDeque};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -12,21 +11,6 @@ use bp_store::{GroupCommitConfig, Store, StoreConfig, StoreError};
 use bp_types::{BlockHash, Height, H256};
 
 use crate::pipeline::{PipelineConfig, ValidationHandle, ValidationOutcome, ValidatorPipeline};
-
-/// How many recently committed state roots a persistent validator retains on
-/// disk. Older roots are pruned as new heads commit; the window is deep
-/// enough that a reorg within it never loses a needed state.
-pub const ROOT_RETENTION: usize = 8;
-
-/// Persistence context for a store-backed validator.
-struct StoreCtx {
-    store: Store,
-    /// Canonical blocks already durable — persisting them again would
-    /// double-retain their roots.
-    persisted: HashSet<BlockHash>,
-    /// Persisted roots in commit order, pruned beyond [`ROOT_RETENTION`].
-    recent_roots: VecDeque<(Height, H256)>,
-}
 
 /// A validator node.
 ///
@@ -40,7 +24,7 @@ pub struct Validator {
     pipeline: ValidatorPipeline,
     chain: Mutex<ChainStore>,
     genesis: BlockHash,
-    store: Option<Mutex<StoreCtx>>,
+    store: Option<Mutex<Store>>,
 }
 
 impl Validator {
@@ -50,11 +34,9 @@ impl Validator {
         validator
     }
 
-    /// Opens (or creates) a store at `dir` with the validator's standard
-    /// persistence profile — a [`ROOT_RETENTION`]-deep retention window and
-    /// the layered flat-state snapshot tree — and boots on it. Retention and
-    /// flattening then run inside [`Store::commit`]; see
-    /// [`Validator::with_store`] for the recovery semantics.
+    /// Opens (or creates) a store at `dir`, every commit durable on return,
+    /// and boots on it; see [`Validator::with_store`] for the recovery
+    /// semantics.
     pub fn with_store_at(
         config: PipelineConfig,
         genesis_state: WorldState,
@@ -74,14 +56,7 @@ impl Validator {
         dir: impl AsRef<Path>,
         group_commit: Option<GroupCommitConfig>,
     ) -> Result<Self, StoreError> {
-        let store = Store::open_with(
-            dir,
-            StoreConfig {
-                retention_window: Some(ROOT_RETENTION),
-                snapshots: true,
-                group_commit,
-            },
-        )?;
+        let store = Store::open_with(dir, StoreConfig { group_commit })?;
         Self::with_store(config, genesis_state, store)
     }
 
@@ -92,8 +67,8 @@ impl Validator {
     /// * An initialized store triggers **cold-start replay**: the genesis
     ///   snapshot anchors the pipeline and every stored canonical block is
     ///   re-validated in order, leaving the validator exactly where the last
-    ///   durable commit left it — the stored head, with its state resolvable
-    ///   from disk. `genesis_state` must match the stored snapshot.
+    ///   durable commit left it: the stored head and its state.
+    ///   `genesis_state` must match the stored snapshot.
     pub fn with_store(
         config: PipelineConfig,
         genesis_state: WorldState,
@@ -124,25 +99,14 @@ impl Validator {
             ));
         }
 
-        let chain_blocks = store.canonical_chain()?;
-        let persisted: HashSet<BlockHash> = chain_blocks.iter().map(|b| b.hash()).collect();
-        let recent_roots: VecDeque<(Height, H256)> = chain_blocks
-            .iter()
-            .rev()
-            .take(ROOT_RETENTION)
-            .rev()
-            .map(|b| (b.height(), b.header.state_root))
-            .collect();
-        validator.store = Some(Mutex::new(StoreCtx {
-            store,
-            persisted,
-            recent_roots,
-        }));
-
         // Cold-start replay: re-execute the stored canonical chain through
-        // the pipeline. Persistence is skipped (every hash is in
-        // `persisted`), so replay only rebuilds the in-memory view.
-        for block in chain_blocks.into_iter().filter(|b| b.height() > 0) {
+        // the pipeline. The store is attached afterwards, so replay only
+        // rebuilds the in-memory view.
+        for block in store
+            .canonical_chain()?
+            .into_iter()
+            .filter(|b| b.height() > 0)
+        {
             let hash = block.hash();
             let height = block.height();
             let outcome = validator.receive_block(block).wait();
@@ -158,36 +122,7 @@ impl Validator {
                 )));
             }
         }
-
-        // Layered flat-state catch-up: if the snapshot tree cannot resolve
-        // the recovered head (snapshots were just enabled on an older store,
-        // or the snap files were lost), rebuild it wholesale from the
-        // replayed head state. Replayed flattens must move forward in
-        // height, which a fresh base guarantees.
-        let (head_hash, head_height) = validator.head().expect("canonical head exists");
-        let head_root = validator
-            .head_state_root()
-            .expect("canonical head has a state root");
-        {
-            let mut ctx = validator
-                .store
-                .as_ref()
-                .expect("store attached above")
-                .lock();
-            let needs_reset = ctx
-                .store
-                .snapshots()
-                .map(|snaps| !snaps.has_root(head_root))
-                .unwrap_or(false);
-            if needs_reset {
-                let state = validator
-                    .pipeline
-                    .state_of(&head_hash)
-                    .expect("recovered head has a validated state");
-                ctx.store
-                    .reset_snapshots(&state.full_delta(), head_root, head_height)?;
-            }
-        }
+        validator.store = Some(Mutex::new(store));
         Ok(validator)
     }
 
@@ -264,19 +199,41 @@ impl Validator {
 
     /// Marks an already-validated block canonical at its height (the local
     /// effect of a fork-choice decision arriving from consensus) and, on a
-    /// store-backed validator, durably persists it. Returns false, with the
-    /// head unmoved and nothing persisted, if the block is unknown, has no
-    /// valid verdict (rejected, or still in the pipeline), or does not
-    /// extend the canonical chain.
+    /// store-backed validator, commits it to the store, whose head then
+    /// follows the canonical head. Returns false, with the head unmoved and
+    /// nothing persisted, if the block is unknown, has no valid verdict
+    /// (rejected, or still in the pipeline), or does not extend the
+    /// canonical chain.
+    ///
+    /// A storage failure panics: the durable view would silently diverge
+    /// otherwise, so it is unrecoverable by design, as in fsync-gated
+    /// databases.
     pub fn commit_canonical(&self, hash: BlockHash) -> bool {
-        let Some(state) = self.pipeline.state_of(&hash) else {
+        if self.pipeline.state_of(&hash).is_none() {
             return false;
-        };
-        let accepted = self.chain.lock().set_canonical(hash);
-        if accepted {
-            self.persist(hash, &state);
         }
-        accepted
+        let Some(store) = &self.store else {
+            return self.chain.lock().set_canonical(hash);
+        };
+        // The store lock is held across the chain update, so the store
+        // commits heads in the order the chain adopts them; the chain lock
+        // is not held across the write.
+        let mut store = store.lock();
+        let block = {
+            let mut chain = self.chain.lock();
+            if !chain.set_canonical(hash) {
+                return false;
+            }
+            chain
+                .get(&hash)
+                .cloned()
+                .expect("a canonical block is in the chain store")
+        };
+        store
+            .put_block(&block)
+            .and_then(|()| store.commit(hash))
+            .expect("persistent store commit failed");
+        true
     }
 
     /// The canonical block hash at `height`, if decided.
@@ -298,7 +255,7 @@ impl Validator {
 
     /// Runs `f` against the persistent store, if this validator has one.
     pub fn with_store_ref<R>(&self, f: impl FnOnce(&Store) -> R) -> Option<R> {
-        self.store.as_ref().map(|ctx| f(&ctx.lock().store))
+        self.store.as_ref().map(|store| f(&store.lock()))
     }
 
     /// Tears the validator down, returning its store (if any) with all
@@ -306,67 +263,11 @@ impl Validator {
     /// Under group commit this closes the open batch first, so deferred
     /// commits land before the handle changes hands.
     pub fn into_store(self) -> Option<Store> {
-        self.store.map(|ctx| {
-            let mut store = ctx.into_inner().store;
+        self.store.map(|store| {
+            let mut store = store.into_inner();
             store.flush().expect("final store flush failed");
             store
         })
-    }
-
-    /// Durably records a newly canonical block: block bytes, its post-state
-    /// trie nodes, its snapshot diff layer, a retention-window prune, then
-    /// the manifest swap. A storage failure here is unrecoverable by design
-    /// (the durable view would silently diverge), so it panics like
-    /// fsync-gated databases do.
-    fn persist(&self, hash: BlockHash, state: &WorldState) {
-        let Some(ctx) = &self.store else {
-            return;
-        };
-        let mut ctx = ctx.lock();
-        if ctx.persisted.contains(&hash) {
-            return;
-        }
-        let (block, parent_root) = {
-            let chain = self.chain.lock();
-            let block = chain
-                .get(&hash)
-                .cloned()
-                .expect("canonical block is in the chain store");
-            let parent_root = chain
-                .get(&block.header.parent_hash)
-                .map(|p| p.header.state_root);
-            (block, parent_root)
-        };
-        let (root, nodes) = state.commit_tries();
-        debug_assert_eq!(root, block.header.state_root);
-        let height = block.height();
-        let result: Result<(), StoreError> = (|| {
-            ctx.store.put_block(&block)?;
-            ctx.store.commit_root(root, &nodes)?;
-            if ctx.store.snapshots().is_some() {
-                // Stack the block's diff layer on its parent's root. The
-                // delta is distilled here, from the post-state and the keys
-                // validation recorded; an empty block (root == parent root)
-                // no-ops inside the tree.
-                let parent_root =
-                    parent_root.expect("persisted non-genesis block has a stored parent");
-                let delta = self.pipeline.delta_of(&hash).unwrap_or_default();
-                ctx.store.snap_add_layer(root, parent_root, height, delta)?;
-            }
-            if ctx.store.config().retention_window.is_none() {
-                // Legacy path for stores opened without a window: the
-                // validator prunes manually. Configured stores prune (and
-                // flatten snapshots) inside `commit` instead.
-                ctx.recent_roots.push_back((height, root));
-                while ctx.recent_roots.len() > ROOT_RETENTION {
-                    let (_, old) = ctx.recent_roots.pop_front().expect("len checked");
-                    ctx.store.prune(old)?;
-                }
-            }
-            ctx.store.commit(hash)
-        })();
-        result.expect("persistent store commit failed");
-        ctx.persisted.insert(hash);
     }
 }
 
@@ -376,7 +277,6 @@ mod tests {
     use crate::occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal};
     use crate::pipeline::ValidationError;
     use bp_evm::{BlockEnv, Transaction};
-    use bp_state::StateReader;
     use bp_store::store::test_dir;
     use bp_txpool::TxPool;
     use bp_types::{Address, U256};
@@ -497,7 +397,6 @@ mod tests {
         let unobservable = |when: &str| {
             for hash in &hashes {
                 assert!(validator.pipeline().state_of(hash).is_none(), "{when}");
-                assert!(validator.pipeline().delta_of(hash).is_none(), "{when}");
                 assert!(!validator.commit_canonical(*hash), "{when}");
             }
             assert_eq!(validator.head(), Some((genesis, 0)), "{when}");
@@ -534,13 +433,7 @@ mod tests {
             Validator::with_store(config(), world.clone(), Store::open(&dir).unwrap()).unwrap();
         assert_eq!(recovered.head(), Some((head, height)));
         assert_eq!(recovered.head_state_root(), Some(root));
-        // The recovered head state is resolvable from disk and the pipeline
-        // can keep extending the chain.
-        recovered
-            .with_store_ref(|s| {
-                assert_eq!(s.open_trie(root).unwrap().root_hash(), root);
-            })
-            .unwrap();
+        // The pipeline can keep extending the recovered chain.
         grow_chain(&recovered, 1, 3);
         assert_eq!(recovered.head().unwrap().1, height + 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -565,68 +458,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_store_tracks_head_and_recovers() {
-        let dir = test_dir("validator-snap");
+    fn the_stored_head_follows_the_canonical_head_across_reorgs() {
+        let dir = test_dir("validator-reorg");
         let world = genesis_world(60);
-        let (head_root, height) = {
-            let validator = Validator::with_store_at(config(), world.clone(), &dir).unwrap();
-            grow_chain(&validator, ROOT_RETENTION as u64 + 3, 0);
-            let (head, height) = validator.head().unwrap();
-            let root = validator.head_state_root().unwrap();
-            let head_state = validator.pipeline().state_of(&head).unwrap();
-            validator
-                .with_store_ref(|s| {
-                    // Windowed retention bounds the trie roots; the snapshot
-                    // tree follows the head, flattening old diff layers into
-                    // its base as blocks leave the window.
-                    assert!(s.roots().len() <= ROOT_RETENTION);
-                    let snaps = s.snapshots().expect("snapshots enabled");
-                    assert!(snaps.has_root(root));
-                    assert!(snaps.layer_count() <= ROOT_RETENTION);
-                    assert!(snaps.base_height() >= height - ROOT_RETENTION as u64);
-                    let reader = snaps.reader(root).unwrap();
-                    for i in [1u64, 6, 51, 56] {
-                        let snap_balance = reader
-                            .base_account(&addr(i))
-                            .map(|a| a.balance)
-                            .unwrap_or(U256::ZERO);
-                        assert_eq!(snap_balance, head_state.balance(&addr(i)));
-                    }
-                })
-                .unwrap();
-            (root, height)
-        };
-        // Reopen: replay restores the pipeline and the snapshot tree resumes
-        // at the durable head it journalled before the manifest swap.
-        let recovered = Validator::with_store_at(config(), world, &dir).unwrap();
-        assert_eq!(recovered.head_state_root(), Some(head_root));
-        recovered
-            .with_store_ref(|s| {
-                assert!(s
-                    .snapshots()
-                    .expect("snapshots enabled")
-                    .has_root(head_root));
-            })
-            .unwrap();
-        grow_chain(&recovered, 1, ROOT_RETENTION as u64 + 3);
-        assert_eq!(recovered.head().unwrap().1, height + 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn root_retention_prunes_old_roots() {
-        let dir = test_dir("validator-retention");
-        let world = genesis_world(60);
-        let validator =
-            Validator::with_store(config(), world.clone(), Store::open(&dir).unwrap()).unwrap();
-        let genesis_root = world.state_root();
-        grow_chain(&validator, ROOT_RETENTION as u64 + 2, 0);
-        validator
-            .with_store_ref(|s| {
-                assert_eq!(s.roots().len(), ROOT_RETENTION);
-                assert!(!s.contains_root(&genesis_root));
-            })
-            .unwrap();
+        let validator = Validator::with_store_at(config(), world.clone(), &dir).unwrap();
+        let a = propose_on(Arc::new(world.clone()), validator.genesis_hash(), 1, 0).block;
+        let mut b = a.clone();
+        b.header.proposer_seed += 1; // a sibling with a hash of its own
+        for block in [&a, &b] {
+            assert!(validator.receive_block(block.clone()).wait().is_valid());
+        }
+        for hash in [a.hash(), b.hash(), a.hash()] {
+            assert!(validator.commit_canonical(hash));
+            assert_eq!(validator.with_store_ref(|s| s.head()), Some(Some(hash)));
+        }
+        drop(validator);
+        let reopened = Validator::with_store_at(config(), world, &dir).unwrap();
+        assert_eq!(reopened.head(), Some((a.hash(), 1)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -150,18 +150,11 @@ mod tests {
         let replayed = second.equivalence.as_ref().map(|eq| eq.blocks);
         assert_eq!(replayed, Some(stored + 2));
 
-        // Reopened cold, the store lands on the same head and root, and the
-        // root resolves from disk.
+        // Reopened cold, the store lands on the same head and root.
         let genesis = WorkloadGen::new(workload()).genesis_state();
         let reopened = Validator::with_store_at(pipeline(), genesis, &dir).expect("store reopens");
         assert_eq!(reopened.head(), Some(second.heads[0]));
         assert_eq!(reopened.head_state_root(), Some(second.final_root));
-        reopened
-            .with_store_ref(|store| {
-                let trie = store.open_trie(second.final_root).expect("root on disk");
-                assert_eq!(trie.root_hash(), second.final_root);
-            })
-            .expect("store-backed");
         std::fs::remove_dir_all(&dir).ok();
     }
 

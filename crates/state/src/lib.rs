@@ -6,9 +6,6 @@
 //!   accounts, storage and retained tries in, so a snapshot is O(1);
 //! * [`world`] — the flat mutable [`world::WorldState`] plus MPT commitment
 //!   ([`world::WorldState::state_root`]);
-//! * [`reader`] — the [`reader::StateReader`] base-state seam (implemented
-//!   by `bp-snap`'s layered flat state) and the [`reader::StateDelta`]
-//!   block-effect records diff layers are made of;
 //! * [`mvstate`] — the multi-version overlay serving OCC-WSI snapshots.
 
 #![warn(missing_docs)]
@@ -17,14 +14,12 @@ pub mod account;
 pub mod mvstate;
 pub mod nibbles;
 pub mod pmap;
-pub mod reader;
 pub mod trie;
 pub mod world;
 
 pub use account::Account;
 pub use mvstate::MultiVersionState;
 pub use pmap::PMap;
-pub use reader::{BaseAccount, MapReader, StateDelta, StateReader};
 pub use trie::{
     empty_root, summarize_node, verify_proof, NodeResolver, NodeSummary, Trie, TrieLoadError,
 };

@@ -25,16 +25,6 @@
 //! costs O(state it touches): the proposer forks the pre-block world once to
 //! seal, every validator forks it once to apply, and the states retained per
 //! height share everything they did not write.
-//!
-//! A world can also be **layered** over a [`StateReader`] base
-//! ([`WorldState::layered`] / [`WorldState::rebase`]): the account map then
-//! holds only the *overlay* — accounts touched since the base — and reads
-//! that miss it fall through to the base. Writes materialize the account
-//! body in the overlay; storage writes record zero values as explicit
-//! tombstones so a cleared slot shadows the base instead of re-exposing it.
-//! Commitment merges overlay over base per dirty account, so the
-//! incremental-root machinery works identically whether state is resident
-//! or base-backed.
 
 use std::sync::Arc;
 
@@ -48,7 +38,6 @@ use bp_types::{FxHashMap as HashMap, FxHashSet as HashSet};
 
 use crate::account::{empty_code_hash, Account};
 use crate::pmap::PMap;
-use crate::reader::{BaseAccount, StateDelta, StateReader};
 use crate::trie::{self, Trie};
 
 /// One account's in-memory state.
@@ -148,24 +137,18 @@ struct CommitTracker {
 /// The mutable world state of the chain.
 #[derive(Debug, Default)]
 pub struct WorldState {
-    /// Resident accounts. For a base-backed world this is the overlay:
-    /// only accounts touched since [`WorldState::layered`] /
-    /// [`WorldState::rebase`] appear here.
     accounts: PMap<Address, Arc<AccountState>>,
-    /// Base state that reads fall through to when `accounts` misses.
-    base: Option<Arc<dyn StateReader>>,
     tracker: Mutex<CommitTracker>,
 }
 
 impl Clone for WorldState {
-    /// Copy-on-write, O(dirty accounts): the account map, the base handle
-    /// and the retained commit tries are shared by pointer until either side
-    /// writes; only the not-yet-committed dirty set is copied.
+    /// Copy-on-write, O(dirty accounts): the account map and the retained
+    /// commit tries are shared by pointer until either side writes; only the
+    /// not-yet-committed dirty set is copied.
     fn clone(&self) -> Self {
         let tracker = self.tracker.lock();
         WorldState {
             accounts: self.accounts.clone(),
-            base: self.base.clone(),
             tracker: Mutex::new(CommitTracker {
                 dirty: tracker.dirty.clone(),
                 commit: tracker.commit.clone(),
@@ -175,8 +158,8 @@ impl Clone for WorldState {
 }
 
 impl PartialEq for WorldState {
-    /// Equality is by resident account contents only — commit memos are
-    /// derived data, and base-backed worlds compare by overlay.
+    /// Equality is by account contents only — commit memos are derived
+    /// data.
     fn eq(&self, other: &Self) -> bool {
         self.accounts == other.accounts
     }
@@ -188,54 +171,6 @@ impl WorldState {
         Self::default()
     }
 
-    /// An empty overlay stacked on `base`, whose committed account trie is
-    /// `account_trie` (the trie whose root the base answers reads for).
-    ///
-    /// The trie seeds the incremental-commit memo so the first recommit
-    /// patches it instead of rebuilding from the (possibly huge) base.
-    /// Storage tries are not seeded: the first account whose storage is
-    /// touched rebuilds its trie from the base's flat entries, after which
-    /// it is retained and patched like any other.
-    pub fn layered(base: Arc<dyn StateReader>, account_trie: Trie) -> Self {
-        WorldState {
-            accounts: PMap::new(),
-            base: Some(base),
-            tracker: Mutex::new(CommitTracker {
-                dirty: HashMap::default(),
-                commit: Some(Arc::new(WorldCommit {
-                    root: account_trie.root_hash(),
-                    account_trie,
-                    storage_tries: PMap::new(),
-                })),
-            }),
-        }
-    }
-
-    /// Converts a resident world into a base-backed one: commits (so the
-    /// memo is primed), then drops every resident account in favor of reads
-    /// through `base` — which must answer exactly this world's committed
-    /// state (e.g. a flat base seeded with [`WorldState::full_delta`]).
-    ///
-    /// The commit memo — account trie *and* storage tries — is retained in
-    /// full: [`WorldState::commit_tries`] must keep emitting the complete
-    /// per-reference node list (reference-counting stores prune by the
-    /// mirror walk), and untouched accounts' storage tries can only come
-    /// from the memo once their flat values live behind the base. Only the
-    /// resident account bodies and storage values are shed.
-    pub fn rebase(&mut self, base: Arc<dyn StateReader>) {
-        let commit = self.refresh();
-        self.accounts = PMap::new();
-        self.base = Some(base);
-        let tracker = self.tracker.get_mut();
-        tracker.dirty = HashMap::default();
-        tracker.commit = Some(commit);
-    }
-
-    /// The base this world reads through, if any.
-    pub fn base(&self) -> Option<&Arc<dyn StateReader>> {
-        self.base.as_ref()
-    }
-
     /// A copy-on-write snapshot: the validator pipeline's per-block base.
     /// Alias of `clone()`, named for intent — the copy does not depend on
     /// the number of accounts, and a write to either side copies one path of
@@ -244,15 +179,12 @@ impl WorldState {
         self.clone()
     }
 
-    /// Read access to a *resident* (overlay) account, if present. For
-    /// base-backed worlds this does not consult the base — use the typed
-    /// getters for semantic reads.
+    /// Read access to an account, if present.
     pub fn account(&self, addr: &Address) -> Option<&AccountState> {
         self.accounts.get(addr).map(|a| &**a)
     }
 
-    /// Mutable access, creating (and, for base-backed worlds,
-    /// materializing) the account if needed.
+    /// Mutable access, creating the account if needed.
     ///
     /// This hands out the raw account — including its storage map — so the
     /// account is conservatively marked fully dirty and its storage trie is
@@ -263,7 +195,7 @@ impl WorldState {
             .get_mut()
             .dirty
             .insert(addr, DirtyAccount::Full);
-        materialize(&mut self.accounts, self.base.as_deref(), addr)
+        entry(&mut self.accounts, addr)
     }
 
     /// Marks the account body (balance/nonce/code) dirty without touching
@@ -274,53 +206,33 @@ impl WorldState {
             .dirty
             .entry(addr)
             .or_insert_with(|| DirtyAccount::Slots(HashSet::default()));
-        materialize(&mut self.accounts, self.base.as_deref(), addr)
+        entry(&mut self.accounts, addr)
     }
 
     /// The balance of `addr` (zero if absent).
     pub fn balance(&self, addr: &Address) -> U256 {
-        match self.accounts.get(addr) {
-            Some(a) => a.balance,
-            None => self
-                .base_account(addr)
-                .map(|a| a.balance)
-                .unwrap_or(U256::ZERO),
-        }
+        self.accounts.get(addr).map_or(U256::ZERO, |a| a.balance)
     }
 
     /// The nonce of `addr` (zero if absent).
     pub fn nonce(&self, addr: &Address) -> u64 {
-        match self.accounts.get(addr) {
-            Some(a) => a.nonce,
-            None => self.base_account(addr).map(|a| a.nonce).unwrap_or(0),
-        }
+        self.accounts.get(addr).map_or(0, |a| a.nonce)
     }
 
-    /// The storage slot `key` of `addr` (zero if absent). An overlay entry
-    /// — including a zero tombstone — shadows the base.
+    /// The storage slot `key` of `addr` (zero if absent).
     pub fn storage(&self, addr: &Address, key: &H256) -> U256 {
-        if let Some(acct) = self.accounts.get(addr) {
-            if let Some(value) = acct.storage.get(key) {
-                return *value;
-            }
-        }
-        match &self.base {
-            Some(base) => base.base_storage(addr, key).unwrap_or(U256::ZERO),
-            None => U256::ZERO,
-        }
+        self.accounts
+            .get(addr)
+            .and_then(|a| a.storage.get(key).copied())
+            .unwrap_or(U256::ZERO)
     }
 
     /// The code of `addr` (empty if absent).
     pub fn code(&self, addr: &Address) -> Arc<Vec<u8>> {
-        match self.accounts.get(addr) {
-            Some(a) => Arc::clone(&a.code),
-            None => self.base_account(addr).map(|a| a.code).unwrap_or_default(),
-        }
-    }
-
-    /// Base body lookup (absent without a base).
-    fn base_account(&self, addr: &Address) -> Option<BaseAccount> {
-        self.base.as_ref().and_then(|b| b.base_account(addr))
+        self.accounts
+            .get(addr)
+            .map(|a| Arc::clone(&a.code))
+            .unwrap_or_default()
     }
 
     /// Sets a balance, creating the account if needed.
@@ -333,9 +245,7 @@ impl WorldState {
         self.body_mut(addr).nonce = nonce;
     }
 
-    /// Sets a storage slot. Writing zero deletes the slot, as in Ethereum —
-    /// except over a base, where the zero is kept as an explicit tombstone
-    /// so the overlay shadows the base's value instead of re-exposing it.
+    /// Sets a storage slot. Writing zero deletes the slot, as in Ethereum.
     pub fn set_storage(&mut self, addr: Address, key: H256, value: U256) {
         let tracker = self.tracker.get_mut();
         match tracker
@@ -348,8 +258,8 @@ impl WorldState {
             }
             DirtyAccount::Full => {}
         }
-        let acct = materialize(&mut self.accounts, self.base.as_deref(), addr);
-        if value.is_zero() && self.base.is_none() {
+        let acct = entry(&mut self.accounts, addr);
+        if value.is_zero() {
             acct.storage.remove(&key);
         } else {
             acct.storage.insert(key, value);
@@ -368,16 +278,10 @@ impl WorldState {
             AccessKey::Balance(a) => self.balance(a),
             AccessKey::Nonce(a) => U256::from(self.nonce(a)),
             AccessKey::Storage(a, slot) => self.storage(a, slot),
-            // Resident accounts answer from the cached hash; only the
-            // base fall-through (cold read of an untouched account) still
-            // hashes the blob.
-            AccessKey::Code(a) => match self.accounts.get(a) {
-                Some(acct) => acct.code_hash,
-                None => match self.base_account(a) {
-                    Some(b) => code_read_word(&b.code),
-                    None => U256::ZERO,
-                },
-            },
+            AccessKey::Code(a) => self
+                .accounts
+                .get(a)
+                .map_or(U256::ZERO, |acct| acct.code_hash),
         }
     }
 
@@ -387,8 +291,8 @@ impl WorldState {
     /// callee, coinbase), and the account-map probe — a hash plus two
     /// dependent cache misses on a mainnet-sized map — repeats for every
     /// balance, nonce, storage and code-identity read. The memo pins the
-    /// last resident account touched so consecutive reads of the same
-    /// account skip the probe. The `&Self` borrow held by the memo entry
+    /// last account touched so consecutive reads of the same account skip
+    /// the probe. The `&Self` borrow held by the memo entry
     /// keeps the world immutable for the memo's whole lifetime, so entries
     /// can never go stale.
     pub fn read_key_memo<'a>(
@@ -408,22 +312,13 @@ impl WorldState {
             }
         };
         let Some(acct) = acct else {
-            // Not resident: the base fall-through path, identical to
-            // `read_key` (which also handles the no-base zero default).
-            return self.read_key(key);
+            // An absent account reads as zero throughout, as in `read_key`.
+            return U256::ZERO;
         };
         match key {
             AccessKey::Balance(_) => acct.balance,
             AccessKey::Nonce(_) => U256::from(acct.nonce),
-            // An overlay entry — including a zero tombstone — shadows the
-            // base, exactly as in `storage`.
-            AccessKey::Storage(_, slot) => match acct.storage.get(slot) {
-                Some(value) => *value,
-                None => match &self.base {
-                    Some(base) => base.base_storage(&addr, slot).unwrap_or(U256::ZERO),
-                    None => U256::ZERO,
-                },
-            },
+            AccessKey::Storage(_, slot) => acct.storage.get(slot).copied().unwrap_or(U256::ZERO),
             AccessKey::Code(_) => acct.code_hash,
         }
     }
@@ -493,20 +388,15 @@ impl WorldState {
 
     /// Recomputes the state root from scratch, ignoring and not touching the
     /// incremental memo. The oracle the incremental path is checked against
-    /// (automatically so in debug builds). For base-backed worlds this
-    /// enumerates the entire base — debug/test use only.
+    /// (automatically so in debug builds).
     pub fn rebuild_root(&self) -> H256 {
-        let mut addrs: HashSet<Address> = self.accounts.keys().copied().collect();
-        if let Some(base) = &self.base {
-            addrs.extend(base.base_accounts());
-        }
-        let mut bodies = Vec::with_capacity(addrs.len());
-        for addr in addrs {
-            let (acct, merged) = self.effective_account(&addr);
+        let mut bodies = Vec::with_capacity(self.accounts.len());
+        for (addr, acct) in self.accounts.iter() {
+            let storage = nonzero_slots(acct);
             if acct.nonce == 0
                 && acct.balance.is_zero()
                 && acct.code.is_empty()
-                && merged.is_empty()
+                && storage.is_empty()
             {
                 continue;
             }
@@ -516,7 +406,7 @@ impl WorldState {
                 acct.nonce,
                 acct.balance,
                 code_hash(&acct.code),
-                storage_root(&merged),
+                storage_root(&storage),
             );
             bodies.push((keccak256(addr.as_bytes()).0, Some(body)));
         }
@@ -524,107 +414,6 @@ impl WorldState {
         let mut account_trie = Trie::new();
         account_trie.apply_sorted(&mut bodies);
         account_trie.root_hash()
-    }
-
-    /// The effective body and merged (base ∪ overlay, zeros dropped) storage
-    /// of `addr`. From-scratch oracle helper — not a fast path.
-    fn effective_account(&self, addr: &Address) -> (AccountState, HashMap<H256, U256>) {
-        let mut merged: HashMap<H256, U256> = match &self.base {
-            Some(base) => base.base_storage_entries(addr).into_iter().collect(),
-            None => HashMap::default(),
-        };
-        let body = match self.accounts.get(addr) {
-            Some(acct) => {
-                for (slot, value) in &acct.storage {
-                    if value.is_zero() {
-                        merged.remove(slot);
-                    } else {
-                        merged.insert(*slot, *value);
-                    }
-                }
-                (**acct).clone()
-            }
-            None => match self.base_account(addr) {
-                Some(b) => AccountState {
-                    nonce: b.nonce,
-                    balance: b.balance,
-                    storage: PMap::new(),
-                    code_hash: code_read_word(&b.code),
-                    code: b.code,
-                },
-                None => AccountState::default(),
-            },
-        };
-        (body, merged)
-    }
-
-    /// The net effect of this world on its base, restricted to the given
-    /// touched keys — what a snapshot diff layer stores for the block that
-    /// produced this state. Values are read post-state: a zeroed slot or an
-    /// emptied account body becomes a `None` (delete) entry.
-    ///
-    /// Any body key (balance/nonce/code) captures the whole body, so the
-    /// delta is insensitive to which body field the write set named.
-    pub fn delta_for_keys<'a, I>(&self, keys: I) -> StateDelta
-    where
-        I: IntoIterator<Item = &'a AccessKey>,
-    {
-        let mut delta = StateDelta::default();
-        for key in keys {
-            match key {
-                AccessKey::Storage(addr, slot) => {
-                    let value = self.storage(addr, slot);
-                    delta
-                        .storage
-                        .entry(*addr)
-                        .or_default()
-                        .insert(*slot, (!value.is_zero()).then_some(value));
-                }
-                // A transaction names two or three body keys of one account
-                // (sender nonce + balance): resolve the body once for all.
-                _ => {
-                    let addr = key.address();
-                    delta.accounts.entry(addr).or_insert_with(|| {
-                        let body = match self.accounts.get(&addr) {
-                            Some(a) => BaseAccount {
-                                nonce: a.nonce,
-                                balance: a.balance,
-                                code: Arc::clone(&a.code),
-                            },
-                            None => self.base_account(&addr).unwrap_or_default(),
-                        };
-                        (!body.is_empty()).then_some(body)
-                    });
-                }
-            }
-        }
-        delta
-    }
-
-    /// The whole resident world as a delta over an empty base — used to
-    /// seed a flat base from a genesis world.
-    pub fn full_delta(&self) -> StateDelta {
-        let mut delta = StateDelta::default();
-        for (addr, acct) in self.accounts.iter() {
-            let body = BaseAccount {
-                nonce: acct.nonce,
-                balance: acct.balance,
-                code: Arc::clone(&acct.code),
-            };
-            if !body.is_empty() {
-                delta.accounts.insert(*addr, Some(body));
-            }
-            let slots: std::collections::HashMap<H256, Option<U256>> = acct
-                .storage
-                .iter()
-                .filter(|(_, v)| !v.is_zero())
-                .map(|(s, v)| (*s, Some(*v)))
-                .collect();
-            if !slots.is_empty() {
-                delta.storage.insert(*addr, slots);
-            }
-        }
-        delta
     }
 
     /// Brings the retained commit up to date with all dirty accounts and
@@ -651,16 +440,11 @@ impl WorldState {
                 (commit, dirty)
             }
             None => {
-                let mut all: HashMap<Address, DirtyAccount> = self
+                let all = self
                     .accounts
                     .keys()
                     .map(|addr| (*addr, DirtyAccount::Full))
                     .collect();
-                if let Some(base) = &self.base {
-                    for addr in base.base_accounts() {
-                        all.entry(addr).or_insert(DirtyAccount::Full);
-                    }
-                }
                 (WorldCommit::default(), all)
             }
         };
@@ -679,21 +463,26 @@ impl WorldState {
         // Storage first: each account's trie is patched with its new nodes
         // left pending, and the tries of the whole block are hashed level
         // by level together. The account bodies need their roots.
-        let base = self.base.as_deref();
         let mut states: Vec<_> = dirty
             .iter()
             .map(|(_, addr, dirt)| {
-                let overlay = self.accounts.get(addr).map(|acct| &**acct);
+                // An absent or EIP-161-empty account is dropped whatever its
+                // storage trie held.
+                let acct = self
+                    .accounts
+                    .get(addr)
+                    .map(|acct| &**acct)
+                    .filter(|acct| !acct.is_empty());
                 let prev = commit.storage_tries.get(addr);
-                let patched = patched_storage(addr, dirt, overlay, prev, base);
-                (overlay, prev, patched)
+                let patched = acct.and_then(|acct| patched_storage(dirt, acct, prev));
+                (acct, prev, patched)
             })
             .collect();
         trie::commit_pending(states.iter_mut().filter_map(|state| state.2.as_mut()));
         let mut bodies = Vec::with_capacity(dirty.len());
         let mut replaced = Vec::new();
-        for ((key, addr, _), (overlay, prev, patched)) in dirty.into_iter().zip(states) {
-            let update = account_update(&addr, overlay, prev, patched, base);
+        for ((key, addr, _), (acct, prev, patched)) in dirty.into_iter().zip(states) {
+            let update = account_update(acct, prev, patched);
             bodies.push((key, update.body));
             replaced.extend(update.storage_trie.map(|trie| (addr, trie)));
         }
@@ -717,28 +506,19 @@ impl WorldState {
     }
 }
 
-/// Overlay entry for `addr`, creating it if needed — seeded from the base's
-/// body when one exists, so the overlay body is authoritative from the first
-/// write on. Storage is *not* copied: overlay maps hold touched slots only.
-fn materialize<'a>(
-    accounts: &'a mut PMap<Address, Arc<AccountState>>,
-    base: Option<&dyn StateReader>,
-    addr: Address,
-) -> &'a mut AccountState {
-    let entry = accounts.get_or_insert_with(addr, || {
-        let seeded = base
-            .and_then(|b| b.base_account(&addr))
-            .map(|b| AccountState {
-                nonce: b.nonce,
-                balance: b.balance,
-                storage: PMap::new(),
-                code_hash: code_read_word(&b.code),
-                code: b.code,
-            })
-            .unwrap_or_default();
-        Arc::new(seeded)
-    });
-    Arc::make_mut(entry)
+/// The account at `addr`, created empty if absent, unshared for writing.
+fn entry(accounts: &mut PMap<Address, Arc<AccountState>>, addr: Address) -> &mut AccountState {
+    Arc::make_mut(accounts.get_or_insert_with(addr, Arc::default))
+}
+
+/// An account's storage without zero values (which only the
+/// [`WorldState::account_mut`] escape hatch can leave behind).
+fn nonzero_slots(acct: &AccountState) -> HashMap<H256, U256> {
+    acct.storage
+        .iter()
+        .filter(|(_, value)| !value.is_zero())
+        .map(|(slot, value)| (*slot, *value))
+        .collect()
 }
 
 /// A trie key: `keccak(address)` or `keccak(slot)`.
@@ -761,118 +541,65 @@ struct AccountUpdate {
     storage_trie: Option<Trie>,
 }
 
-/// True iff the account is gone whatever its storage trie held: nothing
-/// resident and no base to fall through to.
-fn is_absent(overlay: Option<&AccountState>, base: Option<&dyn StateReader>) -> bool {
-    base.is_none() && overlay.is_none_or(|acct| acct.is_empty())
-}
-
-/// One dirty account's new storage trie — the retained one (`prev`) patched,
-/// or one rebuilt — with the nodes it creates left pending; `None` when the
-/// retained trie stands or the account is gone.
-///
-/// With a base, the overlay account's storage map holds only the touched
-/// slots: the patch path falls through to the base per dirty slot, and the
-/// rebuild path merges overlay entries over the base's flat entries.
-fn patched_storage(
-    addr: &Address,
-    dirt: &DirtyAccount,
-    overlay: Option<&AccountState>,
-    prev: Option<&Trie>,
-    base: Option<&dyn StateReader>,
-) -> Option<Trie> {
-    if is_absent(overlay, base) {
-        return None;
-    }
-    match (dirt, prev, overlay) {
+/// One dirty, non-empty account's new storage trie — the retained one
+/// (`prev`) patched, or one rebuilt — with the nodes it creates left
+/// pending; `None` when the retained trie stands.
+fn patched_storage(dirt: &DirtyAccount, acct: &AccountState, prev: Option<&Trie>) -> Option<Trie> {
+    match (dirt, prev) {
         // Only the body changed: the retained trie stands.
-        (DirtyAccount::Slots(slots), Some(_), Some(_)) if slots.is_empty() => None,
+        (DirtyAccount::Slots(slots), Some(_)) if slots.is_empty() => None,
         // Precise slot tracking with a retained trie: patch only the dirty
         // slots, in one batch. A slot now zero/absent is deleted from the
-        // trie; a dirty slot missing from the overlay falls through to the
-        // base.
-        (DirtyAccount::Slots(slots), Some(prev), Some(acct)) => {
+        // trie.
+        (DirtyAccount::Slots(slots), Some(prev)) => {
             let slots: Vec<(&H256, U256)> = slots
                 .iter()
-                .map(|slot| {
-                    let value = acct
-                        .storage
-                        .get(slot)
-                        .copied()
-                        .or_else(|| base.and_then(|b| b.base_storage(addr, slot)))
-                        .unwrap_or(U256::ZERO);
-                    (slot, value)
-                })
+                .map(|slot| (slot, acct.storage.get(slot).copied().unwrap_or(U256::ZERO)))
                 .collect();
             let mut trie = prev.clone();
             apply_hashed(&mut trie, storage_leaves(slots));
             Some(trie)
         }
-        // Fully dirty, or no retained trie (first touch since the base, or
-        // storage was empty at the last commit): rebuild from the base's
-        // flat entries with the overlay's merged on top.
-        _ => {
-            let mut merged: HashMap<H256, U256> = match base {
-                Some(b) => b.base_storage_entries(addr).into_iter().collect(),
-                None => HashMap::default(),
-            };
-            if let Some(acct) = overlay {
-                for (slot, value) in &acct.storage {
-                    if value.is_zero() {
-                        merged.remove(slot);
-                    } else {
-                        merged.insert(*slot, *value);
-                    }
-                }
-            }
-            Some(storage_trie_pending(&merged))
-        }
+        // Fully dirty, or no retained trie (storage was empty at the last
+        // commit): rebuild from the account's slots.
+        _ => Some(storage_trie_pending(&nonzero_slots(acct))),
     }
 }
 
 /// One dirty account's update, once its new storage trie (`patched`, if it
 /// changed) is hashed: the re-encoded account body, and the trie to retain.
-///
-/// With a base, the overlay account's body is authoritative (materialized on
-/// first write). An account is dropped (EIP-161) iff its body is empty *and*
-/// its merged storage trie is.
+/// `acct` is `None` for an absent or empty account; an account is also
+/// dropped (EIP-161) when its body is empty *and* its storage trie is.
 fn account_update(
-    addr: &Address,
-    overlay: Option<&AccountState>,
+    acct: Option<&AccountState>,
     prev: Option<&Trie>,
     patched: Option<Trie>,
-    base: Option<&dyn StateReader>,
 ) -> AccountUpdate {
     let dropped = AccountUpdate {
         body: None,
         storage_trie: prev.map(|_| Trie::new()),
     };
-    if is_absent(overlay, base) {
+    let Some(acct) = acct else {
         return dropped;
-    }
+    };
     let storage_trie = patched
         .as_ref()
         .or(prev)
         .expect("an unpatched account has a retained trie");
-    // Resolve the effective body: the overlay's if materialized — its code
-    // hash is already at hand — else the base's (reachable when a first
-    // commit enumerates base accounts).
-    let (nonce, balance, code_hash) = match overlay {
-        Some(acct) if acct.code.is_empty() => (acct.nonce, acct.balance, empty_code_hash()),
-        Some(acct) => (acct.nonce, acct.balance, H256::from_u256(acct.code_hash)),
-        None => match base.and_then(|b| b.base_account(addr)) {
-            Some(b) => (b.nonce, b.balance, code_hash(&b.code)),
-            None => (0, U256::ZERO, empty_code_hash()),
-        },
-    };
-    if nonce == 0 && balance.is_zero() && code_hash == empty_code_hash() && storage_trie.is_empty()
+    if acct.nonce == 0 && acct.balance.is_zero() && acct.code.is_empty() && storage_trie.is_empty()
     {
         return dropped;
     }
+    // The code hash is at hand in the account.
+    let code_hash = if acct.code.is_empty() {
+        empty_code_hash()
+    } else {
+        H256::from_u256(acct.code_hash)
+    };
     AccountUpdate {
         body: Some(account_body(
-            nonce,
-            balance,
+            acct.nonce,
+            acct.balance,
             code_hash,
             storage_trie.root_hash(),
         )),
@@ -1133,13 +860,6 @@ mod tests {
                 "account {i}"
             );
         }
-        // A base-backed account that was never materialized has no cached
-        // hash: its body still carries the keccak of the base's code.
-        let mut base = MapReader::new();
-        base.apply(&w.full_delta());
-        let mut layered = WorldState::new();
-        layered.base = Some(Arc::new(base));
-        assert_eq!(layered.state_root(), root);
     }
 
     // ---- structural sharing: what a snapshot and a write after it cost ----
@@ -1377,174 +1097,6 @@ mod tests {
         assert_eq!(nodes_inc, nodes_fresh);
     }
 
-    // ---- base-backed (layered) world coverage ----
-
-    use crate::reader::MapReader;
-
-    /// A resident fixture world plus a MapReader base answering its
-    /// committed state and a layered world stacked on that base.
-    fn layered_fixture(n: u64) -> (WorldState, WorldState) {
-        let mut resident = WorldState::new();
-        for i in 0..n {
-            resident.set_balance(addr(i), U256::from(100 + i));
-            resident.set_nonce(addr(i), i % 3);
-            if i % 2 == 0 {
-                resident.set_storage(addr(i), H256::from_low_u64(i), U256::from(i + 1));
-                resident.set_storage(addr(i), H256::from_low_u64(i + 7), U256::from(2 * i + 1));
-            }
-            if i % 5 == 0 {
-                resident.set_code(addr(i), vec![0x60, i as u8]);
-            }
-        }
-        let mut base = MapReader::new();
-        base.apply(&resident.full_delta());
-        let commit = resident.refresh();
-        let layered = WorldState::layered(Arc::new(base), commit.account_trie.clone());
-        (resident, layered)
-    }
-
-    #[test]
-    fn layered_reads_fall_through_to_base() {
-        let (resident, layered) = layered_fixture(12);
-        for i in 0..12u64 {
-            assert_eq!(layered.balance(&addr(i)), resident.balance(&addr(i)));
-            assert_eq!(layered.nonce(&addr(i)), resident.nonce(&addr(i)));
-            assert_eq!(layered.code(&addr(i)), resident.code(&addr(i)));
-            let slot = H256::from_low_u64(i);
-            assert_eq!(
-                layered.storage(&addr(i), &slot),
-                resident.storage(&addr(i), &slot)
-            );
-        }
-        // Absent everywhere reads zero.
-        assert_eq!(layered.balance(&addr(99)), U256::ZERO);
-        assert_eq!(layered.storage(&addr(99), &H256::ZERO), U256::ZERO);
-        // Nothing was materialized by reads.
-        assert_eq!(layered.account_count(), 0);
-    }
-
-    #[test]
-    fn layered_root_matches_resident_after_same_mutations() {
-        let (mut resident, mut layered) = layered_fixture(20);
-        assert_eq!(layered.state_root(), resident.state_root());
-        let mutate = |w: &mut WorldState| {
-            w.set_balance(addr(3), U256::from(777u64));
-            w.set_storage(addr(2), H256::from_low_u64(2), U256::from(999u64));
-            w.set_storage(addr(4), H256::from_low_u64(4), U256::ZERO); // clear a base slot
-            w.set_storage(addr(21), H256::from_low_u64(1), U256::ONE); // fresh account
-            w.set_nonce(addr(21), 1);
-            w.set_balance(addr(5), U256::ZERO); // body emptied, storage may live on
-        };
-        mutate(&mut resident);
-        mutate(&mut layered);
-        assert_eq!(layered.state_root(), resident.state_root());
-        assert_eq!(layered.state_root(), layered.rebuild_root());
-        // Only the touched accounts were materialized.
-        assert!(layered.account_count() <= 5);
-        // Second round over the already-primed tries.
-        let again = |w: &mut WorldState| {
-            w.set_storage(addr(2), H256::from_low_u64(2), U256::ZERO);
-            w.set_storage(addr(2), H256::from_low_u64(77), U256::from(5u64));
-            w.set_balance(addr(0), U256::from(1u64));
-        };
-        again(&mut resident);
-        again(&mut layered);
-        assert_eq!(layered.state_root(), resident.state_root());
-    }
-
-    #[test]
-    fn layered_zero_write_shadows_base() {
-        let (_, mut layered) = layered_fixture(6);
-        let slot = H256::from_low_u64(0);
-        assert_eq!(layered.storage(&addr(0), &slot), U256::ONE);
-        layered.set_storage(addr(0), slot, U256::ZERO);
-        assert_eq!(layered.storage(&addr(0), &slot), U256::ZERO);
-        // The other base slot of addr(0) is untouched.
-        assert_eq!(layered.storage(&addr(0), &H256::from_low_u64(7)), U256::ONE);
-    }
-
-    #[test]
-    fn rebase_preserves_root_and_sheds_accounts() {
-        let (resident, _) = layered_fixture(15);
-        let root = resident.state_root();
-        let mut base = MapReader::new();
-        base.apply(&resident.full_delta());
-        let mut world = resident.clone();
-        world.rebase(Arc::new(base));
-        assert_eq!(world.account_count(), 0);
-        assert_eq!(world.state_root(), root);
-        // Mutations keep committing correctly after the rebase.
-        world.set_balance(addr(1), U256::from(123456u64));
-        assert_eq!(world.state_root(), world.rebuild_root());
-    }
-
-    #[test]
-    fn layered_snapshot_forks_diverge_like_resident_ones() {
-        let (resident, layered) = layered_fixture(10);
-        let mut fork_a = layered.snapshot();
-        let mut fork_b = layered.snapshot();
-        fork_a.set_balance(addr(1), U256::from(111u64));
-        fork_b.set_balance(addr(1), U256::from(222u64));
-        let mut oracle_a = resident.clone();
-        oracle_a.set_balance(addr(1), U256::from(111u64));
-        let mut oracle_b = resident.clone();
-        oracle_b.set_balance(addr(1), U256::from(222u64));
-        assert_eq!(fork_a.state_root(), oracle_a.state_root());
-        assert_eq!(fork_b.state_root(), oracle_b.state_root());
-        // The shared parent overlay is untouched by either fork.
-        assert_eq!(layered.balance(&addr(1)), U256::from(101u64));
-    }
-
-    #[test]
-    fn delta_for_keys_roundtrips_through_map_reader() {
-        let (resident, mut layered) = layered_fixture(8);
-        layered.set_balance(addr(2), U256::from(5000u64));
-        layered.set_nonce(addr(2), 9);
-        layered.set_storage(addr(0), H256::from_low_u64(0), U256::ZERO);
-        layered.set_storage(addr(3), H256::from_low_u64(40), U256::from(4u64));
-        layered.set_balance(addr(1), U256::ZERO); // EIP-161 empties addr(1)?
-        layered.set_nonce(addr(1), 0);
-        let keys = [
-            AccessKey::Balance(addr(2)),
-            AccessKey::Nonce(addr(2)),
-            AccessKey::Storage(addr(0), H256::from_low_u64(0)),
-            AccessKey::Storage(addr(3), H256::from_low_u64(40)),
-            AccessKey::Balance(addr(1)),
-        ];
-        let delta = layered.delta_for_keys(keys.iter());
-        // Fold the delta into a copy of the base: reads must match the
-        // layered world's post-state.
-        let mut folded = MapReader::new();
-        folded.apply(&resident.full_delta());
-        folded.apply(&delta);
-        let reread = WorldState::layered(Arc::new(folded), {
-            let commit = layered.refresh();
-            commit.account_trie.clone()
-        });
-        assert_eq!(reread.state_root(), layered.state_root());
-        assert_eq!(reread.balance(&addr(2)), U256::from(5000u64));
-        assert_eq!(reread.nonce(&addr(2)), 9);
-        assert_eq!(reread.storage(&addr(0), &H256::from_low_u64(0)), U256::ZERO);
-        assert_eq!(
-            reread.storage(&addr(3), &H256::from_low_u64(40)),
-            U256::from(4u64)
-        );
-    }
-
-    #[test]
-    fn layered_first_commit_without_memo_enumerates_base() {
-        // A layered world whose commit memo was never seeded must still
-        // produce the right root by enumerating the base (slow fallback).
-        let (resident, _) = layered_fixture(9);
-        let mut base = MapReader::new();
-        base.apply(&resident.full_delta());
-        let mut world = WorldState::new();
-        world.base = Some(Arc::new(base));
-        assert_eq!(world.state_root(), resident.state_root());
-        world.set_balance(addr(30), U256::from(3u64));
-        assert_eq!(world.state_root(), world.rebuild_root());
-    }
-
     #[test]
     fn a_committed_worlds_snapshot_carries_no_dirty_capacity() {
         // A hash table emptied in place keeps its buckets, and a clone of
@@ -1560,20 +1112,12 @@ mod tests {
         w.state_root();
         assert_eq!(dirty_capacity(&w), 0);
         assert_eq!(dirty_capacity(&w.snapshot()), 0);
-        // … a recommit of a large dirty set over a retained commit …
+        // … and a recommit of a large dirty set over a retained commit.
         for i in 0..3_000u64 {
             w.set_nonce(addr(i), 1);
         }
         assert!(dirty_capacity(&w.snapshot()) >= 3_000);
         w.state_root();
-        assert_eq!(dirty_capacity(&w), 0);
-        // … and a rebase with writes outstanding.
-        for i in 0..2_000u64 {
-            w.set_nonce(addr(i), 2);
-        }
-        let mut base = MapReader::new();
-        base.apply(&w.full_delta());
-        w.rebase(Arc::new(base));
         assert_eq!(dirty_capacity(&w), 0);
         // A descendant's table is sized by what it wrote itself.
         let mut child = w.snapshot();

@@ -1,52 +1,39 @@
-//! Persistent block and state storage with crash-safe commit.
+//! Persistent chain storage with crash-safe commit.
 //!
 //! Everything above this crate — chain store, world state, MPT — is purely
-//! in-memory; `bp-store` gives a node durability and cold-start recovery:
+//! in-memory; `bp-store` gives a node durability and cold-start recovery by
+//! keeping exactly what recovery reads: the genesis state and the blocks.
+//! State after genesis is not stored; a restarted validator replays the
+//! stored chain on the genesis state.
 //!
-//! * [`blocklog`] — an append-only block file of length-prefixed RLP
-//!   segments (`bp_block::encode_block`) with an in-memory hash → offset
-//!   index;
-//! * [`backend`] — the [`NodeBackend`] trait over which MPT nodes persist,
-//!   with an in-memory and an append-only on-disk implementation;
-//! * [`nodestore`] — per-root reference counting on top of a backend, so
-//!   committing a state root retains exactly its reachable nodes and
-//!   [`NodeStore::prune`] releases them symmetrically;
-//! * [`manifest`] — the crash-safety core: a dual-slot write-ahead manifest
-//!   recording head hash, durable file lengths, and retained roots. Data
-//!   files are fsynced *before* the manifest swaps, so a kill at any byte
-//!   boundary recovers to the last durable head;
-//! * [`snapshot`] — a checksummed RLP snapshot of the genesis
-//!   [`bp_state::WorldState`], the anchor cold-start replay executes from;
-//! * [`store`] — the [`Store`] facade tying the pieces together:
-//!   `open → put_block/commit_root → commit(head)` with
-//!   [`Store::canonical_chain`] replaying the durable chain after a restart.
+//! * [`log`] — the record format of the one file, `<dir>/chain.log`:
+//!   framed, keccak-checksummed `genesis`, `block` and `commit` records;
+//! * [`snapshot`] — the genesis record's payload, a deterministic RLP
+//!   encoding of a [`bp_state::WorldState`];
+//! * [`store`] — the [`Store`] facade:
+//!   `open → initialize → put_block → commit(head)`, with
+//!   [`Store::canonical_chain`] reading the durable chain back after a
+//!   restart.
 //!
 //! ## Commit protocol
 //!
-//! 1. append block and node records to their logs (buffered, not yet
-//!    durable);
-//! 2. [`Store::commit`]: flush + `fsync` both logs, then write a manifest
-//!    `{generation, head, blocks_len, nodes_len, roots, checksum}` to the
-//!    *older* of two slots and fsync it (ping-pong swap).
+//! 1. append records to the log (written, not yet durable);
+//! 2. at a group boundary — every [`Store::commit`], or under
+//!    [`GroupCommitConfig`] the last of a group, or [`Store::flush`] — sync
+//!    the log, then append a commit marker `{head, offset, group digest}`
+//!    and sync again.
 //!
-//! [`Store::open`] picks the newest manifest whose checksum verifies **and**
-//! whose recorded lengths fit the data files, truncates the logs to those
-//! lengths (discarding any torn tail), and rebuilds the node refcounts by
-//! walking every retained root — which doubles as an integrity check.
+//! [`Store::open`] scans the log, verifying every record and every marker
+//! against its group, and truncates whatever follows the last marker. A
+//! record that fails its checksum with a marker after it is
+//! [`StoreError::Corrupt`]: the marker shows it was durable.
 
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod blocklog;
-pub mod manifest;
-pub mod nodestore;
+pub mod log;
 pub mod snapshot;
 pub mod store;
 
-pub use backend::{FileBackend, MemoryBackend, NodeBackend};
-pub use blocklog::BlockLog;
-pub use manifest::ManifestData;
-pub use nodestore::NodeStore;
 pub use snapshot::{decode_world, encode_world};
 pub use store::{GroupCommitConfig, Store, StoreConfig};
 
@@ -57,14 +44,10 @@ use bp_types::H256;
 pub enum StoreError {
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
-    /// A durable structure failed its checksum or decode — the store cannot
-    /// vouch for the data.
+    /// A durable record failed its checksum or decode, or the directory is
+    /// not a chain log — the store cannot vouch for the data.
     Corrupt(String),
-    /// A trie walk met a node the backend does not hold.
-    MissingNode(H256),
-    /// A root was asked to be pruned but is not retained.
-    UnknownRoot(H256),
-    /// A block referenced by the manifest is not in the block log.
+    /// A block named as head is not stored.
     MissingBlock(H256),
 }
 
@@ -73,8 +56,6 @@ impl std::fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "storage io error: {e}"),
             StoreError::Corrupt(what) => write!(f, "corrupt store: {what}"),
-            StoreError::MissingNode(h) => write!(f, "missing trie node {h:?}"),
-            StoreError::UnknownRoot(h) => write!(f, "root {h:?} is not retained"),
             StoreError::MissingBlock(h) => write!(f, "missing block {h:?}"),
         }
     }
@@ -92,15 +73,5 @@ impl std::error::Error for StoreError {
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
-    }
-}
-
-impl From<bp_snap::SnapError> for StoreError {
-    fn from(e: bp_snap::SnapError) -> Self {
-        match e {
-            bp_snap::SnapError::Io(io) => StoreError::Io(io),
-            bp_snap::SnapError::Corrupt(msg) => StoreError::Corrupt(format!("snapshot: {msg}")),
-            bp_snap::SnapError::UnknownRoot(root) => StoreError::UnknownRoot(root),
-        }
     }
 }

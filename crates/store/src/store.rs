@@ -1,49 +1,44 @@
-//! The [`Store`] facade: one directory holding a node's durable chain.
+//! The [`Store`] facade: one directory, one log.
 //!
 //! ```text
-//! <dir>/blocks.log   append-only length-prefixed RLP blocks
-//! <dir>/nodes.log    append-only MPT node put/delete records
-//! <dir>/genesis.bin  checksummed genesis world-state snapshot
-//! <dir>/manifest.0   ┐ dual-slot crash-safe manifest
-//! <dir>/manifest.1   ┘ (head, durable lengths, retained roots)
+//! <dir>/chain.log   genesis record, block records, commit markers (see [`crate::log`])
 //! ```
 //!
-//! Writes accumulate in the logs; [`Store::commit`] makes them durable
-//! (fsync data, then swap the manifest). [`Store::open`] recovers to the
-//! newest manifest consistent with the data files, so a crash at any byte
-//! boundary rolls back to the last completed commit — never a torn block or
-//! dangling root.
+//! Records accumulate in the log; a group boundary makes them durable:
+//! the group is synced, then its commit marker is appended and synced, so a
+//! marker is never on disk before the records it covers. [`Store::open`]
+//! recovers to the last marker and cuts off whatever follows it — a crash
+//! at any byte rolls back to the last completed group, never a torn block.
 
+use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use bp_block::Block;
-use bp_snap::SnapTree;
-use bp_state::{StateDelta, Trie, WorldState};
+use bp_block::{decode_block, encode_block, Block};
+use bp_state::WorldState;
 use bp_types::{BlockHash, H256};
 
-use crate::backend::FileBackend;
-use crate::blocklog::BlockLog;
-use crate::manifest::{self, ManifestData};
-use crate::nodestore::NodeStore;
+use crate::log::{self, Commit};
 use crate::snapshot::{decode_world, encode_world};
 use crate::StoreError;
 
-const BLOCKS_FILE: &str = "blocks.log";
-const NODES_FILE: &str = "nodes.log";
-const GENESIS_FILE: &str = "genesis.bin";
-const SNAP_DIR: &str = "snap";
+const LOG_FILE: &str = "chain.log";
+/// Files of the retired multi-file layout; a directory holding one of them
+/// and no log is refused rather than initialized over.
+const OLD_FORMAT: [&str; 2] = ["blocks.log", "manifest.0"];
 
-/// Bounds for coalescing consecutive [`Store::commit`]s into one fsync
-/// batch. A batch closes (and durably lands) as soon as *either* bound is
-/// reached, or on an explicit [`Store::flush`].
+/// Bounds for coalescing consecutive [`Store::commit`]s into one group. A
+/// group closes (and durably lands) as soon as *either* bound is reached,
+/// or on an explicit [`Store::flush`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GroupCommitConfig {
-    /// Close the batch after this many deferred commits (1 degenerates to
-    /// per-commit fsync; 0 is treated as 1).
+    /// Close the group after this many commits (1 degenerates to a durable
+    /// commit per block; 0 is treated as 1).
     pub max_blocks: usize,
-    /// Close the batch once the bytes appended since the last boundary
-    /// (block log + node log + snapshot layer journal) reach this bound, so
-    /// a burst of heavy blocks cannot grow the at-risk window unboundedly.
+    /// Close the group once the bytes appended since the last boundary reach
+    /// this bound, so a burst of heavy blocks cannot grow the at-risk window
+    /// unboundedly.
     pub max_bytes: u64,
 }
 
@@ -59,109 +54,94 @@ impl Default for GroupCommitConfig {
 /// Tunables for a [`Store`].
 #[derive(Clone, Debug, Default)]
 pub struct StoreConfig {
-    /// Keep only the newest `K` retained state roots: each
-    /// [`Store::commit`] prunes trie roots (and flattens snapshot diff
-    /// layers) past the window, oldest first. `None` (the default) keeps
-    /// everything.
-    pub retention_window: Option<usize>,
-    /// Maintain a persistent [`SnapTree`] (layered flat state) under
-    /// `<dir>/snap`, giving execution a disk-backed read path that does not
-    /// require the whole state resident in memory.
-    pub snapshots: bool,
-    /// Coalesce consecutive commits into one fsync batch. `None` (the
-    /// default) keeps the classic commit-per-block durability: every
-    /// [`Store::commit`] fsyncs and swaps the manifest. With a config set,
-    /// commits inside a batch only advance the in-memory head; the batch
-    /// boundary runs the full durable path, and a crash mid-batch rolls the
-    /// store back to the last boundary (never a torn record).
+    /// Coalesce consecutive commits into one group. `None` (the default) is
+    /// a group of one: every [`Store::commit`] is durable on return. With a
+    /// config set, commits inside a group only advance the in-memory head;
+    /// the boundary makes them all durable, and a crash mid-group rolls the
+    /// store back to the last boundary.
     pub group_commit: Option<GroupCommitConfig>,
 }
 
-/// A node's persistent block/state store.
+/// A node's persistent chain: the genesis state and the blocks, in one
+/// append-only log.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    blocks: BlockLog,
-    nodes: NodeStore<FileBackend>,
+    file: File,
+    /// Bytes appended, synced or not.
+    len: u64,
+    /// hash → (payload offset, payload length) of every stored block.
+    index: HashMap<BlockHash, (u64, u32)>,
+    /// Checksums of the records appended since the last marker.
+    group: Vec<H256>,
+    /// Where the open group starts.
+    group_start: u64,
     head: Option<BlockHash>,
     genesis_state: Option<WorldState>,
-    next_slot: usize,
-    next_generation: u64,
     config: StoreConfig,
-    snaps: Option<SnapTree>,
-    /// Commits deferred since the last durable batch boundary (always 0
-    /// without group commit).
+    /// Commits since the last boundary.
     pending_commits: usize,
-    /// Total log bytes (blocks + nodes + snap journal) at the last durable
-    /// boundary; the difference to the current totals sizes the open batch.
-    batch_base_bytes: u64,
+}
+
+/// What a scan of the log vouches for.
+#[derive(Default)]
+struct Recovered {
+    index: HashMap<BlockHash, (u64, u32)>,
+    head: Option<BlockHash>,
+    genesis_state: Option<WorldState>,
+    /// End of the last commit marker: everything after it is cut off.
+    len: u64,
 }
 
 impl Store {
-    /// Opens the store in `dir` with default configuration (no retention
-    /// window, no snapshot tree). See [`Store::open_with`].
+    /// Opens the store in `dir` with the default configuration. See
+    /// [`Store::open_with`].
     pub fn open(dir: impl AsRef<Path>) -> Result<Store, StoreError> {
         Store::open_with(dir, StoreConfig::default())
     }
 
-    /// Opens the store in `dir` (created if absent), replaying the manifest:
-    /// data logs are truncated to their committed lengths and node refcounts
-    /// rebuilt by walking every retained root. With `config.snapshots` the
-    /// layered flat state under `<dir>/snap` is recovered alongside.
+    /// Opens the store in `dir` (created if absent): scans the log, keeps
+    /// everything up to the last commit marker and truncates the rest.
+    ///
+    /// A record that fails its checksum is a torn tail when no marker
+    /// follows it, and [`StoreError::Corrupt`] when one does: a marker is
+    /// only written once what it covers is durable. A directory of the
+    /// retired multi-file layout is refused.
     pub fn open_with(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Store, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let blocks_path = dir.join(BLOCKS_FILE);
-        let nodes_path = dir.join(NODES_FILE);
-        let blocks_actual = file_len(&blocks_path)?;
-        let nodes_actual = file_len(&nodes_path)?;
-        let (active, next_slot, next_generation) =
-            manifest::load(&dir, blocks_actual, nodes_actual);
-        if active.is_none() && next_generation > 1 {
-            return Err(StoreError::Corrupt(
-                "manifests present but none consistent with the data files".into(),
-            ));
-        }
-        let (head, blocks_len, nodes_len, roots) = match &active {
-            Some(m) => (m.head, m.blocks_len, m.nodes_len, m.roots.clone()),
-            None => (None, 0, 0, Vec::new()),
-        };
-        let blocks = BlockLog::open(&blocks_path, blocks_len)?;
-        let backend = FileBackend::open(&nodes_path, nodes_len)?;
-        let nodes = NodeStore::rebuild(backend, roots)?;
-        if let Some(h) = head {
-            if !blocks.contains(&h) {
-                return Err(StoreError::MissingBlock(h));
+        let path = dir.join(LOG_FILE);
+        if !path.exists() {
+            if let Some(old) = OLD_FORMAT.iter().find(|f| dir.join(f).exists()) {
+                return Err(StoreError::Corrupt(format!(
+                    "{} holds {old} of the retired multi-file layout and no {LOG_FILE}",
+                    dir.display()
+                )));
             }
         }
-        let genesis_state = match std::fs::read(dir.join(GENESIS_FILE)) {
-            Ok(bytes) => Some(decode_world(&bytes)?),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e.into()),
-        };
-        let snaps = if config.snapshots {
-            let snaps = SnapTree::open(&dir.join(SNAP_DIR))?;
-            if config.group_commit.is_some() {
-                snaps.set_deferred_sync(true);
-            }
-            Some(snaps)
-        } else {
-            None
-        };
-        let batch_base_bytes =
-            blocks_len + nodes_len + snaps.as_ref().map(|s| s.journal_len()).unwrap_or(0);
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(&path)?;
+        let data = std::fs::read(&path)?;
+        let recovered = recover(&data)?;
+        if (data.len() as u64) > recovered.len {
+            file.set_len(recovered.len)?;
+            file.sync_all()?;
+        }
         Ok(Store {
             dir,
-            blocks,
-            nodes,
-            head,
-            genesis_state,
-            next_slot,
-            next_generation,
+            file,
+            len: recovered.len,
+            index: recovered.index,
+            group: Vec::new(),
+            group_start: recovered.len,
+            head: recovered.head,
+            genesis_state: recovered.genesis_state,
             config,
-            snaps,
             pending_commits: 0,
-            batch_base_bytes,
         })
     }
 
@@ -170,33 +150,25 @@ impl Store {
         self.genesis_state.is_some() && self.head.is_some()
     }
 
-    /// Anchors a fresh store: durably snapshots the genesis state, persists
-    /// the genesis block and its state's trie nodes, and commits the
-    /// manifest with the genesis block as head.
+    /// Anchors a fresh store: appends the genesis state and the genesis
+    /// block and makes them durable with the genesis block as head.
     pub fn initialize(
         &mut self,
         genesis_state: &WorldState,
         genesis_block: &Block,
     ) -> Result<(), StoreError> {
-        if self.is_initialized() {
+        if self.is_initialized() || self.len > 0 {
             return Err(StoreError::Corrupt("store already initialized".into()));
         }
-        let snapshot_path = self.dir.join(GENESIS_FILE);
-        std::fs::write(&snapshot_path, encode_world(genesis_state))?;
-        std::fs::File::open(&snapshot_path)?.sync_all()?;
-        std::fs::File::open(&self.dir)?.sync_all()?;
+        self.append(log::GENESIS, &encode_world(genesis_state))?;
         self.genesis_state = Some(genesis_state.clone());
         self.put_block(genesis_block)?;
-        let (root, nodes) = genesis_state.commit_tries();
-        debug_assert_eq!(root, genesis_block.header.state_root);
-        self.commit_root(root, &nodes)?;
-        if let Some(snaps) = &self.snaps {
-            snaps.seed(&genesis_state.full_delta(), root, 0)?;
-        }
-        // Genesis must be durable before the store is usable, even under
-        // group commit.
         self.commit(genesis_block.hash())?;
-        self.flush()
+        // Genesis must be durable before the store is usable, even under
+        // group commit, and so must the log's directory entry.
+        self.flush()?;
+        File::open(&self.dir)?.sync_all()?;
+        Ok(())
     }
 
     /// The genesis world-state snapshot, if initialized.
@@ -204,150 +176,125 @@ impl Store {
         self.genesis_state.as_ref()
     }
 
-    /// Appends a block to the log (durable after the next
-    /// [`Store::commit`]).
+    /// Appends a block to the log (durable at the next group boundary).
+    /// Re-appending a stored block is a no-op.
     pub fn put_block(&mut self, block: &Block) -> Result<(), StoreError> {
-        self.blocks.append(block)
+        let hash = block.hash();
+        if self.index.contains_key(&hash) {
+            return Ok(());
+        }
+        let payload = encode_block(block);
+        let at = self.append(log::BLOCK, &payload)?;
+        self.index.insert(hash, (at, payload.len() as u32));
+        Ok(())
     }
 
     /// Reads a block back by hash.
     pub fn get_block(&self, hash: &BlockHash) -> Result<Option<Block>, StoreError> {
-        self.blocks.get(hash)
+        let Some(raw) = self.get_block_raw(hash)? else {
+            return Ok(None);
+        };
+        let block = decode_block(&raw)
+            .map_err(|e| StoreError::Corrupt(format!("block {hash:?} undecodable: {e}")))?;
+        Ok(Some(block))
     }
 
     /// The raw stored encoding of a block.
     pub fn get_block_raw(&self, hash: &BlockHash) -> Result<Option<Vec<u8>>, StoreError> {
-        self.blocks.get_raw(hash)
+        let Some(&(offset, len)) = self.index.get(hash) else {
+            return Ok(None);
+        };
+        let mut payload = vec![0u8; len as usize];
+        self.file.read_exact_at(&mut payload, offset)?;
+        Ok(Some(payload))
     }
 
-    /// True iff `hash` is in the block log.
+    /// True iff `hash` is stored.
     pub fn has_block(&self, hash: &BlockHash) -> bool {
-        self.blocks.contains(hash)
+        self.index.contains_key(hash)
     }
 
     /// Number of stored blocks.
     pub fn block_count(&self) -> usize {
-        self.blocks.block_count()
+        self.index.len()
     }
 
-    /// Retains a state root's trie nodes (see
-    /// [`NodeStore::commit_root`]); durable after the next
-    /// [`Store::commit`].
-    pub fn commit_root(&mut self, root: H256, nodes: &[(H256, Vec<u8>)]) -> Result<(), StoreError> {
-        self.nodes.commit_root(root, nodes)
-    }
-
-    /// Releases one retention of `root`, deleting nodes no retained root
-    /// still reaches.
-    pub fn prune(&mut self, root: H256) -> Result<(), StoreError> {
-        self.nodes.prune(root)
-    }
-
-    /// The crash-safe commit: fsync both logs, then atomically swap in a
-    /// manifest recording `head`, the durable lengths, and the retained
-    /// roots. On return the state up to `head` survives any crash.
-    ///
-    /// With a [`StoreConfig::retention_window`] set, roots older than the
-    /// newest `K` are pruned first (trie nodes released, snapshot diff
-    /// layers flattened into the flat base), so the manifest that lands
-    /// already reflects the bounded retained set.
-    ///
-    /// With [`StoreConfig::group_commit`] set, the commit is *deferred*
-    /// unless it closes the batch: the in-memory head advances but nothing
-    /// is fsynced, and `Ok(())` means "will be durable at the next boundary
-    /// or [`Store::flush`]". A crash mid-batch rolls back to the previous
-    /// boundary's head.
+    /// Commits `head`. It is durable on return when this closes the group
+    /// (always, without [`StoreConfig::group_commit`]); otherwise only the
+    /// in-memory head advances, and `Ok(())` means "durable at the next
+    /// boundary or [`Store::flush`]". A crash mid-group rolls back to the
+    /// previous boundary's head.
     pub fn commit(&mut self, head: BlockHash) -> Result<(), StoreError> {
-        if !self.blocks.contains(&head) {
+        if !self.has_block(&head) {
             return Err(StoreError::MissingBlock(head));
         }
-        if let Some(gc) = self.config.group_commit {
-            self.pending_commits += 1;
-            self.head = Some(head);
-            let batch_bytes = self.total_log_bytes().saturating_sub(self.batch_base_bytes);
-            if self.pending_commits < gc.max_blocks.max(1) && batch_bytes < gc.max_bytes {
-                return Ok(());
-            }
+        self.head = Some(head);
+        self.pending_commits += 1;
+        let bounds = self.config.group_commit.unwrap_or(GroupCommitConfig {
+            max_blocks: 1,
+            max_bytes: u64::MAX,
+        });
+        if self.pending_commits < bounds.max_blocks.max(1)
+            && self.len - self.group_start < bounds.max_bytes
+        {
+            return Ok(());
         }
-        self.commit_boundary(head)
+        self.close_group()
     }
 
-    /// Closes any open group-commit batch, making every deferred commit
-    /// durable. A no-op when nothing is pending. Call on shutdown (and
-    /// before handing the directory to another process).
+    /// Closes the open group, making every commit in it durable. A no-op
+    /// when nothing is pending. Call on shutdown (and before handing the
+    /// directory to another process).
     pub fn flush(&mut self) -> Result<(), StoreError> {
         if self.pending_commits == 0 {
             return Ok(());
         }
-        let head = self.head.expect("pending commits imply a head");
-        self.commit_boundary(head)
+        self.close_group()
     }
 
-    /// Commits deferred in the currently open batch (0 without group
-    /// commit).
+    /// Commits since the last group boundary.
     pub fn pending_commits(&self) -> usize {
         self.pending_commits
     }
 
-    /// All appended log bytes, synced or not: block log + node log + snap
-    /// layer journal.
-    fn total_log_bytes(&self) -> u64 {
-        self.blocks.pending_len()
-            + self.nodes.backend().pending_len()
-            + self.snaps.as_ref().map(|s| s.journal_len()).unwrap_or(0)
-    }
-
-    /// The full durable path: retention prune, data fsyncs (snap journal
-    /// first, then the logs), manifest swap. Ordering matters — every byte
-    /// the manifest's lengths describe must be durable before the
-    /// generation swap publishes them.
-    fn commit_boundary(&mut self, head: BlockHash) -> Result<(), StoreError> {
-        if let Some(window) = self.config.retention_window {
-            let window = window.max(1);
-            while self.nodes.roots().len() > window {
-                let oldest = self.nodes.roots()[0];
-                self.nodes.prune(oldest)?;
-            }
-            if let Some(snaps) = &self.snaps {
-                let head_root = self
-                    .blocks
-                    .get(&head)?
-                    .ok_or(StoreError::MissingBlock(head))?
-                    .header
-                    .state_root;
-                if snaps.has_root(head_root) {
-                    snaps.retain(head_root, window)?;
-                }
-            }
-        }
-        if let Some(snaps) = &self.snaps {
-            if self.config.group_commit.is_some() {
-                // Deferred layer appends: fsync the journal and swap the
-                // snap meta before the store manifest lands, so the snap
-                // tree is never *behind* the manifest it supports. (Ahead
-                // is benign: layers above the head reattach on replay.)
-                snaps.sync()?;
-            }
-        }
-        let blocks_len = self.blocks.sync()?;
-        let nodes_len = self.nodes.sync()?;
-        let data = ManifestData {
-            generation: self.next_generation,
-            head: Some(head),
-            blocks_len,
-            nodes_len,
-            roots: self.nodes.roots().to_vec(),
+    /// The group boundary: sync the group, then append its marker and sync
+    /// that. The order is the crash contract — a marker on disk vouches that
+    /// every record before it is durable.
+    fn close_group(&mut self) -> Result<(), StoreError> {
+        let head = self.head.expect("pending commits imply a head");
+        self.file.sync_data()?;
+        let marker = Commit {
+            head,
+            offset: self.len,
+            group: log::group_digest(&self.group),
         };
-        manifest::write_slot(&self.dir, self.next_slot, &data)?;
-        self.head = Some(head);
-        self.next_slot = 1 - self.next_slot;
-        self.next_generation += 1;
+        self.append(log::COMMIT, &marker.encode())?;
         self.pending_commits = 0;
-        self.batch_base_bytes = self.total_log_bytes();
+        self.file.sync_data()?;
         Ok(())
     }
 
-    /// The committed canonical head.
+    /// Writes one record at the end of the log; returns its payload offset.
+    /// The write is positioned, so a failed one is overwritten by the next;
+    /// a written marker closes the in-memory group with the log's, so a
+    /// failed sync after it leaves the two in step.
+    fn append(&mut self, kind: u8, payload: &[u8]) -> Result<u64, StoreError> {
+        let mut record = Vec::with_capacity(log::FRAME_OVERHEAD + payload.len());
+        let checksum = log::frame(kind, payload, &mut record);
+        self.file.write_all_at(&record, self.len)?;
+        let payload_at = self.len + log::HEADER as u64;
+        self.len += record.len() as u64;
+        if kind == log::COMMIT {
+            self.group.clear();
+            self.group_start = self.len;
+        } else {
+            self.group.push(checksum);
+        }
+        Ok(payload_at)
+    }
+
+    /// The committed canonical head (ahead of the durable one while a group
+    /// is open).
     pub fn head(&self) -> Option<BlockHash> {
         self.head
     }
@@ -375,83 +322,58 @@ impl Store {
         chain.reverse();
         Ok(chain)
     }
-
-    /// Materializes the trie at a retained `root` from stored nodes.
-    pub fn open_trie(&self, root: H256) -> Result<Trie, StoreError> {
-        self.nodes.open_trie(root)
-    }
-
-    /// True iff `root` is currently retained.
-    pub fn contains_root(&self, root: &H256) -> bool {
-        self.nodes.contains_root(root)
-    }
-
-    /// The retained root multiset.
-    pub fn roots(&self) -> &[H256] {
-        self.nodes.roots()
-    }
-
-    /// Number of distinct stored trie nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.node_count()
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configuration this store was opened with.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
-    /// The layered flat-state tree, when [`StoreConfig::snapshots`] is on.
-    /// The handle is cheap to clone and internally synchronized.
-    pub fn snapshots(&self) -> Option<&SnapTree> {
-        self.snaps.as_ref()
-    }
-
-    /// Registers one block's diff layer in the snapshot tree: `root` is the
-    /// block's post-state root stacked on `parent` (the previous block's
-    /// root). No-op `Ok(false)` when snapshots are off or the root is
-    /// already covered (replays, empty blocks).
-    pub fn snap_add_layer(
-        &mut self,
-        root: H256,
-        parent: H256,
-        height: u64,
-        delta: StateDelta,
-    ) -> Result<bool, StoreError> {
-        match &self.snaps {
-            Some(snaps) => Ok(snaps.add_layer(root, parent, height, delta)?),
-            None => Ok(false),
-        }
-    }
-
-    /// Rebuilds the snapshot tree from scratch: `delta` must be the full
-    /// state at `root` (height 0 for genesis). Recovery calls this before
-    /// replaying the chain, since replayed flattens must move forward in
-    /// height from a fresh base.
-    pub fn reset_snapshots(
-        &mut self,
-        delta: &StateDelta,
-        root: H256,
-        height: u64,
-    ) -> Result<(), StoreError> {
-        if let Some(snaps) = &self.snaps {
-            snaps.reset(delta, root, height)?;
-        }
-        Ok(())
-    }
 }
 
-fn file_len(path: &Path) -> Result<u64, StoreError> {
-    match std::fs::metadata(path) {
-        Ok(m) => Ok(m.len()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(0),
-        Err(e) => Err(e.into()),
+/// Scans the log from the start: every group up to the last commit marker
+/// must verify, and nothing after that marker counts.
+fn recover(data: &[u8]) -> Result<Recovered, StoreError> {
+    let corrupt =
+        |at: usize, what: String| StoreError::Corrupt(format!("chain log at {at}: {what}"));
+    let mut durable = Recovered::default();
+    let mut blocks = Vec::new();
+    let mut genesis = None;
+    let mut group = Vec::new();
+    let mut at = 0;
+    while let Some(record) = log::read(data, at) {
+        match record.kind {
+            log::GENESIS if at == 0 => genesis = Some(decode_world(record.payload)?),
+            log::BLOCK => {
+                let block = decode_block(record.payload)
+                    .map_err(|e| corrupt(at, format!("undecodable block: {e}")))?;
+                let span = (record.payload_at as u64, record.payload.len() as u32);
+                blocks.push((block.hash(), span));
+            }
+            log::COMMIT => {
+                let marker = Commit::decode(record.payload)
+                    .ok_or_else(|| corrupt(at, "malformed commit marker".into()))?;
+                if marker.offset != at as u64 || marker.group != log::group_digest(&group) {
+                    return Err(corrupt(at, "commit marker does not match its group".into()));
+                }
+                durable.index.extend(blocks.drain(..));
+                durable.genesis_state = durable.genesis_state.or(genesis.take());
+                if !durable.index.contains_key(&marker.head) {
+                    return Err(corrupt(at, "commit marker names no stored block".into()));
+                }
+                durable.head = Some(marker.head);
+                durable.len = record.end as u64;
+                group.clear();
+                at = record.end;
+                continue;
+            }
+            kind => return Err(corrupt(at, format!("unexpected record kind {kind}"))),
+        }
+        group.push(record.checksum);
+        at = record.end;
     }
+    // The scan stopped on a record that is cut short or fails its checksum:
+    // a torn tail, unless a marker after it shows it was durable.
+    if let Some(marker) = (at + 1..data.len()).find(|&q| log::is_commit_at(data, q)) {
+        return Err(corrupt(
+            at,
+            format!("record fails its checksum, but the commit marker at {marker} covers it"),
+        ));
+    }
+    Ok(durable)
 }
 
 /// A fresh scratch directory for tests and benches (recreated if left over
@@ -524,6 +446,8 @@ mod tests {
             let mut store = Store::open(&dir).unwrap();
             store.initialize(&world, &gblock).unwrap();
             assert!(store.is_initialized());
+            let err = store.initialize(&world, &gblock).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)));
         }
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.head(), Some(gblock.hash()));
@@ -531,11 +455,36 @@ mod tests {
             store.genesis_state().unwrap().state_root(),
             world.state_root()
         );
-        let chain = store.canonical_chain().unwrap();
-        assert_eq!(chain, vec![gblock]);
-        assert!(store.contains_root(&world.state_root()));
-        let trie = store.open_trie(world.state_root()).unwrap();
-        assert_eq!(trie.root_hash(), world.state_root());
+        assert_eq!(store.canonical_chain().unwrap(), vec![gblock]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_get_roundtrip() {
+        let dir = test_dir("store-roundtrip");
+        let mut world = genesis_world(5);
+        let gblock = genesis_block(&world);
+        let b1 = child_block(&gblock, &mut world, 1);
+        let mut store = Store::open(&dir).unwrap();
+        store.put_block(&gblock).unwrap();
+        store.put_block(&b1).unwrap();
+        // Read back before anything is durable, from the same file.
+        assert_eq!(store.get_block(&gblock.hash()).unwrap(), Some(gblock));
+        assert_eq!(store.get_block(&b1.hash()).unwrap(), Some(b1));
+        assert_eq!(store.get_block(&H256::from_low_u64(999)).unwrap(), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn duplicate_append_is_idempotent() {
+        let dir = test_dir("store-dup");
+        let world = genesis_world(5);
+        let gblock = genesis_block(&world);
+        let mut store = Store::open(&dir).unwrap();
+        store.initialize(&world, &gblock).unwrap();
+        let len = store.len;
+        store.put_block(&gblock).unwrap();
+        assert_eq!((store.len, store.block_count()), (len, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -549,15 +498,17 @@ mod tests {
             store.initialize(&world, &gblock).unwrap();
             let b1 = child_block(&gblock, &mut world, 1);
             store.put_block(&b1).unwrap();
-            let (root, nodes) = world.commit_tries();
-            store.commit_root(root, &nodes).unwrap();
-            // No commit(): block + nodes stay in the unsynced tail.
+            // No commit(): the block stays in the unmarked tail.
             b1
         };
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.head(), Some(gblock.hash()));
         assert!(!store.has_block(&orphan.hash()));
-        assert!(!store.contains_root(&orphan.header.state_root));
+        // The tail was cut off, not just ignored.
+        assert_eq!(
+            std::fs::metadata(dir.join(LOG_FILE)).unwrap().len(),
+            store.len
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -574,8 +525,6 @@ mod tests {
             for seq in 1..=4 {
                 let b = child_block(&parent, &mut world, seq);
                 store.put_block(&b).unwrap();
-                let (root, nodes) = world.commit_tries();
-                store.commit_root(root, &nodes).unwrap();
                 store.commit(b.hash()).unwrap();
                 blocks.push(b.clone());
                 parent = b;
@@ -584,117 +533,51 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.head(), Some(blocks.last().unwrap().hash()));
         assert_eq!(store.canonical_chain().unwrap(), blocks);
-        // Every committed root still resolves.
-        for root in store.roots().to_vec() {
-            assert_eq!(store.open_trie(root).unwrap().root_hash(), root);
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn prune_survives_reopen() {
-        let dir = test_dir("store-prune");
-        let mut world = genesis_world(8);
+    fn the_directory_holds_one_log_of_the_appended_records() {
+        let dir = test_dir("store-one-log");
+        let mut world = genesis_world(6);
         let gblock = genesis_block(&world);
-        let genesis_root = world.state_root();
-        {
-            let mut store = Store::open(&dir).unwrap();
-            store.initialize(&world, &gblock).unwrap();
-            let b1 = child_block(&gblock, &mut world, 1);
-            store.put_block(&b1).unwrap();
-            let (root, nodes) = world.commit_tries();
-            store.commit_root(root, &nodes).unwrap();
-            store.prune(genesis_root).unwrap();
-            store.commit(b1.hash()).unwrap();
-        }
-        let store = Store::open(&dir).unwrap();
-        assert!(!store.contains_root(&genesis_root));
-        assert!(store.contains_root(&world.state_root()));
+        let mut store = Store::open(&dir).unwrap();
+        store.initialize(&world, &gblock).unwrap();
+        let b1 = child_block(&gblock, &mut world, 1);
+        store.put_block(&b1).unwrap();
+        store.commit(b1.hash()).unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(files.len(), 1);
+        let expected = log::frame_len(encode_world(&genesis_world(6)).len())
+            + log::frame_len(encode_block(&gblock).len())
+            + log::frame_len(encode_block(&b1).len())
+            + 2 * log::frame_len(log::COMMIT_LEN);
         assert_eq!(
-            store.open_trie(world.state_root()).unwrap().root_hash(),
-            world.state_root()
+            std::fs::metadata(dir.join(LOG_FILE)).unwrap().len(),
+            expected
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn retention_window_bounds_roots_and_snap_layers() {
-        use bp_state::{BaseAccount, StateReader};
-        use std::sync::Arc;
-        let dir = test_dir("store-retention");
-        let mut world = genesis_world(6);
-        let gblock = genesis_block(&world);
-        let config = StoreConfig {
-            retention_window: Some(3),
-            snapshots: true,
-            group_commit: None,
-        };
-        let head;
-        let head_root;
-        {
-            let mut store = Store::open_with(&dir, config.clone()).unwrap();
-            store.initialize(&world, &gblock).unwrap();
-            assert_eq!(store.snapshots().unwrap().base_root(), world.state_root());
-            let mut parent = gblock.clone();
-            let mut parent_root = world.state_root();
-            for seq in 1..=8u64 {
-                let b = child_block(&parent, &mut world, seq);
-                let root = world.state_root();
-                // The block's net effect: one fresh balance write.
-                let mut delta = StateDelta::default();
-                delta.accounts.insert(
-                    Address::from_index(900 + seq),
-                    Some(BaseAccount {
-                        nonce: 0,
-                        balance: U256::from(seq + 1),
-                        code: Arc::new(Vec::new()),
-                    }),
-                );
-                store.put_block(&b).unwrap();
-                let (_, nodes) = world.commit_tries();
-                store.commit_root(root, &nodes).unwrap();
-                store.snap_add_layer(root, parent_root, seq, delta).unwrap();
-                store.commit(b.hash()).unwrap();
-                assert!(store.roots().len() <= 3);
-                assert!(store.snapshots().unwrap().layer_count() <= 3);
-                parent = b;
-                parent_root = root;
-            }
-            head = parent.hash();
-            head_root = parent_root;
-            // The snap base advanced past genesis as layers flattened.
-            assert!(store.snapshots().unwrap().base_height() >= 5);
+    fn an_old_format_directory_is_refused() {
+        for old in OLD_FORMAT {
+            let dir = test_dir("store-old-format");
+            std::fs::write(dir.join(old), b"a store of the retired layout").unwrap();
+            let err = Store::open(&dir).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "{old}: {err}");
+            // Refused, not initialized over: nothing was created.
+            assert!(!dir.join(LOG_FILE).exists());
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        let store = Store::open_with(&dir, config).unwrap();
-        assert_eq!(store.head(), Some(head));
-        assert_eq!(store.roots().len(), 3);
-        assert!(store.contains_root(&head_root));
-        let snaps = store.snapshots().unwrap();
-        assert!(snaps.has_root(head_root));
-        let reader = snaps.reader(head_root).unwrap();
-        for seq in 1..=8u64 {
-            assert_eq!(
-                reader
-                    .base_account(&Address::from_index(900 + seq))
-                    .unwrap()
-                    .balance,
-                U256::from(seq + 1)
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Reopens `dir` with `config` and returns the durable head — what a
-    /// crash right now would recover to.
-    fn durable_head(dir: &Path, config: &StoreConfig) -> Option<BlockHash> {
+    /// Reopens a copy of `dir` and returns the durable head — what a crash
+    /// right now would recover to.
+    fn durable_head(dir: &Path) -> Option<BlockHash> {
         let scratch = test_dir("store-gc-probe");
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let entry = entry.unwrap();
-            if entry.file_type().unwrap().is_file() {
-                std::fs::copy(entry.path(), scratch.join(entry.file_name())).unwrap();
-            }
-        }
-        let head = Store::open_with(&scratch, config.clone()).unwrap().head();
+        std::fs::copy(dir.join(LOG_FILE), scratch.join(LOG_FILE)).unwrap();
+        let head = Store::open(&scratch).unwrap().head();
         std::fs::remove_dir_all(&scratch).unwrap();
         head
     }
@@ -707,41 +590,40 @@ mod tests {
                 max_blocks: 3,
                 max_bytes: u64::MAX,
             }),
-            ..StoreConfig::default()
         };
         let mut world = genesis_world(5);
         let gblock = genesis_block(&world);
-        let mut store = Store::open_with(&dir, config.clone()).unwrap();
+        let mut store = Store::open_with(&dir, config).unwrap();
         // initialize flushes: genesis is durable even under group commit.
         store.initialize(&world, &gblock).unwrap();
         assert_eq!(store.pending_commits(), 0);
-        assert_eq!(durable_head(&dir, &config), Some(gblock.hash()));
+        assert_eq!(durable_head(&dir), Some(gblock.hash()));
 
         let mut parent = gblock.clone();
         let mut hashes = Vec::new();
         for seq in 1..=4u64 {
             let b = child_block(&parent, &mut world, seq);
             store.put_block(&b).unwrap();
-            let (root, nodes) = world.commit_tries();
-            store.commit_root(root, &nodes).unwrap();
             store.commit(b.hash()).unwrap();
             hashes.push(b.hash());
             parent = b;
         }
-        // b1, b2 deferred; b3 closed the batch; b4 opened a new one.
+        // b1, b2 deferred; b3 closed the group; b4 opened a new one.
         assert_eq!(store.pending_commits(), 1);
         assert_eq!(store.head(), Some(hashes[3]), "in-memory head runs ahead");
         assert_eq!(
-            durable_head(&dir, &config),
+            durable_head(&dir),
             Some(hashes[2]),
-            "durable head is the last batch boundary"
+            "durable head is the last group boundary"
         );
 
         store.flush().unwrap();
         assert_eq!(store.pending_commits(), 0);
-        assert_eq!(durable_head(&dir, &config), Some(hashes[3]));
+        assert_eq!(durable_head(&dir), Some(hashes[3]));
         // Idempotent when nothing is pending.
+        let len = store.len;
         store.flush().unwrap();
+        assert_eq!(store.len, len);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -751,22 +633,19 @@ mod tests {
         let config = StoreConfig {
             group_commit: Some(GroupCommitConfig {
                 max_blocks: usize::MAX,
-                max_bytes: 1, // any appended byte closes the batch
+                max_bytes: 1, // any appended byte closes the group
             }),
-            ..StoreConfig::default()
         };
         let mut world = genesis_world(5);
         let gblock = genesis_block(&world);
-        let mut store = Store::open_with(&dir, config.clone()).unwrap();
+        let mut store = Store::open_with(&dir, config).unwrap();
         store.initialize(&world, &gblock).unwrap();
         let b1 = child_block(&gblock, &mut world, 1);
         store.put_block(&b1).unwrap();
-        let (root, nodes) = world.commit_tries();
-        store.commit_root(root, &nodes).unwrap();
         store.commit(b1.hash()).unwrap();
         // The block's own bytes tripped the bound: nothing stays pending.
         assert_eq!(store.pending_commits(), 0);
-        assert_eq!(durable_head(&dir, &config), Some(b1.hash()));
+        assert_eq!(durable_head(&dir), Some(b1.hash()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

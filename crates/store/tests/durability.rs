@@ -1,14 +1,14 @@
-//! Crash-injection tests: truncate the data logs at every byte boundary of
-//! the last committed record and assert `Store::open` recovers to the
-//! previous manifest head — never a torn block or dangling root.
+//! Crash-injection tests on the chain log: cut it at every byte of what a
+//! crash can leave unfinished and assert `Store::open` recovers the last
+//! durable head — and that damage to what a marker covers is reported, not
+//! recovered around.
 
-use std::fs::OpenOptions;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use bp_block::{genesis_header, Block, BlockProfile};
-use bp_state::{StateDelta, WorldState};
+use bp_state::WorldState;
 use bp_store::store::test_dir;
-use bp_store::{GroupCommitConfig, Store, StoreConfig};
+use bp_store::{GroupCommitConfig, Store, StoreConfig, StoreError};
 use bp_types::{Address, U256};
 
 fn genesis_world() -> WorldState {
@@ -40,30 +40,32 @@ fn child_block(parent: &Block, state: &mut WorldState, seq: u64) -> Block {
     }
 }
 
-fn copy_store(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).unwrap();
-    for entry in std::fs::read_dir(src).unwrap() {
-        let entry = entry.unwrap();
-        if entry.file_type().unwrap().is_dir() {
-            copy_store(&entry.path(), &dst.join(entry.file_name()));
-        } else {
-            std::fs::copy(entry.path(), dst.join(entry.file_name())).unwrap();
-        }
-    }
+fn log_path(dir: &Path) -> PathBuf {
+    dir.join("chain.log")
 }
 
-fn truncate(path: &Path, len: u64) {
-    OpenOptions::new()
-        .write(true)
-        .open(path)
-        .unwrap()
-        .set_len(len)
-        .unwrap();
+fn log_len(dir: &Path) -> usize {
+    std::fs::metadata(log_path(dir)).unwrap().len() as usize
 }
 
-/// Kill the process at any byte boundary inside the last block record: the
-/// newest manifest no longer fits the data file, so `Store::open` must fall
-/// back one generation — to the previous head, never a torn block.
+/// Opens a store on a copy of `dir`'s log with its bytes replaced by
+/// `damage(bytes)`.
+fn open_damaged(
+    dir: &Path,
+    config: &StoreConfig,
+    damage: impl FnOnce(&mut Vec<u8>),
+) -> Result<Store, StoreError> {
+    let mut bytes = std::fs::read(log_path(dir)).unwrap();
+    damage(&mut bytes);
+    let scratch = test_dir("crash-copy");
+    std::fs::write(log_path(&scratch), &bytes).unwrap();
+    let opened = Store::open_with(&scratch, config.clone());
+    std::fs::remove_dir_all(&scratch).unwrap();
+    opened
+}
+
+/// A crash at any byte of the last group — its block record or its commit
+/// marker — recovers the previous marker's head, never a torn block.
 #[test]
 fn truncating_last_block_record_recovers_previous_head() {
     let dir = test_dir("crash-blocks");
@@ -74,26 +76,19 @@ fn truncating_last_block_record_recovers_previous_head() {
 
     let b1 = child_block(&gblock, &mut world, 1);
     store.put_block(&b1).unwrap();
-    let (root1, nodes1) = world.commit_tries();
-    store.commit_root(root1, &nodes1).unwrap();
     store.commit(b1.hash()).unwrap();
-    let blocks_len_at_b1 = std::fs::metadata(dir.join("blocks.log")).unwrap().len();
+    let len_at_b1 = log_len(&dir);
 
     let b2 = child_block(&b1, &mut world, 2);
     store.put_block(&b2).unwrap();
-    let (root2, nodes2) = world.commit_tries();
-    store.commit_root(root2, &nodes2).unwrap();
     store.commit(b2.hash()).unwrap();
-    let blocks_len_at_b2 = std::fs::metadata(dir.join("blocks.log")).unwrap().len();
+    let len_at_b2 = log_len(&dir);
     drop(store);
 
-    assert!(blocks_len_at_b2 > blocks_len_at_b1, "b2 appended a record");
-    for cut in blocks_len_at_b1..blocks_len_at_b2 {
-        let scratch = test_dir("crash-blocks-cut");
-        copy_store(&dir, &scratch);
-        truncate(&scratch.join("blocks.log"), cut);
-        let recovered =
-            Store::open(&scratch).unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
+    let config = StoreConfig::default();
+    for cut in len_at_b1..len_at_b2 {
+        let recovered = open_damaged(&dir, &config, |bytes| bytes.truncate(cut))
+            .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
         assert_eq!(recovered.head(), Some(b1.hash()), "cut at byte {cut}");
         assert!(!recovered.has_block(&b2.hash()), "torn b2 visible at {cut}");
         assert_eq!(
@@ -101,75 +96,25 @@ fn truncating_last_block_record_recovers_previous_head() {
             Some(&b1),
             "durable b1 damaged at {cut}"
         );
-        assert!(recovered.contains_root(&root1));
-        assert!(!recovered.contains_root(&root2));
-        std::fs::remove_dir_all(&scratch).unwrap();
     }
 
-    // The untruncated file keeps the newest generation.
+    // The untruncated log keeps the newest group.
     let full = Store::open(&dir).unwrap();
     assert_eq!(full.head(), Some(b2.hash()));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Same crash model applied to the node log: a torn trie-node tail rolls
-/// the whole store back one commit.
-#[test]
-fn truncating_last_node_records_recovers_previous_head() {
-    let dir = test_dir("crash-nodes");
-    let mut world = genesis_world();
-    let gblock = genesis_block(&world);
-    let mut store = Store::open(&dir).unwrap();
-    store.initialize(&world, &gblock).unwrap();
-
-    let b1 = child_block(&gblock, &mut world, 1);
-    store.put_block(&b1).unwrap();
-    let (root1, nodes1) = world.commit_tries();
-    store.commit_root(root1, &nodes1).unwrap();
-    store.commit(b1.hash()).unwrap();
-    let nodes_len_at_b1 = std::fs::metadata(dir.join("nodes.log")).unwrap().len();
-
-    let b2 = child_block(&b1, &mut world, 2);
-    store.put_block(&b2).unwrap();
-    let (root2, nodes2) = world.commit_tries();
-    store.commit_root(root2, &nodes2).unwrap();
-    store.commit(b2.hash()).unwrap();
-    let nodes_len_at_b2 = std::fs::metadata(dir.join("nodes.log")).unwrap().len();
-    drop(store);
-
-    assert!(
-        nodes_len_at_b2 > nodes_len_at_b1,
-        "b2 appended node records"
-    );
-    for cut in nodes_len_at_b1..nodes_len_at_b2 {
-        let scratch = test_dir("crash-nodes-cut");
-        copy_store(&dir, &scratch);
-        truncate(&scratch.join("nodes.log"), cut);
-        let recovered =
-            Store::open(&scratch).unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
-        assert_eq!(recovered.head(), Some(b1.hash()), "cut at byte {cut}");
-        assert!(recovered.contains_root(&root1));
-        assert!(!recovered.contains_root(&root2));
-        assert_eq!(recovered.open_trie(root1).unwrap().root_hash(), root1);
-        std::fs::remove_dir_all(&scratch).unwrap();
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The group-commit crash contract, byte by byte. Two durable boundaries
-/// bracket a coalesced batch (b3, b4 deferred, never flushed); a crash at
-/// *any* byte of the unsynced tails of the block log, the node log, or the
-/// snapshot layer journal must recover to the b2 boundary — with the trie
-/// store and the snapshot tree agreeing on that head's root — and never
-/// expose b3 or b4.
+/// The group-commit crash contract, byte by byte. Two boundaries bracket a
+/// coalesced group (b3, b4 committed, never flushed): a crash that leaves
+/// any prefix of the group's records — or any of its bytes garbled, as a
+/// write torn across pages can — recovers the b2 boundary and never exposes
+/// b3 or b4.
 #[test]
 fn crash_inside_coalesced_batch_rolls_back_to_boundary() {
     let dir = test_dir("crash-group-commit");
     let config = StoreConfig {
-        retention_window: None,
-        snapshots: true,
         group_commit: Some(GroupCommitConfig {
-            max_blocks: 100, // only the explicit flush closes a batch
+            max_blocks: 100, // only the explicit flush closes a group
             max_bytes: u64::MAX,
         }),
     };
@@ -178,106 +123,122 @@ fn crash_inside_coalesced_batch_rolls_back_to_boundary() {
     let mut store = Store::open_with(&dir, config.clone()).unwrap();
     store.initialize(&world, &gblock).unwrap();
 
-    // One block = one balance write; its snap delta mirrors it.
-    let advance = |store: &mut Store, parent: &Block, seq: u64, world: &mut WorldState| {
-        let parent_root = world.state_root();
-        let b = child_block(parent, world, seq);
+    let mut parent = gblock;
+    let mut blocks = Vec::new();
+    let mut boundary = 0;
+    for seq in 1..=4 {
+        let b = child_block(&parent, &mut world, seq);
         store.put_block(&b).unwrap();
-        let (root, nodes) = world.commit_tries();
-        store.commit_root(root, &nodes).unwrap();
-        let mut delta = StateDelta::default();
-        delta.accounts.insert(
-            Address::from_index(900 + seq),
-            Some(bp_state::BaseAccount {
-                nonce: 0,
-                balance: U256::from(seq + 1),
-                code: std::sync::Arc::new(Vec::new()),
-            }),
-        );
-        store.snap_add_layer(root, parent_root, seq, delta).unwrap();
         store.commit(b.hash()).unwrap();
-        (b, root)
-    };
-
-    let (b1, _root1) = advance(&mut store, &gblock, 1, &mut world);
-    let (b2, root2) = advance(&mut store, &b1, 2, &mut world);
-    store.flush().unwrap(); // durable boundary: head b2
-    let lens_at_boundary = file_lens(&dir);
-
-    let (b3, root3) = advance(&mut store, &b2, 3, &mut world);
-    let (b4, root4) = advance(&mut store, &b3, 4, &mut world);
-    assert_eq!(store.pending_commits(), 2, "b3 and b4 stayed deferred");
-    assert_eq!(store.head(), Some(b4.hash()), "in-memory head ran ahead");
-    let lens_after_batch = file_lens(&dir);
-    drop(store); // crash: the batch tail was never fsynced or manifested
-
-    let journal = snap_journal_name(&dir);
-    for file in ["blocks.log", "nodes.log", journal.as_str()] {
-        let lo = lens_at_boundary[file];
-        let hi = lens_after_batch[file];
-        assert!(hi > lo, "{file}: batch appended nothing?");
-        for cut in lo..hi {
-            let scratch = test_dir("crash-gc-cut");
-            copy_store(&dir, &scratch);
-            truncate(&scratch.join(file), cut);
-            let recovered = Store::open_with(&scratch, config.clone())
-                .unwrap_or_else(|e| panic!("{file} cut {cut}: recovery failed: {e}"));
-            assert_eq!(
-                recovered.head(),
-                Some(b2.hash()),
-                "{file} cut {cut}: head is not the batch boundary"
-            );
-            assert!(!recovered.has_block(&b3.hash()), "{file} cut {cut}");
-            assert!(!recovered.has_block(&b4.hash()), "{file} cut {cut}");
-            assert!(recovered.contains_root(&root2), "{file} cut {cut}");
-            assert!(!recovered.contains_root(&root3), "{file} cut {cut}");
-            assert!(!recovered.contains_root(&root4), "{file} cut {cut}");
-            assert_eq!(recovered.open_trie(root2).unwrap().root_hash(), root2);
-            // Store and snapshot tree agree on the recovered head state.
-            let snaps = recovered.snapshots().expect("snapshots enabled");
-            assert!(snaps.has_root(root2), "{file} cut {cut}: snap lost head");
-            std::fs::remove_dir_all(&scratch).unwrap();
+        if seq == 2 {
+            store.flush().unwrap(); // durable boundary: head b2
+            boundary = log_len(&dir);
         }
+        blocks.push(b.clone());
+        parent = b;
     }
+    assert_eq!(store.pending_commits(), 2, "b3 and b4 stayed deferred");
+    assert_eq!(
+        store.head(),
+        Some(blocks[3].hash()),
+        "in-memory head ran ahead"
+    );
+    let after = log_len(&dir);
+    assert!(after > boundary, "the group appended its records");
+    drop(store); // crash: the group was never synced or marked
 
-    // Without any cut the full files still only recover to the boundary:
-    // the batch tail was never published by a manifest.
-    let recovered = Store::open_with(&dir, config).unwrap();
-    assert_eq!(recovered.head(), Some(b2.hash()));
-    assert!(!recovered.has_block(&b3.hash()));
+    let expect_boundary = |recovered: Store, what: String| {
+        assert_eq!(recovered.head(), Some(blocks[1].hash()), "{what}");
+        assert!(!recovered.has_block(&blocks[2].hash()), "{what}");
+        assert!(!recovered.has_block(&blocks[3].hash()), "{what}");
+    };
+    for cut in boundary..=after {
+        let recovered = open_damaged(&dir, &config, |bytes| bytes.truncate(cut))
+            .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
+        expect_boundary(recovered, format!("cut {cut}"));
+    }
+    for at in boundary..after {
+        let recovered = open_damaged(&dir, &config, |bytes| bytes[at] ^= 0x5A)
+            .unwrap_or_else(|e| panic!("garbled byte {at}: recovery failed: {e}"));
+        expect_boundary(recovered, format!("garbled byte {at}"));
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Byte lengths of the three append streams, keyed by the names used in the
-/// cut loop (the snap journal keyed by its `snap/<name>` relative path).
-fn file_lens(dir: &Path) -> std::collections::HashMap<String, u64> {
-    let mut lens = std::collections::HashMap::new();
-    for name in ["blocks.log", "nodes.log"] {
-        lens.insert(
-            name.to_string(),
-            std::fs::metadata(dir.join(name)).unwrap().len(),
-        );
-    }
-    let journal = snap_journal_name(dir);
-    lens.insert(
-        journal.clone(),
-        std::fs::metadata(dir.join(&journal)).unwrap().len(),
-    );
-    lens
-}
+/// One flipped byte anywhere a later marker covers — the genesis record,
+/// a block, an earlier marker — is `Corrupt`, never a shorter chain. Only
+/// the newest marker is the commit point itself: damage there is a torn
+/// write of that marker and rolls its group back.
+#[test]
+fn a_flipped_byte_in_a_committed_record_is_corrupt() {
+    let dir = test_dir("crash-flip");
+    let mut world = genesis_world();
+    let gblock = genesis_block(&world);
+    let mut store = Store::open(&dir).unwrap();
+    store.initialize(&world, &gblock).unwrap();
+    let b1 = child_block(&gblock, &mut world, 1);
+    store.put_block(&b1).unwrap();
+    store.commit(b1.hash()).unwrap();
+    let b2 = child_block(&b1, &mut world, 2);
+    store.put_block(&b2).unwrap();
+    let last_marker = log_len(&dir);
+    store.commit(b2.hash()).unwrap();
+    let len = log_len(&dir);
+    drop(store);
 
-/// Relative path of the current snapshot layer journal (`snap/layers.N.log`).
-fn snap_journal_name(dir: &Path) -> String {
-    let mut found = None;
-    for entry in std::fs::read_dir(dir.join("snap")).unwrap() {
-        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-        if name.starts_with("layers.") && name.ends_with(".log") {
-            assert!(
-                found.is_none(),
-                "multiple layer journals: {found:?}, {name}"
-            );
-            found = Some(name);
+    let config = StoreConfig::default();
+    for at in 0..last_marker {
+        match open_damaged(&dir, &config, |bytes| bytes[at] ^= 0x01) {
+            Err(StoreError::Corrupt(_)) => {}
+            Err(e) => panic!("flip at {at}: {e}"),
+            Ok(store) => panic!("flip at {at} recovered head {:?}", store.head()),
         }
     }
-    format!("snap/{}", found.expect("layer journal exists"))
+    for at in last_marker..len {
+        let recovered = open_damaged(&dir, &config, |bytes| bytes[at] ^= 0x01)
+            .unwrap_or_else(|e| panic!("flip in the last marker at {at}: {e}"));
+        assert_eq!(recovered.head(), Some(b1.hash()), "flip at {at}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Records that each verify but are not what the marker covers — two
+/// swapped, or one missing — are `Corrupt`: the marker names its own offset
+/// and the digest of its group's checksums, in order.
+#[test]
+fn a_reordered_or_missing_record_is_corrupt() {
+    let dir = test_dir("crash-reorder");
+    let config = StoreConfig {
+        group_commit: Some(GroupCommitConfig {
+            max_blocks: 100,
+            max_bytes: u64::MAX,
+        }),
+    };
+    let mut world = genesis_world();
+    let gblock = genesis_block(&world);
+    let mut store = Store::open_with(&dir, config.clone()).unwrap();
+    store.initialize(&world, &gblock).unwrap();
+    let start = log_len(&dir);
+    let b1 = child_block(&gblock, &mut world, 1);
+    store.put_block(&b1).unwrap();
+    let mid = log_len(&dir);
+    let b2 = child_block(&b1, &mut world, 2);
+    store.put_block(&b2).unwrap();
+    let end = log_len(&dir);
+    store.commit(b2.hash()).unwrap();
+    store.flush().unwrap();
+    drop(store);
+    assert_eq!(mid - start, end - mid, "the two records are the same size");
+
+    let swapped = open_damaged(&dir, &config, |bytes| {
+        let first = bytes[start..mid].to_vec();
+        bytes.copy_within(mid..end, start);
+        bytes[start + (end - mid)..end].copy_from_slice(&first);
+    });
+    assert!(matches!(swapped, Err(StoreError::Corrupt(_))));
+    let missing = open_damaged(&dir, &config, |bytes| {
+        bytes.drain(start..mid);
+    });
+    assert!(matches!(missing, Err(StoreError::Corrupt(_))));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,35 +1,32 @@
-//! Property test: any sequence of `put_block` / `commit_root` / `prune` /
-//! `commit` / reopen operations round-trips — after a reopen the store
-//! serves exactly the durable blocks (byte-identical) and resolves exactly
-//! the durable root multiset.
+//! Property test: any sequence of `put_block` / `commit` / `flush` / reopen
+//! operations, under any group size, round-trips — after a reopen the store
+//! serves exactly the blocks of the last group boundary, byte-identical,
+//! with that boundary's head.
 
 use std::collections::HashSet;
 
 use bp_block::{encode_block, genesis_header, Block, BlockProfile};
-use bp_state::{Trie, WorldState};
+use bp_state::WorldState;
 use bp_store::store::test_dir;
-use bp_store::{Store, StoreError};
+use bp_store::{GroupCommitConfig, Store, StoreConfig};
 use bp_testkit::prelude::*;
-use bp_types::{Address, BlockHash, H256, U256};
+use bp_types::{Address, BlockHash, U256};
 
 #[derive(Clone, Debug)]
 enum Op {
     PutBlock(usize),
-    CommitRoot(usize),
-    Prune(usize),
     Commit,
+    Flush,
     Reopen,
 }
 
 const BLOCKS: usize = 6;
-const TRIES: usize = 4;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..BLOCKS).prop_map(Op::PutBlock),
-        (0..TRIES).prop_map(Op::CommitRoot),
-        (0..TRIES).prop_map(Op::Prune),
         Just(Op::Commit),
+        Just(Op::Flush),
         Just(Op::Reopen),
     ]
 }
@@ -60,29 +57,10 @@ fn fixture_blocks() -> Vec<Block> {
     blocks
 }
 
-/// A trie's root and its `(hash, node)` pairs.
-type TrieNodes = (H256, Vec<(H256, Vec<u8>)>);
-
-fn fixture_tries() -> Vec<TrieNodes> {
-    (0..TRIES as u8)
-        .map(|i| {
-            let mut t = Trie::new();
-            for j in 0..(i as u64 + 2) * 4 {
-                let key = format!("key-{i}-{j}");
-                // Values are plain byte strings: they can never decode as an
-                // account body, so the refcount walk stays in this trie.
-                t.insert(key.as_bytes(), vec![0xAA, i, j as u8]);
-            }
-            t.commit_nodes()
-        })
-        .collect()
-}
-
 /// What must be durable (resp. visible) at any point.
 #[derive(Clone, Default)]
 struct Model {
     blocks: HashSet<BlockHash>,
-    roots: Vec<H256>,
     head: Option<BlockHash>,
     last_put: Option<BlockHash>,
 }
@@ -100,27 +78,29 @@ fn check_matches_durable(store: &Store, durable: &Model, all_blocks: &[Block]) {
             );
         }
     }
-    let mut expect = durable.roots.clone();
-    let mut got = store.roots().to_vec();
-    expect.sort();
-    got.sort();
-    assert_eq!(got, expect, "retained root multiset");
-    for root in got.iter().collect::<HashSet<_>>() {
-        assert_eq!(store.open_trie(*root).unwrap().root_hash(), *root);
-    }
+    assert_eq!(store.block_count(), durable.blocks.len());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn op_sequences_round_trip_through_reopen(ops in prop::collection::vec(op_strategy(), 1..24)) {
+    fn op_sequences_round_trip_through_reopen(
+        group in 1..4usize,
+        ops in prop::collection::vec(op_strategy(), 1..24),
+    ) {
         let blocks = fixture_blocks();
-        let tries = fixture_tries();
         let dir = test_dir("props");
-        let mut store = Store::open(&dir).unwrap();
+        let config = StoreConfig {
+            group_commit: Some(GroupCommitConfig {
+                max_blocks: group,
+                max_bytes: u64::MAX,
+            }),
+        };
+        let mut store = Store::open_with(&dir, config.clone()).unwrap();
         let mut live = Model::default();
         let mut durable = Model::default();
+        let mut pending = 0;
 
         for op in &ops {
             match op {
@@ -129,42 +109,39 @@ proptest! {
                     live.blocks.insert(blocks[*i].hash());
                     live.last_put = Some(blocks[*i].hash());
                 }
-                Op::CommitRoot(j) => {
-                    let (root, nodes) = &tries[*j];
-                    store.commit_root(*root, nodes).unwrap();
-                    live.roots.push(*root);
-                }
-                Op::Prune(j) => {
-                    let root = tries[*j].0;
-                    match live.roots.iter().position(|r| *r == root) {
-                        Some(pos) => {
-                            store.prune(root).unwrap();
-                            live.roots.remove(pos);
-                        }
-                        None => {
-                            let err = store.prune(root).unwrap_err();
-                            prop_assert!(matches!(err, StoreError::UnknownRoot(_)));
-                        }
-                    }
-                }
                 Op::Commit => {
                     if let Some(head) = live.last_put {
                         store.commit(head).unwrap();
                         live.head = Some(head);
+                        pending += 1;
+                        if pending == group {
+                            durable = live.clone();
+                            pending = 0;
+                        }
+                    }
+                }
+                Op::Flush => {
+                    store.flush().unwrap();
+                    if pending > 0 {
                         durable = live.clone();
+                        pending = 0;
                     }
                 }
                 Op::Reopen => {
+                    // A crash: the open group is neither flushed nor marked.
                     drop(store);
-                    store = Store::open(&dir).unwrap();
+                    store = Store::open_with(&dir, config.clone()).unwrap();
                     check_matches_durable(&store, &durable, &blocks);
                     live = durable.clone();
+                    live.last_put = None;
+                    pending = 0;
                 }
             }
+            prop_assert_eq!(store.pending_commits(), pending);
         }
 
         drop(store);
-        let store = Store::open(&dir).unwrap();
+        let store = Store::open_with(&dir, config).unwrap();
         check_matches_durable(&store, &durable, &blocks);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -7,7 +7,6 @@
 
 use std::sync::Arc;
 
-use blockpilot::core::validator::ROOT_RETENTION;
 use blockpilot::evm::{BlockEnv, Transaction};
 use blockpilot::state::WorldState;
 use blockpilot::store::Store;
@@ -78,20 +77,12 @@ fn main() {
         println!("grew chain to height {height}");
         println!("head        : {head:?}");
         println!("state root  : {root:?}");
-        validator
-            .with_store_ref(|s| {
-                println!(
-                    "on disk     : {} blocks, {} trie nodes, {} retained roots (window {})",
-                    s.block_count(),
-                    s.node_count(),
-                    s.roots().len(),
-                    ROOT_RETENTION
-                );
-            })
-            .unwrap();
+        let log = std::fs::metadata(dir.join("chain.log")).expect("the chain log");
+        let blocks = validator.with_store_ref(|s| s.block_count()).unwrap();
+        println!("on disk     : {blocks} blocks in one {} B log", log.len());
         (head, height, root)
         // validator dropped here: nothing is flushed on drop — everything
-        // that matters was made durable by each commit's manifest swap.
+        // that matters was made durable by each commit's marker.
     };
 
     println!("\n--- power cut, process gone, memory lost ----------------------");
@@ -103,13 +94,7 @@ fn main() {
     println!("recovered head  : {rhead:?} at height {rheight}");
     assert_eq!((rhead, rheight), (head, height), "exact durable head");
     assert_eq!(recovered.head_state_root(), Some(root));
-    recovered
-        .with_store_ref(|s| {
-            let trie = s.open_trie(root).expect("head state resolvable from disk");
-            assert_eq!(trie.root_hash(), root);
-        })
-        .unwrap();
-    println!("head state root resolves from the on-disk trie store");
+    println!("replayed head state root matches: {root:?}");
 
     grow_chain(&recovered, 2, 4);
     let (_, final_height) = recovered.head().unwrap();
@@ -118,5 +103,5 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
     println!("\nCold-start replay re-executed the stored canonical chain through");
     println!("the normal validation pipeline: the node resumed exactly at its");
-    println!("last durable commit, with no torn blocks and no dangling roots.");
+    println!("last durable commit, with no torn blocks.");
 }

@@ -264,7 +264,6 @@ fn sixteen_workers_unwind_a_rejected_root_under_its_descendants() {
         for p in &rejected {
             let hash = p.block.hash();
             assert!(validator.pipeline().state_of(&hash).is_none());
-            assert!(validator.pipeline().delta_of(&hash).is_none());
             assert!(!validator.commit_canonical(hash), "round {round}");
         }
         assert!(validator.commit_canonical(sibling.block.hash()));
