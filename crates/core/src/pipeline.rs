@@ -22,7 +22,10 @@
 //! * **Block commitment** — publish, then root: the applied post-state is
 //!   indexed by the block's hash and blocks at the next height that were
 //!   parked waiting for this parent are released into execution *before*
-//!   the MPT root is hashed, so height N+1 executes while N's root hashes.
+//!   the MPT root is hashed, so height N+1 executes *and applies* while N's
+//!   root hashes: forking N's post-state does not wait for that root (the
+//!   fork carries N's pending commit, see [`WorldState::snapshot`]); only
+//!   N+1's own root does, as it needs N's tries.
 //!   The root comparison settles a per-block [`RootLatch`]; a block's
 //!   verdict waits for its own root and for its parent's latch, which keeps
 //!   the paper's rule that a block is not cleared before its predecessor,
@@ -698,10 +701,12 @@ impl Starter {
 ///
 /// The block's writes are applied and every check but the root runs; the
 /// post-state is then indexed and parked children are released *before* the
-/// state root is hashed, so execution of height N+1 overlaps the root of
-/// height N. The root check settles this block's [`RootLatch`]; the verdict
-/// additionally chains on the parent's latch, so an invalid ancestor still
-/// poisons every descendant.
+/// state root is hashed, so execution and apply of height N+1 overlap the
+/// root of height N: N+1's `validate_and_apply` forks N's post-state while
+/// its commit is still pending, and only N+1's own root waits for N's. The
+/// root check settles this block's [`RootLatch`]; the verdict additionally
+/// chains on the parent's latch, so an invalid ancestor still poisons every
+/// descendant.
 ///
 /// Why this cannot deadlock or misorder: a block reaches the applier only
 /// after its parent *published* (children are released at publish time, and
@@ -822,6 +827,7 @@ fn validate_and_apply(task: &BlockTask) -> Result<(WorldState, Vec<Receipt>), Va
     }
     // Copy-on-write snapshot of the parent state: a pointer bump, whatever
     // the number of accounts; the writes below copy only the paths they take.
+    // It does not wait for the parent's root, which may still be hashing.
     let mut world = task.base.snapshot();
     let mut gas_total: Gas = 0;
     let mut fees = U256::ZERO;

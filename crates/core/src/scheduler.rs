@@ -13,10 +13,8 @@
 //! replay of the block would — this is the invariant the property tests pin
 //! down.
 
-use std::collections::HashMap;
-
 use bp_block::BlockProfile;
-use bp_types::{AccessKey, Gas};
+use bp_types::{AccessKey, FxHashMap, Gas};
 
 /// Granularity at which two transactions are considered conflicting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -194,40 +192,43 @@ impl Scheduler {
     ) -> Vec<Subgraph> {
         let mut uf = UnionFind::new(n);
 
-        // Union transactions key by key: every toucher of a key with at
-        // least one writer joins that key's component. Read-only keys create
-        // no edges. Capacity from the profile's total key count bounds the
-        // distinct-key count from above, so the map never rehashes.
-        let mut touchers: HashMap<KeyRepr, (Vec<usize>, bool)> = HashMap::with_capacity(key_count);
+        // Two passes over the keys. The first records each key's first
+        // toucher and whether anybody writes it; the second joins every
+        // toucher of a written key to that key's first toucher. Read-only
+        // keys create no edges. Capacity from the profile's total key count
+        // bounds the distinct-key count from above, so the map never
+        // rehashes.
+        let mut keys: FxHashMap<KeyRepr, (usize, bool)> =
+            FxHashMap::with_capacity_and_hasher(key_count, Default::default());
         for i in 0..n {
             for_each_key(i, &mut |key, is_write| {
-                let entry = touchers.entry(self.repr(key)).or_default();
-                entry.0.push(i);
-                entry.1 |= is_write;
+                keys.entry(self.repr(key)).or_insert((i, false)).1 |= is_write;
             });
         }
-        for (txs, has_writer) in touchers.into_values() {
-            if !has_writer {
-                continue;
-            }
-            for pair in txs.windows(2) {
-                uf.union(pair[0], pair[1]);
-            }
+        for i in 0..n {
+            for_each_key(i, &mut |key, _| {
+                let (first, has_writer) = keys[&self.repr(key)];
+                if has_writer {
+                    uf.union(first, i);
+                }
+            });
         }
 
-        // Collect components into subgraphs.
-        let mut members: HashMap<usize, Vec<usize>> = HashMap::new();
-        for i in 0..n {
-            members.entry(uf.find(i)).or_default().push(i);
+        // Members grouped by their union-find root; visiting transactions
+        // in block order keeps every member list ascending.
+        let mut subgraph_of_root: Vec<Option<usize>> = vec![None; n];
+        let mut subgraphs: Vec<Subgraph> = Vec::new();
+        for (i, &tx_gas) in gas.iter().enumerate() {
+            let at = *subgraph_of_root[uf.find(i)].get_or_insert_with(|| {
+                subgraphs.push(Subgraph {
+                    txs: Vec::new(),
+                    gas: 0,
+                });
+                subgraphs.len() - 1
+            });
+            subgraphs[at].txs.push(i);
+            subgraphs[at].gas += tx_gas;
         }
-        let mut subgraphs: Vec<Subgraph> = members
-            .into_values()
-            .map(|mut txs| {
-                txs.sort_unstable();
-                let g = txs.iter().map(|&i| gas[i]).sum();
-                Subgraph { txs, gas: g }
-            })
-            .collect();
         // Heaviest-path-first (deterministic tiebreak on first member).
         match self.policy {
             AssignPolicy::GasLpt => {

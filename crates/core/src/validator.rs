@@ -1,6 +1,7 @@
 //! High-level validator node: the pipeline plus a fork-aware chain store,
 //! optionally backed by a persistent [`bp_store::Store`].
 
+use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -11,6 +12,11 @@ use bp_store::{GroupCommitConfig, Store, StoreConfig, StoreError};
 use bp_types::{BlockHash, Height, H256};
 
 use crate::pipeline::{PipelineConfig, ValidationHandle, ValidationOutcome, ValidatorPipeline};
+
+/// Stored blocks a cold-start replay holds in the pipeline before it waits
+/// for the oldest verdict: enough that a block executes while its parent's
+/// root hashes and its grandparent commits.
+const REPLAY_WINDOW: usize = 4;
 
 /// A validator node.
 ///
@@ -66,8 +72,10 @@ impl Validator {
     ///   snapshot + genesis block).
     /// * An initialized store triggers **cold-start replay**: the genesis
     ///   snapshot anchors the pipeline and every stored canonical block is
-    ///   re-validated in order, leaving the validator exactly where the last
-    ///   durable commit left it: the stored head and its state.
+    ///   re-validated — a few in flight at a time, committed in height order
+    ///   — leaving the validator exactly where the last durable commit left
+    ///   it: the stored head and its state. The first stored block that
+    ///   fails replay is named in a [`StoreError::Corrupt`].
     ///   `genesis_state` must match the stored snapshot.
     pub fn with_store(
         config: PipelineConfig,
@@ -100,30 +108,44 @@ impl Validator {
         }
 
         // Cold-start replay: re-execute the stored canonical chain through
-        // the pipeline. The store is attached afterwards, so replay only
+        // the pipeline, `REPLAY_WINDOW` blocks in flight, verdicts committed
+        // in height order. The store is attached afterwards, so replay only
         // rebuilds the in-memory view.
-        for block in store
-            .canonical_chain()?
-            .into_iter()
-            .filter(|b| b.height() > 0)
-        {
-            let hash = block.hash();
-            let height = block.height();
-            let outcome = validator.receive_block(block).wait();
-            if !outcome.is_valid() {
-                return Err(StoreError::Corrupt(format!(
-                    "stored block {hash:?} at height {height} failed replay: {:?}",
-                    outcome.result
-                )));
+        let mut inflight = VecDeque::with_capacity(REPLAY_WINDOW);
+        let blocks = store.canonical_chain()?.into_iter();
+        for block in blocks.filter(|b| b.height() > 0) {
+            let (hash, height) = (block.hash(), block.height());
+            inflight.push_back((hash, height, validator.receive_block(block)));
+            if inflight.len() == REPLAY_WINDOW {
+                validator.commit_replayed(inflight.pop_front().expect("a full window"))?;
             }
-            if !validator.commit_canonical(hash) {
-                return Err(StoreError::Corrupt(format!(
-                    "stored block {hash:?} at height {height} does not extend the canonical chain"
-                )));
-            }
+        }
+        while let Some(replayed) = inflight.pop_front() {
+            validator.commit_replayed(replayed)?;
         }
         validator.store = Some(Mutex::new(store));
         Ok(validator)
+    }
+
+    /// Waits for the verdict on one block of the cold-start replay and
+    /// commits it; a stored block that fails is named in the error.
+    fn commit_replayed(
+        &self,
+        (hash, height, handle): (BlockHash, Height, ValidationHandle),
+    ) -> Result<(), StoreError> {
+        let outcome = handle.wait();
+        if !outcome.is_valid() {
+            return Err(StoreError::Corrupt(format!(
+                "stored block {hash:?} at height {height} failed replay: {:?}",
+                outcome.result
+            )));
+        }
+        if !self.commit_canonical(hash) {
+            return Err(StoreError::Corrupt(format!(
+                "stored block {hash:?} at height {height} does not extend the canonical chain"
+            )));
+        }
+        Ok(())
     }
 
     /// Shared construction: genesis block, chain store, pipeline.
@@ -436,6 +458,41 @@ mod tests {
         // The pipeline can keep extending the recovered chain.
         grow_chain(&recovered, 1, 3);
         assert_eq!(recovered.head().unwrap().1, height + 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn cold_start_replay_names_the_first_stored_block_that_fails() {
+        let dir = test_dir("validator-replay-failure");
+        let world = genesis_world(60);
+        let validator = Validator::with_store_at(config(), world.clone(), &dir).unwrap();
+        grow_chain(&validator, 2, 0);
+        let (head, height) = validator.head().unwrap();
+        let base = validator.pipeline().state_of(&head).unwrap();
+        let mut store = validator.into_store().unwrap();
+        // A stored block with a wrong root, and two descendants that replay
+        // in flight behind it and fail too.
+        let mut bad = propose_on(base, head, height + 1, 2);
+        bad.block.header.state_root = H256::from_low_u64(0xBAD);
+        let mut chain = vec![bad];
+        for h in 1..=2 {
+            let parent = chain.last().unwrap();
+            let (base, hash) = (Arc::new(parent.post_state.clone()), parent.block.hash());
+            chain.push(propose_on(base, hash, height + 1 + h, 2 + h));
+        }
+        for proposal in &chain {
+            store.put_block(&proposal.block).unwrap();
+            store.commit(proposal.block.hash()).unwrap();
+        }
+        drop(store);
+        let err = match Validator::with_store(config(), world, Store::open(&dir).unwrap()) {
+            Ok(_) => panic!("a stored block that fails replay must be refused"),
+            Err(StoreError::Corrupt(message)) => message,
+            Err(other) => panic!("{other:?}"),
+        };
+        let named = format!("{:?} at height {}", chain[0].block.hash(), height + 1);
+        assert!(err.contains(&named), "{err}");
+        assert!(err.contains("StateRootMismatch"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

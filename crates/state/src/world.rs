@@ -25,10 +25,23 @@
 //! costs O(state it touches): the proposer forks the pre-block world once to
 //! seal, every validator forks it once to apply, and the states retained per
 //! height share everything they did not write.
+//!
+//! A snapshot never waits for a root. The retained commit is a value that
+//! can still be *pending*: a commit takes the dirty set and installs a
+//! [`RootLatch`] under the tracker lock, hashes outside it, and settles the
+//! latch with the new tries. A snapshot taken meanwhile carries that latch
+//! and an empty dirty set; its own first commit waits on the latch and then
+//! patches only what the snapshot itself wrote, never rehashing the
+//! parent's accounts. This is what lets the validator apply block N+1 on
+//! N's post-state while N's root still hashes on another thread: the wait
+//! moves from the child's fork to the child's root, which needs the
+//! parent's tries anyway. A commit that panics part-way poisons its latch,
+//! so whoever waits on it panics too instead of hanging.
 
 use std::sync::Arc;
 
 use bp_concurrent::sync::Mutex;
+use bp_concurrent::RootLatch;
 use bp_crypto::{keccak256, keccak256_batch};
 use bp_types::{AccessKey, Address, WriteSet, H256, U256};
 // Dirty tracking and the from-scratch oracle's scratch maps are Fx-hashed:
@@ -121,17 +134,50 @@ impl Default for WorldCommit {
     }
 }
 
+/// A commit still being hashed: the latch its `refresh` settles with the
+/// commit, or with `None` when that `refresh` panicked.
+type PendingCommit = Arc<RootLatch<Option<Arc<WorldCommit>>>>;
+
+/// The last commit of a lineage, settled or still pending.
+#[derive(Clone)]
+enum Retained {
+    Settled(Arc<WorldCommit>),
+    Pending(PendingCommit),
+}
+
+impl Retained {
+    /// The commit, once its hashing is over.
+    fn wait(self) -> Arc<WorldCommit> {
+        match self {
+            Retained::Settled(commit) => commit,
+            Retained::Pending(latch) => latch
+                .wait()
+                .expect("the commit this world was forked from panicked while hashing"),
+        }
+    }
+}
+
+impl std::fmt::Debug for Retained {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Retained::Settled(commit) => write!(f, "Settled({:?})", commit.root),
+            Retained::Pending(_) => f.write_str("Pending"),
+        }
+    }
+}
+
 /// Dirty bookkeeping between commits. Lives behind a mutex only so the
 /// read-side `state_root(&self)` can refresh the memo; all mutation paths
-/// take `&mut self` and use the lock-free `get_mut`.
+/// take `&mut self` and use the lock-free `get_mut`. The lock is held only
+/// to read or swap these two fields, never across hashing.
 #[derive(Debug, Default)]
 struct CommitTracker {
     /// Accounts touched since the last commit. Absent entirely ⇒ the last
     /// commit is current.
     dirty: HashMap<Address, DirtyAccount>,
     /// The last commit, shared O(1) across clones until one of them
-    /// recommits.
-    commit: Option<Arc<WorldCommit>>,
+    /// recommits. Pending while a `refresh` hashes it.
+    commit: Option<Retained>,
 }
 
 /// The mutable world state of the chain.
@@ -144,7 +190,8 @@ pub struct WorldState {
 impl Clone for WorldState {
     /// Copy-on-write, O(dirty accounts): the account map and the retained
     /// commit tries are shared by pointer until either side writes; only the
-    /// not-yet-committed dirty set is copied.
+    /// not-yet-committed dirty set is copied. Never waits for a root: a clone
+    /// taken while this world's commit hashes carries the pending commit.
     fn clone(&self) -> Self {
         let tracker = self.tracker.lock();
         WorldState {
@@ -175,6 +222,11 @@ impl WorldState {
     /// Alias of `clone()`, named for intent — the copy does not depend on
     /// the number of accounts, and a write to either side copies one path of
     /// the account map and the touched account body.
+    ///
+    /// A snapshot never waits for a root. Taken while another thread hashes
+    /// this world's root, it carries that *pending* commit: its own first
+    /// [`WorldState::state_root`] waits for the pending one to settle and
+    /// then hashes only what was written to the snapshot.
     pub fn snapshot(&self) -> Self {
         self.clone()
     }
@@ -418,27 +470,41 @@ impl WorldState {
 
     /// Brings the retained commit up to date with all dirty accounts and
     /// returns it.
+    ///
+    /// Under the tracker lock this only takes the dirty set and installs a
+    /// pending commit; the hashing runs outside it, so a snapshot taken
+    /// meanwhile does not wait. The pending commit settles (or, should the
+    /// hashing panic, is poisoned) before this returns.
     fn refresh(&self) -> Arc<WorldCommit> {
         let mut tracker = self.tracker.lock();
+        if tracker.dirty.is_empty() {
+            // Nothing changed since the last commit, which may still be
+            // hashing on another thread.
+            if let Some(last) = tracker.commit.clone() {
+                drop(tracker);
+                return last.wait();
+            }
+        }
+        let latch = PendingCommit::default();
+        let base = tracker
+            .commit
+            .replace(Retained::Pending(Arc::clone(&latch)));
         // The dirty set is taken, not drained: a drained table keeps its
         // capacity, and every snapshot of this world from then on would
         // copy a table the size of the largest batch it ever saw (a
         // 100 000-account genesis: 7 MB a clone).
         let dirty = std::mem::take(&mut tracker.dirty);
-        // First commit ever (for this lineage): everything is dirty.
-        let (mut commit, dirty) = match tracker.commit.take() {
-            Some(prev) => {
-                if dirty.is_empty() {
-                    // Nothing changed since the last commit.
-                    let out = Arc::clone(&prev);
-                    tracker.commit = Some(prev);
-                    return out;
-                }
-                // Unshared after a snapshot recommits? Reuse in place; else
-                // clone (cheap — tries share structure).
-                let commit = Arc::try_unwrap(prev).unwrap_or_else(|shared| (*shared).clone());
-                (commit, dirty)
-            }
+        drop(tracker);
+        let hashing = Hashing { world: self, latch };
+        #[cfg(test)]
+        if let Some(hook) = REFRESH_HOOK.take() {
+            hook();
+        }
+        let (commit, dirty) = match base {
+            // Unshared after a snapshot recommits? Reuse in place; else clone
+            // (cheap — tries share structure).
+            Some(base) => (Arc::unwrap_or_clone(base.wait()), dirty),
+            // First commit ever (for this lineage): everything is dirty.
             None => {
                 let all = self
                     .accounts
@@ -448,7 +514,17 @@ impl WorldState {
                 (WorldCommit::default(), all)
             }
         };
+        let commit = Arc::new(self.recommit(commit, dirty));
+        hashing.settle(Arc::clone(&commit));
+        commit
+    }
 
+    /// `commit` patched with the `dirty` accounts.
+    fn recommit(
+        &self,
+        mut commit: WorldCommit,
+        dirty: HashMap<Address, DirtyAccount>,
+    ) -> WorldCommit {
         // The dirty accounts in the order of their hashed addresses (hashed
         // as one batch): the order the account trie's descent takes them in.
         let mut dirty: Vec<(HashedKey, Address, DirtyAccount)> = dirty
@@ -500,10 +576,45 @@ impl WorldState {
             self.rebuild_root(),
             "incremental state root diverged from from-scratch rebuild"
         );
-        let commit = Arc::new(commit);
-        tracker.commit = Some(Arc::clone(&commit));
         commit
     }
+}
+
+/// A `refresh` between installing its pending commit and settling it.
+/// Dropped unsettled — the hashing panicked — it poisons the latch, so that
+/// waiters panic instead of hanging, and drops the world's retained commit,
+/// so that the world's next commit rebuilds from scratch.
+struct Hashing<'a> {
+    world: &'a WorldState,
+    latch: PendingCommit,
+}
+
+impl Hashing<'_> {
+    /// Retains `commit` in the world and hands it to the latch's waiters.
+    /// The installed latch is still the world's retained commit: only a
+    /// `refresh` replaces it, and one with nothing dirty never does.
+    fn settle(self, commit: Arc<WorldCommit>) {
+        self.world.tracker.lock().commit = Some(Retained::Settled(Arc::clone(&commit)));
+        self.latch.set(Some(commit));
+    }
+}
+
+impl Drop for Hashing<'_> {
+    fn drop(&mut self) {
+        if !self.latch.is_set() {
+            self.world.tracker.lock().commit = None;
+            self.latch.set(None);
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Runs once, on this thread, in the next `refresh` that hashes, right
+    /// after it installs its pending commit: lets a test hold a root pending
+    /// or make its hashing panic.
+    static REFRESH_HOOK: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 /// The account at `addr`, created empty if absent, unshared for writing.
@@ -1153,5 +1264,253 @@ mod tests {
         let (root, nodes) = w.commit_tries();
         assert_eq!(root, w.state_root());
         assert!(nodes.iter().all(|(hash, bytes)| keccak256(bytes) == *hash));
+    }
+
+    // ---- pending commits: a snapshot never waits for a root ----
+
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
+    /// Long enough for any of these tests' waits on an idle or busy host.
+    const WATCHDOG: Duration = Duration::from_secs(60);
+
+    /// Whether `w`'s retained commit is still pending.
+    fn commit_is_pending(w: &WorldState) -> bool {
+        matches!(w.tracker.lock().commit, Some(Retained::Pending(_)))
+    }
+
+    /// Runs `f` on its own thread and returns what it returns, failing if it
+    /// has not returned within [`WATCHDOG`]: a wait that is never released
+    /// fails the test instead of hanging it.
+    fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done_tx, done_rx) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            let _ = done_tx.send(f());
+        });
+        match done_rx.recv_timeout(WATCHDOG) {
+            Ok(value) => {
+                worker.join().unwrap();
+                value
+            }
+            // The sender was dropped without sending: `f` panicked.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().unwrap_err())
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("not done after {WATCHDOG:?}: a wait was never released")
+            }
+        }
+    }
+
+    /// A root hashing on another thread, held just after its `refresh`
+    /// installed the pending commit.
+    struct HeldRoot {
+        release: mpsc::Sender<()>,
+        hasher: thread::JoinHandle<H256>,
+    }
+
+    /// Starts `world.state_root()` on another thread and returns once its
+    /// commit is pending there. The hashing goes on — after running `then`
+    /// on that thread — when `release` is dropped.
+    fn hold_root(world: &Arc<WorldState>, then: fn()) -> HeldRoot {
+        let (pending_tx, pending_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let world = Arc::clone(world);
+        let hasher = thread::spawn(move || {
+            REFRESH_HOOK.set(Some(Box::new(move || {
+                pending_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+                then();
+            })));
+            world.state_root()
+        });
+        pending_rx
+            .recv()
+            .expect("the hasher installs a pending commit");
+        HeldRoot { release, hasher }
+    }
+
+    /// `world.snapshot()` under the watchdog: while a root is held pending,
+    /// a snapshot that waited for it would never return.
+    fn fork(world: &Arc<WorldState>) -> WorldState {
+        let world = Arc::clone(world);
+        within(move || world.snapshot())
+    }
+
+    /// `n` funded accounts, every tenth with two storage slots; uncommitted.
+    fn funded(n: u64) -> WorldState {
+        let mut w = WorldState::new();
+        for i in 0..n {
+            w.set_balance(addr(i), U256::from(i + 1));
+            if i % 10 == 0 {
+                w.set_storage(addr(i), H256::from_low_u64(1), U256::from(i + 2));
+                w.set_storage(addr(i), H256::from_low_u64(2), U256::from(i + 3));
+            }
+        }
+        w
+    }
+
+    /// A few writes of every kind a block makes: bodies, slots, a deletion,
+    /// a new account, an account emptied.
+    fn child_writes(w: &mut WorldState) {
+        w.set_balance(addr(3), U256::from(777u64));
+        w.set_nonce(addr(4), 1);
+        w.set_storage(addr(10), H256::from_low_u64(1), U256::from(9u64));
+        w.set_storage(addr(20), H256::from_low_u64(2), U256::ZERO);
+        w.set_balance(addr(1 << 40), U256::ONE);
+        w.set_balance(addr(5), U256::ZERO);
+    }
+
+    #[test]
+    fn a_snapshot_taken_while_a_100k_account_root_hashes_returns_before_it_settles() {
+        let parent = Arc::new(funded(100_000));
+        let held = hold_root(&parent, || {});
+        assert!(commit_is_pending(&parent));
+        // The parent's root cannot settle before `release` below: a snapshot
+        // that waited for it would never return, and the watchdog fails it.
+        let mut child = fork(&parent);
+        assert!(
+            commit_is_pending(&child),
+            "the snapshot carries the pending commit"
+        );
+        assert!(child.tracker.lock().dirty.is_empty());
+        child_writes(&mut child);
+        // The child's own root waits for the parent's, then patches its own
+        // writes on top.
+        let child_root = thread::spawn(move || (child.state_root(), child));
+        drop(held.release);
+        let parent_root = within(move || held.hasher.join().unwrap());
+        assert_eq!(parent_root, parent.rebuild_root());
+        assert!(!commit_is_pending(&parent));
+        let (root, child) = within(move || child_root.join().unwrap());
+        assert_eq!(root, child.rebuild_root());
+        assert_ne!(root, parent_root);
+        assert!(!commit_is_pending(&child));
+    }
+
+    #[test]
+    fn a_snapshot_of_a_pending_commit_does_not_rehash_the_parent() {
+        /// Permutations the child's `state_root()` makes on this thread,
+        /// and the root.
+        fn child_root(mut child: WorldState) -> (u64, H256) {
+            child_writes(&mut child);
+            let before = bp_crypto::keccak::permutation_count();
+            let root = child.state_root();
+            (bp_crypto::keccak::permutation_count() - before, root)
+        }
+
+        let settled = {
+            let parent = funded(2_000);
+            parent.state_root();
+            child_root(parent.snapshot())
+        };
+        let pending = {
+            let parent = Arc::new(funded(2_000));
+            let held = hold_root(&parent, || {});
+            let child = fork(&parent);
+            assert!(commit_is_pending(&child));
+            drop(held.release);
+            within(move || held.hasher.join().unwrap());
+            child_root(child)
+        };
+        assert!(settled.0 > 0);
+        assert_eq!(pending, settled, "(permutations, root)");
+    }
+
+    #[test]
+    fn stress_pending_commits_on_forked_snapshot_chains() {
+        use bp_types::Rng;
+
+        const THREADS: u64 = 4;
+        const ROUNDS: usize = 250;
+        const ACCOUNTS: u64 = 300;
+        /// Worlds any thread may fork next.
+        const TIPS: usize = 12;
+
+        let tips = Arc::new(Mutex::new(vec![Arc::new(funded(ACCOUNTS))]));
+        within(move || {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let tips = Arc::clone(&tips);
+                    thread::spawn(move || {
+                        let mut rng = Rng::seed_from_u64(0x9e4d_0100 + t);
+                        for round in 0..ROUNDS {
+                            let tip = |rng: &mut Rng| {
+                                let tips = tips.lock();
+                                Arc::clone(&tips[rng.gen_range(0..tips.len())])
+                            };
+                            let mut child = tip(&mut rng).snapshot();
+                            for _ in 0..rng.gen_range(1..=12) {
+                                let a = addr(rng.gen_range(0..ACCOUNTS + 20));
+                                let v = U256::from(rng.gen_range(0..3u64));
+                                match rng.gen_range(0..5) {
+                                    0 => child.set_balance(a, v),
+                                    1 => child.set_nonce(a, v.low_u64()),
+                                    2 => {
+                                        let slot = H256::from_low_u64(rng.gen_range(0..6));
+                                        child.set_storage(a, slot, v);
+                                    }
+                                    3 => child.set_code(a, vec![0x60; rng.gen_range(0..3)]),
+                                    _ => child.account_mut(a).balance = v,
+                                }
+                            }
+                            // Published before it is hashed, so that the other
+                            // threads fork it while its commit is pending (or
+                            // before it even started) and hash it alongside.
+                            let child = Arc::new(child);
+                            {
+                                let mut tips = tips.lock();
+                                if tips.len() < TIPS {
+                                    tips.push(Arc::clone(&child));
+                                } else {
+                                    let i = rng.gen_range(0..TIPS);
+                                    tips[i] = Arc::clone(&child);
+                                }
+                            }
+                            if rng.gen_range(0..4) == 0 {
+                                thread::yield_now();
+                            }
+                            let root = child.state_root();
+                            assert_eq!(root, child.rebuild_root(), "thread {t}, round {round}");
+                            if rng.gen_range(0..4) == 0 {
+                                let other = tip(&mut rng);
+                                assert_eq!(other.state_root(), other.rebuild_root());
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for t in threads {
+                t.join().unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn a_refresh_that_panics_makes_its_waiters_panic() {
+        let parent = Arc::new(funded(1_000));
+        let held = hold_root(&parent, || panic!("hashing made to panic"));
+        // A fork of the pending commit, and a fork of that fork before its
+        // own commit: both wait on the parent's latch.
+        let mut child = fork(&parent);
+        child.set_balance(addr(1), U256::from(9u64));
+        let grandchild = child.snapshot();
+        let waiters = [child, grandchild].map(|w| {
+            thread::spawn(move || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.state_root())).is_err()
+            })
+        });
+        drop(held.release);
+        assert!(held.hasher.join().is_err(), "the hook panicked");
+        within(move || {
+            for waiter in waiters {
+                assert!(waiter.join().unwrap(), "a waiter got a root");
+            }
+        });
+        // The world whose hashing panicked let its commit go: its next
+        // commit starts over from its accounts.
+        assert!(parent.tracker.lock().commit.is_none());
+        assert_eq!(parent.state_root(), parent.rebuild_root());
     }
 }
