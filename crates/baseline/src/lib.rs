@@ -1,17 +1,11 @@
-//! Baselines the paper compares against.
+//! The baseline the paper compares against.
 //!
 //! * [`serial`] — geth's model: one thread, block order. This is both the
 //!   correctness oracle (every parallel execution must reproduce its state
 //!   root) and the denominator of every speedup the paper reports.
-//! * [`occ`] — the two-phase speculative scheduler of Saraph & Herlihy
-//!   \[27\]: phase 1 runs every transaction against the pre-block snapshot
-//!   and keeps the conflict-free ones; phase 2 re-executes the rest
-//!   serially. The comparator line of Figure 7(a).
 
 #![warn(missing_docs)]
 
-pub mod occ;
 pub mod serial;
 
-pub use occ::{occ_two_phase, OccOutcome};
 pub use serial::{execute_block_serially, SerialOutcome};

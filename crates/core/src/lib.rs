@@ -26,5 +26,5 @@ pub use pipeline::{
     ValidatorPipeline,
 };
 pub use proposer::Proposer;
-pub use scheduler::{AssignPolicy, ConflictGranularity, Schedule, Scheduler, Subgraph};
+pub use scheduler::{ConflictGranularity, Schedule, Scheduler, Subgraph};
 pub use validator::Validator;

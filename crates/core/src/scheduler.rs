@@ -14,7 +14,7 @@
 //! down.
 
 use bp_block::BlockProfile;
-use bp_types::{AccessKey, FxHashMap, Gas};
+use bp_types::{AccessKey, Address, FxHashMap, Gas};
 
 /// Granularity at which two transactions are considered conflicting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -23,9 +23,6 @@ pub enum ConflictGranularity {
     /// (balances change every transaction; storage writes update the
     /// account's storage root). Coarse but cheap.
     Account,
-    /// Exact storage-slot granularity: finer subgraphs, more parallelism,
-    /// higher analysis cost. Used by the ablation benches.
-    Slot,
 }
 
 /// One connected component of the dependency graph.
@@ -50,21 +47,6 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Gas load of each lane.
-    pub fn lane_gas(&self, profile: &BlockProfile) -> Vec<Gas> {
-        self.lanes
-            .iter()
-            .map(|lane| lane.iter().map(|&i| profile.entries[i].gas_used).sum())
-            .collect()
-    }
-
-    /// The virtual-time makespan: the heaviest lane's gas. With zero
-    /// scheduling overhead a validator with enough workers finishes the
-    /// block in this much gas-time.
-    pub fn makespan_gas(&self, profile: &BlockProfile) -> Gas {
-        self.lane_gas(profile).into_iter().max().unwrap_or(0)
-    }
-
     /// Fraction of the block's transactions in the largest subgraph — the
     /// x-axis of the paper's Figure 8 (hotspot analysis).
     pub fn largest_subgraph_ratio(&self) -> f64 {
@@ -80,69 +62,18 @@ impl Schedule {
             .unwrap_or(0);
         largest as f64 / n as f64
     }
-
-    /// Number of non-empty lanes.
-    pub fn active_lanes(&self) -> usize {
-        self.lanes.iter().filter(|l| !l.is_empty()).count()
-    }
 }
 
-/// How subgraphs are packed onto lanes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AssignPolicy {
-    /// The paper's choice: heaviest subgraph (by gas) first onto the
-    /// least-loaded lane (longest-processing-time).
-    #[default]
-    GasLpt,
-    /// LPT by transaction *count* instead of gas (ablation: ignores the
-    /// gas-as-time estimate).
-    CountLpt,
-    /// Round-robin regardless of weight (ablation: no load balancing).
-    RoundRobin,
-}
-
-/// Builds schedules from block profiles.
-#[derive(Clone, Copy, Debug)]
-pub struct Scheduler {
-    granularity: ConflictGranularity,
-    policy: AssignPolicy,
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler {
-            granularity: ConflictGranularity::Account,
-            policy: AssignPolicy::GasLpt,
-        }
-    }
-}
+/// Builds schedules from block profiles, at account granularity.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Scheduler;
 
 impl Scheduler {
-    /// A scheduler using `granularity` for conflict detection and the
-    /// paper's gas-LPT lane assignment.
+    /// A scheduler detecting conflicts at `granularity`.
     pub fn new(granularity: ConflictGranularity) -> Self {
-        Scheduler {
-            granularity,
-            policy: AssignPolicy::GasLpt,
+        match granularity {
+            ConflictGranularity::Account => Scheduler,
         }
-    }
-
-    /// A scheduler with an explicit lane-assignment policy (ablations).
-    pub fn with_policy(granularity: ConflictGranularity, policy: AssignPolicy) -> Self {
-        Scheduler {
-            granularity,
-            policy,
-        }
-    }
-
-    /// The configured granularity.
-    pub fn granularity(&self) -> ConflictGranularity {
-        self.granularity
-    }
-
-    /// The configured lane-assignment policy.
-    pub fn policy(&self) -> AssignPolicy {
-        self.policy
     }
 
     /// Builds the dependency subgraphs and packs them into `lanes` lanes.
@@ -155,7 +86,7 @@ impl Scheduler {
         self.pack(subgraphs, &gas, lanes)
     }
 
-    /// Builds the policy-ordered dependency subgraphs of a block without
+    /// Builds the heaviest-first dependency subgraphs of a block without
     /// packing them into lanes — the unit of work for subgraph-granular
     /// dispatch, where every component becomes its own pool job.
     pub fn subgraphs(&self, profile: &BlockProfile) -> Vec<Subgraph> {
@@ -182,7 +113,7 @@ impl Scheduler {
 
     /// Union-find over the conflict graph, visiting each transaction's keys
     /// through a borrowed-key visitor (`visit(key, is_write)`), then collects
-    /// connected components and sorts them by the configured policy.
+    /// connected components, heaviest first.
     fn components(
         &self,
         n: usize,
@@ -192,22 +123,22 @@ impl Scheduler {
     ) -> Vec<Subgraph> {
         let mut uf = UnionFind::new(n);
 
-        // Two passes over the keys. The first records each key's first
+        // Two passes over the keys. The first records each account's first
         // toucher and whether anybody writes it; the second joins every
-        // toucher of a written key to that key's first toucher. Read-only
-        // keys create no edges. Capacity from the profile's total key count
-        // bounds the distinct-key count from above, so the map never
-        // rehashes.
-        let mut keys: FxHashMap<KeyRepr, (usize, bool)> =
+        // toucher of a written account to that account's first toucher.
+        // Read-only accounts create no edges. Capacity from the profile's
+        // total key count bounds the distinct-account count from above, so
+        // the map never rehashes.
+        let mut accounts: FxHashMap<Address, (usize, bool)> =
             FxHashMap::with_capacity_and_hasher(key_count, Default::default());
         for i in 0..n {
             for_each_key(i, &mut |key, is_write| {
-                keys.entry(self.repr(key)).or_insert((i, false)).1 |= is_write;
+                accounts.entry(key.address()).or_insert((i, false)).1 |= is_write;
             });
         }
         for i in 0..n {
             for_each_key(i, &mut |key, _| {
-                let (first, has_writer) = keys[&self.repr(key)];
+                let (first, has_writer) = accounts[&key.address()];
                 if has_writer {
                     uf.union(first, i);
                 }
@@ -230,35 +161,21 @@ impl Scheduler {
             subgraphs[at].gas += tx_gas;
         }
         // Heaviest-path-first (deterministic tiebreak on first member).
-        match self.policy {
-            AssignPolicy::GasLpt => {
-                subgraphs.sort_by(|a, b| b.gas.cmp(&a.gas).then(a.txs[0].cmp(&b.txs[0])))
-            }
-            AssignPolicy::CountLpt => subgraphs
-                .sort_by(|a, b| b.txs.len().cmp(&a.txs.len()).then(a.txs[0].cmp(&b.txs[0]))),
-            AssignPolicy::RoundRobin => subgraphs.sort_by_key(|s| s.txs[0]),
-        }
+        subgraphs.sort_by(|a, b| b.gas.cmp(&a.gas).then(a.txs[0].cmp(&b.txs[0])));
         subgraphs
     }
 
-    /// LPT-packs policy-ordered subgraphs onto `lanes` lanes.
+    /// LPT-packs heaviest-first subgraphs onto `lanes` lanes: each onto the
+    /// least-loaded lane by gas.
     fn pack(&self, subgraphs: Vec<Subgraph>, gas: &[Gas], lanes: usize) -> Schedule {
         assert!(lanes > 0, "need at least one lane");
         let mut lane_txs: Vec<Vec<usize>> = vec![Vec::new(); lanes];
         let mut lane_load: Vec<Gas> = vec![0; lanes];
-        let mut lane_count: Vec<usize> = vec![0; lanes];
-        for (i, sg) in subgraphs.iter().enumerate() {
-            let target = match self.policy {
-                AssignPolicy::GasLpt => (0..lanes)
-                    .min_by_key(|&t| (lane_load[t], t))
-                    .expect("lanes > 0"),
-                AssignPolicy::CountLpt => (0..lanes)
-                    .min_by_key(|&t| (lane_count[t], t))
-                    .expect("lanes > 0"),
-                AssignPolicy::RoundRobin => i % lanes,
-            };
+        for sg in &subgraphs {
+            let target = (0..lanes)
+                .min_by_key(|&t| (lane_load[t], t))
+                .expect("lanes > 0");
             lane_load[target] += sg.gas;
-            lane_count[target] += sg.txs.len();
             lane_txs[target].extend_from_slice(&sg.txs);
         }
         for lane in &mut lane_txs {
@@ -271,19 +188,6 @@ impl Scheduler {
             total_gas: gas.iter().sum(),
         }
     }
-
-    fn repr(&self, key: &AccessKey) -> KeyRepr {
-        match self.granularity {
-            ConflictGranularity::Account => KeyRepr::Account(key.address()),
-            ConflictGranularity::Slot => KeyRepr::Exact(*key),
-        }
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum KeyRepr {
-    Account(bp_types::Address),
-    Exact(AccessKey),
 }
 
 /// Path-halving union-find.
@@ -328,7 +232,7 @@ impl UnionFind {
 mod tests {
     use super::*;
     use bp_block::TxProfile;
-    use bp_types::{Address, RwSet, H256, U256};
+    use bp_types::{RwSet, U256};
 
     fn addr(i: u64) -> Address {
         Address::from_index(i)
@@ -351,6 +255,24 @@ mod tests {
         BlockProfile { entries }
     }
 
+    /// Gas load of each lane.
+    fn lane_gas(s: &Schedule, profile: &BlockProfile) -> Vec<Gas> {
+        s.lanes
+            .iter()
+            .map(|lane| lane.iter().map(|&i| profile.entries[i].gas_used).sum())
+            .collect()
+    }
+
+    /// The heaviest lane's gas.
+    fn makespan_gas(s: &Schedule, profile: &BlockProfile) -> Gas {
+        lane_gas(s, profile).into_iter().max().unwrap_or(0)
+    }
+
+    /// Number of non-empty lanes.
+    fn active_lanes(s: &Schedule) -> usize {
+        s.lanes.iter().filter(|l| !l.is_empty()).count()
+    }
+
     #[test]
     fn independent_txs_spread_over_lanes() {
         let p = profile(vec![
@@ -359,10 +281,10 @@ mod tests {
             entry(&[], &[3], 10),
             entry(&[], &[4], 10),
         ]);
-        let s = Scheduler::default().schedule(&p, 4);
+        let s = Scheduler.schedule(&p, 4);
         assert_eq!(s.subgraphs.len(), 4);
-        assert_eq!(s.active_lanes(), 4);
-        assert_eq!(s.makespan_gas(&p), 10);
+        assert_eq!(active_lanes(&s), 4);
+        assert_eq!(makespan_gas(&s, &p), 10);
         assert!((s.largest_subgraph_ratio() - 0.25).abs() < 1e-9);
     }
 
@@ -374,7 +296,7 @@ mod tests {
             entry(&[1], &[2], 10),
             entry(&[], &[3], 10),
         ]);
-        let s = Scheduler::default().schedule(&p, 4);
+        let s = Scheduler.schedule(&p, 4);
         assert_eq!(s.subgraphs.len(), 2);
         let lane_of = |i: usize| s.lanes.iter().position(|l| l.contains(&i)).unwrap();
         assert_eq!(lane_of(0), lane_of(1));
@@ -384,7 +306,7 @@ mod tests {
     #[test]
     fn read_read_sharing_is_not_a_conflict() {
         let p = profile(vec![entry(&[9], &[1], 10), entry(&[9], &[2], 10)]);
-        let s = Scheduler::default().schedule(&p, 2);
+        let s = Scheduler.schedule(&p, 2);
         assert_eq!(s.subgraphs.len(), 2);
     }
 
@@ -396,7 +318,7 @@ mod tests {
             entry(&[1], &[2], 10),
             entry(&[2], &[3], 10),
         ]);
-        let s = Scheduler::default().schedule(&p, 4);
+        let s = Scheduler.schedule(&p, 4);
         assert_eq!(s.subgraphs.len(), 1);
         assert_eq!(s.subgraphs[0].txs, vec![0, 1, 2]);
         assert!((s.largest_subgraph_ratio() - 1.0).abs() < 1e-9);
@@ -406,7 +328,7 @@ mod tests {
     fn lanes_preserve_block_order() {
         // All conflict: one lane must hold 0..5 ascending.
         let p = profile((0..5).map(|_| entry(&[], &[1], 10)).collect());
-        let s = Scheduler::default().schedule(&p, 3);
+        let s = Scheduler.schedule(&p, 3);
         let lane = s.lanes.iter().find(|l| !l.is_empty()).unwrap();
         assert_eq!(lane, &vec![0, 1, 2, 3, 4]);
     }
@@ -422,27 +344,11 @@ mod tests {
             entry(&[], &[4], 10),
             entry(&[], &[5], 10),
         ]);
-        let s = Scheduler::default().schedule(&p, 2);
-        let loads = s.lane_gas(&p);
+        let s = Scheduler.schedule(&p, 2);
+        let loads = lane_gas(&s, &p);
         assert_eq!(loads.iter().max(), Some(&100));
         assert_eq!(loads.iter().sum::<u64>(), 140);
-        assert_eq!(s.makespan_gas(&p), 100);
-    }
-
-    #[test]
-    fn slot_granularity_is_finer_than_account() {
-        // Two txs write different storage slots of the same contract.
-        let c = addr(50);
-        let mk = |slot: u64| {
-            let mut rw = RwSet::new();
-            rw.record_write(AccessKey::Storage(c, H256::from_low_u64(slot)), U256::ONE);
-            TxProfile::from_rw(&rw, 10)
-        };
-        let p = profile(vec![mk(1), mk(2)]);
-        let account = Scheduler::new(ConflictGranularity::Account).schedule(&p, 2);
-        let slot = Scheduler::new(ConflictGranularity::Slot).schedule(&p, 2);
-        assert_eq!(account.subgraphs.len(), 1);
-        assert_eq!(slot.subgraphs.len(), 2);
+        assert_eq!(makespan_gas(&s, &p), 100);
     }
 
     #[test]
@@ -452,7 +358,7 @@ mod tests {
                 .map(|i| entry(&[i % 5], &[i % 3 + 10], 10 + i))
                 .collect(),
         );
-        let s = Scheduler::default().schedule(&p, 4);
+        let s = Scheduler.schedule(&p, 4);
         let mut seen = vec![false; 20];
         for lane in &s.lanes {
             for &i in lane {
@@ -466,19 +372,19 @@ mod tests {
     #[test]
     fn empty_profile_schedules_cleanly() {
         let p = profile(vec![]);
-        let s = Scheduler::default().schedule(&p, 4);
-        assert_eq!(s.active_lanes(), 0);
+        let s = Scheduler.schedule(&p, 4);
+        assert_eq!(active_lanes(&s), 0);
         assert_eq!(s.total_gas, 0);
         assert_eq!(s.largest_subgraph_ratio(), 0.0);
-        assert_eq!(s.makespan_gas(&p), 0);
+        assert_eq!(makespan_gas(&s, &p), 0);
     }
 
     #[test]
     fn single_lane_degenerates_to_serial() {
         let p = profile((0..6).map(|i| entry(&[], &[i + 1], 10)).collect());
-        let s = Scheduler::default().schedule(&p, 1);
+        let s = Scheduler.schedule(&p, 1);
         assert_eq!(s.lanes.len(), 1);
         assert_eq!(s.lanes[0], (0..6).collect::<Vec<_>>());
-        assert_eq!(s.makespan_gas(&p), 60);
+        assert_eq!(makespan_gas(&s, &p), 60);
     }
 }

@@ -166,13 +166,14 @@ pub fn nft_owner_slot(id: u64) -> H256 {
 /// and never *semantically* reads it — the closest an EVM contract can get
 /// to a blind write.
 ///
-/// Note the reproduction finding this contract demonstrates (see the
-/// `ablation_wsi_vs_occ` bench): even here the slot still lands in the read
-/// set, because the EVM's value-dependent `SSTORE` pricing (set vs reset)
-/// must observe the old value, and that observation affects gas — which
-/// validators verify. In an account-model EVM with Ethereum gas rules there
-/// are therefore **no** blind writes, and OCC-WSI's write-write tolerance
-/// degenerates to classic backward (read-set) validation.
+/// Note the reproduction finding this contract demonstrates (DESIGN.md §7;
+/// `concurrent_registry_writes_conflict_via_the_metering_read` below): even
+/// here the slot still lands in the read set, because the EVM's
+/// value-dependent `SSTORE` pricing (set vs reset) must observe the old
+/// value, and that observation affects gas — which validators verify. In an
+/// account-model EVM with Ethereum gas rules there are therefore **no**
+/// blind writes, and OCC-WSI's write-write tolerance degenerates to classic
+/// backward (read-set) validation.
 pub fn registry() -> Vec<u8> {
     Asm::new()
         .push_u64(0)

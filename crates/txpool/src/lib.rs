@@ -166,18 +166,6 @@ impl Inner {
         true
     }
 
-    /// The hash the pool knows `tx` by: read from the sender's nonce queue
-    /// when the transaction stored there is this one (the case for anything
-    /// the pool handed out), computed only on a miss.
-    fn hash_of(&self, tx: &Transaction) -> TxHash {
-        self.by_sender
-            .get(&tx.sender)
-            .and_then(|queue| queue.get(&tx.nonce))
-            .filter(|hash| self.txs[*hash].tx == *tx)
-            .copied()
-            .unwrap_or_else(|| tx.hash())
-    }
-
     /// Pops the highest-priority eligible transaction, skipping stale heap
     /// entries, and marks it in flight.
     fn check_out(&mut self) -> Option<(TxHash, Transaction)> {
@@ -379,8 +367,8 @@ impl TxPool {
 
     /// Blocks until the pool has room for `want` more transactions (or for
     /// as many as its cap allows, if that is fewer), at most `timeout`.
-    /// Returns whether the room is there. The wake-up comes from the turn,
-    /// commit or discard that frees the last needed slot, not from polling.
+    /// Returns whether the room is there. The wake-up comes from the turn
+    /// or discard that frees the last needed slot, not from polling.
     pub fn wait_for_room(&self, want: usize, timeout: Duration) -> bool {
         let want = want.min(self.inner.lock().limit.unwrap_or(usize::MAX));
         self.park(&self.room_freed, want, timeout, Inner::room, |g| {
@@ -479,52 +467,14 @@ impl TxPool {
         left
     }
 
-    /// Pops the highest-priority eligible transaction (Algorithm 1
-    /// `PopHeap`). The transaction is marked in-flight: the sender's next
-    /// transaction does not become eligible until this one commits or
-    /// returns. The proposer uses [`TxPool::turn`]; this serves `bp-sim`
-    /// and tests only, until ROADMAP item 7 decides `bp-sim`.
-    pub fn pop(&self) -> Option<Transaction> {
-        self.inner.lock().check_out().map(|(_, tx)| tx)
-    }
-
-    /// Returns an aborted transaction to the pool (Algorithm 1 `PushHeap`):
-    /// it becomes eligible again with its original priority. For `bp-sim`
-    /// and tests only, like [`TxPool::pop`].
-    pub fn push_back(&self, tx: &Transaction) {
-        let mut g = self.inner.lock();
-        let hash = g.hash_of(tx);
-        g.give_back(&hash);
-    }
-
-    /// Marks a transaction as committed into a block: it leaves the pool and
-    /// the sender's next transaction becomes eligible. For `bp-sim` and
-    /// tests only, like [`TxPool::pop`].
-    pub fn commit(&self, tx: &Transaction) {
-        let mut g = self.inner.lock();
-        let hash = g.hash_of(tx);
-        g.retire(&hash);
-        self.settle(g);
-    }
-
-    /// Drops a transaction permanently (invalid nonce/funds). For `bp-sim`
-    /// and tests only, like [`TxPool::pop`]; the proposer holds the hash and
-    /// calls [`TxPool::discard_hash`].
+    /// Drops a transaction permanently (invalid nonce/funds), given the
+    /// hash the pool checked it out with.
     ///
-    /// Unlike [`TxPool::commit`], the sender's queued higher-nonce
-    /// transactions go with it: with this nonce never committing, every
-    /// later nonce has an unfillable gap and could otherwise sit in the
-    /// pool forever — worse, promoting the next nonce as `commit` does
-    /// would offer proposers a transaction that can only abort.
-    pub fn discard(&self, tx: &Transaction) {
-        let mut g = self.inner.lock();
-        let hash = g.hash_of(tx);
-        g.discard(&hash);
-        self.settle(g);
-    }
-
-    /// [`TxPool::discard`] for a caller that holds the hash the pool checked
-    /// the transaction out with.
+    /// Unlike a commit, the sender's queued higher-nonce transactions go
+    /// with it: with this nonce never committing, every later nonce has an
+    /// unfillable gap and could otherwise sit in the pool forever — worse,
+    /// promoting the next nonce as a commit does would offer proposers a
+    /// transaction that can only abort.
     pub fn discard_hash(&self, hash: &TxHash) {
         let mut g = self.inner.lock();
         g.discard(hash);
@@ -573,6 +523,36 @@ mod tests {
         let mut out = VecDeque::new();
         pool.turn(&mut Vec::new(), &mut Vec::new(), max, &mut out);
         out.into_iter().map(|(_, tx)| tx).collect()
+    }
+
+    /// One transaction at a time, over [`TxPool::turn`] and
+    /// [`TxPool::discard_hash`]: Algorithm 1's `PopHeap` and `PushHeap`,
+    /// a commit and a discard, each a turn of its own.
+    trait OneByOne {
+        fn pop(&self) -> Option<Transaction>;
+        fn push_back(&self, tx: &Transaction);
+        fn commit(&self, tx: &Transaction);
+        fn discard(&self, tx: &Transaction);
+    }
+
+    impl OneByOne for TxPool {
+        fn pop(&self) -> Option<Transaction> {
+            check_out(self, 1).pop()
+        }
+
+        fn push_back(&self, tx: &Transaction) {
+            let mut returned = vec![tx.hash()];
+            self.turn(&mut Vec::new(), &mut returned, 0, &mut VecDeque::new());
+        }
+
+        fn commit(&self, tx: &Transaction) {
+            let mut committed = vec![tx.hash()];
+            self.turn(&mut committed, &mut Vec::new(), 0, &mut VecDeque::new());
+        }
+
+        fn discard(&self, tx: &Transaction) {
+            self.discard_hash(&tx.hash());
+        }
     }
 
     #[test]
@@ -652,22 +632,14 @@ mod tests {
     }
 
     #[test]
-    fn stored_hash_is_used_only_for_the_stored_transaction() {
+    fn committing_a_replaced_transaction_keeps_its_replacement() {
         let pool = TxPool::new();
         let a = tx(1, 0, 5);
         let b = tx(1, 0, 6); // same sender and nonce, pays more: replaces `a`
-        let unknown = tx(2, 0, 5);
         pool.add(a.clone());
         pool.add(b.clone());
-        {
-            let g = pool.inner.lock();
-            // The nonce queue points at the replacement: that one is a
-            // lookup, the other two fall back to hashing.
-            assert_eq!(g.by_sender[&addr(1)][&0], b.hash());
-            assert_eq!(g.hash_of(&b), b.hash());
-            assert_eq!(g.hash_of(&a), a.hash());
-            assert_eq!(g.hash_of(&unknown), unknown.hash());
-        }
+        // The nonce queue points at the replacement.
+        assert_eq!(pool.inner.lock().by_sender[&addr(1)][&0], b.hash());
         // So committing `a`, which the pool no longer holds, touches neither
         // the transaction queued under its nonce nor that queue entry.
         pool.commit(&a);

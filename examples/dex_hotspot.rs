@@ -9,7 +9,6 @@ use std::sync::Arc;
 use blockpilot::baseline::execute_block_serially;
 use blockpilot::core::{ConflictGranularity, OccWsiConfig, Proposer, Scheduler};
 use blockpilot::evm::{contracts, BlockEnv, Transaction};
-use blockpilot::sim::{simulate_validator, CostModel};
 use blockpilot::state::WorldState;
 use blockpilot::types::{Address, BlockHash, U256};
 
@@ -66,7 +65,6 @@ fn main() {
         // The validator-side dependency analysis over the block profile.
         let schedule =
             Scheduler::new(ConflictGranularity::Account).schedule(&proposal.block.profile, 16);
-        let sim = simulate_validator(&schedule, &proposal.block.profile, &CostModel::default());
         println!("--- {name} ---");
         println!("  txs                  : {}", proposal.block.tx_count());
         println!("  proposer aborts      : {}", proposal.stats.aborts);
@@ -74,10 +72,6 @@ fn main() {
         println!(
             "  largest subgraph     : {:.0}% of the block",
             100.0 * schedule.largest_subgraph_ratio()
-        );
-        println!(
-            "  validator speedup    : {:.2}x at 16 threads (gas-time)",
-            sim.speedup
         );
 
         // Sanity: the block replays serially to the same root.
@@ -91,6 +85,6 @@ fn main() {
         println!("  serial replay        : state root matches\n");
     }
     println!("Swaps on one pair serialize (they all read+write both reserve slots),");
-    println!("so the hotspot block's largest subgraph swallows the swap share and the");
-    println!("speedup collapses toward the paper's Figure 8 curve.");
+    println!("so the hotspot block's largest subgraph swallows the swap share: the");
+    println!("validator replays that share on one lane (the paper's Figure 8).");
 }

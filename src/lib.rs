@@ -14,7 +14,6 @@ pub use bp_concurrent as concurrent;
 pub use bp_crypto as crypto;
 pub use bp_evm as evm;
 pub use bp_node as node;
-pub use bp_sim as sim;
 pub use bp_state as state;
 pub use bp_store as store;
 pub use bp_txpool as txpool;

@@ -14,12 +14,28 @@
 use blockpilot::core::{ConflictGranularity, Scheduler};
 use blockpilot::workload::{WorkloadConfig, WorkloadGen};
 
+/// The whole number after flag `name`, or `default` when the flag is absent
+/// or followed by nothing or by another flag. A value that is not a whole
+/// number exits 2 with a message.
 fn arg(args: &[String], name: &str, default: u64) -> u64 {
-    args.iter()
+    parse_arg(args, name, default).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2)
+    })
+}
+
+fn parse_arg(args: &[String], name: &str, default: u64) -> Result<u64, String> {
+    let value = args
+        .iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .filter(|v| !v.starts_with("--"));
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name} takes a whole number, not `{v}`")),
+    }
 }
 
 fn main() {
@@ -167,33 +183,104 @@ fn node_summary_json(report: &blockpilot::node::NodeReport) -> String {
     )
 }
 
-/// Workload conflict statistics (the Figure 8 x-axis).
+/// Workload conflict statistics (the Figure 8 x-axis): what the generator
+/// is tuned against, the paper's §5.5 numbers (132 transactions a block, a
+/// mean largest subgraph of 27.5 % of them).
 fn stats(args: &[String]) {
     let blocks = arg(args, "--blocks", 20) as usize;
     let mut gen = WorkloadGen::new(WorkloadConfig::default());
     let genesis = gen.genesis_state();
     let scheduler = Scheduler::new(ConflictGranularity::Account);
     let mut state = genesis;
-    let mut ratios = Vec::new();
+    let (mut tx_counts, mut ratios, mut gas_ratios, mut subgraph_counts) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for height in 1..=blocks as u64 {
         let env = gen.block_env(height);
         let txs = gen.next_block_txs();
         let out = blockpilot::baseline::execute_block_serially(&state, &env, &txs)
             .expect("workload blocks replay");
         let schedule = scheduler.schedule(&out.profile, 16);
+        let largest_gas = schedule
+            .subgraphs
+            .iter()
+            .map(|sg| sg.gas)
+            .max()
+            .unwrap_or(0);
+        let gas_ratio = largest_gas as f64 / out.gas_used.max(1) as f64;
         println!(
-            "block {height:>3}: {:>3} txs, {:>2} subgraphs, largest {:>4.1}%, makespan {:>5.1}% of serial",
+            "block {height:>3}: {:>3} txs, {:>2} subgraphs, largest {:>4.1}% of txs, {:>4.1}% of gas",
             txs.len(),
             schedule.subgraphs.len(),
             100.0 * schedule.largest_subgraph_ratio(),
-            100.0 * schedule.makespan_gas(&out.profile) as f64 / out.gas_used.max(1) as f64,
+            100.0 * gas_ratio,
         );
+        tx_counts.push(txs.len() as f64);
         ratios.push(schedule.largest_subgraph_ratio());
+        gas_ratios.push(gas_ratio);
+        subgraph_counts.push(schedule.subgraphs.len() as f64);
         state = out.post_state;
     }
-    let mean = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
+    println!("\nblocks                 : {blocks}");
     println!(
-        "\nmean largest-subgraph ratio: {:.1}% (paper: 27.5%)",
-        100.0 * mean
+        "mean txs/block         : {:.1} (paper: 132)",
+        mean(&tx_counts)
     );
+    println!(
+        "largest subgraph (txs) : mean {:.1}%  p50 {:.1}%  p90 {:.1}%  (paper mean: 27.5%)",
+        100.0 * mean(&ratios),
+        100.0 * percentile(&ratios, 50.0),
+        100.0 * percentile(&ratios, 90.0)
+    );
+    println!(
+        "largest subgraph (gas) : mean {:.1}%  p50 {:.1}%",
+        100.0 * mean(&gas_ratios),
+        100.0 * percentile(&gas_ratios, 50.0)
+    );
+    println!("mean subgraphs/block   : {:.1}", mean(&subgraph_counts));
+}
+
+fn mean(values: &[f64]) -> f64 {
+    values.iter().sum::<f64>() / values.len().max(1) as f64
+}
+
+/// Nearest-rank percentile (0–100).
+fn percentile(values: &[f64], p: f64) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
+    sorted.get(rank).copied().unwrap_or(0.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn a_malformed_flag_value_is_an_error_not_the_default() {
+        let a = args("node --blocks 1e5 --validators 3 --group-commit --store d");
+        assert_eq!(
+            parse_arg(&a, "--blocks", 20),
+            Err("--blocks takes a whole number, not `1e5`".to_string())
+        );
+        assert_eq!(parse_arg(&a, "--validators", 2), Ok(3));
+        // Absent, or followed by another flag: the default.
+        assert_eq!(parse_arg(&a, "--group-commit", 8), Ok(8));
+        assert_eq!(parse_arg(&a, "--lockstep", 1), Ok(1));
+        assert_eq!(parse_arg(&args("stats --blocks"), "--blocks", 20), Ok(20));
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let v = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v, 50.0), 3.0);
+        assert_eq!(percentile(&v, 100.0), 4.0);
+        assert_eq!(percentile(&[], 50.0), 0.0);
+        assert_eq!(mean(&v), 2.5);
+        assert_eq!(mean(&[]), 0.0);
+    }
 }

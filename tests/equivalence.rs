@@ -2,12 +2,11 @@
 //! strategy in the repository must land on the serial oracle's MPT root.
 //!
 //! This is the repository's strongest invariant: OCC-WSI proposals replay
-//! serially to their own root; the Saraph-Herlihy OCC baseline equals
-//! serial; lane-parallel validation equals serial.
+//! serially to their own root; subgraph-parallel validation equals serial.
 
 use std::sync::Arc;
 
-use blockpilot::baseline::{execute_block_serially, occ_two_phase};
+use blockpilot::baseline::execute_block_serially;
 use blockpilot::core::{
     ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, ValidatorPipeline,
 };
@@ -50,25 +49,6 @@ fn mixes() -> Vec<TxMix> {
             mint: 0.0,
         },
     ]
-}
-
-#[test]
-fn occ_baseline_equals_serial_on_random_workloads() {
-    for (i, mix) in mixes().into_iter().enumerate() {
-        let gen_cfg = config_for_seed(42 + i as u64, mix);
-        let mut gen = WorkloadGen::new(gen_cfg);
-        let base = gen.genesis_state();
-        let env = gen.block_env(1);
-        let txs = gen.next_block_txs();
-        let serial = execute_block_serially(&base, &env, &txs).expect("replayable");
-        let occ = occ_two_phase(&base, &env, &txs).expect("replayable");
-        assert_eq!(
-            occ.post_state.state_root(),
-            serial.post_state.state_root(),
-            "mix {i}: OCC baseline diverged from serial"
-        );
-        assert_eq!(occ.gas_used, serial.gas_used);
-    }
 }
 
 #[test]
@@ -143,43 +123,4 @@ fn pipeline_validation_equals_serial_on_random_workloads() {
         );
         pipeline.shutdown();
     }
-}
-
-#[test]
-fn slot_granularity_schedules_also_validate() {
-    // The finer granularity must remain *safe*: replays still match.
-    let mut gen = WorkloadGen::new(config_for_seed(
-        123,
-        TxMix {
-            transfer: 0.5,
-            token: 0.5,
-            amm: 0.0,
-            blind: 0.0,
-            mint: 0.0,
-        },
-    ));
-    let base = Arc::new(gen.genesis_state());
-    let env = gen.block_env(1);
-    let txs = gen.next_block_txs();
-    let pool = TxPool::new();
-    for tx in &txs {
-        pool.add(tx.clone());
-    }
-    let proposer = OccWsiProposer::new(OccWsiConfig {
-        threads: 2,
-        env,
-        ..OccWsiConfig::default()
-    });
-    let parent = BlockHash::from_low_u64(9);
-    let proposal = proposer.propose(&pool, Arc::clone(&base), parent, 1);
-
-    let pipeline = ValidatorPipeline::new(PipelineConfig {
-        workers: 4,
-        granularity: ConflictGranularity::Slot,
-        ..Default::default()
-    });
-    pipeline.register_state(parent, Arc::clone(&base));
-    let outcome = pipeline.validate_block(proposal.block.clone());
-    assert!(outcome.is_valid(), "{:?}", outcome.result);
-    pipeline.shutdown();
 }

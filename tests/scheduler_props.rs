@@ -11,8 +11,8 @@ use std::sync::Arc;
 use blockpilot::baseline::execute_block_serially;
 use blockpilot::block::{BlockProfile, TxProfile};
 use blockpilot::core::{
-    AssignPolicy, ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal,
-    Scheduler, ValidatorPipeline,
+    ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, Scheduler,
+    ValidatorPipeline,
 };
 use blockpilot::evm::{BlockEnv, Transaction};
 use blockpilot::state::WorldState;
@@ -30,9 +30,9 @@ struct TxDesc {
 }
 
 fn key(id: u8) -> AccessKey {
-    // Spread keys over both accounts and slots so both granularities are
-    // exercised: even ids are balances, odd ids are storage slots grouped
-    // four-per-contract.
+    // Spread keys over balances and storage slots, so that two different
+    // slots of one contract conflict at account level: even ids are
+    // balances, odd ids are storage slots grouped four-per-contract.
     if id.is_multiple_of(2) {
         AccessKey::Balance(Address::from_index(id as u64))
     } else {
@@ -72,11 +72,8 @@ fn arb_descs() -> impl Strategy<Value = Vec<TxDesc>> {
     )
 }
 
-fn conflicts(a: &TxProfile, b: &TxProfile, granularity: ConflictGranularity) -> bool {
-    match granularity {
-        ConflictGranularity::Slot => a.rw().conflicts_with(&b.rw()),
-        ConflictGranularity::Account => a.rw().conflicts_with_account_level(&b.rw()),
-    }
+fn conflicts(a: &TxProfile, b: &TxProfile) -> bool {
+    a.rw().conflicts_with_account_level(&b.rw())
 }
 
 proptest! {
@@ -98,18 +95,16 @@ proptest! {
 
     #[test]
     fn no_conflicts_cross_lanes(descs in arb_descs(), lanes in 1usize..9) {
-        for granularity in [ConflictGranularity::Account, ConflictGranularity::Slot] {
-            let p = profile(&descs);
-            let s = Scheduler::new(granularity).schedule(&p, lanes);
-            for (la, lane_a) in s.lanes.iter().enumerate() {
-                for lane_b in s.lanes.iter().skip(la + 1) {
-                    for &i in lane_a {
-                        for &j in lane_b {
-                            prop_assert!(
-                                !conflicts(&p.entries[i], &p.entries[j], granularity),
-                                "txs {i} and {j} conflict across lanes ({granularity:?})"
-                            );
-                        }
+        let p = profile(&descs);
+        let s = Scheduler::new(ConflictGranularity::Account).schedule(&p, lanes);
+        for (la, lane_a) in s.lanes.iter().enumerate() {
+            for lane_b in s.lanes.iter().skip(la + 1) {
+                for &i in lane_a {
+                    for &j in lane_b {
+                        prop_assert!(
+                            !conflicts(&p.entries[i], &p.entries[j]),
+                            "txs {i} and {j} conflict across lanes"
+                        );
                     }
                 }
             }
@@ -129,9 +124,10 @@ proptest! {
 
     #[test]
     fn subgraphs_are_conflict_closed(descs in arb_descs()) {
-        // Every conflicting pair must share a subgraph.
+        // Every conflicting pair must share a subgraph: the pipeline
+        // dispatches each subgraph as one job.
         let p = profile(&descs);
-        let s = Scheduler::new(ConflictGranularity::Slot).schedule(&p, 4);
+        let s = Scheduler::new(ConflictGranularity::Account).schedule(&p, 4);
         let mut component = vec![usize::MAX; descs.len()];
         for (c, sg) in s.subgraphs.iter().enumerate() {
             for &i in &sg.txs {
@@ -140,7 +136,7 @@ proptest! {
         }
         for i in 0..descs.len() {
             for j in i + 1..descs.len() {
-                if conflicts(&p.entries[i], &p.entries[j], ConflictGranularity::Slot) {
+                if conflicts(&p.entries[i], &p.entries[j]) {
                     prop_assert_eq!(
                         component[i], component[j],
                         "conflicting txs {} and {} in different subgraphs", i, j
@@ -148,25 +144,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gas_lpt_never_worse_than_round_robin(descs in arb_descs(), lanes in 2usize..9) {
-        let p = profile(&descs);
-        let lpt = Scheduler::with_policy(ConflictGranularity::Account, AssignPolicy::GasLpt)
-            .schedule(&p, lanes);
-        let rr = Scheduler::with_policy(ConflictGranularity::Account, AssignPolicy::RoundRobin)
-            .schedule(&p, lanes);
-        prop_assert!(lpt.makespan_gas(&p) <= rr.makespan_gas(&p));
-    }
-
-    #[test]
-    fn slot_granularity_never_coarser(descs in arb_descs()) {
-        let p = profile(&descs);
-        let account = Scheduler::new(ConflictGranularity::Account).schedule(&p, 4);
-        let slot = Scheduler::new(ConflictGranularity::Slot).schedule(&p, 4);
-        prop_assert!(slot.subgraphs.len() >= account.subgraphs.len());
-        prop_assert!(slot.largest_subgraph_ratio() <= account.largest_subgraph_ratio() + 1e-9);
     }
 
     #[test]
