@@ -20,7 +20,7 @@ pub mod proposer;
 pub mod scheduler;
 pub mod validator;
 
-pub use occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal, ProposerStats, WorkerStats};
+pub use occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal, ProposerStats};
 pub use pipeline::{
     PipelineConfig, StageTimings, ValidationError, ValidationHandle, ValidationOutcome,
     ValidatorPipeline,

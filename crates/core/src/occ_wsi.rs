@@ -62,7 +62,7 @@ use bp_block::{
     receipts_root, tx_root, tx_root_of_hashes, Block, BlockHeader, BlockProfile, TxProfile,
 };
 use bp_concurrent::sync::Mutex;
-use bp_concurrent::{ReserveTable, ShardedMap, VersionAllocator, VersionGate};
+use bp_concurrent::{ReserveTable, VersionAllocator, VersionGate};
 use bp_evm::{
     execute_transaction_in, gas, AnalysisCache, BlockEnv, MvSnapshot, Receipt, Transaction, TxError,
 };
@@ -114,60 +114,19 @@ impl Default for OccWsiConfig {
     }
 }
 
-/// Per-worker counters from one proposal run (contention diagnostics).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Transactions this worker committed.
-    pub committed: u64,
-    /// WSI validation failures this worker hit.
-    pub aborts: u64,
-    /// Future-nonce retries (prerequisite not yet committed) this worker
-    /// burned.
-    pub retries: u64,
-}
-
-/// Statistics from one proposal run (feeds the Figure 6 harness and the
-/// WSI-vs-OCC ablation).
+/// Counters from one proposal run: what the node reports (`aborts`) and
+/// the benchmark's proposer ledger reads (all four).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProposerStats {
     /// Transactions committed into the block.
     pub committed: u64,
-    /// Optimistic executions that failed WSI validation and were re-queued.
+    /// Executions that were re-queued: WSI validation failures, and
+    /// future-nonce retries (a predecessor not yet committed).
     pub aborts: u64,
-    /// Aborts hit on a transaction's *first* execution attempt (the
-    /// first-vs-retry split attributes wasted work: a first abort is the
-    /// unavoidable discovery of a conflict, a retry abort is the same
-    /// transaction thrashing).
-    pub first_aborts: u64,
-    /// Aborts hit on second and later attempts of the same transaction.
-    pub retry_aborts: u64,
-    /// Read-set validation failures (stale-read aborts). Excludes
-    /// future-nonce retries.
-    pub validation_failures: u64,
-    /// Transactions discarded as permanently invalid (bad nonce, no funds).
-    pub discarded: u64,
     /// Total executions (committed + aborted + discarded attempts).
     pub executions: u64,
     /// Wall time of the parallel packing phase, in microseconds.
     pub wall_micros: u64,
-    /// Code-analysis cache hits across all workers during this run.
-    pub analysis_hits: u64,
-    /// Code-analysis cache misses (fresh analyses) during this run.
-    pub analysis_misses: u64,
-    /// Per-worker commit/abort/retry breakdown, indexed by worker.
-    pub workers: Vec<WorkerStats>,
-}
-
-impl ProposerStats {
-    /// Committed transactions per wall-clock second of the packing phase
-    /// (0.0 for an instantaneous empty run).
-    pub fn committed_per_sec(&self) -> f64 {
-        if self.wall_micros == 0 {
-            0.0
-        } else {
-            self.committed as f64 * 1e6 / self.wall_micros as f64
-        }
-    }
 }
 
 /// The outcome of one proposal: a sealed block plus everything a caller
@@ -208,30 +167,7 @@ struct Shared<'a> {
     cur_gas: &'a AtomicU64,
     full: &'a AtomicBool,
     aborts: &'a AtomicU64,
-    discarded: &'a AtomicU64,
     executions: &'a AtomicU64,
-    first_aborts: &'a AtomicU64,
-    retry_aborts: &'a AtomicU64,
-    validation_failures: &'a AtomicU64,
-    /// Per-transaction abort tally backing the first-vs-retry split.
-    abort_counts: &'a ShardedMap<TxHash, u32>,
-}
-
-impl Shared<'_> {
-    /// Tallies one abort of `hash` into the first-vs-retry split.
-    fn note_abort(&self, hash: TxHash) {
-        let prior = self.abort_counts.update(hash, |slot| {
-            let count = slot.get_or_insert(0);
-            let prior = *count;
-            *count += 1;
-            prior
-        });
-        if prior == 0 {
-            self.first_aborts.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.retry_aborts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// A worker's account with the pool: what it has checked out and what it
@@ -304,24 +240,11 @@ impl OccWsiProposer {
     /// A proposer with the given configuration, sharing the process-wide
     /// analysis cache.
     pub fn new(config: OccWsiConfig) -> Self {
-        Self::with_cache(config, AnalysisCache::global())
-    }
-
-    /// A proposer with a dedicated analysis cache (isolated benchmarks and
-    /// tests that want cold-cache behaviour).
-    pub fn with_cache(config: OccWsiConfig, cache: Arc<AnalysisCache>) -> Self {
         assert!(config.threads > 0, "need at least one worker");
-        OccWsiProposer { config, cache }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &OccWsiConfig {
-        &self.config
-    }
-
-    /// The code-analysis cache this proposer's workers execute against.
-    pub fn analysis_cache(&self) -> &Arc<AnalysisCache> {
-        &self.cache
+        OccWsiProposer {
+            config,
+            cache: AnalysisCache::global(),
+        }
     }
 
     /// Runs Algorithm 1: executes transactions from `pool` in parallel over
@@ -348,12 +271,7 @@ impl OccWsiProposer {
         let cur_gas = AtomicU64::new(0);
         let full = AtomicBool::new(false);
         let aborts = AtomicU64::new(0);
-        let discarded = AtomicU64::new(0);
         let executions = AtomicU64::new(0);
-        let first_aborts = AtomicU64::new(0);
-        let retry_aborts = AtomicU64::new(0);
-        let validation_failures = AtomicU64::new(0);
-        let abort_counts = ShardedMap::for_threads(self.config.threads);
 
         let shared = Shared {
             pool,
@@ -365,31 +283,21 @@ impl OccWsiProposer {
             cur_gas: &cur_gas,
             full: &full,
             aborts: &aborts,
-            discarded: &discarded,
             executions: &executions,
-            first_aborts: &first_aborts,
-            retry_aborts: &retry_aborts,
-            validation_failures: &validation_failures,
-            abort_counts: &abort_counts,
         };
 
         let started = Instant::now();
-        let cache_base = self.cache.stats();
-        let (mut records, worker_stats) = std::thread::scope(|scope| {
+        let mut records = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.config.threads)
                 .map(|_| scope.spawn(|| self.worker(&shared)))
                 .collect();
             let mut records = Vec::new();
-            let mut stats = Vec::new();
             for h in handles {
-                let (r, s) = h.join().expect("worker panicked");
-                records.extend(r);
-                stats.push(s);
+                records.extend(h.join().expect("worker panicked"));
             }
-            (records, stats)
+            records
         });
         let wall_micros = started.elapsed().as_micros() as u64;
-        let cache_delta = self.cache.stats().since(&cache_base);
         let gas_used = cur_gas.load(Ordering::Acquire);
 
         // Merge the per-worker segments into the block body, in version
@@ -451,23 +359,15 @@ impl OccWsiProposer {
             stats: ProposerStats {
                 committed,
                 aborts: aborts.load(Ordering::Acquire),
-                first_aborts: first_aborts.load(Ordering::Acquire),
-                retry_aborts: retry_aborts.load(Ordering::Acquire),
-                validation_failures: validation_failures.load(Ordering::Acquire),
-                discarded: discarded.load(Ordering::Acquire),
                 executions: executions.load(Ordering::Acquire),
                 wall_micros,
-                analysis_hits: cache_delta.hits,
-                analysis_misses: cache_delta.misses,
-                workers: worker_stats,
             },
         }
     }
 
     /// The worker loop: execute optimistically, admit under the
     /// commit-sequence lock (Phase A), publish outside it (Phase B).
-    fn worker(&self, s: &Shared<'_>) -> (Vec<CommitRecord>, WorkerStats) {
-        let mut stats = WorkerStats::default();
+    fn worker(&self, s: &Shared<'_>) -> Vec<CommitRecord> {
         let mut records: Vec<CommitRecord> = Vec::new();
         // Everything checked out goes back when `checkout` drops, whichever
         // way the loop is left.
@@ -481,13 +381,13 @@ impl OccWsiProposer {
 
         loop {
             if s.full.load(Ordering::Acquire) {
-                return (records, stats);
+                return records;
             }
             let Some((hash, tx)) = checkout.next_tx() else {
                 // The pool may refill when an in-flight transaction of some
                 // sender commits; spin briefly before giving up.
                 if checkout.pool_len == 0 || idle_spins > 64 {
-                    return (records, stats);
+                    return records;
                 }
                 idle_spins += 1;
                 std::thread::yield_now();
@@ -516,19 +416,15 @@ impl OccWsiProposer {
                         *entry = (version_now, 1);
                     }
                     if entry.1 >= MAX_FUTILE_RETRIES {
-                        s.discarded.fetch_add(1, Ordering::Relaxed);
                         s.pool.discard_hash(&hash);
                     } else {
                         s.aborts.fetch_add(1, Ordering::Relaxed);
-                        s.note_abort(hash);
-                        stats.retries += 1;
                         checkout.returned.push(hash);
                         std::thread::yield_now();
                     }
                     continue;
                 }
                 Err(_) => {
-                    s.discarded.fetch_add(1, Ordering::Relaxed);
                     s.pool.discard_hash(&hash);
                     continue;
                 }
@@ -540,7 +436,7 @@ impl OccWsiProposer {
                 let _seq = s.admit.lock();
                 if s.full.load(Ordering::Acquire) {
                     checkout.returned.push(hash);
-                    return (records, stats);
+                    return records;
                 }
                 // WSI validation over the read set: the lock orders us
                 // after the reserve intents of every admitted predecessor.
@@ -552,9 +448,6 @@ impl OccWsiProposer {
                 if stale {
                     drop(_seq);
                     s.aborts.fetch_add(1, Ordering::Relaxed);
-                    s.validation_failures.fetch_add(1, Ordering::Relaxed);
-                    s.note_abort(hash);
-                    stats.aborts += 1;
                     checkout.returned.push(hash);
                     continue;
                 }
@@ -570,14 +463,14 @@ impl OccWsiProposer {
                     checkout.unfit.push(hash);
                     if nothing_fits {
                         s.full.store(true, Ordering::Release);
-                        return (records, stats);
+                        return records;
                     }
                     continue;
                 }
                 if self.config.max_txs > 0 && s.versions.current() as usize >= self.config.max_txs {
                     s.full.store(true, Ordering::Release);
                     checkout.returned.push(hash);
-                    return (records, stats);
+                    return records;
                 }
                 // Admit: register the version as pending *before* it becomes
                 // discoverable through the allocator, publish the write
@@ -608,7 +501,6 @@ impl OccWsiProposer {
                 receipt: result.receipt,
                 profile,
             });
-            stats.committed += 1;
             checkout.committed.push(hash);
         }
     }
@@ -756,36 +648,14 @@ mod tests {
         }
         let p = proposer(8);
         let proposal = p.propose(&pool, world, BlockHash::ZERO, 1);
+        // Every transaction committed, none discarded, so the executions
+        // beyond the commits are exactly the aborted attempts.
         assert_eq!(proposal.stats.committed, 12);
-        assert_eq!(proposal.stats.discarded, 0);
-        // Executions ≥ commits; the surplus is aborted attempts.
         assert!(proposal.stats.executions >= proposal.stats.committed);
         assert_eq!(
             proposal.stats.executions - proposal.stats.committed,
             proposal.stats.aborts
         );
-        // Every abort is attributed to exactly one side of the
-        // first-vs-retry split.
-        assert_eq!(
-            proposal.stats.aborts,
-            proposal.stats.first_aborts + proposal.stats.retry_aborts
-        );
-        // WSI validation failures are the aborts that are not nonce retries.
-        let worker_retries: u64 = proposal.stats.workers.iter().map(|w| w.retries).sum();
-        assert_eq!(
-            proposal.stats.validation_failures,
-            proposal.stats.aborts - worker_retries
-        );
-        // Per-worker counters must reconcile with the totals.
-        let worker_committed: u64 = proposal.stats.workers.iter().map(|w| w.committed).sum();
-        assert_eq!(worker_committed, proposal.stats.committed);
-        let worker_aborts: u64 = proposal
-            .stats
-            .workers
-            .iter()
-            .map(|w| w.aborts + w.retries)
-            .sum();
-        assert_eq!(worker_aborts, proposal.stats.aborts);
     }
 
     #[test]
@@ -842,7 +712,6 @@ mod tests {
             let p = proposer(4);
             let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
             assert_eq!(proposal.block.tx_count(), 30, "round {round}");
-            assert_eq!(proposal.stats.discarded, 0);
             for sender in 1..=5u64 {
                 let nonces: Vec<u64> = proposal
                     .block
@@ -963,8 +832,8 @@ mod tests {
         pool.add(Transaction::transfer(addr(1), addr(2), U256::ONE, 0, 1));
         let p = proposer(2);
         let proposal = p.propose(&pool, world, BlockHash::ZERO, 1);
+        // The unfunded one left the pool without a commit.
         assert_eq!(proposal.block.tx_count(), 1);
-        assert_eq!(proposal.stats.discarded, 1);
         assert!(pool.is_empty());
     }
 
@@ -1042,7 +911,6 @@ mod tests {
         let p = proposer(2);
         let proposal = p.propose(&pool, world, BlockHash::ZERO, 1);
         assert!(proposal.stats.wall_micros > 0);
-        assert!(proposal.stats.committed_per_sec() > 0.0);
-        assert_eq!(proposal.stats.workers.len(), 2);
+        assert_eq!(proposal.stats.committed, 6);
     }
 }

@@ -30,11 +30,6 @@ impl Proposer {
         &self.pool
     }
 
-    /// The configuration the engine runs with.
-    pub fn config(&self) -> &OccWsiConfig {
-        self.engine.config()
-    }
-
     /// Accepts a client transaction into the pending pool.
     pub fn submit_transaction(&self, tx: Transaction) {
         self.pool.add(tx);
@@ -56,11 +51,6 @@ impl Proposer {
     ) -> Proposal {
         self.engine
             .propose(&self.pool, parent_state, parent, height)
-    }
-
-    /// The underlying OCC-WSI engine (for custom pools).
-    pub fn engine(&self) -> &OccWsiProposer {
-        &self.engine
     }
 }
 

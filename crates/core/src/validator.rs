@@ -8,7 +8,7 @@ use std::sync::Arc;
 use bp_block::{genesis_header, Block, BlockProfile, ChainStore};
 use bp_concurrent::sync::Mutex;
 use bp_state::WorldState;
-use bp_store::{GroupCommitConfig, Store, StoreConfig, StoreError};
+use bp_store::{GroupCommitConfig, Store, StoreError};
 use bp_types::{BlockHash, Height, H256};
 
 use crate::pipeline::{PipelineConfig, ValidationHandle, ValidationOutcome, ValidatorPipeline};
@@ -48,11 +48,11 @@ impl Validator {
         genesis_state: WorldState,
         dir: impl AsRef<Path>,
     ) -> Result<Self, StoreError> {
-        Self::with_store_profile(config, genesis_state, dir, None)
+        Self::with_store_profile(config, genesis_state, dir, GroupCommitConfig::default())
     }
 
-    /// Like [`Validator::with_store_at`], additionally coalescing durable
-    /// commits into fsync batches when `group_commit` is set (see
+    /// Like [`Validator::with_store_at`], coalescing durable commits into
+    /// fsync batches at `group_commit`'s bounds (see
     /// [`bp_store::GroupCommitConfig`]). Deferred commits are flushed by
     /// [`Validator::into_store`]; a crash mid-batch rolls the store back to
     /// the last batch boundary, from which recovery replays as usual.
@@ -60,9 +60,9 @@ impl Validator {
         config: PipelineConfig,
         genesis_state: WorldState,
         dir: impl AsRef<Path>,
-        group_commit: Option<GroupCommitConfig>,
+        group_commit: GroupCommitConfig,
     ) -> Result<Self, StoreError> {
-        let store = Store::open_with(dir, StoreConfig { group_commit })?;
+        let store = Store::open_with(dir, group_commit)?;
         Self::with_store(config, genesis_state, store)
     }
 

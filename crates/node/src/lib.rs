@@ -14,10 +14,9 @@
 //! bound. It is the one proposer → validator loop in the tree.
 //!
 //! The point of the assembly is the paper's Figure-1 overlap in wall-clock:
-//! in [`NodeMode::Pipelined`] the proposer packs height `N+1` while the
-//! wire, validation and persistence of height `N` are still in flight;
-//! [`NodeMode::LockStep`] is the serial baseline where the proposer waits
-//! for every validator's commit. [`run_node`] reports per-stage occupancy,
+//! the proposer packs height `N+1` while the wire, validation and
+//! persistence of height `N` are still in flight, held back only by the
+//! bounded channels. [`run_node`] reports per-stage occupancy,
 //! stall shares and queue depths ([`StageStats`]) plus sustained
 //! committed-tx/s, and can gate the run on a serial replay of the committed
 //! chain ([`serial_replay_root`]) so the overlap can never silently

@@ -7,9 +7,7 @@
 //!  ingest ──add_batch──▶ TxPool (capacity-bounded)
 //!                          │ turn (engine workers)
 //!                        source ──[Block]──▶ codec ──[Arc<[u8]>]──▶ validator 0 (+ store)
-//!                          ▲      bounded          bounded      └──▶ validator k
-//!                          │ lock-step only: wait for commits
-//!                        CommitBoard ◀── commit_canonical ──┘
+//!                                 bounded          bounded      └──▶ validator k
 //! ```
 //!
 //! * Every inter-stage channel is **bounded** at [`CHANNEL_DEPTH`]: a slow
@@ -17,10 +15,9 @@
 //!   is accounted as *stall* in the sender's [`StageStats`], so the report
 //!   names the bottleneck.
 //! * The [`BlockSource`] seals every candidate of a height; a message on
-//!   every channel carries one height. In [`NodeMode::Pipelined`] the source
-//!   chains height `N+1` on its own post-state immediately; validation,
-//!   persistence and the wire all run behind it. In [`NodeMode::LockStep`]
-//!   it additionally waits for every validator to commit height `N` first.
+//!   every channel carries one height. The source chains height `N+1` on its
+//!   own post-state immediately; validation, persistence and the wire all
+//!   run behind it, and only the bounded channels hold it back.
 //! * The codec stage encodes each block **once** and hands the bytes to all
 //!   `K` validator wires as shared `Arc<[u8]>`s — refcount bumps, not
 //!   copies — keeping serialization off the proposer's critical path.
@@ -28,10 +25,10 @@
 //!   verdict: it commits the lowest-hash valid candidate that extends its
 //!   head and counts the other valid ones as uncles.
 //! * Nobody polls the pool. The ingest stage parks on it until there is room
-//!   for a chunk of what it holds, the proposer until it holds a block's
-//!   minimum; the pool wakes each from the turn or the batch that makes its
-//!   condition true. Both waits time out every millisecond, only so that a
-//!   stop request is seen.
+//!   for a chunk of what it holds, the proposer until it holds a
+//!   transaction; the pool wakes each from the turn or the batch that makes
+//!   its condition true. Both waits time out every millisecond, only so that
+//!   a stop request is seen.
 //! * A store that already holds a chain resumes it: validator 0 recovers the
 //!   head before the source starts one height above it, and every other
 //!   validator first validates the recovered chain.
@@ -53,14 +50,14 @@ use blockpilot_core::{
 use bp_block::wire::{decode_block, encode_block_into};
 use bp_block::Block;
 use bp_concurrent::channel::bounded;
-use bp_concurrent::sync::{Condvar, Mutex};
+use bp_concurrent::sync::Mutex;
 use bp_evm::BlockEnv;
 use bp_state::WorldState;
 use bp_txpool::TxPool;
 use bp_types::{Address, BlockHash, Gas, Height, Rng, H256};
 use bp_workload::WorkloadGen;
 
-use crate::config::{NodeConfig, NodeMode};
+use crate::config::NodeConfig;
 use crate::stats::{micros_since, StageStats};
 
 /// Capacity of each bounded inter-stage channel (source → codec and codec →
@@ -81,6 +78,10 @@ const INGEST_CHUNK: usize = 64;
 /// bounds shutdown latency, not throughput.
 const STOP_CHECK: Duration = Duration::from_millis(1);
 
+/// Seed of the per-link latency draws and of the order a racing source sends
+/// siblings in: a run is reproducible.
+const SEED: u64 = 0xB10C_1207;
+
 /// Where a running node's blocks come from: the seam between the loop and
 /// whoever proposes, chosen at [`RunningNode::spawn_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,8 +91,8 @@ pub enum BlockSource {
     /// The proposer's block and, every `every`-th height, a racing sibling
     /// on the same parent: the same transactions under another coinbase, so
     /// the pool's bookkeeping is right whichever one wins. The two go out in
-    /// an order drawn from [`NodeConfig::seed`], and the next height chains
-    /// on the fork-choice winner, the lower hash.
+    /// a seeded random order, and the next height chains on the fork-choice
+    /// winner, the lower hash.
     Racer {
         /// Sibling period in heights (0 = never).
         every: u64,
@@ -155,34 +156,22 @@ impl LinkDelays {
     }
 }
 
-/// Highest height each validator has committed, for lock-step pacing and
-/// progress tracking.
+/// Highest height each validator has settled, for progress tracking
+/// ([`RunningNode::committed_height`]).
 struct CommitBoard {
     heights: Mutex<Vec<Height>>,
-    advanced: Condvar,
 }
 
 impl CommitBoard {
     fn new(validators: usize) -> Self {
         CommitBoard {
             heights: Mutex::new(vec![0; validators]),
-            advanced: Condvar::new(),
         }
     }
 
     fn record(&self, validator: usize, height: Height) {
         let mut heights = self.heights.lock();
         heights[validator] = heights[validator].max(height);
-        drop(heights);
-        self.advanced.notify_all();
-    }
-
-    /// Blocks until every validator has committed at least `height`.
-    fn wait_all_at(&self, height: Height) {
-        let mut heights = self.heights.lock();
-        while heights.iter().any(|&h| h < height) {
-            self.advanced.wait(&mut heights);
-        }
     }
 
     fn min(&self) -> Height {
@@ -323,8 +312,8 @@ impl ValidatorStage {
             None => self.failures += valid.len() as u64,
         }
         self.stats.busy_micros += micros_since(t);
-        // Record even failed heights so lock-step pacing cannot deadlock on
-        // a broken block.
+        // Record even failed heights, so that progress is seen past a broken
+        // block.
         self.board.record(self.k, height);
     }
 
@@ -352,8 +341,6 @@ pub struct Equivalence {
 /// Everything a finished run reports.
 #[derive(Debug)]
 pub struct NodeReport {
-    /// Pacing mode the run used.
-    pub mode: NodeMode,
     /// First height this run proposed: 1, or one above the head a
     /// store-backed node resumed.
     pub first_height: Height,
@@ -368,7 +355,7 @@ pub struct NodeReport {
     /// Ingest-stage counters (items = transactions admitted).
     pub ingest: StageStats,
     /// Proposer-stage counters (items = blocks sealed; stall = send
-    /// backpressure + lock-step waiting).
+    /// backpressure).
     pub proposer: StageStats,
     /// Codec-stage counters (items = blocks encoded).
     pub codec: StageStats,
@@ -515,24 +502,23 @@ impl RunningNode {
         let proposer = {
             let pool = Arc::clone(&pool);
             let stop = Arc::clone(&stop);
-            let board = Arc::clone(&board);
             let config = config.clone();
             let envs = WorkloadGen::new(config.workload.clone());
             std::thread::spawn(move || {
                 let mut stats = StageStats::default();
                 let mut aborts = 0u64;
-                let mut order = Rng::seed_from_u64(config.seed);
+                let mut order = Rng::seed_from_u64(SEED);
                 let mut parent_hash = head.0;
                 let mut parent_state = head_state;
                 for height in first_height..first_height + config.blocks {
                     if stop.load(Ordering::Acquire) {
                         break;
                     }
-                    // Wait for ingest to fill the pool far enough.
+                    // Wait for ingest to put something in the pool.
                     let t = Instant::now();
                     let mut filled = false;
                     while !filled && !stop.load(Ordering::Acquire) {
-                        filled = pool.wait_for_len(config.min_pool_txs, STOP_CHECK);
+                        filled = pool.wait_for_len(1, STOP_CHECK);
                     }
                     stats.wait_micros += micros_since(t);
                     if stop.load(Ordering::Acquire) {
@@ -591,12 +577,6 @@ impl RunningNode {
                     }
                     stats.stall_micros += micros_since(t);
                     stats.sample_depth(codec_tx.len());
-
-                    if config.mode == NodeMode::LockStep {
-                        let t = Instant::now();
-                        board.wait_all_at(height);
-                        stats.stall_micros += micros_since(t);
-                    }
                 }
                 // Dropping codec_tx here starts the drain cascade.
                 (stats, aborts)
@@ -652,16 +632,14 @@ impl RunningNode {
                 let config = config.clone();
                 let recovered = Arc::clone(&recovered);
                 std::thread::spawn(move || {
-                    let mut delays =
-                        LinkDelays::new(config.validators, config.latency_us, config.seed);
+                    let mut delays = LinkDelays::new(config.validators, config.latency_us, SEED);
                     let mut stage = ValidatorStage::new(k, validator, board);
                     if k > 0 {
                         stage.catch_up(&recovered);
                     }
                     loop {
                         // Submit ahead only of what is already on the wire:
-                        // a verdict does not wait for the next arrival, which
-                        // in lock-step waits for this commit.
+                        // a verdict does not wait for the next arrival.
                         if wire_rx.is_empty() {
                             stage.drain();
                         }
@@ -798,7 +776,6 @@ impl RunningNode {
         };
 
         NodeReport {
-            mode: config.mode,
             first_height,
             committed_blocks,
             committed_txs,
@@ -918,10 +895,9 @@ mod tests {
             stage.on_wire(1, &wire(&[bytes]));
             assert_eq!(stage.failures, i as u64 + 1);
         }
-        // The height is recorded, so lock-step pacing moves on...
+        // The height is recorded, so progress moves on past it, and the
+        // stage still validates what follows.
         assert_eq!(board.min(), 1);
-        board.wait_all_at(1);
-        // ...and the stage still validates what follows.
         stage.on_wire(1, &wire(&[&chain[0]]));
         stage.on_wire(2, &wire(&[&chain[1]]));
         // A block that decodes but was tampered with fails validation

@@ -3,10 +3,10 @@
 //! Every stage thread owns a [`StageStats`] and accounts each moment of its
 //! life to exactly one bucket: *busy* (doing its work), *wait* (blocked
 //! receiving — starved by the upstream stage), *stall* (blocked sending —
-//! backpressured by the downstream stage, or held by lock-step pacing) or
-//! *injected* (deliberate wire-latency sleeps). Queue depth is sampled at
-//! every send, so a persistently deep downstream queue identifies the
-//! bottleneck stage without guesswork.
+//! backpressured by the downstream stage) or *injected* (deliberate
+//! wire-latency sleeps). Queue depth is sampled at every send, so a
+//! persistently deep downstream queue identifies the bottleneck stage
+//! without guesswork.
 
 /// Counters for one pipeline stage.
 #[derive(Clone, Debug, Default)]
@@ -18,9 +18,7 @@ pub struct StageStats {
     pub busy_micros: u64,
     /// Microseconds blocked receiving from the upstream stage.
     pub wait_micros: u64,
-    /// Microseconds blocked sending to the downstream stage (backpressure)
-    /// or, for the proposer in lock-step mode, waiting for validator
-    /// commits.
+    /// Microseconds blocked sending to the downstream stage (backpressure).
     pub stall_micros: u64,
     /// Microseconds of deliberately injected wire latency (validator stages
     /// only).

@@ -1,4 +1,4 @@
-//! End-to-end tests of the streaming node loop: equivalence across modes,
+//! End-to-end tests of the streaming node loop: serial-replay equivalence,
 //! bounded-channel backpressure, clean mid-stream shutdown with store
 //! agreement, multi-validator convergence, racing same-height siblings, and
 //! a node restarted on its store.
@@ -7,9 +7,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use blockpilot_core::{PipelineConfig, Validator};
-use bp_node::{
-    run_node, BlockSource, NodeConfig, NodeMode, NodeReport, RunningNode, CHANNEL_DEPTH,
-};
+use bp_node::{run_node, BlockSource, NodeConfig, NodeReport, RunningNode, CHANNEL_DEPTH};
 use bp_store::GroupCommitConfig;
 use bp_workload::{WorkloadConfig, WorkloadGen};
 
@@ -98,18 +96,6 @@ fn pipelined_loop_commits_and_matches_serial_replay() {
     assert!(report.healthy());
 }
 
-#[test]
-fn lock_step_loop_matches_serial_replay() {
-    let report = run_node(NodeConfig {
-        mode: NodeMode::LockStep,
-        ..small_config()
-    });
-    assert_eq!(report.committed_blocks, 5);
-    assert!(report.healthy());
-    // Lock-step pacing shows up as proposer stall time (waiting on commits).
-    assert!(report.proposer.stall_micros > 0);
-}
-
 /// Slow validators: the proposer must fill the bounded channels, stall on
 /// backpressure, and resume as the drain frees slots — without losing or
 /// reordering any block.
@@ -148,7 +134,7 @@ fn bounded_channels_stall_the_proposer_then_drain() {
 /// batch durable.
 #[test]
 fn clean_shutdown_drains_in_flight_blocks_and_store_agrees() {
-    for group_commit in [None, Some(BATCHED)] {
+    for group_commit in [GroupCommitConfig::default(), BATCHED] {
         let dir = bp_store::store::test_dir("node-shutdown");
         let report = run_until(
             NodeConfig {
@@ -199,7 +185,8 @@ fn racing_siblings_converge() {
 /// onto that head with its root on disk.
 #[test]
 fn a_node_restarted_on_its_store_resumes_and_catches_up() {
-    for (stop_at, group_commit) in [(1, None), (6, None), (1, Some(BATCHED)), (6, Some(BATCHED))] {
+    let one = GroupCommitConfig::default();
+    for (stop_at, group_commit) in [(1, one), (6, one), (1, BATCHED), (6, BATCHED)] {
         let dir = bp_store::store::test_dir("node-restart");
         let config = NodeConfig {
             store_dir: Some(dir.clone()),

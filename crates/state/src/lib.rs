@@ -20,7 +20,5 @@ pub mod world;
 pub use account::Account;
 pub use mvstate::MultiVersionState;
 pub use pmap::PMap;
-pub use trie::{
-    empty_root, summarize_node, verify_proof, NodeResolver, NodeSummary, Trie, TrieLoadError,
-};
+pub use trie::{empty_root, verify_proof, Trie};
 pub use world::{code_read_word, storage_root, AccountState, WorldState};

@@ -28,14 +28,8 @@
 //! calls per block and little else.
 //!
 //! The trie also produces Merkle proofs ([`Trie::prove`] /
-//! [`verify_proof`]), used in tests to cross-check the commitment logic.
-//!
-//! For persistence the trie can be decomposed into its *hashed nodes*
-//! ([`Trie::commit_nodes`]) — the `(keccak(encoding), encoding)` pairs a node
-//! database stores — and reconstructed from a root hash by resolving child
-//! references through a [`NodeResolver`] ([`Trie::from_root`]). Nodes whose
-//! encoding is shorter than 32 bytes are inlined in their parent (the MPT
-//! inlining rule) and never hit the database.
+//! [`verify_proof`]) and its set of *hashed nodes* ([`Trie::commit_nodes`]),
+//! both used in tests to cross-check the commitment logic.
 
 use std::sync::Arc;
 
@@ -79,6 +73,9 @@ impl Commitment {
     const HASHED: u8 = 32;
     const PENDING: u8 = u8::MAX;
 
+    /// The commitment of a node with this encoding, computed on its own:
+    /// what the tests hold a level batch's commitments to.
+    #[cfg(test)]
     fn of(encoding: &[u8]) -> Self {
         if encoding.len() < 32 {
             Self::inline(encoding)
@@ -224,15 +221,6 @@ impl Node {
         #[cfg(test)]
         counters::bump(&counters::ALLOCATED);
         Node::Branch(Arc::new(Branch { children, value }))
-    }
-
-    /// Encodes and hashes a node loaded from storage, whose children are
-    /// committed already.
-    fn commit(self) -> Child {
-        Child {
-            commit: Commitment::of(&encoding_of(&self)),
-            node: self,
-        }
     }
 
     /// The slot a node a descent just built goes into its parent by: pending,
@@ -533,14 +521,14 @@ impl Trie {
     /// Decomposes the trie into its root hash and every *hashed* node —
     /// `(keccak(encoding), encoding)` for the root and for each node whose
     /// encoding is at least 32 bytes. Shorter nodes are inlined into their
-    /// parent's encoding and carry no identity of their own.
-    ///
-    /// A node referenced from several places (identical subtrees) is emitted
-    /// once **per reference**, so a reference-counting store that increments
-    /// on commit and decrements along a traversal stays balanced.
+    /// parent's encoding and carry no identity of their own. A node
+    /// referenced from several places (identical subtrees) is emitted once
+    /// per reference.
     ///
     /// Hashes come from the commitments held in the parents' slots; only the
-    /// encodings are written out afresh.
+    /// encodings are written out afresh. So two tries emit the same sorted
+    /// node set exactly when their structures and commitments agree: the
+    /// structural oracle the tests compare a batch against.
     pub fn commit_nodes(&self) -> (H256, Vec<(H256, Vec<u8>)>) {
         let Some(root) = &self.root else {
             return (empty_root(), Vec::new());
@@ -597,21 +585,6 @@ impl Trie {
         if !updates.is_empty() {
             self.root = apply(self.root.as_ref(), 0, updates).map(Sub::into_child);
         }
-    }
-
-    /// Reconstructs a trie from its root hash, resolving hashed children
-    /// through `resolver`. The inverse of [`Trie::commit_nodes`]: a round
-    /// trip reproduces the identical contents and root hash.
-    pub fn from_root(root: H256, resolver: &dyn NodeResolver) -> Result<Trie, TrieLoadError> {
-        if root == empty_root() {
-            return Ok(Trie::new());
-        }
-        let node = resolve_node(root, resolver)?;
-        // A root shorter than 32 bytes is still stored under its hash, but
-        // what the handle keeps for it is its inline form, as for any node.
-        Ok(Trie {
-            root: Some(node.commit()),
-        })
     }
 }
 
@@ -1078,128 +1051,8 @@ fn same_node(a: &Node, b: &Node) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence: node decomposition and resolver-based loading
+// Node decomposition
 // ---------------------------------------------------------------------------
-
-/// Resolves trie nodes by hash — the bridge between in-memory tries and a
-/// persistent node database.
-pub trait NodeResolver {
-    /// The encoding of the node hashing to `hash`, if stored.
-    fn resolve_node(&self, hash: &H256) -> Option<Vec<u8>>;
-}
-
-impl NodeResolver for std::collections::HashMap<H256, Vec<u8>> {
-    fn resolve_node(&self, hash: &H256) -> Option<Vec<u8>> {
-        self.get(hash).cloned()
-    }
-}
-
-/// Failures reconstructing a trie from a [`NodeResolver`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TrieLoadError {
-    /// A referenced node is absent from the resolver.
-    MissingNode(H256),
-    /// A stored node failed to decode as a trie node.
-    BadNode(H256),
-    /// A stored node's bytes do not hash to the requested hash.
-    HashMismatch(H256),
-}
-
-impl std::fmt::Display for TrieLoadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrieLoadError::MissingNode(h) => write!(f, "missing trie node {h:?}"),
-            TrieLoadError::BadNode(h) => write!(f, "undecodable trie node {h:?}"),
-            TrieLoadError::HashMismatch(h) => write!(f, "trie node bytes do not hash to {h:?}"),
-        }
-    }
-}
-
-impl std::error::Error for TrieLoadError {}
-
-/// The storage-relevant structure of one encoded trie node: which children it
-/// references by hash, and which values it carries (its own and those of any
-/// inlined descendants). Used by node stores to traverse persisted tries
-/// without materializing them.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeSummary {
-    /// Hash-referenced children, in traversal order.
-    pub children: Vec<H256>,
-    /// Leaf and branch values found in this node and its inlined descendants.
-    pub values: Vec<Vec<u8>>,
-}
-
-/// Summarizes one encoded node for traversal: hash-referenced children plus
-/// every value embedded in the encoding (including values of inlined
-/// descendants — an inlined node is under 32 bytes, so it can never itself
-/// hold a 33-byte hash reference, but it can hold a short value).
-pub fn summarize_node(bytes: &[u8]) -> Result<NodeSummary, TrieLoadError> {
-    let mut summary = NodeSummary::default();
-    rlp::decode_list(bytes)
-        .ok()
-        .and_then(|node| summarize_items(node, &mut summary))
-        .ok_or_else(|| TrieLoadError::BadNode(keccak256(bytes)))?;
-    Ok(summary)
-}
-
-/// The items of one encoded node, borrowed from its bytes: what the three
-/// readers of stored nodes (summary, load, proof check) tell apart.
-// Lives on the stack for the length of one node read; boxing the branch
-// arm would put an allocation there instead.
-#[allow(clippy::large_enum_variant)]
-enum NodeItems<'a> {
-    /// Leaf or extension: the decoded path, the leaf flag, and the value
-    /// (leaf) or child reference (extension).
-    Short(Nibbles, bool, Token<'a>),
-    /// The sixteen child references and the value (empty for none).
-    Branch([Token<'a>; 16], &'a [u8]),
-}
-
-/// Reads a node's item list into its shape; `None` marks a malformed node.
-fn node_items(mut list: Reader<'_>) -> Option<NodeItems<'_>> {
-    match list.count().ok()? {
-        2 => {
-            let (path, is_leaf) = Nibbles::from_hex_prefix(list.bytes().ok()?)?;
-            Some(NodeItems::Short(path, is_leaf, list.next_item().ok()?))
-        }
-        17 => {
-            let mut children = [Token::Str(&[]); 16];
-            for child in &mut children {
-                *child = list.next_item().ok()?;
-            }
-            Some(NodeItems::Branch(children, list.bytes().ok()?))
-        }
-        _ => None,
-    }
-}
-
-/// Recursion for [`summarize_node`]; `None` marks a malformed node.
-fn summarize_items(list: Reader<'_>, out: &mut NodeSummary) -> Option<()> {
-    match node_items(list)? {
-        NodeItems::Short(_, true, Token::Str(value)) => out.values.push(value.to_vec()),
-        NodeItems::Short(_, true, Token::List(_)) => return None,
-        NodeItems::Short(_, false, child) => summarize_child(child, out)?,
-        NodeItems::Branch(children, value) => {
-            for child in children {
-                if !matches!(child, Token::Str([])) {
-                    summarize_child(child, out)?;
-                }
-            }
-            if !value.is_empty() {
-                out.values.push(value.to_vec());
-            }
-        }
-    }
-    Some(())
-}
-
-fn summarize_child(child: Token<'_>, out: &mut NodeSummary) -> Option<()> {
-    match child {
-        Token::Str(b) => out.children.push(H256(b.try_into().ok()?)),
-        Token::List(inline) => summarize_items(inline, out)?,
-    }
-    Some(())
-}
 
 /// Post-order collection of every hashed descendant reachable from `node`
 /// (the node itself is NOT emitted — the caller handles it, because the root
@@ -1219,59 +1072,6 @@ fn collect_hashed_children(node: &Node, out: &mut Vec<(H256, Vec<u8>)>) {
         Node::Leaf(_) => {}
         Node::Extension(ext) => push_child(&ext.child),
         Node::Branch(branch) => branch.children.iter().flatten().for_each(push_child),
-    }
-}
-
-/// Fetches the node stored under `hash` and rebuilds it.
-fn resolve_node(hash: H256, resolver: &dyn NodeResolver) -> Result<Node, TrieLoadError> {
-    let bytes = resolver
-        .resolve_node(&hash)
-        .ok_or(TrieLoadError::MissingNode(hash))?;
-    if keccak256(&bytes) != hash {
-        return Err(TrieLoadError::HashMismatch(hash));
-    }
-    let items = rlp::decode_list(&bytes).map_err(|_| TrieLoadError::BadNode(hash))?;
-    node_from_items(items, hash, resolver)
-}
-
-/// Rebuilds a [`Node`] from its item list, resolving hashed children.
-/// `stored` is the hash of the stored node the items sit in (the node
-/// itself, or the one it is inlined into), named when they are malformed.
-fn node_from_items(
-    items: Reader<'_>,
-    stored: H256,
-    resolver: &dyn NodeResolver,
-) -> Result<Node, TrieLoadError> {
-    let bad = TrieLoadError::BadNode(stored);
-    let child_from = |child: Token<'_>| match child {
-        // A 32-byte string is a hash looked up through the resolver — and,
-        // its bytes verified against it, kept as the child's commitment —
-        // while a nested list is an inlined node decoded in place.
-        Token::Str(b) => {
-            let hash = H256(b.try_into().map_err(|_| TrieLoadError::BadNode(stored))?);
-            Ok(Child {
-                node: resolve_node(hash, resolver)?,
-                commit: Commitment::hashed(hash),
-            })
-        }
-        Token::List(inline) => Ok(node_from_items(inline, stored, resolver)?.commit()),
-    };
-    match node_items(items).ok_or(bad)? {
-        NodeItems::Short(path, true, Token::Str(value)) => Ok(Node::leaf(path, value.to_vec())),
-        NodeItems::Short(_, true, Token::List(_)) => Err(bad),
-        NodeItems::Short(path, false, child) => Ok(Node::extension(path, child_from(child)?)),
-        NodeItems::Branch(slots, value) => {
-            let mut children: [Option<Child>; 16] = std::array::from_fn(|_| None);
-            for (child, slot) in children.iter_mut().zip(slots) {
-                if !matches!(slot, Token::Str([])) {
-                    *child = Some(child_from(slot)?);
-                }
-            }
-            Ok(Node::branch(
-                children,
-                (!value.is_empty()).then(|| value.to_vec()),
-            ))
-        }
     }
 }
 
@@ -1320,6 +1120,37 @@ fn pack_nibbles(nibbles: &[u8]) -> Vec<u8> {
         .chunks(2)
         .map(|p| p[0] << 4 | p.get(1).copied().unwrap_or(0))
         .collect()
+}
+
+/// The items of one encoded node, borrowed from its bytes: what a proof check
+/// tells apart.
+// Lives on the stack for the length of one node read; boxing the branch
+// arm would put an allocation there instead.
+#[allow(clippy::large_enum_variant)]
+enum NodeItems<'a> {
+    /// Leaf or extension: the decoded path, the leaf flag, and the value
+    /// (leaf) or child reference (extension).
+    Short(Nibbles, bool, Token<'a>),
+    /// The sixteen child references and the value (empty for none).
+    Branch([Token<'a>; 16], &'a [u8]),
+}
+
+/// Reads a node's item list into its shape; `None` marks a malformed node.
+fn node_items(mut list: Reader<'_>) -> Option<NodeItems<'_>> {
+    match list.count().ok()? {
+        2 => {
+            let (path, is_leaf) = Nibbles::from_hex_prefix(list.bytes().ok()?)?;
+            Some(NodeItems::Short(path, is_leaf, list.next_item().ok()?))
+        }
+        17 => {
+            let mut children = [Token::Str(&[]); 16];
+            for child in &mut children {
+                *child = list.next_item().ok()?;
+            }
+            Some(NodeItems::Branch(children, list.bytes().ok()?))
+        }
+        _ => None,
+    }
 }
 
 /// Verifies a Merkle proof produced by [`Trie::prove`].
@@ -1641,12 +1472,10 @@ mod tests {
         let (root, nodes) = Trie::new().commit_nodes();
         assert_eq!(root, empty_root());
         assert!(nodes.is_empty());
-        let loaded = Trie::from_root(root, &std::collections::HashMap::new()).unwrap();
-        assert!(loaded.is_empty());
     }
 
     #[test]
-    fn commit_nodes_roundtrips_through_resolver() {
+    fn commit_nodes_emits_each_hashed_node_under_its_hash() {
         let mut t = Trie::new();
         for i in 0..200u32 {
             t.insert(&i.to_be_bytes(), format!("value-{i}").into_bytes());
@@ -1654,16 +1483,12 @@ mod tests {
         let (root, nodes) = t.commit_nodes();
         assert_eq!(root, t.root_hash());
         // Every emitted node hashes to its key and is >= 32 bytes (hashed,
-        // not inlined).
-        let mut db = std::collections::HashMap::new();
+        // not inlined); the root comes last.
         for (h, enc) in &nodes {
             assert_eq!(keccak256(enc), *h);
             assert!(enc.len() >= 32);
-            db.insert(*h, enc.clone());
         }
-        let loaded = Trie::from_root(root, &db).unwrap();
-        assert_eq!(loaded.root_hash(), root);
-        assert_eq!(loaded.iter(), t.iter());
+        assert_eq!(nodes.last().map(|(h, _)| *h), Some(root));
     }
 
     #[test]
@@ -1777,53 +1602,6 @@ mod tests {
         full.apply_batch((0..100u64).map(|i| (hashed_key(i), None)).collect());
         assert!(full.is_empty());
         assert_eq!(full.root_hash(), empty_root());
-    }
-
-    #[test]
-    fn from_root_reports_missing_node() {
-        let mut t = Trie::new();
-        for i in 0..50u32 {
-            t.insert(&i.to_be_bytes(), format!("value-{i}").into_bytes());
-        }
-        let (root, nodes) = t.commit_nodes();
-        let mut db: std::collections::HashMap<H256, Vec<u8>> = nodes.into_iter().collect();
-        // Drop a non-root node; loading must fail with MissingNode.
-        let victim = *db.keys().find(|h| **h != root).unwrap();
-        db.remove(&victim);
-        assert_eq!(
-            Trie::from_root(root, &db),
-            Err(TrieLoadError::MissingNode(victim))
-        );
-    }
-
-    #[test]
-    fn summarize_node_covers_all_children_and_values() {
-        let mut t = Trie::new();
-        for i in 0..200u32 {
-            t.insert(&i.to_be_bytes(), format!("value-{i}").into_bytes());
-        }
-        let (root, nodes) = t.commit_nodes();
-        let db: std::collections::HashMap<H256, Vec<u8>> = nodes.iter().cloned().collect();
-        // BFS from the root using summaries; we must reach every stored node
-        // exactly as often as commit_nodes emitted it, and collect every value.
-        let mut counts: std::collections::HashMap<H256, usize> = std::collections::HashMap::new();
-        let mut values = Vec::new();
-        let mut queue = vec![root];
-        while let Some(h) = queue.pop() {
-            *counts.entry(h).or_insert(0) += 1;
-            let summary = summarize_node(&db[&h]).unwrap();
-            values.extend(summary.values);
-            queue.extend(summary.children);
-        }
-        let mut emitted: std::collections::HashMap<H256, usize> = std::collections::HashMap::new();
-        for (h, _) in &nodes {
-            *emitted.entry(*h).or_insert(0) += 1;
-        }
-        assert_eq!(counts, emitted);
-        values.sort();
-        let mut expected: Vec<Vec<u8>> = t.iter().into_iter().map(|(_, v)| v).collect();
-        expected.sort();
-        assert_eq!(values, expected);
     }
 
     // ---- the batch descent: shapes, sharing and the once-per-node rule ----

@@ -18,10 +18,10 @@
 //! ## Commit protocol
 //!
 //! 1. append records to the log (written, not yet durable);
-//! 2. at a group boundary — every [`Store::commit`], or under
-//!    [`GroupCommitConfig`] the last of a group, or [`Store::flush`] — sync
-//!    the log, then append a commit marker `{head, offset, group digest}`
-//!    and sync again.
+//! 2. at a group boundary — the [`Store::commit`] that fills a group (every
+//!    one, in the default group of one; see [`GroupCommitConfig`]), or
+//!    [`Store::flush`] — sync the log, then append a commit marker
+//!    `{head, offset, group digest}` and sync again.
 //!
 //! [`Store::open`] scans the log, verifying every record and every marker
 //! against its group, and truncates whatever follows the last marker. A
@@ -35,7 +35,7 @@ pub mod snapshot;
 pub mod store;
 
 pub use snapshot::{decode_world, encode_world};
-pub use store::{GroupCommitConfig, Store, StoreConfig};
+pub use store::{GroupCommitConfig, Store};
 
 use bp_types::H256;
 

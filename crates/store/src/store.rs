@@ -30,11 +30,15 @@ const OLD_FORMAT: [&str; 2] = ["blocks.log", "manifest.0"];
 
 /// Bounds for coalescing consecutive [`Store::commit`]s into one group. A
 /// group closes (and durably lands) as soon as *either* bound is reached,
-/// or on an explicit [`Store::flush`].
+/// or on an explicit [`Store::flush`]. Commits inside a group only advance
+/// the in-memory head; the boundary makes them all durable, and a crash
+/// mid-group rolls the store back to the last boundary.
+///
+/// The default is a group of one: every commit is durable on return.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GroupCommitConfig {
-    /// Close the group after this many commits (1 degenerates to a durable
-    /// commit per block; 0 is treated as 1).
+    /// Close the group after this many commits (1, the default, is a
+    /// durable commit per block; 0 is treated as 1).
     pub max_blocks: usize,
     /// Close the group once the bytes appended since the last boundary reach
     /// this bound, so a burst of heavy blocks cannot grow the at-risk window
@@ -45,21 +49,10 @@ pub struct GroupCommitConfig {
 impl Default for GroupCommitConfig {
     fn default() -> Self {
         GroupCommitConfig {
-            max_blocks: 8,
+            max_blocks: 1,
             max_bytes: 4 << 20,
         }
     }
-}
-
-/// Tunables for a [`Store`].
-#[derive(Clone, Debug, Default)]
-pub struct StoreConfig {
-    /// Coalesce consecutive commits into one group. `None` (the default) is
-    /// a group of one: every [`Store::commit`] is durable on return. With a
-    /// config set, commits inside a group only advance the in-memory head;
-    /// the boundary makes them all durable, and a crash mid-group rolls the
-    /// store back to the last boundary.
-    pub group_commit: Option<GroupCommitConfig>,
 }
 
 /// A node's persistent chain: the genesis state and the blocks, in one
@@ -78,7 +71,7 @@ pub struct Store {
     group_start: u64,
     head: Option<BlockHash>,
     genesis_state: Option<WorldState>,
-    config: StoreConfig,
+    bounds: GroupCommitConfig,
     /// Commits since the last boundary.
     pending_commits: usize,
 }
@@ -94,20 +87,24 @@ struct Recovered {
 }
 
 impl Store {
-    /// Opens the store in `dir` with the default configuration. See
+    /// Opens the store in `dir`, every commit durable on return. See
     /// [`Store::open_with`].
     pub fn open(dir: impl AsRef<Path>) -> Result<Store, StoreError> {
-        Store::open_with(dir, StoreConfig::default())
+        Store::open_with(dir, GroupCommitConfig::default())
     }
 
     /// Opens the store in `dir` (created if absent): scans the log, keeps
     /// everything up to the last commit marker and truncates the rest.
+    /// Commits then close a group at `bounds`.
     ///
     /// A record that fails its checksum is a torn tail when no marker
     /// follows it, and [`StoreError::Corrupt`] when one does: a marker is
     /// only written once what it covers is durable. A directory of the
     /// retired multi-file layout is refused.
-    pub fn open_with(dir: impl AsRef<Path>, config: StoreConfig) -> Result<Store, StoreError> {
+    pub fn open_with(
+        dir: impl AsRef<Path>,
+        bounds: GroupCommitConfig,
+    ) -> Result<Store, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(LOG_FILE);
@@ -140,7 +137,7 @@ impl Store {
             group_start: recovered.len,
             head: recovered.head,
             genesis_state: recovered.genesis_state,
-            config,
+            bounds,
             pending_commits: 0,
         })
     }
@@ -220,7 +217,7 @@ impl Store {
     }
 
     /// Commits `head`. It is durable on return when this closes the group
-    /// (always, without [`StoreConfig::group_commit`]); otherwise only the
+    /// (always, for a group of one); otherwise only the
     /// in-memory head advances, and `Ok(())` means "durable at the next
     /// boundary or [`Store::flush`]". A crash mid-group rolls back to the
     /// previous boundary's head.
@@ -230,12 +227,8 @@ impl Store {
         }
         self.head = Some(head);
         self.pending_commits += 1;
-        let bounds = self.config.group_commit.unwrap_or(GroupCommitConfig {
-            max_blocks: 1,
-            max_bytes: u64::MAX,
-        });
-        if self.pending_commits < bounds.max_blocks.max(1)
-            && self.len - self.group_start < bounds.max_bytes
+        if self.pending_commits < self.bounds.max_blocks.max(1)
+            && self.len - self.group_start < self.bounds.max_bytes
         {
             return Ok(());
         }
@@ -585,11 +578,9 @@ mod tests {
     #[test]
     fn group_commit_coalesces_until_block_bound() {
         let dir = test_dir("store-gc-blocks");
-        let config = StoreConfig {
-            group_commit: Some(GroupCommitConfig {
-                max_blocks: 3,
-                max_bytes: u64::MAX,
-            }),
+        let config = GroupCommitConfig {
+            max_blocks: 3,
+            max_bytes: u64::MAX,
         };
         let mut world = genesis_world(5);
         let gblock = genesis_block(&world);
@@ -630,11 +621,9 @@ mod tests {
     #[test]
     fn group_commit_byte_bound_closes_the_batch() {
         let dir = test_dir("store-gc-bytes");
-        let config = StoreConfig {
-            group_commit: Some(GroupCommitConfig {
-                max_blocks: usize::MAX,
-                max_bytes: 1, // any appended byte closes the group
-            }),
+        let config = GroupCommitConfig {
+            max_blocks: usize::MAX,
+            max_bytes: 1, // any appended byte closes the group
         };
         let mut world = genesis_world(5);
         let gblock = genesis_block(&world);

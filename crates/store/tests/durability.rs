@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use bp_block::{genesis_header, Block, BlockProfile};
 use bp_state::WorldState;
 use bp_store::store::test_dir;
-use bp_store::{GroupCommitConfig, Store, StoreConfig, StoreError};
+use bp_store::{GroupCommitConfig, Store, StoreError};
 use bp_types::{Address, U256};
 
 fn genesis_world() -> WorldState {
@@ -52,14 +52,14 @@ fn log_len(dir: &Path) -> usize {
 /// `damage(bytes)`.
 fn open_damaged(
     dir: &Path,
-    config: &StoreConfig,
+    config: &GroupCommitConfig,
     damage: impl FnOnce(&mut Vec<u8>),
 ) -> Result<Store, StoreError> {
     let mut bytes = std::fs::read(log_path(dir)).unwrap();
     damage(&mut bytes);
     let scratch = test_dir("crash-copy");
     std::fs::write(log_path(&scratch), &bytes).unwrap();
-    let opened = Store::open_with(&scratch, config.clone());
+    let opened = Store::open_with(&scratch, *config);
     std::fs::remove_dir_all(&scratch).unwrap();
     opened
 }
@@ -85,7 +85,7 @@ fn truncating_last_block_record_recovers_previous_head() {
     let len_at_b2 = log_len(&dir);
     drop(store);
 
-    let config = StoreConfig::default();
+    let config = GroupCommitConfig::default();
     for cut in len_at_b1..len_at_b2 {
         let recovered = open_damaged(&dir, &config, |bytes| bytes.truncate(cut))
             .unwrap_or_else(|e| panic!("recovery failed at cut {cut}: {e}"));
@@ -112,15 +112,13 @@ fn truncating_last_block_record_recovers_previous_head() {
 #[test]
 fn crash_inside_coalesced_batch_rolls_back_to_boundary() {
     let dir = test_dir("crash-group-commit");
-    let config = StoreConfig {
-        group_commit: Some(GroupCommitConfig {
-            max_blocks: 100, // only the explicit flush closes a group
-            max_bytes: u64::MAX,
-        }),
+    let config = GroupCommitConfig {
+        max_blocks: 100, // only the explicit flush closes a group
+        max_bytes: u64::MAX,
     };
     let mut world = genesis_world();
     let gblock = genesis_block(&world);
-    let mut store = Store::open_with(&dir, config.clone()).unwrap();
+    let mut store = Store::open_with(&dir, config).unwrap();
     store.initialize(&world, &gblock).unwrap();
 
     let mut parent = gblock;
@@ -186,7 +184,7 @@ fn a_flipped_byte_in_a_committed_record_is_corrupt() {
     let len = log_len(&dir);
     drop(store);
 
-    let config = StoreConfig::default();
+    let config = GroupCommitConfig::default();
     for at in 0..last_marker {
         match open_damaged(&dir, &config, |bytes| bytes[at] ^= 0x01) {
             Err(StoreError::Corrupt(_)) => {}
@@ -208,15 +206,13 @@ fn a_flipped_byte_in_a_committed_record_is_corrupt() {
 #[test]
 fn a_reordered_or_missing_record_is_corrupt() {
     let dir = test_dir("crash-reorder");
-    let config = StoreConfig {
-        group_commit: Some(GroupCommitConfig {
-            max_blocks: 100,
-            max_bytes: u64::MAX,
-        }),
+    let config = GroupCommitConfig {
+        max_blocks: 100,
+        max_bytes: u64::MAX,
     };
     let mut world = genesis_world();
     let gblock = genesis_block(&world);
-    let mut store = Store::open_with(&dir, config.clone()).unwrap();
+    let mut store = Store::open_with(&dir, config).unwrap();
     store.initialize(&world, &gblock).unwrap();
     let start = log_len(&dir);
     let b1 = child_block(&gblock, &mut world, 1);

@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use bp_block::{encode_block, genesis_header, Block, BlockProfile};
 use bp_state::WorldState;
 use bp_store::store::test_dir;
-use bp_store::{GroupCommitConfig, Store, StoreConfig};
+use bp_store::{GroupCommitConfig, Store};
 use bp_testkit::prelude::*;
 use bp_types::{Address, BlockHash, U256};
 
@@ -91,13 +91,11 @@ proptest! {
     ) {
         let blocks = fixture_blocks();
         let dir = test_dir("props");
-        let config = StoreConfig {
-            group_commit: Some(GroupCommitConfig {
-                max_blocks: group,
-                max_bytes: u64::MAX,
-            }),
+        let config = GroupCommitConfig {
+            max_blocks: group,
+            max_bytes: u64::MAX,
         };
-        let mut store = Store::open_with(&dir, config.clone()).unwrap();
+        let mut store = Store::open_with(&dir, config).unwrap();
         let mut live = Model::default();
         let mut durable = Model::default();
         let mut pending = 0;
@@ -130,7 +128,7 @@ proptest! {
                 Op::Reopen => {
                     // A crash: the open group is neither flushed nor marked.
                     drop(store);
-                    store = Store::open_with(&dir, config.clone()).unwrap();
+                    store = Store::open_with(&dir, config).unwrap();
                     check_matches_durable(&store, &durable, &blocks);
                     live = durable.clone();
                     live.last_put = None;

@@ -51,7 +51,10 @@ fn main() -> Result<(), StoreError> {
         ..WorkloadConfig::default()
     });
     let genesis = gen.genesis_state();
-    let group = Some(GroupCommitConfig::default());
+    let group = GroupCommitConfig {
+        max_blocks: 8,
+        ..GroupCommitConfig::default()
+    };
     let validator = Validator::with_store_profile(pipeline(), genesis.clone(), &dir, group)?;
     let genesis_block = validator.canonical_block(0).expect("genesis block");
 

@@ -2,7 +2,7 @@
 //! inspect the workload's conflict statistics.
 //!
 //! ```text
-//! blockpilot node  [--blocks N] [--validators N] [--lockstep]
+//! blockpilot node  [--blocks N] [--validators N]
 //!                  [--store DIR] [--group-commit [N]]
 //! blockpilot stats [--blocks N]
 //! ```
@@ -45,7 +45,7 @@ fn main() {
         Some("stats") => stats(&args),
         _ => {
             eprintln!("usage: blockpilot <node|stats> [options]");
-            eprintln!("  node  [--blocks N] [--validators N] [--lockstep]");
+            eprintln!("  node  [--blocks N] [--validators N]");
             eprintln!("        [--store DIR] [--group-commit [N]]");
             eprintln!("  stats [--blocks N]");
             std::process::exit(2);
@@ -56,31 +56,24 @@ fn main() {
 /// The streaming node service: proposer, codec and validators on bounded
 /// channels, with the serial-replay equivalence gate.
 fn node(args: &[String]) {
-    use blockpilot::node::{run_node, NodeConfig, NodeMode};
+    use blockpilot::node::{run_node, NodeConfig};
     use blockpilot::store::GroupCommitConfig;
-    let lock_step = args.iter().any(|a| a == "--lockstep");
-    let group_commit = args
-        .iter()
-        .any(|a| a == "--group-commit")
-        .then(|| GroupCommitConfig {
-            max_blocks: arg(args, "--group-commit", 8) as usize,
-            ..GroupCommitConfig::default()
-        });
+    // Without the flag a group of one; with it and no count, eight blocks.
+    let grouped = args.iter().any(|a| a == "--group-commit");
+    let group_commit = GroupCommitConfig {
+        max_blocks: arg(args, "--group-commit", if grouped { 8 } else { 1 }) as usize,
+        ..GroupCommitConfig::default()
+    };
     let store_dir = args
         .iter()
         .position(|a| a == "--store")
         .and_then(|i| args.get(i + 1))
         .map(std::path::PathBuf::from);
-    if group_commit.is_some() && store_dir.is_none() {
+    if grouped && store_dir.is_none() {
         eprintln!("--group-commit requires --store DIR (nothing to fsync otherwise)");
         std::process::exit(2);
     }
     let report = run_node(NodeConfig {
-        mode: if lock_step {
-            NodeMode::LockStep
-        } else {
-            NodeMode::Pipelined
-        },
         blocks: arg(args, "--blocks", 20),
         validators: arg(args, "--validators", 2) as usize,
         store_dir,
@@ -94,8 +87,7 @@ fn node(args: &[String]) {
         ..NodeConfig::default()
     });
     println!(
-        "{}: heights {}..={} ({} blocks), {} txs in {:.2}s ({:.0} tx/s sustained)",
-        report.mode.label(),
+        "heights {}..={} ({} blocks), {} txs in {:.2}s ({:.0} tx/s sustained)",
         report.first_height,
         report.heads[0].1,
         report.committed_blocks,
@@ -163,12 +155,11 @@ fn node_summary_json(report: &blockpilot::node::NodeReport) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\n  \"mode\": \"{}\", \"first_height\": {},\n  \
+        "{{\n  \"first_height\": {},\n  \
          \"committed_blocks\": {}, \"committed_txs\": {}, \"wall_micros\": {},\n  \
          \"committed_tx_per_sec\": {:.1}, \"proposer_aborts\": {}, \
          \"validation_failures\": {},\n  \"final_root\": \"{:?}\", \"healthy\": {},\n  \
          \"equivalence\": {},\n  \"stages\": [\n{}\n  ]\n}}",
-        report.mode.label(),
         report.first_height,
         report.committed_blocks,
         report.committed_txs,
@@ -269,7 +260,7 @@ mod tests {
         assert_eq!(parse_arg(&a, "--validators", 2), Ok(3));
         // Absent, or followed by another flag: the default.
         assert_eq!(parse_arg(&a, "--group-commit", 8), Ok(8));
-        assert_eq!(parse_arg(&a, "--lockstep", 1), Ok(1));
+        assert_eq!(parse_arg(&a, "--seed", 1), Ok(1));
         assert_eq!(parse_arg(&args("stats --blocks"), "--blocks", 20), Ok(20));
     }
 

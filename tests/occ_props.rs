@@ -207,10 +207,11 @@ proptest! {
             );
             check_against_oracle(&state, &proposal)?;
             prop_assert!(proposal.block.header.gas_used <= CHAIN_GAS_LIMIT);
-            prop_assert_eq!(
-                proposal.stats.aborts,
-                proposal.stats.first_aborts + proposal.stats.retry_aborts
+            // Every execution committed, aborted or discarded its transaction.
+            prop_assert!(
+                proposal.stats.executions >= proposal.stats.committed + proposal.stats.aborts
             );
+            prop_assert_eq!(proposal.stats.committed, proposal.block.tx_count() as u64);
             committed += proposal.block.tx_count();
             state = Arc::new(proposal.post_state);
         }
