@@ -10,7 +10,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bloom;
 pub mod chain;
 pub mod profile;
 pub mod wire;
@@ -20,7 +19,6 @@ use bp_crypto::{keccak256, Keccak256, RlpStream};
 use bp_evm::{Receipt, Transaction};
 use bp_types::{Address, BlockHash, Gas, Height, TxHash, H256};
 
-pub use bloom::{logs_bloom, Bloom};
 pub use chain::ChainStore;
 pub use profile::{BlockProfile, TxProfile};
 pub use wire::{decode_block, encode_block, encode_block_into, encoded_size_hint};

@@ -10,9 +10,10 @@ use crate::sync::{Condvar, Mutex};
 /// A one-shot hand-off slot: one producer [`RootLatch::set`]s a value once,
 /// any number of consumers [`RootLatch::wait`] for it.
 ///
-/// The deferred-root apply stage allocates one per height: the applier
-/// publishes a block's writes, releases the next height into execution, and
-/// only then hashes the state root — setting the latch with the verdict.
+/// The deferred-root apply stage allocates one per height: the worker that
+/// applies a block publishes its writes, releases the next height into
+/// execution, and only then hashes the state root — setting the latch with
+/// the verdict.
 /// Everything that genuinely needs the root (commit publication, the header
 /// check verdict, a child block's own verdict, the serial-replay equivalence
 /// gate) waits on the latch, so the wait moves off the execution path while

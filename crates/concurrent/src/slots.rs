@@ -11,8 +11,8 @@
 //!
 //! 1. **Publish phase** — for each index, the owning worker calls
 //!    [`ResultSlots::publish`] exactly once (`EMPTY → FULL`, release store).
-//! 2. **Drain phase** — after the completion barrier (the last finishing
-//!    worker hands the block to the applier through a channel), the applier
+//! 2. **Drain phase** — after the completion barrier (the worker whose job
+//!    finishes last, seen through an acquire-release countdown), that worker
 //!    calls [`ResultSlots::take`] per slot (`FULL → TAKEN`, acquire CAS),
 //!    *moving* the value out — no clone, no lock.
 //!

@@ -15,10 +15,11 @@
 //!   *overlapped*: each worker checks its transaction against the block
 //!   profile right after executing it, and the first mismatch trips a
 //!   per-block cancellation flag so the block's remaining jobs stop early.
-//! * **Block validation** — an *applier pool* drains the result slots in
-//!   block order, applies writes, credits aggregated fees and checks gas and
-//!   receipts against the header. Independent blocks (same height, or
-//!   different forks) validate on different applier threads concurrently.
+//! * **Block validation** — the worker that finishes a block's last job
+//!   drains the result slots in block order, applies writes, credits
+//!   aggregated fees and checks gas and receipts against the header.
+//!   Independent blocks (same height, or different forks) validate on
+//!   different workers concurrently; there is no second pool.
 //! * **Block commitment** — publish, then root: the applied post-state is
 //!   indexed by the block's hash and blocks at the next height that were
 //!   parked waiting for this parent are released into execution *before*
@@ -41,8 +42,7 @@ use bp_concurrent::channel::{unbounded, Receiver, Sender};
 use bp_concurrent::sync::Mutex;
 use bp_concurrent::{ResultSlots, RootLatch};
 use bp_evm::{
-    execute_transaction_in, AnalysisCache, BlockEnv, CacheStats, Receipt, StateView, Transaction,
-    TxError,
+    execute_transaction_in, AnalysisCache, BlockEnv, Receipt, StateView, Transaction, TxError,
 };
 use bp_state::WorldState;
 use bp_types::{AccessKey, Address, BlockHash, FxHashMap, Gas, U256};
@@ -56,9 +56,6 @@ pub struct PipelineConfig {
     pub workers: usize,
     /// Conflict granularity for the preparation phase.
     pub granularity: ConflictGranularity,
-    /// Applier-pool size: how many blocks can be in block validation
-    /// simultaneously.
-    pub appliers: usize,
 }
 
 impl Default for PipelineConfig {
@@ -66,7 +63,6 @@ impl Default for PipelineConfig {
         PipelineConfig {
             workers: 4,
             granularity: ConflictGranularity::Account,
-            appliers: 2,
         }
     }
 }
@@ -130,7 +126,7 @@ pub struct StageTimings {
     pub queue_wait: Duration,
     /// Transaction execution (first job start → last job end).
     pub execute: Duration,
-    /// Block validation (applier).
+    /// Block validation (apply, root and verdict).
     pub validate: Duration,
 }
 
@@ -156,13 +152,6 @@ pub struct ValidationOutcome {
     /// True iff the per-block cancellation flag tripped and remaining
     /// execution jobs were cut short.
     pub aborted_early: bool,
-    /// Code-analysis cache hits observed over this block's validation
-    /// window. The cache is shared pipeline-wide, so when blocks overlap in
-    /// flight the attribution is approximate — the sum over all outcomes is
-    /// exact.
-    pub analysis_hits: u64,
-    /// Code-analysis cache misses (fresh analyses) over the same window.
-    pub analysis_misses: u64,
 }
 
 impl ValidationOutcome {
@@ -196,8 +185,8 @@ struct TxOutcome {
 
 /// Abort-record encoding: `(index << 1) | kind`, taken with `fetch_min` so
 /// concurrent detections resolve to the lowest offending index (kind breaks
-/// ties at equal index in favour of `TxRejected`, matching the serial
-/// applier's old check order).
+/// ties at equal index in favour of `TxRejected`, the order in which a
+/// serial replay checks them).
 const ABORT_NONE: u64 = u64::MAX;
 const ABORT_KIND_REJECTED: u64 = 0;
 const ABORT_KIND_PROFILE: u64 = 1;
@@ -210,7 +199,7 @@ struct BlockTask {
     parent_root: Option<Arc<RootLatch<bool>>>,
     env: BlockEnv,
     /// Set when a preparation-phase header check failed: the block skipped
-    /// execution entirely and the applier reports this error.
+    /// execution entirely and its one empty job reports this error.
     header_error: Option<ValidationError>,
     results: ResultSlots<TxOutcome>,
     remaining_jobs: AtomicUsize,
@@ -223,10 +212,8 @@ struct BlockTask {
     prepare: Duration,
     submitted: Instant,
     exec_start: OnceLock<Instant>,
-    /// The pipeline-wide analysis cache plus its counter snapshot at
-    /// preparation time (for the outcome's hit/miss delta).
+    /// The pipeline-wide analysis cache the block's jobs execute through.
     cache: Arc<AnalysisCache>,
-    cache_base: CacheStats,
 }
 
 impl BlockTask {
@@ -258,9 +245,10 @@ struct ExecJob {
     txs: Vec<usize>,
 }
 
-enum ApplierMsg {
-    BlockDone(Arc<BlockTask>, Duration),
-    Shutdown,
+/// What a worker receives: a job, or the order to stop.
+enum WorkerMsg {
+    Job(ExecJob),
+    Stop,
 }
 
 /// A block parked until its parent validates, and where its verdict goes.
@@ -325,11 +313,10 @@ impl StateIndex {
 }
 
 /// Everything needed to push a prepared block into the worker pool. Shared
-/// by the public API and the appliers (which release parked children).
+/// by the public API and the workers (which release parked children).
 struct Starter {
     scheduler: Scheduler,
-    job_tx: Sender<ExecJob>,
-    applier_tx: Sender<ApplierMsg>,
+    job_tx: Sender<WorkerMsg>,
     index: Arc<Mutex<StateIndex>>,
     /// Code-analysis cache shared by every exec worker across every block.
     cache: Arc<AnalysisCache>,
@@ -339,66 +326,35 @@ struct Starter {
 pub struct ValidatorPipeline {
     starter: Arc<Starter>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    appliers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ValidatorPipeline {
-    /// Spawns the worker and applier pools.
+    /// Spawns the worker pool.
     pub fn new(config: PipelineConfig) -> Self {
         assert!(config.workers > 0);
-        assert!(config.appliers > 0);
-        let (job_tx, job_rx) = unbounded::<ExecJob>();
-        let (applier_tx, applier_rx) = unbounded::<ApplierMsg>();
+        let (job_tx, job_rx) = unbounded::<WorkerMsg>();
         let starter = Arc::new(Starter {
             scheduler: Scheduler::new(config.granularity),
             job_tx,
-            applier_tx,
             index: Arc::default(),
             cache: AnalysisCache::global(),
         });
-
-        let mut workers = Vec::with_capacity(config.workers);
-        for _ in 0..config.workers {
-            let job_rx: Receiver<ExecJob> = job_rx.clone();
-            let applier_tx = starter.applier_tx.clone();
-            workers.push(std::thread::spawn(move || {
-                while let Ok(job) = job_rx.recv() {
-                    run_job(&job);
-                    if job.task.remaining_jobs.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let exec = job
-                            .task
-                            .exec_start
-                            .get()
-                            .map(|s| s.elapsed())
-                            .unwrap_or_default();
-                        let _ = applier_tx.send(ApplierMsg::BlockDone(job.task, exec));
+        let workers = (0..config.workers)
+            .map(|_| {
+                let starter = Arc::clone(&starter);
+                let job_rx: Receiver<WorkerMsg> = job_rx.clone();
+                std::thread::spawn(move || {
+                    while let Ok(WorkerMsg::Job(job)) = job_rx.recv() {
+                        run_job(&job);
+                        // The worker that finishes a block's last job applies it.
+                        if job.task.remaining_jobs.fetch_sub(1, Ordering::AcqRel) == 1 {
+                            apply_block(job.task, &starter);
+                        }
                     }
-                }
-            }));
-        }
-
-        let mut appliers = Vec::with_capacity(config.appliers);
-        for _ in 0..config.appliers {
-            let starter = Arc::clone(&starter);
-            let applier_rx = applier_rx.clone();
-            appliers.push(std::thread::spawn(move || {
-                while let Ok(msg) = applier_rx.recv() {
-                    match msg {
-                        ApplierMsg::BlockDone(task, exec) => apply_block(task, exec, &starter),
-                        ApplierMsg::Shutdown => break,
-                    }
-                }
-                // Dropping `starter` here closes the job channel (the
-                // public handle replaced its copy at shutdown), which ends
-                // the worker loops once every applier has exited.
-            }));
-        }
-
-        ValidatorPipeline {
-            starter,
-            workers,
-            appliers,
-        }
+                })
+            })
+            .collect();
+        ValidatorPipeline { starter, workers }
     }
 
     /// Registers a trusted base state (e.g. the genesis post-state) so
@@ -469,30 +425,12 @@ impl ValidatorPipeline {
         self.shutdown_inner();
     }
 
+    /// One stop message per worker, then a join. A worker blocked in
+    /// `apply_block` waits on a parent another worker is applying, so every
+    /// worker reaches its stop message.
     fn shutdown_inner(&mut self) {
-        if self.appliers.is_empty() {
-            return; // already shut down
-        }
-        // Ask every applier to stop, then drop this handle's channel senders
-        // by swapping in a dead Starter. Each applier's own Arc<Starter>
-        // (and with it the last job sender) dies when its thread exits,
-        // which in turn ends the worker loops.
-        let applier_tx = self.starter.applier_tx.clone();
-        let (dead_job, _) = unbounded();
-        let (dead_applier, _) = unbounded();
-        self.starter = Arc::new(Starter {
-            scheduler: self.starter.scheduler,
-            job_tx: dead_job,
-            applier_tx: dead_applier,
-            index: Arc::clone(&self.starter.index),
-            cache: Arc::clone(&self.starter.cache),
-        });
-        for _ in 0..self.appliers.len() {
-            let _ = applier_tx.send(ApplierMsg::Shutdown);
-        }
-        drop(applier_tx);
-        for a in self.appliers.drain(..) {
-            let _ = a.join();
+        for _ in &self.workers {
+            let _ = self.starter.job_tx.send(WorkerMsg::Stop);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -520,8 +458,6 @@ fn rejection_outcome(
         timings: StageTimings::default(),
         executed_txs: 0,
         aborted_early: false,
-        analysis_hits: 0,
-        analysis_misses: 0,
     }
 }
 
@@ -568,6 +504,9 @@ impl StateView for JobView<'_> {
 
 fn run_job(job: &ExecJob) {
     let task = &job.task;
+    if job.txs.is_empty() {
+        return; // a header rejection's or an empty block's one job
+    }
     task.exec_start.get_or_init(Instant::now);
     let mut view = JobView {
         base: &task.base,
@@ -585,9 +524,9 @@ fn run_job(job: &ExecJob) {
         match execute_transaction_in(&task.cache, &view, &task.env, tx) {
             Ok(result) => {
                 task.executed.fetch_add(1, Ordering::Relaxed);
-                // Overlapped verification (Algorithm 2, moved out of the
-                // applier): check the replayed footprint against the block
-                // profile right here, while sibling jobs still execute.
+                // Overlapped verification (Algorithm 2): check the replayed
+                // footprint against the block profile right here, while
+                // sibling jobs still execute.
                 if !task.block.profile.matches(i, &result.rw) {
                     task.record_abort(i, ABORT_KIND_PROFILE);
                     return;
@@ -620,7 +559,7 @@ fn run_job(job: &ExecJob) {
 }
 
 // ---------------------------------------------------------------------------
-// Block-validation + commitment phases (the applier pool)
+// Block-validation + commitment phases (on the finishing worker)
 // ---------------------------------------------------------------------------
 
 impl Starter {
@@ -647,20 +586,24 @@ impl Starter {
         } else {
             None
         };
-        let jobs: Vec<Vec<usize>> = if header_error.is_some() {
-            Vec::new()
-        } else {
-            // Heaviest subgraph first: the pool drains big components
-            // early, so stragglers don't trail the block's completion.
-            self.scheduler
+        // Heaviest subgraph first: the pool drains big components early, so
+        // stragglers don't trail the block's completion. Header rejections
+        // and empty blocks get one empty job, so the commitment bookkeeping
+        // (invalid-set insert, parked-children release) stays in one place.
+        let mut jobs: Vec<Vec<usize>> = match header_error {
+            Some(_) => Vec::new(),
+            None => self
+                .scheduler
                 .subgraphs(&block.profile)
                 .into_iter()
                 .map(|sg| sg.txs)
-                .collect()
+                .collect(),
         };
+        if jobs.is_empty() {
+            jobs.push(Vec::new());
+        }
         let prepare = t0.elapsed();
         let n = block.transactions.len();
-        let rejected = header_error.is_some();
         let task = Arc::new(BlockTask {
             block,
             base: parent.state,
@@ -676,23 +619,13 @@ impl Starter {
             prepare,
             submitted: Instant::now(),
             exec_start: OnceLock::new(),
-            cache_base: self.cache.stats(),
             cache: Arc::clone(&self.cache),
         });
-        if rejected || jobs.is_empty() {
-            // Header rejections and empty blocks go straight to the applier
-            // pool so the commitment bookkeeping (invalid-set insert,
-            // parked-children release) stays in one place.
-            let _ = self
-                .applier_tx
-                .send(ApplierMsg::BlockDone(task, Duration::ZERO));
-            return;
-        }
         for txs in jobs {
-            let _ = self.job_tx.send(ExecJob {
+            let _ = self.job_tx.send(WorkerMsg::Job(ExecJob {
                 task: Arc::clone(&task),
                 txs,
-            });
+            }));
         }
     }
 }
@@ -708,17 +641,25 @@ impl Starter {
 /// chains on the parent's latch, so an invalid ancestor still poisons every
 /// descendant.
 ///
-/// Why this cannot deadlock or misorder: a block reaches the applier only
-/// after its parent *published* (children are released at publish time, and
-/// handed the parent's latch with its state), and every publish-path call
-/// settles its own latch before returning. Latch waits therefore only ever
-/// chain parent-ward, up a chain of already published blocks, ending at a
-/// trusted registered state (no latch). The earliest published-but-unsettled
-/// block waits only on settled latches, so the chain always drains — and
-/// every verdict, commit publication, and header check still happens after
-/// the roots it depends on are known.
-fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
+/// It runs on the worker that finished the block's last job. Why this cannot
+/// deadlock or misorder, at any pool size down to one worker: a block's jobs
+/// are queued only after its parent *published* (children are released at
+/// publish time, and handed the parent's latch with its state), and by then
+/// the parent's `apply_block` is already running on the thread that
+/// published it, which settles the parent's latch before returning. A worker
+/// blocked here — on the parent's pending commit or on its latch — therefore
+/// waits on an apply already in progress on another thread, never on a job
+/// still in the queue. Those waits chain parent-ward, up published blocks,
+/// ending at a trusted registered state (no latch), so the chain always
+/// drains — and every verdict, commit publication, and header check still
+/// happens after the roots it depends on are known.
+fn apply_block(task: Arc<BlockTask>, starter: &Starter) {
     let t0 = Instant::now();
+    let exec = task
+        .exec_start
+        .get()
+        .map(|s| s.elapsed())
+        .unwrap_or_default();
     let block = &task.block;
     let hash = block.hash();
     let result = validate_and_apply(&task);
@@ -728,7 +669,6 @@ fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
         .get()
         .map(|s| s.duration_since(task.submitted))
         .unwrap_or_default();
-    let cache_delta = task.cache.stats().since(&task.cache_base);
     let outcome = |result: Result<(), ValidationError>,
                    post_state: Option<Arc<WorldState>>,
                    receipts: Vec<Receipt>,
@@ -746,8 +686,6 @@ fn apply_block(task: Arc<BlockTask>, exec: Duration, starter: &Starter) {
         },
         executed_txs: task.executed.load(Ordering::Relaxed),
         aborted_early: task.cancelled.load(Ordering::Relaxed),
-        analysis_hits: cache_delta.hits,
-        analysis_misses: cache_delta.misses,
     };
     let (state, receipts) = match result {
         Ok(parts) => parts,
@@ -916,7 +854,6 @@ mod tests {
         let pipeline = ValidatorPipeline::new(PipelineConfig {
             workers,
             granularity: ConflictGranularity::Account,
-            ..PipelineConfig::default()
         });
         let genesis = BlockHash::from_low_u64(1);
         pipeline.register_state(genesis, Arc::clone(world));
@@ -937,22 +874,6 @@ mod tests {
         assert_eq!(outcome.receipts.len(), proposal.block.tx_count());
         assert_eq!(outcome.executed_txs, proposal.block.tx_count());
         assert!(!outcome.aborted_early);
-        pipeline.shutdown();
-    }
-
-    #[test]
-    fn validates_honest_block_on_single_applier() {
-        let world = Arc::new(funded_world(10));
-        let pipeline = ValidatorPipeline::new(PipelineConfig {
-            workers: 2,
-            appliers: 1,
-            ..PipelineConfig::default()
-        });
-        let genesis = BlockHash::from_low_u64(1);
-        pipeline.register_state(genesis, Arc::clone(&world));
-        let proposal = propose_transfers(&world, genesis, 1, 1..9, 0);
-        let outcome = pipeline.validate_block(proposal.block);
-        assert!(outcome.is_valid(), "{:?}", outcome.result);
         pipeline.shutdown();
     }
 
@@ -988,15 +909,19 @@ mod tests {
     #[test]
     fn rejects_tampered_tx_list_without_executing() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
-        let mut proposal = propose_transfers(&world, genesis, 1, 1..5, 0);
+        let mut proposal = propose_transfers(&world, BlockHash::from_low_u64(1), 1, 1..5, 0);
         proposal.block.transactions.swap(0, 1);
-        let outcome = pipeline.validate_block(proposal.block);
-        assert_eq!(outcome.result, Err(ValidationError::TxRootMismatch));
-        // Fail fast: the header check runs at preparation, so not a single
-        // transaction of the doomed block reaches a worker.
-        assert_eq!(outcome.executed_txs, 0);
-        pipeline.shutdown();
+        // One worker too: the rejection's one empty job is applied by the
+        // worker that runs it.
+        for workers in [1, 2] {
+            let (pipeline, _) = pipeline_with_genesis(workers, &world);
+            let outcome = pipeline.validate_block(proposal.block.clone());
+            assert_eq!(outcome.result, Err(ValidationError::TxRootMismatch));
+            // Fail fast: the header check runs at preparation, so not a
+            // single transaction of the doomed block reaches a worker.
+            assert_eq!(outcome.executed_txs, 0);
+            pipeline.shutdown();
+        }
     }
 
     #[test]
@@ -1161,13 +1086,15 @@ mod tests {
     #[test]
     fn empty_block_validates() {
         let world = Arc::new(funded_world(2));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
-        let proposal = propose_transfers(&world, genesis, 1, 1..1, 0); // no txs
+        let proposal = propose_transfers(&world, BlockHash::from_low_u64(1), 1, 1..1, 0); // no txs
         assert_eq!(proposal.block.tx_count(), 0);
-        let outcome = pipeline.validate_block(proposal.block);
-        assert!(outcome.is_valid(), "{:?}", outcome.result);
-        assert_eq!(outcome.executed_txs, 0);
-        pipeline.shutdown();
+        for workers in [1, 2] {
+            let (pipeline, _) = pipeline_with_genesis(workers, &world);
+            let outcome = pipeline.validate_block(proposal.block.clone());
+            assert!(outcome.is_valid(), "{:?}", outcome.result);
+            assert_eq!(outcome.executed_txs, 0);
+            pipeline.shutdown();
+        }
     }
 
     #[test]
@@ -1183,9 +1110,14 @@ mod tests {
             chain.push(p);
         }
         // Deepest first (every child parks), in order (a child may find its
-        // parent published with the root still hashing), and mixed.
-        for order in [[3, 2, 1, 0], [0, 1, 2, 3], [2, 0, 3, 1]] {
-            let (pipeline, _) = pipeline_with_genesis(3, &world);
+        // parent published with the root still hashing), and mixed — on one
+        // worker, which must apply each block it finishes and still drain
+        // the chain, and on three.
+        for (workers, order) in [1, 3]
+            .into_iter()
+            .flat_map(|w| [[3, 2, 1, 0], [0, 1, 2, 3], [2, 0, 3, 1]].map(|o| (w, o)))
+        {
+            let (pipeline, _) = pipeline_with_genesis(workers, &world);
             let mut handles: Vec<_> = order
                 .iter()
                 .map(|&i| (i, pipeline.submit(chain[i].block.clone())))
@@ -1193,11 +1125,15 @@ mod tests {
             handles.sort_by_key(|(i, _)| *i);
             for (i, handle) in handles {
                 let outcome = handle.wait();
-                assert!(outcome.is_valid(), "{order:?}: {:?}", outcome.result);
+                assert!(
+                    outcome.is_valid(),
+                    "{workers} workers, {order:?}: {:?}",
+                    outcome.result
+                );
                 assert_eq!(
                     outcome.post_state.unwrap().state_root(),
                     chain[i].post_state.state_root(),
-                    "{order:?}"
+                    "{workers} workers, {order:?}"
                 );
             }
             pipeline.shutdown();
@@ -1236,26 +1172,6 @@ mod tests {
             pipeline.validate_block(late.block).result,
             Err(ValidationError::ParentInvalid)
         );
-        pipeline.shutdown();
-    }
-
-    #[test]
-    fn single_applier_does_not_deadlock_on_a_chain() {
-        let world = Arc::new(funded_world(8));
-        let pipeline = ValidatorPipeline::new(PipelineConfig {
-            workers: 2,
-            appliers: 1,
-            ..PipelineConfig::default()
-        });
-        let genesis = BlockHash::from_low_u64(1);
-        pipeline.register_state(genesis, Arc::clone(&world));
-        let b1 = propose_transfers(&world, genesis, 1, 1..6, 0);
-        let s1 = Arc::new(b1.post_state.clone());
-        let b2 = propose_transfers(&s1, b1.block.hash(), 2, 1..6, 1);
-        let h1 = pipeline.submit(b1.block.clone());
-        let h2 = pipeline.submit(b2.block.clone());
-        assert!(h1.wait().is_valid());
-        assert!(h2.wait().is_valid());
         pipeline.shutdown();
     }
 

@@ -552,18 +552,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Counter-wise difference since `earlier` (for per-run reporting
-    /// against a long-lived cache).
-    pub fn since(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
-        }
-    }
-}
-
 const SHARDS: usize = 16;
 /// Default total entry bound of the global cache.
 const DEFAULT_CAPACITY: usize = 4096;

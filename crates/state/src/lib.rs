@@ -1,6 +1,6 @@
 //! State substrate: the authenticated world state BlockPilot executes over.
 //!
-//! * [`trie`] — a faithful Merkle Patricia Trie with proofs;
+//! * [`trie`] — a faithful Merkle Patricia Trie;
 //! * [`account`] — the 4-field RLP account body;
 //! * [`pmap`] — the persistent hash map ([`pmap::PMap`]) the world keeps its
 //!   accounts, storage and retained tries in, so a snapshot is O(1);
@@ -20,5 +20,5 @@ pub mod world;
 pub use account::Account;
 pub use mvstate::MultiVersionState;
 pub use pmap::PMap;
-pub use trie::{empty_root, verify_proof, Trie};
+pub use trie::{empty_root, Trie};
 pub use world::{code_read_word, storage_root, AccountState, WorldState};

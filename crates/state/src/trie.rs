@@ -27,13 +27,12 @@
 //! state's incremental commitment cost O(touched nodes / 8) permutation
 //! calls per block and little else.
 //!
-//! The trie also produces Merkle proofs ([`Trie::prove`] /
-//! [`verify_proof`]) and its set of *hashed nodes* ([`Trie::commit_nodes`]),
-//! both used in tests to cross-check the commitment logic.
+//! The trie also produces its set of *hashed nodes*
+//! ([`Trie::commit_nodes`]), which the tests use to cross-check the
+//! commitment logic.
 
 use std::sync::Arc;
 
-use bp_crypto::rlp::{self, Reader, Token};
 use bp_crypto::{keccak256, keccak256_batch};
 use bp_types::H256;
 
@@ -489,33 +488,6 @@ impl Trie {
             walk(&root.node, &mut Vec::new(), &mut out);
         }
         out
-    }
-
-    /// Merkle proof for `key`: the RLP encodings of the nodes on the lookup
-    /// path, root first. Verifiable with [`verify_proof`].
-    pub fn prove(&self, key: &[u8]) -> Vec<Vec<u8>> {
-        let mut proof = Vec::new();
-        let mut next = self.root.as_ref();
-        let mut depth = 0;
-        // Inlined children are already inside their parent's encoding: below
-        // the root the proof ends at the first node not referenced by hash.
-        while let Some(child) = next.filter(|c| proof.is_empty() || c.commit.hash().is_some()) {
-            proof.push(encoding_of(&child.node));
-            next = match &child.node {
-                Node::Leaf(_) => None,
-                Node::Extension(ext) => {
-                    let follows = ext.path.common_prefix_with_key(0, key, depth) == ext.path.len();
-                    depth += ext.path.len();
-                    follows.then_some(&ext.child)
-                }
-                Node::Branch(branch) if depth < key.len() * 2 => {
-                    depth += 1;
-                    branch.children[nibble_at(key, depth - 1) as usize].as_ref()
-                }
-                Node::Branch(_) => None,
-            };
-        }
-        proof
     }
 
     /// Decomposes the trie into its root hash and every *hashed* node —
@@ -1076,7 +1048,7 @@ fn collect_hashed_children(node: &Node, out: &mut Vec<(H256, Vec<u8>)>) {
 }
 
 // ---------------------------------------------------------------------------
-// Iteration and proofs
+// Iteration
 // ---------------------------------------------------------------------------
 
 fn walk(node: &Node, prefix: &mut Vec<u8>, out: &mut Vec<(Vec<u8>, Vec<u8>)>) {
@@ -1120,126 +1092,6 @@ fn pack_nibbles(nibbles: &[u8]) -> Vec<u8> {
         .chunks(2)
         .map(|p| p[0] << 4 | p.get(1).copied().unwrap_or(0))
         .collect()
-}
-
-/// The items of one encoded node, borrowed from its bytes: what a proof check
-/// tells apart.
-// Lives on the stack for the length of one node read; boxing the branch
-// arm would put an allocation there instead.
-#[allow(clippy::large_enum_variant)]
-enum NodeItems<'a> {
-    /// Leaf or extension: the decoded path, the leaf flag, and the value
-    /// (leaf) or child reference (extension).
-    Short(Nibbles, bool, Token<'a>),
-    /// The sixteen child references and the value (empty for none).
-    Branch([Token<'a>; 16], &'a [u8]),
-}
-
-/// Reads a node's item list into its shape; `None` marks a malformed node.
-fn node_items(mut list: Reader<'_>) -> Option<NodeItems<'_>> {
-    match list.count().ok()? {
-        2 => {
-            let (path, is_leaf) = Nibbles::from_hex_prefix(list.bytes().ok()?)?;
-            Some(NodeItems::Short(path, is_leaf, list.next_item().ok()?))
-        }
-        17 => {
-            let mut children = [Token::Str(&[]); 16];
-            for child in &mut children {
-                *child = list.next_item().ok()?;
-            }
-            Some(NodeItems::Branch(children, list.bytes().ok()?))
-        }
-        _ => None,
-    }
-}
-
-/// Verifies a Merkle proof produced by [`Trie::prove`].
-///
-/// Returns `Ok(Some(value))` when the proof shows `key` present with that
-/// value, `Ok(None)` when it shows absence, and `Err` when the proof is
-/// inconsistent with `root`.
-pub fn verify_proof(
-    root: H256,
-    key: &[u8],
-    proof: &[Vec<u8>],
-) -> Result<Option<Vec<u8>>, ProofError> {
-    if proof.is_empty() {
-        return if root == empty_root() {
-            Ok(None)
-        } else {
-            Err(ProofError::Empty)
-        };
-    }
-    let mut expected = Expected::Hash(root);
-    let mut depth = 0usize;
-    let mut idx = 0usize;
-    loop {
-        let items = match expected {
-            Expected::Hash(h) => {
-                let bytes = proof.get(idx).ok_or(ProofError::Truncated)?;
-                idx += 1;
-                if keccak256(bytes) != h {
-                    return Err(ProofError::HashMismatch);
-                }
-                // A proof node is checked whole, off-path children included
-                // (an inlined node was checked with the node it sits in).
-                let mut whole = Reader::new(bytes);
-                whole.skip().map_err(|_| ProofError::BadNode)?;
-                rlp::decode_list(bytes).map_err(|_| ProofError::BadNode)?
-            }
-            Expected::Inline(items) => items,
-        };
-        let child = match node_items(items).ok_or(ProofError::BadNode)? {
-            NodeItems::Short(npath, true, value) => {
-                return match value {
-                    _ if !npath.is_key_tail(key, depth) => Ok(None),
-                    Token::Str(value) => Ok(Some(value.to_vec())),
-                    Token::List(_) => Err(ProofError::BadNode),
-                };
-            }
-            NodeItems::Short(npath, false, child) => {
-                if npath.common_prefix_with_key(0, key, depth) != npath.len() {
-                    return Ok(None);
-                }
-                depth += npath.len();
-                child
-            }
-            NodeItems::Branch(children, value) => {
-                if depth == key.len() * 2 {
-                    return Ok((!value.is_empty()).then(|| value.to_vec()));
-                }
-                let child = children[nibble_at(key, depth) as usize];
-                depth += 1;
-                if matches!(child, Token::Str([])) {
-                    return Ok(None);
-                }
-                child
-            }
-        };
-        expected = match child {
-            Token::Str(b) => Expected::Hash(H256(b.try_into().map_err(|_| ProofError::BadNode)?)),
-            // An inlined node is a list inside the parent.
-            Token::List(inline) => Expected::Inline(inline),
-        };
-    }
-}
-
-enum Expected<'a> {
-    Hash(H256),
-    Inline(Reader<'a>),
-}
-
-/// Proof verification failures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ProofError {
-    /// Proof empty for a non-empty root.
-    Empty,
-    /// Proof ran out of nodes.
-    Truncated,
-    /// A node's hash did not match its parent's reference.
-    HashMismatch,
-    /// A node failed to decode.
-    BadNode,
 }
 
 #[cfg(test)]
@@ -1415,56 +1267,6 @@ mod tests {
         }
         assert_eq!(t.root_hash(), reference.root_hash());
         assert_eq!(t.commit_nodes().0, reference.commit_nodes().0);
-    }
-
-    #[test]
-    fn proof_of_present_key_verifies() {
-        let mut t = Trie::new();
-        for i in 0..100u32 {
-            t.insert(&i.to_be_bytes(), format!("v{i}").into_bytes());
-        }
-        let root = t.root_hash();
-        for i in [0u32, 7, 55, 99] {
-            let proof = t.prove(&i.to_be_bytes());
-            let got = verify_proof(root, &i.to_be_bytes(), &proof).unwrap();
-            assert_eq!(got, Some(format!("v{i}").into_bytes()));
-        }
-    }
-
-    #[test]
-    fn proof_of_absent_key_verifies_absence() {
-        let mut t = Trie::new();
-        for i in 0..20u32 {
-            t.insert(&i.to_be_bytes(), b"v".to_vec());
-        }
-        let root = t.root_hash();
-        let absent = 999u32.to_be_bytes();
-        let proof = t.prove(&absent);
-        assert_eq!(verify_proof(root, &absent, &proof).unwrap(), None);
-    }
-
-    #[test]
-    fn tampered_proof_rejected() {
-        let mut t = Trie::new();
-        for i in 0..50u32 {
-            t.insert(&i.to_be_bytes(), format!("value-{i}").into_bytes());
-        }
-        let root = t.root_hash();
-        let key = 7u32.to_be_bytes();
-        let mut proof = t.prove(&key);
-        assert!(!proof.is_empty());
-        // Flip one byte in the first (root) node.
-        proof[0][1] ^= 0xFF;
-        assert!(verify_proof(root, &key, &proof).is_err());
-    }
-
-    #[test]
-    fn wrong_root_rejected() {
-        let mut t = Trie::new();
-        t.insert(b"hello", b"world".to_vec());
-        let proof = t.prove(b"hello");
-        let bad_root = H256::from_low_u64(123);
-        assert!(verify_proof(bad_root, b"hello", &proof).is_err());
     }
 
     #[test]

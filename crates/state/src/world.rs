@@ -376,7 +376,7 @@ impl WorldState {
     }
 
     /// Applies one committed write set (used when sealing a block and by the
-    /// validator's applier). `Code` writes are ignored here — code bytes are
+    /// validator's apply stage). `Code` writes are ignored here — code bytes are
     /// installed via [`WorldState::set_code`] by the execution layer; the
     /// write-set entry only versions the key for conflict detection.
     pub fn apply_writes(&mut self, writes: &WriteSet) {

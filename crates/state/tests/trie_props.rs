@@ -1,10 +1,9 @@
 //! Property tests: the MPT behaves like a sorted map and its root is a
-//! content commitment (order-independent, removal-consistent), and proofs
-//! verify.
+//! content commitment (order-independent, removal-consistent).
 
 use std::collections::BTreeMap;
 
-use bp_state::trie::{verify_proof, Trie};
+use bp_state::trie::Trie;
 use bp_testkit::prelude::*;
 
 fn arb_pairs() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
@@ -78,25 +77,6 @@ proptest! {
         for (k, v) in got {
             prop_assert_eq!(model.get(&k).map(|x| x.as_slice()), Some(v.as_slice()));
         }
-    }
-
-    #[test]
-    fn proofs_verify_for_all_keys(pairs in arb_pairs()) {
-        let (trie, model) = build(&pairs);
-        let root = trie.root_hash();
-        for (k, v) in &model {
-            let proof = trie.prove(k);
-            prop_assert_eq!(verify_proof(root, k, &proof).unwrap(), Some(v.clone()));
-        }
-    }
-
-    #[test]
-    fn absence_proofs_verify(pairs in arb_pairs(), probe in prop::collection::vec(any::<u8>(), 1..8)) {
-        let (trie, model) = build(&pairs);
-        prop_assume!(!model.contains_key(&probe));
-        let root = trie.root_hash();
-        let proof = trie.prove(&probe);
-        prop_assert_eq!(verify_proof(root, &probe, &proof).unwrap(), None);
     }
 
     #[test]

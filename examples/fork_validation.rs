@@ -21,7 +21,6 @@ fn main() {
         PipelineConfig {
             workers: 4,
             granularity: ConflictGranularity::Account,
-            ..Default::default()
         },
         genesis,
     );

@@ -23,7 +23,6 @@ fn main() {
         PipelineConfig {
             workers: 4,
             granularity: ConflictGranularity::Account,
-            ..Default::default()
         },
         genesis.clone(),
     );

@@ -26,7 +26,6 @@ fn config() -> PipelineConfig {
     PipelineConfig {
         workers: 2,
         granularity: ConflictGranularity::Account,
-        ..Default::default()
     }
 }
 

@@ -45,7 +45,6 @@ fn validate(
     let pipeline = ValidatorPipeline::new(PipelineConfig {
         workers: 3,
         granularity: ConflictGranularity::Account,
-        ..Default::default()
     });
     pipeline.register_state(parent, Arc::clone(base));
     let outcome = pipeline.validate_block(block);

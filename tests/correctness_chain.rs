@@ -22,7 +22,6 @@ fn proposer_serial_and_pipeline_roots_agree_along_a_chain() {
         PipelineConfig {
             workers: 3,
             granularity: ConflictGranularity::Account,
-            ..Default::default()
         },
         genesis.clone(),
     );

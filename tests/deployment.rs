@@ -38,7 +38,6 @@ fn deployment_flows_through_proposer_and_validator() {
         PipelineConfig {
             workers: 2,
             granularity: ConflictGranularity::Account,
-            ..Default::default()
         },
         genesis.clone(),
     );

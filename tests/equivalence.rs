@@ -111,7 +111,6 @@ fn pipeline_validation_equals_serial_on_random_workloads() {
         let pipeline = ValidatorPipeline::new(PipelineConfig {
             workers: 4,
             granularity: ConflictGranularity::Account,
-            ..Default::default()
         });
         pipeline.register_state(parent, Arc::clone(&base));
         let outcome = pipeline.validate_block(proposal.block.clone());

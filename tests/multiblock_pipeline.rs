@@ -53,7 +53,6 @@ fn four_same_height_blocks_validate_concurrently() {
     let pipeline = ValidatorPipeline::new(PipelineConfig {
         workers: 4,
         granularity: ConflictGranularity::Account,
-        ..Default::default()
     });
     pipeline.register_state(parent, Arc::clone(&base));
 
@@ -97,7 +96,6 @@ fn forked_tree_validates_across_heights() {
     let pipeline = ValidatorPipeline::new(PipelineConfig {
         workers: 3,
         granularity: ConflictGranularity::Account,
-        ..Default::default()
     });
     pipeline.register_state(parent, Arc::clone(&base));
 
@@ -131,7 +129,6 @@ fn pipeline_throughput_scales_with_submission_batching() {
     let pipeline = ValidatorPipeline::new(PipelineConfig {
         workers: 4,
         granularity: ConflictGranularity::Account,
-        ..Default::default()
     });
     pipeline.register_state(parent, Arc::clone(&base));
 

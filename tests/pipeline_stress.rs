@@ -52,16 +52,15 @@ fn workload() -> WorkloadGen {
     })
 }
 
-fn wide_config(appliers: usize) -> PipelineConfig {
+fn wide_config() -> PipelineConfig {
     PipelineConfig {
         workers: 16,
         granularity: ConflictGranularity::Account,
-        appliers,
     }
 }
 
-fn wide_pipeline(appliers: usize) -> ValidatorPipeline {
-    ValidatorPipeline::new(wide_config(appliers))
+fn wide_pipeline() -> ValidatorPipeline {
+    ValidatorPipeline::new(wide_config())
 }
 
 #[test]
@@ -72,7 +71,7 @@ fn sixteen_workers_replay_bursts_of_sibling_blocks() {
     // its proposer's exact state root with all transactions executed.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
-    let pipeline = wide_pipeline(2);
+    let pipeline = wide_pipeline();
     for round in 0u64..3 {
         let parent = BlockHash::from_low_u64(round + 1);
         pipeline.register_state(parent, Arc::clone(&base));
@@ -105,7 +104,7 @@ fn sixteen_workers_abort_tampered_sibling_without_poisoning_the_rest() {
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
     let parent = BlockHash::from_low_u64(9);
-    let pipeline = wide_pipeline(2);
+    let pipeline = wide_pipeline();
     pipeline.register_state(parent, Arc::clone(&base));
 
     let honest: Vec<Proposal> = (0..3)
@@ -157,7 +156,7 @@ fn sixteen_workers_reject_tampered_tx_root_with_zero_execution() {
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
     let parent = BlockHash::from_low_u64(4);
-    let pipeline = wide_pipeline(1);
+    let pipeline = wide_pipeline();
     pipeline.register_state(parent, Arc::clone(&base));
 
     let mut block = propose(&mut gen, &base, parent, 1, 3000).block;
@@ -171,14 +170,17 @@ fn sixteen_workers_reject_tampered_tx_root_with_zero_execution() {
 }
 
 #[test]
-fn single_applier_still_drains_sibling_burst_at_sixteen_workers() {
-    // The applier pool degenerates to the old serialized stage at size 1;
-    // correctness (exact outcomes, ordered drain of the slots) must not
-    // depend on the pool width.
+fn one_worker_still_drains_sibling_burst() {
+    // The pool degenerates to one thread that executes every job and applies
+    // every block it finishes; correctness (exact outcomes, ordered drain of
+    // the slots) must not depend on the pool width.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
     let parent = BlockHash::from_low_u64(6);
-    let pipeline = wide_pipeline(1);
+    let pipeline = ValidatorPipeline::new(PipelineConfig {
+        workers: 1,
+        ..wide_config()
+    });
     pipeline.register_state(parent, Arc::clone(&base));
 
     let proposals: Vec<Proposal> = (0..5)
@@ -206,12 +208,12 @@ fn sixteen_workers_unwind_a_rejected_root_under_its_descendants() {
     // descendants N+1..N+3 behind it, once honest with a child of its own.
     // All six are in flight together: the descendants are released onto the
     // bad block's post-state before its root is hashed, and must all fall
-    // with it — while the honest fork, sharing the workers and appliers,
+    // with it — while the honest fork, sharing the workers,
     // validates untouched.
     for round in 0u64..8 {
         let mut gen = workload();
         let genesis = gen.genesis_state();
-        let validator = Validator::new(wide_config(2), genesis.clone());
+        let validator = Validator::new(wide_config(), genesis.clone());
         let root = validator.genesis_hash();
         let base = Arc::new(genesis);
 

@@ -242,14 +242,13 @@ proptest! {
     fn subgraph_dispatch_replays_serial_execution_at_any_width(
         descs in arb_transfers(),
         workers in 1usize..=16,
-        appliers in 1usize..4,
     ) {
-        // Whatever the pool width, applier count, or conflict skew, the
-        // pipeline must reproduce the serial oracle's state bit for bit —
-        // the lock-free slots and subgraph jobs reorder execution, never
-        // its effect — and the cancellation protocol (per-tx footprint
-        // checks on the workers' clocks, first mismatch wins) must be
-        // invisible on an honest block.
+        // Whatever the pool width or conflict skew, the pipeline must
+        // reproduce the serial oracle's state bit for bit — the lock-free
+        // slots and subgraph jobs reorder execution, never its effect — and
+        // the cancellation protocol (per-tx footprint checks on the
+        // workers' clocks, first mismatch wins) must be invisible on an
+        // honest block.
         let (base, txs) = transfer_block(&descs);
         let parent = BlockHash::from_low_u64(21);
         let proposal = propose_transfers(&base, &txs, parent);
@@ -260,7 +259,6 @@ proptest! {
         let pipeline = ValidatorPipeline::new(PipelineConfig {
             workers,
             granularity: ConflictGranularity::Account,
-            appliers,
         });
         pipeline.register_state(parent, Arc::clone(&base));
         let n = proposal.block.transactions.len();
