@@ -1,6 +1,6 @@
-//! The product's channel: one multi-producer multi-consumer FIFO queue over
-//! a [`Mutex`]`<VecDeque>` and two [`Condvar`]s, with exactly the operations the
-//! validator pipeline and the node service call.
+//! The product's channel: one bounded multi-producer multi-consumer FIFO
+//! queue over a [`Mutex`]`<VecDeque>` and two [`Condvar`]s, with exactly the
+//! operations the node service calls.
 //!
 //! Both ends are `Clone`; a message goes to exactly one receiver. The
 //! channel disconnects when the last peer of one side drops: `send` then
@@ -19,7 +19,7 @@ struct State<T> {
 
 struct Shared<T> {
     state: Mutex<State<T>>,
-    capacity: Option<usize>,
+    capacity: usize,
     not_empty: Condvar,
     not_full: Condvar,
 }
@@ -30,7 +30,10 @@ pub struct Sender<T>(Arc<Shared<T>>);
 /// The receiving half; clone it for more consumers.
 pub struct Receiver<T>(Arc<Shared<T>>);
 
-fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
+/// A channel that holds at most `capacity` messages (at least one: a
+/// rendezvous channel is not modelled).
+pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
+    let capacity = capacity.max(1);
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             queue: VecDeque::new(),
@@ -42,17 +45,6 @@ fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
         not_full: Condvar::new(),
     });
     (Sender(Arc::clone(&shared)), Receiver(shared))
-}
-
-/// A channel that holds at most `capacity` messages (at least one: a
-/// rendezvous channel is not modelled).
-pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    channel(Some(capacity.max(1)))
-}
-
-/// A channel whose `send` never blocks.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    channel(None)
 }
 
 /// Every receiver is gone; the message comes back.
@@ -71,7 +63,7 @@ impl<T> Sender<T> {
             if state.receivers == 0 {
                 return Err(SendError(msg));
             }
-            if self.0.capacity.is_none_or(|cap| state.queue.len() < cap) {
+            if state.queue.len() < self.0.capacity {
                 break;
             }
             self.0.not_full.wait(&mut state);
@@ -217,7 +209,7 @@ mod tests {
 
     #[test]
     fn recv_drains_the_queue_then_errs_once_the_last_sender_is_gone() {
-        let (tx, rx) = unbounded::<u32>();
+        let (tx, rx) = bounded::<u32>(4);
         let second = tx.clone();
         tx.send(1).expect("receiver alive");
         second.send(2).expect("receiver alive");

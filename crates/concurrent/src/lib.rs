@@ -10,11 +10,13 @@
 //! [`VersionAllocator`] hands out the monotonically increasing commit
 //! versions. [`ResultSlots`] gives the validator pipeline a lock-free,
 //! single-writer result array for the transaction-execution phase. [`sync`]
-//! and [`channel`] are the locks and the queue every product crate blocks on.
+//! and [`channel`] are the locks and the queue every product crate blocks on,
+//! and [`crew`] is the one set of threads every parallel caller shares.
 
 #![warn(missing_docs)]
 
 pub mod channel;
+pub mod crew;
 pub mod latch;
 pub mod reserve;
 pub mod sharded;
@@ -22,6 +24,7 @@ pub mod slots;
 pub mod sync;
 pub mod version;
 
+pub use crew::{Crew, Priority};
 pub use latch::{RootLatch, VersionGate};
 pub use reserve::ReserveTable;
 pub use sharded::ShardedMap;

@@ -1,6 +1,6 @@
 //! OCC-WSI: the proposer's optimistic parallel execution (Algorithm 1).
 //!
-//! Worker threads repeatedly pop the highest-priority pending transaction,
+//! Workers repeatedly pop the highest-priority pending transaction,
 //! take a snapshot of the multi-version block state at the current commit
 //! version, execute optimistically, then validate-and-commit:
 //!
@@ -61,6 +61,7 @@ use std::time::Instant;
 use bp_block::{
     receipts_root, tx_root, tx_root_of_hashes, Block, BlockHeader, BlockProfile, TxProfile,
 };
+use bp_concurrent::crew::{self, Crew, Priority};
 use bp_concurrent::sync::Mutex;
 use bp_concurrent::{ReserveTable, VersionAllocator, VersionGate};
 use bp_evm::{
@@ -87,7 +88,9 @@ const MAX_UNFIT_CANDIDATES: usize = 8;
 /// Configuration for a proposal run.
 #[derive(Clone, Debug)]
 pub struct OccWsiConfig {
-    /// Worker thread count (Algorithm 1's thread pool).
+    /// Workers (Algorithm 1's thread pool): the parallelism the pack asks
+    /// the process's crew for. The calling thread is worker 0, the others
+    /// are crew tasks that free helpers take.
     pub threads: usize,
     /// Block gas limit. Packing seals when no pending transaction fits:
     /// after the first transaction overflows the remaining gas, workers
@@ -286,17 +289,31 @@ impl OccWsiProposer {
             executions: &executions,
         };
 
+        // The calling thread is worker 0; the others are crew tasks, which
+        // free helpers join and the caller runs itself once its own share is
+        // done (they then find the block sealed or the pool dry). A helper
+        // leaves the pack between pool turns once validator work is queued;
+        // the successors of its last commits become eligible only at its
+        // final turn, when the other workers may have given up on them, so
+        // the caller then packs once more, alone, as the last one standing.
         let started = Instant::now();
-        let mut records = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.config.threads)
-                .map(|_| scope.spawn(|| self.worker(&shared)))
-                .collect();
-            let mut records = Vec::new();
-            for h in handles {
-                records.extend(h.join().expect("worker panicked"));
+        let crew = crew::current();
+        crew.reserve(self.config.threads);
+        let yielded = AtomicBool::new(false);
+        let mut segments: Vec<Vec<CommitRecord>> = Vec::new();
+        segments.resize_with(self.config.threads, Vec::new);
+        crew.scope(Priority::Bulk, |s| {
+            let (own, others) = segments.split_first_mut().expect("at least one worker");
+            for segment in others {
+                let (shared, yields_to) = (&shared, Some((&crew, &yielded)));
+                s.spawn(move || *segment = self.worker(shared, yields_to));
             }
-            records
+            *own = self.worker(&shared, None);
         });
+        if yielded.load(Ordering::Relaxed) {
+            segments[0].extend(self.worker(&shared, None));
+        }
+        let mut records: Vec<CommitRecord> = segments.into_iter().flatten().collect();
         let wall_micros = started.elapsed().as_micros() as u64;
         let gas_used = cur_gas.load(Ordering::Acquire);
 
@@ -367,7 +384,10 @@ impl OccWsiProposer {
 
     /// The worker loop: execute optimistically, admit under the
     /// commit-sequence lock (Phase A), publish outside it (Phase B).
-    fn worker(&self, s: &Shared<'_>) -> Vec<CommitRecord> {
+    /// A worker that yields to a crew stops at its next pool turn when the
+    /// crew has work queued ahead of the pack ([`Crew::bulk_should_yield`]),
+    /// and then sets the flag beside it.
+    fn worker(&self, s: &Shared<'_>, yields_to: Option<(&Crew, &AtomicBool)>) -> Vec<CommitRecord> {
         let mut records: Vec<CommitRecord> = Vec::new();
         // Everything checked out goes back when `checkout` drops, whichever
         // way the loop is left.
@@ -382,6 +402,12 @@ impl OccWsiProposer {
         loop {
             if s.full.load(Ordering::Acquire) {
                 return records;
+            }
+            if let Some((crew, yielded)) = yields_to {
+                if checkout.batch.is_empty() && crew.bulk_should_yield() {
+                    yielded.store(true, Ordering::Relaxed);
+                    return records;
+                }
             }
             let Some((hash, tx)) = checkout.next_tx() else {
                 // The pool may refill when an in-flight transaction of some
@@ -730,6 +756,51 @@ mod tests {
                 tx_root(&proposal.block.transactions),
                 "the carried hashes are the transactions' hashes"
             );
+            let replay = serial_replay(&proposal.block, &world, &p.config.env);
+            assert_eq!(replay.state_root(), proposal.post_state.state_root());
+        }
+    }
+
+    #[test]
+    fn nonce_chains_pack_whole_when_helpers_yield_to_validator_work() {
+        // Detached tasks keep arriving on the crew while the pack runs, so
+        // helper workers leave it part-way, each with commits whose
+        // successors the pool releases only at its last turn — when the
+        // caller's worker may already have given up on them. More threads
+        // than cores, so that a worker loses its core mid-transaction. The
+        // pack must still take every transaction, in nonce order.
+        let crew = Crew::new(7);
+        for round in 0..60u64 {
+            let world = Arc::new(funded_world(10));
+            let pool = TxPool::new();
+            for nonce in 0..6u64 {
+                for sender in 1..=5u64 {
+                    pool.add(Transaction::transfer(
+                        addr(sender),
+                        addr(sender + 5),
+                        U256::ONE,
+                        nonce,
+                        1 + (sender + nonce + round) % 3,
+                    ));
+                }
+            }
+            let packing = AtomicBool::new(true);
+            let p = proposer(8);
+            let proposal = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    while packing.load(Ordering::Relaxed) {
+                        crew.spawn_all([|| std::thread::yield_now()]);
+                        std::thread::yield_now();
+                    }
+                });
+                let proposal =
+                    crew.install(|| p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1));
+                packing.store(false, Ordering::Relaxed);
+                proposal
+            });
+            assert_eq!(proposal.block.tx_count(), 30, "round {round}");
+            assert!(pool.is_empty());
+            assert_eq!(pool.in_flight(), 0);
             let replay = serial_replay(&proposal.block, &world, &p.config.env);
             assert_eq!(replay.state_root(), proposal.post_state.state_root());
         }

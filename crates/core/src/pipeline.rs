@@ -5,21 +5,24 @@
 //!   are checked first so malformed blocks are rejected before a single
 //!   transaction executes; the scheduler then splits the block into
 //!   dependency subgraphs from its profile.
-//! * **Transaction execution** — a shared *worker pool* executes jobs from
+//! * **Transaction execution** — the process's [`Crew`] executes jobs from
 //!   *any* in-flight block: two blocks at the same height overlap fully,
 //!   exactly as in the paper's Figure 5. Every dependency subgraph is its
-//!   own pool job (enqueued heaviest-first), so the pool load-balances
-//!   dynamically across subgraphs and blocks. Each result is published
+//!   own crew task (enqueued heaviest-first), so free threads load-balance
+//!   dynamically across subgraphs and blocks: the crew's parked helpers,
+//!   and any thread blocked in [`ValidationHandle::wait`], which runs queued
+//!   tasks until its verdict is in. The pipeline owns no thread and no
+//!   queue of its own. Each result is published
 //!   into a lock-free single-writer slot ([`ResultSlots`]) — no mutex on the
 //!   per-transaction result path. Footprint verification (Algorithm 2) is
-//!   *overlapped*: each worker checks its transaction against the block
+//!   *overlapped*: each job checks its transaction against the block
 //!   profile right after executing it, and the first mismatch trips a
 //!   per-block cancellation flag so the block's remaining jobs stop early.
-//! * **Block validation** — the worker that finishes a block's last job
+//! * **Block validation** — the task that finishes a block's last job
 //!   drains the result slots in block order, applies writes, credits
 //!   aggregated fees and checks gas and receipts against the header.
 //!   Independent blocks (same height, or different forks) validate on
-//!   different workers concurrently; there is no second pool.
+//!   different threads concurrently.
 //! * **Block commitment** — publish, then root: the applied post-state is
 //!   indexed by the block's hash and blocks at the next height that were
 //!   parked waiting for this parent are released into execution *before*
@@ -38,7 +41,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use bp_block::{receipts_root, tx_root, Block};
-use bp_concurrent::channel::{unbounded, Receiver, Sender};
+use bp_concurrent::crew::{self, Crew};
 use bp_concurrent::sync::Mutex;
 use bp_concurrent::{ResultSlots, RootLatch};
 use bp_evm::{
@@ -52,7 +55,9 @@ use crate::scheduler::{ConflictGranularity, Scheduler};
 /// Pipeline configuration.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
-    /// Worker-pool size (the paper evaluates 2–16).
+    /// Execution parallelism the pipeline asks the process's crew for (the
+    /// paper evaluates 2–16 workers). It sizes the crew; it does not cap how
+    /// many crew threads run the pipeline's tasks.
     pub workers: usize,
     /// Conflict granularity for the preparation phase.
     pub granularity: ConflictGranularity,
@@ -161,15 +166,64 @@ impl ValidationOutcome {
     }
 }
 
+/// A block's verdict slot: unset, then the outcome — or `None` when the
+/// pipeline let go of the block without one.
+type Slot = Mutex<Option<Option<ValidationOutcome>>>;
+
 /// A handle to one submitted block's eventual outcome.
 pub struct ValidationHandle {
-    rx: Receiver<ValidationOutcome>,
+    slot: Arc<Slot>,
+    crew: Crew,
 }
 
 impl ValidationHandle {
-    /// Blocks until the pipeline has a verdict.
+    /// Blocks until the pipeline has a verdict, running queued crew tasks —
+    /// this block's and any other's — meanwhile. Not to be called from
+    /// inside a crew task.
     pub fn wait(self) -> ValidationOutcome {
-        self.rx.recv().expect("pipeline dropped without verdict")
+        self.crew.help_until(|| self.slot.lock().is_some());
+        let verdict = self.slot.lock().take().expect("the verdict is in");
+        verdict.expect("pipeline dropped without verdict")
+    }
+}
+
+/// The pipeline's end of a [`ValidationHandle`]. Dropped without a verdict —
+/// a task panicked, or the pipeline went with the block still parked — it
+/// makes the waiter panic instead of hanging.
+struct Verdict {
+    slot: Arc<Slot>,
+    crew: Crew,
+}
+
+impl Verdict {
+    fn new(crew: &Crew) -> (Verdict, ValidationHandle) {
+        let slot = Arc::new(Slot::default());
+        let handle = ValidationHandle {
+            slot: Arc::clone(&slot),
+            crew: crew.clone(),
+        };
+        let crew = crew.clone();
+        (Verdict { slot, crew }, handle)
+    }
+
+    fn send(&self, outcome: ValidationOutcome) {
+        self.fill(Some(outcome));
+    }
+
+    /// Sets the slot unless it is set, and wakes the waiters to look.
+    fn fill(&self, verdict: Option<ValidationOutcome>) {
+        let mut slot = self.slot.lock();
+        if slot.is_none() {
+            *slot = Some(verdict);
+            drop(slot);
+            self.crew.notify_waiters();
+        }
+    }
+}
+
+impl Drop for Verdict {
+    fn drop(&mut self) {
+        self.fill(None);
     }
 }
 
@@ -207,8 +261,9 @@ struct BlockTask {
     /// jobs of this block stop instead of executing to completion.
     cancelled: AtomicBool,
     abort: AtomicU64,
+    /// Transactions executed, added once per job.
     executed: AtomicUsize,
-    verdict: Sender<ValidationOutcome>,
+    verdict: Verdict,
     prepare: Duration,
     submitted: Instant,
     exec_start: OnceLock<Instant>,
@@ -238,21 +293,8 @@ impl BlockTask {
     }
 }
 
-struct ExecJob {
-    task: Arc<BlockTask>,
-    /// One dependency subgraph's transaction indices, ascending (block
-    /// order).
-    txs: Vec<usize>,
-}
-
-/// What a worker receives: a job, or the order to stop.
-enum WorkerMsg {
-    Job(ExecJob),
-    Stop,
-}
-
 /// A block parked until its parent validates, and where its verdict goes.
-type Parked = (Arc<Block>, Sender<ValidationOutcome>);
+type Parked = (Arc<Block>, Verdict);
 
 /// What a block starts from: the state it executes on and the root verdict
 /// its own verdict chains on. The index holds one for every hash a child can
@@ -312,49 +354,35 @@ impl StateIndex {
     }
 }
 
-/// Everything needed to push a prepared block into the worker pool. Shared
-/// by the public API and the workers (which release parked children).
+/// Everything needed to push a prepared block onto the crew. Shared by the
+/// public API and the tasks (which release parked children).
 struct Starter {
     scheduler: Scheduler,
-    job_tx: Sender<WorkerMsg>,
+    crew: Crew,
     index: Arc<Mutex<StateIndex>>,
-    /// Code-analysis cache shared by every exec worker across every block.
+    /// Code-analysis cache shared by every job across every block.
     cache: Arc<AnalysisCache>,
 }
 
 /// The four-stage validator pipeline.
 pub struct ValidatorPipeline {
     starter: Arc<Starter>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ValidatorPipeline {
-    /// Spawns the worker pool.
+    /// A pipeline whose tasks run on the calling thread's current crew (the
+    /// process's, outside [`Crew::install`]), grown to `config.workers`.
     pub fn new(config: PipelineConfig) -> Self {
         assert!(config.workers > 0);
-        let (job_tx, job_rx) = unbounded::<WorkerMsg>();
+        let crew = crew::current();
+        crew.reserve(config.workers);
         let starter = Arc::new(Starter {
             scheduler: Scheduler::new(config.granularity),
-            job_tx,
+            crew,
             index: Arc::default(),
             cache: AnalysisCache::global(),
         });
-        let workers = (0..config.workers)
-            .map(|_| {
-                let starter = Arc::clone(&starter);
-                let job_rx: Receiver<WorkerMsg> = job_rx.clone();
-                std::thread::spawn(move || {
-                    while let Ok(WorkerMsg::Job(job)) = job_rx.recv() {
-                        run_job(&job);
-                        // The worker that finishes a block's last job applies it.
-                        if job.task.remaining_jobs.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            apply_block(job.task, &starter);
-                        }
-                    }
-                })
-            })
-            .collect();
-        ValidatorPipeline { starter, workers }
+        ValidatorPipeline { starter }
     }
 
     /// Registers a trusted base state (e.g. the genesis post-state) so
@@ -385,7 +413,7 @@ impl ValidatorPipeline {
     /// (the validator's chain store keeps the same allocation): the pipeline
     /// holds a refcount instead of its own copy.
     pub fn submit_shared(&self, block: Arc<Block>) -> ValidationHandle {
-        let (tx, rx) = unbounded();
+        let (tx, handle) = Verdict::new(&self.starter.crew);
         let parent_hash = block.header.parent_hash;
         // One look under the lock decides: a root verdict may un-publish the
         // parent at any moment after it.
@@ -404,7 +432,7 @@ impl ValidatorPipeline {
                 .or_default()
                 .push((block, tx));
         }
-        ValidationHandle { rx }
+        handle
     }
 
     /// Convenience: submit and wait.
@@ -418,29 +446,6 @@ impl ValidatorPipeline {
     pub fn state_of(&self, hash: &BlockHash) -> Option<Arc<WorldState>> {
         let idx = self.starter.index.lock();
         idx.settled(hash).map(|p| Arc::clone(&p.state))
-    }
-
-    /// Shuts the pipeline down, joining all threads.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    /// One stop message per worker, then a join. A worker blocked in
-    /// `apply_block` waits on a parent another worker is applying, so every
-    /// worker reaches its stop message.
-    fn shutdown_inner(&mut self) {
-        for _ in &self.workers {
-            let _ = self.starter.job_tx.send(WorkerMsg::Stop);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for ValidatorPipeline {
-    fn drop(&mut self) {
-        self.shutdown_inner();
     }
 }
 
@@ -464,7 +469,7 @@ fn rejection_outcome(
 /// Sends every block of `doomed` its `ParentInvalid` verdict.
 fn reject_descendants(doomed: Vec<Parked>) {
     for (block, verdict) in doomed {
-        let _ = verdict.send(rejection_outcome(
+        verdict.send(rejection_outcome(
             block.hash(),
             block.height(),
             ValidationError::ParentInvalid,
@@ -502,34 +507,44 @@ impl StateView for JobView<'_> {
     }
 }
 
-fn run_job(job: &ExecJob) {
-    let task = &job.task;
-    if job.txs.is_empty() {
+/// Runs one job — one dependency subgraph's transaction indices, ascending
+/// (block order) — then counts its executed transactions into the block's
+/// total: one write to the shared counter a job, not one a transaction.
+fn run_job(task: &BlockTask, txs: &[usize]) {
+    if txs.is_empty() {
         return; // a header rejection's or an empty block's one job
     }
     task.exec_start.get_or_init(Instant::now);
+    let executed = execute_subgraph(task, txs);
+    task.executed.fetch_add(executed, Ordering::Relaxed);
+}
+
+/// Executes one dependency subgraph's transactions in block order and
+/// returns how many executed.
+fn execute_subgraph(task: &BlockTask, txs: &[usize]) -> usize {
     let mut view = JobView {
         base: &task.base,
         overlay: FxHashMap::default(),
         code_overlay: FxHashMap::default(),
     };
-    for &i in &job.txs {
+    let mut executed = 0;
+    for &i in txs {
         // Early abort: a sibling job (or an earlier transaction of this
         // one) found a mismatch — this block can never validate, stop
-        // burning workers on it.
+        // burning threads on it.
         if task.cancelled.load(Ordering::Acquire) {
-            return;
+            return executed;
         }
         let tx: &Transaction = &task.block.transactions[i];
         match execute_transaction_in(&task.cache, &view, &task.env, tx) {
             Ok(result) => {
-                task.executed.fetch_add(1, Ordering::Relaxed);
+                executed += 1;
                 // Overlapped verification (Algorithm 2): check the replayed
                 // footprint against the block profile right here, while
                 // sibling jobs still execute.
                 if !task.block.profile.matches(i, &result.rw) {
                     task.record_abort(i, ABORT_KIND_PROFILE);
-                    return;
+                    return executed;
                 }
                 for (key, value) in &result.rw.writes {
                     view.overlay.insert(*key, *value);
@@ -550,23 +565,23 @@ fn run_job(job: &ExecJob) {
             Err(TxError::BadNonce { .. })
             | Err(TxError::InsufficientFunds)
             | Err(TxError::IntrinsicGas) => {
-                task.executed.fetch_add(1, Ordering::Relaxed);
                 task.record_abort(i, ABORT_KIND_REJECTED);
-                return;
+                return executed + 1;
             }
         }
     }
+    executed
 }
 
 // ---------------------------------------------------------------------------
-// Block-validation + commitment phases (on the finishing worker)
+// Block-validation + commitment phases (on the finishing task)
 // ---------------------------------------------------------------------------
 
 impl Starter {
     /// Preparation phase for a block whose parent state is available:
     /// header checks first (a malformed block is rejected before any
     /// transaction executes), then scheduling and job dispatch.
-    fn start_block(&self, block: Arc<Block>, verdict: Sender<ValidationOutcome>, parent: Parent) {
+    fn start_block(self: &Arc<Self>, block: Arc<Block>, verdict: Verdict, parent: Parent) {
         let env = BlockEnv {
             coinbase: block.header.coinbase,
             number: block.header.height,
@@ -576,7 +591,7 @@ impl Starter {
         let t0 = Instant::now();
         // Cheap header commitments, checked before execution (fail fast):
         // a tampered transaction list or a profile of the wrong length can
-        // never validate, so don't spend a single worker slot on it.
+        // never validate, so don't spend a single crew task on it.
         let header_error = if block.header.tx_root != tx_root(&block.transactions) {
             Some(ValidationError::TxRootMismatch)
         } else if block.profile.len() != block.transactions.len() {
@@ -586,7 +601,7 @@ impl Starter {
         } else {
             None
         };
-        // Heaviest subgraph first: the pool drains big components early, so
+        // Heaviest subgraph first: the crew drains big components early, so
         // stragglers don't trail the block's completion. Header rejections
         // and empty blocks get one empty job, so the commitment bookkeeping
         // (invalid-set insert, parked-children release) stays in one place.
@@ -621,12 +636,16 @@ impl Starter {
             exec_start: OnceLock::new(),
             cache: Arc::clone(&self.cache),
         });
-        for txs in jobs {
-            let _ = self.job_tx.send(WorkerMsg::Job(ExecJob {
-                task: Arc::clone(&task),
-                txs,
-            }));
-        }
+        self.crew.spawn_all(jobs.into_iter().map(|txs| {
+            let (task, starter) = (Arc::clone(&task), Arc::clone(self));
+            move || {
+                run_job(&task, &txs);
+                // The task that finishes a block's last job applies it.
+                if task.remaining_jobs.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    apply_block(task, &starter);
+                }
+            }
+        }));
     }
 }
 
@@ -641,19 +660,23 @@ impl Starter {
 /// chains on the parent's latch, so an invalid ancestor still poisons every
 /// descendant.
 ///
-/// It runs on the worker that finished the block's last job. Why this cannot
-/// deadlock or misorder, at any pool size down to one worker: a block's jobs
-/// are queued only after its parent *published* (children are released at
-/// publish time, and handed the parent's latch with its state), and by then
-/// the parent's `apply_block` is already running on the thread that
-/// published it, which settles the parent's latch before returning. A worker
-/// blocked here — on the parent's pending commit or on its latch — therefore
-/// waits on an apply already in progress on another thread, never on a job
-/// still in the queue. Those waits chain parent-ward, up published blocks,
-/// ending at a trusted registered state (no latch), so the chain always
-/// drains — and every verdict, commit publication, and header check still
-/// happens after the roots it depends on are known.
-fn apply_block(task: Arc<BlockTask>, starter: &Starter) {
+/// It runs in the crew task that finished the block's last job. Why this
+/// cannot deadlock or misorder, on any crew down to one with no helper at
+/// all: a block's jobs are queued only after its parent *published*
+/// (children are released at publish time, and handed the parent's latch
+/// with its state), and by then the parent's `apply_block` is already
+/// running on the thread that published it, which settles the parent's latch
+/// before returning. A task blocked here — on the parent's pending commit or
+/// on its latch — therefore waits on an apply already in progress on another
+/// thread, never on a task still in the queue (the crew's first rule). The
+/// parent's root may fan out into crew tasks of its own; its thread runs
+/// any of them no helper took and never a task of another scope (the
+/// crew's second rule), so it never picks up this block's apply. Those
+/// waits chain parent-ward, up published blocks, ending at a trusted
+/// registered state (no latch), so the chain always drains — and every
+/// verdict, commit publication, and header check still happens after the
+/// roots it depends on are known.
+fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
     let t0 = Instant::now();
     let exec = task
         .exec_start
@@ -694,8 +717,7 @@ fn apply_block(task: Arc<BlockTask>, starter: &Starter) {
             // Late submitters see the invalid mark; what is parked goes now.
             let doomed = starter.index.lock().poison(hash);
             reject_descendants(doomed);
-            let _ = task
-                .verdict
+            task.verdict
                 .send(outcome(Err(e), None, vec![], t0.elapsed()));
             return;
         }
@@ -745,14 +767,13 @@ fn apply_block(task: Arc<BlockTask>, starter: &Starter) {
     };
     let post_state = ok.then_some(state);
     let receipts = if ok { receipts } else { vec![] };
-    let _ = task
-        .verdict
+    task.verdict
         .send(outcome(result, post_state, receipts, t0.elapsed()));
 }
 
 /// Block validation: drain the execution results in block order, apply
 /// writes, and check the block-level commitments. Per-transaction footprint
-/// checks (Algorithm 2) already ran inside the workers; a recorded abort
+/// checks (Algorithm 2) already ran inside the jobs; a recorded abort
 /// short-circuits here. The state root is not compared here: the caller
 /// hashes it after publishing and settles the block's [`RootLatch`].
 fn validate_and_apply(task: &BlockTask) -> Result<(WorldState, Vec<Receipt>), ValidationError> {
@@ -847,6 +868,12 @@ mod tests {
         proposer.propose(&pool, Arc::clone(base), parent, height)
     }
 
+    /// A crew with no helper — every task runs on a thread in
+    /// [`ValidationHandle::wait`] — and the process's crew.
+    fn crews() -> [Crew; 2] {
+        [Crew::new(0), Crew::global().clone()]
+    }
+
     fn pipeline_with_genesis(
         workers: usize,
         world: &Arc<WorldState>,
@@ -874,7 +901,6 @@ mod tests {
         assert_eq!(outcome.receipts.len(), proposal.block.tx_count());
         assert_eq!(outcome.executed_txs, proposal.block.tx_count());
         assert!(!outcome.aborted_early);
-        pipeline.shutdown();
     }
 
     #[test]
@@ -885,7 +911,6 @@ mod tests {
         proposal.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
         let outcome = pipeline.validate_block(proposal.block);
         assert_eq!(outcome.result, Err(ValidationError::StateRootMismatch));
-        pipeline.shutdown();
     }
 
     #[test]
@@ -903,7 +928,6 @@ mod tests {
             Err(ValidationError::ProfileMismatch { index: 0 })
         );
         assert!(outcome.aborted_early);
-        pipeline.shutdown();
     }
 
     #[test]
@@ -911,16 +935,15 @@ mod tests {
         let world = Arc::new(funded_world(10));
         let mut proposal = propose_transfers(&world, BlockHash::from_low_u64(1), 1, 1..5, 0);
         proposal.block.transactions.swap(0, 1);
-        // One worker too: the rejection's one empty job is applied by the
-        // worker that runs it.
-        for workers in [1, 2] {
-            let (pipeline, _) = pipeline_with_genesis(workers, &world);
+        // No helper too: the rejection's one empty job is applied by the
+        // waiting thread that runs it.
+        for crew in crews() {
+            let (pipeline, _) = crew.install(|| pipeline_with_genesis(2, &world));
             let outcome = pipeline.validate_block(proposal.block.clone());
             assert_eq!(outcome.result, Err(ValidationError::TxRootMismatch));
             // Fail fast: the header check runs at preparation, so not a
             // single transaction of the doomed block reaches a worker.
             assert_eq!(outcome.executed_txs, 0);
-            pipeline.shutdown();
         }
     }
 
@@ -936,7 +959,6 @@ mod tests {
             Err(ValidationError::ProfileMismatch { .. })
         ));
         assert_eq!(outcome.executed_txs, 0);
-        pipeline.shutdown();
     }
 
     #[test]
@@ -950,25 +972,26 @@ mod tests {
             outcome.result,
             Err(ValidationError::GasMismatch { .. })
         ));
-        pipeline.shutdown();
     }
 
     #[test]
     fn early_abort_stops_remaining_subgraph_jobs() {
-        // One worker drains the subgraph jobs sequentially; tampering the
-        // first-dispatched subgraph's transaction must cancel the rest of
-        // the block before it executes.
+        // With no helper, the waiting thread drains the subgraph jobs
+        // sequentially; tampering the first-dispatched subgraph's
+        // transaction must cancel the rest of the block before it executes.
         let world = Arc::new(funded_world(10));
-        let pipeline = ValidatorPipeline::new(PipelineConfig {
-            workers: 1,
-            ..PipelineConfig::default()
+        let pipeline = Crew::new(0).install(|| {
+            ValidatorPipeline::new(PipelineConfig {
+                workers: 1,
+                ..PipelineConfig::default()
+            })
         });
         let genesis = BlockHash::from_low_u64(1);
         pipeline.register_state(genesis, Arc::clone(&world));
         let mut proposal = propose_transfers(&world, genesis, 1, 1..9, 0);
         let n = proposal.block.tx_count();
         // Equal-gas singleton subgraphs dispatch ascending by first member,
-        // so tx 0 executes first on the single worker.
+        // so tx 0 executes first on the single thread.
         let entry = &mut proposal.block.profile.entries[0];
         let key = *entry.writes.keys().next().unwrap();
         entry.writes.insert(key, U256::from(0xBAD_u64));
@@ -983,7 +1006,6 @@ mod tests {
             "abort should cut execution short: executed {} of {n}",
             outcome.executed_txs
         );
-        pipeline.shutdown();
     }
 
     #[test]
@@ -1002,7 +1024,6 @@ mod tests {
         let ob = hb.wait();
         assert!(oa.is_valid(), "{:?}", oa.result);
         assert!(ob.is_valid(), "{:?}", ob.result);
-        pipeline.shutdown();
     }
 
     #[test]
@@ -1028,7 +1049,6 @@ mod tests {
             oc.post_state.unwrap().state_root(),
             child.post_state.state_root()
         );
-        pipeline.shutdown();
     }
 
     #[test]
@@ -1049,7 +1069,6 @@ mod tests {
         let hp = pipeline.submit(parent.block);
         assert!(!hp.wait().is_valid());
         assert_eq!(hc.wait().result, Err(ValidationError::ParentInvalid));
-        pipeline.shutdown();
     }
 
     #[test]
@@ -1080,7 +1099,6 @@ mod tests {
             pipeline.validate_block(b4.block).result,
             Err(ValidationError::ParentInvalid)
         );
-        pipeline.shutdown();
     }
 
     #[test]
@@ -1088,12 +1106,11 @@ mod tests {
         let world = Arc::new(funded_world(2));
         let proposal = propose_transfers(&world, BlockHash::from_low_u64(1), 1, 1..1, 0); // no txs
         assert_eq!(proposal.block.tx_count(), 0);
-        for workers in [1, 2] {
-            let (pipeline, _) = pipeline_with_genesis(workers, &world);
+        for crew in crews() {
+            let (pipeline, _) = crew.install(|| pipeline_with_genesis(2, &world));
             let outcome = pipeline.validate_block(proposal.block.clone());
             assert!(outcome.is_valid(), "{:?}", outcome.result);
             assert_eq!(outcome.executed_txs, 0);
-            pipeline.shutdown();
         }
     }
 
@@ -1110,14 +1127,14 @@ mod tests {
             chain.push(p);
         }
         // Deepest first (every child parks), in order (a child may find its
-        // parent published with the root still hashing), and mixed — on one
-        // worker, which must apply each block it finishes and still drain
-        // the chain, and on three.
-        for (workers, order) in [1, 3]
-            .into_iter()
-            .flat_map(|w| [[3, 2, 1, 0], [0, 1, 2, 3], [2, 0, 3, 1]].map(|o| (w, o)))
-        {
-            let (pipeline, _) = pipeline_with_genesis(workers, &world);
+        // parent published with the root still hashing), and mixed — with
+        // no helper, where the waiting thread must apply each block it
+        // finishes and still drain the chain, and on the process's crew
+        // grown to three.
+        for (workers, crew, order) in crews().into_iter().zip([1, 3]).flat_map(|(crew, w)| {
+            [[3, 2, 1, 0], [0, 1, 2, 3], [2, 0, 3, 1]].map(|o| (w, crew.clone(), o))
+        }) {
+            let (pipeline, _) = crew.install(|| pipeline_with_genesis(workers, &world));
             let mut handles: Vec<_> = order
                 .iter()
                 .map(|&i| (i, pipeline.submit(chain[i].block.clone())))
@@ -1136,14 +1153,19 @@ mod tests {
                     "{workers} workers, {order:?}"
                 );
             }
-            pipeline.shutdown();
         }
     }
 
     #[test]
     fn rejects_tampered_root_with_descendants_in_flight() {
+        for crew in crews() {
+            rejects_tampered_root_with_descendants_in_flight_on(&crew);
+        }
+    }
+
+    fn rejects_tampered_root_with_descendants_in_flight_on(crew: &Crew) {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let (pipeline, genesis) = crew.install(|| pipeline_with_genesis(2, &world));
         let mut b1 = propose_transfers(&world, genesis, 1, 1..5, 0);
         b1.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
         let s1 = Arc::new(b1.post_state.clone());
@@ -1172,7 +1194,6 @@ mod tests {
             pipeline.validate_block(late.block).result,
             Err(ValidationError::ParentInvalid)
         );
-        pipeline.shutdown();
     }
 
     #[test]
@@ -1184,6 +1205,5 @@ mod tests {
         assert!(outcome.is_valid());
         // Execution of 8 transfers takes nonzero wall time.
         assert!(outcome.timings.execute > Duration::ZERO);
-        pipeline.shutdown();
     }
 }

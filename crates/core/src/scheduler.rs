@@ -88,7 +88,7 @@ impl Scheduler {
 
     /// Builds the heaviest-first dependency subgraphs of a block without
     /// packing them into lanes — the unit of work for subgraph-granular
-    /// dispatch, where every component becomes its own pool job.
+    /// dispatch, where every component becomes its own crew task.
     pub fn subgraphs(&self, profile: &BlockProfile) -> Vec<Subgraph> {
         let gas: Vec<Gas> = profile.entries.iter().map(|e| e.gas_used).collect();
         self.subgraphs_with_gas(profile, &gas)

@@ -561,6 +561,94 @@ impl Trie {
 }
 
 // ---------------------------------------------------------------------------
+// A batch applied in parts
+// ---------------------------------------------------------------------------
+
+/// A trie opened below its root for one batch applied in parts: each of the
+/// sixteen subtrees under the root branch takes the updates whose keys start
+/// with its nibble, on whichever thread, and [`Split::join`] puts a root back
+/// over them. The result is the trie [`Trie::apply_sorted`] gives for the
+/// whole batch — MPT structure is a function of the key set — node for node.
+pub(crate) struct Split {
+    /// The trie as it was, kept when no subtree changes.
+    old: Trie,
+    subtries: [Subtrie; 16],
+}
+
+/// One subtree under a [`Split`] trie's root.
+pub(crate) struct Subtrie {
+    old: Option<Child>,
+    /// The subtree after its updates, hashed; `None` while untouched.
+    new: Option<Option<Child>>,
+}
+
+impl Trie {
+    /// The trie opened at its root: `None` unless the root is a branch
+    /// without a value or the trie is empty. (A root leaf or extension
+    /// holds too few keys for a batch worth splitting.)
+    pub(crate) fn split(&self) -> Option<Split> {
+        let children = match &self.root {
+            None => std::array::from_fn(|_| None),
+            Some(Child {
+                node: Node::Branch(branch),
+                ..
+            }) if branch.value.is_none() => branch.children.clone(),
+            Some(_) => return None,
+        };
+        Some(Split {
+            old: self.clone(),
+            subtries: children.map(|old| Subtrie { old, new: None }),
+        })
+    }
+}
+
+impl Split {
+    /// The subtrees, by first nibble.
+    pub(crate) fn subtries(&mut self) -> &mut [Subtrie; 16] {
+        &mut self.subtries
+    }
+
+    /// The trie with the subtrees as they are now: a new root over them,
+    /// hashed, or — a root branch left with one child — that child with its
+    /// nibble merged into its path.
+    pub(crate) fn join(self) -> Trie {
+        if self.subtries.iter().all(|sub| sub.new.is_none()) {
+            return self.old;
+        }
+        let slots = self
+            .subtries
+            .map(|sub| sub.new.unwrap_or(sub.old).map(Sub::Kept));
+        let mut root = finish_branch(slots, None).map(Sub::into_child);
+        commit_levels(root.iter_mut());
+        Trie { root }
+    }
+}
+
+impl Subtrie {
+    /// Applies updates that are sorted, distinct and all under this subtree's
+    /// nibble, in one descent, leaving the nodes it creates pending for
+    /// [`commit_subtries`].
+    pub(crate) fn apply_sorted_pending<K: AsRef<[u8]>>(&mut self, updates: &mut [Update<K>]) {
+        debug_assert!(
+            updates
+                .windows(2)
+                .all(|w| w[0].0.as_ref() < w[1].0.as_ref())
+                && updates
+                    .iter()
+                    .all(|u| nibble_at(u.0.as_ref(), 0) == nibble_at(updates[0].0.as_ref(), 0)),
+            "batch keys must be sorted, distinct and under one nibble"
+        );
+        self.new = Some(apply(self.old.as_ref(), 1, updates).map(Sub::into_child));
+    }
+}
+
+/// Hashes what [`Subtrie::apply_sorted_pending`] left pending in
+/// `subtries`, all of them level by level together.
+pub(crate) fn commit_subtries<'a>(subtries: impl Iterator<Item = &'a mut Subtrie>) {
+    commit_levels(subtries.filter_map(|sub| sub.new.as_mut().and_then(Option::as_mut)));
+}
+
+// ---------------------------------------------------------------------------
 // The batch descent
 // ---------------------------------------------------------------------------
 

@@ -40,6 +40,7 @@
 
 use std::sync::Arc;
 
+use bp_concurrent::crew::{self, Crew, Priority};
 use bp_concurrent::sync::Mutex;
 use bp_concurrent::RootLatch;
 use bp_crypto::{keccak256, keccak256_batch};
@@ -51,7 +52,12 @@ use bp_types::{FxHashMap as HashMap, FxHashSet as HashSet};
 
 use crate::account::{empty_code_hash, Account};
 use crate::pmap::PMap;
-use crate::trie::{self, Trie};
+use crate::trie::{self, Subtrie, Trie};
+
+/// Dirty accounts from which a commit fans out into crew tasks, when its
+/// crew has an idle helper: below it the hand-off costs more than the
+/// second thread saves (EXPERIMENTS.md, "One crew for the node").
+pub const FAN_OUT_MIN: usize = 128;
 
 /// One account's in-memory state.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -534,33 +540,34 @@ impl WorldState {
             entry.0 = key.0;
         }
         dirty.sort_unstable_by_key(|entry| entry.0);
-        // Storage first: each account's trie is patched with its new nodes
-        // left pending, and the tries of the whole block are hashed level
-        // by level together. The account bodies need their roots.
-        let mut states: Vec<_> = dirty
-            .iter()
-            .map(|(_, addr, dirt)| {
-                // An absent or EIP-161-empty account is dropped whatever its
-                // storage trie held.
-                let acct = self
-                    .accounts
-                    .get(addr)
-                    .map(|acct| &**acct)
-                    .filter(|acct| !acct.is_empty());
-                let prev = commit.storage_tries.get(addr);
-                let patched = acct.and_then(|acct| patched_storage(dirt, acct, prev));
-                (acct, prev, patched)
-            })
-            .collect();
-        trie::commit_pending(states.iter_mut().filter_map(|state| state.2.as_mut()));
-        let mut bodies = Vec::with_capacity(dirty.len());
-        let mut replaced = Vec::new();
-        for ((key, addr, _), (acct, prev, patched)) in dirty.into_iter().zip(states) {
-            let update = account_update(acct, prev, patched);
-            bodies.push((key, update.body));
-            replaced.extend(update.storage_trie.map(|trie| (addr, trie)));
-        }
-        commit.account_trie.apply_sorted(&mut bodies);
+        // A large batch fans out when a helper is idle: the root's subtrees,
+        // with the storage tries of the accounts under them, are patched as
+        // crew tasks. With every helper busy there is no core to gain and
+        // the split costs its own bookkeeping, so the batch stays whole.
+        let crew = crew::current();
+        let shards = match dirty.len() >= fan_out_min() {
+            true => (crew.idle_helpers() + 1).min(16),
+            false => 1,
+        };
+        let split = (shards > 1).then(|| commit.account_trie.split()).flatten();
+        let replaced = match split {
+            None => {
+                let (mut bodies, replaced) = self.account_updates(&commit.storage_tries, &dirty);
+                commit.account_trie.apply_sorted(&mut bodies);
+                replaced
+            }
+            Some(mut split) => {
+                let replaced = self.commit_shards(
+                    &crew,
+                    shards,
+                    &commit.storage_tries,
+                    &dirty,
+                    split.subtries(),
+                );
+                commit.account_trie = split.join();
+                replaced
+            }
+        };
         for (addr, storage_trie) in replaced {
             if storage_trie.is_empty() {
                 commit.storage_tries.remove(&addr);
@@ -576,6 +583,130 @@ impl WorldState {
         );
         commit
     }
+
+    /// The account-trie updates of `dirty` (sorted by hashed address) and
+    /// the storage tries to retain from now on. Storage first: each
+    /// account's trie is patched with its new nodes left pending, and the
+    /// tries of the whole batch are hashed level by level together. The
+    /// account bodies need their roots.
+    fn account_updates(
+        &self,
+        storage_tries: &PMap<Address, Trie>,
+        dirty: &[(HashedKey, Address, DirtyAccount)],
+    ) -> (Vec<TrieUpdate>, Vec<(Address, Trie)>) {
+        let mut states: Vec<_> = dirty
+            .iter()
+            .map(|(_, addr, dirt)| {
+                // An absent or EIP-161-empty account is dropped whatever its
+                // storage trie held.
+                let acct = self
+                    .accounts
+                    .get(addr)
+                    .map(|acct| &**acct)
+                    .filter(|acct| !acct.is_empty());
+                let prev = storage_tries.get(addr);
+                let patched = acct.and_then(|acct| patched_storage(dirt, acct, prev));
+                (acct, prev, patched)
+            })
+            .collect();
+        trie::commit_pending(states.iter_mut().filter_map(|state| state.2.as_mut()));
+        let mut bodies = Vec::with_capacity(dirty.len());
+        let mut replaced = Vec::new();
+        for ((key, addr, _), (acct, prev, patched)) in dirty.iter().zip(states) {
+            let update = account_update(acct, prev, patched);
+            bodies.push((*key, update.body));
+            replaced.extend(update.storage_trie.map(|trie| (*addr, trie)));
+        }
+        (bodies, replaced)
+    }
+
+    /// [`WorldState::account_updates`] applied to the account trie's
+    /// subtrees in up to `shards` crew tasks, this thread running the first
+    /// and any no helper took. A shard is a run of whole first-nibble groups
+    /// with about an equal share of the work — an account and each of its
+    /// dirty slots counting one — and patches its accounts' storage tries,
+    /// then its subtrees. Returns the storage tries to retain.
+    fn commit_shards(
+        &self,
+        crew: &Crew,
+        shards: usize,
+        storage_tries: &PMap<Address, Trie>,
+        dirty: &[(HashedKey, Address, DirtyAccount)],
+        subtries: &mut [Subtrie; 16],
+    ) -> Vec<(Address, Trie)> {
+        let nibble = |key: &HashedKey| usize::from(key[0] >> 4);
+        let mut work = [0usize; 16];
+        for (key, addr, dirt) in dirty {
+            work[nibble(key)] += 1 + match dirt {
+                DirtyAccount::Slots(slots) => slots.len(),
+                DirtyAccount::Full => self.accounts.get(addr).map_or(0, |a| a.storage.len()),
+            };
+        }
+        let total: usize = work.iter().sum();
+        let mut parts = Vec::with_capacity(shards);
+        let (mut rest, mut rest_subtries) = (dirty, &mut subtries[..]);
+        let (mut first, mut done, mut cuts) = (0, 0, 0);
+        for (n, work) in work.iter().enumerate() {
+            done += work;
+            if n < 15 && done * shards < total * (cuts + 1) {
+                continue;
+            }
+            cuts += 1;
+            let (part, tail) = rest.split_at(rest.partition_point(|(key, ..)| nibble(key) <= n));
+            let (part_subtries, subtries_tail) =
+                std::mem::take(&mut rest_subtries).split_at_mut(n + 1 - first);
+            if !part.is_empty() {
+                parts.push((part, part_subtries, first));
+            }
+            (rest, rest_subtries, first) = (tail, subtries_tail, n + 1);
+        }
+        let mut replaced: Vec<Vec<(Address, Trie)>> = parts.iter().map(|_| Vec::new()).collect();
+        crew.scope(Priority::Urgent, |s| {
+            let mut shards = parts.into_iter().zip(&mut replaced);
+            let own = shards.next();
+            for ((part, subtries, first), out) in shards {
+                s.spawn(move || *out = self.commit_shard(storage_tries, part, subtries, first));
+            }
+            if let Some(((part, subtries, first), out)) = own {
+                *out = self.commit_shard(storage_tries, part, subtries, first);
+            }
+        });
+        replaced.into_iter().flatten().collect()
+    }
+
+    /// One shard of [`WorldState::commit_shards`]: `dirty`, whose hashed
+    /// addresses all start with a nibble of `subtries` (the first of them
+    /// `first`), patched into those subtrees, whose new nodes are then hashed
+    /// level by level together.
+    fn commit_shard(
+        &self,
+        storage_tries: &PMap<Address, Trie>,
+        dirty: &[(HashedKey, Address, DirtyAccount)],
+        subtries: &mut [Subtrie],
+        first: usize,
+    ) -> Vec<(Address, Trie)> {
+        let (mut bodies, replaced) = self.account_updates(storage_tries, dirty);
+        let mut rest = &mut bodies[..];
+        for (n, subtrie) in (first..).zip(subtries.iter_mut()) {
+            let end = rest.partition_point(|(key, _)| usize::from(key[0] >> 4) == n);
+            let (group, tail) = std::mem::take(&mut rest).split_at_mut(end);
+            if !group.is_empty() {
+                subtrie.apply_sorted_pending(group);
+            }
+            rest = tail;
+        }
+        trie::commit_subtries(subtries.iter_mut());
+        replaced
+    }
+}
+
+/// [`FAN_OUT_MIN`], or in this crate's tests what the running test set.
+fn fan_out_min() -> usize {
+    #[cfg(test)]
+    if let Some(min) = FAN_OUT_FROM.get() {
+        return min;
+    }
+    FAN_OUT_MIN
 }
 
 /// A `refresh` between installing its pending commit and settling it.
@@ -608,6 +739,9 @@ impl Drop for Hashing<'_> {
 
 #[cfg(test)]
 thread_local! {
+    /// Replaces [`FAN_OUT_MIN`] for the commits this thread makes, so that a
+    /// test's small batches fan out too.
+    static FAN_OUT_FROM: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
     /// Runs once, on this thread, in the next `refresh` that hashes, right
     /// after it installs its pending commit: lets a test hold a root pending
     /// or make its hashing panic.
@@ -633,9 +767,12 @@ fn nonzero_slots(acct: &AccountState) -> HashMap<H256, U256> {
 /// A trie key: `keccak(address)` or `keccak(slot)`.
 type HashedKey = [u8; 32];
 
+/// A trie update: the key, and the new value (`None` removes the key).
+type TrieUpdate = (HashedKey, Option<Vec<u8>>);
+
 /// Applies updates keyed by hash to `trie` in one descent, leaving the nodes
 /// it creates pending ([`trie::commit_pending`]).
-fn apply_hashed(trie: &mut Trie, mut updates: Vec<(HashedKey, Option<Vec<u8>>)>) {
+fn apply_hashed(trie: &mut Trie, mut updates: Vec<TrieUpdate>) {
     updates.sort_unstable_by_key(|update| update.0);
     trie.apply_sorted_pending(&mut updates);
 }
@@ -719,7 +856,7 @@ fn account_update(
 
 /// Storage-trie updates for slots and their values (zero removes the slot):
 /// the slots hashed as one batch.
-fn storage_leaves(slots: Vec<(&H256, U256)>) -> Vec<(HashedKey, Option<Vec<u8>>)> {
+fn storage_leaves(slots: Vec<(&H256, U256)>) -> Vec<TrieUpdate> {
     let keys = keccak256_batch(slots.iter().map(|(slot, _)| slot.as_bytes()));
     let leaf = |value: &U256| (!value.is_zero()).then(|| storage_leaf(value));
     keys.into_iter()
@@ -1412,6 +1549,14 @@ mod tests {
 
     #[test]
     fn stress_pending_commits_on_forked_snapshot_chains() {
+        // As the product commits, then with every commit fanned out into
+        // crew tasks, however few accounts it dirtied.
+        for fan_out_from in [None, Some(1)] {
+            stress_pending_commits(fan_out_from);
+        }
+    }
+
+    fn stress_pending_commits(fan_out_from: Option<usize>) {
         use bp_types::Rng;
 
         const THREADS: u64 = 4;
@@ -1426,6 +1571,7 @@ mod tests {
                 .map(|t| {
                     let tips = Arc::clone(&tips);
                     thread::spawn(move || {
+                        FAN_OUT_FROM.set(fan_out_from);
                         let mut rng = Rng::seed_from_u64(0x9e4d_0100 + t);
                         for round in 0..ROUNDS {
                             let tip = |rng: &mut Rng| {
@@ -1464,7 +1610,11 @@ mod tests {
                                 thread::yield_now();
                             }
                             let root = child.state_root();
-                            assert_eq!(root, child.rebuild_root(), "thread {t}, round {round}");
+                            assert_eq!(
+                                root,
+                                child.rebuild_root(),
+                                "fan-out from {fan_out_from:?}, thread {t}, round {round}"
+                            );
                             if rng.gen_range(0..4) == 0 {
                                 let other = tip(&mut rng);
                                 assert_eq!(other.state_root(), other.rebuild_root());

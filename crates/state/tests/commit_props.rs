@@ -3,14 +3,18 @@
 //! all the dirty storage tries, then the account trie), must be
 //! byte-for-byte what hashing them one mutation at a time gives — same root
 //! as the from-scratch `rebuild_root` oracle, same commit-node set — for
-//! any dirty fraction.
+//! any dirty fraction. A commit that fans out into crew tasks must equal the
+//! one-thread commit the same way.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use bp_concurrent::Crew;
 use bp_state::trie::Trie;
+use bp_state::world::FAN_OUT_MIN;
 use bp_state::WorldState;
 use bp_testkit::prelude::*;
-use bp_types::{Address, H256, U256};
+use bp_types::{Address, Rng, H256, U256};
 
 /// A batch of trie updates: `Some` inserts, `None` removes. Keys collide
 /// freely across batches (that's the interesting case) but are deduped
@@ -178,5 +182,103 @@ proptest! {
         prop_assert_eq!(b_root, s_root);
         prop_assert_eq!(b_root, batched.rebuild_root());
         prop_assert_eq!(sorted_nodes(b_nodes), sorted_nodes(s_nodes));
+    }
+}
+
+/// One batch of a commit chain: `count` account writes at accounts `seed`
+/// picks among twice the population (so some are new), each with `slots`
+/// storage writes (none: an account-only batch), some of them zeros that
+/// delete; every seventh account's balance goes to zero.
+#[derive(Clone, Debug)]
+struct DirtyBatch {
+    count: u64,
+    slots: u64,
+    seed: u64,
+}
+
+fn arb_chain() -> impl Strategy<Value = (u64, Vec<DirtyBatch>)> {
+    let most = 2 * FAN_OUT_MIN as u64 + 80;
+    (
+        40u64..400,
+        prop::collection::vec(
+            (
+                1u64..most,
+                prop_oneof![Just(0u64), Just(2), Just(8)],
+                any::<u64>(),
+            ),
+            1..4,
+        ),
+    )
+        .prop_map(|(accounts, batches)| {
+            let batches = batches
+                .into_iter()
+                .map(|(count, slots, seed)| DirtyBatch { count, slots, seed })
+                .collect();
+            (accounts, batches)
+        })
+}
+
+fn apply_batch(world: &mut WorldState, accounts: u64, batch: &DirtyBatch) {
+    let mut rng = Rng::seed_from_u64(batch.seed);
+    for i in 0..batch.count {
+        let addr = Address::from_index(1 + rng.gen_range(0..accounts * 2));
+        let balance = match i % 7 {
+            6 => 0,
+            _ => rng.gen_range(1..1_000_000u64),
+        };
+        world.set_balance(addr, U256::from(balance));
+        for _ in 0..batch.slots {
+            let slot = H256::from_low_u64(rng.gen_range(0..16));
+            world.set_storage(addr, slot, U256::from(rng.gen_range(0..4u64)));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A chain of commits on a crew with idle helpers — each batch at or
+    /// above [`FAN_OUT_MIN`] dirty accounts split into shards of account
+    /// subtrees with their storage tries, the genesis commit too — equals
+    /// the same chain committed on a crew with no helper, which never fans
+    /// out: same roots, the `rebuild_root` oracle's, and the same node sets.
+    /// Each child is forked and committed while its parent's commit may
+    /// still be hashing on another thread, so its commit waits on a pending
+    /// one.
+    #[test]
+    fn sharded_commit_equals_one_thread_commit_and_oracle(chain in arb_chain()) {
+        let (accounts, batches) = chain;
+        let fanned = Crew::new(3);
+        let one_thread = Crew::new(0);
+        let mut genesis = WorldState::new();
+        for i in 1..=accounts {
+            genesis.set_balance(Address::from_index(i), U256::from(1_000 + i));
+            if i % 5 == 0 {
+                genesis.set_storage(Address::from_index(i), H256::from_low_u64(1), U256::from(i));
+            }
+        }
+        let mut sharded = Arc::new(genesis.clone());
+        let mut serial = Arc::new(genesis);
+        for batch in &batches {
+            let hashing = {
+                let (parent, fanned) = (Arc::clone(&sharded), fanned.clone());
+                std::thread::spawn(move || fanned.install(|| parent.state_root()))
+            };
+            let mut child = sharded.snapshot();
+            apply_batch(&mut child, accounts, batch);
+            let (s_root, s_nodes) = fanned.install(|| child.commit_tries());
+            let parent_root = hashing.join().expect("the parent's commit");
+
+            prop_assert_eq!(parent_root, one_thread.install(|| serial.state_root()));
+            prop_assert_eq!(parent_root, sharded.rebuild_root());
+            let mut serial_child = serial.snapshot();
+            apply_batch(&mut serial_child, accounts, batch);
+            let (o_root, o_nodes) = one_thread.install(|| serial_child.commit_tries());
+            prop_assert_eq!(s_root, o_root);
+            prop_assert_eq!(s_root, child.rebuild_root());
+            prop_assert_eq!(sorted_nodes(s_nodes), sorted_nodes(o_nodes));
+            sharded = Arc::new(child);
+            serial = Arc::new(serial_child);
+        }
     }
 }

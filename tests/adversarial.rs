@@ -48,7 +48,6 @@ fn validate(
     });
     pipeline.register_state(parent, Arc::clone(base));
     let outcome = pipeline.validate_block(block);
-    pipeline.shutdown();
     outcome.result
 }
 

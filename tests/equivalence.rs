@@ -120,6 +120,5 @@ fn pipeline_validation_equals_serial_on_random_workloads() {
             proposal.post_state.state_root(),
             "mix {i}: pipeline root diverged"
         );
-        pipeline.shutdown();
     }
 }

@@ -1,5 +1,5 @@
 //! Real-thread multi-block pipeline: several same-height blocks in flight
-//! at once over one shared worker pool (the paper's §5.6 setup on actual
+//! at once over one shared crew (the paper's §5.6 setup on actual
 //! threads rather than virtual time), plus forked chains across heights.
 
 use std::sync::Arc;
@@ -65,7 +65,7 @@ fn four_same_height_blocks_validate_concurrently() {
         proposals.iter().map(|p| p.block.hash()).collect();
     assert_eq!(hashes.len(), 4, "blocks must be distinct");
 
-    // Submit all four before waiting on any: they share the worker pool.
+    // Submit all four before waiting on any: they share the crew.
     let handles: Vec<_> = proposals
         .iter()
         .map(|p| pipeline.submit(p.block.clone()))
@@ -78,7 +78,6 @@ fn four_same_height_blocks_validate_concurrently() {
             proposal.post_state.state_root()
         );
     }
-    pipeline.shutdown();
 }
 
 #[test]
@@ -115,7 +114,6 @@ fn forked_tree_validates_across_heights() {
         let outcome = handle.wait();
         assert!(outcome.is_valid(), "{name}: {:?}", outcome.result);
     }
-    pipeline.shutdown();
 }
 
 #[test]
@@ -149,5 +147,4 @@ fn pipeline_throughput_scales_with_submission_batching() {
     for (root, proposal) in roots.iter().zip(&proposals) {
         assert_eq!(*root, proposal.post_state.state_root());
     }
-    pipeline.shutdown();
 }

@@ -218,3 +218,31 @@ proptest! {
         prop_assert_eq!(committed, txs.len(), "every transaction must land");
     }
 }
+
+/// Sixteen workers ask the process's crew for sixteen threads at once: the
+/// caller and fifteen helpers, started once and kept (the crew's own
+/// `a_scope_at_full_width_runs_every_task_at_once` shows such a scope runs
+/// all sixteen together). The block is the same serializable one.
+#[test]
+fn sixteen_workers_run_on_sixteen_threads() {
+    let actions: Vec<Action> = (0..48u8)
+        .map(|i| Action::Transfer {
+            from: i % 12,
+            to: (i + 5) % 12,
+            amount: 1 + u16::from(i),
+        })
+        .collect();
+    let base = Arc::new(world());
+    let pool = TxPool::new();
+    for tx in build_txs(&actions) {
+        pool.add(tx);
+    }
+    let proposer = OccWsiProposer::new(OccWsiConfig {
+        threads: 16,
+        ..OccWsiConfig::default()
+    });
+    let proposal = proposer.propose(&pool, Arc::clone(&base), BlockHash::ZERO, 1);
+    assert_eq!(proposal.block.tx_count(), actions.len());
+    assert!(blockpilot::concurrent::Crew::global().helpers() >= 15);
+    check_against_oracle(&base, &proposal).expect("serializable");
+}

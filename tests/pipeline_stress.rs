@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use blockpilot::concurrent::Crew;
 use blockpilot::core::{
     ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, ValidationError,
     Validator, ValidatorPipeline,
@@ -93,14 +94,13 @@ fn sixteen_workers_replay_bursts_of_sibling_blocks() {
             );
         }
     }
-    pipeline.shutdown();
 }
 
 #[test]
 fn sixteen_workers_abort_tampered_sibling_without_poisoning_the_rest() {
     // One sibling carries a lying profile entry; its replay must trip the
     // per-block cancellation (ProfileMismatch, aborted_early) while the
-    // valid siblings sharing the same 16-worker pool validate untouched.
+    // valid siblings sharing the same crew validate untouched.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
     let parent = BlockHash::from_low_u64(9);
@@ -145,7 +145,6 @@ fn sixteen_workers_abort_tampered_sibling_without_poisoning_the_rest() {
             proposal.post_state.state_root()
         );
     }
-    pipeline.shutdown();
 }
 
 #[test]
@@ -166,20 +165,22 @@ fn sixteen_workers_reject_tampered_tx_root_with_zero_execution() {
     assert_eq!(outcome.result, Err(ValidationError::TxRootMismatch));
     assert_eq!(outcome.executed_txs, 0, "no transaction may execute");
     assert!(!outcome.aborted_early);
-    pipeline.shutdown();
 }
 
 #[test]
 fn one_worker_still_drains_sibling_burst() {
-    // The pool degenerates to one thread that executes every job and applies
-    // every block it finishes; correctness (exact outcomes, ordered drain of
-    // the slots) must not depend on the pool width.
+    // On a crew with no helper the one thread — the one waiting for the
+    // verdicts — executes every job and applies every block it finishes;
+    // correctness (exact outcomes, ordered drain of the slots) must not
+    // depend on how many threads there are.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
     let parent = BlockHash::from_low_u64(6);
-    let pipeline = ValidatorPipeline::new(PipelineConfig {
-        workers: 1,
-        ..wide_config()
+    let pipeline = Crew::new(0).install(|| {
+        ValidatorPipeline::new(PipelineConfig {
+            workers: 1,
+            ..wide_config()
+        })
     });
     pipeline.register_state(parent, Arc::clone(&base));
 
@@ -199,7 +200,6 @@ fn one_worker_still_drains_sibling_burst() {
             proposal.post_state.state_root()
         );
     }
-    pipeline.shutdown();
 }
 
 #[test]

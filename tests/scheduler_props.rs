@@ -235,7 +235,7 @@ fn propose_transfers(base: &Arc<WorldState>, txs: &[Transaction], parent: BlockH
 }
 
 proptest! {
-    // Each case spins up real worker pools; fewer, heavier cases.
+    // Each case runs real threads; fewer, heavier cases.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
@@ -270,6 +270,5 @@ proptest! {
             outcome.post_state.expect("valid").state_root(),
             serial.post_state.state_root()
         );
-        pipeline.shutdown();
     }
 }
