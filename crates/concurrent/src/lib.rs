@@ -10,12 +10,11 @@
 //! [`VersionAllocator`] hands out the monotonically increasing commit
 //! versions. [`ResultSlots`] gives the validator pipeline a lock-free,
 //! single-writer result array for the transaction-execution phase. [`sync`]
-//! and [`channel`] are the locks and the queue every product crate blocks on,
-//! and [`crew`] is the one set of threads every parallel caller shares.
+//! holds the locks every product crate blocks on, and [`crew`] is the one
+//! set of threads every parallel caller shares.
 
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod crew;
 pub mod latch;
 pub mod reserve;

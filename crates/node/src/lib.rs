@@ -5,19 +5,21 @@
 //! transaction feed filling a capacity-bounded [`bp_txpool::TxPool`], a
 //! [`BlockSource`] — the proposer ([`blockpilot_core::OccWsiProposer`])
 //! packing blocks against its own chain of post-states, or a racer that
-//! also seals same-height siblings — a dedicated wire codec stage, and `K`
+//! also seals same-height siblings — which encodes what it sealed, and `K`
 //! validator nodes — each a full [`blockpilot_core::Validator`] with its
 //! four-stage pipeline, settling every height by a lowest-hash fork choice,
 //! the first optionally backed by a persistent [`bp_store::Store`] that a
-//! later run resumes from — all connected by **bounded channels** so
-//! backpressure propagates stage to stage instead of queues growing without
-//! bound. It is the one proposer → validator loop in the tree.
+//! later run resumes from. It runs on three threads of its own, whatever
+//! `K` is — ingest, proposer and one that serves every validator — joined by
+//! **one bounded channel**, so backpressure reaches the proposer instead of
+//! a queue growing without bound; the parallel work under them runs on the
+//! process's crew. It is the one proposer → validator loop in the tree.
 //!
 //! The point of the assembly is the paper's Figure-1 overlap in wall-clock:
 //! the proposer packs height `N+1` while the wire, validation and
 //! persistence of height `N` are still in flight, held back only by the
-//! bounded channels. [`run_node`] reports per-stage occupancy,
-//! stall shares and queue depths ([`StageStats`]) plus sustained
+//! bounded channel. [`run_node`] reports per-stage occupancy,
+//! stall shares and in-flight depths ([`StageStats`]) plus sustained
 //! committed-tx/s, and can gate the run on a serial replay of the committed
 //! chain ([`serial_replay_root`]) so the overlap can never silently
 //! diverge from serial semantics.

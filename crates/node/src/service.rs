@@ -1,27 +1,32 @@
-//! The streaming node loop: txpool → block source → wire codec → validator
-//! pipeline(s) → store, over bounded channels with backpressure.
+//! The streaming node loop: txpool → block source → validator pipeline(s) →
+//! store, over one bounded channel with backpressure.
 //!
-//! Stage layout (one OS thread each):
+//! Three threads of the node's own, whatever the number of validators `K`;
+//! every parallel piece under them (the proposer's workers, each validator's
+//! pipeline, a large state root) runs on the process's crew:
 //!
 //! ```text
 //!  ingest ──add_batch──▶ TxPool (capacity-bounded)
 //!                          │ turn (engine workers)
-//!                        source ──[Block]──▶ codec ──[Arc<[u8]>]──▶ validator 0 (+ store)
-//!                                 bounded          bounded      └──▶ validator k
+//!                        proposer: seal + encode ──[(height, Arc<[u8]>s)]──▶ validators: 0 (+ store) … K−1
+//!                                                  sync_channel(CHANNEL_DEPTH)
 //! ```
 //!
-//! * Every inter-stage channel is **bounded** at [`CHANNEL_DEPTH`]: a slow
-//!   stage fills its input queue and the sender blocks — that blocked time
-//!   is accounted as *stall* in the sender's [`StageStats`], so the report
+//! * The one channel is **bounded** at [`CHANNEL_DEPTH`]: a slow validators
+//!   thread fills it and the proposer's send blocks — that blocked time is
+//!   accounted as *stall* in the proposer's [`StageStats`], so the report
 //!   names the bottleneck.
-//! * The [`BlockSource`] seals every candidate of a height; a message on
-//!   every channel carries one height. The source chains height `N+1` on its
-//!   own post-state immediately; validation, persistence and the wire all
-//!   run behind it, and only the bounded channels hold it back.
-//! * The codec stage encodes each block **once** and hands the bytes to all
-//!   `K` validator wires as shared `Arc<[u8]>`s — refcount bumps, not
-//!   copies — keeping serialization off the proposer's critical path.
-//! * A validator stage settles a height once all its candidates have a
+//! * The [`BlockSource`] seals every candidate of a height; a message
+//!   carries one height. The proposer chains height `N+1` on its own
+//!   post-state immediately; validation, persistence and the wire all run
+//!   behind it, and only the bounded channel holds it back.
+//! * The proposer encodes each block **once**, right after sealing it, and
+//!   every validator decodes the same shared `Arc<[u8]>`s — refcount bumps,
+//!   not copies. The encode is accounted to the `codec` [`StageStats`].
+//! * The validators thread holds all `K` [`ValidatorStage`]s. It hands each
+//!   message to every stage in turn, after that link's seeded delay; when the
+//!   wire is empty it settles every stage's in-flight heights before it
+//!   blocks. A stage settles a height once all its candidates have a
 //!   verdict: it commits the lowest-hash valid candidate that extends its
 //!   head and counts the other valid ones as uncles.
 //! * Nobody polls the pool. The ingest stage parks on it until there is room
@@ -30,16 +35,17 @@
 //!   its condition true. Both waits time out every millisecond, only so that
 //!   a stop request is seen.
 //! * A store that already holds a chain resumes it: validator 0 recovers the
-//!   head before the source starts one height above it, and every other
-//!   validator first validates the recovered chain.
-//! * Shutdown is by channel disconnect: the source finishing (or
-//!   [`RunningNode::stop`]) drops the head of the chain of senders and each
-//!   stage drains what it already received, so every proposed block is
-//!   validated, committed and (for validator 0 with a store) persisted —
-//!   no lost or duplicated blocks mid-stream.
+//!   head before the proposer starts one height above it, and every other
+//!   stage first validates the recovered chain.
+//! * Shutdown is by disconnect: the proposer finishing (or
+//!   [`RunningNode::stop`]) drops the channel's one sender, and the
+//!   validators thread settles what it already received, so every proposed
+//!   block is validated, committed and (for validator 0 with a store)
+//!   persisted — no lost or duplicated blocks mid-stream.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -49,8 +55,6 @@ use blockpilot_core::{
 };
 use bp_block::wire::{decode_block, encode_block_into};
 use bp_block::Block;
-use bp_concurrent::channel::bounded;
-use bp_concurrent::sync::Mutex;
 use bp_evm::BlockEnv;
 use bp_state::WorldState;
 use bp_txpool::TxPool;
@@ -60,12 +64,12 @@ use bp_workload::WorkloadGen;
 use crate::config::NodeConfig;
 use crate::stats::{micros_since, StageStats};
 
-/// Capacity of each bounded inter-stage channel (source → codec and codec →
-/// each validator), and the number of heights a validator stage keeps in
-/// flight in its pipeline. Two is one height being worked on and one ready
-/// behind it; a modeled sweep over depths 1, 2 and 8 came out identical
-/// (EXPERIMENTS.md, "retired arms"): the loop runs at the pace of its slowest
-/// stage whatever the buffers hold.
+/// Capacity of the one bounded channel (proposer → validators), and the
+/// number of heights a validator stage keeps in flight in its pipeline. Two
+/// is one height being worked on and one ready behind it; a modeled sweep
+/// over depths 1, 2 and 8 came out identical (EXPERIMENTS.md, "retired
+/// arms"): the loop runs at the pace of its slowest stage whatever the
+/// buffers hold.
 pub const CHANNEL_DEPTH: usize = 2;
 
 /// The most room the ingest stage waits for before it offers what it holds:
@@ -129,9 +133,8 @@ fn seal_sibling(
 /// Seeded per-link latency sampler.
 ///
 /// Each link gets an independent, individually deterministic RNG derived
-/// from the base seed, so delay sequences do not depend on the order links
-/// are polled in: every validator thread builds the same sampler and draws
-/// only its own link.
+/// from the base seed, so a link's delay sequence does not depend on the
+/// order links are drawn in.
 struct LinkDelays {
     rngs: Vec<Rng>,
     range: std::ops::Range<u64>,
@@ -156,37 +159,14 @@ impl LinkDelays {
     }
 }
 
-/// Highest height each validator has settled, for progress tracking
-/// ([`RunningNode::committed_height`]).
-struct CommitBoard {
-    heights: Mutex<Vec<Height>>,
-}
-
-impl CommitBoard {
-    fn new(validators: usize) -> Self {
-        CommitBoard {
-            heights: Mutex::new(vec![0; validators]),
-        }
-    }
-
-    fn record(&self, validator: usize, height: Height) {
-        let mut heights = self.heights.lock();
-        heights[validator] = heights[validator].max(height);
-    }
-
-    fn min(&self) -> Height {
-        *self.heights.lock().iter().min().expect("non-empty")
-    }
-}
-
 /// One height's wire message: every candidate's encoding.
 type Wire = (Height, Arc<[Arc<[u8]>]>);
 
-/// Per-validator outcome returned by its stage thread.
+/// Per-validator outcome returned by the validators thread.
 struct ValidatorOutcome {
     stats: StageStats,
-    head: Option<(BlockHash, Height)>,
-    head_root: Option<H256>,
+    head: (BlockHash, Height),
+    head_root: H256,
     /// Canonical chain (heights 1..=head) — collected by validator 0 only,
     /// for the equivalence gate and tx accounting.
     chain: Vec<Block>,
@@ -209,11 +189,11 @@ struct Candidate {
 /// of one height validate side by side. Commits still land strictly in
 /// height order (FIFO drain).
 struct ValidatorStage {
-    k: usize,
     validator: Validator,
-    board: Arc<CommitBoard>,
     /// The canonical head: what the next height's winner must extend.
     head: BlockHash,
+    /// The highest height settled, committed or failed: the stage's progress.
+    settled: Height,
     inflight: VecDeque<(Height, Vec<Candidate>)>,
     stats: StageStats,
     failures: u64,
@@ -221,13 +201,13 @@ struct ValidatorStage {
 }
 
 impl ValidatorStage {
-    fn new(k: usize, validator: Validator, board: Arc<CommitBoard>) -> Self {
-        let (head, _) = validator.head().expect("a validator starts on a head");
+    fn new(validator: Validator) -> Self {
+        // `Validator::new` starts on genesis, a store's recovery on its head.
+        let (head, settled) = validator.head().expect("a validator starts on a head");
         ValidatorStage {
-            k,
             validator,
-            board,
             head,
+            settled,
             inflight: VecDeque::new(),
             stats: StageStats::default(),
             failures: 0,
@@ -277,8 +257,11 @@ impl ValidatorStage {
         }
     }
 
+    /// Puts `height` in flight, samples how many heights are, then settles
+    /// the oldest until fewer than [`CHANNEL_DEPTH`] are left.
     fn submit(&mut self, height: Height, candidates: Vec<Candidate>) {
         self.inflight.push_back((height, candidates));
+        self.stats.sample_depth(self.inflight.len());
         while self.inflight.len() >= CHANNEL_DEPTH {
             self.drain_one();
         }
@@ -312,9 +295,9 @@ impl ValidatorStage {
             None => self.failures += valid.len() as u64,
         }
         self.stats.busy_micros += micros_since(t);
-        // Record even failed heights, so that progress is seen past a broken
-        // block.
-        self.board.record(self.k, height);
+        // Even a failed height is settled, so that progress is seen past a
+        // broken block.
+        self.settled = height;
     }
 
     /// Settles every in-flight height, oldest first.
@@ -323,6 +306,81 @@ impl ValidatorStage {
             self.drain_one();
         }
     }
+
+    /// Ends the stage: its outcome, with the canonical chain when `chain`
+    /// is set. Closes any open group-commit batch of its store, so deferred
+    /// commits are durable before the run is reported done.
+    fn finish(self, chain: bool) -> ValidatorOutcome {
+        let validator = self.validator;
+        // A validator starts on a head, and a commit only moves it.
+        let head = validator.head().expect("a validator keeps a head");
+        let head_root = validator.head_state_root().expect("a head has a root");
+        let chain = if chain {
+            (1..=head.1)
+                .filter_map(|h| validator.canonical_block(h))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let _ = validator.into_store();
+        ValidatorOutcome {
+            stats: self.stats,
+            head,
+            head_root,
+            chain,
+            validation_failures: self.failures,
+            uncles: self.uncles,
+        }
+    }
+}
+
+/// Publishes the lowest height every stage has settled.
+fn publish(stages: &[ValidatorStage], committed: &AtomicU64) {
+    let lowest = stages.iter().map(|s| s.settled).min().unwrap_or(0);
+    committed.store(lowest, Ordering::Release);
+}
+
+/// The validators thread's loop: hands each message on `wire` to every stage
+/// in turn, after that link's delay, until the proposer hangs up, then
+/// settles what is left. Submits ahead only of what is already on the wire:
+/// when it is empty, every stage settles its in-flight heights before the
+/// thread blocks, and the time blocked is every stage's wait.
+fn serve(
+    stages: &mut [ValidatorStage],
+    wire: &Receiver<Wire>,
+    delays: &mut LinkDelays,
+    committed: &AtomicU64,
+) {
+    loop {
+        let (height, candidates) = match wire.try_recv() {
+            Ok(message) => message,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                stages.iter_mut().for_each(ValidatorStage::drain);
+                publish(stages, committed);
+                let t = Instant::now();
+                let Ok(message) = wire.recv() else {
+                    break; // the proposer hung up
+                };
+                let waited = micros_since(t);
+                for stage in stages.iter_mut() {
+                    stage.stats.wait_micros += waited;
+                }
+                message
+            }
+        };
+        for (k, stage) in stages.iter_mut().enumerate() {
+            let delay = delays.next_delay(k);
+            if delay > 0 {
+                std::thread::sleep(Duration::from_micros(delay));
+                stage.stats.injected_micros += delay;
+            }
+            stage.on_wire(height, &candidates);
+        }
+        publish(stages, committed);
+    }
+    stages.iter_mut().for_each(ValidatorStage::drain);
+    publish(stages, committed);
 }
 
 /// Result of the serial-replay equivalence gate.
@@ -357,7 +415,10 @@ pub struct NodeReport {
     /// Proposer-stage counters (items = blocks sealed; stall = send
     /// backpressure).
     pub proposer: StageStats,
-    /// Codec-stage counters (items = blocks encoded).
+    /// Encode counters, kept by the proposer thread (items = blocks
+    /// encoded). Its `max_queue_depth` is validator 0's: the most heights
+    /// that stage held in flight at once, the gauge of how far the wire ran
+    /// ahead of the verdicts.
     pub codec: StageStats,
     /// Per-validator counters (items = heights committed, a resumed node's
     /// catch-up included).
@@ -394,31 +455,33 @@ impl NodeReport {
 /// shutdown).
 pub struct RunningNode {
     stop: Arc<AtomicBool>,
-    board: Arc<CommitBoard>,
+    /// The lowest height every validator has settled: stored (`Release`)
+    /// by the validators thread, loaded (`Acquire`) by `committed_height`.
+    committed: Arc<AtomicU64>,
     config: NodeConfig,
     genesis_state: WorldState,
     first_height: Height,
     started: Instant,
     ingest: JoinHandle<StageStats>,
-    proposer: JoinHandle<(StageStats, u64)>,
-    codec: JoinHandle<StageStats>,
-    validators: Vec<JoinHandle<ValidatorOutcome>>,
+    /// The proposer's and the encode's counters, and the engine's aborts.
+    proposer: JoinHandle<(StageStats, StageStats, u64)>,
+    validators: JoinHandle<Vec<ValidatorOutcome>>,
 }
 
 impl RunningNode {
-    /// Spawns every stage thread and starts the loop on the OCC-WSI
+    /// Spawns the node's three threads and starts the loop on the OCC-WSI
     /// proposer.
     pub fn spawn(config: NodeConfig) -> Self {
         Self::spawn_with(config, BlockSource::Proposer)
     }
 
-    /// Spawns every stage thread and starts the loop on `source`.
+    /// Spawns the node's three threads — ingest, proposer, validators — and
+    /// starts the loop on `source`.
     pub fn spawn_with(config: NodeConfig, source: BlockSource) -> Self {
         assert!(config.validators > 0, "need at least one validator");
         assert!(config.blocks > 0, "need at least one height");
 
         let stop = Arc::new(AtomicBool::new(false));
-        let board = Arc::new(CommitBoard::new(config.validators));
         let pool = Arc::new(TxPool::with_capacity_limit(config.pool_capacity));
 
         let workload = WorkloadGen::new(config.workload.clone());
@@ -428,7 +491,7 @@ impl RunningNode {
 
         // Validator 0 opens its store before anything is proposed: a store
         // that already holds a chain decides where this run starts.
-        let nodes: Vec<Validator> = (0..config.validators)
+        let mut stages: Vec<ValidatorStage> = (0..config.validators)
             .map(|k| match (&config.store_dir, k) {
                 (Some(dir), 0) => Validator::with_store_profile(
                     config.pipeline.clone(),
@@ -439,33 +502,29 @@ impl RunningNode {
                 .expect("node store opens"),
                 _ => Validator::new(config.pipeline.clone(), genesis_state.clone()),
             })
+            .map(ValidatorStage::new)
             .collect();
-        let head = nodes[0].head().expect("a validator starts on a head");
-        let head_state = nodes[0]
+        let head = (stages[0].head, stages[0].settled);
+        // The pipeline keeps the state of the head it recovered or started on.
+        let head_state = stages[0]
+            .validator
             .pipeline()
             .state_of(&head.0)
             .expect("a head has a validated state");
         // Validator 0 recovered this chain from its store; the others start
         // from genesis and validate it first.
-        let recovered: Arc<[Block]> = (1..=head.1)
-            .filter_map(|h| nodes[0].canonical_block(h))
+        let recovered: Vec<Block> = (1..=head.1)
+            .filter_map(|h| stages[0].validator.canonical_block(h))
             .collect();
-        board.record(0, head.1);
+        let committed = Arc::new(AtomicU64::new(0));
+        publish(&stages, &committed);
         let first_height = head.1 + 1;
 
-        // Stage channels: source → codec, codec → each validator.
-        let (codec_tx, codec_rx) = bounded::<Vec<Block>>(CHANNEL_DEPTH);
-        let mut wire_txs = Vec::with_capacity(config.validators);
-        let mut wire_rxs = Vec::with_capacity(config.validators);
-        for _ in 0..config.validators {
-            let (tx, rx) = bounded::<Wire>(CHANNEL_DEPTH);
-            wire_txs.push(tx);
-            wire_rxs.push(rx);
-        }
+        let (wire_tx, wire_rx) = sync_channel(CHANNEL_DEPTH);
 
         let started = Instant::now();
 
-        // --- Ingest stage -------------------------------------------------
+        // --- Ingest -------------------------------------------------------
         let ingest = {
             let pool = Arc::clone(&pool);
             let stop = Arc::clone(&stop);
@@ -498,7 +557,7 @@ impl RunningNode {
             })
         };
 
-        // --- Proposer stage ----------------------------------------------
+        // --- Proposer: seal, encode, send ---------------------------------
         let proposer = {
             let pool = Arc::clone(&pool);
             let stop = Arc::clone(&stop);
@@ -506,8 +565,10 @@ impl RunningNode {
             let envs = WorkloadGen::new(config.workload.clone());
             std::thread::spawn(move || {
                 let mut stats = StageStats::default();
+                let mut codec = StageStats::default();
                 let mut aborts = 0u64;
                 let mut order = Rng::seed_from_u64(SEED);
+                let mut scratch: Vec<u8> = Vec::new();
                 let mut parent_hash = head.0;
                 let mut parent_state = head_state;
                 for height in first_height..first_height + config.blocks {
@@ -541,6 +602,7 @@ impl RunningNode {
                     stats.busy_micros += micros_since(t);
                     stats.items += 1;
                     aborts += proposal.stats.aborts;
+                    parent_hash = proposal.block.hash();
                     let mut blocks = vec![proposal.block];
                     let mut post_state = proposal.post_state;
 
@@ -554,7 +616,8 @@ impl RunningNode {
                         );
                         // Chain on the fork-choice winner, as every
                         // validator will.
-                        if sibling.block.hash() < blocks[0].hash() {
+                        if sibling.block.hash() < parent_hash {
+                            parent_hash = sibling.block.hash();
                             post_state = sibling.post_state;
                         }
                         blocks.push(sibling.block);
@@ -566,187 +629,104 @@ impl RunningNode {
                     }
 
                     // Chain on our own proposal: the next height packs
-                    // against this post-state while everything downstream
-                    // is still digesting this height.
-                    parent_hash = blocks.iter().map(Block::hash).min().expect("a block");
+                    // against this post-state while the validators are
+                    // still digesting this height.
                     parent_state = Arc::new(post_state);
 
+                    // One encode, K receivers: the bytes go out shared.
                     let t = Instant::now();
-                    if codec_tx.send(blocks).is_err() {
-                        break; // downstream gone (stop + drain)
+                    let candidates: Arc<[Arc<[u8]>]> = blocks
+                        .iter()
+                        .map(|block| {
+                            scratch = encode_block_into(block, std::mem::take(&mut scratch));
+                            Arc::from(&scratch[..])
+                        })
+                        .collect();
+                    codec.busy_micros += micros_since(t);
+                    codec.items += blocks.len() as u64;
+
+                    let t = Instant::now();
+                    if wire_tx.send((height, candidates)).is_err() {
+                        break; // the validators thread is gone
                     }
                     stats.stall_micros += micros_since(t);
-                    stats.sample_depth(codec_tx.len());
                 }
-                // Dropping codec_tx here starts the drain cascade.
-                (stats, aborts)
+                // Dropping `wire_tx` here lets the validators drain.
+                (stats, codec, aborts)
             })
         };
 
-        // --- Codec stage --------------------------------------------------
-        let codec = {
+        // --- Validators ---------------------------------------------------
+        let validators = {
+            let committed = Arc::clone(&committed);
+            let mut delays = LinkDelays::new(config.validators, config.latency_us.clone(), SEED);
             std::thread::spawn(move || {
-                let mut stats = StageStats::default();
-                let mut scratch: Vec<u8> = Vec::new();
-                loop {
-                    let t = Instant::now();
-                    let Ok(blocks) = codec_rx.recv() else {
-                        break; // source done: drain complete
-                    };
-                    stats.wait_micros += micros_since(t);
-
-                    let t = Instant::now();
-                    let height = blocks[0].height();
-                    let mut encoded = Vec::with_capacity(blocks.len());
-                    for block in &blocks {
-                        scratch = encode_block_into(block, scratch);
-                        encoded.push(Arc::<[u8]>::from(&scratch[..]));
-                    }
-                    // One encode, K receivers: the bytes go out shared —
-                    // cloning is a refcount bump, not a copy.
-                    let candidates: Arc<[Arc<[u8]>]> = encoded.into();
-                    stats.busy_micros += micros_since(t);
-                    stats.items += blocks.len() as u64;
-
-                    let t = Instant::now();
-                    for wire in &wire_txs {
-                        if wire.send((height, Arc::clone(&candidates))).is_err() {
-                            break;
-                        }
-                    }
-                    stats.stall_micros += micros_since(t);
-                    let deepest = wire_txs.iter().map(|w| w.len()).max().unwrap_or(0);
-                    stats.sample_depth(deepest);
+                for stage in &mut stages[1..] {
+                    stage.catch_up(&recovered);
                 }
-                stats
+                serve(&mut stages, &wire_rx, &mut delays, &committed);
+                stages
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, stage)| stage.finish(k == 0))
+                    .collect()
             })
         };
-
-        // --- Validator stages --------------------------------------------
-        let validators = nodes
-            .into_iter()
-            .zip(wire_rxs)
-            .enumerate()
-            .map(|(k, (validator, wire_rx))| {
-                let board = Arc::clone(&board);
-                let config = config.clone();
-                let recovered = Arc::clone(&recovered);
-                std::thread::spawn(move || {
-                    let mut delays = LinkDelays::new(config.validators, config.latency_us, SEED);
-                    let mut stage = ValidatorStage::new(k, validator, board);
-                    if k > 0 {
-                        stage.catch_up(&recovered);
-                    }
-                    loop {
-                        // Submit ahead only of what is already on the wire:
-                        // a verdict does not wait for the next arrival.
-                        if wire_rx.is_empty() {
-                            stage.drain();
-                        }
-                        let t = Instant::now();
-                        let Ok((height, candidates)) = wire_rx.recv() else {
-                            break; // wire disconnected: drain complete
-                        };
-                        stage.stats.wait_micros += micros_since(t);
-
-                        let delay = delays.next_delay(k);
-                        if delay > 0 {
-                            std::thread::sleep(Duration::from_micros(delay));
-                            stage.stats.injected_micros += delay;
-                        }
-                        stage.on_wire(height, &candidates);
-                    }
-                    stage.drain();
-                    let ValidatorStage {
-                        validator,
-                        stats,
-                        failures,
-                        uncles,
-                        ..
-                    } = stage;
-                    let head = validator.head();
-                    let head_root = validator.head_state_root();
-                    let chain = if k == 0 {
-                        let top = head.map(|(_, h)| h).unwrap_or(0);
-                        (1..=top)
-                            .filter_map(|h| validator.canonical_block(h))
-                            .collect()
-                    } else {
-                        Vec::new()
-                    };
-                    // Close any open group-commit batch: deferred commits
-                    // must be durable before the run is reported done.
-                    let _ = validator.into_store();
-                    ValidatorOutcome {
-                        stats,
-                        head,
-                        head_root,
-                        chain,
-                        validation_failures: failures,
-                        uncles,
-                    }
-                })
-            })
-            .collect();
 
         RunningNode {
             stop,
-            board,
+            committed,
             config,
             genesis_state,
             first_height,
             started,
             ingest,
             proposer,
-            codec,
             validators,
         }
     }
 
     /// Requests a clean mid-stream shutdown: the proposer stops at the next
-    /// height boundary and every stage drains what was already in flight.
+    /// height boundary and the validators drain what was already in flight.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Release);
     }
 
     /// Lowest height committed by all validators so far.
     pub fn committed_height(&self) -> Height {
-        self.board.min()
+        self.committed.load(Ordering::Acquire)
     }
 
     /// Waits for the loop to finish (or drain, after [`RunningNode::stop`])
-    /// and assembles the report. A stage thread that panicked raises its own
-    /// panic again here, once every other stage has ended.
+    /// and assembles the report. A thread that panicked raises its own
+    /// panic again here, once every other thread has ended.
     pub fn join(self) -> NodeReport {
         let RunningNode {
             stop,
-            board: _,
+            committed: _,
             config,
             genesis_state,
             first_height,
             started,
             ingest,
             proposer,
-            codec,
             validators,
         } = self;
 
         let proposer = proposer.join();
-        let codec = codec.join();
-        let outcomes: Vec<_> = validators.into_iter().map(JoinHandle::join).collect();
+        let outcomes = validators.join();
         let wall_micros = micros_since(started);
         // Validators are drained: nothing consumes the pool anymore.
         stop.store(true, Ordering::Release);
         let ingest_stats = joined(ingest.join());
-        let (proposer_stats, proposer_aborts) = joined(proposer);
-        let codec_stats = joined(codec);
-        let mut outcomes: Vec<ValidatorOutcome> = outcomes.into_iter().map(joined).collect();
+        let (proposer_stats, mut codec_stats, proposer_aborts) = joined(proposer);
+        let mut outcomes = joined(outcomes);
+        // The benchmark reads its wire depth here: heights validator 0 held
+        // in flight at once, the queue the wire's messages wait in.
+        codec_stats.max_queue_depth = outcomes[0].stats.max_queue_depth;
 
-        let heads: Vec<(BlockHash, Height)> = outcomes
-            .iter()
-            .map(|o| o.head.expect("validator has a head"))
-            .collect();
-        let final_root = outcomes[0].head_root.expect("head has a root");
+        let heads: Vec<(BlockHash, Height)> = outcomes.iter().map(|o| o.head).collect();
+        let final_root = outcomes[0].head_root;
         // This run's heights only: a resumed node's stored chain came before.
         let resumed = first_height - 1;
         let lowest = heads.iter().map(|&(_, h)| h).min().unwrap_or(0);
@@ -795,7 +775,7 @@ impl RunningNode {
     }
 }
 
-/// What a stage thread returned, or its own panic raised again.
+/// What a node thread returned, or its own panic raised again.
 fn joined<T>(result: std::thread::Result<T>) -> T {
     result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
@@ -882,9 +862,8 @@ mod tests {
     #[test]
     fn undecodable_wire_bytes_are_a_counted_failure_not_a_panic() {
         let (genesis, chain, _) = chain_bytes();
-        let board = Arc::new(CommitBoard::new(1));
         let validator = Validator::new(PipelineConfig::default(), genesis);
-        let mut stage = ValidatorStage::new(0, validator, Arc::clone(&board));
+        let mut stage = ValidatorStage::new(validator);
 
         // Garbage of every kind the decoder tells apart: nothing, noise,
         // a truncated block, a block with a byte too many.
@@ -895,9 +874,9 @@ mod tests {
             stage.on_wire(1, &wire(&[bytes]));
             assert_eq!(stage.failures, i as u64 + 1);
         }
-        // The height is recorded, so progress moves on past it, and the
+        // The height is settled, so progress moves on past it, and the
         // stage still validates what follows.
-        assert_eq!(board.min(), 1);
+        assert_eq!(stage.settled, 1);
         stage.on_wire(1, &wire(&[&chain[0]]));
         stage.on_wire(2, &wire(&[&chain[1]]));
         // A block that decodes but was tampered with fails validation
@@ -909,7 +888,7 @@ mod tests {
         stage.drain();
         assert_eq!(stage.stats.items, 2);
         assert_eq!(stage.failures, 6);
-        assert_eq!(board.min(), 3);
+        assert_eq!(stage.settled, 3);
         assert_eq!(stage.validator.head().map(|(_, h)| h), Some(2));
     }
 
@@ -923,7 +902,7 @@ mod tests {
         let b = decode_block(&loser).expect("an honest sibling").hash();
         assert!(a < b);
         let validator = Validator::new(PipelineConfig::default(), genesis);
-        let mut stage = ValidatorStage::new(0, validator, Arc::new(CommitBoard::new(1)));
+        let mut stage = ValidatorStage::new(validator);
         // The loser comes first on the wire: arrival order decides nothing.
         stage.on_wire(1, &wire(&[&loser, &chain[0]]));
         stage.on_wire(2, &wire(&[&chain[1]]));
@@ -931,6 +910,60 @@ mod tests {
         assert_eq!(stage.validator.canonical_at(1), Some(a));
         assert_eq!(stage.validator.head().map(|(_, h)| h), Some(2));
         assert_eq!((stage.stats.items, stage.uncles, stage.failures), (2, 1, 0));
+    }
+
+    /// Two stages behind one wire, driven by the validators thread's own
+    /// loop after validator 1 caught up on what validator 0 already had:
+    /// each commits every height in order, the published height is the
+    /// lower of the two, and the time the thread sat on an empty wire is
+    /// charged to both stages alike.
+    #[test]
+    fn one_thread_serves_every_stage_in_height_order() {
+        let (genesis, chain, _) = chain_bytes();
+        let mut stages: Vec<ValidatorStage> = (0..2)
+            .map(|_| {
+                ValidatorStage::new(Validator::new(PipelineConfig::default(), genesis.clone()))
+            })
+            .collect();
+        let committed = AtomicU64::new(0);
+        let first = decode_block(&chain[0]).expect("an honest block");
+        stages[0].catch_up(std::slice::from_ref(&first));
+        stages[0].drain();
+        publish(&stages, &committed);
+        assert_eq!((stages[0].settled, stages[1].settled), (1, 0));
+        assert_eq!(committed.load(Ordering::Acquire), 0);
+        stages[1].catch_up(&[first]);
+
+        // The proposer's end sends heights 2 and 3, each only once the
+        // thread has published every height before it — the last thing it
+        // does before it blocks on the empty wire — and a pause later.
+        let (wire_tx, wire_rx) = sync_channel(CHANNEL_DEPTH);
+        let (chain, published) = (&chain, &committed);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                for (height, bytes) in (2..).zip(&chain[1..]) {
+                    while published.load(Ordering::Acquire) < height - 1 {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                    let sent = wire_tx.send((height, wire(&[bytes]).into()));
+                    sent.expect("the thread receives");
+                }
+            });
+            let mut delays = LinkDelays::new(2, 0..0, SEED);
+            serve(&mut stages, &wire_rx, &mut delays, published);
+        });
+
+        for stage in &stages {
+            assert_eq!(
+                (stage.stats.items, stage.settled, stage.failures),
+                (3, 3, 0)
+            );
+            assert_eq!(stage.validator.head().map(|(_, h)| h), Some(3));
+        }
+        assert_eq!(committed.load(Ordering::Acquire), 3);
+        let waits: Vec<u64> = stages.iter().map(|s| s.stats.wait_micros).collect();
+        assert!(waits[0] > 0 && waits[0] == waits[1], "{waits:?}");
     }
 
     #[test]

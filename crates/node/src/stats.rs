@@ -1,12 +1,15 @@
-//! Per-stage occupancy and queue-depth instrumentation.
+//! Per-stage occupancy and in-flight-depth instrumentation.
 //!
-//! Every stage thread owns a [`StageStats`] and accounts each moment of its
-//! life to exactly one bucket: *busy* (doing its work), *wait* (blocked
-//! receiving — starved by the upstream stage), *stall* (blocked sending —
+//! Each thread of the node keeps the [`StageStats`] of the stages it runs —
+//! the proposer thread its own and the encode's, the validators thread one
+//! per validator — and accounts each moment of a stage's life to exactly one
+//! bucket: *busy* (doing its work), *wait* (blocked receiving — starved by
+//! the upstream stage; the validators thread charges its time on an empty
+//! wire to every validator it serves), *stall* (blocked sending —
 //! backpressured by the downstream stage) or *injected* (deliberate
-//! wire-latency sleeps). Queue depth is sampled at every send, so a
-//! persistently deep downstream queue identifies the bottleneck stage
-//! without guesswork.
+//! wire-latency sleeps). A validator stage samples how many heights it
+//! holds in flight at each submit, so a stage that keeps running ahead of
+//! its verdicts shows without guesswork.
 
 /// Counters for one pipeline stage.
 #[derive(Clone, Debug, Default)]
@@ -23,7 +26,8 @@ pub struct StageStats {
     /// Microseconds of deliberately injected wire latency (validator stages
     /// only).
     pub injected_micros: u64,
-    /// Deepest downstream queue observed when sending.
+    /// Deepest queue observed: for a validator stage, the most heights it
+    /// held in flight at once (sampled at each submit).
     pub max_queue_depth: usize,
 }
 
@@ -46,7 +50,7 @@ impl StageStats {
         }
     }
 
-    /// Records a send-side queue-depth sample.
+    /// Records a queue-depth sample.
     pub fn sample_depth(&mut self, depth: usize) {
         self.max_queue_depth = self.max_queue_depth.max(depth);
     }

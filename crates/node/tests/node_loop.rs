@@ -1,5 +1,5 @@
 //! End-to-end tests of the streaming node loop: serial-replay equivalence,
-//! bounded-channel backpressure, clean mid-stream shutdown with store
+//! backpressure through the bounded channel, clean mid-stream shutdown with store
 //! agreement, multi-validator convergence, racing same-height siblings, and
 //! a node restarted on its store.
 
@@ -96,13 +96,14 @@ fn pipelined_loop_commits_and_matches_serial_replay() {
     assert!(report.healthy());
 }
 
-/// Slow validators: the proposer must fill the bounded channels, stall on
+/// Slow validators: the proposer must fill the bounded channel, stall on
 /// backpressure, and resume as the drain frees slots — without losing or
 /// reordering any block.
 #[test]
 fn bounded_channels_stall_the_proposer_then_drain() {
-    // Two channels and the two stages behind them hold 2 * (depth + 1)
-    // blocks between them; the run is twice that, so the bound must bite.
+    // The channel holds `depth` heights and the validators thread one in
+    // hand and fewer than `depth` in flight; the run is more than twice
+    // that, so the bound must bite.
     let blocks = 4 * (CHANNEL_DEPTH as u64 + 1);
     let report = run_node(NodeConfig {
         // 3 ms injected latency per block delivery makes the wire the slow
@@ -122,9 +123,13 @@ fn bounded_channels_stall_the_proposer_then_drain() {
     for v in &report.validators {
         assert!(v.injected_micros >= blocks * 3000);
     }
-    // Bounded channels can never report a depth beyond their capacity.
-    assert!(report.proposer.max_queue_depth <= CHANNEL_DEPTH);
-    assert!(report.codec.max_queue_depth <= CHANNEL_DEPTH);
+    // The wire ran ahead of the verdicts, and a stage never holds more
+    // heights in flight than the constant: the gauge the benchmark reads.
+    assert!(
+        (1..=CHANNEL_DEPTH).contains(&report.codec.max_queue_depth),
+        "{:?}",
+        report.codec
+    );
 }
 
 /// Stop mid-stream: every block already in flight drains to all validators,

@@ -53,8 +53,9 @@ fn main() {
     }
 }
 
-/// The streaming node service: proposer, codec and validators on bounded
-/// channels, with the serial-replay equivalence gate.
+/// The streaming node service: a proposer that encodes its blocks and one
+/// thread serving every validator, on one bounded channel, with the
+/// serial-replay equivalence gate.
 fn node(args: &[String]) {
     use blockpilot::node::{run_node, NodeConfig};
     use blockpilot::store::GroupCommitConfig;
