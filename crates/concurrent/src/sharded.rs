@@ -12,8 +12,8 @@ use bp_types::FxBuildHasher;
 ///
 /// Readers of different keys proceed in parallel; writers only contend when
 /// their keys land in the same shard. This is the backing store for the
-/// OCC-WSI reserve table and the multi-version state overlay, where the
-/// access pattern is many point reads/writes from all worker threads.
+/// OCC-WSI multi-version state, where the access pattern is many point
+/// reads from all worker threads and point writes from the one committer.
 ///
 /// Keys are hashed with the Fx hasher by default: they are state keys and
 /// transaction hashes of one block under construction, hashed several times

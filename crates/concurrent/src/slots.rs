@@ -97,11 +97,6 @@ impl<T> ResultSlots<T> {
             Err(_) => None,
         }
     }
-
-    /// True iff slot `index` holds an un-taken value.
-    pub fn is_full(&self, index: usize) -> bool {
-        self.states[index].load(Ordering::Acquire) == FULL
-    }
 }
 
 impl<T> Drop for ResultSlots<T> {
@@ -124,9 +119,7 @@ mod tests {
     fn publish_then_take_moves_the_value() {
         let slots = ResultSlots::new(3);
         slots.publish(1, String::from("hello"));
-        assert!(slots.is_full(1));
         assert_eq!(slots.take(1), Some(String::from("hello")));
-        assert!(!slots.is_full(1));
         assert_eq!(slots.take(0), None); // never published
     }
 

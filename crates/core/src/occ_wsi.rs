@@ -9,37 +9,28 @@
 //!   after our snapshot (`Table[rec] > snapshot.version`). Write-write
 //!   overlap alone does not abort — blind writes still serialize in commit
 //!   order;
-//! * **commit**: allocate the next version, publish the write set to the
-//!   multi-version state and the reserve table, append the transaction to
+//! * **commit**: take the next version, publish the write set and any
+//!   deployed code to the multi-version state, append the transaction to
 //!   the block under construction, and record its read/write sets in the
 //!   **block profile** for the validators.
 //!
 //! The committed sequence is a serializable schedule by construction, and it
 //! *is* the block order.
 //!
-//! # Two-phase commit
+//! # One commit section
 //!
-//! Funnelling every commit through one global mutex covering validation,
-//! version allocation, multi-version publication, reserve publication, gas
-//! accounting and block-body pushes stops scaling as soon as commits are
-//! frequent (EXPERIMENTS.md, "retired arms"). The commit protocol shrinks the
-//! serialized region to the part that genuinely needs atomicity:
+//! Validation and commit are one step, as in Algorithm 1: one lock
+//! (`admit`, which also holds the gas used so far) covers the full-block
+//! check, WSI validation against the chain tails of the
+//! [`MultiVersionState`] (the version of each key's last commit is the
+//! paper's reserve table), gas and `max_txs` admission, and
+//! [`MultiVersionState::commit`]. That commit appends the writes, installs
+//! the deployed code and only then reveals the new version, so a snapshot
+//! taken at [`MultiVersionState::version`] never sees a half-published
+//! write set and never waits. Execution, the only long part, runs outside
+//! the lock on as many workers as the crew gives the pack.
 //!
-//! * **Phase A** (under a commit-sequence lock, microseconds): WSI read-set
-//!   validation, gas-limit admission, version allocation, and publication of
-//!   the write *intentions* to the lock-free [`ReserveTable`]. Validation
-//!   and intent publication must be mutually ordered — a committer must see
-//!   the reservations of everything admitted before it, or a stale read
-//!   could slip through — so they share the tiny critical section. The new
-//!   version is registered *pending* on a [`VersionGate`] before it becomes
-//!   discoverable.
-//! * **Phase B** (no global lock): publish the write *values* to the
-//!   [`MultiVersionState`], install deployed code, open the version's
-//!   visibility latch, and append the `(version, tx, receipt, profile)`
-//!   record to a per-worker segment buffer. Snapshot readers that land on a
-//!   still-pending version wait on its latch instead of blocking committers.
-//!
-//! Block bodies never touch the critical path: [`OccWsiProposer::propose`]
+//! Block bodies stay out of the section: [`OccWsiProposer::propose`]
 //! merges the per-worker segments in version order at seal time, and seals
 //! from what they hold — the transaction root from the hashes the pool
 //! computed at admission, the post-state from the records' own write sets.
@@ -63,7 +54,6 @@ use bp_block::{
 };
 use bp_concurrent::crew::{self, Crew, Priority};
 use bp_concurrent::sync::Mutex;
-use bp_concurrent::{ReserveTable, VersionAllocator, VersionGate};
 use bp_evm::{
     execute_transaction_in, gas, AnalysisCache, BlockEnv, MvSnapshot, Receipt, Transaction, TxError,
 };
@@ -160,14 +150,9 @@ struct CommitRecord {
 struct Shared<'a> {
     pool: &'a TxPool,
     mv: &'a MultiVersionState,
-    reserve: &'a ReserveTable,
-    versions: &'a VersionAllocator,
-    gate: &'a VersionGate,
-    /// The commit-sequence lock serializing Phase A. Guards nothing by
-    /// value; the data it orders (reserve table, version allocator, gas
-    /// meter) is reachable lock-free.
-    admit: &'a Mutex<()>,
-    cur_gas: &'a AtomicU64,
+    /// The commit section, holding the block's gas used so far. Every
+    /// commit runs under it, so validation sees every earlier commit.
+    admit: &'a Mutex<Gas>,
     full: &'a AtomicBool,
     aborts: &'a AtomicU64,
     executions: &'a AtomicU64,
@@ -260,18 +245,8 @@ impl OccWsiProposer {
         parent: BlockHash,
         height: Height,
     ) -> Proposal {
-        // Snapshots wait on the gate for any version still pending
-        // publication.
-        let gate = Arc::new(VersionGate::new());
-        let mv = MultiVersionState::new(
-            Arc::clone(&parent_state),
-            self.config.threads,
-            Arc::clone(&gate),
-        );
-        let reserve = ReserveTable::new(self.config.threads);
-        let versions = VersionAllocator::new();
-        let admit = Mutex::new(());
-        let cur_gas = AtomicU64::new(0);
+        let mv = MultiVersionState::new(parent_state, self.config.threads);
+        let admit = Mutex::new(0);
         let full = AtomicBool::new(false);
         let aborts = AtomicU64::new(0);
         let executions = AtomicU64::new(0);
@@ -279,11 +254,7 @@ impl OccWsiProposer {
         let shared = Shared {
             pool,
             mv: &mv,
-            reserve: &reserve,
-            versions: &versions,
-            gate: &gate,
             admit: &admit,
-            cur_gas: &cur_gas,
             full: &full,
             aborts: &aborts,
             executions: &executions,
@@ -315,7 +286,7 @@ impl OccWsiProposer {
         }
         let mut records: Vec<CommitRecord> = segments.into_iter().flatten().collect();
         let wall_micros = started.elapsed().as_micros() as u64;
-        let gas_used = cur_gas.load(Ordering::Acquire);
+        let gas_used = admit.into_inner();
 
         // Merge the per-worker segments into the block body, in version
         // (= block) order, and seal from what they carry: the transaction
@@ -382,8 +353,8 @@ impl OccWsiProposer {
         }
     }
 
-    /// The worker loop: execute optimistically, admit under the
-    /// commit-sequence lock (Phase A), publish outside it (Phase B).
+    /// The worker loop: execute optimistically, then validate and commit
+    /// in the one `admit` section.
     /// A worker that yields to a crew stops at its next pool turn when the
     /// crew has work queued ahead of the pack ([`Crew::bulk_should_yield`]),
     /// and then sets the flag beside it.
@@ -421,9 +392,8 @@ impl OccWsiProposer {
             };
             idle_spins = 0;
 
-            // snapshot(thread, version) <- State(version); the snapshot
-            // waits on the visibility gate if any version ≤ it is pending.
-            let snapshot_version = s.versions.current();
+            // snapshot(thread, version) <- State(version).
+            let snapshot_version = s.mv.version();
             let snapshot = MvSnapshot::new(s.mv, snapshot_version);
             s.executions.fetch_add(1, Ordering::Relaxed);
             let exec = execute_transaction_in(&self.cache, &snapshot, &self.config.env, &tx);
@@ -434,7 +404,7 @@ impl OccWsiProposer {
                     // yet. Retry while the block is still making progress;
                     // if nothing commits across repeated attempts the
                     // prerequisite is missing entirely — drop the tx.
-                    let version_now = s.versions.current();
+                    let version_now = s.mv.version();
                     let entry = futile.entry(hash).or_insert((version_now, 0));
                     if entry.0 == version_now {
                         entry.1 += 1;
@@ -457,34 +427,33 @@ impl OccWsiProposer {
                 Ok(result) => result,
             };
 
-            // ---- Phase A: admission, under the commit-sequence lock. ----
+            // ---- Validate and commit, under the commit section. ----
             let version = {
-                let _seq = s.admit.lock();
+                let mut gas_used = s.admit.lock();
                 if s.full.load(Ordering::Acquire) {
                     checkout.returned.push(hash);
                     return records;
                 }
                 // WSI validation over the read set: the lock orders us
-                // after the reserve intents of every admitted predecessor.
+                // after every earlier commit.
                 let stale = result
                     .rw
                     .reads
                     .keys()
-                    .any(|key| s.reserve.is_stale(key, snapshot_version));
+                    .any(|key| s.mv.last_version(key) > snapshot_version);
                 if stale {
-                    drop(_seq);
+                    drop(gas_used);
                     s.aborts.fetch_add(1, Ordering::Relaxed);
                     checkout.returned.push(hash);
                     continue;
                 }
                 // Gas-limit admission.
-                let gas_now = s.cur_gas.load(Ordering::Acquire);
-                let gas_after = gas_now + result.receipt.gas_used;
+                let gas_after = *gas_used + result.receipt.gas_used;
                 if gas_after > self.config.gas_limit {
                     // This one doesn't fit, but smaller pending transactions
                     // may: hold it aside and keep probing (bounded), unless
                     // nothing can ever fit the remaining headroom.
-                    let nothing_fits = self.config.gas_limit - gas_now < gas::TX_BASE
+                    let nothing_fits = self.config.gas_limit - *gas_used < gas::TX_BASE
                         || checkout.unfit.len() + 1 > MAX_UNFIT_CANDIDATES;
                     checkout.unfit.push(hash);
                     if nothing_fits {
@@ -493,31 +462,17 @@ impl OccWsiProposer {
                     }
                     continue;
                 }
-                if self.config.max_txs > 0 && s.versions.current() as usize >= self.config.max_txs {
+                if self.config.max_txs > 0 && s.mv.version() as usize >= self.config.max_txs {
                     s.full.store(true, Ordering::Release);
                     checkout.returned.push(hash);
                     return records;
                 }
-                // Admit: register the version as pending *before* it becomes
-                // discoverable through the allocator, publish the write
-                // intents, and account the gas.
-                let version = s.versions.current() + 1;
-                s.gate.register(version);
-                s.reserve.publish(result.rw.writes.keys(), version);
-                s.cur_gas.store(gas_after, Ordering::Release);
-                let allocated = s.versions.allocate();
-                debug_assert_eq!(allocated, version);
-                version
+                *gas_used = gas_after;
+                s.mv.commit(&result.rw.writes, &result.deployed)
             };
 
-            // ---- Phase B: publication, outside any global lock. ----
-            s.mv.commit_writes(&result.rw.writes, version);
-            for (addr, code) in &result.deployed {
-                s.mv.install_code(*addr, Arc::clone(code));
-            }
-            s.gate.open(version);
             // The footprint moves into the profile and the transaction into
-            // the record: nothing reads either after publication, and the
+            // the record: nothing reads either after the commit, and the
             // pool is told by hash, at this worker's next turn.
             let profile = TxProfile::from_owned_rw(result.rw, result.receipt.gas_used);
             records.push(CommitRecord {

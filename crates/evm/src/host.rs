@@ -88,12 +88,10 @@ pub struct MvSnapshot<'a> {
 impl<'a> MvSnapshot<'a> {
     /// Snapshot of `mv` at `version`.
     ///
-    /// `version` may still be pending publication (the proposer allocates a
-    /// version before it publishes the write set); taking the snapshot waits
-    /// on the multi-version state's visibility gate so every subsequent read
-    /// is serialized against a fully published prefix.
+    /// Taken at [`MultiVersionState::version`], it covers only fully
+    /// committed versions: a commit reveals its version after its writes
+    /// and code are in place, so nothing here waits.
     pub fn new(mv: &'a MultiVersionState, version: u64) -> Self {
-        mv.wait_visible(version);
         MvSnapshot { mv, version }
     }
 
@@ -196,11 +194,6 @@ impl<'a, V: StateView> BufferedHost<'a, V> {
     /// The cached [`CodeAnalysis`] for `code` (computed on first sight).
     pub fn analysis(&self, code: &Arc<Vec<u8>>) -> Arc<CodeAnalysis> {
         self.cache.get(code)
-    }
-
-    /// The analysis cache this host resolves code through.
-    pub fn analysis_cache(&self) -> &Arc<AnalysisCache> {
-        &self.cache
     }
 
     /// Reads `key`: the transaction's own pending write if any, otherwise the
@@ -442,10 +435,13 @@ mod tests {
     #[test]
     fn mv_snapshot_respects_version() {
         let base = Arc::new(world());
-        let mv = MultiVersionState::new(base, 2, Default::default());
-        let mut ws: bp_types::WriteSet = Default::default();
-        ws.insert(AccessKey::Balance(addr(1)), U256::from(60u64));
-        mv.commit_writes(&ws, 2);
+        let mv = MultiVersionState::new(base, 2);
+        // Version 1 writes another account; version 2 writes addr(1).
+        for (who, value) in [(9, 5u64), (1, 60)] {
+            let mut ws: bp_types::WriteSet = Default::default();
+            ws.insert(AccessKey::Balance(addr(who)), U256::from(value));
+            mv.commit(&ws, &Default::default());
+        }
 
         let snap1 = MvSnapshot::new(&mv, 1);
         let mut h1 = BufferedHost::new(&snap1);

@@ -7,10 +7,11 @@
 //! any snapshot can be served without copying the world and concurrent
 //! readers never block committers of unrelated keys.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bp_concurrent::{ShardedMap, VersionGate};
-use bp_types::{AccessKey, Address, WriteSet, U256};
+use bp_concurrent::ShardedMap;
+use bp_types::{AccessKey, Address, FxHashMap, WriteSet, U256};
 
 use crate::world::WorldState;
 
@@ -23,29 +24,60 @@ pub struct MultiVersionState {
     versions: ShardedMap<AccessKey, Vec<(u64, U256)>>,
     // Code installed by in-block contract creations.
     code: ShardedMap<Address, Arc<Vec<u8>>>,
-    // Versions may be allocated (Phase A of the proposer's commit) before
-    // their write sets are published (Phase B). Snapshot readers that land on
-    // a pending version wait on this gate instead of taking any global lock.
-    gate: Arc<VersionGate>,
+    // The last committed version. [`MultiVersionState::commit`] stores it
+    // only after that version's writes and code are in place.
+    version: AtomicU64,
 }
 
 impl MultiVersionState {
-    /// Wraps `base` as version 0, sized for `threads` workers. `gate` tracks
-    /// which versions are still pending publication: snapshots taken at a
-    /// pending version block in [`MultiVersionState::wait_visible`] until the
-    /// version opens, and a version nobody registered never blocks.
-    pub fn new(base: Arc<WorldState>, threads: usize, gate: Arc<VersionGate>) -> Self {
+    /// Wraps `base` as version 0, sized for `threads` workers.
+    pub fn new(base: Arc<WorldState>, threads: usize) -> Self {
         MultiVersionState {
             base,
             versions: ShardedMap::for_threads(threads),
             code: ShardedMap::for_threads(threads),
-            gate,
+            version: AtomicU64::new(0),
         }
     }
 
-    /// Blocks until every version `≤ version` is fully published.
-    pub fn wait_visible(&self, version: u64) {
-        self.gate.wait_visible(version);
+    /// The last committed version (0 before the first commit): the version a
+    /// new snapshot is taken at. The acquire pairs with the release in
+    /// [`MultiVersionState::commit`], so a snapshot at this version sees
+    /// every write of every version it covers.
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire)
+    }
+
+    /// The version of the last commit that wrote `key`, or 0 if none did:
+    /// a snapshot at `v` missed a write to `key` exactly when this is `> v`.
+    pub fn last_version(&self, key: &AccessKey) -> u64 {
+        self.versions.with(key, |chain| {
+            chain.and_then(|c| c.last()).map_or(0, |(v, _)| *v)
+        })
+    }
+
+    /// Commits one transaction at the next version and returns that version:
+    /// appends each write to its key's chain, installs the code it deployed,
+    /// and only then reveals the version to [`MultiVersionState::version`].
+    ///
+    /// Callers serialize their commits (the proposer's admission lock); no
+    /// other commit may run between this one's load and store of the version.
+    pub fn commit(&self, writes: &WriteSet, deployed: &FxHashMap<Address, Arc<Vec<u8>>>) -> u64 {
+        // Relaxed: the caller's lock orders the previous commit's store
+        // before this load.
+        let version = self.version.load(Ordering::Relaxed) + 1;
+        for (key, value) in writes {
+            self.versions.update(*key, |slot| {
+                let chain = slot.get_or_insert_with(Vec::new);
+                debug_assert!(chain.last().is_none_or(|(v, _)| *v < version));
+                chain.push((version, *value));
+            });
+        }
+        for (addr, code) in deployed {
+            self.code.insert(*addr, Arc::clone(code));
+        }
+        self.version.store(version, Ordering::Release);
+        version
     }
 
     /// The version-0 world.
@@ -71,28 +103,10 @@ impl MultiVersionState {
         self.read_at(key, u64::MAX)
     }
 
-    /// Publishes one committed write set at `version`.
-    pub fn commit_writes(&self, writes: &WriteSet, version: u64) {
-        for (key, value) in writes {
-            self.versions.update(*key, |slot| {
-                let chain = slot.get_or_insert_with(Vec::new);
-                // Insert keeping ascending version order; commits arrive
-                // nearly sorted so this is O(1) amortized.
-                let pos = chain.partition_point(|(v, _)| *v < version);
-                chain.insert(pos, (version, *value));
-            });
-        }
-    }
-
     /// Code of `addr` as visible in this block (base code unless a creation
     /// installed new code).
     pub fn code(&self, addr: &Address) -> Arc<Vec<u8>> {
         self.code.get(addr).unwrap_or_else(|| self.base.code(addr))
-    }
-
-    /// Installs code created during the block.
-    pub fn install_code(&self, addr: Address, code: Arc<Vec<u8>>) {
-        self.code.insert(addr, code);
     }
 
     /// The base world with `writes` applied as one batch and the code
@@ -131,12 +145,20 @@ mod tests {
         let mut base = WorldState::new();
         base.set_balance(addr(1), U256::from(100u64));
         base.set_storage(addr(2), H256::from_low_u64(1), U256::from(7u64));
-        MultiVersionState::new(Arc::new(base), 4, Arc::new(VersionGate::new()))
+        MultiVersionState::new(Arc::new(base), 4)
+    }
+
+    /// Commits `key = value` alone, with no code.
+    fn commit_one(mv: &MultiVersionState, key: AccessKey, value: u64) -> u64 {
+        let mut w: WriteSet = Default::default();
+        w.insert(key, U256::from(value));
+        mv.commit(&w, &Default::default())
     }
 
     #[test]
     fn base_reads_report_version_zero() {
         let mv = mv_with_base();
+        assert_eq!(mv.version(), 0);
         assert_eq!(mv.read_at(&bal(1), 0), (U256::from(100u64), 0));
         assert_eq!(mv.read_at(&bal(1), 99), (U256::from(100u64), 0));
         assert_eq!(mv.read_at(&bal(9), 5), (U256::ZERO, 0));
@@ -145,12 +167,10 @@ mod tests {
     #[test]
     fn snapshot_sees_only_older_versions() {
         let mv = mv_with_base();
-        let mut w1: WriteSet = Default::default();
-        w1.insert(bal(1), U256::from(50u64));
-        mv.commit_writes(&w1, 1);
-        let mut w3: WriteSet = Default::default();
-        w3.insert(bal(1), U256::from(30u64));
-        mv.commit_writes(&w3, 3);
+        assert_eq!(commit_one(&mv, bal(1), 50), 1);
+        assert_eq!(commit_one(&mv, bal(9), 1), 2);
+        assert_eq!(commit_one(&mv, bal(1), 30), 3);
+        assert_eq!(mv.version(), 3);
 
         assert_eq!(mv.read_at(&bal(1), 0), (U256::from(100u64), 0));
         assert_eq!(mv.read_at(&bal(1), 1), (U256::from(50u64), 1));
@@ -160,17 +180,43 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_commits_keep_chain_sorted() {
+    fn in_order_commits_build_dense_chains() {
         let mv = mv_with_base();
-        for v in [5u64, 2, 9, 1] {
+        for v in 1..=6u64 {
+            // Every other commit also writes a second key.
             let mut w: WriteSet = Default::default();
             w.insert(bal(1), U256::from(v * 10));
-            mv.commit_writes(&w, v);
+            if v % 2 == 0 {
+                w.insert(bal(3), U256::from(v));
+            }
+            assert_eq!(mv.commit(&w, &Default::default()), v);
         }
-        assert_eq!(mv.read_at(&bal(1), 1).0, U256::from(10u64));
-        assert_eq!(mv.read_at(&bal(1), 4).0, U256::from(20u64));
-        assert_eq!(mv.read_at(&bal(1), 7).0, U256::from(50u64));
-        assert_eq!(mv.read_at(&bal(1), 100).0, U256::from(90u64));
+        for v in 1..=6u64 {
+            assert_eq!(mv.read_at(&bal(1), v), (U256::from(v * 10), v));
+            let even = v - v % 2;
+            assert_eq!(mv.read_at(&bal(3), v), (U256::from(even), even));
+        }
+        assert_eq!(mv.read_latest(&bal(1)), (U256::from(60u64), 6));
+    }
+
+    #[test]
+    fn last_version_decides_staleness() {
+        let mv = mv_with_base();
+        // An unwritten key carries version 0 and is never stale.
+        assert_eq!(mv.last_version(&bal(1)), 0);
+        commit_one(&mv, bal(2), 1);
+        commit_one(&mv, bal(1), 1);
+        commit_one(&mv, bal(2), 2);
+        assert_eq!(mv.last_version(&bal(1)), 2);
+        assert_eq!(mv.last_version(&bal(2)), 3);
+        assert_eq!(mv.last_version(&bal(9)), 0);
+        // A snapshot at `v` is stale for a key exactly when the key's last
+        // commit is newer than `v`.
+        for v in 0..=4u64 {
+            assert_eq!(mv.last_version(&bal(1)) > v, v < 2, "bal(1) at {v}");
+            assert_eq!(mv.last_version(&bal(2)) > v, v < 3, "bal(2) at {v}");
+            assert!(mv.last_version(&bal(9)) <= v);
+        }
     }
 
     #[test]
@@ -180,10 +226,10 @@ mod tests {
         let mut w: WriteSet = Default::default();
         w.insert(bal(1), U256::from(42u64));
         w.insert(slot, U256::from(8u64));
-        mv.commit_writes(&w, 1);
+        mv.commit(&w, &Default::default());
         let mut w2: WriteSet = Default::default();
         w2.insert(bal(1), U256::from(43u64));
-        mv.commit_writes(&w2, 2);
+        mv.commit(&w2, &Default::default());
 
         // The caller's fold in commit order, later versions over earlier:
         // what the version chains answer at the last version.
@@ -207,38 +253,12 @@ mod tests {
     fn code_overlay() {
         let mv = mv_with_base();
         assert!(mv.code(&addr(5)).is_empty());
-        mv.install_code(addr(5), Arc::new(vec![1, 2, 3]));
+        let mut deployed: FxHashMap<Address, Arc<Vec<u8>>> = Default::default();
+        deployed.insert(addr(5), Arc::new(vec![1, 2, 3]));
+        assert_eq!(mv.commit(&WriteSet::default(), &deployed), 1);
         assert_eq!(*mv.code(&addr(5)), vec![1, 2, 3]);
         let world = mv.with_writes(&WriteSet::default());
         assert_eq!(*world.code(&addr(5)), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn gated_snapshot_waits_for_pending_publication() {
-        use std::thread;
-
-        let gate = Arc::new(VersionGate::new());
-        let mut base = WorldState::new();
-        base.set_balance(addr(1), U256::from(100u64));
-        let mv = Arc::new(MultiVersionState::new(Arc::new(base), 2, Arc::clone(&gate)));
-
-        // Version 1 is allocated (registered) but not yet published.
-        gate.register(1);
-        let reader = {
-            let mv = Arc::clone(&mv);
-            thread::spawn(move || {
-                mv.wait_visible(1);
-                mv.read_at(&bal(1), 1)
-            })
-        };
-        // Publish, then open: the reader must observe the committed value.
-        let mut w: WriteSet = Default::default();
-        w.insert(bal(1), U256::from(55u64));
-        mv.commit_writes(&w, 1);
-        gate.open(1);
-        assert_eq!(reader.join().unwrap(), (U256::from(55u64), 1));
-        // Reads below the pending window never block.
-        mv.wait_visible(0);
     }
 
     #[test]
@@ -249,9 +269,7 @@ mod tests {
             let mv = Arc::clone(&mv);
             thread::spawn(move || {
                 for v in 1..=100u64 {
-                    let mut w: WriteSet = Default::default();
-                    w.insert(bal(1), U256::from(v));
-                    mv.commit_writes(&w, v);
+                    assert_eq!(commit_one(&mv, bal(1), v), v);
                 }
             })
         };

@@ -3,9 +3,10 @@
 //! Both sides of the BlockPilot framework reason about transactions through
 //! the set of state locations they read and write:
 //!
-//! * the OCC-WSI proposer keeps a *reserve table* mapping each [`AccessKey`]
-//!   to the version of the last transaction that wrote it, and aborts a
-//!   transaction whose read set observed an older version;
+//! * the OCC-WSI proposer knows, per [`AccessKey`], the version of the last
+//!   transaction that wrote it (the paper's *reserve table*: the tail of the
+//!   key's version chain), and aborts a transaction whose read set observed
+//!   an older version;
 //! * the validator scheduler builds the dependency graph by intersecting the
 //!   read/write sets of transactions at **account granularity** (the paper's
 //!   §4.3: balances change in every transaction and contract-storage writes

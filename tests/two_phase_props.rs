@@ -1,11 +1,12 @@
-//! Property test: two-phase proposer commit is serial-replay equivalent.
+//! Property test: the proposer's commit is serial-replay equivalent.
 //!
-//! The two-phase commit path admits transactions under a tiny critical
-//! section (WSI validation + version allocation) and publishes their write
-//! sets outside it. For arbitrary mixes of transfers, counter bumps and
-//! token moves at 1–16 worker threads, the block it seals must replay
-//! serially to the exact sealed state root, and it must hold every
-//! transaction that was offered.
+//! Each commit validates its read set and publishes its write set in one
+//! critical section, and workers execute outside it against snapshots taken
+//! at the last committed version. For arbitrary mixes of transfers, counter
+//! bumps and token moves at 1–16 worker threads, the block it seals must
+//! replay serially to the exact sealed state root, and it must hold every
+//! transaction that was offered. (The file keeps the name it had when the
+//! commit ran in two phases.)
 
 use std::sync::Arc;
 
@@ -125,8 +126,8 @@ fn propose(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The two-phase commit path is serializable at any thread count: the
-    /// sealed block replays serially to the exact sealed state root.
+    /// The commit path is serializable at any thread count: the sealed
+    /// block replays serially to the exact sealed state root.
     #[test]
     fn two_phase_is_serial_replay_equivalent(
         actions in arb_actions(),
