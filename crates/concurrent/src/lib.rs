@@ -5,9 +5,7 @@
 //! version chains keyed by [`bp_types::AccessKey`] that every worker thread
 //! reads while another commits. Wrapping a single `HashMap` in one lock would
 //! serialize the readers, so [`ShardedMap`] stripes the key space over many
-//! small [`sync::RwLock`]ed maps. [`ResultSlots`] gives the validator
-//! pipeline a lock-free, single-writer result array for the
-//! transaction-execution phase, and [`RootLatch`] hands each height's root
+//! small [`sync::RwLock`]ed maps. [`RootLatch`] hands each height's root
 //! verdict to whoever waits on it. [`sync`] holds the locks every product
 //! crate blocks on, and [`crew`] is the one set of threads every parallel
 //! caller shares.
@@ -17,10 +15,8 @@
 pub mod crew;
 pub mod latch;
 pub mod sharded;
-pub mod slots;
 pub mod sync;
 
 pub use crew::{Crew, Priority};
 pub use latch::RootLatch;
 pub use sharded::ShardedMap;
-pub use slots::ResultSlots;

@@ -47,12 +47,6 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     }
 }
 
-impl<K: Hash + Eq, V> Default for ShardedMap<K, V> {
-    fn default() -> Self {
-        Self::with_shards(16)
-    }
-}
-
 impl<K: Hash + Eq, V, S: BuildHasher> ShardedMap<K, V, S> {
     #[inline]
     fn shard_for(&self, key: &K) -> &RwLock<HashMap<K, V, S>> {
@@ -77,16 +71,6 @@ impl<K: Hash + Eq, V, S: BuildHasher> ShardedMap<K, V, S> {
     /// Inserts, returning the previous value if any.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         self.shard_for(&key).write().insert(key, value)
-    }
-
-    /// Removes, returning the previous value if any.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        self.shard_for(key).write().remove(key)
-    }
-
-    /// True iff the key is present.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.shard_for(key).read().contains_key(key)
     }
 
     /// Read-modify-write of one entry under the shard write lock; returns
@@ -131,13 +115,6 @@ impl<K: Hash + Eq, V, S: BuildHasher> ShardedMap<K, V, S> {
         self.shards.iter().all(|s| s.read().is_empty())
     }
 
-    /// Clears all shards.
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.write().clear();
-        }
-    }
-
     /// Snapshots all entries into a `Vec` (shard by shard).
     pub fn snapshot(&self) -> Vec<(K, V)>
     where
@@ -151,11 +128,6 @@ impl<K: Hash + Eq, V, S: BuildHasher> ShardedMap<K, V, S> {
         }
         out
     }
-
-    /// Number of shards (for tests and tuning).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 #[cfg(test)]
@@ -166,30 +138,28 @@ mod tests {
 
     #[test]
     fn basic_ops() {
-        let m: ShardedMap<u64, String> = ShardedMap::default();
+        let m: ShardedMap<u64, String> = ShardedMap::for_threads(1);
         assert!(m.is_empty());
+        assert_eq!(m.get(&1), None);
         assert_eq!(m.insert(1, "a".into()), None);
         assert_eq!(m.insert(1, "b".into()), Some("a".into()));
         assert_eq!(m.get(&1), Some("b".into()));
-        assert!(m.contains_key(&1));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.remove(&1), Some("b".into()));
-        assert!(m.get(&1).is_none());
     }
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let m: ShardedMap<u64, u64> = ShardedMap::with_shards(5);
-        assert_eq!(m.shard_count(), 8);
+        assert_eq!(m.shards.len(), 8);
         let m: ShardedMap<u64, u64> = ShardedMap::for_threads(16);
-        assert_eq!(m.shard_count(), 64);
+        assert_eq!(m.shards.len(), 64);
         let m: ShardedMap<u64, u64> = ShardedMap::for_threads(1000);
-        assert_eq!(m.shard_count(), 256);
+        assert_eq!(m.shards.len(), 256);
     }
 
     #[test]
     fn update_can_insert_mutate_remove() {
-        let m: ShardedMap<u64, u64> = ShardedMap::default();
+        let m: ShardedMap<u64, u64> = ShardedMap::for_threads(1);
         m.update(7, |slot| {
             assert!(slot.is_none());
             *slot = Some(1);
@@ -207,7 +177,7 @@ mod tests {
 
     #[test]
     fn with_borrows_without_clone() {
-        let m: ShardedMap<u64, Vec<u8>> = ShardedMap::default();
+        let m: ShardedMap<u64, Vec<u8>> = ShardedMap::for_threads(1);
         m.insert(1, vec![1, 2, 3]);
         let sum: u32 = m.with(&1, |v| v.unwrap().iter().map(|&b| b as u32).sum());
         assert_eq!(sum, 6);
@@ -225,8 +195,7 @@ mod tests {
         snap.sort_unstable();
         assert_eq!(snap.len(), 100);
         assert_eq!(snap[10], (10, 20));
-        m.clear();
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 100);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use bp_testkit::prelude::*;
 #[derive(Clone, Debug)]
 enum Op {
     Insert(u16, u32),
-    Remove(u16),
     Update(u16, u32),
     Get(u16),
 }
@@ -18,7 +17,6 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
             (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v)),
-            any::<u16>().prop_map(Op::Remove),
             (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Update(k, v)),
             any::<u16>().prop_map(Op::Get),
         ],
@@ -36,9 +34,6 @@ proptest! {
                 Op::Insert(k, v) => {
                     prop_assert_eq!(map.insert(k, v), model.insert(k, v));
                 }
-                Op::Remove(k) => {
-                    prop_assert_eq!(map.remove(&k), model.remove(&k));
-                }
                 Op::Update(k, v) => {
                     map.update(k, |slot| {
                         *slot = Some(slot.unwrap_or(0).wrapping_add(v));
@@ -48,7 +43,6 @@ proptest! {
                 }
                 Op::Get(k) => {
                     prop_assert_eq!(map.get(&k), model.get(&k).copied());
-                    prop_assert_eq!(map.contains_key(&k), model.contains_key(&k));
                 }
             }
         }

@@ -54,9 +54,7 @@ use bp_block::{
 };
 use bp_concurrent::crew::{self, Crew, Priority};
 use bp_concurrent::sync::Mutex;
-use bp_evm::{
-    execute_transaction_in, gas, AnalysisCache, BlockEnv, MvSnapshot, Receipt, Transaction, TxError,
-};
+use bp_evm::{execute_transaction, gas, BlockEnv, MvSnapshot, Receipt, Transaction, TxError};
 use bp_state::{MultiVersionState, WorldState};
 use bp_txpool::TxPool;
 use bp_types::{BlockHash, FxHashMap, Gas, Height, TxHash, WriteSet, U256};
@@ -219,20 +217,14 @@ impl Drop for Checkout<'_> {
 /// The OCC-WSI proposer.
 pub struct OccWsiProposer {
     config: OccWsiConfig,
-    /// Code-analysis cache shared by every worker across every block this
-    /// proposer packs; contract bytecode is analyzed once, ever.
-    cache: Arc<AnalysisCache>,
 }
 
 impl OccWsiProposer {
-    /// A proposer with the given configuration, sharing the process-wide
-    /// analysis cache.
+    /// A proposer with the given configuration. Its workers execute through
+    /// the process-wide analysis cache.
     pub fn new(config: OccWsiConfig) -> Self {
         assert!(config.threads > 0, "need at least one worker");
-        OccWsiProposer {
-            config,
-            cache: AnalysisCache::global(),
-        }
+        OccWsiProposer { config }
     }
 
     /// Runs Algorithm 1: executes transactions from `pool` in parallel over
@@ -396,7 +388,7 @@ impl OccWsiProposer {
             let snapshot_version = s.mv.version();
             let snapshot = MvSnapshot::new(s.mv, snapshot_version);
             s.executions.fetch_add(1, Ordering::Relaxed);
-            let exec = execute_transaction_in(&self.cache, &snapshot, &self.config.env, &tx);
+            let exec = execute_transaction(&snapshot, &self.config.env, &tx);
 
             let result = match exec {
                 Err(TxError::BadNonce { expected, got }) if got > expected => {

@@ -12,14 +12,14 @@
 //!   dynamically across subgraphs and blocks: the crew's parked helpers,
 //!   and any thread blocked in [`ValidationHandle::wait`], which runs queued
 //!   tasks until its verdict is in. The pipeline owns no thread and no
-//!   queue of its own. Each result is published
-//!   into a lock-free single-writer slot ([`ResultSlots`]) — no mutex on the
-//!   per-transaction result path. Footprint verification (Algorithm 2) is
+//!   queue of its own. A job keeps its results to itself and hands them
+//!   back in one report when it ends, merged under the block's one lock —
+//!   no lock per transaction. Footprint verification (Algorithm 2) is
 //!   *overlapped*: each job checks its transaction against the block
 //!   profile right after executing it, and the first mismatch trips a
 //!   per-block cancellation flag so the block's remaining jobs stop early.
-//! * **Block validation** — the task that finishes a block's last job
-//!   drains the result slots in block order, applies writes, credits
+//! * **Block validation** — the task that ends a block's last job takes
+//!   the merged reports, applies the writes in block order, credits
 //!   aggregated fees and checks gas and receipts against the header.
 //!   Independent blocks (same height, or different forks) validate on
 //!   different threads concurrently.
@@ -36,17 +36,15 @@
 //!   and the public lookups answer for a block only once that verdict is in.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bp_block::{receipts_root, tx_root, Block};
 use bp_concurrent::crew::{self, Crew};
 use bp_concurrent::sync::Mutex;
-use bp_concurrent::{ResultSlots, RootLatch};
-use bp_evm::{
-    execute_transaction_in, AnalysisCache, BlockEnv, Receipt, StateView, Transaction, TxError,
-};
+use bp_concurrent::RootLatch;
+use bp_evm::{execute_transaction, BlockEnv, Receipt, StateView, TxError};
 use bp_state::WorldState;
 use bp_types::{AccessKey, Address, BlockHash, FxHashMap, Gas, U256};
 
@@ -232,18 +230,58 @@ impl Drop for Verdict {
 // ---------------------------------------------------------------------------
 
 struct TxOutcome {
+    /// The transaction's position in the block.
+    index: usize,
     rw: bp_types::RwSet,
     receipt: Receipt,
     deployed: Vec<(Address, Arc<Vec<u8>>)>,
 }
 
-/// Abort-record encoding: `(index << 1) | kind`, taken with `fetch_min` so
-/// concurrent detections resolve to the lowest offending index (kind breaks
-/// ties at equal index in favour of `TxRejected`, the order in which a
-/// serial replay checks them).
-const ABORT_NONE: u64 = u64::MAX;
-const ABORT_KIND_REJECTED: u64 = 0;
-const ABORT_KIND_PROFILE: u64 = 1;
+/// Why a job stopped its block. The order breaks ties at one index in
+/// favour of `Rejected`, the order in which a serial replay checks them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Abort {
+    /// Invalid on replay (nonce, funds, intrinsic gas).
+    Rejected,
+    /// The replayed footprint diverged from the block profile.
+    Profile,
+}
+
+/// What one job did, handed back when it ends — or, in [`Progress`], what
+/// a block's ended jobs did together.
+#[derive(Default)]
+struct JobReport {
+    /// When the job started executing; `None` for the one empty job of a
+    /// header-rejected or empty block.
+    start: Option<Instant>,
+    /// Transactions executed.
+    executed: usize,
+    /// The executed transactions' results, in the job's order.
+    outcomes: Vec<TxOutcome>,
+    /// The transaction that stopped the job, and why.
+    abort: Option<(usize, Abort)>,
+}
+
+/// A block's jobs still running, and the merged reports of those that ended.
+struct Progress {
+    remaining: usize,
+    done: JobReport,
+}
+
+impl Progress {
+    /// Merges one ended job's report: the earliest start, the lowest abort
+    /// (concurrent detections resolve to the lowest offending index), the
+    /// summed count, every outcome. True iff it was the block's last job.
+    fn end_job(&mut self, report: JobReport) -> bool {
+        let done = &mut self.done;
+        done.start = done.start.into_iter().chain(report.start).min();
+        done.executed += report.executed;
+        done.outcomes.extend(report.outcomes);
+        done.abort = done.abort.into_iter().chain(report.abort).min();
+        self.remaining -= 1;
+        self.remaining == 0
+    }
+}
 
 struct BlockTask {
     block: Arc<Block>,
@@ -255,42 +293,14 @@ struct BlockTask {
     /// Set when a preparation-phase header check failed: the block skipped
     /// execution entirely and its one empty job reports this error.
     header_error: Option<ValidationError>,
-    results: ResultSlots<TxOutcome>,
-    remaining_jobs: AtomicUsize,
+    /// Taken once by each job, when it ends.
+    progress: Mutex<Progress>,
     /// Trips on the first footprint mismatch / replay rejection; remaining
     /// jobs of this block stop instead of executing to completion.
     cancelled: AtomicBool,
-    abort: AtomicU64,
-    /// Transactions executed, added once per job.
-    executed: AtomicUsize,
     verdict: Verdict,
     prepare: Duration,
     submitted: Instant,
-    exec_start: OnceLock<Instant>,
-    /// The pipeline-wide analysis cache the block's jobs execute through.
-    cache: Arc<AnalysisCache>,
-}
-
-impl BlockTask {
-    fn record_abort(&self, index: usize, kind: u64) {
-        self.abort
-            .fetch_min(((index as u64) << 1) | kind, Ordering::AcqRel);
-        self.cancelled.store(true, Ordering::Release);
-    }
-
-    fn abort_error(&self) -> Option<ValidationError> {
-        match self.abort.load(Ordering::Acquire) {
-            ABORT_NONE => None,
-            rec => {
-                let index = (rec >> 1) as usize;
-                Some(if rec & 1 == ABORT_KIND_PROFILE {
-                    ValidationError::ProfileMismatch { index }
-                } else {
-                    ValidationError::TxRejected { index }
-                })
-            }
-        }
-    }
 }
 
 /// A block parked until its parent validates, and where its verdict goes.
@@ -360,8 +370,6 @@ struct Starter {
     scheduler: Scheduler,
     crew: Crew,
     index: Arc<Mutex<StateIndex>>,
-    /// Code-analysis cache shared by every job across every block.
-    cache: Arc<AnalysisCache>,
 }
 
 /// The four-stage validator pipeline.
@@ -380,7 +388,6 @@ impl ValidatorPipeline {
             scheduler: Scheduler::new(config.granularity),
             crew,
             index: Arc::default(),
-            cache: AnalysisCache::global(),
         });
         ValidatorPipeline { starter }
     }
@@ -508,69 +515,56 @@ impl StateView for JobView<'_> {
 }
 
 /// Runs one job — one dependency subgraph's transaction indices, ascending
-/// (block order) — then counts its executed transactions into the block's
-/// total: one write to the shared counter a job, not one a transaction.
-fn run_job(task: &BlockTask, txs: &[usize]) {
+/// (block order) — and hands back what it did.
+fn run_job(task: &BlockTask, txs: &[usize]) -> JobReport {
+    let mut report = JobReport::default();
     if txs.is_empty() {
-        return; // a header rejection's or an empty block's one job
+        return report; // a header rejection's or an empty block's one job
     }
-    task.exec_start.get_or_init(Instant::now);
-    let executed = execute_subgraph(task, txs);
-    task.executed.fetch_add(executed, Ordering::Relaxed);
-}
-
-/// Executes one dependency subgraph's transactions in block order and
-/// returns how many executed.
-fn execute_subgraph(task: &BlockTask, txs: &[usize]) -> usize {
+    report.start = Some(Instant::now());
+    report.outcomes.reserve_exact(txs.len());
     let mut view = JobView {
         base: &task.base,
         overlay: FxHashMap::default(),
         code_overlay: FxHashMap::default(),
     };
-    let mut executed = 0;
     for &i in txs {
         // Early abort: a sibling job (or an earlier transaction of this
         // one) found a mismatch — this block can never validate, stop
         // burning threads on it.
         if task.cancelled.load(Ordering::Acquire) {
-            return executed;
+            break;
         }
-        let tx: &Transaction = &task.block.transactions[i];
-        match execute_transaction_in(&task.cache, &view, &task.env, tx) {
-            Ok(result) => {
-                executed += 1;
-                // Overlapped verification (Algorithm 2): check the replayed
-                // footprint against the block profile right here, while
-                // sibling jobs still execute.
-                if !task.block.profile.matches(i, &result.rw) {
-                    task.record_abort(i, ABORT_KIND_PROFILE);
-                    return executed;
-                }
+        report.executed += 1;
+        let abort = match execute_transaction(&view, &task.env, &task.block.transactions[i]) {
+            // Overlapped verification (Algorithm 2): check the replayed
+            // footprint against the block profile right here, while sibling
+            // jobs still execute.
+            Ok(result) if task.block.profile.matches(i, &result.rw) => {
                 for (key, value) in &result.rw.writes {
                     view.overlay.insert(*key, *value);
                 }
                 for (addr, code) in &result.deployed {
                     view.code_overlay.insert(*addr, Arc::clone(code));
                 }
-                // Lock-free publication: this job is the slot's only writer.
-                task.results.publish(
-                    i,
-                    TxOutcome {
-                        rw: result.rw,
-                        deployed: result.deployed.into_iter().collect(),
-                        receipt: result.receipt,
-                    },
-                );
+                report.outcomes.push(TxOutcome {
+                    index: i,
+                    rw: result.rw,
+                    deployed: result.deployed.into_iter().collect(),
+                    receipt: result.receipt,
+                });
+                continue;
             }
-            Err(TxError::BadNonce { .. })
-            | Err(TxError::InsufficientFunds)
-            | Err(TxError::IntrinsicGas) => {
-                task.record_abort(i, ABORT_KIND_REJECTED);
-                return executed + 1;
+            Ok(_) => Abort::Profile,
+            Err(TxError::BadNonce { .. } | TxError::InsufficientFunds | TxError::IntrinsicGas) => {
+                Abort::Rejected
             }
-        }
+        };
+        report.abort = Some((i, abort));
+        task.cancelled.store(true, Ordering::Release);
+        break;
     }
-    executed
+    report
 }
 
 // ---------------------------------------------------------------------------
@@ -618,30 +612,32 @@ impl Starter {
             jobs.push(Vec::new());
         }
         let prepare = t0.elapsed();
-        let n = block.transactions.len();
+        let progress = Progress {
+            remaining: jobs.len(),
+            done: JobReport {
+                outcomes: Vec::with_capacity(block.transactions.len()),
+                ..JobReport::default()
+            },
+        };
         let task = Arc::new(BlockTask {
             block,
             base: parent.state,
             parent_root: parent.root,
             env,
             header_error,
-            results: ResultSlots::new(n),
-            remaining_jobs: AtomicUsize::new(jobs.len()),
+            progress: Mutex::new(progress),
             cancelled: AtomicBool::new(false),
-            abort: AtomicU64::new(ABORT_NONE),
-            executed: AtomicUsize::new(0),
             verdict,
             prepare,
             submitted: Instant::now(),
-            exec_start: OnceLock::new(),
-            cache: Arc::clone(&self.cache),
         });
         self.crew.spawn_all(jobs.into_iter().map(|txs| {
             let (task, starter) = (Arc::clone(&task), Arc::clone(self));
             move || {
-                run_job(&task, &txs);
-                // The task that finishes a block's last job applies it.
-                if task.remaining_jobs.fetch_sub(1, Ordering::AcqRel) == 1 {
+                let report = run_job(&task, &txs);
+                // The task that ends a block's last job applies it.
+                let last = task.progress.lock().end_job(report);
+                if last {
                     apply_block(task, &starter);
                 }
             }
@@ -660,7 +656,7 @@ impl Starter {
 /// chains on the parent's latch, so an invalid ancestor still poisons every
 /// descendant.
 ///
-/// It runs in the crew task that finished the block's last job. Why this
+/// It runs in the crew task that ended the block's last job. Why this
 /// cannot deadlock or misorder, on any crew down to one with no helper at
 /// all: a block's jobs are queued only after its parent *published*
 /// (children are released at publish time, and handed the parent's latch
@@ -678,20 +674,17 @@ impl Starter {
 /// roots it depends on are known.
 fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
     let t0 = Instant::now();
-    let exec = task
-        .exec_start
-        .get()
-        .map(|s| s.elapsed())
-        .unwrap_or_default();
-    let block = &task.block;
-    let hash = block.hash();
-    let result = validate_and_apply(&task);
-
-    let queue_wait = task
-        .exec_start
-        .get()
+    let done = std::mem::take(&mut task.progress.lock().done);
+    let exec = done.start.map(|s| t0.duration_since(s)).unwrap_or_default();
+    let queue_wait = done
+        .start
         .map(|s| s.duration_since(task.submitted))
         .unwrap_or_default();
+    let executed_txs = done.executed;
+    let block = &task.block;
+    let hash = block.hash();
+    let result = validate_and_apply(&task, done);
+
     let outcome = |result: Result<(), ValidationError>,
                    post_state: Option<Arc<WorldState>>,
                    receipts: Vec<Receipt>,
@@ -707,7 +700,7 @@ fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
             execute: exec,
             validate,
         },
-        executed_txs: task.executed.load(Ordering::Relaxed),
+        executed_txs,
         aborted_early: task.cancelled.load(Ordering::Relaxed),
     };
     let (state, receipts) = match result {
@@ -771,19 +764,33 @@ fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
         .send(outcome(result, post_state, receipts, t0.elapsed()));
 }
 
-/// Block validation: drain the execution results in block order, apply
-/// writes, and check the block-level commitments. Per-transaction footprint
-/// checks (Algorithm 2) already ran inside the jobs; a recorded abort
+/// Block validation: apply the jobs' merged results in block order and
+/// check the block-level commitments. Per-transaction footprint checks
+/// (Algorithm 2) already ran inside the jobs; a reported abort
 /// short-circuits here. The state root is not compared here: the caller
 /// hashes it after publishing and settles the block's [`RootLatch`].
-fn validate_and_apply(task: &BlockTask) -> Result<(WorldState, Vec<Receipt>), ValidationError> {
+fn validate_and_apply(
+    task: &BlockTask,
+    done: JobReport,
+) -> Result<(WorldState, Vec<Receipt>), ValidationError> {
     let block = &task.block;
     if let Some(err) = &task.header_error {
         return Err(err.clone());
     }
-    if let Some(err) = task.abort_error() {
-        return Err(err);
+    match done.abort {
+        Some((index, Abort::Rejected)) => return Err(ValidationError::TxRejected { index }),
+        Some((index, Abort::Profile)) => return Err(ValidationError::ProfileMismatch { index }),
+        None => {}
     }
+    let mut outcomes = done.outcomes;
+    outcomes.sort_unstable_by_key(|o| o.index);
+    assert!(
+        outcomes
+            .iter()
+            .map(|o| o.index)
+            .eq(0..block.transactions.len()),
+        "uncancelled block executed every transaction"
+    );
     // Copy-on-write snapshot of the parent state: a pointer bump, whatever
     // the number of accounts; the writes below copy only the paths they take.
     // It does not wait for the parent's root, which may still be hashing.
@@ -791,11 +798,7 @@ fn validate_and_apply(task: &BlockTask) -> Result<(WorldState, Vec<Receipt>), Va
     let mut gas_total: Gas = 0;
     let mut fees = U256::ZERO;
     let mut receipts = Vec::with_capacity(block.transactions.len());
-    for i in 0..block.transactions.len() {
-        let outcome = task
-            .results
-            .take(i)
-            .expect("uncancelled block executed every transaction");
+    for outcome in outcomes {
         world.apply_writes(&outcome.rw.writes);
         for (addr, code) in &outcome.deployed {
             world.set_code(*addr, (**code).clone());
@@ -824,6 +827,7 @@ fn validate_and_apply(task: &BlockTask) -> Result<(WorldState, Vec<Receipt>), Va
 mod tests {
     use super::*;
     use crate::occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal};
+    use bp_evm::Transaction;
     use bp_txpool::TxPool;
     use bp_types::Address;
 
@@ -1194,6 +1198,74 @@ mod tests {
             pipeline.validate_block(late.block).result,
             Err(ValidationError::ParentInvalid)
         );
+    }
+
+    /// Three ended jobs, merged in each of the six orders they can end in.
+    #[test]
+    fn end_job_merges_reports_in_any_order() {
+        let t0 = Instant::now();
+        let outcome = |index| TxOutcome {
+            index,
+            rw: bp_types::RwSet::default(),
+            receipt: Receipt {
+                success: true,
+                gas_used: 21_000,
+                output: vec![],
+                logs: vec![],
+                fee: U256::ZERO,
+                created: None,
+            },
+            deployed: vec![],
+        };
+        let reports = || {
+            [
+                JobReport {
+                    start: Some(t0 + Duration::from_millis(2)),
+                    executed: 4,
+                    outcomes: vec![outcome(2), outcome(4)],
+                    abort: Some((3, Abort::Profile)),
+                },
+                JobReport {
+                    start: Some(t0 + Duration::from_millis(1)),
+                    executed: 2,
+                    outcomes: vec![outcome(0)],
+                    abort: Some((1, Abort::Rejected)),
+                },
+                JobReport {
+                    start: Some(t0),
+                    executed: 2,
+                    outcomes: vec![outcome(5), outcome(6)],
+                    abort: None,
+                },
+            ]
+        };
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in orders {
+            let mut reports = reports().map(Some);
+            let mut progress = Progress {
+                remaining: 3,
+                done: JobReport::default(),
+            };
+            let ended: Vec<bool> = order
+                .iter()
+                .map(|&j| progress.end_job(reports[j].take().unwrap()))
+                .collect();
+            assert_eq!(ended, [false, false, true], "{order:?}");
+            let done = progress.done;
+            assert_eq!(done.abort, Some((1, Abort::Rejected)), "{order:?}");
+            assert_eq!(done.start, Some(t0), "{order:?}");
+            assert_eq!(done.executed, 8, "{order:?}");
+            let mut indices: Vec<usize> = done.outcomes.iter().map(|o| o.index).collect();
+            indices.sort_unstable();
+            assert_eq!(indices, [0, 2, 4, 5, 6], "{order:?}");
+        }
     }
 
     #[test]

@@ -386,13 +386,14 @@ fn serve(
 /// Result of the serial-replay equivalence gate.
 #[derive(Clone, Debug)]
 pub struct Equivalence {
-    /// Blocks replayed: the whole canonical chain, from height 1.
+    /// Blocks replayed from height 1: the whole canonical chain, or the
+    /// blocks before the first one serial replay rejected.
     pub blocks: u64,
-    /// Final state root of the serial replay from genesis.
+    /// State root the serial replay from genesis reached.
     pub serial_root: H256,
     /// Final state root committed by the (pipelined) validators.
     pub node_root: H256,
-    /// True iff the two roots agree.
+    /// True iff every block replayed and the two roots agree.
     pub ok: bool,
 }
 
@@ -740,12 +741,12 @@ impl RunningNode {
         let validation_failures = outcomes.iter().map(|o| o.validation_failures).sum();
 
         let equivalence = config.check_equivalence.then(|| {
-            let serial_root = serial_replay_root(&genesis_state, &chain);
+            let (serial_root, replayed) = replay_serially(&genesis_state, &chain);
             Equivalence {
-                blocks: chain.len() as u64,
+                blocks: replayed as u64,
                 serial_root,
                 node_root: final_root,
-                ok: serial_root == final_root,
+                ok: replayed == chain.len() && serial_root == final_root,
             }
         });
 
@@ -783,19 +784,31 @@ fn joined<T>(result: std::thread::Result<T>) -> T {
 /// Replays `chain` serially from `genesis` and returns the final state
 /// root — the oracle the pipelined loop must agree with.
 pub fn serial_replay_root(genesis: &WorldState, chain: &[Block]) -> H256 {
+    let (root, replayed) = replay_serially(genesis, chain);
+    (replayed == chain.len())
+        .then_some(root)
+        .expect("committed chain replays serially")
+}
+
+/// Replays `chain` serially from `genesis` up to the first block serial
+/// replay rejects: the state root it reached, and how many blocks replayed.
+fn replay_serially(genesis: &WorldState, chain: &[Block]) -> (H256, usize) {
     let mut state = genesis.snapshot();
+    let mut replayed = 0;
     for block in chain {
-        let env = bp_evm::BlockEnv {
+        let env = BlockEnv {
             coinbase: block.header.coinbase,
             number: block.header.height,
             timestamp: block.header.timestamp,
             gas_limit: block.header.gas_limit,
         };
-        let outcome = bp_baseline::execute_block_serially(&state, &env, &block.transactions)
-            .expect("committed chain replays serially");
-        state = outcome.post_state;
+        match bp_baseline::execute_block_serially(&state, &env, &block.transactions) {
+            Ok(outcome) => state = outcome.post_state,
+            Err(_) => break,
+        }
+        replayed += 1;
     }
-    state.state_root()
+    (state.state_root(), replayed)
 }
 
 /// Runs the loop to completion: [`RunningNode::spawn`] + [`RunningNode::join`].
@@ -964,6 +977,21 @@ mod tests {
         assert_eq!(committed.load(Ordering::Acquire), 3);
         let waits: Vec<u64> = stages.iter().map(|s| s.stats.wait_micros).collect();
         assert!(waits[0] > 0 && waits[0] == waits[1], "{waits:?}");
+    }
+
+    /// A committed chain whose second block no longer replays: the gate's
+    /// replay stops there, on the first block's root, instead of panicking.
+    #[test]
+    fn serial_replay_stops_at_the_first_rejected_block() {
+        let (genesis, chain, _) = chain_bytes();
+        let mut chain: Vec<Block> = chain
+            .iter()
+            .map(|bytes| decode_block(bytes).expect("an honest block"))
+            .collect();
+        assert_eq!(replay_serially(&genesis, &chain).1, 3);
+        chain[1].transactions[0].nonce += 1;
+        let root_1 = chain[0].header.state_root;
+        assert_eq!(replay_serially(&genesis, &chain), (root_1, 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! 16-worker pipeline stress: the per-transaction result path is built on
-//! lock-free single-writer slots, so a pool twice as wide as the block's
-//! parallelism hammering several in-flight blocks must still deliver
-//! exactly the serial outcome for every block — and a tampered block's
+//! 16-worker pipeline stress: every job of a block hands back its results
+//! when it ends and the last one applies the block, so a pool twice as wide
+//! as the block's parallelism hammering several in-flight blocks must still
+//! deliver exactly the serial outcome for every block — and a tampered block's
 //! early abort must cut its execution short without poisoning the valid
 //! siblings sharing the pool. Nor may a block whose root is rejected after
 //! its descendants were released onto its post-state: they fall with it, the
@@ -68,7 +68,7 @@ fn wide_pipeline() -> ValidatorPipeline {
 fn sixteen_workers_replay_bursts_of_sibling_blocks() {
     // Three rounds of four same-height siblings, all submitted before any
     // verdict is read: 16 workers race over every block's subgraph jobs and
-    // every result goes through the lock-free slots. Each block must end on
+    // every job's report is merged under its block's lock. Each block must end on
     // its proposer's exact state root with all transactions executed.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
@@ -171,7 +171,7 @@ fn sixteen_workers_reject_tampered_tx_root_with_zero_execution() {
 fn one_worker_still_drains_sibling_burst() {
     // On a crew with no helper the one thread — the one waiting for the
     // verdicts — executes every job and applies every block it finishes;
-    // correctness (exact outcomes, ordered drain of the slots) must not
+    // correctness (exact outcomes, applied in block order) must not
     // depend on how many threads there are.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
