@@ -255,10 +255,11 @@ impl OccWsiProposer {
         // The calling thread is worker 0; the others are crew tasks, which
         // free helpers join and the caller runs itself once its own share is
         // done (they then find the block sealed or the pool dry). A helper
-        // leaves the pack between pool turns once validator work is queued;
-        // the successors of its last commits become eligible only at its
-        // final turn, when the other workers may have given up on them, so
-        // the caller then packs once more, alone, as the last one standing.
+        // leaves the pack between pool turns once validator work is queued,
+        // and at its first abort or future-nonce retry; the successors of
+        // its last commits become eligible only at its final turn, when the
+        // other workers may have given up on them, so the caller then packs
+        // once more, alone, as the last one standing.
         let started = Instant::now();
         let crew = crew::current();
         crew.reserve(self.config.threads);
@@ -349,7 +350,11 @@ impl OccWsiProposer {
     /// in the one `admit` section.
     /// A worker that yields to a crew stops at its next pool turn when the
     /// crew has work queued ahead of the pack ([`Crew::bulk_should_yield`]),
-    /// and then sets the flag beside it.
+    /// and also the first time it loses a race — a failed WSI validation,
+    /// or a transaction whose predecessor from the same sender has not
+    /// committed yet — and then sets the flag beside it: on a block that is
+    /// one dependency chain a second worker only aborts or spins, and its
+    /// thread is better spent on the crew's other work.
     fn worker(&self, s: &Shared<'_>, yields_to: Option<(&Crew, &AtomicBool)>) -> Vec<CommitRecord> {
         let mut records: Vec<CommitRecord> = Vec::new();
         // Everything checked out goes back when `checkout` drops, whichever
@@ -408,6 +413,10 @@ impl OccWsiProposer {
                     } else {
                         s.aborts.fetch_add(1, Ordering::Relaxed);
                         checkout.returned.push(hash);
+                        if let Some((_, yielded)) = yields_to {
+                            yielded.store(true, Ordering::Relaxed);
+                            return records;
+                        }
                         std::thread::yield_now();
                     }
                     continue;
@@ -437,6 +446,10 @@ impl OccWsiProposer {
                     drop(gas_used);
                     s.aborts.fetch_add(1, Ordering::Relaxed);
                     checkout.returned.push(hash);
+                    if let Some((_, yielded)) = yields_to {
+                        yielded.store(true, Ordering::Relaxed);
+                        return records;
+                    }
                     continue;
                 }
                 // Gas-limit admission.

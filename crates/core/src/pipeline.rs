@@ -4,7 +4,10 @@
 //! * **Preparation** — cheap header commitments (`tx_root`, profile length)
 //!   are checked first so malformed blocks are rejected before a single
 //!   transaction executes; the scheduler then splits the block into
-//!   dependency subgraphs from its profile.
+//!   dependency subgraphs from its profile. The profile's write sets, and
+//!   the fees its gas implies, are folded into a snapshot of the parent:
+//!   the post-state the block claims, which execution then confirms entry
+//!   by entry.
 //! * **Transaction execution** — the process's [`Crew`] executes jobs from
 //!   *any* in-flight block: two blocks at the same height overlap fully,
 //!   exactly as in the paper's Figure 5. Every dependency subgraph is its
@@ -15,25 +18,31 @@
 //!   queue of its own. A job keeps its results to itself and hands them
 //!   back in one report when it ends, merged under the block's one lock —
 //!   no lock per transaction. Footprint verification (Algorithm 2) is
-//!   *overlapped*: each job checks its transaction against the block
-//!   profile right after executing it, and the first mismatch trips a
-//!   per-block cancellation flag so the block's remaining jobs stop early.
+//!   *overlapped*: each job checks its transaction's write set, read keys
+//!   and gas against the block profile right after executing it, and the
+//!   first mismatch trips a per-block cancellation flag so the block's
+//!   remaining jobs stop early.
 //! * **Block validation** — the task that ends a block's last job takes
-//!   the merged reports, applies the writes in block order, credits
-//!   aggregated fees and checks gas and receipts against the header.
-//!   Independent blocks (same height, or different forks) validate on
-//!   different threads concurrently.
-//! * **Block commitment** — publish, then root: the applied post-state is
-//!   indexed by the block's hash and blocks at the next height that were
-//!   parked waiting for this parent are released into execution *before*
-//!   the MPT root is hashed, so height N+1 executes *and applies* while N's
-//!   root hashes: forking N's post-state does not wait for that root (the
-//!   fork carries N's pending commit, see [`WorldState::snapshot`]); only
-//!   N+1's own root does, as it needs N's tries.
+//!   the merged reports and checks gas and receipts against the header.
+//!   It applies nothing: every write set and every fee was folded at
+//!   preparation, and the jobs confirmed each. Independent blocks (same
+//!   height, or different forks) validate on different threads
+//!   concurrently.
+//! * **Block commitment** — publish from the profile: at preparation the
+//!   folded post-state's commit begins, its root is queued as a crew task
+//!   ahead of the block's jobs, and the post-state is indexed by the
+//!   block's hash, releasing the blocks at the next height that were parked
+//!   waiting for this parent. Height N+1 therefore executes while N still
+//!   executes, and N's root hashes beside both; N+1's own root waits for
+//!   N's, as it needs N's tries. A block that deploys code publishes at
+//!   validation instead, once the deployed code is installed: the profile
+//!   carries code hashes, not code.
 //!   The root comparison settles a per-block [`RootLatch`]; a block's
 //!   verdict waits for its own root and for its parent's latch, which keeps
 //!   the paper's rule that a block is not cleared before its predecessor,
-//!   and the public lookups answer for a block only once that verdict is in.
+//!   and the public lookups answer for a block only once that verdict is
+//!   in. A block that fails any check is un-published, and its descendants
+//!   fail through the latch they were handed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -123,13 +132,15 @@ impl std::error::Error for ValidationError {}
 /// Wall-clock spent in each pipeline stage for one block.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimings {
-    /// Preparation (header checks + scheduling).
+    /// Preparation (header checks, scheduling, and the fold of the
+    /// profile's writes and fees into the post-state).
     pub prepare: Duration,
     /// Channel queueing: job enqueue → first job start.
     pub queue_wait: Duration,
     /// Transaction execution (first job start → last job end).
     pub execute: Duration,
-    /// Block validation (apply, root and verdict).
+    /// Block validation: the checks against the header, plus any wait for
+    /// the block's root and its parent's verdict.
     pub validate: Duration,
 }
 
@@ -232,7 +243,6 @@ impl Drop for Verdict {
 struct TxOutcome {
     /// The transaction's position in the block.
     index: usize,
-    rw: bp_types::RwSet,
     receipt: Receipt,
     deployed: Vec<(Address, Arc<Vec<u8>>)>,
 }
@@ -243,7 +253,7 @@ struct TxOutcome {
 enum Abort {
     /// Invalid on replay (nonce, funds, intrinsic gas).
     Rejected,
-    /// The replayed footprint diverged from the block profile.
+    /// The replayed footprint or gas diverged from the block profile.
     Profile,
 }
 
@@ -285,7 +295,16 @@ impl Progress {
 
 struct BlockTask {
     block: Arc<Block>,
+    /// The parent's post-state, which the jobs execute on.
     base: Arc<WorldState>,
+    /// The post-state the profile folds to; `None` after a header check
+    /// failed. Published at preparation, unless the block deploys code.
+    post: Option<Arc<WorldState>>,
+    /// The block deploys code: its post-state is published once the code
+    /// the jobs deployed is installed in it.
+    deploys: bool,
+    /// This block's root verdict, handed to its children with its state.
+    root: Arc<RootLatch<bool>>,
     /// The parent block's root verdict, which this block's own verdict
     /// chains on; `None` when the parent is a trusted registered state.
     parent_root: Option<Arc<RootLatch<bool>>>,
@@ -308,8 +327,8 @@ type Parked = (Arc<Block>, Verdict);
 
 /// What a block starts from: the state it executes on and the root verdict
 /// its own verdict chains on. The index holds one for every hash a child can
-/// build on: a registered base state, or a block from the moment its writes
-/// are applied.
+/// build on: a registered base state, or a block from the moment its
+/// post-state is published.
 #[derive(Clone)]
 struct Parent {
     state: Arc<WorldState>,
@@ -330,6 +349,13 @@ struct StateIndex {
 }
 
 impl StateIndex {
+    /// Indexes `parent` under `hash` and takes out the blocks parked on it,
+    /// for the caller to start once the index is unlocked.
+    fn publish(&mut self, hash: BlockHash, parent: Parent) -> Vec<Parked> {
+        self.states.insert(hash, parent);
+        self.waiting.remove(&hash).unwrap_or_default()
+    }
+
     /// What a child of `hash` starts from, if `hash` is published. Its root
     /// verdict may still un-publish it; the child then fails through the
     /// latch it was handed here.
@@ -395,16 +421,7 @@ impl ValidatorPipeline {
     /// Registers a trusted base state (e.g. the genesis post-state) so
     /// blocks naming `hash` as parent can start.
     pub fn register_state(&self, hash: BlockHash, state: Arc<WorldState>) {
-        let parent = Parent { state, root: None };
-        let ready = {
-            let mut idx = self.starter.index.lock();
-            let state = Arc::clone(&parent.state);
-            idx.states.insert(hash, Parent { state, root: None });
-            idx.waiting.remove(&hash).unwrap_or_default()
-        };
-        for (block, verdict) in ready {
-            self.starter.start_block(block, verdict, parent.clone());
-        }
+        self.starter.publish(hash, Parent { state, root: None });
     }
 
     /// Submits a block (preparation phase). Returns immediately; the
@@ -528,6 +545,7 @@ fn run_job(task: &BlockTask, txs: &[usize]) -> JobReport {
         overlay: FxHashMap::default(),
         code_overlay: FxHashMap::default(),
     };
+    let profile = &task.block.profile;
     for &i in txs {
         // Early abort: a sibling job (or an earlier transaction of this
         // one) found a mismatch — this block can never validate, stop
@@ -539,8 +557,12 @@ fn run_job(task: &BlockTask, txs: &[usize]) -> JobReport {
         let abort = match execute_transaction(&view, &task.env, &task.block.transactions[i]) {
             // Overlapped verification (Algorithm 2): check the replayed
             // footprint against the block profile right here, while sibling
-            // jobs still execute.
-            Ok(result) if task.block.profile.matches(i, &result.rw) => {
+            // jobs still execute. The gas is checked too: the fold credited
+            // the coinbase with the fees the profile's gas implies.
+            Ok(result)
+                if profile.matches(i, &result.rw)
+                    && result.receipt.gas_used == profile.entries[i].gas_used =>
+            {
                 for (key, value) in &result.rw.writes {
                     view.overlay.insert(*key, *value);
                 }
@@ -549,7 +571,6 @@ fn run_job(task: &BlockTask, txs: &[usize]) -> JobReport {
                 }
                 report.outcomes.push(TxOutcome {
                     index: i,
-                    rw: result.rw,
                     deployed: result.deployed.into_iter().collect(),
                     receipt: result.receipt,
                 });
@@ -574,7 +595,9 @@ fn run_job(task: &BlockTask, txs: &[usize]) -> JobReport {
 impl Starter {
     /// Preparation phase for a block whose parent state is available:
     /// header checks first (a malformed block is rejected before any
-    /// transaction executes), then scheduling and job dispatch.
+    /// transaction executes), then scheduling, the fold of the profile into
+    /// the post-state, job dispatch and — unless the block deploys code —
+    /// the publication of that post-state.
     fn start_block(self: &Arc<Self>, block: Arc<Block>, verdict: Verdict, parent: Parent) {
         let env = BlockEnv {
             coinbase: block.header.coinbase,
@@ -611,6 +634,23 @@ impl Starter {
         if jobs.is_empty() {
             jobs.push(Vec::new());
         }
+        let (post, deploys) = match header_error {
+            Some(_) => (None, false),
+            None => {
+                let (post, deploys) = fold(&parent.state, &block);
+                (Some(Arc::new(post)), deploys)
+            }
+        };
+        let root = Arc::new(RootLatch::new());
+        // What the block publishes now, its commit begun first: a child
+        // forks the begun commit and never hashes this block's writes.
+        let published = post.as_ref().filter(|_| !deploys).map(|post| {
+            post.begin_commit();
+            Parent {
+                state: Arc::clone(post),
+                root: Some(Arc::clone(&root)),
+            }
+        });
         let prepare = t0.elapsed();
         let progress = Progress {
             remaining: jobs.len(),
@@ -619,9 +659,13 @@ impl Starter {
                 ..JobReport::default()
             },
         };
+        let hash = block.hash();
         let task = Arc::new(BlockTask {
             block,
             base: parent.state,
+            post,
+            deploys,
+            root,
             parent_root: parent.root,
             env,
             header_error,
@@ -631,44 +675,110 @@ impl Starter {
             prepare,
             submitted: Instant::now(),
         });
-        self.crew.spawn_all(jobs.into_iter().map(|txs| {
-            let (task, starter) = (Arc::clone(&task), Arc::clone(self));
-            move || {
-                let report = run_job(&task, &txs);
-                // The task that ends a block's last job applies it.
-                let last = task.progress.lock().end_job(report);
-                if last {
-                    apply_block(task, &starter);
-                }
+        // The root first, then the jobs, then the publication, all under
+        // the index lock. The detached lane is FIFO, so every task of a
+        // child is taken after this block's root task and jobs were (see
+        // `apply_block`). And the block's apply, which may run before the
+        // lock is released, cannot un-publish it before it is published,
+        // nor hand out a verdict that a lookup then does not find.
+        let ready = {
+            let mut idx = self.index.lock();
+            if let Some(published) = &published {
+                let post = Arc::clone(&published.state);
+                self.crew.spawn_all([move || {
+                    post.state_root();
+                }]);
             }
-        }));
+            self.crew.spawn_all(jobs.into_iter().map(|txs| {
+                let (task, starter) = (Arc::clone(&task), Arc::clone(self));
+                move || {
+                    let report = run_job(&task, &txs);
+                    // The task that ends a block's last job applies it.
+                    let last = task.progress.lock().end_job(report);
+                    if last {
+                        apply_block(task, &starter);
+                    }
+                }
+            }));
+            match &published {
+                Some(published) => idx.publish(hash, published.clone()),
+                None => Vec::new(),
+            }
+        };
+        if let Some(published) = published {
+            self.start_all(ready, &published);
+        }
+    }
+
+    /// Publishes `parent` under `hash` and starts the blocks parked on it.
+    fn publish(self: &Arc<Self>, hash: BlockHash, parent: Parent) {
+        let ready = self.index.lock().publish(hash, parent.clone());
+        self.start_all(ready, &parent);
+    }
+
+    /// Starts the blocks `ready`, taken out of the index when `parent` was
+    /// published.
+    fn start_all(self: &Arc<Self>, ready: Vec<Parked>, parent: &Parent) {
+        for (block, verdict) in ready {
+            self.start_block(block, verdict, parent.clone());
+        }
     }
 }
 
-/// Block validation and commitment: "publish writes, then root".
+/// The post-state `block`'s profile claims: the parent with every entry's
+/// writes applied in block order, then the coinbase credited with the fees
+/// the entries' gas implies (`gas_used × gas_price` each). The jobs confirm
+/// it: a transaction validates only if its replayed write set and gas equal
+/// its entry's. Also whether the block deploys code — a transaction without
+/// `to`, or a `Code` write — whose bytes the profile does not carry.
+fn fold(parent: &WorldState, block: &Block) -> (WorldState, bool) {
+    // Copy-on-write snapshot of the parent state: a pointer bump, whatever
+    // the number of accounts; the writes below copy only the paths they
+    // take. It does not wait for the parent's root, which may still hash.
+    let mut world = parent.snapshot();
+    let mut fees = U256::ZERO;
+    let mut deploys = false;
+    for (entry, tx) in block.profile.entries.iter().zip(&block.transactions) {
+        world.apply_writes(&entry.writes);
+        fees += U256::from(u128::from(entry.gas_used) * u128::from(tx.gas_price));
+        deploys |= tx.to.is_none() || entry.writes.keys().any(|k| matches!(k, AccessKey::Code(_)));
+    }
+    if !fees.is_zero() {
+        let cb = world.balance(&block.header.coinbase);
+        world.set_balance(block.header.coinbase, cb + fees);
+    }
+    (world, deploys)
+}
+
+/// Block validation and commitment.
 ///
-/// The block's writes are applied and every check but the root runs; the
-/// post-state is then indexed and parked children are released *before* the
-/// state root is hashed, so execution and apply of height N+1 overlap the
-/// root of height N: N+1's `validate_and_apply` forks N's post-state while
-/// its commit is still pending, and only N+1's own root waits for N's. The
-/// root check settles this block's [`RootLatch`]; the verdict additionally
-/// chains on the parent's latch, so an invalid ancestor still poisons every
-/// descendant.
+/// Every check but the root runs on the jobs' merged reports: a job's
+/// abort, the gas and the receipts against the header. A block that
+/// deploys code then installs it into its folded post-state, begins that
+/// state's commit and publishes it, releasing its parked children. The
+/// root is compared against the header — usually hashed already by the
+/// block's root task, else hashed here — and the verdict chains on the
+/// parent's latch, so an invalid ancestor still poisons every descendant. A
+/// failed check un-publishes the block and settles its latch `false`.
 ///
 /// It runs in the crew task that ended the block's last job. Why this
 /// cannot deadlock or misorder, on any crew down to one with no helper at
-/// all: a block's jobs are queued only after its parent *published*
-/// (children are released at publish time, and handed the parent's latch
-/// with its state), and by then the parent's `apply_block` is already
-/// running on the thread that published it, which settles the parent's latch
-/// before returning. A task blocked here — on the parent's pending commit or
-/// on its latch — therefore waits on an apply already in progress on another
-/// thread, never on a task still in the queue (the crew's first rule). The
-/// parent's root may fan out into crew tasks of its own; its thread runs
-/// any of them no helper took and never a task of another scope (the
-/// crew's second rule), so it never picks up this block's apply. Those
-/// waits chain parent-ward, up published blocks, ending at a trusted
+/// all (the crew's first rule: a task blocks only on work already
+/// running): a block published at preparation queued its root task, then
+/// its jobs, then published, all on the detached lane, which is FIFO. A
+/// child starts only from that publication, so any thread that takes one
+/// of the child's tasks — its root or its last job, which runs this —
+/// took it after the parent's root task and all the parent's jobs were
+/// taken. The child's root then waits on the parent's pending commit,
+/// which the parent's root task or apply is hashing, and the child's
+/// verdict on the parent's latch, which the parent's apply, ending the
+/// parent's last job, settles. A block that deploys code publishes here,
+/// and this thread goes on to settle its latch. Whichever of a block's root
+/// task and apply comes first hashes the begun commit; the other waits on
+/// work already running. A root may fan out into crew tasks of its own;
+/// its thread runs any of them no helper took and never a task of another
+/// scope (the crew's second rule), so it never picks up a child's task.
+/// Those waits chain parent-ward, up published blocks, ending at a trusted
 /// registered state (no latch), so the chain always drains — and every
 /// verdict, commit publication, and header check still happens after the
 /// roots it depends on are known.
@@ -683,12 +793,40 @@ fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
     let executed_txs = done.executed;
     let block = &task.block;
     let hash = block.hash();
-    let result = validate_and_apply(&task, done);
-
-    let outcome = |result: Result<(), ValidationError>,
-                   post_state: Option<Arc<WorldState>>,
-                   receipts: Vec<Receipt>,
-                   validate: Duration| ValidationOutcome {
+    let result = check(&task, done).and_then(|(receipts, deployed)| {
+        let post = if task.deploys {
+            publish_deployed(&task, starter, hash, deployed)
+        } else {
+            Arc::clone(
+                task.post
+                    .as_ref()
+                    .expect("a checked block has a post-state"),
+            )
+        };
+        match post.state_root() == block.header.state_root {
+            true => Ok((post, receipts)),
+            false => Err(ValidationError::StateRootMismatch),
+        }
+    });
+    let parent_ok = task.parent_root.as_ref().is_none_or(|l| l.wait());
+    if result.is_err() || !parent_ok {
+        // Un-publish: one removal takes the state and its latch out of the
+        // index, and late submitters see the invalid mark. What is parked
+        // goes now; in-flight descendants fail through the latch they hold.
+        let doomed = {
+            let mut idx = starter.index.lock();
+            idx.states.remove(&hash);
+            idx.poison(hash)
+        };
+        reject_descendants(doomed);
+    }
+    let (result, post_state, receipts) = match result {
+        _ if !parent_ok => (Err(ValidationError::ParentInvalid), None, vec![]),
+        Err(e) => (Err(e), None, vec![]),
+        Ok((post, receipts)) => (Ok(()), Some(post), receipts),
+    };
+    task.root.set(result.is_ok());
+    task.verdict.send(ValidationOutcome {
         block_hash: hash,
         height: block.height(),
         result,
@@ -698,81 +836,21 @@ fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
             prepare: task.prepare,
             queue_wait,
             execute: exec,
-            validate,
+            validate: t0.elapsed(),
         },
         executed_txs,
         aborted_early: task.cancelled.load(Ordering::Relaxed),
-    };
-    let (state, receipts) = match result {
-        Ok(parts) => parts,
-        Err(e) => {
-            // Failed before the root was even needed: nothing was published.
-            // Late submitters see the invalid mark; what is parked goes now.
-            let doomed = starter.index.lock().poison(hash);
-            reject_descendants(doomed);
-            task.verdict
-                .send(outcome(Err(e), None, vec![], t0.elapsed()));
-            return;
-        }
-    };
-
-    // Publish writes: index the post-state and release the next height into
-    // execution. The root of this block is still unhashed — descendants
-    // observe it only through the latch, the public lookups not at all.
-    let state = Arc::new(state);
-    let latch = Arc::new(RootLatch::<bool>::new());
-    let parent = Parent {
-        state: Arc::clone(&state),
-        root: Some(Arc::clone(&latch)),
-    };
-    let ready = {
-        let mut idx = starter.index.lock();
-        idx.states.insert(hash, parent.clone());
-        idx.waiting.remove(&hash).unwrap_or_default()
-    };
-    for (child, child_verdict) in ready {
-        starter.start_block(child, child_verdict, parent.clone());
-    }
-
-    // Root: hash first (the expensive part, overlapped with the children
-    // just released), then chain on the parent's verdict.
-    let root_ok = state.state_root() == block.header.state_root;
-    let parent_ok = task.parent_root.as_ref().is_none_or(|l| l.wait());
-    let ok = root_ok && parent_ok;
-    if !ok {
-        // Un-publish: one removal takes the state and its latch out of the
-        // index. In-flight descendants fail through the latch
-        // they hold.
-        let doomed = {
-            let mut idx = starter.index.lock();
-            idx.states.remove(&hash);
-            idx.poison(hash)
-        };
-        reject_descendants(doomed);
-    }
-    latch.set(ok);
-    let result = if !parent_ok {
-        Err(ValidationError::ParentInvalid)
-    } else if !root_ok {
-        Err(ValidationError::StateRootMismatch)
-    } else {
-        Ok(())
-    };
-    let post_state = ok.then_some(state);
-    let receipts = if ok { receipts } else { vec![] };
-    task.verdict
-        .send(outcome(result, post_state, receipts, t0.elapsed()));
+    });
 }
 
-/// Block validation: apply the jobs' merged results in block order and
-/// check the block-level commitments. Per-transaction footprint checks
-/// (Algorithm 2) already ran inside the jobs; a reported abort
-/// short-circuits here. The state root is not compared here: the caller
-/// hashes it after publishing and settles the block's [`RootLatch`].
-fn validate_and_apply(
-    task: &BlockTask,
-    done: JobReport,
-) -> Result<(WorldState, Vec<Receipt>), ValidationError> {
+/// The code a block's transactions deployed, by address.
+type Deployed = Vec<(Address, Arc<Vec<u8>>)>;
+
+/// Block validation: the jobs' merged reports against the header. Each
+/// transaction's write set and gas already matched its profile entry inside
+/// its job (Algorithm 2); a reported abort short-circuits here. Returns the
+/// receipts in block order, and the code the block deployed.
+fn check(task: &BlockTask, done: JobReport) -> Result<(Vec<Receipt>, Deployed), ValidationError> {
     let block = &task.block;
     if let Some(err) = &task.header_error {
         return Err(err.clone());
@@ -791,21 +869,13 @@ fn validate_and_apply(
             .eq(0..block.transactions.len()),
         "uncancelled block executed every transaction"
     );
-    // Copy-on-write snapshot of the parent state: a pointer bump, whatever
-    // the number of accounts; the writes below copy only the paths they take.
-    // It does not wait for the parent's root, which may still be hashing.
-    let mut world = task.base.snapshot();
     let mut gas_total: Gas = 0;
-    let mut fees = U256::ZERO;
     let mut receipts = Vec::with_capacity(block.transactions.len());
+    let mut deployed = Vec::new();
     for outcome in outcomes {
-        world.apply_writes(&outcome.rw.writes);
-        for (addr, code) in &outcome.deployed {
-            world.set_code(*addr, (**code).clone());
-        }
         gas_total += outcome.receipt.gas_used;
-        fees += outcome.receipt.fee;
         receipts.push(outcome.receipt);
+        deployed.extend(outcome.deployed);
     }
     if gas_total != block.header.gas_used {
         return Err(ValidationError::GasMismatch {
@@ -816,11 +886,34 @@ fn validate_and_apply(
     if receipts_root(&receipts) != block.header.receipts_root {
         return Err(ValidationError::ReceiptsRootMismatch);
     }
-    if !fees.is_zero() {
-        let cb = world.balance(&block.header.coinbase);
-        world.set_balance(block.header.coinbase, cb + fees);
+    Ok((receipts, deployed))
+}
+
+/// A block that deploys code, checked: its folded post-state with the
+/// deployed code installed, its commit begun and then published, its parked
+/// children started.
+fn publish_deployed(
+    task: &BlockTask,
+    starter: &Arc<Starter>,
+    hash: BlockHash,
+    deployed: Deployed,
+) -> Arc<WorldState> {
+    let mut post = task
+        .post
+        .as_ref()
+        .expect("a checked block has a post-state")
+        .snapshot();
+    for (addr, code) in deployed {
+        post.set_code(addr, Arc::unwrap_or_clone(code));
     }
-    Ok((world, receipts))
+    let post = Arc::new(post);
+    post.begin_commit();
+    let parent = Parent {
+        state: Arc::clone(&post),
+        root: Some(Arc::clone(&task.root)),
+    };
+    starter.publish(hash, parent);
+    post
 }
 
 #[cfg(test)]
@@ -1161,6 +1254,42 @@ mod tests {
     }
 
     #[test]
+    fn a_block_is_published_at_preparation_and_settled_by_its_verdict() {
+        let world = Arc::new(funded_world(10));
+        let b1 = propose_transfers(&world, BlockHash::from_low_u64(1), 1, 1..5, 0);
+        let s1 = Arc::new(b1.post_state.clone());
+        let b2 = propose_transfers(&s1, b1.block.hash(), 2, 1..5, 1);
+        let (h1, h2) = (b1.block.hash(), b2.block.hash());
+        for crew in crews() {
+            let (pipeline, _) = crew.install(|| pipeline_with_genesis(1, &world));
+            // The block's post-state is indexed when `submit` returns, and
+            // its child starts instead of parking.
+            let handle1 = pipeline.submit(b1.block.clone());
+            let handle2 = pipeline.submit(b2.block.clone());
+            {
+                let idx = pipeline.starter.index.lock();
+                assert!(idx.states.contains_key(&h1) && idx.states.contains_key(&h2));
+                assert!(idx.waiting.is_empty());
+            }
+            // With no helper nothing has run yet, and no lookup answers for
+            // a block before its verdict.
+            if crew.helpers() == 0 {
+                assert!(pipeline.state_of(&h1).is_none() && pipeline.state_of(&h2).is_none());
+            }
+            // The child's verdict first: with no helper, the waiting thread
+            // runs the parent's root and jobs, queued ahead of the child's.
+            let o2 = handle2.wait();
+            assert!(o2.is_valid(), "{:?}", o2.result);
+            assert_eq!(
+                o2.post_state.unwrap().state_root(),
+                b2.post_state.state_root()
+            );
+            assert!(handle1.wait().is_valid());
+            assert!(pipeline.state_of(&h1).is_some() && pipeline.state_of(&h2).is_some());
+        }
+    }
+
+    #[test]
     fn rejects_tampered_root_with_descendants_in_flight() {
         for crew in crews() {
             rejects_tampered_root_with_descendants_in_flight_on(&crew);
@@ -1206,7 +1335,6 @@ mod tests {
         let t0 = Instant::now();
         let outcome = |index| TxOutcome {
             index,
-            rw: bp_types::RwSet::default(),
             receipt: Receipt {
                 success: true,
                 gas_used: 21_000,

@@ -27,16 +27,20 @@
 //! height share everything they did not write.
 //!
 //! A snapshot never waits for a root. The retained commit is a value that
-//! can still be *pending*: a commit takes the dirty set and installs a
-//! [`RootLatch`] under the tracker lock, hashes outside it, and settles the
-//! latch with the new tries. A snapshot taken meanwhile carries that latch
-//! and an empty dirty set; its own first commit waits on the latch and then
+//! can still be *pending*. A commit runs in two steps: it *begins* under the
+//! tracker lock, taking the dirty set and installing a [`RootLatch`]
+//! ([`WorldState::begin_commit`]), and *finishes* outside it, hashing and
+//! settling the latch with the new tries; `state_root` is the two in a row,
+//! and finishes a commit that began earlier unless another thread already
+//! took it. A snapshot taken after the begin carries that latch and an
+//! empty dirty set; its own first commit waits on the latch and then
 //! patches only what the snapshot itself wrote, never rehashing the
-//! parent's accounts. This is what lets the validator apply block N+1 on
-//! N's post-state while N's root still hashes on another thread: the wait
-//! moves from the child's fork to the child's root, which needs the
-//! parent's tries anyway. A commit that panics part-way poisons its latch,
-//! so whoever waits on it panics too instead of hanging.
+//! parent's accounts. This is what lets the validator begin block N's
+//! commit, publish N's post-state and run block N+1 on it while N's root
+//! still hashes on another thread: the wait moves from the child's fork to
+//! the child's root, which needs the parent's tries anyway. A commit that
+//! panics part-way, or is dropped unhashed, poisons its latch, so whoever
+//! waits on it panics too instead of hanging.
 
 use std::sync::Arc;
 
@@ -140,8 +144,8 @@ impl Default for WorldCommit {
     }
 }
 
-/// A commit still being hashed: the latch its `refresh` settles with the
-/// commit, or with `None` when that `refresh` panicked.
+/// A commit begun and not yet hashed: the latch its hashing settles with the
+/// commit, or with `None` when that hashing panicked or never happened.
 type PendingCommit = Arc<RootLatch<Option<Arc<WorldCommit>>>>;
 
 /// The last commit of a lineage, settled or still pending.
@@ -158,7 +162,7 @@ impl Retained {
             Retained::Settled(commit) => commit,
             Retained::Pending(latch) => latch
                 .wait()
-                .expect("the commit this world was forked from panicked while hashing"),
+                .expect("the commit this world was forked from panicked or was dropped unhashed"),
         }
     }
 }
@@ -172,24 +176,56 @@ impl std::fmt::Debug for Retained {
     }
 }
 
+/// A commit begun and not yet hashed: what it hashes — the accounts as they
+/// were when it began, the commit it patches, the accounts dirtied since —
+/// and the latch the world's snapshots wait on meanwhile. Dropped unhashed,
+/// it poisons the latch, so that whoever waits on it panics instead of
+/// hanging.
+struct Begun {
+    accounts: Accounts,
+    base: Option<Retained>,
+    dirty: HashMap<Address, DirtyAccount>,
+    latch: PendingCommit,
+}
+
+impl Drop for Begun {
+    fn drop(&mut self) {
+        if !self.latch.is_set() {
+            self.latch.set(None);
+        }
+    }
+}
+
+impl std::fmt::Debug for Begun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Begun({} dirty)", self.dirty.len())
+    }
+}
+
 /// Dirty bookkeeping between commits. Lives behind a mutex only so the
 /// read-side `state_root(&self)` can refresh the memo; all mutation paths
 /// take `&mut self` and use the lock-free `get_mut`. The lock is held only
-/// to read or swap these two fields, never across hashing.
+/// to read or swap these fields, never across hashing.
 #[derive(Debug, Default)]
 struct CommitTracker {
     /// Accounts touched since the last commit. Absent entirely ⇒ the last
     /// commit is current.
     dirty: HashMap<Address, DirtyAccount>,
     /// The last commit, shared O(1) across clones until one of them
-    /// recommits. Pending while a `refresh` hashes it.
+    /// recommits. Pending from the moment it begins until it is hashed.
     commit: Option<Retained>,
+    /// The pending commit, while nobody hashes it yet. Never cloned: a
+    /// snapshot waits on the commit's latch, it does not hash it.
+    begun: Option<Begun>,
 }
+
+/// The account map of a world.
+type Accounts = PMap<Address, Arc<AccountState>>;
 
 /// The mutable world state of the chain.
 #[derive(Debug, Default)]
 pub struct WorldState {
-    accounts: PMap<Address, Arc<AccountState>>,
+    accounts: Accounts,
     tracker: Mutex<CommitTracker>,
 }
 
@@ -205,6 +241,7 @@ impl Clone for WorldState {
             tracker: Mutex::new(CommitTracker {
                 dirty: tracker.dirty.clone(),
                 commit: tracker.commit.clone(),
+                begun: None,
             }),
         }
     }
@@ -446,71 +483,91 @@ impl WorldState {
     /// incremental memo. The oracle the incremental path is checked against
     /// (automatically so in debug builds).
     pub fn rebuild_root(&self) -> H256 {
-        let mut bodies = Vec::with_capacity(self.accounts.len());
-        for (addr, acct) in self.accounts.iter() {
-            let storage = nonzero_slots(acct);
-            if acct.nonce == 0
-                && acct.balance.is_zero()
-                && acct.code.is_empty()
-                && storage.is_empty()
-            {
-                continue;
+        rebuild_root(&self.accounts)
+    }
+
+    /// Begins this world's next commit without hashing it: under the
+    /// tracker lock, takes the dirty set and installs the pending commit. A
+    /// snapshot taken from then on carries that pending commit and an empty
+    /// dirty set, so its own commit never hashes this world's writes again.
+    /// The first [`WorldState::state_root`] on this world, on any thread,
+    /// hashes the begun commit; any other waits on that work. A snapshot's
+    /// own root waits for it too, so whoever begins a commit sees to it that
+    /// this world's root is asked for (the validator queues it as a crew
+    /// task). Does nothing when nothing was written since the last commit
+    /// began.
+    pub fn begin_commit(&self) {
+        loop {
+            let mut tracker = self.tracker.lock();
+            if tracker.dirty.is_empty() && tracker.commit.is_some() {
+                return;
             }
-            // The code is hashed here, not taken from `acct.code_hash`, so
-            // the oracle also checks that cache.
-            let body = account_body(
-                acct.nonce,
-                acct.balance,
-                code_hash(&acct.code),
-                storage_root(&storage),
-            );
-            bodies.push((keccak256(addr.as_bytes()).0, Some(body)));
+            match tracker.begun.take() {
+                // Begun, then written to: the begun commit is the next one's
+                // base, so it is hashed first.
+                Some(earlier) => {
+                    drop(tracker);
+                    self.finish(earlier);
+                }
+                None => {
+                    let latch = PendingCommit::default();
+                    let base = tracker
+                        .commit
+                        .replace(Retained::Pending(Arc::clone(&latch)));
+                    // The dirty set is taken, not drained: a drained table
+                    // keeps its capacity, and every snapshot of this world
+                    // from then on would copy a table the size of the
+                    // largest batch it ever saw (a 100 000-account genesis:
+                    // 7 MB a clone).
+                    let dirty = std::mem::take(&mut tracker.dirty);
+                    tracker.begun = Some(Begun {
+                        accounts: self.accounts.clone(),
+                        base,
+                        dirty,
+                        latch,
+                    });
+                    return;
+                }
+            }
         }
-        bodies.sort_unstable_by_key(|body| body.0);
-        let mut account_trie = Trie::new();
-        account_trie.apply_sorted(&mut bodies);
-        account_trie.root_hash()
     }
 
     /// Brings the retained commit up to date with all dirty accounts and
-    /// returns it.
-    ///
-    /// Under the tracker lock this only takes the dirty set and installs a
-    /// pending commit; the hashing runs outside it, so a snapshot taken
-    /// meanwhile does not wait. The pending commit settles (or, should the
-    /// hashing panic, is poisoned) before this returns.
+    /// returns it: [`WorldState::begin_commit`], then the begun commit
+    /// hashed on this thread — or, when another thread took it first, that
+    /// thread's work waited for.
     fn refresh(&self) -> Arc<WorldCommit> {
+        self.begin_commit();
         let mut tracker = self.tracker.lock();
-        if tracker.dirty.is_empty() {
-            // Nothing changed since the last commit, which may still be
-            // hashing on another thread.
-            if let Some(last) = tracker.commit.clone() {
-                drop(tracker);
-                return last.wait();
-            }
-        }
-        let latch = PendingCommit::default();
-        let base = tracker
-            .commit
-            .replace(Retained::Pending(Arc::clone(&latch)));
-        // The dirty set is taken, not drained: a drained table keeps its
-        // capacity, and every snapshot of this world from then on would
-        // copy a table the size of the largest batch it ever saw (a
-        // 100 000-account genesis: 7 MB a clone).
-        let dirty = std::mem::take(&mut tracker.dirty);
+        let begun = tracker.begun.take();
+        let last = tracker.commit.clone();
         drop(tracker);
-        let hashing = Hashing { world: self, latch };
+        match begun {
+            Some(begun) => self.finish(begun),
+            None => last.expect("a commit was begun").wait(),
+        }
+    }
+
+    /// Hashes a begun commit outside the tracker lock, so a snapshot taken
+    /// meanwhile does not wait, and settles its latch — or, should the
+    /// hashing panic, poisons it.
+    fn finish(&self, mut begun: Begun) -> Arc<WorldCommit> {
+        let hashing = Hashing {
+            world: self,
+            latch: Arc::clone(&begun.latch),
+        };
         #[cfg(test)]
         if let Some(hook) = REFRESH_HOOK.take() {
             hook();
         }
-        let (commit, dirty) = match base {
+        let dirty = std::mem::take(&mut begun.dirty);
+        let (commit, dirty) = match begun.base.take() {
             // Unshared after a snapshot recommits? Reuse in place; else clone
             // (cheap — tries share structure).
             Some(base) => (Arc::unwrap_or_clone(base.wait()), dirty),
             // First commit ever (for this lineage): everything is dirty.
             None => {
-                let all = self
+                let all = begun
                     .accounts
                     .keys()
                     .map(|addr| (*addr, DirtyAccount::Full))
@@ -518,186 +575,210 @@ impl WorldState {
                 (WorldCommit::default(), all)
             }
         };
-        let commit = Arc::new(self.recommit(commit, dirty));
+        let commit = Arc::new(recommit(&begun.accounts, commit, dirty));
         hashing.settle(Arc::clone(&commit));
         commit
     }
+}
 
-    /// `commit` patched with the `dirty` accounts.
-    fn recommit(
-        &self,
-        mut commit: WorldCommit,
-        dirty: HashMap<Address, DirtyAccount>,
-    ) -> WorldCommit {
-        // The dirty accounts in the order of their hashed addresses (hashed
-        // as one batch): the order the account trie's descent takes them in.
-        let mut dirty: Vec<(HashedKey, Address, DirtyAccount)> = dirty
-            .into_iter()
-            .map(|(addr, dirt)| ([0; 32], addr, dirt))
-            .collect();
-        let keys = keccak256_batch(dirty.iter().map(|(_, addr, _)| addr.as_bytes()));
-        for (entry, key) in dirty.iter_mut().zip(keys) {
-            entry.0 = key.0;
+/// `commit` patched with the `dirty` accounts of `accounts`.
+fn recommit(
+    accounts: &Accounts,
+    mut commit: WorldCommit,
+    dirty: HashMap<Address, DirtyAccount>,
+) -> WorldCommit {
+    // The dirty accounts in the order of their hashed addresses (hashed
+    // as one batch): the order the account trie's descent takes them in.
+    let mut dirty: Vec<(HashedKey, Address, DirtyAccount)> = dirty
+        .into_iter()
+        .map(|(addr, dirt)| ([0; 32], addr, dirt))
+        .collect();
+    let keys = keccak256_batch(dirty.iter().map(|(_, addr, _)| addr.as_bytes()));
+    for (entry, key) in dirty.iter_mut().zip(keys) {
+        entry.0 = key.0;
+    }
+    dirty.sort_unstable_by_key(|entry| entry.0);
+    // A large batch fans out when a helper is idle: the root's subtrees,
+    // with the storage tries of the accounts under them, are patched as
+    // crew tasks. With every helper busy there is no core to gain and
+    // the split costs its own bookkeeping, so the batch stays whole.
+    let crew = crew::current();
+    let shards = match dirty.len() >= fan_out_min() {
+        true => (crew.idle_helpers() + 1).min(16),
+        false => 1,
+    };
+    let split = (shards > 1).then(|| commit.account_trie.split()).flatten();
+    let replaced = match split {
+        None => {
+            let (mut bodies, replaced) = account_updates(accounts, &commit.storage_tries, &dirty);
+            commit.account_trie.apply_sorted(&mut bodies);
+            replaced
         }
-        dirty.sort_unstable_by_key(|entry| entry.0);
-        // A large batch fans out when a helper is idle: the root's subtrees,
-        // with the storage tries of the accounts under them, are patched as
-        // crew tasks. With every helper busy there is no core to gain and
-        // the split costs its own bookkeeping, so the batch stays whole.
-        let crew = crew::current();
-        let shards = match dirty.len() >= fan_out_min() {
-            true => (crew.idle_helpers() + 1).min(16),
-            false => 1,
-        };
-        let split = (shards > 1).then(|| commit.account_trie.split()).flatten();
-        let replaced = match split {
-            None => {
-                let (mut bodies, replaced) = self.account_updates(&commit.storage_tries, &dirty);
-                commit.account_trie.apply_sorted(&mut bodies);
-                replaced
-            }
-            Some(mut split) => {
-                let replaced = self.commit_shards(
-                    &crew,
-                    shards,
-                    &commit.storage_tries,
-                    &dirty,
-                    split.subtries(),
-                );
-                commit.account_trie = split.join();
-                replaced
-            }
-        };
-        for (addr, storage_trie) in replaced {
-            if storage_trie.is_empty() {
-                commit.storage_tries.remove(&addr);
-            } else {
-                commit.storage_tries.insert(addr, storage_trie);
-            }
+        Some(mut split) => {
+            let replaced = commit_shards(
+                accounts,
+                &crew,
+                shards,
+                &commit.storage_tries,
+                &dirty,
+                split.subtries(),
+            );
+            commit.account_trie = split.join();
+            replaced
         }
-        commit.root = commit.account_trie.root_hash();
-        debug_assert_eq!(
-            commit.root,
-            self.rebuild_root(),
-            "incremental state root diverged from from-scratch rebuild"
+    };
+    for (addr, storage_trie) in replaced {
+        if storage_trie.is_empty() {
+            commit.storage_tries.remove(&addr);
+        } else {
+            commit.storage_tries.insert(addr, storage_trie);
+        }
+    }
+    commit.root = commit.account_trie.root_hash();
+    debug_assert_eq!(
+        commit.root,
+        rebuild_root(accounts),
+        "incremental state root diverged from from-scratch rebuild"
+    );
+    commit
+}
+
+/// The state root of `accounts`, built from scratch.
+fn rebuild_root(accounts: &Accounts) -> H256 {
+    let mut bodies = Vec::with_capacity(accounts.len());
+    for (addr, acct) in accounts.iter() {
+        let storage = nonzero_slots(acct);
+        if acct.nonce == 0 && acct.balance.is_zero() && acct.code.is_empty() && storage.is_empty() {
+            continue;
+        }
+        // The code is hashed here, not taken from `acct.code_hash`, so
+        // the oracle also checks that cache.
+        let body = account_body(
+            acct.nonce,
+            acct.balance,
+            code_hash(&acct.code),
+            storage_root(&storage),
         );
-        commit
+        bodies.push((keccak256(addr.as_bytes()).0, Some(body)));
     }
+    bodies.sort_unstable_by_key(|body| body.0);
+    let mut account_trie = Trie::new();
+    account_trie.apply_sorted(&mut bodies);
+    account_trie.root_hash()
+}
 
-    /// The account-trie updates of `dirty` (sorted by hashed address) and
-    /// the storage tries to retain from now on. Storage first: each
-    /// account's trie is patched with its new nodes left pending, and the
-    /// tries of the whole batch are hashed level by level together. The
-    /// account bodies need their roots.
-    fn account_updates(
-        &self,
-        storage_tries: &PMap<Address, Trie>,
-        dirty: &[(HashedKey, Address, DirtyAccount)],
-    ) -> (Vec<TrieUpdate>, Vec<(Address, Trie)>) {
-        let mut states: Vec<_> = dirty
-            .iter()
-            .map(|(_, addr, dirt)| {
-                // An absent or EIP-161-empty account is dropped whatever its
-                // storage trie held.
-                let acct = self
-                    .accounts
-                    .get(addr)
-                    .map(|acct| &**acct)
-                    .filter(|acct| !acct.is_empty());
-                let prev = storage_tries.get(addr);
-                let patched = acct.and_then(|acct| patched_storage(dirt, acct, prev));
-                (acct, prev, patched)
-            })
-            .collect();
-        trie::commit_pending(states.iter_mut().filter_map(|state| state.2.as_mut()));
-        let mut bodies = Vec::with_capacity(dirty.len());
-        let mut replaced = Vec::new();
-        for ((key, addr, _), (acct, prev, patched)) in dirty.iter().zip(states) {
-            let update = account_update(acct, prev, patched);
-            bodies.push((*key, update.body));
-            replaced.extend(update.storage_trie.map(|trie| (*addr, trie)));
-        }
-        (bodies, replaced)
+/// The account-trie updates of `dirty` (sorted by hashed address) and
+/// the storage tries to retain from now on. Storage first: each
+/// account's trie is patched with its new nodes left pending, and the
+/// tries of the whole batch are hashed level by level together. The
+/// account bodies need their roots.
+fn account_updates(
+    accounts: &Accounts,
+    storage_tries: &PMap<Address, Trie>,
+    dirty: &[(HashedKey, Address, DirtyAccount)],
+) -> (Vec<TrieUpdate>, Vec<(Address, Trie)>) {
+    let mut states: Vec<_> = dirty
+        .iter()
+        .map(|(_, addr, dirt)| {
+            // An absent or EIP-161-empty account is dropped whatever its
+            // storage trie held.
+            let acct = accounts
+                .get(addr)
+                .map(|acct| &**acct)
+                .filter(|acct| !acct.is_empty());
+            let prev = storage_tries.get(addr);
+            let patched = acct.and_then(|acct| patched_storage(dirt, acct, prev));
+            (acct, prev, patched)
+        })
+        .collect();
+    trie::commit_pending(states.iter_mut().filter_map(|state| state.2.as_mut()));
+    let mut bodies = Vec::with_capacity(dirty.len());
+    let mut replaced = Vec::new();
+    for ((key, addr, _), (acct, prev, patched)) in dirty.iter().zip(states) {
+        let update = account_update(acct, prev, patched);
+        bodies.push((*key, update.body));
+        replaced.extend(update.storage_trie.map(|trie| (*addr, trie)));
     }
+    (bodies, replaced)
+}
 
-    /// [`WorldState::account_updates`] applied to the account trie's
-    /// subtrees in up to `shards` crew tasks, this thread running the first
-    /// and any no helper took. A shard is a run of whole first-nibble groups
-    /// with about an equal share of the work — an account and each of its
-    /// dirty slots counting one — and patches its accounts' storage tries,
-    /// then its subtrees. Returns the storage tries to retain.
-    fn commit_shards(
-        &self,
-        crew: &Crew,
-        shards: usize,
-        storage_tries: &PMap<Address, Trie>,
-        dirty: &[(HashedKey, Address, DirtyAccount)],
-        subtries: &mut [Subtrie; 16],
-    ) -> Vec<(Address, Trie)> {
-        let nibble = |key: &HashedKey| usize::from(key[0] >> 4);
-        let mut work = [0usize; 16];
-        for (key, addr, dirt) in dirty {
-            work[nibble(key)] += 1 + match dirt {
-                DirtyAccount::Slots(slots) => slots.len(),
-                DirtyAccount::Full => self.accounts.get(addr).map_or(0, |a| a.storage.len()),
-            };
-        }
-        let total: usize = work.iter().sum();
-        let mut parts = Vec::with_capacity(shards);
-        let (mut rest, mut rest_subtries) = (dirty, &mut subtries[..]);
-        let (mut first, mut done, mut cuts) = (0, 0, 0);
-        for (n, work) in work.iter().enumerate() {
-            done += work;
-            if n < 15 && done * shards < total * (cuts + 1) {
-                continue;
-            }
-            cuts += 1;
-            let (part, tail) = rest.split_at(rest.partition_point(|(key, ..)| nibble(key) <= n));
-            let (part_subtries, subtries_tail) =
-                std::mem::take(&mut rest_subtries).split_at_mut(n + 1 - first);
-            if !part.is_empty() {
-                parts.push((part, part_subtries, first));
-            }
-            (rest, rest_subtries, first) = (tail, subtries_tail, n + 1);
-        }
-        let mut replaced: Vec<Vec<(Address, Trie)>> = parts.iter().map(|_| Vec::new()).collect();
-        crew.scope(Priority::Urgent, |s| {
-            let mut shards = parts.into_iter().zip(&mut replaced);
-            let own = shards.next();
-            for ((part, subtries, first), out) in shards {
-                s.spawn(move || *out = self.commit_shard(storage_tries, part, subtries, first));
-            }
-            if let Some(((part, subtries, first), out)) = own {
-                *out = self.commit_shard(storage_tries, part, subtries, first);
-            }
-        });
-        replaced.into_iter().flatten().collect()
+/// [`account_updates`] applied to the account trie's subtrees in up to
+/// `shards` crew tasks, this thread running the first and any no helper
+/// took. A shard is a run of whole first-nibble groups with about an equal
+/// share of the work — an account and each of its dirty slots counting one
+/// — and patches its accounts' storage tries, then its subtrees. Returns
+/// the storage tries to retain.
+fn commit_shards(
+    accounts: &Accounts,
+    crew: &Crew,
+    shards: usize,
+    storage_tries: &PMap<Address, Trie>,
+    dirty: &[(HashedKey, Address, DirtyAccount)],
+    subtries: &mut [Subtrie; 16],
+) -> Vec<(Address, Trie)> {
+    let nibble = |key: &HashedKey| usize::from(key[0] >> 4);
+    let mut work = [0usize; 16];
+    for (key, addr, dirt) in dirty {
+        work[nibble(key)] += 1 + match dirt {
+            DirtyAccount::Slots(slots) => slots.len(),
+            DirtyAccount::Full => accounts.get(addr).map_or(0, |a| a.storage.len()),
+        };
     }
+    let total: usize = work.iter().sum();
+    let mut parts = Vec::with_capacity(shards);
+    let (mut rest, mut rest_subtries) = (dirty, &mut subtries[..]);
+    let (mut first, mut done, mut cuts) = (0, 0, 0);
+    for (n, work) in work.iter().enumerate() {
+        done += work;
+        if n < 15 && done * shards < total * (cuts + 1) {
+            continue;
+        }
+        cuts += 1;
+        let (part, tail) = rest.split_at(rest.partition_point(|(key, ..)| nibble(key) <= n));
+        let (part_subtries, subtries_tail) =
+            std::mem::take(&mut rest_subtries).split_at_mut(n + 1 - first);
+        if !part.is_empty() {
+            parts.push((part, part_subtries, first));
+        }
+        (rest, rest_subtries, first) = (tail, subtries_tail, n + 1);
+    }
+    let mut replaced: Vec<Vec<(Address, Trie)>> = parts.iter().map(|_| Vec::new()).collect();
+    crew.scope(Priority::Urgent, |s| {
+        let mut shards = parts.into_iter().zip(&mut replaced);
+        let own = shards.next();
+        for ((part, subtries, first), out) in shards {
+            s.spawn(move || *out = commit_shard(accounts, storage_tries, part, subtries, first));
+        }
+        if let Some(((part, subtries, first), out)) = own {
+            *out = commit_shard(accounts, storage_tries, part, subtries, first);
+        }
+    });
+    replaced.into_iter().flatten().collect()
+}
 
-    /// One shard of [`WorldState::commit_shards`]: `dirty`, whose hashed
-    /// addresses all start with a nibble of `subtries` (the first of them
-    /// `first`), patched into those subtrees, whose new nodes are then hashed
-    /// level by level together.
-    fn commit_shard(
-        &self,
-        storage_tries: &PMap<Address, Trie>,
-        dirty: &[(HashedKey, Address, DirtyAccount)],
-        subtries: &mut [Subtrie],
-        first: usize,
-    ) -> Vec<(Address, Trie)> {
-        let (mut bodies, replaced) = self.account_updates(storage_tries, dirty);
-        let mut rest = &mut bodies[..];
-        for (n, subtrie) in (first..).zip(subtries.iter_mut()) {
-            let end = rest.partition_point(|(key, _)| usize::from(key[0] >> 4) == n);
-            let (group, tail) = std::mem::take(&mut rest).split_at_mut(end);
-            if !group.is_empty() {
-                subtrie.apply_sorted_pending(group);
-            }
-            rest = tail;
+/// One shard of [`commit_shards`]: `dirty`, whose hashed addresses all
+/// start with a nibble of `subtries` (the first of them `first`), patched
+/// into those subtrees, whose new nodes are then hashed level by level
+/// together.
+fn commit_shard(
+    accounts: &Accounts,
+    storage_tries: &PMap<Address, Trie>,
+    dirty: &[(HashedKey, Address, DirtyAccount)],
+    subtries: &mut [Subtrie],
+    first: usize,
+) -> Vec<(Address, Trie)> {
+    let (mut bodies, replaced) = account_updates(accounts, storage_tries, dirty);
+    let mut rest = &mut bodies[..];
+    for (n, subtrie) in (first..).zip(subtries.iter_mut()) {
+        let end = rest.partition_point(|(key, _)| usize::from(key[0] >> 4) == n);
+        let (group, tail) = std::mem::take(&mut rest).split_at_mut(end);
+        if !group.is_empty() {
+            subtrie.apply_sorted_pending(group);
         }
-        trie::commit_subtries(subtries.iter_mut());
-        replaced
+        rest = tail;
     }
+    trie::commit_subtries(subtries.iter_mut());
+    replaced
 }
 
 /// [`FAN_OUT_MIN`], or in this crate's tests what the running test set.
@@ -709,29 +790,36 @@ fn fan_out_min() -> usize {
     FAN_OUT_MIN
 }
 
-/// A `refresh` between installing its pending commit and settling it.
-/// Dropped unsettled — the hashing panicked — it poisons the latch, so that
-/// waiters panic instead of hanging, and drops the world's retained commit,
-/// so that the world's next commit rebuilds from scratch.
+/// A begun commit being hashed. Dropped unsettled — the hashing panicked —
+/// it poisons the latch, so that waiters panic instead of hanging, and
+/// drops the world's retained commit, so that the world's next commit
+/// rebuilds from scratch.
 struct Hashing<'a> {
     world: &'a WorldState,
     latch: PendingCommit,
 }
 
 impl Hashing<'_> {
-    /// Retains `commit` in the world and hands it to the latch's waiters.
-    /// The installed latch is still the world's retained commit: only a
-    /// `refresh` replaces it, and one with nothing dirty never does.
+    /// Hands `commit` to the latch's waiters, and retains it in the world
+    /// unless a later commit began there meanwhile (written to after this
+    /// one began) and replaced it.
     fn settle(self, commit: Arc<WorldCommit>) {
-        self.world.tracker.lock().commit = Some(Retained::Settled(Arc::clone(&commit)));
+        self.retain(Some(Retained::Settled(Arc::clone(&commit))));
         self.latch.set(Some(commit));
+    }
+
+    fn retain(&self, commit: Option<Retained>) {
+        let mut tracker = self.world.tracker.lock();
+        if matches!(&tracker.commit, Some(Retained::Pending(l)) if Arc::ptr_eq(l, &self.latch)) {
+            tracker.commit = commit;
+        }
     }
 }
 
 impl Drop for Hashing<'_> {
     fn drop(&mut self) {
         if !self.latch.is_set() {
-            self.world.tracker.lock().commit = None;
+            self.retain(None);
             self.latch.set(None);
         }
     }
@@ -742,15 +830,15 @@ thread_local! {
     /// Replaces [`FAN_OUT_MIN`] for the commits this thread makes, so that a
     /// test's small batches fan out too.
     static FAN_OUT_FROM: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-    /// Runs once, on this thread, in the next `refresh` that hashes, right
-    /// after it installs its pending commit: lets a test hold a root pending
-    /// or make its hashing panic.
+    /// Runs once, on this thread, in the next begun commit it hashes, before
+    /// the hashing: lets a test hold a root pending or make its hashing
+    /// panic.
     static REFRESH_HOOK: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
         const { std::cell::RefCell::new(None) };
 }
 
 /// The account at `addr`, created empty if absent, unshared for writing.
-fn entry(accounts: &mut PMap<Address, Arc<AccountState>>, addr: Address) -> &mut AccountState {
+fn entry(accounts: &mut Accounts, addr: Address) -> &mut AccountState {
     Arc::make_mut(accounts.get_or_insert_with(addr, Arc::default))
 }
 
@@ -1432,8 +1520,7 @@ mod tests {
         }
     }
 
-    /// A root hashing on another thread, held just after its `refresh`
-    /// installed the pending commit.
+    /// A root hashing on another thread, held just after its commit began.
     struct HeldRoot {
         release: mpsc::Sender<()>,
         hasher: thread::JoinHandle<H256>,
@@ -1654,5 +1741,80 @@ mod tests {
         // commit starts over from its accounts.
         assert!(parent.tracker.lock().commit.is_none());
         assert_eq!(parent.state_root(), parent.rebuild_root());
+    }
+
+    // ---- a commit begun, then hashed by whoever asks first ----
+
+    #[test]
+    fn a_begun_commit_is_hashed_once_by_whoever_asks_first() {
+        let parent = Arc::new(funded(2_000));
+        parent.begin_commit();
+        assert!(commit_is_pending(&parent));
+        let mut child = parent.snapshot();
+        assert!(commit_is_pending(&child));
+        assert!(child.tracker.lock().dirty.is_empty());
+        child_writes(&mut child);
+        // Two threads ask for the parent's root at once: one hashes the
+        // begun commit, the other waits for that work and hashes nothing.
+        let askers = [0, 1].map(|_| {
+            let parent = Arc::clone(&parent);
+            thread::spawn(move || {
+                let before = bp_crypto::keccak::permutation_count();
+                let root = parent.state_root();
+                (bp_crypto::keccak::permutation_count() - before, root)
+            })
+        });
+        let (hashed, roots): (Vec<u64>, Vec<H256>) = within(move || {
+            askers
+                .into_iter()
+                .map(|asker| asker.join().unwrap())
+                .unzip()
+        });
+        assert_eq!(hashed.iter().filter(|&&n| n == 0).count(), 1, "{hashed:?}");
+        assert_eq!(roots, [parent.rebuild_root(); 2]);
+        assert!(!commit_is_pending(&parent));
+        // The child patches only its own writes, as a child of a settled
+        // parent does.
+        let settled = {
+            let mut twin = parent.snapshot();
+            child_writes(&mut twin);
+            let before = bp_crypto::keccak::permutation_count();
+            let root = twin.state_root();
+            (bp_crypto::keccak::permutation_count() - before, root)
+        };
+        let before = bp_crypto::keccak::permutation_count();
+        let root = child.state_root();
+        let begun = (bp_crypto::keccak::permutation_count() - before, root);
+        assert_eq!(begun, settled, "(permutations, root)");
+        assert_eq!(root, child.rebuild_root());
+    }
+
+    #[test]
+    fn writes_after_a_begun_commit_commit_on_top_of_it() {
+        let mut w = funded(300);
+        w.begin_commit();
+        let before_writes = w.snapshot();
+        child_writes(&mut w);
+        // The later commit's base is the begun one, hashed first, against
+        // the accounts as they were when it began.
+        assert_eq!(w.state_root(), w.rebuild_root());
+        assert_eq!(before_writes.state_root(), before_writes.rebuild_root());
+        assert_ne!(w.state_root(), before_writes.state_root());
+        // Nothing written since: beginning again begins nothing.
+        w.begin_commit();
+        assert!(!commit_is_pending(&w));
+    }
+
+    #[test]
+    fn a_begun_commit_dropped_unhashed_makes_its_waiters_panic() {
+        let parent = funded(100);
+        parent.begin_commit();
+        let mut child = parent.snapshot();
+        child.set_balance(addr(1), U256::from(9u64));
+        drop(parent);
+        let waited = within(move || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| child.state_root())).is_err()
+        });
+        assert!(waited, "a waiter got a root");
     }
 }

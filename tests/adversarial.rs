@@ -2,9 +2,16 @@
 //! honest execution; the validator pipeline must reject every variant
 //! (§4.4: "validators will reject the block if they execute transactions
 //! and receive an inconsistent result").
+//!
+//! A block is published from its profile at preparation, before execution
+//! confirms the profile: a lying profile is caught after its descendants
+//! already run on what it claimed, and they must fall with it.
 
+use std::sync::mpsc;
 use std::sync::Arc;
+use std::time::Duration;
 
+use blockpilot::concurrent::Crew;
 use blockpilot::core::{
     ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, ValidationError,
     ValidatorPipeline,
@@ -13,28 +20,65 @@ use blockpilot::txpool::TxPool;
 use blockpilot::types::{AccessKey, BlockHash, H256, U256};
 use blockpilot::workload::{WorkloadConfig, WorkloadGen};
 
-fn honest_proposal() -> (Proposal, Arc<blockpilot::state::WorldState>, BlockHash) {
-    let mut gen = WorkloadGen::new(WorkloadConfig {
+fn workload() -> WorkloadGen {
+    WorkloadGen::new(WorkloadConfig {
         accounts: 100,
         txs_per_block: 25,
         tx_jitter: 0,
         ..WorkloadConfig::default()
-    });
-    let base = Arc::new(gen.genesis_state());
-    let env = gen.block_env(1);
-    let txs = gen.next_block_txs();
+    })
+}
+
+/// The next block of `gen`'s stream, proposed honestly on `base`.
+fn propose(
+    gen: &mut WorkloadGen,
+    base: &Arc<blockpilot::state::WorldState>,
+    parent: BlockHash,
+    height: u64,
+) -> Proposal {
     let pool = TxPool::new();
-    for tx in txs {
+    for tx in gen.next_block_txs() {
         pool.add(tx);
     }
     let proposer = OccWsiProposer::new(OccWsiConfig {
         threads: 2,
-        env,
+        env: gen.block_env(height),
         ..OccWsiConfig::default()
     });
+    proposer.propose(&pool, Arc::clone(base), parent, height)
+}
+
+fn honest_proposal() -> (Proposal, Arc<blockpilot::state::WorldState>, BlockHash) {
+    let mut gen = workload();
+    let base = Arc::new(gen.genesis_state());
     let parent = BlockHash::from_low_u64(1);
-    let proposal = proposer.propose(&pool, Arc::clone(&base), parent, 1);
+    let proposal = propose(&mut gen, &base, parent, 1);
     (proposal, base, parent)
+}
+
+/// A crew with no helper — every task runs on a thread waiting for a
+/// verdict — and the process's crew.
+fn crews() -> [Crew; 2] {
+    [Crew::new(0), Crew::global().clone()]
+}
+
+/// Runs `f` on its own thread, failing if it has not returned within a
+/// minute: a verdict that never comes fails the test instead of hanging it.
+fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = done_tx.send(f());
+    });
+    match done_rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(value) => {
+            worker.join().unwrap();
+            value
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().unwrap_err())
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("no verdict after a minute"),
+    }
 }
 
 fn validate(
@@ -149,4 +193,81 @@ fn truncated_profile_rejected() {
         matches!(result, Err(ValidationError::ProfileMismatch { .. })),
         "{result:?}"
     );
+}
+
+#[test]
+fn profile_lying_only_in_one_entrys_gas_rejected() {
+    let (mut proposal, base, parent) = honest_proposal();
+    // Every write set honest: only the gas tx 5 claims is off, and with it
+    // the fee the validator folds into the coinbase at preparation.
+    proposal.block.profile.entries[5].gas_used += 1;
+    for crew in crews() {
+        let (block, base) = (proposal.block.clone(), Arc::clone(&base));
+        let result = within(move || crew.install(|| validate(block, &base, parent)));
+        assert_eq!(result, Err(ValidationError::ProfileMismatch { index: 5 }));
+    }
+}
+
+#[test]
+fn descendants_running_ahead_on_a_lying_profile_fall_with_it() {
+    // An honest chain of four, then block 1's profile lies in one write
+    // value. Blocks 2–4 are released onto the state block 1's profile
+    // claims before its execution catches the lie.
+    let mut gen = workload();
+    let genesis = Arc::new(gen.genesis_state());
+    let genesis_hash = BlockHash::from_low_u64(1);
+    let mut chain = Vec::new();
+    let (mut base, mut parent) = (Arc::clone(&genesis), genesis_hash);
+    for height in 1..=4 {
+        let proposal = propose(&mut gen, &base, parent, height);
+        base = Arc::new(proposal.post_state.clone());
+        parent = proposal.block.hash();
+        chain.push(proposal.block);
+    }
+    let entry = &mut chain[0].profile.entries[3];
+    let key = *entry.writes.keys().next().expect("tx has writes");
+    entry.writes.insert(key, U256::from(0xBAD_u64));
+    let chain = Arc::new(chain);
+    for crew in crews() {
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
+            let (crew, chain, genesis) = (crew.clone(), Arc::clone(&chain), Arc::clone(&genesis));
+            within(move || {
+                let pipeline = crew.install(|| {
+                    ValidatorPipeline::new(PipelineConfig {
+                        workers: 3,
+                        granularity: ConflictGranularity::Account,
+                    })
+                });
+                pipeline.register_state(genesis_hash, genesis);
+                let mut handles: Vec<_> = order
+                    .iter()
+                    .map(|&i| (i, pipeline.submit(chain[i].clone())))
+                    .collect();
+                handles.sort_by_key(|(i, _)| *i);
+                for (i, handle) in handles {
+                    let outcome = handle.wait();
+                    let expected = match i {
+                        0 => ValidationError::ProfileMismatch { index: 3 },
+                        _ => ValidationError::ParentInvalid,
+                    };
+                    assert_eq!(outcome.result, Err(expected), "block {i}, {order:?}");
+                    assert!(outcome.post_state.is_none());
+                    // With no helper every block was in before any ran, so
+                    // the descendants executed on the lying state.
+                    if crew.helpers() == 0 {
+                        assert!(outcome.executed_txs > 0, "block {i}, {order:?}");
+                    }
+                    for block in chain.iter() {
+                        assert!(pipeline.state_of(&block.hash()).is_none(), "{order:?}");
+                    }
+                }
+                // A late sibling of block 2 is turned away at the door.
+                let mut late = chain[1].clone();
+                late.header.proposer_seed ^= 1;
+                let outcome = pipeline.validate_block(late);
+                assert_eq!(outcome.result, Err(ValidationError::ParentInvalid));
+                assert_eq!(outcome.executed_txs, 0, "{order:?}");
+            });
+        }
+    }
 }
