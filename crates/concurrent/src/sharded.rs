@@ -104,17 +104,6 @@ impl<K: Hash + Eq, V, S: BuildHasher> ShardedMap<K, V, S> {
         }
     }
 
-    /// Total number of entries (takes every shard's read lock in turn; not a
-    /// linearizable snapshot).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True iff no entries exist.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
-    }
-
     /// Snapshots all entries into a `Vec` (shard by shard).
     pub fn snapshot(&self) -> Vec<(K, V)>
     where
@@ -139,12 +128,12 @@ mod tests {
     #[test]
     fn basic_ops() {
         let m: ShardedMap<u64, String> = ShardedMap::for_threads(1);
-        assert!(m.is_empty());
+        assert!(m.snapshot().is_empty());
         assert_eq!(m.get(&1), None);
         assert_eq!(m.insert(1, "a".into()), None);
         assert_eq!(m.insert(1, "b".into()), Some("a".into()));
         assert_eq!(m.get(&1), Some("b".into()));
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.snapshot().len(), 1);
     }
 
     #[test]
@@ -195,7 +184,6 @@ mod tests {
         snap.sort_unstable();
         assert_eq!(snap.len(), 100);
         assert_eq!(snap[10], (10, 20));
-        assert_eq!(m.len(), 100);
     }
 
     #[test]

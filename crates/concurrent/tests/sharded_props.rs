@@ -46,7 +46,6 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(map.len(), model.len());
         let mut snap = map.snapshot();
         snap.sort_unstable();
         let mut expect: Vec<(u16, u32)> = model.into_iter().collect();

@@ -23,7 +23,7 @@
 //! (`admit`, which also holds the gas used so far) covers the full-block
 //! check, WSI validation against the chain tails of the
 //! [`MultiVersionState`] (the version of each key's last commit is the
-//! paper's reserve table), gas and `max_txs` admission, and
+//! paper's reserve table), gas admission, and
 //! [`MultiVersionState::commit`]. That commit appends the writes, installs
 //! the deployed code and only then reveals the new version, so a snapshot
 //! taken at [`MultiVersionState::version`] never sees a half-published
@@ -33,7 +33,9 @@
 //! Block bodies stay out of the section: [`OccWsiProposer::propose`]
 //! merges the per-worker segments in version order at seal time, and seals
 //! from what they hold — the transaction root from the hashes the pool
-//! computed at admission, the post-state from the records' own write sets.
+//! computed at admission, the post-state through the validator's fold of
+//! the block's profile ([`crate::pipeline`]), so both roles derive a
+//! block's state one way.
 //!
 //! Nor does the pool: a worker talks to it once per batch
 //! ([`TxPool::turn`]), handing back the hashes it committed and aborted
@@ -57,7 +59,9 @@ use bp_concurrent::sync::Mutex;
 use bp_evm::{execute_transaction, gas, BlockEnv, MvSnapshot, Receipt, Transaction, TxError};
 use bp_state::{MultiVersionState, WorldState};
 use bp_txpool::TxPool;
-use bp_types::{BlockHash, FxHashMap, Gas, Height, TxHash, WriteSet, U256};
+use bp_types::{BlockHash, FxHashMap, Gas, Height, TxHash, H256};
+
+use crate::pipeline::fold;
 
 /// How many transactions a worker checks out from the pool per turn. Small
 /// enough that priority inversion is bounded, large enough to amortize the
@@ -87,8 +91,6 @@ pub struct OccWsiConfig {
     pub gas_limit: Gas,
     /// Execution environment for the new block.
     pub env: BlockEnv,
-    /// Optional ceiling on transactions per block (0 = unlimited).
-    pub max_txs: usize,
 }
 
 impl Default for OccWsiConfig {
@@ -100,7 +102,6 @@ impl Default for OccWsiConfig {
                 .max(1),
             gas_limit: 30_000_000,
             env: BlockEnv::default(),
-            max_txs: 0,
         }
     }
 }
@@ -284,41 +285,31 @@ impl OccWsiProposer {
         // Merge the per-worker segments into the block body, in version
         // (= block) order, and seal from what they carry: the transaction
         // root from the hashes the pool checked the transactions out with,
-        // the post-state from the records' write sets folded in version
-        // order (a later version's value replaces an earlier one's).
-        // Versions are dense 1..=committed.
+        // the post-state from the block itself — the validator's fold of
+        // its profile onto the parent, plus the code the pack deployed,
+        // which the profile does not carry. Versions are dense
+        // 1..=committed.
         records.sort_unstable_by_key(|r| r.version);
         debug_assert!(records
             .iter()
             .enumerate()
             .all(|(i, r)| r.version == i as u64 + 1));
         let txs_root = tx_root_of_hashes(records.iter().map(|r| r.hash));
-        let mut writes = WriteSet::default();
-        writes.reserve(mv.written_key_count());
         let mut txs = Vec::with_capacity(records.len());
         let mut receipts = Vec::with_capacity(records.len());
         let mut profile = BlockProfile::default();
         for r in records {
-            writes.extend(r.profile.writes.iter().map(|(key, value)| (*key, *value)));
             txs.push(r.tx);
             receipts.push(r.receipt);
             profile.push(r.profile);
         }
-        let mut post_state = mv.with_writes(&writes);
         debug_assert_eq!(txs_root, tx_root(&txs));
-
-        // Credit the aggregated fees to the coinbase and build the header.
-        let fees: U256 = receipts.iter().map(|r| r.fee).sum();
-        if !fees.is_zero() {
-            let coinbase = self.config.env.coinbase;
-            let bal = post_state.balance(&coinbase);
-            post_state.set_balance(coinbase, bal + fees);
-        }
-
         let header = BlockHeader {
             parent_hash: parent,
             height,
-            state_root: post_state.state_root(),
+            // Set once the block is folded: the fold reads only the body,
+            // the profile and the coinbase.
+            state_root: H256::ZERO,
             tx_root: txs_root,
             receipts_root: receipts_root(&receipts),
             gas_used,
@@ -327,14 +318,20 @@ impl OccWsiProposer {
             timestamp: self.config.env.timestamp,
             proposer_seed: self.config.env.number,
         };
+        let mut block = Block {
+            header,
+            transactions: txs,
+            profile,
+        };
+        let (mut post_state, _) = fold(mv.base(), &block);
+        for (addr, code) in mv.deployed() {
+            post_state.set_code(addr, (*code).clone());
+        }
+        block.header.state_root = post_state.state_root();
 
-        let committed = txs.len() as u64;
+        let committed = block.transactions.len() as u64;
         Proposal {
-            block: Block {
-                header,
-                transactions: txs,
-                profile,
-            },
+            block,
             receipts,
             post_state,
             stats: ProposerStats {
@@ -467,11 +464,6 @@ impl OccWsiProposer {
                     }
                     continue;
                 }
-                if self.config.max_txs > 0 && s.mv.version() as usize >= self.config.max_txs {
-                    s.full.store(true, Ordering::Release);
-                    checkout.returned.push(hash);
-                    return records;
-                }
                 *gas_used = gas_after;
                 s.mv.commit(&result.rw.writes, &result.deployed)
             };
@@ -495,10 +487,11 @@ impl OccWsiProposer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_baseline::execute_block_serially;
     use bp_evm::asm::Asm;
     use bp_evm::contracts;
     use bp_evm::opcode::Op;
-    use bp_types::{AccessKey, Address};
+    use bp_types::{AccessKey, Address, U256};
 
     fn addr(i: u64) -> Address {
         Address::from_index(i)
@@ -517,25 +510,6 @@ mod tests {
             threads,
             ..OccWsiConfig::default()
         })
-    }
-
-    /// Replays a block's transactions serially in block order; the result
-    /// must equal the proposer's post-state (serializability witness).
-    fn serial_replay(block: &Block, base: &WorldState, env: &BlockEnv) -> WorldState {
-        let mut world = base.clone();
-        let mut fees = U256::ZERO;
-        for tx in &block.transactions {
-            let view = bp_evm::WorldView::new(&world);
-            let result = bp_evm::execute_transaction(&view, env, tx).expect("replay must accept");
-            world.apply_writes(&result.rw.writes);
-            for (a, code) in &result.deployed {
-                world.set_code(*a, (**code).clone());
-            }
-            fees += result.receipt.fee;
-        }
-        let cb = world.balance(&env.coinbase);
-        world.set_balance(env.coinbase, cb + fees);
-        world
     }
 
     #[test]
@@ -568,7 +542,9 @@ mod tests {
         assert!(pool.is_empty());
         // Serializability: replaying the block order serially reproduces
         // the exact post-state root.
-        let replay = serial_replay(&proposal.block, &world, &p.config.env);
+        let replay = execute_block_serially(&world, &p.config.env, &proposal.block.transactions)
+            .expect("replay must accept")
+            .post_state;
         assert_eq!(replay.state_root(), proposal.post_state.state_root());
         assert_eq!(proposal.block.header.state_root, replay.state_root());
     }
@@ -609,7 +585,10 @@ mod tests {
                     .storage(&c, &bp_types::H256::from_low_u64(0)),
                 U256::from(SENDERS)
             );
-            let replay = serial_replay(&proposal.block, &world, &p.config.env);
+            let replay =
+                execute_block_serially(&world, &p.config.env, &proposal.block.transactions)
+                    .expect("replay must accept")
+                    .post_state;
             assert_eq!(replay.state_root(), proposal.post_state.state_root());
         }
     }
@@ -716,7 +695,10 @@ mod tests {
                 tx_root(&proposal.block.transactions),
                 "the carried hashes are the transactions' hashes"
             );
-            let replay = serial_replay(&proposal.block, &world, &p.config.env);
+            let replay =
+                execute_block_serially(&world, &p.config.env, &proposal.block.transactions)
+                    .expect("replay must accept")
+                    .post_state;
             assert_eq!(replay.state_root(), proposal.post_state.state_root());
         }
     }
@@ -761,7 +743,10 @@ mod tests {
             assert_eq!(proposal.block.tx_count(), 30, "round {round}");
             assert!(pool.is_empty());
             assert_eq!(pool.in_flight(), 0);
-            let replay = serial_replay(&proposal.block, &world, &p.config.env);
+            let replay =
+                execute_block_serially(&world, &p.config.env, &proposal.block.transactions)
+                    .expect("replay must accept")
+                    .post_state;
             assert_eq!(replay.state_root(), proposal.post_state.state_root());
         }
     }
@@ -834,24 +819,10 @@ mod tests {
         // The oversized transaction goes back to the pool intact.
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.in_flight(), 0);
-        let replay = serial_replay(&proposal.block, &world, &p.config.env);
+        let replay = execute_block_serially(&world, &p.config.env, &proposal.block.transactions)
+            .expect("replay must accept")
+            .post_state;
         assert_eq!(replay.state_root(), proposal.post_state.state_root());
-    }
-
-    #[test]
-    fn max_txs_caps_the_block() {
-        let world = Arc::new(funded_world(30));
-        let pool = TxPool::new();
-        for i in 1..=20u64 {
-            pool.add(Transaction::transfer(addr(i), addr(99), U256::ONE, 0, 1));
-        }
-        let p = OccWsiProposer::new(OccWsiConfig {
-            threads: 2,
-            max_txs: 7,
-            ..OccWsiConfig::default()
-        });
-        let proposal = p.propose(&pool, world, BlockHash::ZERO, 1);
-        assert_eq!(proposal.block.tx_count(), 7);
     }
 
     #[test]
@@ -928,7 +899,9 @@ mod tests {
         let p = proposer(8);
         let proposal = p.propose(&pool, Arc::clone(&world), BlockHash::ZERO, 1);
         assert_eq!(proposal.block.tx_count(), 16);
-        let replay = serial_replay(&proposal.block, &world, &p.config.env);
+        let replay = execute_block_serially(&world, &p.config.env, &proposal.block.transactions)
+            .expect("replay must accept")
+            .post_state;
         assert_eq!(replay.state_root(), proposal.post_state.state_root());
     }
 

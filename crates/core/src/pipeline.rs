@@ -6,8 +6,8 @@
 //!   transaction executes; the scheduler then splits the block into
 //!   dependency subgraphs from its profile. The profile's write sets, and
 //!   the fees its gas implies, are folded into a snapshot of the parent:
-//!   the post-state the block claims, which execution then confirms entry
-//!   by entry.
+//!   the post-state the block claims — the proposer sealed it through the
+//!   same fold — which execution then confirms entry by entry.
 //! * **Transaction execution** — the process's [`Crew`] executes jobs from
 //!   *any* in-flight block: two blocks at the same height overlap fully,
 //!   exactly as in the paper's Figure 5. Every dependency subgraph is its
@@ -727,11 +727,13 @@ impl Starter {
 
 /// The post-state `block`'s profile claims: the parent with every entry's
 /// writes applied in block order, then the coinbase credited with the fees
-/// the entries' gas implies (`gas_used × gas_price` each). The jobs confirm
-/// it: a transaction validates only if its replayed write set and gas equal
-/// its entry's. Also whether the block deploys code — a transaction without
-/// `to`, or a `Code` write — whose bytes the profile does not carry.
-fn fold(parent: &WorldState, block: &Block) -> (WorldState, bool) {
+/// the entries' gas implies (`gas_used × gas_price` each). Both roles seal
+/// through it: the proposer's post-state is this fold of the block it
+/// built, and the validator's jobs confirm it, a transaction validating
+/// only if its replayed write set and gas equal its entry's. Also whether
+/// the block deploys code — a transaction without `to`, or a `Code` write —
+/// whose bytes the profile does not carry: the caller installs them.
+pub(crate) fn fold(parent: &WorldState, block: &Block) -> (WorldState, bool) {
     // Copy-on-write snapshot of the parent state: a pointer bump, whatever
     // the number of accounts; the writes below copy only the paths they
     // take. It does not wait for the parent's root, which may still hash.
@@ -998,6 +1000,63 @@ mod tests {
         assert_eq!(outcome.receipts.len(), proposal.block.tx_count());
         assert_eq!(outcome.executed_txs, proposal.block.tx_count());
         assert!(!outcome.aborted_early);
+    }
+
+    #[test]
+    fn the_coinbase_inside_a_footprint_seals_and_validates_to_the_serial_root() {
+        // One transaction pays the coinbase, then the coinbase — funded by
+        // it alone — sends one of its own: an entry writes the coinbase's
+        // balance, and the fold credits the block's fees on top of it.
+        let coinbase = addr(900);
+        let world = Arc::new(funded_world(2));
+        let env = BlockEnv {
+            coinbase,
+            number: 1,
+            ..BlockEnv::default()
+        };
+        for crew in crews() {
+            let pool = TxPool::new();
+            pool.add(Transaction::transfer(
+                addr(1),
+                coinbase,
+                U256::from(1_000_000u64),
+                0,
+                3,
+            ));
+            pool.add(Transaction::transfer(
+                coinbase,
+                addr(2),
+                U256::from(1_000u64),
+                0,
+                2,
+            ));
+            let proposer = OccWsiProposer::new(OccWsiConfig {
+                threads: 2,
+                env,
+                ..Default::default()
+            });
+            let (pipeline, genesis) = crew.install(|| pipeline_with_genesis(2, &world));
+            let mut block = crew
+                .install(|| proposer.propose(&pool, Arc::clone(&world), genesis, 1))
+                .block;
+            assert_eq!(block.tx_count(), 2);
+            assert_eq!(block.transactions[1].sender, coinbase);
+            let serial = bp_baseline::execute_block_serially(&world, &env, &block.transactions)
+                .expect("the block replays serially")
+                .post_state
+                .state_root();
+            // The validator judges the block against the serial root, so its
+            // own fold is checked whatever the proposer sealed, and a failure
+            // shows both roles.
+            let sealed = std::mem::replace(&mut block.header.state_root, serial);
+            let outcome = crew.install(|| pipeline.validate_block(block));
+            let validated = outcome.post_state.map(|post| post.state_root());
+            assert_eq!(
+                (sealed, outcome.result, validated),
+                (serial, Ok(()), Some(serial)),
+                "(the proposer's seal, the validator's verdict, its root)"
+            );
+        }
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub struct NodeConfig {
     pub latency_us: std::ops::Range<u64>,
     /// Transaction workload feeding the pool (CLI, benchmark).
     pub workload: WorkloadConfig,
-    /// Pool admission cap — the ingest backpressure bound, and so a bound on
-    /// a block's size (tests only: small blocks keep them fast).
-    pub pool_capacity: usize,
     /// When set, validator 0 persists its canonical chain to this store
     /// directory (crash-safe commit cadence under sustained load). A store
     /// that already holds a chain is resumed: the run proposes `blocks`
@@ -69,7 +66,6 @@ impl Default for NodeConfig {
             validators: 2,
             latency_us: 0..0,
             workload: WorkloadConfig::default(),
-            pool_capacity: 1024,
             store_dir: None,
             group_commit: GroupCommitConfig::default(),
             check_equivalence: true,

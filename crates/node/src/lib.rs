@@ -72,7 +72,9 @@ mod tests {
             pipeline: pipeline(),
             latency_us: 1..30,
             workload: workload(),
-            pool_capacity: 256,
+            // At most 256 transactions a block, each at least a transfer's
+            // 21 000 gas: small blocks keep the test fast.
+            gas_limit: 256 * 21_000,
             ..NodeConfig::default()
         }
     }

@@ -77,6 +77,10 @@ pub const CHANNEL_DEPTH: usize = 2;
 /// small enough that the pool never runs far below its cap.
 const INGEST_CHUNK: usize = 64;
 
+/// The pool's admission cap: the ingest stage's backpressure bound. A
+/// block's size is bounded by its gas limit.
+const POOL_CAPACITY: usize = 1024;
+
 /// How long a stage parked on the pool sleeps before it looks at the stop
 /// flag again. The pool wakes it as soon as its condition holds; the timeout
 /// bounds shutdown latency, not throughput.
@@ -122,7 +126,6 @@ fn seal_sibling(
         threads: 1,
         gas_limit,
         env: BlockEnv { coinbase, ..env },
-        max_txs: 0,
     });
     racer.submit_transactions(block.transactions.iter().cloned());
     let sibling = racer.propose_block(parent_state, block.header.parent_hash, block.height());
@@ -483,7 +486,7 @@ impl RunningNode {
         assert!(config.blocks > 0, "need at least one height");
 
         let stop = Arc::new(AtomicBool::new(false));
-        let pool = Arc::new(TxPool::with_capacity_limit(config.pool_capacity));
+        let pool = Arc::new(TxPool::with_capacity_limit(POOL_CAPACITY));
 
         let workload = WorkloadGen::new(config.workload.clone());
         let genesis_state = workload.genesis_state();
@@ -591,7 +594,6 @@ impl RunningNode {
                         threads: config.proposer_threads,
                         gas_limit: config.gas_limit,
                         env: envs.block_env(height),
-                        max_txs: 0,
                     };
                     let t = Instant::now();
                     let proposal = OccWsiProposer::new(engine_config).propose(

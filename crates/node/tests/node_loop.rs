@@ -36,7 +36,9 @@ fn small_config() -> NodeConfig {
         pipeline: pipeline(),
         validators: 2,
         workload: small_workload(),
-        pool_capacity: 256,
+        // At most 256 transactions a block, each at least a transfer's
+        // 21 000 gas: small blocks keep the test fast.
+        gas_limit: 256 * 21_000,
         ..NodeConfig::default()
     }
 }

@@ -109,22 +109,10 @@ impl MultiVersionState {
         self.code.get(addr).unwrap_or_else(|| self.base.code(addr))
     }
 
-    /// The base world with `writes` applied as one batch and the code
-    /// installed during the block: a copy-on-write snapshot, so the cost is
-    /// O(written keys), not O(world size). `writes` is the caller's fold of
-    /// the block's write sets in commit order, later versions over earlier.
-    pub fn with_writes(&self, writes: &WriteSet) -> WorldState {
-        let mut world = self.base.snapshot();
-        world.apply_writes(writes);
-        for (addr, code) in self.code.snapshot() {
-            world.set_code(addr, (*code).clone());
-        }
-        world
-    }
-
-    /// Number of keys with at least one committed in-block write.
-    pub fn written_key_count(&self) -> usize {
-        self.versions.len()
+    /// The code installed by in-block contract creations, in no order: what
+    /// the sealed post-state installs beside the block's writes.
+    pub fn deployed(&self) -> Vec<(Address, Arc<Vec<u8>>)> {
+        self.code.snapshot()
     }
 }
 
@@ -220,36 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn with_writes_applies_the_fold_over_the_base() {
-        let mv = mv_with_base();
-        let slot = AccessKey::Storage(addr(2), H256::from_low_u64(1));
-        let mut w: WriteSet = Default::default();
-        w.insert(bal(1), U256::from(42u64));
-        w.insert(slot, U256::from(8u64));
-        mv.commit(&w, &Default::default());
-        let mut w2: WriteSet = Default::default();
-        w2.insert(bal(1), U256::from(43u64));
-        mv.commit(&w2, &Default::default());
-
-        // The caller's fold in commit order, later versions over earlier:
-        // what the version chains answer at the last version.
-        w.extend(w2);
-        for (key, value) in &w {
-            assert_eq!(mv.read_latest(key).0, *value);
-        }
-        let sealed = mv.with_writes(&w);
-        assert_eq!(sealed.balance(&addr(1)), U256::from(43u64));
-        assert_eq!(
-            sealed.storage(&addr(2), &H256::from_low_u64(1)),
-            U256::from(8u64)
-        );
-
-        // No writes: back to the base.
-        let untouched = mv.with_writes(&WriteSet::default());
-        assert_eq!(untouched.state_root(), mv.base().state_root());
-    }
-
-    #[test]
     fn code_overlay() {
         let mv = mv_with_base();
         assert!(mv.code(&addr(5)).is_empty());
@@ -257,8 +215,9 @@ mod tests {
         deployed.insert(addr(5), Arc::new(vec![1, 2, 3]));
         assert_eq!(mv.commit(&WriteSet::default(), &deployed), 1);
         assert_eq!(*mv.code(&addr(5)), vec![1, 2, 3]);
-        let world = mv.with_writes(&WriteSet::default());
-        assert_eq!(*world.code(&addr(5)), vec![1, 2, 3]);
+        let deployed = mv.deployed();
+        assert_eq!(deployed.len(), 1);
+        assert_eq!((deployed[0].0, &*deployed[0].1), (addr(5), &vec![1, 2, 3]));
     }
 
     #[test]

@@ -418,10 +418,12 @@ impl WorldState {
         }
     }
 
-    /// Applies one committed write set (used when sealing a block and by the
-    /// validator's apply stage). `Code` writes are ignored here — code bytes are
-    /// installed via [`WorldState::set_code`] by the execution layer; the
-    /// write-set entry only versions the key for conflict detection.
+    /// Applies one transaction's write set: the block's profile fold, which
+    /// seals and validates every block, applies each entry's in block order,
+    /// and the serial baseline each executed transaction's. `Code` writes are
+    /// ignored here — code bytes are installed via [`WorldState::set_code`]
+    /// by the execution layer; the write-set entry only versions the key for
+    /// conflict detection.
     pub fn apply_writes(&mut self, writes: &WriteSet) {
         for (key, value) in writes {
             match key {
