@@ -1,16 +1,13 @@
-//! Block structures: header, body, the **block profile**, and a fork-aware
-//! chain store.
+//! Block structures: header, body, the **block profile**, and the wire
+//! codec.
 //!
 //! The block profile is BlockPilot's protocol addition (§4.2): the proposer
 //! ships the per-transaction read/write sets (with snapshot versions) and
 //! gas alongside the block so validators can schedule and verify without
-//! first re-discovering conflicts. The chain store keeps *all* blocks per
-//! height — in a Byzantine network validators receive competing blocks at the
-//! same height (§3.4) and the pipeline executes them concurrently.
+//! first re-discovering conflicts.
 
 #![warn(missing_docs)]
 
-pub mod chain;
 pub mod profile;
 pub mod wire;
 
@@ -19,7 +16,6 @@ use bp_crypto::{keccak256, Keccak256, RlpStream};
 use bp_evm::{Receipt, Transaction};
 use bp_types::{Address, BlockHash, Gas, Height, TxHash, H256};
 
-pub use chain::ChainStore;
 pub use profile::{BlockProfile, TxProfile};
 pub use wire::{decode_block, encode_block, encode_block_into, encoded_size_hint};
 

@@ -434,30 +434,11 @@ impl<'scope> Scope<'scope, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_testkit::within;
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
     use std::thread::ThreadId;
     use std::time::{Duration, Instant};
-
-    /// Runs `f` on its own thread, failing if it has not returned within a
-    /// minute: a wait that is never released fails the test instead of
-    /// hanging it.
-    fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        match rx.recv_timeout(Duration::from_secs(60)) {
-            Ok(value) => {
-                worker.join().unwrap();
-                value
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                resume_unwind(worker.join().unwrap_err())
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("a wait was never released"),
-        }
-    }
 
     #[test]
     fn a_crew_with_no_helpers_completes_every_scope_on_its_caller() {

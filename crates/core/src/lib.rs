@@ -9,7 +9,8 @@
 //! * [`pipeline`] — the validator's four-stage pipeline (preparation,
 //!   transaction execution, block validation, block commitment) processing
 //!   multiple blocks concurrently: same-height blocks overlap fully,
-//!   cross-height blocks respect parent ordering.
+//!   cross-height blocks respect parent ordering, over one index of the
+//!   blocks a validator knows.
 //! * [`proposer`] / [`validator`] — node-level facades.
 
 #![warn(missing_docs)]
@@ -23,7 +24,6 @@ pub mod validator;
 pub use occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal, ProposerStats};
 pub use pipeline::{
     PipelineConfig, StageTimings, ValidationError, ValidationHandle, ValidationOutcome,
-    ValidatorPipeline,
 };
 pub use proposer::Proposer;
 pub use scheduler::{ConflictGranularity, Schedule, Scheduler, Subgraph};

@@ -323,7 +323,7 @@ impl OccWsiProposer {
             transactions: txs,
             profile,
         };
-        let (mut post_state, _) = fold(mv.base(), &block);
+        let mut post_state = fold(mv.base(), &block);
         for (addr, code) in mv.deployed() {
             post_state.set_code(addr, (*code).clone());
         }

@@ -43,8 +43,13 @@
 //!   and the public lookups answer for a block only once that verdict is
 //!   in. A block that fails any check is un-published, and its descendants
 //!   fail through the latch they were handed.
+//!
+//! The validator keeps one index of the blocks it knows: an entry per
+//! published block holds the block, its post-state and its latch, and goes
+//! as a whole when the block is un-published — a rejected block is not
+//! kept. The canonical chain is a vector by height over settled entries.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -306,7 +311,7 @@ struct BlockTask {
     /// This block's root verdict, handed to its children with its state.
     root: Arc<RootLatch<bool>>,
     /// The parent block's root verdict, which this block's own verdict
-    /// chains on; `None` when the parent is a trusted registered state.
+    /// chains on; `None` when the parent is the trusted genesis.
     parent_root: Option<Arc<RootLatch<bool>>>,
     env: BlockEnv,
     /// Set when a preparation-phase header check failed: the block skipped
@@ -325,27 +330,31 @@ struct BlockTask {
 /// A block parked until its parent validates, and where its verdict goes.
 type Parked = (Arc<Block>, Verdict);
 
-/// What a block starts from: the state it executes on and the root verdict
-/// its own verdict chains on. The index holds one for every hash a child can
-/// build on: a registered base state, or a block from the moment its
-/// post-state is published.
+/// An index entry, and what a child of it starts from: a published block
+/// (or the genesis), the state it leaves and the root verdict a child's own
+/// verdict chains on. The index holds one for every hash a child can build
+/// on: the genesis, or a block from the moment its post-state is published.
 #[derive(Clone)]
-struct Parent {
-    state: Arc<WorldState>,
+pub(crate) struct Parent {
+    block: Arc<Block>,
+    pub(crate) state: Arc<WorldState>,
     /// The block's root verdict: `true` once its root matched the header and
     /// every ancestor settled valid, unset while the root still hashes.
-    /// `None` for a trusted registered state, which has nothing to wait for.
+    /// `None` for the genesis, which is trusted and has nothing to wait for.
     root: Option<Arc<RootLatch<bool>>>,
 }
 
-#[derive(Default)]
-struct StateIndex {
-    /// One entry per published block, from publication until the pipeline is
-    /// dropped or a failed root verdict un-publishes the block: state and
-    /// latch come and go together.
-    states: HashMap<BlockHash, Parent>,
+/// A validator's one index of the blocks it knows.
+pub(crate) struct StateIndex {
+    /// One entry per published block, from publication until the validator
+    /// is dropped or a failed root verdict un-publishes the block: block,
+    /// state and latch come and go together.
+    pub(crate) states: HashMap<BlockHash, Parent>,
     waiting: HashMap<BlockHash, Vec<Parked>>,
-    invalid: std::collections::HashSet<BlockHash>,
+    invalid: HashSet<BlockHash>,
+    /// The canonical chain by height, the genesis at 0: blocks whose entries
+    /// settled valid, each the child of the one below it.
+    pub(crate) canonical: Vec<(BlockHash, Arc<Block>)>,
 }
 
 impl StateIndex {
@@ -379,49 +388,67 @@ impl StateIndex {
         doomed
     }
 
-    /// The entry of `hash` once nothing can take it away any more: a trusted
-    /// state, or a block whose root verdict settled valid.
-    fn settled(&self, hash: &BlockHash) -> Option<&Parent> {
+    /// The entry of `hash` once nothing can take it away any more: the
+    /// genesis, or a block whose root verdict settled valid.
+    pub(crate) fn settled(&self, hash: &BlockHash) -> Option<&Parent> {
         self.states.get(hash).filter(|p| {
             p.root
                 .as_ref()
                 .is_none_or(|root| root.try_get() == Some(true))
         })
     }
+
+    /// Makes the block of `hash` canonical at its height, dropping the
+    /// canonical blocks at and above that height, if its entry settled valid
+    /// and its parent is the canonical block one height below. Returns the
+    /// block.
+    pub(crate) fn adopt(&mut self, hash: &BlockHash) -> Option<Arc<Block>> {
+        let block = Arc::clone(&self.settled(hash)?.block);
+        let height = usize::try_from(block.height()).ok()?;
+        let below = self.canonical.get(height.checked_sub(1)?)?;
+        if below.0 != block.header.parent_hash {
+            return None;
+        }
+        self.canonical.truncate(height);
+        self.canonical.push((*hash, Arc::clone(&block)));
+        Some(block)
+    }
 }
 
 /// Everything needed to push a prepared block onto the crew. Shared by the
-/// public API and the tasks (which release parked children).
-struct Starter {
+/// validator and the tasks (which release parked children).
+pub(crate) struct Starter {
     scheduler: Scheduler,
     crew: Crew,
-    index: Arc<Mutex<StateIndex>>,
+    pub(crate) index: Mutex<StateIndex>,
 }
 
-/// The four-stage validator pipeline.
-pub struct ValidatorPipeline {
-    starter: Arc<Starter>,
-}
-
-impl ValidatorPipeline {
+impl Starter {
     /// A pipeline whose tasks run on the calling thread's current crew (the
     /// process's, outside [`Crew::install`]), grown to `config.workers`.
-    pub fn new(config: PipelineConfig) -> Self {
+    /// Its index starts with one entry, the trusted `genesis` on `state`,
+    /// canonical at height 0.
+    pub(crate) fn new(config: PipelineConfig, genesis: Block, state: WorldState) -> Arc<Self> {
         assert!(config.workers > 0);
         let crew = crew::current();
         crew.reserve(config.workers);
-        let starter = Arc::new(Starter {
+        let (hash, genesis) = (genesis.hash(), Arc::new(genesis));
+        let entry = Parent {
+            block: Arc::clone(&genesis),
+            state: Arc::new(state),
+            root: None,
+        };
+        let index = StateIndex {
+            states: HashMap::from([(hash, entry)]),
+            waiting: HashMap::new(),
+            invalid: HashSet::new(),
+            canonical: vec![(hash, genesis)],
+        };
+        Arc::new(Starter {
             scheduler: Scheduler::new(config.granularity),
             crew,
-            index: Arc::default(),
-        });
-        ValidatorPipeline { starter }
-    }
-
-    /// Registers a trusted base state (e.g. the genesis post-state) so
-    /// blocks naming `hash` as parent can start.
-    pub fn register_state(&self, hash: BlockHash, state: Arc<WorldState>) {
-        self.starter.publish(hash, Parent { state, root: None });
+            index: Mutex::new(index),
+        })
     }
 
     /// Submits a block (preparation phase). Returns immediately; the
@@ -429,19 +456,13 @@ impl ValidatorPipeline {
     /// yet known are parked until the parent is published — and their
     /// verdict waits for the parent's, the paper's cross-height ordering
     /// rule. The execution environment is derived from the block header.
-    pub fn submit(&self, block: Block) -> ValidationHandle {
-        self.submit_shared(Arc::new(block))
-    }
-
-    /// [`ValidatorPipeline::submit`] for a block the caller goes on sharing
-    /// (the validator's chain store keeps the same allocation): the pipeline
-    /// holds a refcount instead of its own copy.
-    pub fn submit_shared(&self, block: Arc<Block>) -> ValidationHandle {
-        let (tx, handle) = Verdict::new(&self.starter.crew);
+    pub(crate) fn submit(self: &Arc<Self>, block: Block) -> ValidationHandle {
+        let block = Arc::new(block);
+        let (tx, handle) = Verdict::new(&self.crew);
         let parent_hash = block.header.parent_hash;
         // One look under the lock decides: a root verdict may un-publish the
         // parent at any moment after it.
-        let mut idx = self.starter.index.lock();
+        let mut idx = self.index.lock();
         if idx.invalid.contains(&parent_hash) {
             let mut doomed = idx.poison(block.hash());
             drop(idx);
@@ -449,7 +470,7 @@ impl ValidatorPipeline {
             reject_descendants(doomed);
         } else if let Some(parent) = idx.parent(&parent_hash) {
             drop(idx);
-            self.starter.start_block(block, tx, parent);
+            self.start_block(block, tx, parent);
         } else {
             idx.waiting
                 .entry(parent_hash)
@@ -457,19 +478,6 @@ impl ValidatorPipeline {
                 .push((block, tx));
         }
         handle
-    }
-
-    /// Convenience: submit and wait.
-    pub fn validate_block(&self, block: Block) -> ValidationOutcome {
-        self.submit(block).wait()
-    }
-
-    /// The post-state of `hash`: a trusted base state, or a block's once its
-    /// verdict is valid. A post-state whose root is still being checked, or
-    /// was rejected, is never handed out.
-    pub fn state_of(&self, hash: &BlockHash) -> Option<Arc<WorldState>> {
-        let idx = self.starter.index.lock();
-        idx.settled(hash).map(|p| Arc::clone(&p.state))
     }
 }
 
@@ -634,19 +642,27 @@ impl Starter {
         if jobs.is_empty() {
             jobs.push(Vec::new());
         }
-        let (post, deploys) = match header_error {
-            Some(_) => (None, false),
-            None => {
-                let (post, deploys) = fold(&parent.state, &block);
-                (Some(Arc::new(post)), deploys)
-            }
+        let post = match header_error {
+            Some(_) => None,
+            None => Some(Arc::new(fold(&parent.state, &block))),
         };
+        // The profile carries code hashes, not code: a block that deploys
+        // code — a transaction without `to`, or an entry that writes a
+        // `Code` key — publishes once its jobs installed the code.
+        let deploys = block
+            .transactions
+            .iter()
+            .zip(&block.profile.entries)
+            .any(|(tx, entry)| {
+                tx.to.is_none() || entry.writes.keys().any(|k| matches!(k, AccessKey::Code(_)))
+            });
         let root = Arc::new(RootLatch::new());
         // What the block publishes now, its commit begun first: a child
         // forks the begun commit and never hashes this block's writes.
         let published = post.as_ref().filter(|_| !deploys).map(|post| {
             post.begin_commit();
             Parent {
+                block: Arc::clone(&block),
                 state: Arc::clone(post),
                 root: Some(Arc::clone(&root)),
             }
@@ -730,26 +746,23 @@ impl Starter {
 /// the entries' gas implies (`gas_used × gas_price` each). Both roles seal
 /// through it: the proposer's post-state is this fold of the block it
 /// built, and the validator's jobs confirm it, a transaction validating
-/// only if its replayed write set and gas equal its entry's. Also whether
-/// the block deploys code — a transaction without `to`, or a `Code` write —
-/// whose bytes the profile does not carry: the caller installs them.
-pub(crate) fn fold(parent: &WorldState, block: &Block) -> (WorldState, bool) {
+/// only if its replayed write set and gas equal its entry's. The profile
+/// does not carry deployed code: the caller installs it.
+pub(crate) fn fold(parent: &WorldState, block: &Block) -> WorldState {
     // Copy-on-write snapshot of the parent state: a pointer bump, whatever
     // the number of accounts; the writes below copy only the paths they
     // take. It does not wait for the parent's root, which may still hash.
     let mut world = parent.snapshot();
     let mut fees = U256::ZERO;
-    let mut deploys = false;
     for (entry, tx) in block.profile.entries.iter().zip(&block.transactions) {
         world.apply_writes(&entry.writes);
         fees += U256::from(u128::from(entry.gas_used) * u128::from(tx.gas_price));
-        deploys |= tx.to.is_none() || entry.writes.keys().any(|k| matches!(k, AccessKey::Code(_)));
     }
     if !fees.is_zero() {
         let cb = world.balance(&block.header.coinbase);
         world.set_balance(block.header.coinbase, cb + fees);
     }
-    (world, deploys)
+    world
 }
 
 /// Block validation and commitment.
@@ -780,8 +793,8 @@ pub(crate) fn fold(parent: &WorldState, block: &Block) -> (WorldState, bool) {
 /// work already running. A root may fan out into crew tasks of its own;
 /// its thread runs any of them no helper took and never a task of another
 /// scope (the crew's second rule), so it never picks up a child's task.
-/// Those waits chain parent-ward, up published blocks, ending at a trusted
-/// registered state (no latch), so the chain always drains — and every
+/// Those waits chain parent-ward, up published blocks, ending at the
+/// trusted genesis (no latch), so the chain always drains — and every
 /// verdict, commit publication, and header check still happens after the
 /// roots it depends on are known.
 fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
@@ -911,6 +924,7 @@ fn publish_deployed(
     let post = Arc::new(post);
     post.begin_commit();
     let parent = Parent {
+        block: Arc::clone(&task.block),
         state: Arc::clone(&post),
         root: Some(Arc::clone(&task.root)),
     };
@@ -922,6 +936,7 @@ fn publish_deployed(
 mod tests {
     use super::*;
     use crate::occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal};
+    use crate::Validator;
     use bp_evm::Transaction;
     use bp_txpool::TxPool;
     use bp_types::Address;
@@ -973,25 +988,27 @@ mod tests {
         [Crew::new(0), Crew::global().clone()]
     }
 
-    fn pipeline_with_genesis(
-        workers: usize,
-        world: &Arc<WorldState>,
-    ) -> (ValidatorPipeline, BlockHash) {
-        let pipeline = ValidatorPipeline::new(PipelineConfig {
+    /// The hash of the genesis block a validator on `world` starts from.
+    fn genesis_of(world: &WorldState) -> BlockHash {
+        bp_block::genesis_header(world.state_root()).hash()
+    }
+
+    fn validator_on(workers: usize, world: &Arc<WorldState>) -> (Validator, BlockHash) {
+        let config = PipelineConfig {
             workers,
             granularity: ConflictGranularity::Account,
-        });
-        let genesis = BlockHash::from_low_u64(1);
-        pipeline.register_state(genesis, Arc::clone(world));
-        (pipeline, genesis)
+        };
+        let validator = Validator::new(config, WorldState::clone(world));
+        let genesis = validator.genesis_hash();
+        (validator, genesis)
     }
 
     #[test]
     fn validates_honest_block() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(4, &world);
+        let (validator, genesis) = validator_on(4, &world);
         let proposal = propose_transfers(&world, genesis, 1, 1..9, 0);
-        let outcome = pipeline.validate_block(proposal.block.clone());
+        let outcome = validator.receive_block(proposal.block.clone()).wait();
         assert!(outcome.is_valid(), "{:?}", outcome.result);
         assert_eq!(
             outcome.post_state.unwrap().state_root(),
@@ -1035,7 +1052,7 @@ mod tests {
                 env,
                 ..Default::default()
             });
-            let (pipeline, genesis) = crew.install(|| pipeline_with_genesis(2, &world));
+            let (validator, genesis) = crew.install(|| validator_on(2, &world));
             let mut block = crew
                 .install(|| proposer.propose(&pool, Arc::clone(&world), genesis, 1))
                 .block;
@@ -1049,7 +1066,7 @@ mod tests {
             // own fold is checked whatever the proposer sealed, and a failure
             // shows both roles.
             let sealed = std::mem::replace(&mut block.header.state_root, serial);
-            let outcome = crew.install(|| pipeline.validate_block(block));
+            let outcome = crew.install(|| validator.receive_block(block).wait());
             let validated = outcome.post_state.map(|post| post.state_root());
             assert_eq!(
                 (sealed, outcome.result, validated),
@@ -1062,23 +1079,23 @@ mod tests {
     #[test]
     fn rejects_tampered_state_root() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let (validator, genesis) = validator_on(2, &world);
         let mut proposal = propose_transfers(&world, genesis, 1, 1..5, 0);
         proposal.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
-        let outcome = pipeline.validate_block(proposal.block);
+        let outcome = validator.receive_block(proposal.block).wait();
         assert_eq!(outcome.result, Err(ValidationError::StateRootMismatch));
     }
 
     #[test]
     fn rejects_tampered_profile() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let (validator, genesis) = validator_on(2, &world);
         let mut proposal = propose_transfers(&world, genesis, 1, 1..5, 0);
         // Corrupt one profiled write value: the replayed footprint diverges.
         let entry = &mut proposal.block.profile.entries[0];
         let key = *entry.writes.keys().next().unwrap();
         entry.writes.insert(key, U256::from(123_456u64));
-        let outcome = pipeline.validate_block(proposal.block);
+        let outcome = validator.receive_block(proposal.block).wait();
         assert_eq!(
             outcome.result,
             Err(ValidationError::ProfileMismatch { index: 0 })
@@ -1089,13 +1106,13 @@ mod tests {
     #[test]
     fn rejects_tampered_tx_list_without_executing() {
         let world = Arc::new(funded_world(10));
-        let mut proposal = propose_transfers(&world, BlockHash::from_low_u64(1), 1, 1..5, 0);
+        let mut proposal = propose_transfers(&world, genesis_of(&world), 1, 1..5, 0);
         proposal.block.transactions.swap(0, 1);
         // No helper too: the rejection's one empty job is applied by the
         // waiting thread that runs it.
         for crew in crews() {
-            let (pipeline, _) = crew.install(|| pipeline_with_genesis(2, &world));
-            let outcome = pipeline.validate_block(proposal.block.clone());
+            let (validator, _) = crew.install(|| validator_on(2, &world));
+            let outcome = validator.receive_block(proposal.block.clone()).wait();
             assert_eq!(outcome.result, Err(ValidationError::TxRootMismatch));
             // Fail fast: the header check runs at preparation, so not a
             // single transaction of the doomed block reaches a worker.
@@ -1106,10 +1123,10 @@ mod tests {
     #[test]
     fn rejects_truncated_profile_without_executing() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let (validator, genesis) = validator_on(2, &world);
         let mut proposal = propose_transfers(&world, genesis, 1, 1..5, 0);
         proposal.block.profile.entries.pop();
-        let outcome = pipeline.validate_block(proposal.block);
+        let outcome = validator.receive_block(proposal.block).wait();
         assert!(matches!(
             outcome.result,
             Err(ValidationError::ProfileMismatch { .. })
@@ -1120,10 +1137,10 @@ mod tests {
     #[test]
     fn rejects_tampered_gas() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let (validator, genesis) = validator_on(2, &world);
         let mut proposal = propose_transfers(&world, genesis, 1, 1..5, 0);
         proposal.block.header.gas_used += 1;
-        let outcome = pipeline.validate_block(proposal.block);
+        let outcome = validator.receive_block(proposal.block).wait();
         assert!(matches!(
             outcome.result,
             Err(ValidationError::GasMismatch { .. })
@@ -1136,14 +1153,7 @@ mod tests {
         // sequentially; tampering the first-dispatched subgraph's
         // transaction must cancel the rest of the block before it executes.
         let world = Arc::new(funded_world(10));
-        let pipeline = Crew::new(0).install(|| {
-            ValidatorPipeline::new(PipelineConfig {
-                workers: 1,
-                ..PipelineConfig::default()
-            })
-        });
-        let genesis = BlockHash::from_low_u64(1);
-        pipeline.register_state(genesis, Arc::clone(&world));
+        let (validator, genesis) = Crew::new(0).install(|| validator_on(1, &world));
         let mut proposal = propose_transfers(&world, genesis, 1, 1..9, 0);
         let n = proposal.block.tx_count();
         // Equal-gas singleton subgraphs dispatch ascending by first member,
@@ -1151,7 +1161,7 @@ mod tests {
         let entry = &mut proposal.block.profile.entries[0];
         let key = *entry.writes.keys().next().unwrap();
         entry.writes.insert(key, U256::from(0xBAD_u64));
-        let outcome = pipeline.validate_block(proposal.block);
+        let outcome = validator.receive_block(proposal.block).wait();
         assert_eq!(
             outcome.result,
             Err(ValidationError::ProfileMismatch { index: 0 })
@@ -1167,15 +1177,15 @@ mod tests {
     #[test]
     fn same_height_blocks_validate_concurrently() {
         let world = Arc::new(funded_world(20));
-        let (pipeline, genesis) = pipeline_with_genesis(4, &world);
+        let (validator, genesis) = validator_on(4, &world);
         // Two competing proposals at height 1 from different tx subsets.
         let block_a = propose_transfers(&world, genesis, 1, 1..10, 0).block;
         let mut b = propose_transfers(&world, genesis, 1, 10..20, 0);
         b.block.header.proposer_seed = 99;
         let block_b = b.block;
         assert_ne!(block_a.hash(), block_b.hash());
-        let ha = pipeline.submit(block_a);
-        let hb = pipeline.submit(block_b);
+        let ha = validator.receive_block(block_a);
+        let hb = validator.receive_block(block_b);
         let oa = ha.wait();
         let ob = hb.wait();
         assert!(oa.is_valid(), "{:?}", oa.result);
@@ -1185,7 +1195,7 @@ mod tests {
     #[test]
     fn child_waits_for_parent_and_completes() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(4, &world);
+        let (validator, genesis) = validator_on(4, &world);
         let parent = propose_transfers(&world, genesis, 1, 1..5, 0);
         let parent_hash = parent.block.hash();
         let child = propose_transfers(
@@ -1196,8 +1206,8 @@ mod tests {
             1, // next nonce
         );
         // Submit the child FIRST: it must park until the parent validates.
-        let hc = pipeline.submit(child.block.clone());
-        let hp = pipeline.submit(parent.block.clone());
+        let hc = validator.receive_block(child.block.clone());
+        let hp = validator.receive_block(parent.block.clone());
         assert!(hp.wait().is_valid());
         let oc = hc.wait();
         assert!(oc.is_valid(), "{:?}", oc.result);
@@ -1210,7 +1220,7 @@ mod tests {
     #[test]
     fn child_of_invalid_parent_is_rejected() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let (validator, genesis) = validator_on(2, &world);
         let mut parent = propose_transfers(&world, genesis, 1, 1..5, 0);
         parent.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
         let parent_hash = parent.block.hash();
@@ -1221,8 +1231,8 @@ mod tests {
             1..5,
             1,
         );
-        let hc = pipeline.submit(child.block);
-        let hp = pipeline.submit(parent.block);
+        let hc = validator.receive_block(child.block);
+        let hp = validator.receive_block(parent.block);
         assert!(!hp.wait().is_valid());
         assert_eq!(hc.wait().result, Err(ValidationError::ParentInvalid));
     }
@@ -1230,7 +1240,7 @@ mod tests {
     #[test]
     fn rejection_reaches_descendants_parked_behind_parked_blocks() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let (validator, genesis) = validator_on(2, &world);
         let mut b1 = propose_transfers(&world, genesis, 1, 1..5, 0);
         b1.block.header.gas_used += 1; // fails before anything is published
         let s1 = Arc::new(b1.post_state.clone());
@@ -1242,9 +1252,9 @@ mod tests {
         // Deepest first: each parks on a parent that is itself parked. The
         // great-grandchild comes late, after its parent was turned away
         // while parked.
-        let h3 = pipeline.submit(b3.block);
-        let h2 = pipeline.submit(b2.block);
-        let h1 = pipeline.submit(b1.block);
+        let h3 = validator.receive_block(b3.block);
+        let h2 = validator.receive_block(b2.block);
+        let h1 = validator.receive_block(b1.block);
         assert!(matches!(
             h1.wait().result,
             Err(ValidationError::GasMismatch { .. })
@@ -1252,7 +1262,7 @@ mod tests {
         assert_eq!(h2.wait().result, Err(ValidationError::ParentInvalid));
         assert_eq!(h3.wait().result, Err(ValidationError::ParentInvalid));
         assert_eq!(
-            pipeline.validate_block(b4.block).result,
+            validator.receive_block(b4.block).wait().result,
             Err(ValidationError::ParentInvalid)
         );
     }
@@ -1260,11 +1270,11 @@ mod tests {
     #[test]
     fn empty_block_validates() {
         let world = Arc::new(funded_world(2));
-        let proposal = propose_transfers(&world, BlockHash::from_low_u64(1), 1, 1..1, 0); // no txs
+        let proposal = propose_transfers(&world, genesis_of(&world), 1, 1..1, 0); // no txs
         assert_eq!(proposal.block.tx_count(), 0);
         for crew in crews() {
-            let (pipeline, _) = crew.install(|| pipeline_with_genesis(2, &world));
-            let outcome = pipeline.validate_block(proposal.block.clone());
+            let (validator, _) = crew.install(|| validator_on(2, &world));
+            let outcome = validator.receive_block(proposal.block.clone()).wait();
             assert!(outcome.is_valid(), "{:?}", outcome.result);
             assert_eq!(outcome.executed_txs, 0);
         }
@@ -1275,7 +1285,7 @@ mod tests {
         let world = Arc::new(funded_world(10));
         let mut chain = Vec::new();
         let mut base = Arc::clone(&world);
-        let mut parent = BlockHash::from_low_u64(1);
+        let mut parent = genesis_of(&world);
         for height in 1..=4 {
             let p = propose_transfers(&base, parent, height, 1..8, height - 1);
             parent = p.block.hash();
@@ -1290,10 +1300,10 @@ mod tests {
         for (workers, crew, order) in crews().into_iter().zip([1, 3]).flat_map(|(crew, w)| {
             [[3, 2, 1, 0], [0, 1, 2, 3], [2, 0, 3, 1]].map(|o| (w, crew.clone(), o))
         }) {
-            let (pipeline, _) = crew.install(|| pipeline_with_genesis(workers, &world));
+            let (validator, _) = crew.install(|| validator_on(workers, &world));
             let mut handles: Vec<_> = order
                 .iter()
-                .map(|&i| (i, pipeline.submit(chain[i].block.clone())))
+                .map(|&i| (i, validator.receive_block(chain[i].block.clone())))
                 .collect();
             handles.sort_by_key(|(i, _)| *i);
             for (i, handle) in handles {
@@ -1315,25 +1325,25 @@ mod tests {
     #[test]
     fn a_block_is_published_at_preparation_and_settled_by_its_verdict() {
         let world = Arc::new(funded_world(10));
-        let b1 = propose_transfers(&world, BlockHash::from_low_u64(1), 1, 1..5, 0);
+        let b1 = propose_transfers(&world, genesis_of(&world), 1, 1..5, 0);
         let s1 = Arc::new(b1.post_state.clone());
         let b2 = propose_transfers(&s1, b1.block.hash(), 2, 1..5, 1);
         let (h1, h2) = (b1.block.hash(), b2.block.hash());
         for crew in crews() {
-            let (pipeline, _) = crew.install(|| pipeline_with_genesis(1, &world));
+            let (validator, _) = crew.install(|| validator_on(1, &world));
             // The block's post-state is indexed when `submit` returns, and
             // its child starts instead of parking.
-            let handle1 = pipeline.submit(b1.block.clone());
-            let handle2 = pipeline.submit(b2.block.clone());
+            let handle1 = validator.receive_block(b1.block.clone());
+            let handle2 = validator.receive_block(b2.block.clone());
             {
-                let idx = pipeline.starter.index.lock();
+                let idx = validator.pipeline.index.lock();
                 assert!(idx.states.contains_key(&h1) && idx.states.contains_key(&h2));
                 assert!(idx.waiting.is_empty());
             }
             // With no helper nothing has run yet, and no lookup answers for
             // a block before its verdict.
             if crew.helpers() == 0 {
-                assert!(pipeline.state_of(&h1).is_none() && pipeline.state_of(&h2).is_none());
+                assert!(validator.state_of(&h1).is_none() && validator.state_of(&h2).is_none());
             }
             // The child's verdict first: with no helper, the waiting thread
             // runs the parent's root and jobs, queued ahead of the child's.
@@ -1344,7 +1354,7 @@ mod tests {
                 b2.post_state.state_root()
             );
             assert!(handle1.wait().is_valid());
-            assert!(pipeline.state_of(&h1).is_some() && pipeline.state_of(&h2).is_some());
+            assert!(validator.state_of(&h1).is_some() && validator.state_of(&h2).is_some());
         }
     }
 
@@ -1357,7 +1367,7 @@ mod tests {
 
     fn rejects_tampered_root_with_descendants_in_flight_on(crew: &Crew) {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = crew.install(|| pipeline_with_genesis(2, &world));
+        let (validator, genesis) = crew.install(|| validator_on(2, &world));
         let mut b1 = propose_transfers(&world, genesis, 1, 1..5, 0);
         b1.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
         let s1 = Arc::new(b1.post_state.clone());
@@ -1367,9 +1377,9 @@ mod tests {
         // name the ancestor, not its own root.
         let mut b3 = propose_transfers(&s2, b2.block.hash(), 3, 1..5, 2);
         b3.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
-        let h2 = pipeline.submit(b2.block.clone());
-        let h3 = pipeline.submit(b3.block.clone());
-        let h1 = pipeline.submit(b1.block.clone());
+        let h2 = validator.receive_block(b2.block.clone());
+        let h3 = validator.receive_block(b3.block.clone());
+        let h1 = validator.receive_block(b1.block.clone());
         assert_eq!(h1.wait().result, Err(ValidationError::StateRootMismatch));
         // The child is released before the parent's root settles — its
         // verdict must still be ParentInvalid, and the grandchild's too,
@@ -1378,12 +1388,12 @@ mod tests {
         assert_eq!(h3.wait().result, Err(ValidationError::ParentInvalid));
         // The tampered subtree never becomes visible state.
         for rejected in [&b1, &b2, &b3] {
-            assert!(pipeline.state_of(&rejected.block.hash()).is_none());
+            assert!(validator.state_of(&rejected.block.hash()).is_none());
         }
         // A late arrival on the rejected subtree is turned away at the door.
         let late = propose_transfers(&s1, b1.block.hash(), 2, 5..8, 0);
         assert_eq!(
-            pipeline.validate_block(late.block).result,
+            validator.receive_block(late.block).wait().result,
             Err(ValidationError::ParentInvalid)
         );
     }
@@ -1458,9 +1468,9 @@ mod tests {
     #[test]
     fn timings_are_recorded() {
         let world = Arc::new(funded_world(10));
-        let (pipeline, genesis) = pipeline_with_genesis(2, &world);
+        let (validator, genesis) = validator_on(2, &world);
         let proposal = propose_transfers(&world, genesis, 1, 1..9, 0);
-        let outcome = pipeline.validate_block(proposal.block);
+        let outcome = validator.receive_block(proposal.block).wait();
         assert!(outcome.is_valid());
         // Execution of 8 transfers takes nonzero wall time.
         assert!(outcome.timings.execute > Duration::ZERO);

@@ -1,17 +1,17 @@
-//! High-level validator node: the pipeline plus a fork-aware chain store,
-//! optionally backed by a persistent [`bp_store::Store`].
+//! High-level validator node: the pipeline and its one index of the blocks
+//! it knows, optionally backed by a persistent [`bp_store::Store`].
 
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::Arc;
 
-use bp_block::{genesis_header, Block, BlockProfile, ChainStore};
+use bp_block::{genesis_header, Block, BlockProfile};
 use bp_concurrent::sync::Mutex;
 use bp_state::WorldState;
 use bp_store::{GroupCommitConfig, Store, StoreError};
 use bp_types::{BlockHash, Height, H256};
 
-use crate::pipeline::{PipelineConfig, ValidationHandle, ValidationOutcome, ValidatorPipeline};
+use crate::pipeline::{PipelineConfig, Starter, ValidationHandle, ValidationOutcome};
 
 /// Stored blocks a cold-start replay holds in the pipeline before it waits
 /// for the oldest verdict: enough that a block executes while its parent's
@@ -21,14 +21,15 @@ const REPLAY_WINDOW: usize = 4;
 /// A validator node.
 ///
 /// Receives blocks from the network (possibly several per height), validates
-/// them through the four-stage pipeline, tracks every fork in a
-/// [`ChainStore`], and commits the canonical chain. With
-/// [`Validator::with_store`] every canonical commit is additionally made
-/// durable, and a restarted node rebuilds its chain and state by replaying
-/// the stored canonical chain from the genesis snapshot.
+/// them through the four-stage pipeline, and commits the canonical chain.
+/// One index holds every block it published — same-height siblings and
+/// forks alike — with its post-state, and the canonical chain by height; a
+/// rejected block leaves it with its state. With [`Validator::with_store`]
+/// every canonical commit is additionally made durable, and a restarted
+/// node rebuilds its chain and state by replaying the stored canonical
+/// chain from the genesis snapshot.
 pub struct Validator {
-    pipeline: ValidatorPipeline,
-    chain: Mutex<ChainStore>,
+    pub(crate) pipeline: Arc<Starter>,
     genesis: BlockHash,
     store: Option<Mutex<Store>>,
 }
@@ -148,7 +149,7 @@ impl Validator {
         Ok(())
     }
 
-    /// Shared construction: genesis block, chain store, pipeline.
+    /// Shared construction: genesis block, pipeline and index.
     fn build(config: PipelineConfig, genesis_state: WorldState) -> (Self, Block) {
         let header = genesis_header(genesis_state.state_root());
         let genesis_block = Block {
@@ -157,15 +158,10 @@ impl Validator {
             profile: BlockProfile::new(),
         };
         let genesis = genesis_block.hash();
-        let mut chain = ChainStore::new();
-        chain.insert(genesis_block.clone());
-        chain.set_canonical(genesis);
-        let pipeline = ValidatorPipeline::new(config);
-        pipeline.register_state(genesis, Arc::new(genesis_state));
+        let pipeline = Starter::new(config, genesis_block.clone(), genesis_state);
         (
             Validator {
                 pipeline,
-                chain: Mutex::new(chain),
                 genesis,
                 store: None,
             },
@@ -178,13 +174,10 @@ impl Validator {
         self.genesis
     }
 
-    /// Receives a block from the network: stores it (fork-aware) and starts
-    /// pipeline validation. Multiple blocks at the same height validate
-    /// concurrently.
+    /// Receives a block from the network and starts pipeline validation.
+    /// Multiple blocks at the same height validate concurrently.
     pub fn receive_block(&self, block: Block) -> ValidationHandle {
-        let block = Arc::new(block);
-        self.chain.lock().insert_shared(Arc::clone(&block));
-        self.pipeline.submit_shared(block)
+        self.pipeline.submit(block)
     }
 
     /// Validates a block and, when valid, marks it canonical at its height
@@ -200,56 +193,37 @@ impl Validator {
 
     /// The canonical head block hash and height.
     pub fn head(&self) -> Option<(BlockHash, Height)> {
-        let chain = self.chain.lock();
-        chain.head().map(|b| (b.hash(), b.height()))
+        let idx = self.pipeline.index.lock();
+        idx.canonical.last().map(|(hash, b)| (*hash, b.height()))
     }
 
     /// The state root of the canonical head.
     pub fn head_state_root(&self) -> Option<H256> {
-        self.chain.lock().head().map(|b| b.header.state_root)
-    }
-
-    /// Number of blocks known at `height` (canonical + uncles).
-    pub fn blocks_at(&self, height: Height) -> usize {
-        self.chain.lock().at_height(height).len()
-    }
-
-    /// Number of uncle blocks at a decided height.
-    pub fn uncles_at(&self, height: Height) -> usize {
-        self.chain.lock().uncles_at(height).len()
+        let idx = self.pipeline.index.lock();
+        idx.canonical.last().map(|(_, b)| b.header.state_root)
     }
 
     /// Marks an already-validated block canonical at its height (the local
-    /// effect of a fork-choice decision arriving from consensus) and, on a
-    /// store-backed validator, commits it to the store, whose head then
-    /// follows the canonical head. Returns false, with the head unmoved and
-    /// nothing persisted, if the block is unknown, has no valid verdict
-    /// (rejected, or still in the pipeline), or does not extend the
-    /// canonical chain.
+    /// effect of a fork-choice decision arriving from consensus), dropping
+    /// the canonical blocks above it, and, on a store-backed validator,
+    /// commits it to the store, whose head then follows the canonical head.
+    /// Returns false, with the head unmoved and nothing persisted, if the
+    /// block is unknown, has no valid verdict (rejected, or still in the
+    /// pipeline), or its parent is not the canonical block one height below.
     ///
     /// A storage failure panics: the durable view would silently diverge
     /// otherwise, so it is unrecoverable by design, as in fsync-gated
     /// databases.
     pub fn commit_canonical(&self, hash: BlockHash) -> bool {
-        if self.pipeline.state_of(&hash).is_none() {
-            return false;
-        }
         let Some(store) = &self.store else {
-            return self.chain.lock().set_canonical(hash);
+            return self.pipeline.index.lock().adopt(&hash).is_some();
         };
-        // The store lock is held across the chain update, so the store
-        // commits heads in the order the chain adopts them; the chain lock
+        // The store lock is held across the index update, so the store
+        // commits heads in the order the chain adopts them; the index lock
         // is not held across the write.
         let mut store = store.lock();
-        let block = {
-            let mut chain = self.chain.lock();
-            if !chain.set_canonical(hash) {
-                return false;
-            }
-            chain
-                .get(&hash)
-                .cloned()
-                .expect("a canonical block is in the chain store")
+        let Some(block) = self.pipeline.index.lock().adopt(&hash) else {
+            return false;
         };
         store
             .put_block(&block)
@@ -260,19 +234,26 @@ impl Validator {
 
     /// The canonical block hash at `height`, if decided.
     pub fn canonical_at(&self, height: Height) -> Option<BlockHash> {
-        self.chain.lock().canonical_at(height).map(|b| b.hash())
+        let idx = self.pipeline.index.lock();
+        idx.canonical.get(height as usize).map(|(hash, _)| *hash)
     }
 
     /// A clone of the canonical block at `height`. The node loop's
     /// equivalence gate uses this to replay the committed chain serially
     /// from genesis and compare final state roots.
     pub fn canonical_block(&self, height: Height) -> Option<Block> {
-        self.chain.lock().canonical_at(height).cloned()
+        let idx = self.pipeline.index.lock();
+        idx.canonical
+            .get(height as usize)
+            .map(|(_, b)| Block::clone(b))
     }
 
-    /// Direct access to the pipeline (e.g. for multi-block benchmarks).
-    pub fn pipeline(&self) -> &ValidatorPipeline {
-        &self.pipeline
+    /// The post-state of `hash`: the genesis state, or a block's once its
+    /// verdict is valid. A post-state whose root is still being checked, or
+    /// was rejected, is never handed out.
+    pub fn state_of(&self, hash: &BlockHash) -> Option<Arc<WorldState>> {
+        let idx = self.pipeline.index.lock();
+        idx.settled(hash).map(|p| Arc::clone(&p.state))
     }
 
     /// Runs `f` against the persistent store, if this validator has one.
@@ -298,6 +279,7 @@ mod tests {
     use super::*;
     use crate::occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal};
     use crate::pipeline::ValidationError;
+    use bp_concurrent::crew::Crew;
     use bp_evm::{BlockEnv, Transaction};
     use bp_store::store::test_dir;
     use bp_txpool::TxPool;
@@ -355,7 +337,7 @@ mod tests {
     fn grow_chain(validator: &Validator, heights: u64, start_nonce: u64) {
         for h in 1..=heights {
             let (parent, parent_height) = validator.head().expect("head exists");
-            let base = validator.pipeline().state_of(&parent).expect("head state");
+            let base = validator.state_of(&parent).expect("head state");
             let proposal = propose_on(base, parent, parent_height + 1, start_nonce + h - 1);
             let outcome = validator.validate_and_commit(proposal.block);
             assert!(outcome.is_valid(), "{:?}", outcome.result);
@@ -366,44 +348,131 @@ mod tests {
     fn commit_canonical_refuses_a_block_without_a_valid_verdict() {
         let dir = test_dir("validator-commit-unvalidated");
         let world = genesis_world(60);
-        let stored = Validator::with_store_at(config(), world.clone(), &dir).unwrap();
-        for validator in [Validator::new(config(), world.clone()), stored] {
+        // No helper: a block's tasks run only in a wait for a verdict.
+        let crew = Crew::new(0);
+        let stored = crew.install(|| Validator::with_store_at(config(), world.clone(), &dir));
+        let fresh = crew.install(|| Validator::new(config(), world.clone()));
+        for validator in [fresh, stored.unwrap()] {
             let genesis = validator.genesis_hash();
             let honest = propose_on(Arc::new(world.clone()), genesis, 1, 0).block;
-            // Every variant extends the head, which is all the chain store
-            // asks of a canonical block.
-            let mut wrong_root = honest.clone();
-            wrong_root.header.state_root = H256::from_low_u64(0xBAD);
-            let mut wrong_gas = honest.clone();
-            wrong_gas.header.gas_used += 1;
-            let mut wrong_profile = honest.clone();
-            wrong_profile.header.proposer_seed += 1; // a hash of its own
-            let entry = &mut wrong_profile.profile.entries[0];
-            let key = *entry.writes.keys().next().unwrap();
-            entry.writes.insert(key, U256::from(123_456u64));
-            for rejected in [wrong_root, wrong_gas, wrong_profile] {
+            // Every variant extends the head.
+            for rejected in rejected_variants(&honest) {
                 let hash = rejected.hash();
                 assert!(!validator.receive_block(rejected).wait().is_valid());
                 assert!(!validator.commit_canonical(hash));
                 assert_eq!(validator.head(), Some((genesis, 0)));
             }
-            // Known to the chain store, never seen by the pipeline.
-            let mut unsubmitted = honest.clone();
-            unsubmitted.header.proposer_seed += 2;
-            let hash = unsubmitted.hash();
-            validator.chain.lock().insert(unsubmitted);
-            assert!(!validator.commit_canonical(hash));
-            assert_eq!(validator.head(), Some((genesis, 0)));
             validator.with_store_ref(|s| {
                 assert_eq!(s.head(), Some(genesis), "nothing was persisted");
                 assert_eq!(s.block_count(), 1);
             });
-            // The refusals cost nothing: the honest block still commits.
+            // Published at preparation, still in the pipeline: refused
+            // until its verdict is in.
             let hash = honest.hash();
-            assert!(validator.validate_and_commit(honest).is_valid());
+            let handle = validator.receive_block(honest);
+            assert!(!validator.commit_canonical(hash));
+            assert_eq!(validator.head(), Some((genesis, 0)));
+            // The refusals cost nothing: the honest block still commits.
+            assert!(handle.wait().is_valid());
+            assert!(validator.commit_canonical(hash));
             assert_eq!(validator.head(), Some((hash, 1)));
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `honest` with a wrong root, a wrong gas and a lying profile: one
+    /// fails at validation, one at the root, one in execution.
+    fn rejected_variants(honest: &Block) -> [Block; 3] {
+        let mut wrong_root = honest.clone();
+        wrong_root.header.state_root = H256::from_low_u64(0xBAD);
+        let mut wrong_gas = honest.clone();
+        wrong_gas.header.gas_used += 1;
+        let mut wrong_profile = honest.clone();
+        wrong_profile.header.proposer_seed += 1; // a hash of its own
+        let entry = &mut wrong_profile.profile.entries[0];
+        let key = *entry.writes.keys().next().unwrap();
+        entry.writes.insert(key, U256::from(123_456u64));
+        [wrong_root, wrong_gas, wrong_profile]
+    }
+
+    #[test]
+    fn a_rejected_block_that_extends_the_head_leaves_no_index_entry() {
+        let world = genesis_world(60);
+        let validator = Validator::new(config(), world.clone());
+        let genesis = validator.genesis_hash();
+        let honest = propose_on(Arc::new(world), genesis, 1, 0).block;
+        for rejected in rejected_variants(&honest) {
+            let hash = rejected.hash();
+            assert!(!validator.receive_block(rejected).wait().is_valid());
+            let idx = validator.pipeline.index.lock();
+            assert!(!idx.states.contains_key(&hash), "its block and state went");
+            assert_eq!(idx.states.len(), 1, "only the genesis is indexed");
+            assert_eq!(idx.canonical.len(), 1, "the chain is the genesis");
+        }
+        assert_eq!(validator.canonical_at(1), None);
+    }
+
+    #[test]
+    fn a_valid_block_whose_parent_is_not_canonical_below_is_refused() {
+        let world = genesis_world(60);
+        let validator = Validator::new(config(), world.clone());
+        let genesis = validator.genesis_hash();
+        let a1 = propose_on(Arc::new(world.clone()), genesis, 1, 0);
+        let s1 = Arc::new(a1.post_state.clone());
+        let mut b1 = a1.block.clone();
+        b1.header.proposer_seed += 1; // a sibling with a hash of its own
+        let b2 = propose_on(Arc::clone(&s1), b1.hash(), 2, 1).block;
+        // Two heights up, on a parent not committed at all.
+        let a2 = propose_on(s1, a1.block.hash(), 2, 1);
+        let a3 = propose_on(Arc::new(a2.post_state.clone()), a2.block.hash(), 3, 2).block;
+        for block in [&a1.block, &b1, &b2, &a2.block, &a3] {
+            assert!(validator.receive_block(block.clone()).wait().is_valid());
+        }
+        assert!(validator.commit_canonical(a1.block.hash()));
+        for refused in [&b2, &a3] {
+            assert!(validator.state_of(&refused.hash()).is_some());
+            assert!(!validator.commit_canonical(refused.hash()));
+            assert_eq!(validator.head(), Some((a1.block.hash(), 1)));
+        }
+        // Nothing is canonical below the genesis.
+        assert!(!validator.commit_canonical(genesis));
+        assert_eq!(validator.canonical_at(0), Some(genesis));
+    }
+
+    #[test]
+    fn a_reorg_at_a_height_drops_the_canonical_descendants() {
+        let world = genesis_world(60);
+        let validator = Validator::new(config(), world.clone());
+        let genesis = validator.genesis_hash();
+        let a1 = propose_on(Arc::new(world.clone()), genesis, 1, 0);
+        let a2 = propose_on(Arc::new(a1.post_state.clone()), a1.block.hash(), 2, 1);
+        let a3 = propose_on(Arc::new(a2.post_state.clone()), a2.block.hash(), 3, 2);
+        let mut b1 = a1.block.clone();
+        b1.header.proposer_seed += 1; // a sibling with a hash of its own
+        let b2 = propose_on(Arc::new(a1.post_state.clone()), b1.hash(), 2, 1);
+        for p in [&a1, &a2, &a3] {
+            assert!(validator.validate_and_commit(p.block.clone()).is_valid());
+        }
+        assert_eq!(validator.head(), Some((a3.block.hash(), 3)));
+        for block in [&b1, &b2.block] {
+            assert!(validator.receive_block(block.clone()).wait().is_valid());
+        }
+        // Switch height 1 to the sibling: heights 2 and 3 are orphaned.
+        assert!(validator.commit_canonical(b1.hash()));
+        assert_eq!(validator.head(), Some((b1.hash(), 1)));
+        assert_eq!(validator.canonical_at(2), None);
+        assert_eq!(validator.canonical_block(3), None);
+        // The orphans stay known and keep their state, but no longer extend
+        // the chain; the sibling's own child does.
+        assert!(validator.state_of(&a2.block.hash()).is_some());
+        assert!(!validator.commit_canonical(a2.block.hash()));
+        assert!(validator.commit_canonical(b2.block.hash()));
+        assert_eq!(validator.head(), Some((b2.block.hash(), 2)));
+        assert_eq!(
+            validator.head_state_root(),
+            Some(b2.block.header.state_root)
+        );
+        assert_eq!(validator.canonical_at(1), Some(b1.hash()));
     }
 
     #[test]
@@ -418,7 +487,7 @@ mod tests {
         let hashes = [b1.block.hash(), b2.block.hash(), b3.block.hash()];
         let unobservable = |when: &str| {
             for hash in &hashes {
-                assert!(validator.pipeline().state_of(hash).is_none(), "{when}");
+                assert!(validator.state_of(hash).is_none(), "{when}");
                 assert!(!validator.commit_canonical(*hash), "{when}");
             }
             assert_eq!(validator.head(), Some((genesis, 0)), "{when}");
@@ -468,7 +537,7 @@ mod tests {
         let validator = Validator::with_store_at(config(), world.clone(), &dir).unwrap();
         grow_chain(&validator, 2, 0);
         let (head, height) = validator.head().unwrap();
-        let base = validator.pipeline().state_of(&head).unwrap();
+        let base = validator.state_of(&head).unwrap();
         let mut store = validator.into_store().unwrap();
         // A stored block with a wrong root, and two descendants that replay
         // in flight behind it and fail too.

@@ -45,6 +45,7 @@ mod tests {
 
     use super::*;
     use blockpilot_core::{PipelineConfig, Validator};
+    use bp_testkit::within;
     use bp_workload::{WorkloadConfig, WorkloadGen};
 
     fn workload() -> WorkloadConfig {
@@ -89,22 +90,28 @@ mod tests {
 
     #[test]
     fn single_node_network() {
-        let report = RunningNode::spawn_with(config(1, 3), BlockSource::Racer { every: 2 }).join();
-        assert_converged(&report);
-        assert_eq!(report.heads.len(), 1);
-        assert_eq!(report.committed_blocks, 3);
-        // Height 2 raced: its sibling is the lone validator's one uncle.
-        assert_eq!(report.uncles, vec![1]);
+        within(|| {
+            let report =
+                RunningNode::spawn_with(config(1, 3), BlockSource::Racer { every: 2 }).join();
+            assert_converged(&report);
+            assert_eq!(report.heads.len(), 1);
+            assert_eq!(report.committed_blocks, 3);
+            // Height 2 raced: its sibling is the lone validator's one uncle.
+            assert_eq!(report.uncles, vec![1]);
+        })
     }
 
     #[test]
     fn forkless_network_has_no_uncles() {
-        let report = RunningNode::spawn_with(config(2, 3), BlockSource::Racer { every: 0 }).join();
-        assert_converged(&report);
-        assert_eq!(report.committed_blocks, 3);
-        assert_eq!(report.uncles, vec![0, 0]);
-        // A racer that never races sends one block a height.
-        assert_eq!((report.proposer.items, report.codec.items), (3, 3));
+        within(|| {
+            let report =
+                RunningNode::spawn_with(config(2, 3), BlockSource::Racer { every: 0 }).join();
+            assert_converged(&report);
+            assert_eq!(report.committed_blocks, 3);
+            assert_eq!(report.uncles, vec![0, 0]);
+            // A racer that never races sends one block a height.
+            assert_eq!((report.proposer.items, report.codec.items), (3, 3));
+        })
     }
 
     /// A racing three-validator node on a store is stopped once it has
@@ -113,52 +120,55 @@ mod tests {
     /// others catch up on the recovered chain; the new heights race again.
     #[test]
     fn restarted_node_recovers_and_converges() {
-        let dir = bp_store::store::test_dir("node-restart-racing");
-        let source = BlockSource::Racer { every: 2 };
-        let config = NodeConfig {
-            store_dir: Some(dir.clone()),
-            ..config(3, 2)
-        };
+        within(|| {
+            let dir = bp_store::store::test_dir("node-restart-racing");
+            let source = BlockSource::Racer { every: 2 };
+            let config = NodeConfig {
+                store_dir: Some(dir.clone()),
+                ..config(3, 2)
+            };
 
-        let node = RunningNode::spawn_with(
-            NodeConfig {
-                blocks: 10_000,
-                ..config.clone()
-            },
-            source,
-        );
-        while node.committed_height() < 3 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        node.stop();
-        let first = node.join();
-        assert_converged(&first);
-        let stored = first.heads[0].1;
-        assert!((3..10_000).contains(&stored), "stopped at {stored}");
+            let node = RunningNode::spawn_with(
+                NodeConfig {
+                    blocks: 10_000,
+                    ..config.clone()
+                },
+                source,
+            );
+            while node.committed_height() < 3 {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            node.stop();
+            let first = node.join();
+            assert_converged(&first);
+            let stored = first.heads[0].1;
+            assert!((3..10_000).contains(&stored), "stopped at {stored}");
 
-        let second = RunningNode::spawn_with(config, source).join();
-        assert_converged(&second);
-        assert_eq!(second.first_height, stored + 1);
-        assert_eq!(
-            (second.committed_blocks, second.heads[0].1),
-            (2, stored + 2)
-        );
-        // Catch-up replays canonical blocks only; one of the two new
-        // heights is even, so raced.
-        assert_eq!(second.uncles, vec![1, 1, 1]);
-        assert_eq!(second.validators[0].items, 2);
-        for v in &second.validators[1..] {
-            assert_eq!(v.items, stored + 2);
-        }
-        let replayed = second.equivalence.as_ref().map(|eq| eq.blocks);
-        assert_eq!(replayed, Some(stored + 2));
+            let second = RunningNode::spawn_with(config, source).join();
+            assert_converged(&second);
+            assert_eq!(second.first_height, stored + 1);
+            assert_eq!(
+                (second.committed_blocks, second.heads[0].1),
+                (2, stored + 2)
+            );
+            // Catch-up replays canonical blocks only; one of the two new
+            // heights is even, so raced.
+            assert_eq!(second.uncles, vec![1, 1, 1]);
+            assert_eq!(second.validators[0].items, 2);
+            for v in &second.validators[1..] {
+                assert_eq!(v.items, stored + 2);
+            }
+            let replayed = second.equivalence.as_ref().map(|eq| eq.blocks);
+            assert_eq!(replayed, Some(stored + 2));
 
-        // Reopened cold, the store lands on the same head and root.
-        let genesis = WorkloadGen::new(workload()).genesis_state();
-        let reopened = Validator::with_store_at(pipeline(), genesis, &dir).expect("store reopens");
-        assert_eq!(reopened.head(), Some(second.heads[0]));
-        assert_eq!(reopened.head_state_root(), Some(second.final_root));
-        std::fs::remove_dir_all(&dir).ok();
+            // Reopened cold, the store lands on the same head and root.
+            let genesis = WorkloadGen::new(workload()).genesis_state();
+            let reopened =
+                Validator::with_store_at(pipeline(), genesis, &dir).expect("store reopens");
+            assert_eq!(reopened.head(), Some(second.heads[0]));
+            assert_eq!(reopened.head_state_root(), Some(second.final_root));
+            std::fs::remove_dir_all(&dir).ok();
+        })
     }
 
     /// A first life that commits exactly one height leaves a store whose
@@ -166,28 +176,30 @@ mod tests {
     /// height 2 and a fresh validator catches up on that single block.
     #[test]
     fn restart_at_first_height_replays_genesis_only() {
-        let dir = bp_store::store::test_dir("node-restart-early");
-        let config = NodeConfig {
-            store_dir: Some(dir.clone()),
-            ..config(2, 2)
-        };
-        let first = run_node(NodeConfig {
-            blocks: 1,
-            validators: 1,
-            ..config.clone()
-        });
-        assert_converged(&first);
-        assert_eq!(first.heads[0].1, 1);
+        within(|| {
+            let dir = bp_store::store::test_dir("node-restart-early");
+            let config = NodeConfig {
+                store_dir: Some(dir.clone()),
+                ..config(2, 2)
+            };
+            let first = run_node(NodeConfig {
+                blocks: 1,
+                validators: 1,
+                ..config.clone()
+            });
+            assert_converged(&first);
+            assert_eq!(first.heads[0].1, 1);
 
-        let second = run_node(config);
-        assert_converged(&second);
-        assert_eq!(second.first_height, 2);
-        assert_eq!(second.heads[0].1, 3);
-        assert_eq!(
-            (second.validators[0].items, second.validators[1].items),
-            (2, 3)
-        );
-        assert_eq!(second.equivalence.as_ref().map(|eq| eq.blocks), Some(3));
-        std::fs::remove_dir_all(&dir).ok();
+            let second = run_node(config);
+            assert_converged(&second);
+            assert_eq!(second.first_height, 2);
+            assert_eq!(second.heads[0].1, 3);
+            assert_eq!(
+                (second.validators[0].items, second.validators[1].items),
+                (2, 3)
+            );
+            assert_eq!(second.equivalence.as_ref().map(|eq| eq.blocks), Some(3));
+            std::fs::remove_dir_all(&dir).ok();
+        })
     }
 }

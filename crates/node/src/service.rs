@@ -509,10 +509,9 @@ impl RunningNode {
             .map(ValidatorStage::new)
             .collect();
         let head = (stages[0].head, stages[0].settled);
-        // The pipeline keeps the state of the head it recovered or started on.
+        // The validator keeps the state of the head it recovered or started on.
         let head_state = stages[0]
             .validator
-            .pipeline()
             .state_of(&head.0)
             .expect("a head has a validated state");
         // Validator 0 recovered this chain from its store; the others start

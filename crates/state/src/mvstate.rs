@@ -98,11 +98,6 @@ impl MultiVersionState {
         }
     }
 
-    /// The latest committed value of `key` regardless of snapshot.
-    pub fn read_latest(&self, key: &AccessKey) -> (U256, u64) {
-        self.read_at(key, u64::MAX)
-    }
-
     /// Code of `addr` as visible in this block (base code unless a creation
     /// installed new code).
     pub fn code(&self, addr: &Address) -> Arc<Vec<u8>> {
@@ -164,7 +159,7 @@ mod tests {
         assert_eq!(mv.read_at(&bal(1), 1), (U256::from(50u64), 1));
         assert_eq!(mv.read_at(&bal(1), 2), (U256::from(50u64), 1));
         assert_eq!(mv.read_at(&bal(1), 3), (U256::from(30u64), 3));
-        assert_eq!(mv.read_latest(&bal(1)), (U256::from(30u64), 3));
+        assert_eq!(mv.read_at(&bal(1), mv.version()), (U256::from(30u64), 3));
     }
 
     #[test]
@@ -184,7 +179,7 @@ mod tests {
             let even = v - v % 2;
             assert_eq!(mv.read_at(&bal(3), v), (U256::from(even), even));
         }
-        assert_eq!(mv.read_latest(&bal(1)), (U256::from(60u64), 6));
+        assert_eq!(mv.read_at(&bal(1), mv.version()), (U256::from(60u64), 6));
     }
 
     #[test]

@@ -1487,39 +1487,13 @@ mod tests {
 
     // ---- pending commits: a snapshot never waits for a root ----
 
+    use bp_testkit::within;
     use std::sync::mpsc;
     use std::thread;
-    use std::time::Duration;
-
-    /// Long enough for any of these tests' waits on an idle or busy host.
-    const WATCHDOG: Duration = Duration::from_secs(60);
 
     /// Whether `w`'s retained commit is still pending.
     fn commit_is_pending(w: &WorldState) -> bool {
         matches!(w.tracker.lock().commit, Some(Retained::Pending(_)))
-    }
-
-    /// Runs `f` on its own thread and returns what it returns, failing if it
-    /// has not returned within [`WATCHDOG`]: a wait that is never released
-    /// fails the test instead of hanging it.
-    fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (done_tx, done_rx) = mpsc::channel();
-        let worker = thread::spawn(move || {
-            let _ = done_tx.send(f());
-        });
-        match done_rx.recv_timeout(WATCHDOG) {
-            Ok(value) => {
-                worker.join().unwrap();
-                value
-            }
-            // The sender was dropped without sending: `f` panicked.
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                std::panic::resume_unwind(worker.join().unwrap_err())
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                panic!("not done after {WATCHDOG:?}: a wait was never released")
-            }
-        }
     }
 
     /// A root hashing on another thread, held just after its commit began.

@@ -7,11 +7,16 @@
 //! of the test's path and `i` alone, so a failure reproduces by running the
 //! test again: there is no persistence file, no environment variable and no
 //! shrinking — the failing input is printed with `Debug` as drawn.
+//!
+//! [`within`] is the suites' watchdog: a test whose wait is never released,
+//! or whose loop never ends, fails after [`DEADLINE`] instead of hanging.
 
 use std::fmt::Debug;
 use std::ops::{Range, RangeFrom, RangeInclusive};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 use bp_types::rng::UniformInt;
 use bp_types::Rng;
@@ -278,6 +283,30 @@ pub struct Failure {
 
 /// Rejected cases after which a property is given up on.
 const MAX_REJECTS: u64 = 1024;
+
+/// How long [`within`] lets a test body run.
+pub const DEADLINE: Duration = Duration::from_secs(60);
+
+/// Runs `f` on a thread of its own and returns what it returns, failing if
+/// it has not returned within [`DEADLINE`]; a panic in `f` is resumed here.
+/// What `f` started keeps running after a timeout: the test fails, and the
+/// process ends with the suite.
+#[track_caller]
+pub fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = done_tx.send(f());
+    });
+    match done_rx.recv_timeout(DEADLINE) {
+        Ok(value) => {
+            worker.join().unwrap();
+            value
+        }
+        // The sender was dropped without sending: `f` panicked.
+        Err(RecvTimeoutError::Disconnected) => resume_unwind(worker.join().unwrap_err()),
+        Err(RecvTimeoutError::Timeout) => panic!("not done after {DEADLINE:?}"),
+    }
+}
 
 /// Checks `test` on `config.cases` inputs drawn from `strategy` and returns
 /// the first failure. A panic inside `test` is reported with its input on

@@ -1,6 +1,7 @@
 //! Forks: two proposers publish competing blocks at the same height; the
 //! validator pipeline executes both **concurrently** (the paper's Figure 5
-//! overlap), commits one as canonical and tracks the other as an uncle.
+//! overlap), commits one as canonical and keeps the other, with its state,
+//! as an uncle.
 //!
 //! Run with `cargo run --release --example fork_validation`.
 
@@ -59,11 +60,12 @@ fn main() {
         block_b.hash(),
         block_b.tx_count()
     );
-    assert_ne!(block_a.hash(), block_b.hash());
+    let (hash_a, hash_b) = (block_a.hash(), block_b.hash());
+    assert_ne!(hash_a, hash_b);
 
     // The validator receives both — they validate concurrently in the
     // pipeline because they share the same parent state (same height).
-    let handle_a = validator.receive_block(block_a.clone());
+    let handle_a = validator.receive_block(block_a);
     let handle_b = validator.receive_block(block_b);
     let outcome_a = handle_a.wait();
     let outcome_b = handle_b.wait();
@@ -86,16 +88,16 @@ fn main() {
     // this is exactly why validators execute more blocks than proposers,
     // §3.4, and why the multi-block pipeline exists). Marking canonical is
     // the local equivalent of the fork-choice decision arriving from
-    // consensus; re-submitting an already-validated block is cheap because
-    // the pipeline holds its post-state.
-    let committed = validator.validate_and_commit(block_a);
-    assert!(committed.is_valid());
+    // consensus: A's verdict is in and its parent is the canonical genesis,
+    // so it commits without executing again.
+    assert!(validator.commit_canonical(hash_a));
+    let uncle = validator.canonical_at(1) != Some(hash_b) && validator.state_of(&hash_b).is_some();
     println!(
-        "canonical head : height {}, blocks at height 1: {}, uncles: {}",
+        "canonical head : height {}, A canonical at height 1: {}, B an uncle with its state: {}",
         validator.head().expect("head").1,
-        validator.blocks_at(1),
-        validator.uncles_at(1),
+        validator.canonical_at(1) == Some(hash_a),
+        uncle,
     );
-    assert_eq!(validator.blocks_at(1), 2);
-    assert_eq!(validator.uncles_at(1), 1);
+    assert_eq!(validator.canonical_at(1), Some(hash_a));
+    assert!(validator.state_of(&hash_a).is_some() && uncle);
 }

@@ -33,7 +33,7 @@ fn config() -> PipelineConfig {
 fn grow_chain(validator: &Validator, heights: u64, start_nonce: u64) {
     for h in 1..=heights {
         let (parent, parent_height) = validator.head().expect("head exists");
-        let base = validator.pipeline().state_of(&parent).expect("head state");
+        let base = validator.state_of(&parent).expect("head state");
         let pool = TxPool::new();
         for i in 1..=6u64 {
             pool.add(Transaction::transfer(

@@ -22,7 +22,7 @@ pub use bp_workload as workload;
 
 pub use blockpilot_core::{
     occ_wsi::{OccWsiConfig, OccWsiProposer, ProposerStats},
-    pipeline::{PipelineConfig, ValidatorPipeline},
+    pipeline::PipelineConfig,
     proposer::Proposer,
     scheduler::{ConflictGranularity, Schedule, Scheduler},
     validator::Validator,

@@ -7,18 +7,19 @@
 //! confirms the profile: a lying profile is caught after its descendants
 //! already run on what it claimed, and they must fall with it.
 
-use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
+use blockpilot::block::{genesis_header, Block};
 use blockpilot::concurrent::Crew;
 use blockpilot::core::{
     ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, ValidationError,
-    ValidatorPipeline,
+    Validator,
 };
+use blockpilot::state::WorldState;
 use blockpilot::txpool::TxPool;
 use blockpilot::types::{AccessKey, BlockHash, H256, U256};
 use blockpilot::workload::{WorkloadConfig, WorkloadGen};
+use bp_testkit::within;
 
 fn workload() -> WorkloadGen {
     WorkloadGen::new(WorkloadConfig {
@@ -32,7 +33,7 @@ fn workload() -> WorkloadGen {
 /// The next block of `gen`'s stream, proposed honestly on `base`.
 fn propose(
     gen: &mut WorkloadGen,
-    base: &Arc<blockpilot::state::WorldState>,
+    base: &Arc<WorldState>,
     parent: BlockHash,
     height: u64,
 ) -> Proposal {
@@ -48,12 +49,25 @@ fn propose(
     proposer.propose(&pool, Arc::clone(base), parent, height)
 }
 
-fn honest_proposal() -> (Proposal, Arc<blockpilot::state::WorldState>, BlockHash) {
+/// The hash of the genesis block a validator on `world` starts from.
+fn genesis_of(world: &WorldState) -> BlockHash {
+    genesis_header(world.state_root()).hash()
+}
+
+fn validator_on(world: &WorldState) -> Validator {
+    let config = PipelineConfig {
+        workers: 3,
+        granularity: ConflictGranularity::Account,
+    };
+    Validator::new(config, world.clone())
+}
+
+/// An honest block at height 1 on the workload's genesis.
+fn honest_proposal() -> (Proposal, Arc<WorldState>) {
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
-    let parent = BlockHash::from_low_u64(1);
-    let proposal = propose(&mut gen, &base, parent, 1);
-    (proposal, base, parent)
+    let proposal = propose(&mut gen, &base, genesis_of(&base), 1);
+    (proposal, base)
 }
 
 /// A crew with no helper — every task runs on a thread waiting for a
@@ -62,90 +76,61 @@ fn crews() -> [Crew; 2] {
     [Crew::new(0), Crew::global().clone()]
 }
 
-/// Runs `f` on its own thread, failing if it has not returned within a
-/// minute: a verdict that never comes fails the test instead of hanging it.
-fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (done_tx, done_rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let _ = done_tx.send(f());
-    });
-    match done_rx.recv_timeout(Duration::from_secs(60)) {
-        Ok(value) => {
-            worker.join().unwrap();
-            value
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(worker.join().unwrap_err())
-        }
-        Err(mpsc::RecvTimeoutError::Timeout) => panic!("no verdict after a minute"),
-    }
-}
-
-fn validate(
-    block: blockpilot::block::Block,
-    base: &Arc<blockpilot::state::WorldState>,
-    parent: BlockHash,
-) -> Result<(), ValidationError> {
-    let pipeline = ValidatorPipeline::new(PipelineConfig {
-        workers: 3,
-        granularity: ConflictGranularity::Account,
-    });
-    pipeline.register_state(parent, Arc::clone(base));
-    let outcome = pipeline.validate_block(block);
-    outcome.result
+fn validate(block: Block, base: &WorldState) -> Result<(), ValidationError> {
+    validator_on(base).receive_block(block).wait().result
 }
 
 #[test]
 fn honest_block_is_accepted() {
-    let (proposal, base, parent) = honest_proposal();
-    assert_eq!(validate(proposal.block, &base, parent), Ok(()));
+    let (proposal, base) = honest_proposal();
+    assert_eq!(validate(proposal.block, &base), Ok(()));
 }
 
 #[test]
 fn forged_state_root_rejected() {
-    let (mut proposal, base, parent) = honest_proposal();
+    let (mut proposal, base) = honest_proposal();
     proposal.block.header.state_root = H256::from_low_u64(0xDEAD);
     assert_eq!(
-        validate(proposal.block, &base, parent),
+        validate(proposal.block, &base),
         Err(ValidationError::StateRootMismatch)
     );
 }
 
 #[test]
 fn inflated_gas_rejected() {
-    let (mut proposal, base, parent) = honest_proposal();
+    let (mut proposal, base) = honest_proposal();
     proposal.block.header.gas_used -= 1;
     assert!(matches!(
-        validate(proposal.block, &base, parent),
+        validate(proposal.block, &base),
         Err(ValidationError::GasMismatch { .. })
     ));
 }
 
 #[test]
 fn reordered_transactions_rejected() {
-    let (mut proposal, base, parent) = honest_proposal();
+    let (mut proposal, base) = honest_proposal();
     proposal.block.transactions.swap(0, 1);
     assert_eq!(
-        validate(proposal.block, &base, parent),
+        validate(proposal.block, &base),
         Err(ValidationError::TxRootMismatch)
     );
 }
 
 #[test]
 fn lying_profile_write_value_rejected() {
-    let (mut proposal, base, parent) = honest_proposal();
+    let (mut proposal, base) = honest_proposal();
     let entry = &mut proposal.block.profile.entries[3];
     let key = *entry.writes.keys().next().expect("tx has writes");
     entry.writes.insert(key, U256::from(0xBAD_u64));
     assert_eq!(
-        validate(proposal.block, &base, parent),
+        validate(proposal.block, &base),
         Err(ValidationError::ProfileMismatch { index: 3 })
     );
 }
 
 #[test]
 fn profile_with_phantom_read_rejected() {
-    let (mut proposal, base, parent) = honest_proposal();
+    let (mut proposal, base) = honest_proposal();
     // Claim tx 0 read a key it never touched: the replayed footprint has
     // fewer reads than profiled.
     proposal.block.profile.entries[0].reads.insert(
@@ -153,14 +138,14 @@ fn profile_with_phantom_read_rejected() {
         0,
     );
     assert_eq!(
-        validate(proposal.block, &base, parent),
+        validate(proposal.block, &base),
         Err(ValidationError::ProfileMismatch { index: 0 })
     );
 }
 
 #[test]
 fn smuggled_invalid_transaction_rejected() {
-    let (mut proposal, base, parent) = honest_proposal();
+    let (mut proposal, base) = honest_proposal();
     // Append a transaction from an unfunded account, patching the tx root
     // so only execution can catch it.
     let bad = blockpilot::evm::Transaction::transfer(
@@ -177,7 +162,7 @@ fn smuggled_invalid_transaction_rejected() {
         .entries
         .push(blockpilot::block::TxProfile::default());
     proposal.block.header.tx_root = blockpilot::block::tx_root(&proposal.block.transactions);
-    let result = validate(proposal.block, &base, parent);
+    let result = validate(proposal.block, &base);
     assert!(
         matches!(result, Err(ValidationError::TxRejected { .. })),
         "{result:?}"
@@ -186,9 +171,9 @@ fn smuggled_invalid_transaction_rejected() {
 
 #[test]
 fn truncated_profile_rejected() {
-    let (mut proposal, base, parent) = honest_proposal();
+    let (mut proposal, base) = honest_proposal();
     proposal.block.profile.entries.pop();
-    let result = validate(proposal.block, &base, parent);
+    let result = validate(proposal.block, &base);
     assert!(
         matches!(result, Err(ValidationError::ProfileMismatch { .. })),
         "{result:?}"
@@ -197,13 +182,13 @@ fn truncated_profile_rejected() {
 
 #[test]
 fn profile_lying_only_in_one_entrys_gas_rejected() {
-    let (mut proposal, base, parent) = honest_proposal();
+    let (mut proposal, base) = honest_proposal();
     // Every write set honest: only the gas tx 5 claims is off, and with it
     // the fee the validator folds into the coinbase at preparation.
     proposal.block.profile.entries[5].gas_used += 1;
     for crew in crews() {
         let (block, base) = (proposal.block.clone(), Arc::clone(&base));
-        let result = within(move || crew.install(|| validate(block, &base, parent)));
+        let result = within(move || crew.install(|| validate(block, &base)));
         assert_eq!(result, Err(ValidationError::ProfileMismatch { index: 5 }));
     }
 }
@@ -215,7 +200,7 @@ fn descendants_running_ahead_on_a_lying_profile_fall_with_it() {
     // claims before its execution catches the lie.
     let mut gen = workload();
     let genesis = Arc::new(gen.genesis_state());
-    let genesis_hash = BlockHash::from_low_u64(1);
+    let genesis_hash = genesis_of(&genesis);
     let mut chain = Vec::new();
     let (mut base, mut parent) = (Arc::clone(&genesis), genesis_hash);
     for height in 1..=4 {
@@ -232,16 +217,10 @@ fn descendants_running_ahead_on_a_lying_profile_fall_with_it() {
         for order in [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
             let (crew, chain, genesis) = (crew.clone(), Arc::clone(&chain), Arc::clone(&genesis));
             within(move || {
-                let pipeline = crew.install(|| {
-                    ValidatorPipeline::new(PipelineConfig {
-                        workers: 3,
-                        granularity: ConflictGranularity::Account,
-                    })
-                });
-                pipeline.register_state(genesis_hash, genesis);
+                let validator = crew.install(|| validator_on(&genesis));
                 let mut handles: Vec<_> = order
                     .iter()
-                    .map(|&i| (i, pipeline.submit(chain[i].clone())))
+                    .map(|&i| (i, validator.receive_block(chain[i].clone())))
                     .collect();
                 handles.sort_by_key(|(i, _)| *i);
                 for (i, handle) in handles {
@@ -258,13 +237,13 @@ fn descendants_running_ahead_on_a_lying_profile_fall_with_it() {
                         assert!(outcome.executed_txs > 0, "block {i}, {order:?}");
                     }
                     for block in chain.iter() {
-                        assert!(pipeline.state_of(&block.hash()).is_none(), "{order:?}");
+                        assert!(validator.state_of(&block.hash()).is_none(), "{order:?}");
                     }
                 }
                 // A late sibling of block 2 is turned away at the door.
                 let mut late = chain[1].clone();
                 late.header.proposer_seed ^= 1;
-                let outcome = pipeline.validate_block(late);
+                let outcome = validator.receive_block(late).wait();
                 assert_eq!(outcome.result, Err(ValidationError::ParentInvalid));
                 assert_eq!(outcome.executed_txs, 0, "{order:?}");
             });

@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 use blockpilot::baseline::execute_block_serially;
 use blockpilot::core::{
-    ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, ValidatorPipeline,
+    ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Validator,
 };
+use blockpilot::state::WorldState;
 use blockpilot::txpool::TxPool;
 use blockpilot::types::BlockHash;
 use blockpilot::workload::{TxMix, WorkloadConfig, WorkloadGen};
@@ -105,15 +106,16 @@ fn pipeline_validation_equals_serial_on_random_workloads() {
             env,
             ..OccWsiConfig::default()
         });
-        let parent = BlockHash::from_low_u64(7);
+        let validator = Validator::new(
+            PipelineConfig {
+                workers: 4,
+                granularity: ConflictGranularity::Account,
+            },
+            WorldState::clone(&base),
+        );
+        let parent = validator.genesis_hash();
         let proposal = proposer.propose(&pool, Arc::clone(&base), parent, 1);
-
-        let pipeline = ValidatorPipeline::new(PipelineConfig {
-            workers: 4,
-            granularity: ConflictGranularity::Account,
-        });
-        pipeline.register_state(parent, Arc::clone(&base));
-        let outcome = pipeline.validate_block(proposal.block.clone());
+        let outcome = validator.receive_block(proposal.block.clone()).wait();
         assert!(outcome.is_valid(), "mix {i}: {:?}", outcome.result);
         assert_eq!(
             outcome.post_state.expect("valid").state_root(),

@@ -1,6 +1,6 @@
 //! Fork handling and cross-height ordering through the public API: multiple
 //! blocks per height validate concurrently; children wait for parents; the
-//! chain store tracks uncles and reorgs.
+//! validator keeps every sibling's state and one canonical chain.
 
 use std::sync::Arc;
 
@@ -52,15 +52,17 @@ fn competing_blocks_validate_and_one_becomes_canonical() {
         .block;
     assert_ne!(a.hash(), b.hash());
 
-    let ha = validator.receive_block(a.clone());
+    let (a_hash, b_hash) = (a.hash(), b.hash());
+    let ha = validator.receive_block(a);
     let hb = validator.receive_block(b);
     assert!(ha.wait().is_valid());
     assert!(hb.wait().is_valid());
-    assert_eq!(validator.blocks_at(1), 2);
 
-    assert!(validator.validate_and_commit(a).is_valid());
-    assert_eq!(validator.head().expect("head").1, 1);
-    assert_eq!(validator.uncles_at(1), 1);
+    assert!(validator.commit_canonical(a_hash));
+    assert_eq!(validator.head(), Some((a_hash, 1)));
+    // Both siblings keep their state; the one not canonical is the uncle.
+    assert!(validator.state_of(&a_hash).is_some() && validator.state_of(&b_hash).is_some());
+    assert_eq!(validator.canonical_at(1), Some(a_hash));
 }
 
 #[test]

@@ -5,15 +5,16 @@
 use std::sync::Arc;
 
 use blockpilot::core::{
-    ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, ValidatorPipeline,
+    ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, Validator,
 };
+use blockpilot::state::WorldState;
 use blockpilot::txpool::TxPool;
 use blockpilot::types::BlockHash;
 use blockpilot::workload::{WorkloadConfig, WorkloadGen};
 
 fn propose(
     gen: &mut WorkloadGen,
-    base: &Arc<blockpilot::state::WorldState>,
+    base: &Arc<WorldState>,
     parent: BlockHash,
     height: u64,
     seed: u64,
@@ -34,6 +35,14 @@ fn propose(
     engine.propose(&pool, Arc::clone(base), parent, height)
 }
 
+fn validator_on(genesis: &WorldState, workers: usize) -> Validator {
+    let config = PipelineConfig {
+        workers,
+        granularity: ConflictGranularity::Account,
+    };
+    Validator::new(config, genesis.clone())
+}
+
 fn workload() -> WorkloadGen {
     WorkloadGen::new(WorkloadConfig {
         accounts: 120,
@@ -49,12 +58,8 @@ fn workload() -> WorkloadGen {
 fn four_same_height_blocks_validate_concurrently() {
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
-    let parent = BlockHash::from_low_u64(1);
-    let pipeline = ValidatorPipeline::new(PipelineConfig {
-        workers: 4,
-        granularity: ConflictGranularity::Account,
-    });
-    pipeline.register_state(parent, Arc::clone(&base));
+    let validator = validator_on(&base, 4);
+    let parent = validator.genesis_hash();
 
     // Four distinct proposals at height 1 (different tx subsets because the
     // generator advances; different proposer seeds).
@@ -68,7 +73,7 @@ fn four_same_height_blocks_validate_concurrently() {
     // Submit all four before waiting on any: they share the crew.
     let handles: Vec<_> = proposals
         .iter()
-        .map(|p| pipeline.submit(p.block.clone()))
+        .map(|p| validator.receive_block(p.block.clone()))
         .collect();
     for (handle, proposal) in handles.into_iter().zip(&proposals) {
         let outcome = handle.wait();
@@ -91,12 +96,8 @@ fn forked_tree_validates_across_heights() {
     // Submit leaves first, then roots; every block must validate.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
-    let parent = BlockHash::from_low_u64(7);
-    let pipeline = ValidatorPipeline::new(PipelineConfig {
-        workers: 3,
-        granularity: ConflictGranularity::Account,
-    });
-    pipeline.register_state(parent, Arc::clone(&base));
+    let validator = validator_on(&base, 3);
+    let parent = validator.genesis_hash();
 
     let a1 = propose(&mut gen, &base, parent, 1, 1);
     let b1 = propose(&mut gen, &base, parent, 1, 2);
@@ -105,10 +106,10 @@ fn forked_tree_validates_across_heights() {
     let a2 = propose(&mut gen, &a1_state, a1.block.hash(), 2, 1);
     let b2 = propose(&mut gen, &b1_state, b1.block.hash(), 2, 2);
 
-    let h_a2 = pipeline.submit(a2.block.clone());
-    let h_b2 = pipeline.submit(b2.block.clone());
-    let h_a1 = pipeline.submit(a1.block.clone());
-    let h_b1 = pipeline.submit(b1.block.clone());
+    let h_a2 = validator.receive_block(a2.block.clone());
+    let h_b2 = validator.receive_block(b2.block.clone());
+    let h_a1 = validator.receive_block(a1.block.clone());
+    let h_b1 = validator.receive_block(b1.block.clone());
 
     for (name, handle) in [("a1", h_a1), ("b1", h_b1), ("a2", h_a2), ("b2", h_b2)] {
         let outcome = handle.wait();
@@ -123,19 +124,15 @@ fn pipeline_throughput_scales_with_submission_batching() {
     // and no cross-block state bleed.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
-    let parent = BlockHash::from_low_u64(3);
-    let pipeline = ValidatorPipeline::new(PipelineConfig {
-        workers: 4,
-        granularity: ConflictGranularity::Account,
-    });
-    pipeline.register_state(parent, Arc::clone(&base));
+    let validator = validator_on(&base, 4);
+    let parent = validator.genesis_hash();
 
     let proposals: Vec<Proposal> = (0..6)
         .map(|i| propose(&mut gen, &base, parent, 1, 500 + i))
         .collect();
     let handles: Vec<_> = proposals
         .iter()
-        .map(|p| pipeline.submit(p.block.clone()))
+        .map(|p| validator.receive_block(p.block.clone()))
         .collect();
     let mut roots = Vec::new();
     for handle in handles {

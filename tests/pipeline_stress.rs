@@ -13,15 +13,16 @@ use std::sync::Arc;
 use blockpilot::concurrent::Crew;
 use blockpilot::core::{
     ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, ValidationError,
-    Validator, ValidatorPipeline,
+    Validator,
 };
+use blockpilot::state::WorldState;
 use blockpilot::txpool::TxPool;
 use blockpilot::types::BlockHash;
 use blockpilot::workload::{WorkloadConfig, WorkloadGen};
 
 fn propose(
     gen: &mut WorkloadGen,
-    base: &Arc<blockpilot::state::WorldState>,
+    base: &Arc<WorldState>,
     parent: BlockHash,
     height: u64,
     seed: u64,
@@ -60,8 +61,8 @@ fn wide_config() -> PipelineConfig {
     }
 }
 
-fn wide_pipeline() -> ValidatorPipeline {
-    ValidatorPipeline::new(wide_config())
+fn wide_validator(genesis: &WorldState) -> Validator {
+    Validator::new(wide_config(), genesis.clone())
 }
 
 #[test]
@@ -72,16 +73,15 @@ fn sixteen_workers_replay_bursts_of_sibling_blocks() {
     // its proposer's exact state root with all transactions executed.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
-    let pipeline = wide_pipeline();
+    let validator = wide_validator(&base);
+    let parent = validator.genesis_hash();
     for round in 0u64..3 {
-        let parent = BlockHash::from_low_u64(round + 1);
-        pipeline.register_state(parent, Arc::clone(&base));
         let proposals: Vec<Proposal> = (0..4)
             .map(|i| propose(&mut gen, &base, parent, 1, 1000 * (round + 1) + i))
             .collect();
         let handles: Vec<_> = proposals
             .iter()
-            .map(|p| pipeline.submit(p.block.clone()))
+            .map(|p| validator.receive_block(p.block.clone()))
             .collect();
         for (handle, proposal) in handles.into_iter().zip(&proposals) {
             let outcome = handle.wait();
@@ -103,9 +103,8 @@ fn sixteen_workers_abort_tampered_sibling_without_poisoning_the_rest() {
     // valid siblings sharing the same crew validate untouched.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
-    let parent = BlockHash::from_low_u64(9);
-    let pipeline = wide_pipeline();
-    pipeline.register_state(parent, Arc::clone(&base));
+    let validator = wide_validator(&base);
+    let parent = validator.genesis_hash();
 
     let honest: Vec<Proposal> = (0..3)
         .map(|i| propose(&mut gen, &base, parent, 1, 2000 + i))
@@ -123,10 +122,10 @@ fn sixteen_workers_abort_tampered_sibling_without_poisoning_the_rest() {
         .writes
         .insert(key, value + blockpilot::types::U256::ONE);
 
-    let bad = pipeline.submit(tampered.clone());
+    let bad = validator.receive_block(tampered.clone());
     let handles: Vec<_> = honest
         .iter()
-        .map(|p| pipeline.submit(p.block.clone()))
+        .map(|p| validator.receive_block(p.block.clone()))
         .collect();
 
     let outcome = bad.wait();
@@ -154,14 +153,13 @@ fn sixteen_workers_reject_tampered_tx_root_with_zero_execution() {
     // 16 workers executes a single transaction.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
-    let parent = BlockHash::from_low_u64(4);
-    let pipeline = wide_pipeline();
-    pipeline.register_state(parent, Arc::clone(&base));
+    let validator = wide_validator(&base);
+    let parent = validator.genesis_hash();
 
     let mut block = propose(&mut gen, &base, parent, 1, 3000).block;
     block.transactions.swap(0, 1);
 
-    let outcome = pipeline.validate_block(block);
+    let outcome = validator.receive_block(block).wait();
     assert_eq!(outcome.result, Err(ValidationError::TxRootMismatch));
     assert_eq!(outcome.executed_txs, 0, "no transaction may execute");
     assert!(!outcome.aborted_early);
@@ -175,21 +173,19 @@ fn one_worker_still_drains_sibling_burst() {
     // depend on how many threads there are.
     let mut gen = workload();
     let base = Arc::new(gen.genesis_state());
-    let parent = BlockHash::from_low_u64(6);
-    let pipeline = Crew::new(0).install(|| {
-        ValidatorPipeline::new(PipelineConfig {
-            workers: 1,
-            ..wide_config()
-        })
-    });
-    pipeline.register_state(parent, Arc::clone(&base));
+    let config = PipelineConfig {
+        workers: 1,
+        ..wide_config()
+    };
+    let validator = Crew::new(0).install(|| Validator::new(config, WorldState::clone(&base)));
+    let parent = validator.genesis_hash();
 
     let proposals: Vec<Proposal> = (0..5)
         .map(|i| propose(&mut gen, &base, parent, 1, 4000 + i))
         .collect();
     let handles: Vec<_> = proposals
         .iter()
-        .map(|p| pipeline.submit(p.block.clone()))
+        .map(|p| validator.receive_block(p.block.clone()))
         .collect();
     for (handle, proposal) in handles.into_iter().zip(&proposals) {
         let outcome = handle.wait();
@@ -265,7 +261,7 @@ fn sixteen_workers_unwind_a_rejected_root_under_its_descendants() {
         // the block that extends the head, not what ran on top of it.
         for p in &rejected {
             let hash = p.block.hash();
-            assert!(validator.pipeline().state_of(&hash).is_none());
+            assert!(validator.state_of(&hash).is_none());
             assert!(!validator.commit_canonical(hash), "round {round}");
         }
         assert!(validator.commit_canonical(sibling.block.hash()));

@@ -12,7 +12,7 @@ use blockpilot::baseline::execute_block_serially;
 use blockpilot::block::{BlockProfile, TxProfile};
 use blockpilot::core::{
     ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, Scheduler,
-    ValidatorPipeline,
+    Validator,
 };
 use blockpilot::evm::{BlockEnv, Transaction};
 use blockpilot::state::WorldState;
@@ -250,19 +250,20 @@ proptest! {
         // workers' clocks, first mismatch wins) must be invisible on an
         // honest block.
         let (base, txs) = transfer_block(&descs);
-        let parent = BlockHash::from_low_u64(21);
-        let proposal = propose_transfers(&base, &txs, parent);
+        let validator = Validator::new(
+            PipelineConfig {
+                workers,
+                granularity: ConflictGranularity::Account,
+            },
+            WorldState::clone(&base),
+        );
+        let proposal = propose_transfers(&base, &txs, validator.genesis_hash());
         let env = BlockEnv { number: 1, ..BlockEnv::default() };
         let serial = execute_block_serially(&base, &env, &proposal.block.transactions)
             .expect("proposed blocks replay serially");
 
-        let pipeline = ValidatorPipeline::new(PipelineConfig {
-            workers,
-            granularity: ConflictGranularity::Account,
-        });
-        pipeline.register_state(parent, Arc::clone(&base));
         let n = proposal.block.transactions.len();
-        let outcome = pipeline.validate_block(proposal.block.clone());
+        let outcome = validator.receive_block(proposal.block.clone()).wait();
         prop_assert!(outcome.is_valid(), "{:?}", outcome.result);
         prop_assert_eq!(outcome.executed_txs, n);
         prop_assert!(!outcome.aborted_early);

@@ -82,7 +82,7 @@ fn snapshot_readers_never_observe_partial_write_sets() {
     // The version chains end on the last version in every slot.
     for k in 0..KEYS {
         assert_eq!(
-            mv.read_latest(&slot(k)),
+            mv.read_at(&slot(k), mv.version()),
             (U256::from(TOTAL_VERSIONS), TOTAL_VERSIONS)
         );
     }
