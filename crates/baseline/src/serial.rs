@@ -1,5 +1,7 @@
 //! Serial block execution — the geth baseline and correctness oracle.
 
+use std::sync::Arc;
+
 use bp_block::{BlockProfile, TxProfile};
 use bp_evm::{execute_transaction, BlockEnv, Receipt, Transaction, TxError, WorldView};
 use bp_state::WorldState;
@@ -40,11 +42,12 @@ pub fn execute_block_serially(
         };
         world.apply_writes(&result.rw.writes);
         for (addr, code) in &result.deployed {
-            world.set_code(*addr, (**code).clone());
+            world.set_code(*addr, Arc::clone(code));
         }
         gas_used += result.receipt.gas_used;
         fees += result.receipt.fee;
-        profile.push(TxProfile::from_rw(&result.rw, result.receipt.gas_used));
+        let entry = TxProfile::from_owned_rw(result.rw, result.deployed, result.receipt.gas_used);
+        profile.push(entry);
         receipts.push(result.receipt);
     }
     if !fees.is_zero() {

@@ -1,35 +1,45 @@
 //! The block profile: per-transaction execution details shipped with the
 //! block (§4.2 of the paper).
 
-use bp_types::{Gas, ReadSet, RwSet, WriteSet};
+use std::sync::Arc;
+
+use bp_types::{Address, FxHashMap, Gas, ReadSet, RwSet, WriteSet};
 
 /// One transaction's entry in the block profile.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TxProfile {
     /// Keys read, each with the snapshot version observed.
     pub reads: ReadSet,
-    /// Keys written with the values produced.
+    /// Keys written with the values produced. A `Code` write's value is the
+    /// hash of the code it deployed (`keccak256(code)` as a word).
     pub writes: WriteSet,
+    /// The code of each `Code` write, by address: what the transaction
+    /// deployed. Empty for every entry that deploys nothing.
+    pub code: FxHashMap<Address, Arc<Vec<u8>>>,
     /// Gas consumed — the scheduler's execution-time estimate (§4.3).
     pub gas_used: Gas,
 }
 
 impl TxProfile {
-    /// Builds a profile entry from an executed footprint.
+    /// Builds a profile entry from an executed footprint that deployed no
+    /// code.
     pub fn from_rw(rw: &RwSet, gas_used: Gas) -> Self {
         TxProfile {
             reads: rw.reads.clone(),
             writes: rw.writes.clone(),
+            code: FxHashMap::default(),
             gas_used,
         }
     }
 
-    /// Builds a profile entry out of an executed footprint it may keep: the
-    /// two maps move in instead of being cloned.
-    pub fn from_owned_rw(rw: RwSet, gas_used: Gas) -> Self {
+    /// Builds a profile entry out of an executed footprint and the code it
+    /// deployed, which it may keep: the maps move in instead of being
+    /// cloned.
+    pub fn from_owned_rw(rw: RwSet, code: FxHashMap<Address, Arc<Vec<u8>>>, gas_used: Gas) -> Self {
         TxProfile {
             reads: rw.reads,
             writes: rw.writes,
+            code,
             gas_used,
         }
     }
@@ -119,7 +129,7 @@ mod tests {
         let p = TxProfile::from_rw(&rw, 21_000);
         assert_eq!(p.rw(), rw);
         assert_eq!(p.gas_used, 21_000);
-        assert_eq!(TxProfile::from_owned_rw(rw, 21_000), p);
+        assert_eq!(TxProfile::from_owned_rw(rw, Default::default(), 21_000), p);
     }
 
     #[test]

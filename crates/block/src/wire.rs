@@ -4,13 +4,18 @@
 //! transactions **and the BlockPilot block profile** — between nodes. The
 //! profile is part of BlockPilot's protocol surface (§4.2), so it gets a
 //! canonical encoding too: each entry is `[reads, writes, gas]`, where reads
-//! are `[key, version]` pairs and writes are `[key, value]` pairs.
+//! are `[key, version]` pairs and writes are `[key, value]` pairs. A `Code`
+//! write's value is spelled as the code it deployed, and read back as that
+//! code's hash (`keccak256(code)` as a word, what the EVM writes for the
+//! key, empty code included): the profile ships what a deployment produced,
+//! and the validator's fold installs it.
 //!
 //! Decoding is one pass of a borrowed [`bp_crypto::rlp::Reader`] over the
 //! bytes — no item tree is built. Collections are sized from a validating
 //! pre-count, so the only allocations are the block's own: the two outer
 //! `Vec`s, each transaction's non-empty `data` and each profile entry's two
-//! maps (`3·txs + 2` at most, none regrown).
+//! maps (`3·txs + 2` at most, none regrown), and for an entry that carries
+//! code its code map and each code's bytes and `Arc`.
 //!
 //! Decoding is strict and the encoding is canonical: `decode_block` accepts
 //! exactly the byte strings `encode_block` produces, so
@@ -26,9 +31,12 @@
 //! The item-tree decoder this replaced is kept in [`reference`] as the
 //! differential oracle.
 
+use std::sync::Arc;
+
+use bp_crypto::keccak256;
 use bp_crypto::rlp::{self, DecodeError, Reader, RlpStream, Token};
 use bp_evm::Transaction;
-use bp_types::{AccessKey, Address, FxHashMap, H256};
+use bp_types::{AccessKey, Address, FxHashMap, H256, U256};
 
 use crate::{Block, BlockHeader, BlockProfile, TxProfile};
 
@@ -54,8 +62,12 @@ pub fn encoded_size_hint(block: &Block) -> usize {
         .profile
         .entries
         .iter()
-        // Entry = reads + writes + gas + entry/reads/writes list headers.
-        .map(|e| e.reads.len() * READ + e.writes.len() * WRITE + 9 + 3 * 9)
+        // Entry = reads + writes + gas + entry/reads/writes list headers,
+        // and each code a `Code` write spells with its string header.
+        .map(|e| {
+            let code: usize = e.code.values().map(|code| code.len() + 9).sum();
+            e.reads.len() * READ + e.writes.len() * WRITE + code + 9 + 3 * 9
+        })
         .sum();
     // Outer list + the two collection headers (or empty markers).
     HEADER + txs + profile + 4 * 9
@@ -160,7 +172,7 @@ fn decode_collection<'a, T>(
 /// key a map insert would silently swallow.
 fn decode_footprint<'a, V>(
     list: Reader<'a>,
-    mut value: impl FnMut(&mut Reader<'a>) -> Result<V, DecodeError>,
+    mut value: impl FnMut(AccessKey, &mut Reader<'a>) -> Result<V, DecodeError>,
 ) -> Result<FxHashMap<AccessKey, V>, DecodeError> {
     let (len, mut pairs) = collection(list, MIN_PAIR_BYTES)?;
     let mut out = FxHashMap::with_capacity_and_hasher(len, Default::default());
@@ -172,7 +184,7 @@ fn decode_footprint<'a, V>(
             return Err(DecodeError::TypeMismatch);
         }
         prev = Some(key);
-        out.insert(key, value(&mut pair)?);
+        out.insert(key, value(key, &mut pair)?);
         pair.end()?;
     }
     pairs.end()?;
@@ -314,20 +326,37 @@ fn append_profile_entry(s: &mut RlpStream, entry: &TxProfile) {
         for (key, value) in writes {
             s.begin_list(2);
             append_access_key(s, key);
-            s.append_u256(value);
+            match key {
+                AccessKey::Code(addr) => s.append_bytes(&entry.code[addr]),
+                _ => s.append_u256(value),
+            }
         }
     }
     s.append_u64(entry.gas_used);
 }
 
 fn decode_profile_entry(mut l: Reader<'_>) -> Result<TxProfile, DecodeError> {
+    let reads = decode_footprint(l.list()?, |_, r| r.u64())?;
+    let mut code = FxHashMap::default();
+    let writes = decode_footprint(l.list()?, |key, r| match key {
+        AccessKey::Code(addr) => Ok(deployed(&mut code, addr, r.bytes()?)),
+        _ => r.u256(),
+    })?;
     let entry = TxProfile {
-        reads: decode_footprint(l.list()?, Reader::u64)?,
-        writes: decode_footprint(l.list()?, Reader::u256)?,
+        reads,
+        writes,
+        code,
         gas_used: l.u64()?,
     };
     l.end()?;
     Ok(entry)
+}
+
+/// Keeps the code a `Code` write of `addr` spells and returns the write's
+/// value: the code's hash as a word, what the EVM writes for the key.
+fn deployed(code: &mut FxHashMap<Address, Arc<Vec<u8>>>, addr: Address, bytes: &[u8]) -> U256 {
+    code.insert(addr, Arc::new(bytes.to_vec()));
+    keccak256(bytes).to_u256()
 }
 
 /// Convenience: the round trip used by tests and the dissemination layer.
@@ -347,7 +376,7 @@ pub mod reference {
     use bp_crypto::rlp::reference::{decode, Item};
     use bp_crypto::rlp::DecodeError;
     use bp_evm::Transaction;
-    use bp_types::{AccessKey, ReadSet, WriteSet};
+    use bp_types::{AccessKey, FxHashMap, ReadSet, WriteSet};
 
     use crate::{Block, BlockHeader, BlockProfile, TxProfile};
 
@@ -449,16 +478,23 @@ pub mod reference {
             }
         }
         let mut writes: WriteSet = Default::default();
+        let mut code = FxHashMap::default();
         let writes_list = l[1].as_list()?;
         if !is_empty_marker(writes_list) {
             for pair in writes_list {
                 let p = expect_list(pair, 2)?;
-                writes.insert(decode_access_key(&p[0])?, p[1].as_u256()?);
+                let key = decode_access_key(&p[0])?;
+                let value = match key {
+                    AccessKey::Code(addr) => super::deployed(&mut code, addr, p[1].as_bytes()?),
+                    _ => p[1].as_u256()?,
+                };
+                writes.insert(key, value);
             }
         }
         Ok(TxProfile {
             reads,
             writes,
+            code,
             gas_used: l[2].as_u64()?,
         })
     }
@@ -468,7 +504,7 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::genesis_header;
-    use bp_types::{RwSet, U256};
+    use bp_types::RwSet;
 
     fn sample_block() -> Block {
         let mut header = genesis_header(H256::from_low_u64(9));
@@ -502,8 +538,13 @@ mod tests {
                 AccessKey::Storage(Address::from_index(50), H256::from_low_u64(3)),
                 U256::from(8u64),
             );
-            rw.record_write(AccessKey::Code(Address::from_index(51)), U256::ONE);
-            profile.push(TxProfile::from_rw(&rw, 21_000));
+            // The deployment ships its code; the write's value is its hash.
+            let code = Arc::new(tx.data.clone());
+            let deployed = Address::from_index(51);
+            rw.record_write(AccessKey::Code(deployed), keccak256(&code).to_u256());
+            let mut entry = TxProfile::from_rw(&rw, 21_000);
+            entry.code.insert(deployed, code);
+            profile.push(entry);
         }
         Block {
             header,
@@ -615,6 +656,24 @@ mod tests {
             accepted > 0,
             "value bytes can flip without breaking the form"
         );
+    }
+
+    #[test]
+    fn a_code_write_reads_back_as_the_hash_of_the_code_it_spells() {
+        let decoded = roundtrip(&sample_block()).unwrap();
+        let key = AccessKey::Code(Address::from_index(51));
+        // The transfer's entry ships empty code: its write is still the
+        // hash of the empty string, as the EVM writes it, not zero.
+        for (entry, code) in decoded
+            .profile
+            .entries
+            .iter()
+            .zip([&[][..], &[0x60, 0x00, 0xF3]])
+        {
+            assert_eq!(entry.writes[&key], keccak256(code).to_u256());
+            assert_eq!(**entry.code.values().next().unwrap(), code);
+        }
+        assert_ne!(keccak256(&[]).to_u256(), U256::ZERO);
     }
 
     #[test]

@@ -5,15 +5,19 @@
 //! (`tests/wire_differential.rs` at the workspace root shows that random
 //! mutations separate the two decoders nowhere else.)
 
+use std::sync::Arc;
+
 use bp_block::wire::{decode_block, encode_block, reference};
 use bp_block::{genesis_header, Block, BlockProfile, TxProfile};
+use bp_crypto::keccak256;
 use bp_crypto::rlp::reference::{self as rlp_ref, Item};
 use bp_crypto::rlp::DecodeError;
 use bp_evm::Transaction;
 use bp_types::{AccessKey, Address, RwSet, H256, U256};
 
 /// Two transactions, each profiled with two reads (`Balance`, `Nonce` of the
-/// sender) and three writes (`Balance`, `Storage`, `Code`).
+/// sender) and three writes (`Balance`, `Storage`, `Code`); each `Code`
+/// write ships the transaction's data as its code.
 fn sample_block() -> Block {
     let mut header = genesis_header(H256::from_low_u64(9));
     header.height = 3;
@@ -46,8 +50,13 @@ fn sample_block() -> Block {
             AccessKey::Storage(Address::from_index(50), H256::from_low_u64(3)),
             U256::from(8u64),
         );
-        rw.record_write(AccessKey::Code(Address::from_index(51)), U256::ONE);
-        profile.push(TxProfile::from_rw(&rw, 21_000));
+        // The deployment ships its code; the write's value is its hash.
+        let code = Arc::new(tx.data.clone());
+        let deployed = Address::from_index(51);
+        rw.record_write(AccessKey::Code(deployed), keccak256(&code).to_u256());
+        let mut entry = TxProfile::from_rw(&rw, 21_000);
+        entry.code.insert(deployed, code);
+        profile.push(entry);
     }
     Block {
         header,

@@ -286,8 +286,7 @@ impl OccWsiProposer {
         // (= block) order, and seal from what they carry: the transaction
         // root from the hashes the pool checked the transactions out with,
         // the post-state from the block itself — the validator's fold of
-        // its profile onto the parent, plus the code the pack deployed,
-        // which the profile does not carry. Versions are dense
+        // its profile, code included, onto the parent. Versions are dense
         // 1..=committed.
         records.sort_unstable_by_key(|r| r.version);
         debug_assert!(records
@@ -323,10 +322,7 @@ impl OccWsiProposer {
             transactions: txs,
             profile,
         };
-        let mut post_state = fold(mv.base(), &block);
-        for (addr, code) in mv.deployed() {
-            post_state.set_code(addr, (*code).clone());
-        }
+        let post_state = fold(mv.base(), &block);
         block.header.state_root = post_state.state_root();
 
         let committed = block.transactions.len() as u64;
@@ -468,10 +464,12 @@ impl OccWsiProposer {
                 s.mv.commit(&result.rw.writes, &result.deployed)
             };
 
-            // The footprint moves into the profile and the transaction into
-            // the record: nothing reads either after the commit, and the
-            // pool is told by hash, at this worker's next turn.
-            let profile = TxProfile::from_owned_rw(result.rw, result.receipt.gas_used);
+            // The footprint and the code move into the profile and the
+            // transaction into the record: nothing reads any of them after
+            // the commit, and the pool is told by hash, at this worker's
+            // next turn.
+            let profile =
+                TxProfile::from_owned_rw(result.rw, result.deployed, result.receipt.gas_used);
             records.push(CommitRecord {
                 version,
                 hash,

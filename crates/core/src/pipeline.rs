@@ -34,9 +34,8 @@
 //!   block's hash, releasing the blocks at the next height that were parked
 //!   waiting for this parent. Height N+1 therefore executes while N still
 //!   executes, and N's root hashes beside both; N+1's own root waits for
-//!   N's, as it needs N's tries. A block that deploys code publishes at
-//!   validation instead, once the deployed code is installed: the profile
-//!   carries code hashes, not code.
+//!   N's, as it needs N's tries. Every block publishes so, one that deploys
+//!   code too: its profile ships the code, and the fold installs it.
 //!   The root comparison settles a per-block [`RootLatch`]; a block's
 //!   verdict waits for its own root and for its parent's latch, which keeps
 //!   the paper's rule that a block is not cleared before its predecessor,
@@ -48,6 +47,9 @@
 //! published block holds the block, its post-state and its latch, and goes
 //! as a whole when the block is un-published — a rejected block is not
 //! kept. The canonical chain is a vector by height over settled entries.
+//! The index also holds the verdict slot of every block in the pipeline, so
+//! a block submitted again while it is there shares the first submission's
+//! verdict instead of executing twice.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -180,24 +182,49 @@ impl ValidationOutcome {
     }
 }
 
-/// A block's verdict slot: unset, then the outcome — or `None` when the
-/// pipeline let go of the block without one.
-type Slot = Mutex<Option<Option<ValidationOutcome>>>;
+/// A block's verdict slot, shared by the handles of every submission of the
+/// block: the verdict — unset, then the outcome, or `None` when the
+/// pipeline let go of the block without one — and how many handles have
+/// yet to take it.
+#[derive(Default)]
+struct Slot {
+    verdict: Option<Option<ValidationOutcome>>,
+    handles: usize,
+}
+
+type SharedSlot = Arc<Mutex<Slot>>;
 
 /// A handle to one submitted block's eventual outcome.
 pub struct ValidationHandle {
-    slot: Arc<Slot>,
+    slot: SharedSlot,
     crew: Crew,
 }
 
 impl ValidationHandle {
+    /// One more handle on `slot`, whose verdict is not taken yet.
+    fn share(slot: &SharedSlot, crew: &Crew) -> ValidationHandle {
+        slot.lock().handles += 1;
+        ValidationHandle {
+            slot: Arc::clone(slot),
+            crew: crew.clone(),
+        }
+    }
+
     /// Blocks until the pipeline has a verdict, running queued crew tasks —
     /// this block's and any other's — meanwhile. Not to be called from
     /// inside a crew task.
     pub fn wait(self) -> ValidationOutcome {
-        self.crew.help_until(|| self.slot.lock().is_some());
-        let verdict = self.slot.lock().take().expect("the verdict is in");
-        verdict.expect("pipeline dropped without verdict")
+        self.crew.help_until(|| self.slot.lock().verdict.is_some());
+        let mut slot = self.slot.lock();
+        slot.handles -= 1;
+        // The last handle takes the outcome; the others copy it.
+        let verdict = match slot.handles {
+            0 => slot.verdict.take(),
+            _ => slot.verdict.clone(),
+        };
+        verdict
+            .expect("the verdict is in")
+            .expect("pipeline dropped without verdict")
     }
 }
 
@@ -205,17 +232,14 @@ impl ValidationHandle {
 /// a task panicked, or the pipeline went with the block still parked — it
 /// makes the waiter panic instead of hanging.
 struct Verdict {
-    slot: Arc<Slot>,
+    slot: SharedSlot,
     crew: Crew,
 }
 
 impl Verdict {
     fn new(crew: &Crew) -> (Verdict, ValidationHandle) {
-        let slot = Arc::new(Slot::default());
-        let handle = ValidationHandle {
-            slot: Arc::clone(&slot),
-            crew: crew.clone(),
-        };
+        let slot = SharedSlot::default();
+        let handle = ValidationHandle::share(&slot, crew);
         let crew = crew.clone();
         (Verdict { slot, crew }, handle)
     }
@@ -227,8 +251,8 @@ impl Verdict {
     /// Sets the slot unless it is set, and wakes the waiters to look.
     fn fill(&self, verdict: Option<ValidationOutcome>) {
         let mut slot = self.slot.lock();
-        if slot.is_none() {
-            *slot = Some(verdict);
+        if slot.verdict.is_none() {
+            slot.verdict = Some(verdict);
             drop(slot);
             self.crew.notify_waiters();
         }
@@ -249,7 +273,6 @@ struct TxOutcome {
     /// The transaction's position in the block.
     index: usize,
     receipt: Receipt,
-    deployed: Vec<(Address, Arc<Vec<u8>>)>,
 }
 
 /// Why a job stopped its block. The order breaks ties at one index in
@@ -302,12 +325,9 @@ struct BlockTask {
     block: Arc<Block>,
     /// The parent's post-state, which the jobs execute on.
     base: Arc<WorldState>,
-    /// The post-state the profile folds to; `None` after a header check
-    /// failed. Published at preparation, unless the block deploys code.
+    /// The post-state the profile folds to, published at preparation;
+    /// `None` after a header check failed.
     post: Option<Arc<WorldState>>,
-    /// The block deploys code: its post-state is published once the code
-    /// the jobs deployed is installed in it.
-    deploys: bool,
     /// This block's root verdict, handed to its children with its state.
     root: Arc<RootLatch<bool>>,
     /// The parent block's root verdict, which this block's own verdict
@@ -351,6 +371,9 @@ pub(crate) struct StateIndex {
     /// state and latch come and go together.
     pub(crate) states: HashMap<BlockHash, Parent>,
     waiting: HashMap<BlockHash, Vec<Parked>>,
+    /// The verdict slot of every block from its submission until its
+    /// verdict: parked, preparing, or published and not yet settled.
+    verdicts: HashMap<BlockHash, SharedSlot>,
     invalid: HashSet<BlockHash>,
     /// The canonical chain by height, the genesis at 0: blocks whose entries
     /// settled valid, each the child of the one below it.
@@ -381,11 +404,40 @@ impl StateIndex {
         while let Some(hash) = stack.pop() {
             self.invalid.insert(hash);
             for parked in self.waiting.remove(&hash).unwrap_or_default() {
-                stack.push(parked.0.hash());
+                let parked_hash = parked.0.hash();
+                self.verdicts.remove(&parked_hash);
+                stack.push(parked_hash);
                 doomed.push(parked);
             }
         }
         doomed
+    }
+
+    /// A handle on the verdict of `hash` if the block was submitted before:
+    /// the first submission's, while the block is in the pipeline, or —
+    /// once its entry settled valid — an answer at once with its
+    /// post-state, nothing executed and no receipts.
+    fn resubmitted(&self, hash: &BlockHash, crew: &Crew) -> Option<ValidationHandle> {
+        if let Some(slot) = self.verdicts.get(hash) {
+            return Some(ValidationHandle::share(slot, crew));
+        }
+        let entry = self.settled(hash)?;
+        let verdict = Some(Some(ValidationOutcome {
+            block_hash: *hash,
+            height: entry.block.height(),
+            result: Ok(()),
+            post_state: Some(Arc::clone(&entry.state)),
+            receipts: vec![],
+            timings: StageTimings::default(),
+            executed_txs: 0,
+            aborted_early: false,
+        }));
+        let slot = Arc::new(Mutex::new(Slot {
+            verdict,
+            handles: 1,
+        }));
+        let crew = crew.clone();
+        Some(ValidationHandle { slot, crew })
     }
 
     /// The entry of `hash` once nothing can take it away any more: the
@@ -441,6 +493,7 @@ impl Starter {
         let index = StateIndex {
             states: HashMap::from([(hash, entry)]),
             waiting: HashMap::new(),
+            verdicts: HashMap::new(),
             invalid: HashSet::new(),
             canonical: vec![(hash, genesis)],
         };
@@ -456,19 +509,27 @@ impl Starter {
     /// yet known are parked until the parent is published — and their
     /// verdict waits for the parent's, the paper's cross-height ordering
     /// rule. The execution environment is derived from the block header.
+    /// A block submitted again executes once: the second handle gets the
+    /// first one's verdict.
     pub(crate) fn submit(self: &Arc<Self>, block: Block) -> ValidationHandle {
-        let block = Arc::new(block);
-        let (tx, handle) = Verdict::new(&self.crew);
-        let parent_hash = block.header.parent_hash;
+        let (hash, parent_hash) = (block.hash(), block.header.parent_hash);
         // One look under the lock decides: a root verdict may un-publish the
         // parent at any moment after it.
         let mut idx = self.index.lock();
+        if let Some(handle) = idx.resubmitted(&hash, &self.crew) {
+            return handle;
+        }
+        let block = Arc::new(block);
+        let (tx, handle) = Verdict::new(&self.crew);
         if idx.invalid.contains(&parent_hash) {
-            let mut doomed = idx.poison(block.hash());
+            let mut doomed = idx.poison(hash);
             drop(idx);
             doomed.push((block, tx));
             reject_descendants(doomed);
-        } else if let Some(parent) = idx.parent(&parent_hash) {
+            return handle;
+        }
+        idx.verdicts.insert(hash, Arc::clone(&tx.slot));
+        if let Some(parent) = idx.parent(&parent_hash) {
             drop(idx);
             self.start_block(block, tx, parent);
         } else {
@@ -553,7 +614,7 @@ fn run_job(task: &BlockTask, txs: &[usize]) -> JobReport {
         overlay: FxHashMap::default(),
         code_overlay: FxHashMap::default(),
     };
-    let profile = &task.block.profile;
+    let entries = &task.block.profile.entries;
     for &i in txs {
         // Early abort: a sibling job (or an earlier transaction of this
         // one) found a mismatch — this block can never validate, stop
@@ -565,21 +626,20 @@ fn run_job(task: &BlockTask, txs: &[usize]) -> JobReport {
         let abort = match execute_transaction(&view, &task.env, &task.block.transactions[i]) {
             // Overlapped verification (Algorithm 2): check the replayed
             // footprint against the block profile right here, while sibling
-            // jobs still execute. The gas is checked too: the fold credited
-            // the coinbase with the fees the profile's gas implies.
+            // jobs still execute. The gas and the deployed code are checked
+            // too: the fold credited the coinbase with the fees the
+            // profile's gas implies, and installed the code it ships.
             Ok(result)
-                if profile.matches(i, &result.rw)
-                    && result.receipt.gas_used == profile.entries[i].gas_used =>
+                if task.block.profile.matches(i, &result.rw)
+                    && result.receipt.gas_used == entries[i].gas_used
+                    && result.deployed == entries[i].code =>
             {
                 for (key, value) in &result.rw.writes {
                     view.overlay.insert(*key, *value);
                 }
-                for (addr, code) in &result.deployed {
-                    view.code_overlay.insert(*addr, Arc::clone(code));
-                }
+                view.code_overlay.extend(result.deployed);
                 report.outcomes.push(TxOutcome {
                     index: i,
-                    deployed: result.deployed.into_iter().collect(),
                     receipt: result.receipt,
                 });
                 continue;
@@ -604,8 +664,7 @@ impl Starter {
     /// Preparation phase for a block whose parent state is available:
     /// header checks first (a malformed block is rejected before any
     /// transaction executes), then scheduling, the fold of the profile into
-    /// the post-state, job dispatch and — unless the block deploys code —
-    /// the publication of that post-state.
+    /// the post-state, job dispatch and the publication of that post-state.
     fn start_block(self: &Arc<Self>, block: Arc<Block>, verdict: Verdict, parent: Parent) {
         let env = BlockEnv {
             coinbase: block.header.coinbase,
@@ -646,20 +705,10 @@ impl Starter {
             Some(_) => None,
             None => Some(Arc::new(fold(&parent.state, &block))),
         };
-        // The profile carries code hashes, not code: a block that deploys
-        // code — a transaction without `to`, or an entry that writes a
-        // `Code` key — publishes once its jobs installed the code.
-        let deploys = block
-            .transactions
-            .iter()
-            .zip(&block.profile.entries)
-            .any(|(tx, entry)| {
-                tx.to.is_none() || entry.writes.keys().any(|k| matches!(k, AccessKey::Code(_)))
-            });
         let root = Arc::new(RootLatch::new());
         // What the block publishes now, its commit begun first: a child
         // forks the begun commit and never hashes this block's writes.
-        let published = post.as_ref().filter(|_| !deploys).map(|post| {
+        let published = post.as_ref().map(|post| {
             post.begin_commit();
             Parent {
                 block: Arc::clone(&block),
@@ -680,7 +729,6 @@ impl Starter {
             block,
             base: parent.state,
             post,
-            deploys,
             root,
             parent_root: parent.root,
             env,
@@ -726,12 +774,6 @@ impl Starter {
         }
     }
 
-    /// Publishes `parent` under `hash` and starts the blocks parked on it.
-    fn publish(self: &Arc<Self>, hash: BlockHash, parent: Parent) {
-        let ready = self.index.lock().publish(hash, parent.clone());
-        self.start_all(ready, &parent);
-    }
-
     /// Starts the blocks `ready`, taken out of the index when `parent` was
     /// published.
     fn start_all(self: &Arc<Self>, ready: Vec<Parked>, parent: &Parent) {
@@ -742,12 +784,13 @@ impl Starter {
 }
 
 /// The post-state `block`'s profile claims: the parent with every entry's
-/// writes applied in block order, then the coinbase credited with the fees
-/// the entries' gas implies (`gas_used × gas_price` each). Both roles seal
-/// through it: the proposer's post-state is this fold of the block it
-/// built, and the validator's jobs confirm it, a transaction validating
-/// only if its replayed write set and gas equal its entry's. The profile
-/// does not carry deployed code: the caller installs it.
+/// writes applied in block order, each entry's code installed after its
+/// writes, then the coinbase credited with the fees the entries' gas
+/// implies (`gas_used × gas_price` each). Both roles seal through it, and
+/// it is the one place where a post-state gets deployed code: the
+/// proposer's post-state is this fold of the block it built, and the
+/// validator's jobs confirm it, a transaction validating only if its
+/// replayed write set, gas and deployed code equal its entry's.
 pub(crate) fn fold(parent: &WorldState, block: &Block) -> WorldState {
     // Copy-on-write snapshot of the parent state: a pointer bump, whatever
     // the number of accounts; the writes below copy only the paths they
@@ -756,6 +799,9 @@ pub(crate) fn fold(parent: &WorldState, block: &Block) -> WorldState {
     let mut fees = U256::ZERO;
     for (entry, tx) in block.profile.entries.iter().zip(&block.transactions) {
         world.apply_writes(&entry.writes);
+        for (addr, code) in &entry.code {
+            world.set_code(*addr, Arc::clone(code));
+        }
         fees += U256::from(u128::from(entry.gas_used) * u128::from(tx.gas_price));
     }
     if !fees.is_zero() {
@@ -768,18 +814,17 @@ pub(crate) fn fold(parent: &WorldState, block: &Block) -> WorldState {
 /// Block validation and commitment.
 ///
 /// Every check but the root runs on the jobs' merged reports: a job's
-/// abort, the gas and the receipts against the header. A block that
-/// deploys code then installs it into its folded post-state, begins that
-/// state's commit and publishes it, releasing its parked children. The
-/// root is compared against the header — usually hashed already by the
-/// block's root task, else hashed here — and the verdict chains on the
-/// parent's latch, so an invalid ancestor still poisons every descendant. A
-/// failed check un-publishes the block and settles its latch `false`.
+/// abort, the gas and the receipts against the header. The root of the
+/// post-state published at preparation is compared against the header —
+/// usually hashed already by the block's root task, else hashed here — and
+/// the verdict chains on the parent's latch, so an invalid ancestor still
+/// poisons every descendant. A failed check un-publishes the block and
+/// settles its latch `false`.
 ///
 /// It runs in the crew task that ended the block's last job. Why this
 /// cannot deadlock or misorder, on any crew down to one with no helper at
 /// all (the crew's first rule: a task blocks only on work already
-/// running): a block published at preparation queued its root task, then
+/// running): every block that reaches its jobs queued its root task, then
 /// its jobs, then published, all on the detached lane, which is FIFO. A
 /// child starts only from that publication, so any thread that takes one
 /// of the child's tasks — its root or its last job, which runs this —
@@ -787,10 +832,9 @@ pub(crate) fn fold(parent: &WorldState, block: &Block) -> WorldState {
 /// taken. The child's root then waits on the parent's pending commit,
 /// which the parent's root task or apply is hashing, and the child's
 /// verdict on the parent's latch, which the parent's apply, ending the
-/// parent's last job, settles. A block that deploys code publishes here,
-/// and this thread goes on to settle its latch. Whichever of a block's root
-/// task and apply comes first hashes the begun commit; the other waits on
-/// work already running. A root may fan out into crew tasks of its own;
+/// parent's last job, settles. Whichever of a block's root task and apply
+/// comes first hashes the begun commit; the other waits on work already
+/// running. A root may fan out into crew tasks of its own;
 /// its thread runs any of them no helper took and never a task of another
 /// scope (the crew's second rule), so it never picks up a child's task.
 /// Those waits chain parent-ward, up published blocks, ending at the
@@ -808,39 +852,41 @@ fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
     let executed_txs = done.executed;
     let block = &task.block;
     let hash = block.hash();
-    let result = check(&task, done).and_then(|(receipts, deployed)| {
-        let post = if task.deploys {
-            publish_deployed(&task, starter, hash, deployed)
-        } else {
-            Arc::clone(
-                task.post
-                    .as_ref()
-                    .expect("a checked block has a post-state"),
-            )
-        };
+    let result = check(&task, done).and_then(|receipts| {
+        let post = task
+            .post
+            .as_ref()
+            .expect("a checked block has a post-state");
         match post.state_root() == block.header.state_root {
-            true => Ok((post, receipts)),
+            true => Ok((Arc::clone(post), receipts)),
             false => Err(ValidationError::StateRootMismatch),
         }
     });
     let parent_ok = task.parent_root.as_ref().is_none_or(|l| l.wait());
-    if result.is_err() || !parent_ok {
-        // Un-publish: one removal takes the state and its latch out of the
-        // index, and late submitters see the invalid mark. What is parked
-        // goes now; in-flight descendants fail through the latch they hold.
-        let doomed = {
-            let mut idx = starter.index.lock();
-            idx.states.remove(&hash);
-            idx.poison(hash)
-        };
-        reject_descendants(doomed);
-    }
     let (result, post_state, receipts) = match result {
         _ if !parent_ok => (Err(ValidationError::ParentInvalid), None, vec![]),
         Err(e) => (Err(e), None, vec![]),
         Ok((post, receipts)) => (Ok(()), Some(post), receipts),
     };
-    task.root.set(result.is_ok());
+    // Settle under the index lock, so that a submission of the block finds
+    // either its verdict slot or its settled entry. Un-publish a failed
+    // block: one removal takes the state and its latch out of the index,
+    // and late submitters see the invalid mark. What is parked goes now;
+    // in-flight descendants fail through the latch they hold.
+    let doomed = {
+        let mut idx = starter.index.lock();
+        idx.verdicts.remove(&hash);
+        let doomed = match result {
+            Ok(()) => Vec::new(),
+            Err(_) => {
+                idx.states.remove(&hash);
+                idx.poison(hash)
+            }
+        };
+        task.root.set(result.is_ok());
+        doomed
+    };
+    reject_descendants(doomed);
     task.verdict.send(ValidationOutcome {
         block_hash: hash,
         height: block.height(),
@@ -858,14 +904,11 @@ fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
     });
 }
 
-/// The code a block's transactions deployed, by address.
-type Deployed = Vec<(Address, Arc<Vec<u8>>)>;
-
 /// Block validation: the jobs' merged reports against the header. Each
 /// transaction's write set and gas already matched its profile entry inside
 /// its job (Algorithm 2); a reported abort short-circuits here. Returns the
-/// receipts in block order, and the code the block deployed.
-fn check(task: &BlockTask, done: JobReport) -> Result<(Vec<Receipt>, Deployed), ValidationError> {
+/// receipts in block order.
+fn check(task: &BlockTask, done: JobReport) -> Result<Vec<Receipt>, ValidationError> {
     let block = &task.block;
     if let Some(err) = &task.header_error {
         return Err(err.clone());
@@ -886,11 +929,9 @@ fn check(task: &BlockTask, done: JobReport) -> Result<(Vec<Receipt>, Deployed), 
     );
     let mut gas_total: Gas = 0;
     let mut receipts = Vec::with_capacity(block.transactions.len());
-    let mut deployed = Vec::new();
     for outcome in outcomes {
         gas_total += outcome.receipt.gas_used;
         receipts.push(outcome.receipt);
-        deployed.extend(outcome.deployed);
     }
     if gas_total != block.header.gas_used {
         return Err(ValidationError::GasMismatch {
@@ -901,35 +942,7 @@ fn check(task: &BlockTask, done: JobReport) -> Result<(Vec<Receipt>, Deployed), 
     if receipts_root(&receipts) != block.header.receipts_root {
         return Err(ValidationError::ReceiptsRootMismatch);
     }
-    Ok((receipts, deployed))
-}
-
-/// A block that deploys code, checked: its folded post-state with the
-/// deployed code installed, its commit begun and then published, its parked
-/// children started.
-fn publish_deployed(
-    task: &BlockTask,
-    starter: &Arc<Starter>,
-    hash: BlockHash,
-    deployed: Deployed,
-) -> Arc<WorldState> {
-    let mut post = task
-        .post
-        .as_ref()
-        .expect("a checked block has a post-state")
-        .snapshot();
-    for (addr, code) in deployed {
-        post.set_code(addr, Arc::unwrap_or_clone(code));
-    }
-    let post = Arc::new(post);
-    post.begin_commit();
-    let parent = Parent {
-        block: Arc::clone(&task.block),
-        state: Arc::clone(&post),
-        root: Some(Arc::clone(&task.root)),
-    };
-    starter.publish(hash, parent);
-    post
+    Ok(receipts)
 }
 
 #[cfg(test)]
@@ -937,6 +950,8 @@ mod tests {
     use super::*;
     use crate::occ_wsi::{OccWsiConfig, OccWsiProposer, Proposal};
     use crate::Validator;
+    use bp_evm::asm::Asm;
+    use bp_evm::opcode::Op;
     use bp_evm::Transaction;
     use bp_txpool::TxPool;
     use bp_types::Address;
@@ -961,15 +976,67 @@ mod tests {
         senders: std::ops::Range<u64>,
         nonce: u64,
     ) -> Proposal {
+        let txs = senders
+            .map(|i| Transaction::transfer(addr(i), addr(i + 500), U256::from(7u64), nonce, i));
+        propose(txs, base, parent, height)
+    }
+
+    /// A block on `base` that deploys the counter contract beside a
+    /// transfer, and its child, which calls the contract.
+    fn deploy_then_call(base: &Arc<WorldState>) -> (Proposal, Proposal) {
+        let runtime = bp_evm::contracts::counter();
+        // The init code writes the runtime into memory byte by byte and
+        // returns it.
+        let mut init = Asm::new();
+        for (i, byte) in runtime.iter().enumerate() {
+            init = init
+                .push_u64(u64::from(*byte))
+                .push_u64(i as u64)
+                .op(Op::MStore8);
+        }
+        let deploy = Transaction {
+            sender: addr(1),
+            to: None,
+            value: U256::ZERO,
+            nonce: 0,
+            gas_limit: 2_000_000,
+            gas_price: 10,
+            data: init
+                .push_u64(runtime.len() as u64)
+                .push_u64(0)
+                .op(Op::Return)
+                .build(),
+        };
+        let transfer = Transaction::transfer(addr(2), addr(3), U256::ONE, 0, 1);
+        let parent = propose([deploy, transfer], base, genesis_of(base), 1);
+        let contract = bp_evm::create_address(&addr(1), 0);
+        let call = Transaction {
+            to: Some(contract),
+            gas_limit: 200_000,
+            data: vec![],
+            ..Transaction::transfer(addr(2), contract, U256::ZERO, 1, 1)
+        };
+        let state = Arc::new(parent.post_state.clone());
+        let child = propose([call], &state, parent.block.hash(), 2);
+        assert_eq!((parent.block.tx_count(), child.block.tx_count()), (2, 1));
+        assert_eq!(
+            child.post_state.storage(&contract, &bp_types::H256::ZERO),
+            U256::ONE,
+            "the child ran the deployed counter"
+        );
+        (parent, child)
+    }
+
+    /// Proposes a block of `txs` on top of `base`.
+    fn propose(
+        txs: impl IntoIterator<Item = Transaction>,
+        base: &Arc<WorldState>,
+        parent: BlockHash,
+        height: u64,
+    ) -> Proposal {
         let pool = TxPool::new();
-        for i in senders {
-            pool.add(Transaction::transfer(
-                addr(i),
-                addr(i + 500),
-                U256::from(7u64),
-                nonce,
-                i,
-            ));
+        for tx in txs {
+            pool.add(tx);
         }
         let proposer = OccWsiProposer::new(OccWsiConfig {
             threads: 2,
@@ -1328,8 +1395,14 @@ mod tests {
         let b1 = propose_transfers(&world, genesis_of(&world), 1, 1..5, 0);
         let s1 = Arc::new(b1.post_state.clone());
         let b2 = propose_transfers(&s1, b1.block.hash(), 2, 1..5, 1);
-        let (h1, h2) = (b1.block.hash(), b2.block.hash());
-        for crew in crews() {
+        // A block that deploys code publishes the same way: the child that
+        // calls the new contract starts on the code its profile shipped.
+        let (d1, d2) = deploy_then_call(&world);
+        for ((b1, b2), crew) in [(&b1, &b2), (&d1, &d2)]
+            .into_iter()
+            .flat_map(|pair| crews().map(|crew| (pair, crew)))
+        {
+            let (h1, h2) = (b1.block.hash(), b2.block.hash());
             let (validator, _) = crew.install(|| validator_on(1, &world));
             // The block's post-state is indexed when `submit` returns, and
             // its child starts instead of parking.
@@ -1355,6 +1428,7 @@ mod tests {
             );
             assert!(handle1.wait().is_valid());
             assert!(validator.state_of(&h1).is_some() && validator.state_of(&h2).is_some());
+            assert!(validator.pipeline.index.lock().verdicts.is_empty());
         }
     }
 
@@ -1412,7 +1486,6 @@ mod tests {
                 fee: U256::ZERO,
                 created: None,
             },
-            deployed: vec![],
         };
         let reports = || {
             [

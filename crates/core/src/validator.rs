@@ -413,6 +413,47 @@ mod tests {
     }
 
     #[test]
+    fn a_block_submitted_again_executes_once() {
+        let world = genesis_world(60);
+        for crew in [Crew::new(0), Crew::global().clone()] {
+            let validator = crew.install(|| Validator::new(config(), world.clone()));
+            let b = propose_on(Arc::new(world.clone()), validator.genesis_hash(), 1, 0);
+            let hash = b.block.hash();
+            assert!(validator.validate_and_commit(b.block.clone()).is_valid());
+            // Settled: answered at once, from the entry, which stays.
+            let again = validator.receive_block(b.block.clone());
+            assert!(validator.state_of(&hash).is_some());
+            let again = again.wait();
+            assert_eq!(again.result, Ok(()));
+            assert_eq!(again.executed_txs, 0);
+            let post = again.post_state.expect("the settled post-state");
+            assert!(Arc::ptr_eq(&post, &validator.state_of(&hash).unwrap()));
+            assert_eq!(validator.head(), Some((hash, 1)));
+            // In the pipeline — published, or parked on a parent that is not
+            // in yet — a second submission shares the first one's verdict.
+            let child = propose_on(Arc::clone(&post), hash, 2, 1);
+            let grandchild =
+                propose_on(Arc::new(child.post_state.clone()), child.block.hash(), 3, 2);
+            let parked = [0, 1].map(|_| validator.receive_block(grandchild.block.clone()));
+            let published = [0, 1].map(|_| validator.receive_block(child.block.clone()));
+            for handles in [published, parked] {
+                let [first, second] = handles.map(|h| h.wait());
+                assert!(first.is_valid(), "{:?}", first.result);
+                assert_eq!(first.executed_txs, 6);
+                // With no helper nothing ran before the second submission,
+                // so it shares the first one's verdict; with helpers the
+                // block may have settled first, and its entry answers.
+                let answered_by_the_entry = crew.helpers() > 0 && second.executed_txs == 0;
+                assert!(second.executed_txs == 6 || answered_by_the_entry);
+                assert!(Arc::ptr_eq(
+                    first.post_state.as_ref().unwrap(),
+                    second.post_state.as_ref().unwrap()
+                ));
+            }
+        }
+    }
+
+    #[test]
     fn a_valid_block_whose_parent_is_not_canonical_below_is_refused() {
         let world = genesis_world(60);
         let validator = Validator::new(config(), world.clone());

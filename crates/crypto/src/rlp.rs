@@ -128,9 +128,7 @@ impl RlpStream {
     /// Appends a byte-string item.
     pub fn append_bytes(&mut self, bytes: &[u8]) {
         self.out.reserve(bytes.len() + 9);
-        let (header, header_len) = str_header(bytes.len(), bytes.first().copied().unwrap_or(0));
-        self.out.extend_from_slice(&header[..header_len]);
-        self.out.extend_from_slice(bytes);
+        append_str(&mut self.out, bytes);
         self.close_lists();
     }
 
@@ -196,6 +194,20 @@ pub fn str_header(len: usize, first: u8) -> ([u8; 9], usize) {
         return ([0u8; 9], 0);
     }
     header(0x80, len)
+}
+
+/// The length of the string item holding `len` bytes, the first of them
+/// `first`: its header and its bytes, for a caller that sizes a buffer
+/// exactly before writing.
+pub fn str_len(len: usize, first: u8) -> usize {
+    str_header(len, first).1 + len
+}
+
+/// Appends `bytes` to `out` as a string item.
+pub fn append_str(out: &mut Vec<u8>, bytes: &[u8]) {
+    let (header, header_len) = str_header(bytes.len(), bytes.first().copied().unwrap_or(0));
+    out.extend_from_slice(&header[..header_len]);
+    out.extend_from_slice(bytes);
 }
 
 /// A list header on the stack: (bytes, length used). At most 1 prefix byte

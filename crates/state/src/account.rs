@@ -55,15 +55,14 @@ impl Account {
         let nonce = &nonce[self.nonce.leading_zeros() as usize / 8..];
         let balance = self.balance.to_be_bytes();
         let balance = &balance[balance.iter().position(|&b| b != 0).unwrap_or(32)..];
-        let item =
-            |bytes: &[u8]| trie::rlp_str_len(bytes.len(), bytes.first().copied().unwrap_or(0));
+        let item = |bytes: &[u8]| rlp::str_len(bytes.len(), bytes.first().copied().unwrap_or(0));
         let payload = item(nonce) + item(balance) + 2 * 33;
-        let mut out = Vec::with_capacity(2 + payload);
-        trie::rlp_list_header(payload, &mut out);
-        trie::rlp_str(nonce, &mut out);
-        trie::rlp_str(balance, &mut out);
-        trie::rlp_str(&self.storage_root.0, &mut out);
-        trie::rlp_str(&self.code_hash.0, &mut out);
+        let (header, header_len) = rlp::list_header(payload);
+        let mut out = Vec::with_capacity(header_len + payload);
+        out.extend_from_slice(&header[..header_len]);
+        for field in [nonce, balance, &self.storage_root.0, &self.code_hash.0] {
+            rlp::append_str(&mut out, field);
+        }
         out
     }
 

@@ -103,12 +103,6 @@ impl MultiVersionState {
     pub fn code(&self, addr: &Address) -> Arc<Vec<u8>> {
         self.code.get(addr).unwrap_or_else(|| self.base.code(addr))
     }
-
-    /// The code installed by in-block contract creations, in no order: what
-    /// the sealed post-state installs beside the block's writes.
-    pub fn deployed(&self) -> Vec<(Address, Arc<Vec<u8>>)> {
-        self.code.snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -210,9 +204,6 @@ mod tests {
         deployed.insert(addr(5), Arc::new(vec![1, 2, 3]));
         assert_eq!(mv.commit(&WriteSet::default(), &deployed), 1);
         assert_eq!(*mv.code(&addr(5)), vec![1, 2, 3]);
-        let deployed = mv.deployed();
-        assert_eq!(deployed.len(), 1);
-        assert_eq!((deployed[0].0, &*deployed[0].1), (addr(5), &vec![1, 2, 3]));
     }
 
     #[test]

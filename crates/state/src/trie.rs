@@ -33,7 +33,7 @@
 
 use std::sync::Arc;
 
-use bp_crypto::{keccak256, keccak256_batch};
+use bp_crypto::{keccak256, keccak256_batch, rlp};
 use bp_types::H256;
 
 use crate::nibbles::{nibble_at, Nibbles};
@@ -275,58 +275,21 @@ mod counters {
 // Node encoding
 // ---------------------------------------------------------------------------
 
-/// Length of the RLP string item holding `len` bytes, the first of them
-/// `first`.
-pub(crate) fn rlp_str_len(len: usize, first: u8) -> usize {
-    match len {
-        1 if first < 0x80 => 1,
-        0..=55 => 1 + len,
-        _ => 1 + be_len(len) + len,
-    }
-}
-
-/// Appends the header of such a string item; its bytes follow.
-fn rlp_str_header(len: usize, first: u8, out: &mut Vec<u8>) {
-    match len {
-        1 if first < 0x80 => {}
-        0..=55 => out.push(0x80 + len as u8),
-        _ => {
-            out.push(0xb7 + be_len(len) as u8);
-            out.extend_from_slice(&(len as u64).to_be_bytes()[8 - be_len(len)..]);
-        }
-    }
-}
-
-/// Appends `bytes` as an RLP string item.
-pub(crate) fn rlp_str(bytes: &[u8], out: &mut Vec<u8>) {
-    rlp_str_header(bytes.len(), bytes.first().copied().unwrap_or(0), out);
-    out.extend_from_slice(bytes);
-}
-
-/// Appends the header of an RLP list whose items take `payload` bytes.
-pub(crate) fn rlp_list_header(payload: usize, out: &mut Vec<u8>) {
-    if payload <= 55 {
-        out.push(0xc0 + payload as u8);
-    } else {
-        out.push(0xf7 + be_len(payload) as u8);
-        out.extend_from_slice(&(payload as u64).to_be_bytes()[8 - be_len(payload)..]);
-    }
-}
-
-/// Bytes of the minimal big-endian form of a non-zero length.
-fn be_len(len: usize) -> usize {
-    8 - (len as u64).leading_zeros() as usize / 8
+/// Appends an RLP header, as [`rlp::str_header`] and [`rlp::list_header`]
+/// return it.
+fn put_header(out: &mut Vec<u8>, (header, len): ([u8; 9], usize)) {
+    out.extend_from_slice(&header[..len]);
 }
 
 /// The hex-prefix path of a leaf or extension as an RLP string item.
 fn path_item_len(path: &Nibbles) -> usize {
     // The first hex-prefix byte is below 0x40, so a one-byte path is its
     // own encoding.
-    rlp_str_len(path.hex_prefix_len(), 0)
+    rlp::str_len(path.hex_prefix_len(), 0)
 }
 
 fn path_item(path: &Nibbles, leaf: bool, out: &mut Vec<u8>) {
-    rlp_str_header(path.hex_prefix_len(), 0, out);
+    put_header(out, rlp::str_header(path.hex_prefix_len(), 0));
     path.write_hex_prefix(leaf, out);
 }
 
@@ -337,7 +300,7 @@ fn encode_node(node: &Node, out: &mut Vec<u8>) {
     let first = |v: &[u8]| v.first().copied().unwrap_or(0);
     let payload = match node {
         Node::Leaf(leaf) => {
-            path_item_len(&leaf.path) + rlp_str_len(leaf.value.len(), first(&leaf.value))
+            path_item_len(&leaf.path) + rlp::str_len(leaf.value.len(), first(&leaf.value))
         }
         Node::Extension(ext) => path_item_len(&ext.path) + ext.child.commit.ref_len(),
         Node::Branch(branch) => {
@@ -349,20 +312,16 @@ fn encode_node(node: &Node, out: &mut Vec<u8>) {
             refs + branch
                 .value
                 .as_ref()
-                .map_or(1, |v| rlp_str_len(v.len(), first(v)))
+                .map_or(1, |v| rlp::str_len(v.len(), first(v)))
         }
     };
-    let header = if payload <= 55 {
-        1
-    } else {
-        1 + be_len(payload)
-    };
-    out.reserve(header + payload);
-    rlp_list_header(payload, out);
+    let header = rlp::list_header(payload);
+    out.reserve(header.1 + payload);
+    put_header(out, header);
     match node {
         Node::Leaf(leaf) => {
             path_item(&leaf.path, true, out);
-            rlp_str(&leaf.value, out);
+            rlp::append_str(out, &leaf.value);
         }
         Node::Extension(ext) => {
             path_item(&ext.path, false, out);
@@ -375,7 +334,7 @@ fn encode_node(node: &Node, out: &mut Vec<u8>) {
                     None => out.push(0x80),
                 }
             }
-            rlp_str(branch.value.as_deref().unwrap_or(&[]), out);
+            rlp::append_str(out, branch.value.as_deref().unwrap_or(&[]));
         }
     }
 }

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use bp_concurrent::crew::{self, Crew, Priority};
 use bp_concurrent::sync::Mutex;
 use bp_concurrent::RootLatch;
-use bp_crypto::{keccak256, keccak256_batch};
+use bp_crypto::{keccak256, keccak256_batch, rlp};
 use bp_types::{AccessKey, Address, WriteSet, H256, U256};
 // Dirty tracking and the from-scratch oracle's scratch maps are Fx-hashed:
 // keys are fixed-size hashes/addresses, and SipHash showed up as the top
@@ -80,8 +80,7 @@ pub struct AccountState {
     /// sync with `code` so the per-transaction code-identity read in the EVM
     /// host does not recompute a keccak per call frame (~½ µs, formerly the
     /// single largest fixed cost of a contract call). Maintained by
-    /// [`AccountState::install_code`]; anything that assigns `code` directly
-    /// must update it the same way.
+    /// [`WorldState::set_code`], the one way code gets into a world.
     pub code_hash: U256,
 }
 
@@ -102,26 +101,12 @@ impl AccountState {
     pub fn is_empty(&self) -> bool {
         self.nonce == 0 && self.balance.is_zero() && self.code.is_empty() && self.storage.is_empty()
     }
-
-    /// Installs `code`, keeping the cached [`AccountState::code_hash`] in
-    /// sync.
-    pub fn install_code(&mut self, code: Arc<Vec<u8>>) {
-        self.code_hash = code_read_word(&code);
-        self.code = code;
-    }
 }
 
-/// What a mutation dirtied within one account since the last commit.
-#[derive(Clone, Debug)]
-enum DirtyAccount {
-    /// The account body and/or the listed storage slots changed; every other
-    /// slot is untouched, so the retained storage trie can be patched.
-    Slots(HashSet<H256>),
-    /// The account was mutated through an escape hatch
-    /// ([`WorldState::account_mut`]) that may have rewritten anything —
-    /// rebuild its storage trie from scratch.
-    Full,
-}
+/// What a mutation dirtied within one account since the last commit: its
+/// body, and the listed storage slots. Every other slot is untouched, so a
+/// retained storage trie is patched.
+type DirtyAccount = HashSet<H256>;
 
 /// The tries produced by the last commit, reused as the base for the next.
 #[derive(Clone, Debug)]
@@ -279,28 +264,10 @@ impl WorldState {
         self.accounts.get(addr).map(|a| &**a)
     }
 
-    /// Mutable access, creating the account if needed.
-    ///
-    /// This hands out the raw account — including its storage map — so the
-    /// account is conservatively marked fully dirty and its storage trie is
-    /// rebuilt at the next commit. Prefer the typed setters, which track
-    /// exactly what changed.
-    pub fn account_mut(&mut self, addr: Address) -> &mut AccountState {
-        self.tracker
-            .get_mut()
-            .dirty
-            .insert(addr, DirtyAccount::Full);
-        entry(&mut self.accounts, addr)
-    }
-
     /// Marks the account body (balance/nonce/code) dirty without touching
     /// storage slots, and returns the account for mutation.
     fn body_mut(&mut self, addr: Address) -> &mut AccountState {
-        self.tracker
-            .get_mut()
-            .dirty
-            .entry(addr)
-            .or_insert_with(|| DirtyAccount::Slots(HashSet::default()));
+        self.tracker.get_mut().dirty.entry(addr).or_default();
         entry(&mut self.accounts, addr)
     }
 
@@ -342,17 +309,12 @@ impl WorldState {
 
     /// Sets a storage slot. Writing zero deletes the slot, as in Ethereum.
     pub fn set_storage(&mut self, addr: Address, key: H256, value: U256) {
-        let tracker = self.tracker.get_mut();
-        match tracker
+        self.tracker
+            .get_mut()
             .dirty
             .entry(addr)
-            .or_insert_with(|| DirtyAccount::Slots(HashSet::default()))
-        {
-            DirtyAccount::Slots(slots) => {
-                slots.insert(key);
-            }
-            DirtyAccount::Full => {}
-        }
+            .or_default()
+            .insert(key);
         let acct = entry(&mut self.accounts, addr);
         if value.is_zero() {
             acct.storage.remove(&key);
@@ -361,9 +323,14 @@ impl WorldState {
         }
     }
 
-    /// Installs contract code.
-    pub fn set_code(&mut self, addr: Address, code: Vec<u8>) {
-        self.body_mut(addr).install_code(Arc::new(code));
+    /// Installs contract code, keeping the cached
+    /// [`AccountState::code_hash`] in sync. Code already behind an `Arc` is
+    /// shared, not copied.
+    pub fn set_code(&mut self, addr: Address, code: impl Into<Arc<Vec<u8>>>) {
+        let code = code.into();
+        let acct = self.body_mut(addr);
+        acct.code_hash = code_read_word(&code);
+        acct.code = code;
     }
 
     /// Reads the value behind an [`AccessKey`] as a 256-bit word (code reads
@@ -421,9 +388,9 @@ impl WorldState {
     /// Applies one transaction's write set: the block's profile fold, which
     /// seals and validates every block, applies each entry's in block order,
     /// and the serial baseline each executed transaction's. `Code` writes are
-    /// ignored here — code bytes are installed via [`WorldState::set_code`]
-    /// by the execution layer; the write-set entry only versions the key for
-    /// conflict detection.
+    /// ignored here: the write carries the code's hash, and the code itself
+    /// goes in through [`WorldState::set_code`] — in the fold from the code
+    /// the entry ships, in the baseline from what execution deployed.
     pub fn apply_writes(&mut self, writes: &WriteSet) {
         for (key, value) in writes {
             match key {
@@ -567,12 +534,13 @@ impl WorldState {
             // Unshared after a snapshot recommits? Reuse in place; else clone
             // (cheap — tries share structure).
             Some(base) => (Arc::unwrap_or_clone(base.wait()), dirty),
-            // First commit ever (for this lineage): everything is dirty.
+            // First commit ever (for this lineage): every account is dirty,
+            // and with no retained trie each storage trie is rebuilt.
             None => {
                 let all = begun
                     .accounts
                     .keys()
-                    .map(|addr| (*addr, DirtyAccount::Full))
+                    .map(|addr| (*addr, DirtyAccount::default()))
                     .collect();
                 (WorldCommit::default(), all)
             }
@@ -649,7 +617,7 @@ fn recommit(
 fn rebuild_root(accounts: &Accounts) -> H256 {
     let mut bodies = Vec::with_capacity(accounts.len());
     for (addr, acct) in accounts.iter() {
-        let storage = nonzero_slots(acct);
+        let storage = slot_map(acct);
         if acct.nonce == 0 && acct.balance.is_zero() && acct.code.is_empty() && storage.is_empty() {
             continue;
         }
@@ -720,10 +688,11 @@ fn commit_shards(
 ) -> Vec<(Address, Trie)> {
     let nibble = |key: &HashedKey| usize::from(key[0] >> 4);
     let mut work = [0usize; 16];
-    for (key, addr, dirt) in dirty {
-        work[nibble(key)] += 1 + match dirt {
-            DirtyAccount::Slots(slots) => slots.len(),
-            DirtyAccount::Full => accounts.get(addr).map_or(0, |a| a.storage.len()),
+    for (key, addr, slots) in dirty {
+        // An account without a retained trie has its whole storage rebuilt.
+        work[nibble(key)] += 1 + match storage_tries.contains_key(addr) {
+            true => slots.len(),
+            false => accounts.get(addr).map_or(0, |a| a.storage.len()),
         };
     }
     let total: usize = work.iter().sum();
@@ -844,12 +813,10 @@ fn entry(accounts: &mut Accounts, addr: Address) -> &mut AccountState {
     Arc::make_mut(accounts.get_or_insert_with(addr, Arc::default))
 }
 
-/// An account's storage without zero values (which only the
-/// [`WorldState::account_mut`] escape hatch can leave behind).
-fn nonzero_slots(acct: &AccountState) -> HashMap<H256, U256> {
+/// An account's storage as a map; no slot holds zero.
+fn slot_map(acct: &AccountState) -> HashMap<H256, U256> {
     acct.storage
         .iter()
-        .filter(|(_, value)| !value.is_zero())
         .map(|(slot, value)| (*slot, *value))
         .collect()
 }
@@ -880,14 +847,14 @@ struct AccountUpdate {
 /// One dirty, non-empty account's new storage trie — the retained one
 /// (`prev`) patched, or one rebuilt — with the nodes it creates left
 /// pending; `None` when the retained trie stands.
-fn patched_storage(dirt: &DirtyAccount, acct: &AccountState, prev: Option<&Trie>) -> Option<Trie> {
-    match (dirt, prev) {
+fn patched_storage(slots: &DirtyAccount, acct: &AccountState, prev: Option<&Trie>) -> Option<Trie> {
+    match prev {
         // Only the body changed: the retained trie stands.
-        (DirtyAccount::Slots(slots), Some(_)) if slots.is_empty() => None,
+        Some(_) if slots.is_empty() => None,
         // Precise slot tracking with a retained trie: patch only the dirty
         // slots, in one batch. A slot now zero/absent is deleted from the
         // trie.
-        (DirtyAccount::Slots(slots), Some(prev)) => {
+        Some(prev) => {
             let slots: Vec<(&H256, U256)> = slots
                 .iter()
                 .map(|slot| (slot, acct.storage.get(slot).copied().unwrap_or(U256::ZERO)))
@@ -896,9 +863,9 @@ fn patched_storage(dirt: &DirtyAccount, acct: &AccountState, prev: Option<&Trie>
             apply_hashed(&mut trie, storage_leaves(slots));
             Some(trie)
         }
-        // Fully dirty, or no retained trie (storage was empty at the last
-        // commit): rebuild from the account's slots.
-        _ => Some(storage_trie_pending(&nonzero_slots(acct))),
+        // No retained trie (storage was empty at the last commit, or this
+        // is the lineage's first): rebuild from the account's slots.
+        None => Some(storage_trie_pending(&slot_map(acct))),
     }
 }
 
@@ -960,7 +927,7 @@ fn storage_leaf(value: &U256) -> Vec<u8> {
     let bytes = value.to_be_bytes();
     let trimmed = &bytes[bytes.iter().position(|&b| b != 0).unwrap_or(32)..];
     let mut leaf = Vec::with_capacity(1 + trimmed.len());
-    trie::rlp_str(trimmed, &mut leaf);
+    rlp::append_str(&mut leaf, trimmed);
     leaf
 }
 
@@ -1045,7 +1012,7 @@ mod tests {
         w.set_balance(addr(1), U256::from(5u64));
         let r = w.state_root();
         // Touch an account without giving it any substance.
-        w.account_mut(addr(9));
+        w.set_balance(addr(9), U256::ZERO);
         assert_eq!(w.state_root(), r);
     }
 
@@ -1177,8 +1144,7 @@ mod tests {
         let mut w = WorldState::new();
         w.set_balance(addr(1), U256::ONE);
         w.set_code(addr(2), vec![0x60, 0x00, 0x60, 0x00]);
-        w.account_mut(addr(3))
-            .install_code(Arc::new(vec![0xfe; 300]));
+        w.set_code(addr(3), Arc::new(vec![0xfe; 300]));
         w.set_code(addr(4), vec![0x00]);
         w.set_code(addr(4), Vec::new()); // back to no code
         w.set_nonce(addr(4), 1);
@@ -1309,8 +1275,12 @@ mod tests {
     fn rebuilt(w: &WorldState) -> WorldState {
         let mut fresh = WorldState::new();
         for (a, acct) in w.accounts() {
-            let m = fresh.account_mut(*a);
-            *m = acct.clone();
+            fresh.set_balance(*a, acct.balance);
+            fresh.set_nonce(*a, acct.nonce);
+            fresh.set_code(*a, Arc::clone(&acct.code));
+            for (slot, value) in acct.storage.iter() {
+                fresh.set_storage(*a, *slot, *value);
+            }
         }
         fresh
     }
@@ -1367,19 +1337,6 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn account_mut_escape_hatch_is_tracked() {
-        let mut w = WorldState::new();
-        w.set_balance(addr(1), U256::ONE);
-        w.set_storage(addr(1), H256::from_low_u64(1), U256::from(2u64));
-        let _ = w.state_root();
-        // Mutate the storage map directly, bypassing set_storage.
-        w.account_mut(addr(1))
-            .storage
-            .insert(H256::from_low_u64(7), U256::from(8u64));
-        assert_eq!(w.state_root(), w.rebuild_root());
     }
 
     #[test]
@@ -1645,15 +1602,14 @@ mod tests {
                             for _ in 0..rng.gen_range(1..=12) {
                                 let a = addr(rng.gen_range(0..ACCOUNTS + 20));
                                 let v = U256::from(rng.gen_range(0..3u64));
-                                match rng.gen_range(0..5) {
+                                match rng.gen_range(0..4) {
                                     0 => child.set_balance(a, v),
                                     1 => child.set_nonce(a, v.low_u64()),
                                     2 => {
                                         let slot = H256::from_low_u64(rng.gen_range(0..6));
                                         child.set_storage(a, slot, v);
                                     }
-                                    3 => child.set_code(a, vec![0x60; rng.gen_range(0..3)]),
-                                    _ => child.account_mut(a).balance = v,
+                                    _ => child.set_code(a, vec![0x60; rng.gen_range(0..3)]),
                                 }
                             }
                             // Published before it is hashed, so that the other

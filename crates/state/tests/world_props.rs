@@ -2,6 +2,8 @@
 //! function of contents, and write-set application has the algebraic
 //! properties OCC-WSI relies on (disjoint write sets commute).
 
+use std::sync::Arc;
+
 use bp_state::WorldState;
 use bp_testkit::prelude::*;
 use bp_types::{AccessKey, Address, WriteSet, H256, U256};
@@ -167,15 +169,14 @@ proptest! {
 
 /// Richer op stream for the incremental-commitment properties: zero writes
 /// (slot deletion), zeroed balances/nonces (EIP-161 account emptying), code
-/// installs, the `account_mut` escape hatch, CoW snapshots, and mid-sequence
-/// commits that advance the incremental memo.
+/// installs, CoW snapshots, and mid-sequence commits that advance the
+/// incremental memo.
 #[derive(Clone, Debug)]
 enum Op {
     Balance(u8, u8),
     Nonce(u8, u8),
     Storage(u8, u8, u8),
     Code(u8, u8),
-    RawStorage(u8, u8, u8),
     Commit,
     Fork,
 }
@@ -189,7 +190,6 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             (0u8..12, 0u8..4).prop_map(|(a, v)| Op::Nonce(a, v)),
             (0u8..12, 0u8..6, 0u8..4).prop_map(|(a, s, v)| Op::Storage(a, s, v)),
             (0u8..12, 0u8..3).prop_map(|(a, v)| Op::Code(a, v)),
-            (0u8..12, 0u8..6, 0u8..4).prop_map(|(a, s, v)| Op::RawStorage(a, s, v)),
             Just(Op::Commit),
             Just(Op::Fork),
         ],
@@ -206,17 +206,6 @@ fn apply_op(world: &mut WorldState, op: &Op) {
             world.set_storage(addr(a), H256::from_low_u64(s as u64), U256::from(v as u64))
         }
         Op::Code(a, v) => world.set_code(addr(a), vec![v; v as usize]),
-        Op::RawStorage(a, s, v) => {
-            // Bypass set_storage: mutate the account's storage map directly
-            // through the conservatively-tracked escape hatch.
-            let acct = world.account_mut(addr(a));
-            let slot = H256::from_low_u64(s as u64);
-            if v == 0 {
-                acct.storage.remove(&slot);
-            } else {
-                acct.storage.insert(slot, U256::from(v as u64));
-            }
-        }
         Op::Commit | Op::Fork => {}
     }
 }
@@ -225,7 +214,12 @@ fn apply_op(world: &mut WorldState, op: &Op) {
 fn fresh_copy(world: &WorldState) -> WorldState {
     let mut fresh = WorldState::new();
     for (a, acct) in world.accounts() {
-        *fresh.account_mut(*a) = acct.clone();
+        fresh.set_balance(*a, acct.balance);
+        fresh.set_nonce(*a, acct.nonce);
+        fresh.set_code(*a, Arc::clone(&acct.code));
+        for (slot, value) in acct.storage.iter() {
+            fresh.set_storage(*a, *slot, *value);
+        }
     }
     fresh
 }

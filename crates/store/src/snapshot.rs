@@ -63,12 +63,11 @@ pub fn decode_world(bytes: &[u8]) -> Result<WorldState, StoreError> {
     while !accounts.is_empty() {
         let mut fields = accounts.list().map_err(|_| corrupt("account not a list"))?;
         let addr = fields.address().map_err(|_| corrupt("address"))?;
-        let acct = world.account_mut(addr);
-        acct.nonce = fields.u64().map_err(|_| corrupt("nonce"))?;
-        acct.balance = fields.u256().map_err(|_| corrupt("balance"))?;
+        world.set_nonce(addr, fields.u64().map_err(|_| corrupt("nonce"))?);
+        world.set_balance(addr, fields.u256().map_err(|_| corrupt("balance"))?);
         let code = fields.bytes().map_err(|_| corrupt("code"))?;
         if !code.is_empty() {
-            acct.install_code(std::sync::Arc::new(code.to_vec()));
+            world.set_code(addr, code.to_vec());
         }
         let mut slots = fields.list().map_err(|_| corrupt("storage"))?;
         fields.end().map_err(|_| corrupt("account field count"))?;
@@ -77,7 +76,7 @@ pub fn decode_world(bytes: &[u8]) -> Result<WorldState, StoreError> {
             let slot = kv.h256().map_err(|_| corrupt("storage slot"))?;
             let value = kv.u256().map_err(|_| corrupt("storage value"))?;
             kv.end().map_err(|_| corrupt("storage entry arity"))?;
-            acct.storage.insert(slot, value);
+            world.set_storage(addr, slot, value);
         }
     }
     Ok(world)

@@ -9,15 +9,17 @@
 
 use std::sync::Arc;
 
-use blockpilot::block::{genesis_header, Block};
+use blockpilot::block::{decode_block, encode_block, genesis_header, Block};
 use blockpilot::concurrent::Crew;
 use blockpilot::core::{
     ConflictGranularity, OccWsiConfig, OccWsiProposer, PipelineConfig, Proposal, ValidationError,
     Validator,
 };
+use blockpilot::crypto::keccak256;
+use blockpilot::evm::{asm::Asm, contracts, create_address, opcode::Op, Transaction};
 use blockpilot::state::WorldState;
 use blockpilot::txpool::TxPool;
-use blockpilot::types::{AccessKey, BlockHash, H256, U256};
+use blockpilot::types::{AccessKey, Address, BlockHash, H256, U256};
 use blockpilot::workload::{WorkloadConfig, WorkloadGen};
 use bp_testkit::within;
 
@@ -246,6 +248,114 @@ fn descendants_running_ahead_on_a_lying_profile_fall_with_it() {
                 let outcome = validator.receive_block(late).wait();
                 assert_eq!(outcome.result, Err(ValidationError::ParentInvalid));
                 assert_eq!(outcome.executed_txs, 0, "{order:?}");
+            });
+        }
+    }
+}
+
+/// Init code that returns `runtime` as the code to deploy.
+fn init_code(runtime: &[u8]) -> Vec<u8> {
+    let mut asm = Asm::new();
+    for (i, byte) in runtime.iter().enumerate() {
+        asm = asm
+            .push_u64(u64::from(*byte))
+            .push_u64(i as u64)
+            .op(Op::MStore8);
+    }
+    asm.push_u64(runtime.len() as u64)
+        .push_u64(0)
+        .op(Op::Return)
+        .build()
+}
+
+/// Proposes `txs` on `base` as the block at `height` above `parent`.
+fn propose_txs(
+    txs: impl IntoIterator<Item = Transaction>,
+    base: &Arc<WorldState>,
+    parent: BlockHash,
+    height: u64,
+) -> Proposal {
+    let pool = TxPool::new();
+    for tx in txs {
+        pool.add(tx);
+    }
+    let proposer = OccWsiProposer::new(OccWsiConfig {
+        threads: 2,
+        ..OccWsiConfig::default()
+    });
+    proposer.propose(&pool, Arc::clone(base), parent, height)
+}
+
+#[test]
+fn a_deployment_whose_profile_ships_other_code_is_rejected_with_its_callers() {
+    let sender = |i: u64| Address::from_index(i);
+    let mut world = WorldState::new();
+    for i in 1..=3 {
+        world.set_balance(sender(i), U256::from(100_000_000u64));
+    }
+    let world = Arc::new(world);
+    // Block 1 deploys the counter beside a transfer; block 2 calls it.
+    let deploy = Transaction {
+        sender: sender(1),
+        to: None,
+        value: U256::ZERO,
+        nonce: 0,
+        gas_limit: 2_000_000,
+        gas_price: 10,
+        data: init_code(&contracts::counter()),
+    };
+    let transfer = Transaction::transfer(sender(2), sender(3), U256::ONE, 0, 1);
+    let p1 = propose_txs([deploy, transfer], &world, genesis_of(&world), 1);
+    let contract = create_address(&sender(1), 0);
+    let call = Transaction {
+        gas_limit: 200_000,
+        ..Transaction::transfer(sender(2), contract, U256::ZERO, 1, 1)
+    };
+    let s1 = Arc::new(p1.post_state.clone());
+    let p2 = propose_txs([call], &s1, p1.block.hash(), 2);
+    assert_eq!((p1.block.tx_count(), p2.block.tx_count()), (2, 1));
+    // The lie: the deployment's entry ships code that only stops, its
+    // write the hash of that code — a block that encodes and decodes to
+    // itself, so nothing short of executing the CREATE tells.
+    let index = p1
+        .block
+        .transactions
+        .iter()
+        .position(|tx| tx.to.is_none())
+        .unwrap();
+    let mut lying = p1.block.clone();
+    let other = vec![Op::Stop as u8];
+    let entry = &mut lying.profile.entries[index];
+    entry
+        .writes
+        .insert(AccessKey::Code(contract), keccak256(&other).to_u256());
+    entry.code.insert(contract, Arc::new(other));
+    assert_eq!(decode_block(&encode_block(&lying)).as_ref(), Ok(&lying));
+    for crew in crews() {
+        for child_first in [false, true] {
+            let (crew, lying, child, world) = (
+                crew.clone(),
+                lying.clone(),
+                p2.block.clone(),
+                Arc::clone(&world),
+            );
+            within(move || {
+                let validator = crew.install(|| validator_on(&world));
+                let (h1, h2) = match child_first {
+                    false => {
+                        let h1 = validator.receive_block(lying);
+                        (h1, validator.receive_block(child))
+                    }
+                    true => {
+                        let h2 = validator.receive_block(child);
+                        (validator.receive_block(lying), h2)
+                    }
+                };
+                assert_eq!(
+                    h1.wait().result,
+                    Err(ValidationError::ProfileMismatch { index })
+                );
+                assert_eq!(h2.wait().result, Err(ValidationError::ParentInvalid));
             });
         }
     }

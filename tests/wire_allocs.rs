@@ -2,7 +2,10 @@
 //! allocates what the `Block` itself holds — the transaction `Vec`, the
 //! profile `Vec`, one buffer per non-empty call data and two maps per
 //! profile entry, `3·txs + 2` at most — each once at its final size: no
-//! item tree, no per-item buffer, no regrowth. Counted with a
+//! item tree, no per-item buffer, no regrowth. An entry that carries code
+//! adds `1 + 2·codes`: its code map, and each code's bytes and their `Arc`
+//! (the map regrows as it passes three codes, seven, ...). The blocks
+//! measured here deploy nothing, so they carry none. Counted with a
 //! `#[global_allocator]`, so this file holds one test and nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};

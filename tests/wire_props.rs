@@ -9,6 +9,7 @@ use std::sync::Arc;
 use blockpilot::block::wire::reference;
 use blockpilot::block::{decode_block, encode_block, Block, BlockHeader, BlockProfile, TxProfile};
 use blockpilot::core::{OccWsiConfig, OccWsiProposer};
+use blockpilot::crypto::keccak256;
 use blockpilot::evm::Transaction;
 use blockpilot::txpool::TxPool;
 use blockpilot::types::{AccessKey, Address, BlockHash, H256, U256};
@@ -54,6 +55,16 @@ fn arb_key() -> impl Strategy<Value = AccessKey> {
     ]
 }
 
+/// Call data or code: empty, one-byte strings on both sides of 0x80, and
+/// strings past the 55-byte short form.
+fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        Just(Vec::new()),
+        prop::collection::vec(any::<u8>(), 1..3),
+        prop::collection::vec(any::<u8>(), 50..70),
+    ]
+}
+
 fn arb_tx() -> impl Strategy<Value = Transaction> {
     (
         arb_address(),
@@ -62,11 +73,7 @@ fn arb_tx() -> impl Strategy<Value = Transaction> {
         arb_u64(),
         arb_u64(),
         arb_u64(),
-        prop_oneof![
-            Just(Vec::new()),
-            prop::collection::vec(any::<u8>(), 1..3),
-            prop::collection::vec(any::<u8>(), 50..70),
-        ],
+        arb_bytes(),
     )
         .prop_map(
             |(sender, to, value, nonce, gas_limit, gas_price, data)| Transaction {
@@ -81,16 +88,32 @@ fn arb_tx() -> impl Strategy<Value = Transaction> {
         )
 }
 
+/// A profile entry whose `Code` writes are spelled as the wire spells
+/// them: each ships its code, and its value is the code's hash.
 fn arb_entry() -> impl Strategy<Value = TxProfile> {
     (
         prop::collection::vec((arb_key(), arb_u64()), 0..6),
-        prop::collection::vec((arb_key(), arb_u256()), 0..6),
+        prop::collection::vec((arb_key(), arb_u256(), arb_bytes()), 0..6),
         arb_u64(),
     )
-        .prop_map(|(reads, writes, gas_used)| TxProfile {
-            reads: reads.into_iter().collect(),
-            writes: writes.into_iter().collect(),
-            gas_used,
+        .prop_map(|(reads, writes, gas_used)| {
+            let mut entry = TxProfile {
+                reads: reads.into_iter().collect(),
+                gas_used,
+                ..TxProfile::default()
+            };
+            for (key, value, code) in writes {
+                let value = match key {
+                    AccessKey::Code(addr) => {
+                        let value = keccak256(&code).to_u256();
+                        entry.code.insert(addr, Arc::new(code));
+                        value
+                    }
+                    _ => value,
+                };
+                entry.writes.insert(key, value);
+            }
+            entry
         })
 }
 
