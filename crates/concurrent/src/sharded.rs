@@ -103,20 +103,6 @@ impl<K: Hash + Eq, V, S: BuildHasher> ShardedMap<K, V, S> {
             }
         }
     }
-
-    /// Snapshots all entries into a `Vec` (shard by shard).
-    pub fn snapshot(&self) -> Vec<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            let g = s.read();
-            out.extend(g.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -128,12 +114,11 @@ mod tests {
     #[test]
     fn basic_ops() {
         let m: ShardedMap<u64, String> = ShardedMap::for_threads(1);
-        assert!(m.snapshot().is_empty());
         assert_eq!(m.get(&1), None);
         assert_eq!(m.insert(1, "a".into()), None);
         assert_eq!(m.insert(1, "b".into()), Some("a".into()));
         assert_eq!(m.get(&1), Some("b".into()));
-        assert_eq!(m.snapshot().len(), 1);
+        assert_eq!(m.get(&2), None);
     }
 
     #[test]
@@ -175,15 +160,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_collects_everything() {
+    fn inserts_across_shards_read_back() {
         let m: ShardedMap<u64, u64> = ShardedMap::with_shards(4);
         for i in 0..100 {
             m.insert(i, i * 2);
         }
-        let mut snap = m.snapshot();
-        snap.sort_unstable();
-        assert_eq!(snap.len(), 100);
-        assert_eq!(snap[10], (10, 20));
+        for i in 0..100 {
+            assert_eq!(m.get(&i), Some(i * 2));
+            assert_eq!(m.with(&i, |v| v.copied()), Some(i * 2));
+        }
+        assert_eq!(m.get(&100), None);
     }
 
     #[test]
@@ -204,7 +190,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let total: u64 = m.snapshot().into_iter().map(|(_, v)| v).sum();
+        let total: u64 = (0..64).map(|key| m.get(&key).unwrap_or(0)).sum();
         assert_eq!(total, 8000);
     }
 }

@@ -230,7 +230,9 @@ impl OccWsiProposer {
 
     /// Runs Algorithm 1: executes transactions from `pool` in parallel over
     /// `parent_state` until the gas limit is reached or the pool drains,
-    /// then seals the block on top of `parent`.
+    /// then seals the block on top of `parent`. A caller that keeps no other
+    /// handle on `parent_state` gives it up: the post-state is sealed into
+    /// it in place.
     pub fn propose(
         &self,
         pool: &TxPool,
@@ -322,7 +324,10 @@ impl OccWsiProposer {
             transactions: txs,
             profile,
         };
-        let post_state = fold(mv.base(), &block);
+        // The parent comes back from the pack: the post-state is folded into
+        // it in place when the caller handed over its only handle, into a
+        // snapshot of it otherwise.
+        let post_state = fold(Arc::unwrap_or_clone(mv.into_base()), &block);
         block.header.state_root = post_state.state_root();
 
         let committed = block.transactions.len() as u64;
@@ -901,6 +906,92 @@ mod tests {
             .expect("replay must accept")
             .post_state;
         assert_eq!(replay.state_root(), proposal.post_state.state_root());
+    }
+
+    /// Init code that deploys the counter contract.
+    fn counter_init() -> Vec<u8> {
+        let runtime = contracts::counter();
+        let mut asm = Asm::new();
+        for (i, b) in runtime.iter().enumerate() {
+            asm = asm.push_u64(*b as u64).push_u64(i as u64).op(Op::MStore8);
+        }
+        asm.push_u64(runtime.len() as u64)
+            .push_u64(0)
+            .op(Op::Return)
+            .build()
+    }
+
+    #[test]
+    fn a_proposer_that_hands_its_parent_over_seals_what_one_that_keeps_it_seals() {
+        use bp_block::encode_block;
+        use bp_workload::{WorkloadConfig, WorkloadGen};
+
+        // Transfers, token transfers and AMM swaps, and one deployment.
+        let mut gen = WorkloadGen::new(WorkloadConfig {
+            accounts: 300,
+            txs_per_block: 48,
+            tx_jitter: 8,
+            ..WorkloadConfig::default()
+        });
+        let deployer = addr(0xDE_9107);
+        let mut genesis = gen.genesis_state();
+        genesis.set_balance(deployer, U256::from(1_000_000_000u64));
+        // Sealed into its parent in place from the second height on (the
+        // first shares the genesis with the other lineage) ...
+        let mut handed = Arc::new(genesis.snapshot());
+        // ... and into a snapshot of a parent that stays, with its root.
+        let mut kept = Arc::new(genesis);
+        let mut kept_roots: Vec<(Arc<WorldState>, H256)> = Vec::new();
+        let mut parent = BlockHash::ZERO;
+        for height in 1..=20u64 {
+            let mut txs = gen.next_block_txs();
+            if height == 7 {
+                txs.push(Transaction {
+                    sender: deployer,
+                    to: None,
+                    value: U256::ZERO,
+                    nonce: 0,
+                    gas_limit: 2_000_000,
+                    gas_price: 1,
+                    data: counter_init(),
+                });
+            }
+            // One worker: both lineages pack the pool in the same order.
+            let p = OccWsiProposer::new(OccWsiConfig {
+                threads: 1,
+                gas_limit: 30_000_000,
+                env: gen.block_env(height),
+            });
+            let pools = [TxPool::new(), TxPool::new()];
+            for pool in &pools {
+                pool.add_batch(&mut txs.clone());
+            }
+            assert_eq!(Arc::strong_count(&handed), 1);
+            let a = p.propose(&pools[0], handed, parent, height);
+            let b = p.propose(&pools[1], Arc::clone(&kept), parent, height);
+            assert_eq!(
+                encode_block(&a.block),
+                encode_block(&b.block),
+                "height {height}"
+            );
+            assert_eq!(a.block.tx_count(), txs.len(), "height {height}");
+            let serial = execute_block_serially(&kept, &p.config.env, &b.block.transactions)
+                .expect("replay must accept")
+                .post_state;
+            assert_eq!(a.block.header.state_root, serial.state_root());
+            assert_eq!(a.post_state.state_root(), serial.state_root());
+            kept_roots.push((Arc::clone(&kept), kept.state_root()));
+            parent = a.block.hash();
+            handed = Arc::new(a.post_state);
+            kept = Arc::new(b.post_state);
+        }
+        let deployed = bp_evm::create_address(&deployer, 0);
+        assert_eq!(*handed.code(&deployed), contracts::counter());
+        // Nothing the handed-over lineage edited in place was a kept state's.
+        for (state, root) in kept_roots {
+            assert_eq!(state.state_root(), root);
+            assert_eq!(state.rebuild_root(), root);
+        }
     }
 
     #[test]

@@ -703,7 +703,7 @@ impl Starter {
         }
         let post = match header_error {
             Some(_) => None,
-            None => Some(Arc::new(fold(&parent.state, &block))),
+            None => Some(Arc::new(fold(parent.state.snapshot(), &block))),
         };
         let root = Arc::new(RootLatch::new());
         // What the block publishes now, its commit begun first: a child
@@ -783,19 +783,22 @@ impl Starter {
     }
 }
 
-/// The post-state `block`'s profile claims: the parent with every entry's
-/// writes applied in block order, each entry's code installed after its
-/// writes, then the coinbase credited with the fees the entries' gas
-/// implies (`gas_used × gas_price` each). Both roles seal through it, and
-/// it is the one place where a post-state gets deployed code: the
-/// proposer's post-state is this fold of the block it built, and the
-/// validator's jobs confirm it, a transaction validating only if its
+/// The post-state `block`'s profile claims: `world`, the parent state,
+/// with every entry's writes applied in block order, each entry's code
+/// installed after its writes, then the coinbase credited with the fees
+/// the entries' gas implies (`gas_used × gas_price` each). Both roles seal
+/// through it, and it is the one place where a post-state gets deployed
+/// code: the proposer's post-state is this fold of the block it built, and
+/// the validator's jobs confirm it, a transaction validating only if its
 /// replayed write set, gas and deployed code equal its entry's.
-pub(crate) fn fold(parent: &WorldState, block: &Block) -> WorldState {
-    // Copy-on-write snapshot of the parent state: a pointer bump, whatever
-    // the number of accounts; the writes below copy only the paths they
-    // take. It does not wait for the parent's root, which may still hash.
-    let mut world = parent.snapshot();
+///
+/// The fold takes the world it writes by value. The validator hands it a
+/// snapshot of a parent that stays published — a pointer bump, whatever the
+/// number of accounts, after which the writes copy only the paths they
+/// take, and which does not wait for the parent's root. The proposer hands
+/// it the parent itself when it held the only handle on it, and the writes,
+/// then the root, edit that state in place.
+pub(crate) fn fold(mut world: WorldState, block: &Block) -> WorldState {
     let mut fees = U256::ZERO;
     for (entry, tx) in block.profile.entries.iter().zip(&block.transactions) {
         world.apply_writes(&entry.writes);

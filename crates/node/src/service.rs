@@ -594,10 +594,15 @@ impl RunningNode {
                         gas_limit: config.gas_limit,
                         env: envs.block_env(height),
                     };
+                    // A racing height seals a sibling on the same parent, so
+                    // it keeps a handle on it; otherwise the proposer hands
+                    // over its only one, and the block is sealed into the
+                    // parent in place.
+                    let racer_parent = source.races_at(height).then(|| Arc::clone(&parent_state));
                     let t = Instant::now();
                     let proposal = OccWsiProposer::new(engine_config).propose(
                         &pool,
-                        Arc::clone(&parent_state),
+                        parent_state,
                         parent_hash,
                         height,
                     );
@@ -608,11 +613,11 @@ impl RunningNode {
                     let mut blocks = vec![proposal.block];
                     let mut post_state = proposal.post_state;
 
-                    if source.races_at(height) {
+                    if let Some(racer_parent) = racer_parent {
                         let t = Instant::now();
                         let sibling = seal_sibling(
                             &blocks[0],
-                            Arc::clone(&parent_state),
+                            racer_parent,
                             config.gas_limit,
                             envs.block_env(height),
                         );
@@ -632,7 +637,9 @@ impl RunningNode {
 
                     // Chain on our own proposal: the next height packs
                     // against this post-state while the validators are
-                    // still digesting this height.
+                    // still digesting this height. Nobody else reads the
+                    // proposer's chain of states, so this is the only handle
+                    // on it, and no earlier state is left to free.
                     parent_state = Arc::new(post_state);
 
                     // One encode, K receivers: the bytes go out shared.

@@ -80,9 +80,10 @@ impl MultiVersionState {
         version
     }
 
-    /// The version-0 world.
-    pub fn base(&self) -> &Arc<WorldState> {
-        &self.base
+    /// The version-0 world, handed back once the block is packed: the
+    /// caller's own handle on it again, the only one if it gave that up.
+    pub fn into_base(self) -> Arc<WorldState> {
+        self.base
     }
 
     /// Reads `key` as of snapshot `version`: the newest committed value with

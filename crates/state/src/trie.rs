@@ -8,22 +8,25 @@
 //! states are considered identical only if their MPT roots are the same").
 //!
 //! Nodes are **structurally shared**: children are held behind [`Arc`], so
-//! `Trie::clone` is O(1) and a mutation copies only the nodes on the touched
-//! paths while every untouched subtree stays shared with prior clones.
+//! `Trie::clone` is O(1). A mutation copies a node on its paths that some
+//! other trie still points at (copy-on-write, so every clone keeps what it
+//! had) and edits in place a node this trie holds alone, so that a trie
+//! nobody cloned allocates only the leaves it writes and frees nothing but
+//! the ones they replace.
 //!
 //! The trie is **always committed**. Every child slot holds, beside the
 //! pointer, the child's *commitment* — its keccak hash, or its whole
 //! encoding when that is shorter than 32 bytes — and the trie handle holds
 //! the root's. Encoding a node therefore reads that node alone, and a
-//! mutation hashes exactly the nodes it creates. Mutations arrive as sorted
-//! batches ([`Trie::apply_batch`]; `insert`/`remove` are batches of one) and
-//! are applied in **one recursive descent** that splits the batch by nibble
-//! at each branch: a node under k of the batch's keys is copied and hashed
-//! once, not k times. The descent only builds: it leaves the nodes it
-//! creates *pending*, and they are then hashed **level by level, deepest
-//! first**, across the whole batch — the nodes of one level do not depend on
-//! one another, so each level is one batch for the eight-at-a-time keccak
-//! kernel ([`bp_crypto::keccak256_batch`]). This is what makes the world
+//! mutation hashes exactly the nodes it creates or edits. Mutations arrive
+//! as sorted batches ([`Trie::apply_batch`]; `insert`/`remove` are batches
+//! of one) and are applied in **one recursive descent** that splits the
+//! batch by nibble at each branch: a node under k of the batch's keys is
+//! copied (or edited in place) and hashed once, not k times. The descent
+//! only builds: it leaves the nodes it creates or edits *pending*, and they
+//! are then hashed **level by level, deepest first**, across the whole
+//! batch — the nodes of one level do not depend on one another, so each
+//! level is one batch for the eight-at-a-time keccak kernel ([`bp_crypto::keccak256_batch`]). This is what makes the world
 //! state's incremental commitment cost O(touched nodes / 8) permutation
 //! calls per block and little else.
 //!
@@ -31,7 +34,7 @@
 //! ([`Trie::commit_nodes`]), which the tests use to cross-check the
 //! commitment logic.
 
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use bp_crypto::{keccak256, keccak256_batch, rlp};
 use bp_types::H256;
@@ -169,7 +172,8 @@ impl std::fmt::Debug for Commitment {
     }
 }
 
-/// A shared, immutable node. Cloning bumps a refcount.
+/// A node behind a reference count: shared and immutable while another
+/// handle points at it, edited in place by a descent that holds the only one.
 #[derive(Clone, Debug)]
 enum Node {
     Leaf(Arc<Leaf>),
@@ -185,13 +189,13 @@ struct Child {
     commit: Commitment,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Leaf {
     path: Nibbles,
     value: Vec<u8>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Extension {
     path: Nibbles,
     child: Child,
@@ -254,7 +258,7 @@ impl Node {
 /// structural tests: a batch must create and hash each node on its keys'
 /// paths once and no other.
 #[cfg(test)]
-mod counters {
+pub(crate) mod counters {
     use std::cell::Cell;
 
     thread_local! {
@@ -476,8 +480,9 @@ impl Trie {
     ///
     /// The batch is sorted and applied in one descent: at each branch the
     /// sorted run splits by nibble, so every node on the batch's paths is
-    /// copied and allocated once however many of the keys pass through it,
-    /// and the new nodes are then hashed level by level, eight at a time.
+    /// copied — or, held by this trie alone, edited in place — once however
+    /// many of the keys pass through it, and the new nodes are then hashed
+    /// level by level, eight at a time.
     ///
     /// The result is **identical** to applying the updates one by one: MPT
     /// structure is a pure function of the key set, so the root hash and the
@@ -514,7 +519,7 @@ impl Trie {
             "batch keys must be sorted and distinct"
         );
         if !updates.is_empty() {
-            self.root = apply(self.root.as_ref(), 0, updates).map(Sub::into_child);
+            self.root = apply(Held::of(&mut self.root), 0, updates).map(Sub::into_child);
         }
     }
 }
@@ -527,36 +532,41 @@ impl Trie {
 /// sixteen subtrees under the root branch takes the updates whose keys start
 /// with its nibble, on whichever thread, and [`Split::join`] puts a root back
 /// over them. The result is the trie [`Trie::apply_sorted`] gives for the
-/// whole batch — MPT structure is a function of the key set — node for node.
+/// whole batch — MPT structure is a function of the key set — node for node,
+/// and it edits in place what the trie held alone, as that does.
 pub(crate) struct Split {
-    /// The trie as it was, kept when no subtree changes.
-    old: Trie,
+    /// The root branch, its children moved out into `subtries` when the trie
+    /// held it alone, else handed to them as handles of their own; `None`
+    /// for an empty trie.
+    root: Option<Child>,
     subtries: [Subtrie; 16],
 }
 
 /// One subtree under a [`Split`] trie's root.
+#[derive(Default)]
 pub(crate) struct Subtrie {
-    old: Option<Child>,
-    /// The subtree after its updates, hashed; `None` while untouched.
-    new: Option<Option<Child>>,
+    child: Option<Child>,
 }
 
 impl Trie {
-    /// The trie opened at its root: `None` unless the root is a branch
-    /// without a value or the trie is empty. (A root leaf or extension
+    /// The trie opened at its root, or the trie given back unless its root
+    /// is a branch without a value or it is empty. (A root leaf or extension
     /// holds too few keys for a batch worth splitting.)
-    pub(crate) fn split(&self) -> Option<Split> {
-        let children = match &self.root {
-            None => std::array::from_fn(|_| None),
-            Some(Child {
-                node: Node::Branch(branch),
-                ..
-            }) if branch.value.is_none() => branch.children.clone(),
-            Some(_) => return None,
-        };
-        Some(Split {
-            old: self.clone(),
-            subtries: children.map(|old| Subtrie { old, new: None }),
+    pub(crate) fn split(mut self) -> Result<Split, Trie> {
+        if matches!(&self.root, Some(root) if !matches!(&root.node, Node::Branch(b) if b.value.is_none()))
+        {
+            return Err(self);
+        }
+        let mut subtries: [Subtrie; 16] = Default::default();
+        if let Some(root) = Held::of(&mut self.root) {
+            let mut root = OpenBranch::new(root);
+            for (n, subtrie) in subtries.iter_mut().enumerate() {
+                subtrie.child = root.child(n).map(Held::into_child);
+            }
+        }
+        Ok(Split {
+            root: self.root,
+            subtries,
         })
     }
 }
@@ -567,17 +577,16 @@ impl Split {
         &mut self.subtries
     }
 
-    /// The trie with the subtrees as they are now: a new root over them,
+    /// The trie with the subtrees as they are now: the root over them,
     /// hashed, or — a root branch left with one child — that child with its
     /// nibble merged into its path.
-    pub(crate) fn join(self) -> Trie {
-        if self.subtries.iter().all(|sub| sub.new.is_none()) {
-            return self.old;
-        }
-        let slots = self
-            .subtries
-            .map(|sub| sub.new.unwrap_or(sub.old).map(Sub::Kept));
-        let mut root = finish_branch(slots, None).map(Sub::into_child);
+    pub(crate) fn join(mut self) -> Trie {
+        let mut slots = self.subtries.map(|sub| sub.child.map(Sub::Kept));
+        let root = match Held::of(&mut self.root) {
+            Some(root) => OpenBranch::new(root).finish(&mut slots, u16::MAX, None),
+            None => finish_branch(slots, None),
+        };
+        let mut root = root.map(Sub::into_child);
         commit_levels(root.iter_mut());
         Trie { root }
     }
@@ -597,14 +606,14 @@ impl Subtrie {
                     .all(|u| nibble_at(u.0.as_ref(), 0) == nibble_at(updates[0].0.as_ref(), 0)),
             "batch keys must be sorted, distinct and under one nibble"
         );
-        self.new = Some(apply(self.old.as_ref(), 1, updates).map(Sub::into_child));
+        self.child = apply(Held::of(&mut self.child), 1, updates).map(Sub::into_child);
     }
 }
 
 /// Hashes what [`Subtrie::apply_sorted_pending`] left pending in
 /// `subtries`, all of them level by level together.
 pub(crate) fn commit_subtries<'a>(subtries: impl Iterator<Item = &'a mut Subtrie>) {
-    commit_levels(subtries.filter_map(|sub| sub.new.as_mut().and_then(Option::as_mut)));
+    commit_levels(subtries.filter_map(|sub| sub.child.as_mut()));
 }
 
 // ---------------------------------------------------------------------------
@@ -615,9 +624,10 @@ pub(crate) fn commit_subtries<'a>(subtries: impl Iterator<Item = &'a mut Subtrie
 enum Sub {
     /// A node that was there before the batch, committed.
     Kept(Child),
-    /// A node this descent created and nothing points at yet. It is still
-    /// unique, so if the level above collapses (a branch left with a single
-    /// child merges into it) its path can change before it is hashed.
+    /// A node this descent created, or edited in place, and nothing points
+    /// at yet. It is unique, so if the level above collapses (a branch left
+    /// with a single child merges into it) its path can change before it is
+    /// hashed.
     Fresh(Node),
 }
 
@@ -633,6 +643,83 @@ impl Sub {
 }
 
 const UNIQUE: &str = "a fresh node has one owner";
+
+/// A subtree handed down the descent. `Own` is the slot of a node no other
+/// trie reaches — the descent edits it in place, and takes it out of the
+/// slot when it hands it back. `Lent` is a node that other tries share, and
+/// every node under it is shared too: the descent only reads it and copies
+/// what it changes, and takes no count of its own. (Both are references:
+/// handed down by value, the descent's shared path ran 7–9 % slower.)
+enum Held<'a> {
+    Own(&'a mut Option<Child>),
+    Lent(&'a Child),
+}
+
+const HELD: &str = "a held slot is occupied";
+
+impl<'a> Held<'a> {
+    /// The subtree in `slot`, if any: owned when this trie holds its only
+    /// handle, else lent.
+    fn of(slot: &'a mut Option<Child>) -> Option<Self> {
+        let child = slot.as_mut()?;
+        let alone = match &mut child.node {
+            Node::Leaf(node) => Arc::get_mut(node).is_some(),
+            Node::Extension(node) => Arc::get_mut(node).is_some(),
+            Node::Branch(node) => Arc::get_mut(node).is_some(),
+        };
+        Some(match alone {
+            true => Held::Own(slot),
+            false => Held::Lent(slot.as_ref().expect(HELD)),
+        })
+    }
+
+    fn child(&self) -> &Child {
+        match self {
+            Held::Own(slot) => slot.as_ref().expect(HELD),
+            Held::Lent(child) => child,
+        }
+    }
+
+    /// The subtree as a value: taken out of its slot, or a new handle on
+    /// the shared node.
+    fn into_child(self) -> Child {
+        match self {
+            Held::Own(slot) => slot.take().expect(HELD),
+            Held::Lent(child) => child.clone(),
+        }
+    }
+
+    /// The subtree as the batch left it: unchanged.
+    fn kept(self) -> Sub {
+        Sub::Kept(self.into_child())
+    }
+}
+
+/// `node` for editing: itself when this handle is its only one — no other
+/// trie can reach it — else a copy put in its place, which shares the node's
+/// children.
+fn unshare<T: Clone>(node: &mut Arc<T>) -> &mut T {
+    #[cfg(test)]
+    if Arc::get_mut(node).is_none() {
+        counters::bump(&counters::ALLOCATED);
+    }
+    Arc::make_mut(node)
+}
+
+/// What an extension's child slot holds while the descent has the child out:
+/// a node nobody reads, one for all such slots.
+fn hole() -> Child {
+    static HOLE: LazyLock<Node> = LazyLock::new(|| {
+        Node::Leaf(Arc::new(Leaf {
+            path: Nibbles::default(),
+            value: Vec::new(),
+        }))
+    });
+    Child {
+        node: HOLE.clone(),
+        commit: Commitment::pending(0, 0),
+    }
+}
 
 /// Hashes every node left pending under `roots` — the subtrees one or more
 /// descents returned — level by level from the bottom. A level's nodes embed
@@ -716,21 +803,23 @@ fn is_insert<K>(update: &Update<K>) -> bool {
 }
 
 /// Applies `updates` — sorted, distinct, all sharing their first `depth`
-/// nibbles — to the subtree `old` rooted at that depth. Every node created
-/// below the returned one sits pending in its parent's slot; the returned
-/// one is left to the caller, which may still merge a path into it.
+/// nibbles — to the subtree `old` rooted at that depth: what the descent
+/// holds alone it edits in place, what it shares it copies. Every node
+/// created or edited below the returned one sits pending in its parent's
+/// slot; the returned one is left to the caller, which may still merge a
+/// path into it.
 fn apply<K: AsRef<[u8]>>(
-    old: Option<&Child>,
+    old: Option<Held>,
     depth: usize,
     updates: &mut [Update<K>],
 ) -> Option<Sub> {
-    let Some(child) = old else {
+    let Some(held) = old else {
         return build(depth, updates, None);
     };
     if updates.is_empty() {
-        return Some(Sub::Kept(child.clone()));
+        return Some(held.kept());
     }
-    match &child.node {
+    match &held.child().node {
         Node::Leaf(leaf) => {
             // The leaf is one more entry of the subtree the batch builds,
             // unless the batch rewrites or removes that very key.
@@ -742,46 +831,131 @@ fn apply<K: AsRef<[u8]>>(
             } else if updates.iter().any(is_insert) {
                 build(depth, updates, Some(Resident { leaf, base: depth }))
             } else {
-                Some(Sub::Kept(child.clone()))
+                Some(held.kept())
             }
         }
-        Node::Extension(ext) => apply_extension(Some(child), ext, 0, depth, updates),
-        Node::Branch(branch) => {
-            load_child_counts(branch);
+        Node::Extension(_) => apply_extension(held, depth, updates),
+        Node::Branch(_) => {
+            let mut branch = OpenBranch::new(held);
             let (ending, mut rest) = split_ending_at(updates, depth);
             let value = match ending {
                 Some(update) => update.1.take().filter(|v| !v.is_empty()),
-                None => branch.value.clone(),
+                None => branch.take_value(),
             };
             let mut slots: [Option<Sub>; 16] = std::array::from_fn(|_| None);
             let mut touched = 0u16;
             while !rest.is_empty() {
                 let (nibble, group, tail) = split_group(rest, depth);
-                slots[nibble] = apply(branch.children[nibble].as_ref(), depth + 1, group);
+                slots[nibble] = apply(branch.child(nibble), depth + 1, group);
                 touched |= 1 << nibble;
                 rest = tail;
             }
-            let is_touched = |n: usize| touched >> n & 1 == 1;
-            let occupied = (0..16)
-                .filter(|&n| match is_touched(n) {
-                    true => slots[n].is_some(),
-                    false => branch.children[n].is_some(),
-                })
-                .count();
-            if occupied + usize::from(value.is_some()) >= 2 {
-                // Still a branch: its touched children go into their
-                // slots, the others are shared with the old one.
+            branch.finish(&mut slots, touched, value)
+        }
+    }
+}
+
+/// A branch a batch passes through: the slot of one the descent holds
+/// alone, edited in place, or one other tries still point at, which is read
+/// and — if a branch is left over its slots — copied.
+enum OpenBranch<'a> {
+    Owned(&'a mut Option<Child>),
+    Shared(&'a Branch),
+}
+
+impl<'a> OpenBranch<'a> {
+    fn new(held: Held<'a>) -> Self {
+        match held {
+            Held::Own(slot) => OpenBranch::Owned(slot),
+            Held::Lent(child) => {
+                let Node::Branch(branch) = &child.node else {
+                    unreachable!("opened on a branch")
+                };
+                load_child_counts(branch);
+                OpenBranch::Shared(branch)
+            }
+        }
+    }
+
+    /// The fields of the owned branch in `slot`, for editing.
+    fn owned(slot: &mut Option<Child>) -> &mut Branch {
+        match &mut slot.as_mut().expect(HELD).node {
+            Node::Branch(branch) => Arc::get_mut(branch).expect(UNIQUE),
+            _ => unreachable!("opened on a branch"),
+        }
+    }
+
+    fn fields(&self) -> &Branch {
+        match self {
+            OpenBranch::Owned(slot) => match &slot.as_ref().expect(HELD).node {
+                Node::Branch(branch) => branch,
+                _ => unreachable!("opened on a branch"),
+            },
+            OpenBranch::Shared(branch) => branch,
+        }
+    }
+
+    /// The child in slot `n`, for the descent.
+    fn child(&mut self, n: usize) -> Option<Held<'_>> {
+        match self {
+            OpenBranch::Owned(slot) => Held::of(&mut Self::owned(slot).children[n]),
+            OpenBranch::Shared(branch) => branch.children[n].as_ref().map(Held::Lent),
+        }
+    }
+
+    /// The branch's value: taken out of an owned branch, copied from a
+    /// shared one.
+    fn take_value(&mut self) -> Option<Vec<u8>> {
+        match self {
+            OpenBranch::Owned(slot) => Self::owned(slot).value.take(),
+            OpenBranch::Shared(branch) => branch.value.clone(),
+        }
+    }
+
+    /// The branch once the batch is done, with what it left of the
+    /// `touched` children in `slots` and `value`: still a branch — the
+    /// owned one edited in place and taken out of its slot, a copy of the
+    /// shared one — or, left with one entry or none, what [`finish_branch`]
+    /// makes of it.
+    fn finish(
+        mut self,
+        slots: &mut [Option<Sub>; 16],
+        touched: u16,
+        value: Option<Vec<u8>>,
+    ) -> Option<Sub> {
+        let is_touched = |n: usize| touched >> n & 1 == 1;
+        let children = &self.fields().children;
+        let occupied = (0..16)
+            .filter(|&n| match is_touched(n) {
+                true => slots[n].is_some(),
+                false => children[n].is_some(),
+            })
+            .count();
+        if occupied + usize::from(value.is_some()) < 2 {
+            for n in (0..16).filter(|&n| !is_touched(n)) {
+                slots[n] = self.child(n).map(Held::kept);
+            }
+            return finish_branch(std::mem::take(slots), value);
+        }
+        Some(Sub::Fresh(match self {
+            // Edited in place: its untouched children stay where they are.
+            OpenBranch::Owned(slot) => {
+                let fields = Self::owned(slot);
+                for n in (0..16).filter(|&n| is_touched(n)) {
+                    fields.children[n] = slots[n].take().map(Sub::into_child);
+                }
+                fields.value = value;
+                slot.take().expect(HELD).node
+            }
+            // A copy: its untouched children are shared with the old one.
+            OpenBranch::Shared(branch) => {
                 let children = std::array::from_fn(|n| match is_touched(n) {
                     true => slots[n].take().map(Sub::into_child),
                     false => branch.children[n].clone(),
                 });
-                return Some(Sub::Fresh(Node::branch(children, value)));
+                Node::branch(children, value)
             }
-            for n in (0..16).filter(|&n| !is_touched(n)) {
-                slots[n] = branch.children[n].clone().map(Sub::Kept);
-            }
-            finish_branch(slots, value)
-        }
+        }))
     }
 }
 
@@ -854,29 +1028,35 @@ fn finish_branch(mut slots: [Option<Sub>; 16], value: Option<Vec<u8>>) -> Option
 }
 
 /// Puts `prefix` in front of a subtree: merged into the path of a leaf or an
-/// extension, as a new extension over a branch.
+/// extension — in place when this is its only handle, else into a copy — or
+/// as a new extension over a branch.
 fn prepend(prefix: &Nibbles, sub: Sub) -> Sub {
     if prefix.is_empty() {
         return sub;
     }
-    let longer = |path: &mut Nibbles| *path = prefix.concat(path);
     Sub::Fresh(match sub {
-        Sub::Kept(child) => match &child.node {
-            Node::Leaf(leaf) => Node::leaf(prefix.concat(&leaf.path), leaf.value.clone()),
-            Node::Extension(ext) => Node::extension(prefix.concat(&ext.path), ext.child.clone()),
-            Node::Branch(_) => Node::extension(prefix.clone(), child),
-        },
-        Sub::Fresh(Node::Leaf(mut leaf)) => {
-            longer(&mut Arc::get_mut(&mut leaf).expect(UNIQUE).path);
-            Node::Leaf(leaf)
-        }
-        Sub::Fresh(Node::Extension(mut ext)) => {
-            longer(&mut Arc::get_mut(&mut ext).expect(UNIQUE).path);
-            Node::Extension(ext)
-        }
+        Sub::Kept(
+            child @ Child {
+                node: Node::Branch(_),
+                ..
+            },
+        ) => Node::extension(prefix.clone(), child),
         branch @ Sub::Fresh(Node::Branch(_)) => {
             Node::extension(prefix.clone(), branch.into_child())
         }
+        Sub::Kept(Child { node, .. }) | Sub::Fresh(node) => match node {
+            Node::Leaf(mut leaf) => {
+                let fields = unshare(&mut leaf);
+                fields.path = prefix.concat(&fields.path);
+                Node::Leaf(leaf)
+            }
+            Node::Extension(mut ext) => {
+                let fields = unshare(&mut ext);
+                fields.path = prefix.concat(&fields.path);
+                Node::Extension(ext)
+            }
+            Node::Branch(_) => unreachable!("a branch is matched above"),
+        },
     })
 }
 
@@ -973,99 +1153,175 @@ fn build<K: AsRef<[u8]>>(
     Some(prepend(&prefix, Sub::Fresh(branch)))
 }
 
-/// Applies `updates` to the extension `ext` seen from `from` nibbles down its
-/// path (`depth` nibbles down the keys): an extension that forks is handled
-/// as the branch at the fork with the rest of the path hanging under one of
-/// its slots. `old` is the extension's own handle, for `from == 0`.
+/// How far the insert of `updates` that leaves an extension's `path` first
+/// follows it from nibble `from` on (`depth` nibbles down the keys), if one
+/// leaves it before its end: the nibble the path forks at. A removal that
+/// leaves the path removes nothing.
+fn fork_of<K: AsRef<[u8]>>(
+    path: &Nibbles,
+    from: usize,
+    depth: usize,
+    updates: &[Update<K>],
+) -> Option<usize> {
+    updates
+        .iter()
+        .filter(|u| is_insert(u))
+        .map(|u| path.common_prefix_with_key(from, u.0.as_ref(), depth))
+        .min()
+        .filter(|&reach| reach < path.len() - from)
+}
+
+/// The run of the sorted `updates` that follow an extension's `path` from
+/// nibble `from` on for at least `reach` nibbles.
+fn run_along<K: AsRef<[u8]>>(
+    path: &Nibbles,
+    from: usize,
+    depth: usize,
+    updates: &[Update<K>],
+    reach: usize,
+) -> std::ops::Range<usize> {
+    let follows = |u: &Update<K>| path.common_prefix_with_key(from, u.0.as_ref(), depth) >= reach;
+    match updates.iter().position(follows) {
+        Some(start) => start..updates.iter().rposition(follows).expect("one exists") + 1,
+        None => 0..0,
+    }
+}
+
+/// Applies `updates` to the extension `held` at `depth`. When none of them
+/// forks its path, the ones that reach its end go on to its child, and the
+/// extension is kept: edited in place when the descent holds it alone, else
+/// copied over the child's new subtree. A fork splits the extension at the
+/// fork ([`fork`]).
 fn apply_extension<K: AsRef<[u8]>>(
-    old: Option<&Child>,
-    ext: &Extension,
+    held: Held,
+    depth: usize,
+    updates: &mut [Update<K>],
+) -> Option<Sub> {
+    let Node::Extension(ext) = &held.child().node else {
+        unreachable!("called on an extension")
+    };
+    let span = ext.path.len();
+    let fork_at = fork_of(&ext.path, 0, depth, updates);
+    let through = run_along(&ext.path, 0, depth, updates, span);
+    if fork_at.is_none() && through.is_empty() {
+        return Some(held.kept());
+    }
+    let slot = match held {
+        Held::Own(slot) => slot,
+        Held::Lent(child) => {
+            let Node::Extension(ext) = &child.node else {
+                unreachable!("called on an extension")
+            };
+            let below = Held::Lent(&ext.child);
+            if let Some(shared) = fork_at {
+                return fork(&ext.path, below, 0, shared, depth, updates);
+            }
+            return Some(
+                match apply(Some(below), depth + span, &mut updates[through])? {
+                    // Nothing under the extension changed.
+                    Sub::Kept(_) => Sub::Kept(child.clone()),
+                    below => prepend(&ext.path, below),
+                },
+            );
+        }
+    };
+    // Held alone: its child is lent to the descent from a slot of its own.
+    let Child {
+        node: Node::Extension(mut ext),
+        commit,
+    } = slot.take().expect(HELD)
+    else {
+        unreachable!("called on an extension")
+    };
+    let owned = Arc::get_mut(&mut ext).expect(UNIQUE);
+    let mut child = Some(std::mem::replace(&mut owned.child, hole()));
+    let below = Held::of(&mut child).expect(HELD);
+    if let Some(shared) = fork_at {
+        return fork(&owned.path, below, 0, shared, depth, updates);
+    }
+    let below = apply(Some(below), depth + span, &mut updates[through])?;
+    let owned = Arc::get_mut(&mut ext).expect(UNIQUE);
+    Some(match below {
+        Sub::Kept(child) => {
+            owned.child = child;
+            Sub::Kept(Child {
+                node: Node::Extension(ext),
+                commit,
+            })
+        }
+        branch @ Sub::Fresh(Node::Branch(_)) => {
+            owned.child = branch.into_child();
+            Sub::Fresh(Node::Extension(ext))
+        }
+        below => prepend(&owned.path, below),
+    })
+}
+
+/// The rest of an extension's `path` from nibble `from` on over its `child`
+/// — a path that a fork cut, no node of the trie — with `updates` applied,
+/// `depth` nibbles down the keys.
+fn apply_tail<K: AsRef<[u8]>>(
+    path: &Nibbles,
+    child: Held,
     from: usize,
     depth: usize,
     updates: &mut [Update<K>],
 ) -> Option<Sub> {
-    let span = ext.path.len() - from;
+    let span = path.len() - from;
     if span == 0 {
-        return apply(Some(&ext.child), depth, updates);
+        return apply(Some(child), depth, updates);
     }
-    let follows = |u: &Update<K>| ext.path.common_prefix_with_key(from, u.0.as_ref(), depth);
-    // The updates that follow the path at least `reach` nibbles are one run
-    // of the sorted batch.
-    let run = |updates: &[Update<K>], reach: usize| {
-        let start = updates.iter().position(|u| follows(u) >= reach);
-        start.map_or(0..0, |start| {
-            let end = updates
-                .iter()
-                .rposition(|u| follows(u) >= reach)
-                .expect("one exists");
-            start..end + 1
-        })
-    };
-    // An insert that leaves the path forks it; a removal that leaves it
-    // removes nothing.
-    let fork = updates
-        .iter()
-        .filter(|u| is_insert(u))
-        .map(follows)
-        .min()
-        .filter(|&reach| reach < span);
-    let Some(shared) = fork else {
-        let through = run(updates, span);
-        if through.is_empty() {
-            return Some(extension_tail(old, ext, from));
-        }
-        let below = apply(Some(&ext.child), depth + span, &mut updates[through])?;
-        return Some(match (&below, old) {
-            (Sub::Kept(child), Some(old)) if same_node(&child.node, &ext.child.node) => {
-                Sub::Kept(old.clone())
-            }
-            _ => prepend(&ext.path.slice_from(from), below),
-        });
-    };
+    if let Some(shared) = fork_of(path, from, depth, updates) {
+        return fork(path, child, from, shared, depth, updates);
+    }
+    let through = run_along(path, from, depth, updates, span);
+    if through.is_empty() {
+        return Some(tail(path, from, child));
+    }
+    let below = apply(Some(child), depth + span, &mut updates[through])?;
+    Some(prepend(&path.slice_from(from), below))
+}
 
+/// An extension's `path` from nibble `from` on over its `child`, forked
+/// `shared` nibbles further down by an insert that leaves it there: the
+/// branch at the fork, with the rest of the path hanging under one of its
+/// slots.
+fn fork<K: AsRef<[u8]>>(
+    path: &Nibbles,
+    child: Held,
+    from: usize,
+    shared: usize,
+    depth: usize,
+    updates: &mut [Update<K>],
+) -> Option<Sub> {
     let at = depth + shared;
-    let reach = run(updates, shared);
+    let reach = run_along(path, from, depth, updates, shared);
     let (ending, mut rest) = split_ending_at(&mut updates[reach], at);
     let value = ending.and_then(|update| update.1.take().filter(|v| !v.is_empty()));
-    let onward = ext.path.at(from + shared) as usize;
+    let onward = path.at(from + shared) as usize;
+    let mut child = Some(child);
     let mut slots: [Option<Sub>; 16] = std::array::from_fn(|_| None);
-    let mut onward_untouched = true;
     while !rest.is_empty() {
         let (nibble, group, tail) = split_group(rest, at);
-        slots[nibble] = if nibble == onward {
-            onward_untouched = false;
-            apply_extension(None, ext, from + shared + 1, at + 1, group)
-        } else {
-            build(at + 1, group, None)
+        slots[nibble] = match child.take_if(|_| nibble == onward) {
+            Some(child) => apply_tail(path, child, from + shared + 1, at + 1, group),
+            None => build(at + 1, group, None),
         };
         rest = tail;
     }
-    if onward_untouched {
-        slots[onward] = Some(extension_tail(None, ext, from + shared + 1));
+    if let Some(child) = child {
+        slots[onward] = Some(tail(path, from + shared + 1, child));
     }
     let forked = finish_branch(slots, value)?;
-    Some(prepend(&ext.path.slice(from, from + shared), forked))
+    Some(prepend(&path.slice(from, from + shared), forked))
 }
 
-/// The extension from `from` nibbles down its path on: itself, its child
-/// when the path is used up, or a shorter extension over that child.
-fn extension_tail(old: Option<&Child>, ext: &Extension, from: usize) -> Sub {
-    match old {
-        Some(old) => Sub::Kept(old.clone()),
-        None if from == ext.path.len() => Sub::Kept(ext.child.clone()),
-        None => Sub::Fresh(Node::extension(
-            ext.path.slice_from(from),
-            ext.child.clone(),
-        )),
-    }
-}
-
-fn same_node(a: &Node, b: &Node) -> bool {
-    match (a, b) {
-        (Node::Leaf(a), Node::Leaf(b)) => Arc::ptr_eq(a, b),
-        (Node::Extension(a), Node::Extension(b)) => Arc::ptr_eq(a, b),
-        (Node::Branch(a), Node::Branch(b)) => Arc::ptr_eq(a, b),
-        _ => false,
+/// An extension's `path` from nibble `from` on, over `child`: the child
+/// itself when the path is used up, else a shorter extension over it.
+fn tail(path: &Nibbles, from: usize, child: Held) -> Sub {
+    match from == path.len() {
+        true => child.kept(),
+        false => Sub::Fresh(Node::extension(path.slice_from(from), child.into_child())),
     }
 }
 
@@ -1792,6 +2048,53 @@ mod tests {
         let mut reference = before.clone();
         one_by_one(&mut reference, &updates);
         assert_eq!(after, reference);
+    }
+
+    /// Nodes allocated and hashed on this thread while `f` runs.
+    fn counted(f: impl FnOnce()) -> (usize, usize) {
+        let allocated = counters::read(&counters::ALLOCATED);
+        let hashed = counters::read(&counters::HASHED);
+        f();
+        (
+            counters::read(&counters::ALLOCATED) - allocated,
+            counters::read(&counters::HASHED) - hashed,
+        )
+    }
+
+    #[test]
+    fn rewrites_of_an_owned_trie_allocate_their_leaves_and_no_branch() {
+        const KEYS: u64 = 5_000;
+        const REWRITES: u64 = 200;
+        let body = |i: u64, salt: u8| (hashed_key(i), Some(vec![salt; 70]));
+        let build = || {
+            let mut trie = Trie::new();
+            trie.apply_batch((0..KEYS).map(|i| body(i, 0)).collect());
+            trie
+        };
+        let batch: Vec<_> = (0..REWRITES).map(|j| body(j * 23 % KEYS, 1)).collect();
+
+        // A trie a clone shares copies every node on the rewritten paths:
+        // the leaves, and each branch or extension above them once.
+        let kept = build();
+        let kept_nodes = addresses(&kept);
+        let mut shared = kept.clone();
+        let (allocated, hashed) = counted(|| shared.apply_batch(batch.clone()));
+        let copied = all_nodes(&shared)
+            .iter()
+            .filter(|n| !kept_nodes.contains(&n.address))
+            .count();
+        assert_eq!(allocated, copied);
+        assert!(allocated > 2 * REWRITES as usize, "{allocated}");
+        assert_eq!(kept_nodes, addresses(&kept));
+
+        // A trie held alone allocates the new leaves only: every branch and
+        // extension above them is edited in place, and hashed as often.
+        let mut owned = build();
+        let (owned_allocated, owned_hashed) = counted(|| owned.apply_batch(batch));
+        assert_eq!(owned_allocated, REWRITES as usize);
+        assert_eq!(owned_hashed, hashed);
+        assert_commitments_hold(&owned);
+        assert_eq!(owned.commit_nodes(), shared.commit_nodes());
     }
 
     #[test]

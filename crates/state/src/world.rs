@@ -22,9 +22,17 @@
 //! accounts — a root-pointer bump per map plus a copy of the dirty set — and
 //! a write after it copies one root-to-entry path of map nodes and the one
 //! touched account body, never that account's storage. A block therefore
-//! costs O(state it touches): the proposer forks the pre-block world once to
-//! seal, every validator forks it once to apply, and the states retained per
-//! height share everything they did not write.
+//! costs O(state it touches): every validator forks the pre-block world once
+//! to apply, and the states retained per height share everything they did
+//! not write.
+//!
+//! What no other handle points at is written in place: the maps' nodes, the
+//! account bodies, and — when the commit a world patches is its alone — the
+//! nodes of the account trie and of each retained storage trie, which a
+//! commit takes out of the last one by value. So a lineage that keeps no
+//! earlier state allocates only what its writes add: the proposer, whose
+//! chain of states nobody else reads, seals each block into its parent
+//! itself, and no old state is left to free.
 //!
 //! A snapshot never waits for a root. The retained commit is a value that
 //! can still be *pending*. A commit runs in two steps: it *begins* under the
@@ -531,8 +539,9 @@ impl WorldState {
         }
         let dirty = std::mem::take(&mut begun.dirty);
         let (commit, dirty) = match begun.base.take() {
-            // Unshared after a snapshot recommits? Reuse in place; else clone
-            // (cheap — tries share structure).
+            // Held by this lineage alone? Patched in place, its tries' nodes
+            // edited where they are; else cloned (cheap — tries share
+            // structure, and the patch copies the paths it takes).
             Some(base) => (Arc::unwrap_or_clone(base.wait()), dirty),
             // First commit ever (for this lineage): every account is dirty,
             // and with no retained trie each storage trie is rebuilt.
@@ -559,15 +568,36 @@ fn recommit(
 ) -> WorldCommit {
     // The dirty accounts in the order of their hashed addresses (hashed
     // as one batch): the order the account trie's descent takes them in.
-    let mut dirty: Vec<(HashedKey, Address, DirtyAccount)> = dirty
+    let mut dirty: Vec<Dirty> = dirty
         .into_iter()
-        .map(|(addr, dirt)| ([0; 32], addr, dirt))
+        .map(|(addr, slots)| Dirty {
+            key: [0; 32],
+            addr,
+            slots,
+            storage: None,
+        })
         .collect();
-    let keys = keccak256_batch(dirty.iter().map(|(_, addr, _)| addr.as_bytes()));
+    let keys = keccak256_batch(dirty.iter().map(|entry| entry.addr.as_bytes()));
     for (entry, key) in dirty.iter_mut().zip(keys) {
-        entry.0 = key.0;
+        entry.key = key.0;
     }
-    dirty.sort_unstable_by_key(|entry| entry.0);
+    dirty.sort_unstable_by_key(|entry| entry.key);
+    // The retained storage trie of each account whose slots are patched is
+    // taken out of the commit, not cloned: whatever of it the commit holds
+    // alone, the patch then edits in place.
+    for entry in &mut dirty {
+        let patched = !entry.slots.is_empty()
+            && accounts
+                .get(&entry.addr)
+                .is_some_and(|acct| !acct.is_empty())
+            && commit.storage_tries.contains_key(&entry.addr);
+        if patched {
+            let retained = commit
+                .storage_tries
+                .get_or_insert_with(entry.addr, Trie::new);
+            entry.storage = Some(std::mem::take(retained));
+        }
+    }
     // A large batch fans out when a helper is idle: the root's subtrees,
     // with the storage tries of the accounts under them, are patched as
     // crew tasks. With every helper busy there is no core to gain and
@@ -577,20 +607,26 @@ fn recommit(
         true => (crew.idle_helpers() + 1).min(16),
         false => 1,
     };
-    let split = (shards > 1).then(|| commit.account_trie.split()).flatten();
+    let account_trie = std::mem::take(&mut commit.account_trie);
+    let split = match shards > 1 {
+        true => account_trie.split(),
+        false => Err(account_trie),
+    };
     let replaced = match split {
-        None => {
-            let (mut bodies, replaced) = account_updates(accounts, &commit.storage_tries, &dirty);
-            commit.account_trie.apply_sorted(&mut bodies);
+        Err(mut account_trie) => {
+            let (mut bodies, replaced) =
+                account_updates(accounts, &commit.storage_tries, &mut dirty);
+            account_trie.apply_sorted(&mut bodies);
+            commit.account_trie = account_trie;
             replaced
         }
-        Some(mut split) => {
+        Ok(mut split) => {
             let replaced = commit_shards(
                 accounts,
                 &crew,
                 shards,
                 &commit.storage_tries,
-                &dirty,
+                &mut dirty,
                 split.subtries(),
             );
             commit.account_trie = split.join();
@@ -645,29 +681,32 @@ fn rebuild_root(accounts: &Accounts) -> H256 {
 fn account_updates(
     accounts: &Accounts,
     storage_tries: &PMap<Address, Trie>,
-    dirty: &[(HashedKey, Address, DirtyAccount)],
+    dirty: &mut [Dirty],
 ) -> (Vec<TrieUpdate>, Vec<(Address, Trie)>) {
     let mut states: Vec<_> = dirty
-        .iter()
-        .map(|(_, addr, dirt)| {
+        .iter_mut()
+        .map(|entry| {
             // An absent or EIP-161-empty account is dropped whatever its
             // storage trie held.
             let acct = accounts
-                .get(addr)
+                .get(&entry.addr)
                 .map(|acct| &**acct)
                 .filter(|acct| !acct.is_empty());
-            let prev = storage_tries.get(addr);
-            let patched = acct.and_then(|acct| patched_storage(dirt, acct, prev));
+            // An empty stand-in when the retained trie was taken out.
+            let prev = storage_tries.get(&entry.addr);
+            let taken = entry.storage.take();
+            let patched =
+                acct.and_then(|acct| patched_storage(&entry.slots, acct, prev.is_some(), taken));
             (acct, prev, patched)
         })
         .collect();
     trie::commit_pending(states.iter_mut().filter_map(|state| state.2.as_mut()));
     let mut bodies = Vec::with_capacity(dirty.len());
     let mut replaced = Vec::new();
-    for ((key, addr, _), (acct, prev, patched)) in dirty.iter().zip(states) {
+    for (entry, (acct, prev, patched)) in dirty.iter().zip(states) {
         let update = account_update(acct, prev, patched);
-        bodies.push((*key, update.body));
-        replaced.extend(update.storage_trie.map(|trie| (*addr, trie)));
+        bodies.push((entry.key, update.body));
+        replaced.extend(update.storage_trie.map(|trie| (entry.addr, trie)));
     }
     (bodies, replaced)
 }
@@ -683,16 +722,16 @@ fn commit_shards(
     crew: &Crew,
     shards: usize,
     storage_tries: &PMap<Address, Trie>,
-    dirty: &[(HashedKey, Address, DirtyAccount)],
+    dirty: &mut [Dirty],
     subtries: &mut [Subtrie; 16],
 ) -> Vec<(Address, Trie)> {
     let nibble = |key: &HashedKey| usize::from(key[0] >> 4);
     let mut work = [0usize; 16];
-    for (key, addr, slots) in dirty {
+    for entry in &*dirty {
         // An account without a retained trie has its whole storage rebuilt.
-        work[nibble(key)] += 1 + match storage_tries.contains_key(addr) {
-            true => slots.len(),
-            false => accounts.get(addr).map_or(0, |a| a.storage.len()),
+        work[nibble(&entry.key)] += 1 + match storage_tries.contains_key(&entry.addr) {
+            true => entry.slots.len(),
+            false => accounts.get(&entry.addr).map_or(0, |a| a.storage.len()),
         };
     }
     let total: usize = work.iter().sum();
@@ -705,7 +744,8 @@ fn commit_shards(
             continue;
         }
         cuts += 1;
-        let (part, tail) = rest.split_at(rest.partition_point(|(key, ..)| nibble(key) <= n));
+        let end = rest.partition_point(|entry| nibble(&entry.key) <= n);
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(end);
         let (part_subtries, subtries_tail) =
             std::mem::take(&mut rest_subtries).split_at_mut(n + 1 - first);
         if !part.is_empty() {
@@ -734,7 +774,7 @@ fn commit_shards(
 fn commit_shard(
     accounts: &Accounts,
     storage_tries: &PMap<Address, Trie>,
-    dirty: &[(HashedKey, Address, DirtyAccount)],
+    dirty: &mut [Dirty],
     subtries: &mut [Subtrie],
     first: usize,
 ) -> Vec<(Address, Trie)> {
@@ -824,6 +864,17 @@ fn slot_map(acct: &AccountState) -> HashMap<H256, U256> {
 /// A trie key: `keccak(address)` or `keccak(slot)`.
 type HashedKey = [u8; 32];
 
+/// One dirty account as a commit takes it.
+struct Dirty {
+    /// `keccak(address)`.
+    key: HashedKey,
+    addr: Address,
+    slots: DirtyAccount,
+    /// The account's retained storage trie, taken out of the commit for its
+    /// slots to patch; `None` when they patch none.
+    storage: Option<Trie>,
+}
+
 /// A trie update: the key, and the new value (`None` removes the key).
 type TrieUpdate = (HashedKey, Option<Vec<u8>>);
 
@@ -844,24 +895,31 @@ struct AccountUpdate {
     storage_trie: Option<Trie>,
 }
 
-/// One dirty, non-empty account's new storage trie — the retained one
-/// (`prev`) patched, or one rebuilt — with the nodes it creates left
-/// pending; `None` when the retained trie stands.
-fn patched_storage(slots: &DirtyAccount, acct: &AccountState, prev: Option<&Trie>) -> Option<Trie> {
-    match prev {
-        // Only the body changed: the retained trie stands.
-        Some(_) if slots.is_empty() => None,
+/// One dirty, non-empty account's new storage trie — the retained one,
+/// `taken` out of the commit, patched, or one rebuilt — with the nodes it
+/// creates left pending; `None` when the `retained` trie stands.
+fn patched_storage(
+    slots: &DirtyAccount,
+    acct: &AccountState,
+    retained: bool,
+    taken: Option<Trie>,
+) -> Option<Trie> {
+    match taken {
         // Precise slot tracking with a retained trie: patch only the dirty
         // slots, in one batch. A slot now zero/absent is deleted from the
         // trie.
-        Some(prev) => {
+        Some(mut trie) => {
             let slots: Vec<(&H256, U256)> = slots
                 .iter()
                 .map(|slot| (slot, acct.storage.get(slot).copied().unwrap_or(U256::ZERO)))
                 .collect();
-            let mut trie = prev.clone();
             apply_hashed(&mut trie, storage_leaves(slots));
             Some(trie)
+        }
+        // Only the body changed: the retained trie stands.
+        None if retained => {
+            debug_assert!(slots.is_empty(), "dirty slots patch the taken trie");
+            None
         }
         // No retained trie (storage was empty at the last commit, or this
         // is the lineage's first): rebuild from the account's slots.
@@ -1440,6 +1498,164 @@ mod tests {
         let (root, nodes) = w.commit_tries();
         assert_eq!(root, w.state_root());
         assert!(nodes.iter().all(|(hash, bytes)| keccak256(bytes) == *hash));
+    }
+
+    // ---- a commit held alone: edited in place ----
+
+    /// Trie nodes allocated on this thread while `f` runs, less those of the
+    /// from-scratch oracle a debug build's commit checks itself against.
+    fn trie_nodes_allocated(world: &WorldState, f: impl FnOnce()) -> usize {
+        use trie::counters::{read, ALLOCATED};
+        let before = read(&ALLOCATED);
+        f();
+        let allocated = read(&ALLOCATED) - before;
+        let before = read(&ALLOCATED);
+        if cfg!(debug_assertions) {
+            world.rebuild_root();
+        }
+        allocated - (read(&ALLOCATED) - before)
+    }
+
+    #[test]
+    fn rewriting_slots_of_a_commit_held_alone_allocates_no_storage_branch() {
+        const SLOTS: u64 = 2_000;
+        const REWRITES: u64 = 50;
+        let contract = addr(1);
+        let slot = H256::from_low_u64;
+        let mut w = WorldState::new();
+        w.set_code(contract, vec![0x00]);
+        for s in 0..SLOTS {
+            w.set_storage(contract, slot(s), U256::from(s + 1));
+        }
+        for i in 2..500 {
+            w.set_balance(addr(i), U256::from(i));
+        }
+        w.state_root();
+        let rewrite = |w: &mut WorldState| {
+            for j in 0..REWRITES {
+                w.set_storage(contract, slot(j * 37), U256::from(9_000 + j));
+            }
+        };
+
+        // A snapshot's commit is its parent's too: the storage trie's
+        // branches on the rewritten paths are copied, and the account
+        // trie's above the contract.
+        let mut child = w.snapshot();
+        rewrite(&mut child);
+        let shared = trie_nodes_allocated(&child, || {
+            child.state_root();
+        });
+        // The world's own commit, held alone, is patched in place: the new
+        // slot leaves and the contract's new body leaf, no branch.
+        rewrite(&mut w);
+        let owned = trie_nodes_allocated(&w, || {
+            w.state_root();
+        });
+        assert_eq!(owned, REWRITES as usize + 1);
+        assert!(
+            shared > owned + REWRITES as usize,
+            "{shared} against {owned}"
+        );
+        assert_eq!(w.state_root(), child.state_root());
+        assert_eq!(w.state_root(), w.rebuild_root());
+    }
+
+    #[test]
+    fn a_block_of_rewrites_applies_to_a_world_held_alone_without_a_map_node() {
+        use crate::pmap::nodes_created;
+
+        let mut w = funded(10_000);
+        w.state_root();
+        // Existing accounts only: bodies, and slots that are there.
+        let mut writes = WriteSet::default();
+        for i in (0..10_000u64).step_by(37) {
+            writes.insert(AccessKey::Balance(addr(i)), U256::from(i + 7));
+            writes.insert(AccessKey::Nonce(addr(i)), U256::ONE);
+        }
+        for i in (0..10_000u64).step_by(130) {
+            let slot = H256::from_low_u64(1);
+            writes.insert(AccessKey::Storage(addr(i), slot), U256::from(i + 9));
+        }
+        let before = nodes_created();
+        w.apply_writes(&writes);
+        assert_eq!(
+            nodes_created(),
+            before,
+            "an owned world is written in place"
+        );
+        // The same block on a snapshot copies the paths it takes.
+        let mut child = w.snapshot();
+        let before = nodes_created();
+        child.apply_writes(&writes);
+        assert!(nodes_created() > before);
+        assert_eq!(child, w);
+    }
+
+    #[test]
+    fn commits_of_a_world_held_alone_equal_those_of_snapshots() {
+        use bp_types::Rng;
+
+        /// A block's writes: bodies, slots rewritten and deleted, a new
+        /// account, accounts emptied, a storage emptied.
+        fn block(w: &mut WorldState, round: u64) {
+            let mut rng = Rng::seed_from_u64(0x0b10_c4ed + round);
+            for _ in 0..60 {
+                let a = addr(rng.gen_range(0..400));
+                match rng.gen_range(0..5) {
+                    0 => w.set_balance(a, U256::from(rng.gen_range(0..3u64))),
+                    1 => w.set_nonce(a, rng.gen_range(0..9)),
+                    _ => {
+                        let slot = H256::from_low_u64(rng.gen_range(0..4));
+                        w.set_storage(a, slot, U256::from(rng.gen_range(0..3u64)));
+                    }
+                }
+            }
+            w.set_balance(addr(1_000 + round), U256::ONE);
+            w.set_storage(addr(round * 10), H256::from_low_u64(1), U256::ZERO);
+            w.set_storage(addr(round * 10), H256::from_low_u64(2), U256::ZERO);
+        }
+        fn sorted(mut nodes: Vec<(H256, Vec<u8>)>) -> Vec<(H256, Vec<u8>)> {
+            nodes.sort();
+            nodes
+        }
+
+        // As the product commits, then with every commit split into crew
+        // tasks — each subtree under the account trie's root, the one held
+        // alone edited in place on a helper.
+        for fan_out_from in [None, Some(1)] {
+            let crew = Crew::new(2);
+            let idle = || {
+                while fan_out_from.is_some() && crew.idle_helpers() == 0 {
+                    thread::yield_now();
+                }
+            };
+            FAN_OUT_FROM.set(fan_out_from);
+            crew.install(|| {
+                // Never snapshotted: each commit patches the last in place.
+                let mut owned = funded(400);
+                owned.state_root();
+                // Snapshotted before each block, the block going to the
+                // snapshot.
+                let mut kept = funded(400);
+                kept.state_root();
+                for round in 0..8 {
+                    let before = kept.commit_tries();
+                    let mut child = kept.snapshot();
+                    block(&mut owned, round);
+                    block(&mut child, round);
+                    idle();
+                    let (root, nodes) = owned.commit_tries();
+                    idle();
+                    let (child_root, child_nodes) = child.commit_tries();
+                    assert_eq!(root, child_root, "fan-out from {fan_out_from:?}, {round}");
+                    assert_eq!(sorted(nodes), sorted(child_nodes));
+                    assert_eq!(root, owned.rebuild_root());
+                    assert_eq!(kept.commit_tries(), before);
+                    kept = child;
+                }
+            });
+            FAN_OUT_FROM.set(None);
+        }
     }
 
     // ---- pending commits: a snapshot never waits for a root ----

@@ -144,3 +144,105 @@ proptest! {
         prop_assert_eq!(snapshot.root_hash(), snapshot_root);
     }
 }
+
+// ---------------------------------------------------------------------------
+// A batch on a trie held alone, and on one another trie shares
+// ---------------------------------------------------------------------------
+
+/// Keys of one to four bytes from a six-byte alphabet: they share long
+/// prefixes, so a few dozen of them make extensions, branches with values,
+/// and branches that a removal or two collapse into a leaf or an extension.
+fn arb_key() -> impl Strategy<Value = Vec<u8>> {
+    const ALPHABET: [u8; 6] = [0x00, 0x01, 0x10, 0x11, 0x1f, 0xf1];
+    prop::collection::vec((0..6usize).prop_map(|i| ALPHABET[i]), 1..5)
+}
+
+/// Values short enough to be inlined in their parent, and long enough to be
+/// hashed.
+fn arb_value() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(any::<u8>(), 1..40)
+}
+
+/// One update of a batch, drawn before the keys it picks from are known.
+#[derive(Clone, Debug)]
+enum Step {
+    Rewrite(prop::sample::Index, Vec<u8>),
+    Remove(prop::sample::Index),
+    Insert(Vec<u8>, Vec<u8>),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        2 => (any::<prop::sample::Index>(), arb_value()).prop_map(|(i, v)| Step::Rewrite(i, v)),
+        3 => any::<prop::sample::Index>().prop_map(Step::Remove),
+        1 => (arb_key(), arb_value()).prop_map(|(k, v)| Step::Insert(k, v)),
+    ]
+}
+
+/// The trie of `model`, built in one batch.
+fn trie_of(model: &BTreeMap<Vec<u8>, Vec<u8>>) -> Trie {
+    let mut trie = Trie::new();
+    trie.apply_batch(
+        model
+            .iter()
+            .map(|(k, v)| (k.clone(), Some(v.clone())))
+            .collect(),
+    );
+    trie
+}
+
+fn sorted(mut nodes: Vec<(bp_types::H256, Vec<u8>)>) -> Vec<(bp_types::H256, Vec<u8>)> {
+    nodes.sort();
+    nodes
+}
+
+proptest! {
+    /// A batch edits in place the nodes of a trie nobody else holds, and
+    /// copies those of a trie a clone shares: the two give the same root
+    /// and the same node set, round after round, and the clone kept
+    /// before each batch is what it was.
+    #[test]
+    fn a_batch_on_an_owned_trie_equals_one_on_a_shared_trie(
+        base in prop::collection::vec((arb_key(), arb_value()), 0..40),
+        rounds in prop::collection::vec(prop::collection::vec(arb_step(), 0..24), 1..5),
+    ) {
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = base.into_iter().collect();
+        // Never cloned: every batch edits it in place.
+        let mut owned = trie_of(&model);
+        // Cloned before every batch, the batch going to the clone.
+        let mut kept = trie_of(&model);
+        for steps in &rounds {
+            let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
+            let pick = |i: &prop::sample::Index| keys[i.index(keys.len())].clone();
+            let batch: Vec<(Vec<u8>, Option<Vec<u8>>)> = steps
+                .iter()
+                .filter_map(|step| match step {
+                    Step::Rewrite(i, v) if !keys.is_empty() => Some((pick(i), Some(v.clone()))),
+                    Step::Remove(i) if !keys.is_empty() => Some((pick(i), None)),
+                    Step::Insert(k, v) => Some((k.clone(), Some(v.clone()))),
+                    _ => None,
+                })
+                .collect();
+            for (k, v) in &batch {
+                match v {
+                    Some(v) => model.insert(k.clone(), v.clone()),
+                    None => model.remove(k),
+                };
+            }
+
+            let before = kept.commit_nodes();
+            let mut shared = kept.clone();
+            shared.apply_batch(batch.clone());
+            owned.apply_batch(batch);
+            prop_assert_eq!(kept.commit_nodes(), before);
+
+            let (root, nodes) = owned.commit_nodes();
+            let (shared_root, shared_nodes) = shared.commit_nodes();
+            prop_assert_eq!(root, shared_root);
+            prop_assert_eq!(sorted(nodes), sorted(shared_nodes));
+            prop_assert_eq!(root, trie_of(&model).root_hash());
+            prop_assert_eq!(owned.iter(), model.clone().into_iter().collect::<Vec<_>>());
+            kept = shared;
+        }
+    }
+}
