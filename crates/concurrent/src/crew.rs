@@ -298,6 +298,19 @@ impl Crew {
     /// every one of them has run — the ones no helper took, on this thread.
     /// A panic of `f` or of any task is raised again here, after all of them
     /// are done. `f` runs with this crew [`current`].
+    ///
+    /// A task may borrow what outlives the scope, not a local of `f`: `f`
+    /// returns before the tasks no helper took run, so this does not
+    /// compile.
+    ///
+    /// ```compile_fail,E0373
+    /// use bp_concurrent::crew::{Crew, Priority};
+    ///
+    /// Crew::new(0).scope(Priority::Urgent, |s| {
+    ///     let mut local = 0;
+    ///     s.spawn(|| local += 1);
+    /// });
+    /// ```
     pub fn scope<'env, R>(
         &self,
         priority: Priority,
@@ -314,7 +327,8 @@ impl Crew {
                 left: Mutex::new((0, None)),
                 done: Condvar::new(),
             }),
-            _env: PhantomData,
+            scope: PhantomData,
+            env: PhantomData,
         };
         let result = self.install(|| catch_unwind(AssertUnwindSafe(|| f(&scope))));
         scope.finish();
@@ -376,8 +390,12 @@ pub struct Scope<'scope, 'env: 'scope> {
     id: usize,
     lane: usize,
     state: Arc<ScopeState>,
-    /// Invariant in both lifetimes, as `std::thread::Scope` is.
-    _env: PhantomData<&'scope mut &'env ()>,
+    /// Invariant in `'scope`, as `std::thread::Scope` is: a `&'scope Scope`
+    /// cannot shrink to the body's own lifetime, so a task cannot borrow a
+    /// local of the body, which is gone when the task runs.
+    scope: PhantomData<&'scope mut &'scope ()>,
+    /// Invariant in `'env`.
+    env: PhantomData<&'env mut &'env ()>,
 }
 
 impl<'scope> Scope<'scope, '_> {
@@ -403,7 +421,11 @@ impl<'scope> Scope<'scope, '_> {
         // no helper took, then waits until the count of unfinished ones is
         // zero, and a job decrements that count only after `f` and everything
         // it captured are gone. So nothing borrowed for `'scope` is used after
-        // it ends.
+        // it ends. And `'scope` outlives the scope's body: `Scope` is
+        // invariant in it, so `f` cannot borrow the body's locals — the
+        // `compile_fail` doctest on `Crew::scope` pins that, and
+        // `a_crew_with_no_helpers_completes_every_scope_on_its_caller` runs
+        // tasks after their body returned.
         let job: Job = unsafe { std::mem::transmute::<_, Job>(job) };
         let shared = self.crew.shared();
         let mut queue = shared.queue.lock();
@@ -452,14 +474,18 @@ mod tests {
                     for slot in &mut ran {
                         s.spawn(move || *slot = Some(std::thread::current().id()));
                     }
-                    // A nested scope on the caller's current crew.
-                    current().scope(priority, |s| {
-                        let mut inner = 0;
-                        s.spawn(|| inner += 1);
-                        inner
-                    })
+                    // A nested scope on the caller's current crew, whose
+                    // task counts into a counter owned outside it.
+                    let inner = AtomicUsize::new(0);
+                    let seen = current().scope(priority, |s| {
+                        s.spawn(|| {
+                            inner.fetch_add(1, Ordering::Relaxed);
+                        });
+                        inner.load(Ordering::Relaxed)
+                    });
+                    (seen, inner.into_inner())
                 });
-                assert_eq!(total, 0, "the body returns before its tasks ran");
+                assert_eq!(total, (0, 1), "the body returns before its tasks ran");
                 assert!(ran.iter().all(|t| *t == Some(caller)), "{ran:?}");
             }
         });

@@ -5,9 +5,10 @@
 //!   are checked first so malformed blocks are rejected before a single
 //!   transaction executes; the scheduler then splits the block into
 //!   dependency subgraphs from its profile. The profile's write sets, and
-//!   the fees its gas implies, are folded into a snapshot of the parent:
-//!   the post-state the block claims — the proposer sealed it through the
-//!   same fold — which execution then confirms entry by entry.
+//!   the fees its gas implies, are folded into an heir of the parent's
+//!   state ([`WorldState::heir`]): the post-state the block claims — the
+//!   proposer sealed it through the same fold — which execution then
+//!   confirms entry by entry.
 //! * **Transaction execution** — the process's [`Crew`] executes jobs from
 //!   *any* in-flight block: two blocks at the same height overlap fully,
 //!   exactly as in the paper's Figure 5. Every dependency subgraph is its
@@ -34,8 +35,11 @@
 //!   block's hash, releasing the blocks at the next height that were parked
 //!   waiting for this parent. Height N+1 therefore executes while N still
 //!   executes, and N's root hashes beside both; N+1's own root waits for
-//!   N's, as it needs N's tries. Every block publishes so, one that deploys
-//!   code too: its profile ships the code, and the fold installs it.
+//!   N's, as it needs N's tries — and, as N's heir, takes them over and
+//!   edits them in place, unless a sibling in flight may still commit on
+//!   them. N keeps its root; a sibling that comes later rebuilds N's tries
+//!   from the heir's in one batch. Every block publishes so, one that
+//!   deploys code too: its profile ships the code, and the fold installs it.
 //!   The root comparison settles a per-block [`RootLatch`]; a block's
 //!   verdict waits for its own root and for its parent's latch, which keeps
 //!   the paper's rule that a block is not cleared before its predecessor,
@@ -46,12 +50,14 @@
 //! The validator keeps one index of the blocks it knows: an entry per
 //! published block holds the block, its post-state and its latch, and goes
 //! as a whole when the block is un-published — a rejected block is not
-//! kept. The canonical chain is a vector by height over settled entries.
-//! The index also holds the verdict slot of every block in the pipeline, so
-//! a block submitted again while it is there shares the first submission's
-//! verdict instead of executing twice.
+//! kept, only its hash and the first error it was rejected for. The
+//! canonical chain is a vector by height over settled entries. The index
+//! also holds the verdict slot of every block in the pipeline, so a block
+//! submitted again while it is there shares the first submission's verdict
+//! instead of executing twice, and one submitted again after its verdict is
+//! answered at once, valid or not.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -374,7 +380,10 @@ pub(crate) struct StateIndex {
     /// The verdict slot of every block from its submission until its
     /// verdict: parked, preparing, or published and not yet settled.
     verdicts: HashMap<BlockHash, SharedSlot>,
-    invalid: HashSet<BlockHash>,
+    /// Every rejected block, with the first error it was rejected for: a
+    /// block received again gets that verdict at once, and a child of it
+    /// `ParentInvalid`.
+    invalid: HashMap<BlockHash, ValidationError>,
     /// The canonical chain by height, the genesis at 0: blocks whose entries
     /// settled valid, each the child of the one below it.
     pub(crate) canonical: Vec<(BlockHash, Arc<Block>)>,
@@ -395,38 +404,43 @@ impl StateIndex {
         self.states.get(hash).cloned()
     }
 
-    /// Marks `hash` invalid and takes out every block parked on it — directly,
-    /// or behind another parked block, which is marked in turn: none of them
-    /// can validate any more, and nobody else will ever release them.
-    fn poison(&mut self, hash: BlockHash) -> Vec<Parked> {
+    /// Marks `hash` invalid for `error`, unless it was already, and takes out
+    /// every block parked on it — directly, or behind another parked block,
+    /// which is marked `ParentInvalid` in turn: none of them can validate any
+    /// more, and nobody else will ever release them.
+    fn poison(&mut self, hash: BlockHash, error: ValidationError) -> Vec<Parked> {
         let mut doomed = Vec::new();
-        let mut stack = vec![hash];
-        while let Some(hash) = stack.pop() {
-            self.invalid.insert(hash);
+        let mut stack = vec![(hash, error)];
+        while let Some((hash, error)) = stack.pop() {
+            self.invalid.entry(hash).or_insert(error);
             for parked in self.waiting.remove(&hash).unwrap_or_default() {
                 let parked_hash = parked.0.hash();
                 self.verdicts.remove(&parked_hash);
-                stack.push(parked_hash);
+                stack.push((parked_hash, ValidationError::ParentInvalid));
                 doomed.push(parked);
             }
         }
         doomed
     }
 
-    /// A handle on the verdict of `hash` if the block was submitted before:
-    /// the first submission's, while the block is in the pipeline, or —
-    /// once its entry settled valid — an answer at once with its
-    /// post-state, nothing executed and no receipts.
-    fn resubmitted(&self, hash: &BlockHash, crew: &Crew) -> Option<ValidationHandle> {
+    /// A handle on the verdict of block `hash`, at `height`, if it was
+    /// submitted before: the first submission's, while the block is in the
+    /// pipeline, or, once it was decided, an answer at once with nothing
+    /// executed and no receipts — the error it was first rejected for, or
+    /// its post-state.
+    fn resubmitted(&self, hash: &BlockHash, height: u64, crew: &Crew) -> Option<ValidationHandle> {
         if let Some(slot) = self.verdicts.get(hash) {
             return Some(ValidationHandle::share(slot, crew));
         }
-        let entry = self.settled(hash)?;
+        let (result, post_state) = match self.invalid.get(hash) {
+            Some(error) => (Err(error.clone()), None),
+            None => (Ok(()), Some(Arc::clone(&self.settled(hash)?.state))),
+        };
         let verdict = Some(Some(ValidationOutcome {
             block_hash: *hash,
-            height: entry.block.height(),
-            result: Ok(()),
-            post_state: Some(Arc::clone(&entry.state)),
+            height,
+            result,
+            post_state,
             receipts: vec![],
             timings: StageTimings::default(),
             executed_txs: 0,
@@ -494,7 +508,7 @@ impl Starter {
             states: HashMap::from([(hash, entry)]),
             waiting: HashMap::new(),
             verdicts: HashMap::new(),
-            invalid: HashSet::new(),
+            invalid: HashMap::new(),
             canonical: vec![(hash, genesis)],
         };
         Arc::new(Starter {
@@ -516,13 +530,13 @@ impl Starter {
         // One look under the lock decides: a root verdict may un-publish the
         // parent at any moment after it.
         let mut idx = self.index.lock();
-        if let Some(handle) = idx.resubmitted(&hash, &self.crew) {
+        if let Some(handle) = idx.resubmitted(&hash, block.height(), &self.crew) {
             return handle;
         }
         let block = Arc::new(block);
         let (tx, handle) = Verdict::new(&self.crew);
-        if idx.invalid.contains(&parent_hash) {
-            let mut doomed = idx.poison(hash);
+        if idx.invalid.contains_key(&parent_hash) {
+            let mut doomed = idx.poison(hash, ValidationError::ParentInvalid);
             drop(idx);
             doomed.push((block, tx));
             reject_descendants(doomed);
@@ -703,7 +717,7 @@ impl Starter {
         }
         let post = match header_error {
             Some(_) => None,
-            None => Some(Arc::new(fold(parent.state.snapshot(), &block))),
+            None => Some(Arc::new(fold(parent.state.heir(), &block))),
         };
         let root = Arc::new(RootLatch::new());
         // What the block publishes now, its commit begun first: a child
@@ -792,12 +806,15 @@ impl Starter {
 /// the validator's jobs confirm it, a transaction validating only if its
 /// replayed write set, gas and deployed code equal its entry's.
 ///
-/// The fold takes the world it writes by value. The validator hands it a
-/// snapshot of a parent that stays published — a pointer bump, whatever the
-/// number of accounts, after which the writes copy only the paths they
-/// take, and which does not wait for the parent's root. The proposer hands
-/// it the parent itself when it held the only handle on it, and the writes,
-/// then the root, edit that state in place.
+/// The fold takes the world it writes by value. The validator hands it an
+/// heir of a parent that stays published ([`WorldState::heir`]) — a pointer
+/// bump, whatever the number of accounts, which does not wait for the
+/// parent's root. The writes copy only the paths of the account map they
+/// take, since the parent keeps its accounts; the root takes the parent's
+/// tries over once they settled and edits them in place, since the parent
+/// keeps only its root. The proposer hands it the parent itself when it
+/// held the only handle on it, and the writes, then the root, edit that
+/// state in place.
 pub(crate) fn fold(mut world: WorldState, block: &Block) -> WorldState {
     let mut fees = U256::ZERO;
     for (entry, tx) in block.profile.entries.iter().zip(&block.transactions) {
@@ -879,11 +896,11 @@ fn apply_block(task: Arc<BlockTask>, starter: &Arc<Starter>) {
     let doomed = {
         let mut idx = starter.index.lock();
         idx.verdicts.remove(&hash);
-        let doomed = match result {
+        let doomed = match &result {
             Ok(()) => Vec::new(),
-            Err(_) => {
+            Err(error) => {
                 idx.states.remove(&hash);
-                idx.poison(hash)
+                idx.poison(hash, error.clone())
             }
         };
         task.root.set(result.is_ok());
@@ -1471,6 +1488,37 @@ mod tests {
         let late = propose_transfers(&s1, b1.block.hash(), 2, 5..8, 0);
         assert_eq!(
             validator.receive_block(late.block).wait().result,
+            Err(ValidationError::ParentInvalid)
+        );
+    }
+
+    #[test]
+    fn a_rejected_block_received_again_is_answered_at_once() {
+        // No helper: nothing runs but on a waiting thread, so a second
+        // submission that started the block again would show in the index.
+        let crew = Crew::new(0);
+        let world = Arc::new(funded_world(10));
+        let (validator, genesis) = crew.install(|| validator_on(1, &world));
+        let mut proposal = propose_transfers(&world, genesis, 1, 1..5, 0);
+        proposal.block.header.state_root = bp_types::H256::from_low_u64(0xBAD);
+        let (block, hash) = (proposal.block.clone(), proposal.block.hash());
+        let first = validator.receive_block(block.clone()).wait();
+        assert_eq!(first.result, Err(ValidationError::StateRootMismatch));
+        assert_eq!(first.executed_txs, block.tx_count());
+        let again = validator.receive_block(block.clone());
+        {
+            let idx = validator.pipeline.index.lock();
+            assert!(!idx.states.contains_key(&hash) && !idx.verdicts.contains_key(&hash));
+        }
+        let second = again.wait();
+        assert_eq!(second.result, Err(ValidationError::StateRootMismatch));
+        assert_eq!(second.executed_txs, 0);
+        assert!(validator.state_of(&hash).is_none());
+        // Its child is turned away as before.
+        let s1 = Arc::new(proposal.post_state.clone());
+        let child = propose_transfers(&s1, hash, 2, 1..5, 1);
+        assert_eq!(
+            validator.receive_block(child.block).wait().result,
             Err(ValidationError::ParentInvalid)
         );
     }

@@ -11,8 +11,8 @@
 //! `Trie::clone` is O(1). A mutation copies a node on its paths that some
 //! other trie still points at (copy-on-write, so every clone keeps what it
 //! had) and edits in place a node this trie holds alone, so that a trie
-//! nobody cloned allocates only the leaves it writes and frees nothing but
-//! the ones they replace.
+//! nobody cloned allocates only the leaves it adds and frees only the ones
+//! it removes: a leaf it rewrites takes the new value into its own buffer.
 //!
 //! The trie is **always committed**. Every child slot holds, beside the
 //! pointer, the child's *commitment* — its keccak hash, or its whole
@@ -819,6 +819,10 @@ fn apply<K: AsRef<[u8]>>(
     if updates.is_empty() {
         return Some(held.kept());
     }
+    let held = match rewrite_in_place(held, depth, updates) {
+        Ok(leaf) => return Some(leaf),
+        Err(held) => held,
+    };
     match &held.child().node {
         Node::Leaf(leaf) => {
             // The leaf is one more entry of the subtree the batch builds,
@@ -853,6 +857,41 @@ fn apply<K: AsRef<[u8]>>(
             branch.finish(&mut slots, touched, value)
         }
     }
+}
+
+/// A leaf held alone whose key is the batch's one key, given a new value:
+/// edited where it is, into the buffer it has, so that a rewrite neither
+/// allocates a leaf nor frees one — on a cold trie each free is a cache
+/// miss of its own. `Err` hands the subtree back in any other case.
+fn rewrite_in_place<'a, K: AsRef<[u8]>>(
+    held: Held<'a>,
+    depth: usize,
+    updates: &[Update<K>],
+) -> Result<Sub, Held<'a>> {
+    let (Held::Own(slot), [(key, Some(value))]) = (&held, updates) else {
+        return Err(held);
+    };
+    let rewrites = match &slot.as_ref().expect(HELD).node {
+        Node::Leaf(leaf) => !value.is_empty() && leaf.path.is_key_tail(key.as_ref(), depth),
+        _ => false,
+    };
+    if !rewrites {
+        return Err(held);
+    }
+    let Held::Own(slot) = held else {
+        unreachable!("matched above")
+    };
+    let Some(Child {
+        node: Node::Leaf(mut leaf),
+        ..
+    }) = slot.take()
+    else {
+        unreachable!("matched above")
+    };
+    let owned = Arc::get_mut(&mut leaf).expect(UNIQUE);
+    owned.value.clear();
+    owned.value.extend_from_slice(value);
+    Ok(Sub::Fresh(Node::Leaf(leaf)))
 }
 
 /// A branch a batch passes through: the slot of one the descent holds
@@ -2062,7 +2101,7 @@ mod tests {
     }
 
     #[test]
-    fn rewrites_of_an_owned_trie_allocate_their_leaves_and_no_branch() {
+    fn rewrites_of_an_owned_trie_allocate_no_node() {
         const KEYS: u64 = 5_000;
         const REWRITES: u64 = 200;
         let body = |i: u64, salt: u8| (hashed_key(i), Some(vec![salt; 70]));
@@ -2087,11 +2126,12 @@ mod tests {
         assert!(allocated > 2 * REWRITES as usize, "{allocated}");
         assert_eq!(kept_nodes, addresses(&kept));
 
-        // A trie held alone allocates the new leaves only: every branch and
-        // extension above them is edited in place, and hashed as often.
+        // A trie held alone allocates nothing: each rewritten leaf takes its
+        // new value where it is, and every branch and extension above them
+        // is edited in place, and hashed as often.
         let mut owned = build();
         let (owned_allocated, owned_hashed) = counted(|| owned.apply_batch(batch));
-        assert_eq!(owned_allocated, REWRITES as usize);
+        assert_eq!(owned_allocated, 0);
         assert_eq!(owned_hashed, hashed);
         assert_commitments_hold(&owned);
         assert_eq!(owned.commit_nodes(), shared.commit_nodes());

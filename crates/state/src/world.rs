@@ -16,45 +16,55 @@
 //! trie's. In debug builds every incremental root is cross-checked against
 //! a from-scratch rebuild ([`WorldState::rebuild_root`]).
 //!
-//! The account map, each account's storage map and the retained storage
-//! tries are persistent maps ([`PMap`]), and accounts sit behind [`Arc`], so
-//! cloning a `WorldState` ([`WorldState::snapshot`]) is O(1) in the number of
-//! accounts — a root-pointer bump per map plus a copy of the dirty set — and
-//! a write after it copies one root-to-entry path of map nodes and the one
-//! touched account body, never that account's storage. A block therefore
-//! costs O(state it touches): every validator forks the pre-block world once
-//! to apply, and the states retained per height share everything they did
-//! not write.
+//! The account map, each account's storage map and a commit's map of
+//! storage tries are persistent maps ([`PMap`]), and accounts sit behind
+//! [`Arc`], so cloning a `WorldState` ([`WorldState::snapshot`]) is O(1) in
+//! the number of accounts — a root-pointer bump per map plus a copy of the
+//! dirty set — and a write after it copies one root-to-entry path of map
+//! nodes and the one touched account body, never that account's storage. A
+//! block therefore costs O(state it touches): every validator forks the
+//! pre-block world once to apply, and the account maps retained per height
+//! share everything they did not write.
 //!
 //! What no other handle points at is written in place: the maps' nodes, the
-//! account bodies, and — when the commit a world patches is its alone — the
-//! nodes of the account trie and of each retained storage trie, which a
-//! commit takes out of the last one by value. So a lineage that keeps no
-//! earlier state allocates only what its writes add: the proposer, whose
-//! chain of states nobody else reads, seals each block into its parent
-//! itself, and no old state is left to free.
+//! account bodies, and the nodes of the account trie and of each storage
+//! trie, which a commit takes out of the one it patches by value when no
+//! other handle may commit on that one any more. The proposer, whose chain
+//! of states nobody else reads, seals each block into its parent itself. The
+//! validator folds each block into an heir of its published parent
+//! ([`WorldState::heir`]), whose first commit takes the parent's settled
+//! tries over unless a sibling in flight may still commit on them; the
+//! parent keeps its root, a link to the heir's commit and the keys the heir
+//! wrote. So the tries are not kept per height: on a linear chain each
+//! commit edits the one set of tries in place.
+//! A commit whose base's tries moved on — a sibling's that arrived after its
+//! cousin's lineage took them, a valid sibling's after a rejected child took
+//! them — follows the links to the first settled commit, clones it and
+//! recommits, in one batch, every key written along the way with the values
+//! of its own account map: about one root, paid only on a fork.
 //!
-//! A snapshot never waits for a root. The retained commit is a value that
-//! can still be *pending*. A commit runs in two steps: it *begins* under the
-//! tracker lock, taking the dirty set and installing a [`RootLatch`]
+//! A snapshot never waits for a root. Each commit has a record, shared by
+//! the world that began it and its snapshots, which can still be *pending*.
+//! A commit runs in two steps: it *begins* under the tracker lock, taking the
+//! dirty set and installing its pending record
 //! ([`WorldState::begin_commit`]), and *finishes* outside it, hashing and
-//! settling the latch with the new tries; `state_root` is the two in a row,
+//! settling the record with the new tries; `state_root` is the two in a row,
 //! and finishes a commit that began earlier unless another thread already
-//! took it. A snapshot taken after the begin carries that latch and an
-//! empty dirty set; its own first commit waits on the latch and then
+//! took it. A snapshot taken after the begin carries that record and an
+//! empty dirty set; its own first commit waits on the record and then
 //! patches only what the snapshot itself wrote, never rehashing the
 //! parent's accounts. This is what lets the validator begin block N's
 //! commit, publish N's post-state and run block N+1 on it while N's root
 //! still hashes on another thread: the wait moves from the child's fork to
 //! the child's root, which needs the parent's tries anyway. A commit that
-//! panics part-way, or is dropped unhashed, poisons its latch, so whoever
+//! panics part-way, or is dropped unhashed, poisons its record, so whoever
 //! waits on it panics too instead of hanging.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bp_concurrent::crew::{self, Crew, Priority};
-use bp_concurrent::sync::Mutex;
-use bp_concurrent::RootLatch;
+use bp_concurrent::sync::{Condvar, Mutex, MutexGuard};
 use bp_crypto::{keccak256, keccak256_batch, rlp};
 use bp_types::{AccessKey, Address, WriteSet, H256, U256};
 // Dirty tracking and the from-scratch oracle's scratch maps are Fx-hashed:
@@ -137,55 +147,225 @@ impl Default for WorldCommit {
     }
 }
 
-/// A commit begun and not yet hashed: the latch its hashing settles with the
-/// commit, or with `None` when that hashing panicked or never happened.
-type PendingCommit = Arc<RootLatch<Option<Arc<WorldCommit>>>>;
+/// Accounts, and the slots of each, that one commit patched.
+type Written = HashMap<Address, DirtyAccount>;
 
-/// The last commit of a lineage, settled or still pending.
-#[derive(Clone)]
-enum Retained {
-    Settled(Arc<WorldCommit>),
-    Pending(PendingCommit),
+/// One commit, from the moment it begins: what its hashing settles, and then
+/// where its tries are. Shared by the world that began it, every snapshot
+/// forked from that world since and, once a child's commit took its tries
+/// over, the record of the commit it was taken from.
+struct Record {
+    held: Mutex<Held>,
+    settled: Condvar,
+    /// How many [`Retained`] handles — worlds and begun commits that may
+    /// still commit on this one — point here. What decides whether a child
+    /// may take the tries over; a thread that only waits for the root holds
+    /// the record without counting. It orders nothing (`Relaxed`): a stale
+    /// count only makes a commit clone tries it could have taken, or take
+    /// tries that another handle then rebuilds from the heir's — both
+    /// correct.
+    retained: AtomicUsize,
 }
 
-impl Retained {
-    /// The commit, once its hashing is over.
-    fn wait(self) -> Arc<WorldCommit> {
-        match self {
-            Retained::Settled(commit) => commit,
-            Retained::Pending(latch) => latch
-                .wait()
-                .expect("the commit this world was forked from panicked or was dropped unhashed"),
+/// A commit's state.
+enum Held {
+    /// Begun, not hashed yet.
+    Pending,
+    /// Hashed: the tries.
+    Settled(WorldCommit),
+    /// Hashed, then taken over by a child's commit, which edits the tries in
+    /// place: what is left is the root, the child's record and the keys its
+    /// batch patched — enough to rebuild these tries from the child's in one
+    /// batch.
+    Moved {
+        root: H256,
+        heir: Arc<Record>,
+        written: Written,
+    },
+    /// The hashing panicked, or the commit was dropped unhashed.
+    Poisoned,
+}
+
+impl Record {
+    fn pending() -> Arc<Record> {
+        Arc::new(Record {
+            held: Mutex::new(Held::Pending),
+            settled: Condvar::new(),
+            retained: AtomicUsize::new(0),
+        })
+    }
+
+    /// Ends the pending state with `held` and wakes the waiters; does
+    /// nothing once it ended.
+    fn settle(&self, held: Held) {
+        let mut state = self.held.lock();
+        if matches!(*state, Held::Pending) {
+            *state = held;
+            self.settled.notify_all();
         }
+    }
+
+    /// The commit's state once its hashing is over. Panics when the hashing
+    /// panicked or never happened.
+    fn wait(&self) -> MutexGuard<'_, Held> {
+        let mut held = self.held.lock();
+        while matches!(*held, Held::Pending) {
+            self.settled.wait(&mut held);
+        }
+        if matches!(*held, Held::Poisoned) {
+            drop(held);
+            panic!("the commit this world was forked from panicked or was dropped unhashed");
+        }
+        held
+    }
+
+    /// The root, once hashed; `None` while pending.
+    fn try_root(&self) -> Option<H256> {
+        match &*self.held.lock() {
+            Held::Settled(commit) => Some(commit.root),
+            Held::Moved { root, .. } => Some(*root),
+            Held::Pending | Held::Poisoned => None,
+        }
+    }
+
+    /// The root, once hashed.
+    fn root(&self) -> H256 {
+        match &*self.wait() {
+            Held::Settled(commit) => commit.root,
+            Held::Moved { root, .. } => *root,
+            Held::Pending | Held::Poisoned => unreachable!("waited for"),
+        }
+    }
+}
+
+impl Drop for Record {
+    /// A chain of records, each the heir of the one before, goes link by
+    /// link rather than by recursion, however long the chain a validator
+    /// left behind.
+    fn drop(&mut self) {
+        let mut next = heir_of(self);
+        while let Some(record) = next {
+            next = Arc::try_unwrap(record)
+                .ok()
+                .and_then(|mut r| heir_of(&mut r));
+        }
+    }
+}
+
+/// The heir `record` links to, taken out of it.
+fn heir_of(record: &mut Record) -> Option<Arc<Record>> {
+    match std::mem::replace(record.held.get_mut(), Held::Poisoned) {
+        Held::Moved { heir, .. } => Some(heir),
+        _ => None,
+    }
+}
+
+/// A world's handle on its last commit, or a begun commit's on the one it
+/// patches: settled or still pending, kept or taken over by a child.
+struct Retained(Arc<Record>);
+
+impl Retained {
+    fn new(record: &Arc<Record>) -> Retained {
+        record.retained.fetch_add(1, Ordering::Relaxed);
+        Retained(Arc::clone(record))
+    }
+
+    /// This settled commit's tries, taken over by the commit of `taker`,
+    /// which edits them in place — leaving the root, a link to `taker` and
+    /// the keys it `wrote` behind — when no handle but this one may commit
+    /// on them any more, or when the one other is their owner's and the
+    /// taker its [`WorldState::heir`]. `None` leaves them where they are:
+    /// the taker then clones them, or they moved on already.
+    fn take(&self, taker: &Arc<Record>, heir: bool, wrote: &Written) -> Option<WorldCommit> {
+        let mut held = self.0.wait();
+        let Held::Settled(commit) = &mut *held else {
+            return None;
+        };
+        let take = match self.0.retained.load(Ordering::Relaxed) {
+            1 => true,
+            2 => heir,
+            _ => false,
+        };
+        if !take {
+            return None;
+        }
+        let commit = std::mem::take(commit);
+        // Reachable only through this handle: nothing to leave behind.
+        let written = match Arc::strong_count(&self.0) {
+            1 => Written::default(),
+            _ => wrote.clone(),
+        };
+        *held = Held::Moved {
+            root: commit.root,
+            heir: Arc::clone(taker),
+            written,
+        };
+        Some(commit)
+    }
+}
+
+impl Clone for Retained {
+    fn clone(&self) -> Self {
+        Retained::new(&self.0)
+    }
+}
+
+impl Drop for Retained {
+    fn drop(&mut self) {
+        self.0.retained.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 impl std::fmt::Debug for Retained {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Retained::Settled(commit) => write!(f, "Settled({:?})", commit.root),
-            Retained::Pending(_) => f.write_str("Pending"),
+        match self.0.try_root() {
+            Some(root) => write!(f, "Retained({root:?})"),
+            None => f.write_str("Retained(pending)"),
         }
+    }
+}
+
+/// The tries of `record` once hashed: its own, cloned, or — taken over by a
+/// child's commit — those of the nearest settled descendant along the
+/// `heir` links, waited for if still pending, with every key written along
+/// the way added to `dirty`. Recommitting `dirty` from the account map the
+/// record was hashed from then gives its tries back: one batch, about one
+/// root, and only on a fork.
+fn follow(mut record: Arc<Record>, dirty: &mut Written) -> WorldCommit {
+    loop {
+        let held = record.wait();
+        let heir = match &*held {
+            Held::Settled(commit) => return commit.clone(),
+            Held::Moved { heir, written, .. } => {
+                for (addr, slots) in written {
+                    dirty.entry(*addr).or_default().extend(slots);
+                }
+                Arc::clone(heir)
+            }
+            Held::Pending | Held::Poisoned => unreachable!("waited for"),
+        };
+        drop(held);
+        record = heir;
     }
 }
 
 /// A commit begun and not yet hashed: what it hashes — the accounts as they
 /// were when it began, the commit it patches, the accounts dirtied since —
-/// and the latch the world's snapshots wait on meanwhile. Dropped unhashed,
-/// it poisons the latch, so that whoever waits on it panics instead of
-/// hanging.
+/// and its record, which the world's snapshots wait on meanwhile. Dropped
+/// unhashed, it poisons the record, so that whoever waits on it panics
+/// instead of hanging.
 struct Begun {
     accounts: Accounts,
     base: Option<Retained>,
-    dirty: HashMap<Address, DirtyAccount>,
-    latch: PendingCommit,
+    dirty: Written,
+    record: Arc<Record>,
+    /// Whether this is the first commit of a [`WorldState::heir`].
+    heir: bool,
 }
 
 impl Drop for Begun {
     fn drop(&mut self) {
-        if !self.latch.is_set() {
-            self.latch.set(None);
-        }
+        self.record.settle(Held::Poisoned);
     }
 }
 
@@ -203,13 +383,15 @@ impl std::fmt::Debug for Begun {
 struct CommitTracker {
     /// Accounts touched since the last commit. Absent entirely ⇒ the last
     /// commit is current.
-    dirty: HashMap<Address, DirtyAccount>,
+    dirty: Written,
     /// The last commit, shared O(1) across clones until one of them
     /// recommits. Pending from the moment it begins until it is hashed.
     commit: Option<Retained>,
     /// The pending commit, while nobody hashes it yet. Never cloned: a
-    /// snapshot waits on the commit's latch, it does not hash it.
+    /// snapshot waits on the commit's record, it does not hash it.
     begun: Option<Begun>,
+    /// Set on a [`WorldState::heir`] until its first commit begins.
+    heir: bool,
 }
 
 /// The account map of a world.
@@ -235,6 +417,7 @@ impl Clone for WorldState {
                 dirty: tracker.dirty.clone(),
                 commit: tracker.commit.clone(),
                 begun: None,
+                heir: false,
             }),
         }
     }
@@ -265,6 +448,21 @@ impl WorldState {
     /// then hashes only what was written to the snapshot.
     pub fn snapshot(&self) -> Self {
         self.clone()
+    }
+
+    /// A snapshot that inherits this world's tries: once this world's
+    /// commit has settled, the snapshot's first commit takes those tries
+    /// over and edits them in place, unless a handle other than this
+    /// world's may still commit on them (a sibling in flight, another
+    /// snapshot). This world then keeps its root and a link to where its
+    /// tries went, from which a later commit on it — a sibling's — rebuilds
+    /// them in one batch. The validator folds each block into its published
+    /// parent's heir: on a linear chain every commit edits the one set of
+    /// tries, and no old version of them is kept per height.
+    pub fn heir(&self) -> Self {
+        let mut heir = self.clone();
+        heir.tracker.get_mut().heir = true;
+        heir
     }
 
     /// Read access to an account, if present.
@@ -432,7 +630,7 @@ impl WorldState {
     /// re-inserted into the retained tries, each trie in one batch descent.
     /// Debug builds assert the result against [`WorldState::rebuild_root`].
     pub fn state_root(&self) -> H256 {
-        self.refresh().root
+        self.refresh()
     }
 
     /// Commits the world into its secure MPT form and returns the state root
@@ -442,10 +640,22 @@ impl WorldState {
     ///
     /// The tries come from the same incremental memo as
     /// [`WorldState::state_root`]: hashes come from the retained tries,
-    /// nothing is re-hashed. Compared against a fresh world's, the node set
-    /// is the tests' structural oracle for the incremental commit.
+    /// nothing is re-hashed — unless a child's commit took them over, and
+    /// then they are rebuilt as a sibling's commit would rebuild them.
+    /// Compared against a fresh world's, the node set is the tests' structural
+    /// oracle for the incremental commit.
     pub fn commit_tries(&self) -> (H256, Vec<(H256, Vec<u8>)>) {
-        let commit = self.refresh();
+        self.refresh();
+        let record = match &self.tracker.lock().commit {
+            Some(retained) => Arc::clone(&retained.0),
+            None => unreachable!("a commit was begun"),
+        };
+        let mut written = Written::default();
+        let commit = follow(record, &mut written);
+        let commit = match written.is_empty() {
+            true => commit,
+            false => recommit(&self.accounts, commit, written),
+        };
         let mut nodes = Vec::new();
         for storage_trie in commit.storage_tries.values() {
             let (_, storage_nodes) = storage_trie.commit_nodes();
@@ -487,21 +697,21 @@ impl WorldState {
                     self.finish(earlier);
                 }
                 None => {
-                    let latch = PendingCommit::default();
-                    let base = tracker
-                        .commit
-                        .replace(Retained::Pending(Arc::clone(&latch)));
+                    let record = Record::pending();
+                    let base = tracker.commit.replace(Retained::new(&record));
                     // The dirty set is taken, not drained: a drained table
                     // keeps its capacity, and every snapshot of this world
                     // from then on would copy a table the size of the
                     // largest batch it ever saw (a 100 000-account genesis:
                     // 7 MB a clone).
                     let dirty = std::mem::take(&mut tracker.dirty);
+                    let heir = std::mem::take(&mut tracker.heir);
                     tracker.begun = Some(Begun {
                         accounts: self.accounts.clone(),
                         base,
                         dirty,
-                        latch,
+                        record,
+                        heir,
                     });
                     return;
                 }
@@ -510,62 +720,65 @@ impl WorldState {
     }
 
     /// Brings the retained commit up to date with all dirty accounts and
-    /// returns it: [`WorldState::begin_commit`], then the begun commit
+    /// returns its root: [`WorldState::begin_commit`], then the begun commit
     /// hashed on this thread — or, when another thread took it first, that
     /// thread's work waited for.
-    fn refresh(&self) -> Arc<WorldCommit> {
+    fn refresh(&self) -> H256 {
         self.begin_commit();
         let mut tracker = self.tracker.lock();
-        let begun = tracker.begun.take();
-        let last = tracker.commit.clone();
-        drop(tracker);
-        match begun {
-            Some(begun) => self.finish(begun),
-            None => last.expect("a commit was begun").wait(),
+        if let Some(begun) = tracker.begun.take() {
+            drop(tracker);
+            return self.finish(begun);
         }
+        let record = &tracker.commit.as_ref().expect("a commit was begun").0;
+        // A settled root is read under the lock: asking for it holds no
+        // handle that a child's commit would count.
+        if let Some(root) = record.try_root() {
+            return root;
+        }
+        let record = Arc::clone(record);
+        drop(tracker);
+        record.root()
     }
 
     /// Hashes a begun commit outside the tracker lock, so a snapshot taken
-    /// meanwhile does not wait, and settles its latch — or, should the
+    /// meanwhile does not wait, and settles its record — or, should the
     /// hashing panic, poisons it.
-    fn finish(&self, mut begun: Begun) -> Arc<WorldCommit> {
+    fn finish(&self, mut begun: Begun) -> H256 {
         let hashing = Hashing {
             world: self,
-            latch: Arc::clone(&begun.latch),
+            record: Arc::clone(&begun.record),
+        };
+        let mut dirty = std::mem::take(&mut begun.dirty);
+        let commit = match begun.base.take() {
+            // Taken over when no other handle may commit on it (edited in
+            // place wherever no other commit shares its nodes), else cloned
+            // (cheap — tries share structure, and the patch copies the paths
+            // it takes), or rebuilt when a child's commit took it over.
+            Some(base) => base
+                .take(&begun.record, begun.heir, &dirty)
+                .unwrap_or_else(|| follow(Arc::clone(&base.0), &mut dirty)),
+            // First commit ever (for this lineage): every account is dirty,
+            // and with no retained trie each storage trie is rebuilt.
+            None => {
+                dirty = begun
+                    .accounts
+                    .keys()
+                    .map(|addr| (*addr, DirtyAccount::default()))
+                    .collect();
+                WorldCommit::default()
+            }
         };
         #[cfg(test)]
         if let Some(hook) = REFRESH_HOOK.take() {
             hook();
         }
-        let dirty = std::mem::take(&mut begun.dirty);
-        let (commit, dirty) = match begun.base.take() {
-            // Held by this lineage alone? Patched in place, its tries' nodes
-            // edited where they are; else cloned (cheap — tries share
-            // structure, and the patch copies the paths it takes).
-            Some(base) => (Arc::unwrap_or_clone(base.wait()), dirty),
-            // First commit ever (for this lineage): every account is dirty,
-            // and with no retained trie each storage trie is rebuilt.
-            None => {
-                let all = begun
-                    .accounts
-                    .keys()
-                    .map(|addr| (*addr, DirtyAccount::default()))
-                    .collect();
-                (WorldCommit::default(), all)
-            }
-        };
-        let commit = Arc::new(recommit(&begun.accounts, commit, dirty));
-        hashing.settle(Arc::clone(&commit));
-        commit
+        hashing.settle(recommit(&begun.accounts, commit, dirty))
     }
 }
 
 /// `commit` patched with the `dirty` accounts of `accounts`.
-fn recommit(
-    accounts: &Accounts,
-    mut commit: WorldCommit,
-    dirty: HashMap<Address, DirtyAccount>,
-) -> WorldCommit {
+fn recommit(accounts: &Accounts, mut commit: WorldCommit, dirty: Written) -> WorldCommit {
     // The dirty accounts in the order of their hashed addresses (hashed
     // as one batch): the order the account trie's descent takes them in.
     let mut dirty: Vec<Dirty> = dirty
@@ -802,36 +1015,36 @@ fn fan_out_min() -> usize {
 }
 
 /// A begun commit being hashed. Dropped unsettled — the hashing panicked —
-/// it poisons the latch, so that waiters panic instead of hanging, and
+/// it poisons the record, so that waiters panic instead of hanging, and
 /// drops the world's retained commit, so that the world's next commit
 /// rebuilds from scratch.
 struct Hashing<'a> {
     world: &'a WorldState,
-    latch: PendingCommit,
+    record: Arc<Record>,
 }
 
 impl Hashing<'_> {
-    /// Hands `commit` to the latch's waiters, and retains it in the world
-    /// unless a later commit began there meanwhile (written to after this
-    /// one began) and replaced it.
-    fn settle(self, commit: Arc<WorldCommit>) {
-        self.retain(Some(Retained::Settled(Arc::clone(&commit))));
-        self.latch.set(Some(commit));
-    }
-
-    fn retain(&self, commit: Option<Retained>) {
-        let mut tracker = self.world.tracker.lock();
-        if matches!(&tracker.commit, Some(Retained::Pending(l)) if Arc::ptr_eq(l, &self.latch)) {
-            tracker.commit = commit;
-        }
+    /// Hands `commit` to the record's waiters and returns its root.
+    fn settle(self, commit: WorldCommit) -> H256 {
+        let root = commit.root;
+        self.record.settle(Held::Settled(commit));
+        root
     }
 }
 
 impl Drop for Hashing<'_> {
     fn drop(&mut self) {
-        if !self.latch.is_set() {
-            self.retain(None);
-            self.latch.set(None);
+        if matches!(*self.record.held.lock(), Held::Pending) {
+            let mut tracker = self.world.tracker.lock();
+            if tracker
+                .commit
+                .as_ref()
+                .is_some_and(|retained| Arc::ptr_eq(&retained.0, &self.record))
+            {
+                tracker.commit = None;
+            }
+            drop(tracker);
+            self.record.settle(Held::Poisoned);
         }
     }
 }
@@ -841,9 +1054,9 @@ thread_local! {
     /// Replaces [`FAN_OUT_MIN`] for the commits this thread makes, so that a
     /// test's small batches fan out too.
     static FAN_OUT_FROM: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-    /// Runs once, on this thread, in the next begun commit it hashes, before
-    /// the hashing: lets a test hold a root pending or make its hashing
-    /// panic.
+    /// Runs once, on this thread, in the next begun commit it hashes, once
+    /// the commit has its base and before the hashing: lets a test hold a
+    /// root pending, a take open, or make the hashing panic.
     static REFRESH_HOOK: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -1329,6 +1542,11 @@ mod tests {
 
     // ---- incremental-commitment specific coverage ----
 
+    fn sorted(mut nodes: Vec<(H256, Vec<u8>)>) -> Vec<(H256, Vec<u8>)> {
+        nodes.sort();
+        nodes
+    }
+
     /// Builds a fresh world with the same contents (no memo) for oracle use.
     fn rebuilt(w: &WorldState) -> WorldState {
         let mut fresh = WorldState::new();
@@ -1545,13 +1763,14 @@ mod tests {
         let shared = trie_nodes_allocated(&child, || {
             child.state_root();
         });
-        // The world's own commit, held alone, is patched in place: the new
-        // slot leaves and the contract's new body leaf, no branch.
+        // The world's own commit, held alone, is patched in place: the
+        // slot leaves and the contract's body leaf take their new values
+        // where they are, and no node is allocated.
         rewrite(&mut w);
         let owned = trie_nodes_allocated(&w, || {
             w.state_root();
         });
-        assert_eq!(owned, REWRITES as usize + 1);
+        assert_eq!(owned, 0);
         assert!(
             shared > owned + REWRITES as usize,
             "{shared} against {owned}"
@@ -1614,10 +1833,6 @@ mod tests {
             w.set_storage(addr(round * 10), H256::from_low_u64(1), U256::ZERO);
             w.set_storage(addr(round * 10), H256::from_low_u64(2), U256::ZERO);
         }
-        fn sorted(mut nodes: Vec<(H256, Vec<u8>)>) -> Vec<(H256, Vec<u8>)> {
-            nodes.sort();
-            nodes
-        }
 
         // As the product commits, then with every commit split into crew
         // tasks — each subtree under the account trie's root, the one held
@@ -1666,7 +1881,14 @@ mod tests {
 
     /// Whether `w`'s retained commit is still pending.
     fn commit_is_pending(w: &WorldState) -> bool {
-        matches!(w.tracker.lock().commit, Some(Retained::Pending(_)))
+        let tracker = w.tracker.lock();
+        tracker
+            .commit
+            .as_ref()
+            .expect("a commit")
+            .0
+            .try_root()
+            .is_none()
     }
 
     /// A root hashing on another thread, held just after its commit began.
@@ -1814,7 +2036,16 @@ mod tests {
                                 let tips = tips.lock();
                                 Arc::clone(&tips[rng.gen_range(0..tips.len())])
                             };
-                            let mut child = tip(&mut rng).snapshot();
+                            // Half the children inherit their parent's tries:
+                            // the first of them to commit alone on a settled
+                            // parent takes them over, and its siblings and
+                            // the parent rebuild from it.
+                            let parent = tip(&mut rng);
+                            let mut child = match rng.gen_range(0..2) {
+                                0 => parent.snapshot(),
+                                _ => parent.heir(),
+                            };
+                            drop(parent);
                             for _ in 0..rng.gen_range(1..=12) {
                                 let a = addr(rng.gen_range(0..ACCOUNTS + 20));
                                 let v = U256::from(rng.gen_range(0..3u64));
@@ -1861,6 +2092,12 @@ mod tests {
             for t in threads {
                 t.join().unwrap();
             }
+            // Tries taken over or not, every tip's rebuild the fresh ones.
+            for tip in tips.lock().iter() {
+                let (root, nodes) = tip.commit_tries();
+                assert_eq!(root, tip.rebuild_root());
+                assert_eq!(sorted(nodes), sorted(rebuilt(tip).commit_tries().1));
+            }
         });
     }
 
@@ -1869,7 +2106,7 @@ mod tests {
         let parent = Arc::new(funded(1_000));
         let held = hold_root(&parent, || panic!("hashing made to panic"));
         // A fork of the pending commit, and a fork of that fork before its
-        // own commit: both wait on the parent's latch.
+        // own commit: both wait on the parent's record.
         let mut child = fork(&parent);
         child.set_balance(addr(1), U256::from(9u64));
         let grandchild = child.snapshot();
@@ -1964,5 +2201,143 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| child.state_root())).is_err()
         });
         assert!(waited, "a waiter got a root");
+    }
+
+    // ---- a settled commit handed down to its heir ----
+
+    /// Whether a child's commit took `w`'s tries over.
+    fn tries_moved(w: &WorldState) -> bool {
+        let tracker = w.tracker.lock();
+        let held = tracker.commit.as_ref().expect("a commit").0.held.lock();
+        matches!(*held, Held::Moved { .. })
+    }
+
+    #[test]
+    fn a_parent_answers_its_root_while_its_heir_takes_its_tries() {
+        let parent = Arc::new(funded(1_000));
+        let root = parent.state_root();
+        let mut child = parent.heir();
+        child_writes(&mut child);
+        // The child's commit stops once it holds its base, before it hashes:
+        // the parent's tries are taken, and the child's root is pending.
+        let held = hold_root(&Arc::new(child), || {});
+        assert!(tries_moved(&parent));
+        let asked = Arc::clone(&parent);
+        assert_eq!(within(move || asked.state_root()), root);
+        // A sibling arriving now rebuilds from its cousin's tries, once they
+        // settle: it writes a slot the heir wrote too, and leaves the heir's
+        // other writes — a new account, an emptied one, a deleted slot — to
+        // its own account map.
+        let mut sibling = parent.heir();
+        sibling.set_balance(addr(7), U256::from(5u64));
+        sibling.set_storage(addr(10), H256::from_low_u64(1), U256::from(4u64));
+        let sibling = thread::spawn(move || (sibling.state_root(), sibling));
+        drop(held.release);
+        within(move || held.hasher.join().unwrap());
+        let (sibling_root, sibling) = within(move || sibling.join().unwrap());
+        assert_eq!(sibling_root, sibling.rebuild_root());
+        assert!(!tries_moved(&sibling));
+        // The parent's own tries come back the same way.
+        assert_eq!(parent.state_root(), root);
+        let (rebuilt_root, nodes) = parent.commit_tries();
+        assert_eq!(rebuilt_root, root);
+        assert_eq!(sorted(nodes), sorted(rebuilt(&parent).commit_tries().1));
+    }
+
+    #[test]
+    fn a_sibling_rebuilds_from_the_commit_of_an_heir_that_is_gone() {
+        // A rejected block took its parent's tries and was then dropped: its
+        // commit outlives it, linked from the parent, and a valid sibling
+        // rebuilds from there in one batch, not from scratch.
+        let parent = funded(2_000);
+        parent.state_root();
+        let mut rejected = parent.heir();
+        child_writes(&mut rejected);
+        rejected.state_root();
+        drop(rejected);
+        assert!(tries_moved(&parent));
+        let mut sibling = parent.heir();
+        sibling.set_nonce(addr(4), 2);
+        let before = bp_crypto::keccak::permutation_count();
+        let root = sibling.state_root();
+        let hashed = bp_crypto::keccak::permutation_count() - before;
+        let before = bp_crypto::keccak::permutation_count();
+        assert_eq!(root, sibling.rebuild_root());
+        let scratch = bp_crypto::keccak::permutation_count() - before;
+        // Debug builds check every commit against that same rebuild.
+        let oracle = if cfg!(debug_assertions) { scratch } else { 0 };
+        assert!(hashed - oracle < scratch / 4, "{hashed} against {scratch}");
+    }
+
+    #[test]
+    fn a_chain_of_heirs_rewrites_its_tries_without_a_new_node() {
+        const BODIES: u64 = 20;
+        const SLOTS: u64 = 5;
+        // The validator's index keeps every state; each block is folded into
+        // its parent's heir, begun, then hashed. Beside it, the same blocks
+        // on snapshots of the kept states: the copy path.
+        let mut inherited = vec![Arc::new(funded(2_000))];
+        let mut copied = vec![Arc::new(funded(2_000))];
+        inherited[0].state_root();
+        copied[0].state_root();
+        for round in 0..10u64 {
+            let block = |w: &mut WorldState| {
+                for j in 0..BODIES {
+                    let a = addr((round * 101 + j * 97) % 2_000);
+                    w.set_balance(a, U256::from(1_000_000 + round * 100 + j));
+                }
+                // Accounts that hold slots 1 and 2 since genesis.
+                for j in 0..SLOTS {
+                    let a = addr(((round * 7 + j) % 200) * 10);
+                    w.set_storage(a, H256::from_low_u64(1 + round % 2), U256::from(round + 9));
+                }
+            };
+            let mut heir = inherited.last().unwrap().heir();
+            let mut snapshot = copied.last().unwrap().snapshot();
+            block(&mut heir);
+            block(&mut snapshot);
+            heir.begin_commit();
+            snapshot.begin_commit();
+            let owned = trie_nodes_allocated(&heir, || {
+                heir.state_root();
+            });
+            let shared = trie_nodes_allocated(&snapshot, || {
+                snapshot.state_root();
+            });
+            assert_eq!(heir.state_root(), snapshot.state_root());
+            // Every body and slot leaf takes its new value where it is, and
+            // the nodes above them are edited in place; the copy path copies
+            // all of them.
+            assert_eq!(owned, 0, "round {round}");
+            assert!(
+                shared > 2 * (BODIES + SLOTS) as usize,
+                "round {round}: {shared}"
+            );
+            inherited.push(Arc::new(heir));
+            copied.push(Arc::new(snapshot));
+        }
+        // Only the last state holds tries; the others kept their roots.
+        assert!(inherited[..10].iter().all(|w| tries_moved(w)));
+        for (a, b) in inherited.iter().zip(&copied) {
+            assert_eq!(a.state_root(), b.state_root());
+        }
+    }
+
+    #[test]
+    fn a_long_chain_of_heirs_drops_link_by_link() {
+        // Dropped recursively, a million links would overflow the stack.
+        let first = Record::pending();
+        let mut last = Arc::clone(&first);
+        for _ in 0..1_000_000 {
+            let heir = Record::pending();
+            last.settle(Held::Moved {
+                root: H256::ZERO,
+                heir: Arc::clone(&heir),
+                written: Written::default(),
+            });
+            last = heir;
+        }
+        drop(last);
+        within(move || drop(first));
     }
 }
