@@ -21,17 +21,6 @@ pub struct TxProfile {
 }
 
 impl TxProfile {
-    /// Builds a profile entry from an executed footprint that deployed no
-    /// code.
-    pub fn from_rw(rw: &RwSet, gas_used: Gas) -> Self {
-        TxProfile {
-            reads: rw.reads.clone(),
-            writes: rw.writes.clone(),
-            code: FxHashMap::default(),
-            gas_used,
-        }
-    }
-
     /// Builds a profile entry out of an executed footprint and the code it
     /// deployed, which it may keep: the maps move in instead of being
     /// cloned.
@@ -116,6 +105,11 @@ mod tests {
         AccessKey::Balance(Address::from_index(i))
     }
 
+    /// An entry that deploys no code.
+    fn entry(rw: RwSet, gas_used: Gas) -> TxProfile {
+        TxProfile::from_owned_rw(rw, FxHashMap::default(), gas_used)
+    }
+
     fn sample_rw() -> RwSet {
         let mut rw = RwSet::new();
         rw.record_read(key(1), 3);
@@ -126,23 +120,22 @@ mod tests {
     #[test]
     fn from_rw_roundtrip() {
         let rw = sample_rw();
-        let p = TxProfile::from_rw(&rw, 21_000);
+        let p = entry(rw.clone(), 21_000);
         assert_eq!(p.rw(), rw);
         assert_eq!(p.gas_used, 21_000);
-        assert_eq!(TxProfile::from_owned_rw(rw, Default::default(), 21_000), p);
     }
 
     #[test]
     fn matches_identical_footprint() {
         let mut profile = BlockProfile::new();
-        profile.push(TxProfile::from_rw(&sample_rw(), 21_000));
+        profile.push(entry(sample_rw(), 21_000));
         assert!(profile.matches(0, &sample_rw()));
     }
 
     #[test]
     fn matches_ignores_read_versions() {
         let mut profile = BlockProfile::new();
-        profile.push(TxProfile::from_rw(&sample_rw(), 21_000));
+        profile.push(entry(sample_rw(), 21_000));
         let mut replay = RwSet::new();
         replay.record_read(key(1), 0); // different version, same key
         replay.record_write(key(2), U256::from(9u64));
@@ -152,7 +145,7 @@ mod tests {
     #[test]
     fn mismatch_on_extra_read() {
         let mut profile = BlockProfile::new();
-        profile.push(TxProfile::from_rw(&sample_rw(), 21_000));
+        profile.push(entry(sample_rw(), 21_000));
         let mut replay = sample_rw();
         replay.record_read(key(5), 0);
         assert!(!profile.matches(0, &replay));
@@ -161,7 +154,7 @@ mod tests {
     #[test]
     fn mismatch_on_different_written_value() {
         let mut profile = BlockProfile::new();
-        profile.push(TxProfile::from_rw(&sample_rw(), 21_000));
+        profile.push(entry(sample_rw(), 21_000));
         let mut replay = sample_rw();
         replay.record_write(key(2), U256::from(10u64));
         assert!(!profile.matches(0, &replay));
@@ -176,8 +169,8 @@ mod tests {
     #[test]
     fn total_gas_sums() {
         let mut profile = BlockProfile::new();
-        profile.push(TxProfile::from_rw(&RwSet::new(), 10));
-        profile.push(TxProfile::from_rw(&RwSet::new(), 32));
+        profile.push(entry(RwSet::new(), 10));
+        profile.push(entry(RwSet::new(), 32));
         assert_eq!(profile.total_gas(), 42);
         assert_eq!(profile.len(), 2);
         assert!(!profile.is_empty());

@@ -54,7 +54,7 @@ fn sample_block() -> Block {
         let code = Arc::new(tx.data.clone());
         let deployed = Address::from_index(51);
         rw.record_write(AccessKey::Code(deployed), keccak256(&code).to_u256());
-        let mut entry = TxProfile::from_rw(&rw, 21_000);
+        let mut entry = TxProfile::from_owned_rw(rw, Default::default(), 21_000);
         entry.code.insert(deployed, code);
         profile.push(entry);
     }

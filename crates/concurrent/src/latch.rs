@@ -52,11 +52,6 @@ impl<T: Clone> RootLatch<T> {
     pub fn try_get(&self) -> Option<T> {
         self.slot.lock().clone()
     }
-
-    /// Whether the value has been published.
-    pub fn is_set(&self) -> bool {
-        self.slot.lock().is_some()
-    }
 }
 
 impl<T: Clone> Default for RootLatch<T> {
@@ -74,7 +69,6 @@ mod tests {
     #[test]
     fn root_latch_hands_off_once() {
         let l = Arc::new(RootLatch::<u64>::new());
-        assert!(!l.is_set());
         assert_eq!(l.try_get(), None);
         let waiter = {
             let l = Arc::clone(&l);

@@ -248,7 +248,7 @@ mod tests {
         for &w in writes {
             rw.record_write(AccessKey::Balance(addr(w)), U256::ONE);
         }
-        TxProfile::from_rw(&rw, gas)
+        TxProfile::from_owned_rw(rw, Default::default(), gas)
     }
 
     fn profile(entries: Vec<TxProfile>) -> BlockProfile {

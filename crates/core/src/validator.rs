@@ -41,19 +41,9 @@ impl Validator {
         validator
     }
 
-    /// Opens (or creates) a store at `dir`, every commit durable on return,
-    /// and boots on it; see [`Validator::with_store`] for the recovery
-    /// semantics.
-    pub fn with_store_at(
-        config: PipelineConfig,
-        genesis_state: WorldState,
-        dir: impl AsRef<Path>,
-    ) -> Result<Self, StoreError> {
-        Self::with_store_profile(config, genesis_state, dir, GroupCommitConfig::default())
-    }
-
-    /// Like [`Validator::with_store_at`], coalescing durable commits into
-    /// fsync batches at `group_commit`'s bounds (see
+    /// Opens (or creates) a store at `dir` and boots on it (see
+    /// [`Validator::with_store`] for the recovery semantics), coalescing
+    /// durable commits into fsync batches at `group_commit`'s bounds (see
     /// [`bp_store::GroupCommitConfig`]). Deferred commits are flushed by
     /// [`Validator::into_store`]; a crash mid-batch rolls the store back to
     /// the last batch boundary, from which recovery replays as usual.
@@ -350,7 +340,14 @@ mod tests {
         let world = genesis_world(60);
         // No helper: a block's tasks run only in a wait for a verdict.
         let crew = Crew::new(0);
-        let stored = crew.install(|| Validator::with_store_at(config(), world.clone(), &dir));
+        let stored = crew.install(|| {
+            Validator::with_store_profile(
+                config(),
+                world.clone(),
+                &dir,
+                GroupCommitConfig::default(),
+            )
+        });
         let fresh = crew.install(|| Validator::new(config(), world.clone()));
         for validator in [fresh, stored.unwrap()] {
             let genesis = validator.genesis_hash();
@@ -575,7 +572,13 @@ mod tests {
     fn cold_start_replay_names_the_first_stored_block_that_fails() {
         let dir = test_dir("validator-replay-failure");
         let world = genesis_world(60);
-        let validator = Validator::with_store_at(config(), world.clone(), &dir).unwrap();
+        let validator = Validator::with_store_profile(
+            config(),
+            world.clone(),
+            &dir,
+            GroupCommitConfig::default(),
+        )
+        .unwrap();
         grow_chain(&validator, 2, 0);
         let (head, height) = validator.head().unwrap();
         let base = validator.state_of(&head).unwrap();
@@ -628,7 +631,13 @@ mod tests {
     fn the_stored_head_follows_the_canonical_head_across_reorgs() {
         let dir = test_dir("validator-reorg");
         let world = genesis_world(60);
-        let validator = Validator::with_store_at(config(), world.clone(), &dir).unwrap();
+        let validator = Validator::with_store_profile(
+            config(),
+            world.clone(),
+            &dir,
+            GroupCommitConfig::default(),
+        )
+        .unwrap();
         let a = propose_on(Arc::new(world.clone()), validator.genesis_hash(), 1, 0).block;
         let mut b = a.clone();
         b.header.proposer_seed += 1; // a sibling with a hash of its own
@@ -640,7 +649,9 @@ mod tests {
             assert_eq!(validator.with_store_ref(|s| s.head()), Some(Some(hash)));
         }
         drop(validator);
-        let reopened = Validator::with_store_at(config(), world, &dir).unwrap();
+        let reopened =
+            Validator::with_store_profile(config(), world, &dir, GroupCommitConfig::default())
+                .unwrap();
         assert_eq!(reopened.head(), Some((a.hash(), 1)));
         std::fs::remove_dir_all(&dir).unwrap();
     }

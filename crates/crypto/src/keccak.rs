@@ -255,6 +255,9 @@ pub fn keccak256_batch<'a>(inputs: impl IntoIterator<Item = &'a [u8]>) -> Vec<H2
                 let inputs = [first, second].into_iter().chain(inputs);
                 // SAFETY: `batch_x8` is compiled for avx512f, which this CPU
                 // was just found to have; it is otherwise safe code.
+                // Exercised by `batch_matches_one_by_one_at_every_length_in_every_lane`
+                // where the CPU has avx512f (`batch_reports_its_path` says
+                // whether it does).
                 unsafe { batch_x8(inputs) }
             }
             // One permutation of eight states costs more than one of one.
@@ -433,7 +436,9 @@ mod tests {
     fn x8(inputs: &[Vec<u8>]) -> Option<Vec<H256>> {
         #[cfg(target_arch = "x86_64")]
         if x8_supported() {
-            // SAFETY: avx512f was just detected.
+            // SAFETY: avx512f was just detected. Exercised by every
+            // `assert_paths_agree` caller, e.g.
+            // `batch_matches_one_by_one_at_every_size_with_mixed_lengths`.
             return Some(unsafe { batch_x8(inputs.iter().map(Vec::as_slice)) });
         }
         let _ = inputs;

@@ -30,23 +30,21 @@
 //! underflow); receipts, gas accounting, state deltas and logs are
 //! unaffected because every `VmError` consumes the frame's full gas.
 //!
-//! [`AnalysisCache`] shares the artifacts across proposer workers and the
-//! validator pipeline: a bounded, sharded, code-hash-keyed map with a
-//! pointer-keyed fast path (the world state hands out the same `Arc` per
-//! contract, so the common case never rehashes the code).
+//! One process-wide cache ([`cached`]) shares the artifacts across proposer
+//! workers and validator jobs: a bounded, sharded map keyed by the code's
+//! `Arc` pointer (the world state hands out the same `Arc` per contract, so
+//! a lookup never hashes the code).
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-// Shard maps are keyed by code hash / code pointer — fixed-size,
-// non-attacker-growable keys, so the fast Fx hash applies.
-use bp_types::FxHashMap as HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+// Shard maps are keyed by code pointer — fixed-size, non-attacker-growable
+// keys, so the fast Fx hash applies.
+use bp_types::{FxBuildHasher, FxHashMap as HashMap};
 
 use bp_concurrent::sync::Mutex;
 
-use bp_crypto::keccak256;
-use bp_types::{Gas, H256, U256};
+use bp_types::{Gas, U256};
 
 use crate::gas;
 use crate::opcode::{Op, DUP1, DUP16, PUSH1, PUSH32, SWAP1, SWAP16};
@@ -184,8 +182,6 @@ pub struct BlockInfo {
 
 /// Everything the interpreter needs to run one code blob, computed once.
 pub struct CodeAnalysis {
-    /// The analyzed code (pinned so pointer-keyed cache entries stay valid).
-    code: Arc<Vec<u8>>,
     /// The decoded (and fused) instruction stream.
     pub(crate) insts: Vec<Inst>,
     /// Basic blocks over `insts`; the last block is a synthetic `STOP` so a
@@ -210,8 +206,7 @@ struct RawInst {
 
 impl CodeAnalysis {
     /// Analyzes `code`: decode, block partition, stack/gas summaries, fusion.
-    pub fn analyze(code: Arc<Vec<u8>>) -> CodeAnalysis {
-        let bytes: &[u8] = &code;
+    pub fn analyze(bytes: &[u8]) -> CodeAnalysis {
         let mut imms: Vec<U256> = Vec::new();
         let mut raws: Vec<RawInst> = Vec::with_capacity(bytes.len());
 
@@ -402,32 +397,11 @@ impl CodeAnalysis {
         });
 
         CodeAnalysis {
-            code,
             insts,
             blocks,
             imms,
             pc_block,
         }
-    }
-
-    /// The analyzed code.
-    pub fn code(&self) -> &Arc<Vec<u8>> {
-        &self.code
-    }
-
-    /// True when `pc` is a valid jump destination.
-    pub fn is_jumpdest(&self, pc: usize) -> bool {
-        self.pc_block.get(pc).is_some_and(|&b| b != INVALID_BLOCK)
-    }
-
-    /// Number of basic blocks (including the synthetic trailing STOP).
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Number of decoded (post-fusion) instructions.
-    pub fn inst_count(&self) -> usize {
-        self.insts.len()
     }
 }
 
@@ -541,176 +515,85 @@ fn resolve_dest(dest: U256, pc_block: &[u32]) -> u32 {
     }
 }
 
-/// Point-in-time cache counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups served from the cache (pointer or hash level).
-    pub hits: u64,
-    /// Lookups that had to run the analysis.
-    pub misses: u64,
-    /// Entries dropped by the bound.
-    pub evictions: u64,
-}
-
 const SHARDS: usize = 16;
-/// Default total entry bound of the global cache.
-const DEFAULT_CAPACITY: usize = 4096;
+/// Entry bound of the cache, over all shards.
+const CAPACITY: usize = 4096;
 
-/// Hash-keyed (authoritative) shard.
-#[derive(Default)]
-struct HashShard {
-    map: HashMap<H256, Arc<CodeAnalysis>>,
-    order: VecDeque<H256>,
-}
-
-/// Pointer-keyed fast-path entry. Holding the looked-up `Arc` pins the
-/// allocation, so the pointer can never be reused for different bytes while
-/// the entry lives — the mapping stays correct for the entry's lifetime.
-struct PtrEntry {
+/// One cached analysis. Holding the looked-up `Arc` pins the allocation, so
+/// its address cannot be reused for different bytes while the entry lives:
+/// the pointer key stays correct for the entry's lifetime.
+struct Entry {
     _pin: Arc<Vec<u8>>,
     analysis: Arc<CodeAnalysis>,
 }
 
-#[derive(Default)]
-struct PtrShard {
-    map: HashMap<usize, PtrEntry>,
+struct Shard {
+    map: HashMap<usize, Entry>,
     order: VecDeque<usize>,
 }
 
-/// A bounded, concurrent, code-hash-keyed cache of [`CodeAnalysis`]
-/// artifacts, shared by every executor (proposer workers, validator lanes,
-/// serial baselines).
-///
-/// Two levels: a pointer-keyed fast path (no hashing of the code at all —
-/// the state layer hands out one `Arc` per contract) over a keccak-keyed
-/// authoritative map (so equal bytes behind different `Arc`s still share one
-/// analysis). Both levels are sharded, mutex-protected and FIFO-bounded.
-pub struct AnalysisCache {
-    hash_shards: Vec<Mutex<HashShard>>,
-    ptr_shards: Vec<Mutex<PtrShard>>,
-    per_shard_cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+/// A bounded, concurrent cache of [`CodeAnalysis`] artifacts, keyed by the
+/// address of the code's `Arc`: the state layer hands out one `Arc` per
+/// contract, so a lookup never hashes the code. Sharded, mutex-protected
+/// and FIFO-bounded.
+struct AnalysisCache {
+    shards: [Mutex<Shard>; SHARDS],
+    /// Analyses run, for the once-per-blob test.
+    #[cfg(test)]
+    analyses: std::sync::atomic::AtomicUsize,
+}
+
+/// The process-wide cache every executor shares: proposer workers,
+/// validator jobs and the serial oracle.
+static CACHE: AnalysisCache = AnalysisCache::new();
+
+/// The analysis of `code`, computed at most once per blob while its entry
+/// lives.
+pub(crate) fn cached(code: &Arc<Vec<u8>>) -> Arc<CodeAnalysis> {
+    CACHE.get(code)
 }
 
 impl AnalysisCache {
-    /// A cache bounded to at most `capacity` entries (per level).
-    pub fn with_capacity(capacity: usize) -> AnalysisCache {
+    const fn new() -> AnalysisCache {
         AnalysisCache {
-            hash_shards: (0..SHARDS)
-                .map(|_| Mutex::new(HashShard::default()))
-                .collect(),
-            ptr_shards: (0..SHARDS)
-                .map(|_| Mutex::new(PtrShard::default()))
-                .collect(),
-            per_shard_cap: capacity.div_ceil(SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            shards: [const {
+                Mutex::new(Shard {
+                    map: HashMap::with_hasher(FxBuildHasher::new()),
+                    order: VecDeque::new(),
+                })
+            }; SHARDS],
+            #[cfg(test)]
+            analyses: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 
-    /// The process-wide default cache (what [`crate::execute_transaction`]
-    /// uses when no explicit cache is threaded in).
-    pub fn global() -> Arc<AnalysisCache> {
-        static GLOBAL: OnceLock<Arc<AnalysisCache>> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| Arc::new(AnalysisCache::with_capacity(DEFAULT_CAPACITY)))
-            .clone()
-    }
-
-    /// The analysis for `code`, computed at most once per distinct blob.
-    pub fn get(&self, code: &Arc<Vec<u8>>) -> Arc<CodeAnalysis> {
-        let ptr = Arc::as_ptr(code) as *const u8 as usize;
-        let pshard = &self.ptr_shards[mix(ptr) % SHARDS];
-        if let Some(e) = pshard.lock().map.get(&ptr) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+    fn get(&self, code: &Arc<Vec<u8>>) -> Arc<CodeAnalysis> {
+        let ptr = Arc::as_ptr(code) as usize;
+        let mut shard = self.shards[mix(ptr) % SHARDS].lock();
+        if let Some(e) = shard.map.get(&ptr) {
             return Arc::clone(&e.analysis);
         }
-
-        // Pointer miss: fall back to the content hash.
-        let hash = keccak256(code);
-        let hshard = &self.hash_shards[hash.0[0] as usize % SHARDS];
-        let analysis = {
-            let mut guard = hshard.lock();
-            match guard.map.get(&hash) {
-                Some(a) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(a)
-                }
-                None => {
-                    // Analyze under the shard lock: a second thread missing
-                    // the same blob waits here and then hits. `analyze` is
-                    // pure and takes no other lock.
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    let analysis = Arc::new(CodeAnalysis::analyze(Arc::clone(code)));
-                    guard.map.insert(hash, Arc::clone(&analysis));
-                    guard.order.push_back(hash);
-                    while guard.map.len() > self.per_shard_cap {
-                        if let Some(old) = guard.order.pop_front() {
-                            guard.map.remove(&old);
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            break;
-                        }
-                    }
-                    analysis
-                }
+        // Analyze under the shard lock: a second thread missing the same
+        // blob waits here and then hits. `analyze` is pure and takes no
+        // other lock.
+        #[cfg(test)]
+        self.analyses
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let analysis = Arc::new(CodeAnalysis::analyze(code));
+        shard.map.insert(
+            ptr,
+            Entry {
+                _pin: Arc::clone(code),
+                analysis: Arc::clone(&analysis),
+            },
+        );
+        shard.order.push_back(ptr);
+        if shard.map.len() > CAPACITY / SHARDS {
+            if let Some(old) = shard.order.pop_front() {
+                shard.map.remove(&old);
             }
-        };
-        self.insert_ptr(pshard, ptr, code, &analysis);
+        }
         analysis
-    }
-
-    fn insert_ptr(
-        &self,
-        shard: &Mutex<PtrShard>,
-        ptr: usize,
-        code: &Arc<Vec<u8>>,
-        analysis: &Arc<CodeAnalysis>,
-    ) {
-        let mut guard = shard.lock();
-        if guard
-            .map
-            .insert(
-                ptr,
-                PtrEntry {
-                    _pin: Arc::clone(code),
-                    analysis: Arc::clone(analysis),
-                },
-            )
-            .is_none()
-        {
-            guard.order.push_back(ptr);
-        }
-        while guard.map.len() > self.per_shard_cap {
-            if let Some(old) = guard.order.pop_front() {
-                guard.map.remove(&old);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Total live entries in the authoritative (hash) level.
-    pub fn len(&self) -> usize {
-        self.hash_shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    /// True when the authoritative level holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -725,7 +608,11 @@ mod tests {
     use crate::asm::Asm;
 
     fn analyze(code: Vec<u8>) -> CodeAnalysis {
-        CodeAnalysis::analyze(Arc::new(code))
+        CodeAnalysis::analyze(&code)
+    }
+
+    fn is_jumpdest(an: &CodeAnalysis, pc: usize) -> bool {
+        an.pc_block.get(pc).is_some_and(|&b| b != INVALID_BLOCK)
     }
 
     #[test]
@@ -733,20 +620,20 @@ mod tests {
         // PUSH32 with only two immediate bytes present, both 0x5B: the walk
         // must not treat the truncated immediate as code.
         let an = analyze(vec![0x7F, 0x5B, 0x5B]);
-        assert!(!an.is_jumpdest(0));
-        assert!(!an.is_jumpdest(1));
-        assert!(!an.is_jumpdest(2));
+        assert!(!is_jumpdest(&an, 0));
+        assert!(!is_jumpdest(&an, 1));
+        assert!(!is_jumpdest(&an, 2));
         // Same with PUSH2 exactly at the boundary.
         let an = analyze(vec![0x61, 0x5B]);
-        assert!(!an.is_jumpdest(1));
+        assert!(!is_jumpdest(&an, 1));
     }
 
     #[test]
     fn jumpdest_in_push_immediate_is_invalid_but_real_one_is_valid() {
         // PUSH2 0x005B | JUMPDEST
         let an = analyze(vec![0x61, 0x00, 0x5B, 0x5B]);
-        assert!(!an.is_jumpdest(2));
-        assert!(an.is_jumpdest(3));
+        assert!(!is_jumpdest(&an, 2));
+        assert!(is_jumpdest(&an, 3));
     }
 
     #[test]
@@ -761,7 +648,7 @@ mod tests {
             .build();
         let an = analyze(code);
         // [PUSH GAS] [PUSH] [JUMPDEST] [synthetic STOP]
-        assert_eq!(an.block_count(), 4);
+        assert_eq!(an.blocks.len(), 4);
         let b0 = an.blocks[0];
         assert_eq!(b0.static_gas, gas::VERYLOW + gas::BASE);
         assert_eq!(b0.need, 0);
@@ -846,71 +733,95 @@ mod tests {
     #[test]
     fn empty_code_is_single_synthetic_stop() {
         let an = analyze(Vec::new());
-        assert_eq!(an.block_count(), 1);
+        assert_eq!(an.blocks.len(), 1);
         assert_eq!(an.insts[0].kind, Kind::Stop);
     }
 
+    fn entries(cache: &AnalysisCache) -> usize {
+        cache.shards.iter().map(|s| s.lock().map.len()).sum()
+    }
+
+    fn analyses(cache: &AnalysisCache) -> usize {
+        cache.analyses.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     #[test]
-    fn cache_hits_by_pointer_and_by_content() {
-        let cache = AnalysisCache::with_capacity(64);
+    fn cache_hits_by_pointer() {
+        let cache = AnalysisCache::new();
         let code = Arc::new(Asm::new().push_u64(1).op(Op::Stop).build());
         let a1 = cache.get(&code);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 0,
-                misses: 1,
-                evictions: 0
-            }
-        );
-        // Same Arc: pointer hit.
+        // Same Arc: a hit, no second analysis.
         let a2 = cache.get(&code);
         assert!(Arc::ptr_eq(&a1, &a2));
-        // Different Arc, same bytes: content hit, no re-analysis.
+        assert_eq!(analyses(&cache), 1);
+        // A different Arc is a different key, even over the same bytes.
         let copy = Arc::new((*code).clone());
-        let a3 = cache.get(&copy);
-        assert!(Arc::ptr_eq(&a1, &a3));
-        let s = cache.stats();
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.hits, 2);
+        assert!(!Arc::ptr_eq(&a1, &cache.get(&copy)));
+        assert_eq!(analyses(&cache), 2);
     }
 
     #[test]
     fn cache_bound_evicts_fifo() {
-        let cache = AnalysisCache::with_capacity(16); // 1 entry per shard
-        let blobs: Vec<Arc<Vec<u8>>> = (0..200u64)
+        let cache = AnalysisCache::new();
+        let blobs: Vec<Arc<Vec<u8>>> = (0..CAPACITY as u64 + 200)
             .map(|i| Arc::new(Asm::new().push_u64(i).op(Op::Stop).build()))
             .collect();
         for b in &blobs {
             cache.get(b);
         }
-        assert!(cache.len() <= 16);
-        assert!(cache.stats().evictions > 0);
-        // Still correct after eviction: re-fetch recomputes.
-        let again = cache.get(&blobs[0]);
-        assert_eq!(again.inst_count(), 3); // PUSH, STOP, synthetic STOP
+        assert!(entries(&cache) <= CAPACITY);
+        // Still correct after eviction: a re-fetch recomputes.
+        let evicted = blobs.iter().find(|b| {
+            let shard = cache.shards[mix(Arc::as_ptr(b) as usize) % SHARDS].lock();
+            !shard.map.contains_key(&(Arc::as_ptr(b) as usize))
+        });
+        let again = cache.get(evicted.expect("the bound evicted an entry"));
+        assert_eq!(again.insts.len(), 3); // PUSH, STOP, synthetic STOP
+        assert_eq!(analyses(&cache), blobs.len() + 1);
     }
 
     #[test]
     fn cache_is_shared_across_threads() {
-        let cache = Arc::new(AnalysisCache::with_capacity(256));
+        let cache = AnalysisCache::new();
         let code = Arc::new(crate::contracts::token());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let cache = Arc::clone(&cache);
-            let code = Arc::clone(&code);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..50 {
-                    let an = cache.get(&code);
-                    assert!(an.block_count() > 1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = cache.stats();
-        // Every thread resolved the same blob; at most a few racing misses.
-        assert!(s.hits >= 8 * 50 - 8, "{s:?}");
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..50 {
+                        let an = cache.get(&code);
+                        assert!(an.blocks.len() > 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(analyses(&cache), 1);
+    }
+
+    /// Threads released together on fresh blobs each analyse every blob
+    /// exactly once: the miss analyses under its shard's lock, so a racing
+    /// thread waits and then hits instead of analysing again.
+    #[test]
+    fn racing_threads_analyse_each_blob_once() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 100;
+        let cache = AnalysisCache::new();
+        let blobs: Vec<Arc<Vec<u8>>> = [crate::contracts::token(), crate::contracts::amm_pair()]
+            .into_iter()
+            .cycle()
+            .take(ROUNDS)
+            .map(Arc::new)
+            .collect();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for blob in &blobs {
+                        start.wait();
+                        assert!(cache.get(blob).blocks.len() > 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(analyses(&cache), ROUNDS);
     }
 }

@@ -152,16 +152,6 @@ pub fn nft() -> Vec<u8> {
         .build()
 }
 
-/// The supply-counter slot of [`nft`] (the single hot key).
-pub fn nft_supply_slot() -> H256 {
-    H256::from_low_u64(0)
-}
-
-/// The owner slot of token `id` in [`nft`].
-pub fn nft_owner_slot(id: u64) -> H256 {
-    H256::from_low_u64(2 * id + 1)
-}
-
 /// A registry contract that writes its slot 0 with the first calldata word
 /// and never *semantically* reads it — the closest an EVM contract can get
 /// to a blind write.
@@ -361,6 +351,16 @@ mod tests {
         )
         .unwrap();
         assert!(ra.rw.conflicts_with(&rb.rw), "AMM swaps must conflict");
+    }
+
+    /// The supply-counter slot of [`nft`] (the single hot key).
+    fn nft_supply_slot() -> H256 {
+        H256::from_low_u64(0)
+    }
+
+    /// The owner slot of token `id` in [`nft`].
+    fn nft_owner_slot(id: u64) -> H256 {
+        H256::from_low_u64(2 * id + 1)
     }
 
     #[test]

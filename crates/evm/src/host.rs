@@ -21,8 +21,6 @@ use bp_state::{MultiVersionState, WorldState};
 use bp_types::FxBuildHasher;
 use bp_types::{AccessKey, Address, FxHashMap, RwSet, H256, U256};
 
-use crate::analysis::{AnalysisCache, CodeAnalysis};
-
 /// A read-only, versioned view of some state.
 pub trait StateView {
     /// The value of `key` and the version it was committed at (0 = pre-block
@@ -137,7 +135,6 @@ pub struct Checkpoint {
 /// Buffered, footprint-recording state access for one transaction.
 pub struct BufferedHost<'a, V: StateView> {
     view: &'a V,
-    cache: Arc<AnalysisCache>,
     rw: RwSet,
     buffer: FxHashMap<AccessKey, U256>,
     code_buffer: FxHashMap<Address, Arc<Vec<u8>>>,
@@ -159,15 +156,8 @@ pub struct BufferedHost<'a, V: StateView> {
 }
 
 impl<'a, V: StateView> BufferedHost<'a, V> {
-    /// A fresh host over `view`, using the process-wide analysis cache.
+    /// A fresh host over `view`.
     pub fn new(view: &'a V) -> Self {
-        Self::with_cache(view, AnalysisCache::global())
-    }
-
-    /// A fresh host over `view` with an explicit analysis cache (proposer
-    /// workers and validator lanes thread a shared per-node cache here so
-    /// hit rates are observable per run).
-    pub fn with_cache(view: &'a V, cache: Arc<AnalysisCache>) -> Self {
         // Pre-size for a typical transaction footprint (a handful of
         // balance/nonce/storage keys) so the hot path never reallocates.
         let mut rw = RwSet::new();
@@ -180,7 +170,6 @@ impl<'a, V: StateView> BufferedHost<'a, V> {
             .unwrap_or_else(|| Vec::with_capacity(32));
         BufferedHost {
             view,
-            cache,
             rw,
             buffer: FxHashMap::with_capacity_and_hasher(8, FxBuildHasher::default()),
             code_buffer: FxHashMap::default(),
@@ -189,11 +178,6 @@ impl<'a, V: StateView> BufferedHost<'a, V> {
             logs: Vec::new(),
             last_read: None,
         }
-    }
-
-    /// The cached [`CodeAnalysis`] for `code` (computed on first sight).
-    pub fn analysis(&self, code: &Arc<Vec<u8>>) -> Arc<CodeAnalysis> {
-        self.cache.get(code)
     }
 
     /// Reads `key`: the transaction's own pending write if any, otherwise the
@@ -326,7 +310,7 @@ impl<'a, V: StateView> BufferedHost<'a, V> {
 }
 
 thread_local! {
-    /// Recycled undo-log buffers (see [`BufferedHost::with_cache`]). Hosts
+    /// Recycled undo-log buffers (see [`BufferedHost::new`]). Hosts
     /// abandoned on admission errors simply drop their journal; only the
     /// `finish` path returns one, so the pool stays tiny.
     static JOURNAL_POOL: std::cell::RefCell<Vec<Vec<JournalEntry>>> =

@@ -158,7 +158,9 @@ impl Stack {
         debug_assert!(self.data.len() < STACK_LIMIT);
         // SAFETY: block pre-validation guarantees len + max_growth ≤ 1024
         // and capacity is 1024, so the slot exists and no reallocation can
-        // occur.
+        // occur. Exercised up to the limit by `stack_underflow_and_overflow`
+        // (1 024 pushes, then the refused 1 025th) and on random code by
+        // `raw_bytecode_matches_reference` in `tests/differential_props.rs`.
         unsafe {
             let n = self.data.len();
             std::ptr::write(self.data.as_mut_ptr().add(n), v);
@@ -170,7 +172,10 @@ impl Stack {
     fn pop(&mut self) -> U256 {
         debug_assert!(!self.data.is_empty());
         // SAFETY: block pre-validation guarantees the stack is deep enough
-        // for every pop in the block.
+        // for every pop in the block. Exercised by
+        // `stack_underflow_and_overflow` (a refused pop on an empty stack)
+        // and by `raw_bytecode_sweep_matches_reference` in
+        // `tests/differential.rs`.
         unsafe {
             let n = self.data.len() - 1;
             self.data.set_len(n);
@@ -183,6 +188,9 @@ impl Stack {
     fn peek(&self, depth: usize) -> U256 {
         debug_assert!(depth < self.data.len());
         // SAFETY: as for `pop` — DUP/SWAP depths are covered by `need`.
+        // Exercised by `raw_bytecode_matches_reference` in
+        // `tests/differential_props.rs` (DUP1..16 on random stacks, run or
+        // refused by `need`) and by `structured_programs_match_reference`.
         unsafe { *self.data.get_unchecked(self.data.len() - 1 - depth) }
     }
 
@@ -190,7 +198,7 @@ impl Stack {
     #[inline(always)]
     fn swap(&mut self, n: usize) {
         debug_assert!(n < self.data.len());
-        // SAFETY: as for `peek`.
+        // SAFETY: as for `peek`; exercised by the same test's SWAP1..16.
         unsafe {
             let top = self.data.len() - 1;
             let p = self.data.as_mut_ptr();
@@ -363,9 +371,9 @@ impl<V: StateView> Table<V> {
 
 /// Runs one frame to completion.
 ///
-/// Code analysis comes from the host's [`AnalysisCache`], so repeated frames
-/// against the same contract skip decoding, jumpdest discovery and block
-/// summarization entirely.
+/// Code analysis comes from the process-wide analysis cache, so repeated
+/// frames against the same contract skip decoding, jumpdest discovery and
+/// block summarization entirely.
 pub fn run_frame<V: StateView>(
     host: &mut BufferedHost<'_, V>,
     env: &BlockEnv,
@@ -397,10 +405,10 @@ fn run_frame_at<V: StateView>(
     let cached;
     let owned;
     let an: &CodeAnalysis = if use_cache {
-        cached = host.analysis(&frame.code);
+        cached = crate::analysis::cached(&frame.code);
         &cached
     } else {
-        owned = CodeAnalysis::analyze(Arc::clone(&frame.code));
+        owned = CodeAnalysis::analyze(&frame.code);
         &owned
     };
     run_analyzed(host, env, &frame, an, depth)
@@ -439,6 +447,9 @@ fn run_analyzed<V: StateView>(
         // only holds real block indices) and fall-through targets exist
         // because the analysis appends a synthetic STOP block at the end.
         debug_assert!(bi < blocks.len());
+        // SAFETY: `bi` is in bounds, as said above. Exercised by
+        // `jumps_loop_sums` and `invalid_jump_faults`, and on random jumps
+        // by `raw_bytecode_matches_reference` in `tests/differential_props.rs`.
         let blk = unsafe { *blocks.get_unchecked(bi) };
 
         // Precharge the whole block's static gas. Within a block execution
@@ -466,10 +477,16 @@ fn run_analyzed<V: StateView>(
         let mut next = bi + 1;
         while ii < end {
             debug_assert!(ii < insts.len());
+            // SAFETY: `first..end` of a block lies inside `insts`, which the
+            // analysis built together with the block. Exercised by every
+            // frame, e.g. `workload_contracts_match_reference` in
+            // `tests/differential.rs`.
             let inst = unsafe { *insts.get_unchecked(ii) };
             ii += 1;
             // SAFETY: `Kind` discriminants are contiguous in
-            // [0, KIND_COUNT).
+            // [0, KIND_COUNT). Every kind, `Abort` for each undefined byte
+            // included, is dispatched by `raw_bytecode_sweep_matches_reference`
+            // in `tests/differential.rs`.
             let handler = unsafe { *table.get_unchecked(inst.kind as usize) };
             match handler(&mut e, inst)? {
                 Ctl::Next => {}
@@ -1069,7 +1086,10 @@ fn op_abort<V: StateView>(_e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmEr
 
 fn op_push<V: StateView>(e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmError> {
     debug_assert!((i.a as usize) < e.an.imms.len());
-    // SAFETY: immediate-pool indices are produced by the analysis.
+    // SAFETY: immediate-pool indices are produced by the analysis, which
+    // pushes the pool entry before the instruction naming it. Exercised by
+    // `truncated_push_zero_pads` and, on every PUSH1..32 width, by
+    // `raw_bytecode_matches_reference` in `tests/differential_props.rs`.
     let v = unsafe { *e.an.imms.get_unchecked(i.a as usize) };
     e.stack.push(v);
     Ok(Ctl::Next)
@@ -1077,7 +1097,9 @@ fn op_push<V: StateView>(e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmErro
 
 fn op_push2<V: StateView>(e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmError> {
     debug_assert!((i.a as usize) < e.an.imms.len() && (i.b as usize) < e.an.imms.len());
-    // SAFETY: immediate-pool indices are produced by the analysis.
+    // SAFETY: as for `op_push`, for both fused pushes. Exercised by
+    // `arithmetic_basics` (PUSH PUSH ADD) and by
+    // `structured_programs_match_reference` in `tests/differential_props.rs`.
     let (a, b) = unsafe {
         (
             *e.an.imms.get_unchecked(i.a as usize),

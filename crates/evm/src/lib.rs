@@ -9,13 +9,13 @@
 //! of the paper's Algorithm 1 — at no extra cost.
 //!
 //! Intentional simplifications relative to mainnet (documented in DESIGN.md):
-//! no gas refunds or access lists, no precompiles, no
-//! DELEGATECALL/STATICCALL, 64-frame call depth, and fees aggregated at
-//! block seal instead of per-transaction coinbase writes.
+//! no gas refunds or access lists, no precompiles, no SELFDESTRUCT,
+//! CALLCODE or CREATE2, 64-frame call depth, and fees aggregated at block
+//! seal instead of per-transaction coinbase writes.
 
 #![warn(missing_docs)]
 
-pub mod analysis;
+mod analysis;
 pub mod asm;
 pub mod contracts;
 pub mod gas;
@@ -25,10 +25,6 @@ pub mod opcode;
 pub mod reference;
 pub mod tx;
 
-pub use analysis::{AnalysisCache, CacheStats, CodeAnalysis};
 pub use host::{BufferedHost, Log, MvSnapshot, StateView, WorldView};
 pub use interpreter::{create_address, BlockEnv, Frame, FrameResult, VmError};
-pub use tx::{
-    execute_transaction, execute_transaction_in, execute_transaction_reference, ExecutionResult,
-    Receipt, Transaction, TxError,
-};
+pub use tx::{execute_transaction, ExecutionResult, Receipt, Transaction, TxError};

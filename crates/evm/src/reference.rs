@@ -3,10 +3,10 @@
 //! A byte-for-byte retention of the interpreter as it was before the
 //! analysis/precharge/jump-table rewrite: per-frame `jumpdests()`
 //! recomputation, per-opcode gas charging, checked stack access and a
-//! monolithic `match` dispatch. It exists for two reasons: the differential
-//! test suite proves the optimized engine produces identical receipts,
-//! read/write sets and logs on arbitrary bytecode, and the `evm_baseline`
-//! bench uses it as the honest "before" when measuring gas/us.
+//! monolithic `match` dispatch. It exists so that the differential test
+//! suites can prove the optimized engine produces identical receipts,
+//! read/write sets and logs on arbitrary bytecode. Its one entry point is
+//! [`execute_transaction_reference`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -24,14 +24,13 @@ use crate::tx::{ExecutionResult, Receipt, TxError};
 
 /// The pre-optimization footprint recorder, retained verbatim: ordered
 /// `BTreeMap`s, exactly as [`RwSet`] was backed before the Fx-hashed
-/// rewrite. The raw reference path records into this so the timed "before"
-/// side of the bench pays the seed's tree costs, not the new hash costs.
-#[derive(Clone, Debug, Default)]
-pub struct RefRwSet {
+/// rewrite.
+#[derive(Default)]
+struct RefRwSet {
     /// Keys read, with the version observed for each.
-    pub reads: BTreeMap<AccessKey, u64>,
+    reads: BTreeMap<AccessKey, u64>,
     /// Keys written, with the final value for each.
-    pub writes: BTreeMap<AccessKey, U256>,
+    writes: BTreeMap<AccessKey, U256>,
 }
 
 impl RefRwSet {
@@ -47,8 +46,8 @@ impl RefRwSet {
         self.writes.insert(key, value);
     }
 
-    /// Converts to the live footprint type (outside any timed region).
-    pub fn into_rw_set(self) -> RwSet {
+    /// Converts to the live footprint type.
+    fn into_rw_set(self) -> RwSet {
         let mut rw = RwSet::new();
         for (k, v) in self.reads {
             rw.reads.insert(k, v);
@@ -60,41 +59,11 @@ impl RefRwSet {
     }
 }
 
-/// The pre-optimization state view, retained verbatim: a plain pass-through
-/// to [`WorldState::read_key`] with no account memo. The live
-/// [`crate::WorldView`] grew a one-account memo as part of the hot-loop
-/// work; running the reference engine through it would retroactively
-/// accelerate the baseline with a post-change state-layer optimization.
-/// `evm_baseline` runs the reference series through this view instead, so
-/// the measured speedup covers the full pre-change → post-change stack.
-pub struct RefView<'a> {
-    world: &'a bp_state::WorldState,
-}
-
-impl<'a> RefView<'a> {
-    /// A plain, memo-less view of `world`.
-    pub fn new(world: &'a bp_state::WorldState) -> Self {
-        RefView { world }
-    }
-}
-
-impl StateView for RefView<'_> {
-    fn read_key(&self, key: &AccessKey) -> (U256, u64) {
-        (self.world.read_key(key), 0)
-    }
-
-    fn code(&self, addr: &Address) -> Arc<Vec<u8>> {
-        self.world.code(addr)
-    }
-}
-
 /// The pre-optimization buffered host, retained verbatim: `std` SipHash
 /// maps and clone-the-buffer checkpoints, exactly as the host worked before
-/// the Fx-hashed, journaled rewrite. Pinning it here keeps the reference
-/// path an honest end-to-end "before" for the `evm_baseline` bench — the
-/// optimized engine's host improvements count toward the measured speedup
-/// instead of silently accelerating both sides.
-pub struct RefHost<'a, V: StateView> {
+/// the Fx-hashed, journaled rewrite, so the oracle shares no host code with
+/// the engine it checks.
+struct RefHost<'a, V: StateView> {
     view: &'a V,
     rw: RefRwSet,
     buffer: HashMap<AccessKey, U256>,
@@ -103,7 +72,7 @@ pub struct RefHost<'a, V: StateView> {
 }
 
 /// Checkpoint for [`RefHost`]: full clones of both buffers.
-pub struct RefCheckpoint {
+struct RefCheckpoint {
     buffer: HashMap<AccessKey, U256>,
     code_buffer: HashMap<Address, Arc<Vec<u8>>>,
     log_len: usize,
@@ -111,7 +80,7 @@ pub struct RefCheckpoint {
 
 impl<'a, V: StateView> RefHost<'a, V> {
     /// A fresh host over `view`.
-    pub fn new(view: &'a V) -> Self {
+    fn new(view: &'a V) -> Self {
         RefHost {
             view,
             rw: RefRwSet::new(),
@@ -208,27 +177,15 @@ impl<'a, V: StateView> RefHost<'a, V> {
     }
 }
 
-/// Everything the raw reference path produced, in the seed's own data
-/// structures (so benches can time it without paying a conversion).
-pub struct RefExecutionResult {
-    /// The receipt.
-    pub receipt: Receipt,
-    /// Read/write footprint in the pre-optimization `BTreeMap` layout.
-    pub rw: RefRwSet,
-    /// Code deployed by this transaction.
-    pub deployed: HashMap<Address, Arc<Vec<u8>>>,
-}
-
 /// The pre-optimization transaction driver over [`RefHost`] +
 /// [`run_frame_reference`]: admission checks, gas purchase, the outer
 /// frame, refund and receipt assembly, exactly as `execute_transaction`
-/// worked before the rewrite. Returns the seed's own result shape; use
-/// [`execute_transaction_reference`] when the live types are wanted.
-pub fn execute_transaction_reference_raw<V: StateView>(
+/// worked before the rewrite.
+pub fn execute_transaction_reference<V: StateView>(
     view: &V,
     env: &BlockEnv,
     tx: &crate::tx::Transaction,
-) -> Result<RefExecutionResult, TxError> {
+) -> Result<ExecutionResult, TxError> {
     let mut host = RefHost::new(view);
     let state_nonce = host.read(AccessKey::Nonce(tx.sender)).low_u64();
     if state_nonce != tx.nonce {
@@ -344,7 +301,7 @@ pub fn execute_transaction_reference_raw<V: StateView>(
 
     let gas_used = tx.gas_limit - gas_left;
     let (rw, logs, deployed) = host.finish();
-    Ok(RefExecutionResult {
+    Ok(ExecutionResult {
         receipt: Receipt {
             success,
             gas_used,
@@ -353,24 +310,8 @@ pub fn execute_transaction_reference_raw<V: StateView>(
             fee: U256::from(gas_used) * U256::from(tx.gas_price),
             created,
         },
-        rw,
-        deployed,
-    })
-}
-
-/// [`execute_transaction_reference_raw`] adapted to the live
-/// [`ExecutionResult`] shape (footprint conversion happens here, outside
-/// anything a bench should time).
-pub fn execute_transaction_reference<V: StateView>(
-    view: &V,
-    env: &BlockEnv,
-    tx: &crate::tx::Transaction,
-) -> Result<ExecutionResult, TxError> {
-    let raw = execute_transaction_reference_raw(view, env, tx)?;
-    Ok(ExecutionResult {
-        receipt: raw.receipt,
-        rw: raw.rw.into_rw_set(),
-        deployed: raw.deployed.into_iter().collect(),
+        rw: rw.into_rw_set(),
+        deployed: deployed.into_iter().collect(),
     })
 }
 
@@ -461,7 +402,7 @@ fn jumpdests(code: &[u8]) -> Vec<bool> {
 }
 
 /// Runs one frame to completion.
-pub fn run_frame_reference<V: StateView>(
+fn run_frame_reference<V: StateView>(
     host: &mut RefHost<'_, V>,
     env: &BlockEnv,
     frame: Frame,

@@ -13,7 +13,6 @@ use bp_crypto::rlp::{self, StackStream};
 use bp_crypto::{keccak256_batch, Keccak256};
 use bp_types::{AccessKey, Address, FxHashMap, Gas, RwSet, TxHash, U256};
 
-use crate::analysis::AnalysisCache;
 use crate::gas;
 use crate::host::{BufferedHost, Log, StateView};
 use crate::interpreter::{create_address, run_frame, BlockEnv, Frame};
@@ -178,31 +177,6 @@ pub fn execute_transaction<V: StateView>(
     tx: &Transaction,
 ) -> Result<ExecutionResult, TxError> {
     execute_with(BufferedHost::new(view), env, tx)
-}
-
-/// [`execute_transaction`] resolving code analyses through an explicit
-/// cache instead of the process-wide one (so callers can bound, share and
-/// observe cache behavior per proposer/validator run).
-pub fn execute_transaction_in<V: StateView>(
-    cache: &Arc<AnalysisCache>,
-    view: &V,
-    env: &BlockEnv,
-    tx: &Transaction,
-) -> Result<ExecutionResult, TxError> {
-    execute_with(BufferedHost::with_cache(view, Arc::clone(cache)), env, tx)
-}
-
-/// [`execute_transaction`] on the pre-optimization baseline: the retained
-/// reference interpreter *and* the retained pre-optimization host and
-/// transaction driver (`crate::reference`), so the "before" side of the
-/// differential tests and the `evm_baseline` bench is the whole old
-/// execution path, not just the old opcode loop.
-pub fn execute_transaction_reference<V: StateView>(
-    view: &V,
-    env: &BlockEnv,
-    tx: &Transaction,
-) -> Result<ExecutionResult, TxError> {
-    crate::reference::execute_transaction_reference(view, env, tx)
 }
 
 fn execute_with<V: StateView>(

@@ -9,9 +9,8 @@
 
 use bp_evm::asm::Asm;
 use bp_evm::opcode::Op;
-use bp_evm::{
-    contracts, execute_transaction, execute_transaction_reference, BlockEnv, Transaction, WorldView,
-};
+use bp_evm::reference::execute_transaction_reference;
+use bp_evm::{contracts, execute_transaction, BlockEnv, Transaction, WorldView};
 use bp_state::WorldState;
 use bp_testkit::prelude::*;
 use bp_types::{Address, U256};

@@ -45,6 +45,7 @@ mod tests {
 
     use super::*;
     use blockpilot_core::{PipelineConfig, Validator};
+    use bp_store::GroupCommitConfig;
     use bp_testkit::within;
     use bp_workload::{WorkloadConfig, WorkloadGen};
 
@@ -163,8 +164,13 @@ mod tests {
 
             // Reopened cold, the store lands on the same head and root.
             let genesis = WorkloadGen::new(workload()).genesis_state();
-            let reopened =
-                Validator::with_store_at(pipeline(), genesis, &dir).expect("store reopens");
+            let reopened = Validator::with_store_profile(
+                pipeline(),
+                genesis,
+                &dir,
+                GroupCommitConfig::default(),
+            )
+            .expect("store reopens");
             assert_eq!(reopened.head(), Some(second.heads[0]));
             assert_eq!(reopened.head_state_root(), Some(second.final_root));
             std::fs::remove_dir_all(&dir).ok();

@@ -47,16 +47,15 @@ fn small_config() -> NodeConfig {
 }
 
 /// One fsync batch per four heights.
-const BATCHED: GroupCommitConfig = GroupCommitConfig {
-    max_blocks: 4,
-    max_bytes: 64 << 20,
-};
+const BATCHED: GroupCommitConfig = GroupCommitConfig { max_blocks: 4 };
 
 /// Reopens the store at `dir` cold: replay must land on exactly the run's
 /// head and root, and the store's durable head must be that head.
 fn assert_store_holds(dir: &Path, report: &NodeReport) -> Validator {
     let genesis = WorkloadGen::new(small_workload()).genesis_state();
-    let reopened = Validator::with_store_at(pipeline(), genesis, dir).expect("store reopens");
+    let reopened =
+        Validator::with_store_profile(pipeline(), genesis, dir, GroupCommitConfig::default())
+            .expect("store reopens");
     assert_eq!(reopened.head(), Some(report.heads[0]));
     assert_eq!(reopened.head_state_root(), Some(report.final_root));
     let stored_head = reopened

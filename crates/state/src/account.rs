@@ -1,6 +1,6 @@
 //! The Ethereum account: the RLP structure stored in the state trie.
 
-use bp_crypto::rlp::{self, DecodeError};
+use bp_crypto::rlp;
 use bp_types::{H256, U256};
 
 use crate::trie;
@@ -65,9 +65,16 @@ impl Account {
         }
         out
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bp_crypto::keccak256;
+    use bp_crypto::rlp::{DecodeError, RlpStream};
 
     /// Strict decoding of the trie representation.
-    pub fn rlp_decode(data: &[u8]) -> Result<Account, DecodeError> {
+    fn rlp_decode(data: &[u8]) -> Result<Account, DecodeError> {
         let mut l = rlp::decode_list(data)?;
         let account = Account {
             nonce: l.u64()?,
@@ -78,13 +85,6 @@ impl Account {
         l.end()?;
         Ok(account)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bp_crypto::keccak256;
-    use bp_crypto::rlp::RlpStream;
 
     #[test]
     fn default_is_empty() {
@@ -112,7 +112,7 @@ mod tests {
             code_hash: H256::from_low_u64(8),
         };
         let enc = a.rlp_encode();
-        assert_eq!(Account::rlp_decode(&enc).unwrap(), a);
+        assert_eq!(rlp_decode(&enc).unwrap(), a);
     }
 
     #[test]
@@ -144,7 +144,7 @@ mod tests {
                 let enc = a.rlp_encode();
                 assert_eq!(enc, s.out());
                 assert_eq!(enc.capacity(), enc.len());
-                assert_eq!(Account::rlp_decode(&enc).unwrap(), a);
+                assert_eq!(rlp_decode(&enc).unwrap(), a);
             }
         }
     }
@@ -165,14 +165,14 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Account::rlp_decode(&[0x80]).is_err());
-        assert!(Account::rlp_decode(b"not rlp at all").is_err());
+        assert!(rlp_decode(&[0x80]).is_err());
+        assert!(rlp_decode(b"not rlp at all").is_err());
         // A 3-element list is not an account.
         let mut s = RlpStream::new();
         s.begin_list(3);
         s.append_u64(1);
         s.append_u64(2);
         s.append_u64(3);
-        assert!(Account::rlp_decode(&s.out()).is_err());
+        assert!(rlp_decode(&s.out()).is_err());
     }
 }

@@ -169,9 +169,14 @@ impl Nibbles {
         out.push(self.0[0] | if leaf { LEAF } else { 0 });
         out.extend_from_slice(&self.0[1..]);
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// Decodes a hex-prefix encoding, returning the path and the leaf flag.
-    pub fn from_hex_prefix(data: &[u8]) -> Option<(Nibbles, bool)> {
+    fn from_hex_prefix(data: &[u8]) -> Option<(Nibbles, bool)> {
         let &first = data.first()?;
         let flag = first >> 4;
         if flag > 3 {
@@ -184,11 +189,6 @@ impl Nibbles {
         packed[0] &= !LEAF;
         Some((Nibbles(packed), flag >= 2))
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn unpacked(n: &Nibbles) -> Vec<u8> {
         (0..n.len()).map(|i| n.at(i)).collect()
@@ -239,7 +239,7 @@ mod tests {
                 let mut enc = Vec::new();
                 n.write_hex_prefix(leaf, &mut enc);
                 assert_eq!(enc.len(), n.hex_prefix_len());
-                let (dec, got_leaf) = Nibbles::from_hex_prefix(&enc).unwrap();
+                let (dec, got_leaf) = from_hex_prefix(&enc).unwrap();
                 assert_eq!(dec, n);
                 assert_eq!(got_leaf, leaf);
             }
@@ -248,11 +248,11 @@ mod tests {
 
     #[test]
     fn bad_hex_prefix_rejected() {
-        assert!(Nibbles::from_hex_prefix(&[]).is_none());
+        assert!(from_hex_prefix(&[]).is_none());
         // Even-length flag with nonzero padding nibble.
-        assert!(Nibbles::from_hex_prefix(&[0x05]).is_none());
+        assert!(from_hex_prefix(&[0x05]).is_none());
         // Flag nibble out of range.
-        assert!(Nibbles::from_hex_prefix(&[0x40]).is_none());
+        assert!(from_hex_prefix(&[0x40]).is_none());
     }
 
     #[test]

@@ -610,11 +610,6 @@ impl WorldState {
         }
     }
 
-    /// Number of existing accounts.
-    pub fn account_count(&self) -> usize {
-        self.accounts.len()
-    }
-
     /// Iterates over all accounts.
     pub fn accounts(&self) -> impl Iterator<Item = (&Address, &AccountState)> {
         self.accounts.iter().map(|(a, acct)| (a, &**acct))
@@ -1537,7 +1532,7 @@ mod tests {
         assert_eq!(parent.state_root(), parent_root);
         assert_eq!(parent.rebuild_root(), parent_root);
         assert_eq!(parent.balance(&addr(0)), U256::from(1000u64));
-        assert_eq!(parent.account_count(), 300);
+        assert_eq!(parent.accounts().count(), 300);
     }
 
     // ---- incremental-commitment specific coverage ----

@@ -28,10 +28,16 @@ const LOG_FILE: &str = "chain.log";
 /// and no log is refused rather than initialized over.
 const OLD_FORMAT: [&str; 2] = ["blocks.log", "manifest.0"];
 
+/// A group also closes once the bytes appended since the last boundary
+/// reach this bound, so a burst of heavy blocks cannot grow the at-risk
+/// window unboundedly.
+const GROUP_MAX_BYTES: u64 = 4 << 20;
+
 /// Bounds for coalescing consecutive [`Store::commit`]s into one group. A
-/// group closes (and durably lands) as soon as *either* bound is reached,
-/// or on an explicit [`Store::flush`]. Commits inside a group only advance
-/// the in-memory head; the boundary makes them all durable, and a crash
+/// group closes (and durably lands) as soon as `max_blocks` commits are in
+/// it or 4 MiB have been appended since its start (`GROUP_MAX_BYTES`), or
+/// on an explicit [`Store::flush`]. Commits inside a group only advance the
+/// in-memory head; the boundary makes them all durable, and a crash
 /// mid-group rolls the store back to the last boundary.
 ///
 /// The default is a group of one: every commit is durable on return.
@@ -40,18 +46,11 @@ pub struct GroupCommitConfig {
     /// Close the group after this many commits (1, the default, is a
     /// durable commit per block; 0 is treated as 1).
     pub max_blocks: usize,
-    /// Close the group once the bytes appended since the last boundary reach
-    /// this bound, so a burst of heavy blocks cannot grow the at-risk window
-    /// unboundedly.
-    pub max_bytes: u64,
 }
 
 impl Default for GroupCommitConfig {
     fn default() -> Self {
-        GroupCommitConfig {
-            max_blocks: 1,
-            max_bytes: 4 << 20,
-        }
+        GroupCommitConfig { max_blocks: 1 }
     }
 }
 
@@ -228,7 +227,7 @@ impl Store {
         self.head = Some(head);
         self.pending_commits += 1;
         if self.pending_commits < self.bounds.max_blocks.max(1)
-            && self.len - self.group_start < self.bounds.max_bytes
+            && self.len - self.group_start < GROUP_MAX_BYTES
         {
             return Ok(());
         }
@@ -387,8 +386,9 @@ pub fn test_dir(label: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_block::{genesis_header, BlockProfile};
-    use bp_types::{Address, U256};
+    use bp_block::{genesis_header, BlockProfile, TxProfile};
+    use bp_types::{AccessKey, Address, RwSet, U256};
+    use std::sync::Arc;
 
     fn genesis_world(n: u64) -> WorldState {
         let mut w = WorldState::new();
@@ -578,10 +578,7 @@ mod tests {
     #[test]
     fn group_commit_coalesces_until_block_bound() {
         let dir = test_dir("store-gc-blocks");
-        let config = GroupCommitConfig {
-            max_blocks: 3,
-            max_bytes: u64::MAX,
-        };
+        let config = GroupCommitConfig { max_blocks: 3 };
         let mut world = genesis_world(5);
         let gblock = genesis_block(&world);
         let mut store = Store::open_with(&dir, config).unwrap();
@@ -623,18 +620,31 @@ mod tests {
         let dir = test_dir("store-gc-bytes");
         let config = GroupCommitConfig {
             max_blocks: usize::MAX,
-            max_bytes: 1, // any appended byte closes the group
         };
         let mut world = genesis_world(5);
         let gblock = genesis_block(&world);
         let mut store = Store::open_with(&dir, config).unwrap();
         store.initialize(&world, &gblock).unwrap();
+        // A light block stays pending: the group is far from the bound.
         let b1 = child_block(&gblock, &mut world, 1);
         store.put_block(&b1).unwrap();
         store.commit(b1.hash()).unwrap();
-        // The block's own bytes tripped the bound: nothing stays pending.
+        assert_eq!(store.pending_commits(), 1);
+        assert_eq!(durable_head(&dir), Some(gblock.hash()));
+        // A block whose profile ships a contract of the bound's size appends
+        // past it and closes the group.
+        let mut b2 = child_block(&b1, &mut world, 2);
+        let code = vec![0u8; GROUP_MAX_BYTES as usize];
+        let at = Address::from_index(7);
+        let mut rw = RwSet::new();
+        rw.record_write(AccessKey::Code(at), bp_crypto::keccak256(&code).to_u256());
+        let deployed = std::iter::once((at, Arc::new(code))).collect();
+        b2.profile.push(TxProfile::from_owned_rw(rw, deployed, 0));
+        store.put_block(&b2).unwrap();
+        assert!(store.len - store.group_start >= GROUP_MAX_BYTES);
+        store.commit(b2.hash()).unwrap();
         assert_eq!(store.pending_commits(), 0);
-        assert_eq!(durable_head(&dir), Some(b1.hash()));
+        assert_eq!(durable_head(&dir), Some(b2.hash()));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

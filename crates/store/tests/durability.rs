@@ -114,7 +114,6 @@ fn crash_inside_coalesced_batch_rolls_back_to_boundary() {
     let dir = test_dir("crash-group-commit");
     let config = GroupCommitConfig {
         max_blocks: 100, // only the explicit flush closes a group
-        max_bytes: u64::MAX,
     };
     let mut world = genesis_world();
     let gblock = genesis_block(&world);
@@ -206,10 +205,7 @@ fn a_flipped_byte_in_a_committed_record_is_corrupt() {
 #[test]
 fn a_reordered_or_missing_record_is_corrupt() {
     let dir = test_dir("crash-reorder");
-    let config = GroupCommitConfig {
-        max_blocks: 100,
-        max_bytes: u64::MAX,
-    };
+    let config = GroupCommitConfig { max_blocks: 100 };
     let mut world = genesis_world();
     let gblock = genesis_block(&world);
     let mut store = Store::open_with(&dir, config).unwrap();

@@ -91,10 +91,7 @@ proptest! {
     ) {
         let blocks = fixture_blocks();
         let dir = test_dir("props");
-        let config = GroupCommitConfig {
-            max_blocks: group,
-            max_bytes: u64::MAX,
-        };
+        let config = GroupCommitConfig { max_blocks: group };
         let mut store = Store::open_with(&dir, config).unwrap();
         let mut live = Model::default();
         let mut durable = Model::default();

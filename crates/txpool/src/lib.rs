@@ -110,7 +110,7 @@ struct Inner {
     // How many of `txs` are checked out.
     in_flight: usize,
     // Admission cap (None = unbounded). Bounds memory under sustained
-    // ingest: when the pool is full, `try_add` refuses instead of growing.
+    // ingest: when the pool is full, `add_batch` refuses instead of growing.
     limit: Option<usize>,
     seq: u64,
     // Free slots a parked feeder waits for.
@@ -129,25 +129,22 @@ impl Inner {
     }
 
     /// Admits `tx`, known by `hash`, promoting it if it is its sender's new
-    /// head. Returns `false` iff it needs a slot and `capped` finds none. A
-    /// duplicate is already present; a second transaction under an occupied
-    /// `(sender, nonce)` replaces the first or is dropped (see the module
-    /// docs) — neither needs a slot, and neither is worth offering again.
-    fn admit(&mut self, hash: TxHash, tx: Transaction, capped: bool) -> bool {
+    /// head. A duplicate is already present; a second transaction under an
+    /// occupied `(sender, nonce)` replaces the first or is dropped (see the
+    /// module docs).
+    fn admit(&mut self, hash: TxHash, tx: Transaction) {
         if self.txs.contains_key(&hash) {
-            return true;
+            return;
         }
         let (sender, nonce, gas_price) = (tx.sender, tx.nonce, tx.gas_price);
         if let Some(&old) = self.by_sender.get(&sender).and_then(|q| q.get(&nonce)) {
             let earlier = &self.txs[&old];
             if earlier.in_flight || earlier.tx.gas_price >= gas_price {
-                return true;
+                return;
             }
             // The stale heap entry of the replaced transaction names a hash
             // the pool no longer knows and is skipped at check-out.
             self.txs.remove(&old);
-        } else if capped && self.room() == 0 {
-            return false;
         }
         self.seq += 1;
         let pooled = Pooled {
@@ -163,7 +160,6 @@ impl Inner {
             self.ready.push(pooled.ready_entry(hash));
         }
         self.txs.insert(hash, pooled);
-        true
     }
 
     /// Pops the highest-priority eligible transaction, skipping stale heap
@@ -292,7 +288,7 @@ impl TxPool {
     }
 
     /// An empty pool that admits at most `limit` transactions at a time.
-    /// Ingest through [`TxPool::try_add`] / [`TxPool::add_batch`] is refused
+    /// Ingest through [`TxPool::add_batch`] is refused
     /// while the pool is full, which is the backpressure signal a sustained
     /// feed needs to stop outrunning the proposer.
     pub fn with_capacity_limit(limit: usize) -> Self {
@@ -393,20 +389,8 @@ impl TxPool {
     pub fn add(&self, tx: Transaction) {
         let hash = tx.hash();
         let mut g = self.inner.lock();
-        g.admit(hash, tx, false);
+        g.admit(hash, tx);
         self.settle(g);
-    }
-
-    /// Adds a transaction unless the pool is at its admission cap. Returns
-    /// `false` iff the transaction was refused for capacity (a duplicate, a
-    /// replacement and a dropped underpriced replacement need no slot and
-    /// count as accepted: offering them again changes nothing).
-    pub fn try_add(&self, tx: Transaction) -> bool {
-        let hash = tx.hash();
-        let mut g = self.inner.lock();
-        let accepted = g.admit(hash, tx, true);
-        self.settle(g);
-        accepted
     }
 
     /// Adds a prefix of `txs`, stopping at the admission cap. Returns how
@@ -424,7 +408,7 @@ impl TxPool {
         // Other feeders may have used some of the room meanwhile.
         let take = g.room().min(room);
         for (hash, tx) in hashes.into_iter().zip(txs.drain(..take)) {
-            g.admit(hash, tx, false);
+            g.admit(hash, tx);
         }
         self.settle(g);
         take
@@ -653,27 +637,34 @@ mod tests {
     fn one_transaction_per_sender_and_nonce() {
         let pool = TxPool::with_capacity_limit(2);
         let cheap = tx(1, 0, 5);
-        assert!(pool.try_add(cheap.clone()));
-        assert!(pool.try_add(tx(2, 0, 1)));
-        // Full — yet a better-paying transaction under an occupied
-        // (sender, nonce) needs no slot: it takes the earlier one's.
+        assert_eq!(pool.add_batch(&mut vec![cheap.clone(), tx(2, 0, 1)]), 2);
+        // A better-paying transaction under an occupied (sender, nonce)
+        // takes the earlier one's slot.
         let dear = tx(1, 0, 9);
-        assert!(pool.try_add(dear.clone()));
+        pool.add(dear.clone());
         assert_eq!(pool.len(), 2, "the replaced transaction freed its slot");
-        assert!(!pool.try_add(tx(3, 0, 1)), "and the pool is still full");
+        assert_eq!(
+            pool.add_batch(&mut vec![tx(3, 0, 1)]),
+            0,
+            "and the pool is still full"
+        );
         // An arrival that does not pay more is dropped, for good.
-        assert!(pool.try_add(tx(1, 0, 9 - 1)));
-        assert!(pool.try_add(cheap));
+        pool.add(tx(1, 0, 9 - 1));
+        pool.add(cheap);
         assert_eq!(pool.len(), 2);
         // The replacement is what executes; while it is checked out it
         // cannot be replaced in turn.
         assert_eq!(pool.pop(), Some(dear.clone()));
-        assert!(pool.try_add(tx(1, 0, 50)));
+        pool.add(tx(1, 0, 50));
         pool.push_back(&dear);
         assert_eq!(pool.pop(), Some(dear.clone()));
         pool.commit(&dear);
         assert_eq!(pool.len(), 1);
-        assert!(pool.try_add(tx(3, 0, 1)), "the committed slot is free");
+        assert_eq!(
+            pool.add_batch(&mut vec![tx(3, 0, 1)]),
+            1,
+            "the committed slot is free"
+        );
         assert_eq!(pool.pop().map(|t| t.sender), Some(addr(2)));
         assert_eq!(pool.pop().map(|t| t.sender), Some(addr(3)));
         assert_eq!(pool.pop(), None);
@@ -790,16 +781,20 @@ mod tests {
     #[test]
     fn capacity_limit_refuses_then_admits_after_drain() {
         let pool = TxPool::with_capacity_limit(2);
-        assert!(pool.try_add(tx(1, 0, 10)));
-        assert!(pool.try_add(tx(2, 0, 10)));
-        assert!(!pool.try_add(tx(3, 0, 10)), "full pool must refuse");
-        // A duplicate of a resident tx is not a capacity violation.
-        assert!(pool.try_add(tx(1, 0, 10)));
+        assert_eq!(pool.add_batch(&mut vec![tx(1, 0, 10), tx(2, 0, 10)]), 2);
+        assert_eq!(
+            pool.add_batch(&mut vec![tx(3, 0, 10)]),
+            0,
+            "full pool must refuse"
+        );
+        // A duplicate of a resident tx takes no slot.
+        pool.add(tx(1, 0, 10));
+        assert_eq!(pool.len(), 2);
         let t = pool.pop().unwrap();
         // In-flight still occupies a slot; only commit/discard frees it.
-        assert!(!pool.try_add(tx(3, 0, 10)));
+        assert_eq!(pool.add_batch(&mut vec![tx(3, 0, 10)]), 0);
         pool.commit(&t);
-        assert!(pool.try_add(tx(3, 0, 10)));
+        assert_eq!(pool.add_batch(&mut vec![tx(3, 0, 10)]), 1);
     }
 
     #[test]
@@ -1084,7 +1079,7 @@ mod tests {
                     for n in 0..PER_SENDER {
                         // Busy-retry on a full pool: admission must make
                         // progress as drainers free slots.
-                        while !pool.try_add(tx(s, n, 1 + (s + n) % 7)) {
+                        while pool.add_batch(&mut vec![tx(s, n, 1 + (s + n) % 7)]) == 0 {
                             std::thread::yield_now();
                         }
                     }
@@ -1161,7 +1156,7 @@ mod tests {
                             let woken = pool.wait_for_room(1, Duration::from_secs(10));
                             assert!(woken, "a feeder slept through ten seconds of commits");
                             // Another feeder may have taken the slot.
-                            if pool.try_add(t.clone()) {
+                            if pool.add_batch(&mut vec![t.clone()]) == 1 {
                                 break;
                             }
                         }

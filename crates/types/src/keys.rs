@@ -47,16 +47,6 @@ impl AccessKey {
     pub fn account(&self) -> AccessKey {
         AccessKey::Balance(self.address())
     }
-
-    /// True for storage-slot keys (the paper's "storage conflicts").
-    pub fn is_storage(&self) -> bool {
-        matches!(self, AccessKey::Storage(..))
-    }
-
-    /// True for balance/nonce keys (the paper's "counter conflicts").
-    pub fn is_counter(&self) -> bool {
-        matches!(self, AccessKey::Balance(_) | AccessKey::Nonce(_))
-    }
 }
 
 /// A read set: key → the state **version** the value was read at.
@@ -132,15 +122,6 @@ impl RwSet {
             .keys()
             .any(|k| their_writes.contains(&k.address()))
     }
-
-    /// All accounts this footprint touches.
-    pub fn touched_accounts(&self) -> std::collections::BTreeSet<Address> {
-        self.reads
-            .keys()
-            .chain(self.writes.keys())
-            .map(AccessKey::address)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -156,9 +137,6 @@ mod tests {
         let k = AccessKey::Storage(addr(1), H256::from_low_u64(7));
         assert_eq!(k.account(), AccessKey::Balance(addr(1)));
         assert_eq!(k.address(), addr(1));
-        assert!(k.is_storage());
-        assert!(!k.is_counter());
-        assert!(AccessKey::Nonce(addr(1)).is_counter());
     }
 
     #[test]
@@ -228,15 +206,5 @@ mod tests {
         b.record_write(AccessKey::Storage(c, H256::from_low_u64(2)), U256::ONE);
         assert!(!a.conflicts_with(&b));
         assert!(a.conflicts_with_account_level(&b));
-    }
-
-    #[test]
-    fn touched_accounts_union() {
-        let mut a = RwSet::new();
-        a.record_read(AccessKey::Balance(addr(1)), 0);
-        a.record_write(AccessKey::Storage(addr(2), H256::ZERO), U256::ONE);
-        let touched = a.touched_accounts();
-        assert_eq!(touched.len(), 2);
-        assert!(touched.contains(&addr(1)) && touched.contains(&addr(2)));
     }
 }

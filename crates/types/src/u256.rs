@@ -44,12 +44,6 @@ impl U256 {
         self.0[0]
     }
 
-    /// Returns the low 128 bits, discarding the rest.
-    #[inline]
-    pub const fn low_u128(&self) -> u128 {
-        (self.0[0] as u128) | ((self.0[1] as u128) << 64)
-    }
-
     /// Converts to `u64` if the value fits.
     #[inline]
     pub fn to_u64(&self) -> Option<u64> {

@@ -20,9 +20,11 @@
 
 pub mod zipf;
 
+use std::sync::Arc;
+
 use bp_evm::{contracts, BlockEnv, Transaction};
 use bp_state::WorldState;
-use bp_types::{Address, Gas, Rng, U256};
+use bp_types::{Address, Rng, U256};
 
 pub use zipf::Zipf;
 
@@ -94,28 +96,6 @@ impl Default for WorkloadConfig {
             mix: TxMix::default(),
             zipf_accounts: 0.50,
             zipf_contracts: 1.05,
-        }
-    }
-}
-
-impl WorkloadConfig {
-    /// The NFT-mint-storm preset: every transaction mints from the single
-    /// collection, so every transaction reads and writes the same supply
-    /// counter. This is the extreme end of the contention spectrum — a
-    /// fully serialized dependency chain under a single hot key.
-    pub fn nft_mint_storm() -> Self {
-        WorkloadConfig {
-            mix: TxMix {
-                transfer: 0.0,
-                token: 0.0,
-                amm: 0.0,
-                blind: 0.0,
-                mint: 1.0,
-            },
-            // Many distinct senders so the pool's per-sender nonce gating
-            // does not cap block size.
-            zipf_accounts: 0.0,
-            ..WorkloadConfig::default()
         }
     }
 }
@@ -193,9 +173,12 @@ impl WorkloadGen {
         for i in 0..self.config.accounts {
             w.set_balance(self.account(i), U256::from(EOA_FUNDS));
         }
+        // One code blob per contract kind, shared by every instance: the
+        // EVM's analysis cache is keyed by the blob's `Arc`.
+        let token_code = Arc::new(contracts::token());
         for t in 0..self.config.tokens {
             let token = self.token_address(t);
-            w.set_code(token, contracts::token());
+            w.set_code(token, Arc::clone(&token_code));
             for i in 0..self.config.accounts {
                 w.set_storage(
                     token,
@@ -204,9 +187,10 @@ impl WorkloadGen {
                 );
             }
         }
+        let pair_code = Arc::new(contracts::amm_pair());
         for p in 0..self.config.amm_pairs {
             let pair = self.amm_address(p);
-            w.set_code(pair, contracts::amm_pair());
+            w.set_code(pair, Arc::clone(&pair_code));
             w.set_storage(
                 pair,
                 contracts::amm_reserve_slot(0),
@@ -366,10 +350,6 @@ impl WorkloadGen {
     }
 }
 
-/// Default per-transaction gas-limit headroom used by harnesses when
-/// estimating block capacity.
-pub const TYPICAL_TX_GAS: Gas = 60_000;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,10 +468,20 @@ mod tests {
 
     #[test]
     fn mint_storm_targets_the_single_collection() {
+        // Every transaction mints from the one collection, so every
+        // transaction reads and writes the same supply counter.
         let mut gen = WorkloadGen::new(WorkloadConfig {
             txs_per_block: 30,
             tx_jitter: 0,
-            ..WorkloadConfig::nft_mint_storm()
+            mix: TxMix {
+                transfer: 0.0,
+                token: 0.0,
+                amm: 0.0,
+                blind: 0.0,
+                mint: 1.0,
+            },
+            zipf_accounts: 0.0,
+            ..WorkloadConfig::default()
         });
         let genesis = gen.genesis_state();
         assert!(!genesis.code(&gen.nft_address()).is_empty());

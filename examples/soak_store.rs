@@ -51,10 +51,7 @@ fn main() -> Result<(), StoreError> {
         ..WorkloadConfig::default()
     });
     let genesis = gen.genesis_state();
-    let group = GroupCommitConfig {
-        max_blocks: 8,
-        ..GroupCommitConfig::default()
-    };
+    let group = GroupCommitConfig { max_blocks: 8 };
     let validator = Validator::with_store_profile(pipeline(), genesis.clone(), &dir, group)?;
     let genesis_block = validator.canonical_block(0).expect("genesis block");
 

@@ -63,7 +63,6 @@ fn node(args: &[String]) {
     let grouped = args.iter().any(|a| a == "--group-commit");
     let group_commit = GroupCommitConfig {
         max_blocks: arg(args, "--group-commit", if grouped { 8 } else { 1 }) as usize,
-        ..GroupCommitConfig::default()
     };
     let store_dir = args
         .iter()

@@ -10,6 +10,7 @@ use std::time::Duration;
 use blockpilot::core::{PipelineConfig, Validator};
 use blockpilot::node::serial_replay_root;
 use blockpilot::store::store::test_dir;
+use blockpilot::store::GroupCommitConfig;
 use blockpilot::types::Rng;
 use blockpilot::workload::{WorkloadConfig, WorkloadGen};
 
@@ -49,8 +50,13 @@ fn a_sigkilled_node_reopens_on_its_durable_head_and_resumes() {
         child.kill().expect("SIGKILL the node");
         child.wait().expect("reap the node");
 
-        let reopened = Validator::with_store_at(PipelineConfig::default(), genesis.clone(), &dir)
-            .unwrap_or_else(|e| panic!("seed {seed}: the store does not reopen: {e}"));
+        let reopened = Validator::with_store_profile(
+            PipelineConfig::default(),
+            genesis.clone(),
+            &dir,
+            GroupCommitConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: the store does not reopen: {e}"));
         let (_, height) = reopened.head().expect("a head");
         let chain = reopened
             .with_store_ref(|store| store.canonical_chain())

@@ -54,7 +54,7 @@ fn profile(descs: &[TxDesc]) -> BlockProfile {
             for &w in &d.writes {
                 rw.record_write(key(w), U256::ONE);
             }
-            TxProfile::from_rw(&rw, d.gas)
+            TxProfile::from_owned_rw(rw, Default::default(), d.gas)
         })
         .collect();
     BlockProfile { entries }
