@@ -4,6 +4,7 @@
 //!   correctness oracle (every parallel execution must reproduce its state
 //!   root) and the denominator of every speedup the paper reports.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod serial;

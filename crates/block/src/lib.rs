@@ -6,6 +6,7 @@
 //! gas alongside the block so validators can schedule and verify without
 //! first re-discovering conflicts.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod profile;

@@ -400,6 +400,7 @@ pub struct Scope<'scope, 'env: 'scope> {
 
 impl<'scope> Scope<'scope, '_> {
     /// Queues `f` as one of this scope's tasks.
+    #[allow(unsafe_code)]
     pub fn spawn(&self, f: impl FnOnce() + Send + 'scope) {
         self.state.left.lock().0 += 1;
         let state = Arc::clone(&self.state);

@@ -10,6 +10,8 @@
 //! crate blocks on, and [`crew`] is the one set of threads every parallel
 //! caller shares.
 
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod crew;

@@ -13,6 +13,7 @@
 //!   blocks a validator knows.
 //! * [`proposer`] / [`validator`] — node-level facades.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod occ_wsi;

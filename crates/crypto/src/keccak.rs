@@ -245,6 +245,7 @@ pub fn keccak256_concat(a: &[u8], b: &[u8]) -> H256 {
 /// Everywhere else, and for a single input, the inputs are hashed one after
 /// another. A caller with one long input has nothing to interleave and
 /// should call [`keccak256`].
+#[allow(unsafe_code)]
 pub fn keccak256_batch<'a>(inputs: impl IntoIterator<Item = &'a [u8]>) -> Vec<H256> {
     let inputs = inputs.into_iter();
     #[cfg(target_arch = "x86_64")]
@@ -433,6 +434,7 @@ mod tests {
 
     /// The batch on the ×8 kernel, called directly; `None` where the CPU
     /// cannot run it.
+    #[allow(unsafe_code)]
     fn x8(inputs: &[Vec<u8>]) -> Option<Vec<H256>> {
         #[cfg(target_arch = "x86_64")]
         if x8_supported() {

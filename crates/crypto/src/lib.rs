@@ -10,6 +10,8 @@
 //!   where the CPU has AVX-512;
 //! * [`rlp`] — strict, canonical Recursive Length Prefix coding.
 
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod keccak;

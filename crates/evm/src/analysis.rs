@@ -12,10 +12,7 @@
 //!   once per opcode;
 //! * the valid-jumpdest map (`pc → block index`), with PUSH immediates —
 //!   including a PUSH whose immediate is truncated by the end of code —
-//!   never contributing phantom destinations;
-//! * fused superinstructions for the hottest opcode pairs
-//!   (`PUSH+JUMP`/`PUSH+JUMPI` with the target resolved at analysis time,
-//!   `PUSH+PUSH`, `DUP+MSTORE`).
+//!   never contributing phantom destinations.
 //!
 //! Block boundaries are chosen so the rewrite is *observationally identical*
 //! to per-opcode metering for every completed frame: a block ends not only
@@ -53,8 +50,7 @@ use crate::opcode::{Op, DUP1, DUP16, PUSH1, PUSH32, SWAP1, SWAP16};
 pub const INVALID_BLOCK: u32 = u32::MAX;
 
 /// Decoded instruction kinds: one per opcode family the interpreter
-/// dispatches on, plus the fused superinstructions. The discriminants index
-/// the interpreter's handler table.
+/// dispatches on. The discriminants index the interpreter's handler table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u8)]
 #[allow(missing_docs)]
@@ -130,34 +126,24 @@ pub enum Kind {
     /// PUSH1..32 with the immediate pre-resolved; `a` indexes [`CodeAnalysis`]'s
     /// immediate pool.
     Push,
-    /// Fused PUSH+PUSH; `a` and `b` index the immediate pool.
-    Push2,
     /// DUPn; `a` = n.
     Dup,
     /// SWAPn; `a` = n.
     Swap,
-    /// Fused PUSH+JUMP; `a` = target block index or [`INVALID_BLOCK`].
-    JumpImm,
-    /// Fused PUSH+JUMPI; `a` = target block index or [`INVALID_BLOCK`].
-    JumpIImm,
-    /// Fused DUPn+MSTORE; `a` = n.
-    DupMStore,
 }
 
 /// Number of instruction kinds (the handler-table length).
-pub const KIND_COUNT: usize = Kind::DupMStore as usize + 1;
+pub const KIND_COUNT: usize = Kind::Swap as usize + 1;
 
-/// One pre-decoded instruction: 16 bytes, immediates out-of-line.
+/// One pre-decoded instruction per opcode: 12 bytes, immediates out-of-line.
 #[derive(Clone, Copy, Debug)]
 pub struct Inst {
     /// Dispatch kind.
     pub kind: Kind,
     /// Kind-specific operand (immediate-pool index, DUP/SWAP depth, LOG
-    /// topic count, abort byte, fused-jump target block).
+    /// topic count, abort byte).
     pub a: u32,
-    /// Second operand ([`Kind::Push2`]'s second immediate-pool index).
-    pub b: u32,
-    /// Bytecode offset of the (first) source opcode, for `PC`.
+    /// Bytecode offset of the source opcode, for `PC`.
     pub pc: u32,
 }
 
@@ -172,17 +158,15 @@ pub struct BlockInfo {
     /// Sum of the static gas of every source opcode in the block, charged
     /// once at block entry.
     pub static_gas: Gas,
-    /// Minimum stack depth at entry (computed from the *unfused* opcode
-    /// sequence, so fused pairs keep per-opcode underflow behavior).
+    /// Minimum stack depth at entry.
     pub need: u32,
-    /// Maximum stack growth over the block relative to entry (again from the
-    /// unfused sequence, preserving per-opcode overflow behavior).
+    /// Maximum stack growth over the block relative to entry.
     pub max_growth: u32,
 }
 
 /// Everything the interpreter needs to run one code blob, computed once.
 pub struct CodeAnalysis {
-    /// The decoded (and fused) instruction stream.
+    /// The decoded instruction stream, one [`Inst`] per opcode.
     pub(crate) insts: Vec<Inst>,
     /// Basic blocks over `insts`; the last block is a synthetic `STOP` so a
     /// fall-through off the end of any block is always well-defined.
@@ -193,7 +177,8 @@ pub struct CodeAnalysis {
     pub(crate) pc_block: Vec<u32>,
 }
 
-/// Raw per-opcode decode record, before fusion.
+/// Raw per-opcode decode record, with the stack and gas effects the block
+/// summaries add up.
 struct RawInst {
     pc: u32,
     kind: Kind,
@@ -205,7 +190,7 @@ struct RawInst {
 }
 
 impl CodeAnalysis {
-    /// Analyzes `code`: decode, block partition, stack/gas summaries, fusion.
+    /// Analyzes `code`: decode, block partition, stack/gas summaries.
     pub fn analyze(bytes: &[u8]) -> CodeAnalysis {
         let mut imms: Vec<U256> = Vec::new();
         let mut raws: Vec<RawInst> = Vec::with_capacity(bytes.len());
@@ -292,9 +277,8 @@ impl CodeAnalysis {
             }
         }
 
-        // Pass 3: per-block summaries (from the raw sequence) and fusion
-        // (into the final stream).
-        let mut insts: Vec<Inst> = Vec::with_capacity(raws.len() + 1);
+        // Pass 3: per-block summaries. The stream is one `Inst` per opcode,
+        // so a block's instruction range is its opcode range.
         let mut blocks: Vec<BlockInfo> = Vec::with_capacity(ranges.len() + 1);
         for &(s, e) in &ranges {
             let mut static_gas: Gas = 0;
@@ -312,85 +296,31 @@ impl CodeAnalysis {
                     maxh = h;
                 }
             }
-
-            let first = insts.len() as u32;
-            let mut j = s;
-            while j < e {
-                let r = &raws[j];
-                let next = raws.get(j + 1).filter(|_| j + 1 < e);
-                let fused = match (r.kind, next.map(|n| n.kind)) {
-                    (Kind::Push, Some(Kind::Jump)) => Some(Inst {
-                        kind: Kind::JumpImm,
-                        a: resolve_dest(imms[r.a as usize], &pc_block),
-                        b: 0,
-                        pc: r.pc,
-                    }),
-                    (Kind::Push, Some(Kind::JumpI)) => Some(Inst {
-                        kind: Kind::JumpIImm,
-                        a: resolve_dest(imms[r.a as usize], &pc_block),
-                        b: 0,
-                        pc: r.pc,
-                    }),
-                    (Kind::Push, Some(Kind::Push)) => {
-                        // Leave the second push free to fuse with a
-                        // following JUMP/JUMPI — that pair is worth more.
-                        let after = raws.get(j + 2).filter(|_| j + 2 < e).map(|n| n.kind);
-                        if matches!(after, Some(Kind::Jump) | Some(Kind::JumpI)) {
-                            None
-                        } else {
-                            Some(Inst {
-                                kind: Kind::Push2,
-                                a: r.a,
-                                b: next.unwrap().a,
-                                pc: r.pc,
-                            })
-                        }
-                    }
-                    (Kind::Dup, Some(Kind::MStore)) => Some(Inst {
-                        kind: Kind::DupMStore,
-                        a: r.a,
-                        b: 0,
-                        pc: r.pc,
-                    }),
-                    _ => None,
-                };
-                match fused {
-                    Some(inst) => {
-                        insts.push(inst);
-                        j += 2;
-                    }
-                    None => {
-                        insts.push(Inst {
-                            kind: r.kind,
-                            a: r.a,
-                            b: 0,
-                            pc: r.pc,
-                        });
-                        j += 1;
-                    }
-                }
-            }
             blocks.push(BlockInfo {
-                first,
-                end: insts.len() as u32,
+                first: s as u32,
+                end: e as u32,
                 static_gas,
                 need: need as u32,
                 max_growth: maxh as u32,
             });
         }
 
+        let mut insts: Vec<Inst> = Vec::with_capacity(raws.len() + 1);
+        insts.extend(raws.iter().map(|r| Inst {
+            kind: r.kind,
+            a: r.a,
+            pc: r.pc,
+        }));
         // Synthetic halt: running off the end of code (or of any
         // falls-through block at the end of the stream) is an implicit STOP.
-        let first = insts.len() as u32;
         insts.push(Inst {
             kind: Kind::Stop,
             a: 0,
-            b: 0,
             pc: bytes.len() as u32,
         });
         blocks.push(BlockInfo {
-            first,
-            end: first + 1,
+            first: raws.len() as u32,
+            end: insts.len() as u32,
             static_gas: 0,
             need: 0,
             max_growth: 0,
@@ -504,14 +434,6 @@ fn decode_simple(pc: u32, b: u8) -> RawInst {
         pushes,
         static_gas,
         term,
-    }
-}
-
-/// Maps a fused jump immediate to its target block, or [`INVALID_BLOCK`].
-fn resolve_dest(dest: U256, pc_block: &[u32]) -> u32 {
-    match dest.to_usize() {
-        Some(d) if d < pc_block.len() => pc_block[d],
-        _ => INVALID_BLOCK,
     }
 }
 
@@ -666,68 +588,52 @@ mod tests {
         assert_eq!(b0.max_growth, 0);
     }
 
+    /// `PC` reads `Inst::pc` and a jump lands on the first instruction of
+    /// its block, so the stream must be exactly the opcodes, in order, with
+    /// the immediates pooled in order: no pair is merged into one record.
     #[test]
-    fn fusion_produces_superinstructions() {
-        let code = Asm::new()
-            .push_u64(1)
-            .push_u64(2)
-            .op(Op::Add)
-            .label("loop")
-            .push_label("loop")
-            .op(Op::Jump)
-            .build();
+    fn one_inst_per_opcode_in_order_with_pooled_immediates() {
+        let code = vec![
+            0x60, 0x01, // 0: PUSH1 1
+            0x60, 0x08, // 2: PUSH1 8
+            0x57, // 4: JUMPI
+            0x60, 0x08, // 5: PUSH1 8
+            0x56, // 7: JUMP
+            0x5B, // 8: JUMPDEST
+            0x60, 0x40, // 9: PUSH1 0x40
+            0x60, 0x05, // 11: PUSH1 5
+            0x81, // 13: DUP2
+            0x52, // 14: MSTORE
+            0x62, 0xAA, 0xBB, // 15: PUSH3, truncated by the end of code
+        ];
         let an = analyze(code);
-        let kinds: Vec<Kind> = an.insts.iter().map(|i| i.kind).collect();
-        assert!(kinds.contains(&Kind::Push2), "{kinds:?}");
-        assert!(kinds.contains(&Kind::JumpImm), "{kinds:?}");
-        // The fused jump resolved its target block.
-        let ji = an.insts.iter().find(|i| i.kind == Kind::JumpImm).unwrap();
-        assert_ne!(ji.a, INVALID_BLOCK);
-        assert_eq!(an.blocks[ji.a as usize].first, {
-            // Target block starts at the JUMPDEST instruction.
-            let jd = an
-                .insts
-                .iter()
-                .position(|i| i.kind == Kind::JumpDest)
-                .unwrap();
-            jd as u32
-        });
-    }
-
-    #[test]
-    fn fused_jump_to_invalid_target_is_marked() {
-        let code = Asm::new().push_u64(1).op(Op::Jump).build();
-        let an = analyze(code);
-        let ji = an.insts.iter().find(|i| i.kind == Kind::JumpImm).unwrap();
-        assert_eq!(ji.a, INVALID_BLOCK);
-    }
-
-    #[test]
-    fn push_before_jump_is_not_stolen_by_push2() {
-        // PUSH PUSH JUMP: the first push stays single so PUSH+JUMP fuses.
-        let code = Asm::new()
-            .push_u64(7)
-            .push_u64(0)
-            .op(Op::Jump)
-            .label("x")
-            .build();
-        let an = analyze(code);
-        let kinds: Vec<Kind> = an.insts.iter().map(|i| i.kind).collect();
-        assert!(!kinds.contains(&Kind::Push2), "{kinds:?}");
-        assert!(kinds.contains(&Kind::JumpImm), "{kinds:?}");
-    }
-
-    #[test]
-    fn dup_mstore_fuses() {
-        let code = Asm::new()
-            .push_u64(64)
-            .push_u64(5)
-            .dup(2)
-            .op(Op::MStore)
-            .op(Op::Stop)
-            .build();
-        let an = analyze(code);
-        assert!(an.insts.iter().any(|i| i.kind == Kind::DupMStore));
+        let stream: Vec<(Kind, u32, u32)> = an.insts.iter().map(|i| (i.kind, i.a, i.pc)).collect();
+        assert_eq!(
+            stream,
+            [
+                (Kind::Push, 0, 0),
+                (Kind::Push, 1, 2),
+                (Kind::JumpI, 0, 4),
+                (Kind::Push, 2, 5),
+                (Kind::Jump, 0, 7),
+                (Kind::JumpDest, 0, 8),
+                (Kind::Push, 3, 9),
+                (Kind::Push, 4, 11),
+                (Kind::Dup, 2, 13),
+                (Kind::MStore, 0, 14),
+                (Kind::Push, 5, 15),
+                (Kind::Stop, 0, 18), // the synthetic trailing STOP
+            ]
+        );
+        let imms: Vec<U256> = [1u64, 8, 8, 0x40, 5, 0xAA_BB00]
+            .into_iter()
+            .map(U256::from)
+            .collect();
+        assert_eq!(an.imms, imms);
+        // The jump target's block starts at the JUMPDEST instruction.
+        let target = an.blocks[an.pc_block[8] as usize];
+        assert_eq!(target.first, 5);
+        assert_eq!(an.insts[target.first as usize].pc, 8);
     }
 
     #[test]

@@ -116,12 +116,12 @@ const MAX_CALL_DEPTH: usize = 64;
 
 /// The operand stack.
 ///
-/// Capacity for the full 1024-slot limit is reserved up front, and every
-/// access is unchecked in release builds: the block-entry pre-validation in
-/// [`run_analyzed`] proves (from the analysis's per-block `need` and
-/// `max_growth`, computed over the *unfused* opcode sequence) that no
-/// instruction in the block can underflow or overflow, so per-slot checks in
-/// the hot loop would be pure waste. Debug builds keep assertions.
+/// Capacity for the full 1024-slot limit is reserved up front, so a push
+/// never reallocates. The block-entry pre-validation in [`run_analyzed`]
+/// (from the analysis's per-block `need` and `max_growth`) refuses a block
+/// that could underflow or overflow before any of its instructions run, so
+/// the per-access checks below never fire: a broken invariant panics here
+/// rather than returning a `VmError`.
 struct Stack {
     data: Vec<U256>,
 }
@@ -156,54 +156,27 @@ impl Stack {
     #[inline(always)]
     fn push(&mut self, v: U256) {
         debug_assert!(self.data.len() < STACK_LIMIT);
-        // SAFETY: block pre-validation guarantees len + max_growth ≤ 1024
-        // and capacity is 1024, so the slot exists and no reallocation can
-        // occur. Exercised up to the limit by `stack_underflow_and_overflow`
-        // (1 024 pushes, then the refused 1 025th) and on random code by
-        // `raw_bytecode_matches_reference` in `tests/differential_props.rs`.
-        unsafe {
-            let n = self.data.len();
-            std::ptr::write(self.data.as_mut_ptr().add(n), v);
-            self.data.set_len(n + 1);
-        }
+        self.data.push(v);
     }
 
     #[inline(always)]
     fn pop(&mut self) -> U256 {
-        debug_assert!(!self.data.is_empty());
-        // SAFETY: block pre-validation guarantees the stack is deep enough
-        // for every pop in the block. Exercised by
-        // `stack_underflow_and_overflow` (a refused pop on an empty stack)
-        // and by `raw_bytecode_sweep_matches_reference` in
-        // `tests/differential.rs`.
-        unsafe {
-            let n = self.data.len() - 1;
-            self.data.set_len(n);
-            std::ptr::read(self.data.as_ptr().add(n))
-        }
+        self.data
+            .pop()
+            .expect("block pre-validation covers every pop")
     }
 
     /// The `depth`-th word from the top (0 = top).
     #[inline(always)]
     fn peek(&self, depth: usize) -> U256 {
-        debug_assert!(depth < self.data.len());
-        // SAFETY: as for `pop` — DUP/SWAP depths are covered by `need`.
-        // Exercised by `raw_bytecode_matches_reference` in
-        // `tests/differential_props.rs` (DUP1..16 on random stacks, run or
-        // refused by `need`) and by `structured_programs_match_reference`.
-        unsafe { *self.data.get_unchecked(self.data.len() - 1 - depth) }
+        self.data[self.data.len() - 1 - depth]
     }
 
     /// Swaps the top with the `n`-th word below it.
     #[inline(always)]
     fn swap(&mut self, n: usize) {
-        debug_assert!(n < self.data.len());
-        // SAFETY: as for `peek`; exercised by the same test's SWAP1..16.
-        unsafe {
-            let top = self.data.len() - 1;
-            let p = self.data.as_mut_ptr();
-            std::ptr::swap(p.add(top), p.add(top - n));
-        }
+        let top = self.data.len() - 1;
+        self.data.swap(top, top - n);
     }
 }
 
@@ -359,12 +332,8 @@ impl<V: StateView> Table<V> {
         t[Kind::Revert as usize] = op_revert::<V>;
         t[Kind::Abort as usize] = op_abort::<V>;
         t[Kind::Push as usize] = op_push::<V>;
-        t[Kind::Push2 as usize] = op_push2::<V>;
         t[Kind::Dup as usize] = op_dup::<V>;
         t[Kind::Swap as usize] = op_swap::<V>;
-        t[Kind::JumpImm as usize] = op_jump_imm::<V>;
-        t[Kind::JumpIImm as usize] = op_jumpi_imm::<V>;
-        t[Kind::DupMStore as usize] = op_dup_mstore::<V>;
         t
     };
 }
@@ -446,11 +415,7 @@ fn run_analyzed<V: StateView>(
         // `bi` is always in bounds: jump targets come from `pc_block` (which
         // only holds real block indices) and fall-through targets exist
         // because the analysis appends a synthetic STOP block at the end.
-        debug_assert!(bi < blocks.len());
-        // SAFETY: `bi` is in bounds, as said above. Exercised by
-        // `jumps_loop_sums` and `invalid_jump_faults`, and on random jumps
-        // by `raw_bytecode_matches_reference` in `tests/differential_props.rs`.
-        let blk = unsafe { *blocks.get_unchecked(bi) };
+        let blk = blocks[bi];
 
         // Precharge the whole block's static gas. Within a block execution
         // is straight-line, so a successful path through it pays exactly
@@ -462,8 +427,8 @@ fn run_analyzed<V: StateView>(
         }
         e.gas_left -= blk.static_gas;
 
-        // Pre-validate stack bounds once; handlers then use unchecked
-        // access.
+        // Pre-validate stack bounds once, so no instruction in the block
+        // can underflow or overflow.
         let len = e.stack.len() as u64;
         if len < blk.need as u64 {
             return Err(VmError::StackUnderflow);
@@ -472,23 +437,9 @@ fn run_analyzed<V: StateView>(
             return Err(VmError::StackOverflow);
         }
 
-        let mut ii = blk.first as usize;
-        let end = blk.end as usize;
         let mut next = bi + 1;
-        while ii < end {
-            debug_assert!(ii < insts.len());
-            // SAFETY: `first..end` of a block lies inside `insts`, which the
-            // analysis built together with the block. Exercised by every
-            // frame, e.g. `workload_contracts_match_reference` in
-            // `tests/differential.rs`.
-            let inst = unsafe { *insts.get_unchecked(ii) };
-            ii += 1;
-            // SAFETY: `Kind` discriminants are contiguous in
-            // [0, KIND_COUNT). Every kind, `Abort` for each undefined byte
-            // included, is dispatched by `raw_bytecode_sweep_matches_reference`
-            // in `tests/differential.rs`.
-            let handler = unsafe { *table.get_unchecked(inst.kind as usize) };
-            match handler(&mut e, inst)? {
+        for &inst in &insts[blk.first as usize..blk.end as usize] {
+            match table[inst.kind as usize](&mut e, inst)? {
                 Ctl::Next => {}
                 Ctl::Jump(b) => {
                     next = b as usize;
@@ -1085,29 +1036,7 @@ fn op_abort<V: StateView>(_e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmEr
 }
 
 fn op_push<V: StateView>(e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmError> {
-    debug_assert!((i.a as usize) < e.an.imms.len());
-    // SAFETY: immediate-pool indices are produced by the analysis, which
-    // pushes the pool entry before the instruction naming it. Exercised by
-    // `truncated_push_zero_pads` and, on every PUSH1..32 width, by
-    // `raw_bytecode_matches_reference` in `tests/differential_props.rs`.
-    let v = unsafe { *e.an.imms.get_unchecked(i.a as usize) };
-    e.stack.push(v);
-    Ok(Ctl::Next)
-}
-
-fn op_push2<V: StateView>(e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmError> {
-    debug_assert!((i.a as usize) < e.an.imms.len() && (i.b as usize) < e.an.imms.len());
-    // SAFETY: as for `op_push`, for both fused pushes. Exercised by
-    // `arithmetic_basics` (PUSH PUSH ADD) and by
-    // `structured_programs_match_reference` in `tests/differential_props.rs`.
-    let (a, b) = unsafe {
-        (
-            *e.an.imms.get_unchecked(i.a as usize),
-            *e.an.imms.get_unchecked(i.b as usize),
-        )
-    };
-    e.stack.push(a);
-    e.stack.push(b);
+    e.stack.push(e.an.imms[i.a as usize]);
     Ok(Ctl::Next)
 }
 
@@ -1119,35 +1048,6 @@ fn op_dup<V: StateView>(e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmError
 
 fn op_swap<V: StateView>(e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmError> {
     e.stack.swap(i.a as usize);
-    Ok(Ctl::Next)
-}
-
-fn op_jump_imm<V: StateView>(_e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmError> {
-    if i.a == INVALID_BLOCK {
-        return Err(VmError::InvalidJump);
-    }
-    Ok(Ctl::Jump(i.a))
-}
-
-fn op_jumpi_imm<V: StateView>(e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmError> {
-    let cond = e.stack.pop();
-    if cond.is_zero() {
-        Ok(Ctl::Next)
-    } else if i.a == INVALID_BLOCK {
-        Err(VmError::InvalidJump)
-    } else {
-        Ok(Ctl::Jump(i.a))
-    }
-}
-
-fn op_dup_mstore<V: StateView>(e: &mut Exec<'_, '_, V>, i: Inst) -> Result<Ctl, VmError> {
-    // DUPn duplicated the n-th word as the store offset; MSTORE then popped
-    // that copy and the previous top as the value. Fused: read the offset in
-    // place, pop only the value.
-    let offset = e.stack.peek(i.a as usize - 1);
-    let value = e.stack.pop();
-    let off = e.expand_memory(offset, U256::from(32u64))?;
-    e.memory[off..off + 32].copy_from_slice(&value.to_be_bytes());
     Ok(Ctl::Next)
 }
 
@@ -1518,6 +1418,9 @@ mod tests {
     fn stack_underflow_and_overflow() {
         let w = WorldState::new();
         let (res, _) = run_code(vec![Op::Add as u8], Vec::new(), &w);
+        assert_eq!(res.unwrap_err(), VmError::StackUnderflow);
+        // A block one word short: the entry check refuses it.
+        let (res, _) = run_code(vec![Op::Pop as u8], Vec::new(), &w);
         assert_eq!(res.unwrap_err(), VmError::StackUnderflow);
 
         // Push 1025 times.

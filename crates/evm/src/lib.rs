@@ -13,6 +13,7 @@
 //! CALLCODE or CREATE2, 64-frame call depth, and fees aggregated at block
 //! seal instead of per-transaction coinbase writes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod analysis;

@@ -109,16 +109,7 @@ impl<'a, V: StateView> RefHost<'a, V> {
         }
         let (_, version) = self.view.read_key(&AccessKey::Code(*addr));
         self.rw.record_read(AccessKey::Code(*addr), version);
-        let code = self.view.code(addr);
-        // The pre-optimization state layer resolved every code-identity
-        // read by hashing the blob (no cached code hash), so each call
-        // frame paid one keccak here. Reproduce that cost so A/B runs
-        // against this path measure the optimization rather than a
-        // baseline retroactively accelerated by the new state layer.
-        if !code.is_empty() {
-            std::hint::black_box(keccak256(&code));
-        }
-        code
+        self.view.code(addr)
     }
 
     fn set_code(&mut self, addr: Address, code: Vec<u8>) {

@@ -1,7 +1,6 @@
 //! Differential tests: the optimized engine (cached analysis, block
-//! precharge, jump-table dispatch, fused superinstructions) must be
-//! receipt-for-receipt identical to the retained reference interpreter on
-//! every observable output — success flag, gas used, output bytes, logs,
+//! precharge, jump-table dispatch) must be receipt-for-receipt identical to
+//! the retained reference interpreter on every observable output — success flag, gas used, output bytes, logs,
 //! fee, created address, read/write footprint, and deployed code.
 //!
 //! This file draws from fixed seeds; `differential_props.rs` layers

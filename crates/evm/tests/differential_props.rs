@@ -81,8 +81,8 @@ fn call_tx(data: Vec<u8>, gas_limit: u64) -> Transaction {
 }
 
 /// One structured program step. Jumps target a label planted between steps,
-/// so generated programs exercise the analyzer's block partitioning, the
-/// fused PUSH+JUMP/PUSH+JUMPI paths, and invalid-destination handling.
+/// so generated programs exercise the analyzer's block partitioning,
+/// PUSH+JUMP/PUSH+JUMPI pairs, and invalid-destination handling.
 #[derive(Clone, Debug)]
 enum Step {
     Push(u64),

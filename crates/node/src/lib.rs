@@ -24,6 +24,7 @@
 //! chain ([`serial_replay_root`]) so the overlap can never silently
 //! diverge from serial semantics.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -8,6 +8,7 @@
 //!   ([`world::WorldState::state_root`]);
 //! * [`mvstate`] — the multi-version overlay serving OCC-WSI snapshots.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod account;

@@ -28,6 +28,7 @@
 //! record that fails its checksum with a marker after it is
 //! [`StoreError::Corrupt`]: the marker shows it was durable.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod log;

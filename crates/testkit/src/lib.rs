@@ -11,6 +11,8 @@
 //! [`within`] is the suites' watchdog: a test whose wait is never released,
 //! or whose loop never ends, fails after [`DEADLINE`] instead of hanging.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Debug;
 use std::ops::{Range, RangeFrom, RangeInclusive};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -29,6 +29,7 @@
 //! control in front of the pool is the place to bound that, not SipHash on
 //! the proposer's hot path.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cmp::Ordering;

@@ -21,6 +21,7 @@
 //! * [`Rng`] — the seeded generator behind every synthetic workload and
 //!   randomized test.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fxhash;

@@ -16,6 +16,7 @@
 //! Everything is seeded: the same [`WorkloadConfig`] reproduces the same
 //! chain of blocks bit-for-bit.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod zipf;

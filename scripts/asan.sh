@@ -2,11 +2,9 @@
 # AddressSanitizer over the crates whose code is unsafe or lock-free: the
 # crew's scoped tasks (a transmuted lifetime), the world state's pending
 # commits and the tries a commit takes over, the validator pipeline, the
-# node loop, the interpreter's unchecked stack, block and immediate reads
-# (driven by its differential suites) and the AVX-512 hash kernel. Needs a
-# nightly toolchain (`-Zsanitizer` is unstable) and nothing else; the build
-# goes to target/asan. Extra arguments go to `cargo test`, e.g. a test-name
-# filter.
+# node loop and the AVX-512 hash kernel. Needs a nightly toolchain
+# (`-Zsanitizer` is unstable) and nothing else; the build goes to
+# target/asan. Extra arguments go to `cargo test`, e.g. a test-name filter.
 #
 #   scripts/asan.sh
 #   scripts/asan.sh crew::
@@ -16,4 +14,4 @@ cd "$(dirname "$0")/.."
 # too.
 RUSTFLAGS="-Zsanitizer=address" RUSTDOCFLAGS="-Zsanitizer=address" ASAN_OPTIONS="detect_leaks=0" \
     cargo +nightly test --target x86_64-unknown-linux-gnu --target-dir target/asan \
-    -p bp-concurrent -p bp-state -p blockpilot-core -p bp-node -p bp-evm -p bp-crypto "$@"
+    -p bp-concurrent -p bp-state -p blockpilot-core -p bp-node -p bp-crypto "$@"

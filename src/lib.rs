@@ -7,6 +7,8 @@
 //! This facade crate re-exports the public API of every subsystem. See the
 //! README for a tour and `examples/` for runnable programs.
 
+#![forbid(unsafe_code)]
+
 pub use blockpilot_core as core;
 pub use bp_baseline as baseline;
 pub use bp_block as block;

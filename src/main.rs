@@ -11,6 +11,8 @@
 //! stage's occupancy/stall/queue-depth stats. Run again on the same
 //! `--store DIR`, it resumes the stored chain `--blocks` heights further.
 
+#![forbid(unsafe_code)]
+
 use blockpilot::core::{ConflictGranularity, Scheduler};
 use blockpilot::workload::{WorkloadConfig, WorkloadGen};
 
