@@ -13,9 +13,9 @@
 //!   other map still points at is copied (32 slots at most) and the copy is
 //!   edited; a node this map owns alone is edited in place. So the first
 //!   write after a clone copies `O(log₃₂ n)` nodes, later writes under the
-//!   same nodes copy nothing, and a map that was never cloned — a genesis
-//!   world being built — never copies a path: adding a slot reallocates the
-//!   one node that gains it, as a `Vec` would.
+//!   same nodes copy nothing, and a map that was never cloned never copies a
+//!   path: adding a slot reallocates the one node that gains it, as a `Vec`
+//!   would. A whole map built at once (`collect()`) builds each node once.
 //!
 //! Keys are placed by their Fx hash ([`bp_types::FxHasher`]), never by their
 //! raw bytes: addresses and slot numbers are counters, mapping-slot keys are
@@ -433,13 +433,107 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for PMap<K, V> {
     }
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
+impl<K: Hash + Eq, V> FromIterator<(K, V)> for PMap<K, V> {
+    /// The map repeated [`PMap::insert`]s of the entries would build, each
+    /// node built once: the keys are hashed once and sorted by the digits
+    /// the levels consume, the root's first, so that each node's entries are
+    /// one run of the order, and the nodes are built bottom-up, each entry
+    /// moved into place. A key given twice keeps the place of its first
+    /// occurrence and the value of its last, as repeated inserts would.
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut map = PMap::new();
-        for (k, v) in iter {
-            map.insert(k, v);
+        let mut entries: Vec<(u64, K, V)> = iter
+            .into_iter()
+            .map(|(key, value)| (hash_of(&key), key, value))
+            .collect();
+        // A stable sort: entries whose hashes are equal keep their input
+        // order, the order of a bucket.
+        entries.sort_by_cached_key(|(hash, ..)| level_order(*hash));
+        without_repeats(&mut entries);
+        if entries.is_empty() {
+            return PMap::new();
         }
-        map
+        let hashes: Vec<u64> = entries.iter().map(|(hash, ..)| *hash).collect();
+        let mut entries = entries.into_iter().map(|(_, key, value)| (key, value));
+        PMap {
+            root: Some(built_branch(&hashes, 0, &mut entries, &mut Vec::new())),
+            len: hashes.len(),
+        }
+    }
+}
+
+/// `hash` with the digit the root consumes as its most significant bits,
+/// the next level's below them, and so on: sorted by it, the entries under
+/// one node are one run, in the order of that node's slots.
+fn level_order(hash: u64) -> u64 {
+    let mut order = 0;
+    let mut shift = 0;
+    while shift < u64::BITS {
+        let width = BITS.min(u64::BITS - shift);
+        order = (order << width) | ((hash >> shift) & ((1 << width) - 1));
+        shift += BITS;
+    }
+    order
+}
+
+/// Drops the later occurrences of a key that `entries` (hash, key, value)
+/// holds twice, each one's value moved into the first occurrence. Equal
+/// keys hash equal, so they meet in one run of equal hashes.
+fn without_repeats<K: Eq, V>(entries: &mut Vec<(u64, K, V)>) {
+    // `entries[..kept]` stays, `entries[run..kept]` of it in the current
+    // run of equal hashes.
+    let (mut kept, mut run) = (0, 0);
+    for next in 0..entries.len() {
+        if kept > 0 && entries[kept - 1].0 != entries[next].0 {
+            run = kept;
+        }
+        let (head, tail) = entries.split_at_mut(next);
+        let entry = &mut tail[0];
+        match head[run..kept].iter_mut().find(|first| first.1 == entry.1) {
+            Some(first) => std::mem::swap(&mut first.2, &mut entry.2),
+            None => {
+                entries.swap(kept, next);
+                kept += 1;
+            }
+        }
+    }
+    entries.truncate(kept);
+}
+
+/// The node at `shift` over the next `hashes.len()` of `entries`, whose
+/// hashes are `hashes`: equal in the digits of the levels above and sorted
+/// by the rest, level by level. `slots` holds the slots of the nodes being
+/// built, each node's on top of its parent's.
+fn built_branch<K, V>(
+    mut hashes: &[u64],
+    shift: u32,
+    entries: &mut impl Iterator<Item = (K, V)>,
+    slots: &mut Vec<Slot<K, V>>,
+) -> Branch<K, V> {
+    let (base, mut bitmap) = (slots.len(), 0);
+    while let Some(&first) = hashes.first() {
+        let bit = bit_at(first, shift);
+        let len = hashes.partition_point(|&hash| bit_at(hash, shift) == bit);
+        let (group, rest) = hashes.split_at(len);
+        let slot = match group {
+            [_] => {
+                let (key, value) = entries.next().expect("an entry a hash");
+                Slot::Leaf(key, value)
+            }
+            // Equal hashes past the last level.
+            _ if shift + BITS >= u64::BITS => {
+                count_node();
+                Slot::Bucket(entries.by_ref().take(len).collect())
+            }
+            _ => Slot::Branch(built_branch(group, shift + BITS, entries, slots)),
+        };
+        slots.push(slot);
+        bitmap |= bit;
+        hashes = rest;
+    }
+    count_node();
+    Branch {
+        bitmap,
+        slots: slots.drain(base..).collect(),
     }
 }
 
@@ -747,6 +841,114 @@ mod tests {
         assert_eq!(fork.len(), 100_001);
     }
 
+    /// `entries` put in one by one, as [`PMap::insert`] puts them.
+    fn inserted<K: Hash + Eq + Clone, V: Clone>(
+        entries: impl IntoIterator<Item = (K, V)>,
+    ) -> PMap<K, V> {
+        let mut map = PMap::new();
+        for (k, v) in entries {
+            map.insert(k, v);
+        }
+        map
+    }
+
+    #[test]
+    fn a_bulk_build_is_the_map_inserts_build() {
+        let mut rng = Rng::seed_from_u64(52);
+        for size in [0, 1, 2, 3, 31, 33, 500, 20_000] {
+            // Random hashes, some keys repeated, some sharing a hash prefix
+            // and some a whole hash.
+            let mut entries: Vec<(Key, u64)> = (0..size)
+                .map(|step| {
+                    let hashed = match rng.gen_range(0..8u32) {
+                        0 => rng.gen_range(0..4u64),
+                        _ => rng.next_u64(),
+                    };
+                    let key = Key {
+                        hashed,
+                        id: rng.gen_range(0..3u8),
+                    };
+                    (key, step as u64)
+                })
+                .collect();
+            entries.extend(
+                colliding_prefix(20, 5)
+                    .into_iter()
+                    .map(|hashed| (Key { hashed, id: 0 }, 1)),
+            );
+            let built: PMap<Key, u64> = entries.iter().copied().collect();
+            let reference = inserted(entries.iter().copied());
+            assert_eq!(built.len(), reference.len());
+            assert_eq!(built.depth(), reference.depth());
+            assert!(
+                built.iter().eq(reference.iter()),
+                "same entries in the same order at {size}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_repeated_key_keeps_its_first_place_and_its_last_value() {
+        let entries = [
+            (Key { hashed: 7, id: 0 }, 1),
+            (Key { hashed: 7, id: 1 }, 2),
+            (Key { hashed: 8, id: 0 }, 3),
+            (Key { hashed: 7, id: 0 }, 4),
+            (Key { hashed: 8, id: 0 }, 5),
+            (Key { hashed: 7, id: 0 }, 6),
+        ];
+        let built: PMap<Key, u64> = entries.into_iter().collect();
+        assert_eq!(built.len(), 3);
+        assert_eq!(built.get(&Key { hashed: 7, id: 0 }), Some(&6));
+        assert_eq!(built.get(&Key { hashed: 8, id: 0 }), Some(&5));
+        assert!(built.iter().eq(inserted(entries).iter()));
+        let bucket: Vec<_> = built.iter().filter(|(k, _)| k.hashed == 7).collect();
+        assert_eq!(
+            bucket,
+            [
+                (&Key { hashed: 7, id: 0 }, &6),
+                (&Key { hashed: 7, id: 1 }, &2)
+            ]
+        );
+    }
+
+    #[test]
+    fn full_hash_collisions_built_at_once_share_a_bucket_in_input_order() {
+        let ids = [4u8, 0, 3, 1, 2];
+        let built: PMap<Key, u8> = ids.iter().map(|&id| (Key { hashed: 99, id }, id)).collect();
+        assert_eq!(built.depth(), 14, "13 branch levels, then the bucket");
+        assert_eq!(
+            built.unshared_nodes(&PMap::new()),
+            14,
+            "one chain, one bucket"
+        );
+        let order: Vec<u8> = built.values().copied().collect();
+        assert_eq!(order, ids);
+    }
+
+    #[test]
+    fn a_bulk_build_creates_each_node_once() {
+        // Distinct hashes, a few sharing a long prefix, and one bucket.
+        let mut hashes: Vec<u64> = (0..20_000).collect();
+        hashes.extend(colliding_prefix(25, 4));
+        let mut entries: Vec<(Key, u64)> = hashes
+            .iter()
+            .map(|&hashed| (Key { hashed, id: 0 }, hashed))
+            .collect();
+        entries.extend((1..4).map(|id| (Key { hashed: 7, id }, 7)));
+        let before = nodes_created();
+        let built: PMap<Key, u64> = entries.iter().copied().collect();
+        let created = nodes_created() - before;
+        assert_eq!(created, built.unshared_nodes(&PMap::new()));
+        // Inserting reallocates a node each time it gains a slot: about one
+        // node an entry, where the map has one node per few entries.
+        let before = nodes_created();
+        let reference = inserted(entries.iter().copied());
+        assert!(nodes_created() - before > entries.len());
+        assert!(created < entries.len() / 2, "{created} nodes");
+        assert_eq!(built, reference);
+    }
+
     #[test]
     fn building_an_unshared_map_never_path_copies() {
         // An insert into a map nobody shares allocates one node at most —
@@ -755,7 +957,7 @@ mod tests {
         // that copied paths would allocate `depth` (here 3-5) per insert.
         let inserts = 20_000;
         let before = nodes_created();
-        let map: PMap<u64, u64> = (0..inserts as u64).map(|i| (i, i)).collect();
+        let map: PMap<u64, u64> = inserted((0..inserts as u64).map(|i| (i, i)));
         let created = nodes_created() - before;
         assert!(created <= inserts + map.unshared_nodes(&PMap::new()));
         // Overwrites are in place.

@@ -97,8 +97,9 @@ pub struct AccountState {
     /// an [`AccessKey::Code`] read resolves to. Derived data, kept eagerly in
     /// sync with `code` so the per-transaction code-identity read in the EVM
     /// host does not recompute a keccak per call frame (~½ µs, formerly the
-    /// single largest fixed cost of a contract call). Maintained by
-    /// [`WorldState::set_code`], the one way code gets into a world.
+    /// single largest fixed cost of a contract call). Set from `code` by the
+    /// two ways code gets into a world: [`WorldState::set_code`] and
+    /// [`WorldState::from_accounts`].
     pub code_hash: U256,
 }
 
@@ -437,6 +438,30 @@ impl WorldState {
         Self::default()
     }
 
+    /// A world holding `accounts`, built in one pass: the world setters
+    /// would build, without their per-write dirty bookkeeping, so its first
+    /// commit hashes every account from scratch, as a setter-built world's
+    /// first commit does. Each account's `code_hash` is computed from its
+    /// code, whatever was passed in. An address given twice keeps its last
+    /// account. Storage must hold no zero value (an absent slot reads zero).
+    pub fn from_accounts(accounts: impl IntoIterator<Item = (Address, AccountState)>) -> Self {
+        let accounts = accounts
+            .into_iter()
+            .map(|(addr, mut acct)| {
+                debug_assert!(
+                    acct.storage.values().all(|value| !value.is_zero()),
+                    "a zero slot of {addr:?} is absent, not stored"
+                );
+                acct.code_hash = code_read_word(&acct.code);
+                (addr, Arc::new(acct))
+            })
+            .collect();
+        WorldState {
+            accounts,
+            tracker: Mutex::default(),
+        }
+    }
+
     /// A copy-on-write snapshot: the validator pipeline's per-block base.
     /// Alias of `clone()`, named for intent — the copy does not depend on
     /// the number of accounts, and a write to either side copies one path of
@@ -649,7 +674,7 @@ impl WorldState {
         let commit = follow(record, &mut written);
         let commit = match written.is_empty() {
             true => commit,
-            false => recommit(&self.accounts, commit, written),
+            false => recommit(&self.accounts, commit, Some(written)),
         };
         let mut nodes = Vec::new();
         for storage_trie in commit.storage_tries.values() {
@@ -745,24 +770,20 @@ impl WorldState {
             record: Arc::clone(&begun.record),
         };
         let mut dirty = std::mem::take(&mut begun.dirty);
-        let commit = match begun.base.take() {
+        let (commit, dirty) = match begun.base.take() {
             // Taken over when no other handle may commit on it (edited in
             // place wherever no other commit shares its nodes), else cloned
             // (cheap — tries share structure, and the patch copies the paths
             // it takes), or rebuilt when a child's commit took it over.
-            Some(base) => base
-                .take(&begun.record, begun.heir, &dirty)
-                .unwrap_or_else(|| follow(Arc::clone(&base.0), &mut dirty)),
+            Some(base) => {
+                let commit = base
+                    .take(&begun.record, begun.heir, &dirty)
+                    .unwrap_or_else(|| follow(Arc::clone(&base.0), &mut dirty));
+                (commit, Some(dirty))
+            }
             // First commit ever (for this lineage): every account is dirty,
             // and with no retained trie each storage trie is rebuilt.
-            None => {
-                dirty = begun
-                    .accounts
-                    .keys()
-                    .map(|addr| (*addr, DirtyAccount::default()))
-                    .collect();
-                WorldCommit::default()
-            }
+            None => (WorldCommit::default(), None),
         };
         #[cfg(test)]
         if let Some(hook) = REFRESH_HOOK.take() {
@@ -772,19 +793,21 @@ impl WorldState {
     }
 }
 
-/// `commit` patched with the `dirty` accounts of `accounts`.
-fn recommit(accounts: &Accounts, mut commit: WorldCommit, dirty: Written) -> WorldCommit {
+/// `commit` patched with the `dirty` accounts of `accounts`; with none
+/// given, every account, as the first commit of a lineage takes them.
+fn recommit(accounts: &Accounts, mut commit: WorldCommit, dirty: Option<Written>) -> WorldCommit {
     // The dirty accounts in the order of their hashed addresses (hashed
     // as one batch): the order the account trie's descent takes them in.
-    let mut dirty: Vec<Dirty> = dirty
-        .into_iter()
-        .map(|(addr, slots)| Dirty {
-            key: [0; 32],
-            addr,
-            slots,
-            storage: None,
-        })
-        .collect();
+    let mut dirty: Vec<Dirty> = match dirty {
+        Some(written) => written
+            .into_iter()
+            .map(|(addr, slots)| Dirty::new(addr, accounts.get(&addr), slots))
+            .collect(),
+        None => accounts
+            .iter()
+            .map(|(addr, acct)| Dirty::new(*addr, Some(acct), DirtyAccount::default()))
+            .collect(),
+    };
     let keys = keccak256_batch(dirty.iter().map(|entry| entry.addr.as_bytes()));
     for (entry, key) in dirty.iter_mut().zip(keys) {
         entry.key = key.0;
@@ -795,9 +818,7 @@ fn recommit(accounts: &Accounts, mut commit: WorldCommit, dirty: Written) -> Wor
     // alone, the patch then edits in place.
     for entry in &mut dirty {
         let patched = !entry.slots.is_empty()
-            && accounts
-                .get(&entry.addr)
-                .is_some_and(|acct| !acct.is_empty())
+            && entry.acct.is_some()
             && commit.storage_tries.contains_key(&entry.addr);
         if patched {
             let retained = commit
@@ -822,15 +843,13 @@ fn recommit(accounts: &Accounts, mut commit: WorldCommit, dirty: Written) -> Wor
     };
     let replaced = match split {
         Err(mut account_trie) => {
-            let (mut bodies, replaced) =
-                account_updates(accounts, &commit.storage_tries, &mut dirty);
+            let (mut bodies, replaced) = account_updates(&commit.storage_tries, &mut dirty);
             account_trie.apply_sorted(&mut bodies);
             commit.account_trie = account_trie;
             replaced
         }
         Ok(mut split) => {
             let replaced = commit_shards(
-                accounts,
                 &crew,
                 shards,
                 &commit.storage_tries,
@@ -887,19 +906,13 @@ fn rebuild_root(accounts: &Accounts) -> H256 {
 /// tries of the whole batch are hashed level by level together. The
 /// account bodies need their roots.
 fn account_updates(
-    accounts: &Accounts,
     storage_tries: &PMap<Address, Trie>,
     dirty: &mut [Dirty],
 ) -> (Vec<TrieUpdate>, Vec<(Address, Trie)>) {
     let mut states: Vec<_> = dirty
         .iter_mut()
         .map(|entry| {
-            // An absent or EIP-161-empty account is dropped whatever its
-            // storage trie held.
-            let acct = accounts
-                .get(&entry.addr)
-                .map(|acct| &**acct)
-                .filter(|acct| !acct.is_empty());
+            let acct = entry.acct;
             // An empty stand-in when the retained trie was taken out.
             let prev = storage_tries.get(&entry.addr);
             let taken = entry.storage.take();
@@ -926,7 +939,6 @@ fn account_updates(
 /// — and patches its accounts' storage tries, then its subtrees. Returns
 /// the storage tries to retain.
 fn commit_shards(
-    accounts: &Accounts,
     crew: &Crew,
     shards: usize,
     storage_tries: &PMap<Address, Trie>,
@@ -939,7 +951,7 @@ fn commit_shards(
         // An account without a retained trie has its whole storage rebuilt.
         work[nibble(&entry.key)] += 1 + match storage_tries.contains_key(&entry.addr) {
             true => entry.slots.len(),
-            false => accounts.get(&entry.addr).map_or(0, |a| a.storage.len()),
+            false => entry.acct.map_or(0, |a| a.storage.len()),
         };
     }
     let total: usize = work.iter().sum();
@@ -966,10 +978,10 @@ fn commit_shards(
         let mut shards = parts.into_iter().zip(&mut replaced);
         let own = shards.next();
         for ((part, subtries, first), out) in shards {
-            s.spawn(move || *out = commit_shard(accounts, storage_tries, part, subtries, first));
+            s.spawn(move || *out = commit_shard(storage_tries, part, subtries, first));
         }
         if let Some(((part, subtries, first), out)) = own {
-            *out = commit_shard(accounts, storage_tries, part, subtries, first);
+            *out = commit_shard(storage_tries, part, subtries, first);
         }
     });
     replaced.into_iter().flatten().collect()
@@ -980,13 +992,12 @@ fn commit_shards(
 /// into those subtrees, whose new nodes are then hashed level by level
 /// together.
 fn commit_shard(
-    accounts: &Accounts,
     storage_tries: &PMap<Address, Trie>,
     dirty: &mut [Dirty],
     subtries: &mut [Subtrie],
     first: usize,
 ) -> Vec<(Address, Trie)> {
-    let (mut bodies, replaced) = account_updates(accounts, storage_tries, dirty);
+    let (mut bodies, replaced) = account_updates(storage_tries, dirty);
     let mut rest = &mut bodies[..];
     for (n, subtrie) in (first..).zip(subtries.iter_mut()) {
         let end = rest.partition_point(|(key, _)| usize::from(key[0] >> 4) == n);
@@ -1073,14 +1084,33 @@ fn slot_map(acct: &AccountState) -> HashMap<H256, U256> {
 type HashedKey = [u8; 32];
 
 /// One dirty account as a commit takes it.
-struct Dirty {
+struct Dirty<'a> {
     /// `keccak(address)`.
     key: HashedKey,
     addr: Address,
+    /// The account as the commit hashes it; `None` when it is absent or
+    /// EIP-161-empty.
+    acct: Option<&'a AccountState>,
     slots: DirtyAccount,
     /// The account's retained storage trie, taken out of the commit for its
     /// slots to patch; `None` when they patch none.
     storage: Option<Trie>,
+}
+
+impl<'a> Dirty<'a> {
+    /// `addr`, whose account is `acct`, with its `slots` dirty; the key is
+    /// hashed later, in a batch.
+    fn new(addr: Address, acct: Option<&'a Arc<AccountState>>, slots: DirtyAccount) -> Self {
+        Dirty {
+            key: [0; 32],
+            addr,
+            // An absent or EIP-161-empty account is dropped whatever its
+            // storage trie held.
+            acct: acct.map(|acct| &**acct).filter(|acct| !acct.is_empty()),
+            slots,
+            storage: None,
+        }
+    }
 }
 
 /// A trie update: the key, and the new value (`None` removes the key).
@@ -1130,8 +1160,10 @@ fn patched_storage(
             None
         }
         // No retained trie (storage was empty at the last commit, or this
-        // is the lineage's first): rebuild from the account's slots.
-        None => Some(storage_trie_pending(&slot_map(acct))),
+        // is the lineage's first): rebuild from the account's slots — none
+        // for most accounts of a first commit.
+        None if acct.storage.is_empty() => Some(Trie::new()),
+        None => Some(storage_trie_pending(acct.storage.iter())),
     }
 }
 
@@ -1217,18 +1249,18 @@ fn account_body(nonce: u64, balance: U256, code_hash: H256, storage_root: H256) 
     .rlp_encode()
 }
 
-/// One account's storage trie, built from scratch in one descent, its nodes
-/// left pending.
-fn storage_trie_pending(storage: &HashMap<H256, U256>) -> Trie {
+/// One account's storage trie, built from scratch in one descent from its
+/// slots and their values, its nodes left pending.
+fn storage_trie_pending<'a>(storage: impl Iterator<Item = (&'a H256, &'a U256)>) -> Trie {
     let mut trie = Trie::new();
-    let slots = storage.iter().map(|(slot, value)| (slot, *value)).collect();
+    let slots = storage.map(|(slot, value)| (slot, *value)).collect();
     apply_hashed(&mut trie, storage_leaves(slots));
     trie
 }
 
 /// Root of one account's storage trie, built from scratch.
 pub fn storage_root(storage: &HashMap<H256, U256>) -> H256 {
-    let mut trie = storage_trie_pending(storage);
+    let mut trie = storage_trie_pending(storage.iter());
     trie::commit_pending(std::iter::once(&mut trie));
     trie.root_hash()
 }
@@ -1554,6 +1586,88 @@ mod tests {
             }
         }
         fresh
+    }
+
+    #[test]
+    fn a_world_built_from_its_accounts_is_the_one_its_setters_build() {
+        let shared = Arc::new(vec![0x60, 0x01, 0x00]);
+        let contract = |code: &Arc<Vec<u8>>, slots: u64| AccountState {
+            code: Arc::clone(code),
+            storage: (1..=slots)
+                .map(|s| (H256::from_low_u64(s * 31), U256::from(s)))
+                .collect(),
+            ..AccountState::default()
+        };
+        let mut accounts: Vec<(Address, AccountState)> = (0..60)
+            .map(|i| {
+                let eoa = AccountState {
+                    balance: U256::from(1_000 + i),
+                    nonce: i % 3,
+                    ..AccountState::default()
+                };
+                (addr(i), eoa)
+            })
+            .collect();
+        for (i, slots) in [0, 1, 2, 7, 40].into_iter().enumerate() {
+            accounts.push((addr(100 + i as u64), contract(&shared, slots)));
+        }
+        // A code hash that is not the code's, on a contract and on an EOA.
+        let mut lying = contract(&Arc::new(vec![0x60, 0x02]), 3);
+        lying.code_hash = U256::from(12_345u64);
+        accounts.push((addr(200), lying));
+        accounts[0].1.code_hash = U256::from(1u64);
+        // Storage alone, and an account with nothing at all.
+        accounts.push((addr(201), contract(&Arc::default(), 4)));
+        accounts.push((addr(202), AccountState::default()));
+
+        let mut by_setters = WorldState::new();
+        for (a, acct) in &accounts {
+            by_setters.set_balance(*a, acct.balance);
+            by_setters.set_nonce(*a, acct.nonce);
+            if !acct.code.is_empty() {
+                by_setters.set_code(*a, Arc::clone(&acct.code));
+            }
+            for (slot, value) in acct.storage.iter() {
+                by_setters.set_storage(*a, *slot, *value);
+            }
+        }
+        let mut built = WorldState::from_accounts(accounts);
+        assert_eq!(built, by_setters);
+        assert_eq!(built.account(&addr(0)).unwrap().code_hash, U256::ZERO);
+        assert_eq!(
+            built.account(&addr(200)).unwrap().code_hash,
+            code_read_word(&[0x60, 0x02])
+        );
+        assert_eq!(built.state_root(), by_setters.state_root());
+        assert_eq!(
+            sorted(built.commit_tries().1),
+            sorted(by_setters.commit_tries().1)
+        );
+
+        // Blocks of setter writes commit on both alike.
+        let mut rng = bp_types::Rng::seed_from_u64(52);
+        for block in 0..20 {
+            for _ in 0..30 {
+                let a = match rng.gen_range(0..4u32) {
+                    0 => addr(100 + rng.gen_range(0..5u64)),
+                    1 => addr(200 + rng.gen_range(0..4u64)),
+                    _ => addr(rng.gen_range(0..64u64)),
+                };
+                let value = U256::from(rng.gen_range(0..3u64));
+                let kind = rng.gen_range(0..3u32);
+                for w in [&mut built, &mut by_setters] {
+                    match kind {
+                        0 => w.set_balance(a, value),
+                        1 => w.set_nonce(a, value.low_u64()),
+                        _ => w.set_storage(a, H256::from_low_u64(31 * value.low_u64()), value),
+                    }
+                }
+            }
+            assert_eq!(built.state_root(), built.rebuild_root(), "block {block}");
+            assert_eq!(by_setters.state_root(), by_setters.rebuild_root());
+            assert_eq!(built.state_root(), by_setters.state_root());
+        }
+        assert_eq!(built, by_setters);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! anchor state as a deterministic (address- and slot-sorted) RLP document
 //! with a trailing keccak checksum.
 
+use std::sync::Arc;
+
 use bp_crypto::{keccak256, rlp, RlpStream};
-use bp_state::WorldState;
-use bp_types::{Address, H256};
+use bp_state::{AccountState, WorldState};
+use bp_types::{Address, H256, U256};
 
 use crate::StoreError;
 
@@ -48,7 +50,10 @@ pub fn encode_world(world: &WorldState) -> Vec<u8> {
 }
 
 /// Deserializes a snapshot written by [`encode_world`], verifying the
-/// checksum.
+/// checksum and the canonical form: addresses strictly ascending, each
+/// account's slots strictly ascending and none of them zero. Anything else
+/// — a repeated account or slot among them — reads as corrupt, since no
+/// snapshot this module writes holds it.
 pub fn decode_world(bytes: &[u8]) -> Result<WorldState, StoreError> {
     let corrupt = |what: &str| StoreError::Corrupt(format!("world snapshot: {what}"));
     if bytes.len() < 32 {
@@ -58,34 +63,52 @@ pub fn decode_world(bytes: &[u8]) -> Result<WorldState, StoreError> {
     if keccak256(payload).0 != checksum {
         return Err(corrupt("checksum mismatch"));
     }
-    let mut accounts = rlp::decode_list(payload).map_err(|_| corrupt("not a list"))?;
-    let mut world = WorldState::new();
-    while !accounts.is_empty() {
-        let mut fields = accounts.list().map_err(|_| corrupt("account not a list"))?;
+    let mut list = rlp::decode_list(payload).map_err(|_| corrupt("not a list"))?;
+    let mut accounts: Vec<(Address, AccountState)> = Vec::new();
+    while !list.is_empty() {
+        let mut fields = list.list().map_err(|_| corrupt("account not a list"))?;
         let addr = fields.address().map_err(|_| corrupt("address"))?;
-        world.set_nonce(addr, fields.u64().map_err(|_| corrupt("nonce"))?);
-        world.set_balance(addr, fields.u256().map_err(|_| corrupt("balance"))?);
-        let code = fields.bytes().map_err(|_| corrupt("code"))?;
-        if !code.is_empty() {
-            world.set_code(addr, code.to_vec());
+        if accounts.last().is_some_and(|(last, _)| *last >= addr) {
+            return Err(corrupt("addresses not strictly ascending"));
         }
+        let nonce = fields.u64().map_err(|_| corrupt("nonce"))?;
+        let balance = fields.u256().map_err(|_| corrupt("balance"))?;
+        let code = fields.bytes().map_err(|_| corrupt("code"))?;
         let mut slots = fields.list().map_err(|_| corrupt("storage"))?;
         fields.end().map_err(|_| corrupt("account field count"))?;
+        let mut storage: Vec<(H256, U256)> = Vec::new();
         while !slots.is_empty() {
             let mut kv = slots.list().map_err(|_| corrupt("storage entry"))?;
             let slot = kv.h256().map_err(|_| corrupt("storage slot"))?;
             let value = kv.u256().map_err(|_| corrupt("storage value"))?;
             kv.end().map_err(|_| corrupt("storage entry arity"))?;
-            world.set_storage(addr, slot, value);
+            if storage.last().is_some_and(|(last, _)| *last >= slot) {
+                return Err(corrupt("slots not strictly ascending"));
+            }
+            if value.is_zero() {
+                return Err(corrupt("zero storage value"));
+            }
+            storage.push((slot, value));
         }
+        let account = AccountState {
+            nonce,
+            balance,
+            storage: storage.into_iter().collect(),
+            code: match code.is_empty() {
+                true => Arc::default(),
+                false => Arc::new(code.to_vec()),
+            },
+            // Computed from the code by the constructor.
+            code_hash: U256::ZERO,
+        };
+        accounts.push((addr, account));
     }
-    Ok(world)
+    Ok(WorldState::from_accounts(accounts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_types::U256;
 
     fn fixture() -> WorldState {
         let mut w = WorldState::new();
@@ -124,6 +147,79 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
         assert!(matches!(decode_world(&bytes), Err(StoreError::Corrupt(_))));
+    }
+
+    /// An account as [`raw_snapshot`] writes it: address index, balance,
+    /// and its slots and values.
+    type RawAccount<'a> = (u64, u64, &'a [(u64, u64)]);
+
+    /// A snapshot of `accounts`, written in the order given, under a valid
+    /// checksum.
+    fn raw_snapshot(accounts: &[RawAccount]) -> Vec<u8> {
+        let mut s = RlpStream::new();
+        s.begin_list(accounts.len());
+        for &(addr, balance, slots) in accounts {
+            s.begin_list(5);
+            s.append_address(&Address::from_index(addr));
+            s.append_u64(0);
+            s.append_u256(&U256::from(balance));
+            s.append_bytes(&[]);
+            s.begin_list(slots.len());
+            for &(slot, value) in slots {
+                s.begin_list(2);
+                s.append_h256(&H256::from_low_u64(slot));
+                s.append_u256(&U256::from(value));
+            }
+        }
+        let mut out = s.out();
+        let checksum = keccak256(&out);
+        out.extend_from_slice(&checksum.0);
+        out
+    }
+
+    fn corrupt_because(bytes: &[u8]) -> String {
+        match decode_world(bytes) {
+            Err(StoreError::Corrupt(why)) => why,
+            other => panic!("read as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_canonical_raw_snapshot_decodes() {
+        let bytes = raw_snapshot(&[(1, 5, &[(1, 1), (2, 2)]), (2, 6, &[])]);
+        let w = decode_world(&bytes).unwrap();
+        assert_eq!(
+            w.storage(&Address::from_index(1), &H256::from_low_u64(2)),
+            U256::from(2u64)
+        );
+        assert_eq!(w.balance(&Address::from_index(2)), U256::from(6u64));
+        assert_eq!(encode_world(&w), bytes);
+    }
+
+    #[test]
+    fn a_repeated_account_is_corrupt() {
+        let bytes = raw_snapshot(&[(1, 5, &[]), (2, 6, &[]), (2, 7, &[])]);
+        assert!(corrupt_because(&bytes).contains("addresses not strictly ascending"));
+    }
+
+    #[test]
+    fn descending_addresses_are_corrupt() {
+        let bytes = raw_snapshot(&[(2, 5, &[]), (1, 6, &[])]);
+        assert!(corrupt_because(&bytes).contains("addresses not strictly ascending"));
+    }
+
+    #[test]
+    fn a_repeated_slot_is_corrupt() {
+        let bytes = raw_snapshot(&[(1, 5, &[(1, 1), (3, 2), (3, 4)])]);
+        assert!(corrupt_because(&bytes).contains("slots not strictly ascending"));
+        let bytes = raw_snapshot(&[(1, 5, &[(3, 1), (1, 2)])]);
+        assert!(corrupt_because(&bytes).contains("slots not strictly ascending"));
+    }
+
+    #[test]
+    fn a_zero_slot_is_corrupt() {
+        let bytes = raw_snapshot(&[(1, 5, &[(1, 0)])]);
+        assert!(corrupt_because(&bytes).contains("zero storage value"));
     }
 
     #[test]

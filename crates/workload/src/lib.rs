@@ -24,8 +24,8 @@ pub mod zipf;
 use std::sync::Arc;
 
 use bp_evm::{contracts, BlockEnv, Transaction};
-use bp_state::WorldState;
-use bp_types::{Address, Rng, U256};
+use bp_state::{AccountState, PMap, WorldState};
+use bp_types::{Address, Rng, H256, U256};
 
 pub use zipf::Zipf;
 
@@ -170,42 +170,50 @@ impl WorkloadGen {
     /// Builds the genesis world: funded EOAs, deployed token and AMM
     /// contracts with seeded balances/reserves.
     pub fn genesis_state(&self) -> WorldState {
-        let mut w = WorldState::new();
-        for i in 0..self.config.accounts {
-            w.set_balance(self.account(i), U256::from(EOA_FUNDS));
-        }
+        let contract = |code: &Arc<Vec<u8>>, storage: PMap<H256, U256>| AccountState {
+            code: Arc::clone(code),
+            storage,
+            ..AccountState::default()
+        };
+        let config = &self.config;
+        let mut accounts =
+            Vec::with_capacity(config.accounts + config.tokens + config.amm_pairs + 2);
+        accounts.extend((0..config.accounts).map(|i| {
+            let funded = AccountState {
+                balance: U256::from(EOA_FUNDS),
+                ..AccountState::default()
+            };
+            (self.account(i), funded)
+        }));
         // One code blob per contract kind, shared by every instance: the
-        // EVM's analysis cache is keyed by the blob's `Arc`.
+        // EVM's analysis cache is keyed by the blob's `Arc`. Every token
+        // starts with the same holders, so they share one storage map too.
         let token_code = Arc::new(contracts::token());
-        for t in 0..self.config.tokens {
-            let token = self.token_address(t);
-            w.set_code(token, Arc::clone(&token_code));
-            for i in 0..self.config.accounts {
-                w.set_storage(
-                    token,
-                    contracts::token_balance_slot(&self.account(i)),
-                    U256::from(TOKEN_FUNDS),
-                );
-            }
-        }
+        let holders: PMap<H256, U256> = (0..config.accounts)
+            .map(|i| {
+                let slot = contracts::token_balance_slot(&self.account(i));
+                (slot, U256::from(TOKEN_FUNDS))
+            })
+            .collect();
+        accounts.extend((0..config.tokens).map(|t| {
+            (
+                self.token_address(t),
+                contract(&token_code, holders.clone()),
+            )
+        }));
         let pair_code = Arc::new(contracts::amm_pair());
-        for p in 0..self.config.amm_pairs {
-            let pair = self.amm_address(p);
-            w.set_code(pair, Arc::clone(&pair_code));
-            w.set_storage(
-                pair,
-                contracts::amm_reserve_slot(0),
-                U256::from(AMM_RESERVE),
-            );
-            w.set_storage(
-                pair,
-                contracts::amm_reserve_slot(1),
-                U256::from(AMM_RESERVE),
-            );
-        }
-        w.set_code(self.registry_address(), contracts::registry());
-        w.set_code(self.nft_address(), contracts::nft());
-        w
+        let reserves: PMap<H256, U256> = (0..2u8)
+            .map(|side| (contracts::amm_reserve_slot(side), U256::from(AMM_RESERVE)))
+            .collect();
+        accounts.extend(
+            (0..config.amm_pairs)
+                .map(|p| (self.amm_address(p), contract(&pair_code, reserves.clone()))),
+        );
+        let registry = contract(&Arc::new(contracts::registry()), PMap::new());
+        accounts.push((self.registry_address(), registry));
+        let nft = contract(&Arc::new(contracts::nft()), PMap::new());
+        accounts.push((self.nft_address(), nft));
+        WorldState::from_accounts(accounts)
     }
 
     /// Continues every account's nonce from `state`: the transactions this
@@ -430,6 +438,63 @@ mod tests {
             ),
             U256::from(TOKEN_FUNDS)
         );
+    }
+
+    /// The genesis written one setter call per account and slot.
+    fn genesis_by_setters(gen: &WorkloadGen) -> WorldState {
+        let config = gen.config();
+        let mut w = WorldState::new();
+        for i in 0..config.accounts {
+            w.set_balance(gen.account(i), U256::from(EOA_FUNDS));
+        }
+        let token_code = Arc::new(contracts::token());
+        for t in 0..config.tokens {
+            let token = gen.token_address(t);
+            w.set_code(token, Arc::clone(&token_code));
+            for i in 0..config.accounts {
+                let slot = contracts::token_balance_slot(&gen.account(i));
+                w.set_storage(token, slot, U256::from(TOKEN_FUNDS));
+            }
+        }
+        let pair_code = Arc::new(contracts::amm_pair());
+        for p in 0..config.amm_pairs {
+            let pair = gen.amm_address(p);
+            w.set_code(pair, Arc::clone(&pair_code));
+            for side in 0..2 {
+                w.set_storage(
+                    pair,
+                    contracts::amm_reserve_slot(side),
+                    U256::from(AMM_RESERVE),
+                );
+            }
+        }
+        w.set_code(gen.registry_address(), contracts::registry());
+        w.set_code(gen.nft_address(), contracts::nft());
+        w
+    }
+
+    #[test]
+    fn genesis_is_the_world_its_setters_build() {
+        let wide = WorkloadConfig {
+            accounts: 2_000,
+            tokens: 1,
+            ..WorkloadConfig::default()
+        };
+        for config in [WorkloadConfig::default(), wide] {
+            let gen = WorkloadGen::new(config);
+            let genesis = gen.genesis_state();
+            let reference = genesis_by_setters(&gen);
+            assert!(genesis == reference);
+            assert_eq!(genesis.state_root(), reference.state_root());
+            // Every instance of a contract kind shares one code blob.
+            let code = |t| {
+                genesis
+                    .account(&gen.token_address(t))
+                    .map(|a| Arc::clone(&a.code))
+            };
+            let (first, last) = (code(0).unwrap(), code(gen.config().tokens - 1).unwrap());
+            assert!(Arc::ptr_eq(&first, &last));
+        }
     }
 
     #[test]
