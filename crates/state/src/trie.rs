@@ -524,6 +524,33 @@ impl Trie {
     }
 }
 
+#[cfg(test)]
+impl Trie {
+    /// The trie's nodes, and how many of them are referenced by hash — the
+    /// root too, when it is 32 bytes or more: what a build from scratch
+    /// allocates and hashes ([`counters`]).
+    pub(crate) fn node_counts(&self) -> (usize, usize) {
+        fn count(child: &Child, counts: &mut (usize, usize)) {
+            counts.0 += 1;
+            counts.1 += usize::from(child.commit.hash().is_some());
+            match &child.node {
+                Node::Leaf(_) => {}
+                Node::Extension(ext) => count(&ext.child, counts),
+                Node::Branch(branch) => {
+                    for child in branch.children.iter().flatten() {
+                        count(child, counts);
+                    }
+                }
+            }
+        }
+        let mut counts = (0, 0);
+        if let Some(root) = &self.root {
+            count(root, &mut counts);
+        }
+        counts
+    }
+}
+
 // ---------------------------------------------------------------------------
 // A batch applied in parts
 // ---------------------------------------------------------------------------

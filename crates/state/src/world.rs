@@ -76,10 +76,26 @@ use crate::account::{empty_code_hash, Account};
 use crate::pmap::PMap;
 use crate::trie::{self, Subtrie, Trie};
 
-/// Dirty accounts from which a commit fans out into crew tasks, when its
-/// crew has an idle helper: below it the hand-off costs more than the
-/// second thread saves (EXPERIMENTS.md, "One crew for the node").
+/// Accounts from which a commit fans out into crew tasks: below it the
+/// hand-off costs more than a second thread saves (EXPERIMENTS.md, "One crew
+/// for the node"). A commit on a base — every block's — splits only when its
+/// crew has an idle helper at that instant, into one shard per idle helper
+/// and one for the caller. The first commit of a lineage, built from scratch
+/// (the genesis, a snapshot's reopen), always splits into the sixteen groups
+/// of its hashed addresses' first nibble, as tasks whichever crew thread is
+/// free takes; the caller runs what no helper took (EXPERIMENTS.md, "The
+/// first commit on both cores").
 pub const FAN_OUT_MIN: usize = 128;
+
+/// Slots from which a storage trie built from scratch is built as sixteen
+/// crew tasks of its own, one a first nibble of the hashed slot, before the
+/// accounts' groups: one account's storage would otherwise be one group's
+/// task alone (the `wide_transfers` token, 100 000 slots, was 40 % of its
+/// first commit on one thread). Far above [`FAN_OUT_MIN`], since the split
+/// costs sixteen hand-offs and a join: a whole first root of 4 096
+/// accounts and a 4 096-slot storage takes about 7 ms on one thread
+/// (EXPERIMENTS.md, "The first commit on both cores").
+pub const STORAGE_SPLIT_MIN: usize = 4_096;
 
 /// One account's in-memory state.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -674,7 +690,7 @@ impl WorldState {
         let commit = follow(record, &mut written);
         let commit = match written.is_empty() {
             true => commit,
-            false => recommit(&self.accounts, commit, Some(written)),
+            false => recommit(&self.accounts, Some((commit, written))),
         };
         let mut nodes = Vec::new();
         for storage_trie in commit.storage_tries.values() {
@@ -770,49 +786,44 @@ impl WorldState {
             record: Arc::clone(&begun.record),
         };
         let mut dirty = std::mem::take(&mut begun.dirty);
-        let (commit, dirty) = match begun.base.take() {
-            // Taken over when no other handle may commit on it (edited in
-            // place wherever no other commit shares its nodes), else cloned
-            // (cheap — tries share structure, and the patch copies the paths
-            // it takes), or rebuilt when a child's commit took it over.
-            Some(base) => {
-                let commit = base
-                    .take(&begun.record, begun.heir, &dirty)
-                    .unwrap_or_else(|| follow(Arc::clone(&base.0), &mut dirty));
-                (commit, Some(dirty))
-            }
-            // First commit ever (for this lineage): every account is dirty,
-            // and with no retained trie each storage trie is rebuilt.
-            None => (WorldCommit::default(), None),
-        };
+        // Taken over when no other handle may commit on it (edited in place
+        // wherever no other commit shares its nodes), else cloned (cheap —
+        // tries share structure, and the patch copies the paths it takes),
+        // or rebuilt when a child's commit took it over. None for the first
+        // commit of a lineage, which builds every account's tries.
+        let base = begun.base.take().map(|base| {
+            let commit = base
+                .take(&begun.record, begun.heir, &dirty)
+                .unwrap_or_else(|| follow(Arc::clone(&base.0), &mut dirty));
+            (commit, dirty)
+        });
         #[cfg(test)]
         if let Some(hook) = REFRESH_HOOK.take() {
             hook();
         }
-        hashing.settle(recommit(&begun.accounts, commit, dirty))
+        hashing.settle(recommit(&begun.accounts, base))
     }
 }
 
-/// `commit` patched with the `dirty` accounts of `accounts`; with none
-/// given, every account, as the first commit of a lineage takes them.
-fn recommit(accounts: &Accounts, mut commit: WorldCommit, dirty: Option<Written>) -> WorldCommit {
-    // The dirty accounts in the order of their hashed addresses (hashed
-    // as one batch): the order the account trie's descent takes them in.
-    let mut dirty: Vec<Dirty> = match dirty {
-        Some(written) => written
-            .into_iter()
-            .map(|(addr, slots)| Dirty::new(addr, accounts.get(&addr), slots))
-            .collect(),
-        None => accounts
-            .iter()
-            .map(|(addr, acct)| Dirty::new(*addr, Some(acct), DirtyAccount::default()))
-            .collect(),
+/// The commit of `accounts`: a `base` commit patched with the accounts it
+/// lists dirty, or with none, every account built from scratch. Debug builds
+/// check the root against [`rebuild_root`].
+fn recommit(accounts: &Accounts, base: Option<(WorldCommit, Written)>) -> WorldCommit {
+    let commit = match base {
+        Some((commit, dirty)) => patch(accounts, commit, dirty),
+        None => build(accounts),
     };
-    let keys = keccak256_batch(dirty.iter().map(|entry| entry.addr.as_bytes()));
-    for (entry, key) in dirty.iter_mut().zip(keys) {
-        entry.key = key.0;
-    }
-    dirty.sort_unstable_by_key(|entry| entry.key);
+    debug_assert_eq!(
+        commit.root,
+        rebuild_root(accounts),
+        "incremental state root diverged from from-scratch rebuild"
+    );
+    commit
+}
+
+/// `commit` patched with the `dirty` accounts of `accounts`.
+fn patch(accounts: &Accounts, mut commit: WorldCommit, dirty: Written) -> WorldCommit {
+    let mut dirty = sorted_dirty(accounts, dirty);
     // The retained storage trie of each account whose slots are patched is
     // taken out of the commit, not cloned: whatever of it the commit holds
     // alone, the patch then edits in place.
@@ -868,12 +879,241 @@ fn recommit(accounts: &Accounts, mut commit: WorldCommit, dirty: Option<Written>
         }
     }
     commit.root = commit.account_trie.root_hash();
-    debug_assert_eq!(
-        commit.root,
-        rebuild_root(accounts),
-        "incremental state root diverged from from-scratch rebuild"
-    );
     commit
+}
+
+/// The `written` accounts as a commit takes them: in the order of their
+/// hashed addresses (hashed as one batch), the order the account trie's
+/// descent takes them in. What is sorted is the hashes and the records'
+/// places; each record then moves once.
+fn sorted_dirty(accounts: &Accounts, written: Written) -> Vec<Dirty<'_>> {
+    let mut records: Vec<Option<Dirty>> = written
+        .into_iter()
+        .map(|(addr, slots)| Some(Dirty::new(addr, accounts.get(&addr), slots)))
+        .collect();
+    let keys = keccak256_batch(records.iter().flatten().map(|entry| entry.addr.as_bytes()));
+    let mut order: Vec<(HashedKey, u32)> = keys.into_iter().map(|key| key.0).zip(0..).collect();
+    order.sort_unstable_by_key(|entry| entry.0);
+    order
+        .into_iter()
+        .map(|(key, at)| {
+            let mut entry = records[at as usize].take().expect("each record moves once");
+            entry.key = key;
+            entry
+        })
+        .collect()
+}
+
+/// The tries of every account in `accounts`, built from scratch: the first
+/// commit of a lineage. The accounts split into the sixteen groups of their
+/// hashed addresses' first nibble, each one task that builds its accounts'
+/// storage tries and then its subtree of the account trie; a storage trie
+/// of at least [`STORAGE_SPLIT_MIN`] slots is built before them, as sixteen
+/// tasks of its own, and handed to its account's group. At
+/// [`FAN_OUT_MIN`] accounts or more the tasks go to the crew, idle or not,
+/// this thread running what no helper took; below, or with no helper, they
+/// run here one after another. Nothing is built for an account without
+/// storage but its body.
+fn build(accounts: &Accounts) -> WorldCommit {
+    let crew = crew::current();
+    // The accounts the trie holds (EIP-161), and those of them whose
+    // storage is built apart.
+    let mut kept = Vec::with_capacity(accounts.len());
+    let mut large = Vec::new();
+    for (addr, acct) in accounts.iter() {
+        if acct.is_empty() {
+            continue;
+        }
+        if acct.storage.len() >= STORAGE_SPLIT_MIN {
+            large.push(kept.len());
+        }
+        kept.push((*addr, &**acct));
+    }
+    let fan_out = kept.len() >= fan_out_min();
+    let hashed = HashedGroups::of(&crew, fan_out, &kept, |(addr, _)| addr.as_bytes());
+    let mut built: [Vec<(u32, Trie)>; 16] = Default::default();
+    for at in large {
+        let (addr, acct) = kept[at];
+        let storage_trie = build_storage(&crew, &acct.storage);
+        built[nibble(&keccak256(addr.as_bytes()).0)].push((at as u32, storage_trie));
+    }
+    let Ok(mut split) = Trie::new().split() else {
+        unreachable!("an empty trie splits")
+    };
+    let mut retained: [Vec<(Address, Trie)>; 16] = Default::default();
+    let (kept, hashed) = (&kept, &hashed);
+    let groups = (0..16).zip(built).zip(split.subtries()).zip(&mut retained);
+    run_tasks(
+        &crew,
+        fan_out,
+        groups.map(|(((n, built), subtrie), out)| {
+            move || *out = build_group(kept, &hashed.sorted(n), built, subtrie)
+        }),
+    );
+    let account_trie = split.join();
+    WorldCommit {
+        root: account_trie.root_hash(),
+        account_trie,
+        storage_tries: retained.into_iter().flatten().collect(),
+    }
+}
+
+/// One first-nibble group of [`build`]: `group`, the sorted hashed addresses
+/// of its accounts with their places in `kept`, applied to `subtrie` once
+/// each account's storage trie is there — `built` already when it is
+/// large, else built here, the group's new nodes hashed level by level
+/// together. Returns the storage tries to retain.
+fn build_group(
+    kept: &[(Address, &AccountState)],
+    group: &[(HashedKey, u32)],
+    mut built: Vec<(u32, Trie)>,
+    subtrie: &mut Subtrie,
+) -> Vec<(Address, Trie)> {
+    let acct = |at: u32| kept[at as usize].1;
+    // The non-empty storage tries, by place in the group.
+    let mut storage: Vec<(usize, Trie)> = Vec::new();
+    for (place, &(_, at)) in group.iter().enumerate() {
+        let slots = &acct(at).storage;
+        let storage_trie = match slots.len() {
+            0 => continue,
+            n if n >= STORAGE_SPLIT_MIN => {
+                let i = built.iter().position(|entry| entry.0 == at);
+                built
+                    .swap_remove(i.expect("a large storage is built first"))
+                    .1
+            }
+            _ => storage_trie_pending(slots.keys(), slots.values()),
+        };
+        storage.push((place, storage_trie));
+    }
+    trie::commit_pending(storage.iter_mut().map(|(_, storage_trie)| storage_trie));
+    let mut roots = storage.iter().peekable();
+    let mut bodies: Vec<TrieUpdate> = group
+        .iter()
+        .enumerate()
+        .map(|(place, &(key, at))| {
+            let root = roots
+                .next_if(|(with, _)| *with == place)
+                .map_or_else(trie::empty_root, |(_, storage_trie)| {
+                    storage_trie.root_hash()
+                });
+            (key, Some(body_of(acct(at), root)))
+        })
+        .collect();
+    if !bodies.is_empty() {
+        subtrie.apply_sorted_pending(&mut bodies);
+    }
+    trie::commit_subtries(std::iter::once(subtrie));
+    storage
+        .into_iter()
+        .map(|(place, storage_trie)| (kept[group[place].1 as usize].0, storage_trie))
+        .collect()
+}
+
+/// A storage trie built from scratch as sixteen crew tasks, one a first
+/// nibble of the hashed slots: each sorts its slots, encodes their leaves
+/// straight into its update list and builds and hashes its subtree; the
+/// join hashes the root over them.
+fn build_storage(crew: &Crew, storage: &PMap<H256, U256>) -> Trie {
+    let slots: Vec<(&H256, &U256)> = storage.iter().collect();
+    let hashed = HashedGroups::of(crew, true, &slots, |(slot, _)| slot.as_bytes());
+    let Ok(mut split) = Trie::new().split() else {
+        unreachable!("an empty trie splits")
+    };
+    let (slots, hashed) = (&slots, &hashed);
+    run_tasks(
+        crew,
+        true,
+        (0..16).zip(split.subtries()).map(|(n, subtrie)| {
+            move || {
+                let mut leaves: Vec<TrieUpdate> = hashed
+                    .sorted(n)
+                    .into_iter()
+                    .map(|(key, at)| (key, Some(storage_leaf(slots[at as usize].1))))
+                    .collect();
+                if !leaves.is_empty() {
+                    subtrie.apply_sorted_pending(&mut leaves);
+                }
+                trie::commit_subtries(std::iter::once(subtrie));
+            }
+        }),
+    );
+    split.join()
+}
+
+/// The first nibble of a hashed key: its group.
+fn nibble(key: &HashedKey) -> usize {
+    usize::from(key[0] >> 4)
+}
+
+/// Items' hashed keys with the items' places, by the first nibble of the
+/// hash, as the tasks that hashed them left them: for each run of items,
+/// sixteen lists.
+struct HashedGroups(Vec<[Vec<(HashedKey, u32)>; 16]>);
+
+impl HashedGroups {
+    /// The keys of `items` hashed: in sixteen runs as crew tasks when
+    /// `fan_out`, else in one here, each run as one batch.
+    fn of<T: Sync>(
+        crew: &Crew,
+        fan_out: bool,
+        items: &[T],
+        key: impl Fn(&T) -> &[u8] + Sync,
+    ) -> HashedGroups {
+        let runs = if fan_out { 16 } else { 1 };
+        let run = items.len().div_ceil(runs).max(1);
+        let mut lists: Vec<[Vec<(HashedKey, u32)>; 16]> =
+            items.chunks(run).map(|_| Default::default()).collect();
+        let key = &key;
+        let runs = items.chunks(run).zip(&mut lists).zip((0..).step_by(run));
+        run_tasks(
+            crew,
+            fan_out,
+            runs.map(|((items, lists), first)| {
+                move || {
+                    let hashes = keccak256_batch(items.iter().map(key));
+                    for (at, hash) in (first..).zip(hashes) {
+                        lists[nibble(&hash.0)].push((hash.0, at as u32));
+                    }
+                }
+            }),
+        );
+        HashedGroups(lists)
+    }
+
+    /// The keys whose hash starts with nibble `n`, sorted.
+    fn sorted(&self, n: usize) -> Vec<(HashedKey, u32)> {
+        let mut group = Vec::with_capacity(self.0.iter().map(|lists| lists[n].len()).sum());
+        for lists in &self.0 {
+            group.extend_from_slice(&lists[n]);
+        }
+        group.sort_unstable_by_key(|entry| entry.0);
+        group
+    }
+}
+
+/// Runs `tasks`: as crew tasks when `fan_out` and the crew has a helper,
+/// this thread running the first and whichever no helper took; else one
+/// after another here.
+fn run_tasks<'env, F: FnOnce() + Send + 'env>(
+    crew: &Crew,
+    fan_out: bool,
+    tasks: impl IntoIterator<Item = F>,
+) {
+    let mut tasks = tasks.into_iter();
+    if !fan_out || crew.helpers() == 0 {
+        tasks.for_each(|task| task());
+        return;
+    }
+    crew.scope(Priority::Urgent, |s| {
+        let own = tasks.next();
+        for task in tasks {
+            s.spawn(task);
+        }
+        if let Some(own) = own {
+            own();
+        }
+    });
 }
 
 /// The state root of `accounts`, built from scratch.
@@ -945,7 +1185,6 @@ fn commit_shards(
     dirty: &mut [Dirty],
     subtries: &mut [Subtrie; 16],
 ) -> Vec<(Address, Trie)> {
-    let nibble = |key: &HashedKey| usize::from(key[0] >> 4);
     let mut work = [0usize; 16];
     for entry in &*dirty {
         // An account without a retained trie has its whole storage rebuilt.
@@ -1000,7 +1239,7 @@ fn commit_shard(
     let (mut bodies, replaced) = account_updates(storage_tries, dirty);
     let mut rest = &mut bodies[..];
     for (n, subtrie) in (first..).zip(subtries.iter_mut()) {
-        let end = rest.partition_point(|(key, _)| usize::from(key[0] >> 4) == n);
+        let end = rest.partition_point(|(key, _)| nibble(key) == n);
         let (group, tail) = std::mem::take(&mut rest).split_at_mut(end);
         if !group.is_empty() {
             subtrie.apply_sorted_pending(group);
@@ -1159,11 +1398,13 @@ fn patched_storage(
             debug_assert!(slots.is_empty(), "dirty slots patch the taken trie");
             None
         }
-        // No retained trie (storage was empty at the last commit, or this
-        // is the lineage's first): rebuild from the account's slots — none
-        // for most accounts of a first commit.
+        // No retained trie (storage was empty at the last commit): rebuild
+        // from the account's slots, if it has any now.
         None if acct.storage.is_empty() => Some(Trie::new()),
-        None => Some(storage_trie_pending(acct.storage.iter())),
+        None => Some(storage_trie_pending(
+            acct.storage.keys(),
+            acct.storage.values(),
+        )),
     }
 }
 
@@ -1191,22 +1432,23 @@ fn account_update(
     {
         return dropped;
     }
+    AccountUpdate {
+        body: Some(body_of(acct, storage_trie.root_hash())),
+        // An account that had no storage and has none changes nothing.
+        storage_trie: patched.filter(|trie| !trie.is_empty() || prev.is_some()),
+    }
+}
+
+/// The RLP body of a non-empty account whose storage trie has
+/// `storage_root`.
+fn body_of(acct: &AccountState, storage_root: H256) -> Vec<u8> {
     // The code hash is at hand in the account.
     let code_hash = if acct.code.is_empty() {
         empty_code_hash()
     } else {
         H256::from_u256(acct.code_hash)
     };
-    AccountUpdate {
-        body: Some(account_body(
-            acct.nonce,
-            acct.balance,
-            code_hash,
-            storage_trie.root_hash(),
-        )),
-        // An account that had no storage and has none changes nothing.
-        storage_trie: patched.filter(|trie| !trie.is_empty() || prev.is_some()),
-    }
+    account_body(acct.nonce, acct.balance, code_hash, storage_root)
 }
 
 /// Storage-trie updates for slots and their values (zero removes the slot):
@@ -1250,17 +1492,35 @@ fn account_body(nonce: u64, balance: U256, code_hash: H256, storage_root: H256) 
 }
 
 /// One account's storage trie, built from scratch in one descent from its
-/// slots and their values, its nodes left pending.
-fn storage_trie_pending<'a>(storage: impl Iterator<Item = (&'a H256, &'a U256)>) -> Trie {
+/// slots and their values (in the same order), its nodes left pending: the
+/// slots hashed as one batch, and each leaf encoded straight into the
+/// update list.
+fn storage_trie_pending<'a>(
+    slots: impl Iterator<Item = &'a H256>,
+    values: impl Iterator<Item = &'a U256>,
+) -> Trie {
+    let keys = keccak256_batch(slots.map(H256::as_bytes));
+    let leaves = keys
+        .into_iter()
+        .zip(values)
+        .map(|(key, value)| (key.0, Some(storage_leaf(value))))
+        .collect();
     let mut trie = Trie::new();
-    let slots = storage.map(|(slot, value)| (slot, *value)).collect();
-    apply_hashed(&mut trie, storage_leaves(slots));
+    apply_hashed(&mut trie, leaves);
     trie
 }
 
-/// Root of one account's storage trie, built from scratch.
+/// Root of one account's storage trie, built from scratch; a slot that
+/// holds zero is absent.
 pub fn storage_root(storage: &HashMap<H256, U256>) -> H256 {
-    let mut trie = storage_trie_pending(storage.iter());
+    let slots: Vec<(&H256, &U256)> = storage
+        .iter()
+        .filter(|(_, value)| !value.is_zero())
+        .collect();
+    let mut trie = storage_trie_pending(
+        slots.iter().map(|(slot, _)| *slot),
+        slots.iter().map(|(_, value)| *value),
+    );
     trie::commit_pending(std::iter::once(&mut trie));
     trie.root_hash()
 }
@@ -1670,6 +1930,123 @@ mod tests {
         assert_eq!(built, by_setters);
     }
 
+    // ---- the first commit, built in sixteen groups ----
+
+    /// A world whose first commit takes every part of the split build: EOAs
+    /// in every group, a storage of more than [`STORAGE_SPLIT_MIN`] slots,
+    /// several of fewer (one just under it), an EIP-161-empty account and
+    /// an account that is storage alone.
+    fn split_world() -> WorldState {
+        let slots = |n: usize, salt: u64| -> PMap<H256, U256> {
+            (0..n as u64)
+                .map(|s| (H256::from_low_u64(s * 7 + salt), U256::from(s + 1)))
+                .collect()
+        };
+        let code = Arc::new(vec![0x60, 0x00]);
+        let contract = |n: usize, salt: u64| AccountState {
+            code: Arc::clone(&code),
+            storage: slots(n, salt),
+            ..AccountState::default()
+        };
+        let mut accounts: Vec<(Address, AccountState)> = (0..3_000)
+            .map(|i| {
+                let eoa = AccountState {
+                    balance: U256::from(i + 1),
+                    nonce: i % 4,
+                    ..AccountState::default()
+                };
+                (addr(i), eoa)
+            })
+            .collect();
+        accounts.push((addr(10_000), contract(STORAGE_SPLIT_MIN + 500, 0)));
+        for (i, n) in [1, 3, 40, 300, STORAGE_SPLIT_MIN - 1]
+            .into_iter()
+            .enumerate()
+        {
+            accounts.push((addr(20_000 + i as u64), contract(n, i as u64)));
+        }
+        accounts.push((addr(30_000), AccountState::default()));
+        let storage_alone = AccountState {
+            storage: slots(5, 9),
+            ..AccountState::default()
+        };
+        accounts.push((addr(30_001), storage_alone));
+        WorldState::from_accounts(accounts)
+    }
+
+    #[test]
+    fn a_split_first_commit_is_the_same_on_any_crew() {
+        let crews = [0, 1, 3].map(Crew::new);
+        let mut worlds = crews.each_ref().map(|_| split_world());
+        let commits: Vec<_> = crews
+            .iter()
+            .zip(&worlds)
+            .map(|(crew, w)| crew.install(|| w.commit_tries()))
+            .collect();
+        let root = worlds[0].rebuild_root();
+        for (root_here, nodes) in &commits {
+            assert_eq!(*root_here, root);
+            assert_eq!(sorted(nodes.clone()), sorted(commits[0].1.clone()));
+        }
+        // Blocks of setter writes then patch the tries the split built.
+        let mut rng = bp_types::Rng::seed_from_u64(53);
+        for block in 0..10 {
+            let mut writes = Vec::new();
+            for _ in 0..60 {
+                let a = match rng.gen_range(0..5u32) {
+                    0 => addr(10_000),
+                    1 => addr(20_000 + rng.gen_range(0..5u64)),
+                    2 => addr(30_000 + rng.gen_range(0..2u64)),
+                    _ => addr(rng.gen_range(0..3_100u64)),
+                };
+                let value = U256::from(rng.gen_range(0..3u64));
+                let slot = H256::from_low_u64(7 * rng.gen_range(0..5_000u64));
+                writes.push((a, rng.gen_range(0..3u32), value, slot));
+            }
+            let roots: Vec<H256> = crews
+                .iter()
+                .zip(&mut worlds)
+                .map(|(crew, w)| {
+                    for &(a, kind, value, slot) in &writes {
+                        match kind {
+                            0 => w.set_balance(a, value),
+                            1 => w.set_nonce(a, value.low_u64()),
+                            _ => w.set_storage(a, slot, value),
+                        }
+                    }
+                    crew.install(|| w.state_root())
+                })
+                .collect();
+            let root = worlds[0].rebuild_root();
+            assert_eq!(roots, [root; 3], "block {block}");
+        }
+    }
+
+    #[test]
+    fn a_split_first_commit_makes_and_hashes_each_node_once() {
+        let w = split_world();
+        let (allocated, hashed) = Crew::new(0).install(|| {
+            trie_nodes_counted(&w, || {
+                w.state_root();
+            })
+        });
+        // Every node of every trie the commit settled, and those of them
+        // referenced by hash.
+        let tracker = w.tracker.lock();
+        let held = tracker.commit.as_ref().expect("a commit").0.held.lock();
+        let Held::Settled(commit) = &*held else {
+            panic!("the commit settled")
+        };
+        let (mut nodes, mut hashed_nodes) = commit.account_trie.node_counts();
+        for storage_trie in commit.storage_tries.values() {
+            let (n, h) = storage_trie.node_counts();
+            (nodes, hashed_nodes) = (nodes + n, hashed_nodes + h);
+        }
+        assert!(nodes > 3_000 + STORAGE_SPLIT_MIN, "{nodes}");
+        assert_eq!(allocated, nodes);
+        assert_eq!(hashed, hashed_nodes);
+    }
+
     #[test]
     fn incremental_root_matches_fresh_build_across_mutations() {
         let mut w = WorldState::new();
@@ -1829,18 +2206,29 @@ mod tests {
 
     // ---- a commit held alone: edited in place ----
 
-    /// Trie nodes allocated on this thread while `f` runs, less those of the
-    /// from-scratch oracle a debug build's commit checks itself against.
-    fn trie_nodes_allocated(world: &WorldState, f: impl FnOnce()) -> usize {
-        use trie::counters::{read, ALLOCATED};
-        let before = read(&ALLOCATED);
+    /// Trie nodes allocated and hashed on this thread while `f` runs, less
+    /// those of the from-scratch oracle a debug build's commit checks itself
+    /// against.
+    fn trie_nodes_counted(world: &WorldState, f: impl FnOnce()) -> (usize, usize) {
+        use trie::counters::{read, ALLOCATED, HASHED};
+        let counts = || (read(&ALLOCATED), read(&HASHED));
+        let before = counts();
         f();
-        let allocated = read(&ALLOCATED) - before;
-        let before = read(&ALLOCATED);
+        let during = counts();
         if cfg!(debug_assertions) {
             world.rebuild_root();
         }
-        allocated - (read(&ALLOCATED) - before)
+        let oracle = counts();
+        (
+            (during.0 - before.0) - (oracle.0 - during.0),
+            (during.1 - before.1) - (oracle.1 - during.1),
+        )
+    }
+
+    /// Trie nodes allocated on this thread while `f` runs, as
+    /// [`trie_nodes_counted`].
+    fn trie_nodes_allocated(world: &WorldState, f: impl FnOnce()) -> usize {
+        trie_nodes_counted(world, f).0
     }
 
     #[test]

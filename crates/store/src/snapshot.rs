@@ -137,6 +137,25 @@ mod tests {
     }
 
     #[test]
+    fn a_decoded_worlds_split_first_commit_gives_the_encoded_worlds_root() {
+        use bp_state::world::{FAN_OUT_MIN, STORAGE_SPLIT_MIN};
+
+        // Enough accounts for the first commit to fan out, and one storage
+        // large enough to be built in sixteen groups of its own.
+        let mut w = fixture();
+        for i in 100..100 + FAN_OUT_MIN as u64 {
+            w.set_balance(Address::from_index(i), U256::from(i));
+        }
+        let contract = Address::from_index(8);
+        for s in 0..STORAGE_SPLIT_MIN as u64 + 100 {
+            w.set_storage(contract, H256::from_low_u64(s), U256::from(s + 1));
+        }
+        let decoded = decode_world(&encode_world(&w)).unwrap();
+        assert_eq!(decoded.state_root(), w.state_root());
+        assert_eq!(decoded.state_root(), w.rebuild_root());
+    }
+
+    #[test]
     fn encoding_is_deterministic() {
         assert_eq!(encode_world(&fixture()), encode_world(&fixture()));
     }
